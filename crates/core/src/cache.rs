@@ -10,6 +10,15 @@
 //! arrived — that stall is exactly the exposed I/O latency the paper
 //! evaluates (Q1).
 //!
+//! There is one store path. Every offloaded tensor — an activation, or a
+//! gradient / optimizer-state slot from [`TensorCache::offload_state`] —
+//! is a `Record` walking `Resident → Staged → Storing → Offloaded →
+//! Loading`, and every store job is a sealed segment of such records:
+//! with [`TensorCacheConfig::coalesce_segment_bytes`] at 0 a record
+//! seals the moment it is staged (a segment of one), otherwise it waits
+//! in the [`WriteCoalescer`] for company. Admission, commit-and-recover,
+//! forwarding and reload each exist once, for all three classes.
+//!
 //! Memory-accounting subtlety: an offloaded tensor's GPU memory is freed
 //! *when its store completes*, which is in the simulated future at the
 //! time we learn it. The cache therefore defers the release and stamps
@@ -18,7 +27,7 @@
 //! forwarded was never actually released, and no event is emitted.
 
 use crate::adaptive::{AdaptivePlan, ModuleProfile, StepProfile};
-use crate::coalesce::{SegmentEntry, WriteCoalescer};
+use crate::coalesce::{SealedSegment, WriteCoalescer};
 use crate::config::{RecoveryPolicy, TensorCacheConfig};
 use crate::costmodel::{CostModel, TierPlan};
 use crate::error::OffloadError;
@@ -27,17 +36,23 @@ use crate::io::{IoEngine, JobId};
 use crate::placement::{OffloadClass, Placement, PlacementPolicy, PlacementQuery};
 use crate::stats::OffloadStats;
 use crate::target::{BatchItem, OffloadTarget};
-use crate::tier::{TierId, TierStack};
+use crate::tier::{TierId, TierPlacement, TierStack};
 use parking_lot::Mutex;
 use ssdtrain_autograd::{ModuleHooks, Packed, Phase, SavedTensorHooks, ScopeInfo};
 use ssdtrain_simhw::{BufferArena, GpuMemory, PinnedSlab, SimTime};
 use ssdtrain_tensor::Tensor;
 use ssdtrain_trace::{ArgValue, TraceCategory, TraceSink};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::io;
+use std::ops::Range;
 use std::sync::Arc;
 
 type RecordId = u64;
+
+/// A segment member on its way to the device: its id and serialised
+/// payload (`None` in symbolic execution).
+type Payload = (RecordId, Option<Vec<u8>>);
 
 /// The stage kinds the scheduler announces to the cache (the `cmd`
 /// argument of the paper's `tc.set_stage`).
@@ -56,28 +71,32 @@ pub enum StageHint {
 }
 
 impl StageHint {
-    /// The span name a [`StageScope`] emits for this stage.
-    pub fn trace_label(self) -> String {
+    /// The span name a [`StageScope`] emits for this stage. Only
+    /// [`StageHint::MicroBatchLoad`] formats; the fixed stages borrow.
+    pub fn trace_label(self) -> Cow<'static, str> {
         match self {
-            StageHint::MicroBatchLoad(mb) => format!("stage.load_mb{mb}"),
-            StageHint::Forward => "stage.forward".to_owned(),
-            StageHint::Backward => "stage.backward".to_owned(),
-            StageHint::Communication => "stage.comm".to_owned(),
-            StageHint::Optimizer => "stage.optimizer".to_owned(),
+            StageHint::MicroBatchLoad(mb) => format!("stage.load_mb{mb}").into(),
+            StageHint::Forward => "stage.forward".into(),
+            StageHint::Backward => "stage.backward".into(),
+            StageHint::Communication => "stage.comm".into(),
+            StageHint::Optimizer => "stage.optimizer".into(),
         }
     }
 }
 
+/// The one lifecycle every offloaded tensor follows, whatever its
+/// [`OffloadClass`]: `Resident → Staged → Storing → Offloaded → Loading`
+/// (and back to `Resident`).
 #[derive(Debug, Clone, Copy)]
 enum RecState {
-    /// In GPU memory (loaded back or forwarded).
+    /// In GPU memory (never stored, loaded back, or forwarded).
     Resident,
-    /// Staged in the write coalescer's open segment for its tier; no
-    /// store job exists yet and the data is still resident. Consuming a
-    /// staged record evicts it from the segment — forwarding that never
-    /// even queued a job.
+    /// Waiting for its segment to seal; no store job exists yet and the
+    /// data is still resident. Consuming a staged record takes it back
+    /// out of the open segment — forwarding that never queued a job.
     Staged,
-    /// Store in flight; data still resident (release deferred).
+    /// Member of the sealed segment riding `job`; data still resident
+    /// (release deferred to the commit).
     Storing { job: JobId },
     /// On the offload target; GPU memory already freed (at the store's
     /// completion time).
@@ -90,48 +109,28 @@ struct Record {
     key: TensorKey,
     tensor: Tensor,
     bytes: u64,
+    class: OffloadClass,
     state: RecState,
     scopes: HashSet<u64>,
     /// The tier holding (or about to hold) the bytes; demotion moves it.
     tier: TierId,
-    /// The sealed segment carrying this record's store, when the bytes
-    /// ride a coalesced job rather than a per-tensor one.
-    seg: Option<u64>,
     /// Pinned staging slab the bytes occupy while a store is staged or
     /// in flight; released exactly once when the staging retires.
     slab: Option<PinnedSlab>,
+    /// Simulated time the record's store drains; a reload can never
+    /// complete before it. Zero again after a step boundary (the
+    /// optimizer-stage drain barrier guarantees every store landed
+    /// before the step ended).
+    avail: SimTime,
 }
 
-/// A sealed segment whose store job is in flight: the per-segment index
-/// that lets commit and recovery keep member identity (one failed
-/// segment degrades per [`RecoveryPolicy`], not per tensor).
-struct SegmentState {
-    job: JobId,
-    tier: TierId,
-    entries: Vec<SegmentEntry>,
-}
-
-/// How `unpack` pre-handles a record on the coalesced path, decided
-/// under a short borrow so whole-segment actions can run on `Inner`.
-enum CoalescedHit {
-    /// Staged member consumed before its segment sealed: evicted from
-    /// the open segment — forwarding that never queued a job.
-    Evicted {
-        tier: TierId,
-        bytes: u64,
-        slab: Option<PinnedSlab>,
-        tensor: Tensor,
-    },
-    /// Member of a sealed segment consumed inside the forwarding window:
-    /// forwarded *without* cancelling — the segment job carries its
-    /// siblings and commit will skip this resident member.
-    Forwarded {
-        bytes: u64,
-        slab: Option<PinnedSlab>,
-        tensor: Tensor,
-    },
-    /// The member's segment must commit before the reload can begin.
-    Commit { seg: u64, end: SimTime },
+impl Record {
+    /// State slots (gradients, optimizer state) survive
+    /// [`TensorCache::flush`] and step boundaries, are owned by their
+    /// caller rather than by module scopes, and never deduplicate.
+    fn is_state(&self) -> bool {
+        self.class != OffloadClass::Activation
+    }
 }
 
 /// Opaque handle to an offloaded state tensor (a gradient or optimizer
@@ -140,25 +139,18 @@ enum CoalescedHit {
 /// state lives across steps and is reloaded by the next step's
 /// optimizer jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StateSlot(u64);
+pub struct StateSlot(RecordId);
 
-/// A non-activation offload record (gradient / optimizer state). The
-/// bytes are written to their tier eagerly at submit time (there is no
-/// deferred commit: state has no forwarding path), and the slot tracks
-/// when the simulated store drains so a load in the same step can never
-/// observe the bytes before they physically landed.
-struct StateRecord {
-    key: TensorKey,
-    tensor: Tensor,
-    bytes: u64,
-    class: OffloadClass,
-    tier: TierId,
-    /// Bytes are on the tier (false after a load restored them).
-    offloaded: bool,
-    /// Simulated time the store drains; loads this step clamp to it.
-    /// Reset to zero at step boundaries (the optimizer-stage drain
-    /// barrier guarantees every store landed before the step ended).
-    avail: SimTime,
+/// What a reload is for: decides the counter it lands in and the state
+/// the record is left in.
+#[derive(Clone, Copy)]
+enum Reload {
+    /// `unpack` found the bytes offloaded: the caller stalls on them.
+    Sync,
+    /// Issued ahead of use by the backward prefetcher.
+    Prefetch,
+    /// [`TensorCache::load_state`]: the caller owns the ready time.
+    State,
 }
 
 #[derive(Default)]
@@ -189,10 +181,16 @@ struct Inner {
     profiling: bool,
     fwd_start: SimTime,
     fwd_secs: f64,
-    /// Sealed segments whose coalesced store jobs are in flight,
-    /// committed (written through [`crate::TierStack::write_segment`])
-    /// or recovered as a unit; removal marks the segment committed.
-    segments: HashMap<u64, SegmentState>,
+    /// Sealed segments whose store jobs are in flight — one I/O job, one
+    /// device write, recovered as a unit — keyed by job; the value is
+    /// the members' range in `seg_members`. Removal marks the segment
+    /// committed (or cancelled).
+    segments: HashMap<JobId, Range<usize>>,
+    /// Member ids of every segment sealed this step, back to back.
+    seg_members: Vec<RecordId>,
+    /// Reused by every commit: the members still riding the job and
+    /// their serialised payloads.
+    commit_scratch: Vec<Payload>,
     /// Groups already prefetched this step (group double-buffering must
     /// never load a group twice).
     groups_loaded: HashSet<(usize, usize)>,
@@ -217,6 +215,8 @@ impl Default for Inner {
             fwd_start: SimTime::ZERO,
             fwd_secs: 0.0,
             segments: HashMap::new(),
+            seg_members: Vec::new(),
+            commit_scratch: Vec::new(),
             groups_loaded: HashSet::new(),
             group_slabs: HashMap::new(),
         }
@@ -280,14 +280,11 @@ pub struct TensorCache {
     /// store staging slabs and group-prefetch landing buffers alike.
     arena: BufferArena,
     /// The write coalescer between `pack` and the per-tier store queues
-    /// (inert when [`TensorCacheConfig::coalesce_segment_bytes`] is 0).
+    /// (unused when [`TensorCacheConfig::coalesce_segment_bytes`] is 0:
+    /// every staged record then seals at once, a segment of one).
     /// Lock order: `inner` before `coalescer`, never the reverse.
     coalescer: Mutex<WriteCoalescer>,
     inner: Mutex<Inner>,
-    /// State slots (gradients, optimizer state); separate from `inner`
-    /// because they survive the per-step record flush.
-    state_slots: Mutex<HashMap<u64, StateRecord>>,
-    next_state_slot: Mutex<u64>,
     stats: Mutex<OffloadStats>,
     plan: Mutex<AdaptivePlan>,
     tier_plan: Mutex<TierPlan>,
@@ -332,8 +329,6 @@ impl TensorCache {
             arena: BufferArena::new(),
             coalescer,
             inner: Mutex::new(Inner::default()),
-            state_slots: Mutex::new(HashMap::new()),
-            next_state_slot: Mutex::new(0),
             stats: Mutex::new(OffloadStats::default()),
             plan: Mutex::new(AdaptivePlan::default()),
             tier_plan: Mutex::new(TierPlan::default()),
@@ -484,19 +479,19 @@ impl TensorCache {
         inner.stack.clear();
         inner.scopes.clear();
         inner.forward_order.clear();
-        inner.segments.clear();
-        inner.groups_loaded.clear();
         inner.phase = Phase::Forward;
         inner.fwd_start = self.io.clock().now();
         inner.fwd_secs = 0.0;
+        // Only state slots survived the flush. Their stores drained at
+        // the previous step's optimizer barrier; on the fresh clock they
+        // are available immediately.
+        for rec in inner.records.values_mut() {
+            rec.avail = SimTime::ZERO;
+        }
+        drop(inner);
         *self.stats.lock() = OffloadStats::default();
         self.link_stalls.lock().clear();
         self.tiers.reset_counters();
-        // State stores from the previous step drained at its optimizer
-        // barrier; on the fresh clock they are available immediately.
-        for slot in self.state_slots.lock().values_mut() {
-            slot.avail = SimTime::ZERO;
-        }
         // Failures during the flush above belong to the step that
         // already reported; the new step starts clean.
         *self.pending_error.lock() = None;
@@ -956,16 +951,7 @@ impl TensorCache {
                 })
                 .fold(SimTime::ZERO, SimTime::max)
         };
-        let stall = self.io.clock().advance_to(latest);
-        self.stats.lock().stall_secs += stall;
-        if stall > 0.0 {
-            self.trace().span(
-                TraceCategory::Stall,
-                "stall.drain",
-                latest.plus_secs(-stall),
-                latest,
-            );
-        }
+        self.stall_until(latest, "stall.drain");
     }
 
     /// Micro-batch switch hint (Figure 4 ③): subsequent scopes belong to
@@ -974,11 +960,16 @@ impl TensorCache {
         self.inner.lock().current_mb = mb;
     }
 
-    /// Releases every remaining record (end of step). Stores still in
-    /// flight commit at their completion times.
+    /// Releases every remaining activation record (end of step). Stores
+    /// still in flight commit at their completion times; state slots
+    /// stay until [`TensorCache::release_state`].
     pub fn flush(&self) {
         self.seal_open_segments();
-        let ids: Vec<RecordId> = self.inner.lock().records.keys().copied().collect();
+        let ids: Vec<RecordId> = {
+            let inner = self.inner.lock();
+            let live = inner.records.iter().filter(|(_, r)| !r.is_state());
+            live.map(|(id, _)| *id).collect()
+        };
         for id in ids {
             // ssdtrain-lint: allow(no-alloc-hot-loop): releasing a record
             // serialises and writes its payload — the buffer is the offload
@@ -986,18 +977,13 @@ impl TensorCache {
         }
         let mut inner = self.inner.lock();
         inner.by_key.clear();
-        inner.records.clear();
         inner.segments.clear();
+        inner.seg_members.clear();
         inner.groups_loaded.clear();
         let slabs: Vec<PinnedSlab> = inner.group_slabs.drain().map(|(_, s)| s).collect();
         drop(inner);
-        let now = self.io.clock().now();
-        let trace = self.trace();
         for slab in slabs {
-            let len = slab.len;
-            if self.arena.release(slab) {
-                trace.instant_bytes(TraceCategory::Arena, "arena.release", now, len);
-            }
+            self.retire_slab(Some(slab));
         }
     }
 
@@ -1012,171 +998,29 @@ impl TensorCache {
     /// [`RecoveryPolicy`] (under [`RecoveryPolicy::FailStep`] the error
     /// additionally lands in [`TensorCache::take_error`]).
     ///
-    /// The store job rides the admitting tier's [`crate::TierLink`] (and
-    /// the shared write bus, when configured); the tensor's GPU memory is
-    /// freed at the store's simulated completion. A same-step
-    /// [`TensorCache::load_state`] can never complete before that time.
+    /// The slot is an ordinary record sealed alone — state never waits
+    /// in the coalescer — and committed at submit: state has no
+    /// forwarding path, so the payload crosses to the tier now and
+    /// recovery runs here rather than at a deferred commit. The store
+    /// job rides the admitting tier's [`crate::TierLink`] (and the shared
+    /// write bus, when configured); the tensor's GPU memory is freed at
+    /// the store's simulated completion, whoever else holds the tensor.
+    /// A same-step [`TensorCache::load_state`] can never complete before
+    /// that time.
     pub fn offload_state(&self, tensor: &Tensor, class: OffloadClass) -> Option<StateSlot> {
-        let query = PlacementQuery {
-            class,
-            is_parameter: false,
-            numel: tensor.numel(),
-            in_backward: false,
-            module_kept: false,
-        };
-        if let Placement::Keep(reason) = self.placement.decide(&query) {
-            if reason.counts_in_stats() {
-                self.stats.lock().kept += 1;
-            }
-            return None;
+        let mut inner = self.inner.lock();
+        let id = self.store(&mut inner, tensor, class)?;
+        if let RecState::Storing { job } = inner.records.get(&id)?.state {
+            self.commit_segment(&mut inner, job);
         }
-        let bytes = tensor.bytes();
-        let Some(placement) = self.tiers.reserve(bytes) else {
-            let mut stats = self.stats.lock();
-            stats.kept += 1;
-            stats.placement_kept_bytes += bytes;
-            drop(stats);
-            self.trace().instant_bytes(
-                TraceCategory::Tier,
-                "tier.full",
-                self.io.clock().now(),
-                bytes,
-            );
-            return None;
-        };
-        let key = tensor_key(tensor);
-        let job = self
-            .io
-            .submit_store_to(self.tiers.link(placement.tier), bytes);
-        let (start, end) = self.io.store_span(job);
-        let trace = self.trace();
-        trace.instant_bytes(TraceCategory::Store, "store.enqueue", start, bytes);
-        // State bytes pass through the pinned arena like activations do;
-        // the slab is held only across the eager write below.
-        let slab = self.arena.acquire(bytes);
-        if slab.is_some() {
-            trace.instant_bytes(
-                TraceCategory::Arena,
-                "arena.acquire",
-                self.io.clock().now(),
-                bytes,
-            );
+        if matches!(inner.records.get(&id)?.state, RecState::Offloaded) {
+            return Some(StateSlot(id));
         }
-        // State has no forwarding path: the payload crosses to the tier
-        // now, so recovery runs here rather than at a deferred commit.
-        let data = tensor.storage().to_bytes();
-        let tier = match self
-            .tiers
-            .write(placement.tier, &key, data.as_deref(), bytes)
-        {
-            Ok(()) => placement.tier,
-            Err(err) => {
-                self.stats.lock().store_failures += 1;
-                let demoted = (self.config.recovery == RecoveryPolicy::FallbackTarget)
-                    .then(|| {
-                        self.tiers.demote(
-                            placement.tier,
-                            &key,
-                            data.as_deref(),
-                            bytes,
-                            self.config.max_io_retries,
-                        )
-                    })
-                    .flatten();
-                match demoted {
-                    Some(dest) => {
-                        let mut stats = self.stats.lock();
-                        stats.fallback_bytes += bytes;
-                        drop(stats);
-                        trace.instant_with(
-                            TraceCategory::Recovery,
-                            "recovery.fallback",
-                            self.io.clock().now(),
-                            // ssdtrain-lint: allow(no-alloc-hot-loop): recovery
-                            // path only — runs after a failed store, never in
-                            // the steady-state offload loop
-                            vec![
-                                ("bytes", ArgValue::U64(bytes)),
-                                ("target", ArgValue::from(self.tiers.name(dest))),
-                            ],
-                        );
-                        dest
-                    }
-                    None => {
-                        // Keep the tensor resident; the reservation and
-                        // the dead store job are both returned.
-                        self.retire_slab(slab);
-                        self.tiers.remove(placement.tier, &key, bytes);
-                        let _ = self.io.try_cancel_store(job, self.io.clock().now());
-                        let mut stats = self.stats.lock();
-                        stats.kept_resident_bytes += bytes;
-                        drop(stats);
-                        trace.instant_bytes(
-                            TraceCategory::Recovery,
-                            "recovery.keep_resident",
-                            self.io.clock().now(),
-                            bytes,
-                        );
-                        if self.config.recovery == RecoveryPolicy::FailStep {
-                            trace.instant(
-                                TraceCategory::Recovery,
-                                "recovery.fail_step",
-                                self.io.clock().now(),
-                            );
-                            let mut pending = self.pending_error.lock();
-                            if pending.is_none() {
-                                *pending = Some(OffloadError::Store {
-                                    key,
-                                    bytes,
-                                    target: self.tiers.name(placement.tier),
-                                    source: err,
-                                });
-                            }
-                        }
-                        return None;
-                    }
-                }
-            }
-        };
-        self.mem.with_time(end, || tensor.storage().release());
-        self.retire_slab(slab);
-        trace.span_bytes(TraceCategory::Store, "store", start, end, bytes);
-        // Fallback bytes are counted under `fallback_bytes`, not
-        // `offloaded_bytes`, exactly as the activation recovery does.
-        let fell_back = tier != placement.tier;
-        let mut stats = self.stats.lock();
-        stats.store_jobs += 1;
-        if !fell_back {
-            stats.offloaded_bytes += bytes;
-            if placement.spilled {
-                stats.spilled_bytes += bytes;
-            }
-        }
-        let c = stats.class_mut(class);
-        c.stores += 1;
-        if !fell_back {
-            c.offloaded_bytes += bytes;
-        }
-        drop(stats);
-        let id = {
-            let mut next = self.next_state_slot.lock();
-            let id = *next;
-            *next += 1;
-            id
-        };
-        self.state_slots.lock().insert(
-            id,
-            StateRecord {
-                key,
-                tensor: tensor.clone(),
-                bytes,
-                class,
-                tier,
-                offloaded: true,
-                avail: end,
-            },
-        );
-        Some(StateSlot(id))
+        drop(inner);
+        // Recovery kept the tensor resident: no slot, and the admission
+        // reservation goes back.
+        self.release_state(StateSlot(id));
+        None
     }
 
     /// Reloads an offloaded state slot's bytes back into its tensor and
@@ -1188,41 +1032,27 @@ impl TensorCache {
     /// resident returns `now`; an unknown slot returns `None`.
     pub fn load_state(&self, slot: StateSlot) -> Option<SimTime> {
         let now = self.io.clock().now();
-        let mut slots = self.state_slots.lock();
-        let rec = slots.get_mut(&slot.0)?;
-        if !rec.offloaded {
-            return Some(now);
-        }
-        let link = self.tiers.link(rec.tier);
-        let ready = self.io.submit_load_from(link, rec.bytes).max(rec.avail);
-        let (key, tier, bytes) = (rec.key.clone(), rec.tier, rec.bytes);
-        let tensor = rec.tensor.clone();
-        rec.offloaded = false;
-        let class = rec.class;
-        drop(slots);
-        self.read_back(&key, tier, bytes, &tensor, ready);
-        let mut stats = self.stats.lock();
-        stats.reloaded_bytes += bytes;
-        let c = stats.class_mut(class);
-        c.reloaded_bytes += bytes;
-        c.loads += 1;
-        drop(stats);
-        Some(ready)
+        let mut inner = self.inner.lock();
+        inner.records.get(&slot.0)?;
+        let ready = self.reload(&mut inner, slot.0, Reload::State);
+        Some(ready.unwrap_or(now))
     }
 
     /// The simulated time `slot`'s store drains (its earliest legal
     /// read), or `None` for unknown or already-resident slots.
     pub fn state_available_at(&self, slot: StateSlot) -> Option<SimTime> {
-        let slots = self.state_slots.lock();
-        let rec = slots.get(&slot.0)?;
-        rec.offloaded.then_some(rec.avail)
+        let inner = self.inner.lock();
+        let rec = inner.records.get(&slot.0)?;
+        matches!(rec.state, RecState::Offloaded).then_some(rec.avail)
     }
 
     /// Drops a state slot, returning its tier reservation. Bytes still
     /// offloaded are abandoned on the tier (the optimizer overwrites
     /// state wholesale each step; there is nothing to read back).
     pub fn release_state(&self, slot: StateSlot) {
-        let Some(rec) = self.state_slots.lock().remove(&slot.0) else {
+        // Committed at submit and owned by its caller: a slot has no
+        // store to settle and no memory of the cache's to free.
+        let Some(rec) = self.inner.lock().records.remove(&slot.0) else {
             return;
         };
         self.tiers.remove(rec.tier, &rec.key, rec.bytes);
@@ -1258,105 +1088,281 @@ impl TensorCache {
         }
     }
 
-    /// Seals every open segment and submits their coalesced store jobs
-    /// (stage barriers and flushes call this so no staged byte outlives
-    /// the stage that produced it).
+    /// Blocks (on the simulated clock) until `t`; whatever compute did not
+    /// already cover is exposed I/O latency, accounted in
+    /// [`OffloadStats::stall_secs`] with a `name` span over it.
+    fn stall_until(&self, t: SimTime, name: &'static str) {
+        let stall = self.io.clock().advance_to(t);
+        self.stats.lock().stall_secs += stall;
+        if stall > 0.0 {
+            self.trace()
+                .span(TraceCategory::Stall, name, t.plus_secs(-stall), t);
+        }
+    }
+
+    /// The one store path — `pack` (Algorithm 2) and every state slot:
+    /// placement decision, deduplication, tier admission, then a new
+    /// record staged towards its store job. Returns the record's id, or
+    /// `None` when the tensor stays where it is.
+    fn store(&self, inner: &mut Inner, tensor: &Tensor, class: OffloadClass) -> Option<RecordId> {
+        let activation = class == OffloadClass::Activation;
+        // Algorithm 2 lines 12 and 15 as a pure policy decision
+        // (parameter / small / backward-phase / kept-module).
+        let query = PlacementQuery {
+            class,
+            is_parameter: inner.param_stamps.contains(&storage_stamp(tensor)),
+            numel: tensor.numel(),
+            in_backward: inner.phase.in_backward(),
+            module_kept: activation && self.innermost_kept(inner),
+        };
+        if let Placement::Keep(reason) = self.placement.decide(&query) {
+            if reason.counts_in_stats() {
+                self.stats.lock().kept += 1;
+            }
+            return None;
+        }
+
+        let key = tensor_key(tensor);
+        // State slots belong to their caller, not to a module scope.
+        let cur_scope = inner.stack.last().copied().filter(|_| activation);
+
+        // Deduplication (Section 3.3.1); state slots never alias.
+        if activation && self.config.dedup {
+            if let Some(&id) = inner.by_key.get(&key) {
+                let bytes = inner.records[&id].bytes;
+                if let Some(seq) = cur_scope {
+                    if let Some(rec) = inner.records.get_mut(&id) {
+                        rec.scopes.insert(seq);
+                    }
+                    if let Some(meta) = inner.scopes.get_mut(&seq) {
+                        if !meta.records.contains(&id) {
+                            meta.records.push(id);
+                        }
+                    }
+                }
+                let mut stats = self.stats.lock();
+                stats.dedup_hits += 1;
+                stats.dedup_avoided_bytes += bytes;
+                drop(stats);
+                self.trace().instant_bytes(
+                    TraceCategory::Dedup,
+                    "dedup.hit",
+                    self.io.clock().now(),
+                    bytes,
+                );
+                return Some(id);
+            }
+        }
+
+        // Tier admission: reserve capacity before any store job exists,
+        // so a bounded front tier can never be oversubscribed by jobs
+        // already in flight. A full stack refuses gracefully — the
+        // tensor stays resident, numerics untouched. Under a
+        // profile-guided tier plan the planned tier is preferred (its
+        // fallback is the plain front-first walk).
+        let bytes = tensor.bytes();
+        let preferred = if self.config.profile_guided {
+            cur_scope.and_then(|seq| {
+                let path = &inner.scopes[&seq].path;
+                self.tier_plan.lock().preferred(path)
+            })
+        } else {
+            None
+        };
+        let placement = match preferred {
+            Some(tier) => self.tiers.reserve_preferring(tier, bytes),
+            None => self.tiers.reserve(bytes),
+        };
+        let trace = self.trace();
+        let now = self.io.clock().now();
+        let Some(TierPlacement { tier, spilled }) = placement else {
+            let mut stats = self.stats.lock();
+            stats.kept += 1;
+            stats.placement_kept_bytes += bytes;
+            drop(stats);
+            trace.instant_bytes(TraceCategory::Tier, "tier.full", now, bytes);
+            return None;
+        };
+
+        // New record (Figure 4 ①). The bytes enter the pinned staging
+        // arena and the record waits, `Staged`, for its segment to
+        // seal; the memory release is deferred until the store commits.
+        let slab = self.arena.acquire(bytes);
+        if slab.is_some() {
+            trace.instant_bytes(TraceCategory::Arena, "arena.acquire", now, bytes);
+        }
+        trace.instant_bytes(TraceCategory::Store, "store.enqueue", now, bytes);
+        if spilled && trace.is_enabled() {
+            trace.instant_with(
+                TraceCategory::Tier,
+                "tier.spill",
+                now,
+                vec![
+                    ("bytes", ArgValue::U64(bytes)),
+                    ("tier", ArgValue::from(self.tiers.name(tier))),
+                ],
+            );
+        }
+        let id = inner.next_id;
+        inner.next_id += 1;
+        let mut scopes = HashSet::new();
+        if let Some(seq) = cur_scope {
+            scopes.insert(seq);
+            if let Some(meta) = inner.scopes.get_mut(&seq) {
+                meta.records.push(id);
+                meta.offload_bytes += bytes;
+            }
+        }
+        if activation {
+            inner.by_key.insert(key.clone(), id);
+        }
+        inner.records.insert(
+            id,
+            Record {
+                key,
+                tensor: tensor.clone(),
+                bytes,
+                class,
+                state: RecState::Staged,
+                scopes,
+                tier,
+                slab,
+                avail: SimTime::ZERO,
+            },
+        );
+        let mut stats = self.stats.lock();
+        stats.offloaded_bytes += bytes;
+        if spilled {
+            stats.spilled_bytes += bytes;
+        }
+        stats.class_mut(class).offloaded_bytes += bytes;
+        drop(stats);
+
+        if activation && self.config.coalesce_segment_bytes > 0 {
+            let sealed = self.coalescer.lock().stage(tier, id, bytes, class);
+            if let Some(seg) = sealed {
+                self.submit_sealed(inner, seg);
+            }
+        } else {
+            // Nothing to wait for: the record seals at once, a segment
+            // of one.
+            self.submit_segment(inner, tier, std::iter::once(id));
+        }
+        Some(id)
+    }
+
+    /// Seals `members` — `Staged` records admitted to `tier` — into one
+    /// segment and submits its store job, flipping them to `Storing`.
+    /// One segment is one job on the tier's link
+    /// ([`OffloadStats::store_jobs`] counts segments, not tensors) and
+    /// will be one device write operation at commit; byte and class
+    /// accounting stayed per record at stage time, so the trace identity
+    /// `Σstore.enqueue − Σstore.cancel − recoveries == offloaded_bytes`
+    /// holds whatever the segment size.
+    fn submit_segment(
+        &self,
+        inner: &mut Inner,
+        tier: TierId,
+        members: impl Iterator<Item = RecordId>,
+    ) {
+        let first = inner.seg_members.len();
+        inner.seg_members.extend(members);
+        let range = first..inner.seg_members.len();
+        let sizes = inner.seg_members[range.clone()].iter();
+        let total: u64 = sizes.map(|id| inner.records[id].bytes).sum();
+        let job = self.io.submit_store_to(self.tiers.link(tier), total);
+        let (start, end) = self.io.store_span(job);
+        let seg_secs = end.since(start);
+        // Only activations coalesce, so a segment has one class.
+        let class = inner.records[&inner.seg_members[first]].class;
+        for i in range.clone() {
+            let Some(rec) = inner.records.get_mut(&inner.seg_members[i]) else {
+                continue;
+            };
+            rec.state = RecState::Storing { job };
+            // Profiling sees the segment's link occupancy distributed
+            // over its members proportional to their bytes — all of it
+            // when the member is alone.
+            let share = if range.len() == 1 {
+                seg_secs
+            } else {
+                seg_secs * rec.bytes as f64 / total.max(1) as f64
+            };
+            let scope = rec.scopes.iter().min();
+            if let Some(meta) = scope.and_then(|s| inner.scopes.get_mut(s)) {
+                meta.store_secs += share;
+            }
+        }
+        inner.segments.insert(job, range);
+        let mut stats = self.stats.lock();
+        stats.store_jobs += 1;
+        stats.class_mut(class).stores += 1;
+    }
+
+    /// Submits a segment the coalescer sealed. The `coalesce_*` counters
+    /// and the `coalesce.seal` instant describe coalescing only:
+    /// segments of one sealed without the coalescer stay silent here.
+    fn submit_sealed(&self, inner: &mut Inner, seg: SealedSegment) {
+        self.submit_segment(inner, seg.tier, seg.entries.iter().map(|e| e.record));
+        let total = seg.total_bytes();
+        let mut stats = self.stats.lock();
+        stats.coalesce_segments += 1;
+        stats.coalesced_bytes += total;
+        drop(stats);
+        let trace = self.trace();
+        if trace.is_enabled() {
+            trace.instant_with(
+                TraceCategory::Coalesce,
+                "coalesce.seal",
+                self.io.clock().now(),
+                vec![
+                    ("bytes", ArgValue::U64(total)),
+                    ("entries", ArgValue::U64(seg.entries.len() as u64)),
+                ],
+            );
+        }
+    }
+
+    /// Seals every open segment and submits their store jobs (stage
+    /// barriers and flushes call this so no staged byte outlives the
+    /// stage that produced it).
     fn seal_open_segments(&self) {
         let mut inner = self.inner.lock();
         let sealed = self.coalescer.lock().seal_all();
         for seg in sealed {
             // ssdtrain-lint: allow(no-alloc-hot-loop): sealing submits the
             // segment's store job — the data path, one call per segment
-            self.seal_segment(&mut inner, seg);
+            self.submit_sealed(&mut inner, seg);
         }
     }
 
-    /// Submits one coalesced store job for a sealed segment and flips
-    /// its members `Staged` → `Storing`. One segment is one job on the
-    /// tier's link ([`OffloadStats::store_jobs`] counts segments, not
-    /// tensors) and will be one device write operation at commit; the
-    /// members' byte/class accounting stayed per-record at pack time, so
-    /// the trace identity `Σstore.enqueue − Σstore.cancel − recoveries
-    /// == offloaded_bytes` holds unchanged through the coalesced path.
-    fn seal_segment(&self, inner: &mut Inner, seg: crate::coalesce::SealedSegment) {
-        let total = seg.total_bytes();
-        if total == 0 {
-            return;
-        }
-        let link = self.tiers.link(seg.tier);
-        let job = self.io.submit_store_to(link, total);
-        let (start, end) = self.io.store_span(job);
-        let seg_secs = end.since(start);
-        for e in &seg.entries {
-            let scope = {
-                let Some(rec) = inner.records.get_mut(&e.record) else {
-                    continue;
-                };
-                rec.state = RecState::Storing { job };
-                rec.seg = Some(seg.id);
-                rec.scopes.iter().min().copied()
-            };
-            // Profiling sees the segment's link occupancy distributed
-            // over its members proportional to their bytes.
-            if let Some(s) = scope {
-                if let Some(meta) = inner.scopes.get_mut(&s) {
-                    meta.store_secs += seg_secs * e.bytes as f64 / total as f64;
-                }
-            }
-        }
-        let entries = seg.entries.len() as u64;
-        inner.segments.insert(
-            seg.id,
-            SegmentState {
-                job,
-                tier: seg.tier,
-                entries: seg.entries,
-            },
-        );
-        let mut stats = self.stats.lock();
-        stats.store_jobs += 1;
-        stats.coalesce_segments += 1;
-        stats.coalesced_bytes += total;
-        stats.class_mut(OffloadClass::Activation).stores += 1;
-        drop(stats);
-        self.trace().instant_with(
-            TraceCategory::Coalesce,
-            "coalesce.seal",
-            self.io.clock().now(),
-            // ssdtrain-lint: allow(no-alloc-hot-loop): once-per-segment
-            // telemetry; segments are bounded by bytes/segment_size
-            vec![
-                ("bytes", ArgValue::U64(total)),
-                ("entries", ArgValue::U64(entries)),
-            ],
-        );
-    }
-
-    /// Commits a sealed segment: one batched device write for every
-    /// member still riding the job (members forwarded after sealing are
+    /// Commits the segment riding `job`: one batched device write for
+    /// every member still riding it (members forwarded after sealing are
     /// skipped — their bytes never leave memory), memory freed at the
     /// job's completion time. Idempotent: removal from the segment map
-    /// marks the segment committed. A failed batch write degrades the
+    /// marks the segment committed. A failed write degrades the
     /// *segment* per the configured [`RecoveryPolicy`], not per tensor.
-    fn commit_segment(&self, inner: &mut Inner, seg_id: u64) {
-        let Some(seg) = inner.segments.remove(&seg_id) else {
+    fn commit_segment(&self, inner: &mut Inner, job: JobId) {
+        let Some(members) = inner.segments.remove(&job) else {
             return;
         };
-        let end = self.io.store_end(seg.job);
-        let mut members: Vec<(TensorKey, Option<Vec<u8>>, u64, RecordId)> =
-            // ssdtrain-lint: allow(no-alloc-hot-loop): assembling the batch
-            // serialises the payload being offloaded — the data path
-            Vec::with_capacity(seg.entries.len());
-        for e in &seg.entries {
-            let Some(rec) = inner.records.get_mut(&e.record) else {
+        let (start, end) = self.io.store_span(job);
+        let mut batch = std::mem::take(&mut inner.commit_scratch);
+        for i in members {
+            let id = inner.seg_members[i];
+            let Some(rec) = inner.records.get_mut(&id) else {
                 continue;
             };
-            if !matches!(rec.state, RecState::Storing { job } if job == seg.job) {
+            if !matches!(rec.state, RecState::Storing { .. }) {
                 continue;
             }
-            if rec.tensor.storage().strong_count() > 1 {
-                // Live references outside the cache: like the per-tensor
-                // commit, the tensor simply stays resident.
+            // Mirrors Python garbage collection (paper Section 3.2): an
+            // activation's memory is reclaimable only once the cache
+            // holds the *last* reference to the storage. If model code
+            // still holds the tensor (e.g. a step input reused across
+            // steps), the record simply stays resident. State slots are
+            // always held by their optimizer and are released regardless.
+            if !rec.is_state() && rec.tensor.storage().strong_count() > 1 {
                 rec.state = RecState::Resident;
                 let slab = rec.slab.take();
                 self.retire_slab(slab);
@@ -1364,114 +1370,128 @@ impl TensorCache {
             }
             // The real payload crosses the filesystem at commit (wall
             // time); the simulated transfer finished at `end`.
-            let data = rec.tensor.storage().to_bytes();
-            members.push((rec.key.clone(), data, e.bytes, e.record));
+            batch.push((id, rec.tensor.storage().to_bytes()));
         }
-        if members.is_empty() {
+        let Some((head, _)) = batch.first() else {
+            inner.commit_scratch = batch;
             return;
+        };
+        let tier = inner.records[head].tier;
+        // The batch borrows keys and payloads; a segment of one is built
+        // on the stack.
+        fn item<'a>(inner: &'a Inner, (id, data): &'a Payload) -> BatchItem<'a> {
+            let rec = &inner.records[id];
+            (&rec.key, data.as_deref(), rec.bytes)
         }
-        let items: Vec<BatchItem<'_>> = members
-            .iter()
-            // ssdtrain-lint: allow(no-alloc-hot-loop): borrow view over the
-            // batch being written — the data path
-            .map(|(k, d, b, _)| (k, d.as_deref(), *b))
-            .collect();
-        match self.tiers.write_segment(seg.tier, &items) {
+        let written = match batch.as_slice() {
+            [only] => self.tiers.write_segment(tier, &[item(inner, only)]),
+            all => {
+                // ssdtrain-lint: allow(no-alloc-hot-loop): borrow view over the
+                // batch being written, one per multi-member segment
+                let items: Vec<_> = all.iter().map(|m| item(inner, m)).collect();
+                self.tiers.write_segment(tier, &items)
+            }
+        };
+        match written {
             Ok(()) => {
-                let total: u64 = members.iter().map(|(_, _, b, _)| *b).sum();
-                let (start, _) = self.io.store_span(seg.job);
-                for (_, _, _, id) in &members {
-                    let slab = {
-                        let Some(rec) = inner.records.get_mut(id) else {
-                            continue;
-                        };
-                        self.mem.with_time(end, || rec.tensor.storage().release());
-                        rec.state = RecState::Offloaded;
-                        rec.slab.take()
+                let mut total = 0;
+                for (id, _) in &batch {
+                    let Some(rec) = inner.records.get_mut(id) else {
+                        continue;
                     };
-                    self.retire_slab(slab);
+                    self.mem.with_time(end, || rec.tensor.storage().release());
+                    rec.state = RecState::Offloaded;
+                    rec.avail = end;
+                    total += rec.bytes;
                 }
                 self.trace()
                     .span_bytes(TraceCategory::Store, "store", start, end, total);
             }
-            Err(err) => self.recover_failed_segment(inner, &seg, &members, end, err),
+            Err(err) => self.recover_failed_segment(inner, tier, job, &batch, end, err),
         }
+        // Whatever the outcome, the staging buffers' job is done.
+        for (id, _) in batch.drain(..) {
+            let slab = inner.records.get_mut(&id).and_then(|rec| rec.slab.take());
+            self.retire_slab(slab);
+        }
+        inner.commit_scratch = batch;
     }
 
-    /// Segment-level recovery: the batched write failed before any
-    /// member's bytes landed ([`crate::OffloadTarget::write_batch`]
-    /// unwinds partial writes), so every member is still resident and
-    /// the step stays numerically exact. One failure, one policy
-    /// decision — [`RecoveryPolicy::FallbackTarget`] demotes the members
-    /// individually (the per-segment index keeps their identity), the
-    /// keep-resident policies absorb the whole segment at once.
+    /// Recovery for a segment write the target refused. The payload only
+    /// crosses to the target at commit time and
+    /// [`crate::OffloadTarget::write_batch`] unwinds partial writes, so
+    /// every member in `batch` is still in GPU memory and every
+    /// [`RecoveryPolicy`] keeps the step numerically exact — the policy
+    /// decides whether the failure is absorbed, re-routed, or surfaced
+    /// as a step error. One failure, one policy decision:
+    /// [`RecoveryPolicy::FallbackTarget`] demotes the members
+    /// individually (they keep their identity), the keep-resident
+    /// policies absorb the whole segment at once.
     fn recover_failed_segment(
         &self,
         inner: &mut Inner,
-        seg: &SegmentState,
-        members: &[(TensorKey, Option<Vec<u8>>, u64, RecordId)],
+        tier: TierId,
+        job: JobId,
+        batch: &[Payload],
         end: SimTime,
         err: io::Error,
     ) {
         self.stats.lock().store_failures += 1;
         let now = self.io.clock().now();
-        let trace = self.trace();
-        let mut fell_back = 0u64;
-        let mut kept = 0u64;
-        let mut fallback_dest: Option<TierId> = None;
-        for (key, data, bytes, id) in members {
-            let demoted = (self.config.recovery == RecoveryPolicy::FallbackTarget)
-                .then(|| {
-                    // ssdtrain-lint: allow(no-alloc-hot-loop): recovery slow path — demotion rewrites the failed member on the fallback device
-                    self.tiers.demote(
-                        seg.tier,
-                        key,
-                        data.as_deref(),
-                        *bytes,
-                        self.config.max_io_retries,
-                    )
-                })
-                .flatten();
-            let slab = {
-                let Some(rec) = inner.records.get_mut(id) else {
-                    continue;
-                };
-                match demoted {
-                    Some(dest) => {
-                        self.mem.with_time(end, || rec.tensor.storage().release());
-                        rec.state = RecState::Offloaded;
-                        rec.tier = dest;
-                        fell_back += bytes;
-                        fallback_dest = Some(dest);
-                    }
-                    None => {
-                        rec.state = RecState::Resident;
-                        kept += bytes;
-                    }
-                }
-                rec.slab.take()
+        let fallback = self.config.recovery == RecoveryPolicy::FallbackTarget;
+        let (mut fell_back, mut kept) = (0u64, 0u64);
+        let mut dest = None;
+        for (id, data) in batch {
+            let Some(rec) = inner.records.get_mut(id) else {
+                continue;
             };
-            self.retire_slab(slab);
+            let demoted = if fallback {
+                let (data, retries) = (data.as_deref(), self.config.max_io_retries);
+                // ssdtrain-lint: allow(no-alloc-hot-loop): recovery slow path — demotion rewrites the failed member on the fallback device
+                self.tiers.demote(tier, &rec.key, data, rec.bytes, retries)
+            } else {
+                None
+            };
+            match demoted {
+                Some(lower) => {
+                    self.mem.with_time(end, || rec.tensor.storage().release());
+                    rec.state = RecState::Offloaded;
+                    rec.avail = end;
+                    rec.tier = lower;
+                    fell_back += rec.bytes;
+                    dest = Some(lower);
+                }
+                None => {
+                    rec.state = RecState::Resident;
+                    kept += rec.bytes;
+                }
+            }
         }
         if kept > 0 && fell_back == 0 {
             // Nothing from this segment is in flight any more; return
             // the dead job if it still sits in the queue.
-            let _ = self.io.try_cancel_store(seg.job, now);
+            let _ = self.io.try_cancel_store(job, now);
         }
+        let Some(head) = batch.first().and_then(|(id, _)| inner.records.get(id)) else {
+            return;
+        };
+        // Failed bytes leave `offloaded_bytes` for `fallback_bytes` or
+        // `kept_resident_bytes`.
         let mut stats = self.stats.lock();
         stats.offloaded_bytes -= fell_back + kept;
         stats.fallback_bytes += fell_back;
         stats.kept_resident_bytes += kept;
-        stats.class_mut(OffloadClass::Activation).offloaded_bytes -= fell_back + kept;
+        stats.class_mut(head.class).offloaded_bytes -= fell_back + kept;
         drop(stats);
-        if let Some(dest) = fallback_dest {
+        let trace = self.trace();
+        if let Some(lower) = dest {
             trace.instant_with(
                 TraceCategory::Recovery,
                 "recovery.fallback",
                 now,
                 vec![
                     ("bytes", ArgValue::U64(fell_back)),
-                    ("target", ArgValue::from(self.tiers.name(dest))),
+                    ("target", ArgValue::from(self.tiers.name(lower))),
                 ],
             );
         }
@@ -1482,138 +1502,129 @@ impl TensorCache {
             trace.instant(TraceCategory::Recovery, "recovery.fail_step", now);
             let mut pending = self.pending_error.lock();
             if pending.is_none() {
-                if let Some((key, _, _, _)) = members.first() {
-                    *pending = Some(OffloadError::Store {
-                        key: key.clone(),
-                        bytes: kept,
-                        target: self.tiers.name(seg.tier),
-                        source: err,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Commits a completed store: memory freed at the store's end time.
-    ///
-    /// Mirrors Python garbage collection (paper Section 3.2): the memory
-    /// is reclaimable only once the cache holds the *last* reference to
-    /// the storage. If model code still holds the tensor (e.g. a step
-    /// input reused across steps), the record simply stays resident.
-    fn commit_store(&self, rec: &mut Record, job: JobId) {
-        if rec.tensor.storage().strong_count() > 1 {
-            rec.state = RecState::Resident;
-            let slab = rec.slab.take();
-            self.retire_slab(slab);
-            return;
-        }
-        let end = self.io.store_end(job);
-        // The real payload crosses the filesystem here (wall time); the
-        // simulated transfer finished at `end`.
-        let data = rec.tensor.storage().to_bytes();
-        match self
-            .tiers
-            .write(rec.tier, &rec.key, data.as_deref(), rec.bytes)
-        {
-            Ok(()) => {
-                self.mem.with_time(end, || rec.tensor.storage().release());
-                rec.state = RecState::Offloaded;
-                let (start, end) = self.io.store_span(job);
-                self.trace()
-                    .span_bytes(TraceCategory::Store, "store", start, end, rec.bytes);
-            }
-            Err(err) => self.recover_failed_store(rec, job, err),
-        }
-        // Whatever the outcome, the staging buffer's job is done.
-        let slab = rec.slab.take();
-        self.retire_slab(slab);
-    }
-
-    /// Recovery for a store the target refused. The payload only
-    /// crosses to the target at commit time, so the tensor is still in
-    /// GPU memory and every [`RecoveryPolicy`] keeps the step
-    /// numerically exact — the policy decides whether the failure is
-    /// absorbed, re-routed to the fallback target, or surfaced as a
-    /// step error.
-    fn recover_failed_store(&self, rec: &mut Record, job: JobId, err: io::Error) {
-        self.stats.lock().store_failures += 1;
-        if self.config.recovery == RecoveryPolicy::FallbackTarget {
-            let data = rec.tensor.storage().to_bytes();
-            if let Some(dest) = self.tiers.demote(
-                rec.tier,
-                &rec.key,
-                data.as_deref(),
-                rec.bytes,
-                self.config.max_io_retries,
-            ) {
-                let end = self.io.store_end(job);
-                self.mem.with_time(end, || rec.tensor.storage().release());
-                rec.state = RecState::Offloaded;
-                rec.tier = dest;
-                let mut stats = self.stats.lock();
-                stats.offloaded_bytes -= rec.bytes;
-                stats.fallback_bytes += rec.bytes;
-                stats.class_mut(OffloadClass::Activation).offloaded_bytes -= rec.bytes;
-                drop(stats);
-                self.trace().instant_with(
-                    TraceCategory::Recovery,
-                    "recovery.fallback",
-                    self.io.clock().now(),
-                    vec![
-                        ("bytes", ArgValue::U64(rec.bytes)),
-                        ("target", ArgValue::from(self.tiers.name(dest))),
-                    ],
-                );
-                return;
-            }
-        }
-        // Keep the tensor resident (also the fallback's last resort).
-        // The store job is dead weight now — cancel it if it still sits
-        // in the queue, reusing the forwarding machinery.
-        rec.state = RecState::Resident;
-        let _ = self.io.try_cancel_store(job, self.io.clock().now());
-        let mut stats = self.stats.lock();
-        stats.offloaded_bytes -= rec.bytes;
-        stats.kept_resident_bytes += rec.bytes;
-        stats.class_mut(OffloadClass::Activation).offloaded_bytes -= rec.bytes;
-        drop(stats);
-        self.trace().instant_bytes(
-            TraceCategory::Recovery,
-            "recovery.keep_resident",
-            self.io.clock().now(),
-            rec.bytes,
-        );
-        if self.config.recovery == RecoveryPolicy::FailStep {
-            self.trace().instant(
-                TraceCategory::Recovery,
-                "recovery.fail_step",
-                self.io.clock().now(),
-            );
-            let mut pending = self.pending_error.lock();
-            if pending.is_none() {
                 *pending = Some(OffloadError::Store {
-                    key: rec.key.clone(),
-                    bytes: rec.bytes,
-                    target: self.tiers.name(rec.tier),
+                    key: head.key.clone(),
+                    bytes: kept,
+                    target: self.tiers.name(tier),
                     source: err,
                 });
             }
         }
     }
 
-    /// Reloads a record's bytes, retrying up to `max_io_retries` times.
-    /// A load that still fails is unrecoverable — the activation is
-    /// gone — so the tensor is restored to zeros to keep the graph
-    /// executable and a structured error is queued; it surfaces at the
-    /// step boundary under *every* policy.
-    fn restore_record(&self, rec: &mut Record, ready: SimTime) {
-        self.read_back(&rec.key, rec.tier, rec.bytes, &rec.tensor, ready);
+    /// Takes record `id` back out of the store path while its bytes are
+    /// still in GPU memory — data forwarding (Section 3.3.2) when the
+    /// tensor is being consumed (`forwarded`), a plain withdrawal when it
+    /// is being released. A `Staged` record leaves its open segment: no
+    /// job was ever queued, so its stage-time enqueue is always balanced
+    /// by a cancel. A `Storing` record that is the sole member of its
+    /// job cancels the job if it has not started (adaptive feature 1)
+    /// and un-counts it; a member of a larger segment is forwarded
+    /// *without* cancelling — the job carries its siblings and commit
+    /// skips this member.
+    fn withdraw(&self, inner: &mut Inner, id: RecordId, now: SimTime, forwarded: bool) {
+        let Some(rec) = inner.records.get_mut(&id) else {
+            return;
+        };
+        let (bytes, class) = (rec.bytes, rec.class);
+        let job = match rec.state {
+            RecState::Staged => {
+                self.coalescer.lock().evict(rec.tier, id);
+                None
+            }
+            RecState::Storing { job } => Some(job),
+            _ => return,
+        };
+        rec.state = RecState::Resident;
+        let slab = rec.slab.take();
+        self.retire_slab(slab);
+        let evicted = job.is_none();
+        let mut unqueued = false;
+        if let Some(job) = job {
+            let sole = inner.segments.get(&job).is_some_and(|m| m.len() == 1);
+            if sole && self.config.cancel_forwarded_stores && self.io.try_cancel_store(job, now) {
+                inner.segments.remove(&job);
+                unqueued = true;
+            }
+        }
+        let mut stats = self.stats.lock();
+        if forwarded {
+            stats.forwarded += 1;
+            stats.forwarded_bytes += bytes;
+        }
+        if evicted || unqueued {
+            stats.cancelled_stores += 1;
+            stats.cancelled_bytes += bytes;
+            stats.offloaded_bytes -= bytes;
+            stats.class_mut(class).offloaded_bytes -= bytes;
+        }
+        if evicted {
+            stats.coalesce_evictions += 1;
+        }
+        if unqueued {
+            stats.store_jobs -= 1;
+            stats.class_mut(class).stores -= 1;
+        }
+        drop(stats);
+        let trace = self.trace();
+        if forwarded {
+            trace.instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
+        }
+        if evicted || unqueued {
+            trace.instant_bytes(TraceCategory::Store, "store.cancel", now, bytes);
+        }
+        if evicted {
+            trace.instant_bytes(TraceCategory::Coalesce, "coalesce.evict", now, bytes);
+        }
     }
 
-    /// Shared read-with-retries path for activation records and state
-    /// slots: reloads `bytes` from `tier` into `tensor` (retrying up to
-    /// `max_io_retries`), restoring zeros and queuing a structured
-    /// [`OffloadError::Load`] when the data is permanently gone.
+    /// Submits the reload of an `Offloaded` record and restores its
+    /// bytes, returning the simulated time they are resident again —
+    /// never before the record's own store drained. `None` when the
+    /// record is unknown or not offloaded.
+    fn reload(&self, inner: &mut Inner, id: RecordId, how: Reload) -> Option<SimTime> {
+        let rec = inner.records.get_mut(&id)?;
+        if !matches!(rec.state, RecState::Offloaded) {
+            return None;
+        }
+        let (bytes, class) = (rec.bytes, rec.class);
+        if matches!(how, Reload::Prefetch) {
+            let now = self.io.clock().now();
+            self.trace()
+                .instant_bytes(TraceCategory::Prefetch, "prefetch.issue", now, bytes);
+        }
+        let link = self.tiers.link(rec.tier);
+        let busy0 = self.io.read_busy_secs_on(link);
+        let ready = self.io.submit_load_from(link, bytes).max(rec.avail);
+        let load_secs = self.io.read_busy_secs_on(link) - busy0;
+        self.read_back(&rec.key, rec.tier, bytes, &rec.tensor, ready);
+        rec.state = match how {
+            Reload::Prefetch => RecState::Loading { ready },
+            Reload::Sync | Reload::State => RecState::Resident,
+        };
+        let scope = rec.scopes.iter().min();
+        if let Some(meta) = scope.and_then(|s| inner.scopes.get_mut(s)) {
+            meta.load_secs += load_secs;
+        }
+        let mut stats = self.stats.lock();
+        match how {
+            Reload::Sync => stats.sync_loads += 1,
+            Reload::Prefetch => stats.prefetches += 1,
+            Reload::State => {}
+        }
+        stats.reloaded_bytes += bytes;
+        let c = stats.class_mut(class);
+        c.reloaded_bytes += bytes;
+        c.loads += 1;
+        Some(ready)
+    }
+
+    /// Read-with-retries: reloads `bytes` from `tier` into `tensor`,
+    /// retrying up to `max_io_retries` times. A load that still fails is
+    /// unrecoverable — the data is gone — so the tensor is restored to
+    /// zeros to keep the graph executable and a structured
+    /// [`OffloadError::Load`] is queued; it surfaces at the step
+    /// boundary under *every* policy.
     fn read_back(
         &self,
         key: &TensorKey,
@@ -1693,194 +1704,81 @@ impl TensorCache {
         }
         let now = self.io.clock().now();
         let mut inner = self.inner.lock();
-        for id in ids {
-            let peek = match inner.records.get(id) {
-                Some(r) => (r.state, r.seg),
-                None => continue,
-            };
-            match peek {
-                (RecState::Staged, _) => {
-                    // Prefetch reached a record whose bytes are still
-                    // staged: evict it from the open segment — the
-                    // tensor never left memory, forwarding that never
-                    // queued a job. The pack-time enqueue is balanced by
-                    // a cancel so the trace byte identity holds.
-                    let (tier, bytes, slab) = {
-                        let Some(rec) = inner.records.get_mut(id) else {
-                            continue;
-                        };
-                        rec.state = RecState::Resident;
-                        (rec.tier, rec.bytes, rec.slab.take())
-                    };
-                    self.coalescer.lock().evict(tier, *id);
-                    self.retire_slab(slab);
-                    let mut stats = self.stats.lock();
-                    stats.forwarded += 1;
-                    stats.forwarded_bytes += bytes;
-                    stats.cancelled_stores += 1;
-                    stats.cancelled_bytes += bytes;
-                    stats.offloaded_bytes -= bytes;
-                    stats.coalesce_evictions += 1;
-                    stats.class_mut(OffloadClass::Activation).offloaded_bytes -= bytes;
-                    drop(stats);
-                    let trace = self.trace();
-                    trace.instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
-                    trace.instant_bytes(TraceCategory::Store, "store.cancel", now, bytes);
-                    trace.instant_bytes(TraceCategory::Coalesce, "coalesce.evict", now, bytes);
-                    continue;
+        for &id in ids {
+            match inner.records.get(&id).map(|r| r.state) {
+                // Prefetch reached a record whose bytes are still in
+                // memory: data forwarding at prefetch time (Section
+                // 3.3.2) — the store's completion must never free it.
+                Some(RecState::Staged) => self.withdraw(&mut inner, id, now, true),
+                Some(RecState::Storing { job }) if now < self.io.store_end(job) => {
+                    self.withdraw(&mut inner, id, now, true);
                 }
-                (RecState::Storing { job }, seg) => {
-                    let end = self.io.store_end(job);
-                    if now >= end {
-                        match seg {
-                            // ssdtrain-lint: allow(no-alloc-hot-loop): committing serialises the payload being offloaded — the data path, not bookkeeping
-                            Some(sid) => self.commit_segment(&mut inner, sid),
-                            None => {
-                                let Some(rec) = inner.records.get_mut(id) else {
-                                    continue;
-                                };
-                                // ssdtrain-lint: allow(no-alloc-hot-loop): committing serialises the payload being offloaded — the data path, not bookkeeping
-                                self.commit_store(rec, job);
-                            }
-                        }
-                        // Immediately reload below.
-                    } else if seg.is_some() {
-                        // Sealed member inside the forwarding window:
-                        // forward *without* cancelling — the segment job
-                        // carries its siblings; commit skips this member.
-                        let (bytes, slab) = {
-                            let Some(rec) = inner.records.get_mut(id) else {
-                                continue;
-                            };
-                            rec.state = RecState::Resident;
-                            (rec.bytes, rec.slab.take())
-                        };
-                        self.retire_slab(slab);
-                        let mut stats = self.stats.lock();
-                        stats.forwarded += 1;
-                        stats.forwarded_bytes += bytes;
-                        drop(stats);
-                        self.trace().instant_bytes(
-                            TraceCategory::Forwarding,
-                            "forward",
-                            now,
-                            bytes,
-                        );
-                        continue;
-                    } else {
-                        // Still being stored: data forwarding at prefetch
-                        // time (Section 3.3.2) — keep the in-memory
-                        // reference so the store's completion never frees
-                        // it, and cancel the job if it has not started.
-                        let (bytes, slab) = {
-                            let Some(rec) = inner.records.get_mut(id) else {
-                                continue;
-                            };
-                            rec.state = RecState::Resident;
-                            (rec.bytes, rec.slab.take())
-                        };
-                        self.retire_slab(slab);
-                        let cancelled = self.config.cancel_forwarded_stores
-                            && self.io.try_cancel_store(job, now);
-                        let mut stats = self.stats.lock();
-                        stats.forwarded += 1;
-                        stats.forwarded_bytes += bytes;
-                        if cancelled {
-                            stats.cancelled_stores += 1;
-                            stats.cancelled_bytes += bytes;
-                            stats.offloaded_bytes -= bytes;
-                            stats.store_jobs -= 1;
-                            let c = stats.class_mut(OffloadClass::Activation);
-                            c.offloaded_bytes -= bytes;
-                            c.stores -= 1;
-                        }
-                        drop(stats);
-                        let trace = self.trace();
-                        trace.instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
-                        if cancelled {
-                            trace.instant_bytes(TraceCategory::Store, "store.cancel", now, bytes);
-                        }
-                        continue;
-                    }
-                }
-                (RecState::Resident | RecState::Loading { .. }, _) => continue,
-                (RecState::Offloaded, _) => {}
+                // ssdtrain-lint: allow(no-alloc-hot-loop): committing serialises the payload being offloaded — the data path, not bookkeeping
+                Some(RecState::Storing { job }) => self.commit_segment(&mut inner, job),
+                _ => {}
             }
-            let Some(rec) = inner.records.get_mut(id) else {
-                continue;
-            };
-            if let RecState::Offloaded = rec.state {
-                self.trace().instant_bytes(
-                    TraceCategory::Prefetch,
-                    "prefetch.issue",
-                    now,
-                    rec.bytes,
-                );
-                let link = self.tiers.link(rec.tier);
-                let busy0 = self.io.read_busy_secs_on(link);
-                // ssdtrain-lint: allow(no-alloc-hot-loop): submitting the
-                // reload is the data path; its bookkeeping rides the transfer
-                let ready = self.io.submit_load_from(link, rec.bytes);
-                let load_secs = self.io.read_busy_secs_on(link) - busy0;
-                self.restore_record(rec, ready);
-                rec.state = RecState::Loading { ready };
-                let bytes = rec.bytes;
-                let seq = rec.scopes.iter().min().copied();
-                if let Some(seq) = seq {
-                    if let Some(meta) = inner.scopes.get_mut(&seq) {
-                        meta.load_secs += load_secs;
-                    }
-                }
-                let mut stats = self.stats.lock();
-                stats.prefetches += 1;
-                stats.reloaded_bytes += bytes;
-                let c = stats.class_mut(OffloadClass::Activation);
-                c.reloaded_bytes += bytes;
-                c.loads += 1;
-            }
+            // ssdtrain-lint: allow(no-alloc-hot-loop): submitting the
+            // reload is the data path; its bookkeeping rides the transfer
+            self.reload(&mut inner, id, Reload::Prefetch);
         }
     }
 
-    fn release_record(&self, id: RecordId) {
+    /// Resolves a record id back to its tensor (Algorithm 2's `unpack`),
+    /// *forwarding* bytes that are still in memory and blocking — a
+    /// simulated-clock stall — on a reload that has not arrived. `None`
+    /// for an id the cache does not hold.
+    fn consume(&self, id: RecordId) -> Option<Tensor> {
+        let now = self.io.clock().now();
         let mut inner = self.inner.lock();
-        // Coalesced pre-handling, while the record is still in the map
-        // (segment commit needs every member resolvable by id).
-        let peek = match inner.records.get(&id) {
-            Some(r) => (r.state, r.seg, r.tier),
-            None => return,
-        };
-        match peek {
-            (RecState::Staged, _, tier) => {
-                // Released before its segment filled: the bytes never
-                // offload. Cancel the pack-time enqueue (no forwarding —
-                // nothing consumed the tensor).
-                self.coalescer.lock().evict(tier, id);
-                let (bytes, slab) = {
-                    let Some(rec) = inner.records.get_mut(&id) else {
-                        return;
-                    };
-                    rec.state = RecState::Resident;
-                    (rec.bytes, rec.slab.take())
-                };
-                self.retire_slab(slab);
-                let mut stats = self.stats.lock();
-                stats.cancelled_stores += 1;
-                stats.cancelled_bytes += bytes;
-                stats.offloaded_bytes -= bytes;
-                stats.coalesce_evictions += 1;
-                stats.class_mut(OffloadClass::Activation).offloaded_bytes -= bytes;
-                drop(stats);
-                let now = self.io.clock().now();
-                let trace = self.trace();
-                trace.instant_bytes(TraceCategory::Store, "store.cancel", now, bytes);
-                trace.instant_bytes(TraceCategory::Coalesce, "coalesce.evict", now, bytes);
+        // When the bytes are back in memory, if later than now: the
+        // exposed reload the caller stalls on.
+        let mut ready = None;
+        match inner.records.get(&id)?.state {
+            RecState::Resident => {}
+            // Data forwarding (Section 3.3.2): the tensor is still in
+            // memory; skip the reload. A staged record never queued a
+            // job, so handing it back is free whatever `forwarding` says.
+            RecState::Staged => self.withdraw(&mut inner, id, now, true),
+            RecState::Storing { job } if self.config.forwarding && now < self.io.store_end(job) => {
+                self.withdraw(&mut inner, id, now, true);
             }
-            (RecState::Storing { .. }, Some(sid), _) => {
-                // The paper's "excessive offloading" effect on the
-                // coalesced path: committing the whole segment settles
-                // this member (and its siblings) before release.
-                self.commit_segment(&mut inner, sid);
+            RecState::Storing { job } => {
+                // Store finished, or forwarding disabled — then the load
+                // cannot begin until the store has: commit, and block on
+                // a synchronous reload of whatever left memory.
+                let end = self.io.store_end(job);
+                drop(inner);
+                self.stall_until(end, "stall.store_drain");
+                inner = self.inner.lock();
+                self.commit_segment(&mut inner, job);
+                ready = self.reload(&mut inner, id, Reload::Sync);
             }
+            RecState::Offloaded => ready = self.reload(&mut inner, id, Reload::Sync),
+            RecState::Loading { ready: at } => ready = Some(at),
+        }
+        let rec = inner.records.get_mut(&id)?;
+        rec.state = RecState::Resident;
+        let tensor = rec.tensor.clone();
+        drop(inner);
+        if let Some(at) = ready {
+            self.stall_until(at, "stall.load");
+        }
+        Some(tensor)
+    }
+
+    fn release_record(&self, id: RecordId) {
+        let now = self.io.clock().now();
+        let mut inner = self.inner.lock();
+        // Settle the store path while the record is still in the map
+        // (a segment commit needs every member resolvable by id).
+        match inner.records.get(&id).map(|r| r.state) {
+            // Released before its segment sealed: the bytes never
+            // offload (no forwarding — nothing consumed the tensor).
+            Some(RecState::Staged) => self.withdraw(&mut inner, id, now, false),
+            // The paper's "excessive offloading" effect: the tensor was
+            // never reused, its memory comes back only when the store
+            // (its own and its siblings') completes.
+            Some(RecState::Storing { job }) => self.commit_segment(&mut inner, job),
             _ => {}
         }
         let Some(mut rec) = inner.records.remove(&id) else {
@@ -1888,38 +1786,21 @@ impl TensorCache {
         };
         inner.by_key.remove(&rec.key);
         drop(inner);
-        let now = self.io.clock().now();
         // Releasing frees memory only when the cache's reference is the
         // last one — like Python GC, a tensor the model still holds keeps
         // its memory (the storage's own drop reports the eventual free).
-        let exclusive = rec.tensor.storage().strong_count() == 1;
-        match rec.state {
-            // Staged was evicted to Resident above; both free the bytes.
-            RecState::Resident | RecState::Staged => {
-                if exclusive {
-                    rec.tensor.storage().release();
-                }
-            }
-            RecState::Loading { ready } => {
+        if rec.tensor.storage().strong_count() == 1 {
+            match rec.state {
+                RecState::Offloaded => {}
                 // Loaded data is reclaimed once the (simulated) load has
                 // landed; releasing earlier would be double-counting.
-                if exclusive {
-                    self.mem
-                        .with_time(ready.max(now), || rec.tensor.storage().release());
-                }
+                RecState::Loading { ready } => self
+                    .mem
+                    .with_time(ready.max(now), || rec.tensor.storage().release()),
+                // Never stored, forwarded, loaded back, or kept by a
+                // failed or refused commit.
+                _ => rec.tensor.storage().release(),
             }
-            RecState::Storing { job } => {
-                // The paper's "excessive offloading" effect: the tensor
-                // was never reused, its memory comes back only when the
-                // store completes.
-                self.commit_store(&mut rec, job);
-                // A failed commit keeps the tensor resident; free it
-                // now if the cache holds the last reference.
-                if matches!(rec.state, RecState::Resident) && exclusive {
-                    rec.tensor.storage().release();
-                }
-            }
-            RecState::Offloaded => {}
         }
         // Catch-all: whatever path retired the record, its staging slab
         // must go back to the arena exactly once.
@@ -1965,454 +1846,35 @@ impl StageScope<'_> {
 impl Drop for StageScope<'_> {
     fn drop(&mut self) {
         self.cache.exit_stage(self.stage);
-        let now = self.cache.io.clock().now();
-        self.cache.trace().span(
-            TraceCategory::Stage,
-            self.stage.trace_label(),
-            self.enter,
-            now,
-        );
+        let trace = self.cache.trace();
+        if trace.is_enabled() {
+            let now = self.cache.io.clock().now();
+            trace.span(
+                TraceCategory::Stage,
+                self.stage.trace_label(),
+                self.enter,
+                now,
+            );
+        }
     }
 }
 
 impl SavedTensorHooks for TensorCache {
     fn pack(&self, tensor: &Tensor) -> Packed {
         let mut inner = self.inner.lock();
-
-        // Algorithm 2 lines 12 and 15 as a pure policy decision
-        // (parameter / small / backward-phase / kept-module).
-        let stamp = storage_stamp(tensor);
-        let query = PlacementQuery {
-            class: OffloadClass::Activation,
-            is_parameter: inner.param_stamps.contains(&stamp),
-            numel: tensor.numel(),
-            in_backward: inner.phase.in_backward(),
-            module_kept: self.innermost_kept(&inner),
-        };
-        if let Placement::Keep(reason) = self.placement.decide(&query) {
-            if reason.counts_in_stats() {
-                self.stats.lock().kept += 1;
-            }
-            return Packed::Tensor(tensor.clone());
+        match self.store(&mut inner, tensor, OffloadClass::Activation) {
+            Some(id) => Packed::Opaque(id),
+            None => Packed::Tensor(tensor.clone()),
         }
-
-        let key = tensor_key(tensor);
-        let cur_scope = inner.stack.last().copied();
-
-        // Deduplication (Section 3.3.1).
-        if self.config.dedup {
-            if let Some(&id) = inner.by_key.get(&key) {
-                let bytes = inner.records[&id].bytes;
-                if let Some(seq) = cur_scope {
-                    if let Some(rec) = inner.records.get_mut(&id) {
-                        rec.scopes.insert(seq);
-                    }
-                    if let Some(meta) = inner.scopes.get_mut(&seq) {
-                        if !meta.records.contains(&id) {
-                            meta.records.push(id);
-                        }
-                    }
-                }
-                let mut stats = self.stats.lock();
-                stats.dedup_hits += 1;
-                stats.dedup_avoided_bytes += bytes;
-                drop(stats);
-                self.trace().instant_bytes(
-                    TraceCategory::Dedup,
-                    "dedup.hit",
-                    self.io.clock().now(),
-                    bytes,
-                );
-                return Packed::Opaque(id);
-            }
-        }
-
-        // Tier admission: reserve capacity before any store job exists,
-        // so a bounded front tier can never be oversubscribed by jobs
-        // already in flight. A full stack refuses gracefully — the
-        // tensor stays on the graph, numerics untouched. Under a
-        // profile-guided tier plan the planned tier is preferred (its
-        // fallback is the plain front-first walk).
-        let bytes = tensor.bytes();
-        let preferred = if self.config.profile_guided {
-            cur_scope.and_then(|seq| {
-                let path = &inner.scopes[&seq].path;
-                self.tier_plan.lock().preferred(path)
-            })
-        } else {
-            None
-        };
-        let placement = match preferred {
-            Some(tier) => self.tiers.reserve_preferring(tier, bytes),
-            None => self.tiers.reserve(bytes),
-        };
-        let Some(placement) = placement else {
-            drop(inner);
-            let mut stats = self.stats.lock();
-            stats.kept += 1;
-            stats.placement_kept_bytes += bytes;
-            drop(stats);
-            self.trace().instant_bytes(
-                TraceCategory::Tier,
-                "tier.full",
-                self.io.clock().now(),
-                bytes,
-            );
-            return Packed::Tensor(tensor.clone());
-        };
-
-        // New record. The bytes enter the pinned staging arena either
-        // way; with coalescing enabled the record is *staged* into its
-        // tier's open segment (the store job is submitted when the
-        // segment seals — store jobs then count segments, not tensors),
-        // otherwise a per-tensor store job is submitted immediately
-        // (Figure 4 ①). The memory release is deferred until the store
-        // commits.
-        let slab = self.arena.acquire(bytes);
-        let slab_acquired = slab.is_some();
-        let staged = self.config.coalesce_segment_bytes > 0 && !inner.phase.in_backward();
-        let (state, store_secs) = if staged {
-            (RecState::Staged, 0.0)
-        } else {
-            let job = self
-                .io
-                .submit_store_to(self.tiers.link(placement.tier), bytes);
-            let (start, end) = self.io.store_span(job);
-            (RecState::Storing { job }, end.since(start))
-        };
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let mut scopes = HashSet::new();
-        if let Some(seq) = cur_scope {
-            scopes.insert(seq);
-            if let Some(meta) = inner.scopes.get_mut(&seq) {
-                meta.records.push(id);
-                meta.offload_bytes += bytes;
-                // A staged record's link occupancy is attributed when its
-                // segment seals.
-                meta.store_secs += store_secs;
-            }
-        }
-        inner.records.insert(
-            id,
-            Record {
-                key: key.clone(),
-                tensor: tensor.clone(),
-                bytes,
-                state,
-                scopes,
-                tier: placement.tier,
-                seg: None,
-                slab,
-            },
-        );
-        inner.by_key.insert(key, id);
-        if staged {
-            let sealed =
-                self.coalescer
-                    .lock()
-                    .stage(placement.tier, id, bytes, OffloadClass::Activation);
-            if let Some(seg) = sealed {
-                self.seal_segment(&mut inner, seg);
-            }
-        }
-        drop(inner);
-        let mut stats = self.stats.lock();
-        stats.offloaded_bytes += bytes;
-        if !staged {
-            stats.store_jobs += 1;
-        }
-        if placement.spilled {
-            stats.spilled_bytes += bytes;
-        }
-        let c = stats.class_mut(OffloadClass::Activation);
-        c.offloaded_bytes += bytes;
-        if !staged {
-            c.stores += 1;
-        }
-        drop(stats);
-        let trace = self.trace();
-        let now = self.io.clock().now();
-        if slab_acquired {
-            trace.instant_bytes(TraceCategory::Arena, "arena.acquire", now, bytes);
-        }
-        trace.instant_bytes(TraceCategory::Store, "store.enqueue", now, bytes);
-        if placement.spilled {
-            trace.instant_with(
-                TraceCategory::Tier,
-                "tier.spill",
-                now,
-                vec![
-                    ("bytes", ArgValue::U64(bytes)),
-                    ("tier", ArgValue::from(self.tiers.name(placement.tier))),
-                ],
-            );
-        }
-        Packed::Opaque(id)
     }
 
     fn unpack(&self, packed: &Packed) -> Tensor {
-        let id = match packed {
+        match packed {
             // Algorithm 2, line 20.
-            Packed::Tensor(t) => return t.clone(),
-            Packed::Opaque(id) => *id,
-        };
-        let now = self.io.clock().now();
-        let mut inner = self.inner.lock();
-        // Coalesced-path pre-handling: staged members and members of
-        // sealed segments need whole-segment treatment before the
-        // per-record state machine below runs.
-        let hit = match inner.records.get_mut(&id) {
-            Some(rec) => match rec.state {
-                RecState::Staged => {
-                    rec.state = RecState::Resident;
-                    Some(CoalescedHit::Evicted {
-                        tier: rec.tier,
-                        bytes: rec.bytes,
-                        slab: rec.slab.take(),
-                        tensor: rec.tensor.clone(),
-                    })
-                }
-                RecState::Storing { job } => match rec.seg {
-                    Some(seg) => {
-                        let end = self.io.store_end(job);
-                        if self.config.forwarding && now < end {
-                            rec.state = RecState::Resident;
-                            Some(CoalescedHit::Forwarded {
-                                bytes: rec.bytes,
-                                slab: rec.slab.take(),
-                                tensor: rec.tensor.clone(),
-                            })
-                        } else {
-                            Some(CoalescedHit::Commit { seg, end })
-                        }
-                    }
-                    None => None,
-                },
-                _ => None,
-            },
-            None => None,
-        };
-        match hit {
-            Some(CoalescedHit::Evicted {
-                tier,
-                bytes,
-                slab,
-                tensor,
-            }) => {
-                // The bytes never queued a job, so eviction is free
-                // forwarding regardless of `config.forwarding` — but the
-                // pack-time enqueue must be balanced by a cancel so the
-                // trace byte identity holds.
-                self.coalescer.lock().evict(tier, id);
-                drop(inner);
-                self.retire_slab(slab);
-                let mut stats = self.stats.lock();
-                stats.forwarded += 1;
-                stats.forwarded_bytes += bytes;
-                stats.cancelled_stores += 1;
-                stats.cancelled_bytes += bytes;
-                stats.offloaded_bytes -= bytes;
-                stats.coalesce_evictions += 1;
-                stats.class_mut(OffloadClass::Activation).offloaded_bytes -= bytes;
-                drop(stats);
-                let trace = self.trace();
-                trace.instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
-                trace.instant_bytes(TraceCategory::Store, "store.cancel", now, bytes);
-                trace.instant_bytes(TraceCategory::Coalesce, "coalesce.evict", now, bytes);
-                return tensor;
-            }
-            Some(CoalescedHit::Forwarded {
-                bytes,
-                slab,
-                tensor,
-            }) => {
-                drop(inner);
-                self.retire_slab(slab);
-                let mut stats = self.stats.lock();
-                stats.forwarded += 1;
-                stats.forwarded_bytes += bytes;
-                drop(stats);
-                self.trace()
-                    .instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
-                return tensor;
-            }
-            Some(CoalescedHit::Commit { seg, end }) => {
-                if now < end {
-                    // Forwarding disabled: the load cannot begin until
-                    // the segment's store finishes.
-                    // ssdtrain-lint: allow(lock-discipline): the segment must commit under the same guard right after the drain; the simulation is single-threaded, so the hold cannot block a peer
-                    let stall = self.io.clock().advance_to(end);
-                    self.stats.lock().stall_secs += stall;
-                    if stall > 0.0 {
-                        self.trace().span(
-                            TraceCategory::Stall,
-                            "stall.store_drain",
-                            end.plus_secs(-stall),
-                            end,
-                        );
-                    }
-                }
-                self.commit_segment(&mut inner, seg);
-                // Fall through: the member is now Offloaded (reload
-                // below) or Resident (recovery kept it).
-            }
-            None => {}
-        }
-        let rec = inner
-            .records
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unpack of unknown record {id}")); // ssdtrain-lint: allow(panic-free-hot-path): unpack of an unregistered id is an engine-integration bug, not a recoverable runtime failure
-        match rec.state {
-            // Staged records were evicted above; a record can only reach
-            // this arm resident-equivalent.
-            RecState::Staged => rec.tensor.clone(),
-            RecState::Resident => rec.tensor.clone(),
-            RecState::Storing { job } => {
-                let end = self.io.store_end(job);
-                if self.config.forwarding && now < end {
-                    // Data forwarding (Section 3.3.2): the tensor is
-                    // still in memory; skip the reload and, if the store
-                    // has not started, cancel it (adaptive feature 1).
-                    rec.state = RecState::Resident;
-                    let bytes = rec.bytes;
-                    let slab = rec.slab.take();
-                    let t = rec.tensor.clone();
-                    drop(inner);
-                    self.retire_slab(slab);
-                    let cancelled =
-                        self.config.cancel_forwarded_stores && self.io.try_cancel_store(job, now);
-                    let mut stats = self.stats.lock();
-                    stats.forwarded += 1;
-                    stats.forwarded_bytes += bytes;
-                    if cancelled {
-                        stats.cancelled_stores += 1;
-                        stats.cancelled_bytes += bytes;
-                        stats.offloaded_bytes -= bytes;
-                        stats.store_jobs -= 1;
-                        let c = stats.class_mut(OffloadClass::Activation);
-                        c.offloaded_bytes -= bytes;
-                        c.stores -= 1;
-                    }
-                    drop(stats);
-                    let trace = self.trace();
-                    trace.instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
-                    if cancelled {
-                        trace.instant_bytes(TraceCategory::Store, "store.cancel", now, bytes);
-                    }
-                    t
-                } else {
-                    // Store finished (or forwarding disabled): commit,
-                    // then block on a synchronous reload.
-                    if now < end {
-                        // Forwarding disabled: the load cannot begin
-                        // until the store finishes.
-                        // ssdtrain-lint: allow(lock-discipline): `rec` borrows from the guard and is committed right after the drain; the simulation is single-threaded, so the hold cannot block a peer, and dropping/relocking would re-look-up the record mid-commit
-                        let stall = self.io.clock().advance_to(end);
-                        self.stats.lock().stall_secs += stall;
-                        if stall > 0.0 {
-                            self.trace().span(
-                                TraceCategory::Stall,
-                                "stall.store_drain",
-                                end.plus_secs(-stall),
-                                end,
-                            );
-                        }
-                    }
-                    self.commit_store(rec, job);
-                    if matches!(rec.state, RecState::Resident) {
-                        // Commit found live references: the tensor never
-                        // left memory, no reload needed.
-                        return rec.tensor.clone();
-                    }
-                    let link = self.tiers.link(rec.tier);
-                    let busy0 = self.io.read_busy_secs_on(link);
-                    let ready = self.io.submit_load_from(link, rec.bytes);
-                    let load_secs = self.io.read_busy_secs_on(link) - busy0;
-                    self.restore_record(rec, ready);
-                    rec.state = RecState::Resident;
-                    let bytes = rec.bytes;
-                    let t = rec.tensor.clone();
-                    let seq = rec.scopes.iter().min().copied();
-                    if let Some(seq) = seq {
-                        if let Some(meta) = inner.scopes.get_mut(&seq) {
-                            meta.load_secs += load_secs;
-                        }
-                    }
-                    drop(inner);
-                    let stall = self.io.clock().advance_to(ready);
-                    let mut stats = self.stats.lock();
-                    stats.sync_loads += 1;
-                    stats.reloaded_bytes += bytes;
-                    stats.stall_secs += stall;
-                    let c = stats.class_mut(OffloadClass::Activation);
-                    c.reloaded_bytes += bytes;
-                    c.loads += 1;
-                    drop(stats);
-                    if stall > 0.0 {
-                        self.trace().span(
-                            TraceCategory::Stall,
-                            "stall.load",
-                            ready.plus_secs(-stall),
-                            ready,
-                        );
-                    }
-                    t
-                }
-            }
-            RecState::Offloaded => {
-                let link = self.tiers.link(rec.tier);
-                let busy0 = self.io.read_busy_secs_on(link);
-                // ssdtrain-lint: allow(no-alloc-hot-loop): submitting the
-                // reload is the data path; its bookkeeping rides the transfer
-                let ready = self.io.submit_load_from(link, rec.bytes);
-                let load_secs = self.io.read_busy_secs_on(link) - busy0;
-                self.restore_record(rec, ready);
-                rec.state = RecState::Resident;
-                let bytes = rec.bytes;
-                let t = rec.tensor.clone();
-                let seq = rec.scopes.iter().min().copied();
-                if let Some(seq) = seq {
-                    if let Some(meta) = inner.scopes.get_mut(&seq) {
-                        meta.load_secs += load_secs;
-                    }
-                }
-                drop(inner);
-                let stall = self.io.clock().advance_to(ready);
-                let mut stats = self.stats.lock();
-                stats.sync_loads += 1;
-                stats.reloaded_bytes += bytes;
-                stats.stall_secs += stall;
-                let c = stats.class_mut(OffloadClass::Activation);
-                c.reloaded_bytes += bytes;
-                c.loads += 1;
-                drop(stats);
-                if stall > 0.0 {
-                    self.trace().span(
-                        TraceCategory::Stall,
-                        "stall.load",
-                        ready.plus_secs(-stall),
-                        ready,
-                    );
-                }
-                t
-            }
-            RecState::Loading { ready } => {
-                rec.state = RecState::Resident;
-                let t = rec.tensor.clone();
-                drop(inner);
-                let stall = self.io.clock().advance_to(ready);
-                self.stats.lock().stall_secs += stall;
-                if stall > 0.0 {
-                    self.trace().span(
-                        TraceCategory::Stall,
-                        "stall.load",
-                        ready.plus_secs(-stall),
-                        ready,
-                    );
-                }
-                t
-            }
+            Packed::Tensor(t) => t.clone(),
+            Packed::Opaque(id) => self
+                .consume(*id)
+                .unwrap_or_else(|| panic!("unpack of unknown record {id}")), // ssdtrain-lint: allow(panic-free-hot-path): unpack of an unregistered id is an engine-integration bug, not a recoverable runtime failure
         }
     }
 }
@@ -2501,13 +1963,8 @@ impl ModuleHooks for TensorCache {
                     .filter_map(|k| inner.group_slabs.remove(k))
                     .collect()
             };
-            let now = self.io.clock().now();
-            let trace = self.trace();
             for slab in slabs {
-                let len = slab.len;
-                if self.arena.release(slab) {
-                    trace.instant_bytes(TraceCategory::Arena, "arena.release", now, len);
-                }
+                self.retire_slab(Some(slab));
             }
             return;
         }

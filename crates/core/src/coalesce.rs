@@ -25,9 +25,9 @@
 //!
 //! The coalescer is a passive data structure: the cache drives staging,
 //! eviction and sealing, owns the sealed-segment lifecycle (submit →
-//! commit / recover), and holds the lock. Disabled (`segment_bytes ==
-//! 0`) it stages nothing and the cache takes the classic
-//! one-job-per-tensor path.
+//! commit / recover), and holds the lock. With `segment_bytes == 0`
+//! there is nothing to wait for: the cache seals every record the
+//! moment it is staged, a segment of one, and never stages it here.
 
 use crate::placement::OffloadClass;
 use crate::tier::TierId;
@@ -98,7 +98,8 @@ pub struct WriteCoalescer {
 }
 
 impl WriteCoalescer {
-    /// A coalescer sealing segments at `segment_bytes` (0 = disabled).
+    /// A coalescer sealing segments at `segment_bytes` (0 = the caller
+    /// seals on every stage and stages nothing here).
     pub fn new(segment_bytes: u64) -> WriteCoalescer {
         WriteCoalescer {
             segment_bytes,
@@ -122,9 +123,8 @@ impl WriteCoalescer {
 
     /// Stages a packed record into its tier's open segment. Returns the
     /// sealed segment when this staging filled it to the threshold.
-    /// Disabled coalescers stage nothing and return `None` — the caller
-    /// must check [`WriteCoalescer::enabled`] and fall back to the
-    /// per-tensor path.
+    /// With `segment_bytes == 0` nothing is staged and `None` comes
+    /// back: the caller seals the record on its own.
     pub fn stage(
         &mut self,
         tier: TierId,

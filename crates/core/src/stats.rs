@@ -109,8 +109,8 @@ pub struct OffloadStats {
     /// store job and one device write operation).
     #[serde(default)]
     pub coalesce_segments: u64,
-    /// Tensor bytes that travelled inside coalesced segments. Always
-    /// `<= offloaded_bytes`; equality means every store coalesced.
+    /// Tensor bytes sealed into coalesced segments (counted at the
+    /// seal, so later cancellations and recoveries do not subtract).
     #[serde(default)]
     pub coalesced_bytes: u64,
     /// Members evicted from an open (unsealed) segment because they

@@ -297,6 +297,16 @@ impl TierStack {
         inner.get(tier.0).map(|(t, _)| t.device.clone())
     }
 
+    /// The tier's device, or the I/O error every transfer to a tier that
+    /// does not exist fails with.
+    fn device_or_err(&self, tier: TierId) -> io::Result<Arc<dyn OffloadTarget>> {
+        self.device(tier).ok_or_else(|| {
+            // ssdtrain-lint: allow(no-alloc-hot-loop): error-path message;
+            // steady-state transfers never reach this arm
+            io::Error::new(io::ErrorKind::NotFound, format!("{tier} does not exist"))
+        })
+    }
+
     /// The front tier's device — construction guarantees it exists
     /// (flat-era callers knew their single target by this handle).
     pub fn front_device(&self) -> Arc<dyn OffloadTarget> {
@@ -388,18 +398,7 @@ impl TierStack {
         data: Option<&[u8]>,
         len: u64,
     ) -> io::Result<()> {
-        let device = {
-            let inner = self.inner.lock();
-            match inner.get(tier.0) {
-                Some((t, _)) => t.device.clone(),
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        format!("{tier} does not exist"),
-                    ))
-                }
-            }
-        };
+        let device = self.device_or_err(tier)?;
         device.write(key, data, len)?;
         let mut inner = self.inner.lock();
         if let Some((_, state)) = inner.get_mut(tier.0) {
@@ -420,18 +419,7 @@ impl TierStack {
     /// unwound any partially written members, so the caller recovers at
     /// segment granularity per its [`crate::RecoveryPolicy`].
     pub fn write_segment(&self, tier: TierId, items: &[BatchItem<'_>]) -> io::Result<()> {
-        let device = {
-            let inner = self.inner.lock();
-            match inner.get(tier.0) {
-                Some((t, _)) => t.device.clone(),
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        format!("{tier} does not exist"),
-                    ))
-                }
-            }
-        };
+        let device = self.device_or_err(tier)?;
         device.write_batch(items)?;
         let total: u64 = items.iter().map(|(_, _, len)| *len).sum();
         let mut inner = self.inner.lock();
@@ -450,20 +438,7 @@ impl TierStack {
     /// Propagates the device's I/O error; the cache retries per
     /// `max_io_retries`.
     pub fn read(&self, tier: TierId, key: &TensorKey, len: u64) -> io::Result<Option<Vec<u8>>> {
-        let device = {
-            let inner = self.inner.lock();
-            match inner.get(tier.0) {
-                Some((t, _)) => t.device.clone(),
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        // ssdtrain-lint: allow(no-alloc-hot-loop): error-path
-                        // message; steady-state reads never reach this arm
-                        format!("{tier} does not exist"),
-                    ));
-                }
-            }
-        };
+        let device = self.device_or_err(tier)?;
         let data = device.read(key)?;
         let mut inner = self.inner.lock();
         if let Some((_, state)) = inner.get_mut(tier.0) {

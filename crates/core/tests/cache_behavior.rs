@@ -246,6 +246,56 @@ fn forwarding_disabled_exposes_store_latency() {
     assert!(stats.sync_loads > 0, "{stats:?}");
 }
 
+#[test]
+fn a_per_tensor_store_is_a_segment_of_one() {
+    // `coalesce_segment_bytes = 0` seals every record on its own without
+    // the coalescer; `= 1` seals every record on its own *through* it.
+    // Both must be the same cache: a glacial link makes backward forward
+    // and cancel the stores, a fast one makes it commit and reload them.
+    for (bps, secs_per_op) in [(1.0, 1e-6), (1e6, 1.0)] {
+        let run = |segment_bytes: u64| {
+            let cfg = TensorCacheConfig {
+                coalesce_segment_bytes: segment_bytes,
+                ..offload_all_config()
+            };
+            let r = rig(cfg, bps, bps, secs_per_op);
+            let (w1t, w2t, xt) = init_weights(&r.dev, 61);
+            let (w1, w2) = (Var::new("w1", w1t), Var::new("w2", w2t));
+            let loss = run_step(&r, &xt, &w1, &w2);
+            r.graph.reset_tape();
+            r.cache.flush();
+            let mut stats = r.cache.stats();
+            // The `coalesce_*` counters describe the coalescer, which
+            // only one of the two runs uses.
+            let sealed = std::mem::take(&mut stats.coalesce_segments);
+            stats.coalesced_bytes = 0;
+            let observed = (
+                loss.to_bits(),
+                r.clock.now().as_secs().to_bits(),
+                r.mem.peak_total(),
+                r.mem.peak_activations(),
+                stats,
+            );
+            (observed, sealed)
+        };
+        let (per_tensor, unsealed) = run(0);
+        let (segmented, sealed) = run(1);
+        assert_eq!(unsealed, 0, "threshold 0 bypasses the coalescer");
+        assert!(sealed > 0, "threshold 1 seals through the coalescer");
+        assert_eq!(per_tensor, segmented, "write bandwidth {bps}");
+        let stats = &per_tensor.4;
+        if bps < 10.0 {
+            assert!(
+                stats.forwarded > 0 && stats.cancelled_stores > 0,
+                "{stats:?}"
+            );
+        } else {
+            assert!(stats.sync_loads + stats.prefetches > 0, "{stats:?}");
+            assert!(stats.tiers[0].stores > 0, "{stats:?}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Deduplication and parameter exclusion
 // ---------------------------------------------------------------------

@@ -1,10 +1,11 @@
 //! Property-based fuzzing of the tensor-cache state machine: random
 //! interleavings of pack / unpack / prefetch / scope-release / clock
-//! advances must never corrupt data, leak records, or break memory
-//! conservation.
+//! advances — and of state-slot offloads, loads and releases, which live
+//! in the same record map — must never corrupt data, leak records, or
+//! break memory conservation, whatever the segment size.
 
 use proptest::prelude::*;
-use ssdtrain::{CpuTarget, IoEngine, TensorCache, TensorCacheConfig};
+use ssdtrain::{CpuTarget, IoEngine, OffloadClass, StateSlot, TensorCache, TensorCacheConfig};
 use ssdtrain_autograd::{ModuleHooks, Packed, Phase, SavedTensorHooks, ScopeInfo};
 use ssdtrain_simhw::{GpuMemory, SimClock};
 use ssdtrain_tensor::{Device, MemClass, Tensor};
@@ -23,6 +24,14 @@ enum Action {
     Advance { millis: u32 },
     /// Close the current scope in "backward" and open the next one.
     NextScope,
+    /// Offload a fresh gradient tensor of `len` elements as a state slot.
+    OffloadState { len: usize },
+    /// Load one of the live state slots back and check its bytes.
+    LoadState { which: usize },
+    /// Release one of the live state slots.
+    ReleaseState { which: usize },
+    /// End-of-step flush, in the middle of the run.
+    Flush,
 }
 
 fn action_strategy() -> impl Strategy<Value = Action> {
@@ -32,7 +41,22 @@ fn action_strategy() -> impl Strategy<Value = Action> {
         (0usize..64).prop_map(|which| Action::Unpack { which }),
         (0u32..2000).prop_map(|millis| Action::Advance { millis }),
         Just(Action::NextScope),
+        (1usize..512).prop_map(|len| Action::OffloadState { len }),
+        (0usize..64).prop_map(|which| Action::LoadState { which }),
+        (0usize..64).prop_map(|which| Action::ReleaseState { which }),
+        Just(Action::Flush),
     ]
+}
+
+/// A live state slot: its handle, the caller's tensor and the values it
+/// must read back as.
+type LiveState = (StateSlot, Tensor, Vec<f32>);
+
+/// Loads `slot` back, waits for the bytes and returns them.
+fn load_back(cache: &TensorCache, clock: &SimClock, (slot, t, _): &LiveState) -> Vec<f32> {
+    let ready = cache.load_state(*slot).expect("live slot");
+    clock.advance_to(ready);
+    t.to_vec()
 }
 
 proptest! {
@@ -42,6 +66,7 @@ proptest! {
     fn random_interleavings_preserve_data_and_memory(
         actions in prop::collection::vec(action_strategy(), 1..60),
         write_kbps in 1u64..1_000_000,
+        segment_bytes in prop_oneof![Just(0u64), Just(1u64), Just(4096u64)],
     ) {
         let clock = SimClock::new();
         let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
@@ -52,12 +77,14 @@ proptest! {
             TensorCacheConfig {
                 min_offload_numel: 0,
                 adaptive: false,
+                coalesce_segment_bytes: segment_bytes,
                 ..TensorCacheConfig::default()
             },
             Arc::new(CpuTarget::new(1 << 40)),
             io,
             mem.clone(),
         );
+        let tier = cache.tiers().tier_ids()[0];
         cache.begin_step();
 
         // Drive the module hooks directly (a synthetic forward pass).
@@ -77,6 +104,7 @@ proptest! {
         // live ones, mirroring real tape behaviour.
         let mut packed: Vec<(Packed, Vec<f32>, u64)> = Vec::new();
         let mut tensors: Vec<Tensor> = Vec::new(); // keep-alive originals
+        let mut states: Vec<LiveState> = Vec::new();
 
         for action in &actions {
             match action {
@@ -121,6 +149,34 @@ proptest! {
                     scope_seq += 1;
                     open_scope(&cache, scope_seq);
                 }
+                Action::OffloadState { len } => {
+                    let data: Vec<f32> =
+                        (0..*len).map(|i| -(i as f32) - states.len() as f32).collect();
+                    let t = dev.with_class(MemClass::Gradient, || {
+                        Tensor::from_vec(data.clone(), [*len], &dev)
+                    });
+                    let slot = cache.offload_state(&t, OffloadClass::Gradient);
+                    states.push((slot.expect("an unbounded tier admits"), t, data));
+                }
+                Action::LoadState { which } => {
+                    if !states.is_empty() {
+                        let live = &states[which % states.len()];
+                        prop_assert_eq!(&load_back(&cache, &clock, live), &live.2, "load_state data");
+                    }
+                }
+                Action::ReleaseState { which } => {
+                    if !states.is_empty() {
+                        let (slot, _, _) = states.remove(which % states.len());
+                        cache.release_state(slot);
+                        prop_assert!(cache.load_state(slot).is_none(), "released slot");
+                    }
+                }
+                Action::Flush => {
+                    // Every packed handle dies with the flush; state
+                    // slots must not.
+                    cache.flush();
+                    packed.clear();
+                }
             }
         }
 
@@ -132,11 +188,25 @@ proptest! {
                 prop_assert_eq!(&back.to_vec(), expect, "final unpack");
             }
         }
-        // Flush and drop everything: no activation bytes may linger.
+        // Flush and drop everything: no activation bytes may linger, and
+        // the only records left — the only tier reservations — are the
+        // live state slots'.
         cache.flush();
         drop(packed);
         drop(tensors);
         prop_assert_eq!(mem.resident(MemClass::Activation), 0);
+        let held: u64 = states.iter().map(|(_, t, _)| t.bytes()).sum();
+        prop_assert_eq!(cache.tiers().reserved_bytes(tier), held);
+        // State slots survive the step boundary bit-exactly.
+        cache.begin_step();
+        for live in &states {
+            prop_assert_eq!(&load_back(&cache, &clock, live), &live.2, "state after begin_step");
+        }
+        for (slot, _, _) in states.drain(..) {
+            cache.release_state(slot);
+        }
+        prop_assert_eq!(cache.tiers().reserved_bytes(tier), 0);
+        prop_assert_eq!(mem.resident(MemClass::Gradient), 0);
         // Stall accounting can only be non-negative.
         prop_assert!(cache.stats().stall_secs >= 0.0);
     }

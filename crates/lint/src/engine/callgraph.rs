@@ -8,7 +8,7 @@
 //! item index:
 //!
 //! - `self.m()` resolves against the enclosing `impl` type (trait
-//!   impls included: [`FnItem::impl_type`] is the self type).
+//!   impls included: [`super::items::FnItem::impl_type`] is the self type).
 //! - `self.field.m()` resolves through the field's declared type,
 //!   looking through `Arc`/`Rc`/`Box` wrappers.
 //! - `Self::m(…)` / `Type::m(…)` resolve against the named type; a

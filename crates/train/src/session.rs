@@ -652,12 +652,13 @@ impl TrainSession {
             }
             match scope {
                 Some(scope) => drop(scope), // line 15 + stage span
-                None => self.trace.span(
+                None if self.trace.is_enabled() => self.trace.span(
                     TraceCategory::Stage,
                     stage.trace_label(),
                     stage_start,
                     self.runtime.clock.now(),
                 ),
+                None => {}
             }
         }
 

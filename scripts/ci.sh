@@ -6,6 +6,8 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 cargo build --release
+# `default-members` makes this the whole workspace (every crate plus the
+# root suite), not the root suite alone.
 cargo test -q
 # The observability golden file must stay byte-stable (regenerate with
 # UPDATE_GOLDEN=1 after intentional trace/exporter changes).
@@ -29,6 +31,12 @@ cargo test -q --test fault_injection
 # filter can never silently drop the analyzer's regression net.
 cargo test -q -p ssdtrain-lint --test golden_diagnostics
 cargo test -q -p ssdtrain-lint --test explain_cli
+# The benchmark crate is its own workspace, so the tests above never
+# compile it: a quick pass catches a source-incompatible change to the
+# API it builds against, and its output checks (trace-vs-counter byte
+# identity, checksum round trips, device writes = tier-counter stores)
+# catch a broken store path before the benchmark pipeline does.
+bash benchmark/run.sh --quick
 # The checked-in bench report must keep the backends' step times
 # distinct and ordered (see the script header for the regeneration
 # command).

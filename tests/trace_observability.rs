@@ -13,12 +13,13 @@
 //!    identities the trace records.
 
 use ssdtrain::{
-    chrome_trace_json, ArgValue, EventKind, OffloadStats, RecoveryPolicy, TensorCacheConfig,
-    TraceCategory, TraceEvent, TraceSink,
+    chrome_trace_json, ArgValue, EventKind, OffloadStats, RecoveryPolicy, StageHint,
+    TensorCacheConfig, TraceCategory, TraceEvent, TraceSink,
 };
 use ssdtrain_models::ModelConfig;
 use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger, SystemConfig};
 use ssdtrain_train::{OffloadBackend, SessionConfig, TrainSession};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -425,4 +426,18 @@ fn disabled_sink_records_nothing() {
     let _ = run(&mut s);
     assert!(s.trace().is_empty());
     assert!(!s.trace().is_enabled());
+    // Stage exit is part of the bound: the fixed stages' labels are
+    // borrowed, never formatted, and a scope on the disabled sink leaves
+    // nothing behind.
+    for stage in [
+        StageHint::Forward,
+        StageHint::Backward,
+        StageHint::Communication,
+        StageHint::Optimizer,
+    ] {
+        assert!(matches!(stage.trace_label(), Cow::Borrowed(_)), "{stage:?}");
+        drop(s.cache().expect("offload session").stage_scope(stage));
+    }
+    assert_eq!(StageHint::MicroBatchLoad(3).trace_label(), "stage.load_mb3");
+    assert!(s.trace().is_empty());
 }
