@@ -24,17 +24,19 @@ fn permute_kernel(x: &Tensor, nh: usize) -> Tensor {
     if !x.has_data() {
         return Tensor::symbolic([b * nh, s, hd], x.device());
     }
-    let v = x.to_vec();
-    let mut out = vec![0.0f32; v.len()];
-    for bi in 0..b {
-        for si in 0..s {
-            for ni in 0..nh {
-                let src = (bi * s + si) * h + ni * hd;
-                let dst = ((bi * nh + ni) * s + si) * hd;
-                out[dst..dst + hd].copy_from_slice(&v[src..src + hd]);
+    let out = x.with_values(|v| {
+        let mut out = vec![0.0f32; v.len()];
+        for bi in 0..b {
+            for si in 0..s {
+                for ni in 0..nh {
+                    let src = (bi * s + si) * h + ni * hd;
+                    let dst = ((bi * nh + ni) * s + si) * hd;
+                    out[dst..dst + hd].copy_from_slice(&v[src..src + hd]);
+                }
             }
         }
-    }
+        out
+    });
     Tensor::from_vec(out, [b * nh, s, hd], x.device())
 }
 
@@ -47,17 +49,19 @@ fn unpermute_kernel(x: &Tensor, nh: usize) -> Tensor {
     if !x.has_data() {
         return Tensor::symbolic([b, s, h], x.device());
     }
-    let v = x.to_vec();
-    let mut out = vec![0.0f32; v.len()];
-    for bi in 0..b {
-        for si in 0..s {
-            for ni in 0..nh {
-                let src = ((bi * nh + ni) * s + si) * hd;
-                let dst = (bi * s + si) * h + ni * hd;
-                out[dst..dst + hd].copy_from_slice(&v[src..src + hd]);
+    let out = x.with_values(|v| {
+        let mut out = vec![0.0f32; v.len()];
+        for bi in 0..b {
+            for si in 0..s {
+                for ni in 0..nh {
+                    let src = ((bi * nh + ni) * s + si) * hd;
+                    let dst = (bi * s + si) * h + ni * hd;
+                    out[dst..dst + hd].copy_from_slice(&v[src..src + hd]);
+                }
             }
         }
-    }
+        out
+    });
     Tensor::from_vec(out, [b, s, h], x.device())
 }
 
@@ -247,33 +251,31 @@ impl Op for FlashAttentionOp {
                 cost,
             };
         }
-        // Recompute probabilities (never materialised on the graph).
-        let mut rng = self.rng.clone();
-        let (probs, _ctx) = attention_reference(q, k, v, self.causal, self.dropout_p, &mut rng);
+        // Recompute the pre-dropout probabilities (never materialised on
+        // the graph), then replay the draw forward made on them after
+        // softmax: the snapshot yields the identical mask.
+        let (pre_probs, _ctx) = attention_reference(q, k, v, self.causal, 0.0, &mut None);
+        let (probs, mask) = match self.rng.clone() {
+            Some(mut r) if self.dropout_p > 0.0 => {
+                let (dropped, mask) = pre_probs.dropout(self.dropout_p, &mut r);
+                (dropped, Some(mask))
+            }
+            _ => (pre_probs.clone(), None),
+        };
         let scale = 1.0 / (d as f32).sqrt();
 
         // dv = probs^T @ dctx
         let dv = probs.transpose(1, 2).bmm(dctx);
         // dprobs = dctx @ v^T
         let dprobs = dctx.bmm(&v.transpose(1, 2));
-        // Softmax backward through the (possibly dropped-out) probs: for
-        // inverted dropout, probs = mask .* softmax, so d softmax = dprobs
-        // .* mask; replay the mask by regenerating it.
-        let dprobs = if self.dropout_p > 0.0 {
-            let mut r2 = self.rng.clone();
-            let (pre_probs, _) = attention_reference(q, k, v, self.causal, 0.0, &mut None);
-            // Regenerate the mask exactly as forward did: dropout consumed
-            // RNG *after* softmax, starting from the snapshot.
-            let (_, mask) = match r2.as_mut() {
-                Some(r) => pre_probs.dropout(self.dropout_p, r),
-                None => unreachable!("dropout_p > 0 requires an RNG snapshot"),
-            };
-            let dmasked = dprobs.mul(&mask).scale(1.0 / (1.0 - self.dropout_p));
-            // Softmax jacobian uses the *pre-dropout* probabilities.
-            softmax_backward(&pre_probs, &dmasked)
-        } else {
-            softmax_backward(&probs, &dprobs)
+        // For inverted dropout, probs = mask .* softmax / (1 - p), so
+        // d softmax = dprobs .* mask / (1 - p); the softmax jacobian uses
+        // the *pre-dropout* probabilities.
+        let dprobs = match &mask {
+            Some(mask) => dprobs.mul(mask).scale(1.0 / (1.0 - self.dropout_p)),
+            None => dprobs,
         };
+        let dprobs = pre_probs.softmax_grad(&dprobs);
         // Through the causal mask: masked entries have probs 0 and the
         // softmax backward already zeroes them.
         let dscores = dprobs.scale(scale);
@@ -285,23 +287,6 @@ impl Op for FlashAttentionOp {
             cost,
         }
     }
-}
-
-/// Row-wise softmax backward: `dx = y .* (dy - rowsum(dy .* y))`.
-fn softmax_backward(y: &Tensor, dy: &Tensor) -> Tensor {
-    let h = *y.dims().last().expect("softmax rank");
-    let yv = y.to_vec();
-    let dyv = dy.to_vec();
-    let mut dx = vec![0.0f32; yv.len()];
-    for r in 0..yv.len() / h {
-        let yrow = &yv[r * h..(r + 1) * h];
-        let dyrow = &dyv[r * h..(r + 1) * h];
-        let dot: f32 = yrow.iter().zip(dyrow).map(|(a, b)| a * b).sum();
-        for j in 0..h {
-            dx[r * h + j] = yrow[j] * (dyrow[j] - dot);
-        }
-    }
-    Tensor::from_vec(dx, y.shape().clone(), y.device())
 }
 
 /// Fused scaled-dot-product attention over `[b*nh, s, hd]` tensors.

@@ -70,10 +70,11 @@ impl Op for CrossEntropyOp {
         }
         let scale = dloss.item() / n as f32;
         let mut dl = probs.to_vec();
-        let tv = targets.to_vec();
-        for (row, &ft) in tv.iter().enumerate() {
-            dl[row * v + ft as usize] -= 1.0;
-        }
+        targets.with_values(|tv| {
+            for (row, &ft) in tv.iter().enumerate() {
+                dl[row * v + ft as usize] -= 1.0;
+            }
+        });
         for x in dl.iter_mut() {
             *x *= scale;
         }

@@ -10,6 +10,8 @@ mod basic;
 mod embed;
 mod linear;
 mod norm;
+#[cfg(test)]
+mod reference;
 
 pub use attention::{flash_attention, permute_heads, transpose_12, unpermute_heads};
 pub use basic::{add, allreduce, mean_all, mul, reshape, scale, sum_all};

@@ -4,7 +4,7 @@ use crate::graph::{BackwardResult, Graph, Op};
 use crate::observer::OpCost;
 use crate::ops::{all_numeric, sym};
 use crate::value::Value;
-use ssdtrain_tensor::{Shape, Tensor};
+use ssdtrain_tensor::Tensor;
 
 // ---------------------------------------------------------------------
 // gelu
@@ -122,36 +122,36 @@ impl Op for LayernormOp {
             };
         }
 
-        let xv = x.to_vec();
-        let dyv = dy.to_vec();
-        let gv = gamma.to_vec();
-        let mv = mean.to_vec();
-        let rv = rstd.to_vec();
-        let mut dx = vec![0.0f32; xv.len()];
-        let mut dgamma = vec![0.0f32; h];
-        let mut dbeta = vec![0.0f32; h];
-        for r in 0..rows {
-            let (m, rs) = (mv[r], rv[r]);
-            let xrow = &xv[r * h..(r + 1) * h];
-            let dyrow = &dyv[r * h..(r + 1) * h];
-            // xhat = (x - mean) * rstd ; dxhat = dy * gamma
-            let mut sum_dxhat = 0.0f32;
-            let mut sum_dxhat_xhat = 0.0f32;
-            for j in 0..h {
-                let xhat = (xrow[j] - m) * rs;
-                let dxhat = dyrow[j] * gv[j];
-                sum_dxhat += dxhat;
-                sum_dxhat_xhat += dxhat * xhat;
-                dgamma[j] += dyrow[j] * xhat;
-                dbeta[j] += dyrow[j];
-            }
-            let inv_h = 1.0 / h as f32;
-            for j in 0..h {
-                let xhat = (xrow[j] - m) * rs;
-                let dxhat = dyrow[j] * gv[j];
-                dx[r * h + j] = rs * (dxhat - inv_h * sum_dxhat - xhat * inv_h * sum_dxhat_xhat);
-            }
-        }
+        let (dx, dgamma, dbeta) =
+            Tensor::with_values_of([x, dy, gamma, mean, rstd], |[xv, dyv, gv, mv, rv]| {
+                let mut dx = vec![0.0f32; xv.len()];
+                let mut dgamma = vec![0.0f32; h];
+                let mut dbeta = vec![0.0f32; h];
+                for r in 0..rows {
+                    let (m, rs) = (mv[r], rv[r]);
+                    let xrow = &xv[r * h..(r + 1) * h];
+                    let dyrow = &dyv[r * h..(r + 1) * h];
+                    // xhat = (x - mean) * rstd ; dxhat = dy * gamma
+                    let mut sum_dxhat = 0.0f32;
+                    let mut sum_dxhat_xhat = 0.0f32;
+                    for j in 0..h {
+                        let xhat = (xrow[j] - m) * rs;
+                        let dxhat = dyrow[j] * gv[j];
+                        sum_dxhat += dxhat;
+                        sum_dxhat_xhat += dxhat * xhat;
+                        dgamma[j] += dyrow[j] * xhat;
+                        dbeta[j] += dyrow[j];
+                    }
+                    let inv_h = 1.0 / h as f32;
+                    for j in 0..h {
+                        let xhat = (xrow[j] - m) * rs;
+                        let dxhat = dyrow[j] * gv[j];
+                        dx[r * h + j] =
+                            rs * (dxhat - inv_h * sum_dxhat - xhat * inv_h * sum_dxhat_xhat);
+                    }
+                }
+                (dx, dgamma, dbeta)
+            });
         let dev = g.device().clone();
         BackwardResult {
             grads: vec![
@@ -190,30 +190,12 @@ impl Op for SoftmaxOp {
     fn name(&self) -> &'static str {
         "softmax"
     }
-    fn backward(&self, g: &Graph, saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(&self, _g: &Graph, saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
         let dy = grads[0].as_ref().expect("softmax grad");
         let y = &saved[0];
         let cost = OpCost::new(4 * y.numel() as u64, 2 * y.bytes(), y.bytes());
-        if !all_numeric(&[dy, y]) {
-            return BackwardResult {
-                grads: vec![Some(sym(y.shape().clone(), g.device()))],
-                cost,
-            };
-        }
-        let h = *y.dims().last().expect("softmax rank");
-        let yv = y.to_vec();
-        let dyv = dy.to_vec();
-        let mut dx = vec![0.0f32; yv.len()];
-        for r in 0..yv.len() / h {
-            let yrow = &yv[r * h..(r + 1) * h];
-            let dyrow = &dyv[r * h..(r + 1) * h];
-            let dot: f32 = yrow.iter().zip(dyrow).map(|(a, b)| a * b).sum();
-            for j in 0..h {
-                dx[r * h + j] = yrow[j] * (dyrow[j] - dot);
-            }
-        }
         BackwardResult {
-            grads: vec![Some(Tensor::from_vec(dx, y.shape().clone(), g.device()))],
+            grads: vec![Some(y.softmax_grad(dy))],
             cost,
         }
     }
@@ -235,35 +217,18 @@ pub fn softmax_last(g: &Graph, x: &Value) -> Value {
 // causal mask
 // ---------------------------------------------------------------------
 
-struct CausalMaskOp {
-    shape: Shape,
-}
+struct CausalMaskOp;
 
 impl Op for CausalMaskOp {
     fn name(&self) -> &'static str {
         "causal_mask"
     }
-    fn backward(&self, g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(&self, _g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
         let dy = grads[0].as_ref().expect("mask grad");
         let cost = OpCost::new(dy.numel() as u64, dy.bytes(), dy.bytes());
-        if !dy.has_data() {
-            return BackwardResult {
-                grads: vec![Some(sym(self.shape.clone(), g.device()))],
-                cost,
-            };
-        }
         // Gradient of masked (future) positions is zero.
-        let (b, s1, s2) = (self.shape.dim(0), self.shape.dim(1), self.shape.dim(2));
-        let mut v = dy.to_vec();
-        for t in 0..b {
-            for i in 0..s1 {
-                for j in (i + 1)..s2 {
-                    v[t * s1 * s2 + i * s2 + j] = 0.0;
-                }
-            }
-        }
         BackwardResult {
-            grads: vec![Some(Tensor::from_vec(v, self.shape.clone(), g.device()))],
+            grads: vec![Some(dy.fill_above_diagonal(0.0))],
             cost,
         }
     }
@@ -276,16 +241,8 @@ pub fn apply_causal_mask(g: &Graph, x: &Value) -> Value {
     let n = y.numel() as u64;
     let wd = y.dtype().byte_size();
     let cost = OpCost::new(n, n * wd, n * wd);
-    g.record(
-        Box::new(CausalMaskOp {
-            shape: x.tensor().shape().clone(),
-        }),
-        &[x],
-        vec![y],
-        vec![],
-        cost,
-    )
-    .remove(0)
+    g.record(Box::new(CausalMaskOp), &[x], vec![y], vec![], cost)
+        .remove(0)
 }
 
 #[cfg(test)]

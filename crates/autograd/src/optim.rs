@@ -125,23 +125,15 @@ impl Sgd {
             let update = if self.momentum > 0.0 {
                 let v_new = match &self.velocity[i] {
                     Some(v) => v.scale(self.momentum).add(&grad),
-                    None => grad.deep_clone_as(MemClass::OptimizerState),
-                };
-                let v_new = v_new.deep_clone_as(MemClass::OptimizerState);
+                    None => grad,
+                }
+                .deep_clone_as(MemClass::OptimizerState);
                 self.velocity[i] = Some(v_new.clone());
                 v_new
             } else {
                 grad
             };
-            // ssdtrain-lint: allow(no-alloc-hot-loop): the staging copy
-            // honours the gradient's view layout (offset, contiguity); a
-            // storage-level zip would silently ignore both
-            let u = update.to_vec();
-            t.storage().with_data_mut(|w| {
-                for (wi, gi) in w.iter_mut().zip(&u) {
-                    *wi -= lr * gi;
-                }
-            });
+            t.zip_in_place(&update, |w, g| *w -= lr * g);
         }
     }
 

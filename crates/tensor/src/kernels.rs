@@ -2,9 +2,27 @@
 //!
 //! Every kernel propagates shapes when any input is symbolic (no data), so
 //! the same model code runs numerically at test scale and symbolically at
-//! paper scale. Numeric kernels are straightforward reference
-//! implementations — correctness over speed; the simulated GPU provides
-//! paper-scale timing, not these loops.
+//! paper scale. The numeric kernels are reference implementations with a
+//! three-part contract:
+//!
+//! * **Operands are borrowed.** A kernel reads its inputs through
+//!   [`Tensor::with_values_of`] — the storage's own slice for a contiguous
+//!   view, a reused gather buffer for a strided one — and never copies an
+//!   operand it only reads.
+//! * **One allocation per output.** The only buffers a kernel asks the
+//!   allocator for are the ones it returns (a kernel whose output starts
+//!   as a copy of an input, like [`Tensor::add_bias`], makes that copy and
+//!   updates it in place).
+//! * **Fixed operation order.** Each output element is produced by the
+//!   same `f32` operations in the same order regardless of how the
+//!   operands are laid out: matrix products accumulate over the inner
+//!   index in ascending order and skip terms whose left factor is exactly
+//!   zero; row reductions run left to right. Results are therefore
+//!   bit-identical across views, and across changes that respect this
+//!   order (`tests/kernel_arithmetic.rs` pins a training run's bits).
+//!
+//! Speed is secondary — the simulated GPU provides paper-scale timing, not
+//! these loops — but the inner loops stay unit-stride so they vectorise.
 
 use crate::rng::Prng;
 use crate::shape::Shape;
@@ -24,6 +42,46 @@ fn binary_shape_check(op: &str, a: &Tensor, b: &Tensor) {
     );
 }
 
+/// Elementwise `f(a, b)` over two same-shaped tensors.
+fn zip_map(op: &str, a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    binary_shape_check(op, a, b);
+    if !a.has_data() || !b.has_data() {
+        return symbolic_like(a, a.shape().clone());
+    }
+    let out = Tensor::with_values_of([a, b], |[a, b]| {
+        a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
+    });
+    Tensor::from_vec(out, a.shape().clone(), a.device())
+}
+
+/// Elementwise `f(x)`.
+fn elementwise(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
+    if !t.has_data() {
+        return symbolic_like(t, t.shape().clone());
+    }
+    let out = t.with_values(|v| v.iter().map(|&x| f(x)).collect());
+    Tensor::from_vec(out, t.shape().clone(), t.device())
+}
+
+/// `out += a @ b` for row-major `a: [m, k]`, `b: [k, n]`, `out: [m, n]`:
+/// per output element, terms are added in ascending `p` and skipped where
+/// `a[i, p]` is exactly zero.
+fn matmul_acc(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+    if k == 0 || n == 0 {
+        return;
+    }
+    for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        for (&av, brow) in arow.iter().zip(b.chunks_exact(n)) {
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
 impl Tensor {
     // ------------------------------------------------------------------
     // Elementwise
@@ -34,13 +92,7 @@ impl Tensor {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn add(&self, rhs: &Tensor) -> Tensor {
-        binary_shape_check("add", self, rhs);
-        if !self.has_data() || !rhs.has_data() {
-            return symbolic_like(self, self.shape().clone());
-        }
-        let (a, b) = (self.to_vec(), rhs.to_vec());
-        let out = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        Tensor::from_vec(out, self.shape().clone(), self.device())
+        zip_map("add", self, rhs, |x, y| x + y)
     }
 
     /// Elementwise difference.
@@ -48,13 +100,7 @@ impl Tensor {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn sub(&self, rhs: &Tensor) -> Tensor {
-        binary_shape_check("sub", self, rhs);
-        if !self.has_data() || !rhs.has_data() {
-            return symbolic_like(self, self.shape().clone());
-        }
-        let (a, b) = (self.to_vec(), rhs.to_vec());
-        let out = a.iter().zip(&b).map(|(x, y)| x - y).collect();
-        Tensor::from_vec(out, self.shape().clone(), self.device())
+        zip_map("sub", self, rhs, |x, y| x - y)
     }
 
     /// Elementwise (Hadamard) product.
@@ -62,24 +108,12 @@ impl Tensor {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn mul(&self, rhs: &Tensor) -> Tensor {
-        binary_shape_check("mul", self, rhs);
-        if !self.has_data() || !rhs.has_data() {
-            return symbolic_like(self, self.shape().clone());
-        }
-        let (a, b) = (self.to_vec(), rhs.to_vec());
-        let out = a.iter().zip(&b).map(|(x, y)| x * y).collect();
-        Tensor::from_vec(out, self.shape().clone(), self.device())
+        zip_map("mul", self, rhs, |x, y| x * y)
     }
 
     /// Multiplies every element by `s`.
     pub fn scale(&self, s: f32) -> Tensor {
-        if !self.has_data() {
-            return symbolic_like(self, self.shape().clone());
-        }
-        // ssdtrain-lint: allow(no-alloc-hot-loop): the kernel's output
-        // tensor is the op's result; producing it is the point of the call
-        let out = self.to_vec().iter().map(|x| x * s).collect();
-        Tensor::from_vec(out, self.shape().clone(), self.device())
+        elementwise(self, |x| x * s)
     }
 
     /// Adds a 1-D `bias` across the last dimension.
@@ -93,11 +127,43 @@ impl Tensor {
             return symbolic_like(self, self.shape().clone());
         }
         let mut out = self.to_vec();
-        let b = bias.to_vec();
-        for (i, v) in out.iter_mut().enumerate() {
-            *v += b[i % h];
-        }
+        bias.with_values(|b| {
+            for (i, v) in out.iter_mut().enumerate() {
+                *v += b[i % h];
+            }
+        });
         Tensor::from_vec(out, self.shape().clone(), self.device())
+    }
+
+    /// In-place `f(&mut self[i], rhs[i])` over two same-shaped tensors —
+    /// the one path that writes to a storage another handle may share.
+    /// No-op when either side is symbolic. When `rhs` aliases `self`'s
+    /// storage its values are copied out first: a write lock cannot be
+    /// taken over a held read lock.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch or if `self` is not contiguous.
+    pub fn zip_in_place(&self, rhs: &Tensor, f: impl Fn(&mut f32, f32)) {
+        binary_shape_check("zip_in_place", self, rhs);
+        if !self.has_data() || !rhs.has_data() {
+            return;
+        }
+        assert!(
+            self.is_contiguous(),
+            "in-place update of non-contiguous view"
+        );
+        let apply = |b: &[f32]| {
+            self.storage().with_data_mut(|a| {
+                for (x, &y) in a.iter_mut().zip(b) {
+                    f(x, y);
+                }
+            });
+        };
+        if self.storage().ptr_eq(rhs.storage()) {
+            apply(&rhs.to_vec());
+        } else {
+            rhs.with_values(apply);
+        }
     }
 
     /// In-place elementwise accumulation (`self += rhs`), used for
@@ -106,17 +172,7 @@ impl Tensor {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn accumulate(&self, rhs: &Tensor) {
-        binary_shape_check("accumulate", self, rhs);
-        if !self.has_data() || !rhs.has_data() {
-            return;
-        }
-        assert!(self.is_contiguous(), "accumulate into non-contiguous view");
-        let b = rhs.to_vec();
-        self.storage().with_data_mut(|a| {
-            for (x, y) in a.iter_mut().zip(&b) {
-                *x += y;
-            }
-        });
+        self.zip_in_place(rhs, |x, y| *x += y);
     }
 
     // ------------------------------------------------------------------
@@ -128,7 +184,7 @@ impl Tensor {
         if !self.has_data() {
             return symbolic_like(self, [1]);
         }
-        let s: f32 = self.to_vec().iter().sum();
+        let s: f32 = self.with_values(|v| v.iter().sum());
         Tensor::from_vec(vec![s], [1], self.device())
     }
 
@@ -147,11 +203,12 @@ impl Tensor {
         if !self.has_data() {
             return symbolic_like(self, [h]);
         }
-        let v = self.to_vec();
         let mut out = vec![0.0f32; h];
-        for (i, x) in v.iter().enumerate() {
-            out[i % h] += x;
-        }
+        self.with_values(|v| {
+            for (i, x) in v.iter().enumerate() {
+                out[i % h] += x;
+            }
+        });
         Tensor::from_vec(out, [h], self.device())
     }
 
@@ -160,8 +217,8 @@ impl Tensor {
     // ------------------------------------------------------------------
 
     /// Matrix product `self @ rhs` where `self` is `[..., m, k]` (leading
-    /// dims flattened) and `rhs` is a 2-D `[k, n]` view — transposed
-    /// weight views are read through their strides without materialising.
+    /// dims flattened) and `rhs` is a 2-D `[k, n]` view. Either operand
+    /// may be a transposed view; the result does not depend on layout.
     ///
     /// # Panics
     /// Panics if `rhs` is not 2-D or the inner dimensions disagree.
@@ -170,35 +227,21 @@ impl Tensor {
         let (m, k) = self.shape().as_2d();
         let (rk, n) = (rhs.dim(0), rhs.dim(1));
         assert_eq!(k, rk, "matmul inner dims {k} vs {rk}");
-        let mut out_dims: Vec<usize> = if self.rank() <= 1 {
+        let out_dims: Vec<usize> = if self.rank() <= 1 {
             vec![n]
         } else {
             let mut d = self.dims().to_vec();
             *d.last_mut().expect("matmul lhs rank >= 1") = n;
             d
         };
-        if self.rank() == 0 {
-            out_dims = vec![n];
-        }
         if !self.has_data() || !rhs.has_data() {
             return symbolic_like(self, out_dims);
         }
-        let a = self.contiguous().to_vec();
-        let b = rhs.to_vec(); // gathers through strides; [k, n] row-major
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for p in 0..k {
-                let av = a[i * k + p];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for j in 0..n {
-                    orow[j] += av * brow[j];
-                }
-            }
-        }
+        let out = Tensor::with_values_of([self, rhs], |[a, b]| {
+            let mut out = vec![0.0f32; m * n];
+            matmul_acc(&mut out, a, b, k, n);
+            out
+        });
         Tensor::from_vec(out, out_dims, self.device())
     }
 
@@ -217,27 +260,19 @@ impl Tensor {
         if !self.has_data() || !rhs.has_data() {
             return symbolic_like(self, [bt, m, n]);
         }
-        let a = self.contiguous().to_vec();
-        let b = rhs.contiguous().to_vec();
-        let mut out = vec![0.0f32; bt * m * n];
-        for t in 0..bt {
-            let abase = t * m * k;
-            let bbase = t * k * n;
-            let obase = t * m * n;
-            for i in 0..m {
-                for p in 0..k {
-                    let av = a[abase + i * k + p];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[bbase + p * n..bbase + (p + 1) * n];
-                    let orow = &mut out[obase + i * n..obase + (i + 1) * n];
-                    for j in 0..n {
-                        orow[j] += av * brow[j];
-                    }
-                }
+        let out = Tensor::with_values_of([self, rhs], |[a, b]| {
+            let mut out = vec![0.0f32; bt * m * n];
+            for t in 0..bt {
+                matmul_acc(
+                    &mut out[t * m * n..][..m * n],
+                    &a[t * m * k..][..m * k],
+                    &b[t * k * n..][..k * n],
+                    k,
+                    n,
+                );
             }
-        }
+            out
+        });
         Tensor::from_vec(out, [bt, m, n], self.device())
     }
 
@@ -247,21 +282,13 @@ impl Tensor {
 
     /// GELU activation (tanh approximation, as used by GPT/BERT).
     pub fn gelu(&self) -> Tensor {
-        if !self.has_data() {
-            return symbolic_like(self, self.shape().clone());
-        }
-        let out = self.to_vec().iter().map(|&x| gelu_scalar(x)).collect();
-        Tensor::from_vec(out, self.shape().clone(), self.device())
+        elementwise(self, gelu_scalar)
     }
 
     /// Derivative of [`Tensor::gelu`] with respect to its input, evaluated
     /// elementwise at `self`.
     pub fn gelu_grad(&self) -> Tensor {
-        if !self.has_data() {
-            return symbolic_like(self, self.shape().clone());
-        }
-        let out = self.to_vec().iter().map(|&x| gelu_grad_scalar(x)).collect();
-        Tensor::from_vec(out, self.shape().clone(), self.device())
+        elementwise(self, gelu_grad_scalar)
     }
 
     /// Softmax over the last dimension.
@@ -286,25 +313,59 @@ impl Tensor {
         Tensor::from_vec(v, self.shape().clone(), self.device())
     }
 
+    /// Backward of [`Tensor::softmax_last`]: with `self` the softmax
+    /// output `y`, returns `dx = y .* (dy - rowsum(dy .* y))`.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn softmax_grad(&self, dy: &Tensor) -> Tensor {
+        binary_shape_check("softmax_grad", self, dy);
+        let h = *self.dims().last().expect("softmax on scalar");
+        if !self.has_data() || !dy.has_data() {
+            return symbolic_like(self, self.shape().clone());
+        }
+        let dx = Tensor::with_values_of([self, dy], |[y, dy]| {
+            let mut dx = vec![0.0f32; y.len()];
+            for ((yrow, dyrow), dxrow) in y
+                .chunks_exact(h)
+                .zip(dy.chunks_exact(h))
+                .zip(dx.chunks_exact_mut(h))
+            {
+                let dot: f32 = yrow.iter().zip(dyrow).map(|(a, b)| a * b).sum();
+                for j in 0..h {
+                    dxrow[j] = yrow[j] * (dyrow[j] - dot);
+                }
+            }
+            dx
+        });
+        Tensor::from_vec(dx, self.shape().clone(), self.device())
+    }
+
     /// Applies a causal mask to `[batch, s, s]` attention scores: entries
     /// with column > row become `-inf` so softmax zeroes them.
     ///
     /// # Panics
     /// Panics unless the tensor is 3-D with square trailing dims.
     pub fn apply_causal_mask(&self) -> Tensor {
+        self.fill_above_diagonal(f32::NEG_INFINITY)
+    }
+
+    /// Copy of a `[batch, s, s]` tensor with every entry whose column
+    /// exceeds its row set to `fill`: `-inf` masks attention scores,
+    /// `0` is that mask's backward.
+    ///
+    /// # Panics
+    /// Panics unless the tensor is 3-D with square trailing dims.
+    pub fn fill_above_diagonal(&self, fill: f32) -> Tensor {
         assert_eq!(self.rank(), 3, "causal mask expects [b, s, s]");
-        let (b, s1, s2) = (self.dim(0), self.dim(1), self.dim(2));
+        let (s1, s2) = (self.dim(1), self.dim(2));
         assert_eq!(s1, s2, "causal mask expects square scores");
         if !self.has_data() {
             return symbolic_like(self, self.shape().clone());
         }
         let mut v = self.to_vec();
-        for t in 0..b {
-            for i in 0..s1 {
-                for j in (i + 1)..s2 {
-                    v[t * s1 * s2 + i * s2 + j] = f32::NEG_INFINITY;
-                }
-            }
+        for (r, row) in v.chunks_exact_mut(s2.max(1)).enumerate() {
+            row[r % s1 + 1..].fill(fill);
         }
         Tensor::from_vec(v, self.shape().clone(), self.device())
     }
@@ -327,23 +388,23 @@ impl Tensor {
                 symbolic_like(self, [rows]),
             );
         }
-        let x = self.to_vec();
-        let g = gamma.to_vec();
-        let b = beta.to_vec();
-        let mut y = vec![0.0f32; x.len()];
-        let mut means = vec![0.0f32; rows];
-        let mut rstds = vec![0.0f32; rows];
-        for r in 0..rows {
-            let row = &x[r * h..(r + 1) * h];
-            let mean = row.iter().sum::<f32>() / h as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / h as f32;
-            let rstd = 1.0 / (var + eps).sqrt();
-            means[r] = mean;
-            rstds[r] = rstd;
-            for j in 0..h {
-                y[r * h + j] = (row[j] - mean) * rstd * g[j] + b[j];
+        let (y, means, rstds) = Tensor::with_values_of([self, gamma, beta], |[x, g, b]| {
+            let mut y = vec![0.0f32; x.len()];
+            let mut means = vec![0.0f32; rows];
+            let mut rstds = vec![0.0f32; rows];
+            for r in 0..rows {
+                let row = &x[r * h..(r + 1) * h];
+                let mean = row.iter().sum::<f32>() / h as f32;
+                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / h as f32;
+                let rstd = 1.0 / (var + eps).sqrt();
+                means[r] = mean;
+                rstds[r] = rstd;
+                for j in 0..h {
+                    y[r * h + j] = (row[j] - mean) * rstd * g[j] + b[j];
+                }
             }
-        }
+            (y, means, rstds)
+        });
         (
             Tensor::from_vec(y, self.shape().clone(), self.device()),
             Tensor::from_vec(means, [rows], self.device()),
@@ -376,15 +437,17 @@ impl Tensor {
         }
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
-        let x = self.to_vec();
-        let mut mask = vec![0.0f32; x.len()];
-        let mut y = vec![0.0f32; x.len()];
-        for i in 0..x.len() {
-            if rng.next_f32() < keep {
-                mask[i] = 1.0;
-                y[i] = x[i] * scale;
+        let (y, mask) = self.with_values(|x| {
+            let mut mask = vec![0.0f32; x.len()];
+            let mut y = vec![0.0f32; x.len()];
+            for i in 0..x.len() {
+                if rng.next_f32() < keep {
+                    mask[i] = 1.0;
+                    y[i] = x[i] * scale;
+                }
             }
-        }
+            (y, mask)
+        });
         (
             Tensor::from_vec(y, self.shape().clone(), &dev),
             dev.with_dtype(crate::DType::U8, || {
@@ -411,14 +474,15 @@ impl Tensor {
         if !self.has_data() || !ids.has_data() {
             return symbolic_like(self, out_dims);
         }
-        let table = self.to_vec();
-        let idv = ids.to_vec();
-        let mut out = Vec::with_capacity(idv.len() * h);
-        for &fid in &idv {
-            let id = fid as usize;
-            assert!(id < v, "token id {id} out of vocab range {v}");
-            out.extend_from_slice(&table[id * h..(id + 1) * h]);
-        }
+        let out = Tensor::with_values_of([self, ids], |[table, idv]| {
+            let mut out = Vec::with_capacity(idv.len() * h);
+            for &fid in idv {
+                let id = fid as usize;
+                assert!(id < v, "token id {id} out of vocab range {v}");
+                out.extend_from_slice(&table[id * h..(id + 1) * h]);
+            }
+            out
+        });
         Tensor::from_vec(out, out_dims, self.device())
     }
 
@@ -437,15 +501,16 @@ impl Tensor {
         if !ids.has_data() || !grad.has_data() {
             return Tensor::symbolic([vocab, h], grad.device());
         }
-        let idv = ids.to_vec();
-        let g = grad.to_vec();
-        let mut out = vec![0.0f32; vocab * h];
-        for (row, &fid) in idv.iter().enumerate() {
-            let id = fid as usize;
-            for j in 0..h {
-                out[id * h + j] += g[row * h + j];
+        let out = Tensor::with_values_of([ids, grad], |[idv, g]| {
+            let mut out = vec![0.0f32; vocab * h];
+            for (row, &fid) in idv.iter().enumerate() {
+                let id = fid as usize;
+                for j in 0..h {
+                    out[id * h + j] += g[row * h + j];
+                }
             }
-        }
+            out
+        });
         Tensor::from_vec(out, [vocab, h], grad.device())
     }
 
@@ -465,15 +530,15 @@ impl Tensor {
             );
         }
         let probs = self.reshape([n, v]).softmax_last();
-        let pv = probs.to_vec();
-        let tv = targets.to_vec();
-        let mut loss = 0.0f32;
-        for (row, &ft) in tv.iter().enumerate() {
-            let t = ft as usize;
-            assert!(t < v, "target {t} out of range {v}");
-            loss -= pv[row * v + t].max(1e-30).ln();
-        }
-        loss /= n as f32;
+        let loss = Tensor::with_values_of([&probs, targets], |[pv, tv]| {
+            let mut loss = 0.0f32;
+            for (row, &ft) in tv.iter().enumerate() {
+                let t = ft as usize;
+                assert!(t < v, "target {t} out of range {v}");
+                loss -= pv[row * v + t].max(1e-30).ln();
+            }
+            loss / n as f32
+        });
         (
             Tensor::from_vec(vec![loss], [1], self.device()),
             Tensor::over(probs.storage().clone(), self.shape().clone()),

@@ -35,6 +35,8 @@
 pub mod device;
 pub mod dtype;
 pub mod kernels;
+#[cfg(test)]
+mod reference;
 pub mod rng;
 pub mod shape;
 pub mod storage;

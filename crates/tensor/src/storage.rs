@@ -9,7 +9,7 @@
 
 use crate::device::{Device, MemClass};
 use crate::dtype::DType;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -67,6 +67,23 @@ pub struct Storage {
 /// forwarding (upgrade-if-still-alive, Section 3.3.2).
 #[derive(Clone)]
 pub struct WeakStorage(Weak<StorageInner>);
+
+/// A read lock on a storage's payload, held while this handle lives.
+///
+/// The lock is not re-entrant: a thread holding a `PayloadRead` must not
+/// lock the same storage again, which is why [`crate::Tensor::with_values_of`]
+/// takes one per *distinct* storage.
+pub(crate) struct PayloadRead<'a>(RwLockReadGuard<'a, DataState>);
+
+impl PayloadRead<'_> {
+    /// The values, or `None` when the storage is symbolic or released.
+    pub(crate) fn values(&self) -> Option<&[f32]> {
+        match &*self.0 {
+            DataState::Numeric(v) => Some(v),
+            _ => None,
+        }
+    }
+}
 
 impl Storage {
     /// Creates a numeric storage owning `data`.
@@ -152,13 +169,15 @@ impl Storage {
         matches!(*self.inner.data.read(), DataState::Numeric(_))
     }
 
+    /// Locks the payload for reading.
+    pub(crate) fn read(&self) -> PayloadRead<'_> {
+        PayloadRead(self.inner.data.read())
+    }
+
     /// Runs `f` over the payload, or returns `None` when the storage is
     /// symbolic or released.
     pub fn with_data<R>(&self, f: impl FnOnce(&[f32]) -> R) -> Option<R> {
-        match &*self.inner.data.read() {
-            DataState::Numeric(v) => Some(f(v)),
-            _ => None,
-        }
+        self.read().values().map(f)
     }
 
     /// Runs `f` over the mutable payload, or returns `None` when symbolic

@@ -4,8 +4,31 @@ use crate::device::{Device, MemClass};
 use crate::dtype::DType;
 use crate::rng::Prng;
 use crate::shape::Shape;
-use crate::storage::{Storage, WeakStorage};
+use crate::storage::{PayloadRead, Storage, WeakStorage};
+use std::cell::RefCell;
 use std::fmt;
+
+thread_local! {
+    /// Gather buffers for strided operands of [`Tensor::with_values_of`],
+    /// kept between calls so a transposed operand costs a copy but no
+    /// allocation once the largest one has been seen.
+    static GATHER_SCRATCH: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Appends the strided view `dims`/`strides` at `offset` to `out` in
+/// row-major order.
+fn gather(data: &[f32], dims: &[usize], strides: &[usize], offset: usize, out: &mut Vec<f32>) {
+    match (dims, strides) {
+        ([], _) => out.push(data[offset]),
+        ([n], [stride, ..]) => out.extend((0..*n).map(|i| data[offset + i * stride])),
+        ([n, dims @ ..], [stride, strides @ ..]) => {
+            for i in 0..*n {
+                gather(data, dims, strides, offset + i * stride, out);
+            }
+        }
+        _ => unreachable!("a view has one stride per dimension"),
+    }
+}
 
 /// A multi-dimensional view over shared storage.
 ///
@@ -244,7 +267,19 @@ impl Tensor {
 
     /// Whether this view is laid out contiguously in row-major order.
     pub fn is_contiguous(&self) -> bool {
-        self.offset == 0 && self.strides == self.shape.contiguous_strides()
+        let mut expected = 1;
+        self.offset == 0
+            && self
+                .shape
+                .dims()
+                .iter()
+                .zip(&self.strides)
+                .rev()
+                .all(|(&dim, &stride)| {
+                    let matches = stride == expected;
+                    expected *= dim;
+                    matches
+                })
     }
 
     // ------------------------------------------------------------------
@@ -327,25 +362,70 @@ impl Tensor {
                 return data[self.offset..self.offset + self.numel()].to_vec();
             }
             let mut out = Vec::with_capacity(self.numel());
-            let dims = self.shape.dims();
-            let mut idx = vec![0usize; dims.len()];
-            for _ in 0..self.numel() {
-                let mut off = self.offset;
-                for (i, &ix) in idx.iter().enumerate() {
-                    off += ix * self.strides[i];
-                }
-                out.push(data[off]);
-                // Advance the multi-index.
-                for d in (0..dims.len()).rev() {
-                    idx[d] += 1;
-                    if idx[d] < dims[d] {
-                        break;
-                    }
-                    idx[d] = 0;
-                }
-            }
+            gather(data, self.dims(), &self.strides, self.offset, &mut out);
             out
         })
+    }
+
+    /// Runs `f` over this view's values in row-major order without copying
+    /// them: see [`Tensor::with_values_of`].
+    ///
+    /// # Panics
+    /// Panics if the tensor carries no data (symbolic or released).
+    pub fn with_values<R>(&self, f: impl FnOnce(&[f32]) -> R) -> R {
+        Tensor::with_values_of([self], |[values]| f(values))
+    }
+
+    /// Runs `f` over the values of every listed view, each in row-major
+    /// order — the one read path of the numeric kernels. A contiguous view
+    /// lends the storage's own slice; a strided view is gathered into a
+    /// scratch buffer that is reused between calls. Either way `f` sees
+    /// unit-stride slices and the call allocates nothing of its own.
+    ///
+    /// Aliasing rule: a storage's lock is not re-entrant, so operands that
+    /// share a storage (`x.mul(&x)`, two views of one buffer) are read
+    /// under one guard, taken here. `f` must therefore not lock any of
+    /// these storages again — in particular it must not write to them;
+    /// [`Tensor::zip_in_place`] is the in-place path and copies when its
+    /// operands alias.
+    ///
+    /// # Panics
+    /// Panics if any tensor carries no data (symbolic or released).
+    pub fn with_values_of<const N: usize, R>(
+        tensors: [&Tensor; N],
+        f: impl FnOnce([&[f32]; N]) -> R,
+    ) -> R {
+        // The first operand over each storage holds that storage's guard.
+        let holder = |i: usize| {
+            (0..i)
+                .find(|&j| tensors[j].storage.ptr_eq(&tensors[i].storage))
+                .unwrap_or(i)
+        };
+        let guards: [Option<PayloadRead<'_>>; N] =
+            std::array::from_fn(|i| (holder(i) == i).then(|| tensors[i].storage.read()));
+        let payload = |i: usize| -> &[f32] {
+            guards[holder(i)]
+                .as_ref()
+                .and_then(PayloadRead::values)
+                .expect("with_values on a tensor without data (symbolic or released)")
+        };
+        let gathered: [Option<Vec<f32>>; N] = std::array::from_fn(|i| {
+            let t = tensors[i];
+            (!t.is_contiguous()).then(|| {
+                let mut buf = GATHER_SCRATCH
+                    .with(|pool| pool.borrow_mut().pop())
+                    .unwrap_or_default();
+                buf.clear();
+                gather(payload(i), t.dims(), &t.strides, t.offset, &mut buf);
+                buf
+            })
+        });
+        let result = f(std::array::from_fn(|i| match &gathered[i] {
+            Some(buf) => buf.as_slice(),
+            None => &payload(i)[tensors[i].offset..][..tensors[i].numel()],
+        }));
+        GATHER_SCRATCH.with(|pool| pool.borrow_mut().extend(gathered.into_iter().flatten()));
+        result
     }
 
     /// The single value of a scalar (or 1-element) tensor.
@@ -354,7 +434,7 @@ impl Tensor {
     /// Panics if the tensor has more than one element or no data.
     pub fn item(&self) -> f32 {
         assert_eq!(self.numel(), 1, "item() requires exactly one element");
-        self.to_vec()[0]
+        self.with_values(|v| v[0])
     }
 
     /// Value at a multi-index.
@@ -438,6 +518,31 @@ mod tests {
         let back = t.transpose(0, 2).transpose(0, 2);
         assert_eq!(back.to_vec(), t.to_vec());
         assert!(back.is_contiguous());
+    }
+
+    #[test]
+    fn is_contiguous_agrees_with_the_materialised_strides() {
+        for dims in [
+            vec![],
+            vec![3],
+            vec![2, 3],
+            vec![1, 3],
+            vec![3, 1],
+            vec![2, 1, 3],
+        ] {
+            let t = Tensor::zeros(dims.clone(), &dev());
+            let mut views = vec![t.clone()];
+            for a in 0..dims.len() {
+                for b in 0..dims.len() {
+                    views.push(t.transpose(a, b));
+                    views.push(t.transpose(a, b).transpose(b, a));
+                }
+            }
+            for v in views {
+                let want = v.offset == 0 && v.strides == v.shape.contiguous_strides();
+                assert_eq!(v.is_contiguous(), want, "{:?} / {:?}", v.dims(), v.strides);
+            }
+        }
     }
 
     #[test]

@@ -37,9 +37,12 @@ cargo test -q -p ssdtrain-lint --test explain_cli
 # identity, checksum round trips, device writes = tier-counter stores)
 # catch a broken store path before the benchmark pipeline does.
 bash benchmark/run.sh --quick
-# The checked-in bench report must keep the backends' step times
-# distinct and ordered (see the script header for the regeneration
-# command).
+# The bench reports must keep the backends' step times distinct and
+# ordered. `results/` is ignored, so a fresh clone has none: the three
+# deterministic bins write them immediately before the gate reads them.
+for bin in bench_tiering bench_capacity bench_io; do
+    cargo run --release -q -p ssdtrain-bench --bin "$bin" > /dev/null
+done
 scripts/bench_check.sh
 cargo clippy --workspace -- -D warnings
 # Project-invariant lint: sim-clock, panic-freedom, error discipline and
