@@ -11,6 +11,8 @@
 //! * the maximal per-GPU activation volume offloading can open up, and
 //! * the growth-trend arithmetic behind Figure 1 and Section 2.2.
 
+#![deny(missing_docs)]
+
 pub mod activations;
 pub mod endurance;
 pub mod perfmodel;

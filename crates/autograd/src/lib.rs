@@ -31,6 +31,8 @@
 //! assert_eq!(w.grad().unwrap().to_vec(), vec![3.0]);
 //! ```
 
+#![deny(missing_docs)]
+
 pub mod checkpoint;
 pub mod gradcheck;
 pub mod graph;

@@ -25,6 +25,7 @@
 //! the free event with the store's completion time
 //! ([`ssdtrain_simhw::GpuMemory::with_time`]); a tensor that ends up
 //! forwarded was never actually released, and no event is emitted.
+// ssdtrain-lint: hot-path
 
 use crate::adaptive::{AdaptivePlan, ModuleProfile, StepProfile};
 use crate::coalesce::{SealedSegment, WriteCoalescer};
@@ -166,7 +167,10 @@ struct ScopeMeta {
     load_secs: f64,
 }
 
-struct Inner {
+/// Everything the cache mutates, behind its one lock: the bookkeeping
+/// all runs on the training thread (the paper's worker pools only move
+/// bytes), so one lock around it is the faithful shape.
+struct State {
     records: HashMap<RecordId, Record>,
     by_key: HashMap<TensorKey, RecordId>,
     next_id: RecordId,
@@ -197,11 +201,23 @@ struct Inner {
     /// Pinned staging slab per in-flight prefetch group; released when
     /// backward consumption moves past the group.
     group_slabs: HashMap<(usize, usize), PinnedSlab>,
+    /// The write coalescer between `pack` and the per-tier store queues
+    /// (unused when [`TensorCacheConfig::coalesce_segment_bytes`] is 0:
+    /// every staged record then seals at once, a segment of one).
+    coalescer: WriteCoalescer,
+    stats: OffloadStats,
+    plan: AdaptivePlan,
+    tier_plan: TierPlan,
+    /// Per-link stage-barrier stall time this step (see
+    /// [`TensorCache::drain_stores`]); indexed by I/O link.
+    link_stalls: Vec<f64>,
+    pending_error: Option<OffloadError>,
+    trace: TraceSink,
 }
 
-impl Default for Inner {
-    fn default() -> Self {
-        Inner {
+impl State {
+    fn new(coalesce_segment_bytes: u64) -> State {
+        State {
             records: HashMap::new(),
             by_key: HashMap::new(),
             next_id: 0,
@@ -219,6 +235,29 @@ impl Default for Inner {
             commit_scratch: Vec::new(),
             groups_loaded: HashSet::new(),
             group_slabs: HashMap::new(),
+            coalescer: WriteCoalescer::new(coalesce_segment_bytes),
+            stats: OffloadStats::default(),
+            plan: AdaptivePlan::default(),
+            tier_plan: TierPlan::default(),
+            link_stalls: Vec::new(),
+            pending_error: None,
+            trace: TraceSink::disabled(),
+        }
+    }
+
+    /// Runs `f` on each record id of scope `seq`. The scope's list is
+    /// lent out for the walk — nothing on the store or load path edits a
+    /// scope's record list — so no copy is made.
+    fn for_scope_records(&mut self, seq: u64, mut f: impl FnMut(&mut State, RecordId)) {
+        let Some(meta) = self.scopes.get_mut(&seq) else {
+            return;
+        };
+        let ids = std::mem::take(&mut meta.records);
+        for &id in &ids {
+            f(self, id);
+        }
+        if let Some(meta) = self.scopes.get_mut(&seq) {
+            meta.records = ids;
         }
     }
 }
@@ -279,20 +318,12 @@ pub struct TensorCache {
     /// Pinned host staging arena every offloaded byte passes through —
     /// store staging slabs and group-prefetch landing buffers alike.
     arena: BufferArena,
-    /// The write coalescer between `pack` and the per-tier store queues
-    /// (unused when [`TensorCacheConfig::coalesce_segment_bytes`] is 0:
-    /// every staged record then seals at once, a segment of one).
-    /// Lock order: `inner` before `coalescer`, never the reverse.
-    coalescer: Mutex<WriteCoalescer>,
-    inner: Mutex<Inner>,
-    stats: Mutex<OffloadStats>,
-    plan: Mutex<AdaptivePlan>,
-    tier_plan: Mutex<TierPlan>,
-    /// Per-link stage-barrier stall time this step (see
-    /// [`TensorCache::drain_stores`]); indexed by I/O link.
-    link_stalls: Mutex<Vec<f64>>,
-    pending_error: Mutex<Option<OffloadError>>,
-    trace: Mutex<TraceSink>,
+    /// The cache's one lock. Every public method and hook takes it once
+    /// at entry and hands `&mut State` down; private methods never lock,
+    /// so re-acquisition is a borrow error, not a deadlock. Layer order
+    /// while it is held: cache → {tiers → target, io → {clock, trace},
+    /// mem, arena} — nothing below ever calls back up.
+    state: Mutex<State>,
 }
 
 impl TensorCache {
@@ -319,7 +350,7 @@ impl TensorCache {
         mem: Arc<GpuMemory>,
     ) -> Arc<TensorCache> {
         let placement = PlacementPolicy::from_config(&config);
-        let coalescer = Mutex::new(WriteCoalescer::new(config.coalesce_segment_bytes));
+        let state = Mutex::new(State::new(config.coalesce_segment_bytes));
         Arc::new(TensorCache {
             config,
             placement,
@@ -327,14 +358,7 @@ impl TensorCache {
             io,
             mem,
             arena: BufferArena::new(),
-            coalescer,
-            inner: Mutex::new(Inner::default()),
-            stats: Mutex::new(OffloadStats::default()),
-            plan: Mutex::new(AdaptivePlan::default()),
-            tier_plan: Mutex::new(TierPlan::default()),
-            link_stalls: Mutex::new(Vec::new()),
-            pending_error: Mutex::new(None),
-            trace: Mutex::new(TraceSink::disabled()),
+            state,
         })
     }
 
@@ -344,11 +368,7 @@ impl TensorCache {
     /// recovery actions all land on one timeline.
     pub fn set_trace(&self, sink: TraceSink) {
         self.io.set_trace(sink.clone());
-        *self.trace.lock() = sink;
-    }
-
-    fn trace(&self) -> TraceSink {
-        self.trace.lock().clone()
+        self.state.lock().trace = sink;
     }
 
     /// Installs the secondary target [`RecoveryPolicy::FallbackTarget`]
@@ -365,7 +385,7 @@ impl TensorCache {
     /// under [`RecoveryPolicy::FailStep`] a store failure lands here,
     /// and a permanently failed load lands here under every policy.
     pub fn take_error(&self) -> Option<OffloadError> {
-        self.pending_error.lock().take()
+        self.state.lock().pending_error.take()
     }
 
     /// Registers this cache's hook pairs on `graph` — the
@@ -380,7 +400,7 @@ impl TensorCache {
     /// storage stamp, so they are covered automatically (Section 3.3.1).
     pub fn register_parameter(&self, t: &Tensor) {
         let stamp = storage_stamp(t);
-        self.inner.lock().param_stamps.insert(stamp);
+        self.state.lock().param_stamps.insert(stamp);
     }
 
     /// The I/O engine (for end-of-step queries).
@@ -403,7 +423,8 @@ impl TensorCache {
     /// Tier timing (stage-barrier stalls, link busy time) is overlaid
     /// from the I/O engine so the snapshot and the trace agree.
     pub fn stats(&self) -> OffloadStats {
-        let mut stats = self.stats.lock().clone();
+        let st = self.state.lock();
+        let mut stats = st.stats.clone();
         let arena = self.arena.stats();
         stats.arena_acquired_bytes = arena.acquired_bytes;
         stats.arena_released_bytes = arena.released_bytes;
@@ -411,10 +432,9 @@ impl TensorCache {
         stats.arena_footprint_bytes = arena.footprint_bytes;
         stats.arena_slab_reuses = arena.slab_reuses;
         stats.tiers = self.tiers.counters();
-        let stalls = self.link_stalls.lock();
         for (tier, counters) in self.tiers.tier_ids().iter().zip(stats.tiers.iter_mut()) {
             let link = self.tiers.link(*tier);
-            counters.stall_secs = stalls.get(link).copied().unwrap_or(0.0);
+            counters.stall_secs = st.link_stalls.get(link).copied().unwrap_or(0.0);
             counters.write_busy_secs = self.io.write_busy_secs_on(link);
             counters.read_busy_secs = self.io.read_busy_secs_on(link);
         }
@@ -436,23 +456,23 @@ impl TensorCache {
 
     /// The write coalescer's conservation counters for this step.
     pub fn coalesce_counts(&self) -> crate::coalesce::CoalesceCounts {
-        self.coalescer.lock().counts()
+        self.state.lock().coalescer.counts()
     }
 
     /// The adaptive plan currently applied.
     pub fn plan(&self) -> AdaptivePlan {
-        self.plan.lock().clone()
+        self.state.lock().plan.clone()
     }
 
     /// Overrides the adaptive plan (tests, ablations).
     pub fn set_plan(&self, plan: AdaptivePlan) {
-        *self.plan.lock() = plan;
+        self.state.lock().plan = plan;
     }
 
     /// The profile-guided tier plan currently applied (empty until a
     /// profiling step ran with [`TensorCacheConfig::profile_guided`]).
     pub fn tier_plan(&self) -> TierPlan {
-        self.tier_plan.lock().clone()
+        self.state.lock().tier_plan.clone()
     }
 
     // ------------------------------------------------------------------
@@ -465,36 +485,36 @@ impl TensorCache {
     /// observed timings re-derive the tier plan first, so placement
     /// tracks the workload step over step.
     pub fn begin_step(&self) {
-        self.replan_from_last_step();
-        self.flush();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        self.replan_from_last_step(st);
+        self.flush_records(st);
         // Leftover records were just flushed against the old queues; new
         // jobs must not queue behind the previous step's transfers.
         self.io.reset();
         // The flush sealed and committed every staged byte; a fresh step
         // starts with fresh conservation counters and a high-water mark
         // tracking only the slabs that survived the boundary.
-        *self.coalescer.lock() = WriteCoalescer::new(self.config.coalesce_segment_bytes);
+        st.coalescer = WriteCoalescer::new(self.config.coalesce_segment_bytes);
         self.arena.begin_step();
-        let mut inner = self.inner.lock();
-        inner.stack.clear();
-        inner.scopes.clear();
-        inner.forward_order.clear();
-        inner.phase = Phase::Forward;
-        inner.fwd_start = self.io.clock().now();
-        inner.fwd_secs = 0.0;
+        st.stack.clear();
+        st.scopes.clear();
+        st.forward_order.clear();
+        st.phase = Phase::Forward;
+        st.fwd_start = self.io.clock().now();
+        st.fwd_secs = 0.0;
         // Only state slots survived the flush. Their stores drained at
         // the previous step's optimizer barrier; on the fresh clock they
         // are available immediately.
-        for rec in inner.records.values_mut() {
+        for rec in st.records.values_mut() {
             rec.avail = SimTime::ZERO;
         }
-        drop(inner);
-        *self.stats.lock() = OffloadStats::default();
-        self.link_stalls.lock().clear();
+        st.stats = OffloadStats::default();
+        st.link_stalls.clear();
         self.tiers.reset_counters();
         // Failures during the flush above belong to the step that
         // already reported; the new step starts clean.
-        *self.pending_error.lock() = None;
+        st.pending_error = None;
     }
 
     /// Enables profiling for the next step: every eligible tensor is
@@ -502,7 +522,7 @@ impl TensorCache {
     /// compute times are collected (Section 3.3.3).
     pub fn begin_profile_step(&self) {
         self.begin_step();
-        self.inner.lock().profiling = true;
+        self.state.lock().profiling = true;
     }
 
     /// Ends a profiling step: builds the [`StepProfile`], derives the
@@ -510,38 +530,36 @@ impl TensorCache {
     /// Under [`TensorCacheConfig::profile_guided`] the same profile also
     /// drives the [`CostModel`] tier planner.
     pub fn end_profile_step(&self) -> (StepProfile, AdaptivePlan) {
-        let profile = {
-            let mut inner = self.inner.lock();
-            inner.profiling = false;
-            if inner.fwd_secs == 0.0 {
-                // Called at the forward/backward boundary before the
-                // phase switch was observed.
-                inner.fwd_secs = self.io.clock().now().since(inner.fwd_start);
-            }
-            self.build_profile(&inner)
-        };
-        let plan = self.replan(&profile);
+        let mut st = self.state.lock();
+        st.profiling = false;
+        if st.fwd_secs == 0.0 {
+            // Called at the forward/backward boundary before the
+            // phase switch was observed.
+            st.fwd_secs = self.io.clock().now().since(st.fwd_start);
+        }
+        let profile = self.build_profile(&st);
+        let plan = self.replan(&mut st, &profile);
         (profile, plan)
     }
 
     /// Builds a [`StepProfile`] from the current step's scope metadata
     /// (shared by [`TensorCache::end_profile_step`] and the between-step
     /// re-plan).
-    fn build_profile(&self, inner: &Inner) -> StepProfile {
-        let fwd_total_secs = if inner.fwd_secs == 0.0 {
-            self.io.clock().now().since(inner.fwd_start)
+    fn build_profile(&self, st: &State) -> StepProfile {
+        let fwd_total_secs = if st.fwd_secs == 0.0 {
+            self.io.clock().now().since(st.fwd_start)
         } else {
-            inner.fwd_secs
+            st.fwd_secs
         };
-        let order = inner
+        let order = st
             .forward_order
-            .get(&inner.current_mb)
+            .get(&st.current_mb)
             .cloned()
             .unwrap_or_default();
         let modules: Vec<ModuleProfile> = order
             .iter()
             .filter_map(|seq| {
-                let meta = inner.scopes.get(seq)?;
+                let meta = st.scopes.get(seq)?;
                 if meta.records.is_empty() {
                     return None;
                 }
@@ -569,7 +587,7 @@ impl TensorCache {
     /// split the stack would actually produce — bus-serialised when a
     /// shared write bus is configured — rather than a single link's
     /// rated figure.
-    fn replan(&self, profile: &StepProfile) -> AdaptivePlan {
+    fn replan(&self, st: &mut State, profile: &StepProfile) -> AdaptivePlan {
         let plan = if self.config.adaptive {
             let cost = CostModel::from_parts(&self.io, &self.tiers)
                 .with_segment_bytes(self.config.coalesce_segment_bytes);
@@ -581,7 +599,7 @@ impl TensorCache {
                     &tier_plan,
                     self.config.bwd_fwd_ratio,
                 );
-                self.trace().instant_with(
+                st.trace.instant_with(
                     TraceCategory::Tier,
                     "tier.replan",
                     self.io.clock().now(),
@@ -596,7 +614,7 @@ impl TensorCache {
                         ),
                     ],
                 );
-                *self.tier_plan.lock() = tier_plan;
+                st.tier_plan = tier_plan;
                 plan
             } else {
                 let split = cost.split_for(profile, &cost.front_first_assignment(profile));
@@ -610,7 +628,7 @@ impl TensorCache {
             let paths: Vec<String> = profile.modules.iter().map(|m| m.path.clone()).collect();
             AdaptivePlan::keep_last_only(&paths)
         };
-        *self.plan.lock() = plan.clone();
+        st.plan = plan.clone();
         plan
     }
 
@@ -619,53 +637,48 @@ impl TensorCache {
     /// top of [`TensorCache::begin_step`]). Only active under
     /// [`TensorCacheConfig::profile_guided`]; a profiling step keeps its
     /// explicit [`TensorCache::end_profile_step`] flow.
-    fn replan_from_last_step(&self) {
+    fn replan_from_last_step(&self, st: &mut State) {
         if !(self.config.adaptive && self.config.profile_guided) {
             return;
         }
-        let profile = {
-            let inner = self.inner.lock();
-            if inner.profiling || inner.scopes.is_empty() {
-                return;
-            }
-            self.build_profile(&inner)
-        };
+        if st.profiling || st.scopes.is_empty() {
+            return;
+        }
+        let profile = self.build_profile(st);
         if profile.modules.is_empty() {
             return;
         }
-        self.replan(&profile);
+        self.replan(st, &profile);
     }
 
-    /// Collects the records of up to `depth` record-holding modules at or
-    /// before position `pos` in the forward order, nearest first.
-    fn records_before(&self, mb: usize, pos: usize, depth: usize) -> Vec<RecordId> {
-        let inner = self.inner.lock();
-        let Some(order) = inner.forward_order.get(&mb) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
+    /// Prefetches the records of up to `depth` record-holding modules at
+    /// or before position `pos` in the forward order, nearest first.
+    fn prefetch_before(&self, st: &mut State, mb: usize, pos: usize, depth: usize) {
+        if !self.config.prefetch {
+            return;
+        }
+        let now = self.io.clock().now();
         let mut taken = 0;
-        for seq in order[..pos.min(order.len())].iter().rev() {
-            let Some(meta) = inner.scopes.get(seq) else {
+        for p in (0..pos).rev() {
+            let Some(&seq) = st.forward_order.get(&mb).and_then(|o| o.get(p)) else {
                 continue;
             };
-            if meta.records.is_empty() {
+            if st.scopes.get(&seq).is_none_or(|m| m.records.is_empty()) {
                 continue;
             }
-            out.extend_from_slice(&meta.records);
+            st.for_scope_records(seq, |st, id| self.prefetch_record(st, id, now));
             taken += 1;
             if taken >= depth {
                 break;
             }
         }
-        out
     }
 
     /// The record ids and total bytes of prefetch group `gidx` — the
     /// modules at forward-order positions `[gidx·G, (gidx+1)·G)` for
     /// `G = prefetch_group_modules`.
-    fn group_records(&self, inner: &Inner, mb: usize, gidx: usize) -> (Vec<RecordId>, u64) {
-        let Some(order) = inner.forward_order.get(&mb) else {
+    fn group_records(&self, st: &State, mb: usize, gidx: usize) -> (Vec<RecordId>, u64) {
+        let Some(order) = st.forward_order.get(&mb) else {
             return (Vec::new(), 0);
         };
         let g = self.config.prefetch_group_modules.max(1);
@@ -677,13 +690,13 @@ impl TensorCache {
         let mut ids = Vec::new();
         let mut bytes = 0u64;
         for seq in &order[start..end] {
-            let Some(meta) = inner.scopes.get(seq) else {
+            let Some(meta) = st.scopes.get(seq) else {
                 continue;
             };
             for id in &meta.records {
                 if !ids.contains(id) {
                     ids.push(*id);
-                    bytes += inner.records.get(id).map_or(0, |r| r.bytes);
+                    bytes += st.records.get(id).map_or(0, |r| r.bytes);
                 }
             }
         }
@@ -693,44 +706,42 @@ impl TensorCache {
     /// Issues prefetch group `gidx` of micro-batch `mb` onto a fresh
     /// arena staging slab — at most once per step (the double buffer
     /// must never load a group twice; re-requests are no-ops).
-    fn prefetch_group(&self, mb: usize, gidx: usize) {
-        if !self.config.prefetch {
+    fn prefetch_group(&self, st: &mut State, mb: usize, gidx: usize) {
+        if !st.groups_loaded.insert((mb, gidx)) {
             return;
         }
-        let (ids, bytes) = {
-            let mut inner = self.inner.lock();
-            if !inner.groups_loaded.insert((mb, gidx)) {
-                return;
-            }
-            let (ids, bytes) = self.group_records(&inner, mb, gidx);
-            if ids.is_empty() {
-                return;
-            }
-            if let Some(slab) = self.arena.acquire(bytes) {
-                self.trace().instant_bytes(
-                    TraceCategory::Arena,
-                    "arena.acquire",
-                    self.io.clock().now(),
-                    bytes,
-                );
-                inner.group_slabs.insert((mb, gidx), slab);
-            }
-            (ids, bytes)
-        };
-        let mut stats = self.stats.lock();
-        stats.prefetch_groups += 1;
-        stats.prefetch_group_bytes += bytes;
-        drop(stats);
-        self.trace().instant_with(
+        let (ids, bytes) = self.group_records(st, mb, gidx);
+        if ids.is_empty() {
+            return;
+        }
+        let now = self.io.clock().now();
+        if let Some(slab) = self.arena.acquire(bytes) {
+            st.trace
+                .instant_bytes(TraceCategory::Arena, "arena.acquire", now, bytes);
+            st.group_slabs.insert((mb, gidx), slab);
+        }
+        st.stats.prefetch_groups += 1;
+        st.stats.prefetch_group_bytes += bytes;
+        st.trace.instant_with(
             TraceCategory::Prefetch,
             "prefetch.group",
-            self.io.clock().now(),
+            now,
             vec![
                 ("group", ArgValue::U64(gidx as u64)),
                 ("bytes", ArgValue::U64(bytes)),
             ],
         );
-        self.prefetch_records(&ids);
+        for id in ids {
+            self.prefetch_record(st, id, now);
+        }
+    }
+
+    /// Group-based double buffering: keeps the `prefetch_depth` groups
+    /// ending at group `last` of micro-batch `mb` in flight.
+    fn prefetch_groups_upto(&self, st: &mut State, mb: usize, last: usize) {
+        for d in 0..self.config.prefetch_depth.max(1).min(last + 1) {
+            self.prefetch_group(st, mb, last - d);
+        }
     }
 
     /// Enters `stage` and returns an RAII guard covering it: the
@@ -761,7 +772,9 @@ impl TensorCache {
     /// } // exit actions + trace span happen here
     /// ```
     pub fn stage_scope(&self, stage: StageHint) -> StageScope<'_> {
-        self.enter_stage(stage);
+        if let StageHint::MicroBatchLoad(mb) = stage {
+            self.set_micro_batch(mb);
+        }
         StageScope {
             cache: self,
             stage,
@@ -769,19 +782,22 @@ impl TensorCache {
         }
     }
 
-    fn enter_stage(&self, stage: StageHint) {
-        if let StageHint::MicroBatchLoad(mb) = stage {
-            self.set_micro_batch(mb);
-        }
-    }
-
-    fn exit_stage(&self, stage: StageHint) {
+    /// The exit actions of `stage` (Algorithm 1 line 15) and its trace
+    /// span, under one acquisition of the lock.
+    fn exit_stage(&self, stage: StageHint, enter: SimTime) {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         if matches!(stage, StageHint::Backward) {
-            self.wait_io();
+            self.await_loads(st);
         }
-        self.drain_stores();
+        self.drain_store_queues(st);
         if matches!(stage, StageHint::Optimizer) {
-            self.emit_tier_io();
+            self.emit_tier_io(st);
+        }
+        if st.trace.is_enabled() {
+            let now = self.io.clock().now();
+            st.trace
+                .span(TraceCategory::Stage, stage.trace_label(), enter, now);
         }
     }
 
@@ -801,40 +817,35 @@ impl TensorCache {
     /// critical-path contribution is `max(compute, store drain)` per
     /// stage instead of compute alone.
     pub fn drain_stores(&self) {
+        self.drain_store_queues(&mut self.state.lock());
+    }
+
+    fn drain_store_queues(&self, st: &mut State) {
         // A stage barrier flushes the pipeline: partial segments seal
         // and submit before the drain is measured, so no staged byte
         // outlives the stage that produced it.
-        self.seal_open_segments();
+        self.seal_open_segments(st);
         let now0 = self.io.clock().now();
-        let links = self.io.link_count();
-        let mut drains = Vec::with_capacity(links);
-        let mut latest = now0;
-        for link in 0..links {
-            let d = self.io.writes_drain_at_on(link);
-            latest = latest.max(d);
-            drains.push(d);
-        }
+        let latest = self.io.writes_drain_at().max(now0);
         let stall = self.io.clock().advance_to(latest);
         if stall <= 0.0 {
             return;
         }
-        self.stats.lock().store_stall_secs += stall;
-        let trace = self.trace();
-        let mut per_link = self.link_stalls.lock();
-        if per_link.len() < links {
-            per_link.resize(links, 0.0);
+        st.stats.store_stall_secs += stall;
+        let links = self.io.link_count();
+        if st.link_stalls.len() < links {
+            st.link_stalls.resize(links, 0.0);
         }
-        for (link, drain) in drains.iter().enumerate() {
+        for link in 0..links {
+            let drain = self.io.writes_drain_at_on(link);
             let exposed = drain.since(now0);
             if exposed > 0.0 {
-                per_link[link] += exposed;
-                trace.span(
+                st.link_stalls[link] += exposed;
+                st.trace.span(
                     TraceCategory::Tier,
-                    // ssdtrain-lint: allow(no-alloc-hot-loop): per-link drain
-                    // label, bounded by link count, built only on a stall
                     format!("tier.drain.{}", self.io.link_name(link)),
                     now0,
-                    *drain,
+                    drain,
                 );
             }
         }
@@ -845,24 +856,19 @@ impl TensorCache {
     /// this step (at the optimizer stage's exit, i.e. the end of the
     /// step), carrying byte counts — the trace-side mirror of the
     /// [`OffloadStats`] tier and class counters.
-    fn emit_tier_io(&self) {
-        let trace = self.trace();
-        if !trace.is_enabled() {
+    fn emit_tier_io(&self, st: &State) {
+        if !st.trace.is_enabled() {
             return;
         }
         let now = self.io.clock().now();
-        for c in self.stats.lock().classes.iter() {
+        for c in st.stats.classes.iter() {
             if c.offloaded_bytes == 0 && c.reloaded_bytes == 0 {
                 continue;
             }
-            trace.instant_with(
+            st.trace.instant_with(
                 TraceCategory::Tier,
-                // ssdtrain-lint: allow(no-alloc-hot-loop): once-per-step class
-                // summary, bounded by class count, gated on trace enablement
                 format!("class.io.{}", c.class),
                 now,
-                // ssdtrain-lint: allow(no-alloc-hot-loop): once-per-step class
-                // summary, bounded by class count, gated on trace enablement
                 vec![
                     ("offloaded_bytes", ArgValue::U64(c.offloaded_bytes)),
                     ("reloaded_bytes", ArgValue::U64(c.reloaded_bytes)),
@@ -871,20 +877,16 @@ impl TensorCache {
                 ],
             );
         }
-        let stalls = self.link_stalls.lock().clone();
         for (tier, counters) in self.tiers.tier_ids().iter().zip(self.tiers.counters()) {
             if counters.bytes_written == 0 && counters.bytes_read == 0 {
                 continue;
             }
             let link = self.tiers.link(*tier);
-            trace.instant_with(
+            let stall = st.link_stalls.get(link).copied().unwrap_or(0.0);
+            st.trace.instant_with(
                 TraceCategory::Tier,
-                // ssdtrain-lint: allow(no-alloc-hot-loop): once-per-step tier
-                // summary, bounded by tier count, gated on trace enablement
                 format!("tier.io.{}", counters.name),
                 now,
-                // ssdtrain-lint: allow(no-alloc-hot-loop): once-per-step tier
-                // summary, bounded by tier count, gated on trace enablement
                 vec![
                     ("bytes_written", ArgValue::U64(counters.bytes_written)),
                     ("bytes_read", ArgValue::U64(counters.bytes_read)),
@@ -896,10 +898,7 @@ impl TensorCache {
                         "read_busy_secs",
                         ArgValue::F64(self.io.read_busy_secs_on(link)),
                     ),
-                    (
-                        "stall_secs",
-                        ArgValue::F64(stalls.get(link).copied().unwrap_or(0.0)),
-                    ),
+                    ("stall_secs", ArgValue::F64(stall)),
                 ],
             );
         }
@@ -911,79 +910,62 @@ impl TensorCache {
     /// last `prefetch_depth` groups are issued instead, filling both
     /// halves of the double buffer before backward starts consuming.
     pub fn prefetch_last_module(&self) {
-        let (mb, len) = {
-            let inner = self.inner.lock();
-            let mb = inner.current_mb;
-            let len = inner.forward_order.get(&mb).map_or(0, |o| o.len());
-            (mb, len)
-        };
+        let mut st = self.state.lock();
+        let mb = st.current_mb;
+        let len = st.forward_order.get(&mb).map_or(0, |o| o.len());
         let g = self.config.prefetch_group_modules;
         if self.config.prefetch && g > 0 {
-            if len == 0 {
-                return;
-            }
-            let last = (len - 1) / g;
-            for d in 0..self.config.prefetch_depth.max(1) {
-                if d > last {
-                    break;
-                }
-                // ssdtrain-lint: allow(no-alloc-hot-loop): issuing a group
-                // prefetch submits the group's reloads — the data path
-                self.prefetch_group(mb, last - d);
+            if len > 0 {
+                self.prefetch_groups_upto(&mut st, mb, (len - 1) / g);
             }
             return;
         }
-        let ids = self.records_before(mb, len, self.config.prefetch_depth.max(1));
-        self.prefetch_records(&ids);
+        self.prefetch_before(&mut st, mb, len, self.config.prefetch_depth.max(1));
     }
 
     /// Scheduler hint (Algorithm 1 line 15): block until in-flight
     /// reloads complete.
     pub fn wait_io(&self) {
-        let latest = {
-            let inner = self.inner.lock();
-            inner
-                .records
-                .values()
-                .filter_map(|r| match r.state {
-                    RecState::Loading { ready } => Some(ready),
-                    _ => None,
-                })
-                .fold(SimTime::ZERO, SimTime::max)
-        };
-        self.stall_until(latest, "stall.drain");
+        self.await_loads(&mut self.state.lock());
+    }
+
+    fn await_loads(&self, st: &mut State) {
+        let loading = st.records.values().filter_map(|r| match r.state {
+            RecState::Loading { ready } => Some(ready),
+            _ => None,
+        });
+        let latest = loading.fold(SimTime::ZERO, SimTime::max);
+        self.stall_until(st, latest, "stall.drain");
     }
 
     /// Micro-batch switch hint (Figure 4 ③): subsequent scopes belong to
     /// micro-batch `mb` and the cache switches to its record set.
     pub fn set_micro_batch(&self, mb: usize) {
-        self.inner.lock().current_mb = mb;
+        self.state.lock().current_mb = mb;
     }
 
     /// Releases every remaining activation record (end of step). Stores
     /// still in flight commit at their completion times; state slots
     /// stay until [`TensorCache::release_state`].
     pub fn flush(&self) {
-        self.seal_open_segments();
-        let ids: Vec<RecordId> = {
-            let inner = self.inner.lock();
-            let live = inner.records.iter().filter(|(_, r)| !r.is_state());
-            live.map(|(id, _)| *id).collect()
-        };
+        self.flush_records(&mut self.state.lock());
+    }
+
+    fn flush_records(&self, st: &mut State) {
+        self.seal_open_segments(st);
+        // Releasing edits the map being walked, so the ids are copied
+        // out first — once per step, not per record.
+        let live = st.records.iter().filter(|(_, r)| !r.is_state());
+        let ids: Vec<RecordId> = live.map(|(id, _)| *id).collect();
         for id in ids {
-            // ssdtrain-lint: allow(no-alloc-hot-loop): releasing a record
-            // serialises and writes its payload — the buffer is the offload
-            self.release_record(id);
+            self.release_record(st, id);
         }
-        let mut inner = self.inner.lock();
-        inner.by_key.clear();
-        inner.segments.clear();
-        inner.seg_members.clear();
-        inner.groups_loaded.clear();
-        let slabs: Vec<PinnedSlab> = inner.group_slabs.drain().map(|(_, s)| s).collect();
-        drop(inner);
-        for slab in slabs {
-            self.retire_slab(Some(slab));
+        st.by_key.clear();
+        st.segments.clear();
+        st.seg_members.clear();
+        st.groups_loaded.clear();
+        for (_, slab) in st.group_slabs.drain() {
+            self.retire_slab(&st.trace, Some(slab));
         }
     }
 
@@ -1008,15 +990,15 @@ impl TensorCache {
     /// A same-step [`TensorCache::load_state`] can never complete before
     /// that time.
     pub fn offload_state(&self, tensor: &Tensor, class: OffloadClass) -> Option<StateSlot> {
-        let mut inner = self.inner.lock();
-        let id = self.store(&mut inner, tensor, class)?;
-        if let RecState::Storing { job } = inner.records.get(&id)?.state {
-            self.commit_segment(&mut inner, job);
+        let mut st = self.state.lock();
+        let id = self.store(&mut st, tensor, class)?;
+        if let RecState::Storing { job } = st.records.get(&id)?.state {
+            self.commit_segment(&mut st, job);
         }
-        if matches!(inner.records.get(&id)?.state, RecState::Offloaded) {
+        if matches!(st.records.get(&id)?.state, RecState::Offloaded) {
             return Some(StateSlot(id));
         }
-        drop(inner);
+        drop(st);
         // Recovery kept the tensor resident: no slot, and the admission
         // reservation goes back.
         self.release_state(StateSlot(id));
@@ -1032,17 +1014,17 @@ impl TensorCache {
     /// resident returns `now`; an unknown slot returns `None`.
     pub fn load_state(&self, slot: StateSlot) -> Option<SimTime> {
         let now = self.io.clock().now();
-        let mut inner = self.inner.lock();
-        inner.records.get(&slot.0)?;
-        let ready = self.reload(&mut inner, slot.0, Reload::State);
+        let mut st = self.state.lock();
+        st.records.get(&slot.0)?;
+        let ready = self.reload(&mut st, slot.0, Reload::State);
         Some(ready.unwrap_or(now))
     }
 
     /// The simulated time `slot`'s store drains (its earliest legal
     /// read), or `None` for unknown or already-resident slots.
     pub fn state_available_at(&self, slot: StateSlot) -> Option<SimTime> {
-        let inner = self.inner.lock();
-        let rec = inner.records.get(&slot.0)?;
+        let st = self.state.lock();
+        let rec = st.records.get(&slot.0)?;
         matches!(rec.state, RecState::Offloaded).then_some(rec.avail)
     }
 
@@ -1052,7 +1034,7 @@ impl TensorCache {
     pub fn release_state(&self, slot: StateSlot) {
         // Committed at submit and owned by its caller: a slot has no
         // store to settle and no memory of the cache's to free.
-        let Some(rec) = self.inner.lock().records.remove(&slot.0) else {
+        let Some(rec) = self.state.lock().records.remove(&slot.0) else {
             return;
         };
         self.tiers.remove(rec.tier, &rec.key, rec.bytes);
@@ -1062,40 +1044,35 @@ impl TensorCache {
     // Internals
     // ------------------------------------------------------------------
 
-    fn innermost_kept(&self, inner: &Inner) -> bool {
-        if inner.profiling {
+    fn innermost_kept(&self, st: &State) -> bool {
+        if st.profiling {
             return false;
         }
-        let Some(seq) = inner.stack.last() else {
+        let Some(seq) = st.stack.last() else {
             return false;
         };
-        let path = &inner.scopes[seq].path;
-        self.plan.lock().keeps(path)
+        st.plan.keeps(&st.scopes[seq].path)
     }
 
     /// Releases a staging slab back to the arena, emitting the
     /// `arena.release` instant the Arena trace lane is built from.
-    fn retire_slab(&self, slab: Option<PinnedSlab>) {
+    fn retire_slab(&self, trace: &TraceSink, slab: Option<PinnedSlab>) {
         let Some(slab) = slab else { return };
         let len = slab.len;
         if self.arena.release(slab) {
-            self.trace().instant_bytes(
-                TraceCategory::Arena,
-                "arena.release",
-                self.io.clock().now(),
-                len,
-            );
+            let now = self.io.clock().now();
+            trace.instant_bytes(TraceCategory::Arena, "arena.release", now, len);
         }
     }
 
     /// Blocks (on the simulated clock) until `t`; whatever compute did not
     /// already cover is exposed I/O latency, accounted in
     /// [`OffloadStats::stall_secs`] with a `name` span over it.
-    fn stall_until(&self, t: SimTime, name: &'static str) {
+    fn stall_until(&self, st: &mut State, t: SimTime, name: &'static str) {
         let stall = self.io.clock().advance_to(t);
-        self.stats.lock().stall_secs += stall;
+        st.stats.stall_secs += stall;
         if stall > 0.0 {
-            self.trace()
+            st.trace
                 .span(TraceCategory::Stall, name, t.plus_secs(-stall), t);
         }
     }
@@ -1104,52 +1081,47 @@ impl TensorCache {
     /// placement decision, deduplication, tier admission, then a new
     /// record staged towards its store job. Returns the record's id, or
     /// `None` when the tensor stays where it is.
-    fn store(&self, inner: &mut Inner, tensor: &Tensor, class: OffloadClass) -> Option<RecordId> {
+    fn store(&self, st: &mut State, tensor: &Tensor, class: OffloadClass) -> Option<RecordId> {
         let activation = class == OffloadClass::Activation;
         // Algorithm 2 lines 12 and 15 as a pure policy decision
         // (parameter / small / backward-phase / kept-module).
         let query = PlacementQuery {
             class,
-            is_parameter: inner.param_stamps.contains(&storage_stamp(tensor)),
+            is_parameter: st.param_stamps.contains(&storage_stamp(tensor)),
             numel: tensor.numel(),
-            in_backward: inner.phase.in_backward(),
-            module_kept: activation && self.innermost_kept(inner),
+            in_backward: st.phase.in_backward(),
+            module_kept: activation && self.innermost_kept(st),
         };
         if let Placement::Keep(reason) = self.placement.decide(&query) {
             if reason.counts_in_stats() {
-                self.stats.lock().kept += 1;
+                st.stats.kept += 1;
             }
             return None;
         }
 
         let key = tensor_key(tensor);
         // State slots belong to their caller, not to a module scope.
-        let cur_scope = inner.stack.last().copied().filter(|_| activation);
+        let cur_scope = st.stack.last().copied().filter(|_| activation);
 
         // Deduplication (Section 3.3.1); state slots never alias.
         if activation && self.config.dedup {
-            if let Some(&id) = inner.by_key.get(&key) {
-                let bytes = inner.records[&id].bytes;
+            if let Some(&id) = st.by_key.get(&key) {
+                let bytes = st.records[&id].bytes;
                 if let Some(seq) = cur_scope {
-                    if let Some(rec) = inner.records.get_mut(&id) {
+                    if let Some(rec) = st.records.get_mut(&id) {
                         rec.scopes.insert(seq);
                     }
-                    if let Some(meta) = inner.scopes.get_mut(&seq) {
+                    if let Some(meta) = st.scopes.get_mut(&seq) {
                         if !meta.records.contains(&id) {
                             meta.records.push(id);
                         }
                     }
                 }
-                let mut stats = self.stats.lock();
-                stats.dedup_hits += 1;
-                stats.dedup_avoided_bytes += bytes;
-                drop(stats);
-                self.trace().instant_bytes(
-                    TraceCategory::Dedup,
-                    "dedup.hit",
-                    self.io.clock().now(),
-                    bytes,
-                );
+                st.stats.dedup_hits += 1;
+                st.stats.dedup_avoided_bytes += bytes;
+                let now = self.io.clock().now();
+                st.trace
+                    .instant_bytes(TraceCategory::Dedup, "dedup.hit", now, bytes);
                 return Some(id);
             }
         }
@@ -1162,10 +1134,7 @@ impl TensorCache {
         // fallback is the plain front-first walk).
         let bytes = tensor.bytes();
         let preferred = if self.config.profile_guided {
-            cur_scope.and_then(|seq| {
-                let path = &inner.scopes[&seq].path;
-                self.tier_plan.lock().preferred(path)
-            })
+            cur_scope.and_then(|seq| st.tier_plan.preferred(&st.scopes[&seq].path))
         } else {
             None
         };
@@ -1173,13 +1142,11 @@ impl TensorCache {
             Some(tier) => self.tiers.reserve_preferring(tier, bytes),
             None => self.tiers.reserve(bytes),
         };
-        let trace = self.trace();
+        let trace = &st.trace;
         let now = self.io.clock().now();
         let Some(TierPlacement { tier, spilled }) = placement else {
-            let mut stats = self.stats.lock();
-            stats.kept += 1;
-            stats.placement_kept_bytes += bytes;
-            drop(stats);
+            st.stats.kept += 1;
+            st.stats.placement_kept_bytes += bytes;
             trace.instant_bytes(TraceCategory::Tier, "tier.full", now, bytes);
             return None;
         };
@@ -1203,20 +1170,20 @@ impl TensorCache {
                 ],
             );
         }
-        let id = inner.next_id;
-        inner.next_id += 1;
+        let id = st.next_id;
+        st.next_id += 1;
         let mut scopes = HashSet::new();
         if let Some(seq) = cur_scope {
             scopes.insert(seq);
-            if let Some(meta) = inner.scopes.get_mut(&seq) {
+            if let Some(meta) = st.scopes.get_mut(&seq) {
                 meta.records.push(id);
                 meta.offload_bytes += bytes;
             }
         }
         if activation {
-            inner.by_key.insert(key.clone(), id);
+            st.by_key.insert(key.clone(), id);
         }
-        inner.records.insert(
+        st.records.insert(
             id,
             Record {
                 key,
@@ -1230,23 +1197,20 @@ impl TensorCache {
                 avail: SimTime::ZERO,
             },
         );
-        let mut stats = self.stats.lock();
-        stats.offloaded_bytes += bytes;
+        st.stats.offloaded_bytes += bytes;
         if spilled {
-            stats.spilled_bytes += bytes;
+            st.stats.spilled_bytes += bytes;
         }
-        stats.class_mut(class).offloaded_bytes += bytes;
-        drop(stats);
+        st.stats.class_mut(class).offloaded_bytes += bytes;
 
         if activation && self.config.coalesce_segment_bytes > 0 {
-            let sealed = self.coalescer.lock().stage(tier, id, bytes, class);
-            if let Some(seg) = sealed {
-                self.submit_sealed(inner, seg);
+            if let Some(seg) = st.coalescer.stage(tier, id, bytes, class) {
+                self.submit_sealed(st, seg);
             }
         } else {
             // Nothing to wait for: the record seals at once, a segment
             // of one.
-            self.submit_segment(inner, tier, std::iter::once(id));
+            self.submit_segment(st, tier, std::iter::once(id));
         }
         Some(id)
     }
@@ -1261,22 +1225,22 @@ impl TensorCache {
     /// holds whatever the segment size.
     fn submit_segment(
         &self,
-        inner: &mut Inner,
+        st: &mut State,
         tier: TierId,
         members: impl Iterator<Item = RecordId>,
     ) {
-        let first = inner.seg_members.len();
-        inner.seg_members.extend(members);
-        let range = first..inner.seg_members.len();
-        let sizes = inner.seg_members[range.clone()].iter();
-        let total: u64 = sizes.map(|id| inner.records[id].bytes).sum();
+        let first = st.seg_members.len();
+        st.seg_members.extend(members);
+        let range = first..st.seg_members.len();
+        let sizes = st.seg_members[range.clone()].iter();
+        let total: u64 = sizes.map(|id| st.records[id].bytes).sum();
         let job = self.io.submit_store_to(self.tiers.link(tier), total);
         let (start, end) = self.io.store_span(job);
         let seg_secs = end.since(start);
         // Only activations coalesce, so a segment has one class.
-        let class = inner.records[&inner.seg_members[first]].class;
+        let class = st.records[&st.seg_members[first]].class;
         for i in range.clone() {
-            let Some(rec) = inner.records.get_mut(&inner.seg_members[i]) else {
+            let Some(rec) = st.records.get_mut(&st.seg_members[i]) else {
                 continue;
             };
             rec.state = RecState::Storing { job };
@@ -1289,29 +1253,25 @@ impl TensorCache {
                 seg_secs * rec.bytes as f64 / total.max(1) as f64
             };
             let scope = rec.scopes.iter().min();
-            if let Some(meta) = scope.and_then(|s| inner.scopes.get_mut(s)) {
+            if let Some(meta) = scope.and_then(|s| st.scopes.get_mut(s)) {
                 meta.store_secs += share;
             }
         }
-        inner.segments.insert(job, range);
-        let mut stats = self.stats.lock();
-        stats.store_jobs += 1;
-        stats.class_mut(class).stores += 1;
+        st.segments.insert(job, range);
+        st.stats.store_jobs += 1;
+        st.stats.class_mut(class).stores += 1;
     }
 
     /// Submits a segment the coalescer sealed. The `coalesce_*` counters
     /// and the `coalesce.seal` instant describe coalescing only:
     /// segments of one sealed without the coalescer stay silent here.
-    fn submit_sealed(&self, inner: &mut Inner, seg: SealedSegment) {
-        self.submit_segment(inner, seg.tier, seg.entries.iter().map(|e| e.record));
+    fn submit_sealed(&self, st: &mut State, seg: SealedSegment) {
+        self.submit_segment(st, seg.tier, seg.entries.iter().map(|e| e.record));
         let total = seg.total_bytes();
-        let mut stats = self.stats.lock();
-        stats.coalesce_segments += 1;
-        stats.coalesced_bytes += total;
-        drop(stats);
-        let trace = self.trace();
-        if trace.is_enabled() {
-            trace.instant_with(
+        st.stats.coalesce_segments += 1;
+        st.stats.coalesced_bytes += total;
+        if st.trace.is_enabled() {
+            st.trace.instant_with(
                 TraceCategory::Coalesce,
                 "coalesce.seal",
                 self.io.clock().now(),
@@ -1326,13 +1286,9 @@ impl TensorCache {
     /// Seals every open segment and submits their store jobs (stage
     /// barriers and flushes call this so no staged byte outlives the
     /// stage that produced it).
-    fn seal_open_segments(&self) {
-        let mut inner = self.inner.lock();
-        let sealed = self.coalescer.lock().seal_all();
-        for seg in sealed {
-            // ssdtrain-lint: allow(no-alloc-hot-loop): sealing submits the
-            // segment's store job — the data path, one call per segment
-            self.submit_sealed(&mut inner, seg);
+    fn seal_open_segments(&self, st: &mut State) {
+        for seg in st.coalescer.seal_all() {
+            self.submit_sealed(st, seg);
         }
     }
 
@@ -1342,15 +1298,15 @@ impl TensorCache {
     /// job's completion time. Idempotent: removal from the segment map
     /// marks the segment committed. A failed write degrades the
     /// *segment* per the configured [`RecoveryPolicy`], not per tensor.
-    fn commit_segment(&self, inner: &mut Inner, job: JobId) {
-        let Some(members) = inner.segments.remove(&job) else {
+    fn commit_segment(&self, st: &mut State, job: JobId) {
+        let Some(members) = st.segments.remove(&job) else {
             return;
         };
         let (start, end) = self.io.store_span(job);
-        let mut batch = std::mem::take(&mut inner.commit_scratch);
+        let mut batch = std::mem::take(&mut st.commit_scratch);
         for i in members {
-            let id = inner.seg_members[i];
-            let Some(rec) = inner.records.get_mut(&id) else {
+            let id = st.seg_members[i];
+            let Some(rec) = st.records.get_mut(&id) else {
                 continue;
             };
             if !matches!(rec.state, RecState::Storing { .. }) {
@@ -1365,7 +1321,7 @@ impl TensorCache {
             if !rec.is_state() && rec.tensor.storage().strong_count() > 1 {
                 rec.state = RecState::Resident;
                 let slab = rec.slab.take();
-                self.retire_slab(slab);
+                self.retire_slab(&st.trace, slab);
                 continue;
             }
             // The real payload crosses the filesystem at commit (wall
@@ -1373,22 +1329,21 @@ impl TensorCache {
             batch.push((id, rec.tensor.storage().to_bytes()));
         }
         let Some((head, _)) = batch.first() else {
-            inner.commit_scratch = batch;
+            st.commit_scratch = batch;
             return;
         };
-        let tier = inner.records[head].tier;
+        let tier = st.records[head].tier;
         // The batch borrows keys and payloads; a segment of one is built
         // on the stack.
-        fn item<'a>(inner: &'a Inner, (id, data): &'a Payload) -> BatchItem<'a> {
-            let rec = &inner.records[id];
+        type Records = HashMap<RecordId, Record>;
+        fn item<'a>(records: &'a Records, (id, data): &'a Payload) -> BatchItem<'a> {
+            let rec = &records[id];
             (&rec.key, data.as_deref(), rec.bytes)
         }
         let written = match batch.as_slice() {
-            [only] => self.tiers.write_segment(tier, &[item(inner, only)]),
+            [only] => self.tiers.write_segment(tier, &[item(&st.records, only)]),
             all => {
-                // ssdtrain-lint: allow(no-alloc-hot-loop): borrow view over the
-                // batch being written, one per multi-member segment
-                let items: Vec<_> = all.iter().map(|m| item(inner, m)).collect();
+                let items: Vec<_> = all.iter().map(|m| item(&st.records, m)).collect();
                 self.tiers.write_segment(tier, &items)
             }
         };
@@ -1396,7 +1351,7 @@ impl TensorCache {
             Ok(()) => {
                 let mut total = 0;
                 for (id, _) in &batch {
-                    let Some(rec) = inner.records.get_mut(id) else {
+                    let Some(rec) = st.records.get_mut(id) else {
                         continue;
                     };
                     self.mem.with_time(end, || rec.tensor.storage().release());
@@ -1404,17 +1359,17 @@ impl TensorCache {
                     rec.avail = end;
                     total += rec.bytes;
                 }
-                self.trace()
+                st.trace
                     .span_bytes(TraceCategory::Store, "store", start, end, total);
             }
-            Err(err) => self.recover_failed_segment(inner, tier, job, &batch, end, err),
+            Err(err) => self.recover_failed_segment(st, tier, job, &batch, end, err),
         }
         // Whatever the outcome, the staging buffers' job is done.
         for (id, _) in batch.drain(..) {
-            let slab = inner.records.get_mut(&id).and_then(|rec| rec.slab.take());
-            self.retire_slab(slab);
+            let slab = st.records.get_mut(&id).and_then(|rec| rec.slab.take());
+            self.retire_slab(&st.trace, slab);
         }
-        inner.commit_scratch = batch;
+        st.commit_scratch = batch;
     }
 
     /// Recovery for a segment write the target refused. The payload only
@@ -1429,25 +1384,24 @@ impl TensorCache {
     /// policies absorb the whole segment at once.
     fn recover_failed_segment(
         &self,
-        inner: &mut Inner,
+        st: &mut State,
         tier: TierId,
         job: JobId,
         batch: &[Payload],
         end: SimTime,
         err: io::Error,
     ) {
-        self.stats.lock().store_failures += 1;
+        st.stats.store_failures += 1;
         let now = self.io.clock().now();
         let fallback = self.config.recovery == RecoveryPolicy::FallbackTarget;
         let (mut fell_back, mut kept) = (0u64, 0u64);
         let mut dest = None;
         for (id, data) in batch {
-            let Some(rec) = inner.records.get_mut(id) else {
+            let Some(rec) = st.records.get_mut(id) else {
                 continue;
             };
             let demoted = if fallback {
                 let (data, retries) = (data.as_deref(), self.config.max_io_retries);
-                // ssdtrain-lint: allow(no-alloc-hot-loop): recovery slow path — demotion rewrites the failed member on the fallback device
                 self.tiers.demote(tier, &rec.key, data, rec.bytes, retries)
             } else {
                 None
@@ -1472,18 +1426,16 @@ impl TensorCache {
             // the dead job if it still sits in the queue.
             let _ = self.io.try_cancel_store(job, now);
         }
-        let Some(head) = batch.first().and_then(|(id, _)| inner.records.get(id)) else {
+        let Some(head) = batch.first().and_then(|(id, _)| st.records.get(id)) else {
             return;
         };
         // Failed bytes leave `offloaded_bytes` for `fallback_bytes` or
         // `kept_resident_bytes`.
-        let mut stats = self.stats.lock();
-        stats.offloaded_bytes -= fell_back + kept;
-        stats.fallback_bytes += fell_back;
-        stats.kept_resident_bytes += kept;
-        stats.class_mut(head.class).offloaded_bytes -= fell_back + kept;
-        drop(stats);
-        let trace = self.trace();
+        st.stats.offloaded_bytes -= fell_back + kept;
+        st.stats.fallback_bytes += fell_back;
+        st.stats.kept_resident_bytes += kept;
+        st.stats.class_mut(head.class).offloaded_bytes -= fell_back + kept;
+        let trace = &st.trace;
         if let Some(lower) = dest {
             trace.instant_with(
                 TraceCategory::Recovery,
@@ -1500,9 +1452,8 @@ impl TensorCache {
         }
         if self.config.recovery == RecoveryPolicy::FailStep {
             trace.instant(TraceCategory::Recovery, "recovery.fail_step", now);
-            let mut pending = self.pending_error.lock();
-            if pending.is_none() {
-                *pending = Some(OffloadError::Store {
+            if st.pending_error.is_none() {
+                st.pending_error = Some(OffloadError::Store {
                     key: head.key.clone(),
                     bytes: kept,
                     target: self.tiers.name(tier),
@@ -1522,14 +1473,14 @@ impl TensorCache {
     /// and un-counts it; a member of a larger segment is forwarded
     /// *without* cancelling — the job carries its siblings and commit
     /// skips this member.
-    fn withdraw(&self, inner: &mut Inner, id: RecordId, now: SimTime, forwarded: bool) {
-        let Some(rec) = inner.records.get_mut(&id) else {
+    fn withdraw(&self, st: &mut State, id: RecordId, now: SimTime, forwarded: bool) {
+        let Some(rec) = st.records.get_mut(&id) else {
             return;
         };
         let (bytes, class) = (rec.bytes, rec.class);
         let job = match rec.state {
             RecState::Staged => {
-                self.coalescer.lock().evict(rec.tier, id);
+                st.coalescer.evict(rec.tier, id);
                 None
             }
             RecState::Storing { job } => Some(job),
@@ -1537,17 +1488,17 @@ impl TensorCache {
         };
         rec.state = RecState::Resident;
         let slab = rec.slab.take();
-        self.retire_slab(slab);
+        self.retire_slab(&st.trace, slab);
         let evicted = job.is_none();
         let mut unqueued = false;
         if let Some(job) = job {
-            let sole = inner.segments.get(&job).is_some_and(|m| m.len() == 1);
+            let sole = st.segments.get(&job).is_some_and(|m| m.len() == 1);
             if sole && self.config.cancel_forwarded_stores && self.io.try_cancel_store(job, now) {
-                inner.segments.remove(&job);
+                st.segments.remove(&job);
                 unqueued = true;
             }
         }
-        let mut stats = self.stats.lock();
+        let stats = &mut st.stats;
         if forwarded {
             stats.forwarded += 1;
             stats.forwarded_bytes += bytes;
@@ -1565,8 +1516,7 @@ impl TensorCache {
             stats.store_jobs -= 1;
             stats.class_mut(class).stores -= 1;
         }
-        drop(stats);
-        let trace = self.trace();
+        let trace = &st.trace;
         if forwarded {
             trace.instant_bytes(TraceCategory::Forwarding, "forward", now, bytes);
         }
@@ -1582,31 +1532,31 @@ impl TensorCache {
     /// bytes, returning the simulated time they are resident again —
     /// never before the record's own store drained. `None` when the
     /// record is unknown or not offloaded.
-    fn reload(&self, inner: &mut Inner, id: RecordId, how: Reload) -> Option<SimTime> {
-        let rec = inner.records.get_mut(&id)?;
+    fn reload(&self, st: &mut State, id: RecordId, how: Reload) -> Option<SimTime> {
+        let rec = st.records.get_mut(&id)?;
         if !matches!(rec.state, RecState::Offloaded) {
             return None;
         }
         let (bytes, class) = (rec.bytes, rec.class);
         if matches!(how, Reload::Prefetch) {
             let now = self.io.clock().now();
-            self.trace()
+            st.trace
                 .instant_bytes(TraceCategory::Prefetch, "prefetch.issue", now, bytes);
         }
         let link = self.tiers.link(rec.tier);
         let busy0 = self.io.read_busy_secs_on(link);
         let ready = self.io.submit_load_from(link, bytes).max(rec.avail);
         let load_secs = self.io.read_busy_secs_on(link) - busy0;
-        self.read_back(&rec.key, rec.tier, bytes, &rec.tensor, ready);
+        self.read_back(&mut st.stats, &mut st.pending_error, &st.trace, rec, ready);
         rec.state = match how {
             Reload::Prefetch => RecState::Loading { ready },
             Reload::Sync | Reload::State => RecState::Resident,
         };
         let scope = rec.scopes.iter().min();
-        if let Some(meta) = scope.and_then(|s| inner.scopes.get_mut(s)) {
+        if let Some(meta) = scope.and_then(|s| st.scopes.get_mut(s)) {
             meta.load_secs += load_secs;
         }
-        let mut stats = self.stats.lock();
+        let stats = &mut st.stats;
         match how {
             Reload::Sync => stats.sync_loads += 1,
             Reload::Prefetch => stats.prefetches += 1,
@@ -1627,38 +1577,33 @@ impl TensorCache {
     /// boundary under *every* policy.
     fn read_back(
         &self,
-        key: &TensorKey,
-        tier: TierId,
-        bytes: u64,
-        tensor: &Tensor,
+        stats: &mut OffloadStats,
+        pending: &mut Option<OffloadError>,
+        trace: &TraceSink,
+        rec: &Record,
         ready: SimTime,
     ) {
+        let (tensor, bytes) = (&rec.tensor, rec.bytes);
         let mut attempts = 0u32;
         let data = loop {
             attempts += 1;
-            match self.tiers.read(tier, key, bytes) {
+            match self.tiers.read(rec.tier, &rec.key, bytes) {
                 Ok(d) => break d,
                 Err(err) if attempts > self.config.max_io_retries => {
-                    let mut stats = self.stats.lock();
                     stats.load_retries += u64::from(attempts - 1);
-                    drop(stats);
-                    let mut pending = self.pending_error.lock();
                     if pending.is_none() {
                         *pending = Some(OffloadError::Load {
-                            key: key.clone(),
+                            key: rec.key.clone(),
                             bytes,
-                            target: self.tiers.name(tier),
+                            target: self.tiers.name(rec.tier),
                             attempts,
                             source: err,
                         });
                     }
-                    drop(pending);
-                    self.trace().instant_with(
+                    trace.instant_with(
                         TraceCategory::Recovery,
                         "recovery.load_failed",
                         ready,
-                        // ssdtrain-lint: allow(no-alloc-hot-loop): recovery
-                        // path only — runs after `max_io_retries` failures
                         vec![
                             ("bytes", ArgValue::U64(bytes)),
                             ("attempts", ArgValue::U64(u64::from(attempts))),
@@ -1666,8 +1611,6 @@ impl TensorCache {
                     );
                     let numel = tensor.numel();
                     self.mem.with_time(ready, || {
-                        // ssdtrain-lint: allow(no-alloc-hot-loop): recovery
-                        // zero-fill after an unrecoverable load failure
                         tensor.storage().restore_numeric(vec![0.0; numel]);
                     });
                     return;
@@ -1676,13 +1619,11 @@ impl TensorCache {
             }
         };
         if attempts > 1 {
-            self.stats.lock().load_retries += u64::from(attempts - 1);
-            self.trace().instant_with(
+            stats.load_retries += u64::from(attempts - 1);
+            trace.instant_with(
                 TraceCategory::Recovery,
                 "recovery.load_retry",
                 ready,
-                // ssdtrain-lint: allow(no-alloc-hot-loop): retry-path
-                // telemetry only; clean loads never build this vector
                 vec![
                     ("bytes", ArgValue::U64(bytes)),
                     ("retries", ArgValue::U64(u64::from(attempts - 1))),
@@ -1698,94 +1639,79 @@ impl TensorCache {
         });
     }
 
-    fn prefetch_records(&self, ids: &[RecordId]) {
-        if !self.config.prefetch {
-            return;
-        }
-        let now = self.io.clock().now();
-        let mut inner = self.inner.lock();
-        for &id in ids {
-            match inner.records.get(&id).map(|r| r.state) {
-                // Prefetch reached a record whose bytes are still in
-                // memory: data forwarding at prefetch time (Section
-                // 3.3.2) — the store's completion must never free it.
-                Some(RecState::Staged) => self.withdraw(&mut inner, id, now, true),
-                Some(RecState::Storing { job }) if now < self.io.store_end(job) => {
-                    self.withdraw(&mut inner, id, now, true);
-                }
-                // ssdtrain-lint: allow(no-alloc-hot-loop): committing serialises the payload being offloaded — the data path, not bookkeeping
-                Some(RecState::Storing { job }) => self.commit_segment(&mut inner, job),
-                _ => {}
+    /// Prefetches one record: forwards bytes still in memory, commits a
+    /// finished store, then issues the reload of whatever left memory.
+    fn prefetch_record(&self, st: &mut State, id: RecordId, now: SimTime) {
+        match st.records.get(&id).map(|r| r.state) {
+            // Prefetch reached a record whose bytes are still in
+            // memory: data forwarding at prefetch time (Section
+            // 3.3.2) — the store's completion must never free it.
+            Some(RecState::Staged) => self.withdraw(st, id, now, true),
+            Some(RecState::Storing { job }) if now < self.io.store_end(job) => {
+                self.withdraw(st, id, now, true);
             }
-            // ssdtrain-lint: allow(no-alloc-hot-loop): submitting the
-            // reload is the data path; its bookkeeping rides the transfer
-            self.reload(&mut inner, id, Reload::Prefetch);
+            Some(RecState::Storing { job }) => self.commit_segment(st, job),
+            _ => {}
         }
+        self.reload(st, id, Reload::Prefetch);
     }
 
     /// Resolves a record id back to its tensor (Algorithm 2's `unpack`),
     /// *forwarding* bytes that are still in memory and blocking — a
     /// simulated-clock stall — on a reload that has not arrived. `None`
     /// for an id the cache does not hold.
-    fn consume(&self, id: RecordId) -> Option<Tensor> {
+    fn consume(&self, st: &mut State, id: RecordId) -> Option<Tensor> {
         let now = self.io.clock().now();
-        let mut inner = self.inner.lock();
         // When the bytes are back in memory, if later than now: the
         // exposed reload the caller stalls on.
         let mut ready = None;
-        match inner.records.get(&id)?.state {
+        match st.records.get(&id)?.state {
             RecState::Resident => {}
             // Data forwarding (Section 3.3.2): the tensor is still in
             // memory; skip the reload. A staged record never queued a
             // job, so handing it back is free whatever `forwarding` says.
-            RecState::Staged => self.withdraw(&mut inner, id, now, true),
+            RecState::Staged => self.withdraw(st, id, now, true),
             RecState::Storing { job } if self.config.forwarding && now < self.io.store_end(job) => {
-                self.withdraw(&mut inner, id, now, true);
+                self.withdraw(st, id, now, true);
             }
             RecState::Storing { job } => {
                 // Store finished, or forwarding disabled — then the load
                 // cannot begin until the store has: commit, and block on
                 // a synchronous reload of whatever left memory.
-                let end = self.io.store_end(job);
-                drop(inner);
-                self.stall_until(end, "stall.store_drain");
-                inner = self.inner.lock();
-                self.commit_segment(&mut inner, job);
-                ready = self.reload(&mut inner, id, Reload::Sync);
+                self.stall_until(st, self.io.store_end(job), "stall.store_drain");
+                self.commit_segment(st, job);
+                ready = self.reload(st, id, Reload::Sync);
             }
-            RecState::Offloaded => ready = self.reload(&mut inner, id, Reload::Sync),
+            RecState::Offloaded => ready = self.reload(st, id, Reload::Sync),
             RecState::Loading { ready: at } => ready = Some(at),
         }
-        let rec = inner.records.get_mut(&id)?;
+        let rec = st.records.get_mut(&id)?;
         rec.state = RecState::Resident;
         let tensor = rec.tensor.clone();
-        drop(inner);
         if let Some(at) = ready {
-            self.stall_until(at, "stall.load");
+            self.stall_until(st, at, "stall.load");
         }
         Some(tensor)
     }
 
-    fn release_record(&self, id: RecordId) {
+    fn release_record(&self, st: &mut State, id: RecordId) {
         let now = self.io.clock().now();
-        let mut inner = self.inner.lock();
         // Settle the store path while the record is still in the map
         // (a segment commit needs every member resolvable by id).
-        match inner.records.get(&id).map(|r| r.state) {
+        match st.records.get(&id).map(|r| r.state) {
             // Released before its segment sealed: the bytes never
             // offload (no forwarding — nothing consumed the tensor).
-            Some(RecState::Staged) => self.withdraw(&mut inner, id, now, false),
+            Some(RecState::Staged) => self.withdraw(st, id, now, false),
             // The paper's "excessive offloading" effect: the tensor was
             // never reused, its memory comes back only when the store
             // (its own and its siblings') completes.
-            Some(RecState::Storing { job }) => self.commit_segment(&mut inner, job),
+            Some(RecState::Storing { job }) => self.commit_segment(st, job),
             _ => {}
         }
-        let Some(mut rec) = inner.records.remove(&id) else {
+        let Some(mut rec) = st.records.remove(&id) else {
             return;
         };
-        inner.by_key.remove(&rec.key);
-        drop(inner);
+        st.by_key.remove(&rec.key);
         // Releasing frees memory only when the cache's reference is the
         // last one — like Python GC, a tensor the model still holds keeps
         // its memory (the storage's own drop reports the eventual free).
@@ -1804,8 +1730,7 @@ impl TensorCache {
         }
         // Catch-all: whatever path retired the record, its staging slab
         // must go back to the arena exactly once.
-        let slab = rec.slab.take();
-        self.retire_slab(slab);
+        self.retire_slab(&st.trace, rec.slab.take());
         // Drop the entry wherever it lives and return the admission
         // reservation — the single release point of a record's bytes.
         self.tiers.remove(rec.tier, &rec.key, rec.bytes);
@@ -1845,24 +1770,14 @@ impl StageScope<'_> {
 
 impl Drop for StageScope<'_> {
     fn drop(&mut self) {
-        self.cache.exit_stage(self.stage);
-        let trace = self.cache.trace();
-        if trace.is_enabled() {
-            let now = self.cache.io.clock().now();
-            trace.span(
-                TraceCategory::Stage,
-                self.stage.trace_label(),
-                self.enter,
-                now,
-            );
-        }
+        self.cache.exit_stage(self.stage, self.enter);
     }
 }
 
 impl SavedTensorHooks for TensorCache {
     fn pack(&self, tensor: &Tensor) -> Packed {
-        let mut inner = self.inner.lock();
-        match self.store(&mut inner, tensor, OffloadClass::Activation) {
+        let mut st = self.state.lock();
+        match self.store(&mut st, tensor, OffloadClass::Activation) {
             Some(id) => Packed::Opaque(id),
             None => Packed::Tensor(tensor.clone()),
         }
@@ -1873,7 +1788,7 @@ impl SavedTensorHooks for TensorCache {
             // Algorithm 2, line 20.
             Packed::Tensor(t) => t.clone(),
             Packed::Opaque(id) => self
-                .consume(*id)
+                .consume(&mut self.state.lock(), *id)
                 .unwrap_or_else(|| panic!("unpack of unknown record {id}")), // ssdtrain-lint: allow(panic-free-hot-path): unpack of an unregistered id is an engine-integration bug, not a recoverable runtime failure
         }
     }
@@ -1881,13 +1796,13 @@ impl SavedTensorHooks for TensorCache {
 
 impl ModuleHooks for TensorCache {
     fn forward_pre(&self, scope: &ScopeInfo) {
-        let mut inner = self.inner.lock();
-        if inner.phase != Phase::Forward {
+        let mut st = self.state.lock();
+        if st.phase != Phase::Forward {
             return;
         }
-        inner.current_mb = scope.micro_batch;
-        inner.stack.push(scope.seq);
-        inner.scopes.insert(
+        st.current_mb = scope.micro_batch;
+        st.stack.push(scope.seq);
+        st.scopes.insert(
             scope.seq,
             ScopeMeta {
                 path: scope.path.clone(),
@@ -1899,24 +1814,23 @@ impl ModuleHooks for TensorCache {
                 load_secs: 0.0,
             },
         );
-        inner
-            .forward_order
+        st.forward_order
             .entry(scope.micro_batch)
             .or_default()
             .push(scope.seq);
     }
 
     fn forward_post(&self, scope: &ScopeInfo) {
-        let mut inner = self.inner.lock();
-        if inner.phase != Phase::Forward {
+        let mut st = self.state.lock();
+        if st.phase != Phase::Forward {
             return;
         }
         let now = self.io.clock().now();
-        if let Some(meta) = inner.scopes.get_mut(&scope.seq) {
+        if let Some(meta) = st.scopes.get_mut(&scope.seq) {
             meta.fwd_secs = now.since(meta.enter);
         }
-        if inner.stack.last() == Some(&scope.seq) {
-            inner.stack.pop();
+        if st.stack.last() == Some(&scope.seq) {
+            st.stack.pop();
         }
     }
 
@@ -1925,15 +1839,12 @@ impl ModuleHooks for TensorCache {
         // backward order, i.e. the nearest earlier modules in forward
         // order that hold records (Section 3.3.2). Depth > 1 keeps the
         // read channel saturated across module boundaries.
-        let pos = {
-            let inner = self.inner.lock();
-            let Some(order) = inner.forward_order.get(&scope.micro_batch) else {
-                return;
-            };
-            match order.iter().position(|s| *s == scope.seq) {
-                Some(p) => p,
-                None => return,
-            }
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let mb = scope.micro_batch;
+        let order = st.forward_order.get(&mb);
+        let Some(pos) = order.and_then(|o| o.iter().position(|s| *s == scope.seq)) else {
+            return;
         };
         let g = self.config.prefetch_group_modules;
         if self.config.prefetch && g > 0 {
@@ -1941,80 +1852,50 @@ impl ModuleHooks for TensorCache {
             // consumed the previous one loads on the second buffer —
             // `prefetch_depth` groups stay in flight.
             let cur = pos / g;
-            for d in 0..self.config.prefetch_depth.max(1) {
-                if d > cur {
-                    break;
-                }
-                // ssdtrain-lint: allow(no-alloc-hot-loop): issuing a group
-                // prefetch submits the group's reloads — the data path
-                self.prefetch_group(scope.micro_batch, cur - d);
-            }
+            self.prefetch_groups_upto(st, mb, cur);
             // Groups above the current one were fully consumed; return
             // their staging slabs so the double buffer stays two deep.
-            let slabs: Vec<PinnedSlab> = {
-                let mut inner = self.inner.lock();
-                let done: Vec<(usize, usize)> = inner
-                    .group_slabs
-                    .keys()
-                    .filter(|(mb, gi)| *mb == scope.micro_batch && *gi > cur)
-                    .copied()
-                    .collect();
-                done.iter()
-                    .filter_map(|k| inner.group_slabs.remove(k))
-                    .collect()
-            };
-            for slab in slabs {
-                self.retire_slab(Some(slab));
+            let done = |&(m, gi): &(usize, usize)| m == mb && gi > cur;
+            while let Some(key) = st.group_slabs.keys().copied().find(done) {
+                let slab = st.group_slabs.remove(&key);
+                self.retire_slab(&st.trace, slab);
             }
             return;
         }
-        let ids = self.records_before(scope.micro_batch, pos, self.config.prefetch_depth.max(1));
-        self.prefetch_records(&ids);
+        self.prefetch_before(st, mb, pos, self.config.prefetch_depth.max(1));
     }
 
     fn backward_post(&self, scope: &ScopeInfo) {
         // Algorithm 2 lines 8–10: drop this scope from its records and
         // release records nobody references.
-        let to_release: Vec<RecordId> = {
-            let mut inner = self.inner.lock();
-            let Some(meta) = inner.scopes.get(&scope.seq) else {
+        let mut st = self.state.lock();
+        st.for_scope_records(scope.seq, |st, id| {
+            let Some(rec) = st.records.get_mut(&id) else {
                 return;
             };
-            let ids = meta.records.clone();
-            let mut done = Vec::new();
-            for id in ids {
-                if let Some(rec) = inner.records.get_mut(&id) {
-                    rec.scopes.remove(&scope.seq);
-                    if rec.scopes.is_empty() {
-                        done.push(id);
-                    }
-                }
+            rec.scopes.remove(&scope.seq);
+            if rec.scopes.is_empty() {
+                self.release_record(st, id);
             }
-            done
-        };
-        for id in to_release {
-            // ssdtrain-lint: allow(no-alloc-hot-loop): releasing a record
-            // serialises and writes its payload — the buffer is the offload
-            self.release_record(id);
-        }
+        });
     }
 
     fn phase_changed(&self, phase: Phase) {
-        let mut inner = self.inner.lock();
-        if inner.phase == Phase::Forward && phase == Phase::Backward {
-            inner.fwd_secs = self.io.clock().now().since(inner.fwd_start);
+        let mut st = self.state.lock();
+        if st.phase == Phase::Forward && phase == Phase::Backward {
+            st.fwd_secs = self.io.clock().now().since(st.fwd_start);
         }
-        inner.phase = phase;
+        st.phase = phase;
     }
 }
 
 impl std::fmt::Debug for TensorCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let st = self.state.lock();
         f.debug_struct("TensorCache")
-            .field("records", &inner.records.len())
-            .field("phase", &inner.phase)
-            .field("stats", &*self.stats.lock())
+            .field("records", &st.records.len())
+            .field("phase", &st.phase)
+            .field("stats", &st.stats)
             .finish()
     }
 }

@@ -24,6 +24,7 @@
 //! forward cannot begin before the first module's compute finishes
 //! (`t0`), the forward stage ends at `max(compute, t0 + store drain)`,
 //! and the backward stage ends at `max(compute, reload time)`.
+// ssdtrain-lint: hot-path
 
 use crate::adaptive::StepProfile;
 use crate::io::IoEngine;

@@ -6,6 +6,7 @@
 //! become `io::Error`s the cache's recovery machinery handles;
 //! [`FaultKind::SlowIo`] firings throttle the attached [`IoEngine`]
 //! mid-run instead, modelling a device that degrades rather than fails.
+// ssdtrain-lint: hot-path
 
 use crate::id::TensorKey;
 use crate::io::IoEngine;
@@ -260,8 +261,8 @@ mod tests {
     fn reads_pass_through_when_no_rule_matches() {
         let plan = FaultPlan::new(1);
         let t = FaultyTarget::new(Arc::new(CpuTarget::new(1 << 20)), plan);
-        t.write(&key(1), Some(&[5]), 1).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
-        assert_eq!(t.read(&key(1)).unwrap().unwrap(), vec![5]); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        t.write(&key(1), Some(&[5]), 1).unwrap();
+        assert_eq!(t.read(&key(1)).unwrap().unwrap(), vec![5]);
         assert_eq!(t.fault_log().ops, 2);
     }
 }

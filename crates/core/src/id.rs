@@ -50,8 +50,6 @@ pub fn tensor_key(t: &Tensor) -> TensorKey {
     let stamp = t.storage().stamp_once(next_logical_timestamp());
     TensorKey {
         stamp,
-        // ssdtrain-lint: allow(no-alloc-hot-loop): the key owns its shape
-        // (rank-length vector); key construction is its identity
         shape: t.dims().to_vec(),
     }
 }

@@ -20,6 +20,7 @@
 //! shared write bus (each job still pays its own link's rate, capped by
 //! the bus). Loads stay independent per link — PCIe is full duplex and
 //! the read path is not the paper's bottleneck.
+// ssdtrain-lint: hot-path
 
 use parking_lot::Mutex;
 use ssdtrain_simhw::{Channel, SimClock, SimTime};
@@ -112,29 +113,54 @@ impl WriteQueue {
             }
         }
     }
-
-    fn throttle(&mut self, factor: f64, now: SimTime) {
-        self.stretch(factor, now);
-        self.reflow();
-    }
 }
 
-/// One tier link's queue pair: a FIFO write queue plus a read channel.
-struct LinkQueues {
+/// One tier link's fixed parts: its name, rated write bandwidth and
+/// read channel (the channel keeps its own bookings).
+struct Link {
     name: String,
     write_bps: f64,
-    writes: Mutex<WriteQueue>,
     reads: Channel,
-    /// Seconds the read direction was busy this step (sum of transfer
-    /// durations booked on the read channel; cleared by `reset`).
-    read_busy_secs: Mutex<f64>,
 }
 
-/// Shared write-bus state: the global FIFO submission order every
-/// non-cancelled store serialises through when a bus is configured.
-struct BusState {
-    write_bps: f64,
-    order: Mutex<Vec<JobId>>,
+/// Everything the engine mutates, behind its one lock.
+struct EngineState {
+    /// FIFO write queue per link.
+    writes: Vec<WriteQueue>,
+    /// Global submission order every live store serialises through when
+    /// a write bus is configured (stays empty otherwise).
+    bus_order: Vec<JobId>,
+    /// Seconds each link's read direction was busy this step (sum of
+    /// transfer durations booked on its read channel).
+    read_busy_secs: Vec<f64>,
+    /// Fixed seconds added to every store job's duration at submit time
+    /// (driver ioctl + DMA descriptor setup). Reflows reuse `dur_secs`,
+    /// so the overhead sticks to a job for life.
+    store_overhead: f64,
+    trace: TraceSink,
+}
+
+impl EngineState {
+    /// Reschedules every live store across every link in global
+    /// submission order: each job starts when the shared bus frees up
+    /// (which also covers its own link — the bus serialises everything).
+    fn reflow_bus(&mut self) {
+        let mut prev_end = SimTime::ZERO;
+        for id in &self.bus_order {
+            let j = &mut self.writes[id.link].jobs[id.idx];
+            if j.cancelled {
+                continue;
+            }
+            j.start = j.submit.max(prev_end);
+            j.end = j.start.plus_secs(j.dur_secs);
+            prev_end = j.end;
+        }
+    }
+
+    fn live_jobs(&self, link: usize) -> impl DoubleEndedIterator<Item = &WriteJob> {
+        let jobs = self.writes.get(link).map_or(&[][..], |q| &q.jobs);
+        jobs.iter().filter(|j| !j.cancelled)
+    }
 }
 
 /// The simulated store/load engine shared by a tensor cache.
@@ -187,13 +213,12 @@ struct BusState {
 #[derive(Clone)]
 pub struct IoEngine {
     clock: SimClock,
-    links: Arc<Vec<LinkQueues>>,
-    bus: Option<Arc<BusState>>,
-    trace: Arc<Mutex<TraceSink>>,
-    /// Fixed seconds added to every store job's duration at submit time
-    /// (driver ioctl + DMA descriptor setup). Shared by clones; reflows
-    /// reuse `dur_secs`, so the overhead sticks to a job for life.
-    store_overhead: Arc<Mutex<f64>>,
+    links: Arc<Vec<Link>>,
+    /// Bandwidth of the shared write bus, when one is configured.
+    bus_write_bps: Option<f64>,
+    /// The engine's one lock; clones share it. Nothing is called with
+    /// it held except the trace sink (layer order: io → {clock, trace}).
+    state: Arc<Mutex<EngineState>>,
 }
 
 impl IoEngine {
@@ -232,33 +257,32 @@ impl IoEngine {
 
     fn build(clock: SimClock, links: Vec<TierLink>, bus_write_bps: Option<f64>) -> IoEngine {
         assert!(!links.is_empty(), "an IoEngine needs at least one link");
-        let links = links
+        let links: Vec<Link> = links
             .into_iter()
             .map(|l| {
                 assert!(
                     l.write_bps > 0.0 && l.read_bps > 0.0,
                     "bandwidth must be positive"
                 );
-                LinkQueues {
+                Link {
                     reads: Channel::new(&format!("{}-read", l.name), l.read_bps),
                     name: l.name,
                     write_bps: l.write_bps,
-                    writes: Mutex::new(WriteQueue::default()),
-                    read_busy_secs: Mutex::new(0.0),
                 }
             })
             .collect();
+        let state = EngineState {
+            writes: links.iter().map(|_| WriteQueue::default()).collect(),
+            bus_order: Vec::new(),
+            read_busy_secs: vec![0.0; links.len()],
+            store_overhead: 0.0,
+            trace: TraceSink::disabled(),
+        };
         IoEngine {
             clock,
             links: Arc::new(links),
-            bus: bus_write_bps.map(|write_bps| {
-                Arc::new(BusState {
-                    write_bps,
-                    order: Mutex::new(Vec::new()),
-                })
-            }),
-            trace: Arc::new(Mutex::new(TraceSink::disabled())),
-            store_overhead: Arc::new(Mutex::new(0.0)),
+            bus_write_bps,
+            state: Arc::new(Mutex::new(state)),
         }
     }
 
@@ -266,12 +290,12 @@ impl IoEngine {
     /// (negative values clamp to zero). Applies to stores submitted from
     /// now on; already-queued jobs keep their pricing.
     pub fn set_store_job_overhead(&self, secs: f64) {
-        *self.store_overhead.lock() = secs.max(0.0);
+        self.state.lock().store_overhead = secs.max(0.0);
     }
 
     /// The configured per-store-job submission overhead, seconds.
     pub fn store_job_overhead_secs(&self) -> f64 {
-        *self.store_overhead.lock()
+        self.state.lock().store_overhead
     }
 
     /// Routes this engine's events into `sink`: load spans (category
@@ -282,11 +306,7 @@ impl IoEngine {
         for link in self.links.iter() {
             link.reads.set_observer(LinkTraceBridge::new(sink.clone()));
         }
-        *self.trace.lock() = sink;
-    }
-
-    fn trace(&self) -> TraceSink {
-        self.trace.lock().clone()
+        self.state.lock().trace = sink;
     }
 
     /// The shared clock.
@@ -326,10 +346,9 @@ impl IoEngine {
     /// Aggregate write bandwidth currently delivered, after any injected
     /// slowdown.
     pub fn effective_write_bps(&self) -> f64 {
-        self.links
-            .iter()
-            .map(|l| l.write_bps / l.writes.lock().slowdown)
-            .sum()
+        let st = self.state.lock();
+        let rated = self.links.iter().zip(&st.writes);
+        rated.map(|(l, q)| l.write_bps / q.slowdown).sum()
     }
 
     /// Aggregate read bandwidth currently delivered, after any injected
@@ -354,14 +373,17 @@ impl IoEngine {
         assert!(factor > 0.0, "slowdown factor must be positive");
         let now = self.clock.now();
         for link in self.links.iter() {
-            match &self.bus {
-                Some(_) => link.writes.lock().stretch(factor, now),
-                None => link.writes.lock().throttle(factor, now),
-            }
             link.reads.throttle(factor);
         }
-        if let Some(bus) = &self.bus {
-            self.reflow_bus(bus);
+        let mut st = self.state.lock();
+        for q in st.writes.iter_mut() {
+            q.stretch(factor, now);
+            if self.bus_write_bps.is_none() {
+                q.reflow();
+            }
+        }
+        if self.bus_write_bps.is_some() {
+            st.reflow_bus();
         }
     }
 
@@ -376,63 +398,38 @@ impl IoEngine {
     /// bugs surface in tests, not as a training crash).
     pub fn submit_store_to(&self, link: usize, bytes: u64) -> JobId {
         let link = link.min(self.links.len() - 1);
-        let l = &self.links[link];
+        let write_bps = self.links[link].write_bps;
         let now = self.clock.now();
-        let eff_bps = match &self.bus {
-            Some(bus) => l.write_bps.min(bus.write_bps),
-            None => l.write_bps,
+        let eff_bps = self
+            .bus_write_bps
+            .map_or(write_bps, |bus| write_bps.min(bus));
+        let mut st = self.state.lock();
+        let prev_end = st
+            .live_jobs(link)
+            .next_back()
+            .map_or(SimTime::ZERO, |j| j.end);
+        let start = now.max(prev_end);
+        let overhead = st.store_overhead;
+        let q = &mut st.writes[link];
+        let dur_secs = overhead + bytes as f64 * q.slowdown / eff_bps;
+        let end = start.plus_secs(dur_secs);
+        q.jobs.push(WriteJob {
+            bytes,
+            submit: now,
+            start,
+            end,
+            dur_secs,
+            cancelled: false,
+        });
+        let id = JobId {
+            link,
+            idx: q.jobs.len() - 1,
         };
-        let overhead = *self.store_overhead.lock();
-        let id = {
-            let mut q = l.writes.lock();
-            let prev_end = q
-                .jobs
-                .iter()
-                .rev()
-                .find(|j| !j.cancelled)
-                .map(|j| j.end)
-                .unwrap_or(SimTime::ZERO);
-            let start = now.max(prev_end);
-            let dur_secs = overhead + bytes as f64 * q.slowdown / eff_bps;
-            let end = start.plus_secs(dur_secs);
-            q.jobs.push(WriteJob {
-                bytes,
-                submit: now,
-                start,
-                end,
-                dur_secs,
-                cancelled: false,
-            });
-            JobId {
-                link,
-                idx: q.jobs.len() - 1,
-            }
-        };
-        if let Some(bus) = &self.bus {
-            bus.order.lock().push(id);
-            self.reflow_bus(bus);
+        if self.bus_write_bps.is_some() {
+            st.bus_order.push(id);
+            st.reflow_bus();
         }
         id
-    }
-
-    /// Reschedules every live store across every link in global
-    /// submission order: each job starts when the shared bus frees up
-    /// (which also covers its own link — the bus serialises everything).
-    fn reflow_bus(&self, bus: &BusState) {
-        let order = bus.order.lock();
-        // ssdtrain-lint: allow(no-alloc-hot-loop): guard vector bounded by
-        // the link count (a handful), rebuilt once per bus reflow
-        let mut queues: Vec<_> = self.links.iter().map(|l| l.writes.lock()).collect();
-        let mut prev_end = SimTime::ZERO;
-        for id in order.iter() {
-            let j = &mut queues[id.link].jobs[id.idx];
-            if j.cancelled {
-                continue;
-            }
-            j.start = j.submit.max(prev_end);
-            j.end = j.start.plus_secs(j.dur_secs);
-            prev_end = j.end;
-        }
     }
 
     /// Current scheduled completion time of a store (may move earlier if
@@ -450,16 +447,16 @@ impl IoEngine {
     /// # Panics
     /// Panics on an unknown or cancelled job.
     pub fn store_span(&self, job: JobId) -> (SimTime, SimTime) {
-        let q = self.links[job.link].writes.lock();
-        let j = &q.jobs[job.idx];
+        let st = self.state.lock();
+        let j = &st.writes[job.link].jobs[job.idx];
         assert!(!j.cancelled, "store_span of a cancelled job");
         (j.start, j.end)
     }
 
     /// Whether the store has started transferring by `now`.
     pub fn store_started(&self, job: JobId, now: SimTime) -> bool {
-        let q = self.links[job.link].writes.lock();
-        let j = &q.jobs[job.idx];
+        let st = self.state.lock();
+        let j = &st.writes[job.link].jobs[job.idx];
         !j.cancelled && j.start <= now
     }
 
@@ -467,19 +464,16 @@ impl IoEngine {
     /// success (the adaptive-offloading check a store worker performs
     /// before writing a forwarded tensor).
     pub fn try_cancel_store(&self, job: JobId, now: SimTime) -> bool {
-        {
-            let mut q = self.links[job.link].writes.lock();
-            let j = &mut q.jobs[job.idx];
-            if j.cancelled || j.start <= now {
-                return false;
-            }
-            j.cancelled = true;
-            if self.bus.is_none() {
-                q.reflow();
-            }
+        let mut st = self.state.lock();
+        let j = &mut st.writes[job.link].jobs[job.idx];
+        if j.cancelled || j.start <= now {
+            return false;
         }
-        if let Some(bus) = &self.bus {
-            self.reflow_bus(bus);
+        j.cancelled = true;
+        if self.bus_write_bps.is_some() {
+            st.reflow_bus();
+        } else {
+            st.writes[job.link].reflow();
         }
         true
     }
@@ -495,8 +489,9 @@ impl IoEngine {
     pub fn submit_load_from(&self, link: usize, bytes: u64) -> SimTime {
         let link = link.min(self.links.len() - 1);
         let (start, end) = self.links[link].reads.submit(self.clock.now(), bytes);
-        *self.links[link].read_busy_secs.lock() += end.as_secs() - start.as_secs();
-        self.trace()
+        let mut st = self.state.lock();
+        st.read_busy_secs[link] += end.as_secs() - start.as_secs();
+        st.trace
             .span_bytes(TraceCategory::Load, "load", start, end, bytes);
         end
     }
@@ -511,18 +506,9 @@ impl IoEngine {
     /// When the last scheduled write on one tier link finishes
     /// ([`SimTime::ZERO`] when the queue is empty or out of range).
     pub fn writes_drain_at_on(&self, link: usize) -> SimTime {
-        self.links
-            .get(link)
-            .map(|l| {
-                l.writes
-                    .lock()
-                    .jobs
-                    .iter()
-                    .filter(|j| !j.cancelled)
-                    .map(|j| j.end)
-                    .fold(SimTime::ZERO, SimTime::max)
-            })
-            .unwrap_or(SimTime::ZERO)
+        let st = self.state.lock();
+        let ends = st.live_jobs(link).map(|j| j.end);
+        ends.fold(SimTime::ZERO, SimTime::max)
     }
 
     /// The name of one tier link (empty when out of range).
@@ -532,7 +518,7 @@ impl IoEngine {
 
     /// The shared write bus bandwidth, if one is configured.
     pub fn bus_write_bps(&self) -> Option<f64> {
-        self.bus.as_ref().map(|b| b.write_bps)
+        self.bus_write_bps
     }
 
     /// Total bytes actually written across every link (cancelled jobs
@@ -545,18 +531,7 @@ impl IoEngine {
 
     /// Bytes written on one tier link (cancelled jobs excluded).
     pub fn bytes_written_on(&self, link: usize) -> u64 {
-        self.links
-            .get(link)
-            .map(|l| {
-                l.writes
-                    .lock()
-                    .jobs
-                    .iter()
-                    .filter(|j| !j.cancelled)
-                    .map(|j| j.bytes)
-                    .sum()
-            })
-            .unwrap_or(0)
+        self.state.lock().live_jobs(link).map(|j| j.bytes).sum()
     }
 
     /// Total bytes read back across every link.
@@ -582,39 +557,25 @@ impl IoEngine {
     /// Seconds one tier link's write direction was busy this step
     /// (cancelled jobs excluded).
     pub fn write_busy_secs_on(&self, link: usize) -> f64 {
-        self.links
-            .get(link)
-            .map(|l| {
-                l.writes
-                    .lock()
-                    .jobs
-                    .iter()
-                    .filter(|j| !j.cancelled)
-                    .map(|j| j.dur_secs)
-                    .sum::<f64>()
-            })
-            .unwrap_or(0.0)
+        self.state.lock().live_jobs(link).map(|j| j.dur_secs).sum()
     }
 
     /// Seconds one tier link's read direction was busy this step.
     pub fn read_busy_secs_on(&self, link: usize) -> f64 {
-        self.links
-            .get(link)
-            .map(|l| *l.read_busy_secs.lock())
-            .unwrap_or(0.0)
+        let st = self.state.lock();
+        st.read_busy_secs.get(link).copied().unwrap_or(0.0)
     }
 
     /// Clears all job state on every link (new measured step). An
     /// injected slowdown persists; see [`IoEngine::throttle`].
     pub fn reset(&self) {
         for link in self.links.iter() {
-            link.writes.lock().jobs.clear();
             link.reads.reset();
-            *link.read_busy_secs.lock() = 0.0;
         }
-        if let Some(bus) = &self.bus {
-            bus.order.lock().clear();
-        }
+        let mut st = self.state.lock();
+        st.writes.iter_mut().for_each(|q| q.jobs.clear());
+        st.read_busy_secs.fill(0.0);
+        st.bus_order.clear();
     }
 }
 

@@ -26,6 +26,8 @@
 //! The placement strategies of the ROK curve (Section 4.3) are selected
 //! with [`PlacementStrategy`].
 
+#![deny(missing_docs)]
+
 //! Failure handling: offload-target I/O errors flow through
 //! [`RecoveryPolicy`] instead of panicking — see [`error::OffloadError`]
 //! and the [`fault::FaultyTarget`] decorator driving deterministic

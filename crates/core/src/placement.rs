@@ -11,6 +11,7 @@
 //! The decision order is observable (it drives the `kept` counter) and
 //! must not change: parameter → below-threshold → backward-phase or
 //! kept-module.
+// ssdtrain-lint: hot-path
 
 use crate::config::TensorCacheConfig;
 use serde::{Deserialize, Serialize};

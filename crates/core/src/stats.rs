@@ -146,8 +146,6 @@ impl OffloadStats {
                     class: c.label().to_owned(),
                     ..ClassCounters::default()
                 })
-                // ssdtrain-lint: allow(no-alloc-hot-loop): one-time lazy init
-                // of the class table; later calls take the index fast path
                 .collect();
         }
         &mut self.classes[class.index()]
@@ -176,58 +174,115 @@ impl OffloadStats {
     /// is how the ad-hoc stats struct is subsumed by the unified
     /// [`MetricsRegistry`] surface: call once per completed step.
     pub fn export_to(&self, registry: &MetricsRegistry) {
-        registry.inc_counter("offload.offloaded_bytes", self.offloaded_bytes);
-        registry.inc_counter("offload.store_jobs", self.store_jobs);
-        registry.inc_counter("offload.dedup_avoided_bytes", self.dedup_avoided_bytes);
-        registry.inc_counter("offload.dedup_hits", self.dedup_hits);
-        registry.inc_counter("offload.forwarded", self.forwarded);
-        registry.inc_counter("offload.forwarded_bytes", self.forwarded_bytes);
-        registry.inc_counter("offload.cancelled_stores", self.cancelled_stores);
-        registry.inc_counter("offload.cancelled_bytes", self.cancelled_bytes);
-        registry.inc_counter("offload.prefetches", self.prefetches);
-        registry.inc_counter("offload.sync_loads", self.sync_loads);
-        registry.inc_counter("offload.reloaded_bytes", self.reloaded_bytes);
-        registry.inc_counter("offload.kept", self.kept);
-        registry.inc_counter("offload.store_failures", self.store_failures);
-        registry.inc_counter("offload.load_retries", self.load_retries);
-        registry.inc_counter("offload.fallback_bytes", self.fallback_bytes);
-        registry.inc_counter("offload.kept_resident_bytes", self.kept_resident_bytes);
-        registry.inc_counter("offload.spilled_bytes", self.spilled_bytes);
-        registry.inc_counter("offload.placement_kept_bytes", self.placement_kept_bytes);
-        registry.inc_counter("offload.arena_acquired_bytes", self.arena_acquired_bytes);
-        registry.inc_counter("offload.arena_released_bytes", self.arena_released_bytes);
-        registry.inc_counter(
-            "offload.arena_high_water_bytes",
-            self.arena_high_water_bytes,
-        );
-        registry.inc_counter("offload.arena_footprint_bytes", self.arena_footprint_bytes);
-        registry.inc_counter("offload.arena_slab_reuses", self.arena_slab_reuses);
-        registry.inc_counter("offload.coalesce_segments", self.coalesce_segments);
-        registry.inc_counter("offload.coalesced_bytes", self.coalesced_bytes);
-        registry.inc_counter("offload.coalesce_evictions", self.coalesce_evictions);
-        registry.inc_counter("offload.prefetch_groups", self.prefetch_groups);
-        registry.inc_counter("offload.prefetch_group_bytes", self.prefetch_group_bytes);
-        for (idx, tier) in self.tiers.iter().enumerate() {
-            let prefix = format!("offload.tier{idx}.{}", tier.name);
-            registry.inc_counter(&format!("{prefix}.bytes_written"), tier.bytes_written);
-            registry.inc_counter(&format!("{prefix}.bytes_read"), tier.bytes_read);
-            registry.inc_counter(&format!("{prefix}.stores"), tier.stores);
-            registry.inc_counter(&format!("{prefix}.loads"), tier.loads);
-            registry.inc_counter(&format!("{prefix}.spilled_in_bytes"), tier.spilled_in_bytes);
-            registry.inc_counter(&format!("{prefix}.demoted_in_bytes"), tier.demoted_in_bytes);
-            registry.observe(&format!("{prefix}.stall_secs"), tier.stall_secs);
-            registry.observe(&format!("{prefix}.write_busy_secs"), tier.write_busy_secs);
-            registry.observe(&format!("{prefix}.read_busy_secs"), tier.read_busy_secs);
+        // Exhaustive on purpose (no `..`): a counter added to any of the
+        // three structs does not compile until it is exported here.
+        let OffloadStats {
+            offloaded_bytes,
+            store_jobs,
+            dedup_avoided_bytes,
+            dedup_hits,
+            forwarded,
+            forwarded_bytes,
+            cancelled_stores,
+            cancelled_bytes,
+            prefetches,
+            sync_loads,
+            reloaded_bytes,
+            kept,
+            stall_secs,
+            store_stall_secs,
+            store_failures,
+            load_retries,
+            fallback_bytes,
+            kept_resident_bytes,
+            spilled_bytes,
+            placement_kept_bytes,
+            arena_acquired_bytes,
+            arena_released_bytes,
+            arena_high_water_bytes,
+            arena_footprint_bytes,
+            arena_slab_reuses,
+            coalesce_segments,
+            coalesced_bytes,
+            coalesce_evictions,
+            prefetch_groups,
+            prefetch_group_bytes,
+            tiers,
+            classes,
+        } = self;
+        let counters = [
+            ("offload.offloaded_bytes", offloaded_bytes),
+            ("offload.store_jobs", store_jobs),
+            ("offload.dedup_avoided_bytes", dedup_avoided_bytes),
+            ("offload.dedup_hits", dedup_hits),
+            ("offload.forwarded", forwarded),
+            ("offload.forwarded_bytes", forwarded_bytes),
+            ("offload.cancelled_stores", cancelled_stores),
+            ("offload.cancelled_bytes", cancelled_bytes),
+            ("offload.prefetches", prefetches),
+            ("offload.sync_loads", sync_loads),
+            ("offload.reloaded_bytes", reloaded_bytes),
+            ("offload.kept", kept),
+            ("offload.store_failures", store_failures),
+            ("offload.load_retries", load_retries),
+            ("offload.fallback_bytes", fallback_bytes),
+            ("offload.kept_resident_bytes", kept_resident_bytes),
+            ("offload.spilled_bytes", spilled_bytes),
+            ("offload.placement_kept_bytes", placement_kept_bytes),
+            ("offload.arena_acquired_bytes", arena_acquired_bytes),
+            ("offload.arena_released_bytes", arena_released_bytes),
+            ("offload.arena_high_water_bytes", arena_high_water_bytes),
+            ("offload.arena_footprint_bytes", arena_footprint_bytes),
+            ("offload.arena_slab_reuses", arena_slab_reuses),
+            ("offload.coalesce_segments", coalesce_segments),
+            ("offload.coalesced_bytes", coalesced_bytes),
+            ("offload.coalesce_evictions", coalesce_evictions),
+            ("offload.prefetch_groups", prefetch_groups),
+            ("offload.prefetch_group_bytes", prefetch_group_bytes),
+        ];
+        for (name, value) in counters {
+            registry.inc_counter(name, *value);
         }
-        for c in self.classes.iter() {
-            let prefix = format!("offload.class.{}", c.class);
-            registry.inc_counter(&format!("{prefix}.offloaded_bytes"), c.offloaded_bytes);
-            registry.inc_counter(&format!("{prefix}.reloaded_bytes"), c.reloaded_bytes);
-            registry.inc_counter(&format!("{prefix}.stores"), c.stores);
-            registry.inc_counter(&format!("{prefix}.loads"), c.loads);
+        for (idx, tier) in tiers.iter().enumerate() {
+            let TierCounters {
+                name,
+                bytes_written,
+                bytes_read,
+                stores,
+                loads,
+                spilled_in_bytes,
+                demoted_in_bytes,
+                stall_secs,
+                write_busy_secs,
+                read_busy_secs,
+            } = tier;
+            let prefix = format!("offload.tier{idx}.{name}");
+            registry.inc_counter(&format!("{prefix}.bytes_written"), *bytes_written);
+            registry.inc_counter(&format!("{prefix}.bytes_read"), *bytes_read);
+            registry.inc_counter(&format!("{prefix}.stores"), *stores);
+            registry.inc_counter(&format!("{prefix}.loads"), *loads);
+            registry.inc_counter(&format!("{prefix}.spilled_in_bytes"), *spilled_in_bytes);
+            registry.inc_counter(&format!("{prefix}.demoted_in_bytes"), *demoted_in_bytes);
+            registry.observe(&format!("{prefix}.stall_secs"), *stall_secs);
+            registry.observe(&format!("{prefix}.write_busy_secs"), *write_busy_secs);
+            registry.observe(&format!("{prefix}.read_busy_secs"), *read_busy_secs);
         }
-        registry.observe("offload.stall_secs", self.stall_secs);
-        registry.observe("offload.store_stall_secs", self.store_stall_secs);
+        for c in classes.iter() {
+            let ClassCounters {
+                class,
+                offloaded_bytes,
+                reloaded_bytes,
+                stores,
+                loads,
+            } = c;
+            let prefix = format!("offload.class.{class}");
+            registry.inc_counter(&format!("{prefix}.offloaded_bytes"), *offloaded_bytes);
+            registry.inc_counter(&format!("{prefix}.reloaded_bytes"), *reloaded_bytes);
+            registry.inc_counter(&format!("{prefix}.stores"), *stores);
+            registry.inc_counter(&format!("{prefix}.loads"), *loads);
+        }
+        registry.observe("offload.stall_secs", *stall_secs);
+        registry.observe("offload.store_stall_secs", *store_stall_secs);
     }
 }
 

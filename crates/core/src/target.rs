@@ -6,6 +6,7 @@
 //! offloader (kept "for future work on clusters with massive remote SSD
 //! storage"); its pool size is fixed up front, mirroring the profiling-
 //! based allocation.
+// ssdtrain-lint: hot-path
 
 use crate::id::TensorKey;
 use parking_lot::Mutex;
@@ -348,11 +349,11 @@ mod tests {
     #[test]
     fn ssd_roundtrip_through_filesystem() {
         let dir = tmpdir("rt");
-        let t = SsdTarget::new(&dir, WearMeter::new(1e12, 1.0)).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        let t = SsdTarget::new(&dir, WearMeter::new(1e12, 1.0)).unwrap();
         let k = key(1);
         let payload = vec![1u8, 2, 3, 4];
-        t.write(&k, Some(&payload), 4).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
-        assert_eq!(t.read(&k).unwrap().unwrap(), payload); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        t.write(&k, Some(&payload), 4).unwrap();
+        assert_eq!(t.read(&k).unwrap().unwrap(), payload);
         assert_eq!(t.bytes_written(), 4);
         t.remove(&k);
         assert!(t.read(&k).is_err());
@@ -362,10 +363,10 @@ mod tests {
     #[test]
     fn ssd_symbolic_entries_account_without_payload() {
         let dir = tmpdir("sym");
-        let t = SsdTarget::new(&dir, WearMeter::new(1e12, 1.0)).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        let t = SsdTarget::new(&dir, WearMeter::new(1e12, 1.0)).unwrap();
         let k = key(2);
-        t.write(&k, None, 1024).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
-        assert_eq!(t.read(&k).unwrap(), None); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        t.write(&k, None, 1024).unwrap();
+        assert_eq!(t.read(&k).unwrap(), None);
         assert_eq!(t.bytes_written(), 1024);
         assert!((t.wear().wear_fraction() - 1024.0 / 1e12).abs() < 1e-18);
         t.remove(&k);
@@ -375,9 +376,9 @@ mod tests {
     #[test]
     fn ssd_wear_accumulates_across_writes() {
         let dir = tmpdir("wear");
-        let t = SsdTarget::new(&dir, WearMeter::new(1000.0, 1.0)).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
-        t.write(&key(3), None, 250).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
-        t.write(&key(4), None, 250).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        let t = SsdTarget::new(&dir, WearMeter::new(1000.0, 1.0)).unwrap();
+        t.write(&key(3), None, 250).unwrap();
+        t.write(&key(4), None, 250).unwrap();
         assert!((t.wear().wear_fraction() - 0.5).abs() < 1e-12);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -385,19 +386,19 @@ mod tests {
     #[test]
     fn cpu_pool_bounds_capacity() {
         let t = CpuTarget::new(100);
-        t.write(&key(1), None, 60).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        t.write(&key(1), None, 60).unwrap();
         let err = t.write(&key(2), None, 60).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::OutOfMemory);
         t.remove(&key(1));
         assert_eq!(t.used_bytes(), 0);
-        t.write(&key(2), None, 60).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        t.write(&key(2), None, 60).unwrap();
     }
 
     #[test]
     fn cpu_pool_reuses_bytes_across_write_remove_write() {
         let t = CpuTarget::new(100);
         for round in 0..5u64 {
-            t.write(&key(round), None, 100).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+            t.write(&key(round), None, 100).unwrap();
             assert_eq!(t.used_bytes(), 100);
             t.remove(&key(round));
             assert_eq!(t.used_bytes(), 0, "round {round} leaked pool bytes");
@@ -411,13 +412,13 @@ mod tests {
     fn cpu_pool_overwrite_replaces_instead_of_double_counting() {
         let t = CpuTarget::new(100);
         let k = key(7);
-        t.write(&k, Some(&[1; 80]), 80).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
-                                                  // Rewriting the same key must reuse its slot, not add 80 + 80.
-        t.write(&k, Some(&[2; 80]), 80).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        t.write(&k, Some(&[1; 80]), 80).unwrap();
+        // Rewriting the same key must reuse its slot, not add 80 + 80.
+        t.write(&k, Some(&[2; 80]), 80).unwrap();
         assert_eq!(t.used_bytes(), 80);
-        assert_eq!(t.read(&k).unwrap().unwrap(), vec![2; 80]); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
-                                                               // Shrinking rewrite frees the difference...
-        t.write(&k, None, 10).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        assert_eq!(t.read(&k).unwrap().unwrap(), vec![2; 80]);
+        // Shrinking rewrite frees the difference...
+        t.write(&k, None, 10).unwrap();
         assert_eq!(t.used_bytes(), 10);
         // ...and a growing rewrite that exceeds the pool is refused
         // without corrupting the accounting.
@@ -432,24 +433,24 @@ mod tests {
     fn ssd_write_batch_charges_one_wear_op() {
         let dir = tmpdir("batch");
         let wear = WearMeter::new(1e12, 1.0).with_write_overhead(4096);
-        let t = SsdTarget::new(&dir, wear).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        let t = SsdTarget::new(&dir, wear).unwrap();
         let keys: Vec<TensorKey> = (0..4).map(key).collect();
         let items: Vec<BatchItem<'_>> = keys.iter().map(|k| (k, None, 256u64)).collect();
-        t.write_batch(&items).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        t.write_batch(&items).unwrap();
         let w = t.wear();
         assert_eq!(w.host_bytes, 1024);
         // 1024 payload + ONE 4096 overhead, not four.
         assert_eq!(w.media_bytes, 1024 + 4096);
         // Members keep their identity for loads.
-        assert_eq!(t.read(&keys[2]).unwrap(), None); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        assert_eq!(t.read(&keys[2]).unwrap(), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn ssd_wear_snapshot_matches_inherent_wear() {
         let dir = tmpdir("snap");
-        let t = SsdTarget::new(&dir, WearMeter::new(1e12, 1.0)).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
-        t.write(&key(1), None, 512).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        let t = SsdTarget::new(&dir, WearMeter::new(1e12, 1.0)).unwrap();
+        t.write(&key(1), None, 512).unwrap();
         assert_eq!(t.wear_snapshot(), Some(t.wear()));
         assert_eq!(CpuTarget::new(64).wear_snapshot(), None);
         let _ = fs::remove_dir_all(&dir);
@@ -472,8 +473,8 @@ mod tests {
     fn cpu_roundtrip() {
         let t = CpuTarget::new(1024);
         let k = key(5);
-        t.write(&k, Some(&[9, 9]), 2).unwrap(); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
-        assert_eq!(t.read(&k).unwrap().unwrap(), vec![9, 9]); // ssdtrain-lint: allow(panic-free-hot-path): test-only panic; failure should abort the test
+        t.write(&k, Some(&[9, 9]), 2).unwrap();
+        assert_eq!(t.read(&k).unwrap().unwrap(), vec![9, 9]);
         assert_eq!(t.bytes_written(), 2);
         assert!(t.read(&key(6)).is_err());
     }

@@ -26,6 +26,7 @@
 //! A single-tier stack ([`TierStack::single`]) reproduces the flat
 //! `OffloadTarget` behavior exactly: unbounded admission, every failure
 //! surfacing at device-write time.
+// ssdtrain-lint: hot-path
 
 use crate::id::TensorKey;
 use crate::target::{BatchItem, OffloadTarget};
@@ -178,7 +179,10 @@ pub struct TierSpec {
     pub capacity_bytes: Option<u64>,
 }
 
-/// Where [`TierStack::reserve`] admitted a tensor.
+/// Where [`TierStack::reserve`] admitted a tensor. The placement *is*
+/// the reservation: whoever receives it owes the tier one
+/// [`TierStack::remove`] (or [`TierStack::release`]) of the same bytes.
+#[must_use = "a dropped placement leaks its tier reservation"]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierPlacement {
     /// The tier holding the reservation.
@@ -301,8 +305,6 @@ impl TierStack {
     /// does not exist fails with.
     fn device_or_err(&self, tier: TierId) -> io::Result<Arc<dyn OffloadTarget>> {
         self.device(tier).ok_or_else(|| {
-            // ssdtrain-lint: allow(no-alloc-hot-loop): error-path message;
-            // steady-state transfers never reach this arm
             io::Error::new(io::ErrorKind::NotFound, format!("{tier} does not exist"))
         })
     }
@@ -324,6 +326,7 @@ impl TierStack {
     /// a spill, even when faster tiers had room. Falls back to the
     /// front-to-back walk of [`TierStack::reserve`] otherwise, keeping
     /// its spill accounting (only a capacity-forced deviation counts).
+    #[must_use = "a dropped placement leaks its tier reservation"]
     pub fn reserve_preferring(&self, preferred: TierId, bytes: u64) -> Option<TierPlacement> {
         {
             let mut inner = self.inner.lock();
@@ -348,6 +351,7 @@ impl TierStack {
     /// headroom, walking front to back; a skipped-full front tier makes
     /// the admission a *spill*. Returns `None` when every eligible tier
     /// is full — the caller keeps the tensor resident.
+    #[must_use = "a dropped placement leaks its tier reservation"]
     pub fn reserve(&self, bytes: u64) -> Option<TierPlacement> {
         let mut inner = self.inner.lock();
         let mut skipped_full = false;

@@ -2,12 +2,22 @@
 //! interleavings of pack / unpack / prefetch / scope-release / clock
 //! advances — and of state-slot offloads, loads and releases, which live
 //! in the same record map — must never corrupt data, leak records, or
-//! break memory conservation, whatever the segment size.
+//! break memory conservation, whatever the segment size, and whatever
+//! store faults the target injects under each [`RecoveryPolicy`].
+//!
+//! Reservation conservation is checked here, at the cache level, because
+//! nothing static can: a tier reservation escapes into the record that
+//! owns it. After every `flush()` the reservations summed over all
+//! tiers equal the bytes of the live state slots, and releasing those
+//! leaves zero.
 
 use proptest::prelude::*;
-use ssdtrain::{CpuTarget, IoEngine, OffloadClass, StateSlot, TensorCache, TensorCacheConfig};
+use ssdtrain::{
+    CpuTarget, FaultyTarget, IoEngine, OffloadClass, RecoveryPolicy, StateSlot, TensorCache,
+    TensorCacheConfig,
+};
 use ssdtrain_autograd::{ModuleHooks, Packed, Phase, SavedTensorHooks, ScopeInfo};
-use ssdtrain_simhw::{GpuMemory, SimClock};
+use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger, GpuMemory, SimClock};
 use ssdtrain_tensor::{Device, MemClass, Tensor};
 use std::sync::Arc;
 
@@ -59,6 +69,19 @@ fn load_back(cache: &TensorCache, clock: &SimClock, (slot, t, _): &LiveState) ->
     t.to_vec()
 }
 
+/// Tier reservations summed over the whole stack, the demotion tier
+/// included.
+fn reserved(cache: &TensorCache) -> u64 {
+    let tiers = cache.tiers();
+    let ids = tiers.tier_ids();
+    ids.iter().map(|t| tiers.reserved_bytes(*t)).sum()
+}
+
+/// The bytes the live state slots hold reserved.
+fn held(states: &[LiveState]) -> u64 {
+    states.iter().map(|(_, t, _)| t.bytes()).sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -67,6 +90,13 @@ proptest! {
         actions in prop::collection::vec(action_strategy(), 1..60),
         write_kbps in 1u64..1_000_000,
         segment_bytes in prop_oneof![Just(0u64), Just(1u64), Just(4096u64)],
+        write_fault_prob in prop_oneof![Just(0.0f64), Just(0.3f64), Just(1.0f64)],
+        recovery in prop_oneof![
+            Just(RecoveryPolicy::FailStep),
+            Just(RecoveryPolicy::KeepResident),
+            Just(RecoveryPolicy::FallbackTarget),
+        ],
+        fault_seed in 0u64..1000,
     ) {
         let clock = SimClock::new();
         let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
@@ -78,13 +108,23 @@ proptest! {
                 min_offload_numel: 0,
                 adaptive: false,
                 coalesce_segment_bytes: segment_bytes,
+                recovery,
                 ..TensorCacheConfig::default()
             },
-            Arc::new(CpuTarget::new(1 << 40)),
+            // Store faults only: every policy keeps a failed store's
+            // bytes in memory, so the data checks below hold under all
+            // of them (a failed *load* loses data by design).
+            FaultyTarget::new(
+                Arc::new(CpuTarget::new(1 << 40)),
+                FaultPlan::new(fault_seed).with_recurring_fault(
+                    FaultTrigger::Random { prob: write_fault_prob },
+                    FaultKind::WriteError,
+                ),
+            ),
             io,
             mem.clone(),
         );
-        let tier = cache.tiers().tier_ids()[0];
+        cache.set_fallback_target(Arc::new(CpuTarget::new(1 << 40)));
         cache.begin_step();
 
         // Drive the module hooks directly (a synthetic forward pass).
@@ -155,8 +195,11 @@ proptest! {
                     let t = dev.with_class(MemClass::Gradient, || {
                         Tensor::from_vec(data.clone(), [*len], &dev)
                     });
-                    let slot = cache.offload_state(&t, OffloadClass::Gradient);
-                    states.push((slot.expect("an unbounded tier admits"), t, data));
+                    // `None`: the store failed and recovery kept the
+                    // tensor resident — no slot, no reservation.
+                    if let Some(slot) = cache.offload_state(&t, OffloadClass::Gradient) {
+                        states.push((slot, t, data));
+                    }
                 }
                 Action::LoadState { which } => {
                     if !states.is_empty() {
@@ -176,6 +219,7 @@ proptest! {
                     // slots must not.
                     cache.flush();
                     packed.clear();
+                    prop_assert_eq!(reserved(&cache), held(&states), "reservations after flush");
                 }
             }
         }
@@ -195,8 +239,7 @@ proptest! {
         drop(packed);
         drop(tensors);
         prop_assert_eq!(mem.resident(MemClass::Activation), 0);
-        let held: u64 = states.iter().map(|(_, t, _)| t.bytes()).sum();
-        prop_assert_eq!(cache.tiers().reserved_bytes(tier), held);
+        prop_assert_eq!(reserved(&cache), held(&states));
         // State slots survive the step boundary bit-exactly.
         cache.begin_step();
         for live in &states {
@@ -205,7 +248,7 @@ proptest! {
         for (slot, _, _) in states.drain(..) {
             cache.release_state(slot);
         }
-        prop_assert_eq!(cache.tiers().reserved_bytes(tier), 0);
+        prop_assert_eq!(reserved(&cache), 0);
         prop_assert_eq!(mem.resident(MemClass::Gradient), 0);
         // Stall accounting can only be non-negative.
         prop_assert!(cache.stats().stall_secs >= 0.0);

@@ -13,7 +13,7 @@
 //!   looking through `Arc`/`Rc`/`Box` wrappers.
 //! - `Self::m(…)` / `Type::m(…)` resolve against the named type; a
 //!   qualifier that is no workspace type falls back to a free function
-//!   of that name (module-qualified calls like `facts::method_calls`).
+//!   of that name (module-qualified calls like `items::index_file`).
 //! - Everything else (locals, trait objects, call-result receivers)
 //!   resolves only when the name is unambiguous workspace-wide and not
 //!   a common `std` method name.
@@ -21,8 +21,7 @@
 //! Anything still ambiguous — shadowed method names across impl types,
 //! `dyn Trait` dispatch, `std` calls — stays **unresolved** and
 //! contributes no interprocedural edge: the effect inference gives up
-//! soundly rather than guess, exactly like the escape analysis in
-//! [`facts`](super::facts) hands escaping obligations to the caller.
+//! soundly rather than guess.
 
 use super::items::FileItems;
 use super::FileCtx;
@@ -288,8 +287,7 @@ fn arg_paren(toks: &[Token], i: usize) -> Option<usize> {
     None
 }
 
-/// The receiver chain of a method call at `i` (the name identifier),
-/// mirroring [`facts::method_calls`](super::facts::method_calls):
+/// The receiver chain of a method call at `i` (the name identifier):
 /// `self.tiers.reserve` → `["self", "tiers"]`, empty when opaque.
 fn receiver_chain(toks: &[Token], i: usize) -> Vec<String> {
     let mut recv = Vec::new();
@@ -425,7 +423,7 @@ fn resolve_qualified(
         return unique(idx.methods.get(&key));
     }
     // Not a workspace type: a module-qualified free call
-    // (`facts::method_calls(…)`) or an out-of-workspace path
+    // (`items::index_file(…)`) or an out-of-workspace path
     // (`Vec::new`, enum variants) — the free-fn table decides.
     unique(idx.free.get(name))
 }

@@ -1,14 +1,8 @@
 //! Fixed-point effect inference over the call graph.
 //!
-//! Every non-test function is labeled with the transitive effect sets
-//! the interprocedural rules ask about:
-//!
-//! - **advances-clock** — seeded by direct `advance_to` / `advance_by`
-//!   / `drain_stores` / `wait_io` calls;
-//! - **may-panic** — seeded by `panic!`/`todo!`/`unreachable!`,
-//!   `.unwrap()`/`.expect()`, and postfix indexing;
-//! - **allocates** — seeded by `Vec::new`-family constructors,
-//!   `with_capacity`, `.collect()`/`.to_vec()`, and `vec!`/`format!`.
+//! Every non-test function is labeled with the transitive **may-panic**
+//! effect: seeded by `panic!`/`todo!`/`unreachable!`,
+//! `.unwrap()`/`.expect()`, and postfix indexing.
 //!
 //! Seeds are *call sites in the seeding function*, so wrappers inherit
 //! the label transitively: propagation walks reverse call edges
@@ -24,11 +18,10 @@
 //!   ubiquitous in the tensor kernels (~100 sites in hot files alone),
 //!   so the `panic-free-hot-path` rule reports only explicit panic
 //!   seeds; the broader label stays queryable.
-//! - A seed whose line carries an `allow(<owning rule>)` suppression is
-//!   excluded from propagation — one reasoned allow at the seed
-//!   silences the whole transitive tree, instead of forcing an allow at
-//!   every caller. Clock seeds are never seed-filtered: an allowed
-//!   *hold* does not make the callee stop advancing the clock.
+//! - A seed whose line carries an `allow(panic-free-hot-path)`
+//!   suppression is excluded from propagation — one reasoned allow at
+//!   the seed silences the whole transitive tree, instead of forcing an
+//!   allow at every caller.
 
 use super::callgraph::{self, CallGraph, CallKind, CallSite, FnId};
 use super::FileCtx;
@@ -36,43 +29,30 @@ use crate::lexer::{TokKind, Token};
 use crate::suppress::Suppressions;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Calls that advance the simulated clock or drain queued I/O.
-pub const CLOCK_ADVANCING: [&str; 4] = ["advance_to", "advance_by", "drain_stores", "wait_io"];
-
 /// Macros that abort the hot path.
 const PANIC_MACROS: [&str; 3] = ["panic", "todo", "unreachable"];
 
-/// Container types whose `::new()` allocates.
-const ALLOC_TYPES: [&str; 8] = [
-    "BTreeMap", "BTreeSet", "Box", "HashMap", "HashSet", "String", "Vec", "VecDeque",
-];
+/// The rule whose `allow` at a seed line stops the seed propagating.
+const OWNER: &str = "panic-free-hot-path";
 
 /// One transitive effect label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
-    /// Reaches a clock-advancing call.
-    AdvancesClock,
     /// Reaches any panic site, indexing included.
     MayPanic,
     /// Reaches an *explicit* panic site (macro/`unwrap`/`expect`) —
     /// the `panic-free-hot-path` reporting channel.
     MayPanicStrict,
-    /// Reaches an allocation site.
-    Allocates,
 }
 
-const CHAN_CLOCK: u8 = 1;
-const CHAN_PANIC: u8 = 1 << 1;
-const CHAN_STRICT: u8 = 1 << 2;
-const CHAN_ALLOC: u8 = 1 << 3;
-const CHANNELS: [u8; 4] = [CHAN_CLOCK, CHAN_PANIC, CHAN_STRICT, CHAN_ALLOC];
+const CHAN_PANIC: u8 = 1;
+const CHAN_STRICT: u8 = 1 << 1;
+const CHANNELS: [u8; 2] = [CHAN_PANIC, CHAN_STRICT];
 
 fn chan_of(e: Effect) -> u8 {
     match e {
-        Effect::AdvancesClock => CHAN_CLOCK,
         Effect::MayPanic => CHAN_PANIC,
         Effect::MayPanicStrict => CHAN_STRICT,
-        Effect::Allocates => CHAN_ALLOC,
     }
 }
 
@@ -85,21 +65,14 @@ pub struct Seed {
     pub line: u32,
     /// 1-based column of the seed.
     pub col: u32,
-    /// Rendered seed name (`panic!`, `.unwrap()`, `advance_to`,
-    /// `Vec::new`, `indexing`, …), used in chain diagnostics.
+    /// Rendered seed name (`panic!`, `.unwrap()`, `indexing`), used in
+    /// chain diagnostics.
     pub what: String,
     /// Channel bitmask this seed feeds.
     channels: u8,
-    /// Silenced at the seed line by an `allow(<owning rule>)` — kept
-    /// for direct-scan reporting but excluded from propagation.
+    /// Silenced at the seed line by `allow(panic-free-hot-path)` —
+    /// kept for direct-scan reporting but excluded from propagation.
     pub suppressed: bool,
-}
-
-impl Seed {
-    /// Whether this seed feeds `e` (ignoring suppression).
-    pub fn feeds(&self, e: Effect) -> bool {
-        self.channels & chan_of(e) != 0
-    }
 }
 
 /// The transitive witness through which a function inherits an effect.
@@ -138,8 +111,8 @@ pub struct Effects {
 
 impl Effects {
     /// Seeds + fixed-point propagation over the reverse call graph.
-    /// `sups` is parallel to `files`; seeds suppressed at their line
-    /// for the owning rule do not propagate.
+    /// `sups` is parallel to `files`; seeds suppressed at their line do
+    /// not propagate.
     pub fn infer(files: &[FileCtx<'_>], graph: &CallGraph, sups: &[Suppressions]) -> Effects {
         let mut eff = Effects {
             seeds: collect_seeds(files, graph, sups),
@@ -276,7 +249,7 @@ fn collect_seeds(
                         col: at.col,
                         what: "indexing".to_owned(),
                         channels: CHAN_PANIC,
-                        suppressed: sups[fi].is_allowed("panic-free-hot-path", at.line),
+                        suppressed: sups[fi].is_allowed(OWNER, at.line),
                     });
                 }
             }
@@ -303,44 +276,18 @@ fn indexing_site(toks: &[Token], i: usize) -> bool {
 /// The seed a call site contributes, if any.
 fn seed_of_call(site: &CallSite, sup: &Suppressions) -> Option<Seed> {
     let name = site.name.as_str();
-    let (what, channels, owner): (String, u8, &str) = match &site.kind {
-        CallKind::Macro if PANIC_MACROS.contains(&name) => (
-            format!("{name}!"),
-            CHAN_PANIC | CHAN_STRICT,
-            "panic-free-hot-path",
-        ),
-        CallKind::Macro if name == "vec" || name == "format" => {
-            (format!("{name}!"), CHAN_ALLOC, "no-alloc-hot-loop")
-        }
-        CallKind::Method(_) if name == "unwrap" || name == "expect" => (
-            format!(".{name}()"),
-            CHAN_PANIC | CHAN_STRICT,
-            "panic-free-hot-path",
-        ),
-        CallKind::Method(_) if name == "collect" || name == "to_vec" => {
-            (format!(".{name}()"), CHAN_ALLOC, "no-alloc-hot-loop")
-        }
-        CallKind::Qualified(Some(q)) if name == "new" && ALLOC_TYPES.contains(&q.as_str()) => {
-            (format!("{q}::new"), CHAN_ALLOC, "no-alloc-hot-loop")
-        }
-        _ if name == "with_capacity" && !matches!(site.kind, CallKind::Macro) => {
-            ("with_capacity".to_owned(), CHAN_ALLOC, "no-alloc-hot-loop")
-        }
-        _ if CLOCK_ADVANCING.contains(&name) && !matches!(site.kind, CallKind::Macro) => {
-            (name.to_owned(), CHAN_CLOCK, "")
-        }
+    let what = match &site.kind {
+        CallKind::Macro if PANIC_MACROS.contains(&name) => format!("{name}!"),
+        CallKind::Method(_) if name == "unwrap" || name == "expect" => format!(".{name}()"),
         _ => return None,
     };
-    // Clock seeds are never filtered at the seed: suppressing a *hold*
-    // diagnostic does not stop the callee from advancing the clock.
-    let suppressed = !owner.is_empty() && sup.is_allowed(owner, site.line);
     Some(Seed {
         tok: site.name_tok,
         line: site.line,
         col: site.col,
         what,
-        channels,
-        suppressed,
+        channels: CHAN_PANIC | CHAN_STRICT,
+        suppressed: sup.is_allowed(OWNER, site.line),
     })
 }
 
@@ -374,7 +321,7 @@ mod tests {
         let ws = ws_of(&[(
             "a.rs",
             "impl C {\n\
-               fn flush(&mut self) { self.clock.advance_to(self.t); }\n\
+               fn flush(&mut self) { self.slot.take().unwrap(); }\n\
                fn run_step(&mut self) { self.flush(); }\n\
                fn idle(&self) {}\n\
              }\n\
@@ -382,9 +329,9 @@ mod tests {
         )]);
         let ctx = LintContext::new(&ws);
         for f in ["flush", "run_step", "outer"] {
-            assert!(has(&ctx, f, Effect::AdvancesClock), "{f}");
+            assert!(has(&ctx, f, Effect::MayPanicStrict), "{f}");
         }
-        assert!(!has(&ctx, "idle", Effect::AdvancesClock));
+        assert!(!has(&ctx, "idle", Effect::MayPanicStrict));
     }
 
     #[test]
@@ -418,23 +365,6 @@ mod tests {
         assert!(!has(&ctx, "pick", Effect::MayPanicStrict));
         assert!(has(&ctx, "caller", Effect::MayPanic));
         assert!(!has(&ctx, "caller", Effect::MayPanicStrict));
-    }
-
-    #[test]
-    fn alloc_seeds_cover_constructors_methods_and_macros() {
-        let ws = ws_of(&[(
-            "a.rs",
-            "fn a() -> Vec<u8> { Vec::new() }\n\
-             fn b(it: I) -> Vec<u8> { it.collect() }\n\
-             fn c() { let v = vec![1, 2]; }\n\
-             fn d() -> String { String::with_capacity(8) }\n\
-             fn lean(x: u8) -> u8 { x + 1 }\n",
-        )]);
-        let ctx = LintContext::new(&ws);
-        for f in ["a", "b", "c", "d"] {
-            assert!(has(&ctx, f, Effect::Allocates), "{f}");
-        }
-        assert!(!has(&ctx, "lean", Effect::Allocates));
     }
 
     #[test]
@@ -474,14 +404,14 @@ mod tests {
         let ws = ws_of(&[(
             "a.rs",
             "fn ping(n: u8) { if n > 0 { pong(n - 1); } }\n\
-             fn pong(n: u8) { self_clock(); ping(n); }\n\
-             fn self_clock() { clock.advance_by(1); }\n",
+             fn pong(n: u8) { boom(); ping(n); }\n\
+             fn boom() { panic!(\"x\"); }\n",
         )]);
         let ctx = LintContext::new(&ws);
-        assert!(has(&ctx, "ping", Effect::AdvancesClock));
-        assert!(has(&ctx, "pong", Effect::AdvancesClock));
+        assert!(has(&ctx, "ping", Effect::MayPanicStrict));
+        assert!(has(&ctx, "pong", Effect::MayPanicStrict));
         let ping = ctx.fn_by_name("ping").unwrap();
-        let w = ctx.effects.witness(ping, Effect::AdvancesClock).unwrap();
-        assert_eq!(w.seed.what, "advance_by");
+        let w = ctx.effects.witness(ping, Effect::MayPanicStrict).unwrap();
+        assert_eq!(w.seed.what, "panic!");
     }
 }

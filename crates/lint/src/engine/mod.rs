@@ -1,36 +1,27 @@
-//! The flow-analysis engine: item index, intraprocedural CFG, symbolic
-//! acquisition/release facts, and the interprocedural layer.
+//! The analysis engine: item index and the interprocedural layer.
 //!
-//! Layering (each stage consumes only the ones below):
+//! Layering (each stage consumes only the ones before it):
 //!
 //! ```text
-//! lexer  ──►  items  ──►  cfg  ──►  facts
-//! tokens      fns/structs  paths    acquire/settle queries
-//!                 │
-//!                 └──►  callgraph  ──►  effects
-//!                       who calls whom  transitive clock/panic/alloc
+//! lexer  ──►  items  ──►  callgraph  ──►  effects
+//! tokens      fns/structs  who calls whom  transitive may-panic
 //! ```
 //!
 //! [`LintContext`] packages one workspace with every file's item index,
-//! the workspace-wide lock-field table, the call graph, the inferred
-//! effect labels, and the parsed per-file suppressions — it is what
-//! rules receive instead of a bare [`Workspace`].
+//! the call graph, the inferred effect labels, and the parsed per-file
+//! suppressions and markers — it is what rules receive instead of a
+//! bare [`Workspace`].
 
 pub mod callgraph;
-pub mod cfg;
 pub mod effects;
-pub mod facts;
 pub mod items;
 
 use crate::diagnostics::{Diagnostic, RelatedLocation};
 use crate::suppress::{self, Suppressions};
 use crate::workspace::{SourceFile, Workspace};
 use callgraph::{CallGraph, FnId};
-use cfg::Cfg;
 use effects::{Effect, Effects};
-use facts::MethodCall;
 use items::{FileItems, FnItem};
-use std::collections::BTreeMap;
 
 /// One workspace file with its item index.
 pub struct FileCtx<'w> {
@@ -41,20 +32,6 @@ pub struct FileCtx<'w> {
 }
 
 impl FileCtx<'_> {
-    /// The CFG of one of this file's functions.
-    pub fn cfg_of(&self, f: &FnItem) -> Option<Cfg> {
-        let body = f.body.clone()?;
-        Some(Cfg::build(&self.file.lexed.tokens, &self.items, body))
-    }
-
-    /// Method-call sites inside one function's body.
-    pub fn calls_in(&self, f: &FnItem) -> Vec<MethodCall> {
-        match &f.body {
-            Some(body) => facts::method_calls(&self.file.lexed.tokens, &self.items, body.clone()),
-            None => Vec::new(),
-        }
-    }
-
     /// The innermost function whose body contains token `tok`.
     pub fn fn_containing(&self, tok: usize) -> Option<&FnItem> {
         self.items
@@ -73,7 +50,7 @@ impl FileCtx<'_> {
 #[derive(Debug)]
 pub struct EffectChain {
     /// `entry → helper → seed` path, names unquoted, the seed rendered
-    /// last (`run_step → flush → advance_to`).
+    /// last (`place → encode_block → .unwrap()`).
     pub path: String,
     /// Number of calls the path traverses (arrows in `path`).
     pub calls: usize,
@@ -83,7 +60,7 @@ pub struct EffectChain {
     pub seed_path: String,
     /// 1-based line of the seed.
     pub seed_line: u32,
-    /// Seed rendering (`panic!`, `.unwrap()`, `advance_to`, …).
+    /// Seed rendering (`panic!`, `.unwrap()`, …).
     pub seed_what: String,
 }
 
@@ -95,16 +72,14 @@ pub struct LintContext<'w> {
     pub files: Vec<FileCtx<'w>>,
     /// The workspace call graph.
     pub graph: CallGraph,
-    /// Transitive clock/panic/alloc effect labels per function.
+    /// Transitive may-panic effect labels per function.
     pub effects: Effects,
-    /// Parsed suppression comments, parallel to `files`.
+    /// Parsed suppression comments and file markers, parallel to
+    /// `files`.
     pub suppressions: Vec<Suppressions>,
     /// Malformed-allow diagnostics collected while parsing
     /// suppressions (rule `suppression`; not suppressible).
     pub bad_suppressions: Vec<Diagnostic>,
-    /// `struct name → lock-typed field names` (`Mutex`/`RwLock`,
-    /// including through `Arc<…>`), workspace-wide.
-    lock_fields: BTreeMap<String, Vec<String>>,
 }
 
 impl<'w> LintContext<'w> {
@@ -126,19 +101,6 @@ impl<'w> LintContext<'w> {
             .iter()
             .map(|file| suppress::parse(file, &rule_names, &mut bad_suppressions))
             .collect();
-        let mut lock_fields: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for fc in &files {
-            for s in &fc.items.structs {
-                for field in &s.fields {
-                    if field.ty.contains("Mutex <") || field.ty.contains("RwLock <") {
-                        lock_fields
-                            .entry(s.name.clone())
-                            .or_default()
-                            .push(field.name.clone());
-                    }
-                }
-            }
-        }
         let graph = CallGraph::build(&files);
         let effects = Effects::infer(&files, &graph, &suppressions);
         LintContext {
@@ -148,7 +110,6 @@ impl<'w> LintContext<'w> {
             effects,
             suppressions,
             bad_suppressions,
-            lock_fields,
         }
     }
 
@@ -206,36 +167,6 @@ impl<'w> LintContext<'w> {
             seed_what: w.seed.what.clone(),
         })
     }
-
-    /// Resolves a lock call's receiver chain to its `Type.field`
-    /// symbol. A `self.<field>` chain resolves against the enclosing
-    /// impl type; any other chain resolves by its final identifier when
-    /// exactly one struct in the workspace declares a lock field of
-    /// that name.
-    pub fn lock_symbol(&self, impl_type: Option<&str>, recv: &[String]) -> Option<String> {
-        let field = recv.last()?;
-        if recv.first().is_some_and(|r| r == "self") && recv.len() == 2 {
-            if let Some(ty) = impl_type {
-                if self
-                    .lock_fields
-                    .get(ty)
-                    .is_some_and(|fs| fs.iter().any(|f| f == field))
-                {
-                    return Some(format!("{ty}.{field}"));
-                }
-            }
-        }
-        let owners: Vec<&String> = self
-            .lock_fields
-            .iter()
-            .filter(|(_, fs)| fs.iter().any(|f| f == field))
-            .map(|(ty, _)| ty)
-            .collect();
-        match owners.as_slice() {
-            [only] => Some(format!("{only}.{field}")),
-            _ => None, // unknown or ambiguous: stay silent
-        }
-    }
 }
 
 #[cfg(test)]
@@ -259,58 +190,25 @@ mod tests {
     }
 
     #[test]
-    fn lock_symbols_resolve_through_self_and_unique_fields() {
-        let ws = ws_of(&[
-            (
-                "a.rs",
-                "pub struct Cache { stats: Mutex<u64>, inner: Mutex<Inner> }\n\
-                 pub struct Stack { inner: Mutex<Vec<u8>> }\n",
-            ),
-            ("b.rs", "pub struct Clock { now: RwLock<f64> }\n"),
-        ]);
-        let ctx = LintContext::new(&ws);
-        let own = |s: &str| s.split('.').map(str::to_owned).collect::<Vec<_>>();
-        // self.<field> against the impl type.
-        assert_eq!(
-            ctx.lock_symbol(Some("Cache"), &own("self.stats")),
-            Some("Cache.stats".to_owned())
-        );
-        // `inner` is declared by two structs: self-resolution works,
-        // bare resolution stays silent.
-        assert_eq!(
-            ctx.lock_symbol(Some("Stack"), &own("self.inner")),
-            Some("Stack.inner".to_owned())
-        );
-        assert_eq!(ctx.lock_symbol(None, &own("x.inner")), None);
-        // A unique field name resolves from anywhere.
-        assert_eq!(
-            ctx.lock_symbol(None, &own("clock.now")),
-            Some("Clock.now".to_owned())
-        );
-        // Non-lock fields never resolve.
-        assert_eq!(ctx.lock_symbol(Some("Cache"), &own("self.missing")), None);
-    }
-
-    #[test]
     fn effect_chains_render_the_full_path_with_related_locations() {
         let ws = ws_of(&[(
             "crates/train/src/executor.rs",
             "impl Exec {\n\
                fn run_step(&mut self) { self.flush(); }\n\
-               fn flush(&mut self) { self.clock.advance_to(self.t); }\n\
+               fn flush(&mut self) { self.slot.take().unwrap(); }\n\
              }\n",
         )]);
         let ctx = LintContext::new(&ws);
         let flush = ctx.fn_by_name("flush").unwrap();
         let chain = ctx
-            .effect_chain("run_step", flush, Effect::AdvancesClock)
+            .effect_chain("run_step", flush, Effect::MayPanicStrict)
             .unwrap();
-        assert_eq!(chain.path, "run_step → flush → advance_to");
+        assert_eq!(chain.path, "run_step → flush → .unwrap()");
         assert_eq!(chain.calls, 2);
-        assert_eq!(chain.seed_what, "advance_to");
+        assert_eq!(chain.seed_what, ".unwrap()");
         // One related location: the seed (no intermediate hops).
         assert_eq!(chain.related.len(), 1);
-        assert!(chain.related[0].message.contains("advance_to"));
+        assert!(chain.related[0].message.contains(".unwrap()"));
         assert_eq!(chain.related[0].path, "crates/train/src/executor.rs");
     }
 
@@ -320,14 +218,14 @@ mod tests {
             "a.rs",
             "fn entry() { mid(); }\n\
              fn mid() { deep(); }\n\
-             fn deep() { clock.advance_by(1); }\n",
+             fn deep() { panic!(\"boom\"); }\n",
         )]);
         let ctx = LintContext::new(&ws);
         let mid = ctx.fn_by_name("mid").unwrap();
         let chain = ctx
-            .effect_chain("entry", mid, Effect::AdvancesClock)
+            .effect_chain("entry", mid, Effect::MayPanicStrict)
             .unwrap();
-        assert_eq!(chain.path, "entry → mid → deep → advance_by");
+        assert_eq!(chain.path, "entry → mid → deep → panic!");
         assert_eq!(chain.calls, 3);
         assert_eq!(chain.related.len(), 2, "{:?}", chain.related);
         assert!(chain.related[0].message.contains("`mid` calls `deep`"));

@@ -11,7 +11,7 @@
 //!    precise `file:line` anchors.
 //! 3. **Comments are kept on the side** (with their doc-ness and
 //!    whether they trail code on the same line) for the suppression
-//!    parser and the doc-coverage rule.
+//!    parser.
 //!
 //! The scanner understands line/block comments (nested), string, raw
 //! string, byte string and char literals, lifetimes, identifiers and

@@ -91,10 +91,13 @@ fn explain(name: &str) -> ExitCode {
         println!("  malformed or unknown `ssdtrain-lint: allow(...)` directive\n");
         println!("WHY");
         println!(
-            "  An allow comment that names an unknown rule or omits its reason silences\n  \
-             nothing — pretending otherwise would hide real violations. Malformed allows\n  \
-             are therefore violations themselves, and they cannot be suppressed: nobody\n  \
-             can silence the silencer."
+            "  Guards the reasoned allows this workspace carries — the one panic left on\n  \
+             the hot path is `TensorCache::unpack` of an unknown record id in\n  \
+             `crates/core/src/cache.rs`, allowed with its reason beside it. An allow that\n  \
+             names an unknown rule (`panic-free-hotpath`) or omits its reason silences\n  \
+             nothing; accepting it would let a typo or an unexplained exemption pass\n  \
+             review. Malformed allows are therefore violations themselves, and they\n  \
+             cannot be suppressed: nobody can silence the silencer."
         );
         println!("\nSUPPRESSION");
         println!("  Not suppressible. Fix the directive instead.");

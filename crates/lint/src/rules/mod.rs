@@ -1,25 +1,17 @@
 //! The rule registry.
 //!
-//! Each rule checks one project invariant the generic toolchain lints
-//! cannot express. Rules see the whole indexed workspace (a
-//! [`LintContext`]), so cross-file invariants (prelude doc coverage,
-//! the workspace-wide lock-order graph) are first-class, the flow
-//! rules can query per-function CFGs, and the interprocedural rules
-//! can walk the call graph and the inferred effect labels.
+//! Each rule checks one project invariant that neither a type nor the
+//! generic toolchain lints can express. Rules see the whole indexed
+//! workspace (a [`LintContext`]), so the interprocedural rule can walk
+//! the call graph and the inferred effect labels. Invariants a type,
+//! `rustc` or the benchmark already enforces are deliberately *not*
+//! rules (DESIGN.md §7 lists what replaced each retired rule).
 
 use crate::diagnostics::Diagnostic;
 use crate::engine::LintContext;
 
-mod doc_coverage;
-mod lock_discipline;
-mod no_alloc_hot_loop;
-mod no_deprecated_stage_api;
-mod no_deprecated_target_api;
 mod no_wall_clock;
 mod panic_free_hot_path;
-mod reservation_pairing;
-mod span_balance;
-mod trace_emit_coverage;
 mod typed_errors;
 
 /// One lint rule.
@@ -30,8 +22,9 @@ pub trait Rule {
     /// One-line description for `--list-rules`.
     fn description(&self) -> &'static str;
 
-    /// Why the invariant matters for this codebase — the paragraph
-    /// `--explain <rule>` prints under WHY.
+    /// The concrete failure in this repository the rule guards (file
+    /// and mechanism) — the paragraph `--explain <rule>` prints under
+    /// WHY.
     fn rationale(&self) -> &'static str;
 
     /// A minimal violating snippet (and, where useful, the fix) for
@@ -48,14 +41,6 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(no_wall_clock::NoWallClock),
         Box::new(panic_free_hot_path::PanicFreeHotPath),
         Box::new(typed_errors::TypedErrors),
-        Box::new(no_deprecated_stage_api::NoDeprecatedStageApi),
-        Box::new(no_deprecated_target_api::NoDeprecatedTargetApi),
-        Box::new(trace_emit_coverage::TraceEmitCoverage),
-        Box::new(doc_coverage::DocCoverage),
-        Box::new(lock_discipline::LockDiscipline),
-        Box::new(reservation_pairing::ReservationPairing),
-        Box::new(span_balance::SpanBalance),
-        Box::new(no_alloc_hot_loop::NoAllocHotLoop),
     ]
 }
 
@@ -107,24 +92,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_has_the_eleven_rules() {
+    fn registry_has_the_three_rules() {
         let names = rule_names();
         assert_eq!(
             names,
-            vec![
-                "no-wall-clock",
-                "panic-free-hot-path",
-                "typed-errors",
-                "no-deprecated-stage-api",
-                "no-deprecated-target-api",
-                "trace-emit-coverage",
-                "doc-coverage",
-                "lock-discipline",
-                "reservation-pairing",
-                "span-balance",
-                "no-alloc-hot-loop",
-            ]
+            vec!["no-wall-clock", "panic-free-hot-path", "typed-errors"]
         );
+    }
+
+    /// The doc-drift gate: DESIGN.md §7 carries one catalogue row per
+    /// registry rule (and one for the `suppression` pseudo-rule), so the
+    /// docs cannot silently fall behind the analyzer.
+    #[test]
+    fn design_doc_has_a_catalogue_row_per_rule() {
+        let design = include_str!("../../../../DESIGN.md");
+        for name in rule_names().into_iter().chain(["suppression"]) {
+            let row = format!("| `{name}`");
+            assert!(
+                design.lines().any(|l| l.starts_with(&row)),
+                "DESIGN.md §7 is missing a catalogue row for rule `{name}`"
+            );
+        }
     }
 
     #[test]
@@ -149,10 +137,7 @@ mod tests {
             did_you_mean("panic-free-hotpath", &names),
             Some("panic-free-hot-path")
         );
-        assert_eq!(
-            did_you_mean("lockdiscipline", &names),
-            Some("lock-discipline")
-        );
+        assert_eq!(did_you_mean("typederrors", &names), Some("typed-errors"));
         assert_eq!(did_you_mean("totally-made-up", &names), None);
     }
 

@@ -31,14 +31,17 @@ impl Rule for NoWallClock {
     }
 
     fn description(&self) -> &'static str {
-        "std::time::{Instant,SystemTime} banned in simhw/core/trace; use the simulated clock"
+        "std::time::{Instant,SystemTime} banned in simhw/core/trace/train/lint; use the simulated clock"
     }
 
     fn rationale(&self) -> &'static str {
-        "Every latency, bandwidth and step-time figure in the reproduction is a pure \
-         function of the configuration because all timing flows through `SimClock`. One \
-         wall-clock read makes step times machine-dependent, breaks golden traces, and \
-         silently invalidates any A/B comparison between placement policies."
+        "Guards the byte-stable golden `tests/golden/quickstart_trace.json` and the \
+         benchmark's `sim_step_s` gate (bit-identical across runs and machines). \
+         `IoEngine::submit_store_to` in `crates/core/src/io.rs` stamps every job with \
+         `SimClock::now()` and `TensorCache::stall_until` advances the same clock; one \
+         `std::time::Instant` read in that arithmetic makes step times depend on the host, \
+         so the golden diff and every A/B row in `BENCH_history.json` stop meaning anything. \
+         Wall time is measured only outside these crates, in `benchmark/src/spans.rs`."
     }
 
     fn example(&self) -> &'static str {

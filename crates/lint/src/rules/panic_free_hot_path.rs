@@ -4,16 +4,17 @@
 //! or surfaced as typed errors at the step boundary. A stray `unwrap()`
 //! in the store/load path turns a recoverable I/O hiccup into a train
 //! crash, so panicking constructs are banned in the functions that make
-//! up the offload hot path. The rule is scoped per *function*, not per
-//! file: `#[test]` functions and `#[cfg(test)]` modules inside hot-path
-//! files probe failure edges on purpose and are exempt, while every
-//! non-test function is named in its diagnostic.
+//! up the offload hot path. A module joins the hot path by carrying the
+//! marker comment `// ssdtrain-lint: hot-path` (see
+//! [`crate::suppress`]), so the scope moves with the code. Within a
+//! marked file the rule is scoped per *function*: `#[test]` functions
+//! and `#[cfg(test)]` modules probe failure edges on purpose and are
+//! exempt, while every non-test function is named in its diagnostic.
 //!
 //! Two layers:
 //!
 //! 1. **Direct scan** — every `unwrap`/`expect`/`panic!`/`todo!`/
-//!    `unreachable!` token inside a hot-path file, exactly as before the
-//!    interprocedural engine existed (no lost coverage).
+//!    `unreachable!` token inside a hot-path file.
 //! 2. **Transitive reachability** — a resolved call from a hot-path
 //!    function into a function *outside* the hot set whose inferred
 //!    effects contain [`Effect::MayPanicStrict`] is a hidden panic: the
@@ -29,26 +30,6 @@ use super::Rule;
 use crate::diagnostics::Diagnostic;
 use crate::engine::effects::Effect;
 use crate::engine::LintContext;
-
-/// The offload hot path: cache pack/unpack and recovery, the placement
-/// policy and cost model, the tier stack, the I/O engine, the targets,
-/// fault injection, the pinned buffer arena and write coalescer every
-/// staged byte crosses, the training executors, and the overlapped
-/// optimizer engine.
-pub(crate) const HOT_PATH: [&str; 12] = [
-    "crates/core/src/cache.rs",
-    "crates/core/src/coalesce.rs",
-    "crates/core/src/placement.rs",
-    "crates/core/src/costmodel.rs",
-    "crates/core/src/tier.rs",
-    "crates/core/src/io.rs",
-    "crates/core/src/target.rs",
-    "crates/core/src/fault.rs",
-    "crates/simhw/src/arena.rs",
-    "crates/train/src/executor.rs",
-    "crates/train/src/pipeline_exec.rs",
-    "crates/train/src/opt_engine.rs",
-];
 
 const BANNED_METHODS: [&str; 2] = ["unwrap", "expect"];
 const BANNED_MACROS: [&str; 3] = ["panic", "todo", "unreachable"];
@@ -66,12 +47,17 @@ impl Rule for PanicFreeHotPath {
     }
 
     fn rationale(&self) -> &'static str {
-        "The recovery policy guarantees that a failed store or load degrades the step \
-         (recompute, skip offload) instead of killing training. One panic anywhere on the \
-         store/load path voids that guarantee. The direct scan catches panics written in the \
-         hot files themselves; the interprocedural layer catches panics *reached* from the \
-         hot path through helper calls — a `pack_into` that ends in `.expect()` three crates \
-         away crashes the step just as surely as a local `unwrap()`."
+        "Guards `tests/fault_injection.rs`: when `SsdTarget::write_batch` fails (spill \
+         directory gone, injected fault), `TensorCache::commit_segment` in \
+         `crates/core/src/cache.rs` receives the `io::Error` and `recover_failed_segment` \
+         applies the `RecoveryPolicy` — losses stay bit-identical. An `unwrap()` on that \
+         path aborts the run instead. It has happened: `PipelineExec::new` panicked on a \
+         T5 config and `pipeline_exec.rs` `.expect()`ed its schedule lookups until PR 3 made \
+         them `ConfigError`/`PipelineError`, and PR 9's call-graph layer found three more \
+         panics *reached* from hot modules through helpers (`opt_engine.rs` → \
+         `Sgd::step_range` → `Tensor::to_vec`, `pipeline_exec.rs` → \
+         `Graph::backward_from`) that no scan of the hot files could see. A module \
+         opts in with the marker comment `// ssdtrain-lint: hot-path`."
     }
 
     fn example(&self) -> &'static str {
@@ -88,8 +74,9 @@ impl Rule for PanicFreeHotPath {
     }
 
     fn check(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
+        let hot = |fi: usize| ctx.suppressions[fi].hot_path;
         for (fi, fc) in ctx.files.iter().enumerate() {
-            if !HOT_PATH.contains(&fc.file.rel.as_str()) {
+            if !hot(fi) {
                 continue;
             }
             let toks = &fc.file.lexed.tokens;
@@ -145,7 +132,7 @@ impl Rule for PanicFreeHotPath {
                 }
                 for site in ctx.graph.calls_of((fi, k)) {
                     let Some(callee) = site.callee else { continue };
-                    if HOT_PATH.contains(&ctx.files[callee.0].file.rel.as_str()) {
+                    if hot(callee.0) {
                         continue;
                     }
                     if !ctx.effects.has(callee, Effect::MayPanicStrict) {
@@ -209,7 +196,7 @@ mod tests {
         let ws = ws_of(&[
             (
                 "crates/core/src/cache.rs",
-                "fn flush_all(k: u64) -> u8 { fetch(k) }\n",
+                "// ssdtrain-lint: hot-path\nfn flush_all(k: u64) -> u8 { fetch(k) }\n",
             ),
             (
                 "crates/util/src/fetch.rs",
@@ -233,7 +220,8 @@ mod tests {
     fn callees_inside_the_hot_set_report_at_the_seed_only() {
         let ws = ws_of(&[(
             "crates/core/src/io.rs",
-            "fn outer() { inner(); }\n\
+            "// ssdtrain-lint: hot-path\n\
+             fn outer() { inner(); }\n\
              fn inner() { panic!(\"boom\"); }\n",
         )]);
         let out = run(&ws);
@@ -247,7 +235,7 @@ mod tests {
         let ws = ws_of(&[
             (
                 "crates/core/src/tier.rs",
-                "fn pick_tier(v: &[u8]) -> u8 { head(v) }\n",
+                "// ssdtrain-lint: hot-path\nfn pick_tier(v: &[u8]) -> u8 { head(v) }\n",
             ),
             (
                 "crates/util/src/sl.rs",
@@ -262,7 +250,7 @@ mod tests {
         let ws = ws_of(&[
             (
                 "crates/core/src/cache.rs",
-                "fn flush_all(k: u64) -> u8 { fetch(k) }\n",
+                "// ssdtrain-lint: hot-path\nfn flush_all(k: u64) -> u8 { fetch(k) }\n",
             ),
             (
                 "crates/util/src/fetch.rs",

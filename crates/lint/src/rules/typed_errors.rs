@@ -22,11 +22,13 @@ impl Rule for TypedErrors {
     }
 
     fn rationale(&self) -> &'static str {
-        "The recovery policy needs to *match* on failures — was this a target fault to \
-         retry, a capacity miss to spill, or a config error to abort? `Box<dyn Error>` \
-         erases the type and `Result<_, String>` erases everything, so the caller's \
-         recovery decision becomes string-parsing. Concrete error enums keep failures \
-         machine-matchable."
+        "Guards the `FailStep` contract: `TrainSession::step` in `crates/train/src/session.rs` \
+         returns `StepError { error: OffloadError, .. }` and `tests/fault_injection.rs` branches \
+         on `err.error.is_store()` — a failed store kept the step exact, a failed load did \
+         not. `Box<dyn Error>` erases that variant and `Result<_, String>` erases everything, \
+         so the decision becomes string-parsing. It has happened: until PR 3 \
+         `PipelineExec::new` and the `run_step` helpers in `crates/train/src/pipeline_exec.rs` \
+         reported schedule bugs as strings; they now return `ConfigError`/`PipelineError`."
     }
 
     fn example(&self) -> &'static str {

@@ -8,11 +8,18 @@
 //! comment may carry several allows separated by `;`:
 //! `// ssdtrain-lint: allow(a): why; allow(b): why` — each segment is
 //! parsed (and reported when malformed) independently.
+//!
+//! The same comment channel carries the one module-level marker,
+//! `// ssdtrain-lint: hot-path`: a file that holds it (anywhere, by
+//! convention under its module docs) is part of the offload hot path
+//! the `panic-free-hot-path` rule polices. The membership lives with
+//! the code, so moving or splitting a module needs no lint change.
 
 use crate::diagnostics::Diagnostic;
 use crate::workspace::SourceFile;
 
 const MARKER: &str = "ssdtrain-lint:";
+const HOT_PATH: &str = "hot-path";
 
 /// One parsed, well-formed allow.
 #[derive(Debug)]
@@ -23,12 +30,14 @@ pub struct Allow {
     pub effective_line: u32,
 }
 
-/// Parsed suppressions of one file: well-formed allows, plus
-/// diagnostics for malformed ones.
+/// Parsed `ssdtrain-lint:` comments of one file: its well-formed
+/// allows and whether it carries the hot-path marker.
 #[derive(Debug, Default)]
 pub struct Suppressions {
     /// Well-formed allows.
     pub allows: Vec<Allow>,
+    /// The file holds `// ssdtrain-lint: hot-path`.
+    pub hot_path: bool,
 }
 
 impl Suppressions {
@@ -60,6 +69,10 @@ pub fn parse(
             continue;
         };
         let directive = comment.text[at + MARKER.len()..].trim();
+        if directive == HOT_PATH {
+            out.hot_path = true;
+            continue;
+        }
         let effective_line = if comment.trailing {
             comment.line
         } else {
@@ -117,7 +130,7 @@ fn split_allows(directive: &str) -> Vec<String> {
 fn parse_directive(directive: &str, rule_names: &[&'static str]) -> Result<String, String> {
     let rest = directive
         .strip_prefix("allow(")
-        .ok_or_else(|| "expected `allow(<rule>): <reason>`".to_owned())?;
+        .ok_or_else(|| "expected `allow(<rule>): <reason>` or `hot-path`".to_owned())?;
     let close = rest
         .find(')')
         .ok_or_else(|| "unclosed `allow(` rule name".to_owned())?;
@@ -176,6 +189,19 @@ mod tests {
         assert!(bad.is_empty());
         assert!(s.is_allowed("panic-free-hot-path", 3));
         assert!(!s.is_allowed("panic-free-hot-path", 1));
+    }
+
+    #[test]
+    fn hot_path_marker_flags_the_file_and_allows_nothing() {
+        let f = file("//! docs\n// ssdtrain-lint: hot-path\nfn f() {}\n");
+        let mut bad = Vec::new();
+        let s = parse(&f, &RULES, &mut bad);
+        assert!(bad.is_empty(), "{bad:?}");
+        assert!(s.hot_path && s.allows.is_empty());
+        // A typo is a malformed directive, not a silently cold file.
+        let typo = file("// ssdtrain-lint: hotpath\nfn f() {}\n");
+        assert!(!parse(&typo, &RULES, &mut bad).hot_path);
+        assert_eq!(bad.len(), 1);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Clean fixture: hot-path code that propagates typed errors.
+//! Clean fixture: hot-path code that propagates typed errors, plus the
+//! near-misses the call graph must leave unresolved.
+// ssdtrain-lint: hot-path
 
 /// The typed error the clean fixture propagates.
 #[derive(Debug)]
@@ -9,61 +11,17 @@ pub fn unpack(slot: Option<u64>) -> Result<u64, MissError> {
     slot.ok_or(MissError)
 }
 
-/// Two impls share `refresh`; the opaque receiver below stays
-/// unresolved, so neither allocation reaches the loop.
-pub struct Pool;
-
-impl Pool {
-    fn refresh(&self) -> Vec<u64> {
-        vec![0; 8]
-    }
-}
-
-/// Shadow of [`Pool::refresh`] — makes the name ambiguous.
-pub struct Registry;
-
-impl Registry {
-    fn refresh(&self) -> Vec<u64> {
-        vec![0; 16]
-    }
-}
-
-/// Near-miss: a shadowed method through an opaque receiver resolves to
-/// nothing, so the loop stays effect-free.
+/// Near-miss: `refresh` is implemented by two cold types (see
+/// `util.rs`), one of which panics. Through an opaque receiver the name
+/// resolves to nothing, so no panic is reached from here.
 pub fn sweep(handles: &[Handle]) {
     for h in handles {
         h.refresh();
     }
 }
 
-/// Probes implemented by two types: `dyn` dispatch must not pick one.
-pub trait Probe {
-    /// Samples one reading.
-    fn sample(&self) -> u64;
-}
-
-/// Allocation-free implementor.
-pub struct FastProbe;
-
-impl Probe for FastProbe {
-    fn sample(&self) -> u64 {
-        7
-    }
-}
-
-/// Allocating implementor — must not leak its effect into `poll`.
-pub struct SlowProbe;
-
-impl Probe for SlowProbe {
-    fn sample(&self) -> u64 {
-        vec![0u64; 8].len() as u64
-    }
-}
-
-/// Near-miss: trait-object dispatch over shadowed implementors yields
-/// no call edge, so the loop stays clean.
-pub fn poll(probe: &dyn Probe) {
-    for _ in 0..4 {
-        probe.sample();
-    }
+/// Near-miss: trait-object dispatch over two implementors yields no
+/// call edge, so the panicking implementor does not leak in.
+pub fn poll(probe: &dyn Probe) -> u64 {
+    probe.sample()
 }

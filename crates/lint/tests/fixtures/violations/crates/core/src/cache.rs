@@ -1,6 +1,7 @@
 //! Seeded fixture: `panic-free-hot-path` violations in a hot-path file.
+// ssdtrain-lint: hot-path
 
-/// Panics on a cache miss (seeded violation, line 5).
+/// Panics on a cache miss (seeded violation, line 6).
 pub fn unpack_must_not_panic(slot: Option<u64>) -> u64 {
     slot.unwrap()
 }

@@ -23,6 +23,8 @@
 //! assert!(loss.tensor().item().is_finite());
 //! ```
 
+#![deny(missing_docs)]
+
 pub mod batch;
 pub mod bert;
 pub mod blocks;

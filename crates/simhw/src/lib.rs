@@ -27,6 +27,8 @@
 //! * [`SystemConfig`] — assembled machines, including the paper's
 //!   evaluation testbed (Table 3).
 
+#![deny(missing_docs)]
+
 pub mod allocator;
 pub mod arena;
 pub mod catalog;

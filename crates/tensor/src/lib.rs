@@ -32,6 +32,8 @@
 //! assert_eq!(c.to_vec(), vec![1.0, 2.0, 3.0, 4.0]);
 //! ```
 
+#![deny(missing_docs)]
+
 pub mod device;
 pub mod dtype;
 pub mod kernels;

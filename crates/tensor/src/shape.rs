@@ -50,8 +50,6 @@ impl Shape {
 
     /// Row-major (C-order) strides for a contiguous layout.
     pub fn contiguous_strides(&self) -> Vec<usize> {
-        // ssdtrain-lint: allow(no-alloc-hot-loop): rank-length vector (a
-        // handful of usizes), part of constructing any tensor view
         let mut strides = vec![1usize; self.0.len()];
         for i in (0..self.0.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.0[i + 1];

@@ -254,20 +254,14 @@ impl Storage {
     /// accounted bytes only.
     pub fn to_bytes(&self) -> Option<Vec<u8>> {
         self.with_data(|d| match self.inner.dtype {
-            // ssdtrain-lint: allow(no-alloc-hot-loop): the serialised buffer
-            // *is* the offload payload; producing it is the point of the call
             DType::F32 => d.iter().flat_map(|x| x.to_le_bytes()).collect(),
             DType::F16 | DType::Bf16 => d
                 .iter()
                 .flat_map(|x| f32_to_f16_bits(*x).to_le_bytes())
-                // ssdtrain-lint: allow(no-alloc-hot-loop): the serialised
-                // buffer *is* the offload payload (half-precision arm)
                 .collect(),
             DType::U8 => d
                 .iter()
                 .map(|x| x.round().clamp(0.0, 255.0) as u8)
-                // ssdtrain-lint: allow(no-alloc-hot-loop): the serialised
-                // buffer *is* the offload payload (quantised arm)
                 .collect(),
         })
     }
@@ -283,8 +277,6 @@ impl Storage {
                 bytes
                     .chunks_exact(4)
                     .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    // ssdtrain-lint: allow(no-alloc-hot-loop): the decoded
-                    // values *are* the reloaded payload
                     .collect()
             }
             DType::F16 | DType::Bf16 => {
@@ -292,14 +284,10 @@ impl Storage {
                 bytes
                     .chunks_exact(2)
                     .map(|c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])))
-                    // ssdtrain-lint: allow(no-alloc-hot-loop): the decoded
-                    // values *are* the reloaded payload
                     .collect()
             }
             DType::U8 => {
                 assert_eq!(bytes.len(), self.inner.numel, "bad byte length");
-                // ssdtrain-lint: allow(no-alloc-hot-loop): the decoded
-                // values *are* the reloaded payload
                 bytes.iter().map(|b| *b as f32).collect()
             }
         }

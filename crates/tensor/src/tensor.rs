@@ -104,8 +104,6 @@ impl Tensor {
             )
         } else {
             Storage::numeric(
-                // ssdtrain-lint: allow(no-alloc-hot-loop): materialising the
-                // tensor is this constructor's job; callers own the hoisting
                 vec![value; shape.numel()],
                 device.default_dtype(),
                 device.default_class(),

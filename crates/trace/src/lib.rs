@@ -28,6 +28,8 @@
 //! this crate in the dependency graph and therefore cannot emit trace
 //! events directly).
 
+#![deny(missing_docs)]
+
 mod chrome;
 mod metrics;
 
@@ -314,8 +316,6 @@ impl TraceSink {
     pub fn span(&self, cat: TraceCategory, name: impl Into<String>, start: SimTime, end: SimTime) {
         if self.inner.is_some() {
             let dur_secs = end.since(start).max(0.0);
-            // ssdtrain-lint: allow(no-alloc-hot-loop): `Vec::new` defers its
-            // allocation until the first push, and this args list stays empty
             self.emit(EventKind::Span { dur_secs }, cat, name, start, Vec::new());
         }
     }
@@ -336,8 +336,6 @@ impl TraceSink {
                 cat,
                 name,
                 start,
-                // ssdtrain-lint: allow(no-alloc-hot-loop): one-element args
-                // vector, built only when tracing is enabled (gate above)
                 vec![("bytes", ArgValue::U64(bytes))],
             );
         }
@@ -364,8 +362,6 @@ impl TraceSink {
                 cat,
                 name,
                 ts,
-                // ssdtrain-lint: allow(no-alloc-hot-loop): one-element args
-                // vector, built only when tracing is enabled (gate above)
                 vec![("bytes", ArgValue::U64(bytes))],
             );
         }

@@ -33,6 +33,8 @@
 //! the step surfaces a [`StepError`] carrying the degraded step's
 //! metrics instead of aborting the process.
 
+#![deny(missing_docs)]
+
 pub mod builder;
 pub mod error;
 pub mod executor;

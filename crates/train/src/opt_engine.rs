@@ -27,6 +27,7 @@
 //!
 //! [`SessionBuilder::overlap_optimizer`]: crate::builder::SessionBuilder::overlap_optimizer
 //! [`Sgd::step_range`]: ssdtrain_autograd::optim::Sgd::step_range
+// ssdtrain-lint: hot-path
 
 use crate::schedule::stage_ranges;
 use crate::session::OffloadClassSet;
@@ -179,8 +180,6 @@ impl OptEngine {
             let mut ready = SimTime::ZERO;
             if let Some(cache) = cache {
                 for slot in self.grad_slots[j].iter().chain(self.state_slots[j].iter()) {
-                    // ssdtrain-lint: allow(no-alloc-hot-loop): reloading state
-                    // materialises its payload — the buffer is the reload
                     if let Some(t) = cache.load_state(*slot) {
                         ready = ready.max(t);
                     }
@@ -192,17 +191,11 @@ impl OptEngine {
             let arrival = self.fwd_estimate * self.arrival_frac(j) + delay;
             let late = (ready.as_secs() - arrival).max(0.0);
             delay += late;
-            // ssdtrain-lint: allow(no-alloc-hot-loop): the stage update's
-            // kernel math produces fresh tensors by design, once per stage
             self.apply_stage(cache, opt, j, range);
             trace.instant_with(
                 TraceCategory::Stage,
-                // ssdtrain-lint: allow(no-alloc-hot-loop): one overlap event
-                // per stage per step; the stage loop is bounded and small
                 format!("opt.overlap.s{j}"),
                 clock.now(),
-                // ssdtrain-lint: allow(no-alloc-hot-loop): one overlap event
-                // per stage per step; the stage loop is bounded and small
                 vec![
                     ("ready_secs", ArgValue::F64(ready.as_secs())),
                     ("arrival_secs", ArgValue::F64(arrival)),
@@ -235,8 +228,6 @@ impl OptEngine {
                     continue;
                 };
                 let Some(grad) = p.grad() else { continue };
-                // ssdtrain-lint: allow(no-alloc-hot-loop): offloading the
-                // gradient serialises its payload — the buffer is the store
                 if let Some(slot) = cache.offload_state(&grad, OffloadClass::Gradient) {
                     self.grad_slots[j].push(slot);
                 }
@@ -270,8 +261,6 @@ impl OptEngine {
                         if opt.ensure_velocity(i).is_none() {
                             continue;
                         }
-                        // ssdtrain-lint: allow(no-alloc-hot-loop): offloading
-                        // velocity serialises its payload — the store itself
                         self.offload_state_of(cache, opt, j, i);
                     }
                 }
@@ -286,8 +275,6 @@ impl OptEngine {
             let mut ready = stage_start;
             if let Some(cache) = cache {
                 for slot in self.grad_slots[j].iter().chain(self.state_slots[j].iter()) {
-                    // ssdtrain-lint: allow(no-alloc-hot-loop): reloading state
-                    // materialises its payload — the buffer is the reload
                     if let Some(t) = cache.load_state(*slot) {
                         ready = ready.max(t);
                     }
@@ -298,13 +285,9 @@ impl OptEngine {
             for i in range.clone() {
                 opt.ensure_velocity(i);
             }
-            // ssdtrain-lint: allow(no-alloc-hot-loop): the stage update's
-            // kernel math produces fresh tensors by design, once per stage
             self.apply_stage(cache, opt, j, range);
             trace.span(
                 TraceCategory::Stage,
-                // ssdtrain-lint: allow(no-alloc-hot-loop): one span label per
-                // stage per step; the stage loop is bounded and small
                 format!("opt.stage{j}"),
                 stage_start,
                 clock.now(),
@@ -328,7 +311,7 @@ impl OptEngine {
     ) {
         // ssdtrain-lint: allow(panic-free-hot-path): `step_range` skips any
         // parameter without materialised data before touching values, so the
-        // `to_vec` expect along `step_range → scale → to_vec` cannot fire
+        // `to_vec` expect along `step_range → deep_clone_as → to_vec` cannot fire
         opt.step_range(range.clone());
         for i in range.clone() {
             if let Some(p) = opt.params().get(i) {
@@ -348,8 +331,6 @@ impl OptEngine {
         }
         if self.classes.contains(OffloadClass::OptimizerState) {
             for i in range {
-                // ssdtrain-lint: allow(no-alloc-hot-loop): offloading
-                // velocity serialises its payload — the store itself
                 self.offload_state_of(cache, opt, j, i);
             }
         }

@@ -9,6 +9,7 @@
 //! tensor cache; cross-stage sends synchronise the clocks, so the step's
 //! makespan and bubble structure emerge from real execution rather than
 //! the closed-form model in [`crate::pipeline`].
+// ssdtrain-lint: hot-path
 
 use crate::builder::ConfigError;
 use crate::error::{PipelineError, StepError};
@@ -384,8 +385,6 @@ impl PipelineExec {
                 .model
                 .forward_head_loss(&stage.graph, &out, &batches[mb]);
             if loss.tensor().has_data() {
-                // ssdtrain-lint: allow(panic-free-hot-path): guarded by the
-                // `has_data` check one line up; `item` only panics without data
                 losses.push(loss.tensor().item());
             }
             out_vals[s][mb] = Some(loss);
@@ -500,12 +499,12 @@ mod tests {
 
     /// Builds a trainer from a config the test knows is valid.
     fn mk(cfg: PipelineExecConfig) -> PipelineExec {
-        PipelineExec::new(cfg).expect("valid test config") // ssdtrain-lint: allow(panic-free-hot-path): test constructor; an invalid fixture should abort the test
+        PipelineExec::new(cfg).expect("valid test config")
     }
 
     /// Runs one step the test expects to succeed.
     fn step(t: &mut PipelineExec) -> PipelineStepReport {
-        t.run_step().expect("step") // ssdtrain-lint: allow(panic-free-hot-path): test step; an unexpected failure should abort the test
+        t.run_step().expect("step")
     }
 
     /// Ground truth: the same schedule run on a single stage.
@@ -559,7 +558,7 @@ mod tests {
         let want: Vec<Vec<f32>> = reference
             .parameters()
             .iter()
-            .map(|p| p.grad().expect("grad").to_vec()) // ssdtrain-lint: allow(panic-free-hot-path): test assertion on the reference model's gradients
+            .map(|p| p.grad().expect("grad").to_vec())
             .collect();
 
         let mut piped = mk(cfg);
@@ -606,7 +605,7 @@ mod tests {
         cfg.model = ModelConfig::tiny_t5();
         match PipelineExec::new(cfg) {
             Err(ConfigError::UnsupportedArch { arch: Arch::T5 }) => {}
-            other => panic!("expected UnsupportedArch, got {other:?}"), // ssdtrain-lint: allow(panic-free-hot-path): test assertion on the rejection path
+            other => panic!("expected UnsupportedArch, got {other:?}"),
         }
     }
 
@@ -671,6 +670,6 @@ mod tests {
         let x = g.external(0, Tensor::from_vec(vec![2.0], [1, 1], &device));
         let y = ops::scale(&g, &x, 3.0);
         let grads = g.backward_from(&[y], vec![Tensor::ones([1, 1], &device)], 1);
-        assert_eq!(grads[0].as_ref().unwrap().to_vec(), vec![3.0]); // ssdtrain-lint: allow(panic-free-hot-path): test assertion on the sanity-check graph
+        assert_eq!(grads[0].as_ref().unwrap().to_vec(), vec![3.0]);
     }
 }
