@@ -16,6 +16,10 @@
 //! | `ablations` | design-choice ablations (dedup, forwarding, prefetch, adaptive) |
 //!
 //! Run one with `cargo run -p ssdtrain-bench --release --bin fig10_overhead`.
+//!
+//! An exhibit whose claims are gated computes its rows here
+//! ([`fig10_rows`]) so the binary that prints them and the test that
+//! asserts them (`tests/paper_claims.rs`) read the same numbers.
 
 use ssdtrain::{chrome_trace_json, text_summary, PlacementStrategy, TraceSink};
 use ssdtrain_models::{Arch, ModelConfig};
@@ -187,6 +191,66 @@ pub fn measured_step(session: &mut TrainSession, strategy: PlacementStrategy) ->
         let _ = session.profile_step().expect("profile step");
     }
     session.run_step().expect("measured step")
+}
+
+/// Figure 10's model grid: the paper's three (hidden, layers) points.
+const FIG10_SHAPES: [(usize, usize); 3] = [(8192, 4), (12288, 3), (16384, 2)];
+
+/// One cell of Figure 10: a model measured with every activation kept
+/// and with TBA offloading, batch 16, TP=2.
+#[derive(Debug, Clone)]
+pub struct Fig10Row {
+    /// Model architecture.
+    pub arch: Arch,
+    /// Hidden dimension.
+    pub hidden: usize,
+    /// Layer count.
+    pub layers: usize,
+    /// The keep-everything step.
+    pub keep: StepMetrics,
+    /// The TBA-offloading step.
+    pub tba: StepMetrics,
+}
+
+impl Fig10Row {
+    /// The row's label, e.g. `bert H8192 L4`.
+    pub fn label(&self) -> String {
+        format!("{} H{} L{}", self.arch, self.hidden, self.layers)
+    }
+
+    /// Step-time overhead of offloading over keeping, percent.
+    pub fn overhead_pct(&self) -> f64 {
+        (self.tba.step_secs / self.keep.step_secs - 1.0) * 100.0
+    }
+
+    /// Activation-peak reduction offloading buys, percent.
+    pub fn peak_cut_pct(&self) -> f64 {
+        (1.0 - self.tba.act_peak_bytes as f64 / self.keep.act_peak_bytes as f64) * 100.0
+    }
+}
+
+/// Measures Figure 10's nine cells (BERT/GPT/T5 × three shapes); the
+/// offloading sessions emit into `sink`. The `fig10_overhead` binary
+/// prints these rows and `tests/paper_claims.rs` asserts the paper's
+/// claims on them, so the table and the gate cannot drift apart.
+pub fn fig10_rows(sink: &TraceSink) -> Vec<Fig10Row> {
+    let batch = 16;
+    let mut rows = Vec::new();
+    for arch in [Arch::Bert, Arch::Gpt, Arch::T5] {
+        for (hidden, layers) in FIG10_SHAPES {
+            let mut keep = paper_session(arch, hidden, layers, batch, PlacementStrategy::Keep);
+            let offload = PlacementStrategy::Offload;
+            let mut tba = paper_session_traced(arch, hidden, layers, batch, offload, sink.clone());
+            rows.push(Fig10Row {
+                arch,
+                hidden,
+                layers,
+                keep: measured_step(&mut keep, PlacementStrategy::Keep),
+                tba: measured_step(&mut tba, offload),
+            });
+        }
+    }
+    rows
 }
 
 #[cfg(test)]

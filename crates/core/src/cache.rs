@@ -106,13 +106,50 @@ enum RecState {
     Loading { ready: SimTime },
 }
 
+/// The module scopes (seq ids) still referencing a record. Almost every
+/// record has exactly one — only deduplication adds more — so the first
+/// lives inline and the set allocates nothing until a second arrives.
+#[derive(Default)]
+struct ScopeSet {
+    first: Option<u64>,
+    more: Vec<u64>,
+}
+
+impl ScopeSet {
+    fn insert(&mut self, seq: u64) {
+        if self.first.is_none() {
+            self.first = Some(seq);
+        } else if self.first != Some(seq) && !self.more.contains(&seq) {
+            self.more.push(seq);
+        }
+    }
+
+    fn remove(&mut self, seq: u64) {
+        if self.first == Some(seq) {
+            self.first = self.more.pop();
+        } else {
+            self.more.retain(|s| *s != seq);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    /// The earliest scope in forward order: the one profiling charges
+    /// the record's transfers to.
+    fn min(&self) -> Option<u64> {
+        self.more.iter().copied().chain(self.first).min()
+    }
+}
+
 struct Record {
     key: TensorKey,
     tensor: Tensor,
     bytes: u64,
     class: OffloadClass,
     state: RecState,
-    scopes: HashSet<u64>,
+    scopes: ScopeSet,
     /// The tier holding (or about to hold) the bytes; demotion moves it.
     tier: TierId,
     /// Pinned staging slab the bytes occupy while a store is staged or
@@ -208,7 +245,7 @@ struct State {
     stats: OffloadStats,
     plan: AdaptivePlan,
     tier_plan: TierPlan,
-    /// Per-link stage-barrier stall time this step (see
+    /// Per-link store-drain stall time this step (see
     /// [`TensorCache::drain_stores`]); indexed by I/O link.
     link_stalls: Vec<f64>,
     pending_error: Option<OffloadError>,
@@ -420,7 +457,7 @@ impl TensorCache {
     }
 
     /// Snapshot of this step's statistics, per-tier counters included.
-    /// Tier timing (stage-barrier stalls, link busy time) is overlaid
+    /// Tier timing (store-drain stalls, link busy time) is overlaid
     /// from the I/O engine so the snapshot and the trace agree.
     pub fn stats(&self) -> OffloadStats {
         let st = self.state.lock();
@@ -599,21 +636,23 @@ impl TensorCache {
                     &tier_plan,
                     self.config.bwd_fwd_ratio,
                 );
-                st.trace.instant_with(
-                    TraceCategory::Tier,
-                    "tier.replan",
-                    self.io.clock().now(),
-                    vec![
-                        (
-                            "modeled_step_secs",
-                            ArgValue::F64(tier_plan.modeled_step_secs),
-                        ),
-                        (
-                            "baseline_step_secs",
-                            ArgValue::F64(tier_plan.baseline_step_secs),
-                        ),
-                    ],
-                );
+                if st.trace.is_enabled() {
+                    st.trace.instant_with(
+                        TraceCategory::Tier,
+                        "tier.replan",
+                        self.io.clock().now(),
+                        vec![
+                            (
+                                "modeled_step_secs",
+                                ArgValue::F64(tier_plan.modeled_step_secs),
+                            ),
+                            (
+                                "baseline_step_secs",
+                                ArgValue::F64(tier_plan.baseline_step_secs),
+                            ),
+                        ],
+                    );
+                }
                 st.tier_plan = tier_plan;
                 plan
             } else {
@@ -722,15 +761,17 @@ impl TensorCache {
         }
         st.stats.prefetch_groups += 1;
         st.stats.prefetch_group_bytes += bytes;
-        st.trace.instant_with(
-            TraceCategory::Prefetch,
-            "prefetch.group",
-            now,
-            vec![
-                ("group", ArgValue::U64(gidx as u64)),
-                ("bytes", ArgValue::U64(bytes)),
-            ],
-        );
+        if st.trace.is_enabled() {
+            st.trace.instant_with(
+                TraceCategory::Prefetch,
+                "prefetch.group",
+                now,
+                vec![
+                    ("group", ArgValue::U64(gidx as u64)),
+                    ("bytes", ArgValue::U64(bytes)),
+                ],
+            );
+        }
         for id in ids {
             self.prefetch_record(st, id, now);
         }
@@ -746,11 +787,16 @@ impl TensorCache {
 
     /// Enters `stage` and returns an RAII guard covering it: the
     /// Algorithm 1 line 9 entry actions (`tc.set_stage(cmd)`) run now,
-    /// the line 15 exit actions (`tc.stage_done(cmd)`, draining I/O
-    /// after backward) run when the guard drops, and the guard emits the
-    /// stage's span into the trace. This replaces the manual
-    /// `set_stage`/`stage_done` call pairs, which could be forgotten or
-    /// mismatched.
+    /// the line 15 exit actions (`tc.stage_done(cmd)`) run when the
+    /// guard drops, and the guard emits the stage's span into the trace.
+    /// This replaces the manual `set_stage`/`stage_done` call pairs,
+    /// which could be forgotten or mismatched.
+    ///
+    /// Every exit seals and submits the open segments. A backward exit
+    /// then waits for its in-flight reloads and, like the optimizer's,
+    /// for every store; any other exit waits only for state-class
+    /// stores — forward's activation stores run on into backward, which
+    /// forwards, cancels or commits-and-reloads them as it reaches them.
     ///
     /// ```
     /// # use ssdtrain::{CpuTarget, IoEngine, StageHint, TensorCache, TensorCacheConfig};
@@ -784,13 +830,28 @@ impl TensorCache {
 
     /// The exit actions of `stage` (Algorithm 1 line 15) and its trace
     /// span, under one acquisition of the lock.
+    ///
+    /// Every exit seals and submits the open segments; what the clock
+    /// then waits for depends on who reads the bytes next. An activation
+    /// store has a consumer that resolves it in flight — backward's
+    /// `unpack` / prefetch forward the tensor, cancel a sole-member job,
+    /// or commit and reload no earlier than the record's store landed —
+    /// so forward's tail stores run on into backward (paper Section
+    /// 3.3.2) and block only where the step accounts for them: at
+    /// backward's exit, which frees the last activation inside the pass
+    /// that produced it, and at the optimizer's, the end of the step. A
+    /// state-class store has no forwarding path and shares the write
+    /// queue with the activations behind it, so it blocks the exit that
+    /// follows it, whichever that is (the overlapped optimizer's
+    /// write-back before forward, stashed gradients after backward).
     fn exit_stage(&self, stage: StageHint, enter: SimTime) {
         let mut guard = self.state.lock();
         let st = &mut *guard;
         if matches!(stage, StageHint::Backward) {
             self.await_loads(st);
         }
-        self.drain_store_queues(st);
+        let every_class = matches!(stage, StageHint::Backward | StageHint::Optimizer);
+        self.drain_store_queues(st, every_class);
         if matches!(stage, StageHint::Optimizer) {
             self.emit_tier_io(st);
         }
@@ -801,33 +862,39 @@ impl TensorCache {
         }
     }
 
-    /// Stage-barrier store drain: the next stage cannot begin while
-    /// store queues are still writing, so the simulated clock advances
-    /// to the last submitted store's completion. The exposed time — the
-    /// drain minus whatever compute already covered it — lands in
-    /// [`OffloadStats::store_stall_secs`] and, per link, in the tier
-    /// counters' `stall_secs`, with a `tier.drain.<link>` span
-    /// ([`TraceCategory::Tier`]) over each link's exposed window. A
-    /// fully-overlapped stage drains for free: no time passes, no span
-    /// or counter is emitted, and the step is byte-identical to the
-    /// pre-barrier behaviour.
+    /// Store drain: seals the open segments and advances the simulated
+    /// clock to the last submitted store's completion, whatever its
+    /// class. The exposed time — the drain minus whatever compute
+    /// already covered it — lands in [`OffloadStats::store_stall_secs`]
+    /// and, per link, in the tier counters' `stall_secs`, with a
+    /// `tier.drain.<link>` span ([`TraceCategory::Tier`]) over each
+    /// link's exposed window. A fully-overlapped drain is free: no time
+    /// passes, no span or counter is emitted.
     ///
-    /// This is what makes backends with different [`crate::TierLink`]
-    /// speeds report different step times: the write direction's
-    /// critical-path contribution is `max(compute, store drain)` per
-    /// stage instead of compute alone.
+    /// A [`StageScope`] calls this for every class only when a backward
+    /// or optimizer stage exits; the other exits wait for state-class
+    /// stores alone (see [`TensorCache::stage_scope`]). Write-link speed
+    /// therefore reaches the step clock as `max(forward + backward
+    /// compute, store drain)`, not per stage.
     pub fn drain_stores(&self) {
-        self.drain_store_queues(&mut self.state.lock());
+        self.drain_store_queues(&mut self.state.lock(), true);
     }
 
-    fn drain_store_queues(&self, st: &mut State) {
-        // A stage barrier flushes the pipeline: partial segments seal
-        // and submit before the drain is measured, so no staged byte
-        // outlives the stage that produced it.
+    /// Seals the open segments — no staged byte outlives the stage that
+    /// produced it — then waits for the store queues: for every job when
+    /// `every_class`, otherwise only until the last state-class store
+    /// landed (activation jobs queued behind it keep running).
+    fn drain_store_queues(&self, st: &mut State, every_class: bool) {
         self.seal_open_segments(st);
         let now0 = self.io.clock().now();
-        let latest = self.io.writes_drain_at().max(now0);
-        let stall = self.io.clock().advance_to(latest);
+        let latest = if every_class {
+            self.io.writes_drain_at()
+        } else {
+            // State commits at submit, so `avail` is its store's end.
+            let state = st.records.values().filter(|r| r.is_state());
+            state.map(|r| r.avail).fold(SimTime::ZERO, SimTime::max)
+        };
+        let stall = self.io.clock().advance_to(latest.max(now0));
         if stall <= 0.0 {
             return;
         }
@@ -837,16 +904,14 @@ impl TensorCache {
             st.link_stalls.resize(links, 0.0);
         }
         for link in 0..links {
-            let drain = self.io.writes_drain_at_on(link);
+            let drain = self.io.writes_drain_at_on(link).min(latest);
             let exposed = drain.since(now0);
             if exposed > 0.0 {
                 st.link_stalls[link] += exposed;
-                st.trace.span(
-                    TraceCategory::Tier,
-                    format!("tier.drain.{}", self.io.link_name(link)),
-                    now0,
-                    drain,
-                );
+                if st.trace.is_enabled() {
+                    let name = format!("tier.drain.{}", self.io.link_name(link));
+                    st.trace.span(TraceCategory::Tier, name, now0, drain);
+                }
             }
         }
     }
@@ -1172,7 +1237,7 @@ impl TensorCache {
         }
         let id = st.next_id;
         st.next_id += 1;
-        let mut scopes = HashSet::new();
+        let mut scopes = ScopeSet::default();
         if let Some(seq) = cur_scope {
             scopes.insert(seq);
             if let Some(meta) = st.scopes.get_mut(&seq) {
@@ -1252,8 +1317,8 @@ impl TensorCache {
             } else {
                 seg_secs * rec.bytes as f64 / total.max(1) as f64
             };
-            let scope = rec.scopes.iter().min();
-            if let Some(meta) = scope.and_then(|s| st.scopes.get_mut(s)) {
+            let scope = rec.scopes.min();
+            if let Some(meta) = scope.and_then(|s| st.scopes.get_mut(&s)) {
                 meta.store_secs += share;
             }
         }
@@ -1552,8 +1617,8 @@ impl TensorCache {
             Reload::Prefetch => RecState::Loading { ready },
             Reload::Sync | Reload::State => RecState::Resident,
         };
-        let scope = rec.scopes.iter().min();
-        if let Some(meta) = scope.and_then(|s| st.scopes.get_mut(s)) {
+        let scope = rec.scopes.min();
+        if let Some(meta) = scope.and_then(|s| st.scopes.get_mut(&s)) {
             meta.load_secs += load_secs;
         }
         let stats = &mut st.stats;
@@ -1741,9 +1806,10 @@ impl TensorCache {
 /// [`TensorCache::stage_scope`]).
 ///
 /// Entry actions ran when the guard was created; dropping the guard runs
-/// the exit actions (backward stages drain outstanding I/O) and emits
-/// the stage's span (category `stage`) into the cache's trace sink,
-/// closing the window between the paper's Algorithm 1 lines 9 and 15.
+/// the exit actions (see [`TensorCache::stage_scope`] for what each
+/// stage's exit waits for) and emits the stage's span (category `stage`)
+/// into the cache's trace sink, closing the window between the paper's
+/// Algorithm 1 lines 9 and 15.
 #[must_use = "dropping the scope immediately would end the stage before it ran"]
 #[derive(Debug)]
 pub struct StageScope<'c> {
@@ -1873,7 +1939,7 @@ impl ModuleHooks for TensorCache {
             let Some(rec) = st.records.get_mut(&id) else {
                 return;
             };
-            rec.scopes.remove(&scope.seq);
+            rec.scopes.remove(scope.seq);
             if rec.scopes.is_empty() {
                 self.release_record(st, id);
             }

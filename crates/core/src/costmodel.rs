@@ -4,10 +4,10 @@
 //! offloads; the [`TierStack`] decides *where* with a fixed front-first
 //! walk. Neither sees time. This module closes the loop the way
 //! 10Cache's profile-guided tier assignment does: it rebuilds the step's
-//! critical path from a [`StepProfile`] — forward compute vs the store
-//! drain at the forward/backward barrier, backward compute vs the reload
-//! traffic — and scores candidate per-module tier assignments by the
-//! modeled step time. [`CostModel::plan`] returns the deterministic
+//! critical path from a [`StepProfile`] — forward and backward compute,
+//! the reload traffic racing backward, and the store queue that must
+//! have drained by backward's exit — and scores candidate per-module
+//! tier assignments by the modeled step time. [`CostModel::plan`] returns the deterministic
 //! greedy best assignment as a [`TierPlan`]; the cache applies it at
 //! pack time (via [`TierStack::reserve_preferring`]) and re-plans
 //! between steps as fresh profiles arrive, promoting hot (late-forward,
@@ -19,11 +19,15 @@
 //! bus when one is configured — instead of summing link bandwidths that
 //! cannot be used concurrently.
 //!
-//! Timing semantics mirror the simulator exactly (see
-//! [`crate::TensorCache::drain_stores`]): stores submitted during
-//! forward cannot begin before the first module's compute finishes
-//! (`t0`), the forward stage ends at `max(compute, t0 + store drain)`,
-//! and the backward stage ends at `max(compute, reload time)`.
+//! Timing semantics mirror the simulator's barriers (see
+//! [`crate::TensorCache::stage_scope`]): forward ends when its compute
+//! does — its tail stores run on into backward — the backward stage
+//! takes `max(compute, reload time)`, and backward's exit waits for the
+//! store queue, which cannot begin before the first module's compute
+//! finishes (`t0`): `max(fwd + max(bwd, reload), t0 + store drain)`.
+//! The queue is priced whole: stores that backward's forwarding cancels
+//! in flight are a runtime quantity, so the model is an upper bound on
+//! a link too slow to hide the drain and exact where it hides.
 // ssdtrain-lint: hot-path
 
 use crate::adaptive::StepProfile;
@@ -282,11 +286,13 @@ impl CostModel {
         split
     }
 
-    /// The modeled step time of `assignment`: forward stage
-    /// `max(compute, t0 + store drain)` plus backward stage
-    /// `max(compute, reload time)`, with `t0` the first module's forward
-    /// time (no store can be submitted before it) and backward compute
-    /// `bwd_fwd_ratio ×` forward.
+    /// The modeled step time of `assignment`: forward compute plus the
+    /// backward stage `max(compute, reload time)`, or the store queue's
+    /// drain `t0 + store drain` when that ends later — the drain hides
+    /// in forward *and* backward and is waited for only at backward's
+    /// exit. `t0` is the first module's forward time (no store can be
+    /// submitted before it) and backward compute is `bwd_fwd_ratio ×`
+    /// forward.
     pub fn modeled_step_secs(
         &self,
         profile: &StepProfile,
@@ -298,10 +304,8 @@ impl CostModel {
             .fwd_total_secs
             .max(profile.modules.iter().map(|m| m.fwd_secs).sum::<f64>());
         let t0 = profile.modules.first().map(|m| m.fwd_secs).unwrap_or(0.0);
-        let fwd_stage = fwd.max(t0 + self.store_drain_secs(&split));
-        let bwd = bwd_fwd_ratio * fwd;
-        let bwd_stage = bwd.max(self.load_secs(&split));
-        fwd_stage + bwd_stage
+        let bwd_stage = (bwd_fwd_ratio * fwd).max(self.load_secs(&split));
+        (fwd + bwd_stage).max(t0 + self.store_drain_secs(&split))
     }
 
     /// Plans a per-module tier assignment for `profile`, deterministic

@@ -58,10 +58,10 @@ pub struct OffloadStats {
     /// Total simulated seconds the GPU stalled waiting for reloads — the
     /// exposed I/O latency; ≈0 when overlap is perfect (paper Q1).
     pub stall_secs: f64,
-    /// Simulated seconds the step stalled at stage barriers waiting for
-    /// store queues to drain — the write-direction exposure that makes
-    /// dram, ssd and tiered backends report different step times; 0 when
-    /// every store hides inside its stage's compute.
+    /// Simulated seconds the step stalled at stage exits waiting for
+    /// store queues to drain: what backward left of the activation queue
+    /// at its exit, plus any state-class store waited for where it was
+    /// submitted. 0 when every store hides inside forward + backward.
     #[serde(default)]
     pub store_stall_secs: f64,
     /// Stores the offload target failed (recovery then applied per

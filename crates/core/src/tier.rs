@@ -153,7 +153,7 @@ pub struct TierCounters {
     /// Bytes demoted here after a faster tier's device refused them.
     pub demoted_in_bytes: u64,
     /// Seconds the step stalled waiting for this tier's store queue to
-    /// drain at a stage barrier (filled from the I/O engine when the
+    /// drain at a stage exit (filled from the I/O engine when the
     /// stats snapshot is taken).
     #[serde(default)]
     pub stall_secs: f64,

@@ -639,3 +639,132 @@ fn stage_scopes_cover_the_algorithm1_shim_semantics() {
     let opt = r.cache.stage_scope(StageHint::Forward);
     opt.announce_next(StageHint::Optimizer);
 }
+
+// ---------------------------------------------------------------------
+// The stage barrier waits only for what the next stage reads
+// ---------------------------------------------------------------------
+
+#[test]
+fn forward_exit_leaves_activation_stores_to_backward() {
+    use ssdtrain::StageHint;
+
+    // Reference gradients: plain graph, no cache.
+    let dev_ref = Device::cpu();
+    let (w1t, w2t, xt) = init_weights(&dev_ref, 77);
+    let (w1_ref, w2_ref) = (Var::new("w1", w1t.clone()), Var::new("w2", w2t.clone()));
+    let g = Graph::new(&dev_ref, 7);
+    let loss_ref = two_layer_forward(&g, &xt, &w1_ref, &w2_ref);
+    g.backward(&loss_ref);
+
+    // 128-byte activations at 64 kB/s: each store holds the link for
+    // two operators, so forward ends with the head of the queue
+    // written, one store on the link and the tail not yet started.
+    let r = rig(offload_all_config(), 64_000.0, 1e9, 0.001);
+    let w1 = Var::new("w1", w1t.deep_clone_as(MemClass::Parameter));
+    let w2 = Var::new("w2", w2t.deep_clone_as(MemClass::Parameter));
+    let x = Tensor::from_vec(xt.to_vec(), [4, 8], &r.dev);
+    r.cache.begin_step();
+    r.graph.set_phase(Phase::Forward);
+    r.cache.register_parameter(&w1.tensor());
+    r.cache.register_parameter(&w2.tensor());
+
+    let fwd = r.cache.stage_scope(StageHint::Forward);
+    let loss = two_layer_forward(&r.graph, &x, &w1, &w2);
+    let fwd_end = r.clock.now();
+    drop(fwd);
+    assert!(
+        r.cache.io().writes_drain_at() > fwd_end,
+        "the fixture must leave stores in flight at forward's exit"
+    );
+    assert_eq!(r.clock.now(), fwd_end, "forward's exit must not wait");
+    assert_eq!(r.cache.stats().store_stall_secs, 0.0);
+
+    // The boundary stage announces backward (prefetch) and does not
+    // wait for the queue either.
+    let boundary = r.cache.stage_scope(StageHint::Communication);
+    boundary.announce_next(StageHint::Backward);
+    drop(boundary);
+    assert_eq!(r.clock.now(), fwd_end);
+
+    {
+        let _bwd = r.cache.stage_scope(StageHint::Backward);
+        r.graph.backward(&loss);
+    }
+    assert_eq!(loss.tensor().to_vec(), loss_ref.tensor().to_vec());
+    for (got, want) in [(&w1, &w1_ref), (&w2, &w2_ref)] {
+        let (got, want) = (got.grad().expect("grad"), want.grad().expect("grad"));
+        assert_eq!(got.to_vec(), want.to_vec(), "gradients must be bit-exact");
+    }
+
+    // Backward resolved the queue every way there is: the landed head
+    // was committed and reloaded, the store on the link was forwarded
+    // while it ran on, the unstarted tail was forwarded and cancelled.
+    // (The step input is a fourth record, but this test still holds it,
+    // so its landed store frees and reloads nothing.)
+    let s = r.cache.stats();
+    assert_eq!(s.prefetches + s.sync_loads, 1, "{s:?}");
+    assert_eq!((s.forwarded, s.cancelled_stores), (2, 1), "{s:?}");
+    assert_eq!(
+        (s.tiers[0].bytes_written, s.tiers[0].bytes_read),
+        (128, 128)
+    );
+    // Backward's exit is where the queue is accounted for: nothing is
+    // left on the link once it has dropped.
+    assert!(r.cache.io().writes_drain_at() <= r.clock.now());
+}
+
+#[test]
+fn state_stores_block_the_exit_that_follows_them() {
+    use ssdtrain::{OffloadClass, StageHint};
+
+    // 1 kB/s: the 128-byte state tensor holds the link for 0.128 s.
+    let r = rig(offload_all_config(), 1e3, 1e9, 0.001);
+    let (w1t, w2t, xt) = init_weights(&r.dev, 13);
+    let (w1, w2) = (Var::new("w1", w1t), Var::new("w2", w2t));
+    r.cache.begin_step();
+    r.graph.set_phase(Phase::Forward);
+    r.cache.register_parameter(&w1.tensor());
+    r.cache.register_parameter(&w2.tensor());
+
+    // The overlapped optimizer's write-back: submitted before the
+    // micro-batch loads, ahead of every activation on the same queue.
+    let velocity = Tensor::from_vec(vec![0.5; 32], [4, 8], &r.dev);
+    let slot = r
+        .cache
+        .offload_state(&velocity, OffloadClass::OptimizerState)
+        .expect("state is admitted");
+    let landed = r.cache.state_available_at(slot).expect("offloaded");
+    assert!(landed > r.clock.now());
+
+    // State has no forwarding path: the exit that follows waits for it,
+    // so forward's activations never queue behind a backlog.
+    drop(r.cache.stage_scope(StageHint::MicroBatchLoad(0)));
+    assert_eq!(r.clock.now(), landed);
+    let stalled = r.cache.stats().store_stall_secs;
+    assert!((stalled - landed.as_secs()).abs() < 1e-12);
+
+    // Activations queued by forward do not hold its exit …
+    let fwd = r.cache.stage_scope(StageHint::Forward);
+    let loss = two_layer_forward(&r.graph, &xt, &w1, &w2);
+    let fwd_end = r.clock.now();
+    drop(fwd);
+    assert!(r.cache.io().writes_drain_at() > fwd_end);
+    assert_eq!(r.clock.now(), fwd_end);
+
+    // … but a state store behind them does, and only as far as its own
+    // completion: nothing is queued after it, so that is the queue's.
+    let grad = Tensor::from_vec(vec![0.25; 32], [4, 8], &r.dev);
+    let reduce = r.cache.stage_scope(StageHint::Communication);
+    let grad_slot = r
+        .cache
+        .offload_state(&grad, OffloadClass::Gradient)
+        .expect("state is admitted");
+    let grad_landed = r.cache.state_available_at(grad_slot).expect("offloaded");
+    drop(reduce);
+    assert_eq!(r.clock.now(), grad_landed);
+    assert_eq!(r.cache.io().writes_drain_at(), grad_landed);
+
+    r.graph.backward(&loss);
+    r.cache.release_state(slot);
+    r.cache.release_state(grad_slot);
+}

@@ -40,6 +40,11 @@ impl SimTime {
         SimTime(self.0.max(other.0))
     }
 
+    /// Elementwise minimum.
+    pub fn min(self, other: SimTime) -> SimTime {
+        SimTime(self.0.min(other.0))
+    }
+
     /// Difference in seconds (`self - earlier`).
     pub fn since(self, earlier: SimTime) -> f64 {
         self.0 - earlier.0

@@ -192,17 +192,19 @@ impl OptEngine {
             let late = (ready.as_secs() - arrival).max(0.0);
             delay += late;
             self.apply_stage(cache, opt, j, range);
-            trace.instant_with(
-                TraceCategory::Stage,
-                format!("opt.overlap.s{j}"),
-                clock.now(),
-                vec![
-                    ("ready_secs", ArgValue::F64(ready.as_secs())),
-                    ("arrival_secs", ArgValue::F64(arrival)),
-                    ("exposed_secs", ArgValue::F64(late)),
-                    ("fwd_estimate_secs", ArgValue::F64(self.fwd_estimate)),
-                ],
-            );
+            if trace.is_enabled() {
+                trace.instant_with(
+                    TraceCategory::Stage,
+                    format!("opt.overlap.s{j}"),
+                    clock.now(),
+                    vec![
+                        ("ready_secs", ArgValue::F64(ready.as_secs())),
+                        ("arrival_secs", ArgValue::F64(arrival)),
+                        ("exposed_secs", ArgValue::F64(late)),
+                        ("fwd_estimate_secs", ArgValue::F64(self.fwd_estimate)),
+                    ],
+                );
+            }
         }
         if delay > 0.0 {
             clock.advance_to(SimTime::from_secs(clock.now().as_secs() + delay));
@@ -286,12 +288,10 @@ impl OptEngine {
                 opt.ensure_velocity(i);
             }
             self.apply_stage(cache, opt, j, range);
-            trace.span(
-                TraceCategory::Stage,
-                format!("opt.stage{j}"),
-                stage_start,
-                clock.now(),
-            );
+            if trace.is_enabled() {
+                let name = format!("opt.stage{j}");
+                trace.span(TraceCategory::Stage, name, stage_start, clock.now());
+            }
         }
         OptReport {
             inline_secs: clock.now().since(t0),

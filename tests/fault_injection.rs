@@ -9,9 +9,9 @@
 //! [`RecoveryPolicy`], plus read faults (unrecoverable by design) and
 //! `SlowIo` degradation (numerics preserved, time stretched).
 
-use ssdtrain::{RecoveryPolicy, TensorCacheConfig};
+use ssdtrain::{EventKind, PlacementStrategy, RecoveryPolicy, TensorCacheConfig, TraceSink};
 use ssdtrain_models::ModelConfig;
-use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger};
+use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger, SystemConfig};
 use ssdtrain_train::{SessionConfig, StepMetrics, TrainSession};
 
 const STEPS: usize = 3;
@@ -270,6 +270,109 @@ fn coalesced_fail_step_surfaces_structured_error_for_every_trigger() {
             "{name}: fail-step policy should surface the segment fault"
         );
     }
+}
+
+/// The coalesced run on an array so slow (20 MB/s) that forward's first
+/// segment is still being written when forward exits: it lands during
+/// backward and is committed there, when backward reaches its members
+/// one module at a time; everything queued behind it is forwarded.
+fn crossing_session(
+    fault: Option<FaultPlan>,
+    recovery: RecoveryPolicy,
+    sink: TraceSink,
+) -> TrainSession {
+    let mut cache = TensorCacheConfig::offload_everything();
+    cache.coalesce_segment_bytes = 4 << 10;
+    cache.prefetch_depth = 1;
+    let mut system = SystemConfig::dac_testbed();
+    system.ssd_array.member.write_bps = 5e6;
+    let mut builder = SessionConfig::builder()
+        .model(ModelConfig::tiny_gpt())
+        .batch_size(2)
+        .cache(cache)
+        .system(system)
+        .recovery(recovery)
+        .trace(sink)
+        .seed(23);
+    if let Some(plan) = fault {
+        builder = builder.fault(plan);
+    }
+    TrainSession::new(builder.build().expect("valid config")).expect("session construction")
+}
+
+#[test]
+fn a_segment_that_lands_during_backward_degrades_per_policy() {
+    // The reference is the keep twin: same model and seed, nothing
+    // offloaded.
+    let keep = SessionConfig::builder()
+        .model(ModelConfig::tiny_gpt())
+        .batch_size(2)
+        .strategy(PlacementStrategy::Keep)
+        .seed(23)
+        .build()
+        .expect("valid config");
+    let keep_bits = loss_bits(&run(&mut TrainSession::new(keep).expect("session")));
+
+    // Healthy: every segment the run commits was still on the link when
+    // its forward exited, so whichever write a fault hits is one that
+    // crossed into backward.
+    let sink = TraceSink::enabled();
+    let mut s = crossing_session(None, RecoveryPolicy::KeepResident, sink.clone());
+    assert_eq!(loss_bits(&run(&mut s)), keep_bits);
+    let events = sink.events();
+    let end_of = |e: &ssdtrain::TraceEvent| match e.kind {
+        EventKind::Span { dur_secs } => e.ts.as_secs() + dur_secs,
+        _ => panic!("{} must be a span", e.name),
+    };
+    let mut commits = 0;
+    for step in 1..=STEPS as u32 {
+        let in_step = || events.iter().filter(move |e| e.step == step);
+        let forward = in_step()
+            .find(|e| e.name == "stage.forward")
+            .expect("forward stage span");
+        for store in in_step().filter(|e| e.name == "store") {
+            assert!(
+                end_of(store) > end_of(forward),
+                "step {step}: a store landed at {} inside forward (ends {})",
+                end_of(store),
+                end_of(forward)
+            );
+            commits += 1;
+        }
+    }
+    assert!(commits > 0, "the fixture must commit a crossing segment");
+
+    let fault =
+        || FaultPlan::new(7).with_fault(FaultTrigger::NthOp { nth: 0 }, FaultKind::WriteError);
+    for policy in [RecoveryPolicy::KeepResident, RecoveryPolicy::FallbackTarget] {
+        let mut s = crossing_session(Some(fault()), policy, TraceSink::disabled());
+        let metrics = run(&mut s);
+        assert_eq!(loss_bits(&metrics), keep_bits, "{policy:?}");
+        assert_eq!(s.fault_log().expect("fault plan").write_faults, 1);
+        let failures: u64 = metrics.iter().map(|m| m.offload.store_failures).sum();
+        let kept: u64 = metrics.iter().map(|m| m.offload.kept_resident_bytes).sum();
+        let fallback: u64 = metrics.iter().map(|m| m.offload.fallback_bytes).sum();
+        assert_eq!(failures, 1, "{policy:?}: one segment, one decision");
+        if policy == RecoveryPolicy::FallbackTarget {
+            assert!(fallback > 0 && kept == 0, "{policy:?}: {fallback} / {kept}");
+        } else {
+            assert!(kept > 0 && fallback == 0, "{policy:?}: {kept} / {fallback}");
+        }
+    }
+
+    // FailStep surfaces the failed step and skips its update, so only
+    // the steps up to and including it are comparable: their losses
+    // were computed before the fault could matter.
+    let mut s = crossing_session(
+        Some(fault()),
+        RecoveryPolicy::FailStep,
+        TraceSink::disabled(),
+    );
+    let err = s.run_step().expect_err("the first commit fails the step");
+    assert!(err.error.is_store());
+    let m = err.metrics.expect("degraded metrics attached");
+    assert_eq!(m.offload.store_failures, 1);
+    assert_eq!(m.loss.to_bits(), keep_bits[0]);
 }
 
 #[test]

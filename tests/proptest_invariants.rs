@@ -566,12 +566,13 @@ proptest! {
             "load: modeled {modeled_load} vs simulated {sim_load}"
         );
 
-        // The full step composes the two stages exactly as the cache's
-        // stage barrier does: stores cannot start before the first
-        // module computes, reloads race backward compute.
+        // The full step composes them exactly as the cache's barriers
+        // do: reloads race backward compute, and the store queue —
+        // which cannot start before the first module computes — is
+        // waited for only at backward's exit.
         let fwd = profile.fwd_total_secs;
         let t0 = profile.modules.first().map(|m| m.fwd_secs).unwrap_or(0.0);
-        let expect = fwd.max(t0 + sim_drain) + (ratio * fwd).max(sim_load);
+        let expect = (fwd + (ratio * fwd).max(sim_load)).max(t0 + sim_drain);
         let modeled = model.modeled_step_secs(&profile, &assignment, ratio);
         prop_assert!(
             (modeled - expect).abs() <= expect * 1e-6,

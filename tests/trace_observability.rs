@@ -305,15 +305,20 @@ fn tier_drain_spans_match_the_stall_counters() {
     // single-link backend. The `tier.io.<name>` instants mirror the same
     // counters byte for byte.
     //
-    // The testbed's array hides the tiny model's traffic entirely, so
-    // slow its write path until the stage barrier exposes a drain.
+    // The testbed's array hides the tiny model's traffic entirely, and
+    // on a slow one backward forwards the queue's tail and cancels its
+    // stores. So slow the write path *and* keep forwarded stores
+    // running: what backward leaves of the queue drains at its exit.
     let mut sys = SystemConfig::dac_testbed();
     sys.ssd_array.member.write_bps = 1e6;
     let sink = TraceSink::enabled();
     let cfg = SessionConfig::builder()
         .model(ModelConfig::tiny_gpt())
         .batch_size(2)
-        .cache(TensorCacheConfig::offload_everything())
+        .cache(TensorCacheConfig {
+            cancel_forwarded_stores: false,
+            ..TensorCacheConfig::offload_everything()
+        })
         .system(sys)
         .seed(7)
         .backend(OffloadBackend::Ssd)
