@@ -5,186 +5,17 @@
 //! forward. The host pool is deliberately bounded so the dram-only
 //! backend hits Figure 2's wall while the array keeps absorbing state.
 //!
-//! Prints a table and emits `results/BENCH_capacity.json`; the
-//! `scripts/bench_check.sh` gates read that file.
+//! Prints a table and the overlap-timing lines. The rows come from
+//! `ssdtrain_bench::{capacity_rows, capacity_timings}`, which
+//! `tests/paper_claims.rs` gates.
 
-use ssdtrain::{OffloadClass, TensorCacheConfig};
-use ssdtrain_bench::{gb, paper_testbed, print_table};
-use ssdtrain_models::Arch;
-use ssdtrain_simhw::SystemConfig;
-use ssdtrain_train::{OffloadBackend, StepMetrics, TrainSession};
-
-const LAYERS: usize = 4;
-const BATCH: usize = 16;
-/// Hidden sizes are probed on this grid (attention heads want
-/// power-of-two-ish multiples).
-const HIDDEN_STEP: usize = 512;
-const HIDDEN_MAX: usize = 32768;
-/// A bounded pinned host pool: big enough for part of a step, far from
-/// the unbounded array.
-const HOST_POOL_BYTES: u64 = 8 << 30;
-/// Common hidden size for the overlap-timing comparison, small enough
-/// that every backend fits it.
-const TIMING_HIDDEN: usize = 4096;
-
-fn system() -> SystemConfig {
-    let mut sys = SystemConfig::dac_testbed();
-    sys.host_mem_bytes = HOST_POOL_BYTES;
-    sys
-}
-
-fn session(backend: OffloadBackend, overlap: bool, hidden: usize) -> TrainSession {
-    let cfg = paper_testbed(Arch::Bert, hidden, LAYERS, BATCH)
-        .system(system())
-        .cache(TensorCacheConfig::default())
-        .offload(OffloadClass::Gradient, true)
-        .offload(OffloadClass::OptimizerState, true)
-        .overlap_optimizer(overlap)
-        .momentum(0.9)
-        .backend(backend)
-        .build()
-        .expect("valid config");
-    TrainSession::new(cfg).expect("session construction")
-}
-
-/// Two steps (the first bootstraps the offloaded state; the second is
-/// the steady-state shape) — the configuration "fits" when both stay
-/// under the device limit.
-fn fits(backend: OffloadBackend, overlap: bool, hidden: usize) -> bool {
-    let mut s = session(backend, overlap, hidden);
-    (0..2).all(|_| s.run_step().map(|m| !m.oom).unwrap_or(false))
-}
-
-struct Row {
-    label: &'static str,
-    overlap: bool,
-    max_hidden: usize,
-    metrics: StepMetrics,
-    planned_state_io_secs: f64,
-}
-
-/// Largest hidden size on the grid that fits, by binary search over the
-/// grid indices (fitting is monotone in the model size).
-fn max_hidden(backend: OffloadBackend, overlap: bool) -> usize {
-    let (mut lo, mut hi) = (0, HIDDEN_MAX / HIDDEN_STEP); // lo fits, hi unknown
-    while lo < hi {
-        let mid = (lo + hi).div_ceil(2);
-        if fits(backend, overlap, mid * HIDDEN_STEP) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    lo * HIDDEN_STEP
-}
-
-fn run_config(label: &'static str, backend: OffloadBackend, overlap: bool) -> Row {
-    let best = max_hidden(backend, overlap);
-    assert!(best > 0, "{label}: even the smallest model must fit");
-    let mut s = session(backend, overlap, best);
-    let _ = s.run_step().expect("bootstrap step");
-    let metrics = s.run_step().expect("steady step");
-
-    // Price one steady-state optimizer update on the cost model: every
-    // state byte of the step loaded once and stored once on its tier.
-    let cache = s.cache().expect("state classes force a cache");
-    let cost = cache.cost_model();
-    let state_bytes: u64 = [OffloadClass::Gradient, OffloadClass::OptimizerState]
-        .iter()
-        .filter_map(|c| metrics.offload.class(*c))
-        .map(|c| c.offloaded_bytes)
-        .sum();
-    let planned_state_io_secs = cost.state_job_secs(0, state_bytes, state_bytes);
-
-    Row {
-        label,
-        overlap,
-        max_hidden: best,
-        metrics,
-        planned_state_io_secs,
-    }
-}
-
-/// Inline-vs-overlap timing at a common size every backend fits.
-struct Timing {
-    backend: &'static str,
-    step_secs: [f64; 2],
-    opt_secs_inline: f64,
-    opt_exposed_overlap: f64,
-}
-
-fn timing(backend_label: &'static str, backend: OffloadBackend) -> Timing {
-    let steady = |overlap: bool| -> StepMetrics {
-        let mut s = session(backend, overlap, TIMING_HIDDEN);
-        let _ = s.run_step().expect("bootstrap step");
-        // Step 2 carries the first deferred update; step 3 is steady.
-        let _ = s.run_step().expect("step");
-        s.run_step().expect("steady step")
-    };
-    let inline = steady(false);
-    let overlapped = steady(true);
-    Timing {
-        backend: backend_label,
-        step_secs: [inline.step_secs, overlapped.step_secs],
-        opt_secs_inline: inline.opt_secs,
-        opt_exposed_overlap: overlapped.opt_exposed_secs,
-    }
-}
-
-fn emit_json(rows: &[Row], timings: &[Timing]) {
-    let mut out = format!(
-        "{{\n  \"bench\": \"capacity\",\n  \"model\": \"bert_l{LAYERS}_tp2\",\n  \"batch\": {BATCH},\n  \"host_pool_bytes\": {HOST_POOL_BYTES},\n  \"configs\": [\n"
-    );
-    for (i, row) in rows.iter().enumerate() {
-        let m = &row.metrics;
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"overlap\": {}, \"max_hidden\": {}, \"step_secs\": {:.6}, \"opt_secs\": {:.6}, \"opt_exposed_secs\": {:.6}, \"offloaded_bytes\": {}, \"total_peak_bytes\": {}, \"planned_state_io_secs\": {:.6}}}{}\n",
-            row.label,
-            row.overlap,
-            row.max_hidden,
-            m.step_secs,
-            m.opt_secs,
-            m.opt_exposed_secs,
-            m.offload.offloaded_bytes,
-            m.total_peak_bytes,
-            row.planned_state_io_secs,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"timing_hidden\": {TIMING_HIDDEN},\n  \"timing\": [\n"
-    ));
-    for (i, t) in timings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"step_secs_inline\": {:.6}, \"step_secs_overlap\": {:.6}, \"opt_secs_inline\": {:.9}, \"opt_exposed_overlap\": {:.9}}}{}\n",
-            t.backend,
-            t.step_secs[0],
-            t.step_secs[1],
-            t.opt_secs_inline,
-            t.opt_exposed_overlap,
-            if i + 1 < timings.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/BENCH_capacity.json", &out).is_ok()
-    {
-        println!("\nwritten results/BENCH_capacity.json");
-    }
-}
+use ssdtrain_bench::{
+    capacity_rows, capacity_timings, gb, print_table, CAPACITY_BATCH, CAPACITY_LAYERS,
+    CAPACITY_TIMING_HIDDEN,
+};
 
 fn main() {
-    let tiered = OffloadBackend::Tiered {
-        dram_bytes: 4 << 30,
-    };
-    let rows = vec![
-        run_config("ssd", OffloadBackend::Ssd, false),
-        run_config("ssd", OffloadBackend::Ssd, true),
-        run_config("dram", OffloadBackend::Dram, false),
-        run_config("dram", OffloadBackend::Dram, true),
-        run_config("tiered-4g", tiered, false),
-        run_config("tiered-4g", tiered, true),
-    ];
+    let rows = capacity_rows();
 
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -204,7 +35,9 @@ fn main() {
         })
         .collect();
     print_table(
-        &format!("Max trainable BERT-L{LAYERS} (TP=2, B={BATCH}) on 40 GB, by backend"),
+        &format!(
+            "Max trainable BERT-L{CAPACITY_LAYERS} (TP=2, B={CAPACITY_BATCH}) on 40 GB, by backend"
+        ),
         &[
             "backend",
             "overlap",
@@ -219,20 +52,13 @@ fn main() {
         &table,
     );
 
-    let timings = vec![
-        timing("ssd", OffloadBackend::Ssd),
-        timing("dram", OffloadBackend::Dram),
-        timing("tiered-4g", tiered),
-    ];
-    println!("\noverlap timing at H{TIMING_HIDDEN} (steady step):");
-    for t in &timings {
+    println!("\noverlap timing at H{CAPACITY_TIMING_HIDDEN} (steady step):");
+    for t in capacity_timings() {
         println!(
             "  {:<9}: inline opt {:.6}s vs overlapped exposure {:.6}s (step {:.3}s -> {:.3}s)",
             t.backend, t.opt_secs_inline, t.opt_exposed_overlap, t.step_secs[0], t.step_secs[1],
         );
     }
-
-    emit_json(&rows, &timings);
     println!(
         "\nthe array-backed backends keep absorbing gradients and momentum after the\n\
          bounded host pool is full, so their largest trainable model exceeds the\n\

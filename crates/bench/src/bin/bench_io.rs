@@ -16,156 +16,13 @@
 //! bytes (0.131 s at 1.12 GB against 0.136 s at 2.50 GB and 0.158 s at
 //! 3.45 GB): a difference in what is offloaded, not in how.
 //!
-//! Prints a table and emits `results/BENCH_io.json`; the
-//! `scripts/bench_check.sh` gates read that file.
+//! Prints a table. The rows come from `ssdtrain_bench::io_rows`, which
+//! `tests/paper_claims.rs` gates.
 
-use ssdtrain::{OffloadStats, PlacementStrategy, TensorCacheConfig};
-use ssdtrain_bench::{gb, paper_testbed, print_table};
-use ssdtrain_models::Arch;
-use ssdtrain_train::{OffloadBackend, TrainSession};
-
-/// Fixed per-store-job submission cost (driver/syscall/queue doorbell):
-/// the term that makes many small jobs slower than few large ones.
-const STORE_JOB_OVERHEAD_SECS: f64 = 1e-3;
-/// Media bytes each write op charges beyond its payload (mapping
-/// granularity / page padding): the term that inflates the effective
-/// WAF of small writes.
-const SSD_WRITE_OVERHEAD_BYTES: u64 = 512 << 10;
-/// Bounded DRAM front tier, small enough that most of what is written
-/// reaches the flash where the wear meter watches it: the queue here
-/// outlasts the step, backward forwards its tail, and only the head
-/// (about 1.2 GB of the 3.45 GB) crosses to a device at all.
-const DRAM_FRONT_BYTES: u64 = 128 << 20;
-
-struct Arm {
-    name: &'static str,
-    /// Coalescing segment size (0 = per-tensor stores).
-    segment_bytes: u64,
-    /// Group size in modules (0 = per-module prefetch path).
-    group_modules: usize,
-    /// Prefetch lookahead (modules or groups); 0 disables prefetch.
-    depth: usize,
-}
-
-struct Row {
-    arm: &'static Arm,
-    step_secs: f64,
-    waf: f64,
-    offload: OffloadStats,
-}
-
-const ARMS: [Arm; 4] = [
-    // Baseline: every tensor its own store job, backward loads only
-    // when unpack blocks on them.
-    Arm {
-        name: "per-tensor-ondemand",
-        segment_bytes: 0,
-        group_modules: 0,
-        depth: 0,
-    },
-    // The paper's configuration: per-tensor stores, per-module
-    // prefetch two modules ahead.
-    Arm {
-        name: "per-tensor-depth2",
-        segment_bytes: 0,
-        group_modules: 0,
-        depth: 2,
-    },
-    // The coalesced path at two segment sizes, both consuming backward
-    // groups of two modules on the double buffer.
-    Arm {
-        name: "coalesced-64m-group",
-        segment_bytes: 64 << 20,
-        group_modules: 2,
-        depth: 2,
-    },
-    Arm {
-        name: "coalesced-256m-group",
-        segment_bytes: 256 << 20,
-        group_modules: 2,
-        depth: 2,
-    },
-];
-
-fn run_arm(arm: &'static Arm) -> Row {
-    let defaults = TensorCacheConfig::default();
-    let builder = paper_testbed(Arch::Bert, 2048, 8, 8)
-        .strategy(PlacementStrategy::Offload)
-        .backend(OffloadBackend::Tiered {
-            dram_bytes: DRAM_FRONT_BYTES,
-        })
-        .store_job_overhead(STORE_JOB_OVERHEAD_SECS)
-        .ssd_write_overhead(SSD_WRITE_OVERHEAD_BYTES)
-        .cache(TensorCacheConfig {
-            prefetch: arm.depth > 0,
-            prefetch_depth: arm.depth.max(defaults.prefetch_depth),
-            coalesce_segment_bytes: arm.segment_bytes,
-            prefetch_group_modules: arm.group_modules,
-            // Every arm queues the same bytes (module docs).
-            cancel_forwarded_stores: false,
-            ..defaults
-        });
-    let cfg = builder.build().expect("valid config");
-    let mut session = TrainSession::new(cfg).expect("session construction");
-    let metrics = session.run_step().expect("measured step");
-
-    // Effective WAF straight off the SSD tier's wear meter: media
-    // bytes (payload + per-op overhead) over host bytes.
-    let cache = session.cache().expect("offload strategy owns a cache");
-    let waf = cache
-        .tiers()
-        .tier_ids()
-        .into_iter()
-        .find(|t| cache.tiers().name(*t) == "ssd")
-        .and_then(|t| cache.tiers().device(t))
-        .and_then(|d| d.wear_snapshot())
-        .map(|w| w.effective_waf())
-        .unwrap_or(0.0);
-
-    Row {
-        arm,
-        step_secs: metrics.step_secs,
-        waf,
-        offload: metrics.offload,
-    }
-}
-
-fn emit_json(rows: &[Row]) {
-    let mut out =
-        String::from("{\n  \"bench\": \"io\",\n  \"model\": \"bert_h2048_l8\",\n  \"batch\": 8,\n");
-    out.push_str(&format!(
-        "  \"store_job_overhead_secs\": {STORE_JOB_OVERHEAD_SECS},\n  \"ssd_write_overhead_bytes\": {SSD_WRITE_OVERHEAD_BYTES},\n  \"arms\": [\n"
-    ));
-    for (i, row) in rows.iter().enumerate() {
-        let o = &row.offload;
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"segment_mib\": {}, \"group_modules\": {}, \"prefetch_depth\": {}, \"step_secs\": {:.6}, \"waf\": {:.6}, \"load_stall_secs\": {:.6}, \"store_stall_secs\": {:.6}, \"arena_high_water_bytes\": {}, \"store_jobs\": {}, \"coalesce_segments\": {}, \"prefetch_groups\": {}, \"offloaded_bytes\": {}}}{}\n",
-            row.arm.name,
-            row.arm.segment_bytes >> 20,
-            row.arm.group_modules,
-            row.arm.depth,
-            row.step_secs,
-            row.waf,
-            o.stall_secs,
-            o.store_stall_secs,
-            o.arena_high_water_bytes,
-            o.store_jobs,
-            o.coalesce_segments,
-            o.prefetch_groups,
-            o.offloaded_bytes,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/BENCH_io.json", &out).is_ok()
-    {
-        println!("\nwritten results/BENCH_io.json");
-    }
-}
+use ssdtrain_bench::{gb, io_rows, print_table};
 
 fn main() {
-    let rows: Vec<Row> = ARMS.iter().map(run_arm).collect();
+    let rows = io_rows();
 
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -205,7 +62,6 @@ fn main() {
         ],
         &table,
     );
-    emit_json(&rows);
     println!(
         "\ncoalescing collapses the {} per-tensor store jobs into {} sequential\n\
          segments: the per-job submission overhead leaves the step clock\n\

@@ -11,182 +11,21 @@
 //! keep-everything time and the faster its links, the more it can
 //! afford to offload and the lower its activation peak.
 //!
-//! Prints a table and emits `results/BENCH_tiering.json` with the keep
-//! baseline, each backend's offloaded bytes and activation peak, the
-//! per-tier traffic split and the endurance headroom each backend
-//! leaves on the SSD array; `scripts/bench_check.sh` gates on it.
+//! Prints a table of the keep baseline, each backend's offloaded bytes
+//! and activation peak, the per-tier traffic split and the endurance
+//! headroom each backend leaves on the SSD array. The rows come from
+//! `ssdtrain_bench::tiering_rows`, which `tests/paper_claims.rs` gates.
 
-use ssdtrain::{PlacementStrategy, TensorCacheConfig};
-use ssdtrain_bench::{gb, gib, measured_step, paper_session, paper_testbed, print_table};
-use ssdtrain_models::Arch;
-use ssdtrain_simhw::SystemConfig;
-use ssdtrain_train::{OffloadBackend, SessionBuilder, StepMetrics, TrainSession};
-
-/// The array's write bandwidth relative to the Table 3 testbed.
-const ARRAY_WRITE_SCALE: f64 = 0.25;
-
-fn link_bound_testbed() -> SessionBuilder {
-    let mut system = SystemConfig::dac_testbed();
-    system.ssd_array.member.write_bps *= ARRAY_WRITE_SCALE;
-    paper_testbed(Arch::Bert, 8192, 4, 16).system(system)
-}
-
-/// A steady month of training at the measured per-step traffic — long
-/// enough for the endurance split between backends to show.
-const PROJECTION_SECS: f64 = 30.0 * 24.0 * 3600.0;
-
-struct Row {
-    label: &'static str,
-    metrics: StepMetrics,
-    remaining_frac: f64,
-    lifespan_years: Option<f64>,
-}
-
-fn run_backend(label: &'static str, backend: OffloadBackend) -> Row {
-    run_backend_with(label, backend, TensorCacheConfig::default())
-}
-
-fn run_backend_with(label: &'static str, backend: OffloadBackend, cache: TensorCacheConfig) -> Row {
-    let cfg = link_bound_testbed()
-        .strategy(PlacementStrategy::Offload)
-        .backend(backend)
-        .cache(cache)
-        .build()
-        .expect("valid config");
-    let mut session = TrainSession::new(cfg).expect("session construction");
-    let _ = session.profile_step().expect("profile step");
-    let metrics = session.run_step().expect("measured step");
-
-    // Project the SSD array's wear under a month of steady training at
-    // this backend's per-step SSD traffic. Only bytes that reach the
-    // "ssd" tier wear the flash — the DRAM tier absorbs the rest.
-    let ssd_bytes_per_step: u64 = metrics
-        .offload
-        .tiers
-        .iter()
-        .filter(|t| t.name == "ssd")
-        .map(|t| t.bytes_written)
-        .sum();
-    let mut meter = SystemConfig::dac_testbed().ssd_array.wear_meter(1.0);
-    let steps = (PROJECTION_SECS / metrics.step_secs) as u64;
-    meter.record_write(ssd_bytes_per_step.saturating_mul(steps));
-    let remaining_frac = meter.remaining_bytes() / meter.endurance_bytes;
-    let lifespan_years = (ssd_bytes_per_step > 0)
-        .then(|| meter.projected_lifespan_years(ssd_bytes_per_step, metrics.step_secs));
-
-    Row {
-        label,
-        metrics,
-        remaining_frac,
-        lifespan_years,
-    }
-}
-
-fn json_escape_free(s: &str) -> &str {
-    // Labels and tier names are ASCII identifiers; nothing to escape.
-    s
-}
-
-fn emit_json(keep: &StepMetrics, rows: &[Row]) {
-    let mut out = format!(
-        "{{\n  \"bench\": \"tiering\",\n  \"model\": \"bert_h8192_l4\",\n  \"batch\": 16,\n  \"array_write_scale\": {ARRAY_WRITE_SCALE},\n  \"keep_step_secs\": {:.6},\n  \"keep_act_peak_bytes\": {},\n  \"backends\": [\n",
-        keep.step_secs, keep.act_peak_bytes,
-    );
-    for (i, row) in rows.iter().enumerate() {
-        let m = &row.metrics;
-        out.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"step_secs\": {:.6},\n      \"store_stall_secs\": {:.6},\n      \"load_stall_secs\": {:.6},\n      \"offloaded_bytes\": {},\n      \"act_peak_bytes\": {},\n      \"spilled_bytes\": {},\n      \"ssd_endurance_remaining_after_30d\": {:.6},\n      \"ssd_lifespan_years\": {},\n      \"tiers\": [\n",
-            json_escape_free(row.label),
-            m.step_secs,
-            m.offload.store_stall_secs,
-            m.offload.stall_secs,
-            m.offload.offloaded_bytes,
-            m.act_peak_bytes,
-            m.offload.spilled_bytes,
-            row.remaining_frac,
-            row.lifespan_years
-                .map(|y| format!("{y:.3}"))
-                .unwrap_or_else(|| "null".into()),
-        ));
-        for (j, t) in m.offload.tiers.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"name\": \"{}\", \"bytes_written\": {}, \"bytes_read\": {}, \"spilled_in_bytes\": {}, \"demoted_in_bytes\": {}}}{}\n",
-                json_escape_free(&t.name),
-                t.bytes_written,
-                t.bytes_read,
-                t.spilled_in_bytes,
-                t.demoted_in_bytes,
-                if j + 1 < m.offload.tiers.len() { "," } else { "" },
-            ));
-        }
-        out.push_str(&format!(
-            "      ]\n    }}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/BENCH_tiering.json", &out).is_ok()
-    {
-        println!("\nwritten results/BENCH_tiering.json");
-    }
-}
+use ssdtrain_bench::{gb, gib, print_table, tiering_rows};
 
 fn main() {
-    // The same model with every activation kept (no link is touched):
-    // the step time offloading must not exceed, the peak it cuts.
-    let keep_all = PlacementStrategy::Keep;
-    let keep = measured_step(
-        &mut paper_session(Arch::Bert, 8192, 4, 16, keep_all),
-        keep_all,
-    );
-    // A 4 GiB pinned front tier holds part of one step's ~12 GB of
-    // activations; the rest spills to the array.
-    let rows = vec![
-        run_backend("ssd", OffloadBackend::Ssd),
-        run_backend("dram", OffloadBackend::Dram),
-        run_backend(
-            "tiered-4g",
-            OffloadBackend::Tiered {
-                dram_bytes: 4 << 30,
-            },
-        ),
-        // Same tier stack, but the profile-guided cost model plans the
-        // per-module placement. Its hot-first seeding gives the front
-        // tier to the tail of forward, which the adaptive cutoff then
-        // keeps: on this testbed the planned row offloads what ssd-only
-        // does and leaves the front tier idle (ROADMAP direction 1(iii)).
-        run_backend_with(
-            "tiered-4g-planned",
-            OffloadBackend::Tiered {
-                dram_bytes: 4 << 30,
-            },
-            TensorCacheConfig {
-                profile_guided: true,
-                ..TensorCacheConfig::default()
-            },
-        ),
-    ];
+    let (keep, rows) = tiering_rows();
 
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|row| {
             let m = &row.metrics;
-            let ssd_bytes: u64 = m
-                .offload
-                .tiers
-                .iter()
-                .filter(|t| t.name == "ssd")
-                .map(|t| t.bytes_written)
-                .sum();
-            let front_bytes: u64 = m
-                .offload
-                .tiers
-                .iter()
-                .filter(|t| t.name != "ssd")
-                .map(|t| t.bytes_written)
-                .sum();
-            let (ssd_gb, front_gb) = (gb(ssd_bytes), gb(front_bytes));
+            let (ssd_gb, front_gb) = (gb(row.ssd_bytes()), gb(row.front_bytes()));
             vec![
                 row.label.to_owned(),
                 format!("{:.3}", m.step_secs),
@@ -219,7 +58,6 @@ fn main() {
         ],
         &table,
     );
-    emit_json(&keep, &rows);
     println!(
         "\nkeep-everything baseline: step {:.3} s, activation peak {:.2} GiB. every backend\n\
          holds that step; the faster its write path, the more it offloads.",

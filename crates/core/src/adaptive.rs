@@ -159,7 +159,7 @@ impl AdaptivePlan {
     /// Two refinements over [`AdaptivePlan::decide`]:
     ///
     /// 1. The bandwidth budget is [`CostModel::effective_write_bps`] of
-    ///    the *planned* byte split — with a shared write bus this is
+    ///    the *planned* byte split — on the shared write bus this is
     ///    strictly less than the parallel link sum the raw path assumes.
     /// 2. A drain check on the cutoff itself. [`AdaptivePlan::decide`]
     ///    prices the offloaded prefix at the split's *average* bandwidth
@@ -387,7 +387,7 @@ mod tests {
             1.0,
         );
         let plan = cost.plan(&p, 2.0);
-        let raw = AdaptivePlan::decide(&p, io.write_bps(), 2.0);
+        let raw = AdaptivePlan::decide(&p, io.write_bps_of(0) + io.write_bps_of(1), 2.0);
         let guided = AdaptivePlan::decide_with_cost(&p, &cost, &plan, 2.0);
         // Raw 2 GB/s budget: m=1 needs 3 GB by 2 s → 1.5 GB/s, feasible.
         assert_eq!(raw.last_offloaded, Some(1), "raw budget offloads freely");
@@ -428,7 +428,7 @@ mod tests {
             1.05,
         );
         let plan = cost.plan(&p, 2.0);
-        let flat = AdaptivePlan::decide(&p, io.write_bps(), 2.0);
+        let flat = AdaptivePlan::decide(&p, io.write_bps_of(0), 2.0);
         assert_eq!(flat.last_offloaded, Some(1));
         let guided = AdaptivePlan::decide_with_cost(&p, &cost, &plan, 2.0);
         assert_eq!(guided.last_offloaded, Some(0));

@@ -379,7 +379,7 @@ impl TensorCache {
 
     /// Creates a cache over an ordered tier stack; each tier's transfers
     /// are priced on its [`crate::Tier::link`] of `io` (so build the
-    /// engine with [`IoEngine::tiered`] and matching link indices).
+    /// engine with [`IoEngine::tiered_with_bus`] and matching link indices).
     pub fn with_tiers(
         config: TensorCacheConfig,
         tiers: Arc<TierStack>,
@@ -621,9 +621,8 @@ impl TensorCache {
     /// cutoff always, plus the cost-model tier assignment when
     /// [`TensorCacheConfig::profile_guided`] is set. The adaptive budget
     /// is the [`CostModel`]'s effective write bandwidth of the byte
-    /// split the stack would actually produce — bus-serialised when a
-    /// shared write bus is configured — rather than a single link's
-    /// rated figure.
+    /// split the stack would actually produce, serialised on the shared
+    /// write bus, rather than a single link's rated figure.
     fn replan(&self, st: &mut State, profile: &StepProfile) -> AdaptivePlan {
         let plan = if self.config.adaptive {
             let cost = CostModel::from_parts(&self.io, &self.tiers)
@@ -1049,8 +1048,8 @@ impl TensorCache {
     /// in the coalescer — and committed at submit: state has no
     /// forwarding path, so the payload crosses to the tier now and
     /// recovery runs here rather than at a deferred commit. The store
-    /// job rides the admitting tier's [`crate::TierLink`] (and the shared
-    /// write bus, when configured); the tensor's GPU memory is freed at
+    /// job rides the admitting tier's [`crate::TierLink`] behind the shared
+    /// write bus; the tensor's GPU memory is freed at
     /// the store's simulated completion, whoever else holds the tensor.
     /// A same-step [`TensorCache::load_state`] can never complete before
     /// that time.

@@ -16,8 +16,8 @@
 //! The same model replaces the adaptive planner's parallel bandwidth
 //! estimate: [`CostModel::effective_write_bps`] prices a byte split over
 //! the tiers it actually lands on — serialised across the shared write
-//! bus when one is configured — instead of summing link bandwidths that
-//! cannot be used concurrently.
+//! bus — instead of summing link bandwidths that cannot be used
+//! concurrently.
 //!
 //! Timing semantics mirror the simulator's barriers (see
 //! [`crate::TensorCache::stage_scope`]): forward ends when its compute
@@ -43,7 +43,7 @@ pub struct TierCost {
     /// The tier's display name.
     pub name: String,
     /// Effective store bandwidth, bytes/s (link rate capped by the
-    /// shared write bus when one is configured).
+    /// shared write bus).
     pub write_bps: f64,
     /// Load bandwidth, bytes/s (reads are independent per link).
     pub read_bps: f64,
@@ -55,7 +55,7 @@ pub struct TierCost {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     tiers: Vec<TierCost>,
-    bus_write_bps: Option<f64>,
+    bus_write_bps: f64,
     /// Fixed per-store-job submission cost, seconds (mirrors
     /// [`IoEngine::store_job_overhead_secs`]).
     store_job_overhead_secs: f64,
@@ -118,10 +118,7 @@ impl CostModel {
             .placement_tiers()
             .into_iter()
             .map(|s| TierCost {
-                write_bps: match bus {
-                    Some(b) => io.write_bps_of(s.link).min(b),
-                    None => io.write_bps_of(s.link),
-                },
+                write_bps: io.write_bps_of(s.link).min(bus),
                 read_bps: io.read_bps_of(s.link),
                 tier: s.tier,
                 name: s.name,
@@ -176,10 +173,8 @@ impl CostModel {
 
     /// Seconds until the last store drains, given `bytes_per_tier`
     /// (indexed like [`CostModel::tiers`]; missing entries are zero).
-    /// With a shared bus every job serialises, so the drain is the sum
-    /// of per-tier transfer times; without one the links run in
-    /// parallel and the slowest tier bounds the drain. Each tier also
-    /// pays [`CostModel::jobs_for`] × the engine's per-job submission
+    /// Every job serialises on the shared bus, so the drain is the sum
+    /// of per-tier transfer times. Each tier also pays [`CostModel::jobs_for`] × the engine's per-job submission
     /// overhead, which is what makes coalesced segments strictly cheaper
     /// to drain than per-tensor jobs once the overhead is non-zero.
     pub fn store_drain_secs(&self, bytes_per_tier: &[u64]) -> f64 {
@@ -187,11 +182,7 @@ impl CostModel {
             let bytes = bytes_per_tier.get(i).copied().unwrap_or(0);
             bytes as f64 / t.write_bps + self.jobs_for(bytes) as f64 * self.store_job_overhead_secs
         });
-        if self.bus_write_bps.is_some() {
-            per_tier.sum()
-        } else {
-            per_tier.fold(0.0, f64::max)
-        }
+        per_tier.sum()
     }
 
     /// Seconds until every reload finishes — reads are full duplex and
@@ -206,8 +197,8 @@ impl CostModel {
 
     /// The effective aggregate store bandwidth of a byte split: total
     /// bytes over their drain time. This is the adaptive planner's
-    /// budget — with a shared bus it is strictly less than the sum of
-    /// link bandwidths the pre-cost-model planner assumed.
+    /// budget — never more than the shared bus delivers, so strictly
+    /// less than the sum of link bandwidths.
     pub fn effective_write_bps(&self, bytes_per_tier: &[u64]) -> f64 {
         let total: u64 = bytes_per_tier.iter().sum();
         let drain = self.store_drain_secs(bytes_per_tier);
@@ -221,7 +212,7 @@ impl CostModel {
     /// Price of one optimizer-stage state job on `tier`: load the
     /// stage's optimizer state and gradients back from the tier, then
     /// store the refreshed state. Reads are full duplex; the store-back
-    /// rides the (possibly bus-capped) write path. The overlap engine
+    /// rides the bus-capped write path. The overlap engine
     /// uses this to decide how much of each stage's update the next
     /// step's forward can hide (GreedySnake's schedule), on the same
     /// model the activation planner prices stores with.
@@ -229,22 +220,15 @@ impl CostModel {
         let Some(t) = self.tiers.get(tier_idx) else {
             return 0.0;
         };
-        let write_bps = match self.bus_write_bps {
-            Some(b) => b.min(t.write_bps),
-            None => t.write_bps,
-        };
         load_bytes as f64 / t.read_bps.max(f64::MIN_POSITIVE)
-            + store_bytes as f64 / write_bps.max(f64::MIN_POSITIVE)
+            + store_bytes as f64 / t.write_bps.max(f64::MIN_POSITIVE)
     }
 
     /// Upper bound on deliverable store bandwidth: the link sum, capped
-    /// by the shared bus when one is configured.
+    /// by the shared bus.
     pub fn aggregate_write_bps(&self) -> f64 {
         let sum: f64 = self.tiers.iter().map(|t| t.write_bps).sum();
-        match self.bus_write_bps {
-            Some(b) => b.min(sum.max(f64::MIN_POSITIVE)),
-            None => sum.max(f64::MIN_POSITIVE),
-        }
+        self.bus_write_bps.min(sum.max(f64::MIN_POSITIVE))
     }
 
     /// The byte split of the static front-first placement (each module
@@ -401,15 +385,12 @@ mod tests {
     use ssdtrain_simhw::SimClock;
     use std::sync::Arc;
 
-    fn two_tier_model(front_cap: u64, bus: Option<f64>) -> CostModel {
+    fn two_tier_model(front_cap: u64) -> CostModel {
         let links = vec![
             TierLink::new("dram", 2e9, 2e9),
             TierLink::new("ssd", 1e9, 1e9),
         ];
-        let io = match bus {
-            Some(b) => IoEngine::tiered_with_bus(SimClock::new(), links, b),
-            None => IoEngine::tiered(SimClock::new(), links),
-        };
+        let io = IoEngine::tiered_with_bus(SimClock::new(), links, 2e9);
         let stack = TierStack::new(vec![
             Tier::new("dram", Arc::new(CpuTarget::new(1 << 40)), 0).with_capacity(front_cap),
             Tier::new("ssd", Arc::new(CpuTarget::new(1 << 40)), 1),
@@ -437,18 +418,16 @@ mod tests {
 
     #[test]
     fn bus_serialises_the_modeled_drain() {
-        let with_bus = two_tier_model(u64::MAX, Some(2e9));
-        let without = two_tier_model(u64::MAX, None);
+        let m = two_tier_model(u64::MAX);
         let split = [2_000_000_000, 1_000_000_000];
-        // Bus: 1 s + 1 s serialised; independent links: max(1, 1).
-        assert_eq!(with_bus.store_drain_secs(&split), 2.0);
-        assert_eq!(without.store_drain_secs(&split), 1.0);
-        assert!(with_bus.effective_write_bps(&split) < without.effective_write_bps(&split));
+        // 1 s + 1 s serialised, not max(1, 1) as on independent links.
+        assert_eq!(m.store_drain_secs(&split), 2.0);
+        assert_eq!(m.effective_write_bps(&split), 1.5e9);
     }
 
     #[test]
     fn effective_bandwidth_never_exceeds_the_bus() {
-        let m = two_tier_model(u64::MAX, Some(2e9));
+        let m = two_tier_model(u64::MAX);
         assert_eq!(m.aggregate_write_bps(), 2e9);
         assert!(m.effective_write_bps(&[1 << 30, 1 << 30]) <= 2e9);
     }
@@ -456,7 +435,7 @@ mod tests {
     #[test]
     fn plan_respects_tier_capacity() {
         let gb = 1_000_000_000u64;
-        let m = two_tier_model(gb, Some(2e9));
+        let m = two_tier_model(gb);
         let p = profile(&[("l0", gb, 0.5), ("l1", gb, 0.5), ("l2", gb, 0.5)]);
         let plan = m.plan(&p, 2.0);
         assert!(plan.tier_bytes[0] <= gb, "front tier overcommitted");
@@ -466,7 +445,7 @@ mod tests {
     #[test]
     fn hot_tail_lands_on_the_front_tier() {
         let gb = 1_000_000_000u64;
-        let m = two_tier_model(gb, Some(2e9));
+        let m = two_tier_model(gb);
         let p = profile(&[("l0", gb, 0.5), ("l1", gb, 0.5), ("l2", gb, 0.5)]);
         let plan = m.plan(&p, 2.0);
         // The last module reloads first in backward: it gets dram.
@@ -480,15 +459,14 @@ mod tests {
     #[test]
     fn planning_is_deterministic() {
         let gb = 1_000_000_000u64;
-        let m = two_tier_model(gb, Some(2e9));
+        let m = two_tier_model(gb);
         let p = profile(&[("l0", gb, 0.3), ("l1", gb / 2, 0.4), ("l2", gb, 0.3)]);
         assert_eq!(m.plan(&p, 2.0), m.plan(&p, 2.0));
     }
 
     #[test]
     fn job_overhead_prices_segment_counts() {
-        let links = vec![TierLink::new("ssd", 1e9, 1e9)];
-        let io = IoEngine::tiered(SimClock::new(), links);
+        let io = IoEngine::new(SimClock::new(), 1e9, 1e9);
         io.set_store_job_overhead(0.01);
         let stack = TierStack::single(Arc::new(CpuTarget::new(1 << 40)));
         let m = CostModel::from_parts(&io, &stack);
@@ -504,7 +482,7 @@ mod tests {
 
     #[test]
     fn zero_overhead_keeps_legacy_drain_times() {
-        let m = two_tier_model(u64::MAX, None);
+        let m = two_tier_model(u64::MAX);
         let seg = m.clone().with_segment_bytes(1 << 20);
         let split = [2_000_000_000, 1_000_000_000];
         assert_eq!(m.store_drain_secs(&split), seg.store_drain_secs(&split));
@@ -512,7 +490,7 @@ mod tests {
 
     #[test]
     fn modeled_step_never_beats_pure_compute() {
-        let m = two_tier_model(u64::MAX, Some(2e9));
+        let m = two_tier_model(u64::MAX);
         let p = profile(&[("l0", 1 << 30, 0.5), ("l1", 1 << 30, 0.5)]);
         let assign = m.front_first_assignment(&p);
         let step = m.modeled_step_secs(&p, &assign, 2.0);

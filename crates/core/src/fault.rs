@@ -235,8 +235,9 @@ mod tests {
         t.attach_io(io.clone());
         // The write itself succeeds; the engine is slower afterwards.
         assert!(t.write(&key(1), None, 4).is_ok());
-        assert_eq!(io.effective_write_bps(), 0.5e9);
-        assert_eq!(io.effective_read_bps(), 1e9);
+        // 1 GB at 0.5 GB/s, 2 GB at 1 GB/s.
+        assert_eq!(io.store_end(io.submit_store(1_000_000_000)).as_secs(), 2.0);
+        assert_eq!(io.submit_load(2_000_000_000).as_secs(), 2.0);
         assert_eq!(t.fault_log().slowdowns, 1);
     }
 

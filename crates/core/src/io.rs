@@ -1,25 +1,25 @@
 //! Store/load job engine — the paper's two I/O thread pools
-//! (Section 3.3.2), one pair per offload tier.
+//! (Section 3.3.2).
 //!
-//! Jobs execute in FIFO order per direction *per tier link*, exactly
-//! like the paper's store and load pools. Timing is modelled on the
-//! simulated clock: a job submitted at `t` starts when the link
-//! direction's previous job finished and occupies it for
-//! `bytes / bandwidth`. Queued (not yet started) store jobs can be
-//! *cancelled* when their tensor was forwarded (adaptive offloading
-//! feature 1), which reflows that link's queue.
+//! Timing is modelled on the simulated clock. Every offload write
+//! leaves the GPU over *one* PCIe link, whatever tier it lands on, so
+//! the store side is a single FIFO: a job submitted at `t` starts when
+//! the previous live job finished and occupies the shared write bus for
+//! `bytes / min(link write bps, bus bps)`. Queued (not yet started)
+//! store jobs can be *cancelled* when their tensor was forwarded
+//! (adaptive offloading feature 1), which pulls the jobs behind them
+//! forward. Each job remembers the tier link it targets, so per-link
+//! drain times, busy seconds and byte counts are filters over the one
+//! list.
 //!
-//! A tiered engine ([`IoEngine::tiered`]) prices each tier's transfers
-//! against its own simulated link — PCIe-to-DRAM for a host pool tier,
-//! PCIe-to-SSD for the array — full duplex each. The single-link
-//! constructor ([`IoEngine::new`]) reproduces the flat pre-tier engine.
+//! Loads are priced per tier link — PCIe-to-DRAM for a host pool tier,
+//! PCIe-to-SSD for the array — and independently of each other and of
+//! the stores: PCIe is full duplex and the read path is not the paper's
+//! bottleneck.
 //!
-//! On a real node every offload write leaves the GPU over *one* PCIe
-//! link, whatever tier it lands on; [`IoEngine::tiered_with_bus`]
-//! models that by serialising all store jobs FIFO across links on a
-//! shared write bus (each job still pays its own link's rate, capped by
-//! the bus). Loads stay independent per link — PCIe is full duplex and
-//! the read path is not the paper's bottleneck.
+//! [`IoEngine::tiered_with_bus`] builds the engine over any number of
+//! links; [`IoEngine::new`] is the one-link shape, whose bus is its own
+//! link.
 // ssdtrain-lint: hot-path
 
 use parking_lot::Mutex;
@@ -27,12 +27,9 @@ use ssdtrain_simhw::{Channel, SimClock, SimTime};
 use ssdtrain_trace::{LinkTraceBridge, TraceCategory, TraceSink};
 use std::sync::Arc;
 
-/// Handle to a submitted store job (identifies the link it queues on).
+/// Handle to a submitted store job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct JobId {
-    link: usize,
-    idx: usize,
-}
+pub struct JobId(usize);
 
 /// The simulated write/read bandwidths of one tier's link.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,61 +55,17 @@ impl TierLink {
 
 #[derive(Debug, Clone)]
 struct WriteJob {
+    /// The tier link the job targets.
+    link: usize,
     bytes: u64,
     submit: SimTime,
     start: SimTime,
     end: SimTime,
     // Transfer duration at the bandwidth in effect when the job was
-    // (re)priced; reflow reuses it so cancellations never re-price
+    // (re)priced; rescheduling reuses it so cancellations never re-price
     // history.
     dur_secs: f64,
     cancelled: bool,
-}
-
-#[derive(Debug)]
-struct WriteQueue {
-    jobs: Vec<WriteJob>,
-    slowdown: f64,
-}
-
-impl Default for WriteQueue {
-    fn default() -> WriteQueue {
-        WriteQueue {
-            jobs: Vec::new(),
-            slowdown: 1.0,
-        }
-    }
-}
-
-impl WriteQueue {
-    fn reflow(&mut self) {
-        let mut prev_end = SimTime::ZERO;
-        for j in self.jobs.iter_mut().filter(|j| !j.cancelled) {
-            j.start = j.submit.max(prev_end);
-            j.end = j.start.plus_secs(j.dur_secs);
-            prev_end = j.end;
-        }
-    }
-
-    /// Applies a slowdown at `now` without rescheduling: queued jobs
-    /// stretch fully, a job in flight stretches only its remaining
-    /// portion, finished jobs keep their history. The caller reflows
-    /// (per-queue or bus-wide). FIFO order is untouched.
-    fn stretch(&mut self, factor: f64, now: SimTime) {
-        self.slowdown *= factor;
-        for j in self.jobs.iter_mut().filter(|j| !j.cancelled) {
-            if j.end <= now {
-                continue;
-            }
-            if j.start >= now {
-                j.dur_secs *= factor;
-            } else {
-                let done = now.as_secs() - j.start.as_secs();
-                let remaining = j.end.as_secs() - now.as_secs();
-                j.dur_secs = done + remaining * factor;
-            }
-        }
-    }
 }
 
 /// One tier link's fixed parts: its name, rated write bandwidth and
@@ -125,41 +78,45 @@ struct Link {
 
 /// Everything the engine mutates, behind its one lock.
 struct EngineState {
-    /// FIFO write queue per link.
-    writes: Vec<WriteQueue>,
-    /// Global submission order every live store serialises through when
-    /// a write bus is configured (stays empty otherwise).
-    bus_order: Vec<JobId>,
+    /// Every store of the step in submission order — the one FIFO all
+    /// links' jobs serialise through.
+    jobs: Vec<WriteJob>,
+    /// Product of the injected slowdown factors; prices future stores.
+    slowdown: f64,
     /// Seconds each link's read direction was busy this step (sum of
     /// transfer durations booked on its read channel).
     read_busy_secs: Vec<f64>,
     /// Fixed seconds added to every store job's duration at submit time
-    /// (driver ioctl + DMA descriptor setup). Reflows reuse `dur_secs`,
-    /// so the overhead sticks to a job for life.
+    /// (driver ioctl + DMA descriptor setup). Rescheduling reuses
+    /// `dur_secs`, so the overhead sticks to a job for life.
     store_overhead: f64,
     trace: TraceSink,
 }
 
 impl EngineState {
-    /// Reschedules every live store across every link in global
-    /// submission order: each job starts when the shared bus frees up
-    /// (which also covers its own link — the bus serialises everything).
-    fn reflow_bus(&mut self) {
-        let mut prev_end = SimTime::ZERO;
-        for id in &self.bus_order {
-            let j = &mut self.writes[id.link].jobs[id.idx];
-            if j.cancelled {
-                continue;
-            }
+    /// When the last live job before index `idx` finishes.
+    fn end_before(&self, idx: usize) -> SimTime {
+        let mut earlier = self.jobs[..idx].iter().rev();
+        earlier
+            .find(|j| !j.cancelled)
+            .map_or(SimTime::ZERO, |j| j.end)
+    }
+
+    /// Reschedules the live jobs from index `from` on: each starts when
+    /// the one before it ends, or at its own submit time if that is
+    /// later. Jobs before `from` must already be scheduled.
+    fn reschedule(&mut self, from: usize) {
+        let mut prev_end = self.end_before(from);
+        for j in self.jobs[from..].iter_mut().filter(|j| !j.cancelled) {
             j.start = j.submit.max(prev_end);
             j.end = j.start.plus_secs(j.dur_secs);
             prev_end = j.end;
         }
     }
 
-    fn live_jobs(&self, link: usize) -> impl DoubleEndedIterator<Item = &WriteJob> {
-        let jobs = self.writes.get(link).map_or(&[][..], |q| &q.jobs);
-        jobs.iter().filter(|j| !j.cancelled)
+    fn live_jobs(&self, link: usize) -> impl Iterator<Item = &WriteJob> {
+        let jobs = self.jobs.iter();
+        jobs.filter(move |j| j.link == link && !j.cancelled)
     }
 }
 
@@ -175,27 +132,10 @@ impl EngineState {
 /// assert_eq!(ready.as_secs(), 0.5);
 /// ```
 ///
-/// Tiered pricing without a bus ([`IoEngine::tiered`]) treats each link
-/// as an independent full-duplex resource — the right model when tiers
-/// sit behind genuinely separate interconnects:
-///
-/// ```
-/// use ssdtrain::{IoEngine, TierLink};
-/// use ssdtrain_simhw::SimClock;
-/// let io = IoEngine::tiered(
-///     SimClock::new(),
-///     vec![TierLink::new("dram", 2e9, 2e9), TierLink::new("ssd", 1e9, 1e9)],
-/// );
-/// let a = io.submit_store_to(0, 2_000_000_000); // 1 s on the DRAM link
-/// let b = io.submit_store_to(1, 1_000_000_000); // 1 s on the SSD link
-/// assert_eq!(io.store_end(a).as_secs(), 1.0);
-/// assert_eq!(io.store_end(b).as_secs(), 1.0); // no cross-tier queueing
-/// ```
-///
-/// With a shared write bus ([`IoEngine::tiered_with_bus`]) — the model a
-/// [`TrainSession`](../ssdtrain_train/index.html) uses, because both
-/// tiers sit behind the same GPU PCIe link — stores serialise FIFO
-/// across links and the second store waits for the first:
+/// With several tiers ([`IoEngine::tiered_with_bus`], what a
+/// [`TrainSession`](../ssdtrain_train/index.html) builds) every tier
+/// sits behind the same GPU PCIe link, so stores serialise FIFO across
+/// links and the second store waits for the first:
 ///
 /// ```
 /// use ssdtrain::{IoEngine, TierLink};
@@ -214,8 +154,8 @@ impl EngineState {
 pub struct IoEngine {
     clock: SimClock,
     links: Arc<Vec<Link>>,
-    /// Bandwidth of the shared write bus, when one is configured.
-    bus_write_bps: Option<f64>,
+    /// Bandwidth of the write bus every store crosses, bytes/s.
+    bus_write_bps: f64,
     /// The engine's one lock; clones share it. Nothing is called with
     /// it held except the trace sink (layer order: io → {clock, trace}).
     state: Arc<Mutex<EngineState>>,
@@ -223,22 +163,13 @@ pub struct IoEngine {
 
 impl IoEngine {
     /// Creates a single-link engine over one offload target's
-    /// write/read bandwidths — the flat pre-tier shape.
+    /// write/read bandwidths; the link is its own write bus.
     ///
     /// # Panics
     /// Panics if a bandwidth is not positive.
     pub fn new(clock: SimClock, write_bps: f64, read_bps: f64) -> IoEngine {
-        IoEngine::tiered(clock, vec![TierLink::new("offload", write_bps, read_bps)])
-    }
-
-    /// Creates an engine with one queue pair per tier link, each priced
-    /// independently.
-    ///
-    /// # Panics
-    /// Panics if `links` is empty or any bandwidth is not positive —
-    /// both are construction-time configuration bugs.
-    pub fn tiered(clock: SimClock, links: Vec<TierLink>) -> IoEngine {
-        IoEngine::build(clock, links, None)
+        let link = TierLink::new("offload", write_bps, read_bps);
+        IoEngine::tiered_with_bus(clock, vec![link], write_bps)
     }
 
     /// Creates an engine whose store jobs all serialise FIFO through one
@@ -252,10 +183,6 @@ impl IoEngine {
     /// is not positive — construction-time configuration bugs.
     pub fn tiered_with_bus(clock: SimClock, links: Vec<TierLink>, bus_write_bps: f64) -> IoEngine {
         assert!(bus_write_bps > 0.0, "bus bandwidth must be positive");
-        IoEngine::build(clock, links, Some(bus_write_bps))
-    }
-
-    fn build(clock: SimClock, links: Vec<TierLink>, bus_write_bps: Option<f64>) -> IoEngine {
         assert!(!links.is_empty(), "an IoEngine needs at least one link");
         let links: Vec<Link> = links
             .into_iter()
@@ -272,8 +199,8 @@ impl IoEngine {
             })
             .collect();
         let state = EngineState {
-            writes: links.iter().map(|_| WriteQueue::default()).collect(),
-            bus_order: Vec::new(),
+            jobs: Vec::new(),
+            slowdown: 1.0,
             read_busy_secs: vec![0.0; links.len()],
             store_overhead: 0.0,
             trace: TraceSink::disabled(),
@@ -319,17 +246,6 @@ impl IoEngine {
         self.links.len()
     }
 
-    /// Configured aggregate write bandwidth across every link, bytes/s
-    /// (the adaptive planner's budget).
-    pub fn write_bps(&self) -> f64 {
-        self.links.iter().map(|l| l.write_bps).sum()
-    }
-
-    /// Configured aggregate read bandwidth, bytes/s.
-    pub fn read_bps(&self) -> f64 {
-        self.links.iter().map(|l| l.reads.bandwidth()).sum()
-    }
-
     /// Configured write bandwidth of one link, bytes/s.
     pub fn write_bps_of(&self, link: usize) -> f64 {
         self.links.get(link).map(|l| l.write_bps).unwrap_or(0.0)
@@ -343,29 +259,13 @@ impl IoEngine {
             .unwrap_or(0.0)
     }
 
-    /// Aggregate write bandwidth currently delivered, after any injected
-    /// slowdown.
-    pub fn effective_write_bps(&self) -> f64 {
-        let st = self.state.lock();
-        let rated = self.links.iter().zip(&st.writes);
-        rated.map(|(l, q)| l.write_bps / q.slowdown).sum()
-    }
-
-    /// Aggregate read bandwidth currently delivered, after any injected
-    /// slowdown.
-    pub fn effective_read_bps(&self) -> f64 {
-        self.links
-            .iter()
-            .map(|l| l.reads.effective_bandwidth())
-            .sum()
-    }
-
     /// Degrades both directions of *every* link by `factor` from the
-    /// current simulated time: queued and in-flight writes are
-    /// rescheduled (remaining bytes at the slower rate, FIFO order
-    /// preserved) and future reads take `factor` times longer. Factors
-    /// compose multiplicatively and persist across [`IoEngine::reset`] —
-    /// injected hardware degradation does not heal between steps.
+    /// current simulated time: queued writes stretch fully, a write in
+    /// flight stretches only its remaining portion, finished writes keep
+    /// their history (FIFO order preserved), and future reads take
+    /// `factor` times longer. Factors compose multiplicatively and
+    /// persist across [`IoEngine::reset`] — injected hardware
+    /// degradation does not heal between steps.
     ///
     /// # Panics
     /// Panics if `factor` is not positive.
@@ -376,15 +276,20 @@ impl IoEngine {
             link.reads.throttle(factor);
         }
         let mut st = self.state.lock();
-        for q in st.writes.iter_mut() {
-            q.stretch(factor, now);
-            if self.bus_write_bps.is_none() {
-                q.reflow();
+        st.slowdown *= factor;
+        for j in st.jobs.iter_mut().filter(|j| !j.cancelled) {
+            if j.end <= now {
+                continue;
+            }
+            if j.start >= now {
+                j.dur_secs *= factor;
+            } else {
+                let done = now.as_secs() - j.start.as_secs();
+                let remaining = j.end.as_secs() - now.as_secs();
+                j.dur_secs = done + remaining * factor;
             }
         }
-        if self.bus_write_bps.is_some() {
-            st.reflow_bus();
-        }
+        st.reschedule(0);
     }
 
     /// Submits a store of `bytes` on link 0 at the current time.
@@ -393,47 +298,31 @@ impl IoEngine {
     }
 
     /// Submits a store of `bytes` on the tier link `link` at the
-    /// current time; returns its id. An out-of-range link is clamped to
-    /// the last one (a misrouted job still makes progress; tier wiring
-    /// bugs surface in tests, not as a training crash).
+    /// current time; returns its id. The job joins the tail of the
+    /// queue, so no earlier job moves. An out-of-range link is clamped
+    /// to the last one (a misrouted job still makes progress; tier
+    /// wiring bugs surface in tests, not as a training crash).
     pub fn submit_store_to(&self, link: usize, bytes: u64) -> JobId {
         let link = link.min(self.links.len() - 1);
-        let write_bps = self.links[link].write_bps;
+        let bps = self.links[link].write_bps.min(self.bus_write_bps);
         let now = self.clock.now();
-        let eff_bps = self
-            .bus_write_bps
-            .map_or(write_bps, |bus| write_bps.min(bus));
         let mut st = self.state.lock();
-        let prev_end = st
-            .live_jobs(link)
-            .next_back()
-            .map_or(SimTime::ZERO, |j| j.end);
-        let start = now.max(prev_end);
-        let overhead = st.store_overhead;
-        let q = &mut st.writes[link];
-        let dur_secs = overhead + bytes as f64 * q.slowdown / eff_bps;
-        let end = start.plus_secs(dur_secs);
-        q.jobs.push(WriteJob {
+        let start = now.max(st.end_before(st.jobs.len()));
+        let dur_secs = st.store_overhead + bytes as f64 * st.slowdown / bps;
+        st.jobs.push(WriteJob {
+            link,
             bytes,
             submit: now,
             start,
-            end,
+            end: start.plus_secs(dur_secs),
             dur_secs,
             cancelled: false,
         });
-        let id = JobId {
-            link,
-            idx: q.jobs.len() - 1,
-        };
-        if self.bus_write_bps.is_some() {
-            st.bus_order.push(id);
-            st.reflow_bus();
-        }
-        id
+        JobId(st.jobs.len() - 1)
     }
 
     /// Current scheduled completion time of a store (may move earlier if
-    /// queued jobs ahead of it on the same link are cancelled).
+    /// queued jobs ahead of it are cancelled).
     ///
     /// # Panics
     /// Panics on an unknown or cancelled job.
@@ -448,33 +337,23 @@ impl IoEngine {
     /// Panics on an unknown or cancelled job.
     pub fn store_span(&self, job: JobId) -> (SimTime, SimTime) {
         let st = self.state.lock();
-        let j = &st.writes[job.link].jobs[job.idx];
+        let j = &st.jobs[job.0];
         assert!(!j.cancelled, "store_span of a cancelled job");
         (j.start, j.end)
     }
 
-    /// Whether the store has started transferring by `now`.
-    pub fn store_started(&self, job: JobId, now: SimTime) -> bool {
-        let st = self.state.lock();
-        let j = &st.writes[job.link].jobs[job.idx];
-        !j.cancelled && j.start <= now
-    }
-
     /// Cancels a store if it has not started by `now`; returns `true` on
     /// success (the adaptive-offloading check a store worker performs
-    /// before writing a forwarded tensor).
+    /// before writing a forwarded tensor). Only the jobs queued behind
+    /// it can move, so only they are rescheduled.
     pub fn try_cancel_store(&self, job: JobId, now: SimTime) -> bool {
         let mut st = self.state.lock();
-        let j = &mut st.writes[job.link].jobs[job.idx];
+        let j = &mut st.jobs[job.0];
         if j.cancelled || j.start <= now {
             return false;
         }
         j.cancelled = true;
-        if self.bus_write_bps.is_some() {
-            st.reflow_bus();
-        } else {
-            st.writes[job.link].reflow();
-        }
+        st.reschedule(job.0);
         true
     }
 
@@ -496,15 +375,15 @@ impl IoEngine {
         end
     }
 
-    /// When the last scheduled write across every link finishes.
+    /// When the last scheduled write finishes ([`SimTime::ZERO`] when
+    /// the queue is empty).
     pub fn writes_drain_at(&self) -> SimTime {
-        (0..self.links.len())
-            .map(|l| self.writes_drain_at_on(l))
-            .fold(SimTime::ZERO, SimTime::max)
+        let st = self.state.lock();
+        st.end_before(st.jobs.len())
     }
 
-    /// When the last scheduled write on one tier link finishes
-    /// ([`SimTime::ZERO`] when the queue is empty or out of range).
+    /// When the last scheduled write to one tier link finishes
+    /// ([`SimTime::ZERO`] when it has none or is out of range).
     pub fn writes_drain_at_on(&self, link: usize) -> SimTime {
         let st = self.state.lock();
         let ends = st.live_jobs(link).map(|j| j.end);
@@ -516,45 +395,33 @@ impl IoEngine {
         self.links.get(link).map(|l| l.name.as_str()).unwrap_or("")
     }
 
-    /// The shared write bus bandwidth, if one is configured.
-    pub fn bus_write_bps(&self) -> Option<f64> {
+    /// Bandwidth of the write bus every store crosses, bytes/s.
+    pub fn bus_write_bps(&self) -> f64 {
         self.bus_write_bps
     }
 
     /// Total bytes actually written across every link (cancelled jobs
     /// excluded).
     pub fn bytes_written(&self) -> u64 {
-        (0..self.links.len())
-            .map(|l| self.bytes_written_on(l))
-            .sum()
-    }
-
-    /// Bytes written on one tier link (cancelled jobs excluded).
-    pub fn bytes_written_on(&self, link: usize) -> u64 {
-        self.state.lock().live_jobs(link).map(|j| j.bytes).sum()
+        let st = self.state.lock();
+        let live = st.jobs.iter().filter(|j| !j.cancelled);
+        live.map(|j| j.bytes).sum()
     }
 
     /// Total bytes read back across every link.
     pub fn bytes_read(&self) -> u64 {
-        (0..self.links.len()).map(|l| self.bytes_read_on(l)).sum()
+        self.links.iter().map(|l| l.reads.bytes_total()).sum()
     }
 
-    /// Bytes read back on one tier link.
-    pub fn bytes_read_on(&self, link: usize) -> u64 {
-        self.links
-            .get(link)
-            .map(|l| l.reads.bytes_total())
-            .unwrap_or(0)
-    }
-
-    /// Seconds the write directions were busy, summed over links.
+    /// Seconds the write bus was busy: the per-link sums added in link
+    /// order (the order the step profile's total has always rounded in).
     pub fn write_busy_secs(&self) -> f64 {
         (0..self.links.len())
             .map(|l| self.write_busy_secs_on(l))
             .sum()
     }
 
-    /// Seconds one tier link's write direction was busy this step
+    /// Seconds of this step's writes that targeted one tier link
     /// (cancelled jobs excluded).
     pub fn write_busy_secs_on(&self, link: usize) -> f64 {
         self.state.lock().live_jobs(link).map(|j| j.dur_secs).sum()
@@ -573,9 +440,8 @@ impl IoEngine {
             link.reads.reset();
         }
         let mut st = self.state.lock();
-        st.writes.iter_mut().for_each(|q| q.jobs.clear());
+        st.jobs.clear();
         st.read_busy_secs.fill(0.0);
-        st.bus_order.clear();
     }
 }
 
@@ -583,8 +449,7 @@ impl std::fmt::Debug for IoEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IoEngine")
             .field("links", &self.links.len())
-            .field("write_gbps", &(self.write_bps() / 1e9))
-            .field("read_gbps", &(self.read_bps() / 1e9))
+            .field("bus_write_gbps", &(self.bus_write_bps / 1e9))
             .field("bytes_written", &self.bytes_written())
             .field("bytes_read", &self.bytes_read())
             .finish()
@@ -627,7 +492,6 @@ mod tests {
     fn started_stores_cannot_be_cancelled() {
         let (_c, io) = engine();
         let a = io.submit_store(1_000_000_000);
-        assert!(io.store_started(a, SimTime::from_secs(0.1)));
         assert!(!io.try_cancel_store(a, SimTime::from_secs(0.1)));
         assert_eq!(io.bytes_written(), 1_000_000_000);
     }
@@ -671,7 +535,6 @@ mod tests {
         assert_eq!(io.store_end(a).as_secs(), 1.5);
         // b: not started, takes 2 s, queued behind a.
         assert_eq!(io.store_end(b).as_secs(), 3.5);
-        assert_eq!(io.effective_write_bps(), 0.5e9);
         // Future reads also slow: 2 GB at an effective 1 GB/s.
         let ready = io.submit_load(2_000_000_000);
         assert_eq!(ready.as_secs(), 2.5);
@@ -701,75 +564,6 @@ mod tests {
         assert_eq!(io.store_end(a).as_secs(), 4.0);
     }
 
-    fn tiered_engine() -> (SimClock, IoEngine) {
-        let clock = SimClock::new();
-        let io = IoEngine::tiered(
-            clock.clone(),
-            vec![
-                TierLink::new("dram", 2e9, 2e9),
-                TierLink::new("ssd", 1e9, 1e9),
-            ],
-        );
-        (clock, io)
-    }
-
-    #[test]
-    fn tier_links_queue_independently() {
-        let (_c, io) = tiered_engine();
-        let a = io.submit_store_to(0, 2_000_000_000); // 1 s on dram
-        let b = io.submit_store_to(1, 1_000_000_000); // 1 s on ssd
-        let c = io.submit_store_to(0, 2_000_000_000); // queues behind a only
-        assert_eq!(io.store_end(a).as_secs(), 1.0);
-        assert_eq!(io.store_end(b).as_secs(), 1.0);
-        assert_eq!(io.store_end(c).as_secs(), 2.0);
-        assert_eq!(io.bytes_written_on(0), 4_000_000_000);
-        assert_eq!(io.bytes_written_on(1), 1_000_000_000);
-        assert_eq!(io.bytes_written(), 5_000_000_000);
-    }
-
-    #[test]
-    fn tier_loads_price_on_their_own_link() {
-        let (_c, io) = tiered_engine();
-        let dram_ready = io.submit_load_from(0, 2_000_000_000); // 1 s at 2 GB/s
-        let ssd_ready = io.submit_load_from(1, 2_000_000_000); // 2 s at 1 GB/s
-        assert_eq!(dram_ready.as_secs(), 1.0);
-        assert_eq!(ssd_ready.as_secs(), 2.0);
-        assert_eq!(io.bytes_read_on(0), 2_000_000_000);
-        assert_eq!(io.bytes_read_on(1), 2_000_000_000);
-    }
-
-    #[test]
-    fn aggregates_sum_over_links() {
-        let (_c, io) = tiered_engine();
-        assert_eq!(io.link_count(), 2);
-        assert_eq!(io.write_bps(), 3e9);
-        assert_eq!(io.read_bps(), 3e9);
-        assert_eq!(io.write_bps_of(1), 1e9);
-        assert_eq!(io.read_bps_of(0), 2e9);
-        io.submit_store_to(0, 2_000_000_000);
-        io.submit_store_to(1, 1_000_000_000);
-        assert_eq!(io.write_busy_secs(), 2.0);
-        io.reset();
-        assert_eq!(io.bytes_written(), 0);
-    }
-
-    #[test]
-    fn throttle_degrades_every_link() {
-        let (_c, io) = tiered_engine();
-        io.throttle(2.0);
-        assert_eq!(io.effective_write_bps(), 1.5e9);
-        let a = io.submit_store_to(1, 1_000_000_000); // 2 s at slowed 0.5 GB/s
-        assert_eq!(io.store_end(a).as_secs(), 2.0);
-    }
-
-    #[test]
-    fn out_of_range_link_clamps_to_last() {
-        let (_c, io) = tiered_engine();
-        let a = io.submit_store_to(99, 1_000_000_000);
-        assert_eq!(io.store_end(a).as_secs(), 1.0); // priced on the ssd link
-        assert_eq!(io.bytes_written_on(1), 1_000_000_000);
-    }
-
     fn bus_engine() -> (SimClock, IoEngine) {
         let clock = SimClock::new();
         let io = IoEngine::tiered_with_bus(
@@ -784,6 +578,52 @@ mod tests {
     }
 
     #[test]
+    fn tier_loads_price_on_their_own_link() {
+        let (_c, io) = bus_engine();
+        let dram_ready = io.submit_load_from(0, 2_000_000_000); // 1 s at 2 GB/s
+        let ssd_ready = io.submit_load_from(1, 2_000_000_000); // 2 s at 1 GB/s
+        assert_eq!(dram_ready.as_secs(), 1.0);
+        assert_eq!(ssd_ready.as_secs(), 2.0);
+        assert_eq!(io.read_busy_secs_on(0), 1.0);
+        assert_eq!(io.read_busy_secs_on(1), 2.0);
+        assert_eq!(io.bytes_read(), 4_000_000_000);
+    }
+
+    #[test]
+    fn aggregates_sum_over_links() {
+        let (_c, io) = bus_engine();
+        assert_eq!(io.link_count(), 2);
+        assert_eq!((io.write_bps_of(0), io.write_bps_of(1)), (2e9, 1e9));
+        assert_eq!((io.read_bps_of(0), io.read_bps_of(1)), (2e9, 1e9));
+        io.submit_store_to(0, 2_000_000_000);
+        io.submit_store_to(1, 1_000_000_000);
+        assert_eq!(io.write_busy_secs(), 2.0);
+        io.reset();
+        assert_eq!(io.bytes_written(), 0);
+    }
+
+    #[test]
+    fn throttle_degrades_every_link() {
+        let (_c, io) = bus_engine();
+        io.throttle(2.0);
+        let a = io.submit_store_to(1, 1_000_000_000); // 2 s at slowed 0.5 GB/s
+        assert_eq!(io.store_end(a).as_secs(), 2.0);
+        let b = io.submit_store_to(0, 2_000_000_000); // 2 s at slowed 1 GB/s
+        assert_eq!(io.store_end(b).as_secs(), 4.0);
+        assert_eq!(io.submit_load_from(0, 2_000_000_000).as_secs(), 2.0);
+        assert_eq!(io.submit_load_from(1, 1_000_000_000).as_secs(), 2.0);
+    }
+
+    #[test]
+    fn out_of_range_link_clamps_to_last() {
+        let (_c, io) = bus_engine();
+        let a = io.submit_store_to(99, 1_000_000_000);
+        assert_eq!(io.store_end(a).as_secs(), 1.0); // priced on the ssd link
+        assert_eq!(io.write_busy_secs_on(1), 1.0);
+        assert_eq!(io.write_busy_secs_on(0), 0.0);
+    }
+
+    #[test]
     fn bus_serialises_stores_across_links() {
         let (_c, io) = bus_engine();
         let a = io.submit_store_to(0, 2_000_000_000); // 0..1 s at the bus rate
@@ -795,7 +635,7 @@ mod tests {
         // Per-link drain reflects the bus schedule, not link-local FIFO.
         assert_eq!(io.writes_drain_at_on(0).as_secs(), 3.0);
         assert_eq!(io.writes_drain_at_on(1).as_secs(), 2.0);
-        assert_eq!(io.bus_write_bps(), Some(2e9));
+        assert_eq!(io.bus_write_bps(), 2e9);
     }
 
     #[test]
@@ -880,7 +720,7 @@ mod tests {
 
     #[test]
     fn per_link_busy_accounting_tracks_reads() {
-        let (_c, io) = tiered_engine();
+        let (_c, io) = bus_engine();
         io.submit_load_from(0, 2_000_000_000); // 1 s at 2 GB/s
         io.submit_load_from(1, 1_000_000_000); // 1 s at 1 GB/s
         assert_eq!(io.read_busy_secs_on(0), 1.0);

@@ -323,8 +323,7 @@ impl TrainSession {
             // regardless of which tier absorbs it, so store jobs
             // serialise across links instead of draining in parallel —
             // this is what makes the tiered backend's drain land between
-            // dram's and ssd's on the step critical path. Single-link
-            // backends are byte-identical with or without the bus.
+            // dram's and ssd's on the step critical path.
             let io = IoEngine::tiered_with_bus(runtime.clock.clone(), links, cfg.system.pcie_bps);
             io.set_store_job_overhead(cfg.system.store_job_overhead_secs);
             if let Some(ft) = &faulty {

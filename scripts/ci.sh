@@ -27,6 +27,9 @@ cargo test -q --test optimizer_offload
 # The fault × recovery matrix must hold through the coalesced/prefetched
 # I/O path with bit-identical losses. Run explicitly for the same reason.
 cargo test -q --test fault_injection
+# The paper's claims and the bench reports' orderings, asserted on the
+# rows the exhibit binaries print. Run explicitly for the same reason.
+cargo test -q --test paper_claims
 # The lint's own contract: golden diagnostics over the seeded fixture
 # trees (regenerate with UPDATE_GOLDEN=1 after intentional rule
 # changes) plus the --explain CLI surface. Run explicitly so a harness
@@ -41,13 +44,6 @@ cargo test -q -p ssdtrain-lint --test explain_cli
 # identity, checksum round trips, device writes = tier-counter stores)
 # catch a broken store path before the benchmark pipeline does.
 bash benchmark/run.sh --quick
-# The bench reports must keep the backends' step times distinct and
-# ordered. `results/` is ignored, so a fresh clone has none: the three
-# deterministic bins write them immediately before the gate reads them.
-for bin in bench_tiering bench_capacity bench_io; do
-    cargo run --release -q -p ssdtrain-bench --bin "$bin" > /dev/null
-done
-scripts/bench_check.sh
 cargo clippy --workspace -- -D warnings
 # Project-invariant lint: sim-clock, panic-freedom and error discipline
 # (see DESIGN.md §7). Exits non-zero on any violation.

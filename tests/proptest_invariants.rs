@@ -26,25 +26,20 @@ proptest! {
         let jobs: Vec<_> = sizes.iter().map(|s| io.submit_store(*s)).collect();
         // Cancel a subset (only queued jobs actually cancel).
         let mut live_bytes: u64 = sizes.iter().sum();
+        let mut live = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
             if cancel_mask[i % cancel_mask.len()]
                 && io.try_cancel_store(*job, SimTime::ZERO)
             {
                 live_bytes -= sizes[i];
+            } else {
+                live.push(*job);
             }
         }
         prop_assert_eq!(io.bytes_written(), live_bytes);
         // Remaining jobs: ends strictly increasing, total time = bytes/bw.
-        let mut ends: Vec<f64> = jobs
-            .iter()
-            .enumerate()
-            .filter(|(i, j)| {
-                // store_end panics on cancelled jobs; recover liveness
-                // from the mask decision above.
-                !cancel_mask[*i % cancel_mask.len()] || io.store_started(**j, SimTime::ZERO)
-            })
-            .map(|(_, j)| io.store_end(*j).as_secs())
-            .collect();
+        let mut ends: Vec<f64> =
+            live.iter().map(|j| io.store_end(*j).as_secs()).collect();
         let drain = io.writes_drain_at().as_secs();
         prop_assert!((drain - live_bytes as f64 / 1e9).abs() < 1e-6);
         ends.sort_by(f64::total_cmp);
@@ -92,10 +87,12 @@ proptest! {
             total_factor *= *f;
         }
         jobs.extend(sizes[half..].iter().map(|s| io.submit_store(*s)));
-        prop_assert!(
-            (io.effective_write_bps() - 1e9 / total_factor).abs()
-                <= 1e9 / total_factor * 1e-9
-        );
+        // Stores submitted after the throttles pay the composed factor.
+        for (job, size) in jobs[half..].iter().zip(&sizes[half..]) {
+            let (start, end) = io.store_span(*job);
+            let want = *size as f64 * total_factor / 1e9;
+            prop_assert!((end.since(start) - want).abs() <= want * 1e-9 + 1e-10);
+        }
         // Cancel a random subset; only still-queued jobs actually cancel.
         let live: Vec<usize> = jobs
             .iter()
@@ -122,6 +119,114 @@ proptest! {
             io.bytes_written(),
             live.iter().map(|&i| sizes[i]).sum::<u64>()
         );
+    }
+}
+
+/// The store queue's scheduling rule, written out independently of
+/// `IoEngine`: one FIFO over every link's jobs, rebuilt from time zero
+/// after every operation.
+#[derive(Default)]
+struct ReferenceQueue {
+    /// Every job in submission order.
+    jobs: Vec<ReferenceJob>,
+}
+
+struct ReferenceJob {
+    submit: f64,
+    start: f64,
+    end: f64,
+    dur: f64,
+    cancelled: bool,
+}
+
+impl ReferenceQueue {
+    fn reschedule(&mut self) {
+        let mut prev_end = 0.0f64;
+        for j in self.jobs.iter_mut().filter(|j| !j.cancelled) {
+            j.start = j.submit.max(prev_end);
+            j.end = j.start + j.dur;
+            prev_end = j.end;
+        }
+    }
+
+    fn throttle(&mut self, factor: f64, now: f64) {
+        for j in self.jobs.iter_mut().filter(|j| !j.cancelled) {
+            if j.end <= now {
+                continue;
+            }
+            if j.start >= now {
+                j.dur *= factor;
+            } else {
+                j.dur = (now - j.start) + (j.end - now) * factor;
+            }
+        }
+        self.reschedule();
+    }
+}
+
+proptest! {
+    #[test]
+    fn partial_reschedules_match_a_from_scratch_reschedule(
+        // (operation, operand, link): 0-2 submit `operand` KB on `link`,
+        // 3 cancel job `operand`, 4 throttle, 5 advance `operand` us.
+        ops in prop::collection::vec((0u8..6, 1u64..50_000, 0usize..3), 1..60),
+        overhead_us in 0u32..2_000,
+    ) {
+        let clock = SimClock::new();
+        let rates = [3e9, 1e9, 2e9];
+        let bus = 2.5e9;
+        let links = ["dram", "ssd", "cxl"]
+            .iter()
+            .zip(rates)
+            .map(|(n, w)| TierLink::new(*n, w, w))
+            .collect();
+        let io = IoEngine::tiered_with_bus(clock.clone(), links, bus);
+        let overhead = overhead_us as f64 * 1e-6;
+        io.set_store_job_overhead(overhead);
+        let mut reference = ReferenceQueue::default();
+        let mut jobs = Vec::new();
+        let mut slowdown = 1.0f64;
+        for (op, operand, link) in ops {
+            let now = clock.now().as_secs();
+            match op {
+                0..=2 => {
+                    let bytes = operand * 1000;
+                    jobs.push(io.submit_store_to(link, bytes));
+                    let dur = overhead + bytes as f64 * slowdown / rates[link].min(bus);
+                    reference.jobs.push(ReferenceJob {
+                        submit: now,
+                        start: 0.0,
+                        end: 0.0,
+                        dur,
+                        cancelled: false,
+                    });
+                    reference.reschedule();
+                }
+                3 if !jobs.is_empty() => {
+                    let i = operand as usize % jobs.len();
+                    let job = &mut reference.jobs[i];
+                    let queued = !job.cancelled && job.start > now;
+                    job.cancelled |= queued;
+                    prop_assert_eq!(io.try_cancel_store(jobs[i], clock.now()), queued);
+                    reference.reschedule();
+                }
+                4 => {
+                    let factor = 1.0 + (operand % 7) as f64 / 2.0;
+                    io.throttle(factor);
+                    slowdown *= factor;
+                    reference.throttle(factor, now);
+                }
+                _ => {
+                    clock.advance_by(operand as f64 * 1e-6);
+                }
+            }
+            let live = jobs.iter().zip(&reference.jobs).filter(|(_, w)| !w.cancelled);
+            for (job, want) in live {
+                let (start, end) = io.store_span(*job);
+                prop_assert_eq!(start.as_secs().to_bits(), want.start.to_bits());
+                prop_assert_eq!(end.as_secs().to_bits(), want.end.to_bits());
+            }
+        }
     }
 }
 
@@ -466,7 +571,7 @@ fn cost_fixture(
     front_cap: Option<u64>,
     write_bps: [f64; 2],
     read_bps: [f64; 2],
-    bus: Option<f64>,
+    bus: f64,
 ) -> (CostModel, IoEngine) {
     let links = || {
         vec![
@@ -474,10 +579,7 @@ fn cost_fixture(
             TierLink::new("ssd", write_bps[1], read_bps[1]),
         ]
     };
-    let engine = |clock| match bus {
-        Some(b) => IoEngine::tiered_with_bus(clock, links(), b),
-        None => IoEngine::tiered(clock, links()),
-    };
+    let engine = |clock| IoEngine::tiered_with_bus(clock, links(), bus);
     let mut front = Tier::new("dram", Arc::new(CpuTarget::new(1 << 40)), 0);
     if let Some(c) = front_cap {
         front = front.with_capacity(c);
@@ -523,7 +625,7 @@ proptest! {
         ),
         write_bps in (1e8f64..1e10, 1e8f64..1e10).prop_map(|(a, b)| [a, b]),
         read_bps in (1e8f64..1e10, 1e8f64..1e10).prop_map(|(a, b)| [a, b]),
-        bus in (any::<bool>(), 1e8f64..1e10).prop_map(|(s, v)| s.then_some(v)),
+        bus in 1e8f64..1e10,
         ratio in 0.5f64..4.0,
     ) {
         // `2` keeps the module resident, everything else picks a link.
@@ -589,7 +691,7 @@ proptest! {
             1..10,
         ),
         cap in 0u64..8_000_000_000,
-        bus in (any::<bool>(), 1e8f64..1e10).prop_map(|(s, v)| s.then_some(v)),
+        bus in 1e8f64..1e10,
         ratio in 0.5f64..4.0,
     ) {
         let profile = varied_profile(&mods);
@@ -618,7 +720,7 @@ proptest! {
             1..10,
         ),
         cap in (any::<bool>(), 0u64..8_000_000_000).prop_map(|(s, v)| s.then_some(v)),
-        bus in (any::<bool>(), 1e8f64..1e10).prop_map(|(s, v)| s.then_some(v)),
+        bus in 1e8f64..1e10,
         ratio in 0.5f64..4.0,
     ) {
         let profile = varied_profile(&mods);
