@@ -4,7 +4,7 @@
 //! the array's write bandwidth at a quarter of Table 3's.
 //!
 //! On the stock testbed every backend hides its I/O completely — the
-//! paper's result — and the four rows read alike. The backends differ
+//! paper's result — and the three rows read alike. The backends differ
 //! where a link binds, and since forward's stores run on into backward
 //! they differ in *memory*, not time: the adaptive plan keeps whatever
 //! the write path cannot absorb, so each backend holds the step at the

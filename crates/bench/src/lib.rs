@@ -309,18 +309,13 @@ impl TieringRow {
     }
 }
 
-fn tiering_row(
-    label: &'static str,
-    backend: OffloadBackend,
-    cache: TensorCacheConfig,
-) -> TieringRow {
+fn tiering_row(label: &'static str, backend: OffloadBackend) -> TieringRow {
     let mut system = SystemConfig::dac_testbed();
     system.ssd_array.member.write_bps *= TIERING_ARRAY_WRITE_SCALE;
     let cfg = paper_testbed(Arch::Bert, 8192, 4, 16)
         .system(system)
         .strategy(PlacementStrategy::Offload)
         .backend(backend)
-        .cache(cache)
         .build()
         .expect("valid config");
     let mut session = TrainSession::new(cfg).expect("session construction");
@@ -355,24 +350,10 @@ pub fn tiering_rows() -> (StepMetrics, Vec<TieringRow>) {
         &mut paper_session(Arch::Bert, 8192, 4, 16, keep_all),
         keep_all,
     );
-    let defaults = TensorCacheConfig::default();
     let rows = vec![
-        tiering_row("ssd", OffloadBackend::Ssd, defaults.clone()),
-        tiering_row("dram", OffloadBackend::Dram, defaults.clone()),
-        tiering_row("tiered-4g", TIERED_4G, defaults.clone()),
-        // Same tier stack, but the profile-guided cost model plans the
-        // per-module placement. Its hot-first seeding gives the front
-        // tier to the tail of forward, which the adaptive cutoff then
-        // keeps: on this testbed the planned row offloads what ssd-only
-        // does and leaves the front tier idle (ROADMAP direction 1(iii)).
-        tiering_row(
-            "tiered-4g-planned",
-            TIERED_4G,
-            TensorCacheConfig {
-                profile_guided: true,
-                ..defaults
-            },
-        ),
+        tiering_row("ssd", OffloadBackend::Ssd),
+        tiering_row("dram", OffloadBackend::Dram),
+        tiering_row("tiered-4g", TIERED_4G),
     ];
     (keep, rows)
 }

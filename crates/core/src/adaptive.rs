@@ -9,7 +9,6 @@
 //! GPU memory. The backward pass is assumed to take `bwd_fwd_ratio`
 //! (default 2×) the forward time.
 
-use crate::costmodel::{CostModel, TierPlan};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -151,88 +150,6 @@ impl AdaptivePlan {
         }
     }
 
-    /// Decides the cutoff from a step profile using the placement
-    /// [`CostModel`] instead of a raw bandwidth figure — the paper's ROK
-    /// machinery fed by the same critical-path model the tier planner
-    /// scores with.
-    ///
-    /// Two refinements over [`AdaptivePlan::decide`]:
-    ///
-    /// 1. The bandwidth budget is [`CostModel::effective_write_bps`] of
-    ///    the *planned* byte split — on the shared write bus this is
-    ///    strictly less than the parallel link sum the raw path assumes.
-    /// 2. A drain check on the cutoff itself. [`AdaptivePlan::decide`]
-    ///    prices the offloaded prefix at the split's *average* bandwidth
-    ///    from `t = 0`; the simulator cannot submit a store before the
-    ///    first module has computed (`t0`) and drains the split that is
-    ///    *left* — slower than average when the kept tail was the front
-    ///    tier's share. Forward's stores run on into backward (see
-    ///    [`crate::TensorCache::stage_scope`]), so the deadline is the
-    ///    paper's: tail modules are kept until the last offloaded
-    ///    module's store, as [`CostModel::store_drain_secs`] prices it,
-    ///    lands before that module's own backward begins. Later than
-    ///    that, backward forwards the tensor and the store bought no
-    ///    memory.
-    pub fn decide_with_cost(
-        profile: &StepProfile,
-        cost: &CostModel,
-        plan: &TierPlan,
-        bwd_fwd_ratio: f64,
-    ) -> AdaptivePlan {
-        let n = profile.modules.len();
-        if n == 0 || cost.tiers().is_empty() {
-            return AdaptivePlan::default();
-        }
-        // Per-module tier index under the plan; unplanned modules take
-        // the front-first fallback the stack itself would apply.
-        let fallback = cost.front_first_assignment(profile);
-        let module_tier: Vec<Option<usize>> = profile
-            .modules
-            .iter()
-            .zip(&fallback)
-            .map(|(m, fb)| {
-                plan.preferred(&m.path)
-                    .and_then(|tid| cost.tier_index(tid))
-                    .or(*fb)
-            })
-            .collect();
-        let mut split = cost.split_for(profile, &module_tier);
-        let budget = cost.effective_write_bps(&split);
-        let mut out = AdaptivePlan::decide(profile, budget, bwd_fwd_ratio);
-        // The split priced every module; drop the ones decide() kept.
-        let offloaded_through = out.last_offloaded.map(|m| m + 1).unwrap_or(0);
-        for (tier, module) in module_tier
-            .iter()
-            .zip(&profile.modules)
-            .skip(offloaded_through)
-        {
-            if let Some(i) = *tier {
-                split[i] = split[i].saturating_sub(module.offload_bytes);
-            }
-        }
-        let total_fwd = profile
-            .fwd_total_secs
-            .max(profile.modules.iter().map(|m| m.fwd_secs).sum::<f64>());
-        let t0 = profile.modules.first().map(|m| m.fwd_secs).unwrap_or(0.0);
-        // Backward compute still ahead of module m's own backward.
-        let mut bwd_before: f64 = profile.modules[offloaded_through..]
-            .iter()
-            .map(|m| bwd_fwd_ratio * m.fwd_secs)
-            .sum();
-        while let Some(m) = out.last_offloaded {
-            if t0 + cost.store_drain_secs(&split) <= total_fwd + bwd_before {
-                break;
-            }
-            out.keep_paths.insert(profile.modules[m].path.clone());
-            if let Some(i) = module_tier[m] {
-                split[i] = split[i].saturating_sub(profile.modules[m].offload_bytes);
-            }
-            bwd_before += bwd_fwd_ratio * profile.modules[m].fwd_secs;
-            out.last_offloaded = m.checked_sub(1);
-        }
-        out
-    }
-
     /// Whether the module at `path` (or any of its ancestors) is kept.
     pub fn keeps(&self, path: &str) -> bool {
         if self.keep_paths.contains(path) {
@@ -354,14 +271,15 @@ mod tests {
 
     #[test]
     fn cost_model_budget_is_bus_aware() {
+        use crate::costmodel::CostModel;
         use crate::io::{IoEngine, TierLink};
         use crate::target::CpuTarget;
         use crate::tier::{Tier, TierStack};
         use ssdtrain_simhw::SimClock;
         use std::sync::Arc;
 
-        // Two 1 GB/s links behind a 1 GB/s bus: the raw planner would
-        // budget 2 GB/s and offload everything; the cost model knows the
+        // Two 1 GB/s links behind a 1 GB/s bus: the link sum would
+        // budget 2 GB/s and offload freely; the cost model knows the
         // bus serialises the stores and keeps a longer tail.
         let io = IoEngine::tiered_with_bus(
             SimClock::new(),
@@ -386,9 +304,9 @@ mod tests {
             ],
             1.0,
         );
-        let plan = cost.plan(&p, 2.0);
         let raw = AdaptivePlan::decide(&p, io.write_bps_of(0) + io.write_bps_of(1), 2.0);
-        let guided = AdaptivePlan::decide_with_cost(&p, &cost, &plan, 2.0);
+        let split = cost.split_for(&p, &cost.front_first_assignment(&p));
+        let guided = AdaptivePlan::decide(&p, cost.effective_write_bps(&split), 2.0);
         // Raw 2 GB/s budget: m=1 needs 3 GB by 2 s → 1.5 GB/s, feasible.
         assert_eq!(raw.last_offloaded, Some(1), "raw budget offloads freely");
         assert!(
@@ -397,75 +315,6 @@ mod tests {
             guided.last_offloaded,
             raw.last_offloaded
         );
-    }
-
-    #[test]
-    fn drain_check_keeps_what_cannot_land_before_its_backward() {
-        use crate::io::IoEngine;
-        use crate::target::CpuTarget;
-        use crate::tier::TierStack;
-        use ssdtrain_simhw::SimClock;
-        use std::sync::Arc;
-
-        // One 1 GB/s link; 4 modules × 0.3 GB, the first taking 0.9 s of
-        // a 1.05 s forward, so no store starts before t0 = 0.9 s. The
-        // flat-bandwidth criterion offloads l0 and l1 (0.9 GB by 1.25 s
-        // = 0.72 GB/s), but from t0 their stores land at 0.9 + 0.6 =
-        // 1.5 s, after l1's backward begins at 1.05 + 2·0.10 = 1.25 s.
-        // Keeping l1 leaves 0.3 GB landing at 1.2 s, ahead of l0's
-        // backward at 1.05 + 2·0.15 = 1.35 s.
-        let io = IoEngine::new(SimClock::new(), 1e9, 1e9);
-        let stack = TierStack::single(Arc::new(CpuTarget::new(1 << 40)));
-        let cost = CostModel::from_parts(&io, &stack);
-        let mb = 300_000_000u64;
-        let p = profile(
-            &[
-                ("l0", mb, 0.9),
-                ("l1", mb, 0.05),
-                ("l2", mb, 0.05),
-                ("l3", mb, 0.05),
-            ],
-            1.05,
-        );
-        let plan = cost.plan(&p, 2.0);
-        let flat = AdaptivePlan::decide(&p, io.write_bps_of(0), 2.0);
-        assert_eq!(flat.last_offloaded, Some(1));
-        let guided = AdaptivePlan::decide_with_cost(&p, &cost, &plan, 2.0);
-        assert_eq!(guided.last_offloaded, Some(0));
-        assert!(guided.keeps("l1") && guided.keeps("l2") && guided.keeps("l3"));
-        assert!(!guided.keeps("l0"));
-    }
-
-    #[test]
-    fn stores_may_run_into_backward() {
-        use crate::io::IoEngine;
-        use crate::target::CpuTarget;
-        use crate::tier::TierStack;
-        use ssdtrain_simhw::SimClock;
-        use std::sync::Arc;
-
-        // One 1 GB/s link; 4 modules × 0.3 GB in 1 s of forward. l0..l2
-        // (0.9 GB) drain at t0 + 0.9 = 1.15 s — past the end of forward,
-        // which no longer waits for them, and ahead of l2's backward at
-        // 1 + 2·0.25 = 1.5 s. Nothing is trimmed.
-        let io = IoEngine::new(SimClock::new(), 1e9, 1e9);
-        let stack = TierStack::single(Arc::new(CpuTarget::new(1 << 40)));
-        let cost = CostModel::from_parts(&io, &stack);
-        let mb = 300_000_000u64;
-        let p = profile(
-            &[
-                ("l0", mb, 0.25),
-                ("l1", mb, 0.25),
-                ("l2", mb, 0.25),
-                ("l3", mb, 0.25),
-            ],
-            1.0,
-        );
-        let plan = cost.plan(&p, 2.0);
-        let guided = AdaptivePlan::decide_with_cost(&p, &cost, &plan, 2.0);
-        assert_eq!(guided.last_offloaded, Some(2));
-        assert!(guided.keeps("l3"));
-        assert!(!guided.keeps("l2"));
     }
 
     #[test]

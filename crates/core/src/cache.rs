@@ -29,12 +29,12 @@
 
 use crate::adaptive::{AdaptivePlan, ModuleProfile, StepProfile};
 use crate::coalesce::{SealedSegment, WriteCoalescer};
-use crate::config::{RecoveryPolicy, TensorCacheConfig};
-use crate::costmodel::{CostModel, TierPlan};
+use crate::config::{RecoveryPolicy, TensorCacheConfig, MAX_IO_RETRIES};
+use crate::costmodel::CostModel;
 use crate::error::OffloadError;
 use crate::id::{storage_stamp, tensor_key, TensorKey};
 use crate::io::{IoEngine, JobId};
-use crate::placement::{OffloadClass, Placement, PlacementPolicy, PlacementQuery};
+use crate::placement::OffloadClass;
 use crate::stats::OffloadStats;
 use crate::target::{BatchItem, OffloadTarget};
 use crate::tier::{TierId, TierPlacement, TierStack};
@@ -244,7 +244,6 @@ struct State {
     coalescer: WriteCoalescer,
     stats: OffloadStats,
     plan: AdaptivePlan,
-    tier_plan: TierPlan,
     /// Per-link store-drain stall time this step (see
     /// [`TensorCache::drain_stores`]); indexed by I/O link.
     link_stalls: Vec<f64>,
@@ -275,7 +274,6 @@ impl State {
             coalescer: WriteCoalescer::new(coalesce_segment_bytes),
             stats: OffloadStats::default(),
             plan: AdaptivePlan::default(),
-            tier_plan: TierPlan::default(),
             link_stalls: Vec::new(),
             pending_error: None,
             trace: TraceSink::disabled(),
@@ -348,7 +346,6 @@ impl State {
 /// ```
 pub struct TensorCache {
     config: TensorCacheConfig,
-    placement: PlacementPolicy,
     tiers: Arc<TierStack>,
     io: IoEngine,
     mem: Arc<GpuMemory>,
@@ -386,11 +383,9 @@ impl TensorCache {
         io: IoEngine,
         mem: Arc<GpuMemory>,
     ) -> Arc<TensorCache> {
-        let placement = PlacementPolicy::from_config(&config);
         let state = Mutex::new(State::new(config.coalesce_segment_bytes));
         Arc::new(TensorCache {
             config,
-            placement,
             tiers,
             io,
             mem,
@@ -479,8 +474,8 @@ impl TensorCache {
     }
 
     /// A [`CostModel`] over this cache's links and tiers as currently
-    /// priced — what the planner and the capacity bench use to price
-    /// state load/store jobs without replaying them.
+    /// priced — what the adaptive budget and the capacity bench price
+    /// transfers on without replaying them.
     pub fn cost_model(&self) -> CostModel {
         CostModel::from_parts(&self.io, &self.tiers)
             .with_segment_bytes(self.config.coalesce_segment_bytes)
@@ -506,25 +501,15 @@ impl TensorCache {
         self.state.lock().plan = plan;
     }
 
-    /// The profile-guided tier plan currently applied (empty until a
-    /// profiling step ran with [`TensorCacheConfig::profile_guided`]).
-    pub fn tier_plan(&self) -> TierPlan {
-        self.state.lock().tier_plan.clone()
-    }
-
     // ------------------------------------------------------------------
     // Step lifecycle and scheduler hints (Algorithm 1)
     // ------------------------------------------------------------------
 
     /// Starts a measured step: clears per-step structures, the I/O job
     /// queues and statistics. Call after the runtime's clock was reset.
-    /// Under [`TensorCacheConfig::profile_guided`] the previous step's
-    /// observed timings re-derive the tier plan first, so placement
-    /// tracks the workload step over step.
     pub fn begin_step(&self) {
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        self.replan_from_last_step(st);
         self.flush_records(st);
         // Leftover records were just flushed against the old queues; new
         // jobs must not queue behind the previous step's transfers.
@@ -564,8 +549,6 @@ impl TensorCache {
 
     /// Ends a profiling step: builds the [`StepProfile`], derives the
     /// adaptive plan (when enabled) and applies it to subsequent steps.
-    /// Under [`TensorCacheConfig::profile_guided`] the same profile also
-    /// drives the [`CostModel`] tier planner.
     pub fn end_profile_step(&self) -> (StepProfile, AdaptivePlan) {
         let mut st = self.state.lock();
         st.profiling = false;
@@ -579,15 +562,8 @@ impl TensorCache {
         (profile, plan)
     }
 
-    /// Builds a [`StepProfile`] from the current step's scope metadata
-    /// (shared by [`TensorCache::end_profile_step`] and the between-step
-    /// re-plan).
+    /// Builds a [`StepProfile`] from the current step's scope metadata.
     fn build_profile(&self, st: &State) -> StepProfile {
-        let fwd_total_secs = if st.fwd_secs == 0.0 {
-            self.io.clock().now().since(st.fwd_start)
-        } else {
-            st.fwd_secs
-        };
         let order = st
             .forward_order
             .get(&st.current_mb)
@@ -611,82 +587,31 @@ impl TensorCache {
             .collect();
         StepProfile {
             modules,
-            fwd_total_secs,
+            fwd_total_secs: st.fwd_secs,
             fwd_io_bytes: self.io.bytes_written(),
             fwd_io_secs: self.io.write_busy_secs(),
         }
     }
 
-    /// Derives and applies the plans for `profile`: the adaptive ROK
-    /// cutoff always, plus the cost-model tier assignment when
-    /// [`TensorCacheConfig::profile_guided`] is set. The adaptive budget
-    /// is the [`CostModel`]'s effective write bandwidth of the byte
-    /// split the stack would actually produce, serialised on the shared
-    /// write bus, rather than a single link's rated figure.
+    /// Derives and applies the adaptive ROK cutoff for `profile`. The
+    /// budget is the [`CostModel`]'s effective write bandwidth of the
+    /// byte split the stack's front-first walk produces, serialised on
+    /// the shared write bus, rather than a sum of link rates.
     fn replan(&self, st: &mut State, profile: &StepProfile) -> AdaptivePlan {
         let plan = if self.config.adaptive {
-            let cost = CostModel::from_parts(&self.io, &self.tiers)
-                .with_segment_bytes(self.config.coalesce_segment_bytes);
-            if self.config.profile_guided && !cost.tiers().is_empty() {
-                let tier_plan = cost.plan(profile, self.config.bwd_fwd_ratio);
-                let plan = AdaptivePlan::decide_with_cost(
-                    profile,
-                    &cost,
-                    &tier_plan,
-                    self.config.bwd_fwd_ratio,
-                );
-                if st.trace.is_enabled() {
-                    st.trace.instant_with(
-                        TraceCategory::Tier,
-                        "tier.replan",
-                        self.io.clock().now(),
-                        vec![
-                            (
-                                "modeled_step_secs",
-                                ArgValue::F64(tier_plan.modeled_step_secs),
-                            ),
-                            (
-                                "baseline_step_secs",
-                                ArgValue::F64(tier_plan.baseline_step_secs),
-                            ),
-                        ],
-                    );
-                }
-                st.tier_plan = tier_plan;
-                plan
-            } else {
-                let split = cost.split_for(profile, &cost.front_first_assignment(profile));
-                AdaptivePlan::decide(
-                    profile,
-                    cost.effective_write_bps(&split),
-                    self.config.bwd_fwd_ratio,
-                )
-            }
+            let cost = self.cost_model();
+            let split = cost.split_for(profile, &cost.front_first_assignment(profile));
+            AdaptivePlan::decide(
+                profile,
+                cost.effective_write_bps(&split),
+                self.config.bwd_fwd_ratio,
+            )
         } else {
             let paths: Vec<String> = profile.modules.iter().map(|m| m.path.clone()).collect();
             AdaptivePlan::keep_last_only(&paths)
         };
         st.plan = plan.clone();
         plan
-    }
-
-    /// Re-derives the plans from the step that just finished (scope
-    /// metadata still holds its observed timings when this runs at the
-    /// top of [`TensorCache::begin_step`]). Only active under
-    /// [`TensorCacheConfig::profile_guided`]; a profiling step keeps its
-    /// explicit [`TensorCache::end_profile_step`] flow.
-    fn replan_from_last_step(&self, st: &mut State) {
-        if !(self.config.adaptive && self.config.profile_guided) {
-            return;
-        }
-        if st.profiling || st.scopes.is_empty() {
-            return;
-        }
-        let profile = self.build_profile(st);
-        if profile.modules.is_empty() {
-            return;
-        }
-        self.replan(st, &profile);
     }
 
     /// Prefetches the records of up to `depth` record-holding modules at
@@ -1142,24 +1067,24 @@ impl TensorCache {
     }
 
     /// The one store path — `pack` (Algorithm 2) and every state slot:
-    /// placement decision, deduplication, tier admission, then a new
+    /// the keep/offload decision, deduplication, tier admission, then a new
     /// record staged towards its store job. Returns the record's id, or
     /// `None` when the tensor stays where it is.
     fn store(&self, st: &mut State, tensor: &Tensor, class: OffloadClass) -> Option<RecordId> {
         let activation = class == OffloadClass::Activation;
-        // Algorithm 2 lines 12 and 15 as a pure policy decision
-        // (parameter / small / backward-phase / kept-module).
-        let query = PlacementQuery {
-            class,
-            is_parameter: st.param_stamps.contains(&storage_stamp(tensor)),
-            numel: tensor.numel(),
-            in_backward: st.phase.in_backward(),
-            module_kept: activation && self.innermost_kept(st),
-        };
-        if let Placement::Keep(reason) = self.placement.decide(&query) {
-            if reason.counts_in_stats() {
-                st.stats.kept += 1;
-            }
+        // Algorithm 2 line 12, for every class: a parameter (Algorithm 1
+        // lines 3–4) or a tensor below the threshold was never an
+        // offload candidate and is not counted.
+        if st.param_stamps.contains(&storage_stamp(tensor))
+            || tensor.numel() < self.config.min_offload_numel
+        {
+            return None;
+        }
+        // Algorithm 2 line 15 and the adaptive plan's kept tail, for
+        // activations only: state live ranges are bounded by the
+        // optimizer schedule, not the autograd phase.
+        if activation && (st.phase.in_backward() || self.innermost_kept(st)) {
+            st.stats.kept += 1;
             return None;
         }
 
@@ -1193,22 +1118,11 @@ impl TensorCache {
         // Tier admission: reserve capacity before any store job exists,
         // so a bounded front tier can never be oversubscribed by jobs
         // already in flight. A full stack refuses gracefully — the
-        // tensor stays resident, numerics untouched. Under a
-        // profile-guided tier plan the planned tier is preferred (its
-        // fallback is the plain front-first walk).
+        // tensor stays resident, numerics untouched.
         let bytes = tensor.bytes();
-        let preferred = if self.config.profile_guided {
-            cur_scope.and_then(|seq| st.tier_plan.preferred(&st.scopes[&seq].path))
-        } else {
-            None
-        };
-        let placement = match preferred {
-            Some(tier) => self.tiers.reserve_preferring(tier, bytes),
-            None => self.tiers.reserve(bytes),
-        };
         let trace = &st.trace;
         let now = self.io.clock().now();
-        let Some(TierPlacement { tier, spilled }) = placement else {
+        let Some(TierPlacement { tier, spilled }) = self.tiers.reserve(bytes) else {
             st.stats.kept += 1;
             st.stats.placement_kept_bytes += bytes;
             trace.instant_bytes(TraceCategory::Tier, "tier.full", now, bytes);
@@ -1465,7 +1379,7 @@ impl TensorCache {
                 continue;
             };
             let demoted = if fallback {
-                let (data, retries) = (data.as_deref(), self.config.max_io_retries);
+                let (data, retries) = (data.as_deref(), MAX_IO_RETRIES);
                 self.tiers.demote(tier, &rec.key, data, rec.bytes, retries)
             } else {
                 None
@@ -1634,7 +1548,7 @@ impl TensorCache {
     }
 
     /// Read-with-retries: reloads `bytes` from `tier` into `tensor`,
-    /// retrying up to `max_io_retries` times. A load that still fails is
+    /// retrying up to [`MAX_IO_RETRIES`] times. A load that still fails is
     /// unrecoverable — the data is gone — so the tensor is restored to
     /// zeros to keep the graph executable and a structured
     /// [`OffloadError::Load`] is queued; it surfaces at the step
@@ -1653,7 +1567,7 @@ impl TensorCache {
             attempts += 1;
             match self.tiers.read(rec.tier, &rec.key, bytes) {
                 Ok(d) => break d,
-                Err(err) if attempts > self.config.max_io_retries => {
+                Err(err) if attempts > MAX_IO_RETRIES => {
                     stats.load_retries += u64::from(attempts - 1);
                     if pending.is_none() {
                         *pending = Some(OffloadError::Load {

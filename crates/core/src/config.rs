@@ -58,10 +58,10 @@ impl std::fmt::Display for PlacementStrategy {
 /// Store failures are always absorbed by keeping the tensor resident —
 /// the bytes never left GPU memory, so training continues bit-identical
 /// to the no-fault run — the policy decides what *else* happens. Load
-/// failures are retried up to [`TensorCacheConfig::max_io_retries`]
-/// times and surface a structured [`crate::OffloadError`] regardless of
-/// policy if they persist: the activation bytes are gone and no local
-/// decision can bring them back.
+/// failures are retried up to [`MAX_IO_RETRIES`] times and surface a
+/// structured [`crate::OffloadError`] regardless of policy if they
+/// persist: the activation bytes are gone and no local decision can
+/// bring them back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum RecoveryPolicy {
     /// Surface the first store failure as a step error. The tensor is
@@ -76,7 +76,7 @@ pub enum RecoveryPolicy {
     KeepResident,
     /// Re-issue the failed store to the cache's fallback target (the
     /// paper's CPU offloader as a spill-of-last-resort), retrying up to
-    /// `max_io_retries` times; if the fallback also fails, degrade to
+    /// [`MAX_IO_RETRIES`] times; if the fallback also fails, degrade to
     /// [`RecoveryPolicy::KeepResident`] behaviour.
     FallbackTarget,
 }
@@ -97,6 +97,10 @@ impl std::fmt::Display for RecoveryPolicy {
         f.write_str(self.label())
     }
 }
+
+/// Extra attempts for a failed load (and for each fallback store)
+/// before the failure is considered permanent.
+pub const MAX_IO_RETRIES: u32 = 2;
 
 /// Tunables of the [`crate::TensorCache`]. Every optimisation the paper
 /// describes can be disabled individually, which is what the ablation
@@ -150,18 +154,8 @@ pub struct TensorCacheConfig {
     /// Backward-to-forward time ratio assumed by the adaptive planner
     /// (the paper estimates backward ≈ 2× forward).
     pub bwd_fwd_ratio: f64,
-    /// Drive tier placement from the profile-guided cost model
-    /// ([`crate::CostModel`]): profiling plans a per-module tier
-    /// assignment scored by modeled step time, the cache applies it at
-    /// pack time and re-plans between steps. When `false` (the default),
-    /// placement keeps the static front-first tier walk.
-    #[serde(default)]
-    pub profile_guided: bool,
     /// What to do when the offload target fails an I/O operation.
     pub recovery: RecoveryPolicy,
-    /// Extra attempts for failed loads (and fallback stores) before the
-    /// failure is considered permanent.
-    pub max_io_retries: u32,
 }
 
 impl Default for TensorCacheConfig {
@@ -177,9 +171,7 @@ impl Default for TensorCacheConfig {
             prefetch_group_modules: 0,
             coalesce_segment_bytes: 0,
             bwd_fwd_ratio: 2.0,
-            profile_guided: false,
             recovery: RecoveryPolicy::default(),
-            max_io_retries: 2,
         }
     }
 }
@@ -204,7 +196,6 @@ mod tests {
         let c = TensorCacheConfig::default();
         assert_eq!(c.min_offload_numel, 1 << 20);
         assert!(c.dedup && c.forwarding && c.prefetch && c.adaptive);
-        assert!(!c.profile_guided, "cost-model placement is opt-in");
         assert_eq!(c.bwd_fwd_ratio, 2.0);
     }
 
@@ -227,7 +218,6 @@ mod tests {
     fn recovery_defaults_to_keep_resident() {
         let c = TensorCacheConfig::default();
         assert_eq!(c.recovery, RecoveryPolicy::KeepResident);
-        assert_eq!(c.max_io_retries, 2);
         assert_eq!(RecoveryPolicy::FailStep.to_string(), "fail-step");
         assert_eq!(
             RecoveryPolicy::FallbackTarget.to_string(),

@@ -1,23 +1,21 @@
-//! Profile-guided placement cost model.
+//! Cost model: the step's critical path, predicted from a profile.
 //!
-//! The static [`crate::PlacementPolicy`] decides *whether* a tensor
-//! offloads; the [`TierStack`] decides *where* with a fixed front-first
-//! walk. Neither sees time. This module closes the loop the way
-//! 10Cache's profile-guided tier assignment does: it rebuilds the step's
-//! critical path from a [`StepProfile`] — forward and backward compute,
-//! the reload traffic racing backward, and the store queue that must
-//! have drained by backward's exit — and scores candidate per-module
-//! tier assignments by the modeled step time. [`CostModel::plan`] returns the deterministic
-//! greedy best assignment as a [`TierPlan`]; the cache applies it at
-//! pack time (via [`TierStack::reserve_preferring`]) and re-plans
-//! between steps as fresh profiles arrive, promoting hot (late-forward,
-//! early-backward) modules up the stack and demoting cold ones.
+//! [`crate::TensorCache`]'s `pack` decides *whether* a tensor offloads
+//! and the [`TierStack`] decides *where*, with a fixed front-first walk.
+//! Neither sees time. This module rebuilds the step's critical path from
+//! a [`StepProfile`] — forward and backward compute, the reload traffic
+//! racing backward, and the store queue that must have drained by
+//! backward's exit — for a per-module tier assignment
+//! ([`CostModel::front_first_assignment`] is the one the stack produces).
 //!
-//! The same model replaces the adaptive planner's parallel bandwidth
-//! estimate: [`CostModel::effective_write_bps`] prices a byte split over
-//! the tiers it actually lands on — serialised across the shared write
-//! bus — instead of summing link bandwidths that cannot be used
-//! concurrently.
+//! Three things consume it. The adaptive planner's bandwidth budget is
+//! [`CostModel::effective_write_bps`]: a byte split priced over the
+//! tiers it actually lands on — serialised across the shared write
+//! bus — instead of a sum of link bandwidths that cannot be used
+//! concurrently. `bench_capacity` prices optimizer-state jobs with
+//! [`CostModel::state_job_secs`]. And [`CostModel::modeled_step_secs`]
+//! is the prediction the benchmark scores against the simulator
+//! (`costmodel.pred_err_frac`).
 //!
 //! Timing semantics mirror the simulator's barriers (see
 //! [`crate::TensorCache::stage_scope`]): forward ends when its compute
@@ -32,14 +30,11 @@
 
 use crate::adaptive::StepProfile;
 use crate::io::IoEngine;
-use crate::tier::{TierId, TierStack};
-use std::collections::BTreeMap;
+use crate::tier::TierStack;
 
 /// One placement tier as the cost model prices it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TierCost {
-    /// The tier's id in the owning [`TierStack`].
-    pub tier: TierId,
     /// The tier's display name.
     pub name: String,
     /// Effective store bandwidth, bytes/s (link rate capped by the
@@ -64,54 +59,10 @@ pub struct CostModel {
     segment_bytes: u64,
 }
 
-/// A planned per-module tier assignment plus its modeled step times —
-/// what [`CostModel::plan`] produces and the cache consults at pack
-/// time.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TierPlan {
-    assignments: BTreeMap<String, TierId>,
-    /// Planned bytes per cost-model tier (same order as
-    /// [`CostModel::tiers`]).
-    pub tier_bytes: Vec<u64>,
-    /// Modeled step time of the planned assignment, seconds.
-    pub modeled_step_secs: f64,
-    /// Modeled step time of the static front-first assignment, seconds
-    /// (the delta against `modeled_step_secs` is the plan's predicted
-    /// win).
-    pub baseline_step_secs: f64,
-}
-
-impl TierPlan {
-    /// The planned tier for `path`, matching the innermost planned
-    /// ancestor the same way [`crate::AdaptivePlan::keeps`] does.
-    pub fn preferred(&self, path: &str) -> Option<TierId> {
-        if let Some(t) = self.assignments.get(path) {
-            return Some(*t);
-        }
-        self.assignments
-            .iter()
-            .filter(|(k, _)| {
-                path.starts_with(k.as_str()) && path.as_bytes().get(k.len()) == Some(&b'/')
-            })
-            .max_by_key(|(k, _)| k.len())
-            .map(|(_, t)| *t)
-    }
-
-    /// The planned module-path → tier map.
-    pub fn assignments(&self) -> &BTreeMap<String, TierId> {
-        &self.assignments
-    }
-
-    /// Whether the plan carries any assignment at all.
-    pub fn is_empty(&self) -> bool {
-        self.assignments.is_empty()
-    }
-}
-
 impl CostModel {
     /// Builds the model from the engine's link pricing and the stack's
     /// placement tiers (demotion-only tiers are a recovery path and are
-    /// not planned over).
+    /// not priced).
     pub fn from_parts(io: &IoEngine, tiers: &TierStack) -> CostModel {
         let bus = io.bus_write_bps();
         let tiers = tiers
@@ -120,7 +71,6 @@ impl CostModel {
             .map(|s| TierCost {
                 write_bps: io.write_bps_of(s.link).min(bus),
                 read_bps: io.read_bps_of(s.link),
-                tier: s.tier,
                 name: s.name,
                 capacity_bytes: s.capacity_bytes,
             })
@@ -135,16 +85,11 @@ impl CostModel {
 
     /// Prices the store drain as if the coalescer sealed segments of
     /// `bytes` (0 restores one-job-per-tier pricing). The cache passes
-    /// its configured `coalesce_segment_bytes` here so planning sees the
-    /// same job counts the simulator will charge overhead for.
+    /// its configured `coalesce_segment_bytes` here so the model sees
+    /// the same job counts the simulator will charge overhead for.
     pub fn with_segment_bytes(mut self, bytes: u64) -> CostModel {
         self.segment_bytes = bytes;
         self
-    }
-
-    /// The segment size the drain is priced under.
-    pub fn segment_bytes(&self) -> u64 {
-        self.segment_bytes
     }
 
     /// Store jobs needed to move `bytes` to one tier under the priced
@@ -164,11 +109,6 @@ impl CostModel {
     /// The tiers the model prices, front first.
     pub fn tiers(&self) -> &[TierCost] {
         &self.tiers
-    }
-
-    /// Index of `tier` inside [`CostModel::tiers`].
-    pub fn tier_index(&self, tier: TierId) -> Option<usize> {
-        self.tiers.iter().position(|t| t.tier == tier)
     }
 
     /// Seconds until the last store drains, given `bytes_per_tier`
@@ -215,7 +155,7 @@ impl CostModel {
     /// rides the bus-capped write path. The overlap engine
     /// uses this to decide how much of each stage's update the next
     /// step's forward can hide (GreedySnake's schedule), on the same
-    /// model the activation planner prices stores with.
+    /// model the adaptive budget prices stores with.
     pub fn state_job_secs(&self, tier_idx: usize, load_bytes: u64, store_bytes: u64) -> f64 {
         let Some(t) = self.tiers.get(tier_idx) else {
             return 0.0;
@@ -226,14 +166,14 @@ impl CostModel {
 
     /// Upper bound on deliverable store bandwidth: the link sum, capped
     /// by the shared bus.
-    pub fn aggregate_write_bps(&self) -> f64 {
+    fn aggregate_write_bps(&self) -> f64 {
         let sum: f64 = self.tiers.iter().map(|t| t.write_bps).sum();
         self.bus_write_bps.min(sum.max(f64::MIN_POSITIVE))
     }
 
     /// The byte split of the static front-first placement (each module
     /// lands on the first tier with capacity headroom — what
-    /// [`TierStack::reserve`] does without a plan).
+    /// [`TierStack::reserve`] does).
     pub fn front_first_assignment(&self, profile: &StepProfile) -> Vec<Option<usize>> {
         let mut used = vec![0u64; self.tiers.len()];
         profile
@@ -255,7 +195,7 @@ impl CostModel {
             .collect()
     }
 
-    /// Sums each tier's planned bytes under `assignment` (entries are
+    /// Sums each tier's bytes under `assignment` (entries are
     /// indices into [`CostModel::tiers`]; `None` keeps the module
     /// resident).
     pub fn split_for(&self, profile: &StepProfile, assignment: &[Option<usize>]) -> Vec<u64> {
@@ -290,88 +230,6 @@ impl CostModel {
         let t0 = profile.modules.first().map(|m| m.fwd_secs).unwrap_or(0.0);
         let bwd_stage = (bwd_fwd_ratio * fwd).max(self.load_secs(&split));
         (fwd + bwd_stage).max(t0 + self.store_drain_secs(&split))
-    }
-
-    /// Plans a per-module tier assignment for `profile`, deterministic
-    /// for a fixed profile:
-    ///
-    /// 1. **Hot-first seeding** — modules late in forward reload first
-    ///    in backward; they get the frontmost tier with headroom, colder
-    ///    modules take what remains (cold tensors are thereby demoted
-    ///    relative to the front-first walk, hot ones promoted).
-    /// 2. **Greedy improvement** — single-module moves between tiers,
-    ///    accepted only when the modeled step time strictly drops,
-    ///    scanned in fixed order for a bounded number of passes.
-    ///
-    /// Capacity bounds are respected throughout; a module that fits
-    /// nowhere is left unassigned (kept resident, exactly like a failed
-    /// [`TierStack::reserve`]).
-    pub fn plan(&self, profile: &StepProfile, bwd_fwd_ratio: f64) -> TierPlan {
-        let n = profile.modules.len();
-        let mut assign: Vec<Option<usize>> = vec![None; n];
-        let mut used = vec![0u64; self.tiers.len()];
-        for m in (0..n).rev() {
-            let bytes = profile.modules[m].offload_bytes;
-            for (i, t) in self.tiers.iter().enumerate() {
-                let fits = t
-                    .capacity_bytes
-                    .map(|c| used[i].saturating_add(bytes) <= c)
-                    .unwrap_or(true);
-                if fits {
-                    assign[m] = Some(i);
-                    used[i] += bytes;
-                    break;
-                }
-            }
-        }
-        let mut best = self.modeled_step_secs(profile, &assign, bwd_fwd_ratio);
-        for _pass in 0..4 {
-            let mut improved = false;
-            for m in 0..n {
-                let Some(cur) = assign[m] else { continue };
-                let bytes = profile.modules[m].offload_bytes;
-                for cand in 0..self.tiers.len() {
-                    if cand == cur {
-                        continue;
-                    }
-                    let fits = self.tiers[cand]
-                        .capacity_bytes
-                        .map(|c| used[cand].saturating_add(bytes) <= c)
-                        .unwrap_or(true);
-                    if !fits {
-                        continue;
-                    }
-                    assign[m] = Some(cand);
-                    let score = self.modeled_step_secs(profile, &assign, bwd_fwd_ratio);
-                    if score + 1e-12 < best {
-                        best = score;
-                        used[cur] -= bytes;
-                        used[cand] += bytes;
-                        improved = true;
-                        break;
-                    }
-                    assign[m] = Some(cur);
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-        let baseline = self.front_first_assignment(profile);
-        let baseline_step_secs = self.modeled_step_secs(profile, &baseline, bwd_fwd_ratio);
-        let tier_bytes = self.split_for(profile, &assign);
-        let assignments = profile
-            .modules
-            .iter()
-            .zip(&assign)
-            .filter_map(|(m, a)| a.map(|i| (m.path.clone(), self.tiers[i].tier)))
-            .collect();
-        TierPlan {
-            assignments,
-            tier_bytes,
-            modeled_step_secs: best,
-            baseline_step_secs,
-        }
     }
 }
 
@@ -430,38 +288,6 @@ mod tests {
         let m = two_tier_model(u64::MAX);
         assert_eq!(m.aggregate_write_bps(), 2e9);
         assert!(m.effective_write_bps(&[1 << 30, 1 << 30]) <= 2e9);
-    }
-
-    #[test]
-    fn plan_respects_tier_capacity() {
-        let gb = 1_000_000_000u64;
-        let m = two_tier_model(gb);
-        let p = profile(&[("l0", gb, 0.5), ("l1", gb, 0.5), ("l2", gb, 0.5)]);
-        let plan = m.plan(&p, 2.0);
-        assert!(plan.tier_bytes[0] <= gb, "front tier overcommitted");
-        assert_eq!(plan.tier_bytes.iter().sum::<u64>(), 3 * gb);
-    }
-
-    #[test]
-    fn hot_tail_lands_on_the_front_tier() {
-        let gb = 1_000_000_000u64;
-        let m = two_tier_model(gb);
-        let p = profile(&[("l0", gb, 0.5), ("l1", gb, 0.5), ("l2", gb, 0.5)]);
-        let plan = m.plan(&p, 2.0);
-        // The last module reloads first in backward: it gets dram.
-        assert_eq!(plan.preferred("l2").map(|t| t.index()), Some(0));
-        assert_eq!(plan.preferred("l0").map(|t| t.index()), Some(1));
-        // Nested paths match their planned ancestor.
-        assert_eq!(plan.preferred("l2/mlp").map(|t| t.index()), Some(0));
-        assert_eq!(plan.preferred("unknown"), None);
-    }
-
-    #[test]
-    fn planning_is_deterministic() {
-        let gb = 1_000_000_000u64;
-        let m = two_tier_model(gb);
-        let p = profile(&[("l0", gb, 0.3), ("l1", gb / 2, 0.4), ("l2", gb, 0.3)]);
-        assert_eq!(m.plan(&p, 2.0), m.plan(&p, 2.0));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | data forwarding (§3.3.2) | in-flight stores are returned from memory and cancelled if still queued |
 //! | adaptive offloading (§3.3.3, Fig. 8) | [`adaptive`] — profile a step, keep the last modules resident |
 //! | SSD / CPU offloader (§3.1, Fig. 5) | [`target::SsdTarget`], [`target::CpuTarget`] |
-//! | keep/offload decision (Alg. 2 ll. 12, 15) | [`placement::PlacementPolicy`] — pure, extracted from `pack` |
+//! | keep/offload decision (Alg. 2 ll. 12, 15) | the head of `TensorCache`'s store path: parameter → threshold → backward-phase → kept-module |
 //! | tiered backends (Fig. 5 "future work") | [`tier::TierStack`] — DRAM front tier spilling to the SSD array |
 //! | scheduler hints (Alg. 1) | [`TensorCache::prefetch_last_module`], [`TensorCache::wait_io`], micro-batch switching |
 //!

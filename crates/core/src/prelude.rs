@@ -22,11 +22,11 @@ pub use crate::adaptive::{AdaptivePlan, ModuleProfile, StepProfile};
 pub use crate::cache::{StageHint, StageScope, StateSlot, TensorCache};
 pub use crate::coalesce::{CoalesceCounts, SealedSegment, SegmentEntry, WriteCoalescer};
 pub use crate::config::{PlacementStrategy, RecoveryPolicy, TensorCacheConfig};
-pub use crate::costmodel::{CostModel, TierCost, TierPlan};
+pub use crate::costmodel::{CostModel, TierCost};
 pub use crate::error::OffloadError;
 pub use crate::fault::FaultyTarget;
 pub use crate::io::{IoEngine, TierLink};
-pub use crate::placement::{KeepReason, OffloadClass, Placement, PlacementPolicy, PlacementQuery};
+pub use crate::placement::OffloadClass;
 pub use crate::stats::{ClassCounters, OffloadStats};
 pub use crate::target::{BatchItem, CpuTarget, OffloadTarget, SsdTarget};
 pub use crate::tier::{Tier, TierCounters, TierId, TierPlacement, TierRole, TierSpec, TierStack};

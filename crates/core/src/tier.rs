@@ -166,11 +166,9 @@ pub struct TierCounters {
 }
 
 /// Static description of one placement-eligible tier — the shape the
-/// profile-guided cost model ([`crate::CostModel`]) consumes.
+/// cost model ([`crate::CostModel`]) consumes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TierSpec {
-    /// The tier's id in the stack.
-    pub tier: TierId,
     /// The tier's display name.
     pub name: String,
     /// Index of the simulated link its transfers are priced on.
@@ -181,7 +179,7 @@ pub struct TierSpec {
 
 /// Where [`TierStack::reserve`] admitted a tensor. The placement *is*
 /// the reservation: whoever receives it owes the tier one
-/// [`TierStack::remove`] (or [`TierStack::release`]) of the same bytes.
+/// [`TierStack::remove`] of the same bytes.
 #[must_use = "a dropped placement leaks its tier reservation"]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierPlacement {
@@ -321,32 +319,6 @@ impl TierStack {
         inner.get(tier.0).map(|(_, s)| s.reserved).unwrap_or(0)
     }
 
-    /// Admits `bytes` into `preferred` when that tier is
-    /// placement-eligible and has headroom — a *planned* placement, not
-    /// a spill, even when faster tiers had room. Falls back to the
-    /// front-to-back walk of [`TierStack::reserve`] otherwise, keeping
-    /// its spill accounting (only a capacity-forced deviation counts).
-    #[must_use = "a dropped placement leaks its tier reservation"]
-    pub fn reserve_preferring(&self, preferred: TierId, bytes: u64) -> Option<TierPlacement> {
-        {
-            let mut inner = self.inner.lock();
-            if let Some((tier, state)) = inner.get_mut(preferred.0) {
-                let fits = match tier.capacity_bytes {
-                    Some(cap) => state.reserved.saturating_add(bytes) <= cap,
-                    None => true,
-                };
-                if tier.role == TierRole::Placement && fits {
-                    state.reserved += bytes;
-                    return Some(TierPlacement {
-                        tier: preferred,
-                        spilled: false,
-                    });
-                }
-            }
-        }
-        self.reserve(bytes)
-    }
-
     /// Admits `bytes` into the first placement tier with capacity
     /// headroom, walking front to back; a skipped-full front tier makes
     /// the admission a *spill*. Returns `None` when every eligible tier
@@ -377,15 +349,6 @@ impl TierStack {
             });
         }
         None
-    }
-
-    /// Returns `bytes` of reservation to the tier (a cancelled or
-    /// refused admission).
-    pub fn release(&self, tier: TierId, bytes: u64) {
-        let mut inner = self.inner.lock();
-        if let Some((_, state)) = inner.get_mut(tier.0) {
-            state.reserved = state.reserved.saturating_sub(bytes);
-        }
     }
 
     /// Writes `len` bytes under `key` to the tier's device, accounting
@@ -439,8 +402,8 @@ impl TierStack {
     /// success.
     ///
     /// # Errors
-    /// Propagates the device's I/O error; the cache retries per
-    /// `max_io_retries`.
+    /// Propagates the device's I/O error; the cache retries
+    /// [`crate::config::MAX_IO_RETRIES`] times.
     pub fn read(&self, tier: TierId, key: &TensorKey, len: u64) -> io::Result<Option<Vec<u8>>> {
         let device = self.device_or_err(tier)?;
         let data = device.read(key)?;
@@ -517,15 +480,13 @@ impl TierStack {
 
     /// Static descriptions of the placement-eligible tiers, front
     /// first — the cost model's view of the stack (demotion-only tiers
-    /// are a fault-recovery path and carry no planned placements).
+    /// are a fault-recovery path and take no pack-time placements).
     pub fn placement_tiers(&self) -> Vec<TierSpec> {
         let inner = self.inner.lock();
         inner
             .iter()
-            .enumerate()
-            .filter(|(_, (t, _))| t.role == TierRole::Placement)
-            .map(|(idx, (t, _))| TierSpec {
-                tier: TierId(idx),
+            .filter(|(t, _)| t.role == TierRole::Placement)
+            .map(|(t, _)| TierSpec {
                 name: t.name.clone(),
                 link: t.link,
                 capacity_bytes: t.capacity_bytes,
@@ -622,7 +583,7 @@ mod tests {
         );
         assert_eq!(stack.counters()[1].spilled_in_bytes, 40);
         // Releasing the front admission lets the next one in again.
-        stack.release(TierId(0), 80);
+        stack.remove(TierId(0), &key(1), 80);
         assert_eq!(
             stack.reserve(100),
             Some(TierPlacement {
@@ -639,31 +600,6 @@ mod tests {
         ]);
         assert!(stack.reserve(8).is_some());
         assert!(stack.reserve(8).is_none());
-    }
-
-    #[test]
-    fn preferred_reservation_is_not_a_spill() {
-        let stack = two_tier(100);
-        // Planned placement on the back tier: deliberate, not a spill.
-        assert_eq!(
-            stack.reserve_preferring(TierId(1), 40),
-            Some(TierPlacement {
-                tier: TierId(1),
-                spilled: false,
-            })
-        );
-        assert_eq!(stack.counters()[1].spilled_in_bytes, 0);
-        // A full preferred tier falls back to the normal walk.
-        assert_eq!(
-            stack.reserve_preferring(TierId(0), 200).map(|p| p.tier),
-            Some(TierId(1))
-        );
-        assert_eq!(stack.counters()[1].spilled_in_bytes, 200);
-        // An out-of-range preference degrades to plain reserve.
-        assert_eq!(
-            stack.reserve_preferring(TierId(9), 10).map(|p| p.tier),
-            Some(TierId(0))
-        );
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! numerics equivalence, memory reclaim, forwarding, deduplication,
 //! parameter exclusion, stall accounting and adaptive profiling.
 
-use ssdtrain::{CpuTarget, IoEngine, OffloadTarget, SsdTarget, TensorCache, TensorCacheConfig};
+use ssdtrain::{
+    AdaptivePlan, CpuTarget, IoEngine, OffloadClass, OffloadTarget, SsdTarget, TensorCache,
+    TensorCacheConfig, Tier, TierLink, TierStack,
+};
 use ssdtrain_autograd::{ops, ExecObserver, Graph, OpCost, Phase, Var};
 use ssdtrain_simhw::{GpuMemory, SimClock, WearMeter};
 use ssdtrain_tensor::{Device, MemClass, Prng, Tensor};
@@ -350,6 +353,7 @@ fn parameters_and_their_transposes_are_never_offloaded() {
     let loss = ops::mean_all(&r.graph, &y);
     let stats = r.cache.stats();
     assert_eq!(stats.store_jobs, 1, "only the input offloads: {stats:?}");
+    assert_eq!(stats.kept, 0, "a parameter was never a candidate");
     r.graph.backward(&loss);
     assert!(w1.grad().is_some());
 }
@@ -369,6 +373,82 @@ fn small_tensors_stay_resident() {
     let stats = r.cache.stats();
     assert_eq!(stats.store_jobs, 0, "{stats:?}");
     assert_eq!(stats.offloaded_bytes, 0);
+    assert_eq!(stats.kept, 0, "a small tensor was never a candidate");
+}
+
+#[test]
+fn backward_phase_saves_stay_resident_and_count_as_kept() {
+    // Algorithm 2 line 15: a tensor saved inside backward (a recompute)
+    // would be needed again at once; offloading it would thrash.
+    let r = rig(offload_all_config(), 1e9, 1e9, 0.0);
+    let (w1t, _w2t, xt) = init_weights(&r.dev, 53);
+    let w1 = Var::new("w1", w1t);
+    r.cache.begin_step();
+    r.cache.register_parameter(&w1.tensor());
+    r.graph.set_phase(Phase::Recompute);
+    let xv = r.graph.constant(xt);
+    // matmul saves x and w: the parameter keep comes first and is not
+    // counted, the backward-phase keep of x is.
+    let _y = ops::matmul(&r.graph, &xv, &r.graph.leaf(&w1));
+    let stats = r.cache.stats();
+    assert_eq!((stats.store_jobs, stats.kept), (0, 1), "{stats:?}");
+
+    // The threshold comes before the phase too: below it, nothing counts.
+    let small = rig(TensorCacheConfig::default(), 1e9, 1e9, 0.0);
+    small.cache.begin_step();
+    small.graph.set_phase(Phase::Backward);
+    let xv = small
+        .graph
+        .constant(Tensor::from_vec(vec![1.0; 64], [8, 8], &small.dev));
+    let _y = ops::mul(&small.graph, &xv, &xv);
+    let stats = small.cache.stats();
+    assert_eq!((stats.store_jobs, stats.kept), (0, 0), "{stats:?}");
+}
+
+#[test]
+fn state_classes_skip_both_activation_keeps() {
+    // Gradients and optimizer state live by the optimizer schedule, not
+    // the autograd phase: neither the kept module around them nor the
+    // backward phase holds them back. The parameter and threshold keeps
+    // still apply, and no state keep is counted.
+    let cfg = TensorCacheConfig {
+        min_offload_numel: 16,
+        ..offload_all_config()
+    };
+    let r = rig(cfg, 1e9, 1e9, 0.0);
+    let state = |v: f32| Tensor::from_vec(vec![v; 64], [8, 8], &r.dev);
+    let mut plan = AdaptivePlan::default();
+    plan.keep_paths.insert("m".into());
+    r.cache.begin_step();
+    r.cache.set_plan(plan);
+    r.graph.set_phase(Phase::Forward);
+    let xv = r.graph.constant(state(1.0));
+    let grad = r.graph.scoped("m", || {
+        // The plan keeps the module's own activations …
+        let _y = ops::mul(&r.graph, &xv, &xv);
+        assert_eq!(r.cache.stats().kept, 2);
+        // … and a state tensor offloaded from inside it all the same.
+        r.cache.offload_state(&state(0.25), OffloadClass::Gradient)
+    });
+    r.graph.set_phase(Phase::Backward);
+    let velocity = r
+        .cache
+        .offload_state(&state(0.5), OffloadClass::OptimizerState);
+    assert!(grad.is_some() && velocity.is_some());
+
+    let param = state(2.0);
+    r.cache.register_parameter(&param);
+    assert!(r
+        .cache
+        .offload_state(&param, OffloadClass::Gradient)
+        .is_none());
+    let tiny = Tensor::from_vec(vec![0.0; 8], [8], &r.dev);
+    assert!(r
+        .cache
+        .offload_state(&tiny, OffloadClass::OptimizerState)
+        .is_none());
+    let stats = r.cache.stats();
+    assert_eq!((stats.store_jobs, stats.kept), (2, 2), "{stats:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -406,6 +486,65 @@ fn profiling_step_builds_module_profile_and_plan() {
     // Ample bandwidth: the plan keeps (at least) the last module.
     assert!(plan.keeps("l1"));
     assert!(!plan.keeps("l0"));
+}
+
+#[test]
+fn the_cutoff_is_budgeted_on_the_shared_bus() {
+    // Two 100 kB/s tiers behind a 30 kB/s bus, the front one holding two
+    // modules' worth. Four 256-byte modules in 9 ms of forward need
+    // 24 / 45 / 79 kB/s to offload through l0 / l1 / l2: the link sum
+    // would offload all three, the bus carries only the first.
+    let clock = SimClock::new();
+    let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
+    let dev = Device::cpu();
+    dev.set_tracker(mem.clone());
+    let links = vec![
+        TierLink::new("dram", 1e5, 1e9),
+        TierLink::new("ssd", 1e5, 1e9),
+    ];
+    let io = IoEngine::tiered_with_bus(clock.clone(), links, 3e4);
+    let tiers = TierStack::new(vec![
+        Tier::new("dram", Arc::new(CpuTarget::new(1 << 40)), 0).with_capacity(512),
+        Tier::new("ssd", Arc::new(CpuTarget::new(1 << 40)), 1),
+    ]);
+    let cfg = TensorCacheConfig::offload_everything();
+    let ratio = cfg.bwd_fwd_ratio;
+    let cache = TensorCache::with_tiers(cfg, Arc::new(tiers), io, mem);
+    let graph = Graph::new(&dev, 7);
+    cache.install(&graph);
+    let secs_per_op = 0.001;
+    graph.set_observer(Arc::new(FixedOpTime { clock, secs_per_op }));
+
+    let (w1t, w2t, xt) = init_weights(&dev, 59);
+    let (w1, w2) = (Var::new("w1", w1t), Var::new("w2", w2t));
+    cache.begin_profile_step();
+    graph.set_phase(Phase::Forward);
+    cache.register_parameter(&w1.tensor());
+    cache.register_parameter(&w2.tensor());
+    let mut h = graph.constant(xt);
+    for (i, w) in [&w1, &w2, &w1, &w2].into_iter().enumerate() {
+        h = graph.scoped(&format!("l{i}"), || {
+            ops::gelu(&graph, &ops::matmul(&graph, &h, &graph.leaf(w)))
+        });
+    }
+    let loss = ops::mean_all(&graph, &h);
+    let (profile, plan) = cache.end_profile_step();
+    graph.backward(&loss);
+
+    let cost = cache.cost_model();
+    let split = cost.split_for(&profile, &cost.front_first_assignment(&profile));
+    assert!(split.iter().all(|b| *b > 0), "both tiers take bytes");
+    let on_the_bus = AdaptivePlan::decide(&profile, cost.effective_write_bps(&split), ratio);
+    assert_eq!(plan, on_the_bus);
+    let io = cache.io();
+    let link_sum = io.write_bps_of(0) + io.write_bps_of(1);
+    let on_the_links = AdaptivePlan::decide(&profile, link_sum, ratio);
+    assert!(
+        plan.keep_paths.len() > on_the_links.keep_paths.len(),
+        "bus budget keeps {:?}, link sum {:?}",
+        plan.keep_paths,
+        on_the_links.keep_paths
+    );
 }
 
 #[test]
@@ -715,7 +854,7 @@ fn forward_exit_leaves_activation_stores_to_backward() {
 
 #[test]
 fn state_stores_block_the_exit_that_follows_them() {
-    use ssdtrain::{OffloadClass, StageHint};
+    use ssdtrain::StageHint;
 
     // 1 kB/s: the 128-byte state tensor holds the link for 0.128 s.
     let r = rig(offload_all_config(), 1e3, 1e9, 0.001);

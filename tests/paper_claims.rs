@@ -101,13 +101,6 @@ fn tiering_backends_hold_the_keep_step_and_order_by_what_they_offload() {
             );
         }
     }
-    // The profile-guided placement, whatever it does with the front
-    // tier, is no worse than having none.
-    let planned = "tiered-4g-planned";
-    assert!(
-        bytes(planned) >= bytes("ssd") && peak(planned) <= peak("ssd"),
-        "planned placement is worse than ssd-only"
-    );
 }
 
 /// `bench_capacity`: offloading optimizer state to the array buys model

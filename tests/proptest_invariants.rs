@@ -683,59 +683,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #[test]
-    fn plans_respect_capacity_and_account_every_byte(
-        mods in prop::collection::vec(
-            (1_000_000u64..2_000_000_000, 0.001f64..0.3),
-            1..10,
-        ),
-        cap in 0u64..8_000_000_000,
-        bus in 1e8f64..1e10,
-        ratio in 0.5f64..4.0,
-    ) {
-        let profile = varied_profile(&mods);
-        let (model, _io) =
-            cost_fixture(Some(cap), [2e9, 1e9], [2e9, 1e9], bus);
-        let plan = model.plan(&profile, ratio);
-        // The bounded front tier is never overcommitted; the unbounded
-        // back tier absorbs the rest, so every byte stays planned.
-        prop_assert!(plan.tier_bytes[0] <= cap, "front tier overcommitted");
-        prop_assert_eq!(
-            plan.tier_bytes.iter().sum::<u64>(),
-            profile.fwd_io_bytes,
-            "planned bytes must cover the profiled offload set"
-        );
-        prop_assert_eq!(plan.assignments().len(), profile.modules.len());
-        let valid: Vec<_> = model.tiers().iter().map(|t| t.tier).collect();
-        for (path, tier) in plan.assignments() {
-            prop_assert!(valid.contains(tier), "{path} planned onto an unknown tier");
-        }
-    }
-
-    #[test]
-    fn replanning_is_deterministic_and_never_beats_compute(
-        mods in prop::collection::vec(
-            (1_000_000u64..2_000_000_000, 0.001f64..0.3),
-            1..10,
-        ),
-        cap in (any::<bool>(), 0u64..8_000_000_000).prop_map(|(s, v)| s.then_some(v)),
-        bus in 1e8f64..1e10,
-        ratio in 0.5f64..4.0,
-    ) {
-        let profile = varied_profile(&mods);
-        let (model, _io) = cost_fixture(cap, [2e9, 1e9], [2e9, 1e9], bus);
-        let first = model.plan(&profile, ratio);
-        let again = model.plan(&profile, ratio);
-        prop_assert_eq!(&first, &again, "same profile, same plan");
-        // No placement can finish before compute does, and the greedy
-        // plan is priced with the same floor as its baseline.
-        let floor = (1.0 + ratio) * profile.fwd_total_secs - 1e-9;
-        prop_assert!(first.modeled_step_secs >= floor);
-        prop_assert!(first.baseline_step_secs >= floor);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Numeric/symbolic agreement
 // ---------------------------------------------------------------------
