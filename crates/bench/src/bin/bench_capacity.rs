@@ -63,6 +63,13 @@ fn main() {
         "\nthe array-backed backends keep absorbing gradients and momentum after the\n\
          bounded host pool is full, so their largest trainable model exceeds the\n\
          dram-only offloader's; overlapping the update hides its loads behind the\n\
-         next forward instead of paying them at the step boundary."
+         next forward instead of paying them at the step boundary.\n\
+         \n\
+         the optimizer columns of the timing lines agree across backends on purpose:\n\
+         an update is bound by loading its state (gradients and momentum, once each),\n\
+         and every backend reads over the GPU's one PCIe link — the array reads\n\
+         faster than PCIe carries — so at a size all three hold the read side cannot\n\
+         tell them apart. the write side can (the array writes a little slower than\n\
+         PCIe carries): that is the ssd line's longer step."
     );
 }

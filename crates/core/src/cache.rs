@@ -41,7 +41,7 @@ use crate::tier::{TierId, TierPlacement, TierStack};
 use parking_lot::Mutex;
 use ssdtrain_autograd::{ModuleHooks, Packed, Phase, SavedTensorHooks, ScopeInfo};
 use ssdtrain_simhw::{BufferArena, GpuMemory, PinnedSlab, SimTime};
-use ssdtrain_tensor::Tensor;
+use ssdtrain_tensor::{MemClass, Tensor};
 use ssdtrain_trace::{ArgValue, TraceCategory, TraceSink};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -155,6 +155,10 @@ struct Record {
     /// Pinned staging slab the bytes occupy while a store is staged or
     /// in flight; released exactly once when the staging retires.
     slab: Option<PinnedSlab>,
+    /// Whether the tier's device holds an entry under `key` (a write
+    /// committed or a demotion landed): a record forwarded before its
+    /// store committed has nothing there to remove.
+    stored: bool,
     /// Simulated time the record's store drains; a reload can never
     /// complete before it. Zero again after a step boundary (the
     /// optimizer-stage drain barrier guarantees every store landed
@@ -168,6 +172,17 @@ impl Record {
     /// caller rather than by module scopes, and never deduplicate.
     fn is_state(&self) -> bool {
         self.class != OffloadClass::Activation
+    }
+
+    /// Whether committing the record's store releases its GPU memory.
+    /// Mirrors Python garbage collection (paper Section 3.2): an
+    /// activation's memory is reclaimable only once the cache holds the
+    /// *last* reference to the storage. If model code still holds the
+    /// tensor (e.g. a step input reused across steps), the record simply
+    /// stays resident. State slots are always held by their optimizer
+    /// and are released regardless.
+    fn leaves_at_commit(&self) -> bool {
+        self.is_state() || self.tensor.storage().strong_count() == 1
     }
 }
 
@@ -204,6 +219,34 @@ struct ScopeMeta {
     load_secs: f64,
 }
 
+/// A sealed segment whose store job is in flight or has landed but is
+/// not committed yet.
+struct Segment {
+    /// The members' range in `State::seg_members`.
+    members: Range<usize>,
+    /// What [`TensorCache::note_landed`] added to `State::unsettled`
+    /// for this segment; the commit takes it back.
+    unsettled: u64,
+}
+
+/// Where one micro-batch's backward pass stands in the group
+/// prefetcher's consumption-ordered walk (see
+/// [`TensorCache::look_ahead`]).
+#[derive(Clone, Copy)]
+struct Lookahead {
+    /// Activation bytes resident when the pass was announced — Figure
+    /// 7's "beginning of backward" point. Groups beyond the
+    /// `prefetch_depth` floor are issued only while their reloads fit
+    /// under it.
+    bound: u64,
+    /// Every group at or above this index was issued or holds no
+    /// records; the walk only ever moves it down, so no group loads
+    /// twice.
+    next: usize,
+    /// The group backward is consuming (the lowest one it has entered).
+    cur: usize,
+}
+
 /// Everything the cache mutates, behind its one lock: the bookkeeping
 /// all runs on the training thread (the paper's worker pools only move
 /// bytes), so one lock around it is the faithful shape.
@@ -223,21 +266,34 @@ struct State {
     fwd_start: SimTime,
     fwd_secs: f64,
     /// Sealed segments whose store jobs are in flight — one I/O job, one
-    /// device write, recovered as a unit — keyed by job; the value is
-    /// the members' range in `seg_members`. Removal marks the segment
-    /// committed (or cancelled).
-    segments: HashMap<JobId, Range<usize>>,
+    /// device write, recovered as a unit — keyed by job. Removal marks
+    /// the segment committed (or cancelled).
+    segments: HashMap<JobId, Segment>,
     /// Member ids of every segment sealed this step, back to back.
     seg_members: Vec<RecordId>,
+    /// The jobs of those segments in submission order, which on the one
+    /// write FIFO is completion order: the stores of everything before
+    /// `seg_landed` have landed (see [`TensorCache::note_landed`]).
+    seg_jobs: Vec<JobId>,
+    seg_landed: usize,
+    /// Activation bytes whose store has landed but whose commit — lazy:
+    /// it runs when something reaches the record — has not released
+    /// them yet. The memory counter over-reads by exactly this much.
+    unsettled: u64,
     /// Reused by every commit: the members still riding the job and
     /// their serialised payloads.
     commit_scratch: Vec<Payload>,
-    /// Groups already prefetched this step (group double-buffering must
-    /// never load a group twice).
-    groups_loaded: HashSet<(usize, usize)>,
-    /// Pinned staging slab per in-flight prefetch group; released when
-    /// backward consumption moves past the group.
-    group_slabs: HashMap<(usize, usize), PinnedSlab>,
+    /// Reused by every group request: the group's record ids in the
+    /// order backward will read them.
+    group_scratch: Vec<RecordId>,
+    /// The group prefetcher's walk, per micro-batch with an announced
+    /// (or started) backward pass this step.
+    lookahead: HashMap<usize, Lookahead>,
+    /// The prefetch groups in flight at or ahead of backward's
+    /// consumption point, each with its pinned staging slab (`None` for
+    /// a group of no bytes); released when consumption moves past the
+    /// group.
+    group_slabs: HashMap<(usize, usize), Option<PinnedSlab>>,
     /// The write coalescer between `pack` and the per-tier store queues
     /// (unused when [`TensorCacheConfig::coalesce_segment_bytes`] is 0:
     /// every staged record then seals at once, a segment of one).
@@ -268,8 +324,12 @@ impl State {
             fwd_secs: 0.0,
             segments: HashMap::new(),
             seg_members: Vec::new(),
+            seg_jobs: Vec::new(),
+            seg_landed: 0,
+            unsettled: 0,
             commit_scratch: Vec::new(),
-            groups_loaded: HashSet::new(),
+            group_scratch: Vec::new(),
+            lookahead: HashMap::new(),
             group_slabs: HashMap::new(),
             coalescer: WriteCoalescer::new(coalesce_segment_bytes),
             stats: OffloadStats::default(),
@@ -637,76 +697,170 @@ impl TensorCache {
         }
     }
 
-    /// The record ids and total bytes of prefetch group `gidx` — the
-    /// modules at forward-order positions `[gidx·G, (gidx+1)·G)` for
-    /// `G = prefetch_group_modules`.
-    fn group_records(&self, st: &State, mb: usize, gidx: usize) -> (Vec<RecordId>, u64) {
-        let Some(order) = st.forward_order.get(&mb) else {
-            return (Vec::new(), 0);
-        };
+    /// Collects prefetch group `gidx` of micro-batch `mb` — the modules
+    /// at forward-order positions `[gidx·G, (gidx+1)·G)` for `G =
+    /// prefetch_group_modules` — into `ids`, in the order backward reads
+    /// them: last module first, and inside a module the last-packed
+    /// record first (the read link is FIFO, so issue order is arrival
+    /// order). Returns the group's bytes and how many of them a
+    /// prefetch would reload at `now`, i.e. those that left memory when
+    /// their store landed: a record whose store is still in flight is
+    /// forwarded instead, which allocates nothing.
+    fn group_records(
+        &self,
+        st: &State,
+        mb: usize,
+        gidx: usize,
+        now: SimTime,
+        ids: &mut Vec<RecordId>,
+    ) -> (u64, u64) {
+        ids.clear();
         let g = self.config.prefetch_group_modules.max(1);
-        let start = gidx.saturating_mul(g);
-        if start >= order.len() {
-            return (Vec::new(), 0);
-        }
+        let order = st.forward_order.get(&mb).map_or(&[][..], Vec::as_slice);
+        let start = gidx.saturating_mul(g).min(order.len());
         let end = start.saturating_add(g).min(order.len());
-        let mut ids = Vec::new();
-        let mut bytes = 0u64;
-        for seq in &order[start..end] {
+        let (mut bytes, mut reload) = (0u64, 0u64);
+        for seq in order[start..end].iter().rev() {
             let Some(meta) = st.scopes.get(seq) else {
                 continue;
             };
-            for id in &meta.records {
-                if !ids.contains(id) {
-                    ids.push(*id);
-                    bytes += st.records.get(id).map_or(0, |r| r.bytes);
+            for id in meta.records.iter().rev() {
+                let Some(rec) = st.records.get(id) else {
+                    continue;
+                };
+                // Only a deduplicated record sits in a second scope.
+                if !rec.scopes.more.is_empty() && ids.contains(id) {
+                    continue;
+                }
+                ids.push(*id);
+                bytes += rec.bytes;
+                let left_memory = match rec.state {
+                    RecState::Offloaded => true,
+                    // Landed, and the prefetch will commit it first.
+                    RecState::Storing { job } => {
+                        now >= self.io.store_end(job) && rec.leaves_at_commit()
+                    }
+                    _ => false,
+                };
+                if left_memory {
+                    reload += rec.bytes;
                 }
             }
         }
-        (ids, bytes)
+        (bytes, reload)
     }
 
-    /// Issues prefetch group `gidx` of micro-batch `mb` onto a fresh
-    /// arena staging slab — at most once per step (the double buffer
-    /// must never load a group twice; re-requests are no-ops).
-    fn prefetch_group(&self, st: &mut State, mb: usize, gidx: usize) {
-        if !st.groups_loaded.insert((mb, gidx)) {
-            return;
+    /// Books the segments whose store has landed since the last call.
+    /// Commits are lazy — a landed store's memory is released (stamped
+    /// at the store's end) only when something reaches the record — so
+    /// until then [`GpuMemory::resident`] over-reads by it; the group
+    /// prefetcher subtracts `State::unsettled` from every level it
+    /// reads. The write queue is one FIFO, so the landed segments are a
+    /// prefix of `seg_jobs` and each is visited once.
+    fn note_landed(&self, st: &mut State, now: SimTime) {
+        while let Some(job) = st.seg_jobs.get(st.seg_landed) {
+            if let Some(seg) = st.segments.get_mut(job) {
+                if self.io.store_end(*job) > now {
+                    break;
+                }
+                let members = st.seg_members[seg.members.clone()].iter();
+                let freed = members.filter_map(|id| st.records.get(id)).filter(|r| {
+                    matches!(r.state, RecState::Storing { .. })
+                        && !r.is_state()
+                        && r.leaves_at_commit()
+                });
+                seg.unsettled = freed.map(|r| r.bytes).sum();
+                st.unsettled += seg.unsettled;
+            }
+            st.seg_landed += 1;
         }
-        let (ids, bytes) = self.group_records(st, mb, gidx);
-        if ids.is_empty() {
-            return;
-        }
+    }
+
+    /// Activation bytes the device holds now or has promised to a
+    /// reload in flight: the memory counter (which books a reload when
+    /// it is issued), less the landed stores it has not released yet.
+    fn activation_level(&self, st: &mut State, now: SimTime) -> u64 {
+        self.note_landed(st, now);
+        let booked = self.mem.resident(MemClass::Activation);
+        booked.saturating_sub(st.unsettled)
+    }
+
+    /// The group prefetcher: one consumption-ordered look-ahead per
+    /// backward pass. `cur` is the group backward is consuming (the last
+    /// one when the pass is only announced).
+    ///
+    /// The walk visits the record-holding groups downward from `cur` and
+    /// issues them in the order backward will read them. The first
+    /// `prefetch_depth` in flight are the floor: issued whatever the
+    /// memory level, so backward always makes progress. Beyond the floor
+    /// the next group is issued only while the bytes it would reload fit
+    /// under the level this pass began at (`Lookahead::bound`, read once,
+    /// before anything is issued) minus the level now, in-flight reloads
+    /// included. Look-ahead therefore never lifts activation memory
+    /// above where backward started: it spends what backward has handed
+    /// back, and starts as soon as the pass is announced instead of when
+    /// consumption comes within two positions of a group.
+    fn look_ahead(&self, st: &mut State, mb: usize, cur: usize) {
         let now = self.io.clock().now();
-        if let Some(slab) = self.arena.acquire(bytes) {
-            st.trace
-                .instant_bytes(TraceCategory::Arena, "arena.acquire", now, bytes);
-            st.group_slabs.insert((mb, gidx), slab);
+        let la = match st.lookahead.get(&mb) {
+            Some(la) => *la,
+            None => Lookahead {
+                bound: self.activation_level(st, now),
+                next: cur + 1,
+                cur,
+            },
+        };
+        let cur = cur.min(la.cur);
+        // Groups above the consumption point were fully consumed; return
+        // their staging slabs.
+        for gidx in (cur + 1..=la.cur).rev() {
+            if let Some(slab) = st.group_slabs.remove(&(mb, gidx)) {
+                self.retire_slab(&st.trace, slab);
+            }
         }
-        st.stats.prefetch_groups += 1;
-        st.stats.prefetch_group_bytes += bytes;
-        if st.trace.is_enabled() {
-            st.trace.instant_with(
-                TraceCategory::Prefetch,
-                "prefetch.group",
-                now,
-                vec![
-                    ("group", ArgValue::U64(gidx as u64)),
-                    ("bytes", ArgValue::U64(bytes)),
-                ],
-            );
+        let depth = self.config.prefetch_depth.max(1);
+        let mut ahead = st.group_slabs.keys().filter(|k| k.0 == mb).count();
+        let mut next = la.next.min(cur + 1);
+        let mut ids = std::mem::take(&mut st.group_scratch);
+        while next > 0 {
+            let gidx = next - 1;
+            let (bytes, reload) = self.group_records(st, mb, gidx, now, &mut ids);
+            if !ids.is_empty() {
+                let headroom = la.bound.saturating_sub(self.activation_level(st, now));
+                if ahead >= depth && reload > headroom {
+                    break;
+                }
+                let slab = self.arena.acquire(bytes);
+                if slab.is_some() {
+                    st.trace
+                        .instant_bytes(TraceCategory::Arena, "arena.acquire", now, bytes);
+                }
+                st.group_slabs.insert((mb, gidx), slab);
+                st.stats.prefetch_groups += 1;
+                st.stats.prefetch_group_bytes += bytes;
+                if st.trace.is_enabled() {
+                    st.trace.instant_with(
+                        TraceCategory::Prefetch,
+                        "prefetch.group",
+                        now,
+                        vec![
+                            ("group", ArgValue::U64(gidx as u64)),
+                            ("bytes", ArgValue::U64(bytes)),
+                            ("lookahead", ArgValue::U64((cur - gidx) as u64)),
+                            ("reload_bytes", ArgValue::U64(reload)),
+                            ("headroom", ArgValue::U64(headroom)),
+                        ],
+                    );
+                }
+                for &id in &ids {
+                    self.prefetch_record(st, id, now);
+                }
+                ahead += 1;
+            }
+            next = gidx;
         }
-        for id in ids {
-            self.prefetch_record(st, id, now);
-        }
-    }
-
-    /// Group-based double buffering: keeps the `prefetch_depth` groups
-    /// ending at group `last` of micro-batch `mb` in flight.
-    fn prefetch_groups_upto(&self, st: &mut State, mb: usize, last: usize) {
-        for d in 0..self.config.prefetch_depth.max(1).min(last + 1) {
-            self.prefetch_group(st, mb, last - d);
-        }
+        st.group_scratch = ids;
+        st.lookahead.insert(mb, Lookahead { next, cur, ..la });
     }
 
     /// Enters `stage` and returns an RAII guard covering it: the
@@ -895,9 +1049,10 @@ impl TensorCache {
 
     /// Scheduler hint (Algorithm 1 line 13): the step is about to switch
     /// to backward propagation — prefetch the tail modules' activations.
-    /// In group mode ([`TensorCacheConfig::prefetch_group_modules`]) the
-    /// last `prefetch_depth` groups are issued instead, filling both
-    /// halves of the double buffer before backward starts consuming.
+    /// In group mode ([`TensorCacheConfig::prefetch_group_modules`]) this
+    /// announces the backward pass to the group look-ahead: the level
+    /// the pass begins at is read here, and the reloads of every group
+    /// that fits under it start now.
     pub fn prefetch_last_module(&self) {
         let mut st = self.state.lock();
         let mb = st.current_mb;
@@ -905,7 +1060,7 @@ impl TensorCache {
         let g = self.config.prefetch_group_modules;
         if self.config.prefetch && g > 0 {
             if len > 0 {
-                self.prefetch_groups_upto(&mut st, mb, (len - 1) / g);
+                self.look_ahead(&mut st, mb, (len - 1) / g);
             }
             return;
         }
@@ -952,9 +1107,12 @@ impl TensorCache {
         st.by_key.clear();
         st.segments.clear();
         st.seg_members.clear();
-        st.groups_loaded.clear();
+        st.seg_jobs.clear();
+        st.seg_landed = 0;
+        st.unsettled = 0;
+        st.lookahead.clear();
         for (_, slab) in st.group_slabs.drain() {
-            self.retire_slab(&st.trace, Some(slab));
+            self.retire_slab(&st.trace, slab);
         }
     }
 
@@ -1026,7 +1184,7 @@ impl TensorCache {
         let Some(rec) = self.state.lock().records.remove(&slot.0) else {
             return;
         };
-        self.tiers.remove(rec.tier, &rec.key, rec.bytes);
+        self.drop_from_tier(&rec);
     }
 
     // ------------------------------------------------------------------
@@ -1172,6 +1330,7 @@ impl TensorCache {
                 scopes,
                 tier,
                 slab,
+                stored: false,
                 avail: SimTime::ZERO,
             },
         );
@@ -1213,6 +1372,7 @@ impl TensorCache {
         let sizes = st.seg_members[range.clone()].iter();
         let total: u64 = sizes.map(|id| st.records[id].bytes).sum();
         let job = self.io.submit_store_to(self.tiers.link(tier), total);
+        st.seg_jobs.push(job);
         let (start, end) = self.io.store_span(job);
         let seg_secs = end.since(start);
         // Only activations coalesce, so a segment has one class.
@@ -1235,7 +1395,11 @@ impl TensorCache {
                 meta.store_secs += share;
             }
         }
-        st.segments.insert(job, range);
+        let segment = Segment {
+            members: range,
+            unsettled: 0,
+        };
+        st.segments.insert(job, segment);
         st.stats.store_jobs += 1;
         st.stats.class_mut(class).stores += 1;
     }
@@ -1277,9 +1441,10 @@ impl TensorCache {
     /// marks the segment committed. A failed write degrades the
     /// *segment* per the configured [`RecoveryPolicy`], not per tensor.
     fn commit_segment(&self, st: &mut State, job: JobId) {
-        let Some(members) = st.segments.remove(&job) else {
+        let Some(Segment { members, unsettled }) = st.segments.remove(&job) else {
             return;
         };
+        st.unsettled -= unsettled;
         let (start, end) = self.io.store_span(job);
         let mut batch = std::mem::take(&mut st.commit_scratch);
         for i in members {
@@ -1290,13 +1455,7 @@ impl TensorCache {
             if !matches!(rec.state, RecState::Storing { .. }) {
                 continue;
             }
-            // Mirrors Python garbage collection (paper Section 3.2): an
-            // activation's memory is reclaimable only once the cache
-            // holds the *last* reference to the storage. If model code
-            // still holds the tensor (e.g. a step input reused across
-            // steps), the record simply stays resident. State slots are
-            // always held by their optimizer and are released regardless.
-            if !rec.is_state() && rec.tensor.storage().strong_count() > 1 {
+            if !rec.leaves_at_commit() {
                 rec.state = RecState::Resident;
                 let slab = rec.slab.take();
                 self.retire_slab(&st.trace, slab);
@@ -1334,6 +1493,7 @@ impl TensorCache {
                     };
                     self.mem.with_time(end, || rec.tensor.storage().release());
                     rec.state = RecState::Offloaded;
+                    rec.stored = true;
                     rec.avail = end;
                     total += rec.bytes;
                 }
@@ -1388,6 +1548,7 @@ impl TensorCache {
                 Some(lower) => {
                     self.mem.with_time(end, || rec.tensor.storage().release());
                     rec.state = RecState::Offloaded;
+                    rec.stored = true;
                     rec.avail = end;
                     rec.tier = lower;
                     fell_back += rec.bytes;
@@ -1470,7 +1631,7 @@ impl TensorCache {
         let evicted = job.is_none();
         let mut unqueued = false;
         if let Some(job) = job {
-            let sole = st.segments.get(&job).is_some_and(|m| m.len() == 1);
+            let sole = st.segments.get(&job).is_some_and(|s| s.members.len() == 1);
             if sole && self.config.cancel_forwarded_stores && self.io.try_cancel_store(job, now) {
                 st.segments.remove(&job);
                 unqueued = true;
@@ -1709,10 +1870,28 @@ impl TensorCache {
         // Catch-all: whatever path retired the record, its staging slab
         // must go back to the arena exactly once.
         self.retire_slab(&st.trace, rec.slab.take());
-        // Drop the entry wherever it lives and return the admission
-        // reservation — the single release point of a record's bytes.
-        self.tiers.remove(rec.tier, &rec.key, rec.bytes);
+        self.drop_from_tier(&rec);
     }
+
+    /// Returns `rec`'s admission reservation and drops its entry from
+    /// the tier's device, if a write ever put one there — the single
+    /// release point of a record's bytes.
+    fn drop_from_tier(&self, rec: &Record) {
+        if rec.stored {
+            self.tiers.remove(rec.tier, &rec.key, rec.bytes);
+        } else {
+            self.tiers.unreserve(rec.tier, rec.bytes);
+        }
+    }
+}
+
+/// The position of `seq` in `order`, searched backwards from `hint`,
+/// then forwards from it.
+fn position_near(order: &[u64], hint: usize, seq: u64) -> Option<usize> {
+    let found = |s: &u64| *s == seq;
+    let split = hint.saturating_add(1).min(order.len());
+    let before = order[..split].iter().rposition(found);
+    before.or_else(|| Some(split + order[split..].iter().position(found)?))
 }
 
 /// RAII guard for one scheduler stage (created by
@@ -1821,24 +2000,18 @@ impl ModuleHooks for TensorCache {
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let mb = scope.micro_batch;
+        let g = self.config.prefetch_group_modules;
+        // Backward enters scopes in reverse forward order: the next one
+        // is in the group the walk has reached or just below it, and the
+        // first one is the last.
+        let reached = st.lookahead.get(&mb).map(|la| la.cur * g + g - 1);
+        let hint = reached.unwrap_or(usize::MAX);
         let order = st.forward_order.get(&mb);
-        let Some(pos) = order.and_then(|o| o.iter().position(|s| *s == scope.seq)) else {
+        let Some(pos) = order.and_then(|o| position_near(o, hint, scope.seq)) else {
             return;
         };
-        let g = self.config.prefetch_group_modules;
         if self.config.prefetch && g > 0 {
-            // Group-based double buffering: while the current group is
-            // consumed the previous one loads on the second buffer —
-            // `prefetch_depth` groups stay in flight.
-            let cur = pos / g;
-            self.prefetch_groups_upto(st, mb, cur);
-            // Groups above the current one were fully consumed; return
-            // their staging slabs so the double buffer stays two deep.
-            let done = |&(m, gi): &(usize, usize)| m == mb && gi > cur;
-            while let Some(key) = st.group_slabs.keys().copied().find(done) {
-                let slab = st.group_slabs.remove(&key);
-                self.retire_slab(&st.trace, slab);
-            }
+            self.look_ahead(st, mb, pos / g);
             return;
         }
         self.prefetch_before(st, mb, pos, self.config.prefetch_depth.max(1));

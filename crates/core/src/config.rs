@@ -132,14 +132,21 @@ pub struct TensorCacheConfig {
     /// always I/O tasks in the GPU job queue to keep PCIe busy". Depth 1
     /// is the paper's scheme (prefetch the next module); raise it when a
     /// module's reload takes longer than a module's backward (small
-    /// hidden sizes on fast GPUs).
+    /// hidden sizes on fast GPUs). In group mode
+    /// ([`TensorCacheConfig::prefetch_group_modules`]) it counts groups
+    /// and is the look-ahead's *floor*: that many record-holding groups
+    /// are kept in flight whatever the memory level; further groups go
+    /// out only as memory allows.
     pub prefetch_depth: usize,
-    /// Group size, in modules, for group-based double-buffered backward
-    /// prefetch: the forward order is cut into groups of this many
-    /// modules, and while group *k* is consumed group *k−1* loads into
-    /// the second staging buffer (`prefetch_depth` groups stay in
-    /// flight — 2 is the classic double buffer). `0` (the default)
-    /// keeps the legacy per-module lookahead driven by
+    /// Group size, in modules, for group-based backward prefetch: the
+    /// forward order is cut into groups of this many modules and, from
+    /// the moment a backward pass is announced, the groups that hold
+    /// records are reloaded in the order backward reads them —
+    /// `prefetch_depth` of them unconditionally (2 is the classic
+    /// double buffer), the rest as far ahead as their reloads fit under
+    /// the activation level the pass began at, so the look-ahead spends
+    /// the memory backward hands back and never lifts the peak. `0`
+    /// (the default) keeps the per-module lookahead driven by
     /// `prefetch_depth` alone.
     #[serde(default)]
     pub prefetch_group_modules: usize,

@@ -118,7 +118,7 @@ pub struct OffloadStats {
     /// from memory like a forwarding hit.
     #[serde(default)]
     pub coalesce_evictions: u64,
-    /// Backward prefetch groups issued (group-based double buffering).
+    /// Backward prefetch groups issued (the group look-ahead).
     #[serde(default)]
     pub prefetch_groups: u64,
     /// Bytes covered by issued prefetch groups.

@@ -418,17 +418,19 @@ impl TierStack {
     /// Drops the entry for `key` and returns its reservation to the
     /// tier (idempotent at the device level).
     pub fn remove(&self, tier: TierId, key: &TensorKey, len: u64) {
-        let device = {
-            let mut inner = self.inner.lock();
-            match inner.get_mut(tier.0) {
-                Some((t, state)) => {
-                    state.reserved = state.reserved.saturating_sub(len);
-                    t.device.clone()
-                }
-                None => return,
-            }
-        };
-        device.remove(key);
+        self.unreserve(tier, len);
+        if let Some(device) = self.device(tier) {
+            device.remove(key);
+        }
+    }
+
+    /// Returns a reservation of `len` bytes to `tier` without touching
+    /// its device — for bytes that were admitted but never written (a
+    /// forwarded tensor, a refused store).
+    pub fn unreserve(&self, tier: TierId, len: u64) {
+        if let Some((_, state)) = self.inner.lock().get_mut(tier.0) {
+            state.reserved = state.reserved.saturating_sub(len);
+        }
     }
 
     /// Demotes `len` bytes under `key` from `from` to the first tier

@@ -4,10 +4,12 @@
 
 use ssdtrain::{
     AdaptivePlan, CpuTarget, IoEngine, OffloadClass, OffloadTarget, SsdTarget, TensorCache,
-    TensorCacheConfig, Tier, TierLink, TierStack,
+    TensorCacheConfig, Tier, TierLink, TierStack, TraceEvent, TraceSink,
 };
-use ssdtrain_autograd::{ops, ExecObserver, Graph, OpCost, Phase, Var};
-use ssdtrain_simhw::{GpuMemory, SimClock, WearMeter};
+use ssdtrain_autograd::{
+    ops, ExecObserver, Graph, ModuleHooks, OpCost, Packed, Phase, SavedTensorHooks, ScopeInfo, Var,
+};
+use ssdtrain_simhw::{GpuMemory, SimClock, SimTime, WearMeter};
 use ssdtrain_tensor::{Device, MemClass, Prng, Tensor};
 use std::sync::Arc;
 
@@ -906,4 +908,236 @@ fn state_stores_block_the_exit_that_follows_them() {
     r.graph.backward(&loss);
     r.cache.release_state(slot);
     r.cache.release_state(grad_slot);
+}
+
+// ---------------------------------------------------------------------
+// Group look-ahead (hook-level rig)
+// ---------------------------------------------------------------------
+
+const MIB: u64 = 1 << 20;
+
+/// One synthetic step driven through the hook protocol: every module
+/// saves one 1 MiB tensor, the last `kept` modules are kept by plan, and
+/// each module takes 2 ms forward and 2 ms backward. Groups are two
+/// modules, `prefetch_depth` is 2, and the read link moves 1 MiB a
+/// millisecond.
+struct HookStep {
+    cache: Arc<TensorCache>,
+    mem: Arc<GpuMemory>,
+    clock: SimClock,
+    sink: TraceSink,
+    scopes: Vec<ScopeInfo>,
+    saved: Vec<Packed>,
+}
+
+impl HookStep {
+    /// Runs forward over `modules` modules on a write link of
+    /// `write_bps`.
+    fn forward(modules: usize, kept: usize, write_bps: f64) -> HookStep {
+        let clock = SimClock::new();
+        let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
+        let dev = Device::cpu();
+        dev.set_tracker(mem.clone());
+        let io = IoEngine::new(clock.clone(), write_bps, MIB as f64 * 1e3);
+        let config = TensorCacheConfig {
+            prefetch_group_modules: 2,
+            prefetch_depth: 2,
+            ..offload_all_config()
+        };
+        let target = Arc::new(CpuTarget::new(1 << 40));
+        let cache = TensorCache::new(config, target, io, mem.clone());
+        let sink = TraceSink::enabled();
+        cache.set_trace(sink.clone());
+        let scopes: Vec<ScopeInfo> = (0..modules)
+            .map(|i| ScopeInfo {
+                path: format!("m{i}"),
+                seq: i as u64 + 1,
+                micro_batch: 0,
+            })
+            .collect();
+        let keep_paths = scopes[modules - kept..].iter().map(|s| s.path.clone());
+        cache.set_plan(AdaptivePlan {
+            keep_paths: keep_paths.collect(),
+            ..AdaptivePlan::default()
+        });
+        cache.begin_step();
+        cache.phase_changed(Phase::Forward);
+        let mut saved = Vec::new();
+        for scope in &scopes {
+            cache.forward_pre(scope);
+            // The cache holds the only reference: a committed store
+            // releases the memory, as it does for a real activation.
+            saved.push(cache.pack(&Tensor::zeros([MIB as usize / 4], &dev)));
+            clock.advance_by(2e-3);
+            cache.forward_post(scope);
+        }
+        HookStep {
+            cache,
+            mem,
+            clock,
+            sink,
+            scopes,
+            saved,
+        }
+    }
+
+    /// Announces the backward pass and returns when.
+    fn announce(&self) -> SimTime {
+        self.cache.prefetch_last_module();
+        self.cache.phase_changed(Phase::Backward);
+        self.clock.now()
+    }
+
+    /// Backward over the modules from the last one still pending down to
+    /// `down_to`.
+    fn backward(&mut self, down_to: usize) {
+        while self.saved.len() > down_to {
+            let scope = &self.scopes[self.saved.len() - 1];
+            self.cache.backward_pre(scope);
+            let packed = self.saved.pop().expect("a pending module");
+            let tensor = self.cache.unpack(&packed);
+            self.clock.advance_by(2e-3);
+            drop((tensor, packed));
+            self.cache.backward_post(scope);
+        }
+    }
+
+    fn group_instants(&self) -> Vec<TraceEvent> {
+        let events = self.sink.events();
+        let groups = events.into_iter().filter(|e| e.name == "prefetch.group");
+        groups.collect()
+    }
+
+    /// Activation bytes on the memory timeline at `t`.
+    fn activations_at(&self, t: SimTime) -> u64 {
+        let timeline = self.mem.timeline();
+        let upto = timeline.iter().take_while(|p| p.time <= t);
+        upto.last().map_or(0, |p| p.activations)
+    }
+}
+
+fn arg(e: &TraceEvent, key: &str) -> u64 {
+    e.arg_u64(key)
+        .unwrap_or_else(|| panic!("prefetch.group has no `{key}` arg: {e:?}"))
+}
+
+#[test]
+fn group_lookahead_starts_at_the_announcement_and_floors_at_prefetch_depth() {
+    // Twelve modules, the last four kept: groups 4 and 5 hold no
+    // records. The write link is fast, so every store landed long
+    // before backward is announced and nothing has been freed yet —
+    // zero headroom.
+    let mut step = HookStep::forward(12, 4, 1e12);
+    let announced = step.announce();
+
+    // The walk skips the record-less groups: the first group is issued
+    // now, not when consumption comes within two positions of it, and
+    // with no headroom exactly `prefetch_depth` groups are in flight.
+    let groups = step.group_instants();
+    let issued: Vec<u64> = groups.iter().map(|e| arg(e, "group")).collect();
+    assert_eq!(issued, [3, 2], "consumption order, floor only");
+    for e in &groups {
+        assert_eq!(e.ts, announced);
+        assert_eq!(arg(e, "bytes"), 2 * MIB);
+        assert_eq!(arg(e, "reload_bytes"), 2 * MIB);
+    }
+    assert_eq!(arg(&groups[0], "headroom"), 0);
+    assert_eq!(arg(&groups[0], "lookahead"), 2);
+    assert_eq!(arg(&groups[1], "lookahead"), 3);
+
+    // Through the kept tail the floor groups sit above the bound, so
+    // nothing more is issued; the 4 MiB in flight arrived long before
+    // module 7 is reached.
+    step.backward(8);
+    assert_eq!(step.group_instants().len(), 2);
+    step.backward(0);
+    let groups = step.group_instants();
+    let issued: Vec<u64> = groups.iter().map(|e| arg(e, "group")).collect();
+    assert_eq!(
+        issued,
+        [3, 2, 1, 0],
+        "each group once, in consumption order"
+    );
+    assert_eq!(step.cache.stats().stall_secs, 0.0);
+    assert_eq!(step.cache.stats().sync_loads, 0);
+    // (Commits are lazy, so the timeline is read once the step is over.)
+    assert_eq!(step.activations_at(announced), 4 * MIB, "the kept tail");
+}
+
+#[test]
+fn group_lookahead_spends_what_backward_hands_back_and_no_more() {
+    // Sixteen modules, the last eight kept (8 MiB, the level backward
+    // begins at), everything below them landed.
+    let mut step = HookStep::forward(16, 8, 1e12);
+    let announced = step.announce();
+    // The floor at the announcement; the kept tail then frees a module
+    // every 2 ms and the look-ahead issues a group as soon as its 2 MiB
+    // fit under the bound again — while consumption is still in the
+    // tail, groups away from the records.
+    step.backward(8);
+    let issued: Vec<u64> = step
+        .group_instants()
+        .iter()
+        .map(|e| arg(e, "group"))
+        .collect();
+    assert_eq!(issued, [3, 2, 1]);
+    step.backward(0);
+    step.cache.wait_io();
+    let groups = step.group_instants();
+    let issued: Vec<u64> = groups.iter().map(|e| arg(e, "group")).collect();
+    assert_eq!(issued, [3, 2, 1, 0], "no group loads twice");
+    for e in &groups[2..] {
+        assert!(arg(e, "lookahead") >= 3, "beyond the floor: {e:?}");
+        assert!(arg(e, "reload_bytes") <= arg(e, "headroom"), "{e:?}");
+        assert!(e.ts > announced);
+    }
+    assert_eq!(step.cache.stats().stall_secs, 0.0);
+    // Above the level backward began at only by what the floor put in
+    // flight before anything was freed.
+    let bound = step.activations_at(announced);
+    assert_eq!(bound, 8 * MIB);
+    let after = step
+        .mem
+        .peak_activations_between(announced, step.clock.now());
+    assert!(bound < after && after <= bound + 4 * MIB, "{after}");
+}
+
+#[test]
+fn group_lookahead_forwards_the_store_backlog_without_lifting_the_level() {
+    // A write link that moves 1 MiB in 16 ms against 2 ms of forward a
+    // module: forward's stores run on into backward. Twelve modules,
+    // four kept.
+    let mut step = HookStep::forward(12, 4, MIB as f64 * 62.5);
+    let announced = step.announce();
+    // A record whose store has not landed is forwarded, which allocates
+    // nothing: every group down to the landed one goes out at once,
+    // floor or not. Group 0 would reload module 0's MiB; it waits for
+    // the kept tail to hand one back.
+    let groups = step.group_instants();
+    let issued: Vec<u64> = groups.iter().map(|e| arg(e, "group")).collect();
+    assert_eq!(issued, [3, 2, 1]);
+    assert!(groups.iter().all(|e| e.ts == announced));
+    assert!(groups.iter().all(|e| arg(e, "reload_bytes") == 0));
+    step.backward(0);
+    step.cache.wait_io();
+    let last = &step.group_instants()[3];
+    assert_eq!((arg(last, "group"), arg(last, "lookahead")), (0, 5));
+    assert_eq!(
+        (arg(last, "reload_bytes"), arg(last, "headroom")),
+        (MIB, MIB)
+    );
+    assert_eq!(step.cache.stats().stall_secs, 0.0);
+    assert_eq!(step.cache.stats().forwarded, 7);
+    // One store landed in forward's 24 ms; seven were queued or in
+    // flight and still resident, beside the kept tail.
+    let bound = step.activations_at(announced);
+    assert_eq!(bound, 11 * MIB);
+    // Backward's prefetching never lifted activation memory above where
+    // backward started, so the step's peak is forward's.
+    let after = step
+        .mem
+        .peak_activations_between(announced, step.clock.now());
+    assert_eq!(after, bound);
+    let forward = step.mem.peak_activations_between(SimTime::ZERO, announced);
+    assert_eq!(step.mem.peak_activations(), forward);
 }

@@ -208,10 +208,13 @@ impl TraceEvent {
     /// The `bytes` argument, if present — the payload size used by
     /// byte-accounting cross-checks.
     pub fn bytes(&self) -> Option<u64> {
-        self.args
-            .iter()
-            .find(|(k, _)| *k == "bytes")
-            .and_then(|(_, v)| v.as_u64())
+        self.arg_u64("bytes")
+    }
+
+    /// The unsigned-integer argument `key`, if present.
+    pub fn arg_u64(&self, key: &str) -> Option<u64> {
+        let found = self.args.iter().find(|(k, _)| *k == key);
+        found.and_then(|(_, v)| v.as_u64())
     }
 
     /// End time for spans (`ts` for instants and counters).

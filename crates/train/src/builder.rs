@@ -261,17 +261,20 @@ impl SessionBuilder {
 
     /// Group-prefetch shorthand: rewrites
     /// `cache.prefetch_group_modules` in place. Zero (the default)
-    /// keeps per-module prefetch; a positive value loads backward
-    /// activations in groups of this many modules on the double
-    /// buffer, `prefetch_depth` groups ahead of consumption.
+    /// keeps per-module prefetch; a positive value reloads backward
+    /// activations in groups of this many modules, from the moment
+    /// backward is announced and as far ahead of consumption as the
+    /// memory backward hands back allows (never fewer than
+    /// `prefetch_depth` groups).
     pub fn prefetch_group(mut self, modules: usize) -> SessionBuilder {
         self.cache.prefetch_group_modules = modules;
         self
     }
 
     /// Prefetch lookahead shorthand: rewrites `cache.prefetch_depth`
-    /// in place (modules on the per-module path, groups on the
-    /// grouped path).
+    /// in place: modules ahead on the per-module path; on the grouped
+    /// path the floor of the look-ahead, the groups kept in flight
+    /// whatever the memory level.
     pub fn prefetch_depth(mut self, depth: usize) -> SessionBuilder {
         self.cache.prefetch_depth = depth;
         self

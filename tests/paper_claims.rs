@@ -5,8 +5,12 @@
 //! prose. One paper exhibit so far (ROADMAP direction 1(i)), plus the
 //! three `bench_*` reports whose orderings the design rests on.
 
-use ssdtrain::TraceSink;
-use ssdtrain_bench::{capacity_rows, capacity_timings, fig10_rows, io_rows, tiering_rows};
+use ssdtrain::{OffloadClass, TraceSink};
+use ssdtrain_bench::{
+    capacity_rows, capacity_timings, fig10_rows, io_rows, tiering_rows, CapacityTiming,
+};
+use ssdtrain_simhw::SystemConfig;
+use ssdtrain_train::StepMetrics;
 
 /// Figure 10 — "almost no performance overhead in all cases": offload
 /// I/O is fully overlapped with compute on every cell, and the
@@ -76,31 +80,34 @@ fn tiering_backends_hold_the_keep_step_and_order_by_what_they_offload() {
     );
     // Two backends identical in every column means tier link speed
     // stopped reaching the planner.
-    let columns = |label: &str| {
-        let m = &row(label).metrics;
-        let tiers = m.offload.tiers.iter();
-        let traffic: Vec<_> = tiers
-            .map(|t| {
-                let moved_in = (t.spilled_in_bytes, t.demoted_in_bytes);
-                (&t.name, t.bytes_written, t.bytes_read, moved_in)
-            })
-            .collect();
-        let stalls = (m.offload.store_stall_secs, m.offload.stall_secs);
-        let spilled = m.offload.spilled_bytes;
-        let volume = (m.offload.offloaded_bytes, m.act_peak_bytes, spilled);
-        (m.step_secs, stalls, volume, traffic)
-    };
     for (i, a) in rows.iter().enumerate() {
         for b in &rows[i + 1..] {
             assert_ne!(
-                columns(a.label),
-                columns(b.label),
+                columns(&a.metrics),
+                columns(&b.metrics),
                 "{} and {} are identical in every column",
                 a.label,
                 b.label
             );
         }
     }
+}
+
+/// Everything a backend can move in a step: time, stalls, volume and
+/// where the bytes landed. Two backends equal in all of it means the
+/// model degenerated — link speed or placement stopped mattering.
+fn columns(m: &StepMetrics) -> impl PartialEq + std::fmt::Debug + '_ {
+    let tiers = m.offload.tiers.iter();
+    let traffic: Vec<_> = tiers
+        .map(|t| {
+            let moved_in = (t.spilled_in_bytes, t.demoted_in_bytes);
+            (&t.name, t.bytes_written, t.bytes_read, moved_in)
+        })
+        .collect();
+    let stalls = (m.offload.store_stall_secs, m.offload.stall_secs);
+    let spilled = m.offload.spilled_bytes;
+    let volume = (m.offload.offloaded_bytes, m.act_peak_bytes, spilled);
+    (m.step_secs, stalls, volume, traffic)
 }
 
 /// `bench_capacity`: offloading optimizer state to the array buys model
@@ -135,12 +142,60 @@ fn capacity_array_backends_outgrow_the_host_pool_and_overlap_hides_the_update() 
             t.opt_secs_inline
         );
     }
+    // The same rule as the tiering gate: no two backends equal in every
+    // column.
+    for (i, a) in timings.iter().enumerate() {
+        for b in &timings[i + 1..] {
+            assert_ne!(
+                timing_columns(a),
+                timing_columns(b),
+                "{} and {} are identical in every column",
+                a.backend,
+                b.backend
+            );
+        }
+    }
+    // The optimizer columns *are* equal across backends, and for a
+    // reason: the inline update is its state loads — every gradient and
+    // momentum byte once — and every backend's read link is the GPU's
+    // PCIe link (the array reads faster than PCIe carries). Assert that,
+    // not the coincidence.
+    let system = SystemConfig::dac_testbed();
+    let read_bps = system.host_offload_bps();
+    assert_eq!(
+        system.offload_read_bps(),
+        read_bps,
+        "array reads are PCIe-bound"
+    );
+    for t in &timings {
+        let state = [OffloadClass::Gradient, OffloadClass::OptimizerState];
+        let classes = state.iter().filter_map(|c| t.metrics[0].offload.class(*c));
+        let loaded: u64 = classes.map(|c| c.reloaded_bytes).sum();
+        let expected = loaded as f64 / read_bps;
+        assert!(
+            (t.opt_secs_inline - expected).abs() <= 1e-9 * expected,
+            "{}: inline update {} s is not its {} state bytes at the read rate ({} s)",
+            t.backend,
+            t.opt_secs_inline,
+            loaded,
+            expected
+        );
+        assert_eq!(
+            t.opt_exposed_overlap, timings[0].opt_exposed_overlap,
+            "{}: equal read links must expose the same overlapped update",
+            t.backend
+        );
+    }
+}
+
+fn timing_columns(t: &CapacityTiming) -> impl PartialEq + std::fmt::Debug + '_ {
+    (columns(&t.metrics[0]), columns(&t.metrics[1]))
 }
 
 /// `bench_io`: write coalescing pays — effective WAF and step time
-/// strictly below the per-tensor prefetching baseline — and the
-/// double-buffered group prefetch stalls backward no more than
-/// on-demand loads do.
+/// strictly below the per-tensor prefetching baseline — and the group
+/// look-ahead stalls backward no more than on-demand loads do, nor more
+/// than the per-tensor depth-2 prefetcher it replaces.
 #[test]
 fn io_coalescing_pays_and_group_prefetch_stays_bounded() {
     let rows = io_rows();
@@ -170,6 +225,12 @@ fn io_coalescing_pays_and_group_prefetch_stays_bounded() {
             "{name}: load stall {} s exceeds on-demand ({} s)",
             r.offload.stall_secs,
             ondemand.offload.stall_secs
+        );
+        assert!(
+            r.offload.stall_secs <= base.offload.stall_secs,
+            "{name}: load stall {} s exceeds per-tensor depth-2 prefetch ({} s)",
+            r.offload.stall_secs,
+            base.offload.stall_secs
         );
     }
 }

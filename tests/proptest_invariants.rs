@@ -879,7 +879,7 @@ proptest! {
         depth in 1usize..4,
         seed in 0u64..1_000,
     ) {
-        use ssdtrain::{ArgValue, TensorCacheConfig, TraceSink};
+        use ssdtrain::{TensorCacheConfig, TraceSink};
         use ssdtrain_models::ModelConfig;
         use ssdtrain_train::{OffloadBackend, SessionConfig, TrainSession};
         let mut cache = TensorCacheConfig::offload_everything();
@@ -903,15 +903,122 @@ proptest! {
         // Per step, each group index is fetched at most once.
         let mut seen = std::collections::HashSet::new();
         for e in sink.events().iter().filter(|e| e.name == "prefetch.group") {
-            let gidx = match e.args.iter().find(|(k, _)| *k == "group") {
-                Some((_, ArgValue::U64(v))) => *v,
-                other => panic!("prefetch.group group arg: {other:?}"),
-            };
+            let gidx = e.arg_u64("group").expect("prefetch.group group arg");
             prop_assert!(
                 seen.insert((e.step, gidx)),
                 "group {gidx} fetched twice in step {}", e.step
             );
         }
         prop_assert!(!seen.is_empty());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Group look-ahead
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A synthetic step through the hook protocol: module `i` saves one
+    /// tensor of `numels[i]` elements — and, where `unread[i]`, a second
+    /// one backward never asks for, which rides its group's prefetch
+    /// and is released unread — and takes 1 ms each way; the last
+    /// `kept` modules are kept by plan. Whatever the sizes, the cut-off
+    /// and the links, the look-ahead never lifts activation memory above
+    /// the level backward began at: it stays under that level plus what
+    /// the `prefetch_depth` floor may hold in flight, and under the
+    /// level itself whenever the floor never had to overdraw — then the
+    /// step's peak is forward's.
+    #[test]
+    fn group_lookahead_never_lifts_memory_above_backward_start(
+        numels in prop::collection::vec(256usize..16_384, 2..24),
+        unread in prop::collection::vec(any::<bool>(), 24),
+        kept_frac in 0.0f64..1.0,
+        group in 1usize..4,
+        depth in 1usize..4,
+        write_bps in prop_oneof![Just(1e12f64), Just(32e6f64), Just(8e6f64)],
+        read_bps in prop_oneof![Just(1e9f64), Just(16e6f64)],
+    ) {
+        use ssdtrain::{TensorCache, TensorCacheConfig, TraceSink};
+        use ssdtrain_autograd::{ModuleHooks, Packed, Phase, SavedTensorHooks, ScopeInfo};
+
+        let kept = (numels.len() as f64 * kept_frac) as usize;
+        let offloaded = numels.len() - kept;
+        let clock = SimClock::new();
+        let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
+        let dev = Device::cpu();
+        dev.set_tracker(mem.clone());
+        let cache = TensorCache::new(
+            TensorCacheConfig {
+                min_offload_numel: 0,
+                adaptive: false,
+                prefetch_group_modules: group,
+                prefetch_depth: depth,
+                ..TensorCacheConfig::default()
+            },
+            Arc::new(CpuTarget::new(1 << 40)),
+            IoEngine::new(clock.clone(), write_bps, read_bps),
+            mem.clone(),
+        );
+        let sink = TraceSink::enabled();
+        cache.set_trace(sink.clone());
+        let scopes: Vec<ScopeInfo> = (0..numels.len())
+            .map(|i| ScopeInfo { path: format!("m{i}"), seq: i as u64 + 1, micro_batch: 0 })
+            .collect();
+        cache.set_plan(AdaptivePlan {
+            keep_paths: scopes[offloaded..].iter().map(|s| s.path.clone()).collect(),
+            ..AdaptivePlan::default()
+        });
+
+        cache.begin_step();
+        cache.phase_changed(Phase::Forward);
+        let mut saved: Vec<(Packed, Option<Packed>)> = Vec::new();
+        for (i, scope) in scopes.iter().enumerate() {
+            cache.forward_pre(scope);
+            let read = cache.pack(&Tensor::zeros([numels[i]], &dev));
+            let spare = unread[i].then(|| cache.pack(&Tensor::zeros([numels[i]], &dev)));
+            saved.push((read, spare));
+            clock.advance_by(1e-3);
+            cache.forward_post(scope);
+        }
+        cache.prefetch_last_module();
+        cache.phase_changed(Phase::Backward);
+        let announced = clock.now();
+        for scope in scopes.iter().rev() {
+            cache.backward_pre(scope);
+            let packed = saved.pop().expect("one entry a module");
+            let tensor = cache.unpack(&packed.0);
+            clock.advance_by(1e-3);
+            drop((tensor, packed));
+            cache.backward_post(scope);
+        }
+        cache.wait_io();
+
+        // Commits are lazy, so the timeline is complete only now.
+        let timeline = mem.timeline();
+        let start = timeline.iter().take_while(|p| p.time <= announced).last();
+        let bound = start.map_or(0, |p| p.activations);
+        let after = mem.peak_activations_between(announced, clock.now());
+        // The most `depth` consecutive record-holding groups hold.
+        let saves = |i: usize| 1 + u64::from(unread[i]);
+        let bytes: Vec<u64> = (0..offloaded).map(|i| numels[i] as u64 * 4 * saves(i)).collect();
+        let groups: Vec<u64> = bytes.chunks(group).map(|g| g.iter().sum()).collect();
+        let floor = groups.windows(depth.min(groups.len()).max(1)).map(|w| w.iter().sum());
+        let floor: u64 = floor.max().unwrap_or(0);
+        prop_assert!(
+            after <= bound + floor,
+            "{after} B after the announcement, {bound} B at it, floor {floor} B"
+        );
+        let events = sink.events();
+        let arg = |e: &ssdtrain::TraceEvent, key| e.arg_u64(key).expect("prefetch.group arg");
+        let mut issued = events.iter().filter(|e| e.name == "prefetch.group");
+        if issued.all(|e| arg(e, "reload_bytes") <= arg(e, "headroom")) {
+            prop_assert!(after <= bound, "nothing overdrew, yet {bound} B rose to {after} B");
+            let forward = mem.peak_activations_between(SimTime::ZERO, announced);
+            prop_assert_eq!(mem.peak_activations(), forward);
+        }
+        cache.flush();
+        prop_assert_eq!(mem.resident(MemClass::Activation), 0);
     }
 }

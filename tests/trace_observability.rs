@@ -219,8 +219,8 @@ fn trace_accounting_survives_fallback_rerouting() {
 }
 
 /// Coalesced-path variant of the fixed-seed session: same model and
-/// seed, but stores ride 1 MiB segments and backward consumes groups of
-/// two modules on the double buffer.
+/// seed, but stores ride 4 KiB segments and backward consumes groups of
+/// two modules under the group look-ahead.
 fn coalesced_session(
     sink: TraceSink,
     recovery: RecoveryPolicy,
@@ -228,7 +228,10 @@ fn coalesced_session(
     fallback: Option<OffloadBackend>,
 ) -> TrainSession {
     let mut cache = TensorCacheConfig::offload_everything();
-    cache.coalesce_segment_bytes = 1 << 20;
+    // Small enough that forward's early segments land, and commit as
+    // segment writes, before backward is announced; one that seals at
+    // forward's exit is forwarded whole by the group look-ahead.
+    cache.coalesce_segment_bytes = 4 << 10;
     cache.prefetch_group_modules = 2;
     let mut builder = SessionConfig::builder()
         .model(ModelConfig::tiny_gpt())
