@@ -310,6 +310,107 @@ mod tests {
         assert_eq!(x.grad().unwrap().to_vec(), vec![7.0]);
     }
 
+    /// Logs phase changes and `grad_ready` reports (with the gradient
+    /// the leaf holds at that moment) in one stream.
+    #[derive(Default)]
+    struct ReadyLog(parking_lot::Mutex<Vec<String>>);
+
+    impl crate::scope::ModuleHooks for ReadyLog {
+        fn phase_changed(&self, p: Phase) {
+            self.0.lock().push(format!("{p:?}"));
+        }
+        fn wants_grad_ready(&self) -> bool {
+            true
+        }
+        fn grad_ready(&self, var: &Var) {
+            let grad = var.grad().map(|g| g.to_vec());
+            self.0.lock().push(format!("{}={grad:?}", var.name()));
+        }
+    }
+
+    impl ReadyLog {
+        fn reports(&self) -> Vec<String> {
+            let events = self.0.lock();
+            events.iter().filter(|e| e.contains('=')).cloned().collect()
+        }
+    }
+
+    fn logged_graph(d: &Device) -> (Graph, std::sync::Arc<ReadyLog>) {
+        let g = Graph::new(d, 1);
+        let log = std::sync::Arc::new(ReadyLog::default());
+        g.add_module_hooks(log.clone());
+        (g, log)
+    }
+
+    /// `ins[0] @ w` as a checkpointed segment.
+    fn matmul_segment(g: &Graph, x: &Value, w: &Var) -> Value {
+        let w = w.clone();
+        let seg: SegmentFn =
+            Rc::new(move |cg: &Graph, ins: &[Value]| vec![ops::matmul(cg, &ins[0], &cg.leaf(&w))]);
+        checkpoint(g, seg, std::slice::from_ref(x)).remove(0)
+    }
+
+    #[test]
+    fn leaf_inside_a_checkpoint_is_ready_after_the_recompute_backward() {
+        let d = Device::cpu();
+        let (g, log) = logged_graph(&d);
+        let w = Var::new("w", Tensor::from_vec(vec![2.0], [1, 1], &d));
+        let x = g.constant(Tensor::from_vec(vec![3.0], [1, 1], &d));
+        let y = matmul_segment(&g, &x, &w);
+        g.backward(&ops::sum_all(&g, &y));
+        let events = log.0.lock().clone();
+        let recompute = events.iter().position(|e| e == "Recompute");
+        let ready = events.iter().position(|e| e.starts_with("w="));
+        assert!(recompute < ready, "{events:?}");
+        assert_eq!(log.reports(), ["w=Some([3.0])"]);
+    }
+
+    #[test]
+    fn leaf_used_inside_and_outside_a_checkpoint_is_never_early() {
+        // loss = x·w·w either way round, so dw = 2xw = 12 and each of the
+        // two uses alone contributes 6: an early report would show 6.
+        let d = Device::cpu();
+        for checkpoint_first in [false, true] {
+            let (g, log) = logged_graph(&d);
+            let w = Var::new("w", Tensor::from_vec(vec![2.0], [1, 1], &d));
+            let x = g.constant(Tensor::from_vec(vec![3.0], [1, 1], &d));
+            let y = if checkpoint_first {
+                let h = matmul_segment(&g, &x, &w);
+                ops::matmul(&g, &h, &g.leaf(&w))
+            } else {
+                let h = ops::matmul(&g, &x, &g.leaf(&w));
+                matmul_segment(&g, &h, &w)
+            };
+            g.backward(&ops::sum_all(&g, &y));
+            assert_eq!(w.grad().unwrap().to_vec(), vec![12.0]);
+            // Reported exactly once, by whichever tape retired the last
+            // use: the recompute child (checkpoint first) or the outer
+            // node (outer use first).
+            assert_eq!(
+                log.reports(),
+                ["w=Some([12.0])"],
+                "checkpoint_first={checkpoint_first}"
+            );
+        }
+    }
+
+    #[test]
+    fn leaf_passed_as_a_segment_input_is_left_to_the_sweep() {
+        // The recompute sees the input as an external, so the use the
+        // segment's first (grad-disabled) run counted is never retired.
+        let d = Device::cpu();
+        let (g, log) = logged_graph(&d);
+        let x = Var::new("x", Tensor::from_vec(vec![4.0], [1], &d));
+        let outs = checkpoint(
+            &g,
+            Rc::new(|cg: &Graph, ins: &[Value]| vec![ops::scale(cg, &ins[0], 2.0)]),
+            &[g.leaf(&x)],
+        );
+        g.backward(&ops::sum_all(&g, &outs[0]));
+        assert_eq!(x.grad().unwrap().to_vec(), vec![2.0]);
+        assert!(log.reports().is_empty(), "{:?}", log.reports());
+    }
+
     #[test]
     fn recompute_phase_is_visible_to_hooks() {
         use crate::scope::ModuleHooks;

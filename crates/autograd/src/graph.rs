@@ -9,6 +9,7 @@ use ssdtrain_tensor::{Device, MemClass, Prng, Tensor};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Result of one operator's backward computation.
@@ -57,6 +58,18 @@ struct GraphInner {
     seq: Rc<Cell<u64>>,
     micro_batch: Cell<usize>,
     device: Device,
+    /// Generation of the tape leaf uses are counted on (fresh per tape;
+    /// a recompute child shares its parent's).
+    tape_gen: Cell<u64>,
+    /// A recompute child: its records replay uses the parent already
+    /// counted when the checkpointed segment first ran.
+    replay: bool,
+}
+
+/// A fresh tape generation (never 0, the never-counted stamp).
+fn next_tape_gen() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// A computation graph: records operators during forward and replays them
@@ -87,6 +100,8 @@ impl Graph {
                 seq: Rc::new(Cell::new(0)),
                 micro_batch: Cell::new(0),
                 device: device.clone(),
+                tape_gen: Cell::new(next_tape_gen()),
+                replay: false,
             }),
         }
     }
@@ -184,6 +199,7 @@ impl Graph {
     /// configuration are kept.
     pub fn reset_tape(&self) {
         self.inner.tape.borrow_mut().clear();
+        self.inner.tape_gen.set(next_tape_gen());
     }
 
     // ------------------------------------------------------------------
@@ -275,6 +291,11 @@ impl Graph {
     /// advances to the op's completion), *then* saved tensors are packed
     /// (offload jobs start at op completion, Figure 4 ①). With gradients
     /// disabled nothing is recorded or packed and outputs are constants.
+    ///
+    /// Either way each leaf input counts one use on the tape — a
+    /// grad-disabled use is a checkpointed segment's, which its recompute
+    /// child replays and retires in backward (see
+    /// [`Graph::backward_from`]).
     pub fn record(
         &self,
         op: Box<dyn Op>,
@@ -286,6 +307,14 @@ impl Graph {
         let name = op.name();
         if let Some(obs) = self.inner.observer.borrow().as_ref() {
             obs.on_op(name, &cost, self.phase());
+        }
+        if !self.inner.replay {
+            let tape = self.inner.tape_gen.get();
+            for v in inputs {
+                if let Source::Leaf(var) = v.source() {
+                    var.note_use(tape);
+                }
+            }
         }
         if !self.grad_enabled() {
             return outputs
@@ -347,6 +376,24 @@ impl Graph {
     /// Saved tensors and intermediate gradients are dropped as soon as
     /// they are consumed, mirroring PyTorch's memory behaviour during
     /// backward.
+    ///
+    /// When a module-hooks listener [wants it](ModuleHooks::wants_grad_ready),
+    /// every node the walk reaches — run, or skipped for receiving no
+    /// gradient — retires one use per leaf input once its gradients have
+    /// been accumulated, and the leaf whose last recorded use that was is
+    /// reported through [`ModuleHooks::grad_ready`], once. A leaf used
+    /// inside a checkpointed segment counted that use when the segment
+    /// first ran (grad disabled) and retires it in the recompute child's
+    /// backward, so it is reported there — after the recompute — only if
+    /// no use on the outer tape is still pending, and otherwise by the
+    /// outer node that retires its last use. Uses the walk never retires
+    /// keep a leaf unreported: nodes past the loss, a checkpoint node that
+    /// receives no gradient (its segment is never recomputed), and a leaf
+    /// passed *as* a segment input, which the recompute sees as an
+    /// external. Reporting is never early; a leaf it misses is the
+    /// listener's to sweep. With no listener the walk does no extra work.
+    /// A leaf counts uses for one tape at a time, so no other tape may
+    /// record it between this tape's forward and its backward.
     pub fn backward_from(
         &self,
         outputs: &[Value],
@@ -392,6 +439,12 @@ impl Graph {
 
         let hooks = self.inner.saved_hooks.borrow().clone();
         let observer = self.inner.observer.borrow().clone();
+        let listening = self
+            .inner
+            .module_hooks
+            .borrow()
+            .iter()
+            .any(|h| h.wants_grad_ready());
         let mut open_stack: Vec<Arc<ScopeFrame>> = Vec::new();
 
         for idx in (0..=start).rev() {
@@ -403,6 +456,9 @@ impl Graph {
                 (node.n_outputs, has)
             };
             if !has_grad {
+                if listening {
+                    self.retire_leaf_uses(&self.inner.tape.borrow()[idx].inputs);
+                }
                 continue;
             }
             let grads_out: Vec<Option<Tensor>> =
@@ -483,6 +539,9 @@ impl Graph {
                     sink(source, g, &mut grads, &mut ext_grads);
                 }
             }
+            if listening {
+                self.retire_leaf_uses(&input_sources);
+            }
         }
 
         // Close whatever scopes remain open.
@@ -495,9 +554,25 @@ impl Graph {
         ext_grads
     }
 
+    /// Retires one use per leaf in `inputs` (a node backward just finished
+    /// with) and reports each leaf whose last use that was.
+    fn retire_leaf_uses(&self, inputs: &[Source]) {
+        let tape = self.inner.tape_gen.get();
+        for source in inputs {
+            if let Source::Leaf(var) = source {
+                if var.retire_use(tape) {
+                    for h in self.inner.module_hooks.borrow().iter() {
+                        h.grad_ready(var);
+                    }
+                }
+            }
+        }
+    }
+
     /// Creates a child graph for checkpoint recomputation: shares hooks,
-    /// observer, module hooks, scope-sequence counter and device; fresh
-    /// tape; phase [`Phase::Recompute`].
+    /// observer, module hooks, scope-sequence counter, device and the
+    /// tape generation leaf uses are counted on; fresh tape; phase
+    /// [`Phase::Recompute`].
     pub fn recompute_child(&self) -> Graph {
         let child = Graph {
             inner: Rc::new(GraphInner {
@@ -512,6 +587,8 @@ impl Graph {
                 seq: self.inner.seq.clone(),
                 micro_batch: Cell::new(self.inner.micro_batch.get()),
                 device: self.inner.device.clone(),
+                tape_gen: Cell::new(self.inner.tape_gen.get()),
+                replay: true,
             }),
         };
         for h in child.inner.module_hooks.borrow().iter() {
@@ -674,6 +751,80 @@ mod tests {
         assert_eq!(*hooks.packs.lock(), 2);
         assert_eq!(*hooks.unpacks.lock(), 2);
         assert_eq!(w.grad().unwrap().to_vec(), vec![4.0]);
+    }
+
+    /// A `grad_ready` listener logging each report with the gradient the
+    /// leaf holds at that moment.
+    #[derive(Default)]
+    struct GradLog(Mutex<Vec<(String, Option<Vec<f32>>)>>);
+
+    impl ModuleHooks for GradLog {
+        fn wants_grad_ready(&self) -> bool {
+            true
+        }
+        fn grad_ready(&self, var: &Var) {
+            let grad = var.grad().map(|g| g.to_vec());
+            self.0.lock().push((var.name().to_owned(), grad));
+        }
+    }
+
+    #[test]
+    fn leaf_used_by_two_nodes_is_ready_once_after_the_earlier_node() {
+        let d = dev();
+        let g = Graph::new(&d, 1);
+        let log = Arc::new(GradLog::default());
+        g.add_module_hooks(log.clone());
+        let w = Var::new("w", Tensor::from_vec(vec![1.0], [1], &d));
+        let lw = g.leaf(&w);
+        let a = ops::scale(&g, &lw, 2.0); // node 0: the earlier use
+        let b = ops::scale(&g, &lw, 3.0); // node 1: backward reaches it first
+        let loss = ops::sum_all(&g, &ops::add(&g, &a, &b));
+        g.backward(&loss);
+        // Reported once, holding both contributions (3 alone after node 1).
+        assert_eq!(*log.0.lock(), vec![("w".to_owned(), Some(vec![5.0]))]);
+    }
+
+    #[test]
+    fn leaf_whose_only_node_gets_no_grad_is_still_ready() {
+        let d = dev();
+        let g = Graph::new(&d, 1);
+        let log = Arc::new(GradLog::default());
+        g.add_module_hooks(log.clone());
+        let w = Var::new("w", Tensor::from_vec(vec![1.0], [1], &d));
+        let _unused = ops::scale(&g, &g.leaf(&w), 2.0); // node 0: no path to the loss
+        let x = g.constant(Tensor::from_vec(vec![4.0], [1], &d));
+        let loss = ops::sum_all(&g, &ops::scale(&g, &x, 3.0));
+        g.backward(&loss);
+        assert_eq!(*log.0.lock(), vec![("w".to_owned(), None)]);
+    }
+
+    #[test]
+    fn without_a_listener_backward_retires_nothing() {
+        let d = dev();
+        let g = Graph::new(&d, 1);
+        // Module hooks that do not want readiness reports.
+        g.add_module_hooks(Arc::new(EventLog::default()));
+        let w = Var::new("w", Tensor::from_vec(vec![1.0], [1], &d));
+        let lw = g.leaf(&w);
+        let s = ops::add(&g, &ops::scale(&g, &lw, 2.0), &ops::scale(&g, &lw, 3.0));
+        let loss = ops::sum_all(&g, &s);
+        let tape = g.inner.tape_gen.get();
+        assert_eq!(w.pending_uses(tape), 2, "record counts each use");
+        g.backward(&loss);
+        assert_eq!(w.pending_uses(tape), 2, "no listener: no retire walk");
+        assert_eq!(w.grad().unwrap().to_vec(), vec![5.0]);
+
+        // The same tape shape with a listener retires every use, and a
+        // reset tape starts its count afresh.
+        g.reset_tape();
+        g.add_module_hooks(Arc::new(GradLog::default()));
+        let lw = g.leaf(&w);
+        let loss = ops::sum_all(&g, &ops::scale(&g, &lw, 2.0));
+        let fresh = g.inner.tape_gen.get();
+        assert_ne!(fresh, tape);
+        assert_eq!(w.pending_uses(fresh), 1);
+        g.backward(&loss);
+        assert_eq!(w.pending_uses(fresh), 0);
     }
 
     #[test]

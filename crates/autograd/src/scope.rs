@@ -9,6 +9,7 @@
 //! Algorithm 2).
 
 use crate::observer::Phase;
+use crate::var::Var;
 use std::fmt;
 use std::sync::Arc;
 
@@ -71,8 +72,8 @@ impl ScopeFrame {
 }
 
 /// Listener for module lifecycle events in both directions plus phase
-/// changes. All methods have no-op defaults, so implementors override only
-/// what they need.
+/// changes and leaf-gradient readiness. All methods have no-op defaults,
+/// so implementors override only what they need.
 pub trait ModuleHooks: Send + Sync {
     /// Forward: a module scope was entered.
     fn forward_pre(&self, scope: &ScopeInfo) {
@@ -93,6 +94,17 @@ pub trait ModuleHooks: Send + Sync {
     /// Execution switched phase (forward / backward / recompute).
     fn phase_changed(&self, phase: Phase) {
         let _ = phase;
+    }
+    /// Whether this listener takes [`ModuleHooks::grad_ready`] calls. A
+    /// backward pass none of whose listeners does tracks no readiness.
+    fn wants_grad_ready(&self) -> bool {
+        false
+    }
+    /// Backward: the last contribution on the tape to `var`'s gradient
+    /// has been accumulated — PyTorch's post-accumulate-grad hook (see
+    /// [`crate::Graph::backward_from`] for exactly when it fires).
+    fn grad_ready(&self, var: &Var) {
+        let _ = var;
     }
 }
 

@@ -27,6 +27,16 @@ struct VarInner {
     name: String,
     tensor: Mutex<Tensor>,
     grad: Mutex<Option<Tensor>>,
+    uses: Mutex<TapeUses>,
+}
+
+/// Gradient contributions to a leaf still pending on one tape: recorded
+/// uses not yet retired by backward. Stamped with the tape's generation,
+/// so a count left over from an earlier tape restarts instead of leaking.
+#[derive(Default)]
+struct TapeUses {
+    tape: u64,
+    pending: usize,
 }
 
 /// A trainable parameter: a tensor plus an accumulated gradient slot.
@@ -54,6 +64,7 @@ impl Var {
                 name: name.into(),
                 tensor: Mutex::new(tensor),
                 grad: Mutex::new(None),
+                uses: Mutex::new(TapeUses::default()),
             }),
         }
     }
@@ -88,6 +99,12 @@ impl Var {
         self.inner.grad.lock().clone()
     }
 
+    /// Runs `f` on the current gradient, if any, without cloning the
+    /// handle (`f` must not touch this parameter's gradient slot).
+    pub fn with_grad<R>(&self, f: impl FnOnce(&Tensor) -> R) -> Option<R> {
+        self.inner.grad.lock().as_ref().map(f)
+    }
+
     /// Adds `g` into the gradient slot (allocating it on first use with
     /// [`MemClass::Gradient`]).
     ///
@@ -106,6 +123,37 @@ impl Var {
     /// Clears the gradient slot.
     pub fn zero_grad(&self) {
         *self.inner.grad.lock() = None;
+    }
+
+    /// Counts one recorded use of this leaf on tape generation `tape`.
+    pub(crate) fn note_use(&self, tape: u64) {
+        let mut uses = self.inner.uses.lock();
+        if uses.tape != tape {
+            *uses = TapeUses { tape, pending: 0 };
+        }
+        uses.pending += 1;
+    }
+
+    /// Retires one use on tape `tape`; true when it was the last one
+    /// pending, i.e. no later contribution to the gradient can come.
+    pub(crate) fn retire_use(&self, tape: u64) -> bool {
+        let mut uses = self.inner.uses.lock();
+        if uses.tape != tape || uses.pending == 0 {
+            return false;
+        }
+        uses.pending -= 1;
+        uses.pending == 0
+    }
+
+    /// Uses still pending on tape `tape` (test probe).
+    #[cfg(test)]
+    pub(crate) fn pending_uses(&self, tape: u64) -> usize {
+        let uses = self.inner.uses.lock();
+        if uses.tape == tape {
+            uses.pending
+        } else {
+            0
+        }
     }
 
     /// True if both handles denote the same parameter.

@@ -65,11 +65,15 @@ fn main() {
          dram-only offloader's; overlapping the update hides its loads behind the\n\
          next forward instead of paying them at the step boundary.\n\
          \n\
-         the optimizer columns of the timing lines agree across backends on purpose:\n\
-         an update is bound by loading its state (gradients and momentum, once each),\n\
-         and every backend reads over the GPU's one PCIe link — the array reads\n\
-         faster than PCIe carries — so at a size all three hold the read side cannot\n\
-         tell them apart. the write side can (the array writes a little slower than\n\
-         PCIe carries): that is the ssd line's longer step."
+         an update is bound by loading its state (gradients and momentum, once each):\n\
+         each stage waits for its slowest read link. every link reads at the GPU's\n\
+         PCIe rate — the array reads faster than PCIe carries — so ssd and dram,\n\
+         which read all their state over one link, agree; tiered-4g splits its state\n\
+         between the DRAM and SSD links, whose reads the model prices side by side,\n\
+         and updates faster inline. (both reads cross one physical host-to-GPU PCIe\n\
+         link; the model does not yet share it.) the overlapped update exposes only\n\
+         the first stage's load, which every backend reads over one link. the write\n\
+         side differs too (the array writes a little slower than PCIe carries): that\n\
+         is the ssd line's longer step."
     );
 }

@@ -25,11 +25,12 @@
 
 use ssdtrain::{
     chrome_trace_json, text_summary, OffloadClass, OffloadStats, PlacementStrategy,
-    TensorCacheConfig, TraceSink,
+    TensorCacheConfig, TraceCategory, TraceEvent, TraceSink,
 };
 use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_simhw::SystemConfig;
 use ssdtrain_train::{OffloadBackend, SessionBuilder, SessionConfig, StepMetrics, TrainSession};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Formats bytes as GiB with two decimals.
@@ -373,7 +374,12 @@ const CAPACITY_HIDDEN_MAX: usize = 32768;
 /// the unbounded array.
 const CAPACITY_HOST_POOL_BYTES: u64 = 8 << 30;
 
-fn capacity_session(backend: OffloadBackend, overlap: bool, hidden: usize) -> TrainSession {
+fn capacity_session(
+    backend: OffloadBackend,
+    overlap: bool,
+    hidden: usize,
+    trace: TraceSink,
+) -> TrainSession {
     let mut system = SystemConfig::dac_testbed();
     system.host_mem_bytes = CAPACITY_HOST_POOL_BYTES;
     let cfg = paper_testbed(Arch::Bert, hidden, CAPACITY_LAYERS, CAPACITY_BATCH)
@@ -384,6 +390,7 @@ fn capacity_session(backend: OffloadBackend, overlap: bool, hidden: usize) -> Tr
         .overlap_optimizer(overlap)
         .momentum(0.9)
         .backend(backend)
+        .trace(trace)
         .build()
         .expect("valid config");
     TrainSession::new(cfg).expect("session construction")
@@ -395,7 +402,7 @@ fn capacity_session(backend: OffloadBackend, overlap: bool, hidden: usize) -> Tr
 /// second is the steady-state shape — both stay under the device limit.
 fn capacity_max_hidden(backend: OffloadBackend, overlap: bool) -> usize {
     let fits = |hidden: usize| {
-        let mut s = capacity_session(backend, overlap, hidden);
+        let mut s = capacity_session(backend, overlap, hidden, TraceSink::disabled());
         (0..2).all(|_| s.run_step().map(|m| !m.oom).unwrap_or(false))
     };
     let (mut lo, mut hi) = (0, CAPACITY_HIDDEN_MAX / CAPACITY_HIDDEN_STEP); // lo fits, hi unknown
@@ -429,7 +436,7 @@ pub struct CapacityRow {
 fn capacity_row(label: &'static str, backend: OffloadBackend, overlap: bool) -> CapacityRow {
     let best = capacity_max_hidden(backend, overlap);
     assert!(best > 0, "{label}: even the smallest model must fit");
-    let mut s = capacity_session(backend, overlap, best);
+    let mut s = capacity_session(backend, overlap, best, TraceSink::disabled());
     let _ = s.run_step().expect("bootstrap step");
     let metrics = s.run_step().expect("steady step");
 
@@ -487,38 +494,71 @@ pub struct CapacityTiming {
     pub opt_secs_inline: f64,
     /// What the overlapped update still exposes, seconds.
     pub opt_exposed_overlap: f64,
+    /// Per stage of the inline update, the seconds each read channel
+    /// (`xfer.<link>-read`) was booked — where its state loads went.
+    pub opt_stage_reads: Vec<BTreeMap<String, f64>>,
     /// The two steady steps in full, `[inline, overlapped]`.
     pub metrics: [StepMetrics; 2],
 }
 
 /// Measures `bench_capacity`'s overlap-timing lines, one per backend.
 ///
-/// The optimizer columns agree across backends on the stock testbed,
-/// and should: an update is bound by loading its state (gradients and
-/// momentum), and every backend's read link is the GPU's own PCIe link
-/// — the array reads faster than PCIe carries. The backends differ on
-/// the write side (step time, store stall) and in where the bytes land
-/// (per-tier traffic); `tests/paper_claims.rs` asserts both halves.
+/// An update is bound by loading its state (gradients and momentum):
+/// each stage waits for its slowest read channel, and the links' read
+/// channels run side by side. Every backend's read link is priced at
+/// the GPU's own PCIe rate (the array reads faster than PCIe carries),
+/// so where a backend reads all its state over one link the optimizer
+/// columns agree; the tiered backend splits its state across the DRAM
+/// and SSD links and updates faster. The backends differ on the write
+/// side too (step time, store stall) and in where the bytes land
+/// (per-tier traffic); `tests/paper_claims.rs` asserts all of it.
 pub fn capacity_timings() -> Vec<CapacityTiming> {
-    let steady = |backend: OffloadBackend, overlap: bool| -> StepMetrics {
-        let mut s = capacity_session(backend, overlap, CAPACITY_TIMING_HIDDEN);
+    let steady = |backend: OffloadBackend, overlap: bool| {
+        // The inline run is traced for its per-stage read bookings.
+        let trace = if overlap {
+            TraceSink::disabled()
+        } else {
+            TraceSink::enabled()
+        };
+        let mut s = capacity_session(backend, overlap, CAPACITY_TIMING_HIDDEN, trace.clone());
         let _ = s.run_step().expect("bootstrap step");
         // Step 2 carries the first deferred update; step 3 is steady.
         let _ = s.run_step().expect("step");
-        s.run_step().expect("steady step")
+        trace.clear();
+        let metrics = s.run_step().expect("steady step");
+        (metrics, opt_stage_reads(&trace.events()))
     };
     let timing = |&(label, backend): &(&'static str, OffloadBackend)| {
-        let inline = steady(backend, false);
-        let overlapped = steady(backend, true);
+        let (inline, opt_stage_reads) = steady(backend, false);
+        let (overlapped, _) = steady(backend, true);
         CapacityTiming {
             backend: label,
             step_secs: [inline.step_secs, overlapped.step_secs],
             opt_secs_inline: inline.opt_secs,
             opt_exposed_overlap: overlapped.opt_exposed_secs,
+            opt_stage_reads,
             metrics: [inline, overlapped],
         }
     };
     CAPACITY_BACKENDS.iter().map(timing).collect()
+}
+
+/// Seconds each read channel was booked inside each inline optimizer
+/// stage (`opt.stage<j>` spans, in order) of a traced step.
+fn opt_stage_reads(events: &[TraceEvent]) -> Vec<BTreeMap<String, f64>> {
+    let stages = events.iter().filter(|e| e.name.starts_with("opt.stage"));
+    let reads = events.iter().filter(|e| e.cat == TraceCategory::Link);
+    stages
+        .map(|stage| {
+            let mut booked = BTreeMap::new();
+            for x in reads.clone() {
+                if x.ts >= stage.ts && x.ts < stage.end() {
+                    *booked.entry(x.name.clone()).or_default() += x.end().since(x.ts);
+                }
+            }
+            booked
+        })
+        .collect()
 }
 
 /// `bench_io`: fixed per-store-job submission cost (driver/syscall/queue

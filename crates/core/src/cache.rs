@@ -921,7 +921,8 @@ impl TensorCache {
     /// state-class store has no forwarding path and shares the write
     /// queue with the activations behind it, so it blocks the exit that
     /// follows it, whichever that is (the overlapped optimizer's
-    /// write-back before forward, stashed gradients after backward).
+    /// write-back before forward, gradients streamed during backward at
+    /// its exit, the sweep's stragglers after it).
     fn exit_stage(&self, stage: StageHint, enter: SimTime) {
         let mut guard = self.state.lock();
         let st = &mut *guard;
@@ -1294,7 +1295,10 @@ impl TensorCache {
         if slab.is_some() {
             trace.instant_bytes(TraceCategory::Arena, "arena.acquire", now, bytes);
         }
-        trace.instant_bytes(TraceCategory::Store, "store.enqueue", now, bytes);
+        if trace.is_enabled() {
+            let args = class_args(bytes, class);
+            trace.instant_with(TraceCategory::Store, "store.enqueue", now, args);
+        }
         if spilled && trace.is_enabled() {
             trace.instant_with(
                 TraceCategory::Tier,
@@ -1576,18 +1580,13 @@ impl TensorCache {
         st.stats.class_mut(head.class).offloaded_bytes -= fell_back + kept;
         let trace = &st.trace;
         if let Some(lower) = dest {
-            trace.instant_with(
-                TraceCategory::Recovery,
-                "recovery.fallback",
-                now,
-                vec![
-                    ("bytes", ArgValue::U64(fell_back)),
-                    ("target", ArgValue::from(self.tiers.name(lower))),
-                ],
-            );
+            let mut args = class_args(fell_back, head.class);
+            args.push(("target", ArgValue::from(self.tiers.name(lower))));
+            trace.instant_with(TraceCategory::Recovery, "recovery.fallback", now, args);
         }
-        if kept > 0 {
-            trace.instant_bytes(TraceCategory::Recovery, "recovery.keep_resident", now, kept);
+        if kept > 0 && trace.is_enabled() {
+            let args = class_args(kept, head.class);
+            trace.instant_with(TraceCategory::Recovery, "recovery.keep_resident", now, args);
         }
         if self.config.recovery == RecoveryPolicy::FailStep {
             trace.instant(TraceCategory::Recovery, "recovery.fail_step", now);
@@ -1883,6 +1882,17 @@ impl TensorCache {
             self.tiers.unreserve(rec.tier, rec.bytes);
         }
     }
+}
+
+/// A byte-carrying store-path event's arguments: `bytes`, plus `class`
+/// for a state-class record (activations are the default lane and carry
+/// none), so each class's lane of the trace identity can be summed.
+fn class_args(bytes: u64, class: OffloadClass) -> Vec<(&'static str, ArgValue)> {
+    let mut args = vec![("bytes", ArgValue::U64(bytes))];
+    if class != OffloadClass::Activation {
+        args.push(("class", ArgValue::from(class.label())));
+    }
+    args
 }
 
 /// The position of `seq` in `order`, searched backwards from `hint`,

@@ -25,18 +25,31 @@
 //!   than assumed free. Numerics are unchanged: the deferred update
 //!   still lands before the next forward touches the weights.
 //!
+//! In both modes gradients leave during the step's last backward pass:
+//! [`OptEngine::grad_listener`] is autograd's post-accumulate-grad hook,
+//! stashing each gradient the moment its last contribution is
+//! accumulated, so the stores ride the write bus while backward still
+//! computes; [`OptEngine::stash_grads`] at `ReduceGrads` only sweeps up
+//! what did not stream.
+//!
 //! [`SessionBuilder::overlap_optimizer`]: crate::builder::SessionBuilder::overlap_optimizer
 //! [`Sgd::step_range`]: ssdtrain_autograd::optim::Sgd::step_range
 // ssdtrain-lint: hot-path
 
 use crate::schedule::stage_ranges;
 use crate::session::OffloadClassSet;
+use parking_lot::Mutex;
 use ssdtrain::{
     ArgValue, OffloadClass, StateSlot, StepProfile, TensorCache, TraceCategory, TraceSink,
 };
 use ssdtrain_autograd::optim::Sgd;
+use ssdtrain_autograd::var::VarId;
+use ssdtrain_autograd::{ModuleHooks, Var};
 use ssdtrain_simhw::{SimClock, SimTime};
+use ssdtrain_tensor::Tensor;
+use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// What one engine hook cost the step, in simulated seconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -63,6 +76,9 @@ pub struct OptEngine {
     ranges: Vec<Range<usize>>,
     grad_slots: Vec<Vec<StateSlot>>,
     state_slots: Vec<Vec<StateSlot>>,
+    /// The backward half of the gradient stash (gradient class with a
+    /// cache only).
+    stream: Option<Arc<GradStream>>,
     pending: bool,
     fwd_estimate: f64,
     /// Cumulative forward-time fraction elapsed when the forward pass
@@ -71,27 +87,84 @@ pub struct OptEngine {
     arrival_fracs: Option<Vec<f64>>,
 }
 
+/// The backward half of the gradient stash, PyTorch's post-accumulate-grad
+/// hook: a [`ModuleHooks`] listener that, told a parameter's gradient is
+/// final, submits its store at once — riding the write bus while backward
+/// still computes — and parks the slot by parameter index for
+/// [`OptEngine::stash_grads`]. A gradient the stack refuses leaves no
+/// slot, so the sweep retries it.
+struct GradStream {
+    cache: Arc<TensorCache>,
+    /// Parameter identity → optimizer index, built once.
+    index: HashMap<VarId, usize>,
+    /// This step's streamed slot per parameter.
+    slots: Mutex<Vec<Option<StateSlot>>>,
+}
+
+impl ModuleHooks for GradStream {
+    fn wants_grad_ready(&self) -> bool {
+        true
+    }
+
+    fn grad_ready(&self, var: &Var) {
+        let Some(&i) = self.index.get(&var.id()) else {
+            return;
+        };
+        let stash = |grad: &Tensor| self.cache.offload_state(grad, OffloadClass::Gradient);
+        let slot = var.with_grad(stash).flatten();
+        if let Some(parked) = self.slots.lock().get_mut(i) {
+            *parked = slot;
+        }
+    }
+}
+
 impl OptEngine {
-    /// Builds the engine: `n_params` parameters partitioned into
-    /// `n_stages` contiguous per-stage update jobs.
+    /// Builds the engine: `opt`'s parameters partitioned into `n_stages`
+    /// contiguous per-stage update jobs. With the gradient class enabled
+    /// and a `cache`, gradients stream out during backward (see
+    /// [`OptEngine::grad_listener`]).
     pub fn new(
         classes: OffloadClassSet,
         overlap: bool,
-        n_params: usize,
+        opt: &Sgd,
         n_stages: usize,
+        cache: Option<&Arc<TensorCache>>,
     ) -> OptEngine {
-        let ranges = stage_ranges(n_params, n_stages);
+        let params = opt.params();
+        let ranges = stage_ranges(params.len(), n_stages);
         let stages = ranges.len();
+        let stream = cache
+            .filter(|_| classes.contains(OffloadClass::Gradient))
+            .map(|cache| {
+                Arc::new(GradStream {
+                    cache: cache.clone(),
+                    index: params
+                        .iter()
+                        .enumerate()
+                        .map(|(i, p)| (p.id(), i))
+                        .collect(),
+                    slots: Mutex::new(vec![None; params.len()]),
+                })
+            });
         OptEngine {
             classes,
             overlap,
             ranges,
             grad_slots: vec![Vec::new(); stages],
             state_slots: vec![Vec::new(); stages],
+            stream,
             pending: false,
             fwd_estimate: 0.0,
             arrival_fracs: None,
         }
+    }
+
+    /// The listener that stashes each gradient as soon as autograd
+    /// reports it final; the session registers it for the step's last
+    /// backward pass. `None` when gradients are not offloaded.
+    pub fn grad_listener(&self) -> Option<Arc<dyn ModuleHooks>> {
+        let stream = self.stream.clone()?;
+        Some(stream)
     }
 
     /// Whether the update is deferred into the next step's forward.
@@ -215,22 +288,27 @@ impl OptEngine {
         }
     }
 
-    /// `ReduceGrads` hook: stashes the accumulated gradients through the
-    /// tier stack (when the gradient class is enabled). The store jobs
-    /// drain at the enclosing stage scope's exit, so their cost lands on
-    /// the step that produced the gradients.
+    /// `ReduceGrads` hook, the sweep behind the streamed stash: takes the
+    /// slots [`OptEngine::grad_listener`] parked during backward into
+    /// their stages, in parameter order, and stashes whatever gradient
+    /// did not stream — one autograd never reported final, or one the
+    /// tier stack refused mid-backward (the host pool was still holding
+    /// activations), retried now. Its stores drain at the enclosing stage
+    /// scope's exit, so their cost lands on the step that produced them.
     pub fn stash_grads(&mut self, cache: Option<&TensorCache>, opt: &Sgd) {
         let Some(cache) = cache else { return };
         if !self.classes.contains(OffloadClass::Gradient) {
             return;
         }
+        let mut streamed = self.stream.as_ref().map(|s| s.slots.lock());
         for (j, range) in self.ranges.iter().enumerate() {
             for i in range.clone() {
-                let Some(p) = opt.params().get(i) else {
-                    continue;
-                };
-                let Some(grad) = p.grad() else { continue };
-                if let Some(slot) = cache.offload_state(&grad, OffloadClass::Gradient) {
+                let parked = streamed.as_mut().and_then(|s| s.get_mut(i)?.take());
+                let slot = parked.or_else(|| {
+                    let stash = |grad: &Tensor| cache.offload_state(grad, OffloadClass::Gradient);
+                    opt.params().get(i)?.with_grad(stash).flatten()
+                });
+                if let Some(slot) = slot {
                     self.grad_slots[j].push(slot);
                 }
             }
@@ -351,15 +429,16 @@ impl OptEngine {
     /// gradients are being cleared by the caller).
     pub fn abort(&mut self, cache: Option<&TensorCache>) {
         self.pending = false;
-        for slots in self
+        let mut streamed = self.stream.as_ref().map(|s| s.slots.lock());
+        let parked = streamed.iter_mut().flat_map(|s| s.iter_mut());
+        let parked = parked.filter_map(Option::take);
+        let stashed = self
             .grad_slots
             .iter_mut()
-            .chain(self.state_slots.iter_mut())
-        {
-            for slot in slots.drain(..) {
-                if let Some(cache) = cache {
-                    cache.release_state(slot);
-                }
+            .chain(self.state_slots.iter_mut());
+        for slot in parked.chain(stashed.flat_map(|slots| slots.drain(..))) {
+            if let Some(cache) = cache {
+                cache.release_state(slot);
             }
         }
     }
@@ -399,7 +478,7 @@ mod tests {
         let trace = TraceSink::disabled();
         let mut a = opt_with(4, 0.0);
         let mut b = opt_with(4, 0.0);
-        let mut engine = OptEngine::new(OffloadClassSet::default(), false, 4, 2);
+        let mut engine = OptEngine::new(OffloadClassSet::default(), false, &a, 2, None);
         let report = engine.end_of_step(None, &mut a, &clock, &trace);
         b.step();
         b.zero_grad();
@@ -415,7 +494,7 @@ mod tests {
         let clock = SimClock::new();
         let trace = TraceSink::disabled();
         let mut opt = opt_with(2, 0.0);
-        let mut engine = OptEngine::new(OffloadClassSet::default(), true, 2, 2);
+        let mut engine = OptEngine::new(OffloadClassSet::default(), true, &opt, 2, None);
         engine.end_of_step(None, &mut opt, &clock, &trace);
         assert!(engine.pending());
         // The weights are untouched until the deferred update lands.
@@ -447,7 +526,8 @@ mod tests {
 
     #[test]
     fn profiled_arrivals_follow_observed_forward_fractions() {
-        let mut engine = OptEngine::new(OffloadClassSet::default(), true, 4, 2);
+        let mut opt = opt_with(4, 0.0);
+        let mut engine = OptEngine::new(OffloadClassSet::default(), true, &opt, 2, None);
         // Front-loaded forward: stage 1's parameters are reached after
         // 3 of the 4 forward seconds, not at the uniform halfway mark.
         engine.note_profile(&profile_of(&[3.0, 1.0]));
@@ -456,7 +536,6 @@ mod tests {
         assert_eq!(engine.arrival_frac(1), 0.75);
         let clock = SimClock::new();
         let trace = TraceSink::enabled();
-        let mut opt = opt_with(4, 0.0);
         engine.end_of_step(None, &mut opt, &clock, &trace);
         engine.begin_step(None, &mut opt, &clock, &trace);
         let arrivals: Vec<f64> = trace
@@ -475,7 +554,8 @@ mod tests {
 
     #[test]
     fn degenerate_profiles_keep_the_uniform_fallback() {
-        let mut engine = OptEngine::new(OffloadClassSet::default(), true, 4, 2);
+        let opt = opt_with(4, 0.0);
+        let mut engine = OptEngine::new(OffloadClassSet::default(), true, &opt, 2, None);
         assert_eq!(engine.arrival_frac(1), 0.5, "uniform before any profile");
         engine.note_profile(&profile_of(&[]));
         engine.note_profile(&profile_of(&[0.0, 0.0]));
@@ -489,11 +569,45 @@ mod tests {
     }
 
     #[test]
+    fn the_sweep_retries_a_gradient_refused_mid_backward() {
+        // A one-gradient host pool that another slot holds while backward
+        // streams: the listener's stash is refused, and the sweep — once
+        // the pool has room again — stores it, counted once.
+        let clock = SimClock::new();
+        let mem = Arc::new(ssdtrain_simhw::GpuMemory::new(clock.clone(), 1 << 30));
+        let config = ssdtrain::TensorCacheConfig {
+            recovery: ssdtrain::RecoveryPolicy::KeepResident,
+            ..ssdtrain::TensorCacheConfig::offload_everything()
+        };
+        let pool = Arc::new(ssdtrain::CpuTarget::new(4));
+        let io = ssdtrain::IoEngine::new(clock, 1e9, 1e9);
+        let cache = TensorCache::new(config, pool, io, mem);
+        let opt = opt_with(1, 0.0); // one 4-byte gradient
+        let classes = OffloadClassSet::default().with(OffloadClass::Gradient, true);
+        let mut engine = OptEngine::new(classes, false, &opt, 1, Some(&cache));
+        let held = Tensor::ones([1], &Device::cpu());
+        let blocker = cache.offload_state(&held, OffloadClass::OptimizerState);
+        let listener = engine.grad_listener().expect("gradient class with a cache");
+        listener.grad_ready(&opt.params()[0]);
+        let parked = engine.stream.as_ref().map(|s| s.slots.lock()[0]);
+        assert_eq!(
+            parked,
+            Some(None),
+            "the full pool refused the streamed stash"
+        );
+        cache.release_state(blocker.expect("the blocker fits the pool"));
+        engine.stash_grads(Some(&cache), &opt);
+        assert_eq!(engine.grad_slots[0].len(), 1, "the sweep retried it");
+        let lane = cache.stats().class(OffloadClass::Gradient).cloned();
+        assert_eq!(lane.map(|c| c.offloaded_bytes), Some(4));
+    }
+
+    #[test]
     fn abort_drops_a_pending_update() {
         let clock = SimClock::new();
         let trace = TraceSink::disabled();
         let mut opt = opt_with(2, 0.0);
-        let mut engine = OptEngine::new(OffloadClassSet::default(), true, 2, 1);
+        let mut engine = OptEngine::new(OffloadClassSet::default(), true, &opt, 1, None);
         engine.end_of_step(None, &mut opt, &clock, &trace);
         engine.abort(None);
         assert!(!engine.pending());

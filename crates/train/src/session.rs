@@ -389,8 +389,9 @@ impl TrainSession {
             OptEngine::new(
                 cfg.offload,
                 cfg.overlap_optimizer,
-                optimizer.len(),
+                &optimizer,
                 cfg.model.layers.max(1),
+                cache.as_ref(),
             )
         });
         let trace = cfg.trace.clone();
@@ -593,7 +594,8 @@ impl TrainSession {
         // Algorithm 1's `deepspeed_exec_schedule`: walk the command
         // stream with one-command lookahead, entering a stage scope
         // around each execution (line 9; the guard's drop is line 15).
-        let cmds = single_gpu_schedule(self.cfg.micro_batches.max(1));
+        let micro_batches = self.cfg.micro_batches.max(1);
+        let cmds = single_gpu_schedule(micro_batches);
         for (cmd, next) in with_lookahead(&cmds) {
             let stage = stage_hint(cmd);
             let stage_start = self.runtime.clock.now();
@@ -617,17 +619,28 @@ impl TrainSession {
                     }
                     pending_loss = Some(loss);
                 }
-                StepCmd::BackwardPass { .. } => {
+                StepCmd::BackwardPass { mb } => {
                     let loss = pending_loss.take().expect("forward precedes backward");
+                    // The last backward of the step finishes every
+                    // gradient: listen for each one becoming final, so
+                    // its stash rides the write bus while backward runs.
+                    if mb + 1 == micro_batches {
+                        if let Some(listener) =
+                            self.opt_engine.as_ref().and_then(OptEngine::grad_listener)
+                        {
+                            g.add_module_hooks(listener);
+                        }
+                    }
                     g.backward(&loss);
                     g.reset_tape();
                 }
                 StepCmd::StageBoundary => {}
                 StepCmd::ReduceGrads => {
-                    // Data parallelism degree 1: nothing to reduce, but
-                    // this is where the gradient class leaves the GPU —
-                    // the stores drain at this stage scope's exit, on
-                    // the step that produced the gradients.
+                    // Data parallelism degree 1: nothing to reduce. The
+                    // gradients streamed out during the last backward;
+                    // the sweep stashes the rest, and its stores drain at
+                    // this stage scope's exit, on the step that produced
+                    // the gradients.
                     if let Some(engine) = self.opt_engine.as_mut() {
                         engine.stash_grads(self.cache.as_deref(), &self.optimizer);
                     }

@@ -5,9 +5,13 @@
 #
 # Runs the whole benchmark (benchmark/run.sh, every workload plain then
 # traced), reads the gated end-to-end metrics of BENCHMARK.json from
-# benchmark/out/<workload>.json and appends
-#   {"pr", "commit", "seed", "seconds", "failed", "workloads": {name: {metric: value}}}
-# as one line of the tracked JSON array at the repository root. `commit` is
+# benchmark/out/<workload>.json and a fixed set of per-layer metrics from
+# the traced run's benchmark/out/<workload>.layers.json, and appends
+#   {"pr", "commit", "seed", "seconds", "failed",
+#    "workloads": {name: {metric: value}}, "layers": {name: {metric: value}}}
+# as one line of the tracked JSON array at the repository root. The gated
+# columns stay under "workloads", comparable with every earlier row; a
+# per-layer metric a workload does not report is left out. `commit` is
 # the checked-out commit, suffixed `+` when the tree differs from it (the
 # row of a change is recorded before the change is committed).
 set -euo pipefail
@@ -28,14 +32,22 @@ import json, sys
 pr, commit = sys.argv[1:3]
 spec = json.load(open("BENCHMARK.json"))
 metrics = [m["name"] for m in spec["end_to_end"]]
-workloads, failed = {}, 0
+# The owners' numbers every CHANGES.md entry used to quote by hand.
+per_layer = ["sim_exposed_io_s", "cache.store_stall_s", "cache.load_stall_s",
+             "train.sim_opt_exposed_s", "io.write_util", "io.read_util",
+             "sim_ssd_write_gb", "costmodel.pred_err_frac",
+             "cache.alloc_b_per_spilled_b", "target.files_per_segment",
+             "trace.events_per_step", "host_step_ms"]
+workloads, layers, failed = {}, {}, 0
 for name in (w["name"] for w in spec["workloads"]):
     out = json.load(open(f"benchmark/out/{name}.json"))
     seed, seconds = out["seed"], out["seconds"]
     failed += out["failed"]
     workloads[name] = {m: out["metrics"][m]["value"] for m in metrics}
+    traced = json.load(open(f"benchmark/out/{name}.layers.json"))["metrics"]
+    layers[name] = {m: traced[m]["value"] for m in per_layer if m in traced}
 row = {"pr": pr, "commit": commit, "seed": seed, "seconds": seconds,
-       "failed": failed, "workloads": workloads}
+       "failed": failed, "workloads": workloads, "layers": layers}
 
 history = json.load(open("BENCH_history.json"))
 history.append(row)

@@ -4,7 +4,7 @@
 //! performance decision, never a numerics one, and it must stay that
 //! way under injected faults for every recovery policy.
 
-use ssdtrain::{ArgValue, OffloadClass, RecoveryPolicy, TensorCacheConfig, TraceSink};
+use ssdtrain::{ArgValue, OffloadClass, RecoveryPolicy, TensorCacheConfig, TraceEvent, TraceSink};
 use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger};
 use ssdtrain_train::{OffloadBackend, SessionBuilder, SessionConfig, TrainSession};
@@ -17,16 +17,17 @@ fn losses(s: &mut TrainSession, n: usize) -> Vec<f32> {
 }
 
 /// The reference: everything resident, plain momentum SGD.
-fn in_memory() -> TrainSession {
-    let cfg = SessionConfig::builder()
+fn in_memory_builder() -> SessionBuilder {
+    SessionConfig::builder()
         .model(ModelConfig::tiny_gpt())
         .batch_size(2)
         .strategy(ssdtrain::PlacementStrategy::Keep)
         .momentum(MOMENTUM)
         .seed(11)
-        .build()
-        .expect("valid config");
-    TrainSession::new(cfg).expect("session")
+}
+
+fn in_memory() -> TrainSession {
+    TrainSession::new(in_memory_builder().build().expect("valid config")).expect("session")
 }
 
 /// All three classes through the cache; `overlap` picks between the
@@ -62,6 +63,68 @@ fn losses_are_bit_identical_across_all_three_update_paths() {
         reference,
         "overlapped update drifted from the in-memory optimizer"
     );
+}
+
+#[test]
+fn streamed_gradients_under_micro_batching_keep_losses_bit_identical() {
+    // Gradients stream out as the *last* micro-batch's backward finishes
+    // them; one streamed after micro-batch 0 would lose micro-batch 1's
+    // contribution (its memory is released at the store's completion).
+    // Three steps: the overlapped path's second and third each apply a
+    // deferred update built from streamed gradients.
+    const MB_STEPS: usize = 3;
+    let session = |b: SessionBuilder| {
+        TrainSession::new(b.micro_batches(2).build().expect("valid config")).expect("session")
+    };
+    let reference = losses(&mut session(in_memory_builder()), MB_STEPS);
+    for overlap in [false, true] {
+        assert_eq!(
+            losses(&mut session(offloaded_builder(overlap)), MB_STEPS),
+            reference,
+            "overlap={overlap}: micro-batched streaming drifted from the in-memory optimizer"
+        );
+    }
+}
+
+#[test]
+fn gradient_stores_start_inside_the_last_backward_only() {
+    let is_grad_enqueue = |e: &TraceEvent| {
+        let class = e.args.iter().find(|(k, _)| *k == "class");
+        e.name == "store.enqueue"
+            && matches!(class, Some((_, ArgValue::Str(c))) if c == OffloadClass::Gradient.label())
+    };
+    for overlap in [false, true] {
+        let sink = TraceSink::enabled();
+        let b = offloaded_builder(overlap)
+            .micro_batches(2)
+            .trace(sink.clone());
+        let mut s = TrainSession::new(b.build().expect("valid config")).expect("session");
+        let _ = losses(&mut s, 2);
+        let events = sink.events();
+        for step in 1..=2 {
+            let in_step = || events.iter().filter(move |e| e.step == step);
+            let backward: Vec<&TraceEvent> =
+                in_step().filter(|e| e.name == "stage.backward").collect();
+            assert_eq!(backward.len(), 2, "one backward per micro-batch");
+            let (mb0, last) = (backward[0], backward[1]);
+            let first = in_step()
+                .filter(|e| is_grad_enqueue(e))
+                .map(|e| e.ts)
+                .min_by(|a, b| a.as_secs().total_cmp(&b.as_secs()))
+                .expect("gradients are stashed");
+            assert!(
+                first > mb0.end(),
+                "overlap={overlap} step {step}: a gradient left during micro-batch 0's backward"
+            );
+            assert!(
+                first >= last.ts && first < last.end(),
+                "overlap={overlap} step {step}: the first gradient store ({first:?}) is not \
+                 inside the last backward ({:?}..{:?})",
+                last.ts,
+                last.end()
+            );
+        }
+    }
 }
 
 #[test]

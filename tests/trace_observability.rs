@@ -13,7 +13,7 @@
 //!    identities the trace records.
 
 use ssdtrain::{
-    chrome_trace_json, ArgValue, EventKind, OffloadStats, RecoveryPolicy, StageHint,
+    chrome_trace_json, ArgValue, EventKind, OffloadClass, OffloadStats, RecoveryPolicy, StageHint,
     TensorCacheConfig, TraceCategory, TraceEvent, TraceSink,
 };
 use ssdtrain_models::ModelConfig;
@@ -216,6 +216,98 @@ fn trace_accounting_survives_fallback_rerouting() {
         "the fault plan must actually fire"
     );
     assert_accounting(&sink.events(), &per_step);
+}
+
+#[test]
+fn gradient_lane_closes_its_own_identity_with_stores_inside_backward() {
+    // Gradients now leave during backward, interleaved with activation
+    // reloads; their lane of the trace — the events tagged
+    // `class=gradient` — must still close on its own counters, healthy
+    // and with stores failing mid-backward.
+    let plan = || {
+        FaultPlan::new(42).with_recurring_fault(
+            FaultTrigger::ByteThreshold { bytes: 16 << 10 },
+            FaultKind::WriteError,
+        )
+    };
+    let mut saw_instant = false;
+    for fault in [None, Some(plan())] {
+        let faulted = fault.is_some();
+        let sink = TraceSink::enabled();
+        let mut builder = SessionConfig::builder()
+            .model(ModelConfig::tiny_gpt())
+            .batch_size(2)
+            .cache(TensorCacheConfig::offload_everything())
+            .offload(OffloadClass::Gradient, true)
+            .recovery(RecoveryPolicy::KeepResident)
+            .seed(7)
+            .backend(OffloadBackend::Ssd)
+            .trace(sink.clone());
+        if let Some(plan) = fault {
+            builder = builder.fault(plan);
+        }
+        let mut s = TrainSession::new(builder.build().expect("valid config")).expect("session");
+        let per_step = run(&mut s);
+        let events = sink.events();
+        assert_accounting(&events, &per_step);
+        let gradient = OffloadClass::Gradient.label();
+        let tagged = |e: &&TraceEvent| {
+            let class = e.args.iter().find(|(k, _)| *k == "class");
+            matches!(class, Some((_, ArgValue::Str(c))) if c == gradient)
+        };
+        for (i, stats) in per_step.iter().enumerate() {
+            let step = (i + 1) as u32;
+            let in_step = || events.iter().filter(move |e| e.step == step);
+            let lane = |name: &str| -> u64 {
+                let named = in_step().filter(|e| e.name == name);
+                named.filter(tagged).filter_map(|e| e.bytes()).sum()
+            };
+            let counters = stats.class(OffloadClass::Gradient).expect("gradient lane");
+            assert_eq!(
+                lane("store.enqueue")
+                    - lane("store.cancel")
+                    - lane("recovery.keep_resident")
+                    - lane("recovery.fallback"),
+                counters.offloaded_bytes,
+                "faulted={faulted} step {step}: gradient store bytes"
+            );
+            if faulted {
+                assert!(
+                    lane("recovery.keep_resident") > 0,
+                    "step {step}: no gradient fault"
+                );
+            }
+            // Interleaved: gradient stores and (on the healthy device,
+            // where activations did leave) activation reloads both fall
+            // inside the backward stage.
+            let bwd = in_step()
+                .find(|e| e.name == "stage.backward")
+                .expect("backward span");
+            let inside = |e: &&TraceEvent| e.ts >= bwd.ts && e.ts < bwd.end();
+            let grad_stores = in_step()
+                .filter(|e| e.name == "store.enqueue")
+                .filter(tagged);
+            assert!(grad_stores.filter(inside).count() > 0, "step {step}");
+            let loads = in_step().filter(|e| e.name == "load");
+            assert!(faulted || loads.filter(inside).count() > 0, "step {step}");
+            // The end-of-step class instant mirrors the same counters (a
+            // lane whose every store failed moved nothing and has none).
+            let name = format!("class.io.{gradient}");
+            let Some(io) = in_step().find(|e| e.name == name) else {
+                assert_eq!((counters.offloaded_bytes, counters.reloaded_bytes), (0, 0));
+                continue;
+            };
+            assert_eq!(
+                io.arg_u64("offloaded_bytes"),
+                Some(counters.offloaded_bytes)
+            );
+            assert_eq!(io.arg_u64("reloaded_bytes"), Some(counters.reloaded_bytes));
+            assert_eq!(io.arg_u64("stores"), Some(counters.stores));
+            assert_eq!(io.arg_u64("loads"), Some(counters.loads));
+            saw_instant = true;
+        }
+    }
+    assert!(saw_instant, "the healthy run must emit class.io.gradient");
 }
 
 /// Coalesced-path variant of the fixed-seed session: same model and
