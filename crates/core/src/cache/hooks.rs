@@ -1,0 +1,120 @@
+//! The autograd engine's view of the cache: `pack` / `unpack`
+//! (Algorithm 2) and the module hooks that track scopes, phases and
+//! backward's consumption point.
+// ssdtrain-lint: hot-path
+
+use super::prefetch::position_near;
+use super::record::ScopeMeta;
+use super::TensorCache;
+use crate::placement::OffloadClass;
+use ssdtrain_autograd::{ModuleHooks, Packed, Phase, SavedTensorHooks, ScopeInfo};
+use ssdtrain_tensor::Tensor;
+
+impl SavedTensorHooks for TensorCache {
+    fn pack(&self, tensor: &Tensor) -> Packed {
+        let mut st = self.state.lock();
+        match self.store(&mut st, tensor, OffloadClass::Activation) {
+            Some(id) => Packed::Opaque(id),
+            None => Packed::Tensor(tensor.clone()),
+        }
+    }
+
+    fn unpack(&self, packed: &Packed) -> Tensor {
+        match packed {
+            // Algorithm 2, line 20.
+            Packed::Tensor(t) => t.clone(),
+            Packed::Opaque(id) => self
+                .consume(&mut self.state.lock(), *id)
+                .unwrap_or_else(|| panic!("unpack of unknown record {id}")), // ssdtrain-lint: allow(panic-free-hot-path): unpack of an unregistered id is an engine-integration bug, not a recoverable runtime failure
+        }
+    }
+}
+
+impl ModuleHooks for TensorCache {
+    fn forward_pre(&self, scope: &ScopeInfo) {
+        let mut st = self.state.lock();
+        if st.phase != Phase::Forward {
+            return;
+        }
+        st.current_mb = scope.micro_batch;
+        st.stack.push(scope.seq);
+        st.scopes.insert(
+            scope.seq,
+            ScopeMeta {
+                path: scope.path.clone(),
+                records: Vec::new(),
+                enter: self.io.clock().now(),
+                fwd_secs: 0.0,
+                offload_bytes: 0,
+                store_secs: 0.0,
+                load_secs: 0.0,
+            },
+        );
+        st.forward_order
+            .entry(scope.micro_batch)
+            .or_default()
+            .push(scope.seq);
+    }
+
+    fn forward_post(&self, scope: &ScopeInfo) {
+        let mut st = self.state.lock();
+        if st.phase != Phase::Forward {
+            return;
+        }
+        let now = self.io.clock().now();
+        if let Some(meta) = st.scopes.get_mut(&scope.seq) {
+            meta.fwd_secs = now.since(meta.enter);
+        }
+        if st.stack.last() == Some(&scope.seq) {
+            st.stack.pop();
+        }
+    }
+
+    fn backward_pre(&self, scope: &ScopeInfo) {
+        // Prefetch the activations of the modules processed next in
+        // backward order, i.e. the nearest earlier modules in forward
+        // order that hold records (Section 3.3.2). Depth > 1 keeps the
+        // read channel saturated across module boundaries.
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let mb = scope.micro_batch;
+        let g = self.config.prefetch_group_modules;
+        // Backward enters scopes in reverse forward order: the next one
+        // is in the group the walk has reached or just below it, and the
+        // first one is the last.
+        let reached = st.lookahead.get(&mb).map(|la| la.cur * g + g - 1);
+        let hint = reached.unwrap_or(usize::MAX);
+        let order = st.forward_order.get(&mb);
+        let Some(pos) = order.and_then(|o| position_near(o, hint, scope.seq)) else {
+            return;
+        };
+        if self.config.prefetch && g > 0 {
+            self.look_ahead(st, mb, pos / g);
+            return;
+        }
+        self.prefetch_before(st, mb, pos, self.config.prefetch_depth.max(1));
+    }
+
+    fn backward_post(&self, scope: &ScopeInfo) {
+        // Algorithm 2 lines 8–10: drop this scope from its records and
+        // release records nobody references.
+        let mut st = self.state.lock();
+        st.for_scope_records(scope.seq, |st, id| {
+            let Some(rec) = st.records.get_mut(&id) else {
+                return;
+            };
+            rec.scopes.remove(scope.seq);
+            if rec.scopes.is_empty() {
+                self.release_record(st, id);
+            }
+        });
+    }
+
+    fn phase_changed(&self, phase: Phase) {
+        let mut st = self.state.lock();
+        if st.phase == Phase::Forward && phase == Phase::Backward {
+            st.fwd_secs = self.io.clock().now().since(st.fwd_start);
+        }
+        st.phase = phase;
+    }
+}

@@ -1,0 +1,247 @@
+//! Backward prefetching: the per-tensor depth prefetcher and the group
+//! look-ahead, bounded by the memory backward hands back.
+// ssdtrain-lint: hot-path
+
+use super::record::{Lookahead, RecState, RecordId, Reload, State};
+use super::TensorCache;
+use ssdtrain_simhw::SimTime;
+use ssdtrain_tensor::MemClass;
+use ssdtrain_trace::{ArgValue, TraceCategory};
+
+impl TensorCache {
+    /// Prefetches the records of up to `depth` record-holding modules at
+    /// or before position `pos` in the forward order, nearest first.
+    pub(super) fn prefetch_before(&self, st: &mut State, mb: usize, pos: usize, depth: usize) {
+        if !self.config.prefetch {
+            return;
+        }
+        let now = self.io.clock().now();
+        let mut taken = 0;
+        for p in (0..pos).rev() {
+            let Some(&seq) = st.forward_order.get(&mb).and_then(|o| o.get(p)) else {
+                continue;
+            };
+            if st.scopes.get(&seq).is_none_or(|m| m.records.is_empty()) {
+                continue;
+            }
+            st.for_scope_records(seq, |st, id| self.prefetch_record(st, id, now));
+            taken += 1;
+            if taken >= depth {
+                break;
+            }
+        }
+    }
+
+    /// Collects prefetch group `gidx` of micro-batch `mb` — the modules
+    /// at forward-order positions `[gidx·G, (gidx+1)·G)` for `G =
+    /// prefetch_group_modules` — into `ids`, in the order backward reads
+    /// them: last module first, and inside a module the last-packed
+    /// record first (the read link is FIFO, so issue order is arrival
+    /// order). Returns the group's bytes and how many of them a
+    /// prefetch would reload at `now`, i.e. those that left memory when
+    /// their store landed: a record whose store is still in flight is
+    /// forwarded instead, which allocates nothing.
+    pub(super) fn group_records(
+        &self,
+        st: &State,
+        mb: usize,
+        gidx: usize,
+        now: SimTime,
+        ids: &mut Vec<RecordId>,
+    ) -> (u64, u64) {
+        ids.clear();
+        let g = self.config.prefetch_group_modules.max(1);
+        let order = st.forward_order.get(&mb).map_or(&[][..], Vec::as_slice);
+        let start = gidx.saturating_mul(g).min(order.len());
+        let end = start.saturating_add(g).min(order.len());
+        let (mut bytes, mut reload) = (0u64, 0u64);
+        for seq in order[start..end].iter().rev() {
+            let Some(meta) = st.scopes.get(seq) else {
+                continue;
+            };
+            for id in meta.records.iter().rev() {
+                let Some(rec) = st.records.get(id) else {
+                    continue;
+                };
+                // Only a deduplicated record sits in a second scope.
+                if !rec.scopes.more.is_empty() && ids.contains(id) {
+                    continue;
+                }
+                ids.push(*id);
+                bytes += rec.bytes;
+                let left_memory = match rec.state {
+                    RecState::Offloaded => true,
+                    // Landed, and the prefetch will commit it first.
+                    RecState::Storing { job } => {
+                        now >= self.io.store_end(job) && rec.leaves_at_commit()
+                    }
+                    _ => false,
+                };
+                if left_memory {
+                    reload += rec.bytes;
+                }
+            }
+        }
+        (bytes, reload)
+    }
+
+    /// Books the segments whose store has landed since the last call.
+    /// Commits are lazy — a landed store's memory is released (stamped
+    /// at the store's end) only when something reaches the record — so
+    /// until then [`GpuMemory::resident`] over-reads by it; the group
+    /// prefetcher subtracts `State::unsettled` from every level it
+    /// reads. The write queue is one FIFO, so the landed segments are a
+    /// prefix of `seg_jobs` and each is visited once.
+    pub(super) fn note_landed(&self, st: &mut State, now: SimTime) {
+        while let Some(job) = st.seg_jobs.get(st.seg_landed) {
+            if let Some(seg) = st.segments.get_mut(job) {
+                if self.io.store_end(*job) > now {
+                    break;
+                }
+                let members = st.seg_members[seg.members.clone()].iter();
+                let freed = members.filter_map(|id| st.records.get(id)).filter(|r| {
+                    matches!(r.state, RecState::Storing { .. })
+                        && !r.is_state()
+                        && r.leaves_at_commit()
+                });
+                seg.unsettled = freed.map(|r| r.bytes).sum();
+                st.unsettled += seg.unsettled;
+            }
+            st.seg_landed += 1;
+        }
+    }
+
+    /// Activation bytes the device holds now or has promised to a
+    /// reload in flight: the memory counter (which books a reload when
+    /// it is issued), less the landed stores it has not released yet.
+    pub(super) fn activation_level(&self, st: &mut State, now: SimTime) -> u64 {
+        self.note_landed(st, now);
+        let booked = self.mem.resident(MemClass::Activation);
+        booked.saturating_sub(st.unsettled)
+    }
+
+    /// The group prefetcher: one consumption-ordered look-ahead per
+    /// backward pass. `cur` is the group backward is consuming (the last
+    /// one when the pass is only announced).
+    ///
+    /// The walk visits the record-holding groups downward from `cur` and
+    /// issues them in the order backward will read them. The first
+    /// `prefetch_depth` in flight are the floor: issued whatever the
+    /// memory level, so backward always makes progress. Beyond the floor
+    /// the next group is issued only while the bytes it would reload fit
+    /// under the level this pass began at (`Lookahead::bound`, read once,
+    /// before anything is issued) minus the level now, in-flight reloads
+    /// included. Look-ahead therefore never lifts activation memory
+    /// above where backward started: it spends what backward has handed
+    /// back, and starts as soon as the pass is announced instead of when
+    /// consumption comes within two positions of a group.
+    pub(super) fn look_ahead(&self, st: &mut State, mb: usize, cur: usize) {
+        let now = self.io.clock().now();
+        let la = match st.lookahead.get(&mb) {
+            Some(la) => *la,
+            None => Lookahead {
+                bound: self.activation_level(st, now),
+                next: cur + 1,
+                cur,
+            },
+        };
+        let cur = cur.min(la.cur);
+        // Groups above the consumption point were fully consumed; return
+        // their staging slabs.
+        for gidx in (cur + 1..=la.cur).rev() {
+            if let Some(slab) = st.group_slabs.remove(&(mb, gidx)) {
+                self.retire_slab(&st.trace, slab);
+            }
+        }
+        let depth = self.config.prefetch_depth.max(1);
+        let mut ahead = st.group_slabs.keys().filter(|k| k.0 == mb).count();
+        let mut next = la.next.min(cur + 1);
+        let mut ids = std::mem::take(&mut st.group_scratch);
+        while next > 0 {
+            let gidx = next - 1;
+            let (bytes, reload) = self.group_records(st, mb, gidx, now, &mut ids);
+            if !ids.is_empty() {
+                let headroom = la.bound.saturating_sub(self.activation_level(st, now));
+                if ahead >= depth && reload > headroom {
+                    break;
+                }
+                let slab = self.arena.acquire(bytes);
+                if slab.is_some() {
+                    st.trace
+                        .instant_bytes(TraceCategory::Arena, "arena.acquire", now, bytes);
+                }
+                st.group_slabs.insert((mb, gidx), slab);
+                st.stats.prefetch_groups += 1;
+                st.stats.prefetch_group_bytes += bytes;
+                if st.trace.is_enabled() {
+                    st.trace.instant_with(
+                        TraceCategory::Prefetch,
+                        "prefetch.group",
+                        now,
+                        vec![
+                            ("group", ArgValue::U64(gidx as u64)),
+                            ("bytes", ArgValue::U64(bytes)),
+                            ("lookahead", ArgValue::U64((cur - gidx) as u64)),
+                            ("reload_bytes", ArgValue::U64(reload)),
+                            ("headroom", ArgValue::U64(headroom)),
+                        ],
+                    );
+                }
+                for &id in &ids {
+                    self.prefetch_record(st, id, now);
+                }
+                ahead += 1;
+            }
+            next = gidx;
+        }
+        st.group_scratch = ids;
+        st.lookahead.insert(mb, Lookahead { next, cur, ..la });
+    }
+
+    /// Scheduler hint (Algorithm 1 line 13): the step is about to switch
+    /// to backward propagation — prefetch the tail modules' activations.
+    /// In group mode
+    /// ([`TensorCacheConfig::prefetch_group_modules`](crate::TensorCacheConfig::prefetch_group_modules))
+    /// this announces the backward pass to the group look-ahead: the
+    /// level the pass begins at is read here, and the reloads of every
+    /// group that fits under it start now.
+    pub fn prefetch_last_module(&self) {
+        let mut st = self.state.lock();
+        let mb = st.current_mb;
+        let len = st.forward_order.get(&mb).map_or(0, |o| o.len());
+        let g = self.config.prefetch_group_modules;
+        if self.config.prefetch && g > 0 {
+            if len > 0 {
+                self.look_ahead(&mut st, mb, (len - 1) / g);
+            }
+            return;
+        }
+        self.prefetch_before(&mut st, mb, len, self.config.prefetch_depth.max(1));
+    }
+
+    /// Prefetches one record: forwards bytes still in memory, commits a
+    /// finished store, then issues the reload of whatever left memory.
+    pub(super) fn prefetch_record(&self, st: &mut State, id: RecordId, now: SimTime) {
+        match st.records.get(&id).map(|r| r.state) {
+            // Prefetch reached a record whose bytes are still in
+            // memory: data forwarding at prefetch time (Section
+            // 3.3.2) — the store's completion must never free it.
+            Some(RecState::Staged) => self.withdraw(st, id, now, true),
+            Some(RecState::Storing { job }) if now < self.io.store_end(job) => {
+                self.withdraw(st, id, now, true);
+            }
+            Some(RecState::Storing { job }) => self.commit_segment(st, job),
+            _ => {}
+        }
+        self.reload(st, id, Reload::Prefetch);
+    }
+}
+
+/// The position of `seq` in `order`, searched backwards from `hint`,
+/// then forwards from it.
+pub(super) fn position_near(order: &[u64], hint: usize, seq: u64) -> Option<usize> {
+    let found = |s: &u64| *s == seq;
+    let split = hint.saturating_add(1).min(order.len());
+    let before = order[..split].iter().rposition(found);
+    before.or_else(|| Some(split + order[split..].iter().position(found)?))
+}

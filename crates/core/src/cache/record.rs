@@ -1,0 +1,303 @@
+//! The cache's data model: the `Record` every offloaded tensor is, the
+//! handles, segments and look-ahead cursors built on records, and the one
+//! `State` behind the cache's lock.
+// ssdtrain-lint: hot-path
+
+use crate::adaptive::AdaptivePlan;
+use crate::coalesce::WriteCoalescer;
+use crate::error::OffloadError;
+use crate::id::TensorKey;
+use crate::io::JobId;
+use crate::placement::OffloadClass;
+use crate::stats::OffloadStats;
+use crate::tier::TierId;
+use ssdtrain_autograd::Phase;
+use ssdtrain_simhw::{PinnedSlab, SimTime};
+use ssdtrain_tensor::Tensor;
+use ssdtrain_trace::TraceSink;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
+
+pub(super) type RecordId = u64;
+
+/// A segment member on its way to the device: its id and serialised
+/// payload (`None` in symbolic execution).
+pub(super) type Payload = (RecordId, Option<Vec<u8>>);
+
+/// The one lifecycle every offloaded tensor follows, whatever its
+/// [`OffloadClass`]: `Resident → Staged → Storing → Offloaded → Loading`
+/// (and back to `Resident`).
+#[derive(Debug, Clone, Copy)]
+pub(super) enum RecState {
+    /// In GPU memory (never stored, loaded back, or forwarded).
+    Resident,
+    /// Waiting for its segment to seal; no store job exists yet and the
+    /// data is still resident. Consuming a staged record takes it back
+    /// out of the open segment — forwarding that never queued a job.
+    Staged,
+    /// Member of the sealed segment riding `job`; data still resident
+    /// (release deferred to the commit).
+    Storing { job: JobId },
+    /// On the offload target; GPU memory already freed (at the store's
+    /// completion time).
+    Offloaded,
+    /// Reload in flight; resident from `ready` on.
+    Loading { ready: SimTime },
+}
+
+/// The module scopes (seq ids) still referencing a record. Almost every
+/// record has exactly one — only deduplication adds more — so the first
+/// lives inline and the set allocates nothing until a second arrives.
+#[derive(Default)]
+pub(super) struct ScopeSet {
+    pub(super) first: Option<u64>,
+    pub(super) more: Vec<u64>,
+}
+
+impl ScopeSet {
+    pub(super) fn insert(&mut self, seq: u64) {
+        if self.first.is_none() {
+            self.first = Some(seq);
+        } else if self.first != Some(seq) && !self.more.contains(&seq) {
+            self.more.push(seq);
+        }
+    }
+
+    pub(super) fn remove(&mut self, seq: u64) {
+        if self.first == Some(seq) {
+            self.first = self.more.pop();
+        } else {
+            self.more.retain(|s| *s != seq);
+        }
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    /// The earliest scope in forward order: the one profiling charges
+    /// the record's transfers to.
+    pub(super) fn min(&self) -> Option<u64> {
+        self.more.iter().copied().chain(self.first).min()
+    }
+}
+
+pub(super) struct Record {
+    pub(super) key: TensorKey,
+    pub(super) tensor: Tensor,
+    pub(super) bytes: u64,
+    pub(super) class: OffloadClass,
+    pub(super) state: RecState,
+    pub(super) scopes: ScopeSet,
+    /// The tier holding (or about to hold) the bytes; demotion moves it.
+    pub(super) tier: TierId,
+    /// Pinned staging slab the bytes occupy while a store is staged or
+    /// in flight; released exactly once when the staging retires.
+    pub(super) slab: Option<PinnedSlab>,
+    /// Whether the tier's device holds an entry under `key` (a write
+    /// committed or a demotion landed): a record forwarded before its
+    /// store committed has nothing there to remove.
+    pub(super) stored: bool,
+    /// Simulated time the record's store drains; a reload can never
+    /// complete before it. Zero again after a step boundary (the
+    /// optimizer-stage drain barrier guarantees every store landed
+    /// before the step ended).
+    pub(super) avail: SimTime,
+}
+
+impl Record {
+    /// State slots (gradients, optimizer state) survive
+    /// [`TensorCache::flush`](super::TensorCache::flush) and step
+    /// boundaries, are owned by their caller rather than by module
+    /// scopes, and never deduplicate.
+    pub(super) fn is_state(&self) -> bool {
+        self.class != OffloadClass::Activation
+    }
+
+    /// Whether committing the record's store releases its GPU memory.
+    /// Mirrors Python garbage collection (paper Section 3.2): an
+    /// activation's memory is reclaimable only once the cache holds the
+    /// *last* reference to the storage. If model code still holds the
+    /// tensor (e.g. a step input reused across steps), the record simply
+    /// stays resident. State slots are always held by their optimizer
+    /// and are released regardless.
+    pub(super) fn leaves_at_commit(&self) -> bool {
+        self.is_state() || self.tensor.storage().strong_count() == 1
+    }
+}
+
+/// Opaque handle to an offloaded state tensor (a gradient or optimizer
+/// state slot created by
+/// [`TensorCache::offload_state`](super::TensorCache::offload_state)).
+/// Unlike activation records, state slots survive step boundaries:
+/// optimizer state lives across steps and is reloaded by the next step's
+/// optimizer jobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StateSlot(pub(super) RecordId);
+
+/// What a reload is for: decides the counter it lands in and the state
+/// the record is left in.
+#[derive(Clone, Copy)]
+pub(super) enum Reload {
+    /// `unpack` found the bytes offloaded: the caller stalls on them.
+    Sync,
+    /// Issued ahead of use by the backward prefetcher.
+    Prefetch,
+    /// [`TensorCache::load_state`](super::TensorCache::load_state): the
+    /// caller owns the ready time.
+    State,
+}
+
+#[derive(Default)]
+pub(super) struct ScopeMeta {
+    pub(super) path: String,
+    pub(super) records: Vec<RecordId>,
+    pub(super) enter: SimTime,
+    pub(super) fwd_secs: f64,
+    pub(super) offload_bytes: u64,
+    /// Simulated link occupancy of this module's store jobs.
+    pub(super) store_secs: f64,
+    /// Simulated link occupancy of this module's reloads.
+    pub(super) load_secs: f64,
+}
+
+/// A sealed segment whose store job is in flight or has landed but is
+/// not committed yet.
+pub(super) struct Segment {
+    /// The members' range in `State::seg_members`.
+    pub(super) members: Range<usize>,
+    /// What [`TensorCache::note_landed`](super::TensorCache::note_landed)
+    /// added to `State::unsettled` for this segment; the commit takes it
+    /// back.
+    pub(super) unsettled: u64,
+}
+
+/// Where one micro-batch's backward pass stands in the group
+/// prefetcher's consumption-ordered walk (see
+/// [`TensorCache::look_ahead`](super::TensorCache::look_ahead)).
+#[derive(Clone, Copy)]
+pub(super) struct Lookahead {
+    /// Activation bytes resident when the pass was announced — Figure
+    /// 7's "beginning of backward" point. Groups beyond the
+    /// `prefetch_depth` floor are issued only while their reloads fit
+    /// under it.
+    pub(super) bound: u64,
+    /// Every group at or above this index was issued or holds no
+    /// records; the walk only ever moves it down, so no group loads
+    /// twice.
+    pub(super) next: usize,
+    /// The group backward is consuming (the lowest one it has entered).
+    pub(super) cur: usize,
+}
+
+/// Everything the cache mutates, behind its one lock: the bookkeeping
+/// all runs on the training thread (the paper's worker pools only move
+/// bytes), so one lock around it is the faithful shape.
+pub(super) struct State {
+    pub(super) records: HashMap<RecordId, Record>,
+    pub(super) by_key: HashMap<TensorKey, RecordId>,
+    pub(super) next_id: RecordId,
+    pub(super) param_stamps: HashSet<u64>,
+    /// Innermost-first stack of open forward scopes (seq ids).
+    pub(super) stack: Vec<u64>,
+    pub(super) scopes: HashMap<u64, ScopeMeta>,
+    /// Forward order of scope seqs per micro-batch.
+    pub(super) forward_order: HashMap<usize, Vec<u64>>,
+    pub(super) current_mb: usize,
+    pub(super) phase: Phase,
+    pub(super) profiling: bool,
+    pub(super) fwd_start: SimTime,
+    pub(super) fwd_secs: f64,
+    /// Sealed segments whose store jobs are in flight — one I/O job, one
+    /// device write, recovered as a unit — keyed by job. Removal marks
+    /// the segment committed (or cancelled).
+    pub(super) segments: HashMap<JobId, Segment>,
+    /// Member ids of every segment sealed this step, back to back.
+    pub(super) seg_members: Vec<RecordId>,
+    /// The jobs of those segments in submission order, which on the one
+    /// write FIFO is completion order: the stores of everything before
+    /// `seg_landed` have landed (see
+    /// [`TensorCache::note_landed`](super::TensorCache::note_landed)).
+    pub(super) seg_jobs: Vec<JobId>,
+    pub(super) seg_landed: usize,
+    /// Activation bytes whose store has landed but whose commit — lazy:
+    /// it runs when something reaches the record — has not released
+    /// them yet. The memory counter over-reads by exactly this much.
+    pub(super) unsettled: u64,
+    /// Reused by every commit: the members still riding the job and
+    /// their serialised payloads.
+    pub(super) commit_scratch: Vec<Payload>,
+    /// Reused by every group request: the group's record ids in the
+    /// order backward will read them.
+    pub(super) group_scratch: Vec<RecordId>,
+    /// The group prefetcher's walk, per micro-batch with an announced
+    /// (or started) backward pass this step.
+    pub(super) lookahead: HashMap<usize, Lookahead>,
+    /// The prefetch groups in flight at or ahead of backward's
+    /// consumption point, each with its pinned staging slab (`None` for
+    /// a group of no bytes); released when consumption moves past the
+    /// group.
+    pub(super) group_slabs: HashMap<(usize, usize), Option<PinnedSlab>>,
+    /// The write coalescer between `pack` and the per-tier store queues
+    /// (unused when `TensorCacheConfig::coalesce_segment_bytes` is 0:
+    /// every staged record then seals at once, a segment of one).
+    pub(super) coalescer: WriteCoalescer,
+    pub(super) stats: OffloadStats,
+    pub(super) plan: AdaptivePlan,
+    /// Per-link store-drain stall time this step (see
+    /// [`TensorCache::drain_stores`](super::TensorCache::drain_stores));
+    /// indexed by I/O link.
+    pub(super) link_stalls: Vec<f64>,
+    pub(super) pending_error: Option<OffloadError>,
+    pub(super) trace: TraceSink,
+}
+
+impl State {
+    pub(super) fn new(coalesce_segment_bytes: u64) -> State {
+        State {
+            records: HashMap::new(),
+            by_key: HashMap::new(),
+            next_id: 0,
+            param_stamps: HashSet::new(),
+            stack: Vec::new(),
+            scopes: HashMap::new(),
+            forward_order: HashMap::new(),
+            current_mb: 0,
+            phase: Phase::Forward,
+            profiling: false,
+            fwd_start: SimTime::ZERO,
+            fwd_secs: 0.0,
+            segments: HashMap::new(),
+            seg_members: Vec::new(),
+            seg_jobs: Vec::new(),
+            seg_landed: 0,
+            unsettled: 0,
+            commit_scratch: Vec::new(),
+            group_scratch: Vec::new(),
+            lookahead: HashMap::new(),
+            group_slabs: HashMap::new(),
+            coalescer: WriteCoalescer::new(coalesce_segment_bytes),
+            stats: OffloadStats::default(),
+            plan: AdaptivePlan::default(),
+            link_stalls: Vec::new(),
+            pending_error: None,
+            trace: TraceSink::disabled(),
+        }
+    }
+
+    /// Runs `f` on each record id of scope `seq`. The scope's list is
+    /// lent out for the walk — nothing on the store or load path edits a
+    /// scope's record list — so no copy is made.
+    pub(super) fn for_scope_records(&mut self, seq: u64, mut f: impl FnMut(&mut State, RecordId)) {
+        let Some(meta) = self.scopes.get_mut(&seq) else {
+            return;
+        };
+        let ids = std::mem::take(&mut meta.records);
+        for &id in &ids {
+            f(self, id);
+        }
+        if let Some(meta) = self.scopes.get_mut(&seq) {
+            meta.records = ids;
+        }
+    }
+}
