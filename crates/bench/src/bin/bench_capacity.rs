@@ -1,9 +1,10 @@
 //! Capacity bench: the largest BERT (L4, TP=2, batch 16) that trains
 //! without OOM on one 40 GB A100, per offload backend, with gradients
 //! and optimizer state offloaded alongside activations — and with the
-//! optimizer update either inline or overlapped into the next step's
-//! forward. The host pool is deliberately bounded so the dram-only
-//! backend hits Figure 2's wall while the array keeps absorbing state.
+//! optimizer update either inline after backward or overlapped into
+//! backward itself. The host pool is deliberately bounded so the
+//! dram-only backend hits Figure 2's wall while the array keeps
+//! absorbing state.
 //!
 //! Prints a table and the overlap-timing lines. The rows come from
 //! `ssdtrain_bench::{capacity_rows, capacity_timings}`, which
@@ -60,20 +61,22 @@ fn main() {
         );
     }
     println!(
-        "\nthe array-backed backends keep absorbing gradients and momentum after the\n\
-         bounded host pool is full, so their largest trainable model exceeds the\n\
-         dram-only offloader's; overlapping the update hides its loads behind the\n\
-         next forward instead of paying them at the step boundary.\n\
+        "\nthe array-backed backends keep absorbing activations and optimizer state\n\
+         after the bounded host pool is full, so their largest trainable model exceeds\n\
+         the dram-only offloader's; overlapping the update into backward hides its loads\n\
+         behind backward's compute instead of paying them at the step boundary.\n\
          \n\
-         an update is bound by loading its state (gradients and momentum, once each):\n\
-         each stage waits for its slowest read link. every link reads at the GPU's\n\
-         PCIe rate — the array reads faster than PCIe carries — so ssd and dram,\n\
+         an inline update is bound by loading its state (gradients and momentum, once\n\
+         each): each stage waits for its slowest read link. every link reads at the\n\
+         GPU's PCIe rate — the array reads faster than PCIe carries — so ssd and dram,\n\
          which read all their state over one link, agree; tiered-4g splits its state\n\
          between the DRAM and SSD links, whose reads the model prices side by side,\n\
          and updates faster inline. (both reads cross one physical host-to-GPU PCIe\n\
-         link; the model does not yet share it.) the overlapped update exposes only\n\
-         the first stage's load, which every backend reads over one link. the write\n\
-         side differs too (the array writes a little slower than PCIe carries): that\n\
-         is the ssd line's longer step."
+         link; the model does not yet share it.) the overlapped update never stores a\n\
+         gradient and loads each parameter's momentum the moment autograd finalises\n\
+         its gradient, so it exposes only the read still in flight when backward\n\
+         ends: the token embedding's, whose gradient is final last. the write side\n\
+         differs too (the array writes a little slower than PCIe carries): that is\n\
+         the ssd line's longer step."
     );
 }

@@ -14,7 +14,7 @@
 //! backward would cancel the unstarted tail of the per-tensor queue —
 //! only a sole-member job can be cancelled, so segments mostly are not —
 //! and the arms would be told apart by how much they offload (0.131 s
-//! at 1.12 GB per tensor against 0.121 s at 2.23 GB and 0.158 s at
+//! at 1.12 GB per tensor against 0.121 s at 2.23 GB and 0.155 s at
 //! 3.45 GB coalesced): a difference in what is offloaded, not in how.
 //!
 //! Prints a table. The rows come from `ssdtrain_bench::io_rows`, which

@@ -28,7 +28,7 @@ use ssdtrain::{
     TensorCacheConfig, TraceCategory, TraceEvent, TraceSink,
 };
 use ssdtrain_models::{Arch, ModelConfig};
-use ssdtrain_simhw::SystemConfig;
+use ssdtrain_simhw::{SimTime, SystemConfig};
 use ssdtrain_train::{OffloadBackend, SessionBuilder, SessionConfig, StepMetrics, TrainSession};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -423,7 +423,7 @@ fn capacity_max_hidden(backend: OffloadBackend, overlap: bool) -> usize {
 pub struct CapacityRow {
     /// Backend label.
     pub label: &'static str,
-    /// Whether the optimizer update is overlapped into the next forward.
+    /// Whether the optimizer update is overlapped into backward.
     pub overlap: bool,
     /// Largest hidden size that trains without OOM.
     pub max_hidden: usize,
@@ -492,55 +492,68 @@ pub struct CapacityTiming {
     pub step_secs: [f64; 2],
     /// The inline optimizer update, seconds.
     pub opt_secs_inline: f64,
-    /// What the overlapped update still exposes, seconds.
+    /// What the in-backward update still exposes, seconds.
     pub opt_exposed_overlap: f64,
     /// Per stage of the inline update, the seconds each read channel
     /// (`xfer.<link>-read`) was booked — where its state loads went.
     pub opt_stage_reads: Vec<BTreeMap<String, f64>>,
+    /// In the in-backward run, how long after backward's end (the
+    /// `ReduceGrads` stage's start) the step's last load landed: the
+    /// state reads the update still waited for.
+    pub overlap_tail: f64,
     /// The two steady steps in full, `[inline, overlapped]`.
     pub metrics: [StepMetrics; 2],
 }
 
 /// Measures `bench_capacity`'s overlap-timing lines, one per backend.
 ///
-/// An update is bound by loading its state (gradients and momentum):
-/// each stage waits for its slowest read channel, and the links' read
-/// channels run side by side. Every backend's read link is priced at
-/// the GPU's own PCIe rate (the array reads faster than PCIe carries),
-/// so where a backend reads all its state over one link the optimizer
-/// columns agree; the tiered backend splits its state across the DRAM
-/// and SSD links and updates faster. The backends differ on the write
-/// side too (step time, store stall) and in where the bytes land
-/// (per-tier traffic); `tests/paper_claims.rs` asserts all of it.
+/// An inline update is bound by loading its state (gradients and
+/// momentum): each stage waits for its slowest read channel, and the
+/// links' read channels run side by side. Every backend's read link is
+/// priced at the GPU's own PCIe rate (the array reads faster than PCIe
+/// carries), so where a backend reads all its state over one link the
+/// optimizer columns agree; the tiered backend splits its state across
+/// the DRAM and SSD links and updates faster. The in-backward update
+/// loads each parameter's momentum as autograd finalises its gradient,
+/// so it exposes only the reads still in flight when backward ends. The
+/// backends differ on the write side too (step time, store stall) and in
+/// where the bytes land (per-tier traffic); `tests/paper_claims.rs`
+/// asserts all of it.
 pub fn capacity_timings() -> Vec<CapacityTiming> {
     let steady = |backend: OffloadBackend, overlap: bool| {
-        // The inline run is traced for its per-stage read bookings.
-        let trace = if overlap {
-            TraceSink::disabled()
-        } else {
-            TraceSink::enabled()
-        };
+        let trace = TraceSink::enabled();
         let mut s = capacity_session(backend, overlap, CAPACITY_TIMING_HIDDEN, trace.clone());
+        // Step 1 bootstraps the offloaded state; the third is measured.
         let _ = s.run_step().expect("bootstrap step");
-        // Step 2 carries the first deferred update; step 3 is steady.
         let _ = s.run_step().expect("step");
         trace.clear();
         let metrics = s.run_step().expect("steady step");
-        (metrics, opt_stage_reads(&trace.events()))
+        (metrics, trace.events())
     };
     let timing = |&(label, backend): &(&'static str, OffloadBackend)| {
-        let (inline, opt_stage_reads) = steady(backend, false);
-        let (overlapped, _) = steady(backend, true);
+        let (inline, inline_events) = steady(backend, false);
+        let (overlapped, overlap_events) = steady(backend, true);
         CapacityTiming {
             backend: label,
             step_secs: [inline.step_secs, overlapped.step_secs],
             opt_secs_inline: inline.opt_secs,
             opt_exposed_overlap: overlapped.opt_exposed_secs,
-            opt_stage_reads,
+            opt_stage_reads: opt_stage_reads(&inline_events),
+            overlap_tail: tail_after_backward(&overlap_events),
             metrics: [inline, overlapped],
         }
     };
     CAPACITY_BACKENDS.iter().map(timing).collect()
+}
+
+/// Seconds from the last backward stage's end to the end of the last
+/// `load` of a traced step, or 0 when every load landed inside backward.
+fn tail_after_backward(events: &[TraceEvent]) -> f64 {
+    let backward = events.iter().filter(|e| e.name == "stage.backward");
+    let end = backward.map(|e| e.end()).fold(SimTime::ZERO, SimTime::max);
+    let loads = events.iter().filter(|e| e.name == "load");
+    let landed = loads.map(|e| e.end()).fold(end, SimTime::max);
+    landed.since(end)
 }
 
 /// Seconds each read channel was booked inside each inline optimizer

@@ -209,6 +209,13 @@ impl TensorCache {
         self.state.lock().pending_error.take()
     }
 
+    /// Whether a failure [`TensorCache::take_error`] would return is
+    /// waiting — asked without taking it, by code that must stop acting
+    /// on a tainted step before the step boundary reports it.
+    pub fn has_error(&self) -> bool {
+        self.state.lock().pending_error.is_some()
+    }
+
     /// Registers this cache's hook pairs on `graph` — the
     /// `configure_tensor_cache` of the paper's Algorithm 1.
     pub fn install(self: &Arc<Self>, graph: &ssdtrain_autograd::Graph) {
@@ -460,9 +467,9 @@ impl TensorCache {
     /// that produced it, and at the optimizer's, the end of the step. A
     /// state-class store has no forwarding path and shares the write
     /// queue with the activations behind it, so it blocks the exit that
-    /// follows it, whichever that is (the overlapped optimizer's
-    /// write-back before forward, gradients streamed during backward at
-    /// its exit, the sweep's stragglers after it).
+    /// follows it, whichever that is (gradients streamed and state
+    /// written back during backward at its exit, what `ReduceGrads`
+    /// stores after it at its own).
     fn exit_stage(&self, stage: StageHint, enter: SimTime) {
         let mut guard = self.state.lock();
         let st = &mut *guard;

@@ -29,11 +29,11 @@ impl TensorCache {
 
     /// Reloads an offloaded state slot's bytes back into its tensor and
     /// returns the simulated time the load completes. The caller decides
-    /// what to do with that time — the unoverlapped optimizer stalls on
-    /// it, the overlap engine compares it against the next forward's
-    /// arrival. The ready time is clamped to the slot's own store drain,
-    /// so state is never read before its store landed. A slot already
-    /// resident returns `now`; an unknown slot returns `None`.
+    /// what to do with that time — the inline optimizer stalls on it,
+    /// the in-backward update waits for the clock to pass it. The ready
+    /// time is clamped to the slot's own store drain, so state is never
+    /// read before its store landed. A slot already resident returns
+    /// `now`; an unknown slot returns `None`.
     pub fn load_state(&self, slot: StateSlot) -> Option<SimTime> {
         let now = self.io.clock().now();
         let mut st = self.state.lock();

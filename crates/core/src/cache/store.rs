@@ -248,6 +248,14 @@ impl TensorCache {
         }
         st.stats.class_mut(class).offloaded_bytes += bytes;
 
+        // Placement skipped a full tier: its open segment cannot grow
+        // any more, so it seals now rather than pinning its members' GPU
+        // bytes until the stage exits.
+        if spilled {
+            while let Some(seg) = st.coalescer.seal_ahead_of(tier) {
+                self.submit_sealed(st, seg);
+            }
+        }
         if activation && self.config.coalesce_segment_bytes > 0 {
             if let Some(seg) = st.coalescer.stage(tier, id, bytes, class) {
                 self.submit_sealed(st, seg);

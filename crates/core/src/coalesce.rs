@@ -199,6 +199,19 @@ impl WriteCoalescer {
         Some(SealedSegment { id, tier, entries })
     }
 
+    /// Seals the open segment of the frontmost tier ahead of `tier` that
+    /// holds anything, or returns `None`. Placement just spilled past
+    /// those tiers, so they are full and their segments cannot grow;
+    /// call until `None` to seal them all.
+    pub fn seal_ahead_of(&mut self, tier: TierId) -> Option<SealedSegment> {
+        let open = self
+            .open
+            .iter()
+            .filter(|(t, o)| **t < tier && !o.entries.is_empty());
+        let ahead = open.map(|(t, _)| *t).min()?;
+        self.seal_tier(ahead)
+    }
+
     /// Seals every non-empty open segment, in tier order.
     pub fn seal_all(&mut self) -> Vec<SealedSegment> {
         let mut tiers: Vec<TierId> = self

@@ -867,8 +867,8 @@ fn state_stores_block_the_exit_that_follows_them() {
     r.cache.register_parameter(&w1.tensor());
     r.cache.register_parameter(&w2.tensor());
 
-    // The overlapped optimizer's write-back: submitted before the
-    // micro-batch loads, ahead of every activation on the same queue.
+    // A state write-back submitted before the micro-batch loads, ahead
+    // of every activation on the same queue.
     let velocity = Tensor::from_vec(vec![0.5; 32], [4, 8], &r.dev);
     let slot = r
         .cache
@@ -908,6 +908,68 @@ fn state_stores_block_the_exit_that_follows_them() {
     r.graph.backward(&loss);
     r.cache.release_state(slot);
     r.cache.release_state(grad_slot);
+}
+
+#[test]
+fn a_spill_seals_the_full_tiers_open_segment() {
+    // A front tier with room for three 128-byte tensors and a 1 KiB
+    // segment threshold, so nothing seals by size. The fourth tensor
+    // spills past the full front tier, whose open segment cannot grow
+    // any more: it seals then — its members' stores start while forward
+    // runs — not when the stage exits.
+    let clock = SimClock::new();
+    let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
+    let dev = Device::cpu();
+    dev.set_tracker(mem.clone());
+    let links = vec![
+        TierLink::new("dram", 1e9, 1e9),
+        TierLink::new("ssd", 1e9, 1e9),
+    ];
+    let io = IoEngine::tiered_with_bus(clock, links, 1e9);
+    let tiers = TierStack::new(vec![
+        Tier::new("dram", Arc::new(CpuTarget::new(1 << 40)), 0).with_capacity(384),
+        Tier::new("ssd", Arc::new(CpuTarget::new(1 << 40)), 1),
+    ]);
+    let cfg = TensorCacheConfig {
+        coalesce_segment_bytes: 1 << 10,
+        ..offload_all_config()
+    };
+    let cache = TensorCache::with_tiers(cfg, Arc::new(tiers), io, mem);
+    cache.begin_step();
+    let saves: Vec<Tensor> = (0..5)
+        .map(|i| Tensor::from_vec(vec![i as f32; 32], [32], &dev))
+        .collect();
+    let mut packed = Vec::new();
+    for t in &saves[..3] {
+        packed.push(cache.pack(t));
+    }
+    assert_eq!(
+        cache.coalesce_counts().segments,
+        0,
+        "the front segment is open"
+    );
+    assert_eq!(cache.stats().store_jobs, 0);
+
+    packed.push(cache.pack(&saves[3]));
+    let counts = cache.coalesce_counts();
+    assert_eq!(counts.segments, 1, "the spill sealed the front segment");
+    assert_eq!(counts.sealed_bytes, 384);
+    assert_eq!(cache.stats().store_jobs, 1);
+    assert_eq!(cache.stats().spilled_bytes, 128);
+
+    // A second spill finds no other tier with open bytes: nothing seals.
+    packed.push(cache.pack(&saves[4]));
+    assert_eq!(cache.coalesce_counts().segments, 1);
+    assert_eq!(cache.stats().store_jobs, 1);
+    drop(cache.stage_scope(ssdtrain::StageHint::Forward));
+    assert_eq!(
+        cache.coalesce_counts().segments,
+        2,
+        "the exit seals the rest"
+    );
+    for (p, t) in packed.iter().zip(&saves) {
+        assert_eq!(cache.unpack(p).to_vec(), t.to_vec());
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -344,11 +344,12 @@ impl SessionBuilder {
         self
     }
 
-    /// Defers each step's optimizer update into the next step's forward
-    /// window, as per-stage jobs racing the forecast layer arrivals (the
-    /// GreedySnake overlap). Off by default: the per-stage jobs then run
-    /// inline at the `OptimizerStep` stage when a state class is
-    /// enabled, or the legacy whole-model update runs outside the
+    /// Updates each parameter inside the step's last backward pass, the
+    /// moment autograd finalises its gradient, so its state loads and
+    /// write-backs overlap backward's compute (PyTorch's
+    /// optimizer-in-backward pattern). Off by default: the per-stage jobs
+    /// then run inline at the `OptimizerStep` stage when a state class
+    /// is enabled, or the legacy whole-model update runs outside the
     /// measured window when none is.
     pub fn overlap_optimizer(mut self, overlap: bool) -> SessionBuilder {
         self.overlap_optimizer = overlap;

@@ -46,12 +46,12 @@ pub struct StepMetrics {
     pub loss: f32,
     /// Simulated seconds the per-stage optimizer update spent inside the
     /// measured window (inline state loads and stalls; 0 for the legacy
-    /// outside-the-window optimizer and for the overlapped schedule).
+    /// outside-the-window optimizer and for the in-backward update).
     #[serde(default)]
     pub opt_secs: f64,
-    /// Simulated seconds of the *overlapped* update the forecast forward
-    /// window could not hide (the GreedySnake exposure; 0 when every
-    /// state load lands before its stage's forward arrival).
+    /// Simulated seconds the *in-backward* update exposed after backward:
+    /// the wait at `ReduceGrads` for state loads still in flight (0 when
+    /// every update finished inside backward).
     #[serde(default)]
     pub opt_exposed_secs: f64,
 }

@@ -1,36 +1,38 @@
-//! The per-stage optimizer scheduling engine — gradients and optimizer
-//! state ride the placement → tier → I/O stack, and the weight update
-//! itself becomes per-stage jobs that can overlap the *next* step's
-//! forward pass (the GreedySnake trick: while layer N's state is still
-//! loading, layers 1..N−1 of the next forward already run).
+//! The optimizer scheduling engine — gradients and optimizer state ride
+//! the placement → tier → I/O stack, and the weight update runs either
+//! as per-stage jobs after backward or inside backward itself.
 //!
 //! Two execution modes, selected by [`SessionBuilder::overlap_optimizer`]:
 //!
 //! * **Inline** (`overlap = false`): the update runs inside the measured
-//!   window at the `OptimizerStep` stage. Each stage job loads its
-//!   gradient and state slots back (stalling the simulated clock to the
-//!   load's completion), applies [`Sgd::step_range`], and re-offloads
-//!   the fresh state. Every second of state I/O is exposed.
-//! * **Overlapped** (`overlap = true`): the update of step *k* is
-//!   deferred to the start of step *k+1*. Stage *j*'s loads are
-//!   submitted at `t = 0` and compared against the forecast arrival of
-//!   the forward pass at stage *j* — `fwd_secs · frac(j)`, where
-//!   `fwd_secs` is the previous step's measured forward time and
-//!   `frac(j)` is the cumulative per-stage forward fraction observed by
-//!   a profiling step ([`OptEngine::note_profile`]), falling back to
-//!   the uniform `j / S` when no profile ran; only the delay that
-//!   exceeds that window is exposed on the clock. The re-offloaded state's store jobs occupy the tier
-//!   links and the shared write bus while the forward runs, so the
-//!   overlap's contention with activation offloading is priced rather
-//!   than assumed free. Numerics are unchanged: the deferred update
-//!   still lands before the next forward touches the weights.
+//!   window at the `OptimizerStep` stage. Gradients leave during the
+//!   step's last backward pass — [`OptEngine::grad_listener`] is
+//!   autograd's post-accumulate-grad hook and stores each gradient the
+//!   moment its last contribution is accumulated, and
+//!   [`OptEngine::reduce_grads`] sweeps up what did not stream. Each
+//!   stage job then loads its gradient and state slots back (stalling
+//!   the simulated clock to the load's completion), applies
+//!   [`Sgd::step_range`], and re-offloads the fresh state. Every second
+//!   of state I/O is exposed.
+//! * **In backward** (`overlap = true`): PyTorch's optimizer-in-backward
+//!   pattern on the same hook. When autograd finalises a parameter's
+//!   gradient during the step's last backward pass, the listener loads
+//!   that parameter's state slot, applies `step_range(i..i + 1)` once the
+//!   load has landed on the simulated clock, and re-offloads the fresh
+//!   state — so state reads and write-backs ride the links while
+//!   backward still computes, and the gradient is consumed in place,
+//!   never stored or reloaded. An update whose load has not landed waits
+//!   in a pending list, drained as backward goes on and, for what is
+//!   left, at `ReduceGrads`, which also updates any parameter autograd
+//!   never reported; only that tail's clock advance is exposed
+//!   ([`OptReport::exposed_secs`]). Numerics are unchanged:
+//!   `Sgd::step_range` is elementwise per parameter and autograd never
+//!   reports a gradient early, so each update sees the finished gradient,
+//!   and every weight is final before the next forward reads it.
 //!
-//! In both modes gradients leave during the step's last backward pass:
-//! [`OptEngine::grad_listener`] is autograd's post-accumulate-grad hook,
-//! stashing each gradient the moment its last contribution is
-//! accumulated, so the stores ride the write bus while backward still
-//! computes; [`OptEngine::stash_grads`] at `ReduceGrads` only sweeps up
-//! what did not stream.
+//! Once the cache holds an error the step is tainted: no further update
+//! is applied (updates already applied stay — their gradients were
+//! final), and [`OptEngine::abort`] drops what is left.
 //!
 //! [`SessionBuilder::overlap_optimizer`]: crate::builder::SessionBuilder::overlap_optimizer
 //! [`Sgd::step_range`]: ssdtrain_autograd::optim::Sgd::step_range
@@ -39,12 +41,10 @@
 use crate::schedule::stage_ranges;
 use crate::session::OffloadClassSet;
 use parking_lot::Mutex;
-use ssdtrain::{
-    ArgValue, OffloadClass, StateSlot, StepProfile, TensorCache, TraceCategory, TraceSink,
-};
+use ssdtrain::{OffloadClass, StateSlot, TensorCache, TraceCategory, TraceSink};
 use ssdtrain_autograd::optim::Sgd;
 use ssdtrain_autograd::var::VarId;
-use ssdtrain_autograd::{ModuleHooks, Var};
+use ssdtrain_autograd::{ModuleHooks, ScopeInfo, Var};
 use ssdtrain_simhw::{SimClock, SimTime};
 use ssdtrain_tensor::Tensor;
 use std::collections::HashMap;
@@ -54,11 +54,12 @@ use std::sync::Arc;
 /// What one engine hook cost the step, in simulated seconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OptReport {
-    /// Seconds the update spent inside the measured window (inline mode:
-    /// load stalls; zero in overlapped mode).
+    /// Seconds the inline update spent inside the measured window (its
+    /// load stalls; zero in the in-backward mode).
     pub inline_secs: f64,
-    /// Seconds of exposed delay the overlapped schedule could not hide
-    /// behind the forecast forward window (zero in inline mode).
+    /// Seconds the in-backward update exposed after backward: the wait
+    /// at `ReduceGrads` for state loads still in flight (zero in inline
+    /// mode).
     pub exposed_secs: f64,
 }
 
@@ -69,39 +70,114 @@ impl OptReport {
     }
 }
 
-/// Per-stage optimizer scheduling over the session's tensor cache.
+/// Optimizer scheduling over the session's tensor cache.
 pub struct OptEngine {
+    ranges: Vec<Range<usize>>,
+    updater: Arc<Updater>,
+}
+
+/// What the backward listener and the step hooks share: the session's
+/// optimizer, the per-parameter slots and, in the in-backward mode, the
+/// updates still waiting on their state loads. As a [`ModuleHooks`]
+/// listener it is autograd's post-accumulate-grad hook.
+struct Updater {
     classes: OffloadClassSet,
     overlap: bool,
-    ranges: Vec<Range<usize>>,
-    grad_slots: Vec<Vec<StateSlot>>,
-    state_slots: Vec<Vec<StateSlot>>,
-    /// The backward half of the gradient stash (gradient class with a
-    /// cache only).
-    stream: Option<Arc<GradStream>>,
-    pending: bool,
-    fwd_estimate: f64,
-    /// Cumulative forward-time fraction elapsed when the forward pass
-    /// reaches each stage's parameters (`fracs[0] == 0.0`), measured by
-    /// a profiling step. `None` falls back to the uniform `j / S`.
-    arrival_fracs: Option<Vec<f64>>,
-}
-
-/// The backward half of the gradient stash, PyTorch's post-accumulate-grad
-/// hook: a [`ModuleHooks`] listener that, told a parameter's gradient is
-/// final, submits its store at once — riding the write bus while backward
-/// still computes — and parks the slot by parameter index for
-/// [`OptEngine::stash_grads`]. A gradient the stack refuses leaves no
-/// slot, so the sweep retries it.
-struct GradStream {
-    cache: Arc<TensorCache>,
+    cache: Option<Arc<TensorCache>>,
+    opt: Arc<Mutex<Sgd>>,
     /// Parameter identity → optimizer index, built once.
     index: HashMap<VarId, usize>,
-    /// This step's streamed slot per parameter.
-    slots: Mutex<Vec<Option<StateSlot>>>,
+    slots: Mutex<Slots>,
 }
 
-impl ModuleHooks for GradStream {
+/// Per-parameter bookkeeping, indexed like the optimizer's parameters
+/// and allocated once.
+struct Slots {
+    /// Inline mode: each parameter's stored gradient, streamed during
+    /// backward or stored by the `ReduceGrads` sweep.
+    grads: Vec<Option<StateSlot>>,
+    /// Each parameter's offloaded optimizer state.
+    states: Vec<Option<StateSlot>>,
+    /// In-backward mode: parameters whose update is waiting for its
+    /// state load, with the time the load lands, in start order.
+    pending: Vec<(usize, SimTime)>,
+    /// In-backward mode: parameters whose update started this step.
+    started: Vec<bool>,
+}
+
+impl Updater {
+    /// Whether the step is tainted: the cache holds a failure recovery
+    /// could not absorb, so no further update may be applied.
+    fn tainted(&self) -> bool {
+        self.cache.as_ref().is_some_and(|c| c.has_error())
+    }
+
+    /// The simulated time now (zero without a cache, where no update
+    /// ever waits on a load).
+    fn now(&self) -> SimTime {
+        let clock = self.cache.as_ref().map(|c| c.io().clock().now());
+        clock.unwrap_or(SimTime::ZERO)
+    }
+
+    /// In-backward mode: starts parameter `i`'s update — loads its state
+    /// slot, then applies the update at once if the load has landed by
+    /// `now`, or parks it until it has.
+    fn start(&self, slots: &mut Slots, i: usize, now: SimTime) {
+        match slots.started.get_mut(i) {
+            Some(started) if !*started => *started = true,
+            _ => return,
+        }
+        let cache = self.cache.as_deref();
+        let slot = slots.states.get(i).copied().flatten();
+        match slot.and_then(|s| cache?.load_state(s)) {
+            Some(ready) if ready > now => slots.pending.push((i, ready)),
+            _ => self.apply(&mut slots.states, i),
+        }
+    }
+
+    /// Applies every pending update whose state load has landed by
+    /// `now`, in start order.
+    fn apply_landed(&self, slots: &mut Slots, now: SimTime) {
+        let Slots {
+            pending, states, ..
+        } = slots;
+        pending.retain(|&(i, ready)| {
+            if ready > now {
+                return true;
+            }
+            self.apply(states, i);
+            false
+        });
+    }
+
+    /// Parameter `i`'s update: the step itself (velocity materialised
+    /// first — numerically identical to the lazy allocation), its
+    /// gradient released, and the fresh state re-offloaded in place of
+    /// the slot it was loaded from.
+    fn apply(&self, states: &mut [Option<StateSlot>], i: usize) {
+        let mut opt = self.opt.lock();
+        opt.ensure_velocity(i);
+        // ssdtrain-lint: allow(panic-free-hot-path): `step_range` skips any
+        // parameter without materialised data before touching values, so the
+        // `to_vec` expect along `step_range → deep_clone_as → to_vec` cannot fire
+        opt.step_range(i..i + 1);
+        if let Some(p) = opt.params().get(i) {
+            p.zero_grad();
+        }
+        let (Some(cache), Some(state)) = (self.cache.as_deref(), states.get_mut(i)) else {
+            return;
+        };
+        if let Some(old) = state.take() {
+            cache.release_state(old);
+        }
+        if self.classes.contains(OffloadClass::OptimizerState) {
+            let v = opt.velocity(i);
+            *state = v.and_then(|v| cache.offload_state(v, OffloadClass::OptimizerState));
+        }
+    }
+}
+
+impl ModuleHooks for Updater {
     fn wants_grad_ready(&self) -> bool {
         true
     }
@@ -110,251 +186,177 @@ impl ModuleHooks for GradStream {
         let Some(&i) = self.index.get(&var.id()) else {
             return;
         };
-        let stash = |grad: &Tensor| self.cache.offload_state(grad, OffloadClass::Gradient);
+        if self.tainted() {
+            return;
+        }
+        let mut slots = self.slots.lock();
+        if self.overlap {
+            let now = self.now();
+            self.apply_landed(&mut slots, now);
+            self.start(&mut slots, i, now);
+            return;
+        }
+        let Some(cache) = self.cache.as_deref() else {
+            return;
+        };
+        let stash = |grad: &Tensor| cache.offload_state(grad, OffloadClass::Gradient);
         let slot = var.with_grad(stash).flatten();
-        if let Some(parked) = self.slots.lock().get_mut(i) {
+        if let Some(parked) = slots.grads.get_mut(i) {
             *parked = slot;
+        }
+    }
+
+    fn backward_post(&self, _scope: &ScopeInfo) {
+        if !self.overlap || self.tainted() {
+            return;
+        }
+        let mut slots = self.slots.lock();
+        if !slots.pending.is_empty() {
+            let now = self.now();
+            self.apply_landed(&mut slots, now);
         }
     }
 }
 
 impl OptEngine {
-    /// Builds the engine: `opt`'s parameters partitioned into `n_stages`
-    /// contiguous per-stage update jobs. With the gradient class enabled
-    /// and a `cache`, gradients stream out during backward (see
-    /// [`OptEngine::grad_listener`]).
+    /// Builds the engine over the session's optimizer: its parameters
+    /// partitioned into `n_stages` contiguous per-stage update jobs for
+    /// the inline mode, and the backward listener (see
+    /// [`OptEngine::grad_listener`]) sharing the same [`Sgd`].
     pub fn new(
         classes: OffloadClassSet,
         overlap: bool,
-        opt: &Sgd,
+        opt: &Arc<Mutex<Sgd>>,
         n_stages: usize,
         cache: Option<&Arc<TensorCache>>,
     ) -> OptEngine {
-        let params = opt.params();
-        let ranges = stage_ranges(params.len(), n_stages);
-        let stages = ranges.len();
-        let stream = cache
-            .filter(|_| classes.contains(OffloadClass::Gradient))
-            .map(|cache| {
-                Arc::new(GradStream {
-                    cache: cache.clone(),
-                    index: params
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| (p.id(), i))
-                        .collect(),
-                    slots: Mutex::new(vec![None; params.len()]),
-                })
-            });
-        OptEngine {
+        let guard = opt.lock();
+        let params = guard.params();
+        let n = params.len();
+        let index = params.iter().enumerate().map(|(i, p)| (p.id(), i));
+        let updater = Updater {
             classes,
             overlap,
-            ranges,
-            grad_slots: vec![Vec::new(); stages],
-            state_slots: vec![Vec::new(); stages],
-            stream,
-            pending: false,
-            fwd_estimate: 0.0,
-            arrival_fracs: None,
+            cache: cache.cloned(),
+            opt: opt.clone(),
+            index: index.collect(),
+            slots: Mutex::new(Slots {
+                grads: vec![None; n],
+                states: vec![None; n],
+                pending: Vec::with_capacity(n),
+                started: vec![false; n],
+            }),
+        };
+        OptEngine {
+            ranges: stage_ranges(n, n_stages),
+            updater: Arc::new(updater),
         }
     }
 
-    /// The listener that stashes each gradient as soon as autograd
-    /// reports it final; the session registers it for the step's last
-    /// backward pass. `None` when gradients are not offloaded.
+    /// The listener the session registers for the step's last backward
+    /// pass: in the in-backward mode it runs each parameter's update as
+    /// autograd reports its gradient final; inline, it stores the
+    /// gradient then. `None` inline when gradients are not offloaded.
     pub fn grad_listener(&self) -> Option<Arc<dyn ModuleHooks>> {
-        let stream = self.stream.clone()?;
-        Some(stream)
+        let u = &self.updater;
+        let stream = u.cache.is_some() && u.classes.contains(OffloadClass::Gradient);
+        let listener: Arc<dyn ModuleHooks> = u.clone();
+        (u.overlap || stream).then_some(listener)
     }
 
-    /// Whether the update is deferred into the next step's forward.
+    /// Whether the update runs inside backward.
     pub fn overlap(&self) -> bool {
-        self.overlap
+        self.updater.overlap
     }
 
-    /// Whether a deferred update is waiting for the next step.
-    pub fn pending(&self) -> bool {
-        self.pending
-    }
-
-    /// The per-stage parameter ranges the update is partitioned into.
+    /// The per-stage parameter ranges the inline update is partitioned
+    /// into.
     pub fn ranges(&self) -> &[Range<usize>] {
         &self.ranges
     }
 
-    /// Records the measured forward time of the step that just ran; the
-    /// overlapped schedule forecasts stage arrivals from it.
-    pub fn note_forward_secs(&mut self, secs: f64) {
-        if secs.is_finite() && secs > 0.0 {
-            self.fwd_estimate = secs;
-        }
-    }
-
-    /// Records a profiling step's per-module forward times: the forward
-    /// pass is not uniform (embeddings, heads and attention blocks cost
-    /// different amounts), so the stage-`j` arrival forecast becomes the
-    /// observed cumulative fraction of forward time instead of `j / S`.
-    /// Modules are mapped onto stages by the same contiguous partition
-    /// the parameters use. A degenerate profile (no modules, or no
-    /// positive forward time) leaves the uniform fallback in place.
-    pub fn note_profile(&mut self, profile: &StepProfile) {
-        let stages = self.ranges.len();
-        let total: f64 = profile.modules.iter().map(|m| m.fwd_secs.max(0.0)).sum();
-        if stages == 0 || profile.modules.is_empty() || !total.is_finite() || total <= 0.0 {
-            return;
-        }
-        let groups = stage_ranges(profile.modules.len(), stages);
-        let mut fracs = Vec::with_capacity(stages);
-        let mut elapsed = 0.0;
-        for g in &groups {
-            fracs.push(elapsed / total);
-            elapsed += g
-                .clone()
-                .map(|m| profile.modules[m].fwd_secs.max(0.0))
-                .sum::<f64>();
-        }
-        // More stages than modules: the forward has fully passed the
-        // last module before these stages' parameters are touched.
-        fracs.resize(stages, 1.0);
-        self.arrival_fracs = Some(fracs);
-    }
-
-    /// The forecast fraction of the forward window elapsed when stage
-    /// `j`'s parameters arrive: measured when a profile was noted,
-    /// uniform otherwise.
-    fn arrival_frac(&self, j: usize) -> f64 {
-        match &self.arrival_fracs {
-            Some(fracs) if j < fracs.len() => fracs[j],
-            _ => j as f64 / self.ranges.len().max(1) as f64,
-        }
-    }
-
-    /// Start-of-step hook: applies the previous step's deferred update,
-    /// overlapped against the forecast forward. Returns the exposed
-    /// delay (already advanced on `clock`). No-op unless overlapping
-    /// with a pending update.
-    pub fn begin_step(
-        &mut self,
-        cache: Option<&TensorCache>,
-        opt: &mut Sgd,
-        clock: &SimClock,
-        trace: &TraceSink,
-    ) -> OptReport {
-        if !self.overlap || !self.pending {
+    /// `ReduceGrads` hook, after the last backward pass.
+    ///
+    /// Inline, it is the sweep behind the streamed stash: it stores the
+    /// gradient of every parameter that did not stream — one autograd
+    /// never reported final, or one the tier stack refused mid-backward
+    /// (the host pool was still holding activations), retried now — in
+    /// parameter order. Its stores drain at the enclosing stage scope's
+    /// exit, so their cost lands on the step that produced them.
+    ///
+    /// In backward, it finishes the step's update: parameters autograd
+    /// never reported start now, and the clock waits for each pending
+    /// state load in landing order, applying its update as it lands. The
+    /// wait is the update's exposed tail (an `opt.tail` span).
+    pub fn reduce_grads(&mut self, clock: &SimClock, trace: &TraceSink) -> OptReport {
+        let u = &*self.updater;
+        if u.tainted() {
             return OptReport::default();
         }
-        self.pending = false;
-        let mut delay = 0.0;
-        for j in 0..self.ranges.len() {
-            let range = self.ranges[j].clone();
-            // Load this stage's gradient and state slots; the ready time
-            // is the latest completion (each clamped to its own store's
-            // drain by the cache).
-            let mut ready = SimTime::ZERO;
-            if let Some(cache) = cache {
-                for slot in self.grad_slots[j].iter().chain(self.state_slots[j].iter()) {
-                    if let Some(t) = cache.load_state(*slot) {
-                        ready = ready.max(t);
-                    }
+        let mut guard = u.slots.lock();
+        let slots = &mut *guard;
+        if !u.overlap {
+            let Some(cache) = u.cache.as_deref() else {
+                return OptReport::default();
+            };
+            if !u.classes.contains(OffloadClass::Gradient) {
+                return OptReport::default();
+            }
+            let opt = u.opt.lock();
+            for (p, grad) in opt.params().iter().zip(slots.grads.iter_mut()) {
+                if grad.is_none() {
+                    let stash = |g: &Tensor| cache.offload_state(g, OffloadClass::Gradient);
+                    *grad = p.with_grad(stash).flatten();
                 }
             }
-            // GreedySnake: stage j's update must land before the next
-            // forward reaches stage j. Whatever the window cannot hide
-            // accumulates as exposed delay.
-            let arrival = self.fwd_estimate * self.arrival_frac(j) + delay;
-            let late = (ready.as_secs() - arrival).max(0.0);
-            delay += late;
-            self.apply_stage(cache, opt, j, range);
-            if trace.is_enabled() {
-                trace.instant_with(
-                    TraceCategory::Stage,
-                    format!("opt.overlap.s{j}"),
-                    clock.now(),
-                    vec![
-                        ("ready_secs", ArgValue::F64(ready.as_secs())),
-                        ("arrival_secs", ArgValue::F64(arrival)),
-                        ("exposed_secs", ArgValue::F64(late)),
-                        ("fwd_estimate_secs", ArgValue::F64(self.fwd_estimate)),
-                    ],
-                );
-            }
+            return OptReport::default();
         }
-        if delay > 0.0 {
-            clock.advance_to(SimTime::from_secs(clock.now().as_secs() + delay));
+        let t0 = clock.now();
+        for i in 0..slots.started.len() {
+            u.start(slots, i, t0);
+        }
+        slots.pending.sort_unstable_by(|a, b| {
+            let by_time = a.1.as_secs().total_cmp(&b.1.as_secs());
+            by_time.then(a.0.cmp(&b.0))
+        });
+        for &(i, ready) in &slots.pending {
+            clock.advance_to(ready);
+            u.apply(&mut slots.states, i);
+        }
+        slots.pending.clear();
+        slots.started.fill(false);
+        let exposed = clock.now().since(t0);
+        if exposed > 0.0 {
+            trace.span(TraceCategory::Stage, "opt.tail", t0, clock.now());
         }
         OptReport {
             inline_secs: 0.0,
-            exposed_secs: delay,
-        }
-    }
-
-    /// `ReduceGrads` hook, the sweep behind the streamed stash: takes the
-    /// slots [`OptEngine::grad_listener`] parked during backward into
-    /// their stages, in parameter order, and stashes whatever gradient
-    /// did not stream — one autograd never reported final, or one the
-    /// tier stack refused mid-backward (the host pool was still holding
-    /// activations), retried now. Its stores drain at the enclosing stage
-    /// scope's exit, so their cost lands on the step that produced them.
-    pub fn stash_grads(&mut self, cache: Option<&TensorCache>, opt: &Sgd) {
-        let Some(cache) = cache else { return };
-        if !self.classes.contains(OffloadClass::Gradient) {
-            return;
-        }
-        let mut streamed = self.stream.as_ref().map(|s| s.slots.lock());
-        for (j, range) in self.ranges.iter().enumerate() {
-            for i in range.clone() {
-                let parked = streamed.as_mut().and_then(|s| s.get_mut(i)?.take());
-                let slot = parked.or_else(|| {
-                    let stash = |grad: &Tensor| cache.offload_state(grad, OffloadClass::Gradient);
-                    opt.params().get(i)?.with_grad(stash).flatten()
-                });
-                if let Some(slot) = slot {
-                    self.grad_slots[j].push(slot);
-                }
-            }
+            exposed_secs: exposed,
         }
     }
 
     /// `OptimizerStep` hook. Inline mode runs the per-stage update jobs
-    /// now, inside the measured window; overlapped mode offloads the
-    /// bootstrap state (first step only) and defers the update to the
-    /// next step's [`OptEngine::begin_step`].
-    pub fn end_of_step(
-        &mut self,
-        cache: Option<&TensorCache>,
-        opt: &mut Sgd,
-        clock: &SimClock,
-        trace: &TraceSink,
-    ) -> OptReport {
-        if self.overlap {
-            // Bootstrap: the very first deferral has no offloaded state
-            // yet (later steps re-offload at begin_step). Materialise
-            // velocity ahead of the first update — numerically identical
-            // to the lazy allocation — and push it through the tiers.
-            if self.classes.contains(OffloadClass::OptimizerState) {
-                for j in 0..self.ranges.len() {
-                    if !self.state_slots[j].is_empty() {
-                        continue;
-                    }
-                    let range = self.ranges[j].clone();
-                    for i in range {
-                        if opt.ensure_velocity(i).is_none() {
-                            continue;
-                        }
-                        self.offload_state_of(cache, opt, j, i);
-                    }
-                }
-            }
-            self.pending = true;
+    /// now, inside the measured window; in the in-backward mode the
+    /// update already happened and this is a no-op.
+    pub fn end_of_step(&mut self, clock: &SimClock, trace: &TraceSink) -> OptReport {
+        let u = &*self.updater;
+        if u.overlap || u.tainted() {
             return OptReport::default();
         }
+        let cache = u.cache.as_deref();
+        let mut guard = u.slots.lock();
+        let slots = &mut *guard;
+        let mut opt = u.opt.lock();
         let t0 = clock.now();
-        for j in 0..self.ranges.len() {
-            let range = self.ranges[j].clone();
+        for (j, range) in self.ranges.iter().enumerate() {
             let stage_start = clock.now();
+            // Load this stage's gradient and state slots; the ready time
+            // is the latest completion (each clamped to its own store's
+            // drain by the cache).
             let mut ready = stage_start;
             if let Some(cache) = cache {
-                for slot in self.grad_slots[j].iter().chain(self.state_slots[j].iter()) {
+                let grads = slots.grads[range.clone()].iter();
+                for slot in grads.chain(slots.states[range.clone()].iter()).flatten() {
                     if let Some(t) = cache.load_state(*slot) {
                         ready = ready.max(t);
                     }
@@ -365,7 +367,28 @@ impl OptEngine {
             for i in range.clone() {
                 opt.ensure_velocity(i);
             }
-            self.apply_stage(cache, opt, j, range);
+            // ssdtrain-lint: allow(panic-free-hot-path): `step_range` skips any
+            // parameter without materialised data before touching values, so the
+            // `to_vec` expect along `step_range → deep_clone_as → to_vec` cannot fire
+            opt.step_range(range.clone());
+            for p in &opt.params()[range.clone()] {
+                p.zero_grad();
+            }
+            // Consumed gradient slots are released, stale state slots
+            // replaced by the freshly-written velocity tensors.
+            let stale = slots.grads[range.clone()].iter_mut();
+            for slot in stale.chain(slots.states[range.clone()].iter_mut()) {
+                if let (Some(slot), Some(cache)) = (slot.take(), cache) {
+                    cache.release_state(slot);
+                }
+            }
+            if let (Some(cache), true) = (cache, u.classes.contains(OffloadClass::OptimizerState)) {
+                for i in range.clone() {
+                    let v = opt.velocity(i);
+                    slots.states[i] =
+                        v.and_then(|v| cache.offload_state(v, OffloadClass::OptimizerState));
+                }
+            }
             if trace.is_enabled() {
                 let name = format!("opt.stage{j}");
                 trace.span(TraceCategory::Stage, name, stage_start, clock.now());
@@ -377,67 +400,25 @@ impl OptEngine {
         }
     }
 
-    /// Applies stage `j`'s update math and rotates its slots: consumed
-    /// gradient slots are released, stale state slots replaced by the
-    /// freshly-written velocity tensors.
-    fn apply_stage(
-        &mut self,
-        cache: Option<&TensorCache>,
-        opt: &mut Sgd,
-        j: usize,
-        range: Range<usize>,
-    ) {
-        // ssdtrain-lint: allow(panic-free-hot-path): `step_range` skips any
-        // parameter without materialised data before touching values, so the
-        // `to_vec` expect along `step_range → deep_clone_as → to_vec` cannot fire
-        opt.step_range(range.clone());
-        for i in range.clone() {
-            if let Some(p) = opt.params().get(i) {
-                p.zero_grad();
-            }
-        }
-        if let Some(cache) = cache {
-            for slot in self.grad_slots[j].drain(..) {
+    /// Error-path hook: a tainted step applies no further update. The
+    /// stored gradients are released (the caller clears the gradients
+    /// themselves), and so are the state slots of updates still pending
+    /// — their state was loaded back and stays resident, so the next
+    /// step updates from it directly. Updates already applied stay.
+    pub fn abort(&mut self) {
+        let u = &*self.updater;
+        let mut guard = u.slots.lock();
+        let slots = &mut *guard;
+        for &(i, _) in &slots.pending {
+            let slot = slots.states.get_mut(i).and_then(Option::take);
+            if let (Some(slot), Some(cache)) = (slot, u.cache.as_deref()) {
                 cache.release_state(slot);
             }
-            for slot in self.state_slots[j].drain(..) {
-                cache.release_state(slot);
-            }
-        } else {
-            self.grad_slots[j].clear();
-            self.state_slots[j].clear();
         }
-        if self.classes.contains(OffloadClass::OptimizerState) {
-            for i in range {
-                self.offload_state_of(cache, opt, j, i);
-            }
-        }
-    }
-
-    /// Offloads parameter `i`'s velocity tensor into stage `j`'s slot
-    /// list, when one exists and placement admits it.
-    fn offload_state_of(&mut self, cache: Option<&TensorCache>, opt: &Sgd, j: usize, i: usize) {
-        let Some(cache) = cache else { return };
-        let Some(v) = opt.velocity(i) else { return };
-        if let Some(slot) = cache.offload_state(v, OffloadClass::OptimizerState) {
-            self.state_slots[j].push(slot);
-        }
-    }
-
-    /// Error-path hook: a tainted step skips its weight update, so the
-    /// stashed slots are released and any deferred update dropped (its
-    /// gradients are being cleared by the caller).
-    pub fn abort(&mut self, cache: Option<&TensorCache>) {
-        self.pending = false;
-        let mut streamed = self.stream.as_ref().map(|s| s.slots.lock());
-        let parked = streamed.iter_mut().flat_map(|s| s.iter_mut());
-        let parked = parked.filter_map(Option::take);
-        let stashed = self
-            .grad_slots
-            .iter_mut()
-            .chain(self.state_slots.iter_mut());
-        for slot in parked.chain(stashed.flat_map(|slots| slots.drain(..))) {
-            if let Some(cache) = cache {
+        slots.pending.clear();
+        slots.started.fill(false);
+        for slot in slots.grads.iter_mut().filter_map(Option::take) {
+            if let Some(cache) = u.cache.as_deref() {
                 cache.release_state(slot);
             }
         }
@@ -447,10 +428,9 @@ impl OptEngine {
 impl std::fmt::Debug for OptEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OptEngine")
-            .field("classes", &self.classes)
-            .field("overlap", &self.overlap)
+            .field("classes", &self.updater.classes)
+            .field("overlap", &self.updater.overlap)
             .field("stages", &self.ranges.len())
-            .field("pending", &self.pending)
             .finish()
     }
 }
@@ -458,10 +438,11 @@ impl std::fmt::Debug for OptEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssdtrain::RecoveryPolicy;
     use ssdtrain_autograd::var::Var;
     use ssdtrain_tensor::{Device, Tensor};
 
-    fn opt_with(n: usize, momentum: f32) -> Sgd {
+    fn opt_with(n: usize, momentum: f32) -> Arc<Mutex<Sgd>> {
         let d = Device::cpu();
         let params: Vec<Var> = (0..n)
             .map(|i| Var::new(format!("p{i}"), Tensor::from_vec(vec![1.0], [1], &d)))
@@ -469,20 +450,25 @@ mod tests {
         for p in &params {
             p.accumulate_grad(&Tensor::ones([1], &d));
         }
-        Sgd::with_momentum(params, 0.5, momentum)
+        Arc::new(Mutex::new(Sgd::with_momentum(params, 0.5, momentum)))
+    }
+
+    fn weight(opt: &Arc<Mutex<Sgd>>, i: usize) -> Vec<f32> {
+        opt.lock().params()[i].tensor().to_vec()
     }
 
     #[test]
     fn inline_update_without_cache_matches_a_plain_step() {
         let clock = SimClock::new();
         let trace = TraceSink::disabled();
-        let mut a = opt_with(4, 0.0);
-        let mut b = opt_with(4, 0.0);
+        let a = opt_with(4, 0.0);
+        let b = opt_with(4, 0.0);
         let mut engine = OptEngine::new(OffloadClassSet::default(), false, &a, 2, None);
-        let report = engine.end_of_step(None, &mut a, &clock, &trace);
+        let report = engine.end_of_step(&clock, &trace);
+        let mut b = b.lock();
         b.step();
         b.zero_grad();
-        for (x, y) in a.params().iter().zip(b.params()) {
+        for (x, y) in a.lock().params().iter().zip(b.params()) {
             assert_eq!(x.tensor().to_vec(), y.tensor().to_vec());
             assert!(x.grad().is_none(), "engine zeroes consumed gradients");
         }
@@ -490,82 +476,128 @@ mod tests {
     }
 
     #[test]
-    fn overlap_defers_the_update_to_the_next_begin() {
+    fn the_listener_updates_a_parameter_when_its_gradient_is_final() {
         let clock = SimClock::new();
         let trace = TraceSink::disabled();
-        let mut opt = opt_with(2, 0.0);
-        let mut engine = OptEngine::new(OffloadClassSet::default(), true, &opt, 2, None);
-        engine.end_of_step(None, &mut opt, &clock, &trace);
-        assert!(engine.pending());
-        // The weights are untouched until the deferred update lands.
-        assert_eq!(opt.params()[0].tensor().to_vec(), vec![1.0]);
-        let report = engine.begin_step(None, &mut opt, &clock, &trace);
-        assert!(!engine.pending());
-        assert_eq!(opt.params()[0].tensor().to_vec(), vec![0.5]);
-        assert_eq!(report.exposed_secs, 0.0);
+        let opt = opt_with(2, 0.0);
+        let mut engine = OptEngine::new(OffloadClassSet::default(), true, &opt, 1, None);
+        let listener = engine
+            .grad_listener()
+            .expect("the in-backward mode listens");
+        let p0 = opt.lock().params()[0].clone();
+        listener.grad_ready(&p0);
+        assert_eq!(
+            weight(&opt, 0),
+            vec![0.5],
+            "updated the moment it was reported"
+        );
+        assert!(p0.grad().is_none(), "the gradient is consumed in place");
+        assert_eq!(weight(&opt, 1), vec![1.0], "p1 was not reported yet");
+        // `ReduceGrads` updates what autograd never reported, once each.
+        let report = engine.reduce_grads(&clock, &trace);
+        assert_eq!(weight(&opt, 0), vec![0.5]);
+        assert_eq!(weight(&opt, 1), vec![0.5]);
+        assert_eq!(report.exposed_secs, 0.0, "no loads, nothing to wait for");
+        assert_eq!(engine.end_of_step(&clock, &trace), OptReport::default());
     }
 
-    fn profile_of(fwd: &[f64]) -> StepProfile {
-        StepProfile {
-            modules: fwd
-                .iter()
-                .enumerate()
-                .map(|(i, &fwd_secs)| ssdtrain::ModuleProfile {
-                    path: format!("m{i}"),
-                    offload_bytes: 0,
-                    fwd_secs,
-                    store_secs: 0.0,
-                    load_secs: 0.0,
-                })
-                .collect(),
-            fwd_total_secs: fwd.iter().sum(),
-            fwd_io_bytes: 0,
-            fwd_io_secs: 0.0,
-        }
+    /// A cache over a one-link `1 GB/s` engine whose host pool holds
+    /// `pool` bytes, recovering refused stores per `recovery`.
+    fn small_cache(clock: &SimClock, pool: u64, recovery: RecoveryPolicy) -> Arc<TensorCache> {
+        let mem = Arc::new(ssdtrain_simhw::GpuMemory::new(clock.clone(), 1 << 30));
+        let config = ssdtrain::TensorCacheConfig {
+            recovery,
+            ..ssdtrain::TensorCacheConfig::offload_everything()
+        };
+        let pool = Arc::new(ssdtrain::CpuTarget::new(pool));
+        let io = ssdtrain::IoEngine::new(clock.clone(), 1e9, 1e9);
+        TensorCache::new(config, pool, io, mem)
     }
 
     #[test]
-    fn profiled_arrivals_follow_observed_forward_fractions() {
-        let mut opt = opt_with(4, 0.0);
-        let mut engine = OptEngine::new(OffloadClassSet::default(), true, &opt, 2, None);
-        // Front-loaded forward: stage 1's parameters are reached after
-        // 3 of the 4 forward seconds, not at the uniform halfway mark.
-        engine.note_profile(&profile_of(&[3.0, 1.0]));
-        engine.note_forward_secs(4.0);
-        assert_eq!(engine.arrival_frac(0), 0.0);
-        assert_eq!(engine.arrival_frac(1), 0.75);
+    fn an_update_waits_for_its_state_load_and_reduce_grads_exposes_the_rest() {
         let clock = SimClock::new();
         let trace = TraceSink::enabled();
-        engine.end_of_step(None, &mut opt, &clock, &trace);
-        engine.begin_step(None, &mut opt, &clock, &trace);
-        let arrivals: Vec<f64> = trace
-            .events()
-            .iter()
-            .filter(|e| e.name.starts_with("opt.overlap.s"))
-            .map(
-                |e| match e.args.iter().find(|(k, _)| *k == "arrival_secs") {
-                    Some((_, ArgValue::F64(v))) => *v,
-                    other => panic!("arrival arg missing: {other:?}"),
-                },
-            )
-            .collect();
-        assert_eq!(arrivals, vec![0.0, 3.0]);
+        let cache = small_cache(&clock, 1 << 20, RecoveryPolicy::KeepResident);
+        let opt = opt_with(1, 0.5);
+        let classes = OffloadClassSet::default().with(OffloadClass::OptimizerState, true);
+        let mut engine = OptEngine::new(classes, true, &opt, 1, Some(&cache));
+        let listener = engine
+            .grad_listener()
+            .expect("the in-backward mode listens");
+        let p = opt.lock().params()[0].clone();
+        // Step 1: no state yet — the update runs at once and offloads it.
+        listener.grad_ready(&p);
+        assert_eq!(weight(&opt, 0), vec![0.5]);
+        engine.reduce_grads(&clock, &trace);
+        let stored = cache.stats().class(OffloadClass::OptimizerState).cloned();
+        assert_eq!(stored.map(|c| c.offloaded_bytes), Some(4));
+        // Step 2 (fresh clock): the state load lands in the future, so
+        // the update waits for it; `ReduceGrads` advances to it.
+        clock.reset();
+        cache.begin_step();
+        p.accumulate_grad(&Tensor::ones([1], &Device::cpu()));
+        listener.grad_ready(&p);
+        assert_eq!(weight(&opt, 0), vec![0.5], "parked until its state lands");
+        let report = engine.reduce_grads(&clock, &trace);
+        assert!(report.exposed_secs > 0.0, "the load's tail is exposed");
+        assert_eq!(report.exposed_secs, clock.now().as_secs());
+        // v = 0.5 · 1 + 1 = 1.5, w = 0.5 − 0.5 · 1.5
+        assert_eq!(weight(&opt, 0), vec![-0.25]);
+        let tail = trace.events().into_iter().find(|e| e.name == "opt.tail");
+        assert_eq!(tail.map(|e| e.end().since(e.ts)), Some(report.exposed_secs));
     }
 
     #[test]
-    fn degenerate_profiles_keep_the_uniform_fallback() {
-        let opt = opt_with(4, 0.0);
-        let mut engine = OptEngine::new(OffloadClassSet::default(), true, &opt, 2, None);
-        assert_eq!(engine.arrival_frac(1), 0.5, "uniform before any profile");
-        engine.note_profile(&profile_of(&[]));
-        engine.note_profile(&profile_of(&[0.0, 0.0]));
-        engine.note_profile(&profile_of(&[f64::NAN]));
-        assert_eq!(engine.arrival_frac(1), 0.5, "degenerate profiles ignored");
-        // A single-module profile maps onto both stages: stage 0 at the
-        // start, stage 1 only after the whole forward has passed it.
-        engine.note_profile(&profile_of(&[2.0]));
-        assert_eq!(engine.arrival_frac(0), 0.0);
-        assert_eq!(engine.arrival_frac(1), 1.0);
+    fn abort_drops_a_pending_update() {
+        // A tainted step applies no further update — not even one whose
+        // state load has landed — and abort releases its loaded slot.
+        let clock = SimClock::new();
+        let trace = TraceSink::disabled();
+        // Room for the two 4-byte states and nothing else.
+        let cache = small_cache(&clock, 8, RecoveryPolicy::FailStep);
+        let opt = opt_with(2, 0.5);
+        let classes = OffloadClassSet::default().with(OffloadClass::OptimizerState, true);
+        let mut engine = OptEngine::new(classes, true, &opt, 1, Some(&cache));
+        let listener = engine
+            .grad_listener()
+            .expect("the in-backward mode listens");
+        let (p0, p1) = {
+            let opt = opt.lock();
+            (opt.params()[0].clone(), opt.params()[1].clone())
+        };
+        engine.reduce_grads(&clock, &trace); // step 1 offloads both states
+        assert_eq!(weight(&opt, 0), vec![0.5]);
+        clock.reset();
+        cache.begin_step();
+        for p in [&p0, &p1] {
+            p.accumulate_grad(&Tensor::ones([1], &Device::cpu()));
+        }
+        listener.grad_ready(&p0);
+        assert_eq!(engine.updater.slots.lock().pending.len(), 1, "p0 waits");
+        // A store the full pool refuses fails the step.
+        let extra = Tensor::ones([1], &Device::cpu());
+        assert!(cache
+            .offload_state(&extra, OffloadClass::Gradient)
+            .is_none());
+        assert!(
+            cache.has_error(),
+            "FailStep keeps the error for the step end"
+        );
+        listener.grad_ready(&p1);
+        let report = engine.reduce_grads(&clock, &trace);
+        assert_eq!(report, OptReport::default(), "nothing runs once tainted");
+        assert_eq!(weight(&opt, 0), vec![0.5], "p0's update was still pending");
+        assert_eq!(
+            weight(&opt, 1),
+            vec![0.5],
+            "p1 was reported after the fault"
+        );
+        engine.abort();
+        let slots = engine.updater.slots.lock();
+        assert!(slots.pending.is_empty());
+        assert!(slots.states[0].is_none(), "the pending slot was released");
+        assert!(slots.states[1].is_some(), "p1's state was never loaded");
     }
 
     #[test]
@@ -574,44 +606,23 @@ mod tests {
         // streams: the listener's stash is refused, and the sweep — once
         // the pool has room again — stores it, counted once.
         let clock = SimClock::new();
-        let mem = Arc::new(ssdtrain_simhw::GpuMemory::new(clock.clone(), 1 << 30));
-        let config = ssdtrain::TensorCacheConfig {
-            recovery: ssdtrain::RecoveryPolicy::KeepResident,
-            ..ssdtrain::TensorCacheConfig::offload_everything()
-        };
-        let pool = Arc::new(ssdtrain::CpuTarget::new(4));
-        let io = ssdtrain::IoEngine::new(clock, 1e9, 1e9);
-        let cache = TensorCache::new(config, pool, io, mem);
+        let trace = TraceSink::disabled();
+        let cache = small_cache(&clock, 4, RecoveryPolicy::KeepResident);
         let opt = opt_with(1, 0.0); // one 4-byte gradient
         let classes = OffloadClassSet::default().with(OffloadClass::Gradient, true);
         let mut engine = OptEngine::new(classes, false, &opt, 1, Some(&cache));
         let held = Tensor::ones([1], &Device::cpu());
         let blocker = cache.offload_state(&held, OffloadClass::OptimizerState);
         let listener = engine.grad_listener().expect("gradient class with a cache");
-        listener.grad_ready(&opt.params()[0]);
-        let parked = engine.stream.as_ref().map(|s| s.slots.lock()[0]);
-        assert_eq!(
-            parked,
-            Some(None),
-            "the full pool refused the streamed stash"
-        );
+        let p = opt.lock().params()[0].clone();
+        listener.grad_ready(&p);
+        let parked = engine.updater.slots.lock().grads[0];
+        assert_eq!(parked, None, "the full pool refused the streamed stash");
         cache.release_state(blocker.expect("the blocker fits the pool"));
-        engine.stash_grads(Some(&cache), &opt);
-        assert_eq!(engine.grad_slots[0].len(), 1, "the sweep retried it");
+        engine.reduce_grads(&clock, &trace);
+        let parked = engine.updater.slots.lock().grads[0];
+        assert!(parked.is_some(), "the sweep retried it");
         let lane = cache.stats().class(OffloadClass::Gradient).cloned();
         assert_eq!(lane.map(|c| c.offloaded_bytes), Some(4));
-    }
-
-    #[test]
-    fn abort_drops_a_pending_update() {
-        let clock = SimClock::new();
-        let trace = TraceSink::disabled();
-        let mut opt = opt_with(2, 0.0);
-        let mut engine = OptEngine::new(OffloadClassSet::default(), true, &opt, 1, None);
-        engine.end_of_step(None, &mut opt, &clock, &trace);
-        engine.abort(None);
-        assert!(!engine.pending());
-        engine.begin_step(None, &mut opt, &clock, &trace);
-        assert_eq!(opt.params()[0].tensor().to_vec(), vec![1.0]);
     }
 }

@@ -87,7 +87,7 @@ pub fn with_lookahead(cmds: &[StepCmd]) -> impl Iterator<Item = (StepCmd, Option
 /// stages, mirroring the pipeline's layer split). This is the unit of
 /// work of the per-stage optimizer jobs: stage *j* updates exactly
 /// `stage_ranges(n, s)[j]`, whether the jobs run inline at the
-/// `OptimizerStep` command or overlapped into the next step's forward.
+/// `OptimizerStep` command or as `PipelineExec`'s per-stage updates.
 pub fn stage_ranges(n: usize, stages: usize) -> Vec<std::ops::Range<usize>> {
     let stages = stages.clamp(1, n.max(1));
     let per = n / stages;

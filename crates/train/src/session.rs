@@ -5,6 +5,7 @@ use crate::executor::GpuExecutor;
 use crate::metrics::StepMetrics;
 use crate::opt_engine::{OptEngine, OptReport};
 use crate::schedule::{single_gpu_schedule, with_lookahead, StepCmd};
+use parking_lot::Mutex;
 use ssdtrain::{
     AdaptivePlan, ArgValue, CpuTarget, FaultyTarget, IoEngine, MemoryTraceBridge, MetricsRegistry,
     OffloadClass, OffloadTarget, PlacementStrategy, RecoveryPolicy, SsdTarget, StageHint,
@@ -135,9 +136,10 @@ pub struct SessionConfig {
     /// default). State classes work under any activation strategy: the
     /// cache is built for them even when activations stay resident.
     pub offload: OffloadClassSet,
-    /// Defer each step's optimizer update into the next step's forward
-    /// window (the GreedySnake overlap); `false` runs the per-stage
-    /// update jobs inline at the `OptimizerStep` stage.
+    /// Update each parameter inside the step's last backward pass, as
+    /// soon as autograd finalises its gradient (the optimizer-in-backward
+    /// overlap); `false` runs the per-stage update jobs inline at the
+    /// `OptimizerStep` stage.
     pub overlap_optimizer: bool,
     /// SGD momentum (0 keeps the paper's stateless configuration; a
     /// positive value allocates per-parameter velocity, the optimizer
@@ -173,7 +175,9 @@ pub struct TrainSession {
     model: Model,
     cache: Option<Arc<TensorCache>>,
     faulty: Option<Arc<FaultyTarget>>,
-    optimizer: Sgd,
+    /// Shared with the optimizer engine's backward listener, which
+    /// updates parameters inside backward.
+    optimizer: Arc<Mutex<Sgd>>,
     opt_engine: Option<OptEngine>,
     spill_dirs: Vec<PathBuf>,
     trace: TraceSink,
@@ -382,8 +386,9 @@ impl TrainSession {
                 .set_peak_observer(MemoryTraceBridge::new(cfg.trace.clone()));
         }
         let optimizer = Sgd::with_momentum(model.parameters(), 0.05, cfg.momentum);
-        // The per-stage scheduling engine exists whenever the session
-        // moves state classes or overlaps the update; the legacy
+        let optimizer = Arc::new(Mutex::new(optimizer));
+        // The scheduling engine exists whenever the session moves state
+        // classes or updates inside backward; the legacy
         // outside-the-window optimizer is kept byte-identical otherwise.
         let opt_engine = (cfg.offload.any_state() || cfg.overlap_optimizer).then(|| {
             OptEngine::new(
@@ -473,11 +478,6 @@ impl TrainSession {
             .cache
             .clone()
             .expect("profile_step requires the offload strategy");
-        if let Some(engine) = self.opt_engine.as_mut() {
-            // A profiling step never updates weights; drop any deferred
-            // update so its gradients are not half-consumed.
-            engine.abort(self.cache.as_deref());
-        }
         self.runtime.reset();
         self.executor.reset();
         self.trace.next_step();
@@ -501,22 +501,14 @@ impl TrainSession {
         cache.stats().export_to(&self.metrics);
         self.trace
             .instant(TraceCategory::Session, "step.end", self.runtime.clock.now());
-        self.optimizer.zero_grad();
+        self.optimizer.lock().zero_grad();
         self.step_idx += 1;
         match cache.take_error() {
             Some(error) => Err(StepError {
                 error,
                 metrics: None,
             }),
-            None => {
-                // The profile's per-module forward times sharpen the
-                // overlapped optimizer's stage-arrival forecast (the
-                // forward is not uniform across modules).
-                if let Some(engine) = self.opt_engine.as_mut() {
-                    engine.note_profile(&result.0);
-                }
-                Ok(result)
-            }
+            None => Ok(result),
         }
     }
 
@@ -551,9 +543,12 @@ impl TrainSession {
     /// Returns a [`StepError`] when the offload stack reported a
     /// failure recovery could not absorb — a store failure under
     /// [`RecoveryPolicy::FailStep`], or a permanently failed load under
-    /// any policy. The degraded step's metrics travel inside the error;
-    /// the optimizer update is skipped (gradients are cleared), so the
-    /// training loop can checkpoint, re-plan or retry the step.
+    /// any policy. The degraded step's metrics travel inside the error.
+    /// Once the failure is recorded no further weight update is applied
+    /// and the step's gradients are cleared, so the training loop can
+    /// checkpoint, re-plan or retry the step. Updates the overlapped
+    /// optimizer applied inside backward before the failure stay: their
+    /// gradients were final.
     pub fn run_step(&mut self) -> Result<StepMetrics, StepError> {
         self.runtime.reset();
         self.executor.reset();
@@ -572,19 +567,7 @@ impl TrainSession {
         if let Some(cache) = &self.cache {
             cache.begin_step();
         }
-        // Overlapped optimizer: the previous step's deferred update runs
-        // now, at t = 0, its state loads racing the forecast forward
-        // arrivals (GreedySnake). Only the delay the forward window
-        // cannot hide lands on the clock.
         let mut opt_report = OptReport::default();
-        if let Some(engine) = self.opt_engine.as_mut() {
-            opt_report = engine.begin_step(
-                self.cache.as_deref(),
-                &mut self.optimizer,
-                &self.runtime.clock,
-                &self.trace,
-            );
-        }
         let g = self.fresh_graph();
         let recompute = self.recompute_policy();
         let mut losses = Vec::new();
@@ -623,7 +606,8 @@ impl TrainSession {
                     let loss = pending_loss.take().expect("forward precedes backward");
                     // The last backward of the step finishes every
                     // gradient: listen for each one becoming final, so
-                    // its stash rides the write bus while backward runs.
+                    // its update (or inline, its stash) runs while
+                    // backward still computes.
                     if mb + 1 == micro_batches {
                         if let Some(listener) =
                             self.opt_engine.as_ref().and_then(OptEngine::grad_listener)
@@ -637,28 +621,24 @@ impl TrainSession {
                 StepCmd::StageBoundary => {}
                 StepCmd::ReduceGrads => {
                     // Data parallelism degree 1: nothing to reduce. The
-                    // gradients streamed out during the last backward;
-                    // the sweep stashes the rest, and its stores drain at
-                    // this stage scope's exit, on the step that produced
-                    // the gradients.
+                    // in-backward update finishes what backward left
+                    // (its wait is exposed); inline, the sweep stashes
+                    // the gradients that did not stream. Stores issued
+                    // here drain at this stage scope's exit, on the step
+                    // that produced them.
                     if let Some(engine) = self.opt_engine.as_mut() {
-                        engine.stash_grads(self.cache.as_deref(), &self.optimizer);
+                        let r = engine.reduce_grads(&self.runtime.clock, &self.trace);
+                        opt_report.exposed_secs += r.exposed_secs;
                     }
                 }
                 StepCmd::OptimizerStep => {
-                    // With the engine, the update joins the measured
-                    // window (inline per-stage jobs) or is deferred to
-                    // the next step's begin (overlap). Without it, the
-                    // legacy optimizer runs outside the window (below).
+                    // With the engine, the inline update joins the
+                    // measured window (the in-backward one is done).
+                    // Without it, the legacy optimizer runs outside the
+                    // window (below).
                     if let Some(engine) = self.opt_engine.as_mut() {
-                        let r = engine.end_of_step(
-                            self.cache.as_deref(),
-                            &mut self.optimizer,
-                            &self.runtime.clock,
-                            &self.trace,
-                        );
+                        let r = engine.end_of_step(&self.runtime.clock, &self.trace);
                         opt_report.inline_secs += r.inline_secs;
-                        opt_report.exposed_secs += r.exposed_secs;
                     }
                 }
             }
@@ -676,9 +656,6 @@ impl TrainSession {
 
         if let Some(cache) = &self.cache {
             cache.flush();
-        }
-        if let Some(engine) = self.opt_engine.as_mut() {
-            engine.note_forward_secs(self.executor.phase_secs(Phase::Forward));
         }
         let step_secs = self.runtime.clock.now().as_secs();
         let timeline = self.runtime.memory.timeline();
@@ -733,13 +710,14 @@ impl TrainSession {
             vec![("secs", ArgValue::F64(step_secs))],
         );
         if let Some(error) = self.cache.as_ref().and_then(|c| c.take_error()) {
-            // The step is tainted: skip the weight update (dropping any
-            // deferred one with it), clear the accumulated gradients and
-            // hand the degraded metrics to the caller inside the error.
+            // The step is tainted: no update ran after the failure was
+            // recorded. Drop what the engine still holds, clear the
+            // accumulated gradients and hand the degraded metrics to
+            // the caller inside the error.
             if let Some(engine) = self.opt_engine.as_mut() {
-                engine.abort(self.cache.as_deref());
+                engine.abort();
             }
-            self.optimizer.zero_grad();
+            self.optimizer.lock().zero_grad();
             self.step_idx += 1;
             step_span.end(self.runtime.clock.now());
             return Err(StepError {
@@ -749,11 +727,11 @@ impl TrainSession {
         }
         // Without the engine, the optimizer runs outside the measured
         // window (constant offset in the paper's comparison, Section
-        // 4.1). The engine paths already updated inline — or deferred
-        // the update (and its still-needed gradients) to the next step.
+        // 4.1). The engine already updated, inside backward or inline.
         if self.opt_engine.is_none() {
-            self.optimizer.step();
-            self.optimizer.zero_grad();
+            let mut optimizer = self.optimizer.lock();
+            optimizer.step();
+            optimizer.zero_grad();
         }
         self.step_idx += 1;
         step_span.end(self.runtime.clock.now());

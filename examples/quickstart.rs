@@ -38,9 +38,11 @@ fn session(strategy: PlacementStrategy) -> std::io::Result<TrainSession> {
 }
 
 /// Same run, but offloading every class — activations, gradients and
-/// momentum — with the optimizer update overlapped into the next
-/// step's forward. Still bit-identical: offload classes and the
-/// overlap are performance knobs, not numerics knobs.
+/// momentum — with the optimizer update overlapped into backward: each
+/// parameter is updated the moment autograd finalises its gradient, so
+/// the gradient is consumed in place (its lane reads 0 B) and only the
+/// momentum rides the tiers. Still bit-identical: offload classes and
+/// the overlap are performance knobs, not numerics knobs.
 fn all_classes_session() -> std::io::Result<TrainSession> {
     let cfg = SessionConfig::builder()
         .model(ModelConfig::tiny_gpt())
@@ -177,9 +179,10 @@ fn main() -> std::io::Result<()> {
     println!("  exposed stall    : {:.6}s", stats.stall_secs);
     println!("\nactivations round-tripped through real spill files, gradients unchanged.");
 
-    // Now widen the offload to every class: gradients and momentum ride
-    // the same cache, and the optimizer update hides under the next
-    // step's forward. A plain in-memory momentum run is the reference.
+    // Now widen the offload to every class and update inside backward:
+    // momentum rides the same cache, gradients never leave the GPU, and
+    // the update hides under backward's compute. A plain in-memory
+    // momentum run is the reference.
     let inmem = SessionConfig::builder()
         .model(ModelConfig::tiny_gpt())
         .batch_size(2)
@@ -190,7 +193,7 @@ fn main() -> std::io::Result<()> {
         .expect("valid config");
     let mut inmem = TrainSession::new(inmem)?;
     let mut all = all_classes_session()?;
-    println!("\nall-class offload (gradients + momentum, overlapped update):");
+    println!("\nall-class offload (momentum offloaded, update inside backward):");
     for step in 0..5 {
         let mi = inmem.run_step().expect("step");
         let ma = all.run_step().expect("step");

@@ -1,10 +1,13 @@
 //! Differential tests for the typed offload-class API: moving
-//! gradients and optimizer state through the cache — inline or with
-//! the update overlapped into the next step's forward — is a
-//! performance decision, never a numerics one, and it must stay that
-//! way under injected faults for every recovery policy.
+//! gradients and optimizer state through the cache — with the update
+//! inline after backward or inside backward itself — is a performance
+//! decision, never a numerics one, and it must stay that way under
+//! injected faults for every recovery policy.
 
-use ssdtrain::{ArgValue, OffloadClass, RecoveryPolicy, TensorCacheConfig, TraceEvent, TraceSink};
+use ssdtrain::{
+    ArgValue, OffloadClass, PlacementStrategy, RecoveryPolicy, TensorCacheConfig, TraceEvent,
+    TraceSink,
+};
 use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger};
 use ssdtrain_train::{OffloadBackend, SessionBuilder, SessionConfig, TrainSession};
@@ -31,8 +34,7 @@ fn in_memory() -> TrainSession {
 }
 
 /// All three classes through the cache; `overlap` picks between the
-/// inline update and the deferred one that hides under the next
-/// forward.
+/// inline update and the one that runs inside backward.
 fn offloaded_builder(overlap: bool) -> SessionBuilder {
     SessionConfig::builder()
         .model(ModelConfig::tiny_gpt())
@@ -51,27 +53,64 @@ fn offloaded(overlap: bool) -> TrainSession {
 
 #[test]
 fn losses_are_bit_identical_across_all_three_update_paths() {
-    let reference = losses(&mut in_memory(), STEPS);
-    assert!(reference.iter().all(|l| l.is_finite()));
-    assert_eq!(
-        losses(&mut offloaded(false), STEPS),
-        reference,
-        "inline offloaded update drifted from the in-memory optimizer"
-    );
-    assert_eq!(
-        losses(&mut offloaded(true), STEPS),
-        reference,
-        "overlapped update drifted from the in-memory optimizer"
-    );
+    // In memory, inline and inside backward; with activations offloaded,
+    // kept, recomputed (a checkpointed leaf is reported only after its
+    // recompute read the weight) or mixed; with one micro-batch or two
+    // (only the last one's backward finalises a gradient).
+    let strategies = [
+        PlacementStrategy::Offload,
+        PlacementStrategy::Keep,
+        PlacementStrategy::Recompute,
+        PlacementStrategy::Hybrid {
+            recompute_layers: 1,
+        },
+    ];
+    for strategy in strategies {
+        for mb in [1, 2] {
+            let session = |b: SessionBuilder| {
+                let cfg = b.strategy(strategy).micro_batches(mb).build();
+                TrainSession::new(cfg.expect("valid config")).expect("session")
+            };
+            let reference = losses(&mut session(in_memory_builder()), STEPS);
+            assert!(reference.iter().all(|l| l.is_finite()));
+            for overlap in [false, true] {
+                assert_eq!(
+                    losses(&mut session(offloaded_builder(overlap)), STEPS),
+                    reference,
+                    "{strategy:?}, micro_batches({mb}), overlap={overlap}: drifted from the \
+                     in-memory optimizer"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn weights_no_longer_trail_the_losses_by_one_update() {
+    // Every update lands inside the step that computed its gradients,
+    // so after the last step the weights match the in-memory run's.
+    let weights = |s: &TrainSession| -> Vec<Vec<f32>> {
+        let params = s.model().parameters();
+        params.iter().map(|p| p.tensor().to_vec()).collect()
+    };
+    let mut reference = in_memory();
+    let _ = losses(&mut reference, STEPS);
+    for overlap in [false, true] {
+        let mut s = offloaded(overlap);
+        let _ = losses(&mut s, STEPS);
+        assert!(
+            weights(&s) == weights(&reference),
+            "overlap={overlap}: weights differ from the in-memory run's after {STEPS} steps"
+        );
+    }
 }
 
 #[test]
 fn streamed_gradients_under_micro_batching_keep_losses_bit_identical() {
-    // Gradients stream out as the *last* micro-batch's backward finishes
-    // them; one streamed after micro-batch 0 would lose micro-batch 1's
-    // contribution (its memory is released at the store's completion).
-    // Three steps: the overlapped path's second and third each apply a
-    // deferred update built from streamed gradients.
+    // Gradients are final only in the *last* micro-batch's backward: one
+    // streamed (inline) or consumed by an update (in backward) after
+    // micro-batch 0 would lose micro-batch 1's contribution. Three
+    // steps: the second and third each update from reloaded state.
     const MB_STEPS: usize = 3;
     let session = |b: SessionBuilder| {
         TrainSession::new(b.micro_batches(2).build().expect("valid config")).expect("session")
@@ -88,14 +127,16 @@ fn streamed_gradients_under_micro_batching_keep_losses_bit_identical() {
 
 #[test]
 fn gradient_stores_start_inside_the_last_backward_only() {
+    // Inline, gradients leave as autograd finalises them (in backward,
+    // they are consumed in place and never stored at all).
     let is_grad_enqueue = |e: &TraceEvent| {
         let class = e.args.iter().find(|(k, _)| *k == "class");
         e.name == "store.enqueue"
             && matches!(class, Some((_, ArgValue::Str(c))) if c == OffloadClass::Gradient.label())
     };
-    for overlap in [false, true] {
+    {
         let sink = TraceSink::enabled();
-        let b = offloaded_builder(overlap)
+        let b = offloaded_builder(false)
             .micro_batches(2)
             .trace(sink.clone());
         let mut s = TrainSession::new(b.build().expect("valid config")).expect("session");
@@ -114,12 +155,12 @@ fn gradient_stores_start_inside_the_last_backward_only() {
                 .expect("gradients are stashed");
             assert!(
                 first > mb0.end(),
-                "overlap={overlap} step {step}: a gradient left during micro-batch 0's backward"
+                "step {step}: a gradient left during micro-batch 0's backward"
             );
             assert!(
                 first >= last.ts && first < last.end(),
-                "overlap={overlap} step {step}: the first gradient store ({first:?}) is not \
-                 inside the last backward ({:?}..{:?})",
+                "step {step}: the first gradient store ({first:?}) is not inside the last \
+                 backward ({:?}..{:?})",
                 last.ts,
                 last.end()
             );
@@ -129,24 +170,89 @@ fn gradient_stores_start_inside_the_last_backward_only() {
 
 #[test]
 fn state_traffic_shows_up_in_the_per_class_counters() {
-    let mut s = offloaded(true);
-    let _ = losses(&mut s, STEPS);
-    let stats = s.cache().expect("cache").stats();
-    for class in [OffloadClass::Gradient, OffloadClass::OptimizerState] {
-        let c = stats.class(class).expect("class lane");
-        assert!(c.stores > 0, "{class:?} must store");
-        assert!(c.offloaded_bytes > 0, "{class:?} must move bytes");
-        assert_eq!(
-            c.offloaded_bytes, c.reloaded_bytes,
-            "{class:?} state round-trips completely"
+    for overlap in [false, true] {
+        let mut s = offloaded(overlap);
+        let _ = losses(&mut s, STEPS);
+        let stats = s.cache().expect("cache").stats();
+        let state = stats
+            .class(OffloadClass::OptimizerState)
+            .expect("state lane");
+        assert!(state.stores > 0, "overlap={overlap}: momentum must store");
+        assert!(
+            state.offloaded_bytes > 0,
+            "overlap={overlap}: momentum must move"
         );
+        assert_eq!(
+            state.offloaded_bytes, state.reloaded_bytes,
+            "overlap={overlap}: momentum round-trips completely"
+        );
+        let grad = stats.class(OffloadClass::Gradient).expect("gradient lane");
+        if overlap {
+            // The update consumes each gradient where autograd left it.
+            assert_eq!(
+                (grad.offloaded_bytes, grad.stores, grad.reloaded_bytes),
+                (0, 0, 0),
+                "the in-backward update stores no gradient"
+            );
+        } else {
+            assert!(grad.stores > 0, "inline gradients must store");
+            assert_eq!(grad.offloaded_bytes, grad.reloaded_bytes);
+        }
+        // The class lanes partition the global account exactly.
+        let (off, re) = stats.classes.iter().fold((0, 0), |(o, r), c| {
+            (o + c.offloaded_bytes, r + c.reloaded_bytes)
+        });
+        assert_eq!(off, stats.offloaded_bytes);
+        assert_eq!(re, stats.reloaded_bytes);
     }
-    // The class lanes partition the global account exactly.
-    let (off, re) = stats.classes.iter().fold((0, 0), |(o, r), c| {
-        (o + c.offloaded_bytes, r + c.reloaded_bytes)
-    });
-    assert_eq!(off, stats.offloaded_bytes);
-    assert_eq!(re, stats.reloaded_bytes);
+}
+
+#[test]
+fn optimizer_state_io_stays_inside_the_last_backward_or_at_reduce_grads() {
+    // Activations stay resident, so every store and load in the trace is
+    // optimizer state (gradients are consumed in place). Each is issued
+    // inside the step's last backward or, for what backward left, at
+    // `ReduceGrads` — never in forward, nor at the next step's start.
+    for mb in [1, 2] {
+        let sink = TraceSink::enabled();
+        let b = offloaded_builder(true)
+            .strategy(PlacementStrategy::Keep)
+            .micro_batches(mb)
+            .trace(sink.clone());
+        let mut s = TrainSession::new(b.build().expect("valid config")).expect("session");
+        let _ = losses(&mut s, 3);
+        let events = sink.events();
+        for step in 1..=3 {
+            let in_step = || events.iter().filter(move |e| e.step == step);
+            let last = in_step()
+                .filter(|e| e.name == "stage.backward")
+                .last()
+                .expect("backward span");
+            let reduce = in_step()
+                .find(|e| e.name == "stage.comm" && e.ts >= last.end())
+                .expect("ReduceGrads span");
+            let window = last.ts..=reduce.end();
+            let mut seen = (0, 0);
+            for e in in_step() {
+                let (store, load) = (e.name == "store.enqueue", e.name == "load");
+                if !(store || load) {
+                    continue;
+                }
+                seen.0 += usize::from(store);
+                seen.1 += usize::from(load);
+                assert!(
+                    window.contains(&e.ts) && window.contains(&e.end()),
+                    "micro_batches({mb}) step {step}: {} at {:?}..{:?} outside the last \
+                     backward and ReduceGrads ({window:?})",
+                    e.name,
+                    e.ts,
+                    e.end()
+                );
+            }
+            assert!(seen.0 > 0, "step {step}: the fresh state is written back");
+            assert!(step == 1 || seen.1 > 0, "step {step}: state is loaded back");
+        }
+    }
 }
 
 #[test]
@@ -208,10 +314,75 @@ fn fail_step_surfaces_state_store_faults_as_typed_errors() {
 }
 
 #[test]
+fn a_state_write_back_failing_mid_backward_fails_the_step_and_stops_the_updates() {
+    // Activations stay resident, so the only writes are state
+    // write-backs: step 1 stores every momentum tensor, and a one-shot
+    // fault armed at 1.5× that volume fails a write-back of step 2's
+    // in-backward update.
+    let build = |fault: Option<FaultPlan>, sink: TraceSink| {
+        let mut b = offloaded_builder(true)
+            .strategy(PlacementStrategy::Keep)
+            .recovery(RecoveryPolicy::FailStep)
+            .trace(sink);
+        if let Some(plan) = fault {
+            b = b.fault(plan);
+        }
+        TrainSession::new(b.build().expect("valid config")).expect("session")
+    };
+    let first = build(None, TraceSink::disabled())
+        .run_step()
+        .expect("healthy");
+    let state = first.offload.class(OffloadClass::OptimizerState);
+    let volume = state.expect("state lane").offloaded_bytes;
+    let plan = FaultPlan::new(42).with_fault(
+        FaultTrigger::ByteThreshold {
+            bytes: volume + volume / 2,
+        },
+        FaultKind::WriteError,
+    );
+    let sink = TraceSink::enabled();
+    let mut s = build(Some(plan), sink.clone());
+    s.run_step().expect("step 1 stays under the threshold");
+    let weights = |s: &TrainSession| -> Vec<Vec<f32>> {
+        let params = s.model().parameters();
+        params.iter().map(|p| p.tensor().to_vec()).collect()
+    };
+    let before = weights(&s);
+    assert!(s.run_step().is_err(), "the refused write-back fails step 2");
+    let after = weights(&s);
+    let events = sink.events();
+    let step2: Vec<&TraceEvent> = events.iter().filter(|e| e.step == 2).collect();
+    let fault = step2
+        .iter()
+        .position(|e| e.name == "recovery.fail_step")
+        .expect("the fault fired in step 2");
+    let is_state_store = |e: &&&TraceEvent| {
+        let class = e.args.iter().find(|(k, _)| *k == "class");
+        let state = OffloadClass::OptimizerState.label();
+        e.name == "store.enqueue" && matches!(class, Some((_, ArgValue::Str(c))) if c == state)
+    };
+    // Each applied update writes its state back: none after the fault,
+    // and exactly the parameters written back before it changed.
+    assert_eq!(
+        step2[fault..].iter().filter(is_state_store).count(),
+        0,
+        "an update ran after the fault"
+    );
+    let applied = step2[..fault].iter().filter(is_state_store).count();
+    let changed = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+    assert!(
+        applied > 0 && applied < before.len(),
+        "the fault is mid-backward"
+    );
+    assert_eq!(changed, applied, "only updates before the fault stay");
+    s.run_step().expect("the next step runs");
+}
+
+#[test]
 fn the_overlapped_update_exposes_less_than_the_inline_one() {
     // Paper-scale symbolic run: enough state traffic that the inline
     // update's loads take measurable (simulated) time, while the
-    // overlapped one hides behind the next forward.
+    // in-backward one hides behind backward's compute.
     let session = |overlap: bool| -> TrainSession {
         let cfg = SessionConfig::builder()
             .model(ModelConfig::paper_scale(Arch::Bert, 8192, 4).with_tp(2))
@@ -226,8 +397,7 @@ fn the_overlapped_update_exposes_less_than_the_inline_one() {
             .expect("valid config");
         TrainSession::new(cfg).expect("session")
     };
-    // Step 1 bootstraps the state; steady state starts at step 2
-    // (inline) / step 3 (overlap's first deferred update lands then).
+    // Step 1 bootstraps the state; steady state starts at step 2.
     let mut inline = session(false);
     let mut overlap = session(true);
     let (mut inline_last, mut overlap_last) = (None, None);
@@ -241,96 +411,11 @@ fn the_overlapped_update_exposes_less_than_the_inline_one() {
         inline_last.opt_secs > 0.0,
         "the inline update must take simulated time"
     );
-    assert_eq!(overlap_last.opt_secs, 0.0, "overlap runs nothing inline");
+    assert_eq!(overlap_last.opt_secs, 0.0, "the update ran inside backward");
     assert!(
         overlap_last.opt_exposed_secs < inline_last.opt_secs,
         "overlap must expose less than the inline update: exposed {} vs inline {}",
         overlap_last.opt_exposed_secs,
         inline_last.opt_secs
-    );
-}
-
-#[test]
-fn profiled_arrival_forecast_never_exposes_more_than_uniform() {
-    // The forward pass is not uniform across modules (embedding vs
-    // transformer blocks), so after a profiling step the overlapped
-    // engine forecasts stage arrivals from the observed per-module
-    // forward times instead of `j / S`. On the paper testbed the
-    // measured forecast must never expose more delay than the uniform
-    // assumption would have, for the same per-stage load-ready times.
-    let cfg = SessionConfig::builder()
-        .model(ModelConfig::paper_scale(Arch::Bert, 8192, 4).with_tp(2))
-        .batch_size(16)
-        .symbolic(true)
-        .offload(OffloadClass::Gradient, true)
-        .offload(OffloadClass::OptimizerState, true)
-        .overlap_optimizer(true)
-        .momentum(MOMENTUM)
-        .seed(5)
-        .trace(TraceSink::enabled())
-        .build()
-        .expect("valid config");
-    let mut s = TrainSession::new(cfg).expect("session");
-    let (profile, _) = s.profile_step().expect("profile step");
-    assert!(
-        profile.modules.len() > 1,
-        "the profile must resolve per-module forward times"
-    );
-    for _ in 0..3 {
-        s.run_step().expect("step");
-    }
-
-    // Reconstruct the forecast inputs from the last step's per-stage
-    // overlap instants: the load-ready times do not depend on the
-    // arrival model (loads are all submitted at t = 0), so replaying
-    // the exposure recurrence with uniform arrivals over the same
-    // readies gives the counterfactual this run is measured against.
-    let f64_arg = |e: &ssdtrain::TraceEvent, key: &str| -> f64 {
-        match e.args.iter().find(|(k, _)| *k == key) {
-            Some((_, ArgValue::F64(v))) => *v,
-            other => panic!("{} missing {key}: {other:?}", e.name),
-        }
-    };
-    let events = s.trace().events();
-    let last_step = events.iter().map(|e| e.step).max().expect("events");
-    let mut stages: Vec<(usize, f64, f64, f64, f64)> = events
-        .iter()
-        .filter(|e| e.step == last_step && e.name.starts_with("opt.overlap.s"))
-        .map(|e| {
-            let j: usize = e.name["opt.overlap.s".len()..]
-                .parse()
-                .expect("stage index suffix");
-            (
-                j,
-                f64_arg(e, "ready_secs"),
-                f64_arg(e, "arrival_secs"),
-                f64_arg(e, "exposed_secs"),
-                f64_arg(e, "fwd_estimate_secs"),
-            )
-        })
-        .collect();
-    assert!(!stages.is_empty(), "the overlapped update must have run");
-    stages.sort_by_key(|s| s.0);
-    let n = stages.len() as f64;
-    let fwd_estimate = stages[0].4;
-    assert!(fwd_estimate > 0.0, "forward estimate must be measured");
-
-    let profiled_exposed: f64 = stages.iter().map(|s| s.3).sum();
-    let mut uniform_exposed = 0.0;
-    let mut nonuniform = false;
-    for &(j, ready, arrival, _, _) in stages.iter() {
-        let uniform_arrival = fwd_estimate * j as f64 / n + uniform_exposed;
-        uniform_exposed += (ready - uniform_arrival).max(0.0);
-        if (arrival - uniform_arrival).abs() > 1e-12 {
-            nonuniform = true;
-        }
-    }
-    assert!(
-        nonuniform,
-        "the profiled forecast must actually differ from uniform"
-    );
-    assert!(
-        profiled_exposed <= uniform_exposed + 1e-9,
-        "profiled forecast exposed {profiled_exposed} > uniform forecast {uniform_exposed}"
     );
 }
