@@ -49,7 +49,7 @@ pub fn check_gradients(
     f: impl Fn(&Graph, &Var) -> Value,
 ) -> GradCheckReport {
     assert!(param_init.has_data(), "gradcheck needs numeric parameters");
-    let dims = param_init.dims().to_vec();
+    let shape = *param_init.shape();
     let base = param_init.to_vec();
 
     // Analytic gradient.
@@ -67,7 +67,7 @@ pub fn check_gradients(
     let eval = |values: Vec<f32>| -> f64 {
         let v = Var::new("gradcheck", {
             device.with_class(MemClass::Parameter, || {
-                Tensor::from_vec(values, dims.clone(), device)
+                Tensor::from_vec(values, shape, device)
             })
         });
         let g = Graph::new(device, seed);

@@ -361,9 +361,9 @@ impl Graph {
         let dev = self.inner.device.clone();
         let seed = dev.with_class(MemClass::Workspace, || {
             if loss.tensor().has_data() {
-                Tensor::ones(loss.tensor().shape().clone(), &dev)
+                Tensor::ones(*loss.tensor().shape(), &dev)
             } else {
-                Tensor::symbolic(loss.tensor().shape().clone(), &dev)
+                Tensor::symbolic(*loss.tensor().shape(), &dev)
             }
         });
         self.set_phase(Phase::Backward);

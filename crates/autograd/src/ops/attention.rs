@@ -244,9 +244,9 @@ impl Op for FlashAttentionOp {
         if !q.has_data() || !k.has_data() || !v.has_data() || !dctx.has_data() {
             return BackwardResult {
                 grads: vec![
-                    Some(sym(q.shape().clone(), g.device())),
-                    Some(sym(k.shape().clone(), g.device())),
-                    Some(sym(v.shape().clone(), g.device())),
+                    Some(sym(*q.shape(), g.device())),
+                    Some(sym(*k.shape(), g.device())),
+                    Some(sym(*v.shape(), g.device())),
                 ],
                 cost,
             };

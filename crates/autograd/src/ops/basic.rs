@@ -123,9 +123,9 @@ impl Op for SumAllOp {
         let n = self.in_shape.numel() as u64;
         let dev = g.device().clone();
         let grad = if dy.has_data() {
-            Tensor::full(self.in_shape.clone(), dy.item() * self.scale, &dev)
+            Tensor::full(self.in_shape, dy.item() * self.scale, &dev)
         } else {
-            Tensor::symbolic(self.in_shape.clone(), &dev)
+            Tensor::symbolic(self.in_shape, &dev)
         };
         let cost = OpCost::new(n, 0, n * grad.dtype().byte_size());
         BackwardResult {
@@ -142,7 +142,7 @@ pub fn sum_all(g: &Graph, x: &Value) -> Value {
     let cost = OpCost::new(n, n * w(x.tensor()), 4);
     g.record(
         Box::new(SumAllOp {
-            in_shape: x.tensor().shape().clone(),
+            in_shape: *x.tensor().shape(),
             scale: 1.0,
         }),
         &[x],
@@ -160,7 +160,7 @@ pub fn mean_all(g: &Graph, x: &Value) -> Value {
     let cost = OpCost::new(n, n * w(x.tensor()), 4);
     g.record(
         Box::new(SumAllOp {
-            in_shape: x.tensor().shape().clone(),
+            in_shape: *x.tensor().shape(),
             scale: 1.0 / n as f32,
         }),
         &[x],
@@ -186,7 +186,7 @@ impl Op for ReshapeOp {
     fn backward(&self, _g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
         let dy = grads[0].as_ref().expect("reshape grad");
         BackwardResult {
-            grads: vec![Some(dy.contiguous().reshape(self.in_shape.clone()))],
+            grads: vec![Some(dy.contiguous().reshape(self.in_shape))],
             cost: OpCost::default(),
         }
     }
@@ -201,7 +201,7 @@ pub fn reshape(g: &Graph, x: &Value, shape: impl Into<Shape>) -> Value {
     let out = x.tensor().reshape(shape);
     g.record(
         Box::new(ReshapeOp {
-            in_shape: x.tensor().shape().clone(),
+            in_shape: *x.tensor().shape(),
         }),
         &[x],
         vec![out],

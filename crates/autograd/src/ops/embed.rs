@@ -64,7 +64,7 @@ impl Op for CrossEntropyOp {
         let cost = OpCost::new(2 * probs.numel() as u64, probs.bytes(), probs.bytes());
         if !probs.has_data() || !targets.has_data() || !dloss.has_data() {
             return BackwardResult {
-                grads: vec![Some(sym(probs.shape().clone(), g.device())), None],
+                grads: vec![Some(sym(*probs.shape(), g.device())), None],
                 cost,
             };
         }
@@ -79,10 +79,7 @@ impl Op for CrossEntropyOp {
             *x *= scale;
         }
         BackwardResult {
-            grads: vec![
-                Some(Tensor::from_vec(dl, probs.shape().clone(), g.device())),
-                None,
-            ],
+            grads: vec![Some(Tensor::from_vec(dl, *probs.shape(), g.device())), None],
             cost,
         }
     }

@@ -114,7 +114,7 @@ impl Op for LayernormOp {
         if !all_numeric(&[dy, x, gamma, mean, rstd]) {
             return BackwardResult {
                 grads: vec![
-                    Some(sym(x.shape().clone(), g.device())),
+                    Some(sym(*x.shape(), g.device())),
                     Some(sym([h], g.device())),
                     Some(sym([h], g.device())),
                 ],
@@ -155,7 +155,7 @@ impl Op for LayernormOp {
         let dev = g.device().clone();
         BackwardResult {
             grads: vec![
-                Some(Tensor::from_vec(dx, x.shape().clone(), &dev)),
+                Some(Tensor::from_vec(dx, *x.shape(), &dev)),
                 Some(Tensor::from_vec(dgamma, [h], &dev)),
                 Some(Tensor::from_vec(dbeta, [h], &dev)),
             ],

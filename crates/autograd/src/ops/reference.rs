@@ -62,7 +62,7 @@ fn softmax_backward_ref(y: &Tensor, dy: &Tensor) -> Tensor {
             dx[r * h + j] = yrow[j] * (dyrow[j] - dot);
         }
     }
-    Tensor::from_vec(dx, y.shape().clone(), y.device())
+    Tensor::from_vec(dx, *y.shape(), y.device())
 }
 
 fn attention_ref(

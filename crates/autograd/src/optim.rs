@@ -81,12 +81,12 @@ impl Sgd {
         if self.velocity[i].is_none() {
             let p = self.params[i].tensor();
             let dev = p.device().clone();
-            let shape = p.shape().clone();
+            let shape = *p.shape();
             let v = dev.with_class(MemClass::OptimizerState, || {
                 if p.has_data() {
-                    Tensor::zeros(shape.clone(), &dev)
+                    Tensor::zeros(shape, &dev)
                 } else {
-                    Tensor::symbolic(shape.clone(), &dev)
+                    Tensor::symbolic(shape, &dev)
                 }
             });
             self.velocity[i] = Some(v);

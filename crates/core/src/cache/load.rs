@@ -134,15 +134,17 @@ impl TensorCache {
                             source: err,
                         });
                     }
-                    trace.instant_with(
-                        TraceCategory::Recovery,
-                        "recovery.load_failed",
-                        ready,
-                        vec![
-                            ("bytes", ArgValue::U64(bytes)),
-                            ("attempts", ArgValue::U64(u64::from(attempts))),
-                        ],
-                    );
+                    if trace.is_enabled() {
+                        trace.instant_with(
+                            TraceCategory::Recovery,
+                            "recovery.load_failed",
+                            ready,
+                            vec![
+                                ("bytes", ArgValue::U64(bytes)),
+                                ("attempts", ArgValue::U64(u64::from(attempts))),
+                            ],
+                        );
+                    }
                     let numel = tensor.numel();
                     self.mem.with_time(ready, || {
                         tensor.storage().restore_numeric(vec![0.0; numel]);
@@ -154,6 +156,8 @@ impl TensorCache {
         };
         if attempts > 1 {
             stats.load_retries += u64::from(attempts - 1);
+        }
+        if attempts > 1 && trace.is_enabled() {
             trace.instant_with(
                 TraceCategory::Recovery,
                 "recovery.load_retry",

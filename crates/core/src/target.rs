@@ -12,7 +12,7 @@ use crate::id::TensorKey;
 use parking_lot::Mutex;
 use ssdtrain_simhw::WearMeter;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -119,10 +119,22 @@ impl SsdTarget {
         })
     }
 
+    /// `<dir>/t<stamp>_<d0>x<d1>….act`. The name is written into one
+    /// buffer sized for it and the path into another, so a call makes two
+    /// allocations.
     fn path_for(&self, key: &TensorKey) -> PathBuf {
-        let dims: Vec<String> = key.shape.iter().map(|d| d.to_string()).collect();
-        self.dir
-            .join(format!("t{}_{}.act", key.stamp, dims.join("x")))
+        let mut name = String::with_capacity(64);
+        // Writing into a `String` cannot fail.
+        let _ = write!(name, "t{}_", key.stamp);
+        for (i, d) in key.shape.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "x" };
+            let _ = write!(name, "{sep}{d}");
+        }
+        name.push_str(".act");
+        let mut path = PathBuf::with_capacity(self.dir.as_os_str().len() + 1 + name.len());
+        path.push(&self.dir);
+        path.push(name);
+        path
     }
 
     /// Snapshot of the wear meter.
@@ -358,6 +370,21 @@ mod tests {
         t.remove(&k);
         assert!(t.read(&k).is_err());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spill_file_names_keep_their_format() {
+        let t = SsdTarget::new(tmpdir("names"), WearMeter::new(1e12, 1.0)).unwrap();
+        for shape in [vec![], vec![7], vec![2, 30, 4096]] {
+            let k = TensorKey {
+                stamp: 123_456,
+                shape,
+            };
+            let dims: Vec<String> = k.shape.iter().map(|d| d.to_string()).collect();
+            let old = t.dir().join(format!("t{}_{}.act", k.stamp, dims.join("x")));
+            assert_eq!(t.path_for(&k), old);
+        }
+        let _ = fs::remove_dir_all(t.dir());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use arena::{ArenaStats, BufferArena, PinnedSlab, MIN_SLAB_BYTES};
 pub use fault::{FaultKind, FaultLog, FaultPlan, FaultRule, FaultTrigger};
 pub use gpu::GpuSpec;
 pub use link::{Channel, TransferObserver};
-pub use memory::{FootprintPoint, GpuMemory, MemoryReport, PeakObserver};
+pub use memory::{FootprintPoint, GpuMemory, MemoryReport, PeakObserver, StepMemory};
 pub use ssd::{Raid0, SsdSpec, WearMeter};
 pub use system::{OffloadPath, SystemConfig};
 pub use time::{SimClock, SimTime};

@@ -1,5 +1,6 @@
 //! Simulated GPU memory: allocation tracking and footprint timelines.
 
+use crate::allocator::{AllocatorStats, CachingAllocator};
 use crate::time::{SimClock, SimTime};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -29,6 +30,22 @@ pub struct MemoryReport {
     /// Number of allocator events (Figure 7 notes offloading runs incur
     /// more of these).
     pub events: u64,
+}
+
+/// A step's memory picture, read from the tracker in one pass by
+/// [`GpuMemory::step_memory`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepMemory {
+    /// The footprint timeline (see [`GpuMemory::timeline`]).
+    pub timeline: Vec<FootprintPoint>,
+    /// Peak total resident bytes over the timeline.
+    pub peak_total: u64,
+    /// Peak resident activation bytes over the timeline.
+    pub peak_activations: u64,
+    /// Whether `peak_total` exceeded the device capacity.
+    pub oom: bool,
+    /// The caching-allocator replay (see [`GpuMemory::allocator_stats`]).
+    pub alloc: AllocatorStats,
 }
 
 /// Observes new footprint peaks as they are recorded.
@@ -180,42 +197,32 @@ impl GpuMemory {
             .sum::<i64>() as u64
     }
 
+    /// The event log in simulated-time order. Events may be recorded out
+    /// of chronological order (future-stamped frees), so the log is
+    /// sorted; events at one instant keep the order they were recorded in.
+    fn sorted_events(&self) -> Vec<Event> {
+        let mut evs = self.state.lock().events.clone();
+        evs.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite times"));
+        evs
+    }
+
     /// The footprint timeline, sorted by event time: total and
     /// activation-class bytes after each allocator event.
-    ///
-    /// Events may be recorded out of chronological order (future-stamped
-    /// frees), so the timeline is rebuilt by sorting.
     pub fn timeline(&self) -> Vec<FootprintPoint> {
-        let s = self.state.lock();
-        let mut evs: Vec<Event> = s.events.clone();
-        drop(s);
-        evs.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite times"));
-        let mut total = 0i64;
-        let mut act = 0i64;
-        evs.iter()
-            .map(|e| {
-                total += e.delta;
-                if e.class == MemClass::Activation {
-                    act += e.delta;
-                }
-                FootprintPoint {
-                    time: e.time,
-                    total: total.max(0) as u64,
-                    activations: act.max(0) as u64,
-                }
-            })
-            .collect()
+        footprint(&self.sorted_events()).collect()
     }
 
     /// Peak total resident bytes over the timeline.
     pub fn peak_total(&self) -> u64 {
-        self.timeline().iter().map(|p| p.total).max().unwrap_or(0)
+        footprint(&self.sorted_events())
+            .map(|p| p.total)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Peak resident activation bytes over the timeline.
     pub fn peak_activations(&self) -> u64 {
-        self.timeline()
-            .iter()
+        footprint(&self.sorted_events())
             .map(|p| p.activations)
             .max()
             .unwrap_or(0)
@@ -225,8 +232,7 @@ impl GpuMemory {
     /// read the "memory at the beginning of backward propagation" point
     /// of Figure 7.
     pub fn peak_activations_between(&self, from: SimTime, to: SimTime) -> u64 {
-        self.timeline()
-            .iter()
+        footprint(&self.sorted_events())
             .filter(|p| p.time >= from && p.time <= to)
             .map(|p| p.activations)
             .max()
@@ -265,14 +271,28 @@ impl GpuMemory {
     /// through the caching-allocator model and returns its statistics —
     /// the *reserved* footprint a real PyTorch run would report on top
     /// of the allocated curve.
-    pub fn allocator_stats(&self) -> crate::allocator::AllocatorStats {
-        let s = self.state.lock();
-        let mut evs: Vec<Event> = s.events.clone();
-        drop(s);
-        evs.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite times"));
-        crate::allocator::CachingAllocator::replay(
-            evs.iter().map(|e| (e.delta.unsigned_abs(), e.delta < 0)),
-        )
+    pub fn allocator_stats(&self) -> AllocatorStats {
+        replay_allocator(&self.sorted_events())
+    }
+
+    /// Everything a step's report reads from the tracker — the timeline,
+    /// both peaks, the out-of-memory verdict and the caching-allocator
+    /// replay — from one sort of the event log. Equal to calling
+    /// [`GpuMemory::timeline`], [`GpuMemory::peak_total`],
+    /// [`GpuMemory::peak_activations`], [`GpuMemory::oom`] and
+    /// [`GpuMemory::allocator_stats`] one by one, each of which sorts the
+    /// log again.
+    pub fn step_memory(&self) -> StepMemory {
+        let evs = self.sorted_events();
+        let timeline: Vec<FootprintPoint> = footprint(&evs).collect();
+        let peak_total = timeline.iter().map(|p| p.total).max().unwrap_or(0);
+        StepMemory {
+            peak_activations: timeline.iter().map(|p| p.activations).max().unwrap_or(0),
+            peak_total,
+            oom: peak_total > self.capacity,
+            alloc: replay_allocator(&evs),
+            timeline,
+        }
     }
 
     /// Clears the event log and counters (new measured step).
@@ -282,6 +302,27 @@ impl GpuMemory {
         s.events.clear();
         s.live_peak = 0;
     }
+}
+
+/// Running totals over time-sorted events: the footprint timeline.
+fn footprint(evs: &[Event]) -> impl Iterator<Item = FootprintPoint> + '_ {
+    let (mut total, mut act) = (0i64, 0i64);
+    evs.iter().map(move |e| {
+        total += e.delta;
+        if e.class == MemClass::Activation {
+            act += e.delta;
+        }
+        FootprintPoint {
+            time: e.time,
+            total: total.max(0) as u64,
+            activations: act.max(0) as u64,
+        }
+    })
+}
+
+/// The caching-allocator model replayed over time-sorted events.
+fn replay_allocator(evs: &[Event]) -> AllocatorStats {
+    CachingAllocator::replay(evs.iter().map(|e| (e.delta.unsigned_abs(), e.delta < 0)))
 }
 
 impl MemTracker for GpuMemory {
@@ -305,6 +346,7 @@ impl std::fmt::Debug for GpuMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn gm() -> (SimClock, GpuMemory) {
         let clock = SimClock::new();
@@ -399,6 +441,87 @@ mod tests {
         mem.reset();
         mem.on_alloc(1, MemClass::Workspace);
         assert_eq!(rec.0.lock().len(), 4, "reset restarts peak tracking");
+    }
+
+    /// The event log sorted the way every per-query reader sorted it
+    /// before `step_memory`: a fresh clone, stably sorted by time.
+    fn sorted_by_reference(mem: &GpuMemory) -> Vec<(SimTime, i64, MemClass)> {
+        let mut evs: Vec<Event> = mem.state.lock().events.clone();
+        evs.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite times"));
+        evs.iter().map(|e| (e.time, e.delta, e.class)).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn step_memory_equals_the_per_query_derivation(
+            ops in prop::collection::vec((0usize..5, 1u64..5000, 0u64..3, 0u64..40, 0u64..3), 1..120),
+            capacity in 1u64..40_000,
+        ) {
+            let clock = SimClock::new();
+            let mem = GpuMemory::new(clock.clone(), capacity);
+            let mut live: Vec<(u64, MemClass)> = Vec::new();
+            for (class, bytes, kind, future, advance) in ops {
+                let class = MemClass::ALL[class];
+                match kind {
+                    // A free stamped in the simulated future, recorded now.
+                    0 if !live.is_empty() => {
+                        let (b, c) = live.swap_remove(bytes as usize % live.len());
+                        let at = SimTime::from_secs(clock.now().as_secs() + future as f64 * 0.25);
+                        mem.with_time(at, || mem.on_free(b, c));
+                    }
+                    1 if !live.is_empty() => {
+                        let (b, c) = live.swap_remove(bytes as usize % live.len());
+                        mem.on_free(b, c);
+                    }
+                    _ => {
+                        mem.on_alloc(bytes, class);
+                        live.push((bytes, class));
+                    }
+                }
+                clock.advance_by(advance as f64 * 0.5);
+            }
+
+            let mut total = 0i64;
+            let mut act = 0i64;
+            let mut want_timeline = Vec::new();
+            for (time, delta, class) in sorted_by_reference(&mem) {
+                total += delta;
+                if class == MemClass::Activation {
+                    act += delta;
+                }
+                want_timeline.push(FootprintPoint {
+                    time,
+                    total: total.max(0) as u64,
+                    activations: act.max(0) as u64,
+                });
+            }
+            let want_peak_total = want_timeline.iter().map(|p| p.total).max().unwrap_or(0);
+            let want_alloc = CachingAllocator::replay(
+                sorted_by_reference(&mem)
+                    .into_iter()
+                    .map(|(_, d, _)| (d.unsigned_abs(), d < 0)),
+            );
+
+            let got = mem.step_memory();
+            prop_assert_eq!(&got.timeline, &want_timeline);
+            prop_assert_eq!(got.peak_total, want_peak_total);
+            prop_assert_eq!(
+                got.peak_activations,
+                want_timeline.iter().map(|p| p.activations).max().unwrap_or(0)
+            );
+            prop_assert_eq!(got.oom, want_peak_total > capacity);
+            prop_assert_eq!(got.alloc, want_alloc);
+            prop_assert_eq!(
+                &got,
+                &StepMemory {
+                    timeline: mem.timeline(),
+                    peak_total: mem.peak_total(),
+                    peak_activations: mem.peak_activations(),
+                    oom: mem.oom(),
+                    alloc: mem.allocator_stats(),
+                }
+            );
+        }
     }
 
     #[test]

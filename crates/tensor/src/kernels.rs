@@ -46,21 +46,21 @@ fn binary_shape_check(op: &str, a: &Tensor, b: &Tensor) {
 fn zip_map(op: &str, a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     binary_shape_check(op, a, b);
     if !a.has_data() || !b.has_data() {
-        return symbolic_like(a, a.shape().clone());
+        return symbolic_like(a, *a.shape());
     }
     let out = Tensor::with_values_of([a, b], |[a, b]| {
         a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
     });
-    Tensor::from_vec(out, a.shape().clone(), a.device())
+    Tensor::from_vec(out, *a.shape(), a.device())
 }
 
 /// Elementwise `f(x)`.
 fn elementwise(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     if !t.has_data() {
-        return symbolic_like(t, t.shape().clone());
+        return symbolic_like(t, *t.shape());
     }
     let out = t.with_values(|v| v.iter().map(|&x| f(x)).collect());
-    Tensor::from_vec(out, t.shape().clone(), t.device())
+    Tensor::from_vec(out, *t.shape(), t.device())
 }
 
 /// `out += a @ b` for row-major `a: [m, k]`, `b: [k, n]`, `out: [m, n]`:
@@ -124,7 +124,7 @@ impl Tensor {
         let h = *self.dims().last().expect("add_bias on scalar");
         assert_eq!(bias.dims(), &[h], "bias must be 1-D of the last dim");
         if !self.has_data() || !bias.has_data() {
-            return symbolic_like(self, self.shape().clone());
+            return symbolic_like(self, *self.shape());
         }
         let mut out = self.to_vec();
         bias.with_values(|b| {
@@ -132,7 +132,7 @@ impl Tensor {
                 *v += b[i % h];
             }
         });
-        Tensor::from_vec(out, self.shape().clone(), self.device())
+        Tensor::from_vec(out, *self.shape(), self.device())
     }
 
     /// In-place `f(&mut self[i], rhs[i])` over two same-shaped tensors —
@@ -227,13 +227,7 @@ impl Tensor {
         let (m, k) = self.shape().as_2d();
         let (rk, n) = (rhs.dim(0), rhs.dim(1));
         assert_eq!(k, rk, "matmul inner dims {k} vs {rk}");
-        let out_dims: Vec<usize> = if self.rank() <= 1 {
-            vec![n]
-        } else {
-            let mut d = self.dims().to_vec();
-            *d.last_mut().expect("matmul lhs rank >= 1") = n;
-            d
-        };
+        let out_dims = self.shape().with_last(n);
         if !self.has_data() || !rhs.has_data() {
             return symbolic_like(self, out_dims);
         }
@@ -295,7 +289,7 @@ impl Tensor {
     pub fn softmax_last(&self) -> Tensor {
         let h = *self.dims().last().expect("softmax on scalar");
         if !self.has_data() {
-            return symbolic_like(self, self.shape().clone());
+            return symbolic_like(self, *self.shape());
         }
         let mut v = self.to_vec();
         for row in v.chunks_exact_mut(h) {
@@ -310,7 +304,7 @@ impl Tensor {
                 *x *= inv;
             }
         }
-        Tensor::from_vec(v, self.shape().clone(), self.device())
+        Tensor::from_vec(v, *self.shape(), self.device())
     }
 
     /// Backward of [`Tensor::softmax_last`]: with `self` the softmax
@@ -322,7 +316,7 @@ impl Tensor {
         binary_shape_check("softmax_grad", self, dy);
         let h = *self.dims().last().expect("softmax on scalar");
         if !self.has_data() || !dy.has_data() {
-            return symbolic_like(self, self.shape().clone());
+            return symbolic_like(self, *self.shape());
         }
         let dx = Tensor::with_values_of([self, dy], |[y, dy]| {
             let mut dx = vec![0.0f32; y.len()];
@@ -338,7 +332,7 @@ impl Tensor {
             }
             dx
         });
-        Tensor::from_vec(dx, self.shape().clone(), self.device())
+        Tensor::from_vec(dx, *self.shape(), self.device())
     }
 
     /// Applies a causal mask to `[batch, s, s]` attention scores: entries
@@ -361,13 +355,13 @@ impl Tensor {
         let (s1, s2) = (self.dim(1), self.dim(2));
         assert_eq!(s1, s2, "causal mask expects square scores");
         if !self.has_data() {
-            return symbolic_like(self, self.shape().clone());
+            return symbolic_like(self, *self.shape());
         }
         let mut v = self.to_vec();
         for (r, row) in v.chunks_exact_mut(s2.max(1)).enumerate() {
             row[r % s1 + 1..].fill(fill);
         }
-        Tensor::from_vec(v, self.shape().clone(), self.device())
+        Tensor::from_vec(v, *self.shape(), self.device())
     }
 
     /// Layer normalisation over the last dimension.
@@ -383,7 +377,7 @@ impl Tensor {
         let rows = self.numel() / h;
         if !self.has_data() || !gamma.has_data() || !beta.has_data() {
             return (
-                symbolic_like(self, self.shape().clone()),
+                symbolic_like(self, *self.shape()),
                 symbolic_like(self, [rows]),
                 symbolic_like(self, [rows]),
             );
@@ -406,7 +400,7 @@ impl Tensor {
             (y, means, rstds)
         });
         (
-            Tensor::from_vec(y, self.shape().clone(), self.device()),
+            Tensor::from_vec(y, *self.shape(), self.device()),
             Tensor::from_vec(means, [rows], self.device()),
             Tensor::from_vec(rstds, [rows], self.device()),
         )
@@ -423,16 +417,12 @@ impl Tensor {
         assert!((0.0..1.0).contains(&p), "dropout p must be in [0, 1)");
         let dev = self.device().clone();
         if !self.has_data() {
-            let y = symbolic_like(self, self.shape().clone());
-            let m = dev.with_dtype(crate::DType::U8, || {
-                Tensor::symbolic(self.shape().clone(), &dev)
-            });
+            let y = symbolic_like(self, *self.shape());
+            let m = dev.with_dtype(crate::DType::U8, || Tensor::symbolic(*self.shape(), &dev));
             return (y, m);
         }
         if p == 0.0 {
-            let mask = dev.with_dtype(crate::DType::U8, || {
-                Tensor::ones(self.shape().clone(), &dev)
-            });
+            let mask = dev.with_dtype(crate::DType::U8, || Tensor::ones(*self.shape(), &dev));
             return (self.contiguous(), mask);
         }
         let keep = 1.0 - p;
@@ -449,9 +439,9 @@ impl Tensor {
             (y, mask)
         });
         (
-            Tensor::from_vec(y, self.shape().clone(), &dev),
+            Tensor::from_vec(y, *self.shape(), &dev),
             dev.with_dtype(crate::DType::U8, || {
-                Tensor::from_vec(mask, self.shape().clone(), &dev)
+                Tensor::from_vec(mask, *self.shape(), &dev)
             }),
         )
     }
@@ -469,8 +459,7 @@ impl Tensor {
     pub fn embedding(&self, ids: &Tensor) -> Tensor {
         assert_eq!(self.rank(), 2, "embedding table must be [vocab, hidden]");
         let (v, h) = (self.dim(0), self.dim(1));
-        let mut out_dims = ids.dims().to_vec();
-        out_dims.push(h);
+        let out_dims = ids.shape().pushed(h);
         if !self.has_data() || !ids.has_data() {
             return symbolic_like(self, out_dims);
         }
@@ -524,10 +513,7 @@ impl Tensor {
         let (n, v) = self.shape().as_2d();
         assert_eq!(targets.numel(), n, "one target per row");
         if !self.has_data() || !targets.has_data() {
-            return (
-                symbolic_like(self, [1]),
-                symbolic_like(self, self.shape().clone()),
-            );
+            return (symbolic_like(self, [1]), symbolic_like(self, *self.shape()));
         }
         let probs = self.reshape([n, v]).softmax_last();
         let loss = Tensor::with_values_of([&probs, targets], |[pv, tv]| {
@@ -541,7 +527,7 @@ impl Tensor {
         });
         (
             Tensor::from_vec(vec![loss], [1], self.device()),
-            Tensor::over(probs.storage().clone(), self.shape().clone()),
+            Tensor::over(probs.storage().clone(), *self.shape()),
         )
     }
 }

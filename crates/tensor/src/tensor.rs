@@ -3,7 +3,7 @@
 use crate::device::{Device, MemClass};
 use crate::dtype::DType;
 use crate::rng::Prng;
-use crate::shape::Shape;
+use crate::shape::{Dims, Shape};
 use crate::storage::{PayloadRead, Storage, WeakStorage};
 use std::cell::RefCell;
 use std::fmt;
@@ -51,7 +51,7 @@ fn gather(data: &[f32], dims: &[usize], strides: &[usize], offset: usize, out: &
 pub struct Tensor {
     storage: Storage,
     shape: Shape,
-    strides: Vec<usize>,
+    strides: Dims,
     offset: usize,
 }
 
@@ -271,7 +271,7 @@ impl Tensor {
                 .shape
                 .dims()
                 .iter()
-                .zip(&self.strides)
+                .zip(self.strides.iter())
                 .rev()
                 .all(|(&dim, &stride)| {
                     let matches = stride == expected;
@@ -290,7 +290,7 @@ impl Tensor {
     /// Panics if `a` or `b` is out of range.
     pub fn transpose(&self, a: usize, b: usize) -> Tensor {
         assert!(a < self.rank() && b < self.rank(), "transpose out of range");
-        let mut strides = self.strides.clone();
+        let mut strides = self.strides;
         strides.swap(a, b);
         Tensor {
             storage: self.storage.clone(),
@@ -335,9 +335,9 @@ impl Tensor {
             return self.clone();
         }
         if !self.has_data() {
-            return Tensor::symbolic(self.shape.clone(), self.device());
+            return Tensor::symbolic(self.shape, self.device());
         }
-        Tensor::from_vec(self.to_vec(), self.shape.clone(), self.device())
+        Tensor::from_vec(self.to_vec(), self.shape, self.device())
     }
 
     // ------------------------------------------------------------------
@@ -459,9 +459,9 @@ impl Tensor {
         let dev = self.device().clone();
         dev.with_class(class, || {
             if self.has_data() {
-                Tensor::from_vec(self.to_vec(), self.shape.clone(), &dev)
+                Tensor::from_vec(self.to_vec(), self.shape, &dev)
             } else {
-                Tensor::symbolic(self.shape.clone(), &dev)
+                Tensor::symbolic(self.shape, &dev)
             }
         })
     }
@@ -601,6 +601,13 @@ mod tests {
         assert!(!t.storage().ptr_eq(c.storage()));
         assert_eq!(c.mem_class(), MemClass::Gradient);
         assert_eq!(c.to_vec(), t.to_vec());
+    }
+
+    #[test]
+    fn a_tensor_handle_stays_small() {
+        // The tape stores tensors by value (`Vec<Tensor>`, `Option<Tensor>`),
+        // so their size is bytes allocated per saved tensor.
+        assert!(std::mem::size_of::<Tensor>() <= 96);
     }
 
     #[test]

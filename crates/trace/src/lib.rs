@@ -397,7 +397,12 @@ impl TraceSink {
         OpenSpan {
             sink: self.clone(),
             cat,
-            name: name.into(),
+            // A disabled sink never reads the name: `String::new` does not allocate.
+            name: if self.is_enabled() {
+                name.into()
+            } else {
+                String::new()
+            },
             start,
             closed: false,
         }
@@ -500,7 +505,7 @@ impl OpenSpan {
 
 impl Drop for OpenSpan {
     fn drop(&mut self) {
-        if !self.closed {
+        if !self.closed && self.sink.is_enabled() {
             let name = std::mem::take(&mut self.name);
             self.sink
                 .instant(self.cat, format!("{name}.open"), self.start);
@@ -558,6 +563,9 @@ impl LinkTraceBridge {
 
 impl TransferObserver for LinkTraceBridge {
     fn on_transfer(&self, channel: &str, start: SimTime, end: SimTime, bytes: u64) {
+        if !self.sink.is_enabled() {
+            return;
+        }
         self.sink.span_bytes(
             TraceCategory::Link,
             format!("xfer.{channel}"),

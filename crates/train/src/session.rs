@@ -658,11 +658,12 @@ impl TrainSession {
             cache.flush();
         }
         let step_secs = self.runtime.clock.now().as_secs();
-        let timeline = self.runtime.memory.timeline();
+        let memory = self.runtime.memory.step_memory();
         // Strictly-before: the first backward node's frees are stamped at
         // exactly the forward-end instant (the clock advances only after
         // its kernel) and must not be counted into the forward level.
-        let act_at_bwd_start = timeline
+        let act_at_bwd_start = memory
+            .timeline
             .iter()
             .take_while(|p| p.time < fwd_end)
             .last()
@@ -680,16 +681,16 @@ impl TrainSession {
             batch: self.cfg.batch_size,
             step_secs,
             fwd_secs: self.executor.phase_secs(Phase::Forward),
-            act_peak_bytes: self.runtime.memory.peak_activations(),
-            total_peak_bytes: self.runtime.memory.peak_total(),
+            act_peak_bytes: memory.peak_activations,
+            total_peak_bytes: memory.peak_total,
             act_at_bwd_start,
-            timeline,
+            timeline: memory.timeline,
             offload,
             model_flops: self.executor.model_flops(),
             comm_secs: self.executor.comm_secs(),
             ssd_host_writes,
-            alloc: self.runtime.memory.allocator_stats(),
-            oom: self.runtime.memory.oom(),
+            alloc: memory.alloc,
+            oom: memory.oom,
             loss: losses.iter().copied().sum::<f32>() / losses.len().max(1) as f32,
             opt_secs: opt_report.inline_secs,
             opt_exposed_secs: opt_report.exposed_secs,
@@ -703,12 +704,14 @@ impl TrainSession {
             self.metrics
                 .observe("session.opt_exposed_secs", opt_report.exposed_secs);
         }
-        self.trace.instant_with(
-            TraceCategory::Session,
-            "step.end",
-            self.runtime.clock.now(),
-            vec![("secs", ArgValue::F64(step_secs))],
-        );
+        if self.trace.is_enabled() {
+            self.trace.instant_with(
+                TraceCategory::Session,
+                "step.end",
+                self.runtime.clock.now(),
+                vec![("secs", ArgValue::F64(step_secs))],
+            );
+        }
         if let Some(error) = self.cache.as_ref().and_then(|c| c.take_error()) {
             // The step is tainted: no update ran after the failure was
             // recorded. Drop what the engine still holds, clear the

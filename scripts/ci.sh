@@ -44,7 +44,9 @@ cargo test -q -p ssdtrain-lint --test explain_cli
 # identity, checksum round trips, device writes = tier-counter stores)
 # catch a broken store path before the benchmark pipeline does.
 bash benchmark/run.sh --quick
-cargo clippy --workspace -- -D warnings
+# Tests, examples and bins too: a leftover `.clone()` of a `Copy` type
+# (`clippy::clone_on_copy`) hides in test code as easily as in a crate.
+cargo clippy --workspace --all-targets -- -D warnings
 # Project-invariant lint: sim-clock, panic-freedom and error discipline
 # (see DESIGN.md §7). Exits non-zero on any violation. One full pass
 # gates: a clean workspace is clean on every changed file too, and

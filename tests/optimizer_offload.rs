@@ -225,8 +225,7 @@ fn optimizer_state_io_stays_inside_the_last_backward_or_at_reduce_grads() {
         for step in 1..=3 {
             let in_step = || events.iter().filter(move |e| e.step == step);
             let last = in_step()
-                .filter(|e| e.name == "stage.backward")
-                .last()
+                .rfind(|e| e.name == "stage.backward")
                 .expect("backward span");
             let reduce = in_step()
                 .find(|e| e.name == "stage.comm" && e.ts >= last.end())
