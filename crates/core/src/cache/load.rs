@@ -81,7 +81,8 @@ impl TensorCache {
         let busy0 = self.io.read_busy_secs_on(link);
         let ready = self.io.submit_load_from(link, bytes).max(rec.avail);
         let load_secs = self.io.read_busy_secs_on(link) - busy0;
-        self.read_back(&mut st.stats, &mut st.pending_error, &st.trace, rec, ready);
+        let (stats, staging) = (&mut st.stats, &mut st.staging);
+        self.read_back(stats, &mut st.pending_error, &st.trace, staging, rec, ready);
         rec.state = match how {
             Reload::Prefetch => RecState::Loading { ready },
             Reload::Sync | Reload::State => RecState::Resident,
@@ -108,21 +109,33 @@ impl TensorCache {
     /// unrecoverable — the data is gone — so the tensor is restored to
     /// zeros to keep the graph executable and a structured
     /// [`OffloadError::Load`] is queued; it surfaces at the step
-    /// boundary under *every* policy.
+    /// boundary under *every* policy. The bytes are decoded where the
+    /// device lends them ([`crate::OffloadTarget::read_with`]), with
+    /// `staging` as the buffer a device that copies reads into, so the
+    /// tensor's own values are the only allocation a reload makes.
     pub(super) fn read_back(
         &self,
         stats: &mut OffloadStats,
         pending: &mut Option<OffloadError>,
         trace: &TraceSink,
+        staging: &mut Vec<u8>,
         rec: &Record,
         ready: SimTime,
     ) {
         let (tensor, bytes) = (&rec.tensor, rec.bytes);
+        // `None` after a successful read: a symbolic entry.
+        let mut values = None;
         let mut attempts = 0u32;
-        let data = loop {
+        loop {
             attempts += 1;
-            match self.tiers.read(rec.tier, &rec.key, bytes) {
-                Ok(d) => break d,
+            let mut decode = |data: Option<&[u8]>| {
+                values = data.map(|raw| tensor.storage().decode_bytes(raw));
+            };
+            let read = self
+                .tiers
+                .read(rec.tier, &rec.key, bytes, staging, &mut decode);
+            match read {
+                Ok(()) => break,
                 Err(err) if attempts > MAX_IO_RETRIES => {
                     stats.load_retries += u64::from(attempts - 1);
                     if pending.is_none() {
@@ -153,7 +166,7 @@ impl TensorCache {
                 }
                 Err(_) => {}
             }
-        };
+        }
         if attempts > 1 {
             stats.load_retries += u64::from(attempts - 1);
         }
@@ -168,11 +181,8 @@ impl TensorCache {
                 ],
             );
         }
-        self.mem.with_time(ready, || match data {
-            Some(raw) => {
-                let decoded = tensor.storage().decode_bytes(&raw);
-                tensor.storage().restore_numeric(decoded);
-            }
+        self.mem.with_time(ready, || match values {
+            Some(decoded) => tensor.storage().restore_numeric(decoded),
             None => tensor.storage().restore_symbolic(),
         });
     }

@@ -20,9 +20,10 @@ use std::ops::Range;
 
 pub(super) type RecordId = u64;
 
-/// A segment member on its way to the device: its id and serialised
-/// payload (`None` in symbolic execution).
-pub(super) type Payload = (RecordId, Option<Vec<u8>>);
+/// A segment member on its way to the device: its id and where its
+/// serialised payload sits in `State::staging` (`None` in symbolic
+/// execution).
+pub(super) type Payload = (RecordId, Option<Range<usize>>);
 
 /// The one lifecycle every offloaded tensor follows, whatever its
 /// [`OffloadClass`]: `Resident → Staged → Storing → Offloaded → Loading`
@@ -225,8 +226,14 @@ pub(super) struct State {
     /// them yet. The memory counter over-reads by exactly this much.
     pub(super) unsettled: u64,
     /// Reused by every commit: the members still riding the job and
-    /// their serialised payloads.
+    /// where their payloads sit in `staging`.
     pub(super) commit_scratch: Vec<Payload>,
+    /// The one host staging buffer of the spill path, cleared per use and
+    /// never freed: a commit serialises its segment's members into it
+    /// back to back, and a reload that has to copy the bytes somewhere
+    /// reads them into it. Commit and reload never overlap under the
+    /// cache's one lock. Symbolic runs never grow it.
+    pub(super) staging: Vec<u8>,
     /// Reused by every group request: the group's record ids in the
     /// order backward will read them.
     pub(super) group_scratch: Vec<RecordId>,
@@ -273,6 +280,7 @@ impl State {
             seg_landed: 0,
             unsettled: 0,
             commit_scratch: Vec::new(),
+            staging: Vec::new(),
             group_scratch: Vec::new(),
             lookahead: HashMap::new(),
             group_slabs: HashMap::new(),

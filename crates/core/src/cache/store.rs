@@ -16,7 +16,6 @@ use crate::tier::{TierId, TierPlacement};
 use ssdtrain_simhw::SimTime;
 use ssdtrain_tensor::Tensor;
 use ssdtrain_trace::{ArgValue, TraceCategory};
-use std::collections::HashMap;
 use std::io;
 
 impl TensorCache {
@@ -363,6 +362,7 @@ impl TensorCache {
         st.unsettled -= unsettled;
         let (start, end) = self.io.store_span(job);
         let mut batch = std::mem::take(&mut st.commit_scratch);
+        st.staging.clear();
         for i in members {
             let id = st.seg_members[i];
             let Some(rec) = st.records.get_mut(&id) else {
@@ -378,25 +378,27 @@ impl TensorCache {
                 continue;
             }
             // The real payload crosses the filesystem at commit (wall
-            // time); the simulated transfer finished at `end`.
-            batch.push((id, rec.tensor.storage().to_bytes()));
+            // time); the simulated transfer finished at `end`. Members
+            // serialise back to back into the one staging buffer.
+            let at = st.staging.len();
+            let staged = rec.tensor.storage().append_bytes(&mut st.staging);
+            batch.push((id, staged.then_some(at..st.staging.len())));
         }
         let Some((head, _)) = batch.first() else {
             st.commit_scratch = batch;
             return;
         };
         let tier = st.records[head].tier;
-        // The batch borrows keys and payloads; a segment of one is built
-        // on the stack.
-        type Records = HashMap<RecordId, Record>;
-        fn item<'a>(records: &'a Records, (id, data): &'a Payload) -> BatchItem<'a> {
-            let rec = &records[id];
-            (&rec.key, data.as_deref(), rec.bytes)
+        // The batch borrows keys and staged payloads; a segment of one is
+        // built on the stack.
+        fn item<'a>(st: &'a State, m: &'a Payload) -> BatchItem<'a> {
+            let rec = &st.records[&m.0];
+            (&rec.key, staged(&st.staging, m), rec.bytes)
         }
         let written = match batch.as_slice() {
-            [only] => self.tiers.write_segment(tier, &[item(&st.records, only)]),
+            [only] => self.tiers.write_segment(tier, &[item(st, only)]),
             all => {
-                let items: Vec<_> = all.iter().map(|m| item(&st.records, m)).collect();
+                let items: Vec<_> = all.iter().map(|m| item(st, m)).collect();
                 self.tiers.write_segment(tier, &items)
             }
         };
@@ -418,7 +420,7 @@ impl TensorCache {
             }
             Err(err) => self.recover_failed_segment(st, tier, job, &batch, end, err),
         }
-        // Whatever the outcome, the staging buffers' job is done.
+        // Whatever the outcome, the arena slabs' job is done.
         for (id, _) in batch.drain(..) {
             let slab = st.records.get_mut(&id).and_then(|rec| rec.slab.take());
             self.retire_slab(&st.trace, slab);
@@ -434,7 +436,8 @@ impl TensorCache {
     /// decides whether the failure is absorbed, re-routed, or surfaced
     /// as a step error. One failure, one policy decision:
     /// [`RecoveryPolicy::FallbackTarget`] demotes the members
-    /// individually (they keep their identity), the keep-resident
+    /// individually (they keep their identity), each with its own slice
+    /// of the staging buffer the commit filled, the keep-resident
     /// policies absorb the whole segment at once.
     pub(super) fn recover_failed_segment(
         &self,
@@ -450,12 +453,12 @@ impl TensorCache {
         let fallback = self.config.recovery == RecoveryPolicy::FallbackTarget;
         let (mut fell_back, mut kept) = (0u64, 0u64);
         let mut dest = None;
-        for (id, data) in batch {
-            let Some(rec) = st.records.get_mut(id) else {
+        for member in batch {
+            let Some(rec) = st.records.get_mut(&member.0) else {
                 continue;
             };
             let demoted = if fallback {
-                let (data, retries) = (data.as_deref(), MAX_IO_RETRIES);
+                let (data, retries) = (staged(&st.staging, member), MAX_IO_RETRIES);
                 self.tiers.demote(tier, &rec.key, data, rec.bytes, retries)
             } else {
                 None
@@ -628,6 +631,12 @@ impl TensorCache {
             self.tiers.unreserve(rec.tier, rec.bytes);
         }
     }
+}
+
+/// A segment member's serialised payload: its slice of the staging
+/// buffer, `None` in symbolic execution.
+fn staged<'a>(staging: &'a [u8], (_, at): &Payload) -> Option<&'a [u8]> {
+    at.clone().map(|r| &staging[r])
 }
 
 /// A byte-carrying store-path event's arguments: `bytes`, plus `class`

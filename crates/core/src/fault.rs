@@ -127,6 +127,14 @@ impl FaultyTarget {
             None => Ok(()),
         }
     }
+
+    /// Runs the plan for one read, whichever form it takes. Read sizes
+    /// are unknown until the bytes arrive; reads count as operations but
+    /// do not advance byte-threshold triggers.
+    fn plan_read(&self) -> io::Result<()> {
+        let fault = self.plan.lock().on_read(0);
+        self.apply(fault, "read")
+    }
 }
 
 impl OffloadTarget for FaultyTarget {
@@ -141,11 +149,18 @@ impl OffloadTarget for FaultyTarget {
     }
 
     fn read(&self, key: &TensorKey) -> io::Result<Option<Vec<u8>>> {
-        // Read sizes are unknown until the bytes arrive; reads count as
-        // operations but do not advance byte-threshold triggers.
-        let fault = self.plan.lock().on_read(0);
-        self.apply(fault, "read")?;
+        self.plan_read()?;
         self.inner.read(key)
+    }
+
+    fn read_with(
+        &self,
+        key: &TensorKey,
+        scratch: &mut Vec<u8>,
+        f: &mut dyn FnMut(Option<&[u8]>),
+    ) -> io::Result<()> {
+        self.plan_read()?;
+        self.inner.read_with(key, scratch, f)
     }
 
     fn remove(&self, key: &TensorKey) {
@@ -256,6 +271,29 @@ mod tests {
         // The plan is exhausted; the retried segment lands whole.
         assert!(t.write_batch(&items).is_ok());
         assert_eq!(t.bytes_written(), 32);
+    }
+
+    #[test]
+    fn a_borrowing_read_runs_the_plan_once() {
+        let plan =
+            FaultPlan::new(1).with_fault(FaultTrigger::NthOp { nth: 1 }, FaultKind::ReadError);
+        let t = FaultyTarget::new(Arc::new(CpuTarget::new(1 << 20)), plan);
+        t.write(&key(1), Some(&[5, 6]), 2).unwrap();
+        let (mut scratch, mut seen) = (Vec::new(), Vec::new());
+        let err = t
+            .read_with(&key(1), &mut scratch, &mut |d| {
+                seen.push(d.map(<[u8]>::to_vec))
+            })
+            .unwrap_err();
+        assert!(err.to_string().contains("injected read fault"), "{err}");
+        assert!(seen.is_empty(), "a failed read lends nothing");
+        assert_eq!((t.fault_log().read_faults, t.fault_log().ops), (1, 2));
+        t.read_with(&key(1), &mut scratch, &mut |d| {
+            seen.push(d.map(<[u8]>::to_vec))
+        })
+        .unwrap();
+        assert_eq!(seen, vec![Some(vec![5, 6])]);
+        assert_eq!(t.fault_log().ops, 3, "one plan op per read");
     }
 
     #[test]

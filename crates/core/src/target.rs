@@ -14,7 +14,7 @@ use ssdtrain_simhw::WearMeter;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::fs;
-use std::io;
+use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 
 /// One member of a coalesced segment write: key, optional payload
@@ -36,12 +36,35 @@ pub trait OffloadTarget: Send + Sync {
     /// Returns any underlying I/O error (e.g. spill directory removed).
     fn write(&self, key: &TensorKey, data: Option<&[u8]>, len: u64) -> io::Result<()>;
 
-    /// Reads the bytes stored under `key`; `Ok(None)` for symbolic
-    /// entries.
+    /// Reads the bytes stored under `key` into a fresh buffer; `Ok(None)`
+    /// for symbolic entries.
     ///
     /// # Errors
     /// Returns an error if `key` was never written or the read fails.
     fn read(&self, key: &TensorKey) -> io::Result<Option<Vec<u8>>>;
+
+    /// Reads the bytes stored under `key` and lends them to `f` (`None`
+    /// for symbolic entries) instead of returning an owned copy. `f` runs
+    /// once, and only when the read succeeds. A device that has to copy
+    /// the bytes somewhere copies them into `scratch`, whose earlier
+    /// contents are discarded, so a caller reusing one buffer allocates
+    /// only when a read outgrows it. The default forwards [`read`]'s
+    /// result, so a decorator that does not override this pays no copy
+    /// beyond its own `read`.
+    ///
+    /// [`read`]: OffloadTarget::read
+    ///
+    /// # Errors
+    /// Returns an error if `key` was never written or the read fails.
+    fn read_with(
+        &self,
+        key: &TensorKey,
+        _scratch: &mut Vec<u8>,
+        f: &mut dyn FnMut(Option<&[u8]>),
+    ) -> io::Result<()> {
+        f(self.read(key)?.as_deref());
+        Ok(())
+    }
 
     /// Drops the entry for `key` (idempotent).
     fn remove(&self, key: &TensorKey);
@@ -154,24 +177,39 @@ impl OffloadTarget for SsdTarget {
     }
 
     fn write(&self, key: &TensorKey, data: Option<&[u8]>, len: u64) -> io::Result<()> {
-        {
-            let mut s = self.state.lock();
-            s.wear.record_write(len);
-            if data.is_none() {
-                s.symbolic_lens.insert(key.clone(), len);
-            }
-        }
+        // Wear is charged only for bytes that landed.
         if let Some(bytes) = data {
             fs::write(self.path_for(key), bytes)?;
+        }
+        let mut s = self.state.lock();
+        s.wear.record_write(len);
+        if data.is_none() {
+            s.symbolic_lens.insert(key.clone(), len);
         }
         Ok(())
     }
 
     fn read(&self, key: &TensorKey) -> io::Result<Option<Vec<u8>>> {
+        // The file is read straight into the returned buffer.
+        let (mut buf, mut numeric) = (Vec::new(), false);
+        self.read_with(key, &mut buf, &mut |data| numeric = data.is_some())?;
+        Ok(numeric.then_some(buf))
+    }
+
+    fn read_with(
+        &self,
+        key: &TensorKey,
+        scratch: &mut Vec<u8>,
+        f: &mut dyn FnMut(Option<&[u8]>),
+    ) -> io::Result<()> {
         if self.state.lock().symbolic_lens.contains_key(key) {
-            return Ok(None);
+            f(None);
+            return Ok(());
         }
-        fs::read(self.path_for(key)).map(Some)
+        scratch.clear();
+        fs::File::open(self.path_for(key))?.read_to_end(scratch)?;
+        f(Some(scratch));
+        Ok(())
     }
 
     fn remove(&self, key: &TensorKey) {
@@ -190,32 +228,27 @@ impl OffloadTarget for SsdTarget {
     }
 
     fn write_batch(&self, items: &[BatchItem<'_>]) -> io::Result<()> {
-        // One sequential segment = one write operation on the media:
-        // the whole point of coalescing is paying the per-op overhead
-        // once instead of `items.len()` times.
-        {
-            let mut s = self.state.lock();
-            let total: u64 = items.iter().map(|(_, _, len)| *len).sum();
-            s.wear.record_batch(total, 1);
-            for (key, data, len) in items {
-                if data.is_none() {
-                    s.symbolic_lens.insert((*key).clone(), *len);
+        for (i, (key, data, _)) in items.iter().enumerate() {
+            let Some(bytes) = data else { continue };
+            if let Err(e) = fs::write(self.path_for(key), bytes) {
+                for (done, done_data, _) in &items[..i] {
+                    if done_data.is_some() {
+                        let _ = fs::remove_file(self.path_for(done));
+                    }
                 }
+                return Err(e);
             }
         }
-        for (i, (key, data, _)) in items.iter().enumerate() {
-            if let Some(bytes) = data {
-                if let Err(e) = fs::write(self.path_for(key), bytes) {
-                    for (done, _, _) in &items[..i] {
-                        self.remove(done);
-                    }
-                    for (pending, pending_data, _) in &items[i..] {
-                        if pending_data.is_none() {
-                            self.state.lock().symbolic_lens.remove(*pending);
-                        }
-                    }
-                    return Err(e);
-                }
+        // One sequential segment = one write operation on the media:
+        // the whole point of coalescing is paying the per-op overhead
+        // once instead of `items.len()` times. Wear is charged only once
+        // every member landed.
+        let mut s = self.state.lock();
+        let total: u64 = items.iter().map(|(_, _, len)| *len).sum();
+        s.wear.record_batch(total, 1);
+        for (key, data, len) in items {
+            if data.is_none() {
+                s.symbolic_lens.insert((*key).clone(), *len);
             }
         }
         Ok(())
@@ -307,15 +340,29 @@ impl OffloadTarget for CpuTarget {
     }
 
     fn read(&self, key: &TensorKey) -> io::Result<Option<Vec<u8>>> {
+        let mut out = None;
+        self.read_with(key, &mut Vec::new(), &mut |data| {
+            out = data.map(<[u8]>::to_vec);
+        })?;
+        Ok(out)
+    }
+
+    /// Lends `f` the pooled bytes themselves, under the pool's lock.
+    fn read_with(
+        &self,
+        key: &TensorKey,
+        _scratch: &mut Vec<u8>,
+        f: &mut dyn FnMut(Option<&[u8]>),
+    ) -> io::Result<()> {
         let s = self.state.lock();
-        match s.pool.get(key) {
-            Some(Some(bytes)) => Ok(Some(bytes.clone())),
-            Some(None) => Ok(None),
-            None => Err(io::Error::new(
+        let Some(data) = s.pool.get(key) else {
+            return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("{key} not in pinned pool"),
-            )),
-        }
+            ));
+        };
+        f(data.as_deref());
+        Ok(())
     }
 
     fn remove(&self, key: &TensorKey) {
@@ -494,6 +541,68 @@ mod tests {
         // All-or-nothing: the two successful members were unwound.
         assert_eq!(t.used_bytes(), 0);
         assert!(t.read(&keys[0]).is_err());
+    }
+
+    /// What `read_with` lends, copied out.
+    fn lent(
+        t: &dyn OffloadTarget,
+        k: &TensorKey,
+        scratch: &mut Vec<u8>,
+    ) -> io::Result<Option<Vec<u8>>> {
+        let mut out = None;
+        t.read_with(k, scratch, &mut |d| out = d.map(<[u8]>::to_vec))?;
+        Ok(out)
+    }
+
+    #[test]
+    fn read_with_lends_what_read_returns() {
+        let dir = tmpdir("lend");
+        let ssd = SsdTarget::new(&dir, WearMeter::new(1e12, 1.0)).unwrap();
+        let cpu = CpuTarget::new(1 << 20);
+        for t in [&ssd as &dyn OffloadTarget, &cpu] {
+            t.write(&key(1), Some(&[1, 2, 3]), 3).unwrap();
+            t.write(&key(2), None, 64).unwrap();
+            let mut scratch = Vec::new();
+            for k in [key(1), key(2)] {
+                assert_eq!(lent(t, &k, &mut scratch).unwrap(), t.read(&k).unwrap());
+            }
+            assert_eq!(lent(t, &key(1), &mut scratch).unwrap(), Some(vec![1, 2, 3]));
+            assert_eq!(lent(t, &key(2), &mut scratch).unwrap(), None);
+            let missing = lent(t, &key(3), &mut scratch).unwrap_err();
+            assert_eq!(missing.kind(), io::ErrorKind::NotFound, "{}", t.name());
+            assert_eq!(t.read(&key(3)).unwrap_err().kind(), io::ErrorKind::NotFound);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reused_scratch_holds_only_the_latest_file() {
+        let dir = tmpdir("scratch");
+        let t = SsdTarget::new(&dir, WearMeter::new(1e12, 1.0)).unwrap();
+        t.write(&key(1), Some(&[7; 100]), 100).unwrap();
+        t.write(&key(2), Some(&[8; 10]), 10).unwrap();
+        let mut scratch = Vec::new();
+        assert_eq!(lent(&t, &key(1), &mut scratch).unwrap(), Some(vec![7; 100]));
+        assert_eq!(lent(&t, &key(2), &mut scratch).unwrap(), Some(vec![8; 10]));
+        assert!(scratch.capacity() >= 100, "the buffer is kept, not freed");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ssd_charges_no_wear_for_writes_that_failed() {
+        let dir = tmpdir("vanished");
+        let wear = WearMeter::new(1e12, 1.0).with_write_overhead(4096);
+        let t = SsdTarget::new(&dir, wear).unwrap();
+        t.write(&key(1), Some(&[1; 16]), 16).unwrap();
+        let (written, before) = (t.bytes_written(), t.wear());
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(t.write(&key(2), Some(&[2; 16]), 16).is_err());
+        let keys: Vec<TensorKey> = (3..6).map(key).collect();
+        let payload = [3u8; 8];
+        let items: Vec<BatchItem<'_>> = keys.iter().map(|k| (k, Some(&payload[..]), 8)).collect();
+        assert!(t.write_batch(&items).is_err());
+        assert_eq!(t.bytes_written(), written);
+        assert_eq!(t.wear(), before);
     }
 
     #[test]

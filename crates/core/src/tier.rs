@@ -397,22 +397,29 @@ impl TierStack {
         Ok(())
     }
 
-    /// Reads the `len` bytes stored under `key` back from the tier
-    /// (`Ok(None)` for symbolic entries), accounting the traffic on
-    /// success.
+    /// Reads the `len` bytes stored under `key` back from the tier and
+    /// lends them to `f` (`None` for symbolic entries) through
+    /// [`OffloadTarget::read_with`], accounting the traffic on success.
     ///
     /// # Errors
     /// Propagates the device's I/O error; the cache retries
     /// [`crate::config::MAX_IO_RETRIES`] times.
-    pub fn read(&self, tier: TierId, key: &TensorKey, len: u64) -> io::Result<Option<Vec<u8>>> {
+    pub fn read(
+        &self,
+        tier: TierId,
+        key: &TensorKey,
+        len: u64,
+        scratch: &mut Vec<u8>,
+        f: &mut dyn FnMut(Option<&[u8]>),
+    ) -> io::Result<()> {
         let device = self.device_or_err(tier)?;
-        let data = device.read(key)?;
+        device.read_with(key, scratch, f)?;
         let mut inner = self.inner.lock();
         if let Some((_, state)) = inner.get_mut(tier.0) {
             state.counters.bytes_read += len;
             state.counters.loads += 1;
         }
-        Ok(data)
+        Ok(())
     }
 
     /// Drops the entry for `key` and returns its reservation to the
@@ -547,6 +554,20 @@ mod tests {
         }
     }
 
+    /// What the borrowing read lends, copied out.
+    fn read(
+        stack: &TierStack,
+        tier: TierId,
+        k: &TensorKey,
+        len: u64,
+    ) -> io::Result<Option<Vec<u8>>> {
+        let mut out = None;
+        stack.read(tier, k, len, &mut Vec::new(), &mut |d| {
+            out = d.map(<[u8]>::to_vec)
+        })?;
+        Ok(out)
+    }
+
     fn two_tier(front_cap: u64) -> TierStack {
         TierStack::new(vec![
             Tier::new("dram", Arc::new(CpuTarget::new(front_cap)), 0).with_capacity(front_cap),
@@ -644,7 +665,7 @@ mod tests {
         let c = stack.counters();
         assert_eq!(c[1].demoted_in_bytes, 60);
         assert_eq!(c[1].bytes_written, 60);
-        assert_eq!(stack.read(dest, &k, 60).ok(), Some(None));
+        assert_eq!(read(&stack, dest, &k, 60).ok(), Some(None));
         stack.remove(dest, &k, 60);
         assert_eq!(stack.reserved_bytes(dest), 0);
     }
@@ -660,9 +681,9 @@ mod tests {
         assert_eq!(c[0].bytes_written, 12);
         assert_eq!(c[0].stores, 1, "a segment is one device store");
         // Members stay individually readable and removable.
-        assert_eq!(stack.read(TierId(0), &keys[1], 4).ok(), Some(None));
+        assert_eq!(read(&stack, TierId(0), &keys[1], 4).ok(), Some(None));
         stack.remove(TierId(0), &keys[1], 4);
-        assert!(stack.read(TierId(0), &keys[1], 4).is_err());
+        assert!(read(&stack, TierId(0), &keys[1], 4).is_err());
     }
 
     #[test]
@@ -683,7 +704,7 @@ mod tests {
         let k = key(2);
         assert!(stack.write(TierId(0), &k, Some(&[1, 2, 3, 4]), 4).is_ok());
         assert_eq!(
-            stack.read(TierId(0), &k, 4).ok().flatten(),
+            read(&stack, TierId(0), &k, 4).ok().flatten(),
             Some(vec![1, 2, 3, 4])
         );
         let c = stack.counters();
@@ -693,7 +714,7 @@ mod tests {
         assert_eq!(c[0].loads, 1);
         assert_eq!(stack.total_bytes_written(), 4);
         stack.remove(TierId(0), &k, 4);
-        assert!(stack.read(TierId(0), &k, 4).is_err());
+        assert!(read(&stack, TierId(0), &k, 4).is_err());
         stack.reset_counters();
         assert_eq!(stack.total_bytes_written(), 0);
         assert_eq!(stack.counters()[0].name, "dram");

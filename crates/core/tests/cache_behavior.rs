@@ -10,7 +10,7 @@ use ssdtrain_autograd::{
     ops, ExecObserver, Graph, ModuleHooks, OpCost, Packed, Phase, SavedTensorHooks, ScopeInfo, Var,
 };
 use ssdtrain_simhw::{GpuMemory, SimClock, SimTime, WearMeter};
-use ssdtrain_tensor::{Device, MemClass, Prng, Tensor};
+use ssdtrain_tensor::{DType, Device, MemClass, Prng, Tensor};
 use std::sync::Arc;
 
 /// Advances the simulated clock by a fixed duration per operator, so
@@ -670,6 +670,103 @@ fn ssd_target_round_trips_through_real_files() {
     assert!(t.bytes_written() > 0, "wear metered");
     assert!(w1.grad().is_some());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Four saves of two widths whose values all differ: a payload read from
+/// another member's offset cannot decode to the right values. Every
+/// value is exact in half precision, so the F16 round trips are exact.
+fn mixed_width_saves(cache: &TensorCache, dev: &Device) -> Vec<(Packed, Vec<u32>)> {
+    let widths = [DType::F32, DType::F16, DType::F32, DType::F16];
+    let saves = widths.iter().enumerate().map(|(i, &dtype)| {
+        let vals: Vec<f32> = (0..8 * (i + 1)).map(|j| (i * 100 + j) as f32).collect();
+        let t = dev.with_dtype(dtype, || Tensor::from_vec(vals.clone(), [vals.len()], dev));
+        // The cache holds the last reference, so a commit frees it.
+        (cache.pack(&t), bits(&vals))
+    });
+    saves.collect()
+}
+
+fn bits(vals: &[f32]) -> Vec<u32> {
+    vals.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The bytes of `mixed_width_saves`: 32 + 32 + 96 + 64.
+const MIXED_BYTES: u64 = 224;
+
+#[test]
+fn a_coalesced_ssd_segment_round_trips_around_a_forwarded_member() {
+    use ssdtrain::StageHint;
+
+    let dir = std::env::temp_dir().join(format!("ssdtrain-cache-seg-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let clock = SimClock::new();
+    let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
+    let dev = Device::cpu();
+    dev.set_tracker(mem.clone());
+    // 1 kB/s: the segment holds the link for 0.224 s.
+    let io = IoEngine::new(clock.clone(), 1e3, 1e9);
+    let target = Arc::new(SsdTarget::new(&dir, WearMeter::new(1e15, 1.0)).unwrap());
+    let cfg = TensorCacheConfig {
+        coalesce_segment_bytes: 1 << 20,
+        ..offload_all_config()
+    };
+    let cache = TensorCache::new(cfg, target.clone(), io, mem);
+    cache.begin_step();
+    let saves = mixed_width_saves(&cache, &dev);
+    // Forward's exit seals all four into one segment and leaves its
+    // store on the link.
+    drop(cache.stage_scope(StageHint::Forward));
+    assert_eq!(cache.coalesce_counts().segments, 1);
+
+    // Member 1 is consumed while the store runs: forwarded from memory,
+    // so the commit skips it and the staged members around it close up.
+    assert_eq!(bits(&cache.unpack(&saves[1].0).to_vec()), saves[1].1);
+    assert_eq!(cache.stats().forwarded, 1);
+    clock.advance_by(1.0);
+    for i in [0, 2, 3] {
+        let back = cache.unpack(&saves[i].0).to_vec();
+        assert_eq!(bits(&back), saves[i].1, "member {i}");
+    }
+    assert_eq!(cache.stats().sync_loads, 3, "each came back from its file");
+    assert_eq!(target.bytes_written(), MIXED_BYTES - 32);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_refused_segment_demotes_each_members_own_bytes() {
+    use ssdtrain::{FaultyTarget, RecoveryPolicy, StageHint};
+    use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger};
+
+    let clock = SimClock::new();
+    let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
+    let dev = Device::cpu();
+    dev.set_tracker(mem.clone());
+    let io = IoEngine::new(clock.clone(), 1e9, 1e9);
+    let plan = FaultPlan::new(3).with_fault(FaultTrigger::NthOp { nth: 0 }, FaultKind::WriteError);
+    let front = FaultyTarget::new(Arc::new(CpuTarget::new(1 << 20)), plan);
+    let cfg = TensorCacheConfig {
+        coalesce_segment_bytes: 1 << 20,
+        recovery: RecoveryPolicy::FallbackTarget,
+        ..offload_all_config()
+    };
+    let cache = TensorCache::new(cfg, front, io, mem);
+    let fallback = Arc::new(CpuTarget::new(1 << 20));
+    cache.set_fallback_target(fallback.clone());
+    cache.begin_step();
+    let saves = mixed_width_saves(&cache, &dev);
+    drop(cache.stage_scope(StageHint::Forward));
+    clock.advance_by(1.0);
+
+    // The first consume commits the segment; the front device refuses
+    // it and every member is demoted with its own staged bytes.
+    for (i, (packed, want)) in saves.iter().enumerate() {
+        assert_eq!(&bits(&cache.unpack(packed).to_vec()), want, "member {i}");
+    }
+    let s = cache.stats();
+    assert_eq!(s.store_failures, 1);
+    assert_eq!(s.fallback_bytes, MIXED_BYTES);
+    assert_eq!(fallback.bytes_written(), MIXED_BYTES);
+    assert_eq!(s.sync_loads, 4, "each came back from the fallback");
 }
 
 // ---------------------------------------------------------------------

@@ -245,25 +245,47 @@ impl Storage {
             .notify_alloc(self.bytes(), self.inner.class);
     }
 
-    /// Serialises the payload for offloading.
+    /// Serialises the payload for offloading into a fresh buffer; see
+    /// [`Storage::append_bytes`] for the encoding. Returns `None` for
+    /// symbolic or released storages — symbolic offloads move accounted
+    /// bytes only.
+    pub fn to_bytes(&self) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        self.append_bytes(&mut out).then_some(out)
+    }
+
+    /// Serialises the payload onto the end of `out`, leaving what `out`
+    /// already holds in place, so one reused buffer can stage many
+    /// payloads back to back.
     ///
     /// `F32` storages serialise exactly (offload round trips are
     /// bit-identical); `F16`/`Bf16` storages serialise via a half-precision
-    /// conversion so the file size equals the accounted size. Returns
-    /// `None` for symbolic or released storages — symbolic offloads move
-    /// accounted bytes only.
-    pub fn to_bytes(&self) -> Option<Vec<u8>> {
-        self.with_data(|d| match self.inner.dtype {
-            DType::F32 => d.iter().flat_map(|x| x.to_le_bytes()).collect(),
-            DType::F16 | DType::Bf16 => d
-                .iter()
-                .flat_map(|x| f32_to_f16_bits(*x).to_le_bytes())
-                .collect(),
-            DType::U8 => d
-                .iter()
-                .map(|x| x.round().clamp(0.0, 255.0) as u8)
-                .collect(),
+    /// conversion so the byte count equals the accounted size. Returns
+    /// `false` and appends nothing for a symbolic or released storage.
+    pub fn append_bytes(&self, out: &mut Vec<u8>) -> bool {
+        self.with_data(|d| {
+            let start = out.len();
+            out.resize(start + self.bytes() as usize, 0);
+            let dst = &mut out[start..];
+            match self.inner.dtype {
+                DType::F32 => {
+                    for (c, x) in dst.chunks_exact_mut(4).zip(d) {
+                        c.copy_from_slice(&x.to_le_bytes());
+                    }
+                }
+                DType::F16 | DType::Bf16 => {
+                    for (c, x) in dst.chunks_exact_mut(2).zip(d) {
+                        c.copy_from_slice(&f32_to_f16_bits(*x).to_le_bytes());
+                    }
+                }
+                DType::U8 => {
+                    for (b, x) in dst.iter_mut().zip(d) {
+                        *b = x.round().clamp(0.0, 255.0) as u8;
+                    }
+                }
+            }
         })
+        .is_some()
     }
 
     /// Decodes bytes previously produced by [`Storage::to_bytes`].
@@ -521,6 +543,65 @@ mod tests {
         let bytes = s.to_bytes().unwrap();
         assert_eq!(bytes.len() as u64, s.bytes());
         assert_eq!(s.decode_bytes(&bytes), vals);
+    }
+
+    /// The per-element encoding, spelled out independently of the
+    /// staged encoder.
+    fn reference_bytes(vals: &[f32], dtype: DType) -> Vec<u8> {
+        match dtype {
+            DType::F32 => vals.iter().flat_map(|x| x.to_le_bytes()).collect(),
+            DType::F16 | DType::Bf16 => vals
+                .iter()
+                .flat_map(|x| f32_to_f16_bits(*x).to_le_bytes())
+                .collect(),
+            DType::U8 => vals
+                .iter()
+                .map(|x| x.round().clamp(0.0, 255.0) as u8)
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn append_bytes_matches_to_bytes_for_every_dtype() {
+        let dev = Device::cpu();
+        let vals = vec![1.5, -2.25, 300.7, 0.4, 65504.0, 7.0];
+        for dtype in [DType::F32, DType::F16, DType::Bf16, DType::U8] {
+            let s = Storage::numeric(vals.clone(), dtype, MemClass::Activation, &dev);
+            let mut out = Vec::new();
+            assert!(s.append_bytes(&mut out), "{dtype}");
+            assert_eq!(out, reference_bytes(&vals, dtype), "{dtype}");
+            assert_eq!(s.to_bytes().as_ref(), Some(&out), "{dtype}");
+            assert_eq!(out.len() as u64, s.bytes(), "{dtype}");
+        }
+    }
+
+    #[test]
+    fn append_bytes_appends_after_existing_content() {
+        let dev = Device::cpu();
+        let a = Storage::numeric(vec![1.0, 2.0], DType::F32, MemClass::Activation, &dev);
+        let b = Storage::numeric(vec![3.0, 4.0, 5.0], DType::F16, MemClass::Activation, &dev);
+        let mut out = vec![0xAB; 3];
+        assert!(a.append_bytes(&mut out));
+        assert!(b.append_bytes(&mut out));
+        let mut want = vec![0xAB; 3];
+        want.extend(a.to_bytes().unwrap());
+        want.extend(b.to_bytes().unwrap());
+        assert_eq!(out, want);
+        assert_eq!(b.decode_bytes(&out[11..]), vec![3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn append_bytes_leaves_out_untouched_without_a_payload() {
+        let sym = Storage::symbolic(8, DType::F32, MemClass::Activation, &Device::symbolic());
+        let dev = Device::cpu();
+        let released = Storage::numeric(vec![1.0; 8], DType::F32, MemClass::Activation, &dev);
+        released.release();
+        for s in [&sym, &released] {
+            let mut out = vec![9u8; 5];
+            assert!(!s.append_bytes(&mut out));
+            assert_eq!(out, vec![9u8; 5]);
+            assert!(s.to_bytes().is_none());
+        }
     }
 
     #[test]

@@ -44,6 +44,10 @@ cargo test -q -p ssdtrain-lint --test explain_cli
 # identity, checksum round trips, device writes = tier-counter stores)
 # catch a broken store path before the benchmark pipeline does.
 bash benchmark/run.sh --quick
+# The benchmark crate's own tests, which `--quick` never runs: among them
+# `bytes_round_trip_bit_exactly_through_both_tiers`, the one checksum
+# round trip of the spill path through DRAM and SSD tiers.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 # Tests, examples and bins too: a leftover `.clone()` of a `Copy` type
 # (`clippy::clone_on_copy`) hides in test code as easily as in a crate.
 cargo clippy --workspace --all-targets -- -D warnings

@@ -38,7 +38,7 @@ fn session(fault: Option<FaultPlan>, recovery: RecoveryPolicy) -> TrainSession {
     session_with(fault, recovery, TensorCacheConfig::offload_everything())
 }
 
-/// The zero-copy pipeline variant of the same run: stores coalesce into
+/// The coalesced pipeline variant of the same run: stores coalesce into
 /// 4 KiB segments and backward consumes module groups of two under the
 /// group look-ahead. The segments are small so that forward's early
 /// ones land — and are committed, as segment writes — before backward

@@ -43,7 +43,11 @@ proptest! {
         }
         for (k, len, home, payload) in &placed {
             for &id in &ids {
-                let got = stack.read(id, k, *len);
+                let mut got = None;
+                let read = stack.read(id, k, *len, &mut Vec::new(), &mut |d| {
+                    got = d.map(<[u8]>::to_vec);
+                });
+                let got = read.map(|()| got);
                 if id == *home {
                     let back = got.ok().flatten();
                     prop_assert_eq!(
