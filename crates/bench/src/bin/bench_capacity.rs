@@ -67,16 +67,15 @@ fn main() {
          behind backward's compute instead of paying them at the step boundary.\n\
          \n\
          an inline update is bound by loading its state (gradients and momentum, once\n\
-         each): each stage waits for its slowest read link. every link reads at the\n\
-         GPU's PCIe rate — the array reads faster than PCIe carries — so ssd and dram,\n\
-         which read all their state over one link, agree; tiered-4g splits its state\n\
-         between the DRAM and SSD links, whose reads the model prices side by side,\n\
-         and updates faster inline. (both reads cross one physical host-to-GPU PCIe\n\
-         link; the model does not yet share it.) the overlapped update never stores a\n\
-         gradient and loads each parameter's momentum the moment autograd finalises\n\
-         its gradient, so it exposes only the read still in flight when backward\n\
-         ends: the token embedding's, whose gradient is final last. the write side\n\
-         differs too (the array writes a little slower than PCIe carries): that is\n\
-         the ssd line's longer step."
+         each) over the GPU's one PCIe read bus, whichever tier holds it. every tier\n\
+         reads at the PCIe rate — the array reads faster than PCIe carries — so the\n\
+         inline update takes the same time on every backend: the state volume at that\n\
+         rate. the overlapped update never stores a gradient and loads each\n\
+         parameter's momentum the moment autograd finalises its gradient, queued\n\
+         behind the activation reloads backward is about to consume, so it exposes\n\
+         only the read still in flight when backward ends: the token embedding's,\n\
+         whose gradient is final last. the backends still differ in where the bytes\n\
+         land and on the write side (the array writes a little slower than PCIe\n\
+         carries)."
     );
 }

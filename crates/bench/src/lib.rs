@@ -25,12 +25,11 @@
 
 use ssdtrain::{
     chrome_trace_json, text_summary, OffloadClass, OffloadStats, PlacementStrategy,
-    TensorCacheConfig, TraceCategory, TraceEvent, TraceSink,
+    TensorCacheConfig, TraceEvent, TraceSink,
 };
 use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_simhw::{SimTime, SystemConfig};
 use ssdtrain_train::{OffloadBackend, SessionBuilder, SessionConfig, StepMetrics, TrainSession};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Formats bytes as GiB with two decimals.
@@ -494,9 +493,6 @@ pub struct CapacityTiming {
     pub opt_secs_inline: f64,
     /// What the in-backward update still exposes, seconds.
     pub opt_exposed_overlap: f64,
-    /// Per stage of the inline update, the seconds each read channel
-    /// (`xfer.<link>-read`) was booked — where its state loads went.
-    pub opt_stage_reads: Vec<BTreeMap<String, f64>>,
     /// In the in-backward run, how long after backward's end (the
     /// `ReduceGrads` stage's start) the step's last load landed: the
     /// state reads the update still waited for.
@@ -508,17 +504,15 @@ pub struct CapacityTiming {
 /// Measures `bench_capacity`'s overlap-timing lines, one per backend.
 ///
 /// An inline update is bound by loading its state (gradients and
-/// momentum): each stage waits for its slowest read channel, and the
-/// links' read channels run side by side. Every backend's read link is
-/// priced at the GPU's own PCIe rate (the array reads faster than PCIe
-/// carries), so where a backend reads all its state over one link the
-/// optimizer columns agree; the tiered backend splits its state across
-/// the DRAM and SSD links and updates faster. The in-backward update
-/// loads each parameter's momentum as autograd finalises its gradient,
-/// so it exposes only the reads still in flight when backward ends. The
-/// backends differ on the write side too (step time, store stall) and in
-/// where the bytes land (per-tier traffic); `tests/paper_claims.rs`
-/// asserts all of it.
+/// momentum) over the one PCIe read bus, whichever tier holds it. Every
+/// backend's read link is priced at the GPU's own PCIe rate (the array
+/// reads faster than PCIe carries), so the inline optimizer columns
+/// agree on every backend: the state volume at that rate. The
+/// in-backward update loads each parameter's momentum as autograd
+/// finalises its gradient, so it exposes only the reads still in flight
+/// when backward ends. The backends differ on the write side (step
+/// time, store stall) and in where the bytes land (per-tier traffic);
+/// `tests/paper_claims.rs` asserts all of it.
 pub fn capacity_timings() -> Vec<CapacityTiming> {
     let steady = |backend: OffloadBackend, overlap: bool| {
         let trace = TraceSink::enabled();
@@ -531,14 +525,13 @@ pub fn capacity_timings() -> Vec<CapacityTiming> {
         (metrics, trace.events())
     };
     let timing = |&(label, backend): &(&'static str, OffloadBackend)| {
-        let (inline, inline_events) = steady(backend, false);
+        let (inline, _) = steady(backend, false);
         let (overlapped, overlap_events) = steady(backend, true);
         CapacityTiming {
             backend: label,
             step_secs: [inline.step_secs, overlapped.step_secs],
             opt_secs_inline: inline.opt_secs,
             opt_exposed_overlap: overlapped.opt_exposed_secs,
-            opt_stage_reads: opt_stage_reads(&inline_events),
             overlap_tail: tail_after_backward(&overlap_events),
             metrics: [inline, overlapped],
         }
@@ -554,24 +547,6 @@ fn tail_after_backward(events: &[TraceEvent]) -> f64 {
     let loads = events.iter().filter(|e| e.name == "load");
     let landed = loads.map(|e| e.end()).fold(end, SimTime::max);
     landed.since(end)
-}
-
-/// Seconds each read channel was booked inside each inline optimizer
-/// stage (`opt.stage<j>` spans, in order) of a traced step.
-fn opt_stage_reads(events: &[TraceEvent]) -> Vec<BTreeMap<String, f64>> {
-    let stages = events.iter().filter(|e| e.name.starts_with("opt.stage"));
-    let reads = events.iter().filter(|e| e.cat == TraceCategory::Link);
-    stages
-        .map(|stage| {
-            let mut booked = BTreeMap::new();
-            for x in reads.clone() {
-                if x.ts >= stage.ts && x.ts < stage.end() {
-                    *booked.entry(x.name.clone()).or_default() += x.end().since(x.ts);
-                }
-            }
-            booked
-        })
-        .collect()
 }
 
 /// `bench_io`: fixed per-store-job submission cost (driver/syscall/queue
@@ -694,7 +669,7 @@ fn io_row(arm: &'static IoArm) -> IoRow {
 /// tiered backend): per-tensor stores vs coalesced segments, on-demand
 /// backward loads vs the group look-ahead, every arm paying the same
 /// per-store-job and per-write-op overheads. The look-ahead leaves the
-/// group arms no load stall (per-tensor depth-2 prefetch keeps 0.015 s);
+/// group arms no load stall (per-tensor depth-2 prefetch keeps 0.0165 s);
 /// the rows are write-bound, so the same seconds surface as store stall
 /// at backward's exit and `step s` does not move. The arms run with
 /// `cancel_forwarded_stores` off so each queues the same bytes — with

@@ -38,7 +38,7 @@ use crate::stats::OffloadStats;
 use crate::target::OffloadTarget;
 use crate::tier::TierStack;
 use parking_lot::Mutex;
-use record::{RecordId, State};
+use record::{RecState, RecordId, State};
 use ssdtrain_autograd::Phase;
 use ssdtrain_simhw::{BufferArena, GpuMemory, PinnedSlab, SimTime};
 use ssdtrain_tensor::Tensor;
@@ -142,8 +142,8 @@ pub struct TensorCache {
     /// The cache's one lock. Every public method and hook takes it once
     /// at entry and hands `&mut State` down; private methods never lock,
     /// so re-acquisition is a borrow error, not a deadlock. Layer order
-    /// while it is held: cache → {tiers → target, io → {clock, trace},
-    /// mem, arena} — nothing below ever calls back up.
+    /// while it is held: cache → {tiers → target, io → {clock, trace,
+    /// mem}, mem, arena} — nothing below ever calls back up.
     state: Mutex<State>,
 }
 
@@ -164,12 +164,15 @@ impl TensorCache {
     /// Creates a cache over an ordered tier stack; each tier's transfers
     /// are priced on its [`crate::Tier::link`] of `io` (so build the
     /// engine with [`IoEngine::tiered_with_bus`] and matching link indices).
+    /// The engine is handed `mem`, where the cache stamps each reload's
+    /// landing.
     pub fn with_tiers(
         config: TensorCacheConfig,
         tiers: Arc<TierStack>,
         io: IoEngine,
         mem: Arc<GpuMemory>,
     ) -> Arc<TensorCache> {
+        io.set_memory(mem.clone());
         let state = Mutex::new(State::new(config.coalesce_segment_bytes));
         Arc::new(TensorCache {
             config,
@@ -323,9 +326,13 @@ impl TensorCache {
         st.fwd_secs = 0.0;
         // Only state slots survived the flush. Their stores drained at
         // the previous step's optimizer barrier; on the fresh clock they
-        // are available immediately.
+        // are available immediately, and a read still marked in flight
+        // belongs to the queue just reset: it landed.
         for rec in st.records.values_mut() {
             rec.avail = SimTime::ZERO;
+            if matches!(rec.state, RecState::Loading { .. }) {
+                rec.state = RecState::Resident;
+            }
         }
         st.stats = OffloadStats::default();
         st.link_stalls.clear();

@@ -6,6 +6,7 @@ use super::record::{RecState, Record, RecordId, Reload, State, StateSlot};
 use super::TensorCache;
 use crate::config::MAX_IO_RETRIES;
 use crate::error::OffloadError;
+use crate::io::ReadId;
 use crate::stats::OffloadStats;
 use ssdtrain_simhw::SimTime;
 use ssdtrain_tensor::Tensor;
@@ -18,27 +19,54 @@ impl TensorCache {
         self.await_loads(&mut self.state.lock());
     }
 
+    /// Waits for the activation reloads in flight. A state slot's read
+    /// belongs to the caller that prefetched it, who waits for it.
     pub(super) fn await_loads(&self, st: &mut State) {
-        let loading = st.records.values().filter_map(|r| match r.state {
-            RecState::Loading { ready } => Some(ready),
+        let activations = st.records.values().filter(|r| !r.is_state());
+        let loading = activations.filter_map(|r| match r.state {
+            RecState::Loading { read, avail } => Some(self.landing(read, avail)),
             _ => None,
         });
         let latest = loading.fold(SimTime::ZERO, SimTime::max);
         self.stall_until(st, latest, "stall.drain");
     }
 
-    /// Reloads an offloaded state slot's bytes back into its tensor and
-    /// returns the simulated time the load completes. The caller decides
-    /// what to do with that time — the inline optimizer stalls on it,
-    /// the in-backward update waits for the clock to pass it. The ready
-    /// time is clamped to the slot's own store drain, so state is never
-    /// read before its store landed. A slot already resident returns
-    /// `now`; an unknown slot returns `None`.
+    /// When a `Loading` record's bytes are resident: its read's end as
+    /// the queue stands now, never before the record's store drained.
+    pub(super) fn landing(&self, read: ReadId, avail: SimTime) -> SimTime {
+        self.io.read_end(read).max(avail)
+    }
+
+    /// Reloads an offloaded state slot's bytes back into its tensor as a
+    /// demand read — ahead of every prefetch that has not started — and
+    /// returns the simulated time the load completes, for a caller that
+    /// stalls on it at once (the inline optimizer). The ready time is
+    /// clamped to the slot's own store drain, so state is never read
+    /// before its store landed. A slot already resident returns `now`,
+    /// one whose prefetch is in flight its landing; an unknown slot
+    /// returns `None`.
     pub fn load_state(&self, slot: StateSlot) -> Option<SimTime> {
+        self.reload_state(slot, Reload::State)
+    }
+
+    /// [`TensorCache::load_state`] for a caller that parks its work
+    /// until the load lands instead of stalling (the in-backward
+    /// update): the read queues FIFO behind the prefetches already
+    /// issued, so it never delays a reload backward is about to consume.
+    /// A demand read submitted before it starts goes ahead of it, so the
+    /// time returned can only move later; calling again while the read
+    /// is in flight issues nothing and returns where it lands now.
+    pub fn prefetch_state(&self, slot: StateSlot) -> Option<SimTime> {
+        self.reload_state(slot, Reload::StatePrefetch)
+    }
+
+    fn reload_state(&self, slot: StateSlot, how: Reload) -> Option<SimTime> {
         let now = self.io.clock().now();
         let mut st = self.state.lock();
-        st.records.get(&slot.0)?;
-        let ready = self.reload(&mut st, slot.0, Reload::State);
+        if let RecState::Loading { read, avail } = st.records.get(&slot.0)?.state {
+            return Some(self.landing(read, avail));
+        }
+        let ready = self.reload(&mut st, slot.0, how);
         Some(ready.unwrap_or(now))
     }
 
@@ -62,10 +90,11 @@ impl TensorCache {
         }
     }
 
-    /// Submits the reload of an `Offloaded` record and restores its
-    /// bytes, returning the simulated time they are resident again —
-    /// never before the record's own store drained. `None` when the
-    /// record is unknown or not offloaded.
+    /// Submits the reload of an `Offloaded` record — a demand read or a
+    /// prefetch, per `how` — and restores its bytes, returning the
+    /// simulated time they are resident again, never before the record's
+    /// own store drained (a prefetch's can still move later). `None`
+    /// when the record is unknown or not offloaded.
     pub(super) fn reload(&self, st: &mut State, id: RecordId, how: Reload) -> Option<SimTime> {
         let rec = st.records.get_mut(&id)?;
         if !matches!(rec.state, RecState::Offloaded) {
@@ -78,24 +107,32 @@ impl TensorCache {
                 .instant_bytes(TraceCategory::Prefetch, "prefetch.issue", now, bytes);
         }
         let link = self.tiers.link(rec.tier);
-        let busy0 = self.io.read_busy_secs_on(link);
-        let ready = self.io.submit_load_from(link, bytes).max(rec.avail);
-        let load_secs = self.io.read_busy_secs_on(link) - busy0;
+        let read = if how.demand() {
+            self.io.submit_demand_load_from(link, bytes)
+        } else {
+            self.io.submit_load_from(link, bytes)
+        };
+        let (start, end) = self.io.read_span(read);
+        let ready = end.max(rec.avail);
         let (stats, staging) = (&mut st.stats, &mut st.staging);
-        self.read_back(stats, &mut st.pending_error, &st.trace, staging, rec, ready);
-        rec.state = match how {
-            Reload::Prefetch => RecState::Loading { ready },
-            Reload::Sync | Reload::State => RecState::Resident,
+        self.read_back(stats, &mut st.pending_error, &st.trace, staging, rec, read);
+        rec.state = if how.demand() {
+            RecState::Resident
+        } else {
+            RecState::Loading {
+                read,
+                avail: rec.avail,
+            }
         };
         let scope = rec.scopes.min();
         if let Some(meta) = scope.and_then(|s| st.scopes.get_mut(&s)) {
-            meta.load_secs += load_secs;
+            meta.load_secs += end.since(start);
         }
         let stats = &mut st.stats;
         match how {
             Reload::Sync => stats.sync_loads += 1,
             Reload::Prefetch => stats.prefetches += 1,
-            Reload::State => {}
+            Reload::State | Reload::StatePrefetch => {}
         }
         stats.reloaded_bytes += bytes;
         let c = stats.class_mut(class);
@@ -113,6 +150,10 @@ impl TensorCache {
     /// device lends them ([`crate::OffloadTarget::read_with`]), with
     /// `staging` as the buffer a device that copies reads into, so the
     /// tensor's own values are the only allocation a reload makes.
+    ///
+    /// The restore is stamped on the memory timeline where `read` lands,
+    /// and tied to it ([`crate::IoEngine::track_landing`]) so it moves if
+    /// a demand read pushes the read back.
     pub(super) fn read_back(
         &self,
         stats: &mut OffloadStats,
@@ -120,7 +161,7 @@ impl TensorCache {
         trace: &TraceSink,
         staging: &mut Vec<u8>,
         rec: &Record,
-        ready: SimTime,
+        read: ReadId,
     ) {
         let (tensor, bytes) = (&rec.tensor, rec.bytes);
         // `None` after a successful read: a symbolic entry.
@@ -131,10 +172,10 @@ impl TensorCache {
             let mut decode = |data: Option<&[u8]>| {
                 values = data.map(|raw| tensor.storage().decode_bytes(raw));
             };
-            let read = self
+            let got = self
                 .tiers
                 .read(rec.tier, &rec.key, bytes, staging, &mut decode);
-            match read {
+            match got {
                 Ok(()) => break,
                 Err(err) if attempts > MAX_IO_RETRIES => {
                     stats.load_retries += u64::from(attempts - 1);
@@ -151,7 +192,7 @@ impl TensorCache {
                         trace.instant_with(
                             TraceCategory::Recovery,
                             "recovery.load_failed",
-                            ready,
+                            self.landing(read, rec.avail),
                             vec![
                                 ("bytes", ArgValue::U64(bytes)),
                                 ("attempts", ArgValue::U64(u64::from(attempts))),
@@ -159,7 +200,7 @@ impl TensorCache {
                         );
                     }
                     let numel = tensor.numel();
-                    self.mem.with_time(ready, || {
+                    self.restore_at_landing(rec, read, || {
                         tensor.storage().restore_numeric(vec![0.0; numel]);
                     });
                     return;
@@ -174,17 +215,26 @@ impl TensorCache {
             trace.instant_with(
                 TraceCategory::Recovery,
                 "recovery.load_retry",
-                ready,
+                self.landing(read, rec.avail),
                 vec![
                     ("bytes", ArgValue::U64(bytes)),
                     ("retries", ArgValue::U64(u64::from(attempts - 1))),
                 ],
             );
         }
-        self.mem.with_time(ready, || match values {
+        self.restore_at_landing(rec, read, || match values {
             Some(decoded) => tensor.storage().restore_numeric(decoded),
             None => tensor.storage().restore_symbolic(),
         });
+    }
+
+    /// Runs `f`, the restore of `rec`'s bytes, with its memory events
+    /// stamped where `read` lands, and ties them to the read so they
+    /// move if it is pushed back.
+    fn restore_at_landing(&self, rec: &Record, read: ReadId, f: impl FnOnce()) {
+        let ready = self.landing(read, rec.avail);
+        let ((), events) = self.mem.with_time_logged(ready, f);
+        self.io.track_landing(read, events, rec.avail);
     }
 
     /// Resolves a record id back to its tensor (Algorithm 2's `unpack`),
@@ -214,7 +264,7 @@ impl TensorCache {
                 ready = self.reload(st, id, Reload::Sync);
             }
             RecState::Offloaded => ready = self.reload(st, id, Reload::Sync),
-            RecState::Loading { ready: at } => ready = Some(at),
+            RecState::Loading { read, avail } => ready = Some(self.landing(read, avail)),
         }
         let rec = st.records.get_mut(&id)?;
         rec.state = RecState::Resident;

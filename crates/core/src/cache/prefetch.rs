@@ -36,11 +36,11 @@ impl TensorCache {
     /// at forward-order positions `[gidx·G, (gidx+1)·G)` for `G =
     /// prefetch_group_modules` — into `ids`, in the order backward reads
     /// them: last module first, and inside a module the last-packed
-    /// record first (the read link is FIFO, so issue order is arrival
-    /// order). Returns the group's bytes and how many of them a
-    /// prefetch would reload at `now`, i.e. those that left memory when
-    /// their store landed: a record whose store is still in flight is
-    /// forwarded instead, which allocates nothing.
+    /// record first (prefetches queue FIFO on the read bus, so issue
+    /// order is arrival order). Returns the group's bytes and how many of
+    /// them a prefetch would reload at `now`, i.e. those that left memory
+    /// when their store landed: a record whose store is still in flight
+    /// is forwarded instead, which allocates nothing.
     pub(super) fn group_records(
         &self,
         st: &State,

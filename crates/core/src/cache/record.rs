@@ -7,7 +7,7 @@ use crate::adaptive::AdaptivePlan;
 use crate::coalesce::WriteCoalescer;
 use crate::error::OffloadError;
 use crate::id::TensorKey;
-use crate::io::JobId;
+use crate::io::{JobId, ReadId};
 use crate::placement::OffloadClass;
 use crate::stats::OffloadStats;
 use crate::tier::TierId;
@@ -42,8 +42,10 @@ pub(super) enum RecState {
     /// On the offload target; GPU memory already freed (at the store's
     /// completion time).
     Offloaded,
-    /// Reload in flight; resident from `ready` on.
-    Loading { ready: SimTime },
+    /// A prefetched reload in flight: resident from `max(read end,
+    /// avail)` on. The end is asked of the engine, never copied — a
+    /// demand read queued since can have pushed it back.
+    Loading { read: ReadId, avail: SimTime },
 }
 
 /// The module scopes (seq ids) still referencing a record. Almost every
@@ -136,8 +138,8 @@ impl Record {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StateSlot(pub(super) RecordId);
 
-/// What a reload is for: decides the counter it lands in and the state
-/// the record is left in.
+/// What a reload is for: decides where it queues, the counter it lands
+/// in and the state the record is left in.
 #[derive(Clone, Copy)]
 pub(super) enum Reload {
     /// `unpack` found the bytes offloaded: the caller stalls on them.
@@ -145,8 +147,21 @@ pub(super) enum Reload {
     /// Issued ahead of use by the backward prefetcher.
     Prefetch,
     /// [`TensorCache::load_state`](super::TensorCache::load_state): the
-    /// caller owns the ready time.
+    /// caller stalls on the ready time.
     State,
+    /// [`TensorCache::prefetch_state`](super::TensorCache::prefetch_state):
+    /// the caller parks its work until the ready time.
+    StatePrefetch,
+}
+
+impl Reload {
+    /// A demand read: the caller stalls on it at once, so it goes ahead
+    /// of the prefetches that have not started, and the record is
+    /// resident when the call returns. Otherwise the read queues FIFO
+    /// and the record is `Loading`.
+    pub(super) fn demand(self) -> bool {
+        matches!(self, Reload::Sync | Reload::State)
+    }
 }
 
 #[derive(Default)]

@@ -606,10 +606,15 @@ impl TensorCache {
             match rec.state {
                 RecState::Offloaded => {}
                 // Loaded data is reclaimed once the (simulated) load has
-                // landed; releasing earlier would be double-counting.
-                RecState::Loading { ready } => self
-                    .mem
-                    .with_time(ready.max(now), || rec.tensor.storage().release()),
+                // landed; releasing earlier would be double-counting. The
+                // release moves with the read if it is pushed back.
+                RecState::Loading { read, avail } => {
+                    let floor = avail.max(now);
+                    let at = self.landing(read, floor);
+                    let storage = rec.tensor.storage();
+                    let ((), events) = self.mem.with_time_logged(at, || storage.release());
+                    self.io.track_landing(read, events, floor);
+                }
                 // Never stored, forwarded, loaded back, or kept by a
                 // failed or refused commit.
                 _ => rec.tensor.storage().release(),

@@ -12,7 +12,7 @@
 //! [`CostModel::effective_write_bps`]: a byte split priced over the
 //! tiers it actually lands on — serialised across the shared write
 //! bus — instead of a sum of link bandwidths that cannot be used
-//! concurrently. `bench_capacity` prices optimizer-state jobs with
+//! concurrently. Reloads serialise the same way on the read bus. `bench_capacity` prices optimizer-state jobs with
 //! [`CostModel::state_job_secs`]. And [`CostModel::modeled_step_secs`]
 //! is the prediction the benchmark scores against the simulator
 //! (`costmodel.pred_err_frac`).
@@ -40,7 +40,8 @@ pub struct TierCost {
     /// Effective store bandwidth, bytes/s (link rate capped by the
     /// shared write bus).
     pub write_bps: f64,
-    /// Load bandwidth, bytes/s (reads are independent per link).
+    /// Effective load bandwidth, bytes/s (link rate capped by the
+    /// shared read bus).
     pub read_bps: f64,
     /// Admission capacity, `None` when unbounded.
     pub capacity_bytes: Option<u64>,
@@ -70,7 +71,7 @@ impl CostModel {
             .into_iter()
             .map(|s| TierCost {
                 write_bps: io.write_bps_of(s.link).min(bus),
-                read_bps: io.read_bps_of(s.link),
+                read_bps: io.read_bps_of(s.link).min(io.bus_read_bps()),
                 name: s.name,
                 capacity_bytes: s.capacity_bytes,
             })
@@ -125,14 +126,15 @@ impl CostModel {
         per_tier.sum()
     }
 
-    /// Seconds until every reload finishes — reads are full duplex and
-    /// independent per link, so the slowest tier bounds the time.
+    /// Seconds until every reload finishes. Reads are full duplex with
+    /// the stores but share one read bus, so — like the drain — the time
+    /// is the sum of per-tier transfer times.
     pub fn load_secs(&self, bytes_per_tier: &[u64]) -> f64 {
         self.tiers
             .iter()
             .enumerate()
             .map(|(i, t)| bytes_per_tier.get(i).copied().unwrap_or(0) as f64 / t.read_bps)
-            .fold(0.0, f64::max)
+            .sum()
     }
 
     /// The effective aggregate store bandwidth of a byte split: total
@@ -151,11 +153,10 @@ impl CostModel {
 
     /// Price of one optimizer-stage state job on `tier`: load the
     /// stage's optimizer state and gradients back from the tier, then
-    /// store the refreshed state. Reads are full duplex; the store-back
-    /// rides the bus-capped write path. The overlap engine
-    /// uses this to decide how much of each stage's update the next
-    /// step's forward can hide (GreedySnake's schedule), on the same
-    /// model the adaptive budget prices stores with.
+    /// store the refreshed state, each direction at its bus-capped rate
+    /// (the two are full duplex, but both are summed: the update needs
+    /// its state before it can write it back). Priced on the same model
+    /// the adaptive budget prices stores with.
     pub fn state_job_secs(&self, tier_idx: usize, load_bytes: u64, store_bytes: u64) -> f64 {
         let Some(t) = self.tiers.get(tier_idx) else {
             return 0.0;
@@ -281,6 +282,8 @@ mod tests {
         // 1 s + 1 s serialised, not max(1, 1) as on independent links.
         assert_eq!(m.store_drain_secs(&split), 2.0);
         assert_eq!(m.effective_write_bps(&split), 1.5e9);
+        // Reloads cross the read bus the same way.
+        assert_eq!(m.load_secs(&split), 2.0);
     }
 
     #[test]

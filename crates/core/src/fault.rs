@@ -252,7 +252,8 @@ mod tests {
         assert!(t.write(&key(1), None, 4).is_ok());
         // 1 GB at 0.5 GB/s, 2 GB at 1 GB/s.
         assert_eq!(io.store_end(io.submit_store(1_000_000_000)).as_secs(), 2.0);
-        assert_eq!(io.submit_load(2_000_000_000).as_secs(), 2.0);
+        let read = io.submit_load_from(0, 2_000_000_000);
+        assert_eq!(io.read_end(read).as_secs(), 2.0);
         assert_eq!(t.fault_log().slowdowns, 1);
     }
 

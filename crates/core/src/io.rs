@@ -1,21 +1,30 @@
 //! Store/load job engine — the paper's two I/O thread pools
 //! (Section 3.3.2).
 //!
-//! Timing is modelled on the simulated clock. Every offload write
-//! leaves the GPU over *one* PCIe link, whatever tier it lands on, so
-//! the store side is a single FIFO: a job submitted at `t` starts when
-//! the previous live job finished and occupies the shared write bus for
-//! `bytes / min(link write bps, bus bps)`. Queued (not yet started)
-//! store jobs can be *cancelled* when their tensor was forwarded
-//! (adaptive offloading feature 1), which pulls the jobs behind them
-//! forward. Each job remembers the tier link it targets, so per-link
-//! drain times, busy seconds and byte counts are filters over the one
-//! list.
+//! Timing is modelled on the simulated clock. Every offload transfer
+//! crosses *one* PCIe link between the GPU and the host, whatever tier
+//! it lands on or comes back from, and that link is full duplex: the
+//! engine keeps one queue per direction, every tier link's jobs share
+//! it, and a job moves at `min(link bps, bus bps)` for its direction.
+//! Each job remembers the tier link it uses, so per-link drain times,
+//! busy seconds and byte counts are filters over the queues. Reads and
+//! writes never wait for each other.
 //!
-//! Loads are priced per tier link — PCIe-to-DRAM for a host pool tier,
-//! PCIe-to-SSD for the array — and independently of each other and of
-//! the stores: PCIe is full duplex and the read path is not the paper's
-//! bottleneck.
+//! The store queue is one FIFO: a job submitted at `t` starts when the
+//! previous live job finished. Queued (not yet started) store jobs can
+//! be *cancelled* when their tensor was forwarded (adaptive offloading
+//! feature 1), which pulls the jobs behind them forward.
+//!
+//! The read queue is ordered by who is waiting. A *prefetch*
+//! ([`IoEngine::submit_load_from`]) joins the tail. A *demand* read
+//! ([`IoEngine::submit_demand_load_from`]) is one the clock stalls on
+//! at once: it goes behind the reads already in flight and the earlier
+//! demand reads, and ahead of every prefetch that has not started, which
+//! it pushes back by its own duration. So a prefetch's landing can only
+//! move later; [`IoEngine::read_end`] reports where it is now, and its
+//! trace spans and the memory events stamped at its landing move with
+//! it. Every job keeps the price it was submitted at: a throttle slows
+//! the reads submitted after it, not those already queued.
 //!
 //! [`IoEngine::tiered_with_bus`] builds the engine over any number of
 //! links; [`IoEngine::new`] is the one-link shape, whose bus is its own
@@ -23,18 +32,23 @@
 // ssdtrain-lint: hot-path
 
 use parking_lot::Mutex;
-use ssdtrain_simhw::{Channel, SimClock, SimTime};
+use ssdtrain_simhw::{GpuMemory, SimClock, SimTime};
 use ssdtrain_trace::{LinkTraceBridge, TraceCategory, TraceSink};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Handle to a submitted store job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobId(usize);
 
+/// Handle to a submitted read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ReadId(usize);
+
 /// The simulated write/read bandwidths of one tier's link.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TierLink {
-    /// Link name; the read channel is traced as `"<name>-read"`.
+    /// Link name; its reads are traced as `"xfer.<name>-read"`.
     pub name: String,
     /// Store-direction bandwidth, bytes/s.
     pub write_bps: f64,
@@ -68,12 +82,41 @@ struct WriteJob {
     cancelled: bool,
 }
 
-/// One tier link's fixed parts: its name, rated write bandwidth and
-/// read channel (the channel keeps its own bookings).
+/// Memory events a caller stamped at a read's landing, which it
+/// clamped to `floor`: they sit at `max(read end, floor)`.
+#[derive(Debug, Clone)]
+struct Landing {
+    events: Range<usize>,
+    floor: SimTime,
+}
+
+#[derive(Debug, Clone)]
+struct ReadJob {
+    /// The tier link the read comes from.
+    link: usize,
+    bytes: u64,
+    submit: SimTime,
+    start: SimTime,
+    end: SimTime,
+    /// Transfer duration at the slowdown in effect at submit.
+    dur_secs: f64,
+    /// A demand read; otherwise a prefetch.
+    demand: bool,
+    /// Trace-log indices of the read's `xfer.<link>-read` and `load`
+    /// spans, retimed when the read moves.
+    spans: [Option<usize>; 2],
+    /// What the cache stamped at the landing: the restore of the bytes
+    /// and, if the record is released before it lands, the release.
+    landings: [Option<Landing>; 2],
+}
+
+/// One tier link's fixed parts.
 struct Link {
     name: String,
+    /// The link's read channel as traced: `"<name>-read"`.
+    read_channel: String,
     write_bps: f64,
-    reads: Channel,
+    read_bps: f64,
 }
 
 /// Everything the engine mutates, behind its one lock.
@@ -81,16 +124,20 @@ struct EngineState {
     /// Every store of the step in submission order — the one FIFO all
     /// links' jobs serialise through.
     jobs: Vec<WriteJob>,
-    /// Product of the injected slowdown factors; prices future stores.
+    /// Every read of the step in submission order; a [`ReadId`] indexes
+    /// it.
+    reads: Vec<ReadJob>,
+    /// `reads` indices in service order: the one read queue.
+    read_order: Vec<usize>,
+    /// Product of the injected slowdown factors; prices future jobs.
     slowdown: f64,
-    /// Seconds each link's read direction was busy this step (sum of
-    /// transfer durations booked on its read channel).
-    read_busy_secs: Vec<f64>,
     /// Fixed seconds added to every store job's duration at submit time
     /// (driver ioctl + DMA descriptor setup). Rescheduling reuses
     /// `dur_secs`, so the overhead sticks to a job for life.
     store_overhead: f64,
     trace: TraceSink,
+    /// The memory log landings are stamped in.
+    memory: Option<Arc<GpuMemory>>,
 }
 
 impl EngineState {
@@ -118,6 +165,47 @@ impl EngineState {
         let jobs = self.jobs.iter();
         jobs.filter(move |j| j.link == link && !j.cancelled)
     }
+
+    /// When the read at queue position `pos - 1` finishes
+    /// ([`SimTime::ZERO`] at the head).
+    fn read_end_before(&self, pos: usize) -> SimTime {
+        let prev = pos.checked_sub(1).and_then(|p| self.read_order.get(p));
+        prev.map_or(SimTime::ZERO, |&id| self.reads[id].end)
+    }
+
+    /// Reschedules the reads from queue position `from` on, the same
+    /// rule as the store queue's, and moves every trace span and memory
+    /// event of a read that moved to its new interval.
+    fn reschedule_reads(&mut self, from: usize) {
+        let mut prev_end = self.read_end_before(from);
+        let EngineState {
+            reads,
+            read_order,
+            trace,
+            memory,
+            ..
+        } = self;
+        for &id in &read_order[from..] {
+            let j = &mut reads[id];
+            let (was_start, was_end) = (j.start, j.end);
+            j.start = j.submit.max(prev_end);
+            j.end = j.start.plus_secs(j.dur_secs);
+            prev_end = j.end;
+            // A read that did not move leaves the rest where they were.
+            if j.start == was_start {
+                break;
+            }
+            for &index in j.spans.iter().flatten() {
+                trace.retime_span(index, was_start, j.start, j.end);
+            }
+            let Some(mem) = memory.as_deref() else {
+                continue;
+            };
+            for l in j.landings.iter().flatten() {
+                mem.restamp(l.events.clone(), was_end.max(l.floor), j.end.max(l.floor));
+            }
+        }
+    }
 }
 
 /// The simulated store/load engine shared by a tensor cache.
@@ -128,27 +216,38 @@ impl EngineState {
 /// let io = IoEngine::new(SimClock::new(), 1e9, 2e9);
 /// let job = io.submit_store(500_000_000); // 0.5 s at 1 GB/s
 /// assert_eq!(io.store_end(job).as_secs(), 0.5);
-/// let ready = io.submit_load(1_000_000_000); // full duplex
-/// assert_eq!(ready.as_secs(), 0.5);
+/// let read = io.submit_load_from(0, 1_000_000_000); // full duplex
+/// assert_eq!(io.read_end(read).as_secs(), 0.5);
 /// ```
 ///
 /// With several tiers ([`IoEngine::tiered_with_bus`], what a
 /// [`TrainSession`](../ssdtrain_train/index.html) builds) every tier
 /// sits behind the same GPU PCIe link, so stores serialise FIFO across
-/// links and the second store waits for the first:
+/// links and the second store waits for the first; reads share the
+/// other direction the same way, and a demand read overtakes the
+/// prefetches that have not started:
 ///
 /// ```
 /// use ssdtrain::{IoEngine, TierLink};
 /// use ssdtrain_simhw::SimClock;
+/// let clock = SimClock::new();
 /// let io = IoEngine::tiered_with_bus(
-///     SimClock::new(),
+///     clock.clone(),
 ///     vec![TierLink::new("dram", 2e9, 2e9), TierLink::new("ssd", 1e9, 1e9)],
-///     2e9, // one PCIe write bus shared by both tiers
+///     2e9, // one PCIe bus shared by both tiers, each direction
 /// );
 /// let a = io.submit_store_to(0, 2_000_000_000); // 0..1 s, dram at bus rate
 /// let b = io.submit_store_to(1, 1_000_000_000); // bus busy until 1 s
 /// assert_eq!(io.store_end(a).as_secs(), 1.0);
 /// assert_eq!(io.store_end(b).as_secs(), 2.0); // cross-tier queueing
+///
+/// let first = io.submit_load_from(0, 2_000_000_000); // 0..1 s
+/// let ahead = io.submit_load_from(1, 1_000_000_000); // queued for 1..2 s
+/// clock.advance_by(0.5); // `first` is in flight
+/// let needed = io.submit_demand_load_from(0, 2_000_000_000);
+/// assert_eq!(io.read_end(first).as_secs(), 1.0);
+/// assert_eq!(io.read_end(needed).as_secs(), 2.0); // overtook `ahead`
+/// assert_eq!(io.read_end(ahead).as_secs(), 3.0);
 /// ```
 #[derive(Clone)]
 pub struct IoEngine {
@@ -156,33 +255,49 @@ pub struct IoEngine {
     links: Arc<Vec<Link>>,
     /// Bandwidth of the write bus every store crosses, bytes/s.
     bus_write_bps: f64,
+    /// Bandwidth of the read bus every load crosses, bytes/s.
+    bus_read_bps: f64,
     /// The engine's one lock; clones share it. Nothing is called with
-    /// it held except the trace sink (layer order: io → {clock, trace}).
+    /// it held except the trace sink and the memory log (layer order:
+    /// io → {clock, trace, mem}).
     state: Arc<Mutex<EngineState>>,
 }
 
 impl IoEngine {
     /// Creates a single-link engine over one offload target's
-    /// write/read bandwidths; the link is its own write bus.
+    /// write/read bandwidths; the link is its own bus in each direction.
     ///
     /// # Panics
     /// Panics if a bandwidth is not positive.
     pub fn new(clock: SimClock, write_bps: f64, read_bps: f64) -> IoEngine {
         let link = TierLink::new("offload", write_bps, read_bps);
-        IoEngine::tiered_with_bus(clock, vec![link], write_bps)
+        IoEngine::with_buses(clock, vec![link], write_bps, read_bps)
     }
 
-    /// Creates an engine whose store jobs all serialise FIFO through one
-    /// shared write bus of `bus_write_bps` bytes/s, whatever link they
-    /// target — the single-PCIe-link reality of the paper's testbed. A
-    /// job transfers at `min(link write bps, bus bps)` (after any
-    /// slowdown); loads stay independent per link (full duplex).
+    /// Creates an engine whose jobs all cross one PCIe bus of `bus_bps`
+    /// bytes/s per direction, whatever link they use — the single-link
+    /// reality of the paper's testbed. Stores serialise FIFO on the
+    /// write side; reads serialise on the read side, demand reads ahead
+    /// of the prefetches that have not started. A job transfers at
+    /// `min(link bps, bus bps)` for its direction (after any slowdown).
     ///
     /// # Panics
     /// Panics if `links` is empty or any bandwidth (including the bus)
     /// is not positive — construction-time configuration bugs.
-    pub fn tiered_with_bus(clock: SimClock, links: Vec<TierLink>, bus_write_bps: f64) -> IoEngine {
-        assert!(bus_write_bps > 0.0, "bus bandwidth must be positive");
+    pub fn tiered_with_bus(clock: SimClock, links: Vec<TierLink>, bus_bps: f64) -> IoEngine {
+        IoEngine::with_buses(clock, links, bus_bps, bus_bps)
+    }
+
+    fn with_buses(
+        clock: SimClock,
+        links: Vec<TierLink>,
+        write_bus: f64,
+        read_bus: f64,
+    ) -> IoEngine {
+        assert!(
+            write_bus > 0.0 && read_bus > 0.0,
+            "bus bandwidth must be positive"
+        );
         assert!(!links.is_empty(), "an IoEngine needs at least one link");
         let links: Vec<Link> = links
             .into_iter()
@@ -192,23 +307,27 @@ impl IoEngine {
                     "bandwidth must be positive"
                 );
                 Link {
-                    reads: Channel::new(&format!("{}-read", l.name), l.read_bps),
+                    read_channel: format!("{}-read", l.name),
                     name: l.name,
                     write_bps: l.write_bps,
+                    read_bps: l.read_bps,
                 }
             })
             .collect();
         let state = EngineState {
             jobs: Vec::new(),
+            reads: Vec::new(),
+            read_order: Vec::new(),
             slowdown: 1.0,
-            read_busy_secs: vec![0.0; links.len()],
             store_overhead: 0.0,
             trace: TraceSink::disabled(),
+            memory: None,
         };
         IoEngine {
             clock,
             links: Arc::new(links),
-            bus_write_bps,
+            bus_write_bps: write_bus,
+            bus_read_bps: read_bus,
             state: Arc::new(Mutex::new(state)),
         }
     }
@@ -225,15 +344,18 @@ impl IoEngine {
         self.state.lock().store_overhead
     }
 
-    /// Routes this engine's events into `sink`: load spans (category
-    /// `load`) directly, and raw read-channel bookings (category `link`)
-    /// via a [`LinkTraceBridge`] per tier. Clones of this engine share
-    /// the sink.
+    /// Routes this engine's events into `sink`: each read as a `load`
+    /// span (category `load`) and an `xfer.<link>-read` span (category
+    /// `link`, as a [`LinkTraceBridge`] records it). Clones of this
+    /// engine share the sink.
     pub fn set_trace(&self, sink: TraceSink) {
-        for link in self.links.iter() {
-            link.reads.set_observer(LinkTraceBridge::new(sink.clone()));
-        }
         self.state.lock().trace = sink;
+    }
+
+    /// Attaches the memory log that [`IoEngine::track_landing`] stamps
+    /// refer to. Clones of this engine share it.
+    pub fn set_memory(&self, memory: Arc<GpuMemory>) {
+        self.state.lock().memory = Some(memory);
     }
 
     /// The shared clock.
@@ -253,28 +375,23 @@ impl IoEngine {
 
     /// Configured read bandwidth of one link, bytes/s.
     pub fn read_bps_of(&self, link: usize) -> f64 {
-        self.links
-            .get(link)
-            .map(|l| l.reads.bandwidth())
-            .unwrap_or(0.0)
+        self.links.get(link).map(|l| l.read_bps).unwrap_or(0.0)
     }
 
     /// Degrades both directions of *every* link by `factor` from the
     /// current simulated time: queued writes stretch fully, a write in
     /// flight stretches only its remaining portion, finished writes keep
-    /// their history (FIFO order preserved), and future reads take
-    /// `factor` times longer. Factors compose multiplicatively and
-    /// persist across [`IoEngine::reset`] — injected hardware
-    /// degradation does not heal between steps.
+    /// their history (FIFO order preserved), and reads submitted from
+    /// now on take `factor` times longer (queued reads keep their
+    /// price). Factors compose multiplicatively and persist across
+    /// [`IoEngine::reset`] — injected hardware degradation does not heal
+    /// between steps.
     ///
     /// # Panics
     /// Panics if `factor` is not positive.
     pub fn throttle(&self, factor: f64) {
         assert!(factor > 0.0, "slowdown factor must be positive");
         let now = self.clock.now();
-        for link in self.links.iter() {
-            link.reads.throttle(factor);
-        }
         let mut st = self.state.lock();
         st.slowdown *= factor;
         for j in st.jobs.iter_mut().filter(|j| !j.cancelled) {
@@ -357,22 +474,99 @@ impl IoEngine {
         true
     }
 
-    /// Submits a load of `bytes` on link 0 at the current time.
-    pub fn submit_load(&self, bytes: u64) -> SimTime {
-        self.submit_load_from(0, bytes)
+    /// Submits a prefetch of `bytes` from the tier link `link` at the
+    /// current time: it joins the tail of the read queue. A demand read
+    /// submitted before it starts goes ahead of it, so
+    /// [`IoEngine::read_end`] can only move later. An out-of-range link
+    /// is clamped to the last one.
+    pub fn submit_load_from(&self, link: usize, bytes: u64) -> ReadId {
+        self.submit_read(link, bytes, false)
     }
 
-    /// Submits a load of `bytes` on the tier link `link` at the current
-    /// time; returns the time the data is resident in GPU memory. An
+    /// Submits a demand read of `bytes` from the tier link `link` at the
+    /// current time — one the caller stalls on at once. It queues behind
+    /// every read that has started and every earlier demand read, ahead
+    /// of every prefetch that has not started (those are pushed back by
+    /// its duration), and nothing submitted later can overtake it. An
     /// out-of-range link is clamped to the last one.
-    pub fn submit_load_from(&self, link: usize, bytes: u64) -> SimTime {
+    pub fn submit_demand_load_from(&self, link: usize, bytes: u64) -> ReadId {
+        self.submit_read(link, bytes, true)
+    }
+
+    fn submit_read(&self, link: usize, bytes: u64, demand: bool) -> ReadId {
         let link = link.min(self.links.len() - 1);
-        let (start, end) = self.links[link].reads.submit(self.clock.now(), bytes);
-        let mut st = self.state.lock();
-        st.read_busy_secs[link] += end.as_secs() - start.as_secs();
-        st.trace
+        let l = &self.links[link];
+        let bps = l.read_bps.min(self.bus_read_bps);
+        let now = self.clock.now();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        // A prefetch queues at the tail; a demand read ahead of the
+        // prefetches that have not started, which sit at the tail (a
+        // demand read placed earlier sits ahead of them).
+        let mut pos = st.read_order.len();
+        while demand && pos > 0 {
+            let j = &st.reads[st.read_order[pos - 1]];
+            if j.demand || j.start < now {
+                break;
+            }
+            pos -= 1;
+        }
+        let start = now.max(st.read_end_before(pos));
+        let dur_secs = bytes as f64 * st.slowdown / bps;
+        let end = start.plus_secs(dur_secs);
+        let xfer = LinkTraceBridge::record(&st.trace, &l.read_channel, start, end, bytes);
+        let load = st
+            .trace
             .span_bytes(TraceCategory::Load, "load", start, end, bytes);
-        end
+        let id = st.reads.len();
+        st.reads.push(ReadJob {
+            link,
+            bytes,
+            submit: now,
+            start,
+            end,
+            dur_secs,
+            demand,
+            spans: [xfer, load],
+            landings: [None, None],
+        });
+        st.read_order.insert(pos, id);
+        st.reschedule_reads(pos + 1);
+        ReadId(id)
+    }
+
+    /// When a read's bytes are in GPU memory, as the queue stands now.
+    ///
+    /// # Panics
+    /// Panics on an unknown read.
+    pub fn read_end(&self, read: ReadId) -> SimTime {
+        self.state.lock().reads[read.0].end
+    }
+
+    /// A read's current `(start, end)` interval on the read bus.
+    ///
+    /// # Panics
+    /// Panics on an unknown read.
+    pub fn read_span(&self, read: ReadId) -> (SimTime, SimTime) {
+        let st = self.state.lock();
+        let j = &st.reads[read.0];
+        (j.start, j.end)
+    }
+
+    /// Ties memory events to a read's landing: `events` are log
+    /// positions in the [attached](IoEngine::set_memory) memory log,
+    /// stamped at `max(read end, floor)`. If a demand read pushes the
+    /// read back, they are restamped at its new end. A read carries at
+    /// most two such stamps (its bytes' restore and, if the record goes
+    /// before the read lands, its release); further ones are ignored.
+    pub fn track_landing(&self, read: ReadId, events: Range<usize>, floor: SimTime) {
+        let mut st = self.state.lock();
+        let Some(j) = st.reads.get_mut(read.0) else {
+            return;
+        };
+        if let Some(slot) = j.landings.iter_mut().find(|l| l.is_none()) {
+            *slot = Some(Landing { events, floor });
+        }
     }
 
     /// When the last scheduled write finishes ([`SimTime::ZERO`] when
@@ -400,6 +594,11 @@ impl IoEngine {
         self.bus_write_bps
     }
 
+    /// Bandwidth of the read bus every load crosses, bytes/s.
+    pub fn bus_read_bps(&self) -> f64 {
+        self.bus_read_bps
+    }
+
     /// Total bytes actually written across every link (cancelled jobs
     /// excluded).
     pub fn bytes_written(&self) -> u64 {
@@ -410,7 +609,7 @@ impl IoEngine {
 
     /// Total bytes read back across every link.
     pub fn bytes_read(&self) -> u64 {
-        self.links.iter().map(|l| l.reads.bytes_total()).sum()
+        self.state.lock().reads.iter().map(|j| j.bytes).sum()
     }
 
     /// Seconds the write bus was busy: the per-link sums added in link
@@ -427,21 +626,20 @@ impl IoEngine {
         self.state.lock().live_jobs(link).map(|j| j.dur_secs).sum()
     }
 
-    /// Seconds one tier link's read direction was busy this step.
+    /// Seconds of this step's reads that came from one tier link.
     pub fn read_busy_secs_on(&self, link: usize) -> f64 {
         let st = self.state.lock();
-        st.read_busy_secs.get(link).copied().unwrap_or(0.0)
+        let reads = st.reads.iter().filter(|j| j.link == link);
+        reads.fold(0.0, |busy, j| busy + (j.end.as_secs() - j.start.as_secs()))
     }
 
     /// Clears all job state on every link (new measured step). An
     /// injected slowdown persists; see [`IoEngine::throttle`].
     pub fn reset(&self) {
-        for link in self.links.iter() {
-            link.reads.reset();
-        }
         let mut st = self.state.lock();
         st.jobs.clear();
-        st.read_busy_secs.fill(0.0);
+        st.reads.clear();
+        st.read_order.clear();
     }
 }
 
@@ -450,6 +648,7 @@ impl std::fmt::Debug for IoEngine {
         f.debug_struct("IoEngine")
             .field("links", &self.links.len())
             .field("bus_write_gbps", &(self.bus_write_bps / 1e9))
+            .field("bus_read_gbps", &(self.bus_read_bps / 1e9))
             .field("bytes_written", &self.bytes_written())
             .field("bytes_read", &self.bytes_read())
             .finish()
@@ -464,6 +663,12 @@ mod tests {
         let clock = SimClock::new();
         let io = IoEngine::new(clock.clone(), 1e9, 2e9);
         (clock, io)
+    }
+
+    /// A read's `(start, end)` in seconds.
+    fn span(io: &IoEngine, read: ReadId) -> (f64, f64) {
+        let (start, end) = io.read_span(read);
+        (start.as_secs(), end.as_secs())
     }
 
     #[test]
@@ -500,8 +705,8 @@ mod tests {
     fn loads_use_the_read_channel() {
         let (clock, io) = engine();
         clock.advance_by(1.0);
-        let ready = io.submit_load(2_000_000_000); // 1 s at 2 GB/s
-        assert_eq!(ready.as_secs(), 2.0);
+        let ready = io.submit_load_from(0, 2_000_000_000); // 1 s at 2 GB/s
+        assert_eq!(io.read_end(ready).as_secs(), 2.0);
         assert_eq!(io.bytes_read(), 2_000_000_000);
     }
 
@@ -509,9 +714,9 @@ mod tests {
     fn writes_overlap_reads_full_duplex() {
         let (_c, io) = engine();
         io.submit_store(1_000_000_000);
-        let ready = io.submit_load(2_000_000_000);
+        let ready = io.submit_load_from(0, 2_000_000_000);
         // Read finishes at 1 s even though a write occupies 0..1 s.
-        assert_eq!(ready.as_secs(), 1.0);
+        assert_eq!(io.read_end(ready).as_secs(), 1.0);
     }
 
     #[test]
@@ -536,8 +741,20 @@ mod tests {
         // b: not started, takes 2 s, queued behind a.
         assert_eq!(io.store_end(b).as_secs(), 3.5);
         // Future reads also slow: 2 GB at an effective 1 GB/s.
-        let ready = io.submit_load(2_000_000_000);
-        assert_eq!(ready.as_secs(), 2.5);
+        let ready = io.submit_load_from(0, 2_000_000_000);
+        assert_eq!(io.read_end(ready).as_secs(), 2.5);
+    }
+
+    #[test]
+    fn throttle_leaves_queued_reads_at_their_price() {
+        let (clock, io) = engine();
+        let a = io.submit_load_from(0, 2_000_000_000); // 0..1 s
+        let b = io.submit_load_from(0, 2_000_000_000); // 1..2 s
+        clock.advance_by(0.5);
+        io.throttle(2.0);
+        assert_eq!((span(&io, a), span(&io, b)), ((0.0, 1.0), (1.0, 2.0)));
+        let c = io.submit_load_from(0, 2_000_000_000); // 2 s at 1 GB/s
+        assert_eq!(span(&io, c), (2.0, 4.0));
     }
 
     #[test]
@@ -579,14 +796,17 @@ mod tests {
 
     #[test]
     fn tier_loads_price_on_their_own_link() {
+        // Each read moves at its own link's rate, capped by the bus, and
+        // the two links' reads share the one read bus.
         let (_c, io) = bus_engine();
-        let dram_ready = io.submit_load_from(0, 2_000_000_000); // 1 s at 2 GB/s
-        let ssd_ready = io.submit_load_from(1, 2_000_000_000); // 2 s at 1 GB/s
-        assert_eq!(dram_ready.as_secs(), 1.0);
-        assert_eq!(ssd_ready.as_secs(), 2.0);
+        let dram = io.submit_load_from(0, 2_000_000_000); // 1 s at 2 GB/s
+        let ssd = io.submit_load_from(1, 2_000_000_000); // 2 s at 1 GB/s, behind
+        assert_eq!(span(&io, dram), (0.0, 1.0));
+        assert_eq!(span(&io, ssd), (1.0, 3.0));
         assert_eq!(io.read_busy_secs_on(0), 1.0);
         assert_eq!(io.read_busy_secs_on(1), 2.0);
         assert_eq!(io.bytes_read(), 4_000_000_000);
+        assert_eq!(io.bus_read_bps(), 2e9);
     }
 
     #[test]
@@ -610,8 +830,11 @@ mod tests {
         assert_eq!(io.store_end(a).as_secs(), 2.0);
         let b = io.submit_store_to(0, 2_000_000_000); // 2 s at slowed 1 GB/s
         assert_eq!(io.store_end(b).as_secs(), 4.0);
-        assert_eq!(io.submit_load_from(0, 2_000_000_000).as_secs(), 2.0);
-        assert_eq!(io.submit_load_from(1, 1_000_000_000).as_secs(), 2.0);
+        // The reads share their bus too: 2 s each, one behind the other.
+        let c = io.submit_load_from(0, 2_000_000_000);
+        let d = io.submit_load_from(1, 1_000_000_000);
+        assert_eq!(span(&io, c), (0.0, 2.0));
+        assert_eq!(span(&io, d), (2.0, 4.0));
     }
 
     #[test]
@@ -688,6 +911,8 @@ mod tests {
             assert_eq!(io.store_end(a).as_secs(), 1.0);
             assert_eq!(io.writes_drain_at().as_secs(), 1.0);
             assert_eq!(io.bytes_written(), 1_000_000_000);
+            let r = io.submit_load_from(0, 2_000_000_000);
+            assert_eq!(io.read_end(r).as_secs(), 1.0);
         }
     }
 
@@ -729,5 +954,75 @@ mod tests {
         assert_eq!(io.link_name(1), "ssd");
         io.reset();
         assert_eq!(io.read_busy_secs_on(0), 0.0);
+    }
+
+    #[test]
+    fn a_demand_read_overtakes_queued_prefetches_not_one_in_flight() {
+        let (clock, io) = engine(); // reads at 2 GB/s
+        let a = io.submit_load_from(0, 2_000_000_000); // 0..1 s
+        let b = io.submit_load_from(0, 2_000_000_000); // 1..2 s
+        let c = io.submit_load_from(0, 2_000_000_000); // 2..3 s
+        clock.advance_by(0.5); // a is in flight, b and c are queued
+        let d = io.submit_demand_load_from(0, 1_000_000_000); // 0.5 s
+        assert_eq!(span(&io, a), (0.0, 1.0), "in flight: not overtaken");
+        assert_eq!(span(&io, d), (1.0, 1.5));
+        assert_eq!(span(&io, b), (1.5, 2.5));
+        assert_eq!(span(&io, c), (2.5, 3.5));
+        assert_eq!(io.bytes_read(), 7_000_000_000);
+    }
+
+    #[test]
+    fn demand_reads_stay_fifo_among_themselves() {
+        let (_c, io) = engine();
+        let p = io.submit_load_from(0, 2_000_000_000); // would run 0..1 s
+        let d1 = io.submit_demand_load_from(0, 1_000_000_000);
+        let d2 = io.submit_demand_load_from(0, 1_000_000_000);
+        // Neither demand read overtakes the other; both go ahead of the
+        // prefetch that had not started at their submit time.
+        assert_eq!(span(&io, d1), (0.0, 0.5));
+        assert_eq!(span(&io, d2), (0.5, 1.0));
+        assert_eq!(span(&io, p), (1.0, 2.0));
+        // A prefetch submitted now queues behind everything.
+        let q = io.submit_load_from(0, 2_000_000_000);
+        assert_eq!(span(&io, q), (2.0, 3.0));
+    }
+
+    #[test]
+    fn a_pushed_back_prefetch_moves_by_the_demand_reads_duration() {
+        let (clock, io) = bus_engine(); // 2 GB/s bus, ssd link at 1 GB/s
+        let head = io.submit_load_from(0, 4_000_000_000); // 0..2 s
+        let p = io.submit_load_from(1, 1_000_000_000); // 2..3 s
+        clock.advance_by(1.0);
+        let before = io.read_end(p);
+        let d = io.submit_demand_load_from(1, 500_000_000); // 0.5 s at 1 GB/s
+        let (start, end) = io.read_span(d);
+        assert_eq!(start, io.read_end(head));
+        assert_eq!(io.read_end(p).since(before), end.since(start));
+        assert_eq!(io.read_end(p).as_secs(), 3.5);
+    }
+
+    #[test]
+    fn a_moved_read_retimes_its_trace_spans_and_memory_stamps() {
+        use ssdtrain_tensor::{MemClass, MemTracker};
+        let (clock, io) = engine();
+        let sink = TraceSink::enabled();
+        io.set_trace(sink.clone());
+        let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
+        io.set_memory(mem.clone());
+        let p = io.submit_load_from(0, 2_000_000_000); // 0..1 s
+        let ((), restore) = mem.with_time_logged(io.read_end(p), || {
+            mem.on_alloc(2_000_000_000, MemClass::Activation)
+        });
+        io.track_landing(p, restore, SimTime::ZERO);
+        io.submit_demand_load_from(0, 1_000_000_000); // 0..0.5 s, ahead of p
+        assert_eq!(span(&io, p), (0.5, 1.5));
+        let events = sink.events();
+        let of = |name: &str| {
+            let e = events.iter().find(|e| e.name == name).expect(name);
+            (e.ts.as_secs(), e.end().as_secs())
+        };
+        assert_eq!(of("load"), (0.5, 1.5), "the prefetch's load span moved");
+        assert_eq!(of("xfer.offload-read"), (0.5, 1.5));
+        assert_eq!(mem.timeline()[0].time.as_secs(), 1.5, "restore moved");
     }
 }

@@ -14,7 +14,7 @@
 //! let io = IoEngine::new(clock, 1e9, 1e9);
 //! let sink = TraceSink::enabled();
 //! io.set_trace(sink.clone());
-//! io.submit_load(1_000_000);
+//! io.submit_load_from(0, 1_000_000);
 //! assert!(!sink.is_empty());
 //! ```
 

@@ -241,8 +241,8 @@ impl TierStack {
 
     /// Appends a demotion-only tier priced on the *front* tier's link —
     /// how [`crate::TensorCache::set_fallback_target`] re-expresses the
-    /// flat design's fallback target (demoted loads travel the same
-    /// simulated read channel they always did).
+    /// flat design's fallback target (demoted loads are priced on the
+    /// same link they always were).
     pub fn push_demotion(&self, device: Arc<dyn OffloadTarget>) {
         let mut inner = self.inner.lock();
         let link = inner.first().map(|(t, _)| t.link).unwrap_or(0);

@@ -1300,3 +1300,49 @@ fn group_lookahead_forwards_the_store_backlog_without_lifting_the_level() {
     let forward = step.mem.peak_activations_between(SimTime::ZERO, announced);
     assert_eq!(step.mem.peak_activations(), forward);
 }
+
+#[test]
+fn a_state_load_overtakes_a_queued_group_and_a_state_prefetch_waits_behind_it() {
+    // Eight modules, none kept: backward's consumption frees a group's
+    // memory, so entering module 5 issues group 1 — 2 MiB, 2 ms on the
+    // read link — at the current time.
+    let mut step = HookStep::forward(8, 0, 1e12);
+    let dev = Device::cpu();
+    let grads: Vec<Tensor> = (0..2).map(|_| Tensor::zeros([64 << 10], &dev)).collect();
+    let slot = |t: &Tensor| {
+        let s = step.cache.offload_state(t, OffloadClass::Gradient);
+        s.expect("a state slot")
+    };
+    let (a, b) = (slot(&grads[0]), slot(&grads[1]));
+    step.announce();
+    step.backward(6);
+    let now = step.clock.now();
+    step.cache.backward_pre(&step.scopes[5]);
+    let groups = step.group_instants();
+    let last = groups.last().expect("a group");
+    assert_eq!(
+        (arg(last, "group"), last.ts),
+        (1, now),
+        "group 1 issued now"
+    );
+    assert!(step.cache.state_available_at(a).expect("offloaded") <= now);
+
+    // 256 KiB at 1 MiB a millisecond.
+    let transfer = 0.25e-3;
+    let group = 2e-3;
+    // The load the caller stalls on goes ahead of the group: its own
+    // transfer time, not the group's first.
+    let ready = step.cache.load_state(a).expect("known slot");
+    assert!((ready.since(now) - transfer).abs() < 1e-12, "{ready}");
+    // The update that parks until its state lands queues behind the
+    // group (which the demand read pushed back by its transfer).
+    let parked = step.cache.prefetch_state(b).expect("known slot");
+    let behind = transfer + group + transfer;
+    assert!((parked.since(now) - behind).abs() < 1e-12, "{parked}");
+    // Asking again issues nothing.
+    assert_eq!(step.cache.prefetch_state(b), Some(parked));
+    assert_eq!(step.cache.stats().reloaded_bytes, 6 * MIB + MIB / 2);
+    step.backward(0);
+    step.cache.release_state(a);
+    step.cache.release_state(b);
+}

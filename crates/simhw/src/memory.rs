@@ -5,6 +5,7 @@ use crate::time::{SimClock, SimTime};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use ssdtrain_tensor::{MemClass, MemTracker};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One point of the memory-footprint timeline (Figure 7 of the paper).
@@ -154,6 +155,28 @@ impl GpuMemory {
         let r = f();
         self.state.lock().time_override = prev;
         r
+    }
+
+    /// [`GpuMemory::with_time`] that also returns the log positions of
+    /// the events `f` recorded, so a caller whose future time later moves
+    /// can [`restamp`](GpuMemory::restamp) them.
+    pub fn with_time_logged<R>(&self, t: SimTime, f: impl FnOnce() -> R) -> (R, Range<usize>) {
+        let first = self.state.lock().events.len();
+        let r = self.with_time(t, f);
+        let last = self.state.lock().events.len();
+        (r, first..last)
+    }
+
+    /// Moves the events at `events` (from [`GpuMemory::with_time_logged`])
+    /// that are still stamped `was` to `t`. Events no longer there or
+    /// stamped otherwise — the log was reset since — are left alone.
+    pub fn restamp(&self, events: Range<usize>, was: SimTime, t: SimTime) {
+        let mut s = self.state.lock();
+        let end = events.end.min(s.events.len());
+        let start = events.start.min(end);
+        for e in s.events[start..end].iter_mut().filter(|e| e.time == was) {
+            e.time = t;
+        }
     }
 
     fn record(&self, delta: i64, class: MemClass) {
@@ -382,6 +405,30 @@ mod tests {
         assert_eq!(tl[1].total, 150);
         assert_eq!(tl[2].total, 50);
         assert_eq!(mem.peak_total(), 150);
+    }
+
+    #[test]
+    fn restamped_events_move_on_the_timeline() {
+        let (_c, mem) = gm();
+        let at = SimTime::from_secs(2.0);
+        let ((), logged) = mem.with_time_logged(at, || mem.on_alloc(100, MemClass::Activation));
+        assert_eq!(logged, 0..1);
+        mem.with_time(SimTime::from_secs(3.0), || {
+            mem.on_free(100, MemClass::Activation)
+        });
+        // A stale stamp leaves the event alone; the right one moves it.
+        mem.restamp(
+            logged.clone(),
+            SimTime::from_secs(9.0),
+            SimTime::from_secs(4.0),
+        );
+        assert_eq!(mem.timeline()[0].time, at);
+        mem.restamp(logged, at, SimTime::from_secs(4.0));
+        let tl = mem.timeline();
+        assert_eq!(tl[0].total, 0, "the free at 3 s now comes first");
+        assert_eq!(tl[1].time, SimTime::from_secs(4.0));
+        mem.reset();
+        mem.restamp(0..1, at, SimTime::from_secs(5.0)); // a reset log: no-op
     }
 
     #[test]

@@ -293,7 +293,8 @@ impl TraceSink {
         }
     }
 
-    /// Records a fully-specified event.
+    /// Records a fully-specified event; returns its index in the event
+    /// log (`None` when disabled).
     pub fn emit(
         &self,
         kind: EventKind,
@@ -301,17 +302,36 @@ impl TraceSink {
         name: impl Into<String>,
         ts: SimTime,
         args: Vec<(&'static str, ArgValue)>,
-    ) {
-        if let Some(inner) = &self.inner {
-            let step = inner.step.load(Ordering::Relaxed);
-            inner.events.lock().push(TraceEvent {
-                step,
-                ts,
-                kind,
-                cat,
-                name: name.into(),
-                args,
-            });
+    ) -> Option<usize> {
+        let inner = self.inner.as_ref()?;
+        let step = inner.step.load(Ordering::Relaxed);
+        let mut events = inner.events.lock();
+        events.push(TraceEvent {
+            step,
+            ts,
+            kind,
+            cat,
+            name: name.into(),
+            args,
+        });
+        Some(events.len() - 1)
+    }
+
+    /// Moves the span recorded at `index` (see [`TraceSink::span_bytes`])
+    /// from its start `was` to `[start, end]` — for a transfer whose
+    /// interval changed after it was recorded. Does nothing when the
+    /// event there is not a span starting at `was` (the log was cleared
+    /// since).
+    pub fn retime_span(&self, index: usize, was: SimTime, start: SimTime, end: SimTime) {
+        let Some(inner) = &self.inner else { return };
+        let mut events = inner.events.lock();
+        if let Some(e) = events.get_mut(index) {
+            if matches!(e.kind, EventKind::Span { .. }) && e.ts == was {
+                e.ts = start;
+                e.kind = EventKind::Span {
+                    dur_secs: end.since(start).max(0.0),
+                };
+            }
         }
     }
 
@@ -323,7 +343,8 @@ impl TraceSink {
         }
     }
 
-    /// Records a span carrying a byte count.
+    /// Records a span carrying a byte count; returns its index in the
+    /// event log (`None` when disabled).
     pub fn span_bytes(
         &self,
         cat: TraceCategory,
@@ -331,17 +352,16 @@ impl TraceSink {
         start: SimTime,
         end: SimTime,
         bytes: u64,
-    ) {
-        if self.inner.is_some() {
-            let dur_secs = end.since(start).max(0.0);
-            self.emit(
-                EventKind::Span { dur_secs },
-                cat,
-                name,
-                start,
-                vec![("bytes", ArgValue::U64(bytes))],
-            );
-        }
+    ) -> Option<usize> {
+        self.inner.as_ref()?;
+        let dur_secs = end.since(start).max(0.0);
+        self.emit(
+            EventKind::Span { dur_secs },
+            cat,
+            name,
+            start,
+            vec![("bytes", ArgValue::U64(bytes))],
+        )
     }
 
     /// Records a point event.
@@ -559,20 +579,30 @@ impl LinkTraceBridge {
     pub fn new(sink: TraceSink) -> Arc<LinkTraceBridge> {
         Arc::new(LinkTraceBridge { sink })
     }
+
+    /// Records one transfer on `channel` into `sink` as an
+    /// `xfer.<channel>` span and returns its index in the event log
+    /// (`None` when disabled), so a queue that later moves the transfer
+    /// can [retime](TraceSink::retime_span) it. What the bridge does per
+    /// booking, for a caller that books transfers itself.
+    pub fn record(
+        sink: &TraceSink,
+        channel: &str,
+        start: SimTime,
+        end: SimTime,
+        bytes: u64,
+    ) -> Option<usize> {
+        if !sink.is_enabled() {
+            return None;
+        }
+        let name = format!("xfer.{channel}");
+        sink.span_bytes(TraceCategory::Link, name, start, end, bytes)
+    }
 }
 
 impl TransferObserver for LinkTraceBridge {
     fn on_transfer(&self, channel: &str, start: SimTime, end: SimTime, bytes: u64) {
-        if !self.sink.is_enabled() {
-            return;
-        }
-        self.sink.span_bytes(
-            TraceCategory::Link,
-            format!("xfer.{channel}"),
-            start,
-            end,
-            bytes,
-        );
+        LinkTraceBridge::record(&self.sink, channel, start, end, bytes);
     }
 }
 
@@ -626,6 +656,21 @@ mod tests {
         );
         let ev = &sink.events()[0];
         assert_eq!(ev.end(), SimTime::from_secs(2.5));
+    }
+
+    #[test]
+    fn a_recorded_transfer_can_be_retimed() {
+        let sink = TraceSink::enabled();
+        let (t, secs) = (SimTime::from_secs, SimTime::as_secs);
+        let at = LinkTraceBridge::record(&sink, "ssd-read", t(1.0), t(2.0), 8);
+        let index = at.expect("an enabled sink records");
+        sink.retime_span(index, t(9.0), t(5.0), t(6.0)); // stale: ignored
+        sink.retime_span(index, t(1.0), t(3.0), t(4.5));
+        let ev = &sink.events()[index];
+        assert_eq!(ev.name, "xfer.ssd-read");
+        assert_eq!((secs(ev.ts), secs(ev.end())), (3.0, 4.5));
+        let off = TraceSink::disabled();
+        assert_eq!(LinkTraceBridge::record(&off, "x", t(0.0), t(1.0), 1), None);
     }
 
     #[test]

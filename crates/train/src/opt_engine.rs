@@ -99,7 +99,9 @@ struct Slots {
     /// Each parameter's offloaded optimizer state.
     states: Vec<Option<StateSlot>>,
     /// In-backward mode: parameters whose update is waiting for its
-    /// state load, with the time the load lands, in start order.
+    /// state load, with the time the load lands as last asked, in start
+    /// order. A demand read can push a load back, never forward, so a
+    /// time still ahead of the clock needs no second look.
     pending: Vec<(usize, SimTime)>,
     /// In-backward mode: parameters whose update started this step.
     started: Vec<bool>,
@@ -119,20 +121,27 @@ impl Updater {
         clock.unwrap_or(SimTime::ZERO)
     }
 
-    /// In-backward mode: starts parameter `i`'s update — loads its state
-    /// slot, then applies the update at once if the load has landed by
-    /// `now`, or parks it until it has.
+    /// In-backward mode: starts parameter `i`'s update — prefetches its
+    /// state slot (behind the activation reloads already queued), then
+    /// applies the update at once if the load has landed by `now`, or
+    /// parks it until it has.
     fn start(&self, slots: &mut Slots, i: usize, now: SimTime) {
         match slots.started.get_mut(i) {
             Some(started) if !*started => *started = true,
             _ => return,
         }
-        let cache = self.cache.as_deref();
-        let slot = slots.states.get(i).copied().flatten();
-        match slot.and_then(|s| cache?.load_state(s)) {
+        match self.landing(&slots.states, i) {
             Some(ready) if ready > now => slots.pending.push((i, ready)),
             _ => self.apply(&mut slots.states, i),
         }
+    }
+
+    /// Where parameter `i`'s state load lands: issues it the first time,
+    /// and after that asks where the queue has put it. `None` without a
+    /// cache or an offloaded slot.
+    fn landing(&self, states: &[Option<StateSlot>], i: usize) -> Option<SimTime> {
+        let slot = states.get(i).copied().flatten()?;
+        self.cache.as_deref()?.prefetch_state(slot)
     }
 
     /// Applies every pending update whose state load has landed by
@@ -141,11 +150,14 @@ impl Updater {
         let Slots {
             pending, states, ..
         } = slots;
-        pending.retain(|&(i, ready)| {
-            if ready > now {
+        pending.retain_mut(|(i, ready)| {
+            if *ready <= now {
+                *ready = self.landing(states, *i).unwrap_or(now);
+            }
+            if *ready > now {
                 return true;
             }
-            self.apply(states, i);
+            self.apply(states, *i);
             false
         });
     }
@@ -314,6 +326,10 @@ impl OptEngine {
         let t0 = clock.now();
         for i in 0..slots.started.len() {
             u.start(slots, i, t0);
+        }
+        // Every load is issued: where each lands is final now.
+        for (i, ready) in slots.pending.iter_mut() {
+            *ready = u.landing(&slots.states, *i).unwrap_or(*ready);
         }
         slots.pending.sort_unstable_by(|a, b| {
             let by_time = a.1.as_secs().total_cmp(&b.1.as_secs());

@@ -7,11 +7,10 @@
 
 use ssdtrain::{OffloadClass, TraceSink};
 use ssdtrain_bench::{
-    capacity_rows, capacity_timings, fig10_rows, io_rows, tiering_rows, CapacityTiming,
+    capacity_rows, capacity_timings, fig10_rows, io_rows, tiering_rows, CapacityTiming, TieringRow,
 };
 use ssdtrain_simhw::SystemConfig;
 use ssdtrain_train::StepMetrics;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Figure 10 — "almost no performance overhead in all cases": offload
 /// I/O is fully overlapped with compute on every cell, and the
@@ -81,40 +80,57 @@ fn tiering_backends_hold_the_keep_step_and_order_by_what_they_offload() {
     );
     // Two backends identical in every column means tier link speed
     // stopped reaching the planner.
-    for (i, a) in rows.iter().enumerate() {
-        for b in &rows[i + 1..] {
-            assert_ne!(
-                columns(&a.metrics),
-                columns(&b.metrics),
-                "{} and {} are identical in every column",
-                a.label,
-                b.label
-            );
-        }
-    }
+    let named = |r: &TieringRow| (r.label, columns("", &r.metrics));
+    assert_no_two_rows_equal(rows.iter().map(named).collect());
 }
 
-/// Everything a backend can move in a step: time, stalls, volume and
-/// where the bytes landed. Two backends equal in all of it means the
-/// model degenerated — link speed or placement stopped mattering.
-fn columns(m: &StepMetrics) -> impl PartialEq + std::fmt::Debug + '_ {
-    let tiers = m.offload.tiers.iter();
-    let traffic: Vec<_> = tiers
+/// Everything a backend can move in a step, by name and as `Debug`
+/// text: time, stalls, volume and where the bytes landed. Two backends
+/// equal in all of it means the model degenerated — link speed or
+/// placement stopped mattering.
+fn columns(prefix: &str, m: &StepMetrics) -> Vec<(String, String)> {
+    let o = &m.offload;
+    let traffic: Vec<_> = o
+        .tiers
+        .iter()
         .map(|t| {
             let moved_in = (t.spilled_in_bytes, t.demoted_in_bytes);
             (&t.name, t.bytes_written, t.bytes_read, moved_in)
         })
         .collect();
-    let stalls = (m.offload.store_stall_secs, m.offload.stall_secs);
-    let spilled = m.offload.spilled_bytes;
-    let volume = (m.offload.offloaded_bytes, m.act_peak_bytes, spilled);
-    (m.step_secs, stalls, volume, traffic)
+    let volume = (o.offloaded_bytes, m.act_peak_bytes, o.spilled_bytes);
+    [
+        ("step", format!("{:?}", m.step_secs)),
+        (
+            "stalls",
+            format!("{:?}", (o.store_stall_secs, o.stall_secs)),
+        ),
+        ("volume", format!("{volume:?}")),
+        ("traffic", format!("{traffic:?}")),
+    ]
+    .into_iter()
+    .map(|(name, text)| (format!("{prefix}{name}"), text))
+    .collect()
+}
+
+/// Fails if two rows agree in every column, naming the pair and the
+/// columns.
+fn assert_no_two_rows_equal(rows: Vec<(&str, Vec<(String, String)>)>) {
+    for (i, (a, ca)) in rows.iter().enumerate() {
+        for (b, cb) in &rows[i + 1..] {
+            assert!(
+                ca != cb,
+                "{a} and {b} are identical in every column: {:?}",
+                ca.iter().map(|c| &c.0).collect::<Vec<_>>()
+            );
+        }
+    }
 }
 
 /// `bench_capacity`: offloading optimizer state to the array buys model
 /// size the bounded host pool cannot, the in-backward optimizer update
 /// exposes strictly less time than the inline one, and both are their
-/// state loads: the inline update all of them priced per link, the
+/// state loads: the inline update all of them over the one read bus, the
 /// in-backward one only the tail still in flight when backward ends.
 #[test]
 fn capacity_array_backends_outgrow_the_host_pool_and_overlap_hides_the_update() {
@@ -145,62 +161,37 @@ fn capacity_array_backends_outgrow_the_host_pool_and_overlap_hides_the_update() 
             t.opt_secs_inline
         );
     }
-    // The same rule as the tiering gate: no two backends equal in every
-    // column.
-    for (i, a) in timings.iter().enumerate() {
-        for b in &timings[i + 1..] {
-            assert_ne!(
-                timing_columns(a),
-                timing_columns(b),
-                "{} and {} are identical in every column",
-                a.backend,
-                b.backend
-            );
-        }
-    }
+    // The same rule as the tiering gate, over both steady steps: no two
+    // backends equal in every column.
+    let named = |t: &CapacityTiming| {
+        let mut cols = columns("inline ", &t.metrics[0]);
+        cols.extend(columns("overlapped ", &t.metrics[1]));
+        (t.backend, cols)
+    };
+    assert_no_two_rows_equal(timings.iter().map(named).collect());
     // The inline update is its state loads — every gradient and momentum
-    // byte once — queued per link: each stage waits for its busiest read
-    // channel, and the links' channels run side by side (`io.rs`: loads
-    // stay independent per link). Every backend's read link is priced at
-    // the GPU's PCIe rate (the array reads faster than PCIe carries), so
-    // where all state reads over one link the update is the state volume
-    // at that rate and the columns agree; the tiered backend splits its
-    // state across the DRAM and SSD links and is strictly faster. Assert
-    // the derivation, not the coincidence.
+    // byte once — over the one PCIe read bus, whichever tier holds them:
+    // the state volume at the read rate, on every backend. Every
+    // backend's read link is priced at the GPU's PCIe rate (the array
+    // reads faster than PCIe carries).
     let system = SystemConfig::dac_testbed();
-    let read_bps = system.host_offload_bps();
+    let read_bps = system.pcie_bps;
     assert_eq!(
-        system.offload_read_bps(),
-        read_bps,
-        "array reads are PCIe-bound"
+        (system.offload_read_bps(), system.host_offload_bps()),
+        (read_bps, read_bps),
+        "every tier reads at the PCIe rate"
     );
     for t in &timings {
         let name = t.backend;
-        let slowest = |reads: &BTreeMap<String, f64>| reads.values().copied().fold(0.0, f64::max);
-        let critical: f64 = t.opt_stage_reads.iter().map(slowest).sum();
-        assert!(
-            (t.opt_secs_inline - critical).abs() <= 1e-9 * critical,
-            "{name}: inline update {} s is not its stages' busiest read channels ({critical} s)",
-            t.opt_secs_inline,
-        );
         let state = [OffloadClass::Gradient, OffloadClass::OptimizerState];
         let classes = state.iter().filter_map(|c| t.metrics[0].offload.class(*c));
         let loaded: u64 = classes.map(|c| c.reloaded_bytes).sum();
         let serial = loaded as f64 / read_bps;
-        let links: BTreeSet<&String> = t.opt_stage_reads.iter().flat_map(|r| r.keys()).collect();
-        if links.len() == 1 {
-            assert!(
-                (t.opt_secs_inline - serial).abs() <= 1e-9 * serial,
-                "{name}: one read link, yet the update {} s is not its {loaded} state bytes at the read rate ({serial} s)",
-                t.opt_secs_inline,
-            );
-        } else {
-            assert!(
-                t.opt_secs_inline < serial,
-                "{name}: state split over {links:?}, yet the update {} s is no faster than one link ({serial} s)",
-                t.opt_secs_inline,
-            );
-        }
+        assert!(
+            (t.opt_secs_inline - serial).abs() <= 1e-9 * serial,
+            "{name}: the inline update {} s is not its {loaded} state bytes at the read rate ({serial} s)",
+            t.opt_secs_inline,
+        );
         // The in-backward update loads each parameter's momentum as
         // autograd finalises its gradient; what it exposes is the tail
         // of those reads still in flight when backward ends (the token
@@ -214,10 +205,6 @@ fn capacity_array_backends_outgrow_the_host_pool_and_overlap_hides_the_update() 
             t.opt_exposed_overlap,
         );
     }
-}
-
-fn timing_columns(t: &CapacityTiming) -> impl PartialEq + std::fmt::Debug + '_ {
-    (columns(&t.metrics[0]), columns(&t.metrics[1]))
 }
 
 /// `bench_io`: write coalescing pays — effective WAF and step time

@@ -56,7 +56,7 @@ proptest! {
         let io = IoEngine::new(clock.clone(), 1e9, 2e9);
         let mut prev_end = 0.0;
         for s in &sizes {
-            let ready = io.submit_load(*s).as_secs();
+            let ready = io.read_end(io.submit_load_from(0, *s)).as_secs();
             let min = clock.now().as_secs() + *s as f64 / 2e9;
             prop_assert!(ready >= min - 1e-9);
             prop_assert!(ready >= prev_end, "FIFO order");
@@ -122,13 +122,21 @@ proptest! {
     }
 }
 
-/// The store queue's scheduling rule, written out independently of
-/// `IoEngine`: one FIFO over every link's jobs, rebuilt from time zero
-/// after every operation.
+/// The two queues' scheduling rules, written out independently of
+/// `IoEngine` and rebuilt from time zero after every operation: one
+/// store FIFO over every link's jobs, and one read queue in which a
+/// demand read sits ahead of every prefetch that had not started when
+/// it was submitted.
 #[derive(Default)]
 struct ReferenceQueue {
-    /// Every job in submission order.
+    /// Every store job in submission order.
     jobs: Vec<ReferenceJob>,
+    /// Every read in submission order (`cancelled` is never set).
+    reads: Vec<ReferenceJob>,
+    /// Whether each read was a demand read.
+    demand: Vec<bool>,
+    /// `reads` indices in service order.
+    read_order: Vec<usize>,
 }
 
 struct ReferenceJob {
@@ -143,6 +151,36 @@ impl ReferenceQueue {
     fn reschedule(&mut self) {
         let mut prev_end = 0.0f64;
         for j in self.jobs.iter_mut().filter(|j| !j.cancelled) {
+            j.start = j.submit.max(prev_end);
+            j.end = j.start + j.dur;
+            prev_end = j.end;
+        }
+    }
+
+    /// Queues a read: a prefetch at the tail, a demand read right behind
+    /// the last read that has started or is a demand read.
+    fn submit_read(&mut self, demand: bool, now: f64, dur: f64) {
+        let behind = |&i: &usize| self.demand[i] || self.reads[i].start < now;
+        let pos = match demand {
+            true => self
+                .read_order
+                .iter()
+                .rposition(behind)
+                .map_or(0, |p| p + 1),
+            false => self.read_order.len(),
+        };
+        self.read_order.insert(pos, self.reads.len());
+        self.demand.push(demand);
+        self.reads.push(ReferenceJob {
+            submit: now,
+            start: 0.0,
+            end: 0.0,
+            dur,
+            cancelled: false,
+        });
+        let mut prev_end = 0.0f64;
+        for &i in &self.read_order {
+            let j = &mut self.reads[i];
             j.start = j.submit.max(prev_end);
             j.end = j.start + j.dur;
             prev_end = j.end;
@@ -168,8 +206,9 @@ proptest! {
     #[test]
     fn partial_reschedules_match_a_from_scratch_reschedule(
         // (operation, operand, link): 0-2 submit `operand` KB on `link`,
-        // 3 cancel job `operand`, 4 throttle, 5 advance `operand` us.
-        ops in prop::collection::vec((0u8..6, 1u64..50_000, 0usize..3), 1..60),
+        // 3 cancel job `operand`, 4 throttle, 5 advance `operand` us,
+        // 6 prefetch and 7 demand-read `operand` KB from `link`.
+        ops in prop::collection::vec((0u8..8, 1u64..50_000, 0usize..3), 1..60),
         overhead_us in 0u32..2_000,
     ) {
         let clock = SimClock::new();
@@ -185,6 +224,7 @@ proptest! {
         io.set_store_job_overhead(overhead);
         let mut reference = ReferenceQueue::default();
         let mut jobs = Vec::new();
+        let mut reads = Vec::new();
         let mut slowdown = 1.0f64;
         for (op, operand, link) in ops {
             let now = clock.now().as_secs();
@@ -216,6 +256,16 @@ proptest! {
                     slowdown *= factor;
                     reference.throttle(factor, now);
                 }
+                6 | 7 => {
+                    let (bytes, demand) = (operand * 1000, op == 7);
+                    reads.push(if demand {
+                        io.submit_demand_load_from(link, bytes)
+                    } else {
+                        io.submit_load_from(link, bytes)
+                    });
+                    let dur = bytes as f64 * slowdown / rates[link].min(bus);
+                    reference.submit_read(demand, now, dur);
+                }
                 _ => {
                     clock.advance_by(operand as f64 * 1e-6);
                 }
@@ -225,6 +275,15 @@ proptest! {
                 let (start, end) = io.store_span(*job);
                 prop_assert_eq!(start.as_secs().to_bits(), want.start.to_bits());
                 prop_assert_eq!(end.as_secs().to_bits(), want.end.to_bits());
+            }
+            for (read, want) in reads.iter().zip(&reference.reads) {
+                prop_assert_eq!(io.read_end(*read).as_secs().to_bits(), want.end.to_bits());
+            }
+            // One bus: no two reads overlap.
+            let mut spans: Vec<_> = reads.iter().map(|r| io.read_span(*r)).collect();
+            spans.sort_by(|a, b| a.0.as_secs().total_cmp(&b.0.as_secs()));
+            for w in spans.windows(2) {
+                prop_assert!(w[0].1 <= w[1].0, "reads overlap: {:?}", w);
             }
         }
     }
@@ -653,13 +712,13 @@ proptest! {
             "drain: modeled {modeled_drain} vs simulated {sim_drain}"
         );
 
-        // Reads are independent per link; replay those too.
+        // Reads serialise on the one read bus, each at its link's rate
+        // capped by the bus; replay those too.
         let mut sim_load = 0.0f64;
         for (m, a) in profile.modules.iter().zip(&assignment) {
             if let Some(link) = *a {
-                sim_load = sim_load.max(
-                    io.submit_load_from(link, m.offload_bytes).as_secs(),
-                );
+                let read = io.submit_load_from(link, m.offload_bytes);
+                sim_load = sim_load.max(io.read_end(read).as_secs());
             }
         }
         let modeled_load = model.load_secs(&split);

@@ -13,15 +13,21 @@
 //!    identities the trace records.
 
 use ssdtrain::{
-    chrome_trace_json, ArgValue, EventKind, OffloadClass, OffloadStats, RecoveryPolicy, StageHint,
-    TensorCacheConfig, TraceCategory, TraceEvent, TraceSink,
+    chrome_trace_json, ArgValue, CpuTarget, EventKind, IoEngine, OffloadClass, OffloadStats,
+    RecoveryPolicy, StageHint, StateSlot, TensorCache, TensorCacheConfig, Tier, TierLink,
+    TierStack, TraceCategory, TraceEvent, TraceSink,
 };
+use ssdtrain_autograd::{ModuleHooks, Packed, Phase, SavedTensorHooks, ScopeInfo};
 use ssdtrain_models::ModelConfig;
-use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger, SystemConfig};
+use ssdtrain_simhw::{
+    FaultKind, FaultPlan, FaultTrigger, GpuMemory, SimClock, SimTime, SystemConfig,
+};
+use ssdtrain_tensor::{Device, Tensor};
 use ssdtrain_train::{OffloadBackend, SessionConfig, TrainSession};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::path::Path;
+use std::sync::Arc;
 
 const STEPS: usize = 2;
 
@@ -540,4 +546,139 @@ fn disabled_sink_records_nothing() {
     }
     assert_eq!(StageHint::MicroBatchLoad(3).trace_label(), "stage.load_mb3");
     assert!(s.trace().is_empty());
+}
+
+/// Bytes of one layer's momentum slot in [`replay_step`]: no other
+/// transfer has this size, so its `load` spans are told apart by it.
+const MOMENTUM_BYTES: u64 = 384 << 10;
+
+/// One step of the replay protocol on a DRAM-then-SSD stack: each layer
+/// saves a 2 MiB and a 512 KiB activation and owns a momentum slot;
+/// backward prefetches the layer's momentum (queued behind the group
+/// reloads) and loads the previous layer's gradient slot as a demand
+/// read, which overtakes both. Returns the sink, the cache and, per
+/// layer in backward order, the momentum slot and where its load was
+/// first reported to land.
+fn replay_step() -> (TraceSink, Arc<TensorCache>, Vec<(StateSlot, SimTime)>) {
+    const LAYERS: usize = 8;
+    let sys = SystemConfig::dac_testbed();
+    let clock = SimClock::new();
+    let mem = Arc::new(GpuMemory::new(clock.clone(), sys.gpu.memory_bytes));
+    let dev = Device::cpu();
+    dev.set_tracker(mem.clone());
+    let links = vec![
+        TierLink::new("dram", sys.host_offload_bps(), sys.host_offload_bps()),
+        TierLink::new("ssd", sys.offload_write_bps(), sys.offload_read_bps()),
+    ];
+    let io = IoEngine::tiered_with_bus(clock.clone(), links, sys.pcie_bps);
+    let tiers = TierStack::new(vec![
+        Tier::new("dram", Arc::new(CpuTarget::new(1 << 40)), 0).with_capacity(8 << 20),
+        Tier::new("ssd", Arc::new(CpuTarget::new(1 << 40)), 1),
+    ]);
+    let config = TensorCacheConfig {
+        coalesce_segment_bytes: 4 << 20,
+        prefetch_group_modules: 2,
+        prefetch_depth: 2,
+        ..TensorCacheConfig::offload_everything()
+    };
+    let cache = TensorCache::with_tiers(config, Arc::new(tiers), io, mem);
+    let sink = TraceSink::enabled();
+    cache.set_trace(sink.clone());
+    sink.next_step();
+
+    let tensor = |bytes: u64| Tensor::zeros([bytes as usize / 4], &dev);
+    let momenta: Vec<Tensor> = (0..LAYERS).map(|_| tensor(MOMENTUM_BYTES)).collect();
+    let slots: Vec<StateSlot> = momenta
+        .iter()
+        .map(|m| cache.offload_state(m, OffloadClass::OptimizerState))
+        .collect::<Option<_>>()
+        .expect("every momentum slot offloads");
+    cache.begin_step();
+    cache.phase_changed(Phase::Forward);
+    let mut layers = Vec::new();
+    for l in 0..LAYERS {
+        let scope = ScopeInfo {
+            path: format!("layer{l}"),
+            seq: l as u64 + 1,
+            micro_batch: 0,
+        };
+        cache.forward_pre(&scope);
+        let saved: Vec<Packed> = [2 << 20, 512 << 10]
+            .into_iter()
+            .map(|b| cache.pack(&tensor(b)))
+            .collect();
+        clock.advance_by(250e-6);
+        cache.forward_post(&scope);
+        layers.push((scope, saved));
+    }
+    cache.prefetch_last_module();
+    cache.phase_changed(Phase::Backward);
+
+    let mut reported = Vec::new();
+    let mut pending: Option<(StateSlot, Tensor)> = None;
+    for (l, (scope, saved)) in layers.iter().enumerate().rev() {
+        cache.backward_pre(scope);
+        let ready = cache.prefetch_state(slots[l]).expect("momentum slot");
+        reported.push((slots[l], ready));
+        for p in saved.iter().rev() {
+            drop(cache.unpack(p));
+        }
+        let grad = tensor(512 << 10);
+        let slot = cache.offload_state(&grad, OffloadClass::Gradient);
+        if let Some((prev, _grad)) = pending.take() {
+            let at = cache.load_state(prev).expect("gradient slot");
+            clock.advance_to(at);
+            cache.release_state(prev);
+        }
+        pending = slot.map(|s| (s, grad));
+        clock.advance_by(500e-6);
+        cache.backward_post(scope);
+    }
+    if let Some((prev, _grad)) = pending {
+        clock.advance_to(cache.load_state(prev).expect("gradient slot"));
+        cache.release_state(prev);
+    }
+    cache.wait_io();
+    cache.drain_stores();
+    cache.flush();
+    (sink, cache, reported)
+}
+
+#[test]
+fn reads_share_one_bus_and_a_pushed_back_prefetch_is_traced_where_it_lands() {
+    let (sink, cache, reported) = replay_step();
+    let events = sink.events();
+    let loads: Vec<&TraceEvent> = events.iter().filter(|e| e.name == "load").collect();
+    // One read bus: no two `load` spans overlap, and together they are
+    // the busy time the tiers report.
+    let mut spans: Vec<(f64, f64)> = loads
+        .iter()
+        .map(|e| (e.ts.as_secs(), e.end().as_secs()))
+        .collect();
+    spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+    for w in spans.windows(2) {
+        assert!(w[0].1 <= w[1].0, "reads overlap: {w:?}");
+    }
+    let traced: f64 = spans.iter().map(|(s, e)| e - s).sum();
+    let stats = cache.stats();
+    let busy: f64 = stats.tiers.iter().map(|t| t.read_busy_secs).sum();
+    assert!((traced - busy).abs() <= busy * 1e-12, "{traced} vs {busy}");
+    assert!(
+        stats.tiers.iter().all(|t| t.bytes_read > 0),
+        "both tiers read"
+    );
+
+    // Each momentum prefetch, in issue order, ends its span where its
+    // record now says it lands: later than first reported whenever a
+    // demand read overtook it.
+    let momentum = loads.iter().filter(|e| e.bytes() == Some(MOMENTUM_BYTES));
+    let mut pushed = 0;
+    for (span, (slot, first)) in momentum.zip(&reported) {
+        let lands = cache.prefetch_state(*slot).expect("momentum slot");
+        assert_eq!(span.end(), lands, "{span:?}");
+        assert!(lands >= *first);
+        pushed += usize::from(lands > *first);
+        cache.release_state(*slot);
+    }
+    assert!(pushed > 0, "no demand read overtook a momentum prefetch");
 }
