@@ -9,7 +9,7 @@
 //! (paper Algorithm 2 line 15). This is the "recompute" corner of the
 //! recompute-offload-keep (ROK) design space.
 
-use crate::graph::{BackwardResult, Graph, Op};
+use crate::graph::{Graph, Op};
 use crate::observer::{OpCost, Phase};
 use crate::value::Value;
 use ssdtrain_tensor::{Prng, Tensor};
@@ -22,7 +22,6 @@ pub type SegmentFn = Rc<dyn Fn(&Graph, &[Value]) -> Vec<Value>>;
 struct CheckpointOp {
     segment: SegmentFn,
     rng_at_entry: Prng,
-    n_inputs: usize,
 }
 
 impl Op for CheckpointOp {
@@ -35,7 +34,8 @@ impl Op for CheckpointOp {
         graph: &Graph,
         saved: &[Tensor],
         grads_out: &[Option<Tensor>],
-    ) -> BackwardResult {
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         // Recompute the segment on a child graph with the entry RNG state.
         let child = graph.recompute_child();
         child.set_rng(self.rng_at_entry.clone());
@@ -58,21 +58,13 @@ impl Op for CheckpointOp {
             "checkpoint segment output arity changed between forward and recompute"
         );
         // Backprop through the recomputed subgraph; parameter grads
-        // accumulate into their Vars directly.
+        // accumulate into their Vars directly, the segment inputs' into
+        // the lent slots.
         child.set_phase(Phase::Backward);
-        let pairs: Vec<(Value, Tensor)> = outputs
-            .into_iter()
-            .zip(grads_out.iter())
-            .filter_map(|(o, g)| g.clone().map(|g| (o, g)))
-            .collect();
-        let (outs, gs): (Vec<Value>, Vec<Tensor>) = pairs.into_iter().unzip();
-        let input_grads = child.backward_from(&outs, gs, self.n_inputs);
+        child.backward_from(&outputs, grads_out.iter().cloned(), grads_in);
         // Restore the surrounding phase for the parent's remaining work.
         child.set_phase(Phase::Backward);
-        BackwardResult {
-            grads: input_grads,
-            cost: OpCost::default(), // recompute ops reported individually
-        }
+        OpCost::default() // recompute ops reported individually
     }
 }
 
@@ -113,15 +105,13 @@ pub fn checkpoint(g: &Graph, segment: SegmentFn, inputs: &[Value]) -> Vec<Value>
     let op = CheckpointOp {
         segment,
         rng_at_entry,
-        n_inputs: inputs.len(),
     };
     let input_refs: Vec<&Value> = inputs.iter().collect();
-    let to_save: Vec<Tensor> = inputs.iter().map(|v| v.tensor().clone()).collect();
     g.record(
         Box::new(op),
         &input_refs,
         out_tensors,
-        to_save,
+        inputs.iter().map(|v| v.tensor().clone()),
         OpCost::default(),
     )
 }

@@ -2,24 +2,16 @@
 
 use crate::hooks::{Packed, SavedTensorHooks};
 use crate::observer::{ExecObserver, OpCost, Phase};
-use crate::scope::{stack_transition, ModuleHooks, ScopeFrame, ScopeInfo};
+use crate::scope::{ModuleHooks, ScopeFrame, ScopeInfo};
 use crate::value::{Source, Value};
 use crate::var::Var;
 use ssdtrain_tensor::{Device, MemClass, Prng, Tensor};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Result of one operator's backward computation.
-pub struct BackwardResult {
-    /// Gradient for each input, in input order (`None` for inputs that
-    /// need no gradient).
-    pub grads: Vec<Option<Tensor>>,
-    /// Modelled cost of the backward kernel(s).
-    pub cost: OpCost,
-}
 
 /// A differentiable operator recorded on the tape.
 ///
@@ -29,25 +21,87 @@ pub trait Op {
     /// Stable kernel name (appears in observer callbacks and profiles).
     fn name(&self) -> &'static str;
 
-    /// Computes input gradients from output gradients.
+    /// Computes input gradients from output gradients and returns the
+    /// modelled cost of the backward kernel(s).
+    ///
+    /// The gradient of input `i` goes into `grads_in[i]`: one slot per
+    /// input, each `None` on entry, left `None` for an input that needs
+    /// no gradient. The engine lends the slots and reuses them across
+    /// nodes.
     fn backward(
         &self,
         graph: &Graph,
         saved: &[Tensor],
         grads_out: &[Option<Tensor>],
-    ) -> BackwardResult;
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost;
 }
 
+/// What a node produces, as [`Graph::record`] takes it: one tensor (every
+/// operator but a checkpointed segment) or a `Vec` of them.
+pub trait Outputs {
+    /// What `record` hands back: a [`Value`] per output tensor.
+    type Values;
+    /// Number of output tensors.
+    fn count(&self) -> usize;
+    /// Wraps output `i` with `source(i)`.
+    fn into_values(self, source: impl Fn(usize) -> Source) -> Self::Values;
+}
+
+impl Outputs for Tensor {
+    type Values = Value;
+    fn count(&self) -> usize {
+        1
+    }
+    fn into_values(self, source: impl Fn(usize) -> Source) -> Value {
+        Value::with_source(self, source(0))
+    }
+}
+
+impl Outputs for Vec<Tensor> {
+    type Values = Vec<Value>;
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn into_values(self, source: impl Fn(usize) -> Source) -> Vec<Value> {
+        self.into_iter()
+            .enumerate()
+            .map(|(i, t)| Value::with_source(t, source(i)))
+            .collect()
+    }
+}
+
+/// One recorded operator. It owns ranges into the tape's flat buffers,
+/// not buffers of its own.
 struct Node {
     op: Box<dyn Op>,
-    inputs: Vec<Source>,
-    saved: Vec<Packed>,
+    inputs: Range<usize>,
+    saved: Range<usize>,
     n_outputs: usize,
     scope: Option<Arc<ScopeFrame>>,
 }
 
+/// The recorded nodes and the flat buffers their ranges index.
+#[derive(Default)]
+struct Tape {
+    nodes: Vec<Node>,
+    /// Every node's input sources, node after node.
+    inputs: Vec<Source>,
+    /// Every node's packed saved tensors; backward takes a node's slots,
+    /// so what they reference dies with the node.
+    saved: Vec<Option<Packed>>,
+}
+
+impl Tape {
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.inputs.clear();
+        self.saved.clear();
+    }
+}
+
 struct GraphInner {
-    tape: RefCell<Vec<Node>>,
+    tape: RefCell<Tape>,
     saved_hooks: RefCell<Option<Arc<dyn SavedTensorHooks>>>,
     module_hooks: RefCell<Vec<Arc<dyn ModuleHooks>>>,
     observer: RefCell<Option<Arc<dyn ExecObserver>>>,
@@ -89,7 +143,7 @@ impl Graph {
     pub fn new(device: &Device, seed: u64) -> Graph {
         Graph {
             inner: Rc::new(GraphInner {
-                tape: RefCell::new(Vec::new()),
+                tape: RefCell::default(),
                 saved_hooks: RefCell::new(None),
                 module_hooks: RefCell::new(Vec::new()),
                 observer: RefCell::new(None),
@@ -192,7 +246,7 @@ impl Graph {
 
     /// Number of nodes currently on the tape.
     pub fn tape_len(&self) -> usize {
-        self.inner.tape.borrow().len()
+        self.inner.tape.borrow().nodes.len()
     }
 
     /// Clears the tape for the next step; hooks, observer, RNG and scope
@@ -296,14 +350,17 @@ impl Graph {
     /// grad-disabled use is a checkpointed segment's, which its recompute
     /// child replays and retires in backward (see
     /// [`Graph::backward_from`]).
-    pub fn record(
+    ///
+    /// The node's input sources and packed tensors go into the tape's flat
+    /// buffers, so recording allocates nothing of its own.
+    pub fn record<O: Outputs>(
         &self,
         op: Box<dyn Op>,
         inputs: &[&Value],
-        outputs: Vec<Tensor>,
-        to_save: Vec<Tensor>,
+        outputs: O,
+        to_save: impl IntoIterator<Item = Tensor>,
         cost: OpCost,
-    ) -> Vec<Value> {
+    ) -> O::Values {
         let name = op.name();
         if let Some(obs) = self.inner.observer.borrow().as_ref() {
             obs.on_op(name, &cost, self.phase());
@@ -317,34 +374,30 @@ impl Graph {
             }
         }
         if !self.grad_enabled() {
-            return outputs
-                .into_iter()
-                .map(|t| Value::with_source(t, Source::Constant))
-                .collect();
+            return outputs.into_values(|_| Source::Constant);
         }
-        let hooks = self.inner.saved_hooks.borrow().clone();
-        let saved: Vec<Packed> = to_save
-            .iter()
-            .map(|t| match &hooks {
-                Some(h) => h.pack(t),
-                None => Packed::Tensor(t.clone()),
+        let hooks = self.inner.saved_hooks.borrow();
+        let mut tape = self.inner.tape.borrow_mut();
+        let saved_start = tape.saved.len();
+        tape.saved.extend(to_save.into_iter().map(|t| {
+            Some(match hooks.as_ref() {
+                Some(h) => h.pack(&t),
+                None => Packed::Tensor(t),
             })
-            .collect();
+        }));
+        let inputs_start = tape.inputs.len();
+        tape.inputs
+            .extend(inputs.iter().map(|v| v.source().clone()));
         let node = Node {
             op,
-            inputs: inputs.iter().map(|v| v.source().clone()).collect(),
-            saved,
-            n_outputs: outputs.len(),
+            inputs: inputs_start..tape.inputs.len(),
+            saved: saved_start..tape.saved.len(),
+            n_outputs: outputs.count(),
             scope: self.inner.scope_top.borrow().clone(),
         };
-        let mut tape = self.inner.tape.borrow_mut();
-        let idx = tape.len();
-        tape.push(node);
-        outputs
-            .into_iter()
-            .enumerate()
-            .map(|(out, t)| Value::with_source(t, Source::Node { node: idx, out }))
-            .collect()
+        let idx = tape.nodes.len();
+        tape.nodes.push(node);
+        outputs.into_values(|out| Source::Node { node: idx, out })
     }
 
     // ------------------------------------------------------------------
@@ -367,15 +420,19 @@ impl Graph {
             }
         });
         self.set_phase(Phase::Backward);
-        self.backward_from(std::slice::from_ref(loss), vec![seed], 0);
+        self.backward_from(std::slice::from_ref(loss), [Some(seed)], &mut []);
     }
 
-    /// Backpropagates given explicit output gradients; returns gradients
-    /// for [`Source::External`] inputs `0..n_externals`.
+    /// Backpropagates given explicit output gradients (one per output;
+    /// `None` sends nothing back from that output) and accumulates the
+    /// gradient of [`Source::External`] input `i` into `ext_grads[i]`.
     ///
     /// Saved tensors and intermediate gradients are dropped as soon as
     /// they are consumed, mirroring PyTorch's memory behaviour during
-    /// backward.
+    /// backward. The walk allocates nothing per node: a node's input
+    /// sources are read from the tape by range, its gradients are written
+    /// into slots reused across nodes, and scope transitions follow
+    /// [`ScopeFrame`] parent links.
     ///
     /// When a module-hooks listener [wants it](ModuleHooks::wants_grad_ready),
     /// every node the walk reaches — run, or skipped for receiving no
@@ -397,18 +454,16 @@ impl Graph {
     pub fn backward_from(
         &self,
         outputs: &[Value],
-        grad_outputs: Vec<Tensor>,
-        n_externals: usize,
-    ) -> Vec<Option<Tensor>> {
-        assert_eq!(outputs.len(), grad_outputs.len(), "one grad per output");
+        grad_outputs: impl IntoIterator<Item = Option<Tensor>>,
+        ext_grads: &mut [Option<Tensor>],
+    ) {
         let mut grads: HashMap<(usize, usize), Tensor> = HashMap::new();
-        let mut ext_grads: Vec<Option<Tensor>> = vec![None; n_externals];
         let mut start = None;
 
         let sink = |source: &Source,
                     g: Tensor,
                     grads: &mut HashMap<(usize, usize), Tensor>,
-                    ext: &mut Vec<Option<Tensor>>| {
+                    ext: &mut [Option<Tensor>]| {
             match source {
                 Source::Node { node, out } => match grads.get(&(*node, *out)) {
                     Some(existing) => existing.accumulate(&g),
@@ -425,16 +480,21 @@ impl Graph {
             }
         };
 
-        for (v, g) in outputs.iter().zip(grad_outputs) {
+        let mut grad_outputs = grad_outputs.into_iter();
+        for v in outputs {
+            let Some(g) = grad_outputs.next().expect("one grad per output") else {
+                continue;
+            };
             if let Source::Node { node, .. } = v.source() {
                 start = Some(start.map_or(*node, |s: usize| s.max(*node)));
             }
-            sink(v.source(), g, &mut grads, &mut ext_grads);
+            sink(v.source(), g, &mut grads, ext_grads);
         }
+        assert!(grad_outputs.next().is_none(), "one grad per output");
 
         let Some(start) = start else {
             // Loss does not depend on any recorded node (e.g. pure leaf).
-            return ext_grads;
+            return;
         };
 
         let hooks = self.inner.saved_hooks.borrow().clone();
@@ -445,61 +505,48 @@ impl Graph {
             .borrow()
             .iter()
             .any(|h| h.wants_grad_ready());
-        let mut open_stack: Vec<Arc<ScopeFrame>> = Vec::new();
+        // The innermost open scope; the rest of the stack hangs off its
+        // parent links.
+        let mut open: Option<Arc<ScopeFrame>> = None;
+        // Per-node scratch, emptied after every node and reused by the next.
+        let mut saved: Vec<Tensor> = Vec::new();
+        let mut grads_out: Vec<Option<Tensor>> = Vec::new();
+        let mut grads_in: Vec<Option<Tensor>> = Vec::new();
 
         for idx in (0..=start).rev() {
-            // Collect this node's output grads (consuming them).
-            let (n_outputs, has_grad) = {
+            let (n_outputs, inputs, saved_slots, scope) = {
                 let tape = self.inner.tape.borrow();
-                let node = &tape[idx];
-                let has = (0..node.n_outputs).any(|o| grads.contains_key(&(idx, o)));
-                (node.n_outputs, has)
+                let node = &tape.nodes[idx];
+                (
+                    node.n_outputs,
+                    node.inputs.clone(),
+                    node.saved.clone(),
+                    node.scope.clone(),
+                )
             };
-            if !has_grad {
+            if !(0..n_outputs).any(|o| grads.contains_key(&(idx, o))) {
                 if listening {
-                    self.retire_leaf_uses(&self.inner.tape.borrow()[idx].inputs);
+                    self.retire_leaf_uses(&self.inner.tape.borrow().inputs[inputs]);
                 }
                 continue;
             }
-            let grads_out: Vec<Option<Tensor>> =
-                (0..n_outputs).map(|o| grads.remove(&(idx, o))).collect();
+            // Collect this node's output grads (consuming them).
+            grads_out.extend((0..n_outputs).map(|o| grads.remove(&(idx, o))));
 
-            // Fire backward module hooks for scope transitions.
-            let target_stack = {
-                let tape = self.inner.tape.borrow();
-                tape[idx]
-                    .scope
-                    .as_ref()
-                    .map(|f| f.stack())
-                    .unwrap_or_default()
-            };
-            let (to_close, to_open) = stack_transition(&open_stack, &target_stack);
-            for f in &to_close {
-                for h in self.inner.module_hooks.borrow().iter() {
-                    h.backward_post(&f.info);
-                }
-            }
-            for f in &to_open {
-                for h in self.inner.module_hooks.borrow().iter() {
-                    h.backward_pre(&f.info);
-                }
-            }
-            open_stack = target_stack;
+            // Fire backward module hooks for the scope transition.
+            ScopeFrame::backward_transition(
+                open.as_deref(),
+                scope.as_deref(),
+                &self.inner.module_hooks.borrow(),
+            );
+            open = scope;
 
-            // Resolve saved tensors through the unpack hook, consuming the
+            // Resolve saved tensors through the unpack hook, then consume the
             // packed slots so their references die with this node.
-            let (saved_packed, op_taken): (Vec<Packed>, Box<dyn Op>) = {
+            let op = {
                 let mut tape = self.inner.tape.borrow_mut();
-                let node = &mut tape[idx];
-                let packed = std::mem::take(&mut node.saved);
-                // Swap the op out so we can call it without holding the
-                // tape borrow (checkpoint backward re-enters the graph).
-                let op = std::mem::replace(&mut node.op, Box::new(TombstoneOp));
-                (packed, op)
-            };
-            let saved: Vec<Tensor> = saved_packed
-                .iter()
-                .map(|p| match &hooks {
+                let slots = &mut tape.saved[saved_slots];
+                saved.extend(slots.iter().flatten().map(|p| match &hooks {
                     Some(h) => h.unpack(p),
                     None => match p {
                         Packed::Tensor(t) => t.clone(),
@@ -507,51 +554,39 @@ impl Graph {
                             panic!("opaque saved value {id} without unpack hooks")
                         }
                     },
-                })
-                .collect();
-            drop(saved_packed);
+                }));
+                slots.iter_mut().for_each(|slot| *slot = None);
+                // Swap the op out so we can call it without holding the
+                // tape borrow (checkpoint backward re-enters the graph).
+                std::mem::replace(&mut tape.nodes[idx].op, Box::new(TombstoneOp))
+            };
 
+            grads_in.resize(inputs.len(), None);
             let dev = self.inner.device.clone();
-            let result = dev.with_class(MemClass::Workspace, || {
-                op_taken.backward(self, &saved, &grads_out)
+            let cost = dev.with_class(MemClass::Workspace, || {
+                op.backward(self, &saved, &grads_out, &mut grads_in)
             });
-            drop(saved);
-            drop(grads_out);
+            saved.clear();
+            grads_out.clear();
 
             if let Some(obs) = &observer {
-                obs.on_op(op_taken.name(), &result.cost, Phase::Backward);
+                obs.on_op(op.name(), &cost, Phase::Backward);
             }
 
-            let input_sources: Vec<Source> = {
-                let tape = self.inner.tape.borrow();
-                tape[idx].inputs.clone()
-            };
-            assert_eq!(
-                result.grads.len(),
-                input_sources.len(),
-                "{} backward returned {} grads for {} inputs",
-                op_taken.name(),
-                result.grads.len(),
-                input_sources.len()
-            );
-            for (source, g) in input_sources.iter().zip(result.grads) {
+            let tape = self.inner.tape.borrow();
+            let sources = &tape.inputs[inputs];
+            for (source, g) in sources.iter().zip(grads_in.drain(..)) {
                 if let Some(g) = g {
-                    sink(source, g, &mut grads, &mut ext_grads);
+                    sink(source, g, &mut grads, ext_grads);
                 }
             }
             if listening {
-                self.retire_leaf_uses(&input_sources);
+                self.retire_leaf_uses(sources);
             }
         }
 
         // Close whatever scopes remain open.
-        for f in open_stack.iter().rev() {
-            for h in self.inner.module_hooks.borrow().iter() {
-                h.backward_post(&f.info);
-            }
-        }
-
-        ext_grads
+        ScopeFrame::backward_transition(open.as_deref(), None, &self.inner.module_hooks.borrow());
     }
 
     /// Retires one use per leaf in `inputs` (a node backward just finished
@@ -576,7 +611,7 @@ impl Graph {
     pub fn recompute_child(&self) -> Graph {
         let child = Graph {
             inner: Rc::new(GraphInner {
-                tape: RefCell::new(Vec::new()),
+                tape: RefCell::default(),
                 saved_hooks: RefCell::new(self.inner.saved_hooks.borrow().clone()),
                 module_hooks: RefCell::new(self.inner.module_hooks.borrow().clone()),
                 observer: RefCell::new(self.inner.observer.borrow().clone()),
@@ -612,7 +647,8 @@ impl Op for TombstoneOp {
         _graph: &Graph,
         _saved: &[Tensor],
         _grads_out: &[Option<Tensor>],
-    ) -> BackwardResult {
+        _grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         panic!("backward reached a node twice (retain_graph is unsupported)")
     }
 }
@@ -851,5 +887,105 @@ mod tests {
         g.exit_module();
         g.exit_module();
         assert!(g.current_scope().is_none());
+    }
+
+    /// Logs every backward-direction event: scope entries and exits and
+    /// `grad_ready` reports.
+    #[derive(Default)]
+    struct BackwardLog(Mutex<Vec<String>>);
+
+    impl ModuleHooks for BackwardLog {
+        fn backward_pre(&self, s: &ScopeInfo) {
+            self.0.lock().push(format!("b+{}", s.path));
+        }
+        fn backward_post(&self, s: &ScopeInfo) {
+            self.0.lock().push(format!("b-{}", s.path));
+        }
+        fn wants_grad_ready(&self) -> bool {
+            true
+        }
+        fn grad_ready(&self, var: &Var) {
+            self.0.lock().push(format!("ready {}", var.name()));
+        }
+    }
+
+    /// Scopes three deep, sibling transitions and a checkpointed segment
+    /// (whose recompute child opens scopes of its own), with a leaf used
+    /// in two layers: the backward event sequence, pinned.
+    #[test]
+    fn backward_hook_sequence_through_nested_scopes_and_a_checkpoint() {
+        use crate::checkpoint::checkpoint;
+        use std::rc::Rc;
+        let d = dev();
+        let g = Graph::new(&d, 1);
+        let log = Arc::new(BackwardLog::default());
+        g.add_module_hooks(log.clone());
+        let w: Vec<Var> = (0..5)
+            .map(|i| {
+                Var::new(
+                    format!("w{i}"),
+                    Tensor::from_vec(vec![1.0 + i as f32], [1, 1], &d),
+                )
+            })
+            .collect();
+        let x = g.constant(Tensor::from_vec(vec![2.0], [1, 1], &d));
+        let y = g.scoped("model", || {
+            let h = g.scoped("l0", || {
+                let a = g.scoped("attn", || ops::matmul(&g, &x, &g.leaf(&w[0])));
+                g.scoped("mlp", || ops::matmul(&g, &a, &g.leaf(&w[1])))
+            });
+            let h = g.scoped("l1", || {
+                let a = g.scoped("attn", || ops::matmul(&g, &h, &g.leaf(&w[0])));
+                let w2 = w[2].clone();
+                let seg = checkpoint(
+                    &g,
+                    Rc::new(move |cg: &Graph, ins: &[Value]| {
+                        cg.scoped("mlp", || {
+                            let u = cg.scoped("up", || ops::matmul(cg, &ins[0], &cg.leaf(&w2)));
+                            vec![ops::gelu(cg, &u)]
+                        })
+                    }),
+                    std::slice::from_ref(&a),
+                );
+                ops::add(&g, &seg[0], &a)
+            });
+            let h = g.scoped("l2", || {
+                g.scoped("mlp", || ops::matmul(&g, &h, &g.leaf(&w[3])))
+            });
+            g.scoped("head", || ops::matmul(&g, &h, &g.leaf(&w[4])))
+        });
+        g.backward(&ops::sum_all(&g, &y));
+        // Captured before the walk followed parent links; a change here is
+        // a change in the order the cache sees its hooks.
+        let expected = [
+            "b+model",
+            "b+model/head",
+            "ready w4",
+            "b-model/head",
+            "b+model/l2",
+            "b+model/l2/mlp",
+            "ready w3",
+            "b-model/l2/mlp",
+            "b-model/l2",
+            "b+model/l1",
+            "b+mlp",
+            "b+mlp/up",
+            "ready w2",
+            "b-mlp/up",
+            "b-mlp",
+            "b+model/l1/attn",
+            "b-model/l1/attn",
+            "b-model/l1",
+            "b+model/l0",
+            "b+model/l0/mlp",
+            "ready w1",
+            "b-model/l0/mlp",
+            "b+model/l0/attn",
+            "ready w0",
+            "b-model/l0/attn",
+            "b-model/l0",
+            "b-model",
+        ];
+        assert_eq!(*log.0.lock(), expected);
     }
 }

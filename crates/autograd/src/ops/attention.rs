@@ -7,7 +7,7 @@
 //! the large intermediate tensors that Megatron's selective recomputation
 //! targeted (paper Section 4.3).
 
-use crate::graph::{BackwardResult, Graph, Op};
+use crate::graph::{Graph, Op};
 use crate::observer::OpCost;
 use crate::ops::sym;
 use crate::value::Value;
@@ -73,13 +73,17 @@ impl Op for PermuteHeadsOp {
     fn name(&self) -> &'static str {
         "permute_heads"
     }
-    fn backward(&self, _g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        _saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("permute grad");
         let cost = OpCost::new(0, dy.bytes(), dy.bytes());
-        BackwardResult {
-            grads: vec![Some(unpermute_kernel(dy, self.nh))],
-            cost,
-        }
+        grads_in[0] = Some(unpermute_kernel(dy, self.nh));
+        cost
     }
 }
 
@@ -91,13 +95,17 @@ impl Op for UnpermuteHeadsOp {
     fn name(&self) -> &'static str {
         "unpermute_heads"
     }
-    fn backward(&self, _g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        _saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("unpermute grad");
         let cost = OpCost::new(0, dy.bytes(), dy.bytes());
-        BackwardResult {
-            grads: vec![Some(permute_kernel(dy, self.nh))],
-            cost,
-        }
+        grads_in[0] = Some(permute_kernel(dy, self.nh));
+        cost
     }
 }
 
@@ -113,11 +121,10 @@ pub fn permute_heads(g: &Graph, x: &Value, nh: usize) -> Value {
     g.record(
         Box::new(PermuteHeadsOp { nh }),
         &[x],
-        vec![out],
-        vec![],
+        out,
+        [],
         OpCost::new(0, bytes, bytes),
     )
-    .remove(0)
 }
 
 /// Merges heads back: `[b*nh, s, hd]` → `[b, s, nh*hd]`.
@@ -137,11 +144,10 @@ pub fn unpermute_heads(g: &Graph, x: &Value, nh: usize) -> Value {
     g.record(
         Box::new(UnpermuteHeadsOp { nh }),
         &[x],
-        vec![out],
-        vec![],
+        out,
+        [],
         OpCost::new(0, bytes, bytes),
     )
-    .remove(0)
 }
 
 // ---------------------------------------------------------------------
@@ -154,13 +160,17 @@ impl Op for Transpose12Op {
     fn name(&self) -> &'static str {
         "transpose_12"
     }
-    fn backward(&self, _g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        _saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("transpose grad");
         let cost = OpCost::new(0, dy.bytes(), dy.bytes());
-        BackwardResult {
-            grads: vec![Some(transpose12_kernel(dy))],
-            cost,
-        }
+        grads_in[0] = Some(transpose12_kernel(dy));
+        cost
     }
 }
 
@@ -184,11 +194,10 @@ pub fn transpose_12(g: &Graph, x: &Value) -> Value {
     g.record(
         Box::new(Transpose12Op),
         &[x],
-        vec![out],
-        vec![],
+        out,
+        [],
         OpCost::new(0, bytes, bytes),
     )
-    .remove(0)
 }
 
 // ---------------------------------------------------------------------
@@ -235,21 +244,23 @@ impl Op for FlashAttentionOp {
     fn name(&self) -> &'static str {
         "flash_attention"
     }
-    fn backward(&self, g: &Graph, saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        g: &Graph,
+        saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dctx = grads[0].as_ref().expect("attention grad");
         let (q, k, v) = (&saved[0], &saved[1], &saved[2]);
         let (t, s, d) = (q.dim(0), q.dim(1), q.dim(2));
         let flops = 10 * (t * s * s * d) as u64;
         let cost = OpCost::new(flops, 3 * q.bytes() + dctx.bytes(), 3 * q.bytes());
         if !q.has_data() || !k.has_data() || !v.has_data() || !dctx.has_data() {
-            return BackwardResult {
-                grads: vec![
-                    Some(sym(*q.shape(), g.device())),
-                    Some(sym(*k.shape(), g.device())),
-                    Some(sym(*v.shape(), g.device())),
-                ],
-                cost,
-            };
+            grads_in[0] = Some(sym(*q.shape(), g.device()));
+            grads_in[1] = Some(sym(*k.shape(), g.device()));
+            grads_in[2] = Some(sym(*v.shape(), g.device()));
+            return cost;
         }
         // Recompute the pre-dropout probabilities (never materialised on
         // the graph), then replay the draw forward made on them after
@@ -282,10 +293,10 @@ impl Op for FlashAttentionOp {
         // dq = dscores @ k ; dk = dscores^T @ q
         let dq = dscores.bmm(k);
         let dk = dscores.transpose(1, 2).bmm(q);
-        BackwardResult {
-            grads: vec![Some(dq), Some(dk), Some(dv)],
-            cost,
-        }
+        grads_in[0] = Some(dq);
+        grads_in[1] = Some(dk);
+        grads_in[2] = Some(dv);
+        cost
     }
 }
 
@@ -343,11 +354,10 @@ pub fn flash_attention(
             rng: rng_snapshot,
         }),
         &[q, k, v],
-        vec![ctx],
-        vec![q.tensor().clone(), k.tensor().clone(), v.tensor().clone()],
+        ctx,
+        [q.tensor().clone(), k.tensor().clone(), v.tensor().clone()],
         cost,
     )
-    .remove(0)
 }
 
 #[cfg(test)]

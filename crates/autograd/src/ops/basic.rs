@@ -1,6 +1,6 @@
 //! Elementwise, reduction, view and communication operators.
 
-use crate::graph::{BackwardResult, Graph, Op};
+use crate::graph::{Graph, Op};
 use crate::observer::OpCost;
 use crate::value::Value;
 use ssdtrain_tensor::{Shape, Tensor};
@@ -19,13 +19,17 @@ impl Op for AddOp {
     fn name(&self) -> &'static str {
         "add"
     }
-    fn backward(&self, _g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        _saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("add grad");
-        let cost = OpCost::new(0, dy.bytes(), 2 * dy.bytes());
-        BackwardResult {
-            grads: vec![Some(dy.clone()), Some(dy.clone())],
-            cost,
-        }
+        grads_in[0] = Some(dy.clone());
+        grads_in[1] = Some(dy.clone());
+        OpCost::new(0, dy.bytes(), 2 * dy.bytes())
     }
 }
 
@@ -34,8 +38,7 @@ pub fn add(g: &Graph, a: &Value, b: &Value) -> Value {
     let out = a.tensor().add(b.tensor());
     let n = out.numel() as u64;
     let cost = OpCost::new(n, 2 * n * w(&out), n * w(&out));
-    g.record(Box::new(AddOp), &[a, b], vec![out], vec![], cost)
-        .remove(0)
+    g.record(Box::new(AddOp), &[a, b], out, [], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -48,14 +51,18 @@ impl Op for MulOp {
     fn name(&self) -> &'static str {
         "mul"
     }
-    fn backward(&self, _g: &Graph, saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("mul grad");
         let (a, b) = (&saved[0], &saved[1]);
-        let cost = OpCost::new(2 * dy.numel() as u64, 3 * dy.bytes(), 2 * dy.bytes());
-        BackwardResult {
-            grads: vec![Some(dy.mul(b)), Some(dy.mul(a))],
-            cost,
-        }
+        grads_in[0] = Some(dy.mul(b));
+        grads_in[1] = Some(dy.mul(a));
+        OpCost::new(2 * dy.numel() as u64, 3 * dy.bytes(), 2 * dy.bytes())
     }
 }
 
@@ -67,11 +74,10 @@ pub fn mul(g: &Graph, a: &Value, b: &Value) -> Value {
     g.record(
         Box::new(MulOp),
         &[a, b],
-        vec![out],
-        vec![a.tensor().clone(), b.tensor().clone()],
+        out,
+        [a.tensor().clone(), b.tensor().clone()],
         cost,
     )
-    .remove(0)
 }
 
 // ---------------------------------------------------------------------
@@ -86,13 +92,16 @@ impl Op for ScaleOp {
     fn name(&self) -> &'static str {
         "scale"
     }
-    fn backward(&self, _g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        _saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("scale grad");
-        let cost = OpCost::new(dy.numel() as u64, dy.bytes(), dy.bytes());
-        BackwardResult {
-            grads: vec![Some(dy.scale(self.s))],
-            cost,
-        }
+        grads_in[0] = Some(dy.scale(self.s));
+        OpCost::new(dy.numel() as u64, dy.bytes(), dy.bytes())
     }
 }
 
@@ -101,8 +110,7 @@ pub fn scale(g: &Graph, x: &Value, s: f32) -> Value {
     let out = x.tensor().scale(s);
     let n = out.numel() as u64;
     let cost = OpCost::new(n, n * w(&out), n * w(&out));
-    g.record(Box::new(ScaleOp { s }), &[x], vec![out], vec![], cost)
-        .remove(0)
+    g.record(Box::new(ScaleOp { s }), &[x], out, [], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -118,7 +126,13 @@ impl Op for SumAllOp {
     fn name(&self) -> &'static str {
         "sum_all"
     }
-    fn backward(&self, g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        g: &Graph,
+        _saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("sum grad");
         let n = self.in_shape.numel() as u64;
         let dev = g.device().clone();
@@ -128,10 +142,8 @@ impl Op for SumAllOp {
             Tensor::symbolic(self.in_shape, &dev)
         };
         let cost = OpCost::new(n, 0, n * grad.dtype().byte_size());
-        BackwardResult {
-            grads: vec![Some(grad)],
-            cost,
-        }
+        grads_in[0] = Some(grad);
+        cost
     }
 }
 
@@ -146,11 +158,10 @@ pub fn sum_all(g: &Graph, x: &Value) -> Value {
             scale: 1.0,
         }),
         &[x],
-        vec![out],
-        vec![],
+        out,
+        [],
         cost,
     )
-    .remove(0)
 }
 
 /// Mean of all elements to a scalar.
@@ -164,11 +175,10 @@ pub fn mean_all(g: &Graph, x: &Value) -> Value {
             scale: 1.0 / n as f32,
         }),
         &[x],
-        vec![out],
-        vec![],
+        out,
+        [],
         cost,
     )
-    .remove(0)
 }
 
 // ---------------------------------------------------------------------
@@ -183,12 +193,16 @@ impl Op for ReshapeOp {
     fn name(&self) -> &'static str {
         "reshape"
     }
-    fn backward(&self, _g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        _saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("reshape grad");
-        BackwardResult {
-            grads: vec![Some(dy.contiguous().reshape(self.in_shape))],
-            cost: OpCost::default(),
-        }
+        grads_in[0] = Some(dy.contiguous().reshape(self.in_shape));
+        OpCost::default()
     }
 }
 
@@ -204,11 +218,10 @@ pub fn reshape(g: &Graph, x: &Value, shape: impl Into<Shape>) -> Value {
             in_shape: *x.tensor().shape(),
         }),
         &[x],
-        vec![out],
-        vec![],
+        out,
+        [],
         OpCost::default(),
     )
-    .remove(0)
 }
 
 // ---------------------------------------------------------------------
@@ -223,14 +236,18 @@ impl Op for AllreduceOp {
     fn name(&self) -> &'static str {
         "allreduce"
     }
-    fn backward(&self, _g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        _saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("allreduce grad");
         // The backward of an allreduce is an allreduce of the gradients,
         // with the same communication volume.
-        BackwardResult {
-            grads: vec![Some(dy.clone())],
-            cost: OpCost::new(0, self.comm_bytes, self.comm_bytes),
-        }
+        grads_in[0] = Some(dy.clone());
+        OpCost::new(0, self.comm_bytes, self.comm_bytes)
     }
 }
 
@@ -243,11 +260,10 @@ pub fn allreduce(g: &Graph, x: &Value, comm_bytes: u64) -> Value {
     g.record(
         Box::new(AllreduceOp { comm_bytes }),
         &[x],
-        vec![out],
-        vec![],
+        out,
+        [],
         OpCost::new(0, comm_bytes, comm_bytes),
     )
-    .remove(0)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Embedding lookup and cross-entropy loss.
 
-use crate::graph::{BackwardResult, Graph, Op};
+use crate::graph::{Graph, Op};
 use crate::observer::OpCost;
 use crate::ops::sym;
 use crate::value::Value;
@@ -18,15 +18,19 @@ impl Op for EmbeddingOp {
     fn name(&self) -> &'static str {
         "embedding"
     }
-    fn backward(&self, _g: &Graph, saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("embedding grad");
         let ids = &saved[0];
         let dtable = Tensor::embedding_grad(self.vocab, ids, dy);
         let cost = OpCost::new(dy.numel() as u64, dy.bytes(), dtable.bytes());
-        BackwardResult {
-            grads: vec![Some(dtable), None],
-            cost,
-        }
+        grads_in[0] = Some(dtable);
+        cost
     }
 }
 
@@ -39,11 +43,10 @@ pub fn embedding(g: &Graph, table: &Value, ids: &Value) -> Value {
     g.record(
         Box::new(EmbeddingOp { vocab }),
         &[table, ids],
-        vec![out],
-        vec![ids.tensor().clone()],
+        out,
+        [ids.tensor().clone()],
         cost,
     )
-    .remove(0)
 }
 
 // ---------------------------------------------------------------------
@@ -56,17 +59,21 @@ impl Op for CrossEntropyOp {
     fn name(&self) -> &'static str {
         "cross_entropy"
     }
-    fn backward(&self, g: &Graph, saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        g: &Graph,
+        saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dloss = grads[0].as_ref().expect("ce grad");
         let probs = &saved[0];
         let targets = &saved[1];
         let (n, v) = probs.shape().as_2d();
         let cost = OpCost::new(2 * probs.numel() as u64, probs.bytes(), probs.bytes());
         if !probs.has_data() || !targets.has_data() || !dloss.has_data() {
-            return BackwardResult {
-                grads: vec![Some(sym(*probs.shape(), g.device())), None],
-                cost,
-            };
+            grads_in[0] = Some(sym(*probs.shape(), g.device()));
+            return cost;
         }
         let scale = dloss.item() / n as f32;
         let mut dl = probs.to_vec();
@@ -78,10 +85,8 @@ impl Op for CrossEntropyOp {
         for x in dl.iter_mut() {
             *x *= scale;
         }
-        BackwardResult {
-            grads: vec![Some(Tensor::from_vec(dl, *probs.shape(), g.device())), None],
-            cost,
-        }
+        grads_in[0] = Some(Tensor::from_vec(dl, *probs.shape(), g.device()));
+        cost
     }
 }
 
@@ -94,11 +99,10 @@ pub fn cross_entropy_mean(g: &Graph, logits: &Value, targets: &Value) -> Value {
     g.record(
         Box::new(CrossEntropyOp),
         &[logits, targets],
-        vec![loss],
-        vec![probs, targets.tensor().clone()],
+        loss,
+        [probs, targets.tensor().clone()],
         cost,
     )
-    .remove(0)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Matrix-multiply operators (the FLOP-dominant kernels).
 
-use crate::graph::{BackwardResult, Graph, Op};
+use crate::graph::{Graph, Op};
 use crate::observer::OpCost;
 use crate::value::Value;
 use ssdtrain_tensor::Tensor;
@@ -19,7 +19,13 @@ impl Op for MatmulOp {
     fn name(&self) -> &'static str {
         "matmul"
     }
-    fn backward(&self, _g: &Graph, saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("matmul grad");
         let (x, wt) = (&saved[0], &saved[1]);
         let (m, k) = x.shape().as_2d();
@@ -32,10 +38,9 @@ impl Op for MatmulOp {
         let dw = x2d.t().contiguous().reshape([k, m]).matmul(&dy2d);
         let flops = 4 * (m as u64) * (k as u64) * (n as u64);
         let bytes = (dy.bytes() + x.bytes() + wt.bytes()) * 2;
-        BackwardResult {
-            grads: vec![Some(dx), Some(dw)],
-            cost: OpCost::new(flops, bytes, x.bytes() + wt.bytes()),
-        }
+        grads_in[0] = Some(dx);
+        grads_in[1] = Some(dw);
+        OpCost::new(flops, bytes, x.bytes() + wt.bytes())
     }
 }
 
@@ -56,11 +61,10 @@ pub fn matmul(g: &Graph, x: &Value, weight: &Value) -> Value {
     g.record(
         Box::new(MatmulOp),
         &[x, weight],
-        vec![out],
-        vec![x.tensor().clone(), weight.tensor().clone()],
+        out,
+        [x.tensor().clone(), weight.tensor().clone()],
         cost,
     )
-    .remove(0)
 }
 
 // ---------------------------------------------------------------------
@@ -73,14 +77,19 @@ impl Op for AddBiasOp {
     fn name(&self) -> &'static str {
         "add_bias"
     }
-    fn backward(&self, _g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        _saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("add_bias grad");
         let db = dy.sum_leading();
         let cost = OpCost::new(dy.numel() as u64, dy.bytes(), dy.bytes() + db.bytes());
-        BackwardResult {
-            grads: vec![Some(dy.clone()), Some(db)],
-            cost,
-        }
+        grads_in[0] = Some(dy.clone());
+        grads_in[1] = Some(db);
+        cost
     }
 }
 
@@ -89,8 +98,7 @@ pub fn add_bias(g: &Graph, x: &Value, bias: &Value) -> Value {
     let out = x.tensor().add_bias(bias.tensor());
     let n = out.numel() as u64;
     let cost = OpCost::new(n, n * w(&out) + bias.tensor().bytes(), n * w(&out));
-    g.record(Box::new(AddBiasOp), &[x, bias], vec![out], vec![], cost)
-        .remove(0)
+    g.record(Box::new(AddBiasOp), &[x, bias], out, [], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -103,7 +111,13 @@ impl Op for BmmOp {
     fn name(&self) -> &'static str {
         "bmm"
     }
-    fn backward(&self, _g: &Graph, saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("bmm grad");
         let (a, b) = (&saved[0], &saved[1]);
         // da = dy @ b^T; db = a^T @ dy  (batched)
@@ -112,14 +126,14 @@ impl Op for BmmOp {
         let (bt, m, k) = (a.dim(0), a.dim(1), a.dim(2));
         let n = b.dim(2);
         let flops = 4 * (bt * m * k * n) as u64;
-        BackwardResult {
-            grads: vec![Some(da), Some(db)],
-            cost: OpCost::new(
-                flops,
-                2 * (dy.bytes() + a.bytes() + b.bytes()),
-                a.bytes() + b.bytes(),
-            ),
-        }
+        let cost = OpCost::new(
+            flops,
+            2 * (dy.bytes() + a.bytes() + b.bytes()),
+            a.bytes() + b.bytes(),
+        );
+        grads_in[0] = Some(da);
+        grads_in[1] = Some(db);
+        cost
     }
 }
 
@@ -134,11 +148,10 @@ pub fn bmm(g: &Graph, a: &Value, b: &Value) -> Value {
     g.record(
         Box::new(BmmOp),
         &[a, b],
-        vec![out],
-        vec![a.tensor().clone(), b.tensor().clone()],
+        out,
+        [a.tensor().clone(), b.tensor().clone()],
         cost,
     )
-    .remove(0)
 }
 
 #[cfg(test)]

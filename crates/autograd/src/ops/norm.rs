@@ -1,6 +1,6 @@
 //! Normalisation, activation, masking and dropout operators.
 
-use crate::graph::{BackwardResult, Graph, Op};
+use crate::graph::{Graph, Op};
 use crate::observer::OpCost;
 use crate::ops::{all_numeric, sym};
 use crate::value::Value;
@@ -16,15 +16,19 @@ impl Op for GeluOp {
     fn name(&self) -> &'static str {
         "gelu"
     }
-    fn backward(&self, _g: &Graph, saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("gelu grad");
         let x = &saved[0];
         let dx = dy.mul(&x.gelu_grad());
         let cost = OpCost::new(10 * dy.numel() as u64, dy.bytes() + x.bytes(), dx.bytes());
-        BackwardResult {
-            grads: vec![Some(dx)],
-            cost,
-        }
+        grads_in[0] = Some(dx);
+        cost
     }
 }
 
@@ -33,14 +37,7 @@ pub fn gelu(g: &Graph, x: &Value) -> Value {
     let out = x.tensor().gelu();
     let n = out.numel() as u64;
     let cost = OpCost::new(8 * n, x.tensor().bytes(), out.bytes());
-    g.record(
-        Box::new(GeluOp),
-        &[x],
-        vec![out],
-        vec![x.tensor().clone()],
-        cost,
-    )
-    .remove(0)
+    g.record(Box::new(GeluOp), &[x], out, [x.tensor().clone()], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -56,15 +53,19 @@ impl Op for DropoutOp {
     fn name(&self) -> &'static str {
         "dropout"
     }
-    fn backward(&self, _g: &Graph, saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("dropout grad");
         let mask = &saved[0];
         let dx = dy.mul(mask).scale(self.scale);
         let cost = OpCost::new(dy.numel() as u64, dy.bytes() + mask.bytes(), dx.bytes());
-        BackwardResult {
-            grads: vec![Some(dx)],
-            cost,
-        }
+        grads_in[0] = Some(dx);
+        cost
     }
 }
 
@@ -80,14 +81,7 @@ pub fn dropout(g: &Graph, x: &Value, p: f32) -> Value {
     let wd = out.dtype().byte_size();
     let cost = OpCost::new(n, n * wd, n * wd + mask.bytes());
     let scale = 1.0 / (1.0 - p);
-    g.record(
-        Box::new(DropoutOp { scale }),
-        &[x],
-        vec![out],
-        vec![mask],
-        cost,
-    )
-    .remove(0)
+    g.record(Box::new(DropoutOp { scale }), &[x], out, [mask], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -100,7 +94,13 @@ impl Op for LayernormOp {
     fn name(&self) -> &'static str {
         "layernorm"
     }
-    fn backward(&self, g: &Graph, saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        g: &Graph,
+        saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("layernorm grad");
         let x = &saved[0];
         let gamma = &saved[1];
@@ -112,14 +112,10 @@ impl Op for LayernormOp {
         let cost = OpCost::new(12 * n, 3 * x.bytes(), x.bytes() + 2 * gamma.bytes());
 
         if !all_numeric(&[dy, x, gamma, mean, rstd]) {
-            return BackwardResult {
-                grads: vec![
-                    Some(sym(*x.shape(), g.device())),
-                    Some(sym([h], g.device())),
-                    Some(sym([h], g.device())),
-                ],
-                cost,
-            };
+            grads_in[0] = Some(sym(*x.shape(), g.device()));
+            grads_in[1] = Some(sym([h], g.device()));
+            grads_in[2] = Some(sym([h], g.device()));
+            return cost;
         }
 
         let (dx, dgamma, dbeta) =
@@ -153,14 +149,10 @@ impl Op for LayernormOp {
                 (dx, dgamma, dbeta)
             });
         let dev = g.device().clone();
-        BackwardResult {
-            grads: vec![
-                Some(Tensor::from_vec(dx, *x.shape(), &dev)),
-                Some(Tensor::from_vec(dgamma, [h], &dev)),
-                Some(Tensor::from_vec(dbeta, [h], &dev)),
-            ],
-            cost,
-        }
+        grads_in[0] = Some(Tensor::from_vec(dx, *x.shape(), &dev));
+        grads_in[1] = Some(Tensor::from_vec(dgamma, [h], &dev));
+        grads_in[2] = Some(Tensor::from_vec(dbeta, [h], &dev));
+        cost
     }
 }
 
@@ -173,11 +165,10 @@ pub fn layernorm(g: &Graph, x: &Value, gamma: &Value, beta: &Value, eps: f32) ->
     g.record(
         Box::new(LayernormOp),
         &[x, gamma, beta],
-        vec![y],
-        vec![x.tensor().clone(), gamma.tensor().clone(), mean, rstd],
+        y,
+        [x.tensor().clone(), gamma.tensor().clone(), mean, rstd],
         cost,
     )
-    .remove(0)
 }
 
 // ---------------------------------------------------------------------
@@ -190,14 +181,17 @@ impl Op for SoftmaxOp {
     fn name(&self) -> &'static str {
         "softmax"
     }
-    fn backward(&self, _g: &Graph, saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("softmax grad");
         let y = &saved[0];
-        let cost = OpCost::new(4 * y.numel() as u64, 2 * y.bytes(), y.bytes());
-        BackwardResult {
-            grads: vec![Some(y.softmax_grad(dy))],
-            cost,
-        }
+        grads_in[0] = Some(y.softmax_grad(dy));
+        OpCost::new(4 * y.numel() as u64, 2 * y.bytes(), y.bytes())
     }
 }
 
@@ -209,8 +203,7 @@ pub fn softmax_last(g: &Graph, x: &Value) -> Value {
     let n = y.numel() as u64;
     let cost = OpCost::new(5 * n, x.tensor().bytes(), y.bytes());
     let saved = y.clone();
-    g.record(Box::new(SoftmaxOp), &[x], vec![y], vec![saved], cost)
-        .remove(0)
+    g.record(Box::new(SoftmaxOp), &[x], y, [saved], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -223,14 +216,17 @@ impl Op for CausalMaskOp {
     fn name(&self) -> &'static str {
         "causal_mask"
     }
-    fn backward(&self, _g: &Graph, _saved: &[Tensor], grads: &[Option<Tensor>]) -> BackwardResult {
+    fn backward(
+        &self,
+        _g: &Graph,
+        _saved: &[Tensor],
+        grads: &[Option<Tensor>],
+        grads_in: &mut [Option<Tensor>],
+    ) -> OpCost {
         let dy = grads[0].as_ref().expect("mask grad");
-        let cost = OpCost::new(dy.numel() as u64, dy.bytes(), dy.bytes());
         // Gradient of masked (future) positions is zero.
-        BackwardResult {
-            grads: vec![Some(dy.fill_above_diagonal(0.0))],
-            cost,
-        }
+        grads_in[0] = Some(dy.fill_above_diagonal(0.0));
+        OpCost::new(dy.numel() as u64, dy.bytes(), dy.bytes())
     }
 }
 
@@ -241,8 +237,7 @@ pub fn apply_causal_mask(g: &Graph, x: &Value) -> Value {
     let n = y.numel() as u64;
     let wd = y.dtype().byte_size();
     let cost = OpCost::new(n, n * wd, n * wd);
-    g.record(Box::new(CausalMaskOp), &[x], vec![y], vec![], cost)
-        .remove(0)
+    g.record(Box::new(CausalMaskOp), &[x], y, [], cost)
 }
 
 #[cfg(test)]

@@ -42,32 +42,54 @@ pub struct ScopeFrame {
 }
 
 impl ScopeFrame {
-    /// Depth of the stack ending at this frame (outermost = 1).
-    pub fn depth(self: &Arc<Self>) -> usize {
-        let mut d = 1;
-        let mut cur = self.parent.clone();
-        while let Some(f) = cur {
-            d += 1;
-            cur = f.parent.clone();
-        }
-        d
-    }
-
-    /// The stack from outermost to innermost.
-    pub fn stack(self: &Arc<Self>) -> Vec<Arc<ScopeFrame>> {
-        let mut v = Vec::new();
-        let mut cur = Some(self.clone());
-        while let Some(f) = cur {
-            cur = f.parent.clone();
-            v.push(f);
-        }
-        v.reverse();
-        v
-    }
-
     /// True if both handles denote the same invocation.
-    pub fn same(a: &Arc<ScopeFrame>, b: &Arc<ScopeFrame>) -> bool {
+    pub fn same(a: &ScopeFrame, b: &ScopeFrame) -> bool {
         a.info.seq == b.info.seq
+    }
+
+    /// Fires the *backward* hook events that move the innermost open scope
+    /// from `from` to `to` (the scope of the next node backward runs):
+    /// `backward_post` on each frame of `from` below their common
+    /// ancestor, innermost first, then `backward_pre` on each frame of
+    /// `to` below it, outermost first. The walk follows parent links and
+    /// allocates nothing; a node under the open frame fires nothing.
+    pub(crate) fn backward_transition(
+        from: Option<&ScopeFrame>,
+        to: Option<&ScopeFrame>,
+        hooks: &[Arc<dyn ModuleHooks>],
+    ) {
+        // The common ancestor is the first frame up from `from` that is
+        // also on `to`'s stack.
+        let mut common = from;
+        while let Some(f) = common.filter(|&f| !stack(to).any(|t| ScopeFrame::same(f, t))) {
+            for h in hooks {
+                h.backward_post(&f.info);
+            }
+            common = f.parent.as_deref();
+        }
+        open_below(to, common, hooks);
+    }
+}
+
+/// The stack ending at `top`, innermost frame first.
+fn stack(top: Option<&ScopeFrame>) -> impl Iterator<Item = &ScopeFrame> {
+    std::iter::successors(top, |f| f.parent.as_deref())
+}
+
+/// Fires `backward_pre` on the frames of `to` below `common`, outermost
+/// first (recursing on the parent before firing the frame itself).
+fn open_below(
+    to: Option<&ScopeFrame>,
+    common: Option<&ScopeFrame>,
+    hooks: &[Arc<dyn ModuleHooks>],
+) {
+    let Some(f) = to else { return };
+    if common.is_some_and(|c| ScopeFrame::same(f, c)) {
+        return;
+    }
+    open_below(f.parent.as_deref(), common, hooks);
+    for h in hooks {
+        h.backward_pre(&f.info);
     }
 }
 
@@ -108,27 +130,10 @@ pub trait ModuleHooks: Send + Sync {
     }
 }
 
-/// Computes the hook events needed to move from the currently open stack
-/// `from` to the stack of the next node `to` during *backward* traversal.
-///
-/// Returns `(to_close, to_open)`: frames to close innermost-first, then
-/// frames to open outermost-first.
-pub fn stack_transition(
-    from: &[Arc<ScopeFrame>],
-    to: &[Arc<ScopeFrame>],
-) -> (Vec<Arc<ScopeFrame>>, Vec<Arc<ScopeFrame>>) {
-    let mut common = 0;
-    while common < from.len() && common < to.len() && ScopeFrame::same(&from[common], &to[common]) {
-        common += 1;
-    }
-    let to_close = from[common..].iter().rev().cloned().collect();
-    let to_open = to[common..].to_vec();
-    (to_close, to_open)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
 
     fn frame(path: &str, seq: u64, parent: Option<Arc<ScopeFrame>>) -> Arc<ScopeFrame> {
         Arc::new(ScopeFrame {
@@ -141,16 +146,26 @@ mod tests {
         })
     }
 
-    #[test]
-    fn depth_and_stack() {
-        let a = frame("model", 1, None);
-        let b = frame("model/layer0", 2, Some(a.clone()));
-        let c = frame("model/layer0/mlp", 3, Some(b.clone()));
-        assert_eq!(c.depth(), 3);
-        let stack = c.stack();
-        assert_eq!(stack.len(), 3);
-        assert_eq!(stack[0].info.path, "model");
-        assert_eq!(stack[2].info.path, "model/layer0/mlp");
+    /// Logs backward scope events as `b+path` / `b-path`.
+    #[derive(Default)]
+    struct Log(Mutex<Vec<String>>);
+
+    impl ModuleHooks for Log {
+        fn backward_pre(&self, s: &ScopeInfo) {
+            self.0.lock().push(format!("b+{}", s.path));
+        }
+        fn backward_post(&self, s: &ScopeInfo) {
+            self.0.lock().push(format!("b-{}", s.path));
+        }
+    }
+
+    /// The events the walk fires moving from `from` to `to`.
+    fn walk(from: Option<&Arc<ScopeFrame>>, to: Option<&Arc<ScopeFrame>>) -> Vec<String> {
+        let log = Arc::new(Log::default());
+        let hooks: [Arc<dyn ModuleHooks>; 1] = [log.clone()];
+        ScopeFrame::backward_transition(from.map(|f| &**f), to.map(|f| &**f), &hooks);
+        let events = log.0.lock().clone();
+        events
     }
 
     #[test]
@@ -158,11 +173,11 @@ mod tests {
         let root = frame("model", 1, None);
         let l0 = frame("model/l0", 2, Some(root.clone()));
         let l1 = frame("model/l1", 3, Some(root.clone()));
-        let (close, open) = stack_transition(&l1.stack(), &l0.stack());
-        assert_eq!(close.len(), 1);
-        assert_eq!(close[0].info.path, "model/l1");
-        assert_eq!(open.len(), 1);
-        assert_eq!(open[0].info.path, "model/l0");
+        assert_eq!(walk(Some(&l1), Some(&l0)), ["b-model/l1", "b+model/l0"]);
+        assert!(
+            walk(Some(&l0), Some(&l0)).is_empty(),
+            "same frame fires nothing"
+        );
     }
 
     #[test]
@@ -170,11 +185,14 @@ mod tests {
         let root = frame("model", 1, None);
         let l0 = frame("model/l0", 2, Some(root.clone()));
         let mlp = frame("model/l0/mlp", 3, Some(l0.clone()));
-        let (close, open) = stack_transition(&root.stack(), &mlp.stack());
-        assert!(close.is_empty());
-        assert_eq!(open.len(), 2);
-        assert_eq!(open[0].info.path, "model/l0");
-        assert_eq!(open[1].info.path, "model/l0/mlp");
+        assert_eq!(
+            walk(Some(&root), Some(&mlp)),
+            ["b+model/l0", "b+model/l0/mlp"]
+        );
+        assert_eq!(
+            walk(None, Some(&mlp)),
+            ["b+model", "b+model/l0", "b+model/l0/mlp"]
+        );
     }
 
     #[test]
@@ -182,18 +200,20 @@ mod tests {
         let root = frame("model", 1, None);
         let l0 = frame("model/l0", 2, Some(root.clone()));
         let mlp = frame("model/l0/mlp", 3, Some(l0.clone()));
-        let (close, open) = stack_transition(&mlp.stack(), &[]);
-        assert_eq!(open.len(), 0);
-        let names: Vec<_> = close.iter().map(|f| f.info.path.clone()).collect();
-        assert_eq!(names, vec!["model/l0/mlp", "model/l0", "model"]);
+        assert_eq!(
+            walk(Some(&mlp), None),
+            ["b-model/l0/mlp", "b-model/l0", "b-model"]
+        );
+        assert_eq!(
+            walk(Some(&mlp), Some(&root)),
+            ["b-model/l0/mlp", "b-model/l0"]
+        );
     }
 
     #[test]
     fn same_path_different_invocation_is_not_same_scope() {
         let a = frame("model/l0", 1, None);
         let b = frame("model/l0", 2, None);
-        let (close, open) = stack_transition(&a.stack(), &b.stack());
-        assert_eq!(close.len(), 1);
-        assert_eq!(open.len(), 1);
+        assert_eq!(walk(Some(&a), Some(&b)), ["b-model/l0", "b+model/l0"]);
     }
 }

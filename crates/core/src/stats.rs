@@ -4,6 +4,7 @@ use crate::placement::OffloadClass;
 use crate::tier::TierCounters;
 use serde::{Deserialize, Serialize};
 use ssdtrain_trace::MetricsRegistry;
+use std::fmt::Write;
 
 /// Per-[`OffloadClass`] traffic split: how much of the step's offload
 /// I/O was activations vs gradients vs optimizer state. Every byte in
@@ -243,9 +244,12 @@ impl OffloadStats {
         for (name, value) in counters {
             registry.inc_counter(name, *value);
         }
+        // One name buffer for every per-lane metric: each lane writes its
+        // prefix once, and each metric truncates back to it.
+        let mut name = String::with_capacity(64);
         for (idx, tier) in tiers.iter().enumerate() {
             let TierCounters {
-                name,
+                name: tier_name,
                 bytes_written,
                 bytes_read,
                 stores,
@@ -256,16 +260,26 @@ impl OffloadStats {
                 write_busy_secs,
                 read_busy_secs,
             } = tier;
-            let prefix = format!("offload.tier{idx}.{name}");
-            registry.inc_counter(&format!("{prefix}.bytes_written"), *bytes_written);
-            registry.inc_counter(&format!("{prefix}.bytes_read"), *bytes_read);
-            registry.inc_counter(&format!("{prefix}.stores"), *stores);
-            registry.inc_counter(&format!("{prefix}.loads"), *loads);
-            registry.inc_counter(&format!("{prefix}.spilled_in_bytes"), *spilled_in_bytes);
-            registry.inc_counter(&format!("{prefix}.demoted_in_bytes"), *demoted_in_bytes);
-            registry.observe(&format!("{prefix}.stall_secs"), *stall_secs);
-            registry.observe(&format!("{prefix}.write_busy_secs"), *write_busy_secs);
-            registry.observe(&format!("{prefix}.read_busy_secs"), *read_busy_secs);
+            name.clear();
+            let _ = write!(name, "offload.tier{idx}.{tier_name}.");
+            let prefix = name.len();
+            for (metric, value) in [
+                ("bytes_written", bytes_written),
+                ("bytes_read", bytes_read),
+                ("stores", stores),
+                ("loads", loads),
+                ("spilled_in_bytes", spilled_in_bytes),
+                ("demoted_in_bytes", demoted_in_bytes),
+            ] {
+                registry.inc_counter(suffixed(&mut name, prefix, metric), *value);
+            }
+            for (metric, value) in [
+                ("stall_secs", stall_secs),
+                ("write_busy_secs", write_busy_secs),
+                ("read_busy_secs", read_busy_secs),
+            ] {
+                registry.observe(suffixed(&mut name, prefix, metric), *value);
+            }
         }
         for c in classes.iter() {
             let ClassCounters {
@@ -275,15 +289,28 @@ impl OffloadStats {
                 stores,
                 loads,
             } = c;
-            let prefix = format!("offload.class.{class}");
-            registry.inc_counter(&format!("{prefix}.offloaded_bytes"), *offloaded_bytes);
-            registry.inc_counter(&format!("{prefix}.reloaded_bytes"), *reloaded_bytes);
-            registry.inc_counter(&format!("{prefix}.stores"), *stores);
-            registry.inc_counter(&format!("{prefix}.loads"), *loads);
+            name.clear();
+            let _ = write!(name, "offload.class.{class}.");
+            let prefix = name.len();
+            for (metric, value) in [
+                ("offloaded_bytes", offloaded_bytes),
+                ("reloaded_bytes", reloaded_bytes),
+                ("stores", stores),
+                ("loads", loads),
+            ] {
+                registry.inc_counter(suffixed(&mut name, prefix, metric), *value);
+            }
         }
         registry.observe("offload.stall_secs", *stall_secs);
         registry.observe("offload.store_stall_secs", *store_stall_secs);
     }
+}
+
+/// `name` cut back to its first `len` bytes, then `metric` appended.
+fn suffixed<'a>(name: &'a mut String, len: usize, metric: &str) -> &'a str {
+    name.truncate(len);
+    name.push_str(metric);
+    name
 }
 
 #[cfg(test)]
@@ -395,5 +422,54 @@ mod tests {
             registry.counter("offload.class.activation.offloaded_bytes"),
             0
         );
+    }
+
+    #[test]
+    fn every_lane_metric_keeps_its_name_and_value() {
+        let registry = MetricsRegistry::new();
+        let mut s = OffloadStats {
+            tiers: vec![TierCounters {
+                name: "ssd".to_owned(),
+                bytes_written: 1,
+                bytes_read: 2,
+                stores: 3,
+                loads: 4,
+                spilled_in_bytes: 5,
+                demoted_in_bytes: 6,
+                stall_secs: 0.5,
+                write_busy_secs: 0.25,
+                read_busy_secs: 0.125,
+            }],
+            ..OffloadStats::default()
+        };
+        let c = s.class_mut(OffloadClass::Activation);
+        (c.offloaded_bytes, c.reloaded_bytes, c.stores, c.loads) = (7, 8, 9, 10);
+        s.export_to(&registry);
+        let counters = [
+            ("offload.tier0.ssd.bytes_written", 1),
+            ("offload.tier0.ssd.bytes_read", 2),
+            ("offload.tier0.ssd.stores", 3),
+            ("offload.tier0.ssd.loads", 4),
+            ("offload.tier0.ssd.spilled_in_bytes", 5),
+            ("offload.tier0.ssd.demoted_in_bytes", 6),
+            ("offload.class.activation.offloaded_bytes", 7),
+            ("offload.class.activation.reloaded_bytes", 8),
+            ("offload.class.activation.stores", 9),
+            ("offload.class.activation.loads", 10),
+        ];
+        for (name, value) in counters {
+            assert_eq!(registry.counter(name), value, "{name}");
+        }
+        let histograms = [
+            ("offload.tier0.ssd.stall_secs", 0.5),
+            ("offload.tier0.ssd.write_busy_secs", 0.25),
+            ("offload.tier0.ssd.read_busy_secs", 0.125),
+        ];
+        for (name, sum) in histograms {
+            assert_eq!(registry.histogram(name).map(|h| h.sum), Some(sum), "{name}");
+        }
+        // 28 scalar counters, 2 step histograms, 9 per tier, 4 per class
+        // (all three classes materialised).
+        assert_eq!(registry.len(), 28 + 2 + 9 + 3 * 4);
     }
 }

@@ -441,18 +441,19 @@ impl PipelineExec {
                 })?
         };
         let n_ext = usize::from(!stage.first);
+        let mut ext = [None];
+        let graph = &stage.graph;
         // ssdtrain-lint: allow(panic-free-hot-path): saved values are packed
         // and unpacked under the same hooks configuration, so an opaque pack
-        // without unpack hooks (the panic in `backward_from`) cannot occur
-        let ext = stage.graph.backward_from(&[out], vec![seed_grad], n_ext);
+        // without unpack hooks (the panic in `backward_from`) cannot occur,
+        // and the one output goes with one gradient
+        graph.backward_from(&[out], [Some(seed_grad)], &mut ext[..n_ext]);
         if !stage.first {
-            grads_back[s][mb] = Some(ext.into_iter().next().flatten().ok_or(
-                PipelineError::Schedule {
-                    stage: s,
-                    micro_batch: mb,
-                    what: "the gradient for the stage input",
-                },
-            )?);
+            grads_back[s][mb] = Some(ext[0].take().ok_or(PipelineError::Schedule {
+                stage: s,
+                micro_batch: mb,
+                what: "the gradient for the stage input",
+            })?);
             // The input value's tensor can now be dropped.
             in_vals[s][mb] = None;
         }
@@ -669,7 +670,8 @@ mod tests {
         let g = Graph::new(&device, 1);
         let x = g.external(0, Tensor::from_vec(vec![2.0], [1, 1], &device));
         let y = ops::scale(&g, &x, 3.0);
-        let grads = g.backward_from(&[y], vec![Tensor::ones([1, 1], &device)], 1);
+        let mut grads = [None];
+        g.backward_from(&[y], [Some(Tensor::ones([1, 1], &device))], &mut grads);
         assert_eq!(grads[0].as_ref().unwrap().to_vec(), vec![3.0]);
     }
 }

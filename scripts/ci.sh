@@ -30,6 +30,10 @@ cargo test -q --test fault_injection
 # The paper's claims and the bench reports' orderings, asserted on the
 # rows the exhibit binaries print. Run explicitly for the same reason.
 cargo test -q --test paper_claims
+# The autograd tape's allocation contract: nothing allocated per node,
+# and a per-node budget for a symbolic BERT step. Run explicitly for the
+# same reason.
+cargo test -q --test alloc_budget
 # The lint's own contract: golden diagnostics over the seeded fixture
 # trees (regenerate with UPDATE_GOLDEN=1 after intentional rule
 # changes) plus the --explain CLI surface. Run explicitly so a harness
