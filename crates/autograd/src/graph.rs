@@ -100,6 +100,16 @@ impl Tape {
     }
 }
 
+/// The lengths of a tape's flat buffers ([`Graph::tape_size`]): what a
+/// fresh graph reserves ([`Graph::reserve_tape`]) so that a step shaped
+/// like the last one records without regrowing them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TapeSize {
+    nodes: usize,
+    inputs: usize,
+    saved: usize,
+}
+
 struct GraphInner {
     tape: RefCell<Tape>,
     saved_hooks: RefCell<Option<Arc<dyn SavedTensorHooks>>>,
@@ -247,6 +257,26 @@ impl Graph {
     /// Number of nodes currently on the tape.
     pub fn tape_len(&self) -> usize {
         self.inner.tape.borrow().nodes.len()
+    }
+
+    /// The lengths of the tape's buffers now (read before
+    /// [`Graph::reset_tape`] to size the next step's graph).
+    pub fn tape_size(&self) -> TapeSize {
+        let tape = self.inner.tape.borrow();
+        TapeSize {
+            nodes: tape.nodes.len(),
+            inputs: tape.inputs.len(),
+            saved: tape.saved.len(),
+        }
+    }
+
+    /// Reserves room on the tape for `size` more entries, so recording
+    /// that many allocates each buffer once instead of doubling it.
+    pub fn reserve_tape(&self, size: TapeSize) {
+        let mut tape = self.inner.tape.borrow_mut();
+        tape.nodes.reserve(size.nodes);
+        tape.inputs.reserve(size.inputs);
+        tape.saved.reserve(size.saved);
     }
 
     /// Clears the tape for the next step; hooks, observer, RNG and scope

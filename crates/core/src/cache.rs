@@ -330,6 +330,7 @@ impl TensorCache {
         // belongs to the queue just reset: it landed.
         for rec in st.records.values_mut() {
             rec.avail = SimTime::ZERO;
+            rec.read_ahead = false;
             if matches!(rec.state, RecState::Loading { .. }) {
                 rec.state = RecState::Resident;
             }
@@ -577,6 +578,7 @@ impl TensorCache {
         st.seg_landed = 0;
         st.unsettled = 0;
         st.lookahead.clear();
+        st.read_ahead_bytes = 0;
         for (_, slab) in st.group_slabs.drain() {
             self.retire_slab(&st.trace, slab);
         }

@@ -1,8 +1,9 @@
-//! Backward prefetching: the per-tensor depth prefetcher and the group
-//! look-ahead, bounded by the memory backward hands back.
+//! Backward prefetching: the per-tensor depth prefetcher, the group
+//! look-ahead and the state reads ahead of it, bounded by the memory
+//! backward hands back.
 // ssdtrain-lint: hot-path
 
-use super::record::{Lookahead, RecState, RecordId, Reload, State};
+use super::record::{Lookahead, RecState, RecordId, Reload, State, StateSlot};
 use super::TensorCache;
 use ssdtrain_simhw::SimTime;
 use ssdtrain_tensor::MemClass;
@@ -120,6 +121,13 @@ impl TensorCache {
         booked.saturating_sub(st.unsettled)
     }
 
+    /// What the look-ahead may still reload under `bound`: the bound
+    /// less the activation level and the state bytes read ahead.
+    fn headroom(&self, st: &mut State, bound: u64, now: SimTime) -> u64 {
+        let level = self.activation_level(st, now) + st.read_ahead_bytes;
+        bound.saturating_sub(level)
+    }
+
     /// The group prefetcher: one consumption-ordered look-ahead per
     /// backward pass. `cur` is the group backward is consuming (the last
     /// one when the pass is only announced).
@@ -131,7 +139,8 @@ impl TensorCache {
     /// the next group is issued only while the bytes it would reload fit
     /// under the level this pass began at (`Lookahead::bound`, read once,
     /// before anything is issued) minus the level now, in-flight reloads
-    /// included. Look-ahead therefore never lifts activation memory
+    /// and state read ahead ([`TensorCache::read_ahead_state`]) included.
+    /// Look-ahead therefore never lifts activation memory
     /// above where backward started: it spends what backward has handed
     /// back, and starts as soon as the pass is announced instead of when
     /// consumption comes within two positions of a group.
@@ -161,7 +170,7 @@ impl TensorCache {
             let gidx = next - 1;
             let (bytes, reload) = self.group_records(st, mb, gidx, now, &mut ids);
             if !ids.is_empty() {
-                let headroom = la.bound.saturating_sub(self.activation_level(st, now));
+                let headroom = self.headroom(st, la.bound, now);
                 if ahead >= depth && reload > headroom {
                     break;
                 }
@@ -217,6 +226,53 @@ impl TensorCache {
             return;
         }
         self.prefetch_before(&mut st, mb, len, self.config.prefetch_depth.max(1));
+    }
+
+    /// Reads an offloaded state slot ahead of its consumer — the
+    /// in-backward update, for a parameter whose gradient is not final
+    /// yet — under the group look-ahead's headroom. The read is a
+    /// [`TensorCache::prefetch_state`]: it queues FIFO behind the reads
+    /// already issued, and a demand read overtakes it until it starts.
+    /// It is issued only once the current micro-batch's look-ahead has
+    /// issued its last group, so it never sits ahead of an activation
+    /// reload, and only while the activation level, the state bytes
+    /// already read ahead and the slot's own bytes fit under the level
+    /// that backward began at; those bytes then spend that headroom until
+    /// [`TensorCache::release_state`].
+    ///
+    /// Returns where the read lands, or `None` — and nothing is issued —
+    /// when it does not fit, when the look-ahead still has groups to
+    /// issue or is not running (`prefetch_group_modules == 0`, or
+    /// backward not announced), or when the slot is not offloaded.
+    pub fn read_ahead_state(&self, slot: StateSlot) -> Option<SimTime> {
+        let now = self.io.clock().now();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let la = st.lookahead.get(&st.current_mb)?;
+        let bound = la.bound;
+        let rec = st.records.get(&slot.0)?;
+        if la.next > 0 || !matches!(rec.state, RecState::Offloaded) {
+            return None;
+        }
+        let bytes = rec.bytes;
+        let headroom = self.headroom(st, bound, now);
+        if bytes > headroom {
+            return None;
+        }
+        if st.trace.is_enabled() {
+            let args = vec![
+                ("bytes", ArgValue::U64(bytes)),
+                ("headroom", ArgValue::U64(headroom)),
+            ];
+            st.trace
+                .instant_with(TraceCategory::Prefetch, "state.read_ahead", now, args);
+        }
+        let ready = self.reload(st, slot.0, Reload::StatePrefetch)?;
+        if let Some(rec) = st.records.get_mut(&slot.0) {
+            rec.read_ahead = true;
+        }
+        st.read_ahead_bytes += bytes;
+        Some(ready)
     }
 
     /// Prefetches one record: forwards bytes still in memory, commits a

@@ -106,6 +106,10 @@ pub(super) struct Record {
     /// optimizer-stage drain barrier guarantees every store landed
     /// before the step ended).
     pub(super) avail: SimTime,
+    /// A state slot read ahead of its consumer
+    /// ([`TensorCache::read_ahead_state`](super::TensorCache::read_ahead_state)):
+    /// its bytes count in `State::read_ahead_bytes` until it is released.
+    pub(super) read_ahead: bool,
 }
 
 impl Record {
@@ -195,8 +199,8 @@ pub(super) struct Segment {
 pub(super) struct Lookahead {
     /// Activation bytes resident when the pass was announced — Figure
     /// 7's "beginning of backward" point. Groups beyond the
-    /// `prefetch_depth` floor are issued only while their reloads fit
-    /// under it.
+    /// `prefetch_depth` floor, and state slots read ahead, are issued
+    /// only while their reloads fit under it.
     pub(super) bound: u64,
     /// Every group at or above this index was issued or holds no
     /// records; the walk only ever moves it down, so no group loads
@@ -255,6 +259,10 @@ pub(super) struct State {
     /// The group prefetcher's walk, per micro-batch with an announced
     /// (or started) backward pass this step.
     pub(super) lookahead: HashMap<usize, Lookahead>,
+    /// State bytes read ahead of their consumer whose slots are not
+    /// released yet: they spend the look-ahead's headroom beside the
+    /// activation level.
+    pub(super) read_ahead_bytes: u64,
     /// The prefetch groups in flight at or ahead of backward's
     /// consumption point, each with its pinned staging slab (`None` for
     /// a group of no bytes); released when consumption moves past the
@@ -298,6 +306,7 @@ impl State {
             staging: Vec::new(),
             group_scratch: Vec::new(),
             lookahead: HashMap::new(),
+            read_ahead_bytes: 0,
             group_slabs: HashMap::new(),
             coalescer: WriteCoalescer::new(coalesce_segment_bytes),
             stats: OffloadStats::default(),

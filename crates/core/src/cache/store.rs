@@ -111,15 +111,21 @@ impl TensorCache {
         None
     }
 
-    /// Drops a state slot, returning its tier reservation. Bytes still
+    /// Drops a state slot, returning its tier reservation and, if it was
+    /// read ahead, its bytes to the look-ahead's headroom. Bytes still
     /// offloaded are abandoned on the tier (the optimizer overwrites
     /// state wholesale each step; there is nothing to read back).
     pub fn release_state(&self, slot: StateSlot) {
         // Committed at submit and owned by its caller: a slot has no
         // store to settle and no memory of the cache's to free.
-        let Some(rec) = self.state.lock().records.remove(&slot.0) else {
+        let mut st = self.state.lock();
+        let Some(rec) = st.records.remove(&slot.0) else {
             return;
         };
+        if rec.read_ahead {
+            st.read_ahead_bytes = st.read_ahead_bytes.saturating_sub(rec.bytes);
+        }
+        drop(st);
         self.drop_from_tier(&rec);
     }
 
@@ -239,6 +245,7 @@ impl TensorCache {
                 slab,
                 stored: false,
                 avail: SimTime::ZERO,
+                read_ahead: false,
             },
         );
         st.stats.offloaded_bytes += bytes;

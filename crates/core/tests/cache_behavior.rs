@@ -1078,8 +1078,8 @@ const MIB: u64 = 1 << 20;
 /// One synthetic step driven through the hook protocol: every module
 /// saves one 1 MiB tensor, the last `kept` modules are kept by plan, and
 /// each module takes 2 ms forward and 2 ms backward. Groups are two
-/// modules, `prefetch_depth` is 2, and the read link moves 1 MiB a
-/// millisecond.
+/// modules (unless built with [`HookStep::with`]), `prefetch_depth` is
+/// 2, and the read link moves 1 MiB a millisecond.
 struct HookStep {
     cache: Arc<TensorCache>,
     mem: Arc<GpuMemory>,
@@ -1093,13 +1093,19 @@ impl HookStep {
     /// Runs forward over `modules` modules on a write link of
     /// `write_bps`.
     fn forward(modules: usize, kept: usize, write_bps: f64) -> HookStep {
+        HookStep::with(modules, kept, write_bps, MIB as f64 * 1e3, 2)
+    }
+
+    /// [`HookStep::forward`] on a read link of `read_bps`, with groups
+    /// of `group` modules (0: the per-module prefetcher).
+    fn with(modules: usize, kept: usize, write_bps: f64, read_bps: f64, group: usize) -> HookStep {
         let clock = SimClock::new();
         let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
         let dev = Device::cpu();
         dev.set_tracker(mem.clone());
-        let io = IoEngine::new(clock.clone(), write_bps, MIB as f64 * 1e3);
+        let io = IoEngine::new(clock.clone(), write_bps, read_bps);
         let config = TensorCacheConfig {
-            prefetch_group_modules: 2,
+            prefetch_group_modules: group,
             prefetch_depth: 2,
             ..offload_all_config()
         };
@@ -1345,4 +1351,106 @@ fn a_state_load_overtakes_a_queued_group_and_a_state_prefetch_waits_behind_it() 
     step.backward(0);
     step.cache.release_state(a);
     step.cache.release_state(b);
+}
+
+// ---------------------------------------------------------------------
+// State read ahead of its consumer, under the look-ahead's headroom
+// ---------------------------------------------------------------------
+
+/// An offloaded optimizer-state slot of `numel` f32s, on a device the
+/// memory tracker does not see (so only activations set the level).
+fn state_slot(cache: &TensorCache, numel: usize) -> (Tensor, ssdtrain::StateSlot) {
+    let t = Tensor::zeros([numel], &Device::cpu());
+    let slot = cache.offload_state(&t, OffloadClass::OptimizerState);
+    (t, slot.expect("a state slot"))
+}
+
+fn read_ahead_instants(step: &HookStep) -> Vec<TraceEvent> {
+    let events = step.sink.events().into_iter();
+    events.filter(|e| e.name == "state.read_ahead").collect()
+}
+
+#[test]
+fn a_state_read_ahead_waits_for_the_last_group_and_spends_the_headroom() {
+    // Twelve modules, the last six kept (the 6 MiB bound), groups 2 and
+    // 1 the floor at the announcement; a 2 MiB group takes 4 ms to read.
+    let mut step = HookStep::with(12, 6, 1e12, MIB as f64 * 500.0, 2);
+    let (_a, a) = state_slot(&step.cache, MIB as usize / 16);
+    let (_b, b) = state_slot(&step.cache, MIB as usize / 16);
+    let (_c, c) = state_slot(&step.cache, MIB as usize / 4);
+    step.announce();
+    let reloaded = |step: &HookStep| step.cache.stats().reloaded_bytes;
+
+    // Five kept modules in, 1 MiB of headroom, but group 0 is not
+    // issued yet: a state read now would queue ahead of it.
+    step.backward(7);
+    let before = reloaded(&step);
+    assert_eq!(step.cache.read_ahead_state(a), None, "group 0 still to go");
+    assert_eq!(reloaded(&step), before, "nothing on the read bus");
+
+    // Entering module 5 issues group 0 and spends the headroom: a read
+    // that does not fit is refused and issues nothing.
+    step.backward(6);
+    let now = step.clock.now();
+    step.cache.backward_pre(&step.scopes[5]);
+    let group0 = step
+        .group_instants()
+        .last()
+        .map(|e| (arg(e, "group"), e.ts));
+    assert_eq!(group0, Some((0, now)));
+    assert_eq!(step.cache.read_ahead_state(a), None, "no headroom");
+    assert_eq!(reloaded(&step), before + 2 * MIB, "group 0's reloads only");
+
+    // Module 5 hands 1 MiB back. The read that fits is issued, FIFO
+    // behind group 0 (2 ms per record, the second starting now).
+    step.backward(5);
+    let now = step.clock.now();
+    let transfer = 0.5e-3; // 256 KiB
+    let ready = step.cache.read_ahead_state(a).expect("it fits");
+    let behind = now.plus_secs(2e-3 + transfer);
+    assert!(ready.since(behind).abs() < 1e-12, "{ready} vs {behind}");
+    let issued = read_ahead_instants(&step);
+    assert_eq!(issued.len(), 1);
+    assert_eq!(
+        (arg(&issued[0], "bytes"), arg(&issued[0], "headroom")),
+        (MIB / 4, MIB)
+    );
+
+    // A demand read overtakes it — and the record not started yet —
+    // and pushes it back by its own transfer.
+    let demand = step.cache.load_state(b).expect("known slot");
+    assert!((demand.since(now) - transfer).abs() < 1e-12, "{demand}");
+    let pushed = step.cache.prefetch_state(a).expect("in flight");
+    assert!((pushed.since(ready) - transfer).abs() < 1e-12, "{pushed}");
+
+    // 0.75 MiB of headroom is left, too little for 1 MiB; releasing the
+    // first slot gives its bytes back.
+    assert_eq!(step.cache.read_ahead_state(c), None);
+    step.cache.release_state(a);
+    assert!(
+        step.cache.read_ahead_state(c).is_some(),
+        "headroom returned"
+    );
+    assert_eq!(arg(&read_ahead_instants(&step)[1], "headroom"), MIB);
+    step.backward(0);
+    step.cache.release_state(b);
+    step.cache.release_state(c);
+}
+
+#[test]
+fn a_state_read_ahead_needs_the_group_look_ahead() {
+    // The per-module prefetcher has no headroom bound: whatever backward
+    // has handed back, nothing is read ahead.
+    let mut step = HookStep::with(12, 6, 1e12, MIB as f64 * 1e3, 0);
+    let (_a, a) = state_slot(&step.cache, MIB as usize / 16);
+    assert_eq!(step.cache.read_ahead_state(a), None, "not announced");
+    step.announce();
+    for down_to in (0..12).rev() {
+        step.backward(down_to);
+        let before = step.cache.stats().reloaded_bytes;
+        assert_eq!(step.cache.read_ahead_state(a), None, "at module {down_to}");
+        assert_eq!(step.cache.stats().reloaded_bytes, before);
+    }
+    assert!(read_ahead_instants(&step).is_empty());
+    step.cache.release_state(a);
 }

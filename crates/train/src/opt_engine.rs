@@ -21,7 +21,11 @@
 //!   load has landed on the simulated clock, and re-offloads the fresh
 //!   state — so state reads and write-backs ride the links while
 //!   backward still computes, and the gradient is consumed in place,
-//!   never stored or reloaded. An update whose load has not landed waits
+//!   never stored or reloaded. Each report also reads ahead the state of
+//!   the parameters still to come, in the order the previous step
+//!   finalised their gradients, as far as the cache's look-ahead
+//!   headroom allows, so the last gradient's state is not read only
+//!   after backward. An update whose load has not landed waits
 //!   in a pending list, drained as backward goes on and, for what is
 //!   left, at `ReduceGrads`, which also updates any parameter autograd
 //!   never reported; only that tail's clock advance is exposed
@@ -103,8 +107,28 @@ struct Slots {
     /// order. A demand read can push a load back, never forward, so a
     /// time still ahead of the clock needs no second look.
     pending: Vec<(usize, SimTime)>,
-    /// In-backward mode: parameters whose update started this step.
-    started: Vec<bool>,
+    /// In-backward mode: where each parameter's update stands this step.
+    progress: Vec<Progress>,
+    /// In-backward mode: the order the last completed step started its
+    /// updates in — its gradients' finalisation order, and the order
+    /// the state read-ahead walks.
+    order: Vec<usize>,
+    /// This step's start order as it is recorded; it becomes `order` at
+    /// `ReduceGrads`.
+    next_order: Vec<usize>,
+    /// How far along `order` the read-ahead has got.
+    cursor: usize,
+}
+
+/// Where one parameter's in-backward update stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Progress {
+    /// Not started, and its state not read ahead.
+    Idle,
+    /// Its state was read ahead of its gradient.
+    ReadAhead,
+    /// Started: its state read issued, the update applied or pending.
+    Started,
 }
 
 impl Updater {
@@ -122,17 +146,39 @@ impl Updater {
     }
 
     /// In-backward mode: starts parameter `i`'s update — prefetches its
-    /// state slot (behind the activation reloads already queued), then
-    /// applies the update at once if the load has landed by `now`, or
-    /// parks it until it has.
+    /// state slot (behind the activation reloads already queued) unless
+    /// it was read ahead, then applies the update at once if the load
+    /// has landed by `now`, or parks it until it has.
     fn start(&self, slots: &mut Slots, i: usize, now: SimTime) {
-        match slots.started.get_mut(i) {
-            Some(started) if !*started => *started = true,
+        match slots.progress.get_mut(i) {
+            Some(p) if *p != Progress::Started => *p = Progress::Started,
             _ => return,
         }
+        slots.next_order.push(i);
         match self.landing(&slots.states, i) {
             Some(ready) if ready > now => slots.pending.push((i, ready)),
             _ => self.apply(&mut slots.states, i),
+        }
+    }
+
+    /// In-backward mode: walks the read-ahead cursor along the order the
+    /// last step started its updates in, reading ahead the state of
+    /// every parameter not started or read ahead yet, until the cache
+    /// refuses one (see [`TensorCache::read_ahead_state`]); the walk
+    /// resumes there at the next report.
+    fn read_ahead(&self, slots: &mut Slots) {
+        let Some(cache) = self.cache.as_deref() else {
+            return;
+        };
+        while let Some(&i) = slots.order.get(slots.cursor) {
+            let idle = slots.progress.get_mut(i).filter(|p| **p == Progress::Idle);
+            if let (Some(p), Some(&Some(slot))) = (idle, slots.states.get(i)) {
+                if cache.read_ahead_state(slot).is_none() {
+                    return;
+                }
+                *p = Progress::ReadAhead;
+            }
+            slots.cursor += 1;
         }
     }
 
@@ -206,6 +252,7 @@ impl ModuleHooks for Updater {
             let now = self.now();
             self.apply_landed(&mut slots, now);
             self.start(&mut slots, i, now);
+            self.read_ahead(&mut slots);
             return;
         }
         let Some(cache) = self.cache.as_deref() else {
@@ -256,7 +303,10 @@ impl OptEngine {
                 grads: vec![None; n],
                 states: vec![None; n],
                 pending: Vec::with_capacity(n),
-                started: vec![false; n],
+                progress: vec![Progress::Idle; n],
+                order: Vec::with_capacity(n),
+                next_order: Vec::with_capacity(n),
+                cursor: 0,
             }),
         };
         OptEngine {
@@ -324,7 +374,7 @@ impl OptEngine {
             return OptReport::default();
         }
         let t0 = clock.now();
-        for i in 0..slots.started.len() {
+        for i in 0..slots.progress.len() {
             u.start(slots, i, t0);
         }
         // Every load is issued: where each lands is final now.
@@ -340,7 +390,11 @@ impl OptEngine {
             u.apply(&mut slots.states, i);
         }
         slots.pending.clear();
-        slots.started.fill(false);
+        slots.progress.fill(Progress::Idle);
+        // This step's start order is what the next one reads ahead along.
+        std::mem::swap(&mut slots.order, &mut slots.next_order);
+        slots.next_order.clear();
+        slots.cursor = 0;
         let exposed = clock.now().since(t0);
         if exposed > 0.0 {
             trace.span(TraceCategory::Stage, "opt.tail", t0, clock.now());
@@ -419,21 +473,37 @@ impl OptEngine {
     /// Error-path hook: a tainted step applies no further update. The
     /// stored gradients are released (the caller clears the gradients
     /// themselves), and so are the state slots of updates still pending
-    /// — their state was loaded back and stays resident, so the next
-    /// step updates from it directly. Updates already applied stay.
+    /// and of those read ahead but never started — their state was
+    /// loaded back and stays resident, so the next step updates from it
+    /// directly, and no slot is left mid-read across the step boundary.
+    /// Updates already applied stay; the order the next step reads
+    /// ahead along is the last completed step's.
     pub fn abort(&mut self) {
         let u = &*self.updater;
         let mut guard = u.slots.lock();
-        let slots = &mut *guard;
-        for &(i, _) in &slots.pending {
-            let slot = slots.states.get_mut(i).and_then(Option::take);
+        let Slots {
+            grads,
+            states,
+            pending,
+            progress,
+            next_order,
+            cursor,
+            ..
+        } = &mut *guard;
+        let read_ahead = progress.iter().enumerate();
+        let read_ahead = read_ahead.filter_map(|(i, p)| (*p == Progress::ReadAhead).then_some(i));
+        let loaded = pending.iter().map(|&(i, _)| i);
+        for i in loaded.chain(read_ahead) {
+            let slot = states.get_mut(i).and_then(Option::take);
             if let (Some(slot), Some(cache)) = (slot, u.cache.as_deref()) {
                 cache.release_state(slot);
             }
         }
-        slots.pending.clear();
-        slots.started.fill(false);
-        for slot in slots.grads.iter_mut().filter_map(Option::take) {
+        pending.clear();
+        progress.fill(Progress::Idle);
+        next_order.clear();
+        *cursor = 0;
+        for slot in grads.iter_mut().filter_map(Option::take) {
             if let Some(cache) = u.cache.as_deref() {
                 cache.release_state(slot);
             }
@@ -614,6 +684,99 @@ mod tests {
         assert!(slots.pending.is_empty());
         assert!(slots.states[0].is_none(), "the pending slot was released");
         assert!(slots.states[1].is_some(), "p1's state was never loaded");
+    }
+
+    #[test]
+    fn abort_releases_a_slot_read_ahead_of_its_gradient() {
+        // Step 1 learns the order (p0, p1) and offloads both states into
+        // a pool with room for nothing else. In step 2, p0's report reads
+        // p1's state ahead of its gradient; then the step is tainted.
+        let clock = SimClock::new();
+        let trace = TraceSink::disabled();
+        let mem = Arc::new(ssdtrain_simhw::GpuMemory::new(clock.clone(), 1 << 30));
+        let config = ssdtrain::TensorCacheConfig {
+            recovery: RecoveryPolicy::FailStep,
+            prefetch_group_modules: 2,
+            ..ssdtrain::TensorCacheConfig::offload_everything()
+        };
+        let pool = Arc::new(ssdtrain::CpuTarget::new(8));
+        let io = ssdtrain::IoEngine::new(clock.clone(), 1e9, 1e9);
+        let cache = TensorCache::new(config, pool, io, mem.clone());
+        let opt = opt_with(2, 0.5);
+        let classes = OffloadClassSet::default().with(OffloadClass::OptimizerState, true);
+        let mut engine = OptEngine::new(classes, true, &opt, 1, Some(&cache));
+        let listener = engine
+            .grad_listener()
+            .expect("the in-backward mode listens");
+        let (p0, p1) = {
+            let opt = opt.lock();
+            (opt.params()[0].clone(), opt.params()[1].clone())
+        };
+        // Backward announced over one module while 16 activation bytes
+        // are resident; freeing them leaves that much headroom.
+        let announce = || {
+            let dev = Device::cpu();
+            dev.set_tracker(mem.clone());
+            let held = Tensor::ones([4], &dev);
+            let scope = ScopeInfo {
+                path: "m".into(),
+                seq: 1,
+                micro_batch: 0,
+            };
+            cache.forward_pre(&scope);
+            cache.forward_post(&scope);
+            cache.prefetch_last_module();
+            drop(held);
+        };
+        let next_step = || {
+            clock.reset();
+            cache.begin_step();
+            for p in [&p0, &p1] {
+                p.accumulate_grad(&Tensor::ones([1], &Device::cpu()));
+            }
+            announce();
+        };
+        engine.reduce_grads(&clock, &trace); // step 1
+        next_step();
+        listener.grad_ready(&p0);
+        let (slots_before, progress) = {
+            let slots = engine.updater.slots.lock();
+            (slots.states.clone(), slots.progress.clone())
+        };
+        assert_eq!(progress, [Progress::Started, Progress::ReadAhead]);
+        let extra = Tensor::ones([1], &Device::cpu());
+        assert!(cache
+            .offload_state(&extra, OffloadClass::Gradient)
+            .is_none());
+        assert!(cache.has_error(), "the full pool tainted the step");
+        assert_eq!(engine.reduce_grads(&clock, &trace), OptReport::default());
+        engine.abort();
+        {
+            let slots = engine.updater.slots.lock();
+            assert!(slots.states.iter().all(Option::is_none), "both released");
+            assert_eq!(slots.order, [0, 1], "step 1's order is kept");
+        }
+        for slot in slots_before.into_iter().flatten() {
+            assert_eq!(cache.prefetch_state(slot), None, "no record left loading");
+        }
+        for p in [&p0, &p1] {
+            p.zero_grad();
+        }
+        assert_eq!((weight(&opt, 0), weight(&opt, 1)), (vec![0.5], vec![0.5]));
+        // Step 3 runs clean, from the momentum the aborted reads restored:
+        // v = 0.5 · 1 + 1 = 1.5, w = 0.5 − 0.5 · 1.5.
+        next_step();
+        listener.grad_ready(&p0);
+        listener.grad_ready(&p1);
+        let report = engine.reduce_grads(&clock, &trace);
+        assert!(!cache.has_error());
+        assert_eq!(report.exposed_secs, 0.0, "both states were resident");
+        assert_eq!(
+            (weight(&opt, 0), weight(&opt, 1)),
+            (vec![-0.25], vec![-0.25])
+        );
+        let slots = engine.updater.slots.lock();
+        assert!(slots.states.iter().all(Option::is_some), "re-offloaded");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use ssdtrain::{
     TraceSink,
 };
 use ssdtrain_autograd::optim::Sgd;
-use ssdtrain_autograd::{Graph, Phase};
+use ssdtrain_autograd::{Graph, Phase, TapeSize};
 use ssdtrain_models::{Batch, Model, ModelConfig, Recompute};
 use ssdtrain_simhw::system::GpuRuntime;
 use ssdtrain_simhw::{FaultLog, FaultPlan, SimTime, SystemConfig};
@@ -183,6 +183,8 @@ pub struct TrainSession {
     trace: TraceSink,
     metrics: MetricsRegistry,
     step_idx: u64,
+    /// The last backward's tape, which the next step's graph reserves.
+    tape: TapeSize,
 }
 
 fn stage_hint(cmd: StepCmd) -> StageHint {
@@ -414,6 +416,7 @@ impl TrainSession {
             trace,
             metrics: MetricsRegistry::new(),
             step_idx: 0,
+            tape: TapeSize::default(),
         })
     }
 
@@ -450,8 +453,10 @@ impl TrainSession {
         &self.metrics
     }
 
+    /// A graph for the next step, its tape sized like the last one's.
     fn fresh_graph(&self) -> Graph {
         let g = Graph::new(&self.device, self.cfg.seed ^ (self.step_idx << 17));
+        g.reserve_tape(self.tape);
         g.set_observer(self.executor.clone());
         if let Some(cache) = &self.cache {
             // The activation lane hooks the graph only when the strategy
@@ -496,6 +501,7 @@ impl TrainSession {
         g.backward(&loss);
         cache.wait_io();
         cache.drain_stores();
+        self.tape = g.tape_size();
         g.reset_tape();
         cache.flush();
         cache.stats().export_to(&self.metrics);
@@ -616,6 +622,7 @@ impl TrainSession {
                         }
                     }
                     g.backward(&loss);
+                    self.tape = g.tape_size();
                     g.reset_tape();
                 }
                 StepCmd::StageBoundary => {}

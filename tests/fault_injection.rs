@@ -9,10 +9,12 @@
 //! [`RecoveryPolicy`], plus read faults (unrecoverable by design) and
 //! `SlowIo` degradation (numerics preserved, time stretched).
 
-use ssdtrain::{EventKind, PlacementStrategy, RecoveryPolicy, TensorCacheConfig, TraceSink};
+use ssdtrain::{
+    EventKind, OffloadClass, PlacementStrategy, RecoveryPolicy, TensorCacheConfig, TraceSink,
+};
 use ssdtrain_models::ModelConfig;
 use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger, SystemConfig};
-use ssdtrain_train::{SessionConfig, StepMetrics, TrainSession};
+use ssdtrain_train::{OffloadBackend, SessionConfig, StepMetrics, TrainSession};
 
 const STEPS: usize = 3;
 
@@ -410,6 +412,102 @@ fn read_faults_always_surface_as_load_errors() {
             saw_load_error,
             "{policy:?}: unreadable activations must surface an error"
         );
+    }
+}
+
+/// The in-backward update over the group look-ahead, on one SSD tier
+/// (every operation passes the fault plan) slow enough that forward's
+/// last stores are forwarded when backward is announced: the look-ahead
+/// issues its last group early, and momentum is read ahead of its
+/// gradient.
+fn read_ahead_session(
+    fault: Option<FaultPlan>,
+    recovery: RecoveryPolicy,
+    sink: TraceSink,
+) -> TrainSession {
+    let mut cache = TensorCacheConfig::offload_everything();
+    cache.prefetch_group_modules = 2;
+    let mut system = SystemConfig::dac_testbed();
+    system.ssd_array.member.write_bps = 5e6;
+    let mut builder = SessionConfig::builder()
+        .model(ModelConfig::tiny_gpt())
+        .batch_size(2)
+        .cache(cache)
+        .system(system)
+        .backend(OffloadBackend::Ssd)
+        .offload(OffloadClass::Gradient, true)
+        .offload(OffloadClass::OptimizerState, true)
+        .overlap_optimizer(true)
+        .momentum(0.9)
+        .recovery(recovery)
+        .trace(sink)
+        .seed(23);
+    if let Some(plan) = fault {
+        builder = builder.fault(plan);
+    }
+    TrainSession::new(builder.build().expect("valid config")).expect("session construction")
+}
+
+#[test]
+fn a_read_fault_on_momentum_read_ahead_fails_the_step_under_every_policy() {
+    // Where the first read ahead sits among the device's operations on a
+    // healthy run: every committed store is one write (segments of one)
+    // and every `load` one read, in the order the trace emits them.
+    let sink = TraceSink::enabled();
+    run(&mut read_ahead_session(
+        None,
+        RecoveryPolicy::KeepResident,
+        sink.clone(),
+    ));
+    let (mut ops, mut ahead, mut target) = (0, false, None);
+    for e in sink.events() {
+        match e.name.as_str() {
+            "state.read_ahead" => ahead = true,
+            "load" if ahead => {
+                target = Some((ops, e.step));
+                break;
+            }
+            "store" | "load" => ops += 1,
+            _ => {}
+        }
+    }
+    let (nth, step) = target.expect("the healthy run reads momentum ahead");
+    for policy in [
+        RecoveryPolicy::KeepResident,
+        RecoveryPolicy::FallbackTarget,
+        RecoveryPolicy::FailStep,
+    ] {
+        // That read fails on every attempt.
+        let attempts = 0..=u64::from(ssdtrain::config::MAX_IO_RETRIES);
+        let plan = attempts.fold(FaultPlan::new(11), |plan, k| {
+            plan.with_fault(FaultTrigger::NthOp { nth: nth + k }, FaultKind::ReadError)
+        });
+        let sink = TraceSink::enabled();
+        let mut s = read_ahead_session(Some(plan), policy, sink.clone());
+        for k in 1..step {
+            s.run_step()
+                .unwrap_or_else(|e| panic!("{policy:?}: step {k} failed: {e}"));
+        }
+        let err = s.run_step().expect_err("the lost momentum fails its step");
+        assert!(!err.error.is_store(), "{policy:?}: a load error");
+        let m = err.metrics.expect("degraded metrics attached");
+        assert!(m.offload.load_retries >= 1, "{policy:?}: retries counted");
+        let log = s.fault_log().expect("fault plan");
+        assert_eq!(log.read_faults, 3, "{policy:?}: one read, every attempt");
+        let events = sink.events();
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        let first = names.iter().position(|n| *n == "fault.read_error");
+        let first = first.expect("the fault fired");
+        let ahead = names[..first]
+            .iter()
+            .rposition(|n| *n == "state.read_ahead");
+        let since = &names[ahead.expect("a read ahead before the fault")..first];
+        assert_eq!(
+            since.iter().filter(|n| **n == "load").count(),
+            1,
+            "{policy:?}: the failed read is not the read ahead: {since:?}"
+        );
+        s.run_step().expect("the next step runs");
     }
 }
 

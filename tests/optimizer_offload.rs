@@ -51,6 +51,23 @@ fn offloaded(overlap: bool) -> TrainSession {
     TrainSession::new(offloaded_builder(overlap).build().expect("valid config")).expect("session")
 }
 
+/// The benchmark's `sym_deep_tiered` configuration, less its model: the
+/// tiered backend, coalesced stores, the group look-ahead, all three
+/// classes and the in-backward update.
+fn deep_tiered_builder() -> SessionBuilder {
+    SessionConfig::builder()
+        .backend(OffloadBackend::Tiered {
+            dram_bytes: 128 << 20,
+        })
+        .coalesce_segment(8 << 20)
+        .prefetch_group(2)
+        .prefetch_depth(2)
+        .offload(OffloadClass::Gradient, true)
+        .offload(OffloadClass::OptimizerState, true)
+        .overlap_optimizer(true)
+        .momentum(MOMENTUM)
+}
+
 #[test]
 fn losses_are_bit_identical_across_all_three_update_paths() {
     // In memory, inline and inside backward; with activations offloaded,
@@ -375,6 +392,64 @@ fn a_state_write_back_failing_mid_backward_fails_the_step_and_stops_the_updates(
     );
     assert_eq!(changed, applied, "only updates before the fault stay");
     s.run_step().expect("the next step runs");
+}
+
+#[test]
+fn momentum_read_ahead_of_its_gradient_leaves_no_optimizer_tail() {
+    // Symbolic BERT H512 L24 in `sym_deep_tiered`'s configuration,
+    // profiled first as the benchmark is. The token embedding's gradient
+    // is final last; read only then, its momentum lands after backward
+    // (2.06 ms of `opt_exposed_secs` a step). Read ahead along the order
+    // the previous step finalised the gradients, it lands before
+    // backward ends — and without stalling an activation reload or
+    // lifting the activation peak.
+    let cfg = deep_tiered_builder()
+        .model(ModelConfig::paper_scale(Arch::Bert, 512, 24).with_tp(2))
+        .batch_size(8)
+        .symbolic(true)
+        .seed(7)
+        .build()
+        .expect("valid config");
+    let mut s = TrainSession::new(cfg).expect("session");
+    s.profile_step().expect("profile step");
+    for step in 1..=4 {
+        let m = s.run_step().expect("step");
+        if step < 3 {
+            continue;
+        }
+        assert_eq!(m.opt_exposed_secs, 0.0, "step {step}: a state read tail");
+        assert!(
+            m.offload.stall_secs <= 0.0,
+            "step {step}: load stall {} s",
+            m.offload.stall_secs
+        );
+        assert_eq!(m.act_peak_bytes, 2_662_940_674, "step {step}: peak moved");
+    }
+}
+
+#[test]
+fn reading_momentum_ahead_keeps_losses_and_weights_bit_identical() {
+    // The numeric twin of the configuration above: the update still
+    // waits for its gradient, whenever its momentum arrived.
+    let sink = TraceSink::enabled();
+    let b = offloaded_builder(true)
+        .backend(OffloadBackend::Tiered {
+            dram_bytes: 16 << 10,
+        })
+        .coalesce_segment(4 << 10)
+        .prefetch_group(2)
+        .trace(sink.clone());
+    let mut s = TrainSession::new(b.build().expect("valid config")).expect("session");
+    let mut reference = in_memory();
+    assert_eq!(losses(&mut s, STEPS), losses(&mut reference, STEPS));
+    let weights = |s: &TrainSession| -> Vec<Vec<f32>> {
+        let params = s.model().parameters();
+        params.iter().map(|p| p.tensor().to_vec()).collect()
+    };
+    assert!(weights(&s) == weights(&reference), "final weights differ");
+    let events = sink.events();
+    let read_ahead = events.iter().filter(|e| e.name == "state.read_ahead");
+    assert!(read_ahead.count() > 0, "the twin never read momentum ahead");
 }
 
 #[test]

@@ -18,7 +18,7 @@ use ssdtrain::{
     TierStack, TraceCategory, TraceEvent, TraceSink,
 };
 use ssdtrain_autograd::{ModuleHooks, Packed, Phase, SavedTensorHooks, ScopeInfo};
-use ssdtrain_models::ModelConfig;
+use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_simhw::{
     FaultKind, FaultPlan, FaultTrigger, GpuMemory, SimClock, SimTime, SystemConfig,
 };
@@ -314,6 +314,86 @@ fn gradient_lane_closes_its_own_identity_with_stores_inside_backward() {
         }
     }
     assert!(saw_instant, "the healthy run must emit class.io.gradient");
+}
+
+#[test]
+fn momentum_read_ahead_lands_before_its_update_and_leaves_no_tail() {
+    // `sym_deep_tiered`'s configuration on symbolic BERT H512 L24,
+    // profiled first. Each `state.read_ahead` instant precedes its read's
+    // `load` span; the update of its parameter writes the fresh momentum
+    // back (a state-class `store.enqueue` of the same size) and may not
+    // run before that read landed. Parameters of one size are
+    // interchangeable here, so the check is a matching: each read ahead,
+    // by landing time, claims the first unclaimed update of its size at
+    // or after it.
+    let sink = TraceSink::enabled();
+    let cfg = SessionConfig::builder()
+        .model(ModelConfig::paper_scale(Arch::Bert, 512, 24).with_tp(2))
+        .batch_size(8)
+        .symbolic(true)
+        .seed(7)
+        .backend(OffloadBackend::Tiered {
+            dram_bytes: 128 << 20,
+        })
+        .coalesce_segment(8 << 20)
+        .prefetch_group(2)
+        .prefetch_depth(2)
+        .offload(OffloadClass::Gradient, true)
+        .offload(OffloadClass::OptimizerState, true)
+        .overlap_optimizer(true)
+        .momentum(0.9)
+        .trace(sink.clone())
+        .build()
+        .expect("valid config");
+    let mut s = TrainSession::new(cfg).expect("session");
+    s.profile_step().expect("profile step");
+    let mut stats = vec![s.cache().expect("cache").stats()];
+    for _ in 0..4 {
+        stats.push(s.run_step().expect("step").offload);
+    }
+    let events = sink.events();
+    assert!(
+        events.iter().all(|e| e.name != "opt.tail"),
+        "a state read outlived backward"
+    );
+    let state = OffloadClass::OptimizerState.label();
+    let is_state = |e: &TraceEvent| {
+        let class = e.args.iter().find(|(k, _)| *k == "class");
+        matches!(class, Some((_, ArgValue::Str(c))) if c == state)
+    };
+    let mut read_ahead = 0;
+    for (i, stats) in stats.iter().enumerate() {
+        let step = (i + 1) as u32;
+        let in_step: Vec<&TraceEvent> = events.iter().filter(|e| e.step == step).collect();
+        let loads = in_step.iter().filter(|e| e.name == "load");
+        let load_bytes: u64 = loads.filter_map(|e| e.bytes()).sum();
+        assert_eq!(load_bytes, stats.reloaded_bytes, "step {step}: load bytes");
+        // (size, landing) of each read ahead; (size, time) of each update.
+        let (mut reads, mut updates) = (Vec::new(), Vec::new());
+        let mut ahead = false;
+        for e in &in_step {
+            match e.name.as_str() {
+                "state.read_ahead" => ahead = true,
+                "load" if ahead => {
+                    reads.push((e.bytes(), e.end()));
+                    ahead = false;
+                }
+                "store.enqueue" if is_state(e) => updates.push((e.bytes(), e.ts)),
+                _ => {}
+            }
+        }
+        assert!(!ahead, "step {step}: a read ahead without its load");
+        read_ahead += reads.len();
+        reads.sort_by(|a, b| a.1.as_secs().total_cmp(&b.1.as_secs()));
+        for (bytes, landed) in reads {
+            let claim = updates.iter().position(|u| u.0 == bytes && u.1 >= landed);
+            let claim = claim.unwrap_or_else(|| {
+                panic!("step {step}: a {bytes:?}-byte read ahead landing at {landed:?} has no update after it")
+            });
+            updates.remove(claim);
+        }
+    }
+    assert!(read_ahead > 0, "nothing was read ahead");
 }
 
 /// Coalesced-path variant of the fixed-seed session: same model and
