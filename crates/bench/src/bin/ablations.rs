@@ -1,10 +1,15 @@
 //! Ablations of the design choices DESIGN.md calls out: tensor
 //! deduplication, data forwarding, prefetching, the adaptive plan and
 //! the prefetch depth — each toggled off individually on the Figure 10
-//! BERT H8192 L4 B16 workload.
+//! BERT H8192 L4 B16 workload. The last table holds the adaptive plan
+//! against every cutoff (`ssdtrain_bench::cutoff_sweeps`) on
+//! `sym_deep_tiered`, Figure 10's nine cells and `bench_tiering`'s three
+//! backends.
 
 use ssdtrain::{TensorCacheConfig, TraceSink};
-use ssdtrain_bench::{export_trace, gb, gib, print_table, sink_for, trace_path_from_args};
+use ssdtrain_bench::{
+    cutoff_sweeps, export_trace, gb, gib, print_table, sink_for, trace_path_from_args, CutoffPoint,
+};
 use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_simhw::SystemConfig;
 use ssdtrain_train::{SessionConfig, StepMetrics, TrainSession};
@@ -158,6 +163,48 @@ fn main() {
          prefetch exposes every reload on the critical path (stall > 0); under scarce\n\
          bandwidth the adaptive plan keeps enough tail modules to stay off the critical\n\
          path, where the non-adaptive keep-last-only policy stalls."
+    );
+
+    // The cutoff oracle: each gated configuration run at every cutoff,
+    // against the plan its profiling step derived.
+    let cut = |p: &CutoffPoint| p.last_offloaded.map_or("none".into(), |m| m.to_string());
+    let rows: Vec<Vec<String>> = cutoff_sweeps(48)
+        .iter()
+        .map(|s| {
+            let (plan, best) = (&s.plan, s.oracle());
+            vec![
+                s.label.clone(),
+                format!("{}/{}", s.plan_kept, s.modules),
+                cut(plan),
+                format!("{:.4}", plan.step_secs),
+                format!("{:.2}", gib(plan.act_peak_bytes)),
+                format!("{:.2}", gb(plan.ssd_host_writes)),
+                format!("{:.4}", plan.exposed_io_secs),
+                cut(&best),
+                format!("{:.4}", best.step_secs),
+                format!("{:.2}", gib(best.act_peak_bytes)),
+                format!("{:.2}", gb(best.ssd_host_writes)),
+                format!("{:.4}", s.fastest_secs()),
+            ]
+        })
+        .collect();
+    print_table(
+        "Adaptive plan vs the cutoff oracle (best peak, then fewest bytes, within 1 % of the fastest step)",
+        &[
+            "config",
+            "kept",
+            "plan cut",
+            "step s",
+            "peak GiB",
+            "write GB",
+            "exposed s",
+            "oracle cut",
+            "step s",
+            "peak GiB",
+            "write GB",
+            "fastest s",
+        ],
+        &rows,
     );
     if let Some(path) = trace_path {
         export_trace(&sink, &path);

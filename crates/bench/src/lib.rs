@@ -19,12 +19,13 @@
 //!
 //! An exhibit whose claims are gated computes its rows here
 //! ([`fig10_rows`], [`tiering_rows`], [`capacity_rows`] /
-//! [`capacity_timings`], [`io_rows`]) so the binary that prints them and
+//! [`capacity_timings`], [`io_rows`], [`cutoff_sweeps`] — the last
+//! table `ablations` prints) so the binary that prints them and
 //! the test that asserts them (`tests/paper_claims.rs`) read the same
 //! numbers.
 
 use ssdtrain::{
-    chrome_trace_json, text_summary, OffloadClass, OffloadStats, PlacementStrategy,
+    chrome_trace_json, text_summary, AdaptivePlan, OffloadClass, OffloadStats, PlacementStrategy,
     TensorCacheConfig, TraceEvent, TraceSink,
 };
 use ssdtrain_models::{Arch, ModelConfig};
@@ -309,15 +310,20 @@ impl TieringRow {
     }
 }
 
-fn tiering_row(label: &'static str, backend: OffloadBackend) -> TieringRow {
+/// The session of one `bench_tiering` backend row.
+fn tiering_config(backend: OffloadBackend) -> SessionConfig {
     let mut system = SystemConfig::dac_testbed();
     system.ssd_array.member.write_bps *= TIERING_ARRAY_WRITE_SCALE;
-    let cfg = paper_testbed(Arch::Bert, 8192, 4, 16)
+    paper_testbed(Arch::Bert, 8192, 4, 16)
         .system(system)
         .strategy(PlacementStrategy::Offload)
         .backend(backend)
         .build()
-        .expect("valid config");
+        .expect("valid config")
+}
+
+fn tiering_row(label: &'static str, backend: OffloadBackend) -> TieringRow {
+    let cfg = tiering_config(backend);
     let mut session = TrainSession::new(cfg).expect("session construction");
     let _ = session.profile_step().expect("profile step");
     let metrics = session.run_step().expect("measured step");
@@ -350,12 +356,168 @@ pub fn tiering_rows() -> (StepMetrics, Vec<TieringRow>) {
         &mut paper_session(Arch::Bert, 8192, 4, 16, keep_all),
         keep_all,
     );
-    let rows = vec![
-        tiering_row("ssd", OffloadBackend::Ssd),
-        tiering_row("dram", OffloadBackend::Dram),
-        tiering_row("tiered-4g", TIERED_4G),
-    ];
+    let rows = BACKENDS
+        .into_iter()
+        .map(|(label, backend)| tiering_row(label, backend))
+        .collect();
     (keep, rows)
+}
+
+/// One run of a configuration under one plan — what the cutoff oracle
+/// compares.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CutoffPoint {
+    /// The last module offloaded, in forward order (`None`: every
+    /// module kept).
+    pub last_offloaded: Option<usize>,
+    /// Simulated step time, seconds.
+    pub step_secs: f64,
+    /// Activation peak, bytes.
+    pub act_peak_bytes: u64,
+    /// Exposed I/O, seconds: load and store stalls plus the optimizer's
+    /// seconds inside the step.
+    pub exposed_io_secs: f64,
+    /// Bytes the step queued to the offload target
+    /// ([`StepMetrics::ssd_host_writes`]).
+    pub ssd_host_writes: u64,
+}
+
+impl CutoffPoint {
+    fn of(last_offloaded: Option<usize>, m: &StepMetrics) -> CutoffPoint {
+        let o = &m.offload;
+        CutoffPoint {
+            last_offloaded,
+            step_secs: m.step_secs,
+            act_peak_bytes: m.act_peak_bytes,
+            exposed_io_secs: o.stall_secs + o.store_stall_secs + m.opt_secs + m.opt_exposed_secs,
+            ssd_host_writes: m.ssd_host_writes,
+        }
+    }
+}
+
+/// A configuration run under its own adaptive plan and at every cutoff
+/// that plan could have picked (ROADMAP direction 2's oracle).
+#[derive(Debug, Clone)]
+pub struct CutoffSweep {
+    /// The configuration, e.g. `bert H8192 L4`.
+    pub label: String,
+    /// Modules the profile lists.
+    pub modules: usize,
+    /// How many of them the adaptive plan keeps.
+    pub plan_kept: usize,
+    /// The run under the adaptive plan. Its `last_offloaded` is the
+    /// plan's cutoff; the plan may keep modules before it too (those
+    /// the profiling backward forwarded whole).
+    pub plan: CutoffPoint,
+    /// One run per cutoff: every module kept, then the last offloaded
+    /// module at 0, 1, …, `modules − 2` (the final module is always
+    /// kept).
+    pub cutoffs: Vec<CutoffPoint>,
+}
+
+impl CutoffSweep {
+    /// The fastest step of any cutoff, seconds.
+    pub fn fastest_secs(&self) -> f64 {
+        let steps = self.cutoffs.iter().map(|p| p.step_secs);
+        steps.fold(f64::INFINITY, f64::min)
+    }
+
+    /// The oracle's pick: among the cutoffs whose step is within 1 % of
+    /// the fastest, the lowest activation peak, then the fewest bytes
+    /// written, then the earliest cutoff.
+    pub fn oracle(&self) -> CutoffPoint {
+        let limit = self.fastest_secs() * 1.01;
+        let fast = self.cutoffs.iter().filter(|p| p.step_secs <= limit);
+        let best = fast.min_by_key(|p| (p.act_peak_bytes, p.ssd_host_writes));
+        *best.expect("a sweep runs at least the keep-everything cutoff")
+    }
+}
+
+/// Runs `cfg` once under the adaptive plan its profiling step derives,
+/// then once per cutoff with that plan overridden
+/// ([`ssdtrain::TensorCache::set_plan`]). Every run is a fresh session:
+/// the profiling step, then two measured steps, the second recorded (the
+/// first bootstraps the state an in-backward update reads ahead).
+pub fn cutoff_sweep(label: impl Into<String>, cfg: &SessionConfig) -> CutoffSweep {
+    // `cutoff`: `None` keeps the derived plan, `Some(last)` replaces it.
+    let run = |cutoff: Option<Option<usize>>| {
+        let mut session = TrainSession::new(cfg.clone()).expect("session construction");
+        let (profile, mut plan) = session.profile_step().expect("profile step");
+        let paths: Vec<String> = profile.modules.into_iter().map(|m| m.path).collect();
+        if let Some(last) = cutoff {
+            let first_kept = last.map_or(0, |m| m + 1);
+            plan = AdaptivePlan {
+                keep_paths: paths[first_kept..].iter().cloned().collect(),
+                required_bps: Vec::new(),
+                last_offloaded: last,
+            };
+            let cache = session.cache().expect("offload strategy owns a cache");
+            cache.set_plan(plan.clone());
+        }
+        let _ = session.run_step().expect("measured step");
+        let metrics = session.run_step().expect("measured step");
+        let kept = paths.iter().filter(|p| plan.keeps(p)).count();
+        let point = CutoffPoint::of(plan.last_offloaded, &metrics);
+        (paths.len(), kept, point)
+    };
+    let (modules, plan_kept, plan) = run(None);
+    let last = std::iter::once(None).chain((0..modules.saturating_sub(1)).map(Some));
+    CutoffSweep {
+        label: label.into(),
+        modules,
+        plan_kept,
+        plan,
+        cutoffs: last.map(|c| run(Some(c)).2).collect(),
+    }
+}
+
+/// `sym_deep_tiered`'s configuration at `layers` layers: symbolic BERT
+/// H2048 TP=2, batch 8, seed 7, on a 1 GiB DRAM tier in front of the
+/// array, with 64 MiB segments, two-module prefetch groups two deep,
+/// and gradients and optimizer state offloaded under the in-backward
+/// update.
+pub fn deep_tiered_config(layers: usize) -> SessionConfig {
+    SessionConfig::builder()
+        .model(ModelConfig::paper_scale(Arch::Bert, 2048, layers).with_tp(2))
+        .batch_size(8)
+        .symbolic(true)
+        .seed(7)
+        .strategy(PlacementStrategy::Offload)
+        .backend(OffloadBackend::Tiered {
+            dram_bytes: 1 << 30,
+        })
+        .coalesce_segment(64 << 20)
+        .prefetch_group(2)
+        .prefetch_depth(2)
+        .offload(OffloadClass::Gradient, true)
+        .offload(OffloadClass::OptimizerState, true)
+        .overlap_optimizer(true)
+        .momentum(0.9)
+        .build()
+        .expect("valid config")
+}
+
+/// The cutoff oracle over every gated configuration: `sym_deep_tiered`
+/// at `deep_layers` layers (48 is the benchmark's), Figure 10's nine
+/// offloading cells and `bench_tiering`'s three backends.
+pub fn cutoff_sweeps(deep_layers: usize) -> Vec<CutoffSweep> {
+    let label = format!("sym_deep_tiered L{deep_layers}");
+    let mut sweeps = vec![cutoff_sweep(label, &deep_tiered_config(deep_layers))];
+    for arch in [Arch::Bert, Arch::Gpt, Arch::T5] {
+        for (hidden, layers) in FIG10_SHAPES {
+            let cfg = paper_testbed(arch, hidden, layers, 16)
+                .strategy(PlacementStrategy::Offload)
+                .build()
+                .expect("valid config");
+            let label = format!("{arch} H{hidden} L{layers}");
+            sweeps.push(cutoff_sweep(label, &cfg));
+        }
+    }
+    for (label, backend) in BACKENDS {
+        let label = format!("bench_tiering {label}");
+        sweeps.push(cutoff_sweep(label, &tiering_config(backend)));
+    }
+    sweeps
 }
 
 /// `bench_capacity`: layer count of the probed BERT.
@@ -459,8 +621,9 @@ fn capacity_row(label: &'static str, backend: OffloadBackend, overlap: bool) -> 
     }
 }
 
-/// `bench_capacity`'s backends, in table order.
-const CAPACITY_BACKENDS: [(&str, OffloadBackend); 3] = [
+/// The offload backends `bench_tiering` and `bench_capacity` compare, in
+/// table order.
+const BACKENDS: [(&str, OffloadBackend); 3] = [
     ("ssd", OffloadBackend::Ssd),
     ("dram", OffloadBackend::Dram),
     ("tiered-4g", TIERED_4G),
@@ -473,7 +636,7 @@ const CAPACITY_BACKENDS: [(&str, OffloadBackend); 3] = [
 /// Figure 2's wall while the array keeps absorbing state.
 pub fn capacity_rows() -> Vec<CapacityRow> {
     let mut rows = Vec::new();
-    for (label, backend) in CAPACITY_BACKENDS {
+    for (label, backend) in BACKENDS {
         for overlap in [false, true] {
             rows.push(capacity_row(label, backend, overlap));
         }
@@ -536,7 +699,7 @@ pub fn capacity_timings() -> Vec<CapacityTiming> {
             metrics: [inline, overlapped],
         }
     };
-    CAPACITY_BACKENDS.iter().map(timing).collect()
+    BACKENDS.iter().map(timing).collect()
 }
 
 /// Seconds from the last backward stage's end to the end of the last

@@ -2,12 +2,26 @@
 //!
 //! Offloading tensors that sit *after* the memory peak does not lower the
 //! peak — it only delays memory reclaim. The adaptive algorithm profiles
-//! one step to learn each module's forward compute time and offload
-//! volume, then picks the last module `m` whose offloads (and its own
-//! reload) can finish before module `m`'s backward begins, given the
-//! measured write bandwidth. Modules after `m` keep their activations in
-//! GPU memory. The backward pass is assumed to take `bwd_fwd_ratio`
-//! (default 2×) the forward time.
+//! one step and keeps a module's activations in GPU memory by two rules:
+//!
+//! - **The bandwidth cutoff** (forward's profile). From each module's
+//!   forward compute time and offload volume, pick the last module `m`
+//!   whose offloads (and its own reload) can finish before module `m`'s
+//!   backward begins, given the write bandwidth. Modules after `m` are
+//!   kept. The backward pass is assumed to take `bwd_fwd_ratio` (default
+//!   2×) the forward time.
+//! - **Forwarded whole** (the profiling backward). A module whose
+//!   offloaded bytes backward *all* took back from GPU memory — data
+//!   forwarding, because their stores were still queued or in flight —
+//!   is kept too: its writes freed no memory before backward needed it,
+//!   and backward never read them from a tier, so they only held the
+//!   write bus and wore the SSD. The rule is "all", not "any": a module
+//!   with one tensor read back from a tier is left to the cutoff, since
+//!   that tensor's store did free memory.
+//!
+//! The plan [`crate::TensorCache::end_profile_step`] applies is final
+//! only once the profiling backward is over; ended at the
+//! forward/backward boundary, it knows the cutoff alone.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -22,11 +36,11 @@ pub struct ModuleProfile {
     pub offload_bytes: u64,
     /// Forward computation time of the module, seconds.
     pub fwd_secs: f64,
-    /// Observed store-transfer time of the module's offloads, seconds
-    /// (link occupancy, as priced by the I/O engine).
+    /// Not measured: the cache leaves it 0 and no planner reads it. The
+    /// field stays so that profiles written out by hand still build.
     #[serde(default)]
     pub store_secs: f64,
-    /// Observed load-transfer time of the module's reloads, seconds.
+    /// Not measured, like `store_secs`.
     #[serde(default)]
     pub load_secs: f64,
 }
@@ -38,9 +52,11 @@ pub struct StepProfile {
     pub modules: Vec<ModuleProfile>,
     /// Total forward-propagation time, seconds.
     pub fwd_total_secs: f64,
-    /// Total bytes the forward pass offloaded.
+    /// Total bytes the forward pass offloaded, as queued when backward
+    /// was announced.
     pub fwd_io_bytes: u64,
-    /// Time the write direction was busy during forward, seconds.
+    /// Time the write direction was busy during forward, seconds, as
+    /// queued when backward was announced.
     pub fwd_io_secs: f64,
 }
 
@@ -100,6 +116,24 @@ impl AdaptivePlan {
     /// # Panics
     /// Panics if `write_bps` is not positive.
     pub fn decide(profile: &StepProfile, write_bps: f64, bwd_fwd_ratio: f64) -> AdaptivePlan {
+        AdaptivePlan::decide_with_forwarded(profile, &[], write_bps, bwd_fwd_ratio)
+    }
+
+    /// [`AdaptivePlan::decide`] on a profile whose backward has run:
+    /// `forwarded[i]` is how many of `profile.modules[i]`'s offloaded
+    /// bytes that backward took back from GPU memory (missing entries
+    /// count as none). Besides the cutoff's tail, every module forwarded
+    /// whole is kept; `required_bps` and `last_offloaded` still describe
+    /// the cutoff alone.
+    ///
+    /// # Panics
+    /// Panics if `write_bps` is not positive.
+    pub fn decide_with_forwarded(
+        profile: &StepProfile,
+        forwarded: &[u64],
+        write_bps: f64,
+        bwd_fwd_ratio: f64,
+    ) -> AdaptivePlan {
         assert!(write_bps > 0.0, "write bandwidth must be positive");
         let n = profile.modules.len();
         if n == 0 {
@@ -143,6 +177,11 @@ impl AdaptivePlan {
             None => profile.modules.iter().map(|mp| mp.path.clone()).collect(),
         };
         keep_paths.insert(profile.modules[n - 1].path.clone());
+        for (module, &bytes) in profile.modules.iter().zip(forwarded) {
+            if module.offload_bytes > 0 && bytes >= module.offload_bytes {
+                keep_paths.insert(module.path.clone());
+            }
+        }
         AdaptivePlan {
             keep_paths,
             required_bps: required,
@@ -222,6 +261,20 @@ mod tests {
         let plan = AdaptivePlan::decide(&p, 1.0, 2.0);
         assert_eq!(plan.last_offloaded, None);
         assert!(plan.keeps("l0") && plan.keeps("l1"));
+    }
+
+    #[test]
+    fn a_module_forwarded_whole_is_kept_and_one_forwarded_in_part_is_not() {
+        let p = profile(&[("l0", 100, 1.0), ("l1", 100, 1.0), ("l2", 100, 1.0)], 3.0);
+        let plan = AdaptivePlan::decide_with_forwarded(&p, &[100, 99], 1e12, 2.0);
+        assert_eq!(plan.last_offloaded, Some(1), "the cutoff is unchanged");
+        assert!(plan.keeps("l0"), "forwarded whole");
+        assert!(!plan.keeps("l1"), "one byte read back from the tier");
+        assert_eq!(plan, {
+            let mut cutoff = AdaptivePlan::decide(&p, 1e12, 2.0);
+            cutoff.keep_paths.insert("l0".into());
+            cutoff
+        });
     }
 
     #[test]

@@ -323,7 +323,7 @@ impl TensorCache {
         st.forward_order.clear();
         st.phase = Phase::Forward;
         st.fwd_start = self.io.clock().now();
-        st.fwd_secs = 0.0;
+        st.forward = None;
         // Only state slots survived the flush. Their stores drained at
         // the previous step's optimizer barrier; on the fresh clock they
         // are available immediately, and a read still marked in flight
@@ -344,8 +344,8 @@ impl TensorCache {
     }
 
     /// Enables profiling for the next step: every eligible tensor is
-    /// offloaded regardless of plan, and per-module transfer sizes and
-    /// compute times are collected (Section 3.3.3).
+    /// offloaded regardless of plan, and per-module transfer sizes,
+    /// compute times and forwarded bytes are collected (Section 3.3.3).
     pub fn begin_profile_step(&self) {
         self.begin_step();
         self.state.lock().profiling = true;
@@ -353,60 +353,82 @@ impl TensorCache {
 
     /// Ends a profiling step: builds the [`StepProfile`], derives the
     /// adaptive plan (when enabled) and applies it to subsequent steps.
+    ///
+    /// Call it once the profiling backward is over: the plan then also
+    /// keeps every module that backward forwarded whole
+    /// ([`AdaptivePlan::decide_with_forwarded`]). The profile's
+    /// forward-time totals were taken at the forward/backward boundary,
+    /// so they stay forward-only. Called at that boundary instead, it
+    /// plans on forward alone.
     pub fn end_profile_step(&self) -> (StepProfile, AdaptivePlan) {
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        self.end_forward(st);
         st.profiling = false;
-        if st.fwd_secs == 0.0 {
-            // Called at the forward/backward boundary before the
-            // phase switch was observed.
-            st.fwd_secs = self.io.clock().now().since(st.fwd_start);
-        }
-        let profile = self.build_profile(&st);
-        let plan = self.replan(&mut st, &profile);
+        let (profile, forwarded) = self.build_profile(st);
+        let plan = self.replan(st, &profile, &forwarded);
         (profile, plan)
     }
 
-    /// Builds a [`StepProfile`] from the current step's scope metadata.
-    fn build_profile(&self, st: &State) -> StepProfile {
+    /// Takes a profiling step's forward-time totals the first time it
+    /// reaches the forward/backward boundary — the backward
+    /// announcement, the phase switch or the profile's end, whichever
+    /// comes first — so nothing backward forwards or cancels reaches
+    /// them.
+    fn end_forward(&self, st: &mut State) {
+        if !st.profiling || st.forward.is_some() {
+            return;
+        }
+        st.forward = Some(StepProfile {
+            modules: Vec::new(),
+            fwd_total_secs: self.io.clock().now().since(st.fwd_start),
+            fwd_io_bytes: self.io.bytes_written(),
+            fwd_io_secs: self.io.write_busy_secs(),
+        });
+    }
+
+    /// Builds the current step's [`StepProfile`] from its scope metadata
+    /// and forward-time totals, with each listed module's forwarded
+    /// bytes beside it.
+    fn build_profile(&self, st: &State) -> (StepProfile, Vec<u64>) {
         let order = st
             .forward_order
             .get(&st.current_mb)
-            .cloned()
-            .unwrap_or_default();
-        let modules: Vec<ModuleProfile> = order
+            .map_or(&[][..], Vec::as_slice);
+        let mut forwarded = Vec::new();
+        let modules = order
             .iter()
             .filter_map(|seq| {
                 let meta = st.scopes.get(seq)?;
                 if meta.records.is_empty() {
                     return None;
                 }
+                forwarded.push(meta.forwarded_bytes);
                 Some(ModuleProfile {
                     path: meta.path.clone(),
                     offload_bytes: meta.offload_bytes,
                     fwd_secs: meta.fwd_secs,
-                    store_secs: meta.store_secs,
-                    load_secs: meta.load_secs,
+                    store_secs: 0.0,
+                    load_secs: 0.0,
                 })
             })
             .collect();
-        StepProfile {
-            modules,
-            fwd_total_secs: st.fwd_secs,
-            fwd_io_bytes: self.io.bytes_written(),
-            fwd_io_secs: self.io.write_busy_secs(),
-        }
+        let forward = st.forward.clone().unwrap_or_default();
+        (StepProfile { modules, ..forward }, forwarded)
     }
 
-    /// Derives and applies the adaptive ROK cutoff for `profile`. The
-    /// budget is the [`CostModel`]'s effective write bandwidth of the
-    /// byte split the stack's front-first walk produces, serialised on
-    /// the shared write bus, rather than a sum of link rates.
-    fn replan(&self, st: &mut State, profile: &StepProfile) -> AdaptivePlan {
+    /// Derives and applies the adaptive plan for `profile`, whose
+    /// modules' forwarded bytes are `forwarded`. The cutoff's budget is
+    /// the [`CostModel`]'s effective write bandwidth of the byte split
+    /// the stack's front-first walk produces, serialised on the shared
+    /// write bus, rather than a sum of link rates.
+    fn replan(&self, st: &mut State, profile: &StepProfile, forwarded: &[u64]) -> AdaptivePlan {
         let plan = if self.config.adaptive {
             let cost = self.cost_model();
             let split = cost.split_for(profile, &cost.front_first_assignment(profile));
-            AdaptivePlan::decide(
+            AdaptivePlan::decide_with_forwarded(
                 profile,
+                forwarded,
                 cost.effective_write_bps(&split),
                 self.config.bwd_fwd_ratio,
             )

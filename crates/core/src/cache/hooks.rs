@@ -42,12 +42,8 @@ impl ModuleHooks for TensorCache {
             scope.seq,
             ScopeMeta {
                 path: scope.path.clone(),
-                records: Vec::new(),
                 enter: self.io.clock().now(),
-                fwd_secs: 0.0,
-                offload_bytes: 0,
-                store_secs: 0.0,
-                load_secs: 0.0,
+                ..ScopeMeta::default()
             },
         );
         st.forward_order
@@ -113,7 +109,7 @@ impl ModuleHooks for TensorCache {
     fn phase_changed(&self, phase: Phase) {
         let mut st = self.state.lock();
         if st.phase == Phase::Forward && phase == Phase::Backward {
-            st.fwd_secs = self.io.clock().now().since(st.fwd_start);
+            self.end_forward(&mut st);
         }
         st.phase = phase;
     }

@@ -112,8 +112,7 @@ impl TensorCache {
         } else {
             self.io.submit_load_from(link, bytes)
         };
-        let (start, end) = self.io.read_span(read);
-        let ready = end.max(rec.avail);
+        let ready = self.landing(read, rec.avail);
         let (stats, staging) = (&mut st.stats, &mut st.staging);
         self.read_back(stats, &mut st.pending_error, &st.trace, staging, rec, read);
         rec.state = if how.demand() {
@@ -124,10 +123,6 @@ impl TensorCache {
                 avail: rec.avail,
             }
         };
-        let scope = rec.scopes.min();
-        if let Some(meta) = scope.and_then(|s| st.scopes.get_mut(&s)) {
-            meta.load_secs += end.since(start);
-        }
         let stats = &mut st.stats;
         match how {
             Reload::Sync => stats.sync_loads += 1,

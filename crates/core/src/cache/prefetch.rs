@@ -213,9 +213,11 @@ impl TensorCache {
     /// ([`TensorCacheConfig::prefetch_group_modules`](crate::TensorCacheConfig::prefetch_group_modules))
     /// this announces the backward pass to the group look-ahead: the
     /// level the pass begins at is read here, and the reloads of every
-    /// group that fits under it start now.
+    /// group that fits under it start now. A profiling step's
+    /// forward-time totals are taken here, before anything is forwarded.
     pub fn prefetch_last_module(&self) {
         let mut st = self.state.lock();
+        self.end_forward(&mut st);
         let mb = st.current_mb;
         let len = st.forward_order.get(&mb).map_or(0, |o| o.len());
         let g = self.config.prefetch_group_modules;

@@ -3,7 +3,7 @@
 //! `State` behind the cache's lock.
 // ssdtrain-lint: hot-path
 
-use crate::adaptive::AdaptivePlan;
+use crate::adaptive::{AdaptivePlan, StepProfile};
 use crate::coalesce::WriteCoalescer;
 use crate::error::OffloadError;
 use crate::id::TensorKey;
@@ -78,8 +78,8 @@ impl ScopeSet {
         self.first.is_none()
     }
 
-    /// The earliest scope in forward order: the one profiling charges
-    /// the record's transfers to.
+    /// The earliest scope in forward order: the one that saved the
+    /// record, which its offloaded and forwarded bytes are charged to.
     pub(super) fn min(&self) -> Option<u64> {
         self.more.iter().copied().chain(self.first).min()
     }
@@ -175,10 +175,10 @@ pub(super) struct ScopeMeta {
     pub(super) enter: SimTime,
     pub(super) fwd_secs: f64,
     pub(super) offload_bytes: u64,
-    /// Simulated link occupancy of this module's store jobs.
-    pub(super) store_secs: f64,
-    /// Simulated link occupancy of this module's reloads.
-    pub(super) load_secs: f64,
+    /// Bytes of this module's records handed back from GPU memory
+    /// instead of a tier (data forwarding), charged to the record's
+    /// earliest scope ([`ScopeSet::min`]) like `offload_bytes`.
+    pub(super) forwarded_bytes: u64,
 }
 
 /// A sealed segment whose store job is in flight or has landed but is
@@ -227,7 +227,10 @@ pub(super) struct State {
     pub(super) phase: Phase,
     pub(super) profiling: bool,
     pub(super) fwd_start: SimTime,
-    pub(super) fwd_secs: f64,
+    /// A profiling step's forward-time totals (`modules` left empty),
+    /// taken once, at the forward/backward boundary
+    /// ([`TensorCache::end_forward`](super::TensorCache::end_forward)).
+    pub(super) forward: Option<StepProfile>,
     /// Sealed segments whose store jobs are in flight — one I/O job, one
     /// device write, recovered as a unit — keyed by job. Removal marks
     /// the segment committed (or cancelled).
@@ -296,7 +299,7 @@ impl State {
             phase: Phase::Forward,
             profiling: false,
             fwd_start: SimTime::ZERO,
-            fwd_secs: 0.0,
+            forward: None,
             segments: HashMap::new(),
             seg_members: Vec::new(),
             seg_jobs: Vec::new(),

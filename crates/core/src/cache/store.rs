@@ -295,26 +295,11 @@ impl TensorCache {
         let total: u64 = sizes.map(|id| st.records[id].bytes).sum();
         let job = self.io.submit_store_to(self.tiers.link(tier), total);
         st.seg_jobs.push(job);
-        let (start, end) = self.io.store_span(job);
-        let seg_secs = end.since(start);
         // Only activations coalesce, so a segment has one class.
         let class = st.records[&st.seg_members[first]].class;
         for i in range.clone() {
-            let Some(rec) = st.records.get_mut(&st.seg_members[i]) else {
-                continue;
-            };
-            rec.state = RecState::Storing { job };
-            // Profiling sees the segment's link occupancy distributed
-            // over its members proportional to their bytes — all of it
-            // when the member is alone.
-            let share = if range.len() == 1 {
-                seg_secs
-            } else {
-                seg_secs * rec.bytes as f64 / total.max(1) as f64
-            };
-            let scope = rec.scopes.min();
-            if let Some(meta) = scope.and_then(|s| st.scopes.get_mut(&s)) {
-                meta.store_secs += share;
+            if let Some(rec) = st.records.get_mut(&st.seg_members[i]) {
+                rec.state = RecState::Storing { job };
             }
         }
         let segment = Segment {
@@ -532,12 +517,15 @@ impl TensorCache {
     /// job cancels the job if it has not started (adaptive feature 1)
     /// and un-counts it; a member of a larger segment is forwarded
     /// *without* cancelling — the job carries its siblings and commit
-    /// skips this member.
+    /// skips this member. Forwarded bytes are charged to the module that
+    /// saved the record: one the profiling backward forwarded whole is
+    /// kept on the GPU from then on
+    /// ([`crate::AdaptivePlan::decide_with_forwarded`]).
     pub(super) fn withdraw(&self, st: &mut State, id: RecordId, now: SimTime, forwarded: bool) {
         let Some(rec) = st.records.get_mut(&id) else {
             return;
         };
-        let (bytes, class) = (rec.bytes, rec.class);
+        let (bytes, class, scope) = (rec.bytes, rec.class, rec.scopes.min());
         let job = match rec.state {
             RecState::Staged => {
                 st.coalescer.evict(rec.tier, id);
@@ -558,11 +546,14 @@ impl TensorCache {
                 unqueued = true;
             }
         }
-        let stats = &mut st.stats;
         if forwarded {
-            stats.forwarded += 1;
-            stats.forwarded_bytes += bytes;
+            if let Some(meta) = scope.and_then(|s| st.scopes.get_mut(&s)) {
+                meta.forwarded_bytes += bytes;
+            }
+            st.stats.forwarded += 1;
+            st.stats.forwarded_bytes += bytes;
         }
+        let stats = &mut st.stats;
         if evicted || unqueued {
             stats.cancelled_stores += 1;
             stats.cancelled_bytes += bytes;

@@ -3,8 +3,8 @@
 //! parameter exclusion, stall accounting and adaptive profiling.
 
 use ssdtrain::{
-    AdaptivePlan, CpuTarget, IoEngine, OffloadClass, OffloadTarget, SsdTarget, TensorCache,
-    TensorCacheConfig, Tier, TierLink, TierStack, TraceEvent, TraceSink,
+    AdaptivePlan, CpuTarget, IoEngine, OffloadClass, OffloadTarget, SsdTarget, StepProfile,
+    TensorCache, TensorCacheConfig, Tier, TierLink, TierStack, TraceEvent, TraceSink,
 };
 use ssdtrain_autograd::{
     ops, ExecObserver, Graph, ModuleHooks, OpCost, Packed, Phase, SavedTensorHooks, ScopeInfo, Var,
@@ -580,6 +580,155 @@ fn kept_modules_do_not_offload_after_planning() {
     };
     assert!(profile_jobs.kept > 0, "{profile_jobs:?}");
     assert_eq!(profile_jobs.store_jobs, 2, "{profile_jobs:?}");
+}
+
+/// What a profiling step through the hook protocol hands back once its
+/// backward is over.
+struct Profiled {
+    cache: Arc<TensorCache>,
+    profile: StepProfile,
+    plan: AdaptivePlan,
+}
+
+/// A profiling step driven through the hook protocol on a write link
+/// that moves 1 MiB in 10 ms: per-tensor stores, the per-module
+/// prefetcher two deep, and backward assumed 100× forward, so the cutoff
+/// offloads every module but the last.
+///
+/// Module `a` saves 1 MiB at 0 ms (its store lands at 10 ms) and 1 MiB
+/// at 12 ms (stored 12–22 ms); `b` saves 1 MiB at 13 ms (queued for
+/// 22–32 ms) and `c` 1 MiB at 14 ms. Backward is announced at 15 ms, so
+/// it reloads `a`'s first tensor and forwards the rest. With `state`, a
+/// 1 MiB optimizer-state slot is also stored inside `c`'s scope, and
+/// backward reads it back first.
+fn profiled_step(state: bool) -> Profiled {
+    let clock = SimClock::new();
+    let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
+    let dev = Device::cpu();
+    dev.set_tracker(mem.clone());
+    let io = IoEngine::new(clock.clone(), MIB as f64 * 100.0, MIB as f64 * 1e3);
+    let config = TensorCacheConfig {
+        min_offload_numel: 0,
+        prefetch_depth: 2,
+        bwd_fwd_ratio: 100.0,
+        ..TensorCacheConfig::default()
+    };
+    let cache = TensorCache::new(config, Arc::new(CpuTarget::new(1 << 40)), io, mem);
+    let scope = |path: &str, seq: u64| ScopeInfo {
+        path: path.into(),
+        seq,
+        micro_batch: 0,
+    };
+    let scopes = [scope("a", 1), scope("b", 2), scope("c", 3)];
+    let mib = || Tensor::zeros([MIB as usize / 4], &dev);
+    // Off the tracked device: only activations set the memory level.
+    let state_tensor = Tensor::zeros([MIB as usize / 4], &Device::cpu());
+    let mut slot = None;
+    cache.begin_profile_step();
+    cache.phase_changed(Phase::Forward);
+    let mut saved: Vec<Vec<Packed>> = Vec::new();
+    for (i, s) in scopes.iter().enumerate() {
+        cache.forward_pre(s);
+        let mut packed = vec![cache.pack(&mib())];
+        if i == 0 {
+            clock.advance_by(12e-3);
+            packed.push(cache.pack(&mib()));
+        }
+        if i == 2 && state {
+            slot = cache.offload_state(&state_tensor, OffloadClass::OptimizerState);
+        }
+        clock.advance_by(1e-3);
+        saved.push(packed);
+        cache.forward_post(s);
+    }
+    cache.prefetch_last_module();
+    cache.phase_changed(Phase::Backward);
+    if let Some(slot) = slot {
+        cache.load_state(slot).expect("an offloaded slot");
+    }
+    for (s, packed) in scopes.iter().zip(saved).rev() {
+        cache.backward_pre(s);
+        for p in packed.iter().rev() {
+            drop(cache.unpack(p));
+        }
+        clock.advance_by(1e-3);
+        cache.backward_post(s);
+    }
+    cache.wait_io();
+    cache.drain_stores();
+    let (profile, plan) = cache.end_profile_step();
+    if let Some(slot) = slot {
+        cache.release_state(slot);
+    }
+    Profiled {
+        cache,
+        profile,
+        plan,
+    }
+}
+
+#[test]
+fn a_module_the_profiling_backward_forwarded_whole_is_kept() {
+    let p = profiled_step(false);
+    let paths: Vec<&str> = p.profile.modules.iter().map(|m| m.path.as_str()).collect();
+    assert_eq!(paths, ["a", "b", "c"]);
+    // The cutoff alone offloads `b`; the plan keeps it, because backward
+    // took every byte of it back from GPU memory.
+    assert_eq!(p.plan.last_offloaded, Some(1));
+    assert!(p.plan.keeps("b"), "{:?}", p.plan.keep_paths);
+    assert!(p.plan.keeps("c"), "the final module");
+    let stats = p.cache.stats();
+    assert_eq!((stats.forwarded, stats.prefetches), (3, 1), "{stats:?}");
+    assert_eq!(
+        p.plan,
+        p.cache.plan(),
+        "the plan returned is the one applied"
+    );
+}
+
+#[test]
+fn a_module_with_one_landed_record_is_left_to_the_cutoff() {
+    // `a`'s second tensor was forwarded too, but its first store landed
+    // and backward read it back from the tier: "all", not "any".
+    let p = profiled_step(false);
+    assert!(!p.plan.keeps("a"), "{:?}", p.plan.keep_paths);
+    assert_eq!(p.cache.stats().reloaded_bytes, MIB);
+}
+
+#[test]
+fn state_traffic_inside_a_module_never_counts_toward_the_rule() {
+    // A state slot stored inside `c`'s scope and read back first in
+    // backward is the caller's, not `c`'s: neither the module profile
+    // nor the plan moves.
+    let (plain, with_state) = (profiled_step(false), profiled_step(true));
+    let state = with_state.cache.stats();
+    let class = state
+        .class(OffloadClass::OptimizerState)
+        .expect("state moved");
+    assert_eq!((class.offloaded_bytes, class.reloaded_bytes), (MIB, MIB));
+    assert_eq!(with_state.profile.modules, plain.profile.modules);
+    assert_eq!(with_state.plan, plain.plan);
+}
+
+#[test]
+fn the_profiles_forward_totals_stay_forward_only_after_backward() {
+    // Forward queued four 1 MiB stores (10 ms each) in 15 ms; backward
+    // then cancelled two of them, but the profile completed after it
+    // still reports what forward queued.
+    let p = profiled_step(false);
+    assert_eq!(p.profile.fwd_io_bytes, 4 * MIB);
+    assert!(
+        (p.profile.fwd_io_secs - 0.040).abs() < 1e-12,
+        "{}",
+        p.profile.fwd_io_secs
+    );
+    assert!((p.profile.fwd_total_secs - 0.015).abs() < 1e-12);
+    assert_eq!(
+        p.cache.io().bytes_written(),
+        2 * MIB,
+        "backward cancelled two"
+    );
+    assert_eq!(p.cache.stats().cancelled_stores, 2);
 }
 
 // ---------------------------------------------------------------------

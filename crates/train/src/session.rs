@@ -470,7 +470,10 @@ impl TrainSession {
     }
 
     /// Runs one profiling step (offload strategy only) and applies the
-    /// resulting adaptive plan to subsequent steps (Section 3.3.3).
+    /// resulting adaptive plan to subsequent steps (Section 3.3.3). The
+    /// plan returned is the one applied: derived after the profiling
+    /// backward, so it keeps the modules that backward forwarded whole
+    /// (see [`ssdtrain::adaptive`]).
     ///
     /// # Errors
     /// Returns a [`StepError`] if the offload stack reported a failure
@@ -496,11 +499,11 @@ impl TrainSession {
         g.set_phase(Phase::Forward);
         let batch = self.next_batch(0);
         let loss = self.model.forward_loss(&g, &batch, self.recompute_policy());
-        let result = cache.end_profile_step();
         cache.prefetch_last_module();
         g.backward(&loss);
         cache.wait_io();
         cache.drain_stores();
+        let result = cache.end_profile_step();
         self.tape = g.tape_size();
         g.reset_tape();
         cache.flush();

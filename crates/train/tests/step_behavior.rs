@@ -3,7 +3,7 @@
 
 use ssdtrain::{PlacementStrategy, TensorCacheConfig};
 use ssdtrain_models::{Arch, ModelConfig};
-use ssdtrain_train::{SessionConfig, TrainSession};
+use ssdtrain_train::{OffloadBackend, SessionConfig, TrainSession};
 
 fn numeric_session(strategy: PlacementStrategy, seed: u64) -> TrainSession {
     let cfg = SessionConfig::builder()
@@ -229,6 +229,38 @@ fn offload_io_is_fully_overlapped_at_paper_scale() {
         m.step_secs
     );
     assert!(m.offload.offloaded_bytes > 0);
+}
+
+#[test]
+fn profile_step_returns_the_plan_derived_after_its_backward() {
+    // Group look-ahead over a deep stack on a 1 GiB DRAM tier: forward's
+    // tail is still queued when backward is announced, so the profiling
+    // backward forwards whole modules the cutoff would offload.
+    let cfg = SessionConfig::builder()
+        .model(ModelConfig::paper_scale(Arch::Bert, 2048, 8).with_tp(2))
+        .batch_size(8)
+        .symbolic(true)
+        .backend(OffloadBackend::Tiered {
+            dram_bytes: 1 << 30,
+        })
+        .coalesce_segment(64 << 20)
+        .prefetch_group(2)
+        .prefetch_depth(2)
+        .seed(7)
+        .build()
+        .expect("valid config");
+    let mut s = TrainSession::new(cfg).expect("session");
+    let (profile, plan) = s.profile_step().expect("profile step");
+    assert_eq!(plan, s.cache().expect("offload session").plan());
+    let last = plan.last_offloaded.expect("the cutoff offloads a prefix");
+    let forwarded_whole = profile.modules[..=last]
+        .iter()
+        .filter(|m| plan.keeps(&m.path))
+        .count();
+    assert!(
+        forwarded_whole > 0,
+        "nothing kept before the cutoff: {plan:?}"
+    );
 }
 
 #[test]

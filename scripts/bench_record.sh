@@ -37,7 +37,8 @@ per_layer = ["sim_exposed_io_s", "cache.store_stall_s", "cache.load_stall_s",
              "train.sim_opt_exposed_s", "io.write_util", "io.read_util",
              "sim_ssd_write_gb", "costmodel.pred_err_frac",
              "cache.alloc_b_per_spilled_b", "target.files_per_segment",
-             "trace.events_per_step", "host_step_ms"]
+             "trace.events_per_step", "host_step_ms", "cache.forwarded",
+             "io.write_busy_s"]
 workloads, layers, failed = {}, {}, 0
 for name in (w["name"] for w in spec["workloads"]):
     out = json.load(open(f"benchmark/out/{name}.json"))

@@ -628,6 +628,62 @@ fn disabled_sink_records_nothing() {
     assert!(s.trace().is_empty());
 }
 
+/// A member forwarded after its segment sealed still rides the job: the
+/// write bus carries it and `offloaded_bytes` counts it, like
+/// `IoEngine::bytes_written` (a step's `ssd_host_writes`), but the
+/// commit skips it, so no tier records it. DESIGN §6 names the gap; on
+/// a step with exactly one rider it is that member's bytes.
+#[test]
+fn a_rider_is_offloaded_but_no_tier_writes_it() {
+    const MIB: u64 = 1 << 20;
+    let clock = SimClock::new();
+    let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
+    let dev = Device::cpu();
+    dev.set_tracker(mem.clone());
+    // 1 MiB in 10 ms each way; two 1 MiB saves fill one 2 MiB segment.
+    let io = IoEngine::new(clock.clone(), MIB as f64 * 100.0, MIB as f64 * 100.0);
+    let config = TensorCacheConfig {
+        coalesce_segment_bytes: 2 * MIB,
+        prefetch: false,
+        ..TensorCacheConfig::offload_everything()
+    };
+    let cache = TensorCache::new(config, Arc::new(CpuTarget::new(1 << 40)), io, mem);
+    let sink = TraceSink::enabled();
+    cache.set_trace(sink.clone());
+    sink.next_step();
+    cache.begin_step();
+    cache.phase_changed(Phase::Forward);
+    let scope = ScopeInfo {
+        path: "m".into(),
+        seq: 1,
+        micro_batch: 0,
+    };
+    cache.forward_pre(&scope);
+    let tensor = || Tensor::zeros([MIB as usize / 4], &dev);
+    let (landed, rider) = (cache.pack(&tensor()), cache.pack(&tensor()));
+    cache.forward_post(&scope);
+    cache.phase_changed(Phase::Backward);
+    // The segment's job runs 0–20 ms. At 5 ms backward takes the second
+    // member back from memory — forwarded, not cancelled, as the job
+    // carries its sibling; at 25 ms the first has landed and reloads.
+    clock.advance_by(5e-3);
+    cache.backward_pre(&scope);
+    drop(cache.unpack(&rider));
+    clock.advance_by(20e-3);
+    drop(cache.unpack(&landed));
+    cache.backward_post(&scope);
+    cache.drain_stores();
+    cache.flush();
+
+    let stats = cache.stats();
+    assert_eq!((stats.forwarded, stats.cancelled_stores), (1, 0));
+    assert_eq!(stats.offloaded_bytes, 2 * MIB);
+    assert_eq!(cache.io().bytes_written(), stats.offloaded_bytes);
+    let written: u64 = stats.tiers.iter().map(|t| t.bytes_written).sum();
+    assert_eq!(stats.offloaded_bytes - written, MIB, "the gap is the rider");
+    assert_accounting(&sink.events(), &[stats]);
+}
+
 /// Bytes of one layer's momentum slot in [`replay_step`]: no other
 /// transfer has this size, so its `load` spans are told apart by it.
 const MOMENTUM_BYTES: u64 = 384 << 10;
