@@ -11,7 +11,19 @@
 //! * the maximal per-GPU activation volume offloading can open up, and
 //! * the growth-trend arithmetic behind Figure 1 and Section 2.2.
 
-#![deny(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes_without_reason)]
+// Library code returns typed errors instead of panicking (DESIGN.md §7).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub mod activations;
 pub mod endurance;

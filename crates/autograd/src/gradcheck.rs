@@ -40,7 +40,12 @@ impl GradCheckReport {
 /// element by ±`eps`.
 ///
 /// # Panics
-/// Panics if `f` returns a non-scalar loss or the parameter is symbolic.
+/// Panics if `f` returns a non-scalar loss, the loss does not depend on
+/// the parameter, or the parameter is symbolic.
+#[expect(
+    clippy::expect_used,
+    reason = "a test utility: a loss without a gradient is a broken check"
+)]
 pub fn check_gradients(
     device: &Device,
     param_init: &Tensor,

@@ -335,6 +335,10 @@ impl Graph {
     ///
     /// # Panics
     /// Panics if no scope is open.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: `scoped` pairs every enter with its exit"
+    )]
     pub fn exit_module(&self) {
         let top = self
             .inner
@@ -481,6 +485,15 @@ impl Graph {
     /// listener's to sweep. With no listener the walk does no extra work.
     /// A leaf counts uses for one tape at a time, so no other tape may
     /// record it between this tape's forward and its backward.
+    ///
+    /// # Panics
+    /// Panics if `grad_outputs` does not yield one entry per output, or if
+    /// a saved value was packed opaque and the graph has no unpack hooks.
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "documented contract: a value packed opaque is unpacked by the same hooks"
+    )]
     pub fn backward_from(
         &self,
         outputs: &[Value],
@@ -672,6 +685,10 @@ impl Op for TombstoneOp {
     fn name(&self) -> &'static str {
         "tombstone"
     }
+    #[expect(
+        clippy::panic,
+        reason = "replaying a tape is a caller bug (no `retain_graph`)"
+    )]
     fn backward(
         &self,
         _graph: &Graph,

@@ -54,6 +54,10 @@ impl SavedTensorHooks for KeepHooks {
         Packed::Tensor(tensor.clone())
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "`pack` never makes an opaque handle, so one here was packed by other hooks"
+    )]
     fn unpack(&self, packed: &Packed) -> Tensor {
         match packed {
             Packed::Tensor(t) => t.clone(),

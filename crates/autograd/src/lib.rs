@@ -31,7 +31,19 @@
 //! assert_eq!(w.grad().unwrap().to_vec(), vec![3.0]);
 //! ```
 
-#![deny(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes_without_reason)]
+// Library code returns typed errors instead of panicking (DESIGN.md §7).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub mod checkpoint;
 pub mod gradcheck;

@@ -80,7 +80,7 @@ impl Op for PermuteHeadsOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("permute grad");
+        let dy = super::out_grad(grads);
         let cost = OpCost::new(0, dy.bytes(), dy.bytes());
         grads_in[0] = Some(unpermute_kernel(dy, self.nh));
         cost
@@ -102,7 +102,7 @@ impl Op for UnpermuteHeadsOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("unpermute grad");
+        let dy = super::out_grad(grads);
         let cost = OpCost::new(0, dy.bytes(), dy.bytes());
         grads_in[0] = Some(permute_kernel(dy, self.nh));
         cost
@@ -167,7 +167,7 @@ impl Op for Transpose12Op {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("transpose grad");
+        let dy = super::out_grad(grads);
         let cost = OpCost::new(0, dy.bytes(), dy.bytes());
         grads_in[0] = Some(transpose12_kernel(dy));
         cost
@@ -251,7 +251,7 @@ impl Op for FlashAttentionOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dctx = grads[0].as_ref().expect("attention grad");
+        let dctx = super::out_grad(grads);
         let (q, k, v) = (&saved[0], &saved[1], &saved[2]);
         let (t, s, d) = (q.dim(0), q.dim(1), q.dim(2));
         let flops = 10 * (t * s * s * d) as u64;

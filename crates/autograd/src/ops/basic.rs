@@ -26,7 +26,7 @@ impl Op for AddOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("add grad");
+        let dy = super::out_grad(grads);
         grads_in[0] = Some(dy.clone());
         grads_in[1] = Some(dy.clone());
         OpCost::new(0, dy.bytes(), 2 * dy.bytes())
@@ -58,7 +58,7 @@ impl Op for MulOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("mul grad");
+        let dy = super::out_grad(grads);
         let (a, b) = (&saved[0], &saved[1]);
         grads_in[0] = Some(dy.mul(b));
         grads_in[1] = Some(dy.mul(a));
@@ -99,7 +99,7 @@ impl Op for ScaleOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("scale grad");
+        let dy = super::out_grad(grads);
         grads_in[0] = Some(dy.scale(self.s));
         OpCost::new(dy.numel() as u64, dy.bytes(), dy.bytes())
     }
@@ -133,7 +133,7 @@ impl Op for SumAllOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("sum grad");
+        let dy = super::out_grad(grads);
         let n = self.in_shape.numel() as u64;
         let dev = g.device().clone();
         let grad = if dy.has_data() {
@@ -200,7 +200,7 @@ impl Op for ReshapeOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("reshape grad");
+        let dy = super::out_grad(grads);
         grads_in[0] = Some(dy.contiguous().reshape(self.in_shape));
         OpCost::default()
     }
@@ -243,7 +243,7 @@ impl Op for AllreduceOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("allreduce grad");
+        let dy = super::out_grad(grads);
         // The backward of an allreduce is an allreduce of the gradients,
         // with the same communication volume.
         grads_in[0] = Some(dy.clone());

@@ -25,7 +25,7 @@ impl Op for EmbeddingOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("embedding grad");
+        let dy = super::out_grad(grads);
         let ids = &saved[0];
         let dtable = Tensor::embedding_grad(self.vocab, ids, dy);
         let cost = OpCost::new(dy.numel() as u64, dy.bytes(), dtable.bytes());
@@ -66,7 +66,7 @@ impl Op for CrossEntropyOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dloss = grads[0].as_ref().expect("ce grad");
+        let dloss = super::out_grad(grads);
         let probs = &saved[0];
         let targets = &saved[1];
         let (n, v) = probs.shape().as_2d();

@@ -26,7 +26,7 @@ impl Op for MatmulOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("matmul grad");
+        let dy = super::out_grad(grads);
         let (x, wt) = (&saved[0], &saved[1]);
         let (m, k) = x.shape().as_2d();
         let n = wt.dim(1);
@@ -84,7 +84,7 @@ impl Op for AddBiasOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("add_bias grad");
+        let dy = super::out_grad(grads);
         let db = dy.sum_leading();
         let cost = OpCost::new(dy.numel() as u64, dy.bytes(), dy.bytes() + db.bytes());
         grads_in[0] = Some(dy.clone());
@@ -118,7 +118,7 @@ impl Op for BmmOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("bmm grad");
+        let dy = super::out_grad(grads);
         let (a, b) = (&saved[0], &saved[1]);
         // da = dy @ b^T; db = a^T @ dy  (batched)
         let da = dy.bmm(&b.transpose(1, 2));

@@ -27,6 +27,20 @@ pub(crate) fn sym(shape: impl Into<Shape>, dev: &Device) -> Tensor {
     Tensor::symbolic(shape.into(), dev)
 }
 
+/// The output gradient of a one-output op: [`Graph::backward_from`]
+/// runs a node's backward only once one of its outputs has a gradient.
+///
+/// [`Graph::backward_from`]: crate::Graph::backward_from
+#[expect(
+    clippy::expect_used,
+    reason = "backward skips a node none of whose outputs has a gradient"
+)]
+pub(crate) fn out_grad(grads: &[Option<Tensor>]) -> &Tensor {
+    grads[0]
+        .as_ref()
+        .expect("a one-output node runs backward with its gradient")
+}
+
 /// True when every listed tensor carries data.
 pub(crate) fn all_numeric(ts: &[&Tensor]) -> bool {
     ts.iter().all(|t| t.has_data())

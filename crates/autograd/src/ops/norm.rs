@@ -23,7 +23,7 @@ impl Op for GeluOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("gelu grad");
+        let dy = super::out_grad(grads);
         let x = &saved[0];
         let dx = dy.mul(&x.gelu_grad());
         let cost = OpCost::new(10 * dy.numel() as u64, dy.bytes() + x.bytes(), dx.bytes());
@@ -60,7 +60,7 @@ impl Op for DropoutOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("dropout grad");
+        let dy = super::out_grad(grads);
         let mask = &saved[0];
         let dx = dy.mul(mask).scale(self.scale);
         let cost = OpCost::new(dy.numel() as u64, dy.bytes() + mask.bytes(), dx.bytes());
@@ -101,13 +101,12 @@ impl Op for LayernormOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("layernorm grad");
+        let dy = super::out_grad(grads);
         let x = &saved[0];
         let gamma = &saved[1];
         let mean = &saved[2];
         let rstd = &saved[3];
-        let h = *x.dims().last().expect("layernorm rank");
-        let rows = x.numel() / h;
+        let (rows, h) = x.shape().as_2d();
         let n = x.numel() as u64;
         let cost = OpCost::new(12 * n, 3 * x.bytes(), x.bytes() + 2 * gamma.bytes());
 
@@ -188,7 +187,7 @@ impl Op for SoftmaxOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("softmax grad");
+        let dy = super::out_grad(grads);
         let y = &saved[0];
         grads_in[0] = Some(y.softmax_grad(dy));
         OpCost::new(4 * y.numel() as u64, 2 * y.bytes(), y.bytes())
@@ -223,7 +222,7 @@ impl Op for CausalMaskOp {
         grads: &[Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = grads[0].as_ref().expect("mask grad");
+        let dy = super::out_grad(grads);
         // Gradient of masked (future) positions is zero.
         grads_in[0] = Some(dy.fill_above_diagonal(0.0));
         OpCost::new(dy.numel() as u64, dy.bytes(), dy.bytes())

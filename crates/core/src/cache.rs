@@ -25,7 +25,6 @@
 //! the free event with the store's completion time
 //! ([`ssdtrain_simhw::GpuMemory::with_time`]); a tensor that ends up
 //! forwarded was never actually released, and no event is emitted.
-// ssdtrain-lint: hot-path
 
 use crate::adaptive::{AdaptivePlan, ModuleProfile, StepProfile};
 use crate::coalesce::WriteCoalescer;

@@ -1,7 +1,6 @@
 //! The autograd engine's view of the cache: `pack` / `unpack`
 //! (Algorithm 2) and the module hooks that track scopes, phases and
 //! backward's consumption point.
-// ssdtrain-lint: hot-path
 
 use super::prefetch::position_near;
 use super::record::ScopeMeta;
@@ -19,13 +18,17 @@ impl SavedTensorHooks for TensorCache {
         }
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "unpack of an unregistered id is an engine-integration bug, not a recoverable runtime failure"
+    )]
     fn unpack(&self, packed: &Packed) -> Tensor {
         match packed {
             // Algorithm 2, line 20.
             Packed::Tensor(t) => t.clone(),
             Packed::Opaque(id) => self
                 .consume(&mut self.state.lock(), *id)
-                .unwrap_or_else(|| panic!("unpack of unknown record {id}")), // ssdtrain-lint: allow(panic-free-hot-path): unpack of an unregistered id is an engine-integration bug, not a recoverable runtime failure
+                .unwrap_or_else(|| panic!("unpack of unknown record {id}")),
         }
     }
 }

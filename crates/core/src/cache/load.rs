@@ -1,6 +1,5 @@
 //! The load path: reloads (on demand, prefetched, state), read with
 //! retries, `unpack`'s consume, and the stalls they expose.
-// ssdtrain-lint: hot-path
 
 use super::record::{RecState, Record, RecordId, Reload, State, StateSlot};
 use super::TensorCache;

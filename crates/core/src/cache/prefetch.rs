@@ -1,7 +1,6 @@
 //! Backward prefetching: the per-tensor depth prefetcher, the group
 //! look-ahead and the state reads ahead of it, bounded by the memory
 //! backward hands back.
-// ssdtrain-lint: hot-path
 
 use super::record::{Lookahead, RecState, RecordId, Reload, State, StateSlot};
 use super::TensorCache;

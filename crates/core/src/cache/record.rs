@@ -1,7 +1,6 @@
 //! The cache's data model: the `Record` every offloaded tensor is, the
 //! handles, segments and look-ahead cursors built on records, and the one
 //! `State` behind the cache's lock.
-// ssdtrain-lint: hot-path
 
 use crate::adaptive::{AdaptivePlan, StepProfile};
 use crate::coalesce::WriteCoalescer;

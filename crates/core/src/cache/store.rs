@@ -1,7 +1,6 @@
 //! The store path: admission, staging into segments, seal and submit,
 //! commit-and-recover, withdrawal (forwarding and cancellation), state-slot
 //! offload and release, and the store drain a stage exit waits for.
-// ssdtrain-lint: hot-path
 
 use super::record::{Payload, RecState, Record, RecordId, ScopeSet, Segment, State, StateSlot};
 use super::TensorCache;

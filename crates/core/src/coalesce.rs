@@ -28,7 +28,6 @@
 //! commit / recover), and holds the lock. With `segment_bytes == 0`
 //! there is nothing to wait for: the cache seals every record the
 //! moment it is staged, a segment of one, and never stages it here.
-// ssdtrain-lint: hot-path
 
 use crate::placement::OffloadClass;
 use crate::tier::TierId;

@@ -26,7 +26,6 @@
 //! The queue is priced whole: stores that backward's forwarding cancels
 //! in flight are a runtime quantity, so the model is an upper bound on
 //! a link too slow to hide the drain and exact where it hides.
-// ssdtrain-lint: hot-path
 
 use crate::adaptive::StepProfile;
 use crate::io::IoEngine;

@@ -6,7 +6,6 @@
 //! become `io::Error`s the cache's recovery machinery handles;
 //! [`FaultKind::SlowIo`] firings throttle the attached [`IoEngine`]
 //! mid-run instead, modelling a device that degrades rather than fails.
-// ssdtrain-lint: hot-path
 
 use crate::id::TensorKey;
 use crate::io::IoEngine;

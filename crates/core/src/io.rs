@@ -29,7 +29,6 @@
 //! [`IoEngine::tiered_with_bus`] builds the engine over any number of
 //! links; [`IoEngine::new`] is the one-link shape, whose bus is its own
 //! link.
-// ssdtrain-lint: hot-path
 
 use parking_lot::Mutex;
 use ssdtrain_simhw::{GpuMemory, SimClock, SimTime};

@@ -26,7 +26,19 @@
 //! The placement strategies of the ROK curve (Section 4.3) are selected
 //! with [`PlacementStrategy`].
 
-#![deny(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes_without_reason)]
+// Library code returns typed errors instead of panicking (DESIGN.md §7).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 //! Failure handling: offload-target I/O errors flow through
 //! [`RecoveryPolicy`] instead of panicking — see [`error::OffloadError`]

@@ -6,7 +6,6 @@
 //! offloader (kept "for future work on clusters with massive remote SSD
 //! storage"); its pool size is fixed up front, mirroring the profiling-
 //! based allocation.
-// ssdtrain-lint: hot-path
 
 use crate::id::TensorKey;
 use parking_lot::Mutex;

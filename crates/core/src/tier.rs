@@ -26,7 +26,6 @@
 //! A single-tier stack ([`TierStack::single`]) reproduces the flat
 //! `OffloadTarget` behavior exactly: unbounded admission, every failure
 //! surfacing at device-write time.
-// ssdtrain-lint: hot-path
 
 use crate::id::TensorKey;
 use crate::target::{BatchItem, OffloadTarget};

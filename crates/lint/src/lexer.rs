@@ -9,9 +9,8 @@
 //!    violation.
 //! 2. **Every token knows its line and column**, so diagnostics carry
 //!    precise `file:line` anchors.
-//! 3. **Comments are kept on the side** (with their doc-ness and
-//!    whether they trail code on the same line) for the suppression
-//!    parser.
+//! 3. **Comments are kept on the side**, with their doc-ness and
+//!    whether they trail code on the same line.
 //!
 //! The scanner understands line/block comments (nested), string, raw
 //! string, byte string and char literals, lifetimes, identifiers and

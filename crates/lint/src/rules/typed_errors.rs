@@ -5,53 +5,28 @@
 //! (retry? fall back? fail the step?) impossible to write. Every `pub
 //! fn` in the workspace must use a concrete error type.
 
-use super::Rule;
-use crate::diagnostics::Diagnostic;
-use crate::engine::LintContext;
 use crate::lexer::{TokKind, Token};
 
-pub struct TypedErrors;
+/// One `pub fn` signature that erases its error type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// 1-based line of the offending `Box` / `Result` token.
+    pub line: u32,
+    /// 1-based column of that token.
+    pub col: u32,
+    /// `` `pub fn name` uses `…` ``.
+    pub message: String,
+}
 
-impl Rule for TypedErrors {
-    fn name(&self) -> &'static str {
-        "typed-errors"
-    }
-
-    fn description(&self) -> &'static str {
-        "no Box<dyn Error> or Result<_, String> in pub fn signatures"
-    }
-
-    fn rationale(&self) -> &'static str {
-        "Guards the `FailStep` contract: `TrainSession::step` in `crates/train/src/session.rs` \
-         returns `StepError { error: OffloadError, .. }` and `tests/fault_injection.rs` branches \
-         on `err.error.is_store()` — a failed store kept the step exact, a failed load did \
-         not. `Box<dyn Error>` erases that variant and `Result<_, String>` erases everything, \
-         so the decision becomes string-parsing. It has happened: until PR 3 \
-         `PipelineExec::new` and the `run_step` helpers in `crates/train/src/pipeline_exec.rs` \
-         reported schedule bugs as strings; they now return `ConfigError`/`PipelineError`."
-    }
-
-    fn example(&self) -> &'static str {
-        "    pub fn store(&mut self, b: Block) -> Result<(), String> { … }     // <-- flagged\n\
-             pub fn load(&mut self, k: Key) -> Result<Block, Box<dyn Error>> { … } // <-- flagged\n\
-         \n\
-         Fix: return a concrete enum (`OffloadError`, `StepError`, `ConfigError`, …)."
-    }
-
-    fn check(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
-        for file in &ctx.ws.files {
-            let toks = &file.lexed.tokens;
-            let mut i = 0;
-            while i < toks.len() {
-                if let Some((name, sig)) = pub_fn_signature(toks, i) {
-                    check_signature(&file.rel, name, sig, out);
-                    i += 1;
-                } else {
-                    i += 1;
-                }
-            }
+/// Every erased error in the `pub fn` signatures of one file's tokens.
+pub fn check(toks: &[Token]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if let Some((name, sig)) = pub_fn_signature(toks, i) {
+            check_signature(name, sig, &mut out);
         }
     }
+    out
 }
 
 /// If `toks[at]` begins a `pub … fn` item, returns the function-name
@@ -78,12 +53,18 @@ fn pub_fn_signature(toks: &[Token], at: usize) -> Option<(&Token, &[Token])> {
         }
     }
     // Qualifiers before `fn`. A bare `pub const NAME` is a constant,
-    // not a function — `const` only counts when `fn` follows.
+    // not a function — `const` only counts when `fn` or another
+    // qualifier follows.
     loop {
         let t = toks.get(j)?;
         if t.is_ident("async")
             || t.is_ident("unsafe")
-            || (t.is_ident("const") && toks.get(j + 1).is_some_and(|n| n.is_ident("fn")))
+            || (t.is_ident("const")
+                && toks.get(j + 1).is_some_and(|n| {
+                    ["fn", "unsafe", "async", "extern"]
+                        .iter()
+                        .any(|q| n.is_ident(q))
+                }))
         {
             j += 1;
         } else if t.is_ident("extern") {
@@ -118,7 +99,14 @@ fn pub_fn_signature(toks: &[Token], at: usize) -> Option<(&Token, &[Token])> {
     Some((name, &toks[start..end]))
 }
 
-fn check_signature(rel: &str, name: &Token, sig: &[Token], out: &mut Vec<Diagnostic>) {
+fn check_signature(name: &Token, sig: &[Token], out: &mut Vec<Violation>) {
+    let mut flag = |t: &Token, what: &str| {
+        out.push(Violation {
+            line: t.line,
+            col: t.col,
+            message: format!("`pub fn {}` uses `{what}`", name.text),
+        });
+    };
     for (i, t) in sig.iter().enumerate() {
         // `Box<dyn … Error …>` anywhere in the signature.
         if t.is_ident("Box")
@@ -126,17 +114,7 @@ fn check_signature(rel: &str, name: &Token, sig: &[Token], out: &mut Vec<Diagnos
             && sig.get(i + 2).is_some_and(|n| n.is_ident("dyn"))
             && sig[i + 3..].iter().take(12).any(|n| n.is_ident("Error"))
         {
-            out.push(Diagnostic::new(
-                "typed-errors",
-                rel.to_owned(),
-                t.line,
-                t.col,
-                format!(
-                    "`pub fn {}` uses `Box<dyn Error>`; use a concrete error type \
-                     (`OffloadError`, `StepError`, `ConfigError`, …) so callers can recover",
-                    name.text
-                ),
-            ));
+            flag(t, "Box<dyn Error>");
         }
         // `Result<_, String>` — a stringly-typed error channel.
         if t.is_ident("Result") && sig.get(i + 1).is_some_and(|n| n.is_punct("<")) {
@@ -147,17 +125,7 @@ fn check_signature(rel: &str, name: &Token, sig: &[Token], out: &mut Vec<Diagnos
                     .is_some_and(|t| t.text == "String")
                     && !err_arg.iter().any(|t| t.is_punct("<"));
                 if is_string {
-                    out.push(Diagnostic::new(
-                        "typed-errors",
-                        rel.to_owned(),
-                        t.line,
-                        t.col,
-                        format!(
-                            "`pub fn {}` returns `Result<_, String>`; define a typed error \
-                             so failures stay machine-matchable",
-                            name.text
-                        ),
-                    ));
+                    flag(t, "Result<_, String>");
                 }
             }
         }
@@ -195,17 +163,8 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn check_src(src: &str) -> Vec<Diagnostic> {
-        let lexed = lex(src);
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < lexed.tokens.len() {
-            if let Some((name, sig)) = pub_fn_signature(&lexed.tokens, i) {
-                check_signature("x.rs", name, sig, &mut out);
-            }
-            i += 1;
-        }
-        out
+    fn check_src(src: &str) -> Vec<Violation> {
+        check(&lex(src).tokens)
     }
 
     #[test]

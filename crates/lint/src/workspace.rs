@@ -3,20 +3,18 @@
 use crate::lexer::{lex, Lexed};
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Directory names that are never first-party source: build output,
-/// vendored offline dep shims, VCS metadata, and the lint's own seeded
-/// fixture trees (which exist to *contain* violations).
+/// vendored offline dep shims, VCS metadata, and test fixture trees
+/// (which exist to *contain* violations).
 const SKIP_DIRS: [&str; 4] = ["target", "vendor", ".git", "fixtures"];
 
 /// One lexed source file.
 #[derive(Debug)]
 pub struct SourceFile {
-    /// Path relative to the lint root, `/`-separated.
+    /// Path relative to the scanned root, `/`-separated.
     pub rel: String,
-    /// Raw source lines (for suppression spans and context).
-    pub lines: Vec<String>,
     /// Token stream and comments.
     pub lexed: Lexed,
 }
@@ -24,8 +22,6 @@ pub struct SourceFile {
 /// Every scanned file of the workspace under one root.
 #[derive(Debug)]
 pub struct Workspace {
-    /// The scanned root directory.
-    pub root: PathBuf,
     /// Files sorted by relative path.
     pub files: Vec<SourceFile>,
 }
@@ -46,15 +42,11 @@ impl Workspace {
                 let src = fs::read_to_string(root.join(&rel)).ok()?;
                 Some(SourceFile {
                     rel,
-                    lines: src.lines().map(str::to_owned).collect(),
                     lexed: lex(&src),
                 })
             })
             .collect();
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-        })
+        Ok(Workspace { files })
     }
 }
 

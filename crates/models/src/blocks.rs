@@ -179,6 +179,7 @@ impl TransformerLayer {
     ///
     /// # Panics
     /// Panics if the layer has a cross block but `ctx` is `None`.
+    #[expect(clippy::expect_used, reason = "documented contract")]
     pub fn forward(&self, g: &Graph, x: &Value, ctx: Option<&Value>) -> Value {
         let mut x = x.clone();
         x = g.scoped("attn", || {
@@ -203,6 +204,10 @@ impl TransformerLayer {
 
     /// Runs the layer under activation checkpointing: intermediates are
     /// recomputed in backward (the ROK curve's "recompute" strategy).
+    #[expect(
+        clippy::expect_used,
+        reason = "`checkpoint` returns one value per output of its body, which returns one"
+    )]
     pub fn forward_checkpointed(
         self: &Arc<Self>,
         g: &Graph,

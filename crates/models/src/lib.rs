@@ -23,7 +23,19 @@
 //! assert!(loss.tensor().item().is_finite());
 //! ```
 
-#![deny(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes_without_reason)]
+// Library code returns typed errors instead of panicking (DESIGN.md §7).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub mod batch;
 pub mod bert;

@@ -57,6 +57,7 @@ impl T5Model {
     ///
     /// # Panics
     /// Panics if the batch lacks decoder tokens.
+    #[expect(clippy::expect_used, reason = "documented contract")]
     pub fn forward_loss(&self, g: &Graph, batch: &Batch, recompute: Recompute) -> Value {
         let enc_ids = g.constant(batch.tokens.clone());
         let enc_h = g.scoped("enc_embed", || {

@@ -29,7 +29,6 @@
 //! The arena is shared (`Clone` hands out the same state, like
 //! [`GpuMemory`](crate::GpuMemory)) so the cache, the coalescer and the
 //! prefetcher can draw from one pinned pool.
-// ssdtrain-lint: hot-path
 
 use parking_lot::Mutex;
 use std::collections::HashMap;

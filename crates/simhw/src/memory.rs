@@ -225,7 +225,7 @@ impl GpuMemory {
     /// sorted; events at one instant keep the order they were recorded in.
     fn sorted_events(&self) -> Vec<Event> {
         let mut evs = self.state.lock().events.clone();
-        evs.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite times"));
+        evs.sort_by(|a, b| a.time.as_secs().total_cmp(&b.time.as_secs()));
         evs
     }
 
@@ -494,7 +494,7 @@ mod tests {
     /// before `step_memory`: a fresh clone, stably sorted by time.
     fn sorted_by_reference(mem: &GpuMemory) -> Vec<(SimTime, i64, MemClass)> {
         let mut evs: Vec<Event> = mem.state.lock().events.clone();
-        evs.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite times"));
+        evs.sort_by(|a, b| a.time.as_secs().total_cmp(&b.time.as_secs()));
         evs.iter().map(|e| (e.time, e.delta, e.class)).collect()
     }
 

@@ -42,6 +42,12 @@ fn binary_shape_check(op: &str, a: &Tensor, b: &Tensor) {
     );
 }
 
+/// The last extent of `t`: the row width of a row-wise kernel.
+fn row_width(op: &str, t: &Tensor) -> usize {
+    assert!(t.rank() > 0, "{op} on scalar");
+    t.dims()[t.rank() - 1]
+}
+
 /// Elementwise `f(a, b)` over two same-shaped tensors.
 fn zip_map(op: &str, a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     binary_shape_check(op, a, b);
@@ -121,7 +127,7 @@ impl Tensor {
     /// # Panics
     /// Panics if `bias` is not 1-D of length `last_dim`.
     pub fn add_bias(&self, bias: &Tensor) -> Tensor {
-        let h = *self.dims().last().expect("add_bias on scalar");
+        let h = row_width("add_bias", self);
         assert_eq!(bias.dims(), &[h], "bias must be 1-D of the last dim");
         if !self.has_data() || !bias.has_data() {
             return symbolic_like(self, *self.shape());
@@ -199,7 +205,7 @@ impl Tensor {
     /// Sums over all leading dimensions, producing a 1-D tensor of the
     /// last-dimension length (the reduction used for bias gradients).
     pub fn sum_leading(&self) -> Tensor {
-        let h = *self.dims().last().expect("sum_leading on scalar");
+        let h = row_width("sum_leading", self);
         if !self.has_data() {
             return symbolic_like(self, [h]);
         }
@@ -287,7 +293,7 @@ impl Tensor {
 
     /// Softmax over the last dimension.
     pub fn softmax_last(&self) -> Tensor {
-        let h = *self.dims().last().expect("softmax on scalar");
+        let h = row_width("softmax", self);
         if !self.has_data() {
             return symbolic_like(self, *self.shape());
         }
@@ -314,7 +320,7 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn softmax_grad(&self, dy: &Tensor) -> Tensor {
         binary_shape_check("softmax_grad", self, dy);
-        let h = *self.dims().last().expect("softmax on scalar");
+        let h = row_width("softmax", self);
         if !self.has_data() || !dy.has_data() {
             return symbolic_like(self, *self.shape());
         }
@@ -371,7 +377,7 @@ impl Tensor {
     /// # Panics
     /// Panics if `gamma`/`beta` are not 1-D of the last-dim length.
     pub fn layernorm(&self, gamma: &Tensor, beta: &Tensor, eps: f32) -> (Tensor, Tensor, Tensor) {
-        let h = *self.dims().last().expect("layernorm on scalar");
+        let h = row_width("layernorm", self);
         assert_eq!(gamma.dims(), &[h], "gamma must be [hidden]");
         assert_eq!(beta.dims(), &[h], "beta must be [hidden]");
         let rows = self.numel() / h;
@@ -481,7 +487,7 @@ impl Tensor {
     /// # Panics
     /// Panics if shapes disagree.
     pub fn embedding_grad(vocab: usize, ids: &Tensor, grad: &Tensor) -> Tensor {
-        let h = *grad.dims().last().expect("embedding grad rank");
+        let h = row_width("embedding_grad", grad);
         assert_eq!(
             grad.numel(),
             ids.numel() * h,

@@ -17,6 +17,10 @@ thread_local! {
 
 /// Appends the strided view `dims`/`strides` at `offset` to `out` in
 /// row-major order.
+#[expect(
+    clippy::unreachable,
+    reason = "`Tensor::strides` is built with one entry per dimension"
+)]
 fn gather(data: &[f32], dims: &[usize], strides: &[usize], offset: usize, out: &mut Vec<f32>) {
     match (dims, strides) {
         ([], _) => out.push(data[offset]),
@@ -348,6 +352,10 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics if the tensor carries no data (symbolic or released).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract; `try_to_vec` is the fallible form"
+    )]
     pub fn to_vec(&self) -> Vec<f32> {
         self.try_to_vec()
             .expect("to_vec on a tensor without data (symbolic or released)")
@@ -389,6 +397,10 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics if any tensor carries no data (symbolic or released).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: kernels check `has_data` before reading"
+    )]
     pub fn with_values_of<const N: usize, R>(
         tensors: [&Tensor; N],
         f: impl FnOnce([&[f32]; N]) -> R,
@@ -439,6 +451,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on rank mismatch, out-of-range index, or missing data.
+    #[expect(clippy::expect_used, reason = "documented contract, like the asserts")]
     pub fn at(&self, index: &[usize]) -> f32 {
         assert_eq!(index.len(), self.rank(), "index rank mismatch");
         let mut off = self.offset;

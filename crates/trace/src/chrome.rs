@@ -160,7 +160,7 @@ pub fn text_summary(events: &[TraceEvent]) -> String {
             .iter()
             .filter(|e| e.cat == TraceCategory::Stage)
             .collect();
-        stages.sort_by(|a, b| a.ts.partial_cmp(&b.ts).expect("finite times"));
+        stages.sort_by(|a, b| a.ts.as_secs().total_cmp(&b.ts.as_secs()));
         for s in stages {
             if let EventKind::Span { dur_secs } = s.kind {
                 let _ = writeln!(

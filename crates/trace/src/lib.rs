@@ -28,7 +28,19 @@
 //! this crate in the dependency graph and therefore cannot emit trace
 //! events directly).
 
-#![deny(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes_without_reason)]
+// Library code returns typed errors instead of panicking (DESIGN.md §7).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 mod chrome;
 mod metrics;
@@ -407,7 +419,7 @@ impl TraceSink {
     /// [`OpenSpan::end`] (or discard it with [`OpenSpan::cancel`]) on
     /// every path. The end timestamp comes from the simulated clock,
     /// which a `Drop` impl cannot read, so closing is deliberately
-    /// manual — the `span-balance` lint proves the pairing.
+    /// manual: a span dropped unclosed leaves a `<name>.open` instant.
     pub fn begin_span(
         &self,
         cat: TraceCategory,

@@ -1,5 +1,4 @@
 //! The GPU-stream executor: turns operator costs into simulated time.
-// ssdtrain-lint: hot-path
 
 use parking_lot::Mutex;
 use ssdtrain_autograd::{ExecObserver, OpCost, Phase};

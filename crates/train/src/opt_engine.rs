@@ -40,7 +40,6 @@
 //!
 //! [`SessionBuilder::overlap_optimizer`]: crate::builder::SessionBuilder::overlap_optimizer
 //! [`Sgd::step_range`]: ssdtrain_autograd::optim::Sgd::step_range
-// ssdtrain-lint: hot-path
 
 use crate::schedule::stage_ranges;
 use crate::session::OffloadClassSet;
@@ -215,9 +214,6 @@ impl Updater {
     fn apply(&self, states: &mut [Option<StateSlot>], i: usize) {
         let mut opt = self.opt.lock();
         opt.ensure_velocity(i);
-        // ssdtrain-lint: allow(panic-free-hot-path): `step_range` skips any
-        // parameter without materialised data before touching values, so the
-        // `to_vec` expect along `step_range → deep_clone_as → to_vec` cannot fire
         opt.step_range(i..i + 1);
         if let Some(p) = opt.params().get(i) {
             p.zero_grad();
@@ -437,9 +433,6 @@ impl OptEngine {
             for i in range.clone() {
                 opt.ensure_velocity(i);
             }
-            // ssdtrain-lint: allow(panic-free-hot-path): `step_range` skips any
-            // parameter without materialised data before touching values, so the
-            // `to_vec` expect along `step_range → deep_clone_as → to_vec` cannot fire
             opt.step_range(range.clone());
             for p in &opt.params()[range.clone()] {
                 p.zero_grad();

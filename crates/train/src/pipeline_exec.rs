@@ -9,7 +9,6 @@
 //! tensor cache; cross-stage sends synchronise the clocks, so the step's
 //! makespan and bubble structure emerge from real execution rather than
 //! the closed-form model in [`crate::pipeline`].
-// ssdtrain-lint: hot-path
 
 use crate::builder::ConfigError;
 use crate::error::{PipelineError, StepError};
@@ -343,7 +342,10 @@ impl PipelineExec {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the per-stage schedule buffers are disjoint borrows of `run`'s locals"
+    )]
     fn exec_forward(
         &self,
         s: usize,
@@ -443,10 +445,6 @@ impl PipelineExec {
         let n_ext = usize::from(!stage.first);
         let mut ext = [None];
         let graph = &stage.graph;
-        // ssdtrain-lint: allow(panic-free-hot-path): saved values are packed
-        // and unpacked under the same hooks configuration, so an opaque pack
-        // without unpack hooks (the panic in `backward_from`) cannot occur,
-        // and the one output goes with one gradient
         graph.backward_from(&[out], [Some(seed_grad)], &mut ext[..n_ext]);
         if !stage.first {
             grads_back[s][mb] = Some(ext[0].take().ok_or(PipelineError::Schedule {

@@ -481,6 +481,7 @@ impl TrainSession {
     ///
     /// # Panics
     /// Panics if the strategy is not `Offload`.
+    #[expect(clippy::expect_used, reason = "documented contract")]
     pub fn profile_step(&mut self) -> Result<(StepProfile, AdaptivePlan), StepError> {
         let cache = self
             .cache
@@ -568,8 +569,8 @@ impl TrainSession {
             self.runtime.clock.now(),
         );
         // The whole measured step as one manually closed span: the end
-        // timestamp is simulated time, so RAII cannot close it — the
-        // span-balance lint proves both exits below end it.
+        // timestamp is simulated time, so RAII cannot close it. Both exits
+        // below end it; `OpenSpan`'s `Drop` flags one that did not.
         let step_span =
             self.trace
                 .begin_span(TraceCategory::Session, "step", self.runtime.clock.now());
@@ -612,6 +613,10 @@ impl TrainSession {
                     pending_loss = Some(loss);
                 }
                 StepCmd::BackwardPass { mb } => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the schedule runs a micro-batch's forward before its backward"
+                    )]
                     let loss = pending_loss.take().expect("forward precedes backward");
                     // The last backward of the step finishes every
                     // gradient: listen for each one becoming final, so

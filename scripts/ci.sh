@@ -34,14 +34,11 @@ cargo test -q --test paper_claims
 # and a per-node budget for a symbolic BERT step. Run explicitly for the
 # same reason.
 cargo test -q --test alloc_budget
-# The lint's own contract: golden diagnostics over the seeded fixture
-# trees (regenerate with UPDATE_GOLDEN=1 after intentional rule
-# changes) plus the --explain CLI surface. Run explicitly so a harness
-# filter can never silently drop the analyzer's regression net. (Its
-# unit tests, run above, hold the doc-drift gate: one DESIGN.md §7
-# catalogue row per registry rule.)
-cargo test -q -p ssdtrain-lint --test golden_diagnostics
-cargo test -q -p ssdtrain-lint --test explain_cli
+# The source rules clippy cannot hold (DESIGN.md §7): typed errors in
+# public signatures (scanned with the `ssdtrain-lint` lexer), and every
+# product crate denying panics outside tests. Run explicitly for the
+# same reason.
+cargo test -q --test source_rules
 # The benchmark crate is its own workspace, so the tests above never
 # compile it: a quick pass catches a source-incompatible change to the
 # API it builds against, and its output checks (trace-vs-counter byte
@@ -54,12 +51,9 @@ bash benchmark/run.sh --quick
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 # Tests, examples and bins too: a leftover `.clone()` of a `Copy` type
 # (`clippy::clone_on_copy`) hides in test code as easily as in a crate.
+# This run also holds the project invariants (DESIGN.md §7): no wall
+# clock (`clippy.toml`), no panicking construct in a product crate's
+# library code, and a reason on every `#[allow]` / `#[expect]`.
 cargo clippy --workspace --all-targets -- -D warnings
-# Project-invariant lint: sim-clock, panic-freedom and error discipline
-# (see DESIGN.md §7). Exits non-zero on any violation. One full pass
-# gates: a clean workspace is clean on every changed file too, and
-# SARIF's byte stability and the --changed-only filter are pinned by
-# the lint's own tests (golden_diagnostics above, its unit tests).
-cargo run -p ssdtrain-lint --release -- --format json
 cargo fmt --check
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
