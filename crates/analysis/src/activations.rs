@@ -12,8 +12,6 @@
 //! * MLP block: LN input + FC1 input at `2·B·S·h` each, FC1 output and
 //!   GELU output `2 · 2·B·S·4h/tp`, dropout mask `B·S·h`.
 
-use serde::{Deserialize, Serialize};
-
 /// Closed-form activation-bytes model for one transformer layer stack.
 ///
 /// ```
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let gb = m.step_offload_bytes() as f64 / 1e9;
 /// assert!((9.0..14.0).contains(&gb));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivationModel {
     /// Micro-batch size per GPU (sequences).
     pub batch: usize,

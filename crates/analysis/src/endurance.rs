@@ -8,13 +8,12 @@
 
 use crate::activations::ActivationModel;
 use crate::perfmodel::StepTimeModel;
-use serde::{Deserialize, Serialize};
 use ssdtrain_simhw::catalog::{ssds, MegatronConfig};
 use ssdtrain_simhw::ssd::YEAR_SECS;
 use ssdtrain_simhw::{Raid0, WearMeter};
 
 /// One row of the Figure 9 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
     /// Framework label (`Megatron` / `ZeRO3`).
     pub framework: String,

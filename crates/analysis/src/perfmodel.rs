@@ -8,12 +8,11 @@
 //! in all communication inefficiency. The training step is assumed to be
 //! 3× the forward time.
 
-use serde::{Deserialize, Serialize};
 use ssdtrain_simhw::catalog::MegatronConfig;
 use ssdtrain_simhw::GpuSpec;
 
 /// Analytic step-time model for one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepTimeModel {
     /// Whole-system FLOPs per step (forward + backward).
     pub step_flops: f64,

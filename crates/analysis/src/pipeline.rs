@@ -6,7 +6,6 @@
 //! the memory that activation offloading opens up.
 
 use crate::activations::ActivationModel;
-use serde::{Deserialize, Serialize};
 
 /// Idle fraction of a `pp`-stage pipeline running `m` micro-batches
 /// (GPipe/1F1B bubble formula).
@@ -24,7 +23,7 @@ pub fn pipeline_efficiency(pp: usize, m: usize) -> f64 {
 }
 
 /// Activation residency of one pipeline stage under 1F1B.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageResidency {
     /// Micro-batches of activations a stage holds at its peak
     /// (min(m, pp) for 1F1B; the first stage is the worst).

@@ -7,8 +7,6 @@
 //! whole-system activation volume grows like `C^(5/6)`, faster than any
 //! other memory use, so the capacity gap keeps widening.
 
-use serde::{Deserialize, Serialize};
-
 /// End of the observation window of the paper's Figure 1 (its trend data
 /// was accessed mid-2024 and the capacity-focused H200/B200 parts shipped
 /// at the margin of it). Fits reproducing the figure use accelerators up
@@ -18,7 +16,7 @@ pub const FIGURE1_WINDOW_END: f64 = 2023.5;
 
 /// An exponential fit `y ≈ a · exp(b · (x - x0))` over (year, value)
 /// points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrendFit {
     /// Value at the reference year.
     pub a: f64,

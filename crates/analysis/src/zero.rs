@@ -2,10 +2,8 @@
 //! `S_others` accounting: parameters, gradients and optimizer states per
 //! GPU under the Zero Redundancy Optimizer's sharding stages.
 
-use serde::{Deserialize, Serialize};
-
 /// ZeRO sharding stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ZeroStage {
     /// No sharding (plain data parallelism).
     None,
@@ -21,7 +19,7 @@ pub enum ZeroStage {
 /// `S_others`), under mixed-precision Adam-style training: 2 bytes of
 /// FP16 weights, 2 bytes of FP16 gradients and 12 bytes of FP32
 /// optimizer state (master copy + two moments) per parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZeroMemoryModel {
     /// Total model parameters.
     pub params: u64,

@@ -23,12 +23,11 @@
 //! only once the profiling backward is over; ended at the
 //! forward/backward boundary, it knows the cutoff alone.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Profile of one module (leaf scope) collected during the profiling
 /// step — the per-node annotations of the paper's Figure 8 tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleProfile {
     /// Module path, e.g. `"model/layer2/mlp"`.
     pub path: String,
@@ -38,15 +37,13 @@ pub struct ModuleProfile {
     pub fwd_secs: f64,
     /// Not measured: the cache leaves it 0 and no planner reads it. The
     /// field stays so that profiles written out by hand still build.
-    #[serde(default)]
     pub store_secs: f64,
     /// Not measured, like `store_secs`.
-    #[serde(default)]
     pub load_secs: f64,
 }
 
 /// Whole-step profile (the root annotations of Figure 8).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StepProfile {
     /// Modules in forward order.
     pub modules: Vec<ModuleProfile>,
@@ -74,7 +71,7 @@ impl StepProfile {
 
 /// The planner's decision: which module paths keep their activations in
 /// GPU memory.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AdaptivePlan {
     /// Module paths whose activations are *not* offloaded.
     pub keep_paths: HashSet<String>,

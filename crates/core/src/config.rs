@@ -1,11 +1,9 @@
 //! Tensor-cache configuration and the ROK placement strategies.
 
-use serde::{Deserialize, Serialize};
-
 /// Where activations live between forward and backward — the three
 /// corners of the paper's recompute-offload-keep (ROK) design space
 /// (Section 4.3, Figure 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PlacementStrategy {
     /// Keep every activation in GPU memory (the PyTorch default).
     Keep,
@@ -62,7 +60,7 @@ impl std::fmt::Display for PlacementStrategy {
 /// structured [`crate::OffloadError`] regardless of policy if they
 /// persist: the activation bytes are gone and no local decision can
 /// bring them back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RecoveryPolicy {
     /// Surface the first store failure as a step error. The tensor is
     /// still kept resident so the in-flight step stays numerically
@@ -105,7 +103,7 @@ pub const MAX_IO_RETRIES: u32 = 2;
 /// Tunables of the [`crate::TensorCache`]. Every optimisation the paper
 /// describes can be disabled individually, which is what the ablation
 /// benches sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TensorCacheConfig {
     /// Minimum element count for a tensor to be offloaded; smaller
     /// tensors are kept (paper Algorithm 2 line 12: `2**20`).
@@ -148,7 +146,6 @@ pub struct TensorCacheConfig {
     /// the memory backward hands back and never lifts the peak. `0`
     /// (the default) keeps the per-module lookahead driven by
     /// `prefetch_depth` alone.
-    #[serde(default)]
     pub prefetch_group_modules: usize,
     /// Coalesce small tensor stores into sequential segments of at most
     /// this many bytes before they reach the I/O queues: one segment is
@@ -156,7 +153,6 @@ pub struct TensorCacheConfig {
     /// paper keeps the SSD write path dense (WAF → 1). `0` (the
     /// default) seals on every stage — every tensor is a segment of
     /// one, its own job and its own device write.
-    #[serde(default)]
     pub coalesce_segment_bytes: u64,
     /// Backward-to-forward time ratio assumed by the adaptive planner
     /// (the paper estimates backward ≈ 2× forward).

@@ -60,8 +60,8 @@ pub mod stats;
 pub mod target;
 pub mod tier;
 
-/// The observability layer (re-exported `ssdtrain-trace` crate): trace
-/// sink, metrics registry and exporters.
+/// The observability layer (re-exported `ssdtrain-trace` crate): the
+/// trace sink and its two exporters.
 pub use ssdtrain_trace as trace;
 
 // The crate root re-exports exactly the prelude — one list to maintain.

@@ -7,8 +7,6 @@
 //! admission decision ([`crate::TierStack::reserve`]). Both are keyed by
 //! the class defined here, as are the stats counters and trace lanes.
 
-use serde::{Deserialize, Serialize};
-
 /// *What kind* of tensor is leaving GPU memory.
 ///
 /// The paper offloads activations only; GreedySnake and ZeRO-Infinity
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// weights). Every keep decision, tier admission and stats counter is
 /// keyed by this class, so activation and state traffic share one store
 /// path and one modeled critical path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OffloadClass {
     /// Forward activations saved for backward (the paper's subject).
     Activation,

@@ -30,7 +30,6 @@
 use crate::id::TensorKey;
 use crate::target::{BatchItem, OffloadTarget};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io;
 use std::sync::Arc;
@@ -134,7 +133,7 @@ impl fmt::Debug for Tier {
 /// Per-tier traffic counters for one training step (reset by
 /// [`TierStack::reset_counters`]; surfaced as
 /// [`crate::OffloadStats::tiers`]).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TierCounters {
     /// The tier's name (stable across steps).
     pub name: String,
@@ -154,13 +153,10 @@ pub struct TierCounters {
     /// Seconds the step stalled waiting for this tier's store queue to
     /// drain at a stage exit (filled from the I/O engine when the
     /// stats snapshot is taken).
-    #[serde(default)]
     pub stall_secs: f64,
     /// Seconds this tier's link spent transferring stores this step.
-    #[serde(default)]
     pub write_busy_secs: f64,
     /// Seconds this tier's link spent transferring loads this step.
-    #[serde(default)]
     pub read_busy_secs: f64,
 }
 

@@ -1,7 +1,5 @@
 //! Model configurations.
 
-use serde::{Deserialize, Serialize};
-
 /// Which transformer layers run under activation checkpointing.
 ///
 /// `FirstLayers(k)` recomputes the first `k` layers and leaves the rest
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// building block of hybrid recompute+offload points in the interior of
 /// the ROK plane (the joint optimisation the paper's Section 4.4 leaves
 /// open).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Recompute {
     /// No checkpointing.
     #[default]
@@ -33,7 +31,7 @@ impl Recompute {
 
 /// The three transformer families of the paper's evaluation
 /// (Section 2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Arch {
     /// Decoder-only (causal attention).
     Gpt,
@@ -62,7 +60,7 @@ impl std::fmt::Display for Arch {
 }
 
 /// Hyperparameters of one model instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Architecture family.
     pub arch: Arch,

@@ -16,8 +16,6 @@
 //!   block in the pool (large pool only, like the real allocator);
 //! * nothing is ever returned to the device: `reserved` only grows.
 
-use serde::{Deserialize, Serialize};
-
 const SMALL_GRAIN: u64 = 512;
 const SMALL_LIMIT: u64 = 1 << 20;
 const LARGE_GRAIN: u64 = 2 << 20;
@@ -35,7 +33,7 @@ pub fn rounded_size(bytes: u64) -> u64 {
 }
 
 /// Allocator statistics after a replayed event stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AllocatorStats {
     /// Bytes currently handed out to live tensors (rounded sizes).
     pub allocated: u64,

@@ -10,10 +10,9 @@
 //!   lifespan/bandwidth modelling sweeps over.
 
 use crate::ssd::SsdSpec;
-use serde::{Deserialize, Serialize};
 
 /// One accelerator generation (Figure 1 trend point).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorPoint {
     /// Device name.
     pub name: String,
@@ -26,7 +25,7 @@ pub struct AcceleratorPoint {
 }
 
 /// One LLM release (Figure 1 trend point).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LlmPoint {
     /// Model name.
     pub name: String,
@@ -37,7 +36,7 @@ pub struct LlmPoint {
 }
 
 /// A cluster node or cloud instance (Figure 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstancePoint {
     /// Instance or cluster name.
     pub name: String,
@@ -50,7 +49,7 @@ pub struct InstancePoint {
 }
 
 /// One large-system training configuration for the Figure 9 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MegatronConfig {
     /// Framework label: `"Megatron"` or `"ZeRO3"`.
     pub framework: String,

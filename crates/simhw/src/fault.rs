@@ -15,10 +15,8 @@
 //! ([`FaultTrigger::WearFraction`]), and random transient errors
 //! ([`FaultTrigger::Random`], driven by the plan's seed).
 
-use serde::{Deserialize, Serialize};
-
 /// What happens when a fault fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The write fails with an I/O error (spill dir gone, disk full).
     WriteError,
@@ -48,7 +46,7 @@ impl FaultKind {
 }
 
 /// When a fault fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultTrigger {
     /// Fires on the `nth` I/O operation (0-based, counted across reads
     /// and writes in submission order).
@@ -77,7 +75,7 @@ pub enum FaultTrigger {
 }
 
 /// One (trigger, kind) rule with an optional budget of firings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRule {
     /// When the rule fires.
     pub trigger: FaultTrigger,
@@ -95,7 +93,7 @@ impl FaultRule {
 }
 
 /// Snapshot of how often a plan has fired, for reports and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultLog {
     /// Total I/O operations observed.
     pub ops: u64,
@@ -117,7 +115,7 @@ pub struct FaultLog {
 /// assert_eq!(plan.on_write(100, 0.0), Some(FaultKind::WriteError)); // op 1
 /// assert_eq!(plan.on_write(100, 0.0), None); // NthOp fires exactly once
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
     seed: u64,

@@ -1,7 +1,5 @@
 //! GPU kernel-time model.
 
-use serde::{Deserialize, Serialize};
-
 /// Performance characteristics of one GPU.
 ///
 /// Kernel durations follow a roofline: compute-bound kernels take
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let t = a100.kernel_time(2e12 as u64, 1 << 30, true);
 /// assert!(t > 0.012 && t < 0.017, "{t}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
     pub name: String,

@@ -3,13 +3,12 @@
 use crate::allocator::{AllocatorStats, CachingAllocator};
 use crate::time::{SimClock, SimTime};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use ssdtrain_tensor::{MemClass, MemTracker};
 use std::ops::Range;
 use std::sync::Arc;
 
 /// One point of the memory-footprint timeline (Figure 7 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FootprintPoint {
     /// Simulated time of the allocator event.
     pub time: SimTime,
@@ -20,7 +19,7 @@ pub struct FootprintPoint {
 }
 
 /// Summary of a step's memory behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryReport {
     /// Peak total resident bytes.
     pub peak_total: u64,

@@ -7,10 +7,8 @@
 //! endurance by roughly 2.5×. Lifespan is projected as
 //! `t_life = S_endurance · t_step / S_activations`.
 
-use serde::{Deserialize, Serialize};
-
 /// Static characteristics of one SSD model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsdSpec {
     /// Product name.
     pub name: String,
@@ -69,7 +67,7 @@ impl SsdSpec {
 /// coalesced write of the same payload. [`WearMeter::effective_waf`]
 /// reports `media_bytes / host_bytes` — the quantity the paper drives
 /// toward 1.0 with large sequential segments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WearMeter {
     /// Host bytes written so far.
     pub host_bytes: u64,
@@ -78,11 +76,9 @@ pub struct WearMeter {
     /// Endurance budget in host bytes at this WAF.
     pub endurance_bytes: f64,
     /// Media bytes actually worn (host bytes + per-op overheads).
-    #[serde(default)]
     pub media_bytes: u64,
     /// Fixed media overhead charged per write *operation* (0 = the
     /// pre-existing ideal model where media == host).
-    #[serde(default)]
     pub write_overhead_bytes: u64,
 }
 
@@ -155,7 +151,7 @@ impl WearMeter {
 }
 
 /// A RAID0 array: bandwidth and endurance sum across members.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Raid0 {
     /// Member drive model.
     pub member: SsdSpec,

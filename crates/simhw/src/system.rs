@@ -6,12 +6,11 @@ use crate::link::Channel;
 use crate::memory::GpuMemory;
 use crate::ssd::Raid0;
 use crate::time::SimClock;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// How offloaded bytes travel between GPU memory and the SSD array —
 /// the "Direct GPU-SSD data path" axis of the paper's Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OffloadPath {
     /// GPUDirect Storage: one PCIe hop, no CPU involvement (the paper's
     /// design, via kvikio/GDS).
@@ -28,7 +27,7 @@ pub enum OffloadPath {
 }
 
 /// Static description of one GPU's I/O neighbourhood in a training node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Human-readable name.
     pub name: String,
@@ -50,12 +49,10 @@ pub struct SystemConfig {
     pub offload_path: OffloadPath,
     /// Fixed per-store-job submission overhead, seconds (driver ioctl +
     /// DMA descriptor setup). 0 = the pre-existing bandwidth-only model.
-    #[serde(default)]
     pub store_job_overhead_secs: f64,
     /// Per-write-operation media overhead charged on the SSD array's
     /// wear meter, bytes (FTL mapping + partial erase-block RMW). 0 =
     /// ideal WAF-1 sequential model.
-    #[serde(default)]
     pub ssd_write_overhead_bytes: u64,
 }
 

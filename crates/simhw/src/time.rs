@@ -1,14 +1,13 @@
 //! Simulated time.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A point in simulated time, in seconds from step start.
 ///
 /// Backed by `f64`; all arithmetic is pure, so runs are deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -7,7 +7,6 @@
 //! timeline of the paper's Figure 7.
 
 use crate::dtype::DType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -18,7 +17,7 @@ use std::sync::Arc;
 /// else (parameters, gradients, optimizer state); tagging allocations lets
 /// the tracker report per-class peaks (Figures 10 and 11 report the
 /// activations peak, Figure 7 the total footprint).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemClass {
     /// Model weights.
     Parameter,

@@ -1,6 +1,5 @@
 //! Element types and their accounted widths.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Element type of a tensor.
@@ -15,7 +14,7 @@ use std::fmt;
 /// assert_eq!(DType::F16.byte_size(), 2);
 /// assert_eq!(DType::F32.byte_size(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DType {
     /// IEEE half precision. The paper trains with pure FP16 (Section 4.1).
     #[default]

@@ -7,7 +7,6 @@
 //! (the same idea as PyTorch's inline `c10::SizesAndStrides`): copying a
 //! [`Shape`] or a view's strides is a plain memory copy.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
@@ -100,7 +99,7 @@ impl fmt::Debug for Dims {
 ///
 /// # Panics
 /// Every constructor panics when given more than [`MAX_RANK`] extents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Shape(Dims);
 
 impl Shape {

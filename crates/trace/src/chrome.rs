@@ -3,8 +3,8 @@
 //! Serialization is written by hand with fixed-precision float
 //! formatting (microseconds, three decimals) so that the same event
 //! sequence always produces byte-identical JSON — a property the golden
-//! trace test relies on. The vendored `serde` is a marker-trait shim, so
-//! there is no derive-based alternative anyway.
+//! trace test relies on. The workspace has no serialisation library, so
+//! this is the one place events become text.
 
 use crate::{ArgValue, EventKind, TraceCategory, TraceEvent};
 use std::collections::BTreeSet;

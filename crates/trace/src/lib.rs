@@ -11,8 +11,6 @@
 //!   ([`SimTime`]). A disabled sink (the default) costs one `Option`
 //!   check per call site; an enabled sink appends to a `Vec` under a
 //!   mutex, which is uncontended in the single-threaded simulator.
-//! * [`MetricsRegistry`] — named counters / gauges / histograms that
-//!   subsume ad-hoc stats structs for dashboard-style consumption.
 //! * [`chrome_trace_json`] — a Chrome-trace (Perfetto JSON) exporter,
 //!   hand-serialized with deterministic float formatting so golden-file
 //!   tests can assert byte stability.
@@ -43,10 +41,8 @@
 )]
 
 mod chrome;
-mod metrics;
 
 pub use chrome::{chrome_trace_json, text_summary};
-pub use metrics::{HistogramSummary, MetricValue, MetricsRegistry};
 
 use parking_lot::Mutex;
 use ssdtrain_simhw::{PeakObserver, SimTime, TransferObserver};
@@ -485,16 +481,6 @@ impl TraceSink {
             inner.events.lock().clear();
             inner.step.store(0, Ordering::Relaxed);
         }
-    }
-
-    /// Exports the recorded events as Chrome-trace JSON.
-    pub fn to_chrome_json(&self) -> String {
-        chrome_trace_json(&self.events())
-    }
-
-    /// Renders the plain-text per-step timeline summary.
-    pub fn to_text_summary(&self) -> String {
-        text_summary(&self.events())
     }
 }
 

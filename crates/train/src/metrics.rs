@@ -1,11 +1,10 @@
 //! Per-step measurements — the quantities the paper's figures plot.
 
-use serde::{Deserialize, Serialize};
 use ssdtrain::OffloadStats;
 use ssdtrain_simhw::{AllocatorStats, FootprintPoint};
 
 /// Everything measured during one training step.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StepMetrics {
     /// Strategy label (`keep` / `offload` / `recompute`).
     pub strategy: String,
@@ -47,12 +46,10 @@ pub struct StepMetrics {
     /// Simulated seconds the per-stage optimizer update spent inside the
     /// measured window (inline state loads and stalls; 0 for the legacy
     /// outside-the-window optimizer and for the in-backward update).
-    #[serde(default)]
     pub opt_secs: f64,
     /// Simulated seconds the *in-backward* update exposed after backward:
     /// the wait at `ReduceGrads` for state loads still in flight (0 when
     /// every update finished inside backward).
-    #[serde(default)]
     pub opt_exposed_secs: f64,
 }
 

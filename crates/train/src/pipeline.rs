@@ -13,11 +13,10 @@
 //! simulation (see [`PipelineSim::from_step_metrics`]).
 
 use crate::metrics::StepMetrics;
-use serde::{Deserialize, Serialize};
 
 /// One pipeline-stage command (the `cmd` stream of the paper's
 /// Algorithm 1, reduced to what affects time and memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageCmd {
     /// Forward of micro-batch `mb`.
     Forward {
@@ -71,7 +70,7 @@ pub fn one_f1b_commands(pp: usize, s: usize, m: usize) -> Vec<StageCmd> {
 /// assert!(m.bubble_fraction < 0.2); // 16 micro-batches on 4 stages
 /// assert_eq!(m.peak_in_flight, 4);  // 1F1B holds pp micro-batches
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineSim {
     /// Pipeline stages.
     pub pp: usize,
@@ -92,7 +91,7 @@ pub struct PipelineSim {
 }
 
 /// Results of simulating one step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineMetrics {
     /// Makespan of the step (last backward on stage 0).
     pub step_secs: f64,

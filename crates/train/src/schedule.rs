@@ -8,12 +8,10 @@
 //! the last module (Algorithm 1 lines 11–13), and dropping a backward
 //! scope waits for outstanding I/O (line 15).
 
-use serde::{Deserialize, Serialize};
-
 /// One scheduler command (the subset of DeepSpeed's pipeline
 /// instructions that matters on a single GPU with gradient
 /// accumulation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepCmd {
     /// Load micro-batch `mb` (the boundary command before its forward).
     LoadMicroBatch {

@@ -7,10 +7,9 @@ use crate::opt_engine::{OptEngine, OptReport};
 use crate::schedule::{single_gpu_schedule, with_lookahead, StepCmd};
 use parking_lot::Mutex;
 use ssdtrain::{
-    AdaptivePlan, ArgValue, CpuTarget, FaultyTarget, IoEngine, MemoryTraceBridge, MetricsRegistry,
-    OffloadClass, OffloadTarget, PlacementStrategy, RecoveryPolicy, SsdTarget, StageHint,
-    StepProfile, TensorCache, TensorCacheConfig, Tier, TierLink, TierStack, TraceCategory,
-    TraceSink,
+    AdaptivePlan, ArgValue, CpuTarget, FaultyTarget, IoEngine, MemoryTraceBridge, OffloadClass,
+    OffloadTarget, PlacementStrategy, RecoveryPolicy, SsdTarget, StageHint, StepProfile,
+    TensorCache, TensorCacheConfig, Tier, TierLink, TierStack, TraceCategory, TraceSink,
 };
 use ssdtrain_autograd::optim::Sgd;
 use ssdtrain_autograd::{Graph, Phase, TapeSize};
@@ -181,7 +180,6 @@ pub struct TrainSession {
     opt_engine: Option<OptEngine>,
     spill_dirs: Vec<PathBuf>,
     trace: TraceSink,
-    metrics: MetricsRegistry,
     step_idx: u64,
     /// The last backward's tape, which the next step's graph reserves.
     tape: TapeSize,
@@ -414,7 +412,6 @@ impl TrainSession {
             opt_engine,
             spill_dirs,
             trace,
-            metrics: MetricsRegistry::new(),
             step_idx: 0,
             tape: TapeSize::default(),
         })
@@ -445,12 +442,6 @@ impl TrainSession {
     /// config carried an enabled one).
     pub fn trace(&self) -> &TraceSink {
         &self.trace
-    }
-
-    /// Named counters/gauges/histograms accumulated over the session's
-    /// steps (offload statistics land here after every step).
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// A graph for the next step, its tape sized like the last one's.
@@ -508,7 +499,6 @@ impl TrainSession {
         self.tape = g.tape_size();
         g.reset_tape();
         cache.flush();
-        cache.stats().export_to(&self.metrics);
         self.trace
             .instant(TraceCategory::Session, "step.end", self.runtime.clock.now());
         self.optimizer.lock().zero_grad();
@@ -710,15 +700,6 @@ impl TrainSession {
             opt_secs: opt_report.inline_secs,
             opt_exposed_secs: opt_report.exposed_secs,
         };
-        metrics.offload.export_to(&self.metrics);
-        self.metrics.inc_counter("session.steps", 1);
-        self.metrics.observe("session.step_secs", step_secs);
-        if self.opt_engine.is_some() {
-            self.metrics
-                .observe("session.opt_secs", opt_report.inline_secs);
-            self.metrics
-                .observe("session.opt_exposed_secs", opt_report.exposed_secs);
-        }
         if self.trace.is_enabled() {
             self.trace.instant_with(
                 TraceCategory::Session,

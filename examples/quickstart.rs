@@ -8,8 +8,9 @@
 //!
 //! Pass `--trace <path>` to additionally run a traced two-step demo (with
 //! a small injected write fault, absorbed bit-identically by the
-//! keep-resident policy) and write its timeline as Chrome-trace JSON —
-//! open it in `chrome://tracing` or <https://ui.perfetto.dev>:
+//! keep-resident policy), print its per-step text summary and write its
+//! timeline as Chrome-trace JSON — open it in `chrome://tracing` or
+//! <https://ui.perfetto.dev>:
 //!
 //! ```sh
 //! cargo run --example quickstart -- --trace /tmp/step.json
@@ -141,10 +142,6 @@ fn traced_demo(path: &std::path::Path) -> std::io::Result<()> {
         events.len(),
         categories.len(),
         path.display()
-    );
-    println!(
-        "metrics registry after the run:\n{}",
-        s.metrics_registry().render_text()
     );
     Ok(())
 }
