@@ -243,12 +243,6 @@ impl TensorCache {
         &self.tiers
     }
 
-    /// The front tier's offload target (the single device in flat
-    /// configurations).
-    pub fn target(&self) -> Arc<dyn OffloadTarget> {
-        self.tiers.front_device()
-    }
-
     /// Snapshot of this step's statistics, per-tier counters included.
     /// Tier timing (store-drain stalls, link busy time) is overlaid
     /// from the I/O engine so the snapshot and the trace agree.
@@ -282,11 +276,6 @@ impl TensorCache {
     /// The pinned staging arena (high-water and reuse telemetry).
     pub fn arena(&self) -> &BufferArena {
         &self.arena
-    }
-
-    /// The write coalescer's conservation counters for this step.
-    pub fn coalesce_counts(&self) -> crate::coalesce::CoalesceCounts {
-        self.state.lock().coalescer.counts()
     }
 
     /// The adaptive plan currently applied.

@@ -13,15 +13,16 @@
 //! keeps every member's identity for loads, recovery and tier
 //! accounting.
 //!
-//! Invariants (pinned by the proptest suite), per tier and per
-//! [`OffloadClass`]:
+//! Invariants (checked over the returned segments and entries by
+//! `tests/proptest_invariants.rs`):
 //!
-//! * **conservation** — `staged == sealed + evicted + open`: every
-//!   staged byte is in exactly one of the sealed segments, the evicted
-//!   set (members consumed before their segment filled, served from
-//!   memory like a forwarding hit), or the still-open segment.
-//! * **identity** — a sealed segment's entries sum to its byte total,
-//!   and a record id appears in at most one open or sealed segment.
+//! * **conservation** — every staged byte comes back exactly once: in a
+//!   sealed segment, as an evicted entry (a member consumed before its
+//!   segment filled, served from memory like a forwarding hit), or in
+//!   the still-open segment, which [`WriteCoalescer::seal_all`] empties.
+//! * **identity** — a sealed entry carries the tier and class it was
+//!   staged with, and a record id appears in at most one open or sealed
+//!   segment.
 //!
 //! The coalescer is a passive data structure: the cache drives staging,
 //! eviction and sealing, owns the sealed-segment lifecycle (submit →
@@ -63,21 +64,6 @@ impl SealedSegment {
     }
 }
 
-/// Byte and segment counters kept per tier, per class, and globally.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CoalesceCounts {
-    /// Bytes ever staged into segments.
-    pub staged_bytes: u64,
-    /// Bytes sealed into submitted segments.
-    pub sealed_bytes: u64,
-    /// Bytes evicted from open segments before sealing.
-    pub evicted_bytes: u64,
-    /// Segments sealed.
-    pub segments: u64,
-    /// Members carried by sealed segments.
-    pub entries_sealed: u64,
-}
-
 #[derive(Debug, Default)]
 struct OpenSegment {
     entries: Vec<SegmentEntry>,
@@ -92,9 +78,6 @@ pub struct WriteCoalescer {
     segment_bytes: u64,
     next_id: u64,
     open: HashMap<TierId, OpenSegment>,
-    total: CoalesceCounts,
-    by_tier: HashMap<TierId, CoalesceCounts>,
-    by_class: HashMap<usize, CoalesceCounts>,
 }
 
 impl WriteCoalescer {
@@ -105,9 +88,6 @@ impl WriteCoalescer {
             segment_bytes,
             next_id: 0,
             open: HashMap::new(),
-            total: CoalesceCounts::default(),
-            by_tier: HashMap::new(),
-            by_class: HashMap::new(),
         }
     }
 
@@ -142,9 +122,6 @@ impl WriteCoalescer {
             class,
         });
         open.bytes += bytes;
-        self.total.staged_bytes += bytes;
-        self.by_tier.entry(tier).or_default().staged_bytes += bytes;
-        self.by_class.entry(class.index()).or_default().staged_bytes += bytes;
         if open.bytes >= self.segment_bytes {
             self.seal_tier(tier)
         } else {
@@ -160,12 +137,6 @@ impl WriteCoalescer {
         let pos = open.entries.iter().position(|e| e.record == record)?;
         let entry = open.entries.remove(pos);
         open.bytes -= entry.bytes;
-        self.total.evicted_bytes += entry.bytes;
-        self.by_tier.entry(tier).or_default().evicted_bytes += entry.bytes;
-        self.by_class
-            .entry(entry.class.index())
-            .or_default()
-            .evicted_bytes += entry.bytes;
         Some(entry)
     }
 
@@ -178,23 +149,9 @@ impl WriteCoalescer {
             return None;
         }
         let entries = std::mem::take(&mut open.entries);
-        let bytes = std::mem::replace(&mut open.bytes, 0);
+        open.bytes = 0;
         let id = self.next_id;
         self.next_id += 1;
-        self.total.sealed_bytes += bytes;
-        self.total.segments += 1;
-        self.total.entries_sealed += entries.len() as u64;
-        {
-            let t = self.by_tier.entry(tier).or_default();
-            t.sealed_bytes += bytes;
-            t.segments += 1;
-            t.entries_sealed += entries.len() as u64;
-        }
-        for e in &entries {
-            let c = self.by_class.entry(e.class.index()).or_default();
-            c.sealed_bytes += e.bytes;
-            c.entries_sealed += 1;
-        }
         Some(SealedSegment { id, tier, entries })
     }
 
@@ -245,24 +202,6 @@ impl WriteCoalescer {
             .get(&tier)
             .is_some_and(|o| o.entries.iter().any(|e| e.record == record))
     }
-
-    /// Global conservation counters.
-    pub fn counts(&self) -> CoalesceCounts {
-        self.total
-    }
-
-    /// Conservation counters for one tier.
-    pub fn tier_counts(&self, tier: TierId) -> CoalesceCounts {
-        self.by_tier.get(&tier).copied().unwrap_or_default()
-    }
-
-    /// Conservation counters for one class.
-    pub fn class_counts(&self, class: OffloadClass) -> CoalesceCounts {
-        self.by_class
-            .get(&class.index())
-            .copied()
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -291,7 +230,7 @@ mod tests {
         assert!(!c.enabled());
         assert!(c.stage(tier0(), 1, 100, OffloadClass::Activation).is_none());
         assert_eq!(c.total_open_bytes(), 0);
-        assert_eq!(c.counts(), CoalesceCounts::default());
+        assert!(c.seal_all().is_empty());
     }
 
     #[test]
@@ -306,10 +245,10 @@ mod tests {
         assert_eq!(seg.entries.len(), 3);
         assert_eq!(seg.entries[2].record, 3);
         assert_eq!(c.open_bytes(t), 0);
-        let counts = c.counts();
-        assert_eq!(counts.staged_bytes, 120);
-        assert_eq!(counts.sealed_bytes, 120);
-        assert_eq!(counts.segments, 1);
+        assert!(
+            c.seal_all().is_empty(),
+            "the sealed segment took every byte"
+        );
     }
 
     #[test]
@@ -323,9 +262,9 @@ mod tests {
         let sealed = c.seal_all();
         assert_eq!(sealed.len(), 2);
         assert_eq!(sealed[0].tier, a, "seal_all is tier-ordered");
-        assert_eq!(c.tier_counts(a).sealed_bytes, 100);
-        assert_eq!(c.tier_counts(b).sealed_bytes, 200);
-        assert_eq!(c.class_counts(OffloadClass::Gradient).sealed_bytes, 200);
+        assert_eq!(sealed[0].total_bytes(), 100);
+        assert_eq!(sealed[1].total_bytes(), 200);
+        assert_eq!(sealed[1].entries[0].class, OffloadClass::Gradient);
     }
 
     #[test]
@@ -340,12 +279,12 @@ mod tests {
         assert!(!c.is_staged(t, 2));
         assert!(c.evict(t, 2).is_none(), "double eviction is inert");
         let seg = c.seal_tier(t).expect("one member left");
-        assert_eq!(seg.total_bytes(), 100);
-        let counts = c.counts();
         assert_eq!(
-            counts.staged_bytes,
-            counts.sealed_bytes + counts.evicted_bytes + c.total_open_bytes()
+            seg.total_bytes() + e.bytes,
+            150,
+            "staged = sealed + evicted"
         );
+        assert_eq!(c.total_open_bytes(), 0);
     }
 
     #[test]

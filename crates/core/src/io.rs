@@ -32,7 +32,7 @@
 
 use parking_lot::Mutex;
 use ssdtrain_simhw::{GpuMemory, SimClock, SimTime};
-use ssdtrain_trace::{LinkTraceBridge, TraceCategory, TraceSink};
+use ssdtrain_trace::{TraceCategory, TraceSink};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -112,8 +112,8 @@ struct ReadJob {
 /// One tier link's fixed parts.
 struct Link {
     name: String,
-    /// The link's read channel as traced: `"<name>-read"`.
-    read_channel: String,
+    /// The name of the link's read spans: `"xfer.<name>-read"`.
+    xfer_read: String,
     write_bps: f64,
     read_bps: f64,
 }
@@ -306,7 +306,7 @@ impl IoEngine {
                     "bandwidth must be positive"
                 );
                 Link {
-                    read_channel: format!("{}-read", l.name),
+                    xfer_read: format!("xfer.{}-read", l.name),
                     name: l.name,
                     write_bps: l.write_bps,
                     read_bps: l.read_bps,
@@ -345,8 +345,9 @@ impl IoEngine {
 
     /// Routes this engine's events into `sink`: each read as a `load`
     /// span (category `load`) and an `xfer.<link>-read` span (category
-    /// `link`, as a [`LinkTraceBridge`] records it). Clones of this
-    /// engine share the sink.
+    /// `link`), both carrying the read's bytes and retimed in place when
+    /// a demand read moves the read. Clones of this engine share the
+    /// sink.
     pub fn set_trace(&self, sink: TraceSink) {
         self.state.lock().trace = sink;
     }
@@ -513,7 +514,9 @@ impl IoEngine {
         let start = now.max(st.read_end_before(pos));
         let dur_secs = bytes as f64 * st.slowdown / bps;
         let end = start.plus_secs(dur_secs);
-        let xfer = LinkTraceBridge::record(&st.trace, &l.read_channel, start, end, bytes);
+        let xfer = st
+            .trace
+            .span_bytes(TraceCategory::Link, &l.xfer_read, start, end, bytes);
         let load = st
             .trace
             .span_bytes(TraceCategory::Load, "load", start, end, bytes);

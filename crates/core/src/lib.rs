@@ -15,7 +15,7 @@
 //! | tensor cache (Alg. 2) | [`TensorCache`] |
 //! | `get_id()` dedup (§3.3.1) | [`id::tensor_key`] — first-seen stamp on the *storage* + shape |
 //! | parameter exclusion (§3.3.1) | [`TensorCache::register_parameter`] |
-//! | store/load thread pools (§3.3.2) | [`io::IoEngine`] FIFO queues on the simulated PCIe/SSD channels |
+//! | store/load thread pools (§3.3.2) | [`io::IoEngine`]: a write FIFO and a demand-first read queue on the simulated PCIe link |
 //! | data forwarding (§3.3.2) | in-flight stores are returned from memory and cancelled if still queued |
 //! | adaptive offloading (§3.3.3, Fig. 8) | [`adaptive`] — profile a step, keep the last modules resident |
 //! | SSD / CPU offloader (§3.1, Fig. 5) | [`target::SsdTarget`], [`target::CpuTarget`] |

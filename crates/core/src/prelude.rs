@@ -20,7 +20,7 @@
 
 pub use crate::adaptive::{AdaptivePlan, ModuleProfile, StepProfile};
 pub use crate::cache::{StageHint, StageScope, StateSlot, TensorCache};
-pub use crate::coalesce::{CoalesceCounts, SealedSegment, SegmentEntry, WriteCoalescer};
+pub use crate::coalesce::{SealedSegment, SegmentEntry, WriteCoalescer};
 pub use crate::config::{PlacementStrategy, RecoveryPolicy, TensorCacheConfig};
 pub use crate::costmodel::{CostModel, TierCost};
 pub use crate::error::OffloadError;
@@ -32,12 +32,11 @@ pub use crate::target::{BatchItem, CpuTarget, OffloadTarget, SsdTarget};
 pub use crate::tier::{Tier, TierCounters, TierId, TierPlacement, TierRole, TierSpec, TierStack};
 
 pub use ssdtrain_trace::{
-    chrome_trace_json, text_summary, ArgValue, EventKind, LinkTraceBridge, MemoryTraceBridge,
-    TraceCategory, TraceEvent, TraceSink,
+    chrome_trace_json, text_summary, ArgValue, EventKind, MemoryTraceBridge, TraceCategory,
+    TraceEvent, TraceSink,
 };
 
 pub use ssdtrain_simhw::{
     ArenaStats, BufferArena, Channel, FaultKind, FaultLog, FaultPlan, FaultTrigger, FootprintPoint,
-    GpuMemory, GpuSpec, MemoryReport, PeakObserver, PinnedSlab, SimClock, SimTime, SystemConfig,
-    TransferObserver, WearMeter,
+    GpuMemory, GpuSpec, PeakObserver, PinnedSlab, SimClock, SimTime, SystemConfig, WearMeter,
 };

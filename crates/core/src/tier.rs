@@ -302,12 +302,6 @@ impl TierStack {
         })
     }
 
-    /// The front tier's device — construction guarantees it exists
-    /// (flat-era callers knew their single target by this handle).
-    pub fn front_device(&self) -> Arc<dyn OffloadTarget> {
-        self.inner.lock()[0].0.device.clone()
-    }
-
     /// Live pack-time reservations against the tier.
     pub fn reserved_bytes(&self, tier: TierId) -> u64 {
         let inner = self.inner.lock();
@@ -344,30 +338,6 @@ impl TierStack {
             });
         }
         None
-    }
-
-    /// Writes `len` bytes under `key` to the tier's device, accounting
-    /// the traffic on success.
-    ///
-    /// # Errors
-    /// Propagates the device's I/O error (capacity, injected fault, a
-    /// vanished spill directory); the caller recovers per its
-    /// [`crate::RecoveryPolicy`].
-    pub fn write(
-        &self,
-        tier: TierId,
-        key: &TensorKey,
-        data: Option<&[u8]>,
-        len: u64,
-    ) -> io::Result<()> {
-        let device = self.device_or_err(tier)?;
-        device.write(key, data, len)?;
-        let mut inner = self.inner.lock();
-        if let Some((_, state)) = inner.get_mut(tier.0) {
-            state.counters.bytes_written += len;
-            state.counters.stores += 1;
-        }
-        Ok(())
     }
 
     /// Writes a sealed segment — every member of `items` — to the
@@ -697,7 +667,9 @@ mod tests {
         let stack = two_tier(100);
         assert!(stack.reserve(4).is_some());
         let k = key(2);
-        assert!(stack.write(TierId(0), &k, Some(&[1, 2, 3, 4]), 4).is_ok());
+        assert!(stack
+            .write_segment(TierId(0), &[(&k, Some(&[1, 2, 3, 4]), 4)])
+            .is_ok());
         assert_eq!(
             read(&stack, TierId(0), &k, 4).ok().flatten(),
             Some(vec![1, 2, 3, 4])

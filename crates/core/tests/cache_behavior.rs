@@ -865,7 +865,7 @@ fn a_coalesced_ssd_segment_round_trips_around_a_forwarded_member() {
     // Forward's exit seals all four into one segment and leaves its
     // store on the link.
     drop(cache.stage_scope(StageHint::Forward));
-    assert_eq!(cache.coalesce_counts().segments, 1);
+    assert_eq!(cache.stats().coalesce_segments, 1);
 
     // Member 1 is consumed while the store runs: forwarded from memory,
     // so the commit skips it and the staged members around it close up.
@@ -1190,26 +1190,29 @@ fn a_spill_seals_the_full_tiers_open_segment() {
         packed.push(cache.pack(t));
     }
     assert_eq!(
-        cache.coalesce_counts().segments,
+        cache.stats().coalesce_segments,
         0,
         "the front segment is open"
     );
     assert_eq!(cache.stats().store_jobs, 0);
 
     packed.push(cache.pack(&saves[3]));
-    let counts = cache.coalesce_counts();
-    assert_eq!(counts.segments, 1, "the spill sealed the front segment");
-    assert_eq!(counts.sealed_bytes, 384);
+    let stats = cache.stats();
+    assert_eq!(
+        stats.coalesce_segments, 1,
+        "the spill sealed the front segment"
+    );
+    assert_eq!(stats.coalesced_bytes, 384);
     assert_eq!(cache.stats().store_jobs, 1);
     assert_eq!(cache.stats().spilled_bytes, 128);
 
     // A second spill finds no other tier with open bytes: nothing seals.
     packed.push(cache.pack(&saves[4]));
-    assert_eq!(cache.coalesce_counts().segments, 1);
+    assert_eq!(cache.stats().coalesce_segments, 1);
     assert_eq!(cache.stats().store_jobs, 1);
     drop(cache.stage_scope(ssdtrain::StageHint::Forward));
     assert_eq!(
-        cache.coalesce_counts().segments,
+        cache.stats().coalesce_segments,
         2,
         "the exit seals the rest"
     );

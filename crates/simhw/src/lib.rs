@@ -2,10 +2,10 @@
 //!
 //! Hardware timing substrate for the SSDTrain reproduction: everything the
 //! paper measured on real silicon — an A100's kernel throughput, the GPU
-//! memory allocator's footprint timeline, PCIe transfer channels, and
-//! NVMe SSD bandwidth/endurance — modelled deterministically so that
-//! paper-scale training steps can be *timed* while being executed
-//! symbolically.
+//! memory allocator's footprint timeline, the PCIe and SSD bandwidths an
+//! offload crosses, and NVMe SSD endurance — modelled deterministically
+//! so that paper-scale training steps can be *timed* while being
+//! executed symbolically.
 //!
 //! The model is deliberately simple and documented per component:
 //!
@@ -14,8 +14,10 @@
 //! * [`GpuMemory`] — a [`ssdtrain_tensor::MemTracker`] recording every
 //!   allocation/free with its simulated timestamp, reconstructing the
 //!   paper's Figure 7 memory-footprint curve and per-class peaks.
-//! * [`Channel`] — a FIFO bandwidth resource (PCIe write/read direction,
-//!   NVLink); jobs queue and the channel reports per-job start/finish.
+//! * [`Channel`] — a standalone FIFO bandwidth resource: jobs queue and
+//!   each submit reports the job's start/finish. No training step books
+//!   on it: offload transfers are priced by `ssdtrain::IoEngine` over
+//!   the link bandwidths [`SystemConfig`] derives.
 //! * [`BufferArena`] — the pinned host staging pool: size-classed slab
 //!   reuse with high-water and footprint accounting, so offload
 //!   configurations expose their real pinned-memory cost.
@@ -56,8 +58,8 @@ pub use allocator::{AllocatorStats, CachingAllocator};
 pub use arena::{ArenaStats, BufferArena, PinnedSlab, MIN_SLAB_BYTES};
 pub use fault::{FaultKind, FaultLog, FaultPlan, FaultRule, FaultTrigger};
 pub use gpu::GpuSpec;
-pub use link::{Channel, TransferObserver};
-pub use memory::{FootprintPoint, GpuMemory, MemoryReport, PeakObserver, StepMemory};
+pub use link::Channel;
+pub use memory::{FootprintPoint, GpuMemory, PeakObserver, StepMemory};
 pub use ssd::{Raid0, SsdSpec, WearMeter};
 pub use system::{OffloadPath, SystemConfig};
 pub use time::{SimClock, SimTime};

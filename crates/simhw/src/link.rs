@@ -1,49 +1,17 @@
-//! FIFO bandwidth channels (PCIe directions, NVLink).
+//! A FIFO bandwidth channel.
 
 use crate::time::SimTime;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 
-/// Observes completed transfer bookings on a [`Channel`].
-///
-/// Implemented by higher layers (e.g. the trace crate's link bridge)
-/// that want per-transfer spans without this crate depending on them.
-/// Called outside the channel's internal lock, in submission order.
-pub trait TransferObserver: Send + Sync {
-    /// A transfer of `bytes` was booked on `channel`, occupying it over
-    /// the simulated interval `[start, end]`.
-    fn on_transfer(&self, channel: &str, start: SimTime, end: SimTime, bytes: u64);
-}
-
-#[derive(Debug)]
-struct ChannelInner {
-    free_at: SimTime,
-    busy_secs: f64,
-    bytes_total: u64,
-    jobs: u64,
-    slowdown: f64,
-}
-
-impl Default for ChannelInner {
-    fn default() -> ChannelInner {
-        ChannelInner {
-            free_at: SimTime::ZERO,
-            busy_secs: 0.0,
-            bytes_total: 0,
-            jobs: 0,
-            slowdown: 1.0,
-        }
-    }
-}
-
 /// A shared FIFO transfer resource with fixed bandwidth.
 ///
 /// Jobs submitted at time `t` start at `max(t, when the previous job
-/// finished)` and occupy the channel for `bytes / bandwidth`. One channel
-/// models one PCIe *direction* — the paper relies on PCIe being full
-/// duplex so that activation writes (forward) and reads (backward) do not
-/// contend.
+/// finished)` and occupy the channel for `bytes / bandwidth`. Clones
+/// share the queue. Offload transfers are not booked here: the core
+/// crate's `IoEngine` prices them on its own write FIFO and
+/// demand-first read queue.
 ///
 /// ```
 /// use ssdtrain_simhw::{Channel, SimTime};
@@ -59,8 +27,8 @@ impl Default for ChannelInner {
 pub struct Channel {
     name: String,
     bytes_per_sec: f64,
-    inner: Arc<Mutex<ChannelInner>>,
-    observer: Arc<Mutex<Option<Arc<dyn TransferObserver>>>>,
+    /// When the last booked job finishes; shared by clones.
+    free_at: Arc<Mutex<SimTime>>,
 }
 
 impl Channel {
@@ -73,15 +41,8 @@ impl Channel {
         Channel {
             name: name.to_owned(),
             bytes_per_sec,
-            inner: Arc::new(Mutex::new(ChannelInner::default())),
-            observer: Arc::new(Mutex::new(None)),
+            free_at: Arc::new(Mutex::new(SimTime::ZERO)),
         }
-    }
-
-    /// Installs (or replaces) the transfer observer. Clones of this
-    /// channel share the observer.
-    pub fn set_observer(&self, observer: Arc<dyn TransferObserver>) {
-        *self.observer.lock() = Some(observer);
     }
 
     /// Channel name.
@@ -89,94 +50,26 @@ impl Channel {
         &self.name
     }
 
-    /// Configured (healthy) bandwidth in bytes/second.
+    /// Bandwidth in bytes/second.
     pub fn bandwidth(&self) -> f64 {
         self.bytes_per_sec
     }
 
-    /// Bandwidth currently delivered, after any slowdown.
-    pub fn effective_bandwidth(&self) -> f64 {
-        self.bytes_per_sec / self.inner.lock().slowdown
-    }
-
-    /// Degrades the channel: jobs submitted from now on take `factor`
-    /// times longer. Used by fault injection to model a device entering
-    /// a slow mode mid-run; factors compose multiplicatively.
-    ///
-    /// # Panics
-    /// Panics if `factor` is not positive.
-    pub fn throttle(&self, factor: f64) {
-        assert!(factor > 0.0, "slowdown factor must be positive");
-        self.inner.lock().slowdown *= factor;
-    }
-
     /// Enqueues a transfer of `bytes` at `now`; returns `(start, end)`.
     pub fn submit(&self, now: SimTime, bytes: u64) -> (SimTime, SimTime) {
-        let (start, end) = {
-            let mut inner = self.inner.lock();
-            let start = now.max(inner.free_at);
-            let dur = bytes as f64 * inner.slowdown / self.bytes_per_sec;
-            let end = start.plus_secs(dur);
-            inner.free_at = end;
-            inner.busy_secs += dur;
-            inner.bytes_total += bytes;
-            inner.jobs += 1;
-            (start, end)
-        };
-        // Notify outside the queue lock so observers may inspect the
-        // channel without deadlocking.
-        let obs = self.observer.lock().clone();
-        if let Some(obs) = obs {
-            obs.on_transfer(&self.name, start, end, bytes);
-        }
+        let mut free_at = self.free_at.lock();
+        let start = now.max(*free_at);
+        let end = start.plus_secs(bytes as f64 / self.bytes_per_sec);
+        *free_at = end;
         (start, end)
-    }
-
-    /// When the channel next becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.inner.lock().free_at
-    }
-
-    /// Total bytes transferred so far.
-    pub fn bytes_total(&self) -> u64 {
-        self.inner.lock().bytes_total
-    }
-
-    /// Number of jobs served.
-    pub fn job_count(&self) -> u64 {
-        self.inner.lock().jobs
-    }
-
-    /// Fraction of `[0, horizon]` the channel spent transferring.
-    ///
-    /// # Panics
-    /// Panics if `horizon` is not positive.
-    pub fn utilization(&self, horizon: f64) -> f64 {
-        assert!(horizon > 0.0, "horizon must be positive");
-        (self.inner.lock().busy_secs / horizon).min(1.0)
-    }
-
-    /// Clears accumulated state (new measured step). A slowdown applied
-    /// via [`Channel::throttle`] persists — degraded hardware does not
-    /// heal between steps.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        let slowdown = inner.slowdown;
-        *inner = ChannelInner {
-            slowdown,
-            ..ChannelInner::default()
-        };
     }
 }
 
 impl fmt::Debug for Channel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("Channel")
             .field("name", &self.name)
             .field("gbps", &(self.bytes_per_sec / 1e9))
-            .field("jobs", &inner.jobs)
-            .field("bytes_total", &inner.bytes_total)
             .finish()
     }
 }
@@ -204,69 +97,11 @@ mod tests {
     }
 
     #[test]
-    fn utilization_counts_busy_time() {
-        let ch = Channel::new("w", 1e9);
-        ch.submit(SimTime::ZERO, 2_000_000_000); // 2 s busy
-        assert!((ch.utilization(4.0) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn totals_accumulate_and_reset() {
-        let ch = Channel::new("w", 1e9);
-        ch.submit(SimTime::ZERO, 100);
-        ch.submit(SimTime::ZERO, 200);
-        assert_eq!(ch.bytes_total(), 300);
-        assert_eq!(ch.job_count(), 2);
-        ch.reset();
-        assert_eq!(ch.bytes_total(), 0);
-        assert_eq!(ch.free_at(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn throttle_slows_later_jobs_and_survives_reset() {
-        let ch = Channel::new("w", 1e9);
-        let (_, e) = ch.submit(SimTime::ZERO, 1_000_000_000);
-        assert_eq!(e.as_secs(), 1.0);
-        ch.throttle(4.0);
-        assert_eq!(ch.effective_bandwidth(), 0.25e9);
-        let (_, e) = ch.submit(SimTime::from_secs(10.0), 1_000_000_000);
-        assert_eq!(e.as_secs(), 14.0);
-        ch.reset();
-        let (_, e) = ch.submit(SimTime::ZERO, 1_000_000_000);
-        assert_eq!(e.as_secs(), 4.0);
-    }
-
-    #[test]
-    fn transfer_observer_sees_each_booking() {
-        #[derive(Default)]
-        struct Rec(Mutex<Vec<(String, f64, f64, u64)>>);
-        impl TransferObserver for Rec {
-            fn on_transfer(&self, channel: &str, start: SimTime, end: SimTime, bytes: u64) {
-                self.0
-                    .lock()
-                    .push((channel.to_owned(), start.as_secs(), end.as_secs(), bytes));
-            }
-        }
-        let ch = Channel::new("w", 1e9);
-        let rec = Arc::new(Rec::default());
-        ch.set_observer(rec.clone());
-        ch.submit(SimTime::ZERO, 1_000_000_000);
-        ch.clone().submit(SimTime::ZERO, 500_000_000);
-        assert_eq!(
-            *rec.0.lock(),
-            vec![
-                ("w".to_owned(), 0.0, 1.0, 1_000_000_000),
-                ("w".to_owned(), 1.0, 1.5, 500_000_000),
-            ],
-            "observer sees FIFO-resolved intervals, shared by clones"
-        );
-    }
-
-    #[test]
     fn clones_share_the_queue() {
         let a = Channel::new("w", 1e9);
         let b = a.clone();
         b.submit(SimTime::ZERO, 1_000_000_000);
-        assert_eq!(a.free_at().as_secs(), 1.0);
+        let (start, _) = a.submit(SimTime::ZERO, 1);
+        assert_eq!(start.as_secs(), 1.0, "a queues behind b's job");
     }
 }

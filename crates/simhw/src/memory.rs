@@ -18,20 +18,6 @@ pub struct FootprintPoint {
     pub activations: u64,
 }
 
-/// Summary of a step's memory behaviour.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemoryReport {
-    /// Peak total resident bytes.
-    pub peak_total: u64,
-    /// Peak resident activation bytes (the paper's headline metric).
-    pub peak_activations: u64,
-    /// Resident bytes by class at the time of the report.
-    pub final_by_class: Vec<(String, u64)>,
-    /// Number of allocator events (Figure 7 notes offloading runs incur
-    /// more of these).
-    pub events: u64,
-}
-
 /// A step's memory picture, read from the tracker in one pass by
 /// [`GpuMemory::step_memory`].
 #[derive(Debug, Clone, PartialEq)]
@@ -265,28 +251,6 @@ impl GpuMemory {
     /// a CUDA out-of-memory error on the real machine).
     pub fn oom(&self) -> bool {
         self.peak_total() > self.capacity
-    }
-
-    /// Full report.
-    pub fn report(&self) -> MemoryReport {
-        let s = self.state.lock();
-        let final_by_class = MemClass::ALL
-            .iter()
-            .map(|c| {
-                (
-                    c.label().to_owned(),
-                    s.current[class_index(*c)].max(0) as u64,
-                )
-            })
-            .collect();
-        let events = s.events.len() as u64;
-        drop(s);
-        MemoryReport {
-            peak_total: self.peak_total(),
-            peak_activations: self.peak_activations(),
-            final_by_class,
-            events,
-        }
     }
 
     /// Replays this step's allocator events (in simulated-time order)

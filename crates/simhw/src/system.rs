@@ -2,7 +2,6 @@
 
 use crate::catalog::ssds;
 use crate::gpu::GpuSpec;
-use crate::link::Channel;
 use crate::memory::GpuMemory;
 use crate::ssd::Raid0;
 use crate::time::SimClock;
@@ -109,30 +108,18 @@ impl SystemConfig {
         self.pcie_bps
     }
 
-    /// Instantiates the runtime pieces for one simulated GPU: a clock,
-    /// its memory tracker and the two PCIe directions.
+    /// Instantiates the runtime pieces for one simulated GPU: a clock
+    /// and its memory tracker.
     pub fn instantiate(&self) -> GpuRuntime {
         let clock = SimClock::new();
         let mem = Arc::new(GpuMemory::new(clock.clone(), self.gpu.memory_bytes));
-        GpuRuntime {
-            write_channel: Channel::new("pcie-write", self.offload_write_bps()),
-            read_channel: Channel::new("pcie-read", self.offload_read_bps()),
-            nvlink: Channel::new("nvlink", self.nvlink_bps),
-            memory: mem,
-            clock,
-        }
+        GpuRuntime { memory: mem, clock }
     }
 }
 
 /// Live runtime resources for one simulated GPU.
 #[derive(Debug, Clone)]
 pub struct GpuRuntime {
-    /// GPU→SSD direction (activation stores).
-    pub write_channel: Channel,
-    /// SSD→GPU direction (activation reloads).
-    pub read_channel: Channel,
-    /// Inter-GPU link for tensor-parallel collectives.
-    pub nvlink: Channel,
     /// The memory tracker to register on the device.
     pub memory: Arc<GpuMemory>,
     /// The shared step clock.
@@ -140,12 +127,9 @@ pub struct GpuRuntime {
 }
 
 impl GpuRuntime {
-    /// Resets clock, channels and memory for a fresh measured step.
+    /// Resets clock and memory for a fresh measured step.
     pub fn reset(&self) {
         self.clock.reset();
-        self.write_channel.reset();
-        self.read_channel.reset();
-        self.nvlink.reset();
         self.memory.reset();
     }
 }

@@ -21,10 +21,11 @@
 //! (`pid = step`) because the simulated clock restarts at zero every
 //! measured step.
 //!
-//! The [`MemoryTraceBridge`] and [`LinkTraceBridge`] adapters implement
-//! the observer traits exposed by `ssdtrain-simhw` (which sits *below*
-//! this crate in the dependency graph and therefore cannot emit trace
-//! events directly).
+//! The [`MemoryTraceBridge`] adapter implements the memory tracker's
+//! [`PeakObserver`] trait from `ssdtrain-simhw` (which sits *below* this
+//! crate in the dependency graph and therefore cannot emit trace events
+//! directly). Link transfers need no adapter: the core crate's
+//! `IoEngine` books them and records each as a `link` span itself.
 
 #![deny(missing_docs, clippy::allow_attributes_without_reason)]
 // Library code returns typed errors instead of panicking (DESIGN.md §7).
@@ -45,7 +46,7 @@ mod chrome;
 pub use chrome::{chrome_trace_json, text_summary};
 
 use parking_lot::Mutex;
-use ssdtrain_simhw::{PeakObserver, SimTime, TransferObserver};
+use ssdtrain_simhw::{PeakObserver, SimTime};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -71,7 +72,7 @@ pub enum TraceCategory {
     Recovery,
     /// Allocator peak updates (memory counters).
     Alloc,
-    /// Raw link transfers (channel-level spans).
+    /// Link transfers: `IoEngine`'s `xfer.<link>-read` span per read.
     Link,
     /// Exposed I/O stalls (compute blocked on a transfer).
     Stall,
@@ -565,45 +566,6 @@ impl PeakObserver for MemoryTraceBridge {
     }
 }
 
-/// Adapter: forwards [`Channel`](ssdtrain_simhw::Channel) transfers into
-/// a [`TraceSink`] as spans (category `link`).
-#[derive(Debug, Clone)]
-pub struct LinkTraceBridge {
-    sink: TraceSink,
-}
-
-impl LinkTraceBridge {
-    /// Wraps `sink` for [`Channel::set_observer`](ssdtrain_simhw::Channel::set_observer).
-    pub fn new(sink: TraceSink) -> Arc<LinkTraceBridge> {
-        Arc::new(LinkTraceBridge { sink })
-    }
-
-    /// Records one transfer on `channel` into `sink` as an
-    /// `xfer.<channel>` span and returns its index in the event log
-    /// (`None` when disabled), so a queue that later moves the transfer
-    /// can [retime](TraceSink::retime_span) it. What the bridge does per
-    /// booking, for a caller that books transfers itself.
-    pub fn record(
-        sink: &TraceSink,
-        channel: &str,
-        start: SimTime,
-        end: SimTime,
-        bytes: u64,
-    ) -> Option<usize> {
-        if !sink.is_enabled() {
-            return None;
-        }
-        let name = format!("xfer.{channel}");
-        sink.span_bytes(TraceCategory::Link, name, start, end, bytes)
-    }
-}
-
-impl TransferObserver for LinkTraceBridge {
-    fn on_transfer(&self, channel: &str, start: SimTime, end: SimTime, bytes: u64) {
-        LinkTraceBridge::record(&self.sink, channel, start, end, bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,7 +622,7 @@ mod tests {
     fn a_recorded_transfer_can_be_retimed() {
         let sink = TraceSink::enabled();
         let (t, secs) = (SimTime::from_secs, SimTime::as_secs);
-        let at = LinkTraceBridge::record(&sink, "ssd-read", t(1.0), t(2.0), 8);
+        let at = sink.span_bytes(TraceCategory::Link, "xfer.ssd-read", t(1.0), t(2.0), 8);
         let index = at.expect("an enabled sink records");
         sink.retime_span(index, t(9.0), t(5.0), t(6.0)); // stale: ignored
         sink.retime_span(index, t(1.0), t(3.0), t(4.5));
@@ -668,7 +630,8 @@ mod tests {
         assert_eq!(ev.name, "xfer.ssd-read");
         assert_eq!((secs(ev.ts), secs(ev.end())), (3.0, 4.5));
         let off = TraceSink::disabled();
-        assert_eq!(LinkTraceBridge::record(&off, "x", t(0.0), t(1.0), 1), None);
+        let at = off.span_bytes(TraceCategory::Link, "xfer.x", t(0.0), t(1.0), 1);
+        assert_eq!(at, None);
     }
 
     #[test]

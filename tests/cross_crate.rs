@@ -268,8 +268,9 @@ fn ssd_wear_accumulates_across_steps() {
     assert_eq!(w1, w2);
     // The target's cumulative wear covers the profile step plus both
     // measured steps.
-    let cache = s.cache().expect("offload");
-    assert!(cache.target().bytes_written() >= w1 + w2);
+    let tiers = s.cache().expect("offload").tiers();
+    let target = tiers.device(tiers.tier_ids()[0]).expect("front tier");
+    assert!(target.bytes_written() >= w1 + w2);
 }
 
 #[test]

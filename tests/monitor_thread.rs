@@ -42,14 +42,13 @@ fn session() -> TrainSession {
 /// One pass over every read-only accessor a dashboard would poll.
 fn poll(cache: &TensorCache) -> u64 {
     let stats = cache.stats();
-    let counts = cache.coalesce_counts();
     let plan = cache.plan();
     let tiers = cache.tiers().counters();
     let written = cache.io().bytes_written();
     let arena = cache.arena().stats();
     // Fold the snapshots into one value so none of the calls is dead.
     stats.store_jobs
-        + counts.segments
+        + stats.coalesce_segments
         + plan.keep_paths.len() as u64
         + tiers.len() as u64
         + written

@@ -858,7 +858,8 @@ proptest! {
         ),
         segment in 1u64..8_000_000,
     ) {
-        use ssdtrain::{OffloadClass, WriteCoalescer};
+        use ssdtrain::{OffloadClass, SealedSegment, WriteCoalescer};
+        use std::collections::BTreeMap;
         let stack = TierStack::new(vec![
             Tier::new("a", Arc::new(CpuTarget::new(1 << 30)), 0),
             Tier::new("b", Arc::new(CpuTarget::new(1 << 30)), 1),
@@ -866,64 +867,52 @@ proptest! {
         ]);
         let tiers = stack.tier_ids();
         let mut c = WriteCoalescer::new(segment);
-        let mut sealed_bytes = 0u64;
-        let mut evicted_bytes = 0u64;
-        let mut staged = Vec::new(); // (tier, record) currently open
-        for (i, (t, bytes, class, evict_one)) in ops.iter().enumerate() {
-            let tier = tiers[*t];
-            let class = OffloadClass::ALL[*class];
-            let record = i as u64;
-            if let Some(seg) = c.stage(tier, record, *bytes, class) {
-                // A sealed segment's entry sum is its total, every
-                // entry belongs to the tier it sealed on, and its
-                // members leave the open set.
-                prop_assert_eq!(seg.tier, tier);
+        // Every staged record, by id, with the tier, class and bytes it
+        // was staged with; a sealed or evicted entry takes its record
+        // out, so each comes back exactly once.
+        let mut open = BTreeMap::new();
+        let (mut staged_bytes, mut sealed_bytes, mut evicted_bytes) = (0u64, 0u64, 0u64);
+        let check_sealed =
+            |seg: &SealedSegment, open: &mut BTreeMap<u64, _>| -> Result<u64, String> {
                 prop_assert_eq!(
                     seg.entries.iter().map(|e| e.bytes).sum::<u64>(),
                     seg.total_bytes()
                 );
+                for e in &seg.entries {
+                    let staged = open.remove(&e.record);
+                    prop_assert_eq!(staged, Some((seg.tier, e.class, e.bytes)));
+                }
+                Ok(seg.total_bytes())
+            };
+        for (i, (t, bytes, class, evict_one)) in ops.iter().enumerate() {
+            let tier = tiers[*t];
+            let class = OffloadClass::ALL[*class];
+            let record = i as u64;
+            open.insert(record, (tier, class, *bytes));
+            staged_bytes += bytes;
+            if let Some(seg) = c.stage(tier, record, *bytes, class) {
+                // Only the tier that just filled seals.
+                prop_assert_eq!(seg.tier, tier);
                 prop_assert!(seg.total_bytes() >= segment);
-                sealed_bytes += seg.total_bytes();
-                staged.retain(|(st, sr)| !(
-                    *st == tier && seg.entries.iter().any(|e| e.record == *sr)
-                ));
-            } else {
-                staged.push((tier, record));
+                sealed_bytes += check_sealed(&seg, &mut open)?;
             }
-            if *evict_one && !staged.is_empty() {
-                let (et, er) = staged.remove(staged.len() / 2);
+            if *evict_one && !open.is_empty() {
+                let (&er, &(et, _, _)) = open.iter().nth(open.len() / 2).expect("non-empty");
                 let entry = c.evict(et, er).expect("staged entry evicts");
+                prop_assert_eq!(open.remove(&er), Some((et, entry.class, entry.bytes)));
                 evicted_bytes += entry.bytes;
                 // A second eviction of the same record is inert.
                 prop_assert!(c.evict(et, er).is_none());
             }
         }
-        // Flush the tails and check global + per-tier + per-class
-        // conservation: staged == sealed + evicted + open(=0 now).
+        // Flush the tails: staged == sealed + evicted, nothing is left
+        // open, and every staged record came back exactly once.
         for seg in c.seal_all() {
-            sealed_bytes += seg.total_bytes();
+            sealed_bytes += check_sealed(&seg, &mut open)?;
         }
         prop_assert_eq!(c.total_open_bytes(), 0);
-        let total = c.counts();
-        prop_assert_eq!(total.staged_bytes, total.sealed_bytes + total.evicted_bytes);
-        prop_assert_eq!(total.sealed_bytes, sealed_bytes);
-        prop_assert_eq!(total.evicted_bytes, evicted_bytes);
-        let (mut tier_staged, mut tier_closed) = (0u64, 0u64);
-        for t in &tiers {
-            let tc = c.tier_counts(*t);
-            prop_assert_eq!(tc.staged_bytes, tc.sealed_bytes + tc.evicted_bytes);
-            tier_staged += tc.staged_bytes;
-            tier_closed += tc.sealed_bytes + tc.evicted_bytes;
-        }
-        prop_assert_eq!(tier_staged, total.staged_bytes);
-        prop_assert_eq!(tier_closed, total.staged_bytes);
-        let mut class_staged = 0u64;
-        for class in OffloadClass::ALL {
-            let cc = c.class_counts(class);
-            prop_assert_eq!(cc.staged_bytes, cc.sealed_bytes + cc.evicted_bytes);
-            class_staged += cc.staged_bytes;
-        }
-        prop_assert_eq!(class_staged, total.staged_bytes);
+        prop_assert_eq!(staged_bytes, sealed_bytes + evicted_bytes);
+        prop_assert!(open.is_empty(), "records never returned: {:?}", open.keys());
     }
 }
 

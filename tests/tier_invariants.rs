@@ -38,7 +38,7 @@ proptest! {
             let k = key(i as u64 + 1, len);
             let p = stack.reserve(len).expect("ssd tier is unbounded");
             let payload = vec![(i % 251) as u8; len as usize];
-            prop_assert!(stack.write(p.tier, &k, Some(&payload), len).is_ok());
+            prop_assert!(stack.write_segment(p.tier, &[(&k, Some(&payload), len)]).is_ok());
             placed.push((k, len, p.tier, payload));
         }
         for (k, len, home, payload) in &placed {
@@ -132,7 +132,7 @@ proptest! {
         for (i, &len) in sizes.iter().enumerate() {
             let k = key(i as u64 + 1, len);
             let p = stack.reserve(len).expect("ssd tier is unbounded");
-            prop_assert!(stack.write(p.tier, &k, None, len).is_ok());
+            prop_assert!(stack.write_segment(p.tier, &[(&k, None, len)]).is_ok());
             written += len;
             placed.push((k, len, p.tier));
         }
