@@ -283,9 +283,13 @@ impl TensorCache {
         self.state.lock().plan.clone()
     }
 
-    /// Overrides the adaptive plan (tests, ablations).
+    /// Overrides the adaptive plan (tests, ablations). Steps under a plan
+    /// set by hand flag no late state store
+    /// ([`TensorCache::release_state_late`]).
     pub fn set_plan(&self, plan: AdaptivePlan) {
-        self.state.lock().plan = plan;
+        let mut st = self.state.lock();
+        st.plan = plan;
+        st.plan_profiled = false;
     }
 
     // ------------------------------------------------------------------
@@ -355,6 +359,11 @@ impl TensorCache {
         st.profiling = false;
         let (profile, forwarded) = self.build_profile(st);
         let plan = self.replan(st, &profile, &forwarded);
+        // Late stores flagged under the old plan say nothing of the new.
+        st.plan_profiled = true;
+        for rec in st.records.values_mut() {
+            rec.late = false;
+        }
         (profile, plan)
     }
 
@@ -495,7 +504,10 @@ impl TensorCache {
             self.await_loads(st);
         }
         let every_class = matches!(stage, StageHint::Backward | StageHint::Optimizer);
-        self.drain_store_queues(st, every_class);
+        let drain_start = self.drain_store_queues(st, every_class);
+        if matches!(stage, StageHint::Backward) {
+            self.flag_late_state(st, drain_start);
+        }
         if matches!(stage, StageHint::Optimizer) {
             self.emit_tier_io(st);
         }

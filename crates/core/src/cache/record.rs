@@ -109,6 +109,11 @@ pub(super) struct Record {
     /// ([`TensorCache::read_ahead_state`](super::TensorCache::read_ahead_state)):
     /// its bytes count in `State::read_ahead_bytes` until it is released.
     pub(super) read_ahead: bool,
+    /// An optimizer-state slot whose store a backward exit under a
+    /// profiled plan waited for: its write-back was exposed, so its owner
+    /// keeps the next state on the GPU instead
+    /// ([`TensorCache::release_state_late`](super::TensorCache::release_state_late)).
+    pub(super) late: bool,
 }
 
 impl Record {
@@ -225,6 +230,11 @@ pub(super) struct State {
     pub(super) current_mb: usize,
     pub(super) phase: Phase,
     pub(super) profiling: bool,
+    /// Whether the plan in force is the one a profiling step derived
+    /// ([`TensorCache::end_profile_step`](super::TensorCache::end_profile_step)),
+    /// not one set by hand: only then do backward exits flag late
+    /// optimizer-state stores.
+    pub(super) plan_profiled: bool,
     pub(super) fwd_start: SimTime,
     /// A profiling step's forward-time totals (`modules` left empty),
     /// taken once, at the forward/backward boundary
@@ -297,6 +307,7 @@ impl State {
             current_mb: 0,
             phase: Phase::Forward,
             profiling: false,
+            plan_profiled: false,
             fwd_start: SimTime::ZERO,
             forward: None,
             segments: HashMap::new(),

@@ -41,8 +41,9 @@ impl TensorCache {
     /// Seals the open segments — no staged byte outlives the stage that
     /// produced it — then waits for the store queues: for every job when
     /// `every_class`, otherwise only until the last state-class store
-    /// landed (activation jobs queued behind it keep running).
-    pub(super) fn drain_store_queues(&self, st: &mut State, every_class: bool) {
+    /// landed (activation jobs queued behind it keep running). Returns
+    /// the time the wait began.
+    pub(super) fn drain_store_queues(&self, st: &mut State, every_class: bool) -> SimTime {
         self.seal_open_segments(st);
         let now0 = self.io.clock().now();
         let latest = if every_class {
@@ -54,7 +55,7 @@ impl TensorCache {
         };
         let stall = self.io.clock().advance_to(latest.max(now0));
         if stall <= 0.0 {
-            return;
+            return now0;
         }
         st.stats.store_stall_secs += stall;
         let links = self.io.link_count();
@@ -70,6 +71,24 @@ impl TensorCache {
                     let name = format!("tier.drain.{}", self.io.link_name(link));
                     st.trace.span(TraceCategory::Tier, name, now0, drain);
                 }
+            }
+        }
+        now0
+    }
+
+    /// Flags every optimizer-state slot whose store ends after
+    /// `drain_start`, the moment backward's exit began to wait for the
+    /// store queues: that write-back was exposed. Only steps under a
+    /// profiled plan teach this (see [`TensorCache::release_state_late`]);
+    /// what a profiling step flags, its end forgets.
+    pub(super) fn flag_late_state(&self, st: &mut State, drain_start: SimTime) {
+        if !st.plan_profiled {
+            return;
+        }
+        // State commits at submit, so `avail` is its store's end.
+        for rec in st.records.values_mut() {
+            if rec.class == OffloadClass::OptimizerState && rec.avail > drain_start {
+                rec.late = true;
             }
         }
     }
@@ -115,17 +134,45 @@ impl TensorCache {
     /// offloaded are abandoned on the tier (the optimizer overwrites
     /// state wholesale each step; there is nothing to read back).
     pub fn release_state(&self, slot: StateSlot) {
+        self.release_state_late(slot);
+    }
+
+    /// [`TensorCache::release_state`], answering whether the slot's
+    /// write-back was late: a backward exit under the plan
+    /// [`TensorCache::end_profile_step`] applied waited for its store.
+    /// Such a store cannot hide behind compute, so the slot's owner keeps
+    /// the next state on the GPU instead ([`TensorCache::keep_state`]) —
+    /// the state-class twin of a module the adaptive plan keeps. Flags
+    /// learned before the last profiling step are forgotten.
+    pub fn release_state_late(&self, slot: StateSlot) -> bool {
         // Committed at submit and owned by its caller: a slot has no
         // store to settle and no memory of the cache's to free.
         let mut st = self.state.lock();
         let Some(rec) = st.records.remove(&slot.0) else {
-            return;
+            return false;
         };
         if rec.read_ahead {
             st.read_ahead_bytes = st.read_ahead_bytes.saturating_sub(rec.bytes);
         }
         drop(st);
         self.drop_from_tier(&rec);
+        rec.late
+    }
+
+    /// Records a state tensor its owner keeps on the GPU instead of
+    /// offloading it: its bytes count in the class's `kept_bytes` and a
+    /// `state.keep` instant (`bytes`, `class`) marks it. Nothing is
+    /// stored, so the trace identity over `store.enqueue` is untouched.
+    pub fn keep_state(&self, tensor: &Tensor, class: OffloadClass) {
+        let bytes = tensor.bytes();
+        let mut st = self.state.lock();
+        st.stats.class_mut(class).kept_bytes += bytes;
+        if st.trace.is_enabled() {
+            let now = self.io.clock().now();
+            let args = class_args(bytes, class);
+            st.trace
+                .instant_with(TraceCategory::Store, "state.keep", now, args);
+        }
     }
 
     /// The one store path — `pack` (Algorithm 2) and every state slot:
@@ -245,6 +292,7 @@ impl TensorCache {
                 stored: false,
                 avail: SimTime::ZERO,
                 read_ahead: false,
+                late: false,
             },
         );
         st.stats.offloaded_bytes += bytes;

@@ -21,6 +21,10 @@ pub struct ClassCounters {
     pub stores: u64,
     /// Load jobs issued for this class.
     pub loads: u64,
+    /// Bytes of this class its owner kept on the GPU instead of
+    /// offloading ([`crate::TensorCache::keep_state`]); never part of
+    /// `offloaded_bytes`.
+    pub kept_bytes: u64,
 }
 
 /// Counters the tensor cache maintains; Table 4 and the ablation benches

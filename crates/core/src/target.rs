@@ -115,6 +115,28 @@ pub trait OffloadTarget: Send + Sync {
 struct SsdState {
     wear: WearMeter,
     symbolic_lens: HashMap<TensorKey, u64>,
+    /// The file name and path buffers every call reuses.
+    name: String,
+    path: PathBuf,
+}
+
+impl SsdState {
+    /// `<dir>/t<stamp>_<d0>x<d1>….act`, built in the reused buffers, so
+    /// once they have grown to fit a call allocates nothing.
+    fn path_for(&mut self, dir: &Path, key: &TensorKey) -> &Path {
+        self.name.clear();
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.name, "t{}_", key.stamp);
+        for (i, d) in key.shape.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "x" };
+            let _ = write!(self.name, "{sep}{d}");
+        }
+        self.name.push_str(".act");
+        self.path.as_mut_os_string().clear();
+        self.path.push(dir);
+        self.path.push(&self.name);
+        &self.path
+    }
 }
 
 /// NVMe SSD offload target: one file per tensor under a spill directory,
@@ -137,26 +159,10 @@ impl SsdTarget {
             state: Mutex::new(SsdState {
                 wear,
                 symbolic_lens: HashMap::new(),
+                name: String::new(),
+                path: PathBuf::new(),
             }),
         })
-    }
-
-    /// `<dir>/t<stamp>_<d0>x<d1>….act`. The name is written into one
-    /// buffer sized for it and the path into another, so a call makes two
-    /// allocations.
-    fn path_for(&self, key: &TensorKey) -> PathBuf {
-        let mut name = String::with_capacity(64);
-        // Writing into a `String` cannot fail.
-        let _ = write!(name, "t{}_", key.stamp);
-        for (i, d) in key.shape.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "x" };
-            let _ = write!(name, "{sep}{d}");
-        }
-        name.push_str(".act");
-        let mut path = PathBuf::with_capacity(self.dir.as_os_str().len() + 1 + name.len());
-        path.push(&self.dir);
-        path.push(name);
-        path
     }
 
     /// Snapshot of the wear meter.
@@ -176,11 +182,12 @@ impl OffloadTarget for SsdTarget {
     }
 
     fn write(&self, key: &TensorKey, data: Option<&[u8]>, len: u64) -> io::Result<()> {
+        let mut guard = self.state.lock();
+        let s = &mut *guard;
         // Wear is charged only for bytes that landed.
         if let Some(bytes) = data {
-            fs::write(self.path_for(key), bytes)?;
+            fs::write(s.path_for(&self.dir, key), bytes)?;
         }
-        let mut s = self.state.lock();
         s.wear.record_write(len);
         if data.is_none() {
             s.symbolic_lens.insert(key.clone(), len);
@@ -201,21 +208,26 @@ impl OffloadTarget for SsdTarget {
         scratch: &mut Vec<u8>,
         f: &mut dyn FnMut(Option<&[u8]>),
     ) -> io::Result<()> {
-        if self.state.lock().symbolic_lens.contains_key(key) {
+        let mut s = self.state.lock();
+        if s.symbolic_lens.contains_key(key) {
+            drop(s);
             f(None);
             return Ok(());
         }
+        let mut file = fs::File::open(s.path_for(&self.dir, key))?;
+        drop(s);
         scratch.clear();
-        fs::File::open(self.path_for(key))?.read_to_end(scratch)?;
+        file.read_to_end(scratch)?;
         f(Some(scratch));
         Ok(())
     }
 
     fn remove(&self, key: &TensorKey) {
-        if self.state.lock().symbolic_lens.remove(key).is_some() {
+        let mut s = self.state.lock();
+        if s.symbolic_lens.remove(key).is_some() {
             return;
         }
-        let _ = fs::remove_file(self.path_for(key));
+        let _ = fs::remove_file(s.path_for(&self.dir, key));
     }
 
     fn bytes_written(&self) -> u64 {
@@ -227,12 +239,14 @@ impl OffloadTarget for SsdTarget {
     }
 
     fn write_batch(&self, items: &[BatchItem<'_>]) -> io::Result<()> {
+        let mut guard = self.state.lock();
+        let s = &mut *guard;
         for (i, (key, data, _)) in items.iter().enumerate() {
             let Some(bytes) = data else { continue };
-            if let Err(e) = fs::write(self.path_for(key), bytes) {
+            if let Err(e) = fs::write(s.path_for(&self.dir, key), bytes) {
                 for (done, done_data, _) in &items[..i] {
                     if done_data.is_some() {
-                        let _ = fs::remove_file(self.path_for(done));
+                        let _ = fs::remove_file(s.path_for(&self.dir, done));
                     }
                 }
                 return Err(e);
@@ -242,7 +256,6 @@ impl OffloadTarget for SsdTarget {
         // the whole point of coalescing is paying the per-op overhead
         // once instead of `items.len()` times. Wear is charged only once
         // every member landed.
-        let mut s = self.state.lock();
         let total: u64 = items.iter().map(|(_, _, len)| *len).sum();
         s.wear.record_batch(total, 1);
         for (key, data, len) in items {
@@ -272,9 +285,9 @@ impl fmt::Debug for SsdTarget {
 // ---------------------------------------------------------------------
 
 struct CpuState {
-    pool: HashMap<TensorKey, Option<Vec<u8>>>,
+    /// Each entry's length and payload (`None` in symbolic execution).
+    pool: HashMap<TensorKey, (u64, Option<Vec<u8>>)>,
     used: u64,
-    lens: HashMap<TensorKey, u64>,
     written: u64,
 }
 
@@ -293,7 +306,6 @@ impl CpuTarget {
             state: Mutex::new(CpuState {
                 pool: HashMap::new(),
                 used: 0,
-                lens: HashMap::new(),
                 written: 0,
             }),
         }
@@ -320,7 +332,7 @@ impl OffloadTarget for CpuTarget {
         // Overwriting a live key reuses its slot: project occupancy with
         // the prior entry's bytes returned first, so rewrites never
         // double-count against the pool.
-        let prior = s.lens.get(key).copied().unwrap_or(0);
+        let prior = s.pool.get(key).map_or(0, |(len, _)| *len);
         let projected = s.used - prior + len;
         if projected > self.pool_bytes {
             return Err(io::Error::new(
@@ -333,8 +345,14 @@ impl OffloadTarget for CpuTarget {
         }
         s.used = projected;
         s.written += len;
-        s.lens.insert(key.clone(), len);
-        s.pool.insert(key.clone(), data.map(|d| d.to_vec()));
+        let entry = (len, data.map(<[u8]>::to_vec));
+        // Only a new entry clones the key.
+        match s.pool.get_mut(key) {
+            Some(slot) => *slot = entry,
+            None => {
+                s.pool.insert(key.clone(), entry);
+            }
+        }
         Ok(())
     }
 
@@ -354,7 +372,7 @@ impl OffloadTarget for CpuTarget {
         f: &mut dyn FnMut(Option<&[u8]>),
     ) -> io::Result<()> {
         let s = self.state.lock();
-        let Some(data) = s.pool.get(key) else {
+        let Some((_, data)) = s.pool.get(key) else {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("{key} not in pinned pool"),
@@ -366,8 +384,7 @@ impl OffloadTarget for CpuTarget {
 
     fn remove(&self, key: &TensorKey) {
         let mut s = self.state.lock();
-        if s.pool.remove(key).is_some() {
-            let len = s.lens.remove(key).unwrap_or(0);
+        if let Some((len, _)) = s.pool.remove(key) {
             s.used = s.used.saturating_sub(len);
         }
     }
@@ -421,14 +438,15 @@ mod tests {
     #[test]
     fn spill_file_names_keep_their_format() {
         let t = SsdTarget::new(tmpdir("names"), WearMeter::new(1e12, 1.0)).unwrap();
-        for shape in [vec![], vec![7], vec![2, 30, 4096]] {
+        for shape in [vec![2, 30, 4096], vec![7], vec![]] {
             let k = TensorKey {
                 stamp: 123_456,
                 shape,
             };
             let dims: Vec<String> = k.shape.iter().map(|d| d.to_string()).collect();
             let old = t.dir().join(format!("t{}_{}.act", k.stamp, dims.join("x")));
-            assert_eq!(t.path_for(&k), old);
+            // The reused buffers hold no trace of the previous name.
+            assert_eq!(t.state.lock().path_for(t.dir(), &k), old);
         }
         let _ = fs::remove_dir_all(t.dir());
     }

@@ -25,11 +25,14 @@
 //!   the parameters still to come, in the order the previous step
 //!   finalised their gradients, as far as the cache's look-ahead
 //!   headroom allows, so the last gradient's state is not read only
-//!   after backward. An update whose load has not landed waits
-//!   in a pending list, drained as backward goes on and, for what is
-//!   left, at `ReduceGrads`, which also updates any parameter autograd
-//!   never reported; only that tail's clock advance is exposed
-//!   ([`OptReport::exposed_secs`]). Numerics are unchanged:
+//!   after backward. A parameter whose write-back backward's exit had
+//!   to wait for, under the plan profiling applied, is kept: from its
+//!   next update on its state stays on the GPU (the state-class twin
+//!   of a module the adaptive plan keeps). An update whose load has not
+//!   landed waits in a pending list, drained as backward goes on and,
+//!   for what is left, at `ReduceGrads`, which also updates any
+//!   parameter autograd never reported; only that tail's clock advance
+//!   is exposed ([`OptReport::exposed_secs`]). Numerics are unchanged:
 //!   `Sgd::step_range` is elementwise per parameter and autograd never
 //!   reports a gradient early, so each update sees the finished gradient,
 //!   and every weight is final before the next forward reads it.
@@ -101,6 +104,10 @@ struct Slots {
     grads: Vec<Option<StateSlot>>,
     /// Each parameter's offloaded optimizer state.
     states: Vec<Option<StateSlot>>,
+    /// In-backward mode: parameters whose velocity stays on the GPU,
+    /// learned from late write-backs (see [`Updater::apply`]) and
+    /// forgotten when profiling applies a new plan.
+    kept: Vec<bool>,
     /// In-backward mode: parameters whose update is waiting for its
     /// state load, with the time the load lands as last asked, in start
     /// order. A demand read can push a load back, never forward, so a
@@ -156,7 +163,7 @@ impl Updater {
         slots.next_order.push(i);
         match self.landing(&slots.states, i) {
             Some(ready) if ready > now => slots.pending.push((i, ready)),
-            _ => self.apply(&mut slots.states, i),
+            _ => self.apply(&mut slots.states, &mut slots.kept, i),
         }
     }
 
@@ -193,7 +200,10 @@ impl Updater {
     /// `now`, in start order.
     fn apply_landed(&self, slots: &mut Slots, now: SimTime) {
         let Slots {
-            pending, states, ..
+            pending,
+            states,
+            kept,
+            ..
         } = slots;
         pending.retain_mut(|(i, ready)| {
             if *ready <= now {
@@ -202,7 +212,7 @@ impl Updater {
             if *ready > now {
                 return true;
             }
-            self.apply(states, *i);
+            self.apply(states, kept, *i);
             false
         });
     }
@@ -210,23 +220,34 @@ impl Updater {
     /// Parameter `i`'s update: the step itself (velocity materialised
     /// first — numerically identical to the lazy allocation), its
     /// gradient released, and the fresh state re-offloaded in place of
-    /// the slot it was loaded from.
-    fn apply(&self, states: &mut [Option<StateSlot>], i: usize) {
+    /// the slot it was loaded from — unless the parameter is kept. A
+    /// parameter is kept from the update whose released slot the cache
+    /// reports late (backward's exit waited for its write-back), and its
+    /// velocity then stays on the GPU: SSDTrain's keep decision for what
+    /// cannot be offloaded behind compute.
+    fn apply(&self, states: &mut [Option<StateSlot>], kept: &mut [bool], i: usize) {
         let mut opt = self.opt.lock();
         opt.ensure_velocity(i);
         opt.step_range(i..i + 1);
         if let Some(p) = opt.params().get(i) {
             p.zero_grad();
         }
-        let (Some(cache), Some(state)) = (self.cache.as_deref(), states.get_mut(i)) else {
+        let (Some(cache), Some(state), Some(kept)) =
+            (self.cache.as_deref(), states.get_mut(i), kept.get_mut(i))
+        else {
             return;
         };
         if let Some(old) = state.take() {
-            cache.release_state(old);
+            *kept |= cache.release_state_late(old);
         }
-        if self.classes.contains(OffloadClass::OptimizerState) {
-            let v = opt.velocity(i);
-            *state = v.and_then(|v| cache.offload_state(v, OffloadClass::OptimizerState));
+        let class = OffloadClass::OptimizerState;
+        let Some(v) = opt.velocity(i).filter(|_| self.classes.contains(class)) else {
+            return;
+        };
+        if *kept {
+            cache.keep_state(v, class);
+        } else {
+            *state = cache.offload_state(v, class);
         }
     }
 }
@@ -298,6 +319,7 @@ impl OptEngine {
             slots: Mutex::new(Slots {
                 grads: vec![None; n],
                 states: vec![None; n],
+                kept: vec![false; n],
                 pending: Vec::with_capacity(n),
                 progress: vec![Progress::Idle; n],
                 order: Vec::with_capacity(n),
@@ -325,6 +347,13 @@ impl OptEngine {
     /// Whether the update runs inside backward.
     pub fn overlap(&self) -> bool {
         self.updater.overlap
+    }
+
+    /// Profiling applied a new adaptive plan: the parameters kept under
+    /// the old one are forgotten, and what stays on the GPU is learned
+    /// again from steps under the new one.
+    pub fn plan_changed(&self) {
+        self.updater.slots.lock().kept.fill(false);
     }
 
     /// The per-stage parameter ranges the inline update is partitioned
@@ -383,7 +412,7 @@ impl OptEngine {
         });
         for &(i, ready) in &slots.pending {
             clock.advance_to(ready);
-            u.apply(&mut slots.states, i);
+            u.apply(&mut slots.states, &mut slots.kept, i);
         }
         slots.pending.clear();
         slots.progress.fill(Progress::Idle);

@@ -496,6 +496,9 @@ impl TrainSession {
         cache.wait_io();
         cache.drain_stores();
         let result = cache.end_profile_step();
+        if let Some(engine) = &self.opt_engine {
+            engine.plan_changed();
+        }
         self.tape = g.tape_size();
         g.reset_tape();
         cache.flush();

@@ -10,7 +10,7 @@ use ssdtrain::{
 };
 use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger};
-use ssdtrain_train::{OffloadBackend, SessionBuilder, SessionConfig, TrainSession};
+use ssdtrain_train::{OffloadBackend, SessionBuilder, SessionConfig, StepMetrics, TrainSession};
 
 const STEPS: usize = 5;
 const MOMENTUM: f32 = 0.9;
@@ -492,4 +492,87 @@ fn the_overlapped_update_exposes_less_than_the_inline_one() {
         overlap_last.opt_exposed_secs,
         inline_last.opt_secs
     );
+}
+
+/// The optimizer-state lane's kept bytes in `m`.
+fn kept_state_bytes(m: &StepMetrics) -> u64 {
+    let lane = m.offload.class(OffloadClass::OptimizerState);
+    lane.map_or(0, |c| c.kept_bytes)
+}
+
+#[test]
+fn the_write_back_backward_waits_for_stays_on_the_gpu_once_profiled() {
+    // `sym_deep_tiered`'s configuration at four layers. The token and
+    // position embeddings' gradients are final last, so their momenta's
+    // write-backs are the one store backward's exit waits for. The first
+    // step after profiling learns that; from the next one on both
+    // momenta stay on the GPU, and the step is its compute.
+    let mut s = TrainSession::new(ssdtrain_bench::deep_tiered_config(4)).expect("session");
+    s.profile_step().expect("profile step");
+    let steps: Vec<StepMetrics> = (0..4).map(|_| s.run_step().expect("step")).collect();
+    let first = &steps[0];
+    let tail = first.offload.store_stall_secs;
+    assert!(
+        (tail - 0.008_250_496).abs() < 1e-9,
+        "first step's tail {tail} s"
+    );
+    assert_eq!(kept_state_bytes(first), 0, "nothing is known late yet");
+    for (k, m) in steps.iter().enumerate() {
+        let step = k + 1;
+        assert_eq!(m.act_peak_bytes, 1_864_712_194, "step {step}: peak moved");
+        if step < 2 {
+            continue;
+        }
+        assert_eq!(m.offload.store_stall_secs, 0.0, "step {step}: a store tail");
+        assert_eq!(m.opt_exposed_secs, 0.0, "step {step}: a state read tail");
+        let floor = first.step_secs - tail;
+        assert!(
+            (m.step_secs - floor).abs() < 1e-9,
+            "step {step}: {} s is not the compute floor {floor} s",
+            m.step_secs
+        );
+        // Token embedding 206 045 184 B + position embedding 4 194 304 B.
+        assert_eq!(kept_state_bytes(m), 210_239_488, "step {step}: kept bytes");
+    }
+    // A new plan forgets what the old one kept, and learns it again.
+    s.profile_step().expect("profile step");
+    let relearn = s.run_step().expect("step");
+    assert_eq!(kept_state_bytes(&relearn), 0, "kept across a new plan");
+    assert_eq!(relearn.offload.store_stall_secs, tail);
+    assert_eq!(kept_state_bytes(&s.run_step().expect("step")), 210_239_488);
+}
+
+#[test]
+fn a_session_that_never_profiles_keeps_no_state() {
+    // The default plan's steps stall on far more than the last
+    // write-back; none of it is taken for a keep decision.
+    let mut s = TrainSession::new(ssdtrain_bench::deep_tiered_config(4)).expect("session");
+    for step in 1..=4 {
+        let m = s.run_step().expect("step");
+        assert!(
+            m.offload.store_stall_secs > 0.0,
+            "step {step}: no tail to learn from"
+        );
+        assert_eq!(
+            kept_state_bytes(&m),
+            0,
+            "step {step}: kept state unprofiled"
+        );
+    }
+}
+
+#[test]
+fn a_plan_set_by_hand_teaches_no_keep() {
+    // The cutoff oracle's sessions: profiled, then a plan set by hand.
+    let mut s = TrainSession::new(ssdtrain_bench::deep_tiered_config(4)).expect("session");
+    let (_, plan) = s.profile_step().expect("profile step");
+    s.cache().expect("offload strategy").set_plan(plan);
+    for step in 1..=3 {
+        let m = s.run_step().expect("step");
+        assert!(
+            (m.offload.store_stall_secs - 0.008_250_496).abs() < 1e-9,
+            "step {step}: the tail moved"
+        );
+        assert_eq!(kept_state_bytes(&m), 0, "step {step}: kept state");
+    }
 }

@@ -321,11 +321,13 @@ fn momentum_read_ahead_lands_before_its_update_and_leaves_no_tail() {
     // `sym_deep_tiered`'s configuration on symbolic BERT H512 L24,
     // profiled first. Each `state.read_ahead` instant precedes its read's
     // `load` span; the update of its parameter writes the fresh momentum
-    // back (a state-class `store.enqueue` of the same size) and may not
-    // run before that read landed. Parameters of one size are
-    // interchangeable here, so the check is a matching: each read ahead,
-    // by landing time, claims the first unclaimed update of its size at
-    // or after it.
+    // back (a state-class `store.enqueue` of the same size) — or, from
+    // the step its write-back is found late, keeps it on the GPU (a
+    // `state.keep` of the same size) — and may not run before that read
+    // landed. Parameters of one size are interchangeable here, so the
+    // check is a matching: each read ahead, by landing time, claims the
+    // first unclaimed update of its size at or after it. The keeps'
+    // bytes are the optimizer-state lane's `kept_bytes`.
     let sink = TraceSink::enabled();
     let cfg = SessionConfig::builder()
         .model(ModelConfig::paper_scale(Arch::Bert, 512, 24).with_tp(2))
@@ -361,7 +363,7 @@ fn momentum_read_ahead_lands_before_its_update_and_leaves_no_tail() {
         let class = e.args.iter().find(|(k, _)| *k == "class");
         matches!(class, Some((_, ArgValue::Str(c))) if c == state)
     };
-    let mut read_ahead = 0;
+    let (mut read_ahead, mut kept) = (0, 0);
     for (i, stats) in stats.iter().enumerate() {
         let step = (i + 1) as u32;
         let in_step: Vec<&TraceEvent> = events.iter().filter(|e| e.step == step).collect();
@@ -378,11 +380,17 @@ fn momentum_read_ahead_lands_before_its_update_and_leaves_no_tail() {
                     reads.push((e.bytes(), e.end()));
                     ahead = false;
                 }
-                "store.enqueue" if is_state(e) => updates.push((e.bytes(), e.ts)),
+                "store.enqueue" | "state.keep" if is_state(e) => updates.push((e.bytes(), e.ts)),
                 _ => {}
             }
         }
         assert!(!ahead, "step {step}: a read ahead without its load");
+        let keeps = in_step.iter().filter(|e| e.name == "state.keep");
+        let keep_bytes: u64 = keeps.filter_map(|e| e.bytes()).sum();
+        let lane = stats.class(OffloadClass::OptimizerState);
+        let lane_kept = lane.map_or(0, |c| c.kept_bytes);
+        assert_eq!(keep_bytes, lane_kept, "step {step}: kept bytes");
+        kept += keep_bytes;
         read_ahead += reads.len();
         reads.sort_by(|a, b| a.1.as_secs().total_cmp(&b.1.as_secs()));
         for (bytes, landed) in reads {
@@ -394,6 +402,7 @@ fn momentum_read_ahead_lands_before_its_update_and_leaves_no_tail() {
         }
     }
     assert!(read_ahead > 0, "nothing was read ahead");
+    assert!(kept > 0, "no momentum was kept");
 }
 
 /// Coalesced-path variant of the fixed-seed session: same model and
