@@ -16,9 +16,10 @@
 ///
 /// ```
 /// use ssdtrain_analysis::ActivationModel;
-/// // The paper's Table 4 H8192 row: BERT, batch 16, TP 2.
+/// // The paper's Table 4 H8192 row: BERT, batch 16, TP 2. The model
+/// // estimate `tab4_offload` prints is `step_total_bytes`.
 /// let m = ActivationModel::fp16(16, 1024, 8192, 4, 2);
-/// let gb = m.step_offload_bytes() as f64 / 1e9;
+/// let gb = m.step_total_bytes() as f64 / 1e9;
 /// assert!((9.0..14.0).contains(&gb));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,17 +99,9 @@ impl ActivationModel {
         (2 * self.elem_bytes * self.bsh() / 2 + self.bsh()) / rep
     }
 
-    /// Total offloadable activation bytes per training step per GPU (the
-    /// Table 4 "model estimate"). The final module is kept in GPU memory
-    /// (Figure 4 ④), so it is excluded, matching the measured offloaded
-    /// amount.
-    pub fn step_offload_bytes(&self) -> u64 {
-        let full = self.layer_bytes() * self.layers as u64 + self.embed_bytes();
-        full.saturating_sub(self.mlp_block_bytes())
-    }
-
     /// Total activation bytes produced per step (kept modules included) —
-    /// the `S_activations` of the lifespan projection.
+    /// the Table 4 "model estimate" `tab4_offload` prints, and the
+    /// `S_activations` of the lifespan projection.
     pub fn step_total_bytes(&self) -> u64 {
         self.layer_bytes() * self.layers as u64 + self.embed_bytes()
     }
@@ -137,7 +130,7 @@ mod tests {
             (16384, 2, 9.0, 14.0),
         ] {
             let m = ActivationModel::fp16(16, 1024, h, l, 2);
-            let gb = m.step_offload_bytes() as f64 / 1e9;
+            let gb = m.step_total_bytes() as f64 / 1e9;
             assert!((lo..hi).contains(&gb), "H{h} L{l}: {gb:.2} GB");
         }
     }

@@ -9,7 +9,6 @@
 use crate::activations::ActivationModel;
 use crate::perfmodel::StepTimeModel;
 use ssdtrain_simhw::catalog::{ssds, MegatronConfig};
-use ssdtrain_simhw::ssd::YEAR_SECS;
 use ssdtrain_simhw::{Raid0, WearMeter};
 
 /// One row of the Figure 9 sweep.
@@ -129,12 +128,6 @@ impl LifespanProjection {
     }
 }
 
-/// Convenience: lifespan in years from endurance bytes, step time and
-/// bytes per step (`t_life = S_endurance · t_step / S_activations`).
-pub fn lifespan_years(endurance_bytes: f64, step_secs: f64, bytes_per_step: u64) -> f64 {
-    endurance_bytes * step_secs / (bytes_per_step as f64 * YEAR_SECS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::figure9_configs;
@@ -223,11 +216,5 @@ mod tests {
         let row = proj.project(&figure9_configs()[0]);
         let relaxed = proj.lifespan_with_retention_relaxation(&row, 3.0 * 365.25, 3.0);
         assert!((relaxed / row.lifespan_years - 50.0).abs() < 1.5);
-    }
-
-    #[test]
-    fn lifespan_helper_matches_formula() {
-        let y = lifespan_years(1e15, 1.0, 10_000_000_000);
-        assert!((y - 1e5 / YEAR_SECS).abs() < 1e-9);
     }
 }

@@ -1,15 +1,13 @@
 //! Step-time modelling for large systems.
 //!
-//! Mirrors the paper's extension of `llm-analysis` (Section 3.4): each
-//! transformer layer is a simple pipeline
-//! `t = max(Σ_l max(t_compute, t_memory), t_zero_communicate)`, and for
-//! the Figure 9 sweep the end-to-end rate comes from the *measured*
+//! Stands in for the paper's extension of `llm-analysis` (Section 3.4):
+//! for the Figure 9 sweep the end-to-end rate comes from the *measured*
 //! per-GPU model throughput of the published scaling study, which bakes
-//! in all communication inefficiency. The training step is assumed to be
-//! 3× the forward time.
+//! in all communication inefficiency, rather than from per-layer
+//! roofline and ZeRO-communication terms. The training step is assumed
+//! to be 3× the forward time.
 
 use ssdtrain_simhw::catalog::MegatronConfig;
-use ssdtrain_simhw::GpuSpec;
 
 /// Analytic step-time model for one configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,28 +56,6 @@ impl StepTimeModel {
             fwd_secs: step_secs / passes,
         }
     }
-
-    /// Per-layer roofline forward time on one GPU — the
-    /// `Σ_l max(t_compute, t_memory)` inner model, exposed for analyses
-    /// that do not have a measured throughput.
-    pub fn layer_roofline_secs(
-        gpu: &GpuSpec,
-        batch: usize,
-        seq: usize,
-        hidden: usize,
-        tp: usize,
-    ) -> f64 {
-        let (b, s, h) = (batch as f64, seq as f64, hidden as f64);
-        let tpf = tp as f64;
-        // GEMM flops of one layer (QKV, attention, projection, MLP).
-        let gemm = 24.0 * b * s * h * h / tpf + 4.0 * b * s * s * h / tpf;
-        // Elementwise traffic (LN, GELU, dropout, residuals) ≈ 20 passes
-        // over the hidden activation at 2 bytes.
-        let mem_bytes = 20.0 * 2.0 * b * s * h;
-        let t_c = gemm / (gpu.effective_tflops() * 1e12);
-        let t_m = mem_bytes / (gpu.hbm_gbps * 1e9);
-        t_c.max(t_m)
-    }
 }
 
 #[cfg(test)]
@@ -123,13 +99,5 @@ mod tests {
             .expect("1T config");
         let m = StepTimeModel::from_megatron(&cfg);
         assert!((10.0..200.0).contains(&m.step_secs), "{}", m.step_secs);
-    }
-
-    #[test]
-    fn roofline_is_compute_bound_at_paper_scale() {
-        let gpu = GpuSpec::a100_pcie_40gb();
-        let t = StepTimeModel::layer_roofline_secs(&gpu, 16, 1024, 8192, 2);
-        // One H8192 layer at B16 TP2: ~12 TFLOP effective -> tens of ms.
-        assert!((0.02..0.2).contains(&t), "{t}");
     }
 }

@@ -27,11 +27,6 @@ pub struct TrendFit {
 }
 
 impl TrendFit {
-    /// Predicted value at `year`.
-    pub fn predict(&self, year: f64) -> f64 {
-        self.a * (self.b * (year - self.x0)).exp()
-    }
-
     /// Compound annual growth rate (e.g. `1.0` = doubling ≈ 100%/year).
     pub fn cagr(&self) -> f64 {
         self.b.exp() - 1.0
@@ -81,18 +76,6 @@ pub fn cagr(from: (f64, f64), to: (f64, f64)) -> f64 {
     (to.1 / from.1).powf(1.0 / (to.0 - from.0)) - 1.0
 }
 
-/// The Section 2.2 exponents under Chinchilla scaling: with compute `C`,
-/// parameters `N ∝ C^0.5`, batch tokens `D ∝ C^0.5`, hidden `h ∝ N^(1/3)`
-/// — returns `(activation_exponent, other_memory_exponent)`, i.e.
-/// `S_activations ∝ C^(5/6)` and `S_others ∝ C^(1/2)`.
-pub fn chinchilla_memory_exponents() -> (f64, f64) {
-    let n_exp: f64 = 0.5;
-    let d_exp: f64 = 0.5;
-    let h_exp = n_exp / 3.0;
-    // S_act ∝ (N / h) · D = C^(0.5 - 1/6 + 0.5)
-    (n_exp - h_exp + d_exp, n_exp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,7 +103,6 @@ mod tests {
         let pts: Vec<(f64, f64)> = (0..6).map(|i| (2000.0 + i as f64, 2f64.powi(i))).collect();
         let fit = fit_exponential(&pts);
         assert!((fit.cagr() - 1.0).abs() < 1e-6, "{}", fit.cagr());
-        assert!((fit.predict(2003.0) - 8.0).abs() < 1e-6);
         assert!((fit.doubling_years() - 1.0).abs() < 1e-6);
     }
 
@@ -151,15 +133,6 @@ mod tests {
         let mem_fit = fit_exponential(&memory_points());
         assert!(llm_fit.b > mem_fit.b, "LLMs must outgrow GPU memory");
         assert!(flops_fit.b > mem_fit.b, "throughput must outgrow memory");
-    }
-
-    #[test]
-    fn chinchilla_activations_dominate() {
-        let (act, others) = chinchilla_memory_exponents();
-        assert!((act - 5.0 / 6.0).abs() < 1e-12);
-        assert!((others - 0.5).abs() < 1e-12);
-        assert!(act > others, "activations must outgrow other memory");
-        assert!(act < 1.0, "but still grow slower than compute");
     }
 
     #[test]

@@ -74,19 +74,6 @@ impl ZeroMemoryModel {
     }
 }
 
-/// Wall time of the end-of-step gradient allreduce across a `dp`-wide
-/// data-parallel group (ring algorithm): each rank moves
-/// `2·(dp−1)/dp × grad_bytes` over its link. With ZeRO stages ≥ 2 the
-/// collective becomes a same-volume reduce-scatter + (stage < 3)
-/// allgather, so the ring bound still applies.
-pub fn grad_allreduce_secs(grad_bytes: u64, dp: usize, link_bps: f64) -> f64 {
-    assert!(dp >= 1 && link_bps > 0.0, "valid group and link");
-    if dp == 1 {
-        return 0.0;
-    }
-    grad_bytes as f64 * 2.0 * (dp as f64 - 1.0) / dp as f64 / link_bps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,20 +117,6 @@ mod tests {
         let a = ZeroMemoryModel::new(B, 8, ZeroStage::Stage1).others_bytes_per_gpu();
         let b = ZeroMemoryModel::new(3 * B, 8, ZeroStage::Stage1).others_bytes_per_gpu();
         assert_eq!(b, 3 * a);
-    }
-
-    #[test]
-    fn grad_allreduce_matches_ring_formula() {
-        use super::grad_allreduce_secs;
-        assert_eq!(grad_allreduce_secs(1 << 30, 1, 1e9), 0.0);
-        // 1 GiB over 8 ranks at 100 GB/s: 2*(7/8) GiB on the wire.
-        let t = grad_allreduce_secs(1 << 30, 8, 100e9);
-        let want = (1u64 << 30) as f64 * 1.75 / 100e9;
-        assert!((t - want).abs() < 1e-12);
-        // The paper's weak-scaling point: per-GPU gradient traffic is
-        // bounded by 2x the (sharded) model size regardless of dp.
-        let wide = grad_allreduce_secs(1 << 30, 1024, 100e9);
-        assert!(wide < 2.0 * (1u64 << 30) as f64 / 100e9);
     }
 
     #[test]

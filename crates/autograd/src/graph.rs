@@ -184,11 +184,6 @@ impl Graph {
         *self.inner.saved_hooks.borrow_mut() = Some(hooks);
     }
 
-    /// Removes the saved-tensor hooks; tensors are kept on the graph.
-    pub fn clear_saved_tensor_hooks(&self) {
-        *self.inner.saved_hooks.borrow_mut() = None;
-    }
-
     /// Registers a module-hooks listener (several may be registered).
     pub fn add_module_hooks(&self, hooks: Arc<dyn ModuleHooks>) {
         self.inner.module_hooks.borrow_mut().push(hooks);

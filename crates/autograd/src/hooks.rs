@@ -21,16 +21,6 @@ pub enum Packed {
     Opaque(u64),
 }
 
-impl Packed {
-    /// Returns the tensor if this packed value holds one directly.
-    pub fn as_tensor(&self) -> Option<&Tensor> {
-        match self {
-            Packed::Tensor(t) => Some(t),
-            Packed::Opaque(_) => None,
-        }
-    }
-}
-
 /// Pack/unpack hook pair, mirroring
 /// `torch.autograd.graph.saved_tensors_hooks`.
 pub trait SavedTensorHooks: Send + Sync {
@@ -81,13 +71,5 @@ mod tests {
         let packed = hooks.pack(&t);
         let back = hooks.unpack(&packed);
         assert!(back.storage().ptr_eq(t.storage()));
-    }
-
-    #[test]
-    fn packed_as_tensor() {
-        let dev = Device::cpu();
-        let t = Tensor::zeros([1], &dev);
-        assert!(Packed::Tensor(t).as_tensor().is_some());
-        assert!(Packed::Opaque(3).as_tensor().is_none());
     }
 }

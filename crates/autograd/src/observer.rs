@@ -90,55 +90,6 @@ pub trait ExecObserver: Send + Sync {
     fn on_op(&self, name: &str, cost: &OpCost, phase: Phase);
 }
 
-/// Observer that accumulates totals; handy in tests and profiling.
-#[derive(Debug, Default)]
-pub struct CostTotals {
-    inner: parking_lot::Mutex<TotalsInner>,
-}
-
-#[derive(Debug, Default, Clone)]
-struct TotalsInner {
-    forward: OpCost,
-    backward: OpCost,
-    recompute: OpCost,
-    ops: u64,
-}
-
-impl CostTotals {
-    /// An empty accumulator.
-    pub fn new() -> CostTotals {
-        CostTotals::default()
-    }
-
-    /// Accumulated cost of the given phase.
-    pub fn phase_cost(&self, phase: Phase) -> OpCost {
-        let g = self.inner.lock();
-        match phase {
-            Phase::Forward => g.forward,
-            Phase::Backward => g.backward,
-            Phase::Recompute => g.recompute,
-        }
-    }
-
-    /// Total number of operators observed.
-    pub fn op_count(&self) -> u64 {
-        self.inner.lock().ops
-    }
-}
-
-impl ExecObserver for CostTotals {
-    fn on_op(&self, _name: &str, cost: &OpCost, phase: Phase) {
-        let mut g = self.inner.lock();
-        g.ops += 1;
-        let slot = match phase {
-            Phase::Forward => &mut g.forward,
-            Phase::Backward => &mut g.backward,
-            Phase::Recompute => &mut g.recompute,
-        };
-        *slot = slot.plus(cost);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,16 +108,5 @@ mod tests {
         assert!(!Phase::Forward.in_backward());
         assert!(Phase::Backward.in_backward());
         assert!(Phase::Recompute.in_backward());
-    }
-
-    #[test]
-    fn totals_accumulate_per_phase() {
-        let t = CostTotals::new();
-        t.on_op("a", &OpCost::new(5, 0, 0), Phase::Forward);
-        t.on_op("b", &OpCost::new(7, 0, 0), Phase::Backward);
-        t.on_op("c", &OpCost::new(11, 0, 0), Phase::Forward);
-        assert_eq!(t.phase_cost(Phase::Forward).flops, 16);
-        assert_eq!(t.phase_cost(Phase::Backward).flops, 7);
-        assert_eq!(t.op_count(), 3);
     }
 }

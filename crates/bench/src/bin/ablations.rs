@@ -65,7 +65,7 @@ fn main() {
         (
             "no prefetch (sync loads)",
             TensorCacheConfig {
-                prefetch: false,
+                prefetch_depth: 0,
                 ..base.clone()
             },
         ),

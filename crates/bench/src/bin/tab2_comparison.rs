@@ -17,7 +17,7 @@ fn run(system: SystemConfig, asynchronous: bool, sink: TraceSink) -> StepMetrics
         TensorCacheConfig::default()
     } else {
         TensorCacheConfig {
-            prefetch: false,
+            prefetch_depth: 0,
             forwarding: false,
             cancel_forwarded_stores: false,
             adaptive: false,

@@ -786,7 +786,6 @@ const IO_ARMS: [IoArm; 4] = [
 ];
 
 fn io_row(arm: &'static IoArm) -> IoRow {
-    let defaults = TensorCacheConfig::default();
     let builder = paper_testbed(Arch::Bert, 2048, 8, 8)
         .strategy(PlacementStrategy::Offload)
         .backend(OffloadBackend::Tiered {
@@ -795,13 +794,12 @@ fn io_row(arm: &'static IoArm) -> IoRow {
         .store_job_overhead(IO_STORE_JOB_OVERHEAD_SECS)
         .ssd_write_overhead(IO_SSD_WRITE_OVERHEAD_BYTES)
         .cache(TensorCacheConfig {
-            prefetch: arm.depth > 0,
-            prefetch_depth: arm.depth.max(defaults.prefetch_depth),
+            prefetch_depth: arm.depth,
             coalesce_segment_bytes: arm.segment_bytes,
             prefetch_group_modules: arm.group_modules,
             // Every arm queues the same bytes (see `io_rows`).
             cancel_forwarded_stores: false,
-            ..defaults
+            ..TensorCacheConfig::default()
         });
     let cfg = builder.build().expect("valid config");
     let mut session = TrainSession::new(cfg).expect("session construction");

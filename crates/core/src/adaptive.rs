@@ -57,18 +57,6 @@ pub struct StepProfile {
     pub fwd_io_secs: f64,
 }
 
-impl StepProfile {
-    /// Measured forward write bandwidth, bytes/s (used as the budget when
-    /// the caller does not supply the channel's rated bandwidth).
-    pub fn measured_write_bps(&self) -> f64 {
-        if self.fwd_io_secs > 0.0 {
-            self.fwd_io_bytes as f64 / self.fwd_io_secs
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
 /// The planner's decision: which module paths keep their activations in
 /// GPU memory.
 #[derive(Debug, Clone, PartialEq, Default)]

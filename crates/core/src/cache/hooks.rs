@@ -87,11 +87,12 @@ impl ModuleHooks for TensorCache {
         let Some(pos) = order.and_then(|o| position_near(o, hint, scope.seq)) else {
             return;
         };
-        if self.config.prefetch && g > 0 {
+        let depth = self.config.prefetch_depth;
+        if depth > 0 && g > 0 {
             self.look_ahead(st, mb, pos / g);
             return;
         }
-        self.prefetch_before(st, mb, pos, self.config.prefetch_depth.max(1));
+        self.prefetch_before(st, mb, pos, depth);
     }
 
     fn backward_post(&self, scope: &ScopeInfo) {

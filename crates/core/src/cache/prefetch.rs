@@ -10,14 +10,15 @@ use ssdtrain_trace::{ArgValue, TraceCategory};
 
 impl TensorCache {
     /// Prefetches the records of up to `depth` record-holding modules at
-    /// or before position `pos` in the forward order, nearest first.
+    /// or before position `pos` in the forward order, nearest first
+    /// (none for `depth == 0`).
     pub(super) fn prefetch_before(&self, st: &mut State, mb: usize, pos: usize, depth: usize) {
-        if !self.config.prefetch {
-            return;
-        }
         let now = self.io.clock().now();
         let mut taken = 0;
         for p in (0..pos).rev() {
+            if taken >= depth {
+                break;
+            }
             let Some(&seq) = st.forward_order.get(&mb).and_then(|o| o.get(p)) else {
                 continue;
             };
@@ -26,9 +27,6 @@ impl TensorCache {
             }
             st.for_scope_records(seq, |st, id| self.prefetch_record(st, id, now));
             taken += 1;
-            if taken >= depth {
-                break;
-            }
         }
     }
 
@@ -161,7 +159,7 @@ impl TensorCache {
                 self.retire_slab(&st.trace, slab);
             }
         }
-        let depth = self.config.prefetch_depth.max(1);
+        let depth = self.config.prefetch_depth;
         let mut ahead = st.group_slabs.keys().filter(|k| k.0 == mb).count();
         let mut next = la.next.min(cur + 1);
         let mut ids = std::mem::take(&mut st.group_scratch);
@@ -220,13 +218,14 @@ impl TensorCache {
         let mb = st.current_mb;
         let len = st.forward_order.get(&mb).map_or(0, |o| o.len());
         let g = self.config.prefetch_group_modules;
-        if self.config.prefetch && g > 0 {
+        let depth = self.config.prefetch_depth;
+        if depth > 0 && g > 0 {
             if len > 0 {
                 self.look_ahead(&mut st, mb, (len - 1) / g);
             }
             return;
         }
-        self.prefetch_before(&mut st, mb, len, self.config.prefetch_depth.max(1));
+        self.prefetch_before(&mut st, mb, len, depth);
     }
 
     /// Reads an offloaded state slot ahead of its consumer — the

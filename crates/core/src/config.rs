@@ -121,13 +121,12 @@ pub struct TensorCacheConfig {
     /// offloaded and only the last module is implicitly kept by the
     /// prefetch-free fast path.
     pub adaptive: bool,
-    /// Prefetch activations of upcoming modules during backward
-    /// (Section 3.3.2). Disabling exposes every reload on the critical
-    /// path — the behaviour of the non-async systems in Table 2.
-    pub prefetch: bool,
     /// How many upcoming modules to keep in the load queue during
-    /// backward. The paper notes any scheme works "as long as there are
-    /// always I/O tasks in the GPU job queue to keep PCIe busy". Depth 1
+    /// backward, prefetching their activations (Section 3.3.2). The
+    /// paper notes any scheme works "as long as there are always I/O
+    /// tasks in the GPU job queue to keep PCIe busy". `0` turns
+    /// prefetching off: every reload is exposed on the critical path —
+    /// the behaviour of the non-async systems in Table 2. Depth 1
     /// is the paper's scheme (prefetch the next module); raise it when a
     /// module's reload takes longer than a module's backward (small
     /// hidden sizes on fast GPUs). In group mode
@@ -169,7 +168,6 @@ impl Default for TensorCacheConfig {
             forwarding: true,
             cancel_forwarded_stores: true,
             adaptive: true,
-            prefetch: true,
             prefetch_depth: 2,
             prefetch_group_modules: 0,
             coalesce_segment_bytes: 0,
@@ -198,7 +196,8 @@ mod tests {
     fn default_matches_paper_threshold() {
         let c = TensorCacheConfig::default();
         assert_eq!(c.min_offload_numel, 1 << 20);
-        assert!(c.dedup && c.forwarding && c.prefetch && c.adaptive);
+        assert!(c.dedup && c.forwarding && c.adaptive);
+        assert!(c.prefetch_depth > 0, "prefetch is on by default");
         assert_eq!(c.bwd_fwd_ratio, 2.0);
     }
 

@@ -145,10 +145,6 @@ impl OffloadStats {
     pub fn class(&self, class: OffloadClass) -> Option<&ClassCounters> {
         self.classes.get(class.index())
     }
-    /// Sum of write and read traffic to the offload target.
-    pub fn io_bytes(&self) -> u64 {
-        self.offloaded_bytes + self.reloaded_bytes
-    }
 
     /// Whether recovery machinery engaged this step (any failed store,
     /// retried load, fallback write or failure-kept tensor).
@@ -165,19 +161,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn io_bytes_sums_directions() {
-        let s = OffloadStats {
-            offloaded_bytes: 10,
-            reloaded_bytes: 5,
-            ..OffloadStats::default()
-        };
-        assert_eq!(s.io_bytes(), 15);
-    }
-
-    #[test]
     fn default_is_all_zero() {
         let s = OffloadStats::default();
-        assert_eq!(s.io_bytes(), 0);
+        assert_eq!((s.offloaded_bytes, s.reloaded_bytes), (0, 0));
         assert_eq!(s.stall_secs, 0.0);
     }
 

@@ -237,7 +237,7 @@ fn forwarding_disabled_exposes_store_latency() {
     let cfg = TensorCacheConfig {
         forwarding: false,
         cancel_forwarded_stores: false,
-        prefetch: false,
+        prefetch_depth: 0,
         ..offload_all_config()
     };
     let r = rig(cfg, 100.0, 100.0, 1e-6);

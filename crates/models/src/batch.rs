@@ -52,11 +52,6 @@ impl Batch {
             batch,
         }
     }
-
-    /// Total input tokens in this batch.
-    pub fn token_count(&self) -> usize {
-        self.tokens.numel()
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +76,6 @@ mod tests {
         for id in b.tokens.to_vec() {
             assert!((id as usize) < cfg.vocab);
         }
-        assert_eq!(b.token_count(), 4 * cfg.seq);
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl Model {
             Model::T5(m) => m.config(),
         }
     }
-
-    /// Total parameter count (exact, from the instantiated tensors).
-    pub fn param_count(&self) -> u64 {
-        self.parameters().iter().map(|p| p.numel() as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +109,7 @@ mod tests {
         let dev = Device::symbolic();
         let cfg = ModelConfig::paper_scale(Arch::Bert, 1024, 3);
         let m = Model::build(&cfg, &dev, 1);
-        let n = m.param_count() as f64;
+        let n: f64 = m.parameters().iter().map(|p| p.numel() as f64).sum();
         let law = 12.0 * 3.0 * 1024.0f64.powi(2);
         // Embeddings and the MLM head add vocab terms on top of the law.
         let extra = 2.0 * 50304.0 * 1024.0;

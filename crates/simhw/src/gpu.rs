@@ -49,20 +49,6 @@ impl GpuSpec {
         }
     }
 
-    /// A100 SXM 80 GB, for the "real-world training systems" design-space
-    /// discussion (Section 4.1).
-    pub fn a100_sxm_80gb() -> GpuSpec {
-        GpuSpec {
-            name: "A100-SXM-80GB".into(),
-            fp16_tflops: 312.0,
-            matmul_efficiency: 0.50,
-            elementwise_efficiency: 0.80,
-            hbm_gbps: 2039.0,
-            memory_bytes: 80 * (1u64 << 30),
-            launch_overhead_s: 5e-6,
-        }
-    }
-
     /// Duration of one kernel in seconds.
     ///
     /// `is_matmul` selects the GEMM efficiency; other kernels are usually

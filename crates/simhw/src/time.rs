@@ -24,11 +24,6 @@ impl SimTime {
         self.0
     }
 
-    /// As milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// This time advanced by `s` seconds.
     pub fn plus_secs(self, s: f64) -> SimTime {
         SimTime(self.0 + s)
@@ -161,6 +156,5 @@ mod tests {
         let t = SimTime::from_secs(2.5);
         assert_eq!(t.since(SimTime::from_secs(1.0)), 1.5);
         assert_eq!(t.to_string(), "2.500000s");
-        assert_eq!(t.as_millis(), 2500.0);
     }
 }

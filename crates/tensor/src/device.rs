@@ -226,11 +226,6 @@ impl Device {
             t.on_free(bytes, class);
         }
     }
-
-    /// True if both handles refer to the same device.
-    pub fn same_device(&self, other: &Device) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 fn dtype_to_u8(d: DType) -> u8 {
@@ -304,13 +299,5 @@ mod tests {
     fn symbolic_flag() {
         assert!(Device::symbolic().is_symbolic());
         assert!(!Device::cpu().is_symbolic());
-    }
-
-    #[test]
-    fn same_device_identity() {
-        let dev = Device::cpu();
-        let clone = dev.clone();
-        assert!(dev.same_device(&clone));
-        assert!(!dev.same_device(&Device::cpu()));
     }
 }

@@ -4,7 +4,7 @@ use crate::device::{Device, MemClass};
 use crate::dtype::DType;
 use crate::rng::Prng;
 use crate::shape::{Dims, Shape};
-use crate::storage::{PayloadRead, Storage, WeakStorage};
+use crate::storage::{PayloadRead, Storage};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -142,14 +142,6 @@ impl Tensor {
         Tensor::from_vec(data, [n, n], device)
     }
 
-    /// Values `0, 1, …, n-1` as a 1-D tensor.
-    pub fn arange(n: usize, device: &Device) -> Tensor {
-        if device.is_symbolic() {
-            return Tensor::symbolic([n], device);
-        }
-        Tensor::from_vec((0..n).map(|i| i as f32).collect(), [n], device)
-    }
-
     /// Standard-normal samples scaled by `std`.
     pub fn randn(shape: impl Into<Shape>, std: f32, rng: &mut Prng, device: &Device) -> Tensor {
         let shape = shape.into();
@@ -158,24 +150,6 @@ impl Tensor {
         }
         let data = (0..shape.numel())
             .map(|_| rng.next_normal() * std)
-            .collect();
-        Tensor::from_vec(data, shape, device)
-    }
-
-    /// Uniform samples in `[lo, hi)`.
-    pub fn rand_uniform(
-        shape: impl Into<Shape>,
-        lo: f32,
-        hi: f32,
-        rng: &mut Prng,
-        device: &Device,
-    ) -> Tensor {
-        let shape = shape.into();
-        if device.is_symbolic() {
-            return Tensor::symbolic(shape, device);
-        }
-        let data = (0..shape.numel())
-            .map(|_| lo + (hi - lo) * rng.next_f32())
             .collect();
         Tensor::from_vec(data, shape, device)
     }
@@ -209,11 +183,6 @@ impl Tensor {
     /// The underlying storage.
     pub fn storage(&self) -> &Storage {
         &self.storage
-    }
-
-    /// Weak handle to the storage, for forwarding.
-    pub fn weak_storage(&self) -> WeakStorage {
-        self.storage.downgrade()
     }
 
     /// Shape of this view.
@@ -581,12 +550,10 @@ mod tests {
     }
 
     #[test]
-    fn eye_and_arange() {
+    fn eye_is_the_identity() {
         let i = Tensor::eye(3, &dev());
         assert_eq!(i.at(&[1, 1]), 1.0);
         assert_eq!(i.at(&[0, 1]), 0.0);
-        let a = Tensor::arange(4, &dev());
-        assert_eq!(a.to_vec(), vec![0., 1., 2., 3.]);
     }
 
     #[test]

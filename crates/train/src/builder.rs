@@ -3,8 +3,7 @@
 //!
 //! Struct-literal construction cannot reject nonsense (a tensor-parallel
 //! degree wider than the machine, a batch that does not divide into its
-//! micro-batches, a fallback target without the policy that would ever
-//! use it), so the builder funnels every configuration through
+//! micro-batches, a tiered backend with no DRAM tier), so the builder funnels every configuration through
 //! [`SessionBuilder::build`] and returns a typed [`ConfigError`] instead
 //! of failing deep inside a step.
 
@@ -37,9 +36,6 @@ pub enum ConfigError {
         /// Micro-batches per step.
         micro_batches: usize,
     },
-    /// A fallback target was named, but the recovery policy is not
-    /// [`RecoveryPolicy::FallbackTarget`], so it could never be used.
-    FallbackWithoutPolicy,
     /// The pipeline was asked for zero stages.
     ZeroStages,
     /// More pipeline stages than the model has layers to split.
@@ -60,9 +56,6 @@ pub enum ConfigError {
     /// hold an activation and would silently behave like the plain SSD
     /// backend.
     ZeroTierCapacity,
-    /// The spill-of-last-resort fallback must be a single device; the
-    /// tiered backend is itself a spill chain and cannot back one.
-    TieredFallback,
     /// The `OptimizerState` class was selected, but the optimizer is
     /// stateless (`momentum == 0`) — there would be nothing to offload,
     /// and the configuration almost certainly meant to set a momentum.
@@ -89,10 +82,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "batch_size {batch_size} does not divide into {micro_batches} micro-batches"
             ),
-            ConfigError::FallbackWithoutPolicy => write!(
-                f,
-                "a fallback target requires RecoveryPolicy::FallbackTarget"
-            ),
             ConfigError::ZeroStages => write!(f, "the pipeline needs at least one stage"),
             ConfigError::StagesExceedLayers { pp, layers } => {
                 write!(f, "more pipeline stages than layers ({pp} > {layers})")
@@ -100,10 +89,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroTierCapacity => {
                 write!(f, "a tiered backend needs a non-zero DRAM tier capacity")
             }
-            ConfigError::TieredFallback => write!(
-                f,
-                "the fallback must be a single device (ssd or dram), not the tiered stack"
-            ),
             ConfigError::StatelessOptimizerOffload => write!(
                 f,
                 "offloading optimizer state requires a stateful optimizer; set a \
@@ -175,7 +160,6 @@ pub struct SessionBuilder {
     overlap_optimizer: bool,
     momentum: f32,
     fault: Option<FaultPlan>,
-    fallback: Option<OffloadBackend>,
     trace: TraceSink,
 }
 
@@ -195,7 +179,6 @@ impl Default for SessionBuilder {
             overlap_optimizer: false,
             momentum: 0.0,
             fault: None,
-            fallback: None,
             trace: TraceSink::disabled(),
         }
     }
@@ -274,7 +257,7 @@ impl SessionBuilder {
     /// Prefetch lookahead shorthand: rewrites `cache.prefetch_depth`
     /// in place: modules ahead on the per-module path; on the grouped
     /// path the floor of the look-ahead, the groups kept in flight
-    /// whatever the memory level.
+    /// whatever the memory level. `0` turns prefetching off.
     pub fn prefetch_depth(mut self, depth: usize) -> SessionBuilder {
         self.cache.prefetch_depth = depth;
         self
@@ -371,17 +354,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Names the spill-of-last-resort backend for
-    /// [`RecoveryPolicy::FallbackTarget`]. Must be a single device
-    /// (ssd or dram); rejected by [`build`] when the recovery policy
-    /// would never consult it, or when handed the tiered stack.
-    ///
-    /// [`build`]: SessionBuilder::build
-    pub fn fallback(mut self, backend: OffloadBackend) -> SessionBuilder {
-        self.fallback = Some(backend);
-        self
-    }
-
     /// Routes the session's tensor-lifecycle events into `sink`.
     pub fn trace(mut self, sink: TraceSink) -> SessionBuilder {
         self.trace = sink;
@@ -411,12 +383,6 @@ impl SessionBuilder {
                 gpus: self.system.gpus,
             });
         }
-        if self.fallback.is_some() && self.cache.recovery != RecoveryPolicy::FallbackTarget {
-            return Err(ConfigError::FallbackWithoutPolicy);
-        }
-        if matches!(self.fallback, Some(OffloadBackend::Tiered { .. })) {
-            return Err(ConfigError::TieredFallback);
-        }
         if self.backend == (OffloadBackend::Tiered { dram_bytes: 0 }) {
             return Err(ConfigError::ZeroTierCapacity);
         }
@@ -440,7 +406,6 @@ impl SessionBuilder {
             overlap_optimizer: self.overlap_optimizer,
             momentum: self.momentum,
             fault: self.fault,
-            fallback: self.fallback,
             trace: self.trace,
         })
     }
@@ -598,34 +563,5 @@ mod tests {
             err,
             ConfigError::TensorParallelMismatch { tp: gpus + 1, gpus }
         );
-    }
-
-    #[test]
-    fn fallback_requires_the_matching_recovery_policy() {
-        let err = SessionConfig::builder()
-            .fallback(OffloadBackend::Dram)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::FallbackWithoutPolicy);
-
-        let cfg = SessionConfig::builder()
-            .recovery(RecoveryPolicy::FallbackTarget)
-            .fallback(OffloadBackend::Dram)
-            .build()
-            .expect("policy matches");
-        assert_eq!(cfg.fallback, Some(OffloadBackend::Dram));
-    }
-
-    #[test]
-    fn a_tiered_fallback_is_rejected() {
-        let err = SessionConfig::builder()
-            .recovery(RecoveryPolicy::FallbackTarget)
-            .fallback(OffloadBackend::Tiered {
-                dram_bytes: 1 << 20,
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::TieredFallback);
-        assert!(err.to_string().contains("single device"), "{err}");
     }
 }

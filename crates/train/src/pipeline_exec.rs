@@ -59,8 +59,6 @@ pub struct PipelineStepReport {
     pub loss: f32,
     /// Step makespan: the latest stage-0 backward completion.
     pub step_secs: f64,
-    /// Idle fraction versus the bubble-free ideal on one stage.
-    pub bubble_fraction: f64,
 }
 
 /// The functional pipeline trainer.
@@ -176,7 +174,8 @@ impl PipelineExec {
     /// cache reported a failure recovery could not absorb (the
     /// optimizer update is skipped and gradients are cleared), and
     /// [`PipelineError::Schedule`] when the 1F1B schedule handed a
-    /// stage a micro-batch whose inputs were never produced.
+    /// stage a micro-batch whose inputs were never produced, or left
+    /// every stage waiting.
     pub fn run_step(&mut self) -> Result<PipelineStepReport, PipelineError> {
         let pp = self.cfg.pp;
         let m = self.cfg.micro_batches.max(1);
@@ -277,7 +276,20 @@ impl PipelineExec {
                     progressed = true;
                 }
             }
-            assert!(progressed, "functional 1F1B deadlocked (bug)");
+            if !progressed {
+                // Every stage with work left waits on an input no stage
+                // will produce: report the first one.
+                let (stage, micro_batch) = (0..pp)
+                    .find_map(|s| match cmds[s].get(cursor[s])? {
+                        StageCmd::Forward { mb } | StageCmd::Backward { mb } => Some((s, *mb)),
+                    })
+                    .unwrap_or_default();
+                return Err(PipelineError::Schedule {
+                    stage,
+                    micro_batch,
+                    what: "an input no stage produces (the 1F1B schedule deadlocked)",
+                });
+            }
         }
 
         let mut step_error = None;
@@ -328,17 +340,9 @@ impl PipelineExec {
             "step.end",
             SimTime::from_secs(step_secs),
         );
-        // Ideal: one stage's compute for all micro-batches back to back.
-        let stage0_busy: f64 = {
-            // Approximate with measured makespan of pp=1 equivalence:
-            // sum of per-mb stage-0 forward+backward durations is not
-            // tracked per op; use the bubble-free bound m/(m+pp-1).
-            step_secs * m as f64 / (m + pp - 1) as f64
-        };
         Ok(PipelineStepReport {
             loss: losses.iter().copied().sum::<f32>() / losses.len().max(1) as f32,
             step_secs,
-            bubble_fraction: 1.0 - stage0_busy / step_secs.max(f64::MIN_POSITIVE),
         })
     }
 
@@ -643,7 +647,6 @@ mod tests {
         let per_a = ra.step_secs / 2.0;
         let per_b = rb.step_secs / 8.0;
         assert!(per_b < per_a, "{per_b} vs {per_a}");
-        assert!(rb.bubble_fraction < ra.bubble_fraction + 1e-9);
     }
 
     #[test]

@@ -148,11 +148,6 @@ pub struct SessionConfig {
     /// offload target (`None` for a healthy device). Recovery follows
     /// `cache.recovery`.
     pub fault: Option<FaultPlan>,
-    /// Spill-of-last-resort backend for
-    /// [`RecoveryPolicy::FallbackTarget`] (`None` defaults to the host
-    /// pinned pool; the tiered backend is rejected at build time — a
-    /// fallback must be a single device).
-    pub fallback: Option<OffloadBackend>,
     /// Trace sink receiving the session's tensor-lifecycle events
     /// (disabled by default; see [`TraceSink::enabled`]).
     pub trace: TraceSink,
@@ -178,7 +173,7 @@ pub struct TrainSession {
     /// updates parameters inside backward.
     optimizer: Arc<Mutex<Sgd>>,
     opt_engine: Option<OptEngine>,
-    spill_dirs: Vec<PathBuf>,
+    spill_dir: Option<PathBuf>,
     trace: TraceSink,
     step_idx: u64,
     /// The last backward's tape, which the next step's graph reserves.
@@ -228,7 +223,7 @@ impl TrainSession {
             cfg.system.nvlink_bps,
             cfg.model.tp,
         ));
-        let mut spill_dirs = Vec::new();
+        let mut spill_dir = None;
         // State classes (gradients, optimizer state) need the tier stack
         // even when the activation strategy keeps or recomputes — the
         // GreedySnake configuration offloads *only* state.
@@ -242,7 +237,7 @@ impl TrainSession {
                     .wear_meter(1.0)
                     .with_write_overhead(cfg.system.ssd_write_overhead_bytes);
                 let t = Arc::new(SsdTarget::new(&dir, wear)?);
-                spill_dirs.push(dir);
+                spill_dir = Some(dir);
                 Ok(t)
             };
             // One tier to build: its device plus an optional pack-time
@@ -353,25 +348,8 @@ impl TrainSession {
             );
             cache.set_trace(cfg.trace.clone());
             if cfg.cache.recovery == RecoveryPolicy::FallbackTarget {
-                // Spill of last resort (host pinned pool by default).
-                // `Tiered` is rejected by the builder, so any other
-                // value maps to the pinned pool here.
-                let fallback: Arc<dyn OffloadTarget> =
-                    match cfg.fallback.unwrap_or(OffloadBackend::Dram) {
-                        OffloadBackend::Ssd => {
-                            let dir = unique_spill_dir(&format!("{}-fb", cfg.model.tag()));
-                            let wear = cfg
-                                .system
-                                .ssd_array
-                                .wear_meter(1.0)
-                                .with_write_overhead(cfg.system.ssd_write_overhead_bytes);
-                            let t = Arc::new(SsdTarget::new(&dir, wear)?);
-                            spill_dirs.push(dir);
-                            t
-                        }
-                        _ => Arc::new(CpuTarget::new(cfg.system.host_mem_bytes)),
-                    };
-                cache.set_fallback_target(fallback);
+                // Spill of last resort: the host pinned pool.
+                cache.set_fallback_target(Arc::new(CpuTarget::new(cfg.system.host_mem_bytes)));
             }
             for p in model.parameters() {
                 cache.register_parameter(&p.tensor());
@@ -410,7 +388,7 @@ impl TrainSession {
             faulty,
             optimizer,
             opt_engine,
-            spill_dirs,
+            spill_dir,
             trace,
             step_idx: 0,
             tape: TapeSize::default(),
@@ -743,7 +721,7 @@ impl TrainSession {
 
 impl Drop for TrainSession {
     fn drop(&mut self) {
-        for dir in &self.spill_dirs {
+        if let Some(dir) = &self.spill_dir {
             let _ = std::fs::remove_dir_all(dir);
         }
     }

@@ -10,7 +10,8 @@
 //! `SlowIo` degradation (numerics preserved, time stretched).
 
 use ssdtrain::{
-    EventKind, OffloadClass, PlacementStrategy, RecoveryPolicy, TensorCacheConfig, TraceSink,
+    ArgValue, EventKind, OffloadClass, PlacementStrategy, RecoveryPolicy, TensorCacheConfig,
+    TraceSink,
 };
 use ssdtrain_models::ModelConfig;
 use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger, SystemConfig};
@@ -22,13 +23,15 @@ fn session_with(
     fault: Option<FaultPlan>,
     recovery: RecoveryPolicy,
     cache: TensorCacheConfig,
+    trace: TraceSink,
 ) -> TrainSession {
     let mut builder = SessionConfig::builder()
         .model(ModelConfig::tiny_gpt())
         .batch_size(2)
         .cache(cache)
         .recovery(recovery)
-        .seed(23);
+        .seed(23)
+        .trace(trace);
     if let Some(plan) = fault {
         builder = builder.fault(plan);
     }
@@ -37,7 +40,8 @@ fn session_with(
 }
 
 fn session(fault: Option<FaultPlan>, recovery: RecoveryPolicy) -> TrainSession {
-    session_with(fault, recovery, TensorCacheConfig::offload_everything())
+    let cache = TensorCacheConfig::offload_everything();
+    session_with(fault, recovery, cache, TraceSink::disabled())
 }
 
 /// The coalesced pipeline variant of the same run: stores coalesce into
@@ -51,7 +55,7 @@ fn coalesced_session(fault: Option<FaultPlan>, recovery: RecoveryPolicy) -> Trai
     let mut cache = TensorCacheConfig::offload_everything();
     cache.coalesce_segment_bytes = 4 << 10;
     cache.prefetch_group_modules = 2;
-    session_with(fault, recovery, cache)
+    session_with(fault, recovery, cache, TraceSink::disabled())
 }
 
 /// Runs `STEPS` steps, asserting every one succeeds, and returns the
@@ -138,7 +142,14 @@ fn keep_resident_is_bit_identical_for_every_trigger() {
 fn fallback_target_is_bit_identical_for_every_trigger() {
     let base = baseline_bits();
     for (name, plan) in write_fault_plans() {
-        let mut s = session(Some(plan), RecoveryPolicy::FallbackTarget);
+        let sink = TraceSink::enabled();
+        let cache = TensorCacheConfig::offload_everything();
+        let mut s = session_with(
+            Some(plan),
+            RecoveryPolicy::FallbackTarget,
+            cache,
+            sink.clone(),
+        );
         let metrics = run(&mut s);
         assert_eq!(
             loss_bits(&metrics),
@@ -150,6 +161,23 @@ fn fallback_target_is_bit_identical_for_every_trigger() {
             fallback > 0,
             "{name}: failed stores should land on the fallback target"
         );
+        // The spill of last resort is the host pinned pool.
+        let events = sink.events();
+        let fallbacks: Vec<_> = events
+            .iter()
+            .filter(|e| e.name == "recovery.fallback")
+            .collect();
+        assert!(
+            !fallbacks.is_empty(),
+            "{name}: no recovery.fallback instant"
+        );
+        for e in fallbacks {
+            let target = e.args.iter().find(|(k, _)| *k == "target");
+            assert!(
+                matches!(target, Some((_, ArgValue::Str(t))) if t == "cpu"),
+                "{name}: {e:?}"
+            );
+        }
         let failures: u64 = metrics.iter().map(|m| m.offload.store_failures).sum();
         assert!(failures >= 1, "{name}: store_failures should be counted");
     }

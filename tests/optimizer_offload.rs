@@ -299,7 +299,6 @@ fn overlap_survives_injected_faults_under_every_absorbing_policy() {
         // Fallback-target: failed state stores re-route to host DRAM.
         b = offloaded_builder(overlap)
             .recovery(RecoveryPolicy::FallbackTarget)
-            .fallback(OffloadBackend::Dram)
             .fault(fault());
         let mut s = TrainSession::new(b.build().expect("valid config")).expect("session");
         let mut fell_back = 0;

@@ -177,7 +177,7 @@ fn a_slower_write_link_grows_the_exposed_stall() {
     // way a slower link exposes more of it.
     let unforwarded = TensorCacheConfig {
         forwarding: false,
-        prefetch: false,
+        prefetch_depth: 0,
         ..whole_queue()
     };
     for (cache, through_loads) in [(whole_queue(), false), (unforwarded, true)] {

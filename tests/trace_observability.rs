@@ -39,7 +39,6 @@ fn traced_session(
     backend: OffloadBackend,
     recovery: RecoveryPolicy,
     fault: Option<FaultPlan>,
-    fallback: Option<OffloadBackend>,
 ) -> TrainSession {
     let mut builder = SessionConfig::builder()
         .model(ModelConfig::tiny_gpt())
@@ -51,9 +50,6 @@ fn traced_session(
         .trace(sink);
     if let Some(plan) = fault {
         builder = builder.fault(plan);
-    }
-    if let Some(fb) = fallback {
-        builder = builder.fallback(fb);
     }
     TrainSession::new(builder.build().expect("valid config")).expect("session")
 }
@@ -117,7 +113,6 @@ fn golden_chrome_trace_is_byte_stable() {
         OffloadBackend::Dram,
         RecoveryPolicy::KeepResident,
         None,
-        None,
     );
     let _ = run(&mut s);
     let json = chrome_trace_json(&sink.events());
@@ -148,7 +143,6 @@ fn identical_runs_emit_identical_traces() {
             OffloadBackend::Ssd,
             RecoveryPolicy::KeepResident,
             None,
-            None,
         );
         let _ = run(&mut s);
         chrome_trace_json(&sink.events())
@@ -163,7 +157,6 @@ fn trace_byte_totals_match_offload_stats() {
         sink.clone(),
         OffloadBackend::Ssd,
         RecoveryPolicy::KeepResident,
-        None,
         None,
     );
     let per_step = run(&mut s);
@@ -185,7 +178,6 @@ fn trace_accounting_survives_injected_write_faults() {
         OffloadBackend::Ssd,
         RecoveryPolicy::KeepResident,
         Some(plan),
-        None,
     );
     let per_step = run(&mut s);
     assert!(
@@ -214,7 +206,6 @@ fn trace_accounting_survives_fallback_rerouting() {
         OffloadBackend::Ssd,
         RecoveryPolicy::FallbackTarget,
         Some(plan),
-        Some(OffloadBackend::Dram),
     );
     let per_step = run(&mut s);
     assert!(
@@ -412,7 +403,6 @@ fn coalesced_session(
     sink: TraceSink,
     recovery: RecoveryPolicy,
     fault: Option<FaultPlan>,
-    fallback: Option<OffloadBackend>,
 ) -> TrainSession {
     let mut cache = TensorCacheConfig::offload_everything();
     // Small enough that forward's early segments land, and commit as
@@ -431,9 +421,6 @@ fn coalesced_session(
     if let Some(plan) = fault {
         builder = builder.fault(plan);
     }
-    if let Some(fb) = fallback {
-        builder = builder.fallback(fb);
-    }
     TrainSession::new(builder.build().expect("valid config")).expect("session")
 }
 
@@ -442,7 +429,7 @@ fn trace_accounting_holds_on_the_coalesced_path() {
     // Segments batch many tensors into one store job, but the per-record
     // byte identities must close exactly as on the per-tensor path.
     let sink = TraceSink::enabled();
-    let mut s = coalesced_session(sink.clone(), RecoveryPolicy::KeepResident, None, None);
+    let mut s = coalesced_session(sink.clone(), RecoveryPolicy::KeepResident, None);
     let per_step = run(&mut s);
     assert!(per_step.iter().all(|m| m.offloaded_bytes > 0));
     assert!(
@@ -464,16 +451,13 @@ fn trace_accounting_survives_faults_on_the_coalesced_path() {
     // A failed segment write degrades the whole segment per the policy;
     // the recovery lane must absorb exactly the bytes that leave the
     // primary account — same identity, segment granularity.
-    for (recovery, fallback) in [
-        (RecoveryPolicy::KeepResident, None),
-        (RecoveryPolicy::FallbackTarget, Some(OffloadBackend::Dram)),
-    ] {
+    for recovery in [RecoveryPolicy::KeepResident, RecoveryPolicy::FallbackTarget] {
         let plan = FaultPlan::new(42).with_recurring_fault(
             FaultTrigger::ByteThreshold { bytes: 16 << 10 },
             FaultKind::WriteError,
         );
         let sink = TraceSink::enabled();
-        let mut s = coalesced_session(sink.clone(), recovery, Some(plan), fallback);
+        let mut s = coalesced_session(sink.clone(), recovery, Some(plan));
         let per_step = run(&mut s);
         assert!(
             per_step
@@ -584,7 +568,6 @@ fn traced_run_covers_the_documented_categories() {
         OffloadBackend::Ssd,
         RecoveryPolicy::KeepResident,
         Some(plan),
-        None,
     );
     let _ = run(&mut s);
     let cats: BTreeSet<&str> = sink.events().iter().map(|e| e.cat.as_str()).collect();
@@ -615,7 +598,6 @@ fn disabled_sink_records_nothing() {
         TraceSink::disabled(),
         OffloadBackend::Ssd,
         RecoveryPolicy::KeepResident,
-        None,
         None,
     );
     let _ = run(&mut s);
@@ -653,7 +635,7 @@ fn a_rider_is_offloaded_but_no_tier_writes_it() {
     let io = IoEngine::new(clock.clone(), MIB as f64 * 100.0, MIB as f64 * 100.0);
     let config = TensorCacheConfig {
         coalesce_segment_bytes: 2 * MIB,
-        prefetch: false,
+        prefetch_depth: 0,
         ..TensorCacheConfig::offload_everything()
     };
     let cache = TensorCache::new(config, Arc::new(CpuTarget::new(1 << 40)), io, mem);
