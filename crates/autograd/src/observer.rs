@@ -67,15 +67,6 @@ impl OpCost {
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_read + self.bytes_written
     }
-
-    /// Component-wise sum.
-    pub fn plus(&self, other: &OpCost) -> OpCost {
-        OpCost {
-            flops: self.flops + other.flops,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-        }
-    }
 }
 
 /// Observer of operator execution.
@@ -95,12 +86,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cost_plus_adds_fields() {
-        let a = OpCost::new(1, 2, 3);
-        let b = OpCost::new(10, 20, 30);
-        let c = a.plus(&b);
-        assert_eq!(c, OpCost::new(11, 22, 33));
-        assert_eq!(c.bytes_moved(), 55);
+    fn bytes_moved_sums_reads_and_writes() {
+        assert_eq!(OpCost::new(11, 22, 33).bytes_moved(), 55);
     }
 
     #[test]

@@ -601,6 +601,7 @@ impl TensorCache {
         st.unsettled = 0;
         st.lookahead.clear();
         st.read_ahead_bytes = 0;
+        st.spare_values.clear();
         for (_, slab) in st.group_slabs.drain() {
             self.retire_slab(&st.trace, slab);
         }

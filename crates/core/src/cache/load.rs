@@ -6,10 +6,9 @@ use super::TensorCache;
 use crate::config::MAX_IO_RETRIES;
 use crate::error::OffloadError;
 use crate::io::ReadId;
-use crate::stats::OffloadStats;
 use ssdtrain_simhw::SimTime;
 use ssdtrain_tensor::Tensor;
-use ssdtrain_trace::{ArgValue, TraceCategory, TraceSink};
+use ssdtrain_trace::{ArgValue, TraceCategory};
 
 impl TensorCache {
     /// Scheduler hint (Algorithm 1 line 15): block until in-flight
@@ -95,7 +94,7 @@ impl TensorCache {
     /// own store drained (a prefetch's can still move later). `None`
     /// when the record is unknown or not offloaded.
     pub(super) fn reload(&self, st: &mut State, id: RecordId, how: Reload) -> Option<SimTime> {
-        let rec = st.records.get_mut(&id)?;
+        let rec = st.records.get(&id)?;
         if !matches!(rec.state, RecState::Offloaded) {
             return None;
         }
@@ -112,8 +111,8 @@ impl TensorCache {
             self.io.submit_load_from(link, bytes)
         };
         let ready = self.landing(read, rec.avail);
-        let (stats, staging) = (&mut st.stats, &mut st.staging);
-        self.read_back(stats, &mut st.pending_error, &st.trace, staging, rec, read);
+        self.read_back(st, id, read);
+        let rec = st.records.get_mut(&id)?;
         rec.state = if how.demand() {
             RecState::Resident
         } else {
@@ -142,29 +141,41 @@ impl TensorCache {
     /// [`OffloadError::Load`] is queued; it surfaces at the step
     /// boundary under *every* policy. The bytes are decoded where the
     /// device lends them ([`crate::OffloadTarget::read_with`]), with
-    /// `staging` as the buffer a device that copies reads into, so the
-    /// tensor's own values are the only allocation a reload makes.
+    /// `State::staging` as the buffer a device that copies reads into,
+    /// and into a spare buffer of the record's element count from
+    /// `State::spare_values` — normally the one the record's own commit
+    /// released — so a reload allocates only when no spare fits.
     ///
     /// The restore is stamped on the memory timeline where `read` lands,
     /// and tied to it ([`crate::IoEngine::track_landing`]) so it moves if
     /// a demand read pushes the read back.
-    pub(super) fn read_back(
-        &self,
-        stats: &mut OffloadStats,
-        pending: &mut Option<OffloadError>,
-        trace: &TraceSink,
-        staging: &mut Vec<u8>,
-        rec: &Record,
-        read: ReadId,
-    ) {
+    pub(super) fn read_back(&self, st: &mut State, id: RecordId, read: ReadId) {
+        let State {
+            records,
+            stats,
+            pending_error: pending,
+            trace,
+            staging,
+            spare_values,
+            ..
+        } = st;
+        let Some(rec) = records.get(&id) else {
+            return;
+        };
         let (tensor, bytes) = (&rec.tensor, rec.bytes);
+        let numel = tensor.storage().numel();
+        let fits = spare_values.iter().rposition(|v| v.len() == numel);
+        let mut spare = fits
+            .map(|i| spare_values.swap_remove(i))
+            .unwrap_or_default();
         // `None` after a successful read: a symbolic entry.
         let mut values = None;
         let mut attempts = 0u32;
         loop {
             attempts += 1;
             let mut decode = |data: Option<&[u8]>| {
-                values = data.map(|raw| tensor.storage().decode_bytes(raw));
+                let into = std::mem::take(&mut spare);
+                values = data.map(|raw| tensor.storage().decode_into(raw, into));
             };
             let got = self
                 .tiers
@@ -193,7 +204,6 @@ impl TensorCache {
                             ],
                         );
                     }
-                    let numel = tensor.numel();
                     self.restore_at_landing(rec, read, || {
                         tensor.storage().restore_numeric(vec![0.0; numel]);
                     });

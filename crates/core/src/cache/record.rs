@@ -263,8 +263,15 @@ pub(super) struct State {
     /// never freed: a commit serialises its segment's members into it
     /// back to back, and a reload that has to copy the bytes somewhere
     /// reads them into it. Commit and reload never overlap under the
-    /// cache's one lock. Symbolic runs never grow it.
+    /// cache's one lock. Symbolic runs never grow it. The values a
+    /// reload decodes go to a buffer from `spare_values` instead.
     pub(super) staging: Vec<u8>,
+    /// The values successful commits released this step, for reloads to
+    /// decode into: a reload takes one of its record's element count —
+    /// normally the one its own commit just released — and allocates
+    /// only when none fits. Dropped at the step's flush, so no buffer
+    /// outlives its step (DESIGN §10, *Real bytes*).
+    pub(super) spare_values: Vec<Vec<f32>>,
     /// Reused by every group request: the group's record ids in the
     /// order backward will read them.
     pub(super) group_scratch: Vec<RecordId>,
@@ -317,6 +324,7 @@ impl State {
             unsettled: 0,
             commit_scratch: Vec::new(),
             staging: Vec::new(),
+            spare_values: Vec::new(),
             group_scratch: Vec::new(),
             lookahead: HashMap::new(),
             read_ahead_bytes: 0,

@@ -448,7 +448,9 @@ impl TensorCache {
                     let Some(rec) = st.records.get_mut(id) else {
                         continue;
                     };
-                    self.mem.with_time(end, || rec.tensor.storage().release());
+                    let storage = rec.tensor.storage();
+                    let values = self.mem.with_time(end, || storage.release_values());
+                    st.spare_values.extend(values);
                     rec.state = RecState::Offloaded;
                     rec.stored = true;
                     rec.avail = end;
@@ -504,7 +506,9 @@ impl TensorCache {
             };
             match demoted {
                 Some(lower) => {
-                    self.mem.with_time(end, || rec.tensor.storage().release());
+                    let storage = rec.tensor.storage();
+                    let values = self.mem.with_time(end, || storage.release_values());
+                    st.spare_values.extend(values);
                     rec.state = RecState::Offloaded;
                     rec.stored = true;
                     rec.avail = end;

@@ -60,5 +60,5 @@ pub use device::{Device, MemClass, MemTracker};
 pub use dtype::DType;
 pub use rng::Prng;
 pub use shape::Shape;
-pub use storage::{Storage, StorageId, WeakStorage};
+pub use storage::{Storage, StorageId};
 pub use tensor::Tensor;

@@ -12,7 +12,7 @@ use crate::dtype::DType;
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 /// Unique identity of a storage allocation within the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,11 +62,6 @@ struct StorageInner {
 pub struct Storage {
     inner: Arc<StorageInner>,
 }
-
-/// Weak handle to a [`Storage`], used by the tensor cache for data
-/// forwarding (upgrade-if-still-alive, Section 3.3.2).
-#[derive(Clone)]
-pub struct WeakStorage(Weak<StorageInner>);
 
 /// A read lock on a storage's payload, held while this handle lives.
 ///
@@ -199,13 +194,25 @@ impl Storage {
     /// Idempotent: releasing a released storage is a no-op. This is the
     /// memory-reclaim step that offloading enables (Section 3.2).
     pub fn release(&self) {
+        self.release_values();
+    }
+
+    /// Releases the payload like [`Storage::release`] and hands back the
+    /// freed values, so a caller can reuse their allocation. `None` for a
+    /// symbolic storage, and for one already released.
+    pub fn release_values(&self) -> Option<Vec<f32>> {
         let mut guard = self.inner.data.write();
-        if !matches!(*guard, DataState::Released) {
-            *guard = DataState::Released;
-            drop(guard);
-            self.inner
-                .device
-                .notify_free(self.bytes(), self.inner.class);
+        if matches!(*guard, DataState::Released) {
+            return None;
+        }
+        let state = std::mem::replace(&mut *guard, DataState::Released);
+        drop(guard);
+        self.inner
+            .device
+            .notify_free(self.bytes(), self.inner.class);
+        match state {
+            DataState::Numeric(values) => Some(values),
+            _ => None,
         }
     }
 
@@ -288,31 +295,48 @@ impl Storage {
         .is_some()
     }
 
-    /// Decodes bytes previously produced by [`Storage::to_bytes`].
+    /// Decodes bytes previously produced by [`Storage::to_bytes`] into a
+    /// fresh buffer; see [`Storage::decode_into`].
     ///
     /// # Panics
     /// Panics if `bytes` has the wrong length.
     pub fn decode_bytes(&self, bytes: &[u8]) -> Vec<f32> {
+        self.decode_into(bytes, Vec::new())
+    }
+
+    /// Decodes bytes previously produced by [`Storage::to_bytes`] into
+    /// `out`, replacing what it held. The decode allocates only when
+    /// `out`'s capacity is short of `numel()` elements, so a buffer
+    /// another storage released ([`Storage::release_values`]) takes a
+    /// reload without a new allocation.
+    ///
+    /// # Panics
+    /// Panics if `bytes` has the wrong length.
+    pub fn decode_into(&self, bytes: &[u8], mut out: Vec<f32>) -> Vec<f32> {
+        out.clear();
         match self.inner.dtype {
             DType::F32 => {
                 assert_eq!(bytes.len(), self.inner.numel * 4, "bad byte length");
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect()
+                out.extend(
+                    bytes
+                        .chunks_exact(4)
+                        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+                );
             }
             DType::F16 | DType::Bf16 => {
                 assert_eq!(bytes.len(), self.inner.numel * 2, "bad byte length");
-                bytes
-                    .chunks_exact(2)
-                    .map(|c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])))
-                    .collect()
+                out.extend(
+                    bytes
+                        .chunks_exact(2)
+                        .map(|c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]]))),
+                );
             }
             DType::U8 => {
                 assert_eq!(bytes.len(), self.inner.numel, "bad byte length");
-                bytes.iter().map(|b| *b as f32).collect()
+                out.extend(bytes.iter().map(|b| *b as f32));
             }
         }
+        out
     }
 
     /// Stamps this storage with a first-seen logical timestamp, returning
@@ -329,11 +353,6 @@ impl Storage {
         self.inner.stamp.get().copied()
     }
 
-    /// Downgrades to a weak handle.
-    pub fn downgrade(&self) -> WeakStorage {
-        WeakStorage(Arc::downgrade(&self.inner))
-    }
-
     /// Number of strong handles alive.
     pub fn strong_count(&self) -> usize {
         Arc::strong_count(&self.inner)
@@ -342,13 +361,6 @@ impl Storage {
     /// True if both handles refer to the same allocation.
     pub fn ptr_eq(&self, other: &Storage) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
-    }
-}
-
-impl WeakStorage {
-    /// Attempts to upgrade; succeeds while any strong handle is alive.
-    pub fn upgrade(&self) -> Option<Storage> {
-        self.0.upgrade().map(|inner| Storage { inner })
     }
 }
 
@@ -361,12 +373,6 @@ impl fmt::Debug for Storage {
             .field("class", &self.inner.class)
             .field("resident", &self.is_resident())
             .finish()
-    }
-}
-
-impl fmt::Debug for WeakStorage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "WeakStorage(alive: {})", self.0.strong_count() > 0)
     }
 }
 
@@ -516,6 +522,39 @@ mod tests {
     }
 
     #[test]
+    fn release_values_hands_the_values_back_once() {
+        let (dev, t) = tracked_device();
+        let s = Storage::numeric(vec![1.0, 2.0, 3.0], DType::F32, MemClass::Activation, &dev);
+        assert_eq!(s.release_values(), Some(vec![1.0, 2.0, 3.0]));
+        assert_eq!(t.0.load(Ordering::Relaxed), 0, "one free");
+        assert!(!s.is_resident());
+        assert_eq!(s.release_values(), None);
+        assert_eq!(t.0.load(Ordering::Relaxed), 0, "and only one");
+        let sym = Storage::symbolic(4, DType::F32, MemClass::Activation, &Device::symbolic());
+        assert_eq!(sym.release_values(), None);
+        assert!(!sym.is_resident());
+    }
+
+    #[test]
+    fn decode_into_matches_decode_bytes_and_keeps_its_buffer() {
+        let dev = Device::cpu();
+        let vals = vec![1.5, -2.25, 300.7, 0.4, 65504.0, 7.0];
+        for dtype in [DType::F32, DType::F16, DType::Bf16, DType::U8] {
+            let s = Storage::numeric(vals.clone(), dtype, MemClass::Activation, &dev);
+            let bytes = s.to_bytes().unwrap();
+            let spare = vec![9.0f32; vals.len()];
+            let at = spare.as_ptr();
+            let out = s.decode_into(&bytes, spare);
+            assert_eq!(out, s.decode_bytes(&bytes), "{dtype}");
+            assert_eq!(
+                out.as_ptr(),
+                at,
+                "{dtype}: decoded into the buffer it was given"
+            );
+        }
+    }
+
+    #[test]
     fn stamp_is_write_once() {
         let dev = Device::cpu();
         let s = Storage::numeric(vec![0.0], DType::F32, MemClass::Activation, &dev);
@@ -523,16 +562,6 @@ mod tests {
         assert_eq!(s.stamp_once(7), 7);
         assert_eq!(s.stamp_once(9), 7);
         assert_eq!(s.stamp(), Some(7));
-    }
-
-    #[test]
-    fn weak_forwarding_semantics() {
-        let dev = Device::cpu();
-        let s = Storage::numeric(vec![3.0], DType::F32, MemClass::Activation, &dev);
-        let w = s.downgrade();
-        assert!(w.upgrade().is_some());
-        drop(s);
-        assert!(w.upgrade().is_none());
     }
 
     #[test]

@@ -56,4 +56,7 @@ cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 # library code, and a reason on every `#[allow]` / `#[expect]`.
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
+# Non-test lines per crate and in total, the figure a change quotes when
+# it claims a line delta.
+bash scripts/loc.sh
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps

@@ -5,48 +5,56 @@
 //! into the tape's flat buffers, `Op::backward` writes into gradient slots
 //! the engine lends, and the scope walk follows parent links.
 //!
+//! The spill path's share is counted too: a reload decodes into the
+//! buffer a commit freed instead of allocating its own (DESIGN §10).
+//!
 //! This is its own test binary because it installs a counting
-//! `#[global_allocator]`. The counter is per thread, so the other tests
+//! `#[global_allocator]`. The counters are per thread, so the other tests
 //! libtest runs in parallel cannot pollute a reading.
 
+use ssdtrain::TensorCacheConfig;
 use ssdtrain_autograd::{ops, Graph, Var};
-use ssdtrain_models::{Batch, Model, ModelConfig, Recompute};
+use ssdtrain_models::{Arch, Batch, Model, ModelConfig, Recompute};
 use ssdtrain_tensor::{Device, Tensor};
+use ssdtrain_train::{OffloadBackend, PlacementStrategy, SessionConfig, TrainSession};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
-    // Const-initialised: no lazy set-up and no destructor, so touching it
-    // from inside the allocator cannot recurse.
+    // Const-initialised: no lazy set-up and no destructor, so touching
+    // them from inside the allocator cannot recurse.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: a thread tearing down its locals may still allocate.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
 }
 
-/// The system allocator counting `alloc`, `alloc_zeroed` and `realloc`
-/// calls of the current thread.
+/// The system allocator counting the current thread's `alloc`,
+/// `alloc_zeroed` and `realloc` calls and the bytes they request (a
+/// `realloc` counts its new size).
 struct CountingAlloc;
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter touches no allocated memory.
+// unchanged; the counters touch no allocated memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -65,6 +73,13 @@ fn calls(f: impl FnOnce()) -> u64 {
     let before = CALLS.with(Cell::get);
     f();
     CALLS.with(Cell::get) - before
+}
+
+/// Bytes this thread requests while running `f`, with `f`'s result.
+fn bytes<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = BYTES.with(Cell::get);
+    let r = f();
+    (r, BYTES.with(Cell::get) - before)
 }
 
 /// The chain both arms run: `n` links of `h ← h @ w + b` from `x`.
@@ -198,5 +213,77 @@ fn a_symbolic_bert_step_stays_under_its_per_node_budget() {
         per_node <= CALLS_PER_NODE_BUDGET,
         "{used} allocator calls for {nodes} nodes: {per_node:.2} a node, budget \
          {CALLS_PER_NODE_BUDGET}"
+    );
+}
+
+/// A numeric GPT (H128 L4, 4 heads, S64, V512, dropout 0.1) at batch 4,
+/// on `strategy`; offloading sessions spill every activation to a
+/// file-backed SSD target.
+fn numeric_gpt(strategy: PlacementStrategy) -> TrainSession {
+    let model = ModelConfig {
+        arch: Arch::Gpt,
+        hidden: 128,
+        layers: 4,
+        heads: 4,
+        vocab: 512,
+        seq: 64,
+        dropout_p: 0.1,
+        fused_attention: true,
+        tp: 1,
+    };
+    let builder = SessionConfig::builder()
+        .model(model)
+        .batch_size(4)
+        .strategy(strategy)
+        .seed(7);
+    let builder = match strategy {
+        PlacementStrategy::Offload => builder
+            .cache(TensorCacheConfig::offload_everything())
+            .backend(OffloadBackend::Ssd),
+        _ => builder,
+    };
+    TrainSession::new(builder.build().expect("valid config")).expect("session construction")
+}
+
+/// Steps of [`a_reload_reuses_the_buffer_its_commit_freed`]: the second
+/// is warm, past the optimizer state the first allocates.
+const STEPS: usize = 2;
+
+/// Runs [`STEPS`] steps of a fresh [`numeric_gpt`] on its own thread:
+/// their losses' bits, the last step's reloaded bytes, and the bytes it
+/// requested from the allocator.
+fn warm_step(strategy: PlacementStrategy) -> (Vec<u32>, u64, u64) {
+    let mut session = numeric_gpt(strategy);
+    let mut losses = Vec::with_capacity(STEPS);
+    let (mut reloaded, mut requested) = (0, 0);
+    for _ in 0..STEPS {
+        let (m, b) = bytes(|| session.run_step().expect("a healthy step"));
+        losses.push(m.loss.to_bits());
+        (reloaded, requested) = (m.offload.reloaded_bytes, b);
+    }
+    (losses, reloaded, requested)
+}
+
+/// (c) Offloading every activation to the SSD costs a warm step at most
+/// 5 % of the bytes it reloads in host allocations beyond its keep twin's,
+/// at bit-identical losses. A commit releases each member's values, and
+/// the reload that follows decodes into them. Measured: +14 792 B on
+/// 8.14 MB reloaded; decoding each reload into a fresh `Vec` costs the
+/// whole 8.14 MB again. The two sessions run side by side, each on its
+/// own thread and so with its own counters.
+#[test]
+fn a_reload_reuses_the_buffer_its_commit_freed() {
+    let ((keep_losses, _, keep), (losses, reloaded, offload)) = std::thread::scope(|s| {
+        let keep = s.spawn(|| warm_step(PlacementStrategy::Keep));
+        let offload = warm_step(PlacementStrategy::Offload);
+        (keep.join().expect("the keep twin ran"), offload)
+    });
+    assert_eq!(losses, keep_losses, "offloading changed the losses");
+    assert!(reloaded > 0, "the offloading step reloads nothing");
+    let over = offload.saturating_sub(keep);
+    assert!(
+        over * 20 <= reloaded,
+        "the offloading step requests {offload} B against its keep twin's {keep} B: \
+         {over} B more, over 5 % of the {reloaded} B it reloads"
     );
 }
