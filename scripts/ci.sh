@@ -35,9 +35,9 @@ cargo test -q --test paper_claims
 # same reason.
 cargo test -q --test alloc_budget
 # The source rules clippy cannot hold (DESIGN.md §7): typed errors in
-# public signatures (scanned with the `ssdtrain-lint` lexer), and every
-# product crate denying panics outside tests. Run explicitly for the
-# same reason.
+# public signatures (read by the test's own scanner, which blanks
+# comments and literals first), and every product crate denying panics
+# outside tests. Run explicitly for the same reason.
 cargo test -q --test source_rules
 # The benchmark crate is its own workspace, so the tests above never
 # compile it: a quick pass catches a source-incompatible change to the
