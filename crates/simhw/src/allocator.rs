@@ -1,7 +1,7 @@
 //! A CUDA-caching-allocator model.
 //!
 //! PyTorch's allocator never returns memory to the driver: freed blocks
-//! go to size-bucketed free lists and are reused by best-fit, so the
+//! stay cached in their pool and are reused by best fit, so the
 //! *reserved* footprint is a high-water mark that fragmentation can
 //! inflate well beyond the allocated bytes. The paper keeps PyTorch's
 //! caching allocator in place (Section 3.1) and Figure 7 counts its
@@ -15,6 +15,12 @@
 //!   rounded size fits; the block may be *split*, leaving a remainder
 //!   block in the pool (large pool only, like the real allocator);
 //! * nothing is ever returned to the device: `reserved` only grows.
+//!
+//! Each pool keeps its cached blocks as a size → count multiset, so best
+//! fit is the first size at or above the request and a request or a free
+//! costs O(log n) in the distinct cached sizes.
+
+use std::collections::BTreeMap;
 
 const SMALL_GRAIN: u64 = 512;
 const SMALL_LIMIT: u64 = 1 << 20;
@@ -41,7 +47,7 @@ pub struct AllocatorStats {
     pub allocated_peak: u64,
     /// Bytes reserved from the device (never shrinks).
     pub reserved: u64,
-    /// Cache hits (requests served from the free lists).
+    /// Cache hits (requests served from cached blocks).
     pub reuses: u64,
     /// Requests that had to reserve new device memory.
     pub fresh_allocations: u64,
@@ -65,13 +71,31 @@ impl AllocatorStats {
     }
 }
 
+/// A pool's cached blocks: block size → how many are cached.
+type Blocks = BTreeMap<u64, u32>;
+
+/// Caches one more block of `size`.
+fn put(pool: &mut Blocks, size: u64) {
+    *pool.entry(size).or_insert(0) += 1;
+}
+
+/// Takes the smallest cached block that holds `size` (best fit).
+fn take(pool: &mut Blocks, size: u64) -> Option<u64> {
+    let (&block, count) = pool.range_mut(size..).next()?;
+    *count -= 1;
+    if *count == 0 {
+        pool.remove(&block);
+    }
+    Some(block)
+}
+
 /// The caching allocator. Feed it the same alloc/free stream a
 /// [`crate::GpuMemory`] sees (sizes in requested bytes) and read the
 /// reserved footprint back.
 #[derive(Debug, Default, Clone)]
 pub struct CachingAllocator {
-    small_free: Vec<u64>,
-    large_free: Vec<u64>,
+    small_free: Blocks,
+    large_free: Blocks,
     stats: AllocatorStats,
 }
 
@@ -93,26 +117,18 @@ impl CachingAllocator {
         if size == 0 {
             return 0;
         }
-        let pool: &mut Vec<u64> = if size < SMALL_LIMIT {
+        let pool = if size < SMALL_LIMIT {
             &mut self.small_free
         } else {
             &mut self.large_free
         };
-        // Best fit: the smallest cached block that holds the request.
-        let best = pool
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| **b >= size)
-            .min_by_key(|(_, b)| **b)
-            .map(|(i, _)| i);
-        match best {
-            Some(i) => {
-                let block = pool.swap_remove(i);
+        match take(pool, size) {
+            Some(block) => {
                 self.stats.reuses += 1;
                 // Large blocks split; the remainder stays cached. Small
                 // blocks are handed out whole (slack is internal).
                 if size >= SMALL_LIMIT && block > size {
-                    pool.push(block - size);
+                    put(pool, block - size);
                     self.stats.splits += 1;
                     self.stats.allocated += size;
                 } else {
@@ -130,39 +146,47 @@ impl CachingAllocator {
     }
 
     /// Returns a block (by the size [`CachingAllocator::alloc`] reported)
-    /// to the free lists.
+    /// to its pool's cache.
     pub fn free(&mut self, rounded: u64) {
         if rounded == 0 {
             return;
         }
         self.stats.allocated = self.stats.allocated.saturating_sub(rounded);
         if rounded < SMALL_LIMIT {
-            self.small_free.push(rounded);
+            put(&mut self.small_free, rounded);
         } else {
-            self.large_free.push(rounded);
+            put(&mut self.large_free, rounded);
         }
     }
 
-    /// Replays a `(bytes, is_free)` stream where frees reference the
-    /// most recent live allocation of the same request size (the common
-    /// tensor-lifetime pattern); returns the final statistics.
+    /// Replays a `(bytes, is_free)` stream where a free retires a live
+    /// allocation of the same request size, if there is one, and is
+    /// ignored otherwise; returns the final statistics. Every allocation
+    /// of one request size holds a block of the same rounded size, so
+    /// which of them a free retires changes nothing: live allocations are
+    /// kept as a count per request size.
     pub fn replay(events: impl IntoIterator<Item = (u64, bool)>) -> AllocatorStats {
         let mut alloc = CachingAllocator::new();
-        let mut live: Vec<(u64, u64)> = Vec::new(); // (request, rounded)
+        // Request size → live allocations of it. A count that falls to
+        // zero keeps its entry: the next request of that size reuses it.
+        let mut live: BTreeMap<u64, u32> = BTreeMap::new();
         for (bytes, is_free) in events {
             if is_free {
-                if let Some(pos) = live.iter().rposition(|(req, _)| *req == bytes) {
-                    let (_, rounded) = live.swap_remove(pos);
-                    alloc.free(rounded);
+                if let Some(n) = live.get_mut(&bytes).filter(|n| **n > 0) {
+                    *n -= 1;
+                    alloc.free(rounded_size(bytes));
                 }
             } else {
-                let rounded = alloc.alloc(bytes);
-                live.push((bytes, rounded));
+                alloc.alloc(bytes);
+                *live.entry(bytes).or_insert(0) += 1;
             }
         }
         alloc.stats()
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -4,6 +4,7 @@ use crate::allocator::{AllocatorStats, CachingAllocator};
 use crate::time::{SimClock, SimTime};
 use parking_lot::Mutex;
 use ssdtrain_tensor::{MemClass, MemTracker};
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -54,14 +55,101 @@ struct Event {
     time: SimTime,
     delta: i64,
     class: MemClass,
+    /// Whether the event is out of the clock's order and listed in
+    /// [`State::late`].
+    late: bool,
 }
 
+impl Event {
+    /// The event as the caching allocator sees it: `(bytes, is_free)`.
+    fn request(&self) -> (u64, bool) {
+        (self.delta.unsigned_abs(), self.delta < 0)
+    }
+}
+
+/// The tracker's log. It stays in recording order, because
+/// [`GpuMemory::restamp`] addresses events by their log position, and a
+/// reader walks it in time order without copying it (DESIGN §5, *One walk
+/// of the memory log*): the events the clock stamped are already in time
+/// order, so only the few in `late` need sorting.
 #[derive(Debug, Default)]
 struct State {
     current: [i64; 5],
     events: Vec<Event>,
+    /// Log positions of the events that would break the time order of the
+    /// rest: the ones [`GpuMemory::with_time`] stamped, the ones
+    /// [`GpuMemory::restamp`] moved, and any stamped before an earlier
+    /// in-order event.
+    late: Vec<usize>,
+    /// The time of the last event recorded in order.
+    in_order_until: Option<SimTime>,
     time_override: Option<SimTime>,
     live_peak: i64,
+}
+
+/// Orders two logged events by time, then by log position: the order a
+/// stable sort of the log by time gives.
+fn order(events: &[Event], a: usize, b: usize) -> Ordering {
+    let (ta, tb) = (events[a].time.as_secs(), events[b].time.as_secs());
+    ta.total_cmp(&tb).then(a.cmp(&b))
+}
+
+impl State {
+    /// The log in time order, events at one instant in recording order:
+    /// a merge of the in-order events with the late ones, which are
+    /// sorted in place first.
+    fn in_time_order(&mut self) -> InTimeOrder<'_> {
+        let events = &self.events;
+        self.late.sort_unstable_by(|&a, &b| order(events, a, b));
+        InTimeOrder {
+            events,
+            late: &self.late,
+            next: 0,
+            next_late: 0,
+            left: events.len(),
+        }
+    }
+}
+
+/// The merge [`State::in_time_order`] returns.
+struct InTimeOrder<'a> {
+    events: &'a [Event],
+    late: &'a [usize],
+    /// The next log position to consider for the in-order run.
+    next: usize,
+    /// The next entry of `late`.
+    next_late: usize,
+    /// Events not yet yielded.
+    left: usize,
+}
+
+impl<'a> Iterator for InTimeOrder<'a> {
+    type Item = &'a Event;
+
+    fn next(&mut self) -> Option<&'a Event> {
+        let events = self.events;
+        while events.get(self.next).is_some_and(|e| e.late) {
+            self.next += 1;
+        }
+        let late = self.late.get(self.next_late).copied();
+        let i = match late {
+            Some(l) if self.next == events.len() || order(events, l, self.next).is_lt() => {
+                self.next_late += 1;
+                l
+            }
+            _ if self.next < events.len() => {
+                self.next += 1;
+                self.next - 1
+            }
+            _ => return None,
+        };
+        self.left -= 1;
+        Some(&events[i])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
 }
 
 /// A GPU memory tracker.
@@ -157,19 +245,49 @@ impl GpuMemory {
     /// stamped otherwise — the log was reset since — are left alone.
     pub fn restamp(&self, events: Range<usize>, was: SimTime, t: SimTime) {
         let mut s = self.state.lock();
-        let end = events.end.min(s.events.len());
+        let State {
+            events: log, late, ..
+        } = &mut *s;
+        let end = events.end.min(log.len());
         let start = events.start.min(end);
-        for e in s.events[start..end].iter_mut().filter(|e| e.time == was) {
-            e.time = t;
+        for (i, e) in log[start..end].iter_mut().enumerate() {
+            if e.time == was {
+                e.time = t;
+                if !e.late {
+                    e.late = true;
+                    late.push(start + i);
+                }
+            }
         }
     }
 
     fn record(&self, delta: i64, class: MemClass) {
         let new_peak = {
             let mut s = self.state.lock();
-            let time = s.time_override.unwrap_or_else(|| self.clock.now());
+            let (time, late) = match s.time_override {
+                Some(t) => (t, true),
+                None => {
+                    let now = self.clock.now();
+                    let late = s
+                        .in_order_until
+                        .is_some_and(|last| now.as_secs().total_cmp(&last.as_secs()).is_lt());
+                    if !late {
+                        s.in_order_until = Some(now);
+                    }
+                    (now, late)
+                }
+            };
+            if late {
+                let at = s.events.len();
+                s.late.push(at);
+            }
             s.current[class_index(class)] += delta;
-            s.events.push(Event { time, delta, class });
+            s.events.push(Event {
+                time,
+                delta,
+                class,
+                late,
+            });
             let total: i64 = s.current.iter().map(|v| *v.max(&0)).sum();
             if total > s.live_peak {
                 s.live_peak = total;
@@ -205,33 +323,26 @@ impl GpuMemory {
             .sum::<i64>() as u64
     }
 
-    /// The event log in simulated-time order. Events may be recorded out
-    /// of chronological order (future-stamped frees), so the log is
-    /// sorted; events at one instant keep the order they were recorded in.
-    fn sorted_events(&self) -> Vec<Event> {
-        let mut evs = self.state.lock().events.clone();
-        evs.sort_by(|a, b| a.time.as_secs().total_cmp(&b.time.as_secs()));
-        evs
-    }
-
     /// The footprint timeline, sorted by event time: total and
     /// activation-class bytes after each allocator event.
     pub fn timeline(&self) -> Vec<FootprintPoint> {
-        footprint(&self.sorted_events()).collect()
+        footprint(self.state.lock().in_time_order())
+            .map(|(_, p)| p)
+            .collect()
     }
 
     /// Peak total resident bytes over the timeline.
     pub fn peak_total(&self) -> u64 {
-        footprint(&self.sorted_events())
-            .map(|p| p.total)
+        footprint(self.state.lock().in_time_order())
+            .map(|(_, p)| p.total)
             .max()
             .unwrap_or(0)
     }
 
     /// Peak resident activation bytes over the timeline.
     pub fn peak_activations(&self) -> u64 {
-        footprint(&self.sorted_events())
-            .map(|p| p.activations)
+        footprint(self.state.lock().in_time_order())
+            .map(|(_, p)| p.activations)
             .max()
             .unwrap_or(0)
     }
@@ -240,9 +351,9 @@ impl GpuMemory {
     /// read the "memory at the beginning of backward propagation" point
     /// of Figure 7.
     pub fn peak_activations_between(&self, from: SimTime, to: SimTime) -> u64 {
-        footprint(&self.sorted_events())
-            .filter(|p| p.time >= from && p.time <= to)
-            .map(|p| p.activations)
+        footprint(self.state.lock().in_time_order())
+            .filter(|(_, p)| p.time >= from && p.time <= to)
+            .map(|(_, p)| p.activations)
             .max()
             .unwrap_or(0)
     }
@@ -258,25 +369,30 @@ impl GpuMemory {
     /// the *reserved* footprint a real PyTorch run would report on top
     /// of the allocated curve.
     pub fn allocator_stats(&self) -> AllocatorStats {
-        replay_allocator(&self.sorted_events())
+        CachingAllocator::replay(self.state.lock().in_time_order().map(Event::request))
     }
 
     /// Everything a step's report reads from the tracker — the timeline,
     /// both peaks, the out-of-memory verdict and the caching-allocator
-    /// replay — from one sort of the event log. Equal to calling
+    /// replay — from one walk of the event log. Equal to calling
     /// [`GpuMemory::timeline`], [`GpuMemory::peak_total`],
     /// [`GpuMemory::peak_activations`], [`GpuMemory::oom`] and
-    /// [`GpuMemory::allocator_stats`] one by one, each of which sorts the
+    /// [`GpuMemory::allocator_stats`] one by one, each of which walks the
     /// log again.
     pub fn step_memory(&self) -> StepMemory {
-        let evs = self.sorted_events();
-        let timeline: Vec<FootprintPoint> = footprint(&evs).collect();
+        let mut s = self.state.lock();
+        let mut timeline = Vec::with_capacity(s.events.len());
+        let alloc = CachingAllocator::replay(footprint(s.in_time_order()).map(|(e, p)| {
+            timeline.push(p);
+            e.request()
+        }));
+        drop(s);
         let peak_total = timeline.iter().map(|p| p.total).max().unwrap_or(0);
         StepMemory {
             peak_activations: timeline.iter().map(|p| p.activations).max().unwrap_or(0),
             peak_total,
             oom: peak_total > self.capacity,
-            alloc: replay_allocator(&evs),
+            alloc,
             timeline,
         }
     }
@@ -286,29 +402,30 @@ impl GpuMemory {
         let mut s = self.state.lock();
         s.current = [0; 5];
         s.events.clear();
+        s.late.clear();
+        s.in_order_until = None;
         s.live_peak = 0;
     }
 }
 
-/// Running totals over time-sorted events: the footprint timeline.
-fn footprint(evs: &[Event]) -> impl Iterator<Item = FootprintPoint> + '_ {
+/// Running totals over events in time order: the footprint timeline,
+/// each point with the event it follows.
+fn footprint<'a>(
+    evs: impl Iterator<Item = &'a Event>,
+) -> impl Iterator<Item = (&'a Event, FootprintPoint)> {
     let (mut total, mut act) = (0i64, 0i64);
-    evs.iter().map(move |e| {
+    evs.map(move |e| {
         total += e.delta;
         if e.class == MemClass::Activation {
             act += e.delta;
         }
-        FootprintPoint {
+        let point = FootprintPoint {
             time: e.time,
             total: total.max(0) as u64,
             activations: act.max(0) as u64,
-        }
+        };
+        (e, point)
     })
-}
-
-/// The caching-allocator model replayed over time-sorted events.
-fn replay_allocator(evs: &[Event]) -> AllocatorStats {
-    CachingAllocator::replay(evs.iter().map(|e| (e.delta.unsigned_abs(), e.delta < 0)))
 }
 
 impl MemTracker for GpuMemory {
@@ -453,84 +570,121 @@ mod tests {
         assert_eq!(rec.0.lock().len(), 4, "reset restarts peak tracking");
     }
 
-    /// The event log sorted the way every per-query reader sorted it
-    /// before `step_memory`: a fresh clone, stably sorted by time.
-    fn sorted_by_reference(mem: &GpuMemory) -> Vec<(SimTime, i64, MemClass)> {
+    /// The reading every query made before the log was walked in place:
+    /// a clone of the log, stably sorted by time, its running totals and
+    /// the allocator replayed over it.
+    fn by_reference(mem: &GpuMemory) -> (Vec<FootprintPoint>, AllocatorStats) {
         let mut evs: Vec<Event> = mem.state.lock().events.clone();
         evs.sort_by(|a, b| a.time.as_secs().total_cmp(&b.time.as_secs()));
-        evs.iter().map(|e| (e.time, e.delta, e.class)).collect()
+        let (mut total, mut act) = (0i64, 0i64);
+        let mut timeline = Vec::new();
+        for e in &evs {
+            total += e.delta;
+            if e.class == MemClass::Activation {
+                act += e.delta;
+            }
+            timeline.push(FootprintPoint {
+                time: e.time,
+                total: total.max(0) as u64,
+                activations: act.max(0) as u64,
+            });
+        }
+        let alloc =
+            CachingAllocator::replay(evs.iter().map(|e| (e.delta.unsigned_abs(), e.delta < 0)));
+        (timeline, alloc)
+    }
+
+    /// Checks every reader of `mem` against [`by_reference`].
+    fn check_readers(mem: &GpuMemory, capacity: u64) -> Result<(), String> {
+        let (want, want_alloc) = by_reference(mem);
+        let peak = |f: fn(&FootprintPoint) -> u64| want.iter().map(f).max().unwrap_or(0);
+        let want_peak_total = peak(|p| p.total);
+        let got = mem.step_memory();
+        prop_assert_eq!(&got.timeline, &want);
+        prop_assert_eq!(got.peak_total, want_peak_total);
+        prop_assert_eq!(got.peak_activations, peak(|p| p.activations));
+        prop_assert_eq!(got.oom, want_peak_total > capacity);
+        prop_assert_eq!(got.alloc, want_alloc);
+        prop_assert_eq!(&mem.timeline(), &want);
+        prop_assert_eq!(mem.peak_total(), want_peak_total);
+        prop_assert_eq!(mem.peak_activations(), peak(|p| p.activations));
+        prop_assert_eq!(mem.oom(), want_peak_total > capacity);
+        prop_assert_eq!(mem.allocator_stats(), want_alloc);
+        // Windows over the instants the log holds, and one before them.
+        for (i, p) in want.iter().enumerate().step_by(7) {
+            let from = if i % 2 == 0 {
+                SimTime::from_secs(-1.0)
+            } else {
+                p.time
+            };
+            let to = want[(i + 5).min(want.len() - 1)].time;
+            let window = want
+                .iter()
+                .filter(|q| q.time >= from && q.time <= to)
+                .map(|q| q.activations)
+                .max()
+                .unwrap_or(0);
+            prop_assert_eq!(mem.peak_activations_between(from, to), window);
+        }
+        Ok(())
     }
 
     proptest! {
         #[test]
         fn step_memory_equals_the_per_query_derivation(
-            ops in prop::collection::vec((0usize..5, 1u64..5000, 0u64..3, 0u64..40, 0u64..3), 1..120),
+            ops in prop::collection::vec((0usize..5, 1u64..5000, 0u64..10, 0u64..40, 0u64..4), 1..160),
             capacity in 1u64..40_000,
         ) {
             let clock = SimClock::new();
             let mem = GpuMemory::new(clock.clone(), capacity);
             let mut live: Vec<(u64, MemClass)> = Vec::new();
+            // Future-stamped events recorded with their log positions, to
+            // restamp later.
+            let mut logged: Vec<(Range<usize>, SimTime)> = Vec::new();
             for (class, bytes, kind, future, advance) in ops {
                 let class = MemClass::ALL[class];
+                let later = SimTime::from_secs(clock.now().as_secs() + future as f64 * 0.25);
                 match kind {
                     // A free stamped in the simulated future, recorded now.
-                    0 if !live.is_empty() => {
+                    0 | 1 if !live.is_empty() => {
                         let (b, c) = live.swap_remove(bytes as usize % live.len());
-                        let at = SimTime::from_secs(clock.now().as_secs() + future as f64 * 0.25);
-                        mem.with_time(at, || mem.on_free(b, c));
+                        let ((), at) = mem.with_time_logged(later, || mem.on_free(b, c));
+                        logged.push((at, later));
                     }
-                    1 if !live.is_empty() => {
+                    2 if !live.is_empty() => {
                         let (b, c) = live.swap_remove(bytes as usize % live.len());
                         mem.on_free(b, c);
                     }
+                    // A logged batch moves to another time, maybe one already
+                    // passed, maybe after a read sorted it.
+                    3 if !logged.is_empty() => {
+                        let (at, was) = logged.swap_remove(bytes as usize % logged.len());
+                        let to = SimTime::from_secs(future as f64 * 0.125);
+                        mem.restamp(at.clone(), was, to);
+                        logged.push((at, to));
+                    }
+                    // Any logged event moves, whichever stamped it.
+                    6 => {
+                        let n = mem.state.lock().events.len();
+                        let i = bytes as usize % n.max(1);
+                        let was = mem.state.lock().events.get(i).map(|e| e.time);
+                        if let Some(was) = was {
+                            mem.restamp(i..i + 1, was, later);
+                        }
+                    }
+                    // A read in the middle of the step.
+                    4 => check_readers(&mem, capacity)?,
+                    // The clock starts over without a reset of the log.
+                    5 if future == 0 => clock.reset(),
                     _ => {
                         mem.on_alloc(bytes, class);
                         live.push((bytes, class));
                     }
                 }
-                clock.advance_by(advance as f64 * 0.5);
+                // Half the events share the instant of the one before.
+                clock.advance_by(advance.saturating_sub(2) as f64 * 0.5);
             }
-
-            let mut total = 0i64;
-            let mut act = 0i64;
-            let mut want_timeline = Vec::new();
-            for (time, delta, class) in sorted_by_reference(&mem) {
-                total += delta;
-                if class == MemClass::Activation {
-                    act += delta;
-                }
-                want_timeline.push(FootprintPoint {
-                    time,
-                    total: total.max(0) as u64,
-                    activations: act.max(0) as u64,
-                });
-            }
-            let want_peak_total = want_timeline.iter().map(|p| p.total).max().unwrap_or(0);
-            let want_alloc = CachingAllocator::replay(
-                sorted_by_reference(&mem)
-                    .into_iter()
-                    .map(|(_, d, _)| (d.unsigned_abs(), d < 0)),
-            );
-
-            let got = mem.step_memory();
-            prop_assert_eq!(&got.timeline, &want_timeline);
-            prop_assert_eq!(got.peak_total, want_peak_total);
-            prop_assert_eq!(
-                got.peak_activations,
-                want_timeline.iter().map(|p| p.activations).max().unwrap_or(0)
-            );
-            prop_assert_eq!(got.oom, want_peak_total > capacity);
-            prop_assert_eq!(got.alloc, want_alloc);
-            prop_assert_eq!(
-                &got,
-                &StepMemory {
-                    timeline: mem.timeline(),
-                    peak_total: mem.peak_total(),
-                    peak_activations: mem.peak_activations(),
-                    oom: mem.oom(),
-                    alloc: mem.allocator_stats(),
-                }
-            );
+            check_readers(&mem, capacity)?;
         }
     }
 

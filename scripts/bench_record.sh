@@ -6,7 +6,9 @@
 # Runs the whole benchmark (benchmark/run.sh, every workload plain then
 # traced), reads the gated end-to-end metrics of BENCHMARK.json from
 # benchmark/out/<workload>.json and a fixed set of per-layer metrics from
-# the traced run's benchmark/out/<workload>.layers.json, and appends
+# the traced run's benchmark/out/<workload>.layers.json (plus the plain
+# run's host_step_median_ms, the wall-time figure a perf change quotes),
+# and appends
 #   {"pr", "commit", "seed", "seconds", "failed",
 #    "workloads": {name: {metric: value}}, "layers": {name: {metric: value}}}
 # as one line of the tracked JSON array at the repository root. The gated
@@ -38,7 +40,7 @@ per_layer = ["sim_exposed_io_s", "cache.store_stall_s", "cache.load_stall_s",
              "sim_ssd_write_gb", "costmodel.pred_err_frac",
              "cache.alloc_b_per_spilled_b", "target.files_per_segment",
              "trace.events_per_step", "host_step_ms", "cache.forwarded",
-             "io.write_busy_s"]
+             "io.write_busy_s", "simhw.peak_query_us"]
 workloads, layers, failed = {}, {}, 0
 for name in (w["name"] for w in spec["workloads"]):
     out = json.load(open(f"benchmark/out/{name}.json"))
@@ -47,6 +49,9 @@ for name in (w["name"] for w in spec["workloads"]):
     workloads[name] = {m: out["metrics"][m]["value"] for m in metrics}
     traced = json.load(open(f"benchmark/out/{name}.layers.json"))["metrics"]
     layers[name] = {m: traced[m]["value"] for m in per_layer if m in traced}
+    median = out.get("extra", {}).get("host_step_median_ms")
+    if median is not None:
+        layers[name]["host_step_median_ms"] = median["value"]
 row = {"pr": pr, "commit": commit, "seed": seed, "seconds": seconds,
        "failed": failed, "workloads": workloads, "layers": layers}
 

@@ -6,7 +6,8 @@
 //! the engine lends, and the scope walk follows parent links.
 //!
 //! The spill path's share is counted too: a reload decodes into the
-//! buffer a commit freed instead of allocating its own (DESIGN §10).
+//! buffer a commit freed instead of allocating its own (DESIGN §10). So
+//! is the memory model's: reading a step walks its event log in place.
 //!
 //! This is its own test binary because it installs a counting
 //! `#[global_allocator]`. The counters are per thread, so the other tests
@@ -15,7 +16,8 @@
 use ssdtrain::TensorCacheConfig;
 use ssdtrain_autograd::{ops, Graph, Var};
 use ssdtrain_models::{Arch, Batch, Model, ModelConfig, Recompute};
-use ssdtrain_tensor::{Device, Tensor};
+use ssdtrain_simhw::{FootprintPoint, GpuMemory, SimClock, SimTime};
+use ssdtrain_tensor::{Device, MemClass, MemTracker, Tensor};
 use ssdtrain_train::{OffloadBackend, PlacementStrategy, SessionConfig, TrainSession};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -285,5 +287,62 @@ fn a_reload_reuses_the_buffer_its_commit_freed() {
         over * 20 <= reloaded,
         "the offloading step requests {offload} B against its keep twin's {keep} B: \
          {over} B more, over 5 % of the {reloaded} B it reloads"
+    );
+}
+
+/// A tracker holding `n` allocations of a step, each freed four
+/// allocations later: every eighth free is stamped at a future instant
+/// (a store job's end), the rest by the clock. Request sizes cycle
+/// through 16 small-pool values and one large-pool value, so the
+/// allocator model caches no more distinct block sizes at any `n`.
+fn logged_step(n: usize) -> GpuMemory {
+    let clock = SimClock::new();
+    let mem = GpuMemory::new(clock.clone(), 1 << 40);
+    let size = |i: usize| match i % 17 {
+        0 => 8 << 20,
+        k => k as u64 * 40_000,
+    };
+    for i in 0..n {
+        mem.on_alloc(size(i), MemClass::Activation);
+        if let Some(j) = i.checked_sub(4) {
+            if j % 8 == 0 {
+                let at = SimTime::from_secs(clock.now().as_secs() + 3e-3);
+                mem.with_time(at, || mem.on_free(size(j), MemClass::Activation));
+            } else {
+                mem.on_free(size(j), MemClass::Activation);
+            }
+        }
+        clock.advance_by(1e-4);
+    }
+    mem
+}
+
+/// Bytes of [`a_step_memory_read_copies_no_event`]'s allowance beyond
+/// the timeline: the allocator model's block maps, whose size does not
+/// depend on the log's length.
+const STEP_MEMORY_SLACK: u64 = 1024;
+
+/// (d) Reading a step's memory copies none of its log. A warm
+/// `step_memory` over a log twice as long requests no more than the
+/// timeline's extra points and [`STEP_MEMORY_SLACK`]. Measured: 0 B over
+/// the timeline from 8 188 to 16 380 events; sorting a clone of the log
+/// requested 48 B an event more (the clone and the stable sort's
+/// buffer), 393 216 B over the timeline.
+#[test]
+fn a_step_memory_read_copies_no_event() {
+    const N: usize = 4096;
+    let read = |allocs: usize| {
+        let mem = logged_step(allocs);
+        mem.step_memory(); // warm: the future-stamped events are sorted
+        let (m, requested) = bytes(|| mem.step_memory());
+        (m.timeline.len(), requested)
+    };
+    let ((short, once), (long, twice)) = (read(N), read(2 * N));
+    let timeline = ((long - short) * std::mem::size_of::<FootprintPoint>()) as u64;
+    assert!(
+        twice <= once + timeline + STEP_MEMORY_SLACK,
+        "step_memory requests {once} B over {short} events and {twice} B over {long}: \
+         {} B more than the {timeline} B of the longer timeline and the slack",
+        twice.saturating_sub(once + timeline)
     );
 }
