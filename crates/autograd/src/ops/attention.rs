@@ -5,11 +5,13 @@
 //! probability matrices are *never saved* — only `q`, `k`, `v` go on the
 //! graph, and backward recomputes the probabilities. This is what removes
 //! the large intermediate tensors that Megatron's selective recomputation
-//! targeted (paper Section 4.3).
+//! targeted (paper Section 4.3). Nor are they ever built: both directions
+//! work one query row at a time, so the op allocates only the tensors it
+//! returns and `O(s·d)` scratch.
 
 use crate::graph::{Graph, Op};
 use crate::observer::OpCost;
-use crate::ops::sym;
+use crate::ops::{all_numeric, sym};
 use crate::value::Value;
 use ssdtrain_tensor::{Prng, Tensor};
 
@@ -204,31 +206,192 @@ pub fn transpose_12(g: &Graph, x: &Value) -> Value {
 // Fused (flash) attention
 // ---------------------------------------------------------------------
 
-/// Reference attention math shared by forward and the recompute in
-/// backward. Returns `(probs_after_dropout, context)`.
-fn attention_reference(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
+/// `out += a · x` over a unit-stride row, skipped when `a` is exactly
+/// zero: one term of the kernels' matrix-product accumulation, so a row
+/// summed from these in ascending inner index is bit-identical to
+/// [`Tensor::bmm`]'s.
+fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
+    if a == 0.0 {
+        return;
+    }
+    for (o, &xv) in out.iter_mut().zip(x) {
+        *o += a * xv;
+    }
+}
+
+/// Writes the row-major `[s, d]` matrix `m` transposed into `out`
+/// (`[d, s]`), so a query row's scores are `d` axpys over rows of `out`.
+fn transpose_into(out: &mut [f32], m: &[f32], s: usize, d: usize) {
+    for j in 0..s {
+        for p in 0..d {
+            out[p * s + j] = m[j * d + p];
+        }
+    }
+}
+
+/// Query row `i`'s attention probabilities before dropout, into `row`
+/// (`s` wide): `softmax(mask(scale · q_i Kᵀ))` with `kt` holding `Kᵀ`.
+/// Each unmasked element goes through the operations [`Tensor::bmm`],
+/// [`Tensor::scale`] and [`Tensor::softmax_last`] apply to it over the
+/// whole `S×S` matrix, in the same order. A causal row skips the columns
+/// [`Tensor::apply_causal_mask`] sets to `-inf`: they leave the row's max
+/// as it is, add `exp(-inf) = 0` to its sum, and come out as `0`, which
+/// is what this writes (a row whose unmasked scores are all NaN or `-inf`
+/// is NaN either way).
+fn probs_row(row: &mut [f32], qi: &[f32], kt: &[f32], scale: f32, i: usize, causal: bool) {
+    let s = row.len();
+    let cols = if causal { i + 1 } else { s };
+    row.fill(0.0);
+    let (row, _masked) = row.split_at_mut(cols);
+    for (&a, ktp) in qi.iter().zip(kt.chunks_exact(s)) {
+        axpy(row, a, &ktp[..cols]);
+    }
+    let max = row
+        .iter_mut()
+        .map(|x| {
+            *x *= scale;
+            *x
+        })
+        .fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for x in row.iter_mut() {
+        *x = (*x - max).exp();
+        sum += *x;
+    }
+    let inv = 1.0 / sum;
+    for x in row.iter_mut() {
+        *x *= inv;
+    }
+}
+
+/// Attention dropout's draws: the generator and the drop probability
+/// `p`. Rows draw in row-major order, one draw per probability, as
+/// [`Tensor::dropout`] does over the whole `S×S` matrix.
+struct Draws<'a> {
+    rng: &'a mut Prng,
+    p: f32,
+}
+
+/// The probability row the context and `dv` read: `pre` itself without
+/// dropout, else its inverted-dropout survivors, written to `dropped`
+/// after drawing the row's keep decisions into `mask` (`1` kept, `0`
+/// dropped).
+fn dropout_row<'r>(
+    draws: Option<&mut Draws<'_>>,
+    pre: &'r [f32],
+    mask: &mut [f32],
+    dropped: &'r mut [f32],
+) -> &'r [f32] {
+    let Some(draws) = draws else {
+        return pre;
+    };
+    let keep = 1.0 - draws.p;
+    let scale = 1.0 / keep;
+    for ((&x, m), y) in pre.iter().zip(mask.iter_mut()).zip(dropped.iter_mut()) {
+        let kept = draws.rng.next_f32() < keep;
+        *m = if kept { 1.0 } else { 0.0 };
+        *y = if kept { x * scale } else { 0.0 };
+    }
+    dropped
+}
+
+/// Fused attention forward over row-major `[t, s, d]` operands: the
+/// context, computed one query row at a time. Allocates the context and
+/// `O(s·d)` scratch, never an `S×S` matrix.
+fn attention_forward(
+    [q, k, v]: [&[f32]; 3],
+    [t, s, d]: [usize; 3],
     causal: bool,
-    dropout_p: f32,
-    rng: &mut Option<Prng>,
-) -> (Tensor, Tensor) {
-    let d = q.dim(2);
+    mut draws: Option<Draws<'_>>,
+) -> Vec<f32> {
     let scale = 1.0 / (d as f32).sqrt();
-    let scores = q.bmm(&k.transpose(1, 2)).scale(scale);
-    let scores = if causal {
-        scores.apply_causal_mask()
-    } else {
-        scores
-    };
-    let probs = scores.softmax_last();
-    let probs = match (dropout_p > 0.0, rng.as_mut()) {
-        (true, Some(r)) => probs.dropout(dropout_p, r).0,
-        _ => probs,
-    };
-    let ctx = probs.bmm(v);
-    (probs, ctx)
+    let mut ctx = vec![0.0f32; t * s * d];
+    let mut scratch = vec![0.0f32; s * d + 3 * s];
+    let (kt, rows) = scratch.split_at_mut(s * d);
+    let (pre, rows) = rows.split_at_mut(s);
+    let (mask, dropped) = rows.split_at_mut(s);
+    for b in 0..t {
+        let at = b * s * d;
+        let (kb, vb) = (&k[at..][..s * d], &v[at..][..s * d]);
+        transpose_into(kt, kb, s, d);
+        for i in 0..s {
+            let row = at + i * d;
+            probs_row(pre, &q[row..][..d], kt, scale, i, causal);
+            let probs = dropout_row(draws.as_mut(), pre, mask, dropped);
+            let ci = &mut ctx[row..][..d];
+            for (&pj, vj) in probs.iter().zip(vb.chunks_exact(d)) {
+                axpy(ci, pj, vj);
+            }
+        }
+    }
+    ctx
+}
+
+/// Fused attention backward: `[dq, dk, dv]` for the output gradient
+/// `dctx`. Recomputes each query row's probabilities, replays that row's
+/// dropout draws, and accumulates the three gradients row by row;
+/// every element sees the operations of the unfused backward
+/// (`dv = Pᵀ dctx`, `dP = dctx Vᵀ` through the dropout mask and the
+/// softmax jacobian, `dq = dS K`, `dk = dSᵀ q`) in the same order.
+/// Allocates the three gradients and `O(s·d)` scratch.
+fn attention_backward(
+    [q, k, v, dctx]: [&[f32]; 4],
+    [t, s, d]: [usize; 3],
+    causal: bool,
+    mut draws: Option<Draws<'_>>,
+) -> [Vec<f32>; 3] {
+    let scale = 1.0 / (d as f32).sqrt();
+    let mut dq = vec![0.0f32; t * s * d];
+    let mut dk = vec![0.0f32; t * s * d];
+    let mut dv = vec![0.0f32; t * s * d];
+    let mut scratch = vec![0.0f32; 2 * s * d + 4 * s];
+    let (kt, rows) = scratch.split_at_mut(s * d);
+    let (vt, rows) = rows.split_at_mut(s * d);
+    let (pre, rows) = rows.split_at_mut(s);
+    let (mask, rows) = rows.split_at_mut(s);
+    let (dropped, dp) = rows.split_at_mut(s);
+    for b in 0..t {
+        let at = b * s * d;
+        let kb = &k[at..][..s * d];
+        transpose_into(kt, kb, s, d);
+        transpose_into(vt, &v[at..][..s * d], s, d);
+        let (dkb, dvb) = (&mut dk[at..][..s * d], &mut dv[at..][..s * d]);
+        for i in 0..s {
+            let row = at + i * d;
+            let (qi, dci) = (&q[row..][..d], &dctx[row..][..d]);
+            probs_row(pre, qi, kt, scale, i, causal);
+            let probs = dropout_row(draws.as_mut(), pre, mask, dropped);
+            for (&pj, dvj) in probs.iter().zip(dvb.chunks_exact_mut(d)) {
+                axpy(dvj, pj, dci);
+            }
+            dp.fill(0.0);
+            for (&a, vtp) in dci.iter().zip(vt.chunks_exact(s)) {
+                axpy(dp, a, vtp);
+            }
+            // Inverted dropout's backward: the mask, then the survivor
+            // rescale; the softmax jacobian uses the pre-dropout row.
+            if let Some(draws) = &draws {
+                let inv_keep = 1.0 / (1.0 - draws.p);
+                for (x, &m) in dp.iter_mut().zip(&*mask) {
+                    *x = *x * m * inv_keep;
+                }
+            }
+            let dot: f32 = pre.iter().zip(&*dp).map(|(a, b)| a * b).sum();
+            for (x, &y) in dp.iter_mut().zip(&*pre) {
+                *x = y * (*x - dot) * scale;
+            }
+            let dqi = &mut dq[row..][..d];
+            for ((&ds, kj), dkj) in dp
+                .iter()
+                .zip(kb.chunks_exact(d))
+                .zip(dkb.chunks_exact_mut(d))
+            {
+                axpy(dqi, ds, kj);
+                axpy(dkj, ds, qi);
+            }
+        }
+    }
+    [dq, dk, dv]
 }
 
 struct FlashAttentionOp {
@@ -256,58 +419,39 @@ impl Op for FlashAttentionOp {
         let (t, s, d) = (q.dim(0), q.dim(1), q.dim(2));
         let flops = 10 * (t * s * s * d) as u64;
         let cost = OpCost::new(flops, 3 * q.bytes() + dctx.bytes(), 3 * q.bytes());
-        if !q.has_data() || !k.has_data() || !v.has_data() || !dctx.has_data() {
+        if !all_numeric(&[q, k, v, dctx]) {
             grads_in[0] = Some(sym(*q.shape(), g.device()));
             grads_in[1] = Some(sym(*k.shape(), g.device()));
             grads_in[2] = Some(sym(*v.shape(), g.device()));
             return cost;
         }
-        // Recompute the pre-dropout probabilities (never materialised on
-        // the graph), then replay the draw forward made on them after
-        // softmax: the snapshot yields the identical mask.
-        let (pre_probs, _ctx) = attention_reference(q, k, v, self.causal, 0.0, &mut None);
-        let (probs, mask) = match self.rng.clone() {
-            Some(mut r) if self.dropout_p > 0.0 => {
-                let (dropped, mask) = pre_probs.dropout(self.dropout_p, &mut r);
-                (dropped, Some(mask))
-            }
-            _ => (pre_probs.clone(), None),
-        };
-        let scale = 1.0 / (d as f32).sqrt();
-
-        // dv = probs^T @ dctx
-        let dv = probs.transpose(1, 2).bmm(dctx);
-        // dprobs = dctx @ v^T
-        let dprobs = dctx.bmm(&v.transpose(1, 2));
-        // For inverted dropout, probs = mask .* softmax / (1 - p), so
-        // d softmax = dprobs .* mask / (1 - p); the softmax jacobian uses
-        // the *pre-dropout* probabilities.
-        let dprobs = match &mask {
-            Some(mask) => dprobs.mul(mask).scale(1.0 / (1.0 - self.dropout_p)),
-            None => dprobs,
-        };
-        let dprobs = pre_probs.softmax_grad(&dprobs);
-        // Through the causal mask: masked entries have probs 0 and the
-        // softmax backward already zeroes them.
-        let dscores = dprobs.scale(scale);
-        // dq = dscores @ k ; dk = dscores^T @ q
-        let dq = dscores.bmm(k);
-        let dk = dscores.transpose(1, 2).bmm(q);
-        grads_in[0] = Some(dq);
-        grads_in[1] = Some(dk);
-        grads_in[2] = Some(dv);
+        // Replay forward's draws from the snapshot: the identical mask.
+        let mut rng = self.rng.clone();
+        let draws = rng.as_mut().map(|rng| Draws {
+            rng,
+            p: self.dropout_p,
+        });
+        let grads = Tensor::with_values_of([q, k, v, dctx], |operands| {
+            attention_backward(operands, [t, s, d], self.causal, draws)
+        });
+        for (slot, grad) in grads_in.iter_mut().zip(grads) {
+            *slot = Some(Tensor::from_vec(grad, [t, s, d], q.device()));
+        }
         cost
     }
 }
 
 /// Fused scaled-dot-product attention over `[b*nh, s, hd]` tensors.
 ///
-/// Saves only `q`, `k`, `v` — the quadratic score/probability tensors are
-/// recomputed in backward, reproducing FlashAttention's activation
-/// footprint.
+/// Saves only `q`, `k`, `v`, and neither direction materialises the
+/// quadratic score or probability matrix: forward computes the context
+/// one query row at a time and backward recomputes each row's
+/// probabilities, reproducing FlashAttention's activation footprint. The
+/// results are bit-identical to the unfused kernel chain.
 ///
 /// # Panics
-/// Panics if operand shapes disagree.
+/// Panics if operand shapes disagree, or if the operands carry data and
+/// the head dim is 0 or `dropout_p >= 1`.
 pub fn flash_attention(
     g: &Graph,
     q: &Value,
@@ -319,30 +463,21 @@ pub fn flash_attention(
     assert_eq!(q.dims(), k.dims(), "q/k shape mismatch");
     assert_eq!(q.dims(), v.dims(), "q/v shape mismatch");
     let (t, s, d) = (q.tensor().dim(0), q.tensor().dim(1), q.tensor().dim(2));
-    let numeric = q.tensor().has_data() && k.tensor().has_data() && v.tensor().has_data();
-    let mut rng_snapshot = if dropout_p > 0.0 {
-        Some(g.rng_snapshot())
-    } else {
-        None
-    };
-    let ctx = if numeric {
+    let rng_snapshot = (dropout_p > 0.0).then(|| g.rng_snapshot());
+    let ctx = if all_numeric(&[q.tensor(), k.tensor(), v.tensor()]) {
+        assert!(d > 0, "flash_attention needs a nonzero head dim");
+        assert!(dropout_p < 1.0, "dropout p must be in [0, 1)");
         let mut rng = rng_snapshot.clone();
-        let (_probs, ctx) = attention_reference(
-            q.tensor(),
-            k.tensor(),
-            v.tensor(),
-            causal,
-            dropout_p,
-            &mut rng,
-        );
+        let draws = rng.as_mut().map(|rng| Draws { rng, p: dropout_p });
+        let ctx = Tensor::with_values_of([q.tensor(), k.tensor(), v.tensor()], |operands| {
+            attention_forward(operands, [t, s, d], causal, draws)
+        });
         // Forward consumed randomness: advance the graph RNG to match.
         if let Some(r) = rng {
             g.set_rng(r);
         }
-        ctx
+        Tensor::from_vec(ctx, [t, s, d], q.tensor().device())
     } else {
-        // Shape-only path still burns the snapshot for determinism.
-        rng_snapshot = rng_snapshot.take();
         sym([t, s, d], g.device())
     };
     let flops = 4 * (t * s * s * d) as u64;
@@ -363,8 +498,9 @@ pub fn flash_attention(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{self, mean_all};
+    use crate::ops::{self, mean_all, reference};
     use crate::var::Var;
+    use proptest::prelude::*;
     use ssdtrain_tensor::Device;
 
     fn dev() -> Device {
@@ -540,6 +676,73 @@ mod tests {
         let _ctx = flash_attention(&g, &q, &k, &v, true, 0.0);
         // Saved bytes must be exactly 3 * |q| (no S×S probabilities).
         assert_eq!(*counter.0.lock(), 3 * q.tensor().bytes());
+    }
+
+    /// `n` normal draws, each replaced by each of `special`'s values with
+    /// probability 1/6.
+    fn draws_with(seed: u64, n: usize, special: &[f32]) -> Vec<f32> {
+        let mut rng = Prng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| match special.get(rng.next_below(6) as usize) {
+                Some(&x) => x,
+                None => rng.next_normal(),
+            })
+            .collect()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_vec().iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The row-at-a-time op against the unfused kernel chain it
+        /// replaces: the context, `dq`, `dk` and `dv` bit for bit, and the
+        /// graph RNG left where the chain's dropout leaves it. Exact `0.0`
+        /// and `-0.0` operands reach every accumulation's zero skip; an
+        /// infinite `v` row makes the skip observable, since only a
+        /// skipped term keeps a masked or dropped probability's `0 · inf`
+        /// out of the context.
+        #[test]
+        fn fused_attention_matches_the_unfused_chain_bit_for_bit(
+            t in 1usize..5,
+            s in 1usize..10,
+            d in 1usize..7,
+            causal in any::<bool>(),
+            p_index in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let p = [0.0, 0.1, 0.5][p_index];
+            let dev = dev();
+            let n = t * s * d;
+            let operand = |i: u64, special: &[f32]| {
+                Tensor::from_vec(draws_with(seed + i, n, special), [t, s, d], &dev)
+            };
+            let zeros = [0.0, -0.0];
+            let (q, k, dctx) = (operand(0, &zeros), operand(1, &zeros), operand(3, &zeros));
+            let v = operand(2, &[0.0, -0.0, f32::INFINITY]);
+            let g = Graph::new(&dev, seed);
+            let snapshot = (p > 0.0).then(|| g.rng_snapshot());
+            let mut rng = snapshot.clone();
+            let (_, want_ctx) = reference::attention_ref(&q, &k, &v, causal, p, &mut rng);
+            let want = reference::attention_backward_ref(&q, &k, &v, &dctx, causal, p, snapshot);
+
+            let (ql, kl, vl) = (g.external(0, q), g.external(1, k), g.external(2, v));
+            let ctx = flash_attention(&g, &ql, &kl, &vl, causal, p);
+            prop_assert_eq!(bits(ctx.tensor()), bits(&want_ctx));
+            if let Some(rng) = rng {
+                prop_assert_eq!(g.rng_snapshot(), rng);
+            }
+            let after_forward = g.rng_snapshot();
+            let mut grads = [None, None, None];
+            g.backward_from(&[ctx], [Some(dctx)], &mut grads);
+            for (got, want) in grads.iter().zip(&want) {
+                let got = got.as_ref().expect("every operand receives a gradient");
+                prop_assert_eq!(bits(got), bits(want));
+            }
+            prop_assert_eq!(g.rng_snapshot(), after_forward, "backward draws from a copy");
+        }
     }
 
     #[test]

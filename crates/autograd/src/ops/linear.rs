@@ -32,10 +32,11 @@ impl Op for MatmulOp {
         let n = wt.dim(1);
         // dx = dy @ w^T       [.., n] x [n, k]
         let dx = dy.matmul(&wt.t());
-        // dw = x2d^T @ dy2d    [k, m] x [m, n]
+        // dw = x2d^T @ dy2d    [k, m] x [m, n], the transpose read
+        // through its strides
         let x2d = x.contiguous().reshape([m, k]);
         let dy2d = dy.contiguous().reshape([m, n]);
-        let dw = x2d.t().contiguous().reshape([k, m]).matmul(&dy2d);
+        let dw = x2d.t().matmul(&dy2d);
         let flops = 4 * (m as u64) * (k as u64) * (n as u64);
         let bytes = (dy.bytes() + x.bytes() + wt.bytes()) * 2;
         grads_in[0] = Some(dx);

@@ -4,6 +4,7 @@ use crate::graph::{Graph, Op};
 use crate::observer::OpCost;
 use crate::ops::{all_numeric, sym};
 use crate::value::Value;
+use ssdtrain_tensor::kernels::gelu_grad_scalar;
 use ssdtrain_tensor::Tensor;
 
 // ---------------------------------------------------------------------
@@ -25,7 +26,7 @@ impl Op for GeluOp {
     ) -> OpCost {
         let dy = super::out_grad(grads);
         let x = &saved[0];
-        let dx = dy.mul(&x.gelu_grad());
+        let dx = dy.zip_with(x, |dy, x| dy * gelu_grad_scalar(x));
         let cost = OpCost::new(10 * dy.numel() as u64, dy.bytes() + x.bytes(), dx.bytes());
         grads_in[0] = Some(dx);
         cost
@@ -62,7 +63,7 @@ impl Op for DropoutOp {
     ) -> OpCost {
         let dy = super::out_grad(grads);
         let mask = &saved[0];
-        let dx = dy.mul(mask).scale(self.scale);
+        let dx = dy.zip_with(mask, |dy, m| dy * m * self.scale);
         let cost = OpCost::new(dy.numel() as u64, dy.bytes() + mask.bytes(), dx.bytes());
         grads_in[0] = Some(dx);
         cost

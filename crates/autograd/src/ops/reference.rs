@@ -65,7 +65,7 @@ fn softmax_backward_ref(y: &Tensor, dy: &Tensor) -> Tensor {
     Tensor::from_vec(dx, *y.shape(), y.device())
 }
 
-fn attention_ref(
+pub(super) fn attention_ref(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
@@ -91,7 +91,7 @@ fn attention_ref(
 
 /// The fused attention backward as it was: probabilities recomputed once
 /// with dropout and, when dropout is on, a second time without.
-fn attention_backward_ref(
+pub(super) fn attention_backward_ref(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,

@@ -98,7 +98,7 @@ fn run_step(r: &Rig, x: &Tensor, w1: &Var, w2: &Var) -> f32 {
 fn sgd_step(vars: &[&Var], lr: f32) {
     for v in vars {
         if let Some(g) = v.grad() {
-            let next = v.tensor().sub(&g.scale(lr));
+            let next = v.tensor().zip_with(&g, |w, g| w - g * lr);
             v.set_tensor(next.deep_clone_as(MemClass::Parameter));
             v.zero_grad();
         }

@@ -151,7 +151,7 @@ mod tests {
             g.backward(&loss);
             for p in m.parameters() {
                 if let Some(grad) = p.grad() {
-                    let next = p.tensor().sub(&grad.scale(0.5));
+                    let next = p.tensor().zip_with(&grad, |w, g| w - g * 0.5);
                     p.set_tensor(next.deep_clone_as(MemClass::Parameter));
                     p.zero_grad();
                 }

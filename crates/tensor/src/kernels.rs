@@ -101,20 +101,22 @@ impl Tensor {
         zip_map("add", self, rhs, |x, y| x + y)
     }
 
-    /// Elementwise difference.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn sub(&self, rhs: &Tensor) -> Tensor {
-        zip_map("sub", self, rhs, |x, y| x - y)
-    }
-
     /// Elementwise (Hadamard) product.
     ///
     /// # Panics
     /// Panics on shape mismatch.
     pub fn mul(&self, rhs: &Tensor) -> Tensor {
         zip_map("mul", self, rhs, |x, y| x * y)
+    }
+
+    /// Elementwise `f(self[i], rhs[i])` in one pass: a chain of
+    /// elementwise steps fused into one output (an op backward's
+    /// `dy · f'(x)`).
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn zip_with(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        zip_map("zip_with", self, rhs, f)
     }
 
     /// Multiplies every element by `s`.
@@ -283,12 +285,6 @@ impl Tensor {
     /// GELU activation (tanh approximation, as used by GPT/BERT).
     pub fn gelu(&self) -> Tensor {
         elementwise(self, gelu_scalar)
-    }
-
-    /// Derivative of [`Tensor::gelu`] with respect to its input, evaluated
-    /// elementwise at `self`.
-    pub fn gelu_grad(&self) -> Tensor {
-        elementwise(self, gelu_grad_scalar)
     }
 
     /// Softmax over the last dimension.
@@ -577,7 +573,7 @@ mod tests {
         assert_eq!(a.add(&b).to_vec(), vec![11., 22.]);
         assert_eq!(a.mul(&b).to_vec(), vec![10., 40.]);
         assert_eq!(a.scale(3.0).to_vec(), vec![3., 6.]);
-        assert_eq!(b.sub(&a).to_vec(), vec![9., 18.]);
+        assert_eq!(b.zip_with(&a, |x, y| x - y).to_vec(), vec![9., 18.]);
     }
 
     #[test]

@@ -24,6 +24,10 @@ cargo test -q --test proptest_invariants
 # across the in-memory, inline-offloaded and overlapped optimizer
 # paths, healthy or faulted. Run explicitly for the same reason.
 cargo test -q --test optimizer_offload
+# The numeric path's arithmetic, pinned as loss and gradient bits of
+# three-step GPT, BERT and T5 runs: an op or kernel rewrite must keep
+# every bit. Run explicitly for the same reason.
+cargo test -q --test kernel_arithmetic
 # The fault × recovery matrix must hold through the coalesced/prefetched
 # I/O path with bit-identical losses. Run explicitly for the same reason.
 cargo test -q --test fault_injection
@@ -31,8 +35,8 @@ cargo test -q --test fault_injection
 # rows the exhibit binaries print. Run explicitly for the same reason.
 cargo test -q --test paper_claims
 # The autograd tape's allocation contract: nothing allocated per node,
-# and a per-node budget for a symbolic BERT step. Run explicitly for the
-# same reason.
+# a per-node budget for a symbolic BERT step, and ops that allocate only
+# the tensors they return. Run explicitly for the same reason.
 cargo test -q --test alloc_budget
 # The source rules clippy cannot hold (DESIGN.md §7): typed errors in
 # public signatures (read by the test's own scanner, which blanks

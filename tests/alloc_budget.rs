@@ -3,7 +3,10 @@
 //! Recording a node and backpropagating through it allocate nothing
 //! beyond the tensors the kernels return (DESIGN §2): a node owns ranges
 //! into the tape's flat buffers, `Op::backward` writes into gradient slots
-//! the engine lends, and the scope walk follows parent links.
+//! the engine lends, and the scope walk follows parent links. An op's
+//! backward allocates only the gradients it returns, too: the fused
+//! attention op and the matmul, GELU and dropout backwards are counted
+//! one by one.
 //!
 //! The spill path's share is counted too: a reload decodes into the
 //! buffer a commit freed instead of allocating its own (DESIGN §10). So
@@ -14,10 +17,10 @@
 //! libtest runs in parallel cannot pollute a reading.
 
 use ssdtrain::TensorCacheConfig;
-use ssdtrain_autograd::{ops, Graph, Var};
+use ssdtrain_autograd::{ops, Graph, Value, Var};
 use ssdtrain_models::{Arch, Batch, Model, ModelConfig, Recompute};
 use ssdtrain_simhw::{FootprintPoint, GpuMemory, SimClock, SimTime};
-use ssdtrain_tensor::{Device, MemClass, MemTracker, Tensor};
+use ssdtrain_tensor::{Device, MemClass, MemTracker, Prng, Tensor};
 use ssdtrain_train::{OffloadBackend, PlacementStrategy, SessionConfig, TrainSession};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -130,7 +133,7 @@ impl Chain {
             let dx = dy.matmul(&w.t());
             let x2d = x.contiguous().reshape([m, k]);
             let dy2d = dy.contiguous().reshape([m, cols]);
-            let dw = x2d.t().contiguous().reshape([k, m]).matmul(&dy2d);
+            let dw = x2d.t().matmul(&dy2d);
             self.w.accumulate_grad(&dw);
             dy = dx;
         }
@@ -216,6 +219,104 @@ fn a_symbolic_bert_step_stays_under_its_per_node_budget() {
         "{used} allocator calls for {nodes} nodes: {per_node:.2} a node, budget \
          {CALLS_PER_NODE_BUDGET}"
     );
+}
+
+/// Bytes a warm forward and a warm backward of `op` request, the
+/// operands given as segment inputs (so backward hands each gradient
+/// over instead of copying it into a leaf) and `dy` as the output
+/// gradient. A first run warms the kernels' gather buffers.
+fn op_bytes<const N: usize>(
+    operands: &[Tensor; N],
+    dy: &Tensor,
+    op: impl Fn(&Graph, &[Value; N]) -> Value,
+) -> (u64, u64) {
+    let run = || {
+        let g = Graph::new(dy.device(), 7);
+        let inputs: [Value; N] = std::array::from_fn(|i| g.external(i, operands[i].clone()));
+        let (y, forward) = bytes(|| op(&g, &inputs));
+        let mut grads: [Option<Tensor>; N] = std::array::from_fn(|_| None);
+        let ((), backward) = bytes(|| g.backward_from(&[y], [Some(dy.clone())], &mut grads));
+        assert!(
+            grads.iter().all(Option::is_some),
+            "every operand has a gradient"
+        );
+        (forward, backward)
+    };
+    run();
+    run()
+}
+
+/// Bytes an op may request beyond the buffers it returns: storage
+/// headers, the op's box, the tape's first node and the backward walk's
+/// scratch. Measured: 1.7–1.9 KiB a backward; far below the smallest
+/// operand the gates below would copy (the matmul's 64 KiB `x`).
+const OP_SLACK: u64 = 4096;
+
+/// A numeric tensor of normal draws.
+fn numeric(dims: &[usize], seed: u64) -> Tensor {
+    let mut rng = Prng::seed_from_u64(seed);
+    Tensor::randn(dims, 1.0, &mut rng, &Device::cpu())
+}
+
+/// (e) The fused attention op never materialises an `S×S` matrix: a
+/// forward plus backward at `[16, 64, 32]` with dropout requests its four
+/// `[t, s, d]` results (context, `dq`, `dk`, `dv`), `O(s·d)` scratch and
+/// [`OP_SLACK`]. One `t·s·s` buffer is 256 KiB, twice the allowance for
+/// the scratch. Measured: 553 508 B (4 × 131 072 B of results, 26 368 B
+/// of scratch); materialising each `S×S` step requested 5 116 532 B.
+#[test]
+fn fused_attention_allocates_its_results_and_row_scratch() {
+    let [t, s, d] = [16, 64, 32];
+    let qkv = [0, 1, 2].map(|i| numeric(&[t, s, d], i));
+    let dctx = numeric(&[t, s, d], 3);
+    let (forward, backward) = op_bytes(&qkv, &dctx, |g, [q, k, v]| {
+        ops::flash_attention(g, q, k, v, true, 0.1)
+    });
+    let results = 4 * dctx.bytes();
+    let scratch = (4 * s * d * 4) as u64;
+    assert!(
+        forward + backward <= results + scratch + OP_SLACK,
+        "flash attention requests {forward} B forward and {backward} B backward: more \
+         than its {results} B of results, {scratch} B of row scratch and the slack"
+    );
+}
+
+/// (f) `MatmulOp` backward requests `dx` and `dw` and nothing else: the
+/// transpose of `x` is read through its strides. Measured: 198 436 B for
+/// 196 608 B of results; copying the transpose requested 264 076 B.
+#[test]
+fn matmul_backward_allocates_dx_and_dw() {
+    let (x, w, dy) = (
+        numeric(&[64, 256], 1),
+        numeric(&[256, 128], 2),
+        numeric(&[64, 128], 3),
+    );
+    let (_, backward) = op_bytes(&[x.clone(), w.clone()], &dy, |g, [x, w]| {
+        ops::matmul(g, x, w)
+    });
+    let results = x.bytes() + w.bytes();
+    assert!(
+        backward <= results + OP_SLACK,
+        "matmul backward requests {backward} B for {results} B of dx and dw"
+    );
+}
+
+/// (g) GELU and dropout backwards each request one buffer: `dy · gelu'(x)`
+/// and `(dy · mask) · scale` are single passes, not a chain of kernels
+/// that each allocate an intermediate. Measured: 263 868 B each for a
+/// 262 144 B gradient; the two-kernel chains requested 526 116 B.
+#[test]
+fn elementwise_backwards_allocate_one_buffer() {
+    let (dy, x) = (numeric(&[4, 64, 256], 1), [numeric(&[4, 64, 256], 2)]);
+    let (_, gelu) = op_bytes(&x, &dy, |g, [x]| ops::gelu(g, x));
+    let (_, dropout) = op_bytes(&x, &dy, |g, [x]| ops::dropout(g, x, 0.1));
+    for (op, backward) in [("gelu", gelu), ("dropout", dropout)] {
+        assert!(
+            backward <= dy.bytes() + OP_SLACK,
+            "{op} backward requests {backward} B for one {} B gradient",
+            dy.bytes()
+        );
+    }
 }
 
 /// A numeric GPT (H128 L4, 4 heads, S64, V512, dropout 0.1) at batch 4,

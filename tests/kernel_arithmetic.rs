@@ -2,14 +2,16 @@
 //!
 //! The kernels' contract is a fixed sequence of `f32` operations per
 //! output element, so a kernel change that only moves where operands are
-//! read from must reproduce these constants exactly. They were computed at
-//! the commit before the kernels started borrowing their operands; a
-//! change that moves them has changed the arithmetic, not just the memory
-//! traffic.
+//! read from must reproduce these constants exactly. The GPT constants
+//! were computed at the commit before the kernels started borrowing their
+//! operands; the BERT and T5 ones, which pin bidirectional and cross
+//! attention too, at the commit before the fused attention op stopped
+//! materialising its `S×S` buffers. A change that moves them has changed
+//! the arithmetic, not just the memory traffic.
 
 use ssdtrain_autograd::optim::Sgd;
 use ssdtrain_autograd::Graph;
-use ssdtrain_models::{Batch, GptModel, ModelConfig, Recompute};
+use ssdtrain_models::{Batch, Model, ModelConfig, Recompute};
 use ssdtrain_tensor::Device;
 
 /// FNV-1a over the bit patterns of `values`, continuing from `h`.
@@ -23,22 +25,17 @@ fn fnv1a(mut h: u64, values: &[f32]) -> u64 {
     h
 }
 
-const LOSS_BITS: [u32; 3] = [1_076_390_432, 1_073_270_745, 1_072_115_485];
-const GRAD_CHECKSUMS: [u64; 3] = [
-    8_828_541_549_001_266_045,
-    12_787_085_909_462_362_602,
-    14_205_072_839_145_320_722,
-];
-
-#[test]
-fn three_gpt_steps_reproduce_the_pinned_bits() {
+/// Three SGD steps of `cfg` with dropout 0.1 and fused attention (seed 7,
+/// batch 2): each step's loss bits and the FNV-1a checksum of every
+/// parameter gradient's bits.
+fn three_steps(cfg: ModelConfig) -> (Vec<u32>, Vec<u64>) {
     let dev = Device::cpu();
     let cfg = ModelConfig {
         dropout_p: 0.1,
         fused_attention: true,
-        ..ModelConfig::tiny_gpt()
+        ..cfg
     };
-    let model = GptModel::new(&cfg, &dev, 7);
+    let model = Model::build(&cfg, &dev, 7);
     let batch = Batch::synthetic(&cfg, 2, 7, &dev);
     let mut opt = Sgd::with_momentum(model.parameters(), 0.1, 0.9);
     let mut losses = Vec::new();
@@ -59,6 +56,50 @@ fn three_gpt_steps_reproduce_the_pinned_bits() {
         opt.step();
         opt.zero_grad();
     }
+    (losses, checksums)
+}
+
+const LOSS_BITS: [u32; 3] = [1_076_390_432, 1_073_270_745, 1_072_115_485];
+const GRAD_CHECKSUMS: [u64; 3] = [
+    8_828_541_549_001_266_045,
+    12_787_085_909_462_362_602,
+    14_205_072_839_145_320_722,
+];
+
+#[test]
+fn three_gpt_steps_reproduce_the_pinned_bits() {
+    let (losses, checksums) = three_steps(ModelConfig::tiny_gpt());
     assert_eq!(losses, LOSS_BITS, "loss bits moved");
     assert_eq!(checksums, GRAD_CHECKSUMS, "gradient bits moved");
+}
+
+const BERT_LOSS_BITS: [u32; 3] = [1_076_126_897, 1_074_690_856, 1_073_536_374];
+const BERT_GRAD_CHECKSUMS: [u64; 3] = [
+    7_955_946_792_869_697_340,
+    14_942_518_443_339_001_668,
+    1_244_591_001_584_161_472,
+];
+
+/// Bidirectional attention: no causal mask in any layer.
+#[test]
+fn three_bert_steps_reproduce_the_pinned_bits() {
+    let (losses, checksums) = three_steps(ModelConfig::tiny_bert());
+    assert_eq!(losses, BERT_LOSS_BITS, "loss bits moved");
+    assert_eq!(checksums, BERT_GRAD_CHECKSUMS, "gradient bits moved");
+}
+
+const T5_LOSS_BITS: [u32; 3] = [1_075_684_343, 1_074_944_033, 1_074_387_850];
+const T5_GRAD_CHECKSUMS: [u64; 3] = [
+    2_359_880_974_243_273_868,
+    1_465_841_425_317_959_242,
+    16_241_672_971_364_160_722,
+];
+
+/// A bidirectional encoder, a causal decoder and cross attention from the
+/// decoder into the encoder's output.
+#[test]
+fn three_t5_steps_reproduce_the_pinned_bits() {
+    let (losses, checksums) = three_steps(ModelConfig::tiny_t5());
+    assert_eq!(losses, T5_LOSS_BITS, "loss bits moved");
+    assert_eq!(checksums, T5_GRAD_CHECKSUMS, "gradient bits moved");
 }
