@@ -7,7 +7,7 @@ use crate::value::{Source, Value};
 use crate::var::Var;
 use ssdtrain_tensor::{Device, MemClass, Prng, Tensor};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -458,10 +458,13 @@ impl Graph {
     ///
     /// Saved tensors and intermediate gradients are dropped as soon as
     /// they are consumed, mirroring PyTorch's memory behaviour during
-    /// backward. The walk allocates nothing per node: a node's input
-    /// sources are read from the tape by range, its gradients are written
-    /// into slots reused across nodes, and scope transitions follow
-    /// [`ScopeFrame`] parent links.
+    /// backward. A gradient reaching a leaf is moved into it
+    /// ([`Var::accumulate_grad`]), and a second contribution to a pending
+    /// gradient is summed in place only into a buffer that gradient owns
+    /// alone ([`Tensor::owns_storage`]). The walk allocates nothing per
+    /// node: a node's input sources are read from the tape by range, its
+    /// gradients are written into slots reused across nodes, and scope
+    /// transitions follow [`ScopeFrame`] parent links.
     ///
     /// When a module-hooks listener [wants it](ModuleHooks::wants_grad_ready),
     /// every node the walk reaches — run, or skipped for receiving no
@@ -503,15 +506,15 @@ impl Graph {
                     grads: &mut HashMap<(usize, usize), Tensor>,
                     ext: &mut [Option<Tensor>]| {
             match source {
-                Source::Node { node, out } => match grads.get(&(*node, *out)) {
-                    Some(existing) => existing.accumulate(&g),
-                    None => {
-                        grads.insert((*node, *out), g);
+                Source::Node { node, out } => match grads.entry((*node, *out)) {
+                    Entry::Occupied(mut sum) => accumulate_pending(sum.get_mut(), &g),
+                    Entry::Vacant(slot) => {
+                        slot.insert(g);
                     }
                 },
-                Source::Leaf(var) => var.accumulate_grad(&g),
-                Source::External(i) => match &ext[*i] {
-                    Some(existing) => existing.accumulate(&g),
+                Source::Leaf(var) => var.accumulate_grad(g),
+                Source::External(i) => match &mut ext[*i] {
+                    Some(sum) => accumulate_pending(sum, &g),
                     None => ext[*i] = Some(g),
                 },
                 Source::Constant => {}
@@ -671,6 +674,18 @@ impl Graph {
     }
 }
 
+/// Adds `g` into the pending gradient `sum`: in place when `sum` owns its
+/// buffer ([`Tensor::owns_storage`]), and otherwise into a fresh workspace
+/// tensor, because another pending gradient may share that buffer (`add`
+/// hands one `dy` to both operands).
+fn accumulate_pending(sum: &mut Tensor, g: &Tensor) {
+    if sum.owns_storage() {
+        sum.accumulate(g);
+    } else {
+        *sum = sum.device().with_class(MemClass::Workspace, || sum.add(g));
+    }
+}
+
 /// Placeholder op left on the tape after a node's real op was consumed by
 /// backward; reaching it again means the tape was replayed, which this
 /// engine does not support (no `retain_graph`).
@@ -730,6 +745,41 @@ mod tests {
         let loss = ops::sum_all(&g, &s);
         g.backward(&loss);
         assert_eq!(w.grad().unwrap().to_vec(), vec![5.0]);
+    }
+
+    /// `5x + 4x²` as `a + b + a·a` with `a = 2x`, `b = 3x`, the product
+    /// recorded first: the last `add` hands one `dy` to both operands and
+    /// the inner `add` hands it on to `a` and `b`, so three pending
+    /// gradients share one buffer. Summing the product's contribution to
+    /// `a` into that buffer in place also adds it to `b`'s, and
+    /// `dx = [25, 45]` instead of `5 + 8x`.
+    fn shared_pending_gradient(g: &Graph, x: &Value) -> Value {
+        let a = ops::scale(g, x, 2.0);
+        let b = ops::scale(g, x, 3.0);
+        let aa = ops::mul(g, &a, &a);
+        ops::add(g, &ops::add(g, &a, &b), &aa)
+    }
+
+    #[test]
+    fn a_shared_pending_gradient_is_not_summed_in_place() {
+        let d = dev();
+        let x = Var::new("x", Tensor::from_vec(vec![1.0, 2.0], [2], &d));
+        let g = Graph::new(&d, 1);
+        let f = shared_pending_gradient(&g, &g.leaf(&x));
+        g.backward(&ops::sum_all(&g, &f));
+        assert_eq!(x.grad().unwrap().to_vec(), vec![13.0, 21.0]);
+
+        // The same inside a checkpointed segment: its recompute tape
+        // sums the segment's gradients by the same rule.
+        let xc = Var::new("x", Tensor::from_vec(vec![1.0, 2.0], [2], &d));
+        let g = Graph::new(&d, 1);
+        let f = crate::checkpoint::checkpoint(
+            &g,
+            Rc::new(|cg: &Graph, ins: &[Value]| vec![shared_pending_gradient(cg, &ins[0])]),
+            &[g.leaf(&xc)],
+        );
+        g.backward(&ops::sum_all(&g, &f[0]));
+        assert_eq!(xc.grad().unwrap().to_vec(), vec![13.0, 21.0]);
     }
 
     #[test]

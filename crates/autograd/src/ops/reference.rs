@@ -366,7 +366,7 @@ proptest! {
         let mut opt = Sgd::with_momentum(vec![var.clone()], lr, momentum);
         for step in 0..3 {
             let grad = values(seed + 10 + step, n);
-            var.accumulate_grad(&Tensor::from_vec(grad.clone(), [n], &dev()));
+            var.accumulate_grad(Tensor::from_vec(grad.clone(), [n], &dev()));
             opt.step();
             opt.zero_grad();
 

@@ -154,7 +154,7 @@ mod tests {
     fn sgd_moves_against_gradient() {
         let d = Device::cpu();
         let w = Var::new("w", Tensor::from_vec(vec![1.0, -1.0], [2], &d));
-        w.accumulate_grad(&Tensor::from_vec(vec![0.5, -0.5], [2], &d));
+        w.accumulate_grad(Tensor::from_vec(vec![0.5, -0.5], [2], &d));
         let mut opt = Sgd::new(vec![w.clone()], 0.1);
         opt.step();
         let t = w.tensor().to_vec();
@@ -167,11 +167,11 @@ mod tests {
         let d = Device::cpu();
         let w = Var::new("w", Tensor::from_vec(vec![0.0], [1], &d));
         let mut opt = Sgd::with_momentum(vec![w.clone()], 1.0, 0.5);
-        w.accumulate_grad(&Tensor::from_vec(vec![1.0], [1], &d));
+        w.accumulate_grad(Tensor::from_vec(vec![1.0], [1], &d));
         opt.step();
         assert!((w.tensor().to_vec()[0] + 1.0).abs() < 1e-6);
         opt.zero_grad();
-        w.accumulate_grad(&Tensor::from_vec(vec![1.0], [1], &d));
+        w.accumulate_grad(Tensor::from_vec(vec![1.0], [1], &d));
         opt.step();
         // v = 0.5 * 1 + 1 = 1.5 -> w = -1 - 1.5 = -2.5
         assert!((w.tensor().to_vec()[0] + 2.5).abs() < 1e-6);
@@ -191,8 +191,8 @@ mod tests {
         let d = Device::cpu();
         let a = Var::new("a", Tensor::from_vec(vec![1.0], [1], &d));
         let b = Var::new("b", Tensor::from_vec(vec![1.0], [1], &d));
-        a.accumulate_grad(&Tensor::ones([1], &d));
-        b.accumulate_grad(&Tensor::ones([1], &d));
+        a.accumulate_grad(Tensor::ones([1], &d));
+        b.accumulate_grad(Tensor::ones([1], &d));
         let mut opt = Sgd::new(vec![a.clone(), b.clone()], 0.5);
         opt.step_range(0..1);
         assert!((a.tensor().to_vec()[0] - 0.5).abs() < 1e-6);
@@ -211,7 +211,7 @@ mod tests {
                 .map(|(i, v)| Var::new(format!("p{i}"), Tensor::from_vec(vec![*v], [1], &d)))
                 .collect();
             for (i, v) in vars.iter().enumerate() {
-                v.accumulate_grad(&Tensor::from_vec(vec![0.25 * (i as f32 + 1.0)], [1], &d));
+                v.accumulate_grad(Tensor::from_vec(vec![0.25 * (i as f32 + 1.0)], [1], &d));
             }
             vars
         };
@@ -241,8 +241,8 @@ mod tests {
             MemClass::OptimizerState
         );
         for _ in 0..3 {
-            lazy.accumulate_grad(&Tensor::ones([1], &d));
-            eager.accumulate_grad(&Tensor::ones([1], &d));
+            lazy.accumulate_grad(Tensor::ones([1], &d));
+            eager.accumulate_grad(Tensor::ones([1], &d));
             opt_lazy.step();
             opt_eager.step();
             opt_lazy.zero_grad();
@@ -259,7 +259,7 @@ mod tests {
         let d = Device::cpu();
         let w = Var::new("w", Tensor::from_vec(vec![0.0], [1], &d));
         let mut opt = Sgd::with_momentum(vec![w.clone()], 1.0, 0.9);
-        w.accumulate_grad(&Tensor::ones([1], &d));
+        w.accumulate_grad(Tensor::ones([1], &d));
         opt.step();
         assert_eq!(
             opt.velocity[0].as_ref().unwrap().mem_class(),

@@ -105,18 +105,20 @@ impl Var {
         self.inner.grad.lock().as_ref().map(f)
     }
 
-    /// Adds `g` into the gradient slot (allocating it on first use with
-    /// [`MemClass::Gradient`]).
+    /// Adds `g` into the gradient slot. The first contribution becomes
+    /// the slot under [`MemClass::Gradient`] ([`Tensor::into_class`]): a
+    /// gradient handed over alone is adopted, like PyTorch's
+    /// `AccumulateGrad` stealing a fresh gradient, and a shared handle or
+    /// view is copied. Later contributions are summed into the slot in
+    /// place.
     ///
     /// # Panics
     /// Panics if `g`'s shape differs from the parameter's.
-    pub fn accumulate_grad(&self, g: &Tensor) {
+    pub fn accumulate_grad(&self, g: Tensor) {
         let mut slot = self.inner.grad.lock();
         match &*slot {
-            Some(existing) => existing.accumulate(g),
-            None => {
-                *slot = Some(g.deep_clone_as(MemClass::Gradient));
-            }
+            Some(existing) => existing.accumulate(&g),
+            None => *slot = Some(g.into_class(MemClass::Gradient)),
         }
     }
 
@@ -183,8 +185,8 @@ mod tests {
         let dev = Device::cpu();
         let v = Var::new("v", Tensor::zeros([2], &dev));
         let g = Tensor::from_vec(vec![1.0, 2.0], [2], &dev);
-        v.accumulate_grad(&g);
-        v.accumulate_grad(&g);
+        v.accumulate_grad(g.clone());
+        v.accumulate_grad(g);
         assert_eq!(v.grad().unwrap().to_vec(), vec![2.0, 4.0]);
         assert_eq!(v.grad().unwrap().mem_class(), MemClass::Gradient);
         v.zero_grad();
@@ -196,7 +198,7 @@ mod tests {
         let dev = Device::cpu();
         let v = Var::new("v", Tensor::zeros([1], &dev));
         let c = v.clone();
-        c.accumulate_grad(&Tensor::ones([1], &dev));
+        c.accumulate_grad(Tensor::ones([1], &dev));
         assert!(v.grad().is_some());
         assert!(v.same(&c));
     }

@@ -53,7 +53,7 @@ impl MemClass {
         }
     }
 
-    fn from_u8(v: u8) -> MemClass {
+    pub(crate) fn from_u8(v: u8) -> MemClass {
         match v {
             0 => MemClass::Parameter,
             1 => MemClass::Gradient,
@@ -63,7 +63,7 @@ impl MemClass {
         }
     }
 
-    fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             MemClass::Parameter => 0,
             MemClass::Gradient => 1,

@@ -11,7 +11,7 @@ use crate::device::{Device, MemClass};
 use crate::dtype::DType;
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Unique identity of a storage allocation within the process.
@@ -51,7 +51,8 @@ struct StorageInner {
     id: StorageId,
     numel: usize,
     dtype: DType,
-    class: MemClass,
+    /// A [`MemClass`] as `u8`: written only by [`Storage::reclass`].
+    class: AtomicU8,
     device: Device,
     data: RwLock<DataState>,
     stamp: OnceLock<u64>,
@@ -114,7 +115,7 @@ impl Storage {
                 id: StorageId::next(),
                 numel,
                 dtype,
-                class,
+                class: AtomicU8::new(class.as_u8()),
                 device: device.clone(),
                 data: RwLock::new(state),
                 stamp: OnceLock::new(),
@@ -139,9 +140,22 @@ impl Storage {
         self.inner.dtype
     }
 
-    /// Memory class recorded at creation.
+    /// Memory class: the one recorded at creation, unless
+    /// [`crate::Tensor::into_class`] re-classed the storage since.
     pub fn mem_class(&self) -> MemClass {
-        self.inner.class
+        MemClass::from_u8(self.inner.class.load(Ordering::Relaxed))
+    }
+
+    /// Moves the storage to `class`. A resident storage's bytes leave its
+    /// old class and join the new one at the same instant; a released one
+    /// reports nothing, since it holds no bytes. The caller holds the
+    /// storage's only handle, so nothing releases or restores it meanwhile.
+    pub(crate) fn reclass(&self, class: MemClass) {
+        let old = MemClass::from_u8(self.inner.class.swap(class.as_u8(), Ordering::Relaxed));
+        if old != class && self.is_resident() {
+            self.inner.device.notify_free(self.bytes(), old);
+            self.inner.device.notify_alloc(self.bytes(), class);
+        }
     }
 
     /// Device this storage lives on.
@@ -209,7 +223,7 @@ impl Storage {
         drop(guard);
         self.inner
             .device
-            .notify_free(self.bytes(), self.inner.class);
+            .notify_free(self.bytes(), self.mem_class());
         match state {
             DataState::Numeric(values) => Some(values),
             _ => None,
@@ -232,7 +246,7 @@ impl Storage {
         drop(guard);
         self.inner
             .device
-            .notify_alloc(self.bytes(), self.inner.class);
+            .notify_alloc(self.bytes(), self.mem_class());
     }
 
     /// Restores a released storage in shape-only mode.
@@ -249,7 +263,7 @@ impl Storage {
         drop(guard);
         self.inner
             .device
-            .notify_alloc(self.bytes(), self.inner.class);
+            .notify_alloc(self.bytes(), self.mem_class());
     }
 
     /// Serialises the payload for offloading into a fresh buffer; see
@@ -370,7 +384,7 @@ impl fmt::Debug for Storage {
             .field("id", &self.inner.id)
             .field("numel", &self.inner.numel)
             .field("dtype", &self.inner.dtype)
-            .field("class", &self.inner.class)
+            .field("class", &self.mem_class())
             .field("resident", &self.is_resident())
             .finish()
     }
@@ -380,7 +394,8 @@ impl Drop for StorageInner {
     fn drop(&mut self) {
         if !matches!(*self.data.get_mut(), DataState::Released) {
             let bytes = self.numel as u64 * self.dtype.byte_size();
-            self.device.notify_free(bytes, self.class);
+            let class = MemClass::from_u8(*self.class.get_mut());
+            self.device.notify_free(bytes, class);
         }
     }
 }

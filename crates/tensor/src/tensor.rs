@@ -433,6 +433,43 @@ impl Tensor {
             .expect("at() on a tensor without data")
     }
 
+    /// Whether this handle owns its storage outright: it is the storage's
+    /// only handle, its view covers the whole storage contiguously from
+    /// offset 0, and the storage is unstamped (the tensor cache keys
+    /// stamped storages). Writing such a tensor in place, or re-classing
+    /// it, changes nothing any other holder can see.
+    pub fn owns_storage(&self) -> bool {
+        self.storage.strong_count() == 1
+            && self.is_contiguous()
+            && self.numel() == self.storage.numel()
+            && self.storage.stamp().is_none()
+    }
+
+    /// This tensor under memory class `class`: the same storage moved to
+    /// `class` when this handle [owns it](Tensor::owns_storage), and
+    /// otherwise a [`Tensor::deep_clone_as`] copy. Moving a resident
+    /// storage reports its bytes to the device tracker as freed from the
+    /// old class and allocated in the new one, at the same instant.
+    ///
+    /// ```
+    /// use ssdtrain_tensor::{Device, MemClass, Tensor};
+    /// let dev = Device::cpu();
+    /// let t = Tensor::from_vec(vec![1.0, 2.0], [2], &dev);
+    /// let id = t.storage().id();
+    /// let g = t.into_class(MemClass::Gradient);
+    /// assert_eq!((g.storage().id(), g.mem_class()), (id, MemClass::Gradient));
+    /// ```
+    ///
+    /// # Panics
+    /// Panics where [`Tensor::deep_clone_as`] does, if it has to copy.
+    pub fn into_class(self, class: MemClass) -> Tensor {
+        if !self.owns_storage() {
+            return self.deep_clone_as(class);
+        }
+        self.storage.reclass(class);
+        self
+    }
+
     /// Creates a detached deep copy with the given memory class.
     ///
     /// # Panics
@@ -581,6 +618,128 @@ mod tests {
         assert!(!t.storage().ptr_eq(c.storage()));
         assert_eq!(c.mem_class(), MemClass::Gradient);
         assert_eq!(c.to_vec(), t.to_vec());
+    }
+
+    /// Every tracker call, in order: `(allocated?, bytes, class)`.
+    #[derive(Default)]
+    struct Log(parking_lot::Mutex<Vec<(bool, u64, MemClass)>>);
+
+    impl crate::device::MemTracker for Log {
+        fn on_alloc(&self, bytes: u64, class: MemClass) {
+            self.0.lock().push((true, bytes, class));
+        }
+        fn on_free(&self, bytes: u64, class: MemClass) {
+            self.0.lock().push((false, bytes, class));
+        }
+    }
+
+    /// A `[2, 3]` workspace tensor on `dev`, its tracker log cleared.
+    fn workspace(dev: &Device, log: &Log) -> Tensor {
+        let t = dev.with_class(MemClass::Workspace, || {
+            Tensor::from_vec(vec![1., 2., 3., 4., 5., 6.], [2, 3], dev)
+        });
+        log.0.lock().clear();
+        t
+    }
+
+    /// A flat view of `n` elements of `t`'s storage from `offset` on.
+    fn flat(t: &Tensor, offset: usize, n: usize) -> Tensor {
+        let shape = Shape::from([n]);
+        Tensor {
+            storage: t.storage.clone(),
+            shape,
+            strides: shape.contiguous_strides(),
+            offset,
+        }
+    }
+
+    fn tracked(dev: Device) -> (Device, std::sync::Arc<Log>) {
+        let log = std::sync::Arc::new(Log::default());
+        dev.set_tracker(log.clone());
+        (dev, log)
+    }
+
+    #[test]
+    fn into_class_adopts_a_storage_it_owns() {
+        let (d, log) = tracked(dev());
+        let t = workspace(&d, &log);
+        let id = t.storage().id();
+        let g = t.into_class(MemClass::Gradient);
+        assert_eq!(g.storage().id(), id, "adopted, not copied");
+        assert_eq!(g.mem_class(), MemClass::Gradient);
+        assert_eq!(g.to_vec(), vec![1., 2., 3., 4., 5., 6.]);
+        assert_eq!(
+            *log.0.lock(),
+            [
+                (false, 24, MemClass::Workspace),
+                (true, 24, MemClass::Gradient)
+            ],
+            "one free of the old class, one alloc of the new, same bytes"
+        );
+        drop(g);
+        assert_eq!(log.0.lock().last(), Some(&(false, 24, MemClass::Gradient)));
+    }
+
+    #[test]
+    fn into_class_copies_what_it_does_not_own() {
+        let (d, log) = tracked(dev());
+        let with_view = |view: &dyn Fn(&Tensor) -> Tensor| {
+            let t = workspace(&d, &log);
+            let v = view(&t);
+            drop(t);
+            v
+        };
+        let shared = workspace(&d, &log);
+        let stamped = workspace(&d, &log);
+        stamped.storage().stamp_once(1);
+        let views = [
+            ("shared", shared.clone()),
+            ("transposed", with_view(&|t| t.t())),
+            ("partial", with_view(&|t| flat(t, 0, 4))),
+            ("offset", with_view(&|t| flat(t, 1, 5))),
+            ("stamped", stamped),
+        ];
+        for (what, v) in views {
+            let (id, values) = (v.storage().id(), v.to_vec());
+            log.0.lock().clear();
+            let g = v.into_class(MemClass::Gradient);
+            assert_ne!(g.storage().id(), id, "{what}: copied");
+            assert_eq!(g.mem_class(), MemClass::Gradient, "{what}");
+            assert_eq!(g.to_vec(), values, "{what}");
+            // The copy is allocated; a source nothing else holds is then
+            // freed, still a workspace buffer.
+            let mut want = vec![(true, 4 * values.len() as u64, MemClass::Gradient)];
+            if what != "shared" {
+                want.push((false, 24, MemClass::Workspace));
+            }
+            assert_eq!(*log.0.lock(), want, "{what}");
+        }
+        assert_eq!(shared.mem_class(), MemClass::Workspace);
+    }
+
+    #[test]
+    fn into_class_moves_symbolic_and_released_storages_without_data() {
+        let (d, log) = tracked(Device::symbolic());
+        let t = d.with_class(MemClass::Workspace, || Tensor::symbolic([8], &d));
+        let id = t.storage().id();
+        log.0.lock().clear();
+        let g = t.into_class(MemClass::Gradient);
+        assert_eq!((g.storage().id(), g.mem_class()), (id, MemClass::Gradient));
+        assert!(!g.has_data());
+        assert_eq!(
+            *log.0.lock(),
+            [
+                (false, 16, MemClass::Workspace),
+                (true, 16, MemClass::Gradient)
+            ]
+        );
+
+        // A released storage holds no bytes, so moving it reports none.
+        g.storage().release();
+        log.0.lock().clear();
+        let g = g.into_class(MemClass::Workspace);
+        assert_eq!((g.storage().id(), g.mem_class()), (id, MemClass::Workspace));
+        assert!(log.0.lock().is_empty());
     }
 
     #[test]

@@ -549,7 +549,7 @@ mod tests {
             .map(|i| Var::new(format!("p{i}"), Tensor::from_vec(vec![1.0], [1], &d)))
             .collect();
         for p in &params {
-            p.accumulate_grad(&Tensor::ones([1], &d));
+            p.accumulate_grad(Tensor::ones([1], &d));
         }
         Arc::new(Mutex::new(Sgd::with_momentum(params, 0.5, momentum)))
     }
@@ -637,7 +637,7 @@ mod tests {
         // the update waits for it; `ReduceGrads` advances to it.
         clock.reset();
         cache.begin_step();
-        p.accumulate_grad(&Tensor::ones([1], &Device::cpu()));
+        p.accumulate_grad(Tensor::ones([1], &Device::cpu()));
         listener.grad_ready(&p);
         assert_eq!(weight(&opt, 0), vec![0.5], "parked until its state lands");
         let report = engine.reduce_grads(&clock, &trace);
@@ -672,7 +672,7 @@ mod tests {
         clock.reset();
         cache.begin_step();
         for p in [&p0, &p1] {
-            p.accumulate_grad(&Tensor::ones([1], &Device::cpu()));
+            p.accumulate_grad(Tensor::ones([1], &Device::cpu()));
         }
         listener.grad_ready(&p0);
         assert_eq!(engine.updater.slots.lock().pending.len(), 1, "p0 waits");
@@ -747,7 +747,7 @@ mod tests {
             clock.reset();
             cache.begin_step();
             for p in [&p0, &p1] {
-                p.accumulate_grad(&Tensor::ones([1], &Device::cpu()));
+                p.accumulate_grad(Tensor::ones([1], &Device::cpu()));
             }
             announce();
         };

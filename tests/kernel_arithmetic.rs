@@ -26,9 +26,9 @@ fn fnv1a(mut h: u64, values: &[f32]) -> u64 {
 }
 
 /// Three SGD steps of `cfg` with dropout 0.1 and fused attention (seed 7,
-/// batch 2): each step's loss bits and the FNV-1a checksum of every
-/// parameter gradient's bits.
-fn three_steps(cfg: ModelConfig) -> (Vec<u32>, Vec<u64>) {
+/// batch 2) under `recompute`: each step's loss bits and the FNV-1a
+/// checksum of every parameter gradient's bits.
+fn three_steps(cfg: ModelConfig, recompute: Recompute) -> (Vec<u32>, Vec<u64>) {
     let dev = Device::cpu();
     let cfg = ModelConfig {
         dropout_p: 0.1,
@@ -42,7 +42,7 @@ fn three_steps(cfg: ModelConfig) -> (Vec<u32>, Vec<u64>) {
     let mut checksums = Vec::new();
     for step in 0..3 {
         let g = Graph::new(&dev, 100 + step);
-        let loss = model.forward_loss(&g, &batch, Recompute::None);
+        let loss = model.forward_loss(&g, &batch, recompute);
         losses.push(loss.tensor().item().to_bits());
         g.backward(&loss);
         let sum = model
@@ -68,7 +68,19 @@ const GRAD_CHECKSUMS: [u64; 3] = [
 
 #[test]
 fn three_gpt_steps_reproduce_the_pinned_bits() {
-    let (losses, checksums) = three_steps(ModelConfig::tiny_gpt());
+    let (losses, checksums) = three_steps(ModelConfig::tiny_gpt(), Recompute::None);
+    assert_eq!(losses, LOSS_BITS, "loss bits moved");
+    assert_eq!(checksums, GRAD_CHECKSUMS, "gradient bits moved");
+}
+
+/// Every layer checkpointed: the recompute replays each layer's dropout
+/// draws and backpropagates through a child tape whose output gradients
+/// the outer tape still holds, and lands on the plain run's bits (pinned
+/// at the commit before pending gradients stopped being summed in place
+/// into a buffer another one shares).
+#[test]
+fn three_checkpointed_gpt_steps_reproduce_the_plain_bits() {
+    let (losses, checksums) = three_steps(ModelConfig::tiny_gpt(), Recompute::All);
     assert_eq!(losses, LOSS_BITS, "loss bits moved");
     assert_eq!(checksums, GRAD_CHECKSUMS, "gradient bits moved");
 }
@@ -83,7 +95,7 @@ const BERT_GRAD_CHECKSUMS: [u64; 3] = [
 /// Bidirectional attention: no causal mask in any layer.
 #[test]
 fn three_bert_steps_reproduce_the_pinned_bits() {
-    let (losses, checksums) = three_steps(ModelConfig::tiny_bert());
+    let (losses, checksums) = three_steps(ModelConfig::tiny_bert(), Recompute::None);
     assert_eq!(losses, BERT_LOSS_BITS, "loss bits moved");
     assert_eq!(checksums, BERT_GRAD_CHECKSUMS, "gradient bits moved");
 }
@@ -99,7 +111,7 @@ const T5_GRAD_CHECKSUMS: [u64; 3] = [
 /// decoder into the encoder's output.
 #[test]
 fn three_t5_steps_reproduce_the_pinned_bits() {
-    let (losses, checksums) = three_steps(ModelConfig::tiny_t5());
+    let (losses, checksums) = three_steps(ModelConfig::tiny_t5(), Recompute::None);
     assert_eq!(losses, T5_LOSS_BITS, "loss bits moved");
     assert_eq!(checksums, T5_GRAD_CHECKSUMS, "gradient bits moved");
 }
