@@ -791,8 +791,11 @@ fn io_row(arm: &'static IoArm) -> IoRow {
         .backend(OffloadBackend::Tiered {
             dram_bytes: IO_DRAM_FRONT_BYTES,
         })
-        .store_job_overhead(IO_STORE_JOB_OVERHEAD_SECS)
-        .ssd_write_overhead(IO_SSD_WRITE_OVERHEAD_BYTES)
+        .system(SystemConfig {
+            store_job_overhead_secs: IO_STORE_JOB_OVERHEAD_SECS,
+            ssd_write_overhead_bytes: IO_SSD_WRITE_OVERHEAD_BYTES,
+            ..SystemConfig::dac_testbed()
+        })
         .cache(TensorCacheConfig {
             prefetch_depth: arm.depth,
             coalesce_segment_bytes: arm.segment_bytes,

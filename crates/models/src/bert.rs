@@ -1,111 +1,10 @@
-//! BERT: the encoder-only model.
+//! [`crate::LmModel`] as BERT: a bidirectional encoder whose early
+//! positions see later tokens.
 
-use crate::batch::Batch;
-use crate::config::{ModelConfig, Recompute};
-use crate::layers::{maybe_dropout, Embedding, LayerNorm, Linear};
-use crate::stack::TransformerStack;
-use ssdtrain_autograd::{ops, Graph, Value, Var};
-use ssdtrain_tensor::{Device, Prng};
-
-impl crate::model::StagedModel for BertModel {
-    fn forward_embed(&self, g: &Graph, batch: &Batch) -> Value {
-        BertModel::forward_embed(self, g, batch)
-    }
-    fn forward_layers(
-        &self,
-        g: &Graph,
-        x: &Value,
-        range: std::ops::Range<usize>,
-        recompute: Recompute,
-    ) -> Value {
-        self.stack.forward_range(g, x, None, range, recompute)
-    }
-    fn forward_head_loss(&self, g: &Graph, h: &Value, batch: &Batch) -> Value {
-        BertModel::forward_head_loss(self, g, h, batch)
-    }
-    fn layer_count(&self) -> usize {
-        self.stack.len()
-    }
-    fn stage_parameters(&self) -> Vec<Var> {
-        self.parameters()
-    }
-}
-
-/// A BERT-style bidirectional encoder with a masked-LM head. Pretraining
-/// here reconstructs the target token at every position (the shapes and
-/// FLOPs of MLM, which is all the evaluation depends on).
-#[derive(Debug, Clone)]
-pub struct BertModel {
-    cfg: ModelConfig,
-    embed: Embedding,
-    stack: TransformerStack,
-    ln_f: LayerNorm,
-    head: Linear,
-}
-
-impl BertModel {
-    /// Builds the model with deterministic initialisation.
-    pub fn new(cfg: &ModelConfig, dev: &Device, seed: u64) -> BertModel {
-        let mut rng = Prng::seed_from_u64(seed);
-        BertModel {
-            cfg: cfg.clone(),
-            embed: Embedding::new("embed", cfg.vocab, cfg.seq, cfg.hidden, &mut rng, dev),
-            // Bidirectional: no causal mask.
-            stack: TransformerStack::new("layer", cfg.layers, cfg, false, false, &mut rng, dev),
-            ln_f: LayerNorm::new("ln_f", cfg.hidden, dev),
-            head: Linear::new_no_bias("mlm_head", cfg.hidden, cfg.vocab / cfg.tp, &mut rng, dev),
-        }
-    }
-
-    /// Forward pass to the mean cross-entropy loss.
-    pub fn forward_loss(&self, g: &Graph, batch: &Batch, recompute: Recompute) -> Value {
-        let h = self.forward_embed(g, batch);
-        let h = self
-            .stack
-            .forward_range(g, &h, None, 0..self.stack.len(), recompute);
-        self.forward_head_loss(g, &h, batch)
-    }
-
-    /// Embedding front of the model (pipeline stage 0's prologue).
-    pub fn forward_embed(&self, g: &Graph, batch: &Batch) -> Value {
-        let ids = g.constant(batch.tokens.clone());
-        g.scoped("embed", || {
-            let e = self.embed.forward(g, &ids);
-            maybe_dropout(g, &e, self.cfg.dropout_p)
-        })
-    }
-
-    /// Final layer-norm + MLM head + loss (the last stage's epilogue).
-    pub fn forward_head_loss(&self, g: &Graph, h: &Value, batch: &Batch) -> Value {
-        g.scoped("head", || {
-            let normed = self.ln_f.forward(g, h);
-            let logits = self.head.forward(g, &normed);
-            let n = batch.batch * self.cfg.seq;
-            let flat = ops::reshape(g, &logits, [n, self.cfg.vocab / self.cfg.tp]);
-            let targets = g.constant(batch.targets.clone());
-            ops::cross_entropy_mean(g, &flat, &targets)
-        })
-    }
-
-    /// All trainable parameters.
-    pub fn parameters(&self) -> Vec<Var> {
-        let mut p = self.embed.parameters();
-        p.extend(self.stack.parameters());
-        p.extend(self.ln_f.parameters());
-        p.extend(self.head.parameters());
-        p
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ModelConfig {
-        &self.cfg
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use ssdtrain_tensor::Tensor;
+    use crate::{Batch, LmModel, ModelConfig, Recompute};
+    use ssdtrain_autograd::Graph;
+    use ssdtrain_tensor::{Device, Tensor};
 
     #[test]
     fn bidirectional_attention_sees_the_future() {
@@ -113,7 +12,7 @@ mod tests {
         // hidden states.
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_bert();
-        let m = BertModel::new(&cfg, &dev, 3);
+        let m = LmModel::new(&cfg, &dev, 3);
 
         let hidden_at_pos0 = |last_tok: f32| -> Vec<f32> {
             let g = Graph::new(&dev, 1);
@@ -132,7 +31,7 @@ mod tests {
     fn loss_is_finite_and_backward_fills_grads() {
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_bert();
-        let m = BertModel::new(&cfg, &dev, 1);
+        let m = LmModel::new(&cfg, &dev, 1);
         let g = Graph::new(&dev, 1);
         let b = Batch::synthetic(&cfg, 2, 5, &dev);
         let loss = m.forward_loss(&g, &b, Recompute::None);
@@ -145,7 +44,7 @@ mod tests {
     fn recompute_matches_plain() {
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_bert();
-        let m = BertModel::new(&cfg, &dev, 2);
+        let m = LmModel::new(&cfg, &dev, 2);
         let b = Batch::synthetic(&cfg, 1, 9, &dev);
         let l1 = {
             let g = Graph::new(&dev, 4);

@@ -158,6 +158,13 @@ impl Embedding {
         ops::add(g, &tok, &pos)
     }
 
+    /// Embeds `tokens` under module `scope`, then applies dropout `p`:
+    /// the front of every model.
+    pub(crate) fn front(&self, g: &Graph, scope: &str, tokens: &Tensor, p: f32) -> Value {
+        let ids = g.constant(tokens.clone());
+        g.scoped(scope, || maybe_dropout(g, &self.forward(g, &ids), p))
+    }
+
     /// This layer's parameters.
     pub fn parameters(&self) -> Vec<Var> {
         vec![self.tokens.clone(), self.positions.clone()]

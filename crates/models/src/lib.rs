@@ -2,7 +2,8 @@
 //!
 //! Transformer model zoo for the SSDTrain evaluation: **GPT**
 //! (decoder-only), **BERT** (encoder-only) and **T5** (encoder-decoder) —
-//! the three architectures of the paper's Section 4 — built on
+//! the three architectures of the paper's Section 4, GPT and BERT as one
+//! [`LmModel`] whose architecture picks the attention mask — built on
 //! `ssdtrain-autograd` with module scopes that match the paper's
 //! Figure 3/Figure 8 breakdown (per-layer attention and MLP blocks).
 //!
@@ -38,18 +39,21 @@
 )]
 
 pub mod batch;
-pub mod bert;
 pub mod blocks;
 pub mod config;
-pub mod gpt;
 pub mod layers;
+pub mod lm;
 pub mod model;
 pub mod stack;
 pub mod t5;
 
 pub use batch::Batch;
-pub use bert::BertModel;
 pub use config::{Arch, ModelConfig, Recompute};
-pub use gpt::GptModel;
+pub use lm::LmModel;
 pub use model::Model;
-pub use model::StagedModel;
+
+// `LmModel`'s tests, one module per architecture it builds.
+#[cfg(test)]
+mod bert;
+#[cfg(test)]
+mod gpt;

@@ -1,44 +1,17 @@
 //! The unified model handle.
 
 use crate::batch::Batch;
-use crate::bert::BertModel;
 use crate::config::{Arch, ModelConfig, Recompute};
-use crate::gpt::GptModel;
+use crate::lm::LmModel;
 use crate::t5::T5Model;
 use ssdtrain_autograd::{Graph, Value, Var};
 use ssdtrain_tensor::Device;
 
-/// A model that can be split into pipeline stages: an embedding
-/// prologue, a contiguous slice of transformer layers per stage, and a
-/// loss epilogue. Implemented by GPT and BERT (T5's cross-attention
-/// broadcasts the encoder output to every decoder stage and is out of
-/// scope for the functional pipeline trainer).
-pub trait StagedModel {
-    /// Embedding front (stage 0's prologue).
-    fn forward_embed(&self, g: &Graph, batch: &Batch) -> Value;
-    /// One stage's contiguous layer slice.
-    fn forward_layers(
-        &self,
-        g: &Graph,
-        x: &Value,
-        range: std::ops::Range<usize>,
-        recompute: Recompute,
-    ) -> Value;
-    /// Loss epilogue (the last stage).
-    fn forward_head_loss(&self, g: &Graph, h: &Value, batch: &Batch) -> Value;
-    /// Number of splittable layers.
-    fn layer_count(&self) -> usize;
-    /// All trainable parameters.
-    fn stage_parameters(&self) -> Vec<Var>;
-}
-
 /// Any of the three evaluation architectures behind one interface.
 #[derive(Debug, Clone)]
 pub enum Model {
-    /// Decoder-only.
-    Gpt(GptModel),
-    /// Encoder-only.
-    Bert(BertModel),
+    /// Decoder-only (GPT) or encoder-only (BERT).
+    Lm(LmModel),
     /// Encoder-decoder.
     T5(T5Model),
 }
@@ -47,8 +20,7 @@ impl Model {
     /// Builds the architecture selected by `cfg.arch`.
     pub fn build(cfg: &ModelConfig, dev: &Device, seed: u64) -> Model {
         match cfg.arch {
-            Arch::Gpt => Model::Gpt(GptModel::new(cfg, dev, seed)),
-            Arch::Bert => Model::Bert(BertModel::new(cfg, dev, seed)),
+            Arch::Gpt | Arch::Bert => Model::Lm(LmModel::new(cfg, dev, seed)),
             Arch::T5 => Model::T5(T5Model::new(cfg, dev, seed)),
         }
     }
@@ -56,8 +28,7 @@ impl Model {
     /// Forward pass to the scalar training loss.
     pub fn forward_loss(&self, g: &Graph, batch: &Batch, recompute: Recompute) -> Value {
         match self {
-            Model::Gpt(m) => m.forward_loss(g, batch, recompute),
-            Model::Bert(m) => m.forward_loss(g, batch, recompute),
+            Model::Lm(m) => m.forward_loss(g, batch, recompute),
             Model::T5(m) => m.forward_loss(g, batch, recompute),
         }
     }
@@ -65,8 +36,7 @@ impl Model {
     /// All trainable parameters.
     pub fn parameters(&self) -> Vec<Var> {
         match self {
-            Model::Gpt(m) => m.parameters(),
-            Model::Bert(m) => m.parameters(),
+            Model::Lm(m) => m.parameters(),
             Model::T5(m) => m.parameters(),
         }
     }
@@ -74,8 +44,7 @@ impl Model {
     /// The configuration.
     pub fn config(&self) -> &ModelConfig {
         match self {
-            Model::Gpt(m) => m.config(),
-            Model::Bert(m) => m.config(),
+            Model::Lm(m) => m.config(),
             Model::T5(m) => m.config(),
         }
     }
@@ -88,14 +57,17 @@ mod tests {
     #[test]
     fn build_dispatches_on_arch() {
         let dev = Device::cpu();
-        assert!(matches!(
-            Model::build(&ModelConfig::tiny_gpt(), &dev, 1),
-            Model::Gpt(_)
-        ));
-        assert!(matches!(
-            Model::build(&ModelConfig::tiny_bert(), &dev, 1),
-            Model::Bert(_)
-        ));
+        for (cfg, head) in [
+            (ModelConfig::tiny_gpt(), "head.weight"),
+            (ModelConfig::tiny_bert(), "mlm_head.weight"),
+        ] {
+            let Model::Lm(m) = Model::build(&cfg, &dev, 1) else {
+                panic!("{} builds an LmModel", cfg.arch);
+            };
+            assert_eq!(m.config().arch, cfg.arch);
+            let last = m.parameters().pop().expect("a head");
+            assert_eq!(last.name(), head);
+        }
         assert!(matches!(
             Model::build(&ModelConfig::tiny_t5(), &dev, 1),
             Model::T5(_)

@@ -2,9 +2,10 @@
 
 use crate::batch::Batch;
 use crate::config::{ModelConfig, Recompute};
-use crate::layers::{maybe_dropout, Embedding, LayerNorm, Linear};
+use crate::layers::{Embedding, LayerNorm, Linear};
+use crate::lm::head_loss;
 use crate::stack::TransformerStack;
-use ssdtrain_autograd::{ops, Graph, Value, Var};
+use ssdtrain_autograd::{Graph, Value, Var};
 use ssdtrain_tensor::{Device, Prng};
 
 /// A T5-style encoder-decoder: a bidirectional encoder stack, a causal
@@ -59,32 +60,17 @@ impl T5Model {
     /// Panics if the batch lacks decoder tokens.
     #[expect(clippy::expect_used, reason = "documented contract")]
     pub fn forward_loss(&self, g: &Graph, batch: &Batch, recompute: Recompute) -> Value {
-        let enc_ids = g.constant(batch.tokens.clone());
-        let enc_h = g.scoped("enc_embed", || {
-            let e = self.enc_embed.forward(g, &enc_ids);
-            maybe_dropout(g, &e, self.cfg.dropout_p)
-        });
+        let p = self.cfg.dropout_p;
+        let enc_h = self.enc_embed.front(g, "enc_embed", &batch.tokens, p);
         let enc_out = self.encoder.forward(g, &enc_h, None, recompute);
 
         let dec_tokens = batch
             .dec_tokens
             .as_ref()
             .expect("T5 batch needs decoder tokens");
-        let dec_ids = g.constant(dec_tokens.clone());
-        let dec_h = g.scoped("dec_embed", || {
-            let e = self.dec_embed.forward(g, &dec_ids);
-            maybe_dropout(g, &e, self.cfg.dropout_p)
-        });
+        let dec_h = self.dec_embed.front(g, "dec_embed", dec_tokens, p);
         let dec_out = self.decoder.forward(g, &dec_h, Some(&enc_out), recompute);
-
-        g.scoped("head", || {
-            let normed = self.ln_f.forward(g, &dec_out);
-            let logits = self.head.forward(g, &normed);
-            let n = batch.batch * self.cfg.seq;
-            let flat = ops::reshape(g, &logits, [n, self.cfg.vocab / self.cfg.tp]);
-            let targets = g.constant(batch.targets.clone());
-            ops::cross_entropy_mean(g, &flat, &targets)
-        })
+        head_loss(g, &self.ln_f, &self.head, &dec_out, &batch.targets)
     }
 
     /// All trainable parameters.

@@ -263,27 +263,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Per-store-job fixed cost shorthand: rewrites
-    /// `system.store_job_overhead_secs` in place. This is the knob
-    /// that makes coalescing pay off in simulated time — each queued
-    /// store job charges this submission overhead on top of its
-    /// bandwidth term.
-    pub fn store_job_overhead(mut self, secs: f64) -> SessionBuilder {
-        self.system.store_job_overhead_secs = secs;
-        self
-    }
-
-    /// Per-write-op media overhead shorthand: rewrites
-    /// `system.ssd_write_overhead_bytes` in place. Each store op
-    /// charges this many extra media bytes on the wear meter (mapping
-    /// granularity / page padding), so many small writes inflate the
-    /// effective write-amplification factor relative to few large
-    /// segments.
-    pub fn ssd_write_overhead(mut self, bytes: u64) -> SessionBuilder {
-        self.system.ssd_write_overhead_bytes = bytes;
-        self
-    }
-
     /// Shape-only execution (paper-scale runs).
     pub fn symbolic(mut self, symbolic: bool) -> SessionBuilder {
         self.symbolic = symbolic;
@@ -450,15 +429,11 @@ mod tests {
             .coalesce_segment(64 << 20)
             .prefetch_group(2)
             .prefetch_depth(3)
-            .store_job_overhead(1e-3)
-            .ssd_write_overhead(512 << 10)
             .build()
             .expect("valid");
         assert_eq!(cfg.cache.coalesce_segment_bytes, 64 << 20);
         assert_eq!(cfg.cache.prefetch_group_modules, 2);
         assert_eq!(cfg.cache.prefetch_depth, 3);
-        assert_eq!(cfg.system.store_job_overhead_secs, 1e-3);
-        assert_eq!(cfg.system.ssd_write_overhead_bytes, 512 << 10);
         // Defaults keep the legacy per-tensor path.
         let cfg = SessionConfig::builder().build().expect("valid");
         assert_eq!(cfg.cache.coalesce_segment_bytes, 0);

@@ -13,6 +13,7 @@
 //! simulation (see [`PipelineSim::from_step_metrics`]).
 
 use crate::metrics::StepMetrics;
+use std::convert::Infallible;
 
 /// One pipeline-stage command (the `cmd` stream of the paper's
 /// Algorithm 1, reduced to what affects time and memory).
@@ -28,6 +29,14 @@ pub enum StageCmd {
         /// Micro-batch index.
         mb: usize,
     },
+}
+
+impl StageCmd {
+    const fn mb(self) -> usize {
+        match self {
+            StageCmd::Forward { mb } | StageCmd::Backward { mb } => mb,
+        }
+    }
 }
 
 /// Builds stage `s`'s 1F1B command order for `m` micro-batches on a
@@ -51,6 +60,65 @@ pub fn one_f1b_commands(pp: usize, s: usize, m: usize) -> Vec<StageCmd> {
         }
     }
     cmds
+}
+
+/// When each of a walked step's forwards or backwards ended, indexed
+/// `[stage][micro-batch]`.
+type Ends = Vec<Vec<f64>>;
+
+/// Walks per-stage command streams (stage `s` runs `cmds[s]` in order)
+/// as their dependencies resolve: a forward is ready `send_secs` after
+/// the previous stage's forward of its micro-batch ended, a backward
+/// `send_secs` after the next stage's backward did, and the last
+/// stage's backward as soon as its own forward did. `run(stage, cmd,
+/// ready)` executes one command and returns when it ended; the walk
+/// returns the forwards' and the backwards' ends. A sweep in which no
+/// stage can start its next command ends the walk with `stuck(stage,
+/// mb)` for the first stage left waiting.
+pub(crate) fn walk_stages<E>(
+    cmds: &[Vec<StageCmd>],
+    send_secs: f64,
+    mut run: impl FnMut(usize, StageCmd, f64) -> Result<f64, E>,
+    stuck: impl FnOnce(usize, usize) -> E,
+) -> Result<(Ends, Ends), E> {
+    let pp = cmds.len();
+    let m = cmds.iter().flatten().map(|c| c.mb() + 1).max().unwrap_or(0);
+    let (mut fwd, mut bwd) = (vec![vec![f64::NAN; m]; pp], vec![vec![f64::NAN; m]; pp]);
+    let mut cursor = vec![0usize; pp];
+    let total: usize = cmds.iter().map(Vec::len).sum();
+    let mut done = 0;
+    while done < total {
+        let mut progressed = false;
+        for s in 0..pp {
+            while let Some(&cmd) = cmds[s].get(cursor[s]) {
+                // NaN until the input's producer has run.
+                let ready = match cmd {
+                    StageCmd::Forward { .. } if s == 0 => 0.0,
+                    StageCmd::Forward { mb } => fwd[s - 1][mb] + send_secs,
+                    StageCmd::Backward { mb } if s == pp - 1 => fwd[s][mb],
+                    StageCmd::Backward { mb } => bwd[s + 1][mb] + send_secs,
+                };
+                if ready.is_nan() {
+                    break;
+                }
+                let end = run(s, cmd, ready)?;
+                match cmd {
+                    StageCmd::Forward { mb } => fwd[s][mb] = end,
+                    StageCmd::Backward { mb } => bwd[s][mb] = end,
+                }
+                cursor[s] += 1;
+                done += 1;
+                progressed = true;
+            }
+        }
+        if !progressed {
+            let (stage, mb) = (0..pp)
+                .find_map(|s| Some((s, cmds[s].get(cursor[s])?.mb())))
+                .unwrap_or_default();
+            return Err(stuck(stage, mb));
+        }
+    }
+    Ok((fwd, bwd))
 }
 
 /// Parameters of one simulated pipeline step.
@@ -136,69 +204,22 @@ impl PipelineSim {
     pub fn run(&self) -> PipelineMetrics {
         let (pp, m) = (self.pp, self.micro_batches);
         assert!(pp > 0 && m > 0, "pipeline needs stages and micro-batches");
-        // Completion times per (stage, micro-batch).
-        let mut f_end = vec![vec![f64::NAN; m]; pp];
-        let mut b_end = vec![vec![f64::NAN; m]; pp];
-        let mut stage_free = vec![0.0f64; pp];
         let cmds: Vec<Vec<StageCmd>> = (0..pp).map(|s| one_f1b_commands(pp, s, m)).collect();
-        let mut cursor = vec![0usize; pp];
-
-        // Execute commands as their dependencies resolve. The 1F1B orders
-        // are deadlock-free, so a round-robin sweep always progresses.
-        let total: usize = cmds.iter().map(|c| c.len()).sum();
-        let mut done = 0;
-        while done < total {
-            let mut progressed = false;
-            for s in 0..pp {
-                while cursor[s] < cmds[s].len() {
-                    let cmd = cmds[s][cursor[s]];
-                    let ready = match cmd {
-                        StageCmd::Forward { mb } => {
-                            if s == 0 {
-                                Some(0.0)
-                            } else if f_end[s - 1][mb].is_nan() {
-                                None
-                            } else {
-                                Some(f_end[s - 1][mb] + self.send_secs)
-                            }
-                        }
-                        StageCmd::Backward { mb } => {
-                            if s == pp - 1 {
-                                // The last stage can turn a micro-batch
-                                // around once its own forward is done.
-                                if f_end[s][mb].is_nan() {
-                                    None
-                                } else {
-                                    Some(f_end[s][mb])
-                                }
-                            } else if b_end[s + 1][mb].is_nan() {
-                                None
-                            } else {
-                                Some(b_end[s + 1][mb] + self.send_secs)
-                            }
-                        }
-                    };
-                    let Some(ready) = ready else { break };
-                    let start = ready.max(stage_free[s]);
-                    match cmd {
-                        StageCmd::Forward { mb } => {
-                            let end = start + self.fwd_secs;
-                            f_end[s][mb] = end;
-                            stage_free[s] = end;
-                        }
-                        StageCmd::Backward { mb } => {
-                            let end = start + self.bwd_secs;
-                            b_end[s][mb] = end;
-                            stage_free[s] = end;
-                        }
-                    }
-                    cursor[s] += 1;
-                    done += 1;
-                    progressed = true;
-                }
-            }
-            assert!(progressed, "1F1B schedule deadlocked (bug)");
-        }
+        // A stage runs one command at a time, each for its fixed duration.
+        let mut stage_free = vec![0.0f64; pp];
+        let price = |s: usize, cmd: StageCmd, ready: f64| {
+            stage_free[s] = ready.max(stage_free[s])
+                + match cmd {
+                    StageCmd::Forward { .. } => self.fwd_secs,
+                    StageCmd::Backward { .. } => self.bwd_secs,
+                };
+            Ok(stage_free[s])
+        };
+        #[expect(clippy::panic, reason = "the 1F1B orders are deadlock-free")]
+        let Ok((f_end, b_end)) =
+            walk_stages(&cmds, self.send_secs, price, |stage, mb| -> Infallible {
+                panic!("1F1B schedule deadlocked at stage {stage}, micro-batch {mb} (bug)")
+            });
 
         let step_secs = b_end[0].iter().fold(0.0f64, |acc, e| acc.max(*e));
         let ideal_secs = m as f64 * (self.fwd_secs + self.bwd_secs);

@@ -5,28 +5,31 @@
 //! training can be checked **bit-identical** against single-GPU
 //! training, with or without per-stage activation offloading.
 //!
-//! Each stage owns its own simulated clock, GPU executor and (optional)
-//! tensor cache; cross-stage sends synchronise the clocks, so the step's
-//! makespan and bubble structure emerge from real execution rather than
-//! the closed-form model in [`crate::pipeline`].
+//! Each stage is a GPU built the way a [`crate::TrainSession`] builds
+//! its own — the Table 3 testbed's clock, executor and (optional)
+//! tensor cache over host memory — and runs one contiguous slice of
+//! layers. The step walks the same 1F1B dependency order
+//! [`crate::PipelineSim`] prices, executing each command instead;
+//! cross-stage sends synchronise the clocks, so the step's makespan and
+//! bubble structure emerge from real execution rather than from fixed
+//! per-command durations.
 
 use crate::builder::ConfigError;
 use crate::error::{PipelineError, StepError};
-use crate::executor::GpuExecutor;
-use crate::pipeline::{one_f1b_commands, StageCmd};
+use crate::pipeline::{one_f1b_commands, walk_stages, StageCmd};
 use crate::schedule::stage_ranges;
-use ssdtrain::{CpuTarget, IoEngine, TensorCache, TensorCacheConfig, TraceCategory, TraceSink};
+use crate::session::{Gpu, OffloadBackend, SessionConfig};
+use ssdtrain::{PlacementStrategy, TensorCacheConfig, TraceCategory, TraceSink};
 use ssdtrain_autograd::{Graph, Phase, Value};
-use ssdtrain_models::{Arch, Batch, BertModel, GptModel, ModelConfig, Recompute, StagedModel};
-use ssdtrain_simhw::{GpuSpec, SimClock, SimTime};
+use ssdtrain_models::{Arch, Batch, LmModel, ModelConfig, Recompute};
+use ssdtrain_simhw::SimTime;
 use ssdtrain_tensor::{Device, MemClass, Tensor};
-use std::sync::Arc;
 
 /// Configuration of the functional pipeline trainer.
 #[derive(Debug, Clone)]
 pub struct PipelineExecConfig {
-    /// The GPT model configuration (layers are split evenly over
-    /// stages; the remainder goes to the early stages).
+    /// The GPT or BERT model configuration (layers are split evenly
+    /// over stages; the remainder goes to the early stages).
     pub model: ModelConfig,
     /// Pipeline stages.
     pub pp: usize,
@@ -45,11 +48,25 @@ pub struct PipelineExecConfig {
 
 struct Stage {
     graph: Graph,
-    clock: SimClock,
-    cache: Option<Arc<TensorCache>>,
+    gpu: Gpu,
     layer_range: std::ops::Range<usize>,
     first: bool,
     last: bool,
+}
+
+/// What one step's commands hand each other, indexed
+/// `[stage][micro-batch]`; the command that reads a value takes it.
+struct InFlight {
+    /// The step's micro-batches, indexed `[micro-batch]`.
+    batches: Vec<Batch>,
+    /// Forward outputs, until the next stage's forward.
+    sent: Vec<Vec<Option<Tensor>>>,
+    /// Output values (the loss on the last stage), until the backward.
+    outs: Vec<Vec<Option<Value>>>,
+    /// Input gradients, until the previous stage's backward.
+    grads: Vec<Vec<Option<Tensor>>>,
+    /// The last stage's losses, in forward order.
+    losses: Vec<f32>,
 }
 
 /// One step's measurements from the functional pipeline.
@@ -64,7 +81,7 @@ pub struct PipelineStepReport {
 /// The functional pipeline trainer.
 pub struct PipelineExec {
     cfg: PipelineExecConfig,
-    model: Box<dyn StagedModel>,
+    model: LmModel,
     device: Device,
     stages: Vec<Stage>,
     optimizer: ssdtrain_autograd::optim::Sgd,
@@ -78,9 +95,10 @@ impl PipelineExec {
     ///
     /// # Errors
     /// Returns a [`ConfigError`] when `pp` is zero or exceeds the layer
-    /// count, or when the architecture cannot be pipelined (T5's
-    /// cross-attention broadcasts the encoder output to every decoder
-    /// stage, so only GPT and BERT are supported).
+    /// count, when the micro-batch count or size is zero, or when the
+    /// architecture cannot be pipelined (T5's cross-attention
+    /// broadcasts the encoder output to every decoder stage, so only
+    /// GPT and BERT are supported).
     pub fn new(cfg: PipelineExecConfig) -> Result<PipelineExec, ConfigError> {
         if cfg.pp < 1 {
             return Err(ConfigError::ZeroStages);
@@ -91,58 +109,56 @@ impl PipelineExec {
                 layers: cfg.model.layers,
             });
         }
-        let device = Device::cpu();
-        let model: Box<dyn StagedModel> = match cfg.model.arch {
-            Arch::Gpt => Box::new(GptModel::new(&cfg.model, &device, cfg.seed)),
-            Arch::Bert => Box::new(BertModel::new(&cfg.model, &device, cfg.seed)),
-            Arch::T5 => return Err(ConfigError::UnsupportedArch { arch: Arch::T5 }),
+        if cfg.micro_batches == 0 {
+            return Err(ConfigError::ZeroMicroBatches);
+        }
+        if cfg.model.arch == Arch::T5 {
+            return Err(ConfigError::UnsupportedArch { arch: Arch::T5 });
+        }
+        // Every stage is the testbed's GPU; an offloading one keeps its
+        // activations in host memory, so the run stays self-contained.
+        let strategy = if cfg.offload {
+            PlacementStrategy::Offload
+        } else {
+            PlacementStrategy::Keep
         };
-        let per = cfg.model.layers / cfg.pp;
-        let extra = cfg.model.layers % cfg.pp;
-        let mut start = 0;
-        let stages = (0..cfg.pp)
-            .map(|s| {
-                let len = per + usize::from(s < extra);
-                let range = start..start + len;
-                start += len;
-                let clock = SimClock::new();
+        let stage_cfg = SessionConfig::builder()
+            .model(cfg.model.clone())
+            .batch_size(cfg.micro_batch_size * cfg.micro_batches)
+            .micro_batches(cfg.micro_batches)
+            .strategy(strategy)
+            .backend(OffloadBackend::Dram)
+            .cache(TensorCacheConfig {
+                min_offload_numel: 0,
+                adaptive: false,
+                ..TensorCacheConfig::default()
+            })
+            .seed(cfg.seed)
+            .build()?;
+        let device = Device::cpu();
+        let model = LmModel::new(&cfg.model, &device, cfg.seed);
+        let params = model.parameters();
+        let stages = stage_ranges(cfg.model.layers, cfg.pp)
+            .into_iter()
+            .enumerate()
+            .map(|(s, layer_range)| {
+                let gpu = Gpu::new(&stage_cfg, None);
+                gpu.register_parameters(&params);
                 let graph = Graph::new(&device, cfg.seed ^ (s as u64) << 8);
-                graph.set_observer(Arc::new(GpuExecutor::new(
-                    clock.clone(),
-                    GpuSpec::a100_pcie_40gb(),
-                    250e9,
-                    1,
-                )));
-                let cache = cfg.offload.then(|| {
-                    let io = IoEngine::new(clock.clone(), 25e9, 25e9);
-                    let mem = Arc::new(ssdtrain_simhw::GpuMemory::new(clock.clone(), 1 << 40));
-                    let cache = TensorCache::new(
-                        TensorCacheConfig {
-                            min_offload_numel: 0,
-                            adaptive: false,
-                            ..TensorCacheConfig::default()
-                        },
-                        Arc::new(CpuTarget::new(1 << 40)),
-                        io,
-                        mem,
-                    );
+                graph.set_observer(gpu.executor.clone());
+                if let Some(cache) = &gpu.cache {
                     cache.install(&graph);
-                    for p in model.stage_parameters() {
-                        cache.register_parameter(&p.tensor());
-                    }
-                    cache
-                });
+                }
                 Stage {
                     graph,
-                    clock,
-                    cache,
-                    layer_range: range,
+                    gpu,
+                    layer_range,
                     first: s == 0,
                     last: s == cfg.pp - 1,
                 }
             })
             .collect();
-        let optimizer = ssdtrain_autograd::optim::Sgd::new(model.stage_parameters(), 0.05);
+        let optimizer = ssdtrain_autograd::optim::Sgd::new(params, 0.05);
         Ok(PipelineExec {
             cfg,
             model,
@@ -159,7 +175,7 @@ impl PipelineExec {
     /// tensor-lifecycle events of every stage's offload cache.
     pub fn set_trace(&mut self, sink: TraceSink) {
         for stage in &self.stages {
-            if let Some(cache) = &stage.cache {
+            if let Some(cache) = &stage.gpu.cache {
                 cache.set_trace(sink.clone());
             }
         }
@@ -178,123 +194,49 @@ impl PipelineExec {
     /// every stage waiting.
     pub fn run_step(&mut self) -> Result<PipelineStepReport, PipelineError> {
         let pp = self.cfg.pp;
-        let m = self.cfg.micro_batches.max(1);
+        let m = self.cfg.micro_batches;
         self.trace.next_step();
         self.trace
             .instant(TraceCategory::Session, "step.begin", SimTime::ZERO);
         for stage in &self.stages {
-            stage.clock.reset();
-            if let Some(c) = &stage.cache {
+            stage.gpu.runtime.clock.reset();
+            if let Some(c) = &stage.gpu.cache {
                 c.begin_step();
             }
             stage.graph.reset_tape();
             stage.graph.set_phase(Phase::Forward);
         }
 
-        let batches: Vec<Batch> = (0..m)
-            .map(|mb| {
-                Batch::synthetic(
-                    &self.cfg.model,
-                    self.cfg.micro_batch_size,
-                    self.cfg
-                        .seed
-                        .wrapping_mul(7919)
-                        .wrapping_add(self.step_idx * 64 + mb as u64),
-                    &self.device,
-                )
-            })
-            .collect();
-
-        // Per-(stage, mb) completion times, boundary tensors, and output
-        // values for backward.
-        let nan = f64::NAN;
-        let mut f_done = vec![vec![nan; m]; pp];
-        let mut b_done = vec![vec![nan; m]; pp];
-        let mut boundary: Vec<Vec<Option<Tensor>>> = vec![vec![None; m]; pp];
-        let mut out_vals: Vec<Vec<Option<Value>>> = vec![vec![None; m]; pp];
-        let mut in_vals: Vec<Vec<Option<Value>>> = vec![vec![None; m]; pp];
-        let mut grads_back: Vec<Vec<Option<Tensor>>> = vec![vec![None; m]; pp];
-        let mut losses = Vec::new();
-
+        let mut step = InFlight {
+            batches: (0..m)
+                .map(|mb| {
+                    Batch::synthetic(
+                        &self.cfg.model,
+                        self.cfg.micro_batch_size,
+                        self.cfg
+                            .seed
+                            .wrapping_mul(7919)
+                            .wrapping_add(self.step_idx * 64 + mb as u64),
+                        &self.device,
+                    )
+                })
+                .collect(),
+            sent: vec![vec![None; m]; pp],
+            outs: vec![vec![None; m]; pp],
+            grads: vec![vec![None; m]; pp],
+            losses: Vec::new(),
+        };
         let cmds: Vec<Vec<StageCmd>> = (0..pp).map(|s| one_f1b_commands(pp, s, m)).collect();
-        let mut cursor = vec![0usize; pp];
-        let total: usize = cmds.iter().map(|c| c.len()).sum();
-        let mut done = 0;
-        while done < total {
-            let mut progressed = false;
-            for s in 0..pp {
-                while cursor[s] < cmds[s].len() {
-                    let cmd = cmds[s][cursor[s]];
-                    match cmd {
-                        StageCmd::Forward { mb } => {
-                            let ready = if s == 0 {
-                                Some(0.0)
-                            } else if f_done[s - 1][mb].is_nan() {
-                                None
-                            } else {
-                                Some(f_done[s - 1][mb] + self.cfg.send_secs)
-                            };
-                            let Some(ready) = ready else { break };
-                            self.exec_forward(
-                                s,
-                                mb,
-                                ready,
-                                &batches,
-                                &mut boundary,
-                                &mut out_vals,
-                                &mut in_vals,
-                                &mut losses,
-                            )?;
-                            f_done[s][mb] = self.stages[s].clock.now().as_secs();
-                        }
-                        StageCmd::Backward { mb } => {
-                            let ready = if s == pp - 1 {
-                                if f_done[s][mb].is_nan() {
-                                    None
-                                } else {
-                                    Some(f_done[s][mb])
-                                }
-                            } else if b_done[s + 1][mb].is_nan() {
-                                None
-                            } else {
-                                Some(b_done[s + 1][mb] + self.cfg.send_secs)
-                            };
-                            let Some(ready) = ready else { break };
-                            self.exec_backward(
-                                s,
-                                mb,
-                                ready,
-                                &mut out_vals,
-                                &mut in_vals,
-                                &mut grads_back,
-                            )?;
-                            b_done[s][mb] = self.stages[s].clock.now().as_secs();
-                        }
-                    }
-                    cursor[s] += 1;
-                    done += 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                // Every stage with work left waits on an input no stage
-                // will produce: report the first one.
-                let (stage, micro_batch) = (0..pp)
-                    .find_map(|s| match cmds[s].get(cursor[s])? {
-                        StageCmd::Forward { mb } | StageCmd::Backward { mb } => Some((s, *mb)),
-                    })
-                    .unwrap_or_default();
-                return Err(PipelineError::Schedule {
-                    stage,
-                    micro_batch,
-                    what: "an input no stage produces (the 1F1B schedule deadlocked)",
-                });
-            }
-        }
+        let (_, bwd_ends) = walk_stages(
+            &cmds,
+            self.cfg.send_secs,
+            |s, cmd, ready| self.exec(s, cmd, ready, &mut step),
+            deadlocked,
+        )?;
 
         let mut step_error = None;
         for stage in &self.stages {
-            if let Some(c) = &stage.cache {
+            if let Some(c) = &stage.gpu.cache {
                 c.wait_io();
                 // The stage's store queue must land before its step can
                 // end; whatever the backward passes did not hide
@@ -333,142 +275,122 @@ impl PipelineExec {
         let step_secs = self
             .stages
             .iter()
-            .map(|s| s.clock.now().as_secs())
-            .fold(b_done[0].iter().fold(0.0f64, |a, b| a.max(*b)), f64::max);
+            .map(|s| s.gpu.runtime.clock.now().as_secs())
+            .fold(bwd_ends[0].iter().fold(0.0f64, |a, b| a.max(*b)), f64::max);
         self.trace.instant(
             TraceCategory::Session,
             "step.end",
             SimTime::from_secs(step_secs),
         );
         Ok(PipelineStepReport {
-            loss: losses.iter().copied().sum::<f32>() / losses.len().max(1) as f32,
+            loss: step.losses.iter().sum::<f32>() / step.losses.len().max(1) as f32,
             step_secs,
         })
     }
 
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the per-stage schedule buffers are disjoint borrows of `run`'s locals"
-    )]
-    fn exec_forward(
+    /// Runs stage `s`'s `cmd` from `ready` on and returns when it ended.
+    fn exec(
         &self,
         s: usize,
-        mb: usize,
+        cmd: StageCmd,
         ready: f64,
-        batches: &[Batch],
-        boundary: &mut [Vec<Option<Tensor>>],
-        out_vals: &mut [Vec<Option<Value>>],
-        in_vals: &mut [Vec<Option<Value>>],
-        losses: &mut Vec<f32>,
-    ) -> Result<(), PipelineError> {
+        step: &mut InFlight,
+    ) -> Result<f64, PipelineError> {
         let stage = &self.stages[s];
-        stage.clock.advance_to(SimTime::from_secs(ready));
-        stage.graph.set_micro_batch(mb);
-        stage.graph.set_phase(Phase::Forward);
-        if let Some(c) = &stage.cache {
-            c.set_micro_batch(mb);
-        }
-        let input = if stage.first {
-            self.model.forward_embed(&stage.graph, &batches[mb])
-        } else {
-            let t = boundary[s - 1][mb].take().ok_or(PipelineError::Schedule {
-                stage: s,
-                micro_batch: mb,
-                what: "the previous stage's activation",
-            })?;
-            let v = stage.graph.external(0, t);
-            in_vals[s][mb] = Some(v.clone());
-            v
-        };
-        let out = self.model.forward_layers(
-            &stage.graph,
-            &input,
-            stage.layer_range.clone(),
-            Recompute::None,
-        );
-        if stage.last {
-            let loss = self
-                .model
-                .forward_head_loss(&stage.graph, &out, &batches[mb]);
-            if loss.tensor().has_data() {
-                losses.push(loss.tensor().item());
-            }
-            out_vals[s][mb] = Some(loss);
-        } else {
-            boundary[s][mb] = Some(out.tensor().clone());
-            out_vals[s][mb] = Some(out);
-        }
-        if let Some(c) = &stage.cache {
-            // Figure 4 ④: switching toward this micro-batch's backward.
-            c.prefetch_last_module();
-        }
-        self.trace.span(
-            TraceCategory::Stage,
-            format!("s{s}.forward.mb{mb}"),
-            SimTime::from_secs(ready),
-            stage.clock.now(),
-        );
-        Ok(())
-    }
-
-    fn exec_backward(
-        &self,
-        s: usize,
-        mb: usize,
-        ready: f64,
-        out_vals: &mut [Vec<Option<Value>>],
-        in_vals: &mut [Vec<Option<Value>>],
-        grads_back: &mut [Vec<Option<Tensor>>],
-    ) -> Result<(), PipelineError> {
-        let stage = &self.stages[s];
-        stage.clock.advance_to(SimTime::from_secs(ready));
-        stage.graph.set_phase(Phase::Backward);
-        let out = out_vals[s][mb].take().ok_or(PipelineError::Schedule {
+        let (graph, cache) = (&stage.graph, &stage.gpu.cache);
+        let clock = &stage.gpu.runtime.clock;
+        clock.advance_to(SimTime::from_secs(ready));
+        let missing = |micro_batch, what| PipelineError::Schedule {
             stage: s,
-            micro_batch: mb,
-            what: "this stage's forward output",
-        })?;
-        let dev = &self.device;
-        let seed_grad = if stage.last {
-            dev.with_class(MemClass::Workspace, || {
-                if out.tensor().has_data() {
-                    Tensor::ones([1], dev)
-                } else {
-                    Tensor::symbolic([1], dev)
-                }
-            })
-        } else {
-            grads_back[s + 1][mb]
-                .take()
-                .ok_or(PipelineError::Schedule {
-                    stage: s,
-                    micro_batch: mb,
-                    what: "the next stage's input gradient",
-                })?
+            micro_batch,
+            what,
         };
-        let n_ext = usize::from(!stage.first);
-        let mut ext = [None];
-        let graph = &stage.graph;
-        graph.backward_from(&[out], [Some(seed_grad)], &mut ext[..n_ext]);
-        if !stage.first {
-            grads_back[s][mb] = Some(ext[0].take().ok_or(PipelineError::Schedule {
-                stage: s,
-                micro_batch: mb,
-                what: "the gradient for the stage input",
-            })?);
-            // The input value's tensor can now be dropped.
-            in_vals[s][mb] = None;
-        }
-        if let Some(c) = &stage.cache {
-            c.wait_io();
-        }
+        let (mb, pass) = match cmd {
+            StageCmd::Forward { mb } => {
+                graph.set_micro_batch(mb);
+                graph.set_phase(Phase::Forward);
+                if let Some(c) = cache {
+                    c.set_micro_batch(mb);
+                }
+                let input = if stage.first {
+                    self.model.forward_embed(graph, &step.batches[mb])
+                } else {
+                    let t = step.sent[s - 1][mb]
+                        .take()
+                        .ok_or(missing(mb, "the previous stage's activation"))?;
+                    graph.external(0, t)
+                };
+                let range = stage.layer_range.clone();
+                let out = self
+                    .model
+                    .forward_layers(graph, &input, range, Recompute::None);
+                if stage.last {
+                    let loss = self.model.forward_head_loss(graph, &out, &step.batches[mb]);
+                    if loss.tensor().has_data() {
+                        step.losses.push(loss.tensor().item());
+                    }
+                    step.outs[s][mb] = Some(loss);
+                } else {
+                    step.sent[s][mb] = Some(out.tensor().clone());
+                    step.outs[s][mb] = Some(out);
+                }
+                if let Some(c) = cache {
+                    // Figure 4 ④: switching toward this micro-batch's
+                    // backward.
+                    c.prefetch_last_module();
+                }
+                (mb, "forward")
+            }
+            StageCmd::Backward { mb } => {
+                graph.set_phase(Phase::Backward);
+                let out = step.outs[s][mb]
+                    .take()
+                    .ok_or(missing(mb, "this stage's forward output"))?;
+                let seed_grad = if stage.last {
+                    let dev = &self.device;
+                    dev.with_class(MemClass::Workspace, || {
+                        if out.tensor().has_data() {
+                            Tensor::ones([1], dev)
+                        } else {
+                            Tensor::symbolic([1], dev)
+                        }
+                    })
+                } else {
+                    step.grads[s + 1][mb]
+                        .take()
+                        .ok_or(missing(mb, "the next stage's input gradient"))?
+                };
+                let mut ext = [None];
+                let n_ext = usize::from(!stage.first);
+                graph.backward_from(&[out], [Some(seed_grad)], &mut ext[..n_ext]);
+                if !stage.first {
+                    let grad = ext[0].take();
+                    step.grads[s][mb] =
+                        Some(grad.ok_or(missing(mb, "the gradient for the stage input"))?);
+                }
+                if let Some(c) = cache {
+                    c.wait_io();
+                }
+                (mb, "backward")
+            }
+        };
         self.trace.span(
             TraceCategory::Stage,
-            format!("s{s}.backward.mb{mb}"),
+            format!("s{s}.{pass}.mb{mb}"),
             SimTime::from_secs(ready),
-            stage.clock.now(),
+            clock.now(),
         );
-        Ok(())
+        Ok(clock.now().as_secs())
+    }
+}
+
+/// The error of a walk in which every stage with work left waits on an
+/// input no stage will produce; `stage` is the first of them.
+fn deadlocked(stage: usize, micro_batch: usize) -> PipelineError {
+    PipelineError::Schedule {
+        stage,
+        micro_batch,
+        what: "an input no stage produces (the 1F1B schedule deadlocked)",
     }
 }
 
@@ -537,46 +459,25 @@ mod tests {
 
     #[test]
     fn gradients_match_a_monolithic_graph() {
-        // Manual cross-check: pipeline gradients equal those of the
-        // whole model trained on the concatenated micro-batches.
+        // Pipeline gradients equal those of the whole model trained on
+        // the concatenated micro-batches. The optimizer consumes them
+        // inside the step, so compare the *post-step weights*, which are
+        // a bijection of the gradients under SGD.
         let cfg = config(2, 2, false);
         let device = Device::cpu();
-        let reference = GptModel::new(&cfg.model, &device, cfg.seed);
+        let reference = LmModel::new(&cfg.model, &device, cfg.seed);
         // Same synthetic batches the trainer draws in step 0.
-        let batches: Vec<Batch> = (0..2)
-            .map(|mb| {
-                Batch::synthetic(
-                    &cfg.model,
-                    cfg.micro_batch_size,
-                    cfg.seed.wrapping_mul(7919).wrapping_add(mb as u64),
-                    &device,
-                )
-            })
-            .collect();
-        for b in &batches {
+        for mb in 0..2 {
+            let b = Batch::synthetic(
+                &cfg.model,
+                cfg.micro_batch_size,
+                cfg.seed.wrapping_mul(7919).wrapping_add(mb),
+                &device,
+            );
             let g = Graph::new(&device, 1);
-            let loss = reference.forward_loss(&g, b, Recompute::None);
+            let loss = reference.forward_loss(&g, &b, Recompute::None);
             g.backward(&loss);
         }
-        let want: Vec<Vec<f32>> = reference
-            .parameters()
-            .iter()
-            .map(|p| p.grad().expect("grad").to_vec())
-            .collect();
-
-        let mut piped = mk(cfg);
-        // Peek at gradients before the optimizer consumes them: run the
-        // schedule manually by cloning internals is overkill — instead
-        // compare the *post-step weights*, which are a bijection of the
-        // gradients under SGD.
-        step(&mut piped);
-        let got_weights: Vec<Vec<f32>> = piped
-            .model
-            .stage_parameters()
-            .iter()
-            .map(|p| p.tensor().to_vec())
-            .collect();
-
         let mut opt = ssdtrain_autograd::optim::Sgd::new(reference.parameters(), 0.05);
         opt.step();
         let want_weights: Vec<Vec<f32>> = reference
@@ -584,8 +485,16 @@ mod tests {
             .iter()
             .map(|p| p.tensor().to_vec())
             .collect();
+
+        let mut piped = mk(cfg);
+        step(&mut piped);
+        let got_weights: Vec<Vec<f32>> = piped
+            .model
+            .parameters()
+            .iter()
+            .map(|p| p.tensor().to_vec())
+            .collect();
         assert_eq!(want_weights, got_weights);
-        let _ = want;
     }
 
     #[test]
@@ -624,6 +533,86 @@ mod tests {
             PipelineExec::new(cfg),
             Err(ConfigError::StagesExceedLayers { pp: 4, layers: 2 })
         ));
+        assert!(matches!(
+            PipelineExec::new(config(2, 0, false)),
+            Err(ConfigError::ZeroMicroBatches)
+        ));
+        let zero_size = PipelineExecConfig {
+            micro_batch_size: 0,
+            ..config(2, 2, false)
+        };
+        assert!(matches!(
+            PipelineExec::new(zero_size),
+            Err(ConfigError::ZeroBatch)
+        ));
+    }
+
+    /// FNV-1a over `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn an_offloaded_two_stage_trace_keeps_its_pinned_bytes() {
+        // A traced, offloaded two-stage run, pinned to the byte: its
+        // events, the link pricing of its 240 offload reads and its
+        // makespan. A change to how a stage's GPU is built (executor,
+        // I/O engine, offload target) that moves any of them shows here.
+        let mut t = mk(PipelineExecConfig {
+            pp: 2,
+            micro_batches: 4,
+            micro_batch_size: 2,
+            offload: true,
+            send_secs: 0.001,
+            seed: 2026,
+            model: ModelConfig::tiny_gpt(),
+        });
+        let sink = TraceSink::enabled();
+        t.set_trace(sink.clone());
+        let steps: Vec<u64> = (0..2).map(|_| step(&mut t).step_secs.to_bits()).collect();
+        let events = sink.events();
+        let reads = events
+            .iter()
+            .filter(|e| e.name == "xfer.offload-read")
+            .count();
+        let json = ssdtrain_trace::chrome_trace_json(&events);
+        assert_eq!((events.len(), reads), (1916, 240));
+        assert_eq!(json.len(), 205_513);
+        assert_eq!(fnv1a(json.as_bytes()), 0xbb65_7d6d_d99f_8aca);
+        assert_eq!(steps, [0x3f75_a14b_3065_e0a4; 2]);
+    }
+
+    #[test]
+    fn a_deadlocked_schedule_names_the_first_stuck_stage() {
+        // Stage 0 opens with micro-batch 1's backward, which waits on
+        // stage 1's; stage 1 opens with micro-batch 0's forward, which
+        // waits on stage 0's. Neither can start.
+        let cmds = vec![
+            vec![StageCmd::Backward { mb: 1 }, StageCmd::Forward { mb: 0 }],
+            vec![StageCmd::Forward { mb: 0 }, StageCmd::Backward { mb: 1 }],
+        ];
+        let mut ran = 0;
+        let err = walk_stages(
+            &cmds,
+            0.001,
+            |_, _, ready| {
+                ran += 1;
+                Ok(ready)
+            },
+            deadlocked,
+        )
+        .err();
+        assert_eq!(ran, 0);
+        match err {
+            Some(PipelineError::Schedule {
+                stage: 0,
+                micro_batch: 1,
+                ..
+            }) => {}
+            other => panic!("expected stage 0 stuck on micro-batch 1, got {other:?}"),
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use ssdtrain::{
     TensorCache, TensorCacheConfig, Tier, TierLink, TierStack, TraceCategory, TraceSink,
 };
 use ssdtrain_autograd::optim::Sgd;
-use ssdtrain_autograd::{Graph, Phase, TapeSize};
+use ssdtrain_autograd::{Graph, Phase, TapeSize, Var};
 use ssdtrain_models::{Batch, Model, ModelConfig, Recompute};
 use ssdtrain_simhw::system::GpuRuntime;
 use ssdtrain_simhw::{FaultLog, FaultPlan, SimTime, SystemConfig};
@@ -158,17 +158,22 @@ impl SessionConfig {
     pub fn builder() -> crate::builder::SessionBuilder {
         crate::builder::SessionBuilder::new()
     }
+
+    /// Whether the config needs the tensor cache: state classes
+    /// (gradients, optimizer state) need the tier stack even when the
+    /// activation strategy keeps or recomputes — the GreedySnake
+    /// configuration offloads *only* state.
+    fn wants_cache(&self) -> bool {
+        self.strategy.uses_cache() || self.offload.any_state()
+    }
 }
 
 /// A live training session on one simulated GPU.
 pub struct TrainSession {
     cfg: SessionConfig,
     device: Device,
-    runtime: GpuRuntime,
-    executor: Arc<GpuExecutor>,
+    gpu: Gpu,
     model: Model,
-    cache: Option<Arc<TensorCache>>,
-    faulty: Option<Arc<FaultyTarget>>,
     /// Shared with the optimizer engine's backward listener, which
     /// updates parameters inside backward.
     optimizer: Arc<Mutex<Sgd>>,
@@ -201,6 +206,157 @@ fn unique_spill_dir(tag: &str) -> PathBuf {
     ))
 }
 
+/// One simulated GPU: its runtime, its executor and, when its config
+/// offloads any class, the tensor cache over the configured tier stack.
+/// A [`TrainSession`] runs on one; [`crate::PipelineExec`] builds one
+/// per stage.
+pub(crate) struct Gpu {
+    pub(crate) runtime: GpuRuntime,
+    pub(crate) executor: Arc<GpuExecutor>,
+    pub(crate) cache: Option<Arc<TensorCache>>,
+    pub(crate) faulty: Option<Arc<FaultyTarget>>,
+}
+
+impl Gpu {
+    /// Builds the GPU `cfg` describes. `ssd` is the SSD array's spill
+    /// target, which the `Ssd` and `Tiered` backends offload into:
+    /// creating it is the one step that can fail, so it is the caller's,
+    /// and a config handed none offloads into host memory as `Dram` does.
+    pub(crate) fn new(cfg: &SessionConfig, ssd: Option<Arc<dyn OffloadTarget>>) -> Gpu {
+        let runtime = cfg.system.instantiate();
+        let executor = Arc::new(GpuExecutor::new(
+            runtime.clock.clone(),
+            cfg.system.gpu.clone(),
+            cfg.system.nvlink_bps,
+            cfg.model.tp,
+        ));
+        if !cfg.wants_cache() {
+            return Gpu {
+                runtime,
+                executor,
+                cache: None,
+                faulty: None,
+            };
+        }
+        // One tier to build: its device plus an optional pack-time
+        // admission capacity (links stay per-index alongside).
+        struct TierSpec {
+            name: &'static str,
+            device: Arc<dyn OffloadTarget>,
+            capacity: Option<u64>,
+        }
+        let sys = &cfg.system;
+        // Build the tier stack and the simulated link each tier's
+        // transfers are priced on. Single-tier backends keep the flat
+        // link name ("offload"), so traces and numerics stay identical
+        // to the pre-tier design; host memory offers symmetric
+        // bandwidth over the raw PCIe link while the SSD path is capped
+        // by the array.
+        let (mut specs, links) = match (cfg.backend, ssd) {
+            (OffloadBackend::Ssd, Some(ssd)) => (
+                vec![TierSpec {
+                    name: "ssd",
+                    device: ssd,
+                    capacity: None,
+                }],
+                vec![TierLink::new(
+                    "offload",
+                    sys.offload_write_bps(),
+                    sys.offload_read_bps(),
+                )],
+            ),
+            (OffloadBackend::Tiered { dram_bytes }, Some(ssd)) => (
+                vec![
+                    TierSpec {
+                        name: "dram",
+                        device: Arc::new(CpuTarget::new(dram_bytes)),
+                        capacity: Some(dram_bytes),
+                    },
+                    TierSpec {
+                        name: "ssd",
+                        device: ssd,
+                        capacity: None,
+                    },
+                ],
+                vec![
+                    TierLink::new("dram", sys.host_offload_bps(), sys.host_offload_bps()),
+                    TierLink::new("ssd", sys.offload_write_bps(), sys.offload_read_bps()),
+                ],
+            ),
+            // `Dram`, or no SSD to spill into. The paper sizes the pinned
+            // pool by profiling; we grant the whole host memory (Figure 2).
+            _ => (
+                vec![TierSpec {
+                    name: "cpu",
+                    device: Arc::new(CpuTarget::new(sys.host_mem_bytes)),
+                    capacity: None,
+                }],
+                vec![TierLink::new(
+                    "offload",
+                    sys.host_offload_bps(),
+                    sys.host_offload_bps(),
+                )],
+            ),
+        };
+        // An injected fault plan sits between the cache and the *front*
+        // tier's device (the one placement hits first).
+        let faulty = cfg.fault.clone().map(|plan| {
+            let front = &mut specs[0].device;
+            let ft = FaultyTarget::new(front.clone(), plan);
+            *front = ft.clone();
+            ft
+        });
+        // Every offload byte crosses the one physical PCIe bus
+        // regardless of which tier absorbs it, so store jobs serialise
+        // across links instead of draining in parallel — this is what
+        // makes the tiered backend's drain land between dram's and
+        // ssd's on the step critical path.
+        let io = IoEngine::tiered_with_bus(runtime.clock.clone(), links, sys.pcie_bps);
+        io.set_store_job_overhead(sys.store_job_overhead_secs);
+        if let Some(ft) = &faulty {
+            ft.attach_io(io.clone());
+            ft.set_trace(cfg.trace.clone());
+        }
+        let tiers: Vec<Tier> = specs
+            .into_iter()
+            .enumerate()
+            .map(|(link, spec)| {
+                let tier = Tier::new(spec.name, spec.device, link);
+                match spec.capacity {
+                    Some(bytes) => tier.with_capacity(bytes),
+                    None => tier,
+                }
+            })
+            .collect();
+        let cache = TensorCache::with_tiers(
+            cfg.cache.clone(),
+            Arc::new(TierStack::new(tiers)),
+            io,
+            runtime.memory.clone(),
+        );
+        cache.set_trace(cfg.trace.clone());
+        if cfg.cache.recovery == RecoveryPolicy::FallbackTarget {
+            // Spill of last resort: the host pinned pool.
+            cache.set_fallback_target(Arc::new(CpuTarget::new(sys.host_mem_bytes)));
+        }
+        Gpu {
+            runtime,
+            executor,
+            cache: Some(cache),
+            faulty,
+        }
+    }
+
+    /// Registers `params` with the cache, which never offloads them.
+    pub(crate) fn register_parameters(&self, params: &[Var]) {
+        if let Some(cache) = &self.cache {
+            for p in params {
+                cache.register_parameter(&p.tensor());
+            }
+        }
+    }
+}
+
 impl TrainSession {
     /// Builds the session: instantiates runtime, model, optimizer and —
     /// for the offload strategy — the tensor cache over an SSD spill
@@ -214,152 +370,25 @@ impl TrainSession {
         } else {
             Device::cpu()
         };
-        let runtime = cfg.system.instantiate();
-        device.set_tracker(runtime.memory.clone());
-        let model = Model::build(&cfg.model, &device, cfg.seed);
-        let executor = Arc::new(GpuExecutor::new(
-            runtime.clock.clone(),
-            cfg.system.gpu.clone(),
-            cfg.system.nvlink_bps,
-            cfg.model.tp,
-        ));
-        let mut spill_dir = None;
-        // State classes (gradients, optimizer state) need the tier stack
-        // even when the activation strategy keeps or recomputes — the
-        // GreedySnake configuration offloads *only* state.
-        let wants_cache = cfg.strategy.uses_cache() || cfg.offload.any_state();
-        let (cache, faulty) = if wants_cache {
-            let mut new_ssd = |tag: &str| -> std::io::Result<Arc<dyn OffloadTarget>> {
-                let dir = unique_spill_dir(tag);
+        let spill_dir = (cfg.wants_cache() && cfg.backend != OffloadBackend::Dram)
+            .then(|| unique_spill_dir(&cfg.model.tag()));
+        let ssd: Option<Arc<dyn OffloadTarget>> = match &spill_dir {
+            Some(dir) => {
                 let wear = cfg
                     .system
                     .ssd_array
                     .wear_meter(1.0)
                     .with_write_overhead(cfg.system.ssd_write_overhead_bytes);
-                let t = Arc::new(SsdTarget::new(&dir, wear)?);
-                spill_dir = Some(dir);
-                Ok(t)
-            };
-            // One tier to build: its device plus an optional pack-time
-            // admission capacity (links stay per-index alongside).
-            struct TierSpec {
-                name: &'static str,
-                device: Arc<dyn OffloadTarget>,
-                capacity: Option<u64>,
+                Some(Arc::new(SsdTarget::new(dir, wear)?))
             }
-            // Build the tier stack and the simulated link each tier's
-            // transfers are priced on. Single-tier backends keep the
-            // flat link name ("offload"), so traces and numerics stay
-            // identical to the pre-tier design; host memory offers
-            // symmetric bandwidth over the raw PCIe link while the SSD
-            // path is capped by the array.
-            let (mut specs, links) = match cfg.backend {
-                OffloadBackend::Ssd => (
-                    vec![TierSpec {
-                        name: "ssd",
-                        device: new_ssd(&cfg.model.tag())?,
-                        capacity: None,
-                    }],
-                    vec![TierLink::new(
-                        "offload",
-                        cfg.system.offload_write_bps(),
-                        cfg.system.offload_read_bps(),
-                    )],
-                ),
-                OffloadBackend::Dram => (
-                    // The paper sizes the pinned pool by profiling;
-                    // we grant the whole host memory (Figure 2).
-                    vec![TierSpec {
-                        name: "cpu",
-                        device: Arc::new(CpuTarget::new(cfg.system.host_mem_bytes)),
-                        capacity: None,
-                    }],
-                    vec![TierLink::new(
-                        "offload",
-                        cfg.system.host_offload_bps(),
-                        cfg.system.host_offload_bps(),
-                    )],
-                ),
-                OffloadBackend::Tiered { dram_bytes } => (
-                    vec![
-                        TierSpec {
-                            name: "dram",
-                            device: Arc::new(CpuTarget::new(dram_bytes)),
-                            capacity: Some(dram_bytes),
-                        },
-                        TierSpec {
-                            name: "ssd",
-                            device: new_ssd(&cfg.model.tag())?,
-                            capacity: None,
-                        },
-                    ],
-                    vec![
-                        TierLink::new(
-                            "dram",
-                            cfg.system.host_offload_bps(),
-                            cfg.system.host_offload_bps(),
-                        ),
-                        TierLink::new(
-                            "ssd",
-                            cfg.system.offload_write_bps(),
-                            cfg.system.offload_read_bps(),
-                        ),
-                    ],
-                ),
-            };
-            // An injected fault plan sits between the cache and the
-            // *front* tier's device (the one placement hits first).
-            let faulty: Option<Arc<FaultyTarget>> = match cfg.fault.clone() {
-                Some(plan) => {
-                    let front = &mut specs[0].device;
-                    let ft = FaultyTarget::new(front.clone(), plan);
-                    *front = ft.clone();
-                    Some(ft)
-                }
-                None => None,
-            };
-            // Every offload byte crosses the one physical PCIe bus
-            // regardless of which tier absorbs it, so store jobs
-            // serialise across links instead of draining in parallel —
-            // this is what makes the tiered backend's drain land between
-            // dram's and ssd's on the step critical path.
-            let io = IoEngine::tiered_with_bus(runtime.clock.clone(), links, cfg.system.pcie_bps);
-            io.set_store_job_overhead(cfg.system.store_job_overhead_secs);
-            if let Some(ft) = &faulty {
-                ft.attach_io(io.clone());
-                ft.set_trace(cfg.trace.clone());
-            }
-            let tiers: Vec<Tier> = specs
-                .into_iter()
-                .enumerate()
-                .map(|(link, spec)| {
-                    let tier = Tier::new(spec.name, spec.device, link);
-                    match spec.capacity {
-                        Some(bytes) => tier.with_capacity(bytes),
-                        None => tier,
-                    }
-                })
-                .collect();
-            let cache = TensorCache::with_tiers(
-                cfg.cache.clone(),
-                Arc::new(TierStack::new(tiers)),
-                io,
-                runtime.memory.clone(),
-            );
-            cache.set_trace(cfg.trace.clone());
-            if cfg.cache.recovery == RecoveryPolicy::FallbackTarget {
-                // Spill of last resort: the host pinned pool.
-                cache.set_fallback_target(Arc::new(CpuTarget::new(cfg.system.host_mem_bytes)));
-            }
-            for p in model.parameters() {
-                cache.register_parameter(&p.tensor());
-            }
-            (Some(cache), faulty)
-        } else {
-            (None, None)
+            None => None,
         };
+        let gpu = Gpu::new(&cfg, ssd);
+        device.set_tracker(gpu.runtime.memory.clone());
+        let model = Model::build(&cfg.model, &device, cfg.seed);
+        gpu.register_parameters(&model.parameters());
         if cfg.trace.is_enabled() {
-            runtime
+            gpu.runtime
                 .memory
                 .set_peak_observer(MemoryTraceBridge::new(cfg.trace.clone()));
         }
@@ -374,18 +403,15 @@ impl TrainSession {
                 cfg.overlap_optimizer,
                 &optimizer,
                 cfg.model.layers.max(1),
-                cache.as_ref(),
+                gpu.cache.as_ref(),
             )
         });
         let trace = cfg.trace.clone();
         Ok(TrainSession {
             cfg,
             device,
-            runtime,
-            executor,
+            gpu,
             model,
-            cache,
-            faulty,
             optimizer,
             opt_engine,
             spill_dir,
@@ -407,13 +433,13 @@ impl TrainSession {
 
     /// The tensor cache, when the strategy is `Offload`.
     pub fn cache(&self) -> Option<&Arc<TensorCache>> {
-        self.cache.as_ref()
+        self.gpu.cache.as_ref()
     }
 
     /// Firing counters of the injected fault plan (`None` when the
     /// session runs without one).
     pub fn fault_log(&self) -> Option<FaultLog> {
-        self.faulty.as_ref().map(|f| f.fault_log())
+        self.gpu.faulty.as_ref().map(|f| f.fault_log())
     }
 
     /// The trace sink this session emits into (disabled unless the
@@ -426,8 +452,8 @@ impl TrainSession {
     fn fresh_graph(&self) -> Graph {
         let g = Graph::new(&self.device, self.cfg.seed ^ (self.step_idx << 17));
         g.reserve_tape(self.tape);
-        g.set_observer(self.executor.clone());
-        if let Some(cache) = &self.cache {
+        g.set_observer(self.gpu.executor.clone());
+        if let Some(cache) = &self.gpu.cache {
             // The activation lane hooks the graph only when the strategy
             // offloads activations; a state-only session still owns the
             // cache for its gradient/optimizer-state slots.
@@ -453,16 +479,17 @@ impl TrainSession {
     #[expect(clippy::expect_used, reason = "documented contract")]
     pub fn profile_step(&mut self) -> Result<(StepProfile, AdaptivePlan), StepError> {
         let cache = self
+            .gpu
             .cache
             .clone()
             .expect("profile_step requires the offload strategy");
-        self.runtime.reset();
-        self.executor.reset();
+        self.gpu.runtime.reset();
+        self.gpu.executor.reset();
         self.trace.next_step();
         self.trace.instant(
             TraceCategory::Session,
             "step.begin",
-            self.runtime.clock.now(),
+            self.gpu.runtime.clock.now(),
         );
         cache.begin_profile_step();
         let g = self.fresh_graph();
@@ -480,8 +507,11 @@ impl TrainSession {
         self.tape = g.tape_size();
         g.reset_tape();
         cache.flush();
-        self.trace
-            .instant(TraceCategory::Session, "step.end", self.runtime.clock.now());
+        self.trace.instant(
+            TraceCategory::Session,
+            "step.end",
+            self.gpu.runtime.clock.now(),
+        );
         self.optimizer.lock().zero_grad();
         self.step_idx += 1;
         match cache.take_error() {
@@ -531,21 +561,21 @@ impl TrainSession {
     /// optimizer applied inside backward before the failure stay: their
     /// gradients were final.
     pub fn run_step(&mut self) -> Result<StepMetrics, StepError> {
-        self.runtime.reset();
-        self.executor.reset();
+        self.gpu.runtime.reset();
+        self.gpu.executor.reset();
         self.trace.next_step();
         self.trace.instant(
             TraceCategory::Session,
             "step.begin",
-            self.runtime.clock.now(),
+            self.gpu.runtime.clock.now(),
         );
         // The whole measured step as one manually closed span: the end
         // timestamp is simulated time, so RAII cannot close it. Both exits
         // below end it; `OpenSpan`'s `Drop` flags one that did not.
         let step_span =
             self.trace
-                .begin_span(TraceCategory::Session, "step", self.runtime.clock.now());
-        if let Some(cache) = &self.cache {
+                .begin_span(TraceCategory::Session, "step", self.gpu.runtime.clock.now());
+        if let Some(cache) = &self.gpu.cache {
             cache.begin_step();
         }
         let mut opt_report = OptReport::default();
@@ -562,8 +592,12 @@ impl TrainSession {
         let cmds = single_gpu_schedule(micro_batches);
         for (cmd, next) in with_lookahead(&cmds) {
             let stage = stage_hint(cmd);
-            let stage_start = self.runtime.clock.now();
-            let scope = self.cache.as_ref().map(|cache| cache.stage_scope(stage));
+            let stage_start = self.gpu.runtime.clock.now();
+            let scope = self
+                .gpu
+                .cache
+                .as_ref()
+                .map(|cache| cache.stage_scope(stage));
             if let (Some(scope), Some(next)) = (&scope, next) {
                 if cmd.is_boundary() {
                     scope.announce_next(stage_hint(next)); // lines 10-13
@@ -577,7 +611,7 @@ impl TrainSession {
                     g.set_phase(Phase::Forward);
                     let batch = self.next_batch(mb);
                     let loss = self.model.forward_loss(&g, &batch, recompute);
-                    fwd_end = self.runtime.clock.now();
+                    fwd_end = self.gpu.runtime.clock.now();
                     if loss.tensor().has_data() {
                         losses.push(loss.tensor().item());
                     }
@@ -613,7 +647,7 @@ impl TrainSession {
                     // here drain at this stage scope's exit, on the step
                     // that produced them.
                     if let Some(engine) = self.opt_engine.as_mut() {
-                        let r = engine.reduce_grads(&self.runtime.clock, &self.trace);
+                        let r = engine.reduce_grads(&self.gpu.runtime.clock, &self.trace);
                         opt_report.exposed_secs += r.exposed_secs;
                     }
                 }
@@ -623,7 +657,7 @@ impl TrainSession {
                     // Without it, the legacy optimizer runs outside the
                     // window (below).
                     if let Some(engine) = self.opt_engine.as_mut() {
-                        let r = engine.end_of_step(&self.runtime.clock, &self.trace);
+                        let r = engine.end_of_step(&self.gpu.runtime.clock, &self.trace);
                         opt_report.inline_secs += r.inline_secs;
                     }
                 }
@@ -634,17 +668,17 @@ impl TrainSession {
                     TraceCategory::Stage,
                     stage.trace_label(),
                     stage_start,
-                    self.runtime.clock.now(),
+                    self.gpu.runtime.clock.now(),
                 ),
                 None => {}
             }
         }
 
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = &self.gpu.cache {
             cache.flush();
         }
-        let step_secs = self.runtime.clock.now().as_secs();
-        let memory = self.runtime.memory.step_memory();
+        let step_secs = self.gpu.runtime.clock.now().as_secs();
+        let memory = self.gpu.runtime.memory.step_memory();
         // Strictly-before: the first backward node's frees are stamped at
         // exactly the forward-end instant (the clock advances only after
         // its kernel) and must not be counted into the forward level.
@@ -655,8 +689,14 @@ impl TrainSession {
             .last()
             .map(|p| p.activations)
             .unwrap_or(0);
-        let offload = self.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+        let offload = self
+            .gpu
+            .cache
+            .as_ref()
+            .map(|c| c.stats())
+            .unwrap_or_default();
         let ssd_host_writes = self
+            .gpu
             .cache
             .as_ref()
             .map(|c| c.io().bytes_written())
@@ -666,14 +706,14 @@ impl TrainSession {
             model: self.cfg.model.tag(),
             batch: self.cfg.batch_size,
             step_secs,
-            fwd_secs: self.executor.phase_secs(Phase::Forward),
+            fwd_secs: self.gpu.executor.phase_secs(Phase::Forward),
             act_peak_bytes: memory.peak_activations,
             total_peak_bytes: memory.peak_total,
             act_at_bwd_start,
             timeline: memory.timeline,
             offload,
-            model_flops: self.executor.model_flops(),
-            comm_secs: self.executor.comm_secs(),
+            model_flops: self.gpu.executor.model_flops(),
+            comm_secs: self.gpu.executor.comm_secs(),
             ssd_host_writes,
             alloc: memory.alloc,
             oom: memory.oom,
@@ -685,11 +725,11 @@ impl TrainSession {
             self.trace.instant_with(
                 TraceCategory::Session,
                 "step.end",
-                self.runtime.clock.now(),
+                self.gpu.runtime.clock.now(),
                 vec![("secs", ArgValue::F64(step_secs))],
             );
         }
-        if let Some(error) = self.cache.as_ref().and_then(|c| c.take_error()) {
+        if let Some(error) = self.gpu.cache.as_ref().and_then(|c| c.take_error()) {
             // The step is tainted: no update ran after the failure was
             // recorded. Drop what the engine still holds, clear the
             // accumulated gradients and hand the degraded metrics to
@@ -699,7 +739,7 @@ impl TrainSession {
             }
             self.optimizer.lock().zero_grad();
             self.step_idx += 1;
-            step_span.end(self.runtime.clock.now());
+            step_span.end(self.gpu.runtime.clock.now());
             return Err(StepError {
                 error,
                 metrics: Some(Box::new(metrics)),
@@ -714,7 +754,7 @@ impl TrainSession {
             optimizer.zero_grad();
         }
         self.step_idx += 1;
-        step_span.end(self.runtime.clock.now());
+        step_span.end(self.gpu.runtime.clock.now());
         Ok(metrics)
     }
 }

@@ -43,6 +43,9 @@ cargo test -q --test alloc_budget
 # comments and literals first), and every product crate denying panics
 # outside tests. Run explicitly for the same reason.
 cargo test -q --test source_rules
+# The functional pipeline example asserts that single-GPU, pipelined and
+# pipelined-plus-offloaded losses are bit-identical; no test runs it.
+cargo run --release -q --example pipeline_training
 # The benchmark crate is its own workspace, so the tests above never
 # compile it: a quick pass catches a source-incompatible change to the
 # API it builds against, and its output checks (trace-vs-counter byte
