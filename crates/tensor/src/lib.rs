@@ -33,6 +33,9 @@
 //! ```
 
 #![deny(missing_docs, clippy::allow_attributes_without_reason)]
+// The kernels' width dispatch is the one place `unsafe` is allowed here
+// (DESIGN.md §7); every block and every `unsafe fn` states why it holds.
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 // Library code returns typed errors instead of panicking (DESIGN.md §7).
 #![cfg_attr(
     not(test),

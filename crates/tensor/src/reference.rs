@@ -4,7 +4,7 @@
 //! over operands that share a storage.
 
 use crate::device::Device;
-use crate::kernels::{gelu_grad_scalar, gelu_scalar};
+use crate::kernels::{self, gelu_grad_scalar, gelu_scalar};
 use crate::rng::Prng;
 use crate::tensor::Tensor;
 use proptest::prelude::*;
@@ -58,12 +58,9 @@ fn sum_leading_ref(x: &Tensor) -> Vec<f32> {
     out
 }
 
-fn matmul_ref(lhs: &Tensor, rhs: &Tensor) -> Vec<f32> {
-    let (m, k) = lhs.shape().as_2d();
-    let n = rhs.dim(1);
-    let a = lhs.contiguous().to_vec();
-    let b = rhs.to_vec();
-    let mut out = vec![0.0f32; m * n];
+/// `out += a @ b` for row-major `a: [m, k]`, `b: [k, n]`, `out: [m, n]`,
+/// one indexed term at a time.
+fn matmul_acc_ref(out: &mut [f32], a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) {
     for i in 0..m {
         for p in 0..k {
             let av = a[i * k + p];
@@ -77,6 +74,18 @@ fn matmul_ref(lhs: &Tensor, rhs: &Tensor) -> Vec<f32> {
             }
         }
     }
+}
+
+fn matmul_ref(lhs: &Tensor, rhs: &Tensor) -> Vec<f32> {
+    let (m, k) = lhs.shape().as_2d();
+    let n = rhs.dim(1);
+    let mut out = vec![0.0f32; m * n];
+    matmul_acc_ref(
+        &mut out,
+        &lhs.contiguous().to_vec(),
+        &rhs.to_vec(),
+        (m, k, n),
+    );
     out
 }
 
@@ -87,22 +96,12 @@ fn bmm_ref(lhs: &Tensor, rhs: &Tensor) -> Vec<f32> {
     let b = rhs.contiguous().to_vec();
     let mut out = vec![0.0f32; bt * m * n];
     for t in 0..bt {
-        let abase = t * m * k;
-        let bbase = t * k * n;
-        let obase = t * m * n;
-        for i in 0..m {
-            for p in 0..k {
-                let av = a[abase + i * k + p];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[bbase + p * n..bbase + (p + 1) * n];
-                let orow = &mut out[obase + i * n..obase + (i + 1) * n];
-                for j in 0..n {
-                    orow[j] += av * brow[j];
-                }
-            }
-        }
+        matmul_acc_ref(
+            &mut out[t * m * n..][..m * n],
+            &a[t * m * k..][..m * k],
+            &b[t * k * n..][..k * n],
+            (m, k, n),
+        );
     }
     out
 }
@@ -243,6 +242,18 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// [`bits`] for the results of matrix products, with every NaN read as
+/// one value. Rust leaves the sign and payload of a NaN result
+/// unspecified: x86 returns the first operand's NaN when both operands of
+/// an add are NaN, and an optimised build may commute the add, so two
+/// compilations of one sum of products can differ there and nowhere else.
+/// Every other bit, and NaN-ness itself, is compared.
+fn product_bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
+}
+
 /// Pseudo-random values; with `specials`, roughly a third are drawn from
 /// the values that exercise the matmul zero-skip and NaN/inf propagation.
 fn values(seed: u64, n: usize, specials: bool) -> Vec<f32> {
@@ -356,19 +367,19 @@ proptest! {
     #[test]
     fn matmul_and_bmm_match_reference_with_zeros_inf_and_nan(
         bt in 1usize..3,
-        m in 1usize..5,
-        k in 1usize..5,
-        n in 1usize..5,
+        m in 1usize..10,
+        k in 0usize..6,
+        n in 1usize..71,
         seed in 0u64..1000,
     ) {
         let (av, bv) = (values(seed, bt * m * k, true), values(seed + 1, bt * k * n, true));
         for a in layouts(&av, &[bt, m, k]) {
             for b in layouts(&bv, &[bt, k, n]) {
-                prop_assert_eq!(bits(&a.bmm(&b).to_vec()), bits(&bmm_ref(&a, &b)));
+                prop_assert_eq!(product_bits(&a.bmm(&b).to_vec()), product_bits(&bmm_ref(&a, &b)));
             }
             // matmul flattens the leading dims of its left operand.
             for w in layouts(&bv[..k * n], &[k, n]) {
-                prop_assert_eq!(bits(&a.matmul(&w).to_vec()), bits(&matmul_ref(&a, &w)));
+                prop_assert_eq!(product_bits(&a.matmul(&w).to_vec()), product_bits(&matmul_ref(&a, &w)));
             }
         }
     }
@@ -411,6 +422,49 @@ proptest! {
         let (lossr, probsr) = cross_entropy_ref(&logits, &targets);
         prop_assert_eq!(loss.item().to_bits(), lossr.to_bits());
         prop_assert_eq!(bits(&probs.to_vec()), bits(&probsr));
+    }
+}
+
+/// Checks one width of the matmul tile, called directly from an `out`
+/// that already holds values, over shapes with full tiles and edges at
+/// every width: `out += a @ b` must match the indexed reference bit for
+/// bit ([`product_bits`]), with zeros, infinities and NaNs among the operands.
+fn width_matches_reference(name: &str, matmul: impl Fn(&mut [f32], &[f32], &[f32], usize, usize)) {
+    let mut seed = 0;
+    for m in [1, 3, 4, 5, 8, 9] {
+        for k in [0, 1, 2, 7] {
+            for n in [1, 7, 8, 9, 16, 17, 32, 33, 64, 70] {
+                seed += 3;
+                let (a, b) = (values(seed, m * k, true), values(seed + 1, k * n, true));
+                let init = values(seed + 2, m * n, false);
+                let mut want = init.clone();
+                matmul_acc_ref(&mut want, &a, &b, (m, k, n));
+                let mut out = init;
+                matmul(&mut out, &a, &b, k, n);
+                assert_eq!(
+                    product_bits(&out),
+                    product_bits(&want),
+                    "{name} width, m={m} k={k} n={n}"
+                );
+            }
+        }
+    }
+}
+
+/// Every width the CPU runs: the portable one always, AVX-512F where
+/// detected.
+#[test]
+fn every_matmul_width_matches_the_reference_from_a_nonzero_out() {
+    width_matches_reference(
+        "portable",
+        kernels::matmul_tiled::<{ kernels::PORTABLE_NR }>,
+    );
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx512f") {
+        width_matches_reference("avx512", |o, a, b, k, n| {
+            // SAFETY: called only when the CPU runs AVX-512F.
+            unsafe { kernels::matmul_avx512(o, a, b, k, n) }
+        });
     }
 }
 

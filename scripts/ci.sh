@@ -28,6 +28,10 @@ cargo test -q --test optimizer_offload
 # three-step GPT, BERT and T5 runs: an op or kernel rewrite must keep
 # every bit. Run explicitly for the same reason.
 cargo test -q --test kernel_arithmetic
+# The same pins with autograd and the models optimised too, as they ship:
+# tier-1 builds only ssdtrain-tensor at opt-level 3 (root Cargo.toml), so
+# its own tests already check the matmul widths there.
+cargo test -q --release --test kernel_arithmetic
 # The fault × recovery matrix must hold through the coalesced/prefetched
 # I/O path with bit-identical losses. Run explicitly for the same reason.
 cargo test -q --test fault_injection

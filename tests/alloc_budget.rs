@@ -507,16 +507,26 @@ fn a_leaf_adopts_its_first_gradient() {
     );
 }
 
-/// The first frame of `trace` in the workspace's crates, as `path:line`
-/// from `crates/` on: the allocation site a call is charged to.
+/// Files whose frames [`site`] looks past: the tensor kernels and the
+/// storage they allocate, so a call is charged to the op that asked.
+const KERNEL_FILES: [&str; 3] = [
+    "crates/tensor/src/kernels.rs",
+    "crates/tensor/src/tensor.rs",
+    "crates/tensor/src/storage.rs",
+];
+
+/// The first frame of `trace` in the workspace's crates outside
+/// [`KERNEL_FILES`], as `path:line` from `crates/` on: the allocation
+/// site a call is charged to.
 fn site(trace: &Backtrace) -> String {
     trace
         .to_string()
         .lines()
         .filter_map(|l| l.trim().strip_prefix("at "))
-        .find_map(|at| at.find("crates/").map(|i| &at[i..]))
+        .filter_map(|at| at.find("crates/").map(|i| &at[i..]))
+        .find(|at| !KERNEL_FILES.iter().any(|f| at.starts_with(f)))
         .map_or_else(
-            || "(no frame under crates/)".to_owned(),
+            || "(no frame under crates/ outside the kernels)".to_owned(),
             |at| {
                 at.rsplit_once(':')
                     .map_or(at, |(file_line, _col)| file_line)
@@ -527,7 +537,9 @@ fn site(trace: &Backtrace) -> String {
 
 /// Where a warm step of [`numeric_gpt`] (`func_keep`'s model, batch and
 /// seed) allocates: every allocator call of the step is charged to its
-/// first frame under `crates/`, and the top sites are printed by bytes
+/// [`site`] (the first frame under `crates/` past the tensor kernels, so
+/// a matmul's output is charged to the op that called it, not to
+/// `kernels.rs`), and the top sites are printed by bytes
 /// and by calls. A diagnostic, not a gate:
 ///
 /// ```sh
