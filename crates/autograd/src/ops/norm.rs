@@ -4,7 +4,6 @@ use crate::graph::{Graph, Op};
 use crate::observer::OpCost;
 use crate::ops::{all_numeric, sym};
 use crate::value::Value;
-use ssdtrain_tensor::kernels::gelu_grad_scalar;
 use ssdtrain_tensor::Tensor;
 
 // ---------------------------------------------------------------------
@@ -26,7 +25,7 @@ impl Op for GeluOp {
     ) -> OpCost {
         let dy = super::out_grad(grads);
         let x = &saved[0];
-        let dx = dy.zip_with(x, |dy, x| dy * gelu_grad_scalar(x));
+        let dx = x.gelu_grad(dy);
         let cost = OpCost::new(10 * dy.numel() as u64, dy.bytes() + x.bytes(), dx.bytes());
         grads_in[0] = Some(dx);
         cost

@@ -21,11 +21,16 @@
 //!   bit-identical across views, and across changes that respect this
 //!   order (`tests/kernel_arithmetic.rs` pins a training run's bits).
 //!
-//! Matrix products, which are most of a numeric step's host time, run one
-//! register tile: 4 rows of `a` by `NR` columns of `out`, held in local
-//! accumulators across the whole inner loop, with the rows and columns left
-//! at the edges finishing in a plain row loop. Each call picks `NR` from
-//! the CPU it runs on (`is_x86_feature_detected!`): 32 under AVX-512F,
+//! The loops that dominate a numeric step's host time run at the CPU's
+//! vector width through one dispatch, `Kernel`: each call checks the
+//! CPU (`is_x86_feature_detected!`) and, under AVX-512F, enters one
+//! `#[target_feature]` function that compiles every kernel's loop for
+//! that instruction set. That call is the crate's one `unsafe` block.
+//!
+//! Matrix products, the largest share, run one register tile: 4 rows of
+//! `a` by `NR` columns of `out`, held in local accumulators across the
+//! whole inner loop, with the rows and columns left at the edges finishing
+//! in a plain row loop. `NR` follows the dispatch: 32 under AVX-512F,
 //! `PORTABLE_NR` (8) elsewhere, and off x86-64 only the portable width is
 //! compiled. There is no AVX2 width: on an AVX-512 host a 16-wide AVX2
 //! tile ran fewer `func_keep` steps than the 32-wide one in every paired
@@ -36,6 +41,20 @@
 //! wider tile changes only which registers hold the sums. (A NaN result's
 //! sign and payload are the one exception: Rust leaves them unspecified,
 //! and they can differ between builds.)
+//!
+//! GELU and its backward compute their own `tanh`: a port of glibc 2.36's
+//! `tanhf`, which is fdlibm's `s_tanhf.c` over `__expm1f` (the Q1–Q5
+//! polynomial and a reconstruction that depends on the reduction's `k`),
+//! with neither an ifunc nor an FMA in that build. The port makes the
+//! same `f32` operations and integer bit moves on every input; it
+//! evaluates each of glibc's branches and selects the result instead of
+//! jumping, so the GELU loops vectorise, and the selected lane gets
+//! exactly glibc's operations, so every bit holds (the oracle tests check
+//! it against libm on all 2^32 inputs). Calling the port, not libm, also
+//! keeps GELU's bits the same on platforms whose libm differs. `exp` and
+//! `ln` in softmax, attention and cross-entropy still come from libm:
+//! glibc's `expf` is an FMA ifunc on x86-64, so a bit-exact port of it is
+//! out of scope.
 
 use crate::rng::Prng;
 use crate::shape::Shape;
@@ -82,17 +101,80 @@ fn elementwise(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     Tensor::from_vec(out, *t.shape(), t.device())
 }
 
-/// `out += a @ b` for row-major `a: [m, k]`, `b: [k, n]`, `out: [m, n]`:
-/// per output element, terms are added in ascending `p` and skipped where
-/// `a[i, p]` is exactly zero. The widest tile the CPU runs does the work.
-fn matmul_acc(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx512f") {
-        // SAFETY: `matmul_avx512` only needs AVX-512F, which the CPU was
-        // just found to run.
-        return unsafe { matmul_avx512(out, a, b, k, n) };
+/// One kernel loop over slices, run at the widest vector width the CPU
+/// has. Every arm is an `#[inline(always)]` body, so [`Kernel::run_avx512`]
+/// compiles each of them for AVX-512F; a closure passed into that entry
+/// instead would not be inlined there and would stay scalar.
+pub(crate) enum Kernel<'a> {
+    /// `out += a @ b` for row-major `a: [m, k]`, `b: [k, n]`, `out: [m, n]`:
+    /// per output element, terms are added in ascending `p` and skipped
+    /// where `a[i, p]` is exactly zero.
+    Matmul {
+        out: &'a mut [f32],
+        a: &'a [f32],
+        b: &'a [f32],
+        k: usize,
+        n: usize,
+    },
+    /// `out[i] = gelu_scalar(x[i])`.
+    Gelu { out: &'a mut [f32], x: &'a [f32] },
+    /// `out[i] = dy[i] · gelu_grad_scalar(x[i])`.
+    GeluGrad {
+        out: &'a mut [f32],
+        x: &'a [f32],
+        dy: &'a [f32],
+    },
+    /// `out[i] = tanh(x[i])`, so the oracle tests check the port as each
+    /// width's loop compiles it.
+    #[cfg(test)]
+    Tanh { out: &'a mut [f32], x: &'a [f32] },
+}
+
+impl Kernel<'_> {
+    /// Runs the kernel at the CPU's width: AVX-512F where detected, the
+    /// portable width elsewhere.
+    fn run(self) {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: `run_avx512` only needs AVX-512F, which the CPU was
+            // just found to run.
+            return unsafe { self.run_avx512() };
+        }
+        self.run_at::<PORTABLE_NR>();
     }
-    matmul_tiled::<PORTABLE_NR>(out, a, b, k, n);
+
+    /// [`Kernel::run_at`] with 32-wide matmul tiles, compiled for AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    pub(crate) fn run_avx512(self) {
+        self.run_at::<32>();
+    }
+
+    /// The kernel with `NR`-wide matmul tiles. Inlined into
+    /// [`Kernel::run_avx512`], so the compiler vectorises it there for that
+    /// instruction set.
+    #[inline(always)]
+    pub(crate) fn run_at<const NR: usize>(self) {
+        match self {
+            Kernel::Matmul { out, a, b, k, n } => matmul_tiled::<NR>(out, a, b, k, n),
+            Kernel::Gelu { out, x } => {
+                for (o, &x) in out.iter_mut().zip(x) {
+                    *o = gelu_scalar(x);
+                }
+            }
+            Kernel::GeluGrad { out, x, dy } => {
+                for ((o, &x), &dy) in out.iter_mut().zip(x).zip(dy) {
+                    *o = dy * gelu_grad_scalar(x);
+                }
+            }
+            #[cfg(test)]
+            Kernel::Tanh { out, x } => {
+                for (o, &x) in out.iter_mut().zip(x) {
+                    *o = tanh(x);
+                }
+            }
+        }
+    }
 }
 
 /// Rows of `a` (and of `out`) in one register tile.
@@ -102,23 +184,9 @@ const MR: usize = 4;
 /// row, the baseline every x86-64 CPU runs.
 pub(crate) const PORTABLE_NR: usize = 8;
 
-/// [`matmul_acc`] with 32-wide tiles, compiled for AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-pub(crate) fn matmul_avx512(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-    matmul_tiled::<32>(out, a, b, k, n);
-}
-
-/// [`matmul_acc`] in `MR × NR` register tiles. Inlined into the AVX-512F
-/// wrapper, so the compiler vectorises it there for that instruction set.
+/// [`Kernel::Matmul`] in `MR × NR` register tiles.
 #[inline(always)]
-pub(crate) fn matmul_tiled<const NR: usize>(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-) {
+fn matmul_tiled<const NR: usize>(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     if k == 0 || n == 0 {
         return;
     }
@@ -328,7 +396,14 @@ impl Tensor {
         }
         let out = Tensor::with_values_of([self, rhs], |[a, b]| {
             let mut out = vec![0.0f32; m * n];
-            matmul_acc(&mut out, a, b, k, n);
+            Kernel::Matmul {
+                out: &mut out,
+                a,
+                b,
+                k,
+                n,
+            }
+            .run();
             out
         });
         Tensor::from_vec(out, out_dims, self.device())
@@ -352,13 +427,14 @@ impl Tensor {
         let out = Tensor::with_values_of([self, rhs], |[a, b]| {
             let mut out = vec![0.0f32; bt * m * n];
             for t in 0..bt {
-                matmul_acc(
-                    &mut out[t * m * n..][..m * n],
-                    &a[t * m * k..][..m * k],
-                    &b[t * k * n..][..k * n],
+                Kernel::Matmul {
+                    out: &mut out[t * m * n..][..m * n],
+                    a: &a[t * m * k..][..m * k],
+                    b: &b[t * k * n..][..k * n],
                     k,
                     n,
-                );
+                }
+                .run();
             }
             out
         });
@@ -371,7 +447,38 @@ impl Tensor {
 
     /// GELU activation (tanh approximation, as used by GPT/BERT).
     pub fn gelu(&self) -> Tensor {
-        elementwise(self, gelu_scalar)
+        if !self.has_data() {
+            return symbolic_like(self, *self.shape());
+        }
+        let out = self.with_values(|x| {
+            let mut out = vec![0.0f32; x.len()];
+            Kernel::Gelu { out: &mut out, x }.run();
+            out
+        });
+        Tensor::from_vec(out, *self.shape(), self.device())
+    }
+
+    /// Backward of [`Tensor::gelu`]: with `self` the GELU's input `x`,
+    /// returns `dx = dy · gelu'(x)` in one pass.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn gelu_grad(&self, dy: &Tensor) -> Tensor {
+        binary_shape_check("gelu_grad", self, dy);
+        if !self.has_data() || !dy.has_data() {
+            return symbolic_like(dy, *dy.shape());
+        }
+        let dx = Tensor::with_values_of([self, dy], |[x, dy]| {
+            let mut out = vec![0.0f32; x.len()];
+            Kernel::GeluGrad {
+                out: &mut out,
+                x,
+                dy,
+            }
+            .run();
+            out
+        });
+        Tensor::from_vec(dx, *dy.shape(), dy.device())
     }
 
     /// Softmax over the last dimension.
@@ -622,18 +729,150 @@ impl Tensor {
 }
 
 /// GELU(x) with the tanh approximation.
+#[inline(always)]
 pub fn gelu_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + tanh(C * (x + 0.044715 * x * x * x)))
 }
 
 /// d GELU(x) / dx with the tanh approximation.
+#[inline(always)]
 pub fn gelu_grad_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let u = C * (x + 0.044715 * x * x * x);
-    let t = u.tanh();
+    let t = tanh(u);
     let du = C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+}
+
+/// `tanh(x)`, ported from glibc 2.36's `tanhf` (fdlibm's `s_tanhf.c`):
+/// the same `f32` operations on every input, each branch evaluated and the
+/// result selected, so a loop over it vectorises.
+#[inline(always)]
+pub(crate) fn tanh(x: f32) -> f32 {
+    let jx = x.to_bits();
+    let ix = jx & 0x7fff_ffff;
+    let negative = jx >> 31 == 1;
+    let ax = f32::from_bits(ix);
+    let big = ix >= 0x3f80_0000; // |x| >= 1
+    let t = expm1(if big { 2.0 * ax } else { -2.0 * ax });
+    let z = if ix >= 0x41b0_0000 {
+        1.0 // |x| >= 22: glibc's `one - tiny`, which rounds to 1
+    } else if big {
+        1.0 - 2.0 / (t + 2.0)
+    } else {
+        -t / (t + 2.0)
+    };
+    if ix >= 0x7f80_0000 {
+        // ±1 for ±inf, NaN for NaN.
+        if negative {
+            1.0 / x - 1.0
+        } else {
+            1.0 / x + 1.0
+        }
+    } else if ix < 0x2400_0000 {
+        x * (1.0 + x) // |x| < 2^-55, ±0 included
+    } else if negative {
+        -z
+    } else {
+        z
+    }
+}
+
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+const INVLN2: f32 = f32::from_bits(0x3fb8_aa3b);
+const Q1: f32 = f32::from_bits(0xbd08_8889);
+const Q2: f32 = f32::from_bits(0x3ad0_0d01);
+const Q3: f32 = f32::from_bits(0xb8a6_70cd);
+const Q4: f32 = f32::from_bits(0x3686_7e54);
+const Q5: f32 = f32::from_bits(0xb457_edbb);
+
+/// `exp(x) - 1`, ported from glibc 2.36's `__expm1f` for the arguments
+/// [`tanh`] passes it, `-2 < x < 44`. glibc's filter for `|x| >= 27 ln 2`
+/// returns early only below `-27 ln 2` or from `88.72`, so it is left out.
+#[inline(always)]
+fn expm1(x: f32) -> f32 {
+    let hx = x.to_bits() & 0x7fff_ffff;
+    let negative = x.to_bits() >> 31 == 1;
+    // Argument reduction: x = k ln2 + (hi - lo), with `c` the rounding
+    // error of `hi - lo`.
+    let (hi, lo, k) = if hx < 0x3f85_1592 {
+        // |x| < 1.5 ln2
+        if negative {
+            (x + LN2_HI, -LN2_LO, -1)
+        } else {
+            (x - LN2_HI, LN2_LO, 1)
+        }
+    } else {
+        let kf = INVLN2 * x + if negative { -0.5 } else { 0.5 };
+        let k = truncate(kf, negative);
+        let t = k as f32;
+        (x - t * LN2_HI, t * LN2_LO, k)
+    };
+    let r = hi - lo;
+    let (x, c, k) = if hx > 0x3eb1_7218 {
+        // |x| > 0.5 ln2
+        (r, (hi - r) - lo, k)
+    } else {
+        (x, 0.0, 0)
+    };
+    // x is now in the primary range.
+    let hfx = 0.5 * x;
+    let hxs = x * hfx;
+    let r1 = 1.0 + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+    let t = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t) / (6.0 - x * t));
+    let ek = (x * (e - c) - c) - hxs;
+    // Adds `k` to the exponent of `y`.
+    let scale = |y: f32| f32::from_bits(y.to_bits().wrapping_add((k << 23) as u32));
+    let y = if k == 0 {
+        x - (x * e - hxs)
+    } else if k == -1 {
+        0.5 * (x - ek) - 0.5
+    } else if k == 1 {
+        if x < -0.25 {
+            -2.0 * (ek - (x + 0.5))
+        } else {
+            1.0 + 2.0 * (x - ek)
+        }
+    } else if k <= -2 || k > 56 {
+        scale(1.0 - (ek - x)) - 1.0
+    } else {
+        // 2^-k, and 1 - 2^-k exactly (k < 23): glibc builds the latter's
+        // bits with a shift by `k`, which SSE2 has no vector form of.
+        let t = f32::from_bits((0x7f_i32.wrapping_sub(k) << 23) as u32);
+        if k < 23 {
+            scale((1.0 - t) - (ek - x))
+        } else {
+            scale(x - (ek + t) + 1.0)
+        }
+    };
+    if hx < 0x3300_0000 {
+        x // |x| < 2^-25
+    } else {
+        y
+    }
+}
+
+/// `kf` truncated toward zero, as C's conversion to `int` does, for
+/// `|kf| < 2^22` with `negative` its sign. Adding 1.5 · 2^23 rounds `kf` to
+/// the nearest integer, which lands in the sum's low bits; where that
+/// rounded away from zero, one step back truncates. A float-to-int cast
+/// would do the same, but the compiler splits a vector of those into one
+/// scalar conversion a lane.
+#[inline(always)]
+fn truncate(kf: f32, negative: bool) -> i32 {
+    const SHIFTER: f32 = 12_582_912.0;
+    let sum = kf + SHIFTER;
+    let k = (sum.to_bits() as i32).wrapping_sub(SHIFTER.to_bits() as i32);
+    if (sum - SHIFTER).abs() <= kf.abs() {
+        k
+    } else if negative {
+        k.wrapping_add(1)
+    } else {
+        k.wrapping_sub(1)
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! over operands that share a storage.
 
 use crate::device::Device;
-use crate::kernels::{self, gelu_grad_scalar, gelu_scalar};
+use crate::kernels::{self, Kernel};
 use crate::rng::Prng;
 use crate::tensor::Tensor;
 use proptest::prelude::*;
@@ -104,6 +104,31 @@ fn bmm_ref(lhs: &Tensor, rhs: &Tensor) -> Vec<f32> {
         );
     }
     out
+}
+
+/// GELU's formula over libm's `tanh`: the oracle [`Tensor::gelu`] matches
+/// bit for bit where libm is glibc 2.36.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "libm's tanhf is the oracle the port must match"
+)]
+fn gelu_ref(x: f32) -> f32 {
+    const C: f32 = 0.797_884_6;
+    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+}
+
+/// The derivative of [`gelu_ref`], over libm's `tanh`: the oracle of
+/// [`Tensor::gelu_grad`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "libm's tanhf is the oracle the port must match"
+)]
+fn gelu_grad_ref(x: f32) -> f32 {
+    const C: f32 = 0.797_884_6;
+    let u = C * (x + 0.044715 * x * x * x);
+    let t = u.tanh();
+    let du = C * (1.0 + 3.0 * 0.044715 * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
 fn softmax_ref(x: &Tensor) -> Vec<f32> {
@@ -242,11 +267,12 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// [`bits`] for the results of matrix products, with every NaN read as
-/// one value. Rust leaves the sign and payload of a NaN result
+/// [`bits`] for results in which two NaNs can meet in one operation (a
+/// matrix product's sums, GELU backward's `dy · gelu'(x)`), with every NaN
+/// read as one value. Rust leaves the sign and payload of a NaN result
 /// unspecified: x86 returns the first operand's NaN when both operands of
-/// an add are NaN, and an optimised build may commute the add, so two
-/// compilations of one sum of products can differ there and nowhere else.
+/// an add or a multiply are NaN, and an optimised build may commute it, so
+/// two compilations of one formula can differ there and nowhere else.
 /// Every other bit, and NaN-ness itself, is compared.
 fn product_bits(v: &[f32]) -> Vec<u32> {
     v.iter()
@@ -320,7 +346,6 @@ proptest! {
         let bias = Tensor::from_vec(values(seed + 2, c, false), [c], &dev());
         for a in layouts(&av, &[r, c]) {
             prop_assert_eq!(bits(&a.scale(0.37).to_vec()), bits(&zip_ref(&a, &a, |x, _| x * 0.37)));
-            prop_assert_eq!(bits(&a.gelu().to_vec()), bits(&zip_ref(&a, &a, |x, _| gelu_scalar(x))));
             prop_assert_eq!(a.sum_all().item().to_bits(), a.to_vec().iter().sum::<f32>().to_bits());
             prop_assert_eq!(bits(&a.sum_leading().to_vec()), bits(&sum_leading_ref(&a)));
             prop_assert_eq!(bits(&a.add_bias(&bias).to_vec()), bits(&add_bias_ref(&a, &bias)));
@@ -328,12 +353,34 @@ proptest! {
                 prop_assert_eq!(bits(&a.add(&b).to_vec()), bits(&zip_ref(&a, &b, |x, y| x + y)));
                 prop_assert_eq!(bits(&a.mul(&b).to_vec()), bits(&zip_ref(&a, &b, |x, y| x * y)));
                 prop_assert_eq!(
-                    bits(&a.zip_with(&b, |x, y| x * gelu_grad_scalar(y)).to_vec()),
-                    bits(&zip_ref(&a, &b, |x, y| x * gelu_grad_scalar(y)))
+                    bits(&a.zip_with(&b, |x, y| x * y - 1.5).to_vec()),
+                    bits(&zip_ref(&a, &b, |x, y| x * y - 1.5))
                 );
                 let acc = Tensor::from_vec(av.clone(), [r, c], &dev());
                 acc.accumulate(&b);
                 prop_assert_eq!(bits(&acc.to_vec()), bits(&zip_ref(&a, &b, |x, y| x + y)));
+            }
+        }
+    }
+
+    // The oracle is libm's `tanhf`, which the port matches where it is
+    // glibc 2.36's fdlibm code; newer glibc ships a correctly rounded one.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn gelu_and_its_backward_match_the_libm_formula(
+        r in 1usize..5,
+        c in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        let (xv, dyv) = (values(seed, r * c, true), values(seed + 1, r * c, true));
+        for x in layouts(&xv, &[r, c]) {
+            let want = bits(&x.to_vec().into_iter().map(gelu_ref).collect::<Vec<_>>());
+            prop_assert_eq!(bits(&x.gelu().to_vec()), want);
+            for dy in layouts(&dyv, &[r, c]) {
+                prop_assert_eq!(
+                    product_bits(&x.gelu_grad(&dy).to_vec()),
+                    product_bits(&zip_ref(&dy, &x, |dy, x| dy * gelu_grad_ref(x)))
+                );
             }
         }
     }
@@ -429,7 +476,7 @@ proptest! {
 /// that already holds values, over shapes with full tiles and edges at
 /// every width: `out += a @ b` must match the indexed reference bit for
 /// bit ([`product_bits`]), with zeros, infinities and NaNs among the operands.
-fn width_matches_reference(name: &str, matmul: impl Fn(&mut [f32], &[f32], &[f32], usize, usize)) {
+fn width_matches_reference(name: &str, run: impl Fn(Kernel)) {
     let mut seed = 0;
     for m in [1, 3, 4, 5, 8, 9] {
         for k in [0, 1, 2, 7] {
@@ -440,7 +487,13 @@ fn width_matches_reference(name: &str, matmul: impl Fn(&mut [f32], &[f32], &[f32
                 let mut want = init.clone();
                 matmul_acc_ref(&mut want, &a, &b, (m, k, n));
                 let mut out = init;
-                matmul(&mut out, &a, &b, k, n);
+                run(Kernel::Matmul {
+                    out: &mut out,
+                    a: &a,
+                    b: &b,
+                    k,
+                    n,
+                });
                 assert_eq!(
                     product_bits(&out),
                     product_bits(&want),
@@ -455,17 +508,115 @@ fn width_matches_reference(name: &str, matmul: impl Fn(&mut [f32], &[f32], &[f32
 /// detected.
 #[test]
 fn every_matmul_width_matches_the_reference_from_a_nonzero_out() {
-    width_matches_reference(
-        "portable",
-        kernels::matmul_tiled::<{ kernels::PORTABLE_NR }>,
-    );
+    for (name, run) in widths() {
+        width_matches_reference(name, run);
+    }
+}
+
+/// A vector width's name, and a function that runs one kernel at it.
+type Width = (&'static str, fn(Kernel));
+
+/// Every width the CPU runs.
+fn widths() -> Vec<Width> {
+    let mut widths: Vec<Width> = vec![("portable", |kernel| {
+        kernel.run_at::<{ kernels::PORTABLE_NR }>()
+    })];
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx512f") {
-        width_matches_reference("avx512", |o, a, b, k, n| {
-            // SAFETY: called only when the CPU runs AVX-512F.
-            unsafe { kernels::matmul_avx512(o, a, b, k, n) }
-        });
+        widths.push(("avx512", |kernel| {
+            // SAFETY: pushed only when the CPU runs AVX-512F.
+            unsafe { kernel.run_avx512() }
+        }));
     }
+    widths
+}
+
+// ---------------------------------------------------------------------
+// The tanh port against libm's `tanhf`. The oracle holds where libm is
+// glibc 2.36, whose `tanhf` is fdlibm's: newer glibc ships a correctly
+// rounded one, so the tests run only on x86-64 Linux with glibc.
+// ---------------------------------------------------------------------
+
+/// Checks each of `widths` against libm over the f32 bit patterns
+/// `patterns`, a chunk at a time. NaN is compared by NaN-ness only: Rust
+/// leaves a NaN result's sign and payload unspecified.
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "libm's tanhf is the oracle the port must match"
+)]
+fn tanh_matches_libm(patterns: impl Iterator<Item = u32>, widths: &[Width]) {
+    let (mut xs, mut want, mut got) = (Vec::new(), Vec::new(), Vec::new());
+    let mut patterns = patterns.peekable();
+    while patterns.peek().is_some() {
+        xs.clear();
+        xs.extend(patterns.by_ref().take(1 << 16).map(f32::from_bits));
+        want.clear();
+        want.extend(xs.iter().map(|x| x.tanh()));
+        got.resize(xs.len(), 0.0);
+        for (name, run) in widths {
+            run(Kernel::Tanh {
+                out: &mut got,
+                x: &xs,
+            });
+            for ((x, &got), &want) in xs.iter().zip(&got).zip(&want) {
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "{name} tanh({:#010x}) = {got}, libm {want}",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+}
+
+/// The port called one element at a time: `black_box` keeps the loop
+/// from being vectorised.
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+fn scalar_tanh(kernel: Kernel) {
+    let Kernel::Tanh { out, x } = kernel else {
+        panic!("scalar_tanh runs only Kernel::Tanh");
+    };
+    for (o, &x) in out.iter_mut().zip(x) {
+        *o = kernels::tanh(std::hint::black_box(x));
+    }
+}
+
+/// The scalar port and every width, on every 4 099th bit pattern and on
+/// 4 096 each side of every threshold the port compares against, at both
+/// signs: `tanh`'s own, and the inputs whose doubled magnitude lands on
+/// one of `expm1`'s.
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+#[test]
+fn tanh_port_matches_libm_at_sampled_and_threshold_patterns() {
+    const TANH: [u32; 3] = [0x2400_0000, 0x3f80_0000, 0x41b0_0000];
+    const EXPM1: [u32; 4] = [0x3300_0000, 0x3eb1_7218, 0x3f85_1592, 0x4195_b844];
+    // Halving a float subtracts one from its exponent field.
+    let thresholds = TANH.into_iter().chain(EXPM1.map(|t| t - 0x0080_0000));
+    let windows =
+        thresholds.flat_map(|t| (t - 4096..=t + 4096).flat_map(|bits| [bits, bits | 0x8000_0000]));
+    let mut widths = widths();
+    widths.push(("scalar", scalar_tanh));
+    tanh_matches_libm((0..=u32::MAX).step_by(4099).chain(windows), &widths);
+}
+
+/// Every width against libm on all 2^32 bit patterns, split across the
+/// cores: the proof that the port keeps every bit. About 2.5 minutes on
+/// two cores in release, so CI runs it explicitly.
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+#[test]
+#[ignore = "all 2^32 inputs; run in release with --ignored"]
+fn tanh_port_matches_libm_on_every_f32() {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+    let span = (1u64 << 32).div_ceil(threads);
+    let widths = widths();
+    std::thread::scope(|s| {
+        for lo in (0..1u64 << 32).step_by(span as usize) {
+            let hi = (lo + span).min(1 << 32);
+            let widths = &widths;
+            s.spawn(move || tanh_matches_libm((lo..hi).map(|bits| bits as u32), widths));
+        }
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -32,6 +32,11 @@ cargo test -q --test kernel_arithmetic
 # tier-1 builds only ssdtrain-tensor at opt-level 3 (root Cargo.toml), so
 # its own tests already check the matmul widths there.
 cargo test -q --release --test kernel_arithmetic
+# GELU's tanh is a port of glibc 2.36's `tanhf`: this checks it against
+# libm on all 2^32 inputs, at every vector width the CPU runs, and is the
+# proof that the port keeps every bit (about 2.5 minutes on two cores in
+# release).
+cargo test -q --release -p ssdtrain-tensor -- --ignored tanh_port_matches_libm_on_every_f32
 # The fault × recovery matrix must hold through the coalesced/prefetched
 # I/O path with bit-identical losses. Run explicitly for the same reason.
 cargo test -q --test fault_injection
