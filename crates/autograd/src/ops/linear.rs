@@ -31,9 +31,9 @@ impl Op for MatmulOp {
         let (m, k) = x.shape().as_2d();
         let n = wt.dim(1);
         // dx = dy @ w^T       [.., n] x [n, k]
+        // dw = x2d^T @ dy2d    [k, m] x [m, n]
+        // Both transposes are read in place through their strides.
         let dx = dy.matmul(&wt.t());
-        // dw = x2d^T @ dy2d    [k, m] x [m, n], the transpose read
-        // through its strides
         let x2d = x.contiguous().reshape([m, k]);
         let dy2d = dy.contiguous().reshape([m, n]);
         let dw = x2d.t().matmul(&dy2d);

@@ -8,11 +8,17 @@
 //! * **Operands are borrowed.** A kernel reads its inputs through
 //!   [`Tensor::with_values_of`] — the storage's own slice for a contiguous
 //!   view, a reused gather buffer for a strided one — and never copies an
-//!   operand it only reads.
+//!   operand it only reads. A matrix product's operand is lent with its
+//!   strides instead, so a transposed view is read in place; only a
+//!   strided left operand of rank 3 or more, whose rows two strides
+//!   cannot describe, is gathered.
 //! * **One allocation per output.** The only buffers a kernel asks the
 //!   allocator for are the ones it returns (a kernel whose output starts
 //!   as a copy of an input, like [`Tensor::add_bias`], makes that copy and
-//!   updates it in place).
+//!   updates it in place). Scratch comes from the crate's per-thread pool
+//!   and goes back to it: the gather buffers, and the matrix product's
+//!   panel, which grows to its largest `k × NR` once and is reused by
+//!   every later call.
 //! * **Fixed operation order.** Each output element is produced by the
 //!   same `f32` operations in the same order regardless of how the
 //!   operands are laid out: matrix products accumulate over the inner
@@ -29,18 +35,40 @@
 //!
 //! Matrix products, the largest share, run one register tile: 4 rows of
 //! `a` by `NR` columns of `out`, held in local accumulators across the
-//! whole inner loop, with the rows and columns left at the edges finishing
-//! in a plain row loop. `NR` follows the dispatch: 32 under AVX-512F,
+//! whole inner loop. Before the tiles of an `NR`-wide strip of `out` run,
+//! that strip of `b` is packed, for every `p`, into one contiguous
+//! `k × NR` panel read through `b`'s strides; the tiles then read `b` only
+//! from the panel, taking each panel row by value so it is loaded into
+//! registers once per `p`, not once per tile row. Without the panel a tile
+//! read its `NR` columns from `k` rows of `b` a whole row apart — 2 KiB at
+//! `n = 512` — which map onto the same few L1 sets and evict each other;
+//! the panel's rows are adjacent, and a transposed `b` costs no more than
+//! a plain one. The tile reads `a`'s rows through their strides, each row
+//! sliced once and indexed `row[p·cs]`. `MR` stays 4: at 64 wide its 16
+//! accumulators and the panel row's 4 registers fit AVX-512's 32, where 8
+//! rows would need all 32 for accumulators alone. The tile is indexed
+//! only by constants — a slice of it of a runtime width (`acc[..w]`)
+//! pushed it out of registers — so the edges (`m % 4` rows, and the last
+//! strip when `NR` does not divide `n`) run a plain row loop over the same
+//! panel.
+//!
+//! `NR` follows the dispatch: 64 under AVX-512F (four registers a row),
 //! `PORTABLE_NR` (8) elsewhere, and off x86-64 only the portable width is
-//! compiled. There is no AVX2 width: on an AVX-512 host a 16-wide AVX2
-//! tile ran fewer `func_keep` steps than the 32-wide one in every paired
-//! run. Every width keeps the bits, because each output element still gets
-//! one `f32` multiply and then one add per term, in ascending `p`, with the
-//! term skipped per (row, `p`) where `a[i, p]` is exactly zero: Rust never
+//! compiled. With the panel, on an AVX-512F Xeon, 64 wide beat 32 wide in
+//! 112 of 120 alternating `func_keep` steps in one process, ≈ 4 ms a step:
+//! each element of `a` — a load, the zero test and a broadcast — now
+//! feeds twice the multiplies, which matters most where `dy` is a
+//! dropout's gradient and the zero test mispredicts. There is no AVX2
+//! width: on an AVX-512 host a 16-wide AVX2 tile ran fewer `func_keep`
+//! steps than the 32-wide AVX-512 one in every paired run. Every width
+//! keeps the bits, because each output element still gets one `f32`
+//! multiply and then one add per term, in ascending `p`, with the term
+//! skipped per (row, `p`) where `a[i, p]` is exactly zero: Rust never
 //! fuses a multiply and an add into an FMA and never reassociates, so a
-//! wider tile changes only which registers hold the sums. (A NaN result's
-//! sign and payload are the one exception: Rust leaves them unspecified,
-//! and they can differ between builds.)
+//! wider tile changes only which registers hold the sums, and the panel
+//! only where `b`'s values are loaded from. (A NaN result's sign and
+//! payload are the one exception: Rust leaves them unspecified, and they
+//! can differ between builds.)
 //!
 //! GELU and its backward compute their own `tanh`: a port of glibc 2.36's
 //! `tanhf`, which is fdlibm's `s_tanhf.c` over `__expm1f` (the Q1–Q5
@@ -57,8 +85,9 @@
 //! out of scope.
 
 use crate::rng::Prng;
-use crate::shape::Shape;
-use crate::tensor::Tensor;
+use crate::shape::{Dims, Shape};
+use crate::tensor::{return_scratch, take_scratch, Tensor};
+use std::ops::Range;
 
 fn symbolic_like(t: &Tensor, shape: impl Into<Shape>) -> Tensor {
     Tensor::symbolic(shape.into(), t.device())
@@ -106,15 +135,18 @@ fn elementwise(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
 /// compiles each of them for AVX-512F; a closure passed into that entry
 /// instead would not be inlined there and would stay scalar.
 pub(crate) enum Kernel<'a> {
-    /// `out += a @ b` for row-major `a: [m, k]`, `b: [k, n]`, `out: [m, n]`:
-    /// per output element, terms are added in ascending `p` and skipped
-    /// where `a[i, p]` is exactly zero.
+    /// `out += a @ b` for `a: [m, k]` and `b: [k, n]` read through their
+    /// strides and a row-major `out: [m, n]`: per output element, terms
+    /// are added in ascending `p` and skipped where `a[i, p]` is exactly
+    /// zero. `panel` is scratch the kernel packs strips of `b` into; it
+    /// grows to `k × NR` and keeps that capacity for the next call.
     Matmul {
         out: &'a mut [f32],
-        a: &'a [f32],
-        b: &'a [f32],
+        a: Strided<'a>,
+        b: Strided<'a>,
         k: usize,
         n: usize,
+        panel: &'a mut Vec<f32>,
     },
     /// `out[i] = gelu_scalar(x[i])`.
     Gelu { out: &'a mut [f32], x: &'a [f32] },
@@ -143,11 +175,11 @@ impl Kernel<'_> {
         self.run_at::<PORTABLE_NR>();
     }
 
-    /// [`Kernel::run_at`] with 32-wide matmul tiles, compiled for AVX-512F.
+    /// [`Kernel::run_at`] with 64-wide matmul tiles, compiled for AVX-512F.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
     pub(crate) fn run_avx512(self) {
-        self.run_at::<32>();
+        self.run_at::<64>();
     }
 
     /// The kernel with `NR`-wide matmul tiles. Inlined into
@@ -156,7 +188,14 @@ impl Kernel<'_> {
     #[inline(always)]
     pub(crate) fn run_at<const NR: usize>(self) {
         match self {
-            Kernel::Matmul { out, a, b, k, n } => matmul_tiled::<NR>(out, a, b, k, n),
+            Kernel::Matmul {
+                out,
+                a,
+                b,
+                k,
+                n,
+                panel,
+            } => matmul_tiled::<NR>(out, a, b, k, n, panel),
             Kernel::Gelu { out, x } => {
                 for (o, &x) in out.iter_mut().zip(x) {
                     *o = gelu_scalar(x);
@@ -184,29 +223,97 @@ const MR: usize = 4;
 /// row, the baseline every x86-64 CPU runs.
 pub(crate) const PORTABLE_NR: usize = 8;
 
-/// [`Kernel::Matmul`] in `MR × NR` register tiles.
+/// A matrix read through two strides: element `(i, j)` is
+/// `data[i·rs + j·cs]`.
+#[derive(Clone, Copy)]
+pub(crate) struct Strided<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) rs: usize,
+    pub(crate) cs: usize,
+}
+
+impl<'a> Strided<'a> {
+    /// The values and strides [`Tensor::read_of`] handed over, as the matrix
+    /// of their flattened rows ([`Shape::as_2d`]), whose last two strides
+    /// step a row and a column.
+    fn of((data, strides): (&'a [f32], Dims)) -> Strided<'a> {
+        let (rs, cs) = match *strides {
+            [] => (0, 0),
+            [cs] => (0, cs),
+            [.., rs, cs] => (rs, cs),
+        };
+        Strided { data, rs, cs }
+    }
+
+    /// The matrix `offset` elements further on: one matrix of a batch. An
+    /// empty batch may end before `offset`; its matrices read nothing.
+    fn at(self, offset: usize) -> Strided<'a> {
+        let data = self.data.get(offset..).unwrap_or_default();
+        Strided { data, ..self }
+    }
+
+    /// Row `i` from its first element on: element `j` is `row[j·cs]`.
+    #[inline(always)]
+    fn row(&self, i: usize) -> &'a [f32] {
+        &self.data[i * self.rs..]
+    }
+}
+
+/// Whether [`Tensor::matmul`] reads `t`'s flattened rows in place: a view
+/// of rank 2 or less is two strides, and so is a contiguous one; the
+/// rows of any other view have no single row stride, so it is gathered.
+pub(crate) fn rows_in_place(t: &Tensor) -> bool {
+    t.rank() <= 2 || t.is_contiguous()
+}
+
+/// [`Kernel::Matmul`] in `MR × NR` register tiles. Each strip of `NR`
+/// columns of `b` (fewer in the last) is first packed, for all `k`, into
+/// `panel`, read through `b`'s strides; the tiles and the edge rows then
+/// read that strip of `b` only from the panel, one contiguous run per `p`.
 #[inline(always)]
-fn matmul_tiled<const NR: usize>(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+fn matmul_tiled<const NR: usize>(
+    out: &mut [f32],
+    a: Strided,
+    b: Strided,
+    k: usize,
+    n: usize,
+    panel: &mut Vec<f32>,
+) {
     if k == 0 || n == 0 {
         return;
     }
     let m = out.len() / n;
-    let (rows, cols) = (m - m % MR, n - n % NR);
-    for j in (0..cols).step_by(NR) {
+    let rows = m - m % MR;
+    if panel.len() < k * NR {
+        panel.resize(k * NR, 0.0);
+    }
+    for j in (0..n).step_by(NR) {
+        let w = NR.min(n - j);
+        let panel = &mut panel[..k * w];
+        for (p, packed) in panel.chunks_exact_mut(w).enumerate() {
+            let brow = &b.row(p)[j * b.cs..];
+            for (c, v) in packed.iter_mut().enumerate() {
+                *v = brow[c * b.cs];
+            }
+        }
+        if w < NR {
+            matmul_rows(out, a, panel, (n, j..n), 0..m);
+            continue;
+        }
         for i in (0..rows).step_by(MR) {
-            let arows: [&[f32]; MR] = std::array::from_fn(|r| &a[(i + r) * k..][..k]);
+            let arows: [&[f32]; MR] = std::array::from_fn(|r| a.row(i + r));
             let mut acc = [[0.0f32; NR]; MR];
             for (r, acc) in acc.iter_mut().enumerate() {
                 acc.copy_from_slice(&out[(i + r) * n + j..][..NR]);
             }
-            for p in 0..k {
-                let brow = &b[p * n + j..][..NR];
+            // `brow` by value: loaded once per `p`, not once per row.
+            for (p, &brow) in panel.as_chunks::<NR>().0.iter().enumerate() {
                 for (acc, arow) in acc.iter_mut().zip(arows) {
-                    let av = arow[p];
+                    let av = arow[p * a.cs];
                     if av == 0.0 {
                         continue;
                     }
-                    for (o, &bv) in acc.iter_mut().zip(brow) {
+                    for (o, bv) in acc.iter_mut().zip(brow) {
                         *o += av * bv;
                     }
                 }
@@ -215,24 +322,29 @@ fn matmul_tiled<const NR: usize>(out: &mut [f32], a: &[f32], b: &[f32], k: usize
                 out[(i + r) * n + j..][..NR].copy_from_slice(acc);
             }
         }
+        matmul_rows(out, a, panel, (n, j..j + NR), rows..m);
     }
-    matmul_rows(&mut out[..rows * n], &a[..rows * k], b, k, n, cols);
-    matmul_rows(&mut out[rows * n..], &a[rows * k..], b, k, n, 0);
 }
 
-/// The tile's edges: `out[.., from..] += a @ b[.., from..]`, one row of
-/// `a` at a time.
+/// The tile's edges, one row at a time: `out[i, cols] += a[i, ..] @ panel`
+/// for each row `i` in `rows`, where `panel` holds the `k × cols.len()`
+/// strip of `b` at columns `cols` of `out`'s `n`.
 #[inline(always)]
-fn matmul_rows(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, from: usize) {
-    if from == n {
-        return;
-    }
-    for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        for (&av, brow) in arow.iter().zip(b.chunks_exact(n)) {
+fn matmul_rows(
+    out: &mut [f32],
+    a: Strided,
+    panel: &[f32],
+    (n, cols): (usize, Range<usize>),
+    rows: Range<usize>,
+) {
+    for i in rows {
+        let (arow, orow) = (a.row(i), &mut out[i * n..][cols.clone()]);
+        for (p, brow) in panel.chunks_exact(cols.len()).enumerate() {
+            let av = arow[p * a.cs];
             if av == 0.0 {
                 continue;
             }
-            for (o, &bv) in orow[from..].iter_mut().zip(&brow[from..]) {
+            for (o, &bv) in orow.iter_mut().zip(brow) {
                 *o += av * bv;
             }
         }
@@ -286,11 +398,15 @@ impl Tensor {
             return symbolic_like(self, *self.shape());
         }
         let mut out = self.to_vec();
-        bias.with_values(|b| {
-            for (i, v) in out.iter_mut().enumerate() {
-                *v += b[i % h];
-            }
-        });
+        if h > 0 {
+            bias.with_values(|b| {
+                for row in out.chunks_exact_mut(h) {
+                    for (v, &b) in row.iter_mut().zip(b) {
+                        *v += b;
+                    }
+                }
+            });
+        }
         Tensor::from_vec(out, *self.shape(), self.device())
     }
 
@@ -382,6 +498,9 @@ impl Tensor {
     /// Matrix product `self @ rhs` where `self` is `[..., m, k]` (leading
     /// dims flattened) and `rhs` is a 2-D `[k, n]` view. Either operand
     /// may be a transposed view; the result does not depend on layout.
+    /// Both are read in place through their strides, except a strided
+    /// `self` of rank 3 or more, whose rows two strides cannot describe: it
+    /// is gathered.
     ///
     /// # Panics
     /// Panics if `rhs` is not 2-D or the inner dimensions disagree.
@@ -394,22 +513,27 @@ impl Tensor {
         if !self.has_data() || !rhs.has_data() {
             return symbolic_like(self, out_dims);
         }
-        let out = Tensor::with_values_of([self, rhs], |[a, b]| {
+        let lend = rows_in_place(self);
+        let out = Tensor::read_of([self, rhs], [lend, true], |[a, b]| {
             let mut out = vec![0.0f32; m * n];
+            let mut panel = take_scratch();
             Kernel::Matmul {
                 out: &mut out,
-                a,
-                b,
+                a: Strided::of(a),
+                b: Strided::of(b),
                 k,
                 n,
+                panel: &mut panel,
             }
             .run();
+            return_scratch([panel]);
             out
         });
         Tensor::from_vec(out, out_dims, self.device())
     }
 
-    /// Batched matrix product of `[b, m, k]` and `[b, k, n]`.
+    /// Batched matrix product of `[b, m, k]` and `[b, k, n]`. Both are
+    /// read in place: each batch is a matrix of two strides.
     ///
     /// # Panics
     /// Panics unless both operands are 3-D with matching batch and inner
@@ -424,18 +548,24 @@ impl Tensor {
         if !self.has_data() || !rhs.has_data() {
             return symbolic_like(self, [bt, m, n]);
         }
-        let out = Tensor::with_values_of([self, rhs], |[a, b]| {
+        let out = Tensor::read_of([self, rhs], [true; 2], |[a, b]| {
+            // The first stride steps from one batch's matrix to the next.
+            let (ab, bb) = (a.1[0], b.1[0]);
+            let (a, b) = (Strided::of(a), Strided::of(b));
             let mut out = vec![0.0f32; bt * m * n];
+            let mut panel = take_scratch();
             for t in 0..bt {
                 Kernel::Matmul {
                     out: &mut out[t * m * n..][..m * n],
-                    a: &a[t * m * k..][..m * k],
-                    b: &b[t * k * n..][..k * n],
+                    a: a.at(t * ab),
+                    b: b.at(t * bb),
                     k,
                     n,
+                    panel: &mut panel,
                 }
                 .run();
             }
+            return_scratch([panel]);
             out
         });
         Tensor::from_vec(out, [bt, m, n], self.device())
@@ -488,16 +618,18 @@ impl Tensor {
             return symbolic_like(self, *self.shape());
         }
         let mut v = self.to_vec();
-        for row in v.chunks_exact_mut(h) {
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for x in row.iter_mut() {
-                *x = (*x - max).exp();
-                sum += *x;
-            }
-            let inv = 1.0 / sum;
-            for x in row.iter_mut() {
-                *x *= inv;
+        if h > 0 {
+            for row in v.chunks_exact_mut(h) {
+                let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                let mut sum = 0.0;
+                for x in row.iter_mut() {
+                    *x = (*x - max).exp();
+                    sum += *x;
+                }
+                let inv = 1.0 / sum;
+                for x in row.iter_mut() {
+                    *x *= inv;
+                }
             }
         }
         Tensor::from_vec(v, *self.shape(), self.device())
@@ -516,14 +648,16 @@ impl Tensor {
         }
         let dx = Tensor::with_values_of([self, dy], |[y, dy]| {
             let mut dx = vec![0.0f32; y.len()];
-            for ((yrow, dyrow), dxrow) in y
-                .chunks_exact(h)
-                .zip(dy.chunks_exact(h))
-                .zip(dx.chunks_exact_mut(h))
-            {
-                let dot: f32 = yrow.iter().zip(dyrow).map(|(a, b)| a * b).sum();
-                for j in 0..h {
-                    dxrow[j] = yrow[j] * (dyrow[j] - dot);
+            if h > 0 {
+                for ((yrow, dyrow), dxrow) in y
+                    .chunks_exact(h)
+                    .zip(dy.chunks_exact(h))
+                    .zip(dx.chunks_exact_mut(h))
+                {
+                    let dot: f32 = yrow.iter().zip(dyrow).map(|(a, b)| a * b).sum();
+                    for j in 0..h {
+                        dxrow[j] = yrow[j] * (dyrow[j] - dot);
+                    }
                 }
             }
             dx
@@ -563,6 +697,7 @@ impl Tensor {
     /// Layer normalisation over the last dimension.
     ///
     /// Returns `(y, mean, rstd)`; the statistics are needed for backward.
+    /// Rows of width zero have none: their `mean` and `rstd` are `0`.
     ///
     /// # Panics
     /// Panics if `gamma`/`beta` are not 1-D of the last-dim length.
@@ -570,7 +705,7 @@ impl Tensor {
         let h = row_width("layernorm", self);
         assert_eq!(gamma.dims(), &[h], "gamma must be [hidden]");
         assert_eq!(beta.dims(), &[h], "beta must be [hidden]");
-        let rows = self.numel() / h;
+        let rows = self.shape().as_2d().0;
         if !self.has_data() || !gamma.has_data() || !beta.has_data() {
             return (
                 symbolic_like(self, *self.shape()),
@@ -582,15 +717,17 @@ impl Tensor {
             let mut y = vec![0.0f32; x.len()];
             let mut means = vec![0.0f32; rows];
             let mut rstds = vec![0.0f32; rows];
-            for r in 0..rows {
-                let row = &x[r * h..(r + 1) * h];
-                let mean = row.iter().sum::<f32>() / h as f32;
-                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / h as f32;
-                let rstd = 1.0 / (var + eps).sqrt();
-                means[r] = mean;
-                rstds[r] = rstd;
-                for j in 0..h {
-                    y[r * h + j] = (row[j] - mean) * rstd * g[j] + b[j];
+            if h > 0 {
+                for r in 0..rows {
+                    let row = &x[r * h..(r + 1) * h];
+                    let mean = row.iter().sum::<f32>() / h as f32;
+                    let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / h as f32;
+                    let rstd = 1.0 / (var + eps).sqrt();
+                    means[r] = mean;
+                    rstds[r] = rstd;
+                    for j in 0..h {
+                        y[r * h + j] = (row[j] - mean) * rstd * g[j] + b[j];
+                    }
                 }
             }
             (y, means, rstds)
@@ -1056,6 +1193,25 @@ mod tests {
         let (l, probs) = y.cross_entropy(&Tensor::zeros([2], &d));
         assert!(!l.has_data());
         assert_eq!(probs.dims(), &[2, 5]);
+    }
+
+    #[test]
+    fn row_kernels_accept_rows_of_width_zero() {
+        let x = Tensor::zeros([3, 0], &dev());
+        let empty = Tensor::zeros([0], &dev());
+        let (y, mean, rstd) = x.layernorm(&empty, &empty, 1e-5);
+        for (what, t) in [
+            ("softmax_last", x.softmax_last()),
+            ("softmax_grad", x.softmax_grad(&x)),
+            ("layernorm", y),
+            ("add_bias", x.add_bias(&empty)),
+        ] {
+            assert_eq!((t.dims(), t.to_vec()), (&[3, 0][..], vec![]), "{what}");
+        }
+        let sum = x.sum_leading();
+        assert_eq!((sum.dims(), sum.to_vec()), (&[0][..], vec![]));
+        // A row of no elements has no statistics: they stay 0.
+        assert_eq!((mean.to_vec(), rstd.to_vec()), (vec![0.0; 3], vec![0.0; 3]));
     }
 
     #[test]

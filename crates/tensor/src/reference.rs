@@ -4,7 +4,7 @@
 //! over operands that share a storage.
 
 use crate::device::Device;
-use crate::kernels::{self, Kernel};
+use crate::kernels::{self, Kernel, Strided};
 use crate::rng::Prng;
 use crate::tensor::Tensor;
 use proptest::prelude::*;
@@ -472,12 +472,36 @@ proptest! {
     }
 }
 
+/// `v`, a row-major `[rows, cols]` matrix, as the kernel reads it: in
+/// place, or (`transposed`) through the strides of a transposed view over
+/// a copy of its transpose.
+fn strided_copy(
+    v: &[f32],
+    (rows, cols): (usize, usize),
+    transposed: bool,
+) -> (Vec<f32>, usize, usize) {
+    if !transposed {
+        return (v.to_vec(), cols, 1);
+    }
+    let mut t = vec![0.0f32; v.len()];
+    for i in 0..rows {
+        for j in 0..cols {
+            t[j * rows + i] = v[i * cols + j];
+        }
+    }
+    (t, 1, rows)
+}
+
 /// Checks one width of the matmul tile, called directly from an `out`
 /// that already holds values, over shapes with full tiles and edges at
-/// every width: `out += a @ b` must match the indexed reference bit for
-/// bit ([`product_bits`]), with zeros, infinities and NaNs among the operands.
+/// every width, with each operand read contiguously and through the
+/// strides of a transposed view: `out += a @ b` must match the indexed
+/// reference bit for bit ([`product_bits`]), with zeros, infinities and
+/// NaNs among the operands. One panel serves every call, as the pool's
+/// does.
 fn width_matches_reference(name: &str, run: impl Fn(Kernel)) {
     let mut seed = 0;
+    let mut panel = Vec::new();
     for m in [1, 3, 4, 5, 8, 9] {
         for k in [0, 1, 2, 7] {
             for n in [1, 7, 8, 9, 16, 17, 32, 33, 64, 70] {
@@ -486,19 +510,32 @@ fn width_matches_reference(name: &str, run: impl Fn(Kernel)) {
                 let init = values(seed + 2, m * n, false);
                 let mut want = init.clone();
                 matmul_acc_ref(&mut want, &a, &b, (m, k, n));
-                let mut out = init;
-                run(Kernel::Matmul {
-                    out: &mut out,
-                    a: &a,
-                    b: &b,
-                    k,
-                    n,
-                });
-                assert_eq!(
-                    product_bits(&out),
-                    product_bits(&want),
-                    "{name} width, m={m} k={k} n={n}"
-                );
+                for (at, bt) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let (av, ars, acs) = strided_copy(&a, (m, k), at);
+                    let (bv, brs, bcs) = strided_copy(&b, (k, n), bt);
+                    let mut out = init.clone();
+                    run(Kernel::Matmul {
+                        out: &mut out,
+                        a: Strided {
+                            data: &av,
+                            rs: ars,
+                            cs: acs,
+                        },
+                        b: Strided {
+                            data: &bv,
+                            rs: brs,
+                            cs: bcs,
+                        },
+                        k,
+                        n,
+                        panel: &mut panel,
+                    });
+                    assert_eq!(
+                        product_bits(&out),
+                        product_bits(&want),
+                        "{name} width, m={m} k={k} n={n}, a transposed {at}, b transposed {bt}"
+                    );
+                }
             }
         }
     }
@@ -511,6 +548,25 @@ fn every_matmul_width_matches_the_reference_from_a_nonzero_out() {
     for (name, run) in widths() {
         width_matches_reference(name, run);
     }
+}
+
+/// A strided left operand of rank 3 has rows no two strides describe, so
+/// `matmul` gathers it; the bits are those of its contiguous copy's
+/// product.
+#[test]
+fn a_strided_rank3_left_operand_is_gathered_with_the_same_bits() {
+    let x = Tensor::from_vec(values(6, 2 * 9 * 13, true), [9, 2, 13], &dev()).transpose(0, 1);
+    let w = Tensor::from_vec(values(7, 13 * 40, true), [40, 13], &dev()).t();
+    assert!(!kernels::rows_in_place(&x), "the gather path");
+    assert!(kernels::rows_in_place(&x.contiguous()) && kernels::rows_in_place(&w));
+    assert_eq!(
+        product_bits(&x.matmul(&w).to_vec()),
+        product_bits(&x.contiguous().matmul(&w.contiguous()).to_vec())
+    );
+    assert_eq!(
+        product_bits(&x.matmul(&w).to_vec()),
+        product_bits(&matmul_ref(&x, &w))
+    );
 }
 
 /// A vector width's name, and a function that runs one kernel at it.
@@ -637,7 +693,7 @@ fn binary_kernels_accept_aliased_operands() {
     let v = values(3, 6, false);
     let want_add = bits(&v.iter().map(|x| x + x).collect::<Vec<_>>());
     let want_mul = bits(&v.iter().map(|x| x * x).collect::<Vec<_>>());
-    let (v1, v2) = (v.clone(), v.clone());
+    let (v1, v2) = (v.clone(), v);
     assert_eq!(
         finishes(move || {
             let x = Tensor::from_vec(v1, [2, 3], &dev());
@@ -652,17 +708,19 @@ fn binary_kernels_accept_aliased_operands() {
         }),
         want_mul
     );
-    // A strided and a contiguous view of one buffer in one product.
+    // A strided and a contiguous view of one buffer in one product, both
+    // read in place, at a shape with edges at every width: the bits of the
+    // product of contiguous copies.
     finishes(move || {
-        let x = Tensor::from_vec(v, [2, 3], &dev());
+        let x = Tensor::from_vec(values(5, 37 * 70, true), [37, 70], &dev());
         assert_eq!(
-            bits(&x.matmul(&x.t()).to_vec()),
-            bits(&matmul_ref(&x, &x.t()))
+            product_bits(&x.matmul(&x.t()).to_vec()),
+            product_bits(&matmul_ref(&x, &x.t()))
         );
-        let y = x.reshape([1, 2, 3]);
+        let y = x.reshape([1, 37, 70]);
         assert_eq!(
-            bits(&y.bmm(&y.transpose(1, 2)).to_vec()),
-            bits(&bmm_ref(&y, &y.transpose(1, 2)))
+            product_bits(&y.bmm(&y.transpose(1, 2)).to_vec()),
+            product_bits(&bmm_ref(&y, &y.transpose(1, 2)))
         );
     });
 }

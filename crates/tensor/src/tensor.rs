@@ -9,10 +9,24 @@ use std::cell::RefCell;
 use std::fmt;
 
 thread_local! {
-    /// Gather buffers for strided operands of [`Tensor::with_values_of`],
-    /// kept between calls so a transposed operand costs a copy but no
-    /// allocation once the largest one has been seen.
-    static GATHER_SCRATCH: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+    /// The crate's one scratch pool: buffers kept between kernel calls, so
+    /// a warm step asks the allocator for none. [`Tensor::with_values_of`]
+    /// gathers strided operands into them, and a matrix product packs its
+    /// panels of `b` into one (`Kernel::Matmul`).
+    static SCRATCH: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A buffer from the scratch pool, still holding what its last user left
+/// in it; hand it back with [`return_scratch`].
+pub(crate) fn take_scratch() -> Vec<f32> {
+    SCRATCH
+        .with(|pool| pool.borrow_mut().pop())
+        .unwrap_or_default()
+}
+
+/// Returns buffers taken with [`take_scratch`] to the pool.
+pub(crate) fn return_scratch(bufs: impl IntoIterator<Item = Vec<f32>>) {
+    SCRATCH.with(|pool| pool.borrow_mut().extend(bufs));
 }
 
 /// Appends the strided view `dims`/`strides` at `offset` to `out` in
@@ -352,9 +366,9 @@ impl Tensor {
     }
 
     /// Runs `f` over the values of every listed view, each in row-major
-    /// order — the one read path of the numeric kernels. A contiguous view
-    /// lends the storage's own slice; a strided view is gathered into a
-    /// scratch buffer that is reused between calls. Either way `f` sees
+    /// order — the read path of the elementwise and row kernels. A
+    /// contiguous view lends the storage's own slice; a strided view is
+    /// gathered into a buffer of the scratch pool. Either way `f` sees
     /// unit-stride slices and the call allocates nothing of its own.
     ///
     /// Aliasing rule: a storage's lock is not re-entrant, so operands that
@@ -366,13 +380,32 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics if any tensor carries no data (symbolic or released).
+    pub fn with_values_of<const N: usize, R>(
+        tensors: [&Tensor; N],
+        f: impl FnOnce([&[f32]; N]) -> R,
+    ) -> R {
+        Tensor::read_of(tensors, tensors.map(Tensor::is_contiguous), |views| {
+            f(std::array::from_fn(|i| &views[i].0[..tensors[i].numel()]))
+        })
+    }
+
+    /// The one read path under [`Tensor::with_values_of`] and the matrix
+    /// products: runs `f` over each view's values and the strides to read
+    /// them through, under one guard per distinct storage. A view with
+    /// `lend[i]` set lends its storage's slice from its offset on, read
+    /// through its own strides; any other is gathered row-major into a
+    /// pool buffer, read through contiguous strides.
+    ///
+    /// # Panics
+    /// Panics if any tensor carries no data (symbolic or released).
     #[expect(
         clippy::expect_used,
         reason = "documented contract: kernels check `has_data` before reading"
     )]
-    pub fn with_values_of<const N: usize, R>(
+    pub(crate) fn read_of<const N: usize, R>(
         tensors: [&Tensor; N],
-        f: impl FnOnce([&[f32]; N]) -> R,
+        lend: [bool; N],
+        f: impl FnOnce([(&[f32], Dims); N]) -> R,
     ) -> R {
         // The first operand over each storage holds that storage's guard.
         let holder = |i: usize| {
@@ -390,20 +423,21 @@ impl Tensor {
         };
         let gathered: [Option<Vec<f32>>; N] = std::array::from_fn(|i| {
             let t = tensors[i];
-            (!t.is_contiguous()).then(|| {
-                let mut buf = GATHER_SCRATCH
-                    .with(|pool| pool.borrow_mut().pop())
-                    .unwrap_or_default();
+            (!lend[i]).then(|| {
+                let mut buf = take_scratch();
                 buf.clear();
                 gather(payload(i), t.dims(), &t.strides, t.offset, &mut buf);
                 buf
             })
         });
-        let result = f(std::array::from_fn(|i| match &gathered[i] {
-            Some(buf) => buf.as_slice(),
-            None => &payload(i)[tensors[i].offset..][..tensors[i].numel()],
+        let result = f(std::array::from_fn(|i| {
+            let t = tensors[i];
+            match &gathered[i] {
+                Some(buf) => (buf.as_slice(), t.shape.contiguous_strides()),
+                None => (&payload(i)[t.offset..], t.strides),
+            }
         }));
-        GATHER_SCRATCH.with(|pool| pool.borrow_mut().extend(gathered.into_iter().flatten()));
+        return_scratch(gathered.into_iter().flatten());
         result
     }
 

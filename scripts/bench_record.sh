@@ -40,7 +40,10 @@ per_layer = ["sim_exposed_io_s", "cache.store_stall_s", "cache.load_stall_s",
              "sim_ssd_write_gb", "costmodel.pred_err_frac",
              "cache.alloc_b_per_spilled_b", "target.files_per_segment",
              "trace.events_per_step", "host_step_ms", "cache.forwarded",
-             "io.write_busy_s", "simhw.peak_query_us"]
+             "io.write_busy_s", "simhw.peak_query_us",
+             # The tensor-kernel layer and the autograd passes over it.
+             "tensor.matmul_gflops", "tensor.gelu_us", "autograd.fwd_ms",
+             "autograd.bwd_ms"]
 workloads, layers, failed = {}, {}, 0
 for name in (w["name"] for w in spec["workloads"]):
     out = json.load(open(f"benchmark/out/{name}.json"))

@@ -310,9 +310,9 @@ fn fused_attention_allocates_its_results_and_row_scratch() {
     );
 }
 
-/// (f) `MatmulOp` backward requests `dx` and `dw` and nothing else: the
-/// transpose of `x` is read through its strides. Measured: 198 436 B for
-/// 196 608 B of results; copying the transpose requested 264 076 B.
+/// (f) `MatmulOp` backward requests `dx` and `dw` and nothing else: `xᵀ`
+/// and `wᵀ` are read in place through their strides. Measured: 198 436 B
+/// for 196 608 B of results; copying the transpose requested 264 076 B.
 #[test]
 fn matmul_backward_allocates_dx_and_dw() {
     let (x, w, dy) = (
@@ -327,6 +327,35 @@ fn matmul_backward_allocates_dx_and_dw() {
     assert!(
         backward <= results + OP_SLACK,
         "matmul backward requests {backward} B for {results} B of dx and dw"
+    );
+}
+
+/// (i) A warm matrix product of two transposed views requests its output
+/// and that output's storage header, and nothing else: both operands are
+/// read in place through their strides, so there is no gather buffer, and
+/// the panel of `b` the kernel packs into comes from the scratch pool,
+/// which the first call grew. The panel is `func_keep`'s largest, `k` =
+/// 512.
+#[test]
+fn a_warm_matmul_of_transposes_requests_only_its_output() {
+    let (x, w) = (numeric(&[512, 256], 1), numeric(&[128, 512], 2));
+    let (xt, wt) = (x.t(), w.t());
+    let dev = Device::cpu();
+    let values = vec![0.0f32; 256 * 128];
+    let (_, header) = bytes(|| Tensor::from_vec(values, [256, 128], &dev));
+    drop(xt.matmul(&wt)); // cold: the pool's panel grows to k × NR
+    let (y, requested) = bytes(|| xt.matmul(&wt));
+    assert_eq!(y.dims(), &[256, 128]);
+    assert_eq!(
+        requested,
+        y.bytes() + header,
+        "a warm xᵀ @ wᵀ requests {requested} B for its {} B output",
+        y.bytes()
+    );
+    assert_eq!(
+        calls(|| drop(xt.matmul(&wt))),
+        2,
+        "the output and its header"
     );
 }
 
