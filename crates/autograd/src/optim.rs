@@ -52,16 +52,6 @@ impl Sgd {
         self.momentum
     }
 
-    /// Number of managed parameters.
-    pub fn len(&self) -> usize {
-        self.params.len()
-    }
-
-    /// Whether the optimizer manages no parameters.
-    pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
-    }
-
     /// The velocity tensor of parameter `i`, if momentum allocated one.
     /// Offload engines use this to move optimizer state through the
     /// tier stack between steps.

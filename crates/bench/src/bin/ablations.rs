@@ -77,9 +77,11 @@ fn main() {
             },
         ),
         (
-            "prefetch depth 2",
+            // The default depth is 2, the "full system" row; depth 1 is
+            // the paper's scheme (prefetch the next module only).
+            "prefetch depth 1 (paper)",
             TensorCacheConfig {
-                prefetch_depth: 2,
+                prefetch_depth: 1,
                 ..base.clone()
             },
         ),

@@ -35,7 +35,7 @@ use crate::id::storage_stamp;
 use crate::io::IoEngine;
 use crate::stats::OffloadStats;
 use crate::target::OffloadTarget;
-use crate::tier::TierStack;
+use crate::tier::{TierCounters, TierStack};
 use parking_lot::Mutex;
 use record::{RecState, RecordId, State};
 use ssdtrain_autograd::Phase;
@@ -255,14 +255,29 @@ impl TensorCache {
         stats.arena_high_water_bytes = arena.high_water_bytes;
         stats.arena_footprint_bytes = arena.footprint_bytes;
         stats.arena_slab_reuses = arena.slab_reuses;
-        stats.tiers = self.tiers.counters();
-        for (tier, counters) in self.tiers.tier_ids().iter().zip(stats.tiers.iter_mut()) {
+        stats.tiers = self.tier_counters(&st);
+        stats
+    }
+
+    /// The tiers' step counters with their timing overlaid from the I/O
+    /// engine. A link's stall and busy seconds go to the first tier
+    /// priced on it only: a demotion tier shares the front tier's link
+    /// ([`TierStack::push_demotion`]) and reports 0, so the tiers' busy
+    /// seconds sum to the engine's.
+    fn tier_counters(&self, st: &State) -> Vec<TierCounters> {
+        let ids = self.tiers.tier_ids();
+        let mut tiers = self.tiers.counters();
+        for (i, (tier, counters)) in ids.iter().zip(tiers.iter_mut()).enumerate() {
             let link = self.tiers.link(*tier);
+            let earlier = ids.iter().take(i);
+            if earlier.map(|t| self.tiers.link(*t)).any(|l| l == link) {
+                continue;
+            }
             counters.stall_secs = st.link_stalls.get(link).copied().unwrap_or(0.0);
             counters.write_busy_secs = self.io.write_busy_secs_on(link);
             counters.read_busy_secs = self.io.read_busy_secs_on(link);
         }
-        stats
+        tiers
     }
 
     /// A [`CostModel`] over this cache's links and tiers as currently
@@ -544,12 +559,10 @@ impl TensorCache {
                 ],
             );
         }
-        for (tier, counters) in self.tiers.tier_ids().iter().zip(self.tiers.counters()) {
+        for counters in self.tier_counters(st) {
             if counters.bytes_written == 0 && counters.bytes_read == 0 {
                 continue;
             }
-            let link = self.tiers.link(*tier);
-            let stall = st.link_stalls.get(link).copied().unwrap_or(0.0);
             st.trace.instant_with(
                 TraceCategory::Tier,
                 format!("tier.io.{}", counters.name),
@@ -557,15 +570,9 @@ impl TensorCache {
                 vec![
                     ("bytes_written", ArgValue::U64(counters.bytes_written)),
                     ("bytes_read", ArgValue::U64(counters.bytes_read)),
-                    (
-                        "write_busy_secs",
-                        ArgValue::F64(self.io.write_busy_secs_on(link)),
-                    ),
-                    (
-                        "read_busy_secs",
-                        ArgValue::F64(self.io.read_busy_secs_on(link)),
-                    ),
-                    ("stall_secs", ArgValue::F64(stall)),
+                    ("write_busy_secs", ArgValue::F64(counters.write_busy_secs)),
+                    ("read_busy_secs", ArgValue::F64(counters.read_busy_secs)),
+                    ("stall_secs", ArgValue::F64(counters.stall_secs)),
                 ],
             );
         }

@@ -152,7 +152,9 @@ pub struct TierCounters {
     pub demoted_in_bytes: u64,
     /// Seconds the step stalled waiting for this tier's store queue to
     /// drain at a stage exit (filled from the I/O engine when the
-    /// stats snapshot is taken).
+    /// stats snapshot is taken). This and the busy seconds below are
+    /// the link's, given to the first tier priced on it: a demotion
+    /// tier on the front tier's link reports 0.
     pub stall_secs: f64,
     /// Seconds this tier's link spent transferring stores this step.
     pub write_busy_secs: f64,

@@ -310,9 +310,9 @@ impl SessionBuilder {
     /// moment autograd finalises its gradient, so its state loads and
     /// write-backs overlap backward's compute (PyTorch's
     /// optimizer-in-backward pattern). Off by default: the per-stage jobs
-    /// then run inline at the `OptimizerStep` stage when a state class
-    /// is enabled, or the legacy whole-model update runs outside the
-    /// measured window when none is.
+    /// then run inline at the `OptimizerStep` stage. Either way the
+    /// update runs inside the measured step, and costs 0 simulated
+    /// seconds when no state class is offloaded.
     pub fn overlap_optimizer(mut self, overlap: bool) -> SessionBuilder {
         self.overlap_optimizer = overlap;
         self
@@ -434,7 +434,7 @@ mod tests {
         assert_eq!(cfg.cache.coalesce_segment_bytes, 64 << 20);
         assert_eq!(cfg.cache.prefetch_group_modules, 2);
         assert_eq!(cfg.cache.prefetch_depth, 3);
-        // Defaults keep the legacy per-tensor path.
+        // Defaults keep the per-tensor path.
         let cfg = SessionConfig::builder().build().expect("valid");
         assert_eq!(cfg.cache.coalesce_segment_bytes, 0);
         assert_eq!(cfg.cache.prefetch_group_modules, 0);

@@ -12,11 +12,11 @@ pub struct StepMetrics {
     pub model: String,
     /// Global batch size (sequences).
     pub batch: usize,
-    /// Simulated step time. Forward + backward in the legacy
-    /// configuration (the optimizer adds a constant offset in the
-    /// paper's setup and is excluded, Section 4.1); once a state class
-    /// or the overlapped schedule is enabled, the optimizer's exposed
-    /// seconds join the window (see [`StepMetrics::opt_secs`]).
+    /// Simulated step time, the weight update inside it. With no state
+    /// class offloaded the update costs 0 seconds, so this is forward +
+    /// backward, the paper's optimizer-excluded step (Section 4.1);
+    /// offloaded state adds the update's exposed seconds
+    /// ([`StepMetrics::opt_secs`], [`StepMetrics::opt_exposed_secs`]).
     pub step_secs: f64,
     /// Simulated forward-propagation time.
     pub fwd_secs: f64,
@@ -43,9 +43,9 @@ pub struct StepMetrics {
     pub oom: bool,
     /// Training loss (`NaN` in symbolic runs).
     pub loss: f32,
-    /// Simulated seconds the per-stage optimizer update spent inside the
-    /// measured window (inline state loads and stalls; 0 for the legacy
-    /// outside-the-window optimizer and for the in-backward update).
+    /// Simulated seconds the inline per-stage optimizer update spent
+    /// inside the measured window: its state loads and stalls, so 0 when
+    /// no state class is offloaded, and 0 for the in-backward update.
     pub opt_secs: f64,
     /// Simulated seconds the *in-backward* update exposed after backward:
     /// the wait at `ReduceGrads` for state loads still in flight (0 when

@@ -1,19 +1,22 @@
-//! The optimizer scheduling engine — gradients and optimizer state ride
-//! the placement → tier → I/O stack, and the weight update runs either
-//! as per-stage jobs after backward or inside backward itself.
+//! The optimizer scheduling engine — a session's every weight update
+//! runs here, inside the measured step, as per-stage jobs after backward
+//! or inside backward itself; offloaded gradients and optimizer state
+//! ride the placement → tier → I/O stack.
 //!
 //! Two execution modes, selected by [`SessionBuilder::overlap_optimizer`]:
 //!
 //! * **Inline** (`overlap = false`): the update runs inside the measured
-//!   window at the `OptimizerStep` stage. Gradients leave during the
-//!   step's last backward pass — [`OptEngine::grad_listener`] is
-//!   autograd's post-accumulate-grad hook and stores each gradient the
-//!   moment its last contribution is accumulated, and
-//!   [`OptEngine::reduce_grads`] sweeps up what did not stream. Each
-//!   stage job then loads its gradient and state slots back (stalling
-//!   the simulated clock to the load's completion), applies
-//!   [`Sgd::step_range`], and re-offloads the fresh state. Every second
-//!   of state I/O is exposed.
+//!   window at the `OptimizerStep` stage (one `opt.stage{j}` span per
+//!   stage job). Offloaded gradients leave during the step's last
+//!   backward pass — [`OptEngine::grad_listener`] is autograd's
+//!   post-accumulate-grad hook and stores each gradient the moment its
+//!   last contribution is accumulated, and [`OptEngine::reduce_grads`]
+//!   sweeps up what did not stream. Each stage job then loads its
+//!   gradient and state slots back (stalling the simulated clock to the
+//!   load's completion), applies [`Sgd::step_range`], and re-offloads the
+//!   fresh state. Every second of state I/O is exposed; with no state
+//!   class offloaded a job costs 0 seconds, the paper's optimizer-free
+//!   step (§4.1).
 //! * **In backward** (`overlap = true`): PyTorch's optimizer-in-backward
 //!   pattern on the same hook. When autograd finalises a parameter's
 //!   gradient during the step's last backward pass, the listener loads
@@ -337,22 +340,11 @@ impl OptEngine {
         (u.overlap || stream).then_some(listener)
     }
 
-    /// Whether the update runs inside backward.
-    pub fn overlap(&self) -> bool {
-        self.updater.overlap
-    }
-
     /// Profiling applied a new adaptive plan: the parameters kept under
     /// the old one are forgotten, and what stays on the GPU is learned
     /// again from steps under the new one.
     pub fn plan_changed(&self) {
         self.updater.slots.lock().kept.fill(false);
-    }
-
-    /// The per-stage parameter ranges the inline update is partitioned
-    /// into.
-    pub fn ranges(&self) -> &[Range<usize>] {
-        &self.ranges
     }
 
     /// `ReduceGrads` hook, after the last backward pass.

@@ -259,14 +259,9 @@ impl PipelineExec {
             }
             .into());
         }
-        // The update runs as one per-stage job per pipeline stage, in
-        // 1F1B completion order (the last stage's backward drains
-        // first). The ranges are disjoint and cover every parameter, so
-        // the numerics match a monolithic `step()` exactly — this is
-        // the same job shape the overlapped single-GPU engine schedules.
-        for range in stage_ranges(self.optimizer.len(), pp).into_iter().rev() {
-            self.optimizer.step_range(range);
-        }
+        // The update prices nothing here: the makespan below is the
+        // paper's, optimizer excluded (Section 4.1).
+        self.optimizer.step();
         self.optimizer.zero_grad();
         self.step_idx += 1;
 

@@ -83,9 +83,10 @@ pub fn with_lookahead(cmds: &[StepCmd]) -> impl Iterator<Item = (StepCmd, Option
 /// Partitions `n` optimizer parameters into `stages` contiguous,
 /// disjoint ranges covering `0..n` (the remainder goes to the early
 /// stages, mirroring the pipeline's layer split). This is the unit of
-/// work of the per-stage optimizer jobs: stage *j* updates exactly
-/// `stage_ranges(n, s)[j]`, whether the jobs run inline at the
-/// `OptimizerStep` command or as `PipelineExec`'s per-stage updates.
+/// work of the per-stage optimizer jobs `OptEngine` runs inline at the
+/// `OptimizerStep` command (stage *j* updates exactly
+/// `stage_ranges(n, s)[j]`), and `PipelineExec` splits its layers over
+/// stages with it.
 pub fn stage_ranges(n: usize, stages: usize) -> Vec<std::ops::Range<usize>> {
     let stages = stages.clamp(1, n.max(1));
     let per = n / stages;

@@ -177,7 +177,7 @@ pub struct TrainSession {
     /// Shared with the optimizer engine's backward listener, which
     /// updates parameters inside backward.
     optimizer: Arc<Mutex<Sgd>>,
-    opt_engine: Option<OptEngine>,
+    opt_engine: OptEngine,
     spill_dir: Option<PathBuf>,
     trace: TraceSink,
     step_idx: u64,
@@ -394,18 +394,13 @@ impl TrainSession {
         }
         let optimizer = Sgd::with_momentum(model.parameters(), 0.05, cfg.momentum);
         let optimizer = Arc::new(Mutex::new(optimizer));
-        // The scheduling engine exists whenever the session moves state
-        // classes or updates inside backward; the legacy
-        // outside-the-window optimizer is kept byte-identical otherwise.
-        let opt_engine = (cfg.offload.any_state() || cfg.overlap_optimizer).then(|| {
-            OptEngine::new(
-                cfg.offload,
-                cfg.overlap_optimizer,
-                &optimizer,
-                cfg.model.layers.max(1),
-                gpu.cache.as_ref(),
-            )
-        });
+        let opt_engine = OptEngine::new(
+            cfg.offload,
+            cfg.overlap_optimizer,
+            &optimizer,
+            cfg.model.layers.max(1),
+            gpu.cache.as_ref(),
+        );
         let trace = cfg.trace.clone();
         Ok(TrainSession {
             cfg,
@@ -483,14 +478,12 @@ impl TrainSession {
             .cache
             .clone()
             .expect("profile_step requires the offload strategy");
+        let clock = self.gpu.runtime.clock.clone();
         self.gpu.runtime.reset();
         self.gpu.executor.reset();
         self.trace.next_step();
-        self.trace.instant(
-            TraceCategory::Session,
-            "step.begin",
-            self.gpu.runtime.clock.now(),
-        );
+        self.trace
+            .instant(TraceCategory::Session, "step.begin", clock.now());
         cache.begin_profile_step();
         let g = self.fresh_graph();
         g.set_phase(Phase::Forward);
@@ -501,17 +494,12 @@ impl TrainSession {
         cache.wait_io();
         cache.drain_stores();
         let result = cache.end_profile_step();
-        if let Some(engine) = &self.opt_engine {
-            engine.plan_changed();
-        }
+        self.opt_engine.plan_changed();
         self.tape = g.tape_size();
         g.reset_tape();
         cache.flush();
-        self.trace.instant(
-            TraceCategory::Session,
-            "step.end",
-            self.gpu.runtime.clock.now(),
-        );
+        self.trace
+            .instant(TraceCategory::Session, "step.end", clock.now());
         self.optimizer.lock().zero_grad();
         self.step_idx += 1;
         match cache.take_error() {
@@ -561,20 +549,18 @@ impl TrainSession {
     /// optimizer applied inside backward before the failure stay: their
     /// gradients were final.
     pub fn run_step(&mut self) -> Result<StepMetrics, StepError> {
+        let clock = self.gpu.runtime.clock.clone();
         self.gpu.runtime.reset();
         self.gpu.executor.reset();
         self.trace.next_step();
-        self.trace.instant(
-            TraceCategory::Session,
-            "step.begin",
-            self.gpu.runtime.clock.now(),
-        );
+        self.trace
+            .instant(TraceCategory::Session, "step.begin", clock.now());
         // The whole measured step as one manually closed span: the end
         // timestamp is simulated time, so RAII cannot close it. Both exits
         // below end it; `OpenSpan`'s `Drop` flags one that did not.
-        let step_span =
-            self.trace
-                .begin_span(TraceCategory::Session, "step", self.gpu.runtime.clock.now());
+        let step_span = self
+            .trace
+            .begin_span(TraceCategory::Session, "step", clock.now());
         if let Some(cache) = &self.gpu.cache {
             cache.begin_step();
         }
@@ -592,7 +578,7 @@ impl TrainSession {
         let cmds = single_gpu_schedule(micro_batches);
         for (cmd, next) in with_lookahead(&cmds) {
             let stage = stage_hint(cmd);
-            let stage_start = self.gpu.runtime.clock.now();
+            let stage_start = clock.now();
             let scope = self
                 .gpu
                 .cache
@@ -611,7 +597,7 @@ impl TrainSession {
                     g.set_phase(Phase::Forward);
                     let batch = self.next_batch(mb);
                     let loss = self.model.forward_loss(&g, &batch, recompute);
-                    fwd_end = self.gpu.runtime.clock.now();
+                    fwd_end = clock.now();
                     if loss.tensor().has_data() {
                         losses.push(loss.tensor().item());
                     }
@@ -628,9 +614,7 @@ impl TrainSession {
                     // its update (or inline, its stash) runs while
                     // backward still computes.
                     if mb + 1 == micro_batches {
-                        if let Some(listener) =
-                            self.opt_engine.as_ref().and_then(OptEngine::grad_listener)
-                        {
+                        if let Some(listener) = self.opt_engine.grad_listener() {
                             g.add_module_hooks(listener);
                         }
                     }
@@ -646,20 +630,14 @@ impl TrainSession {
                     // the gradients that did not stream. Stores issued
                     // here drain at this stage scope's exit, on the step
                     // that produced them.
-                    if let Some(engine) = self.opt_engine.as_mut() {
-                        let r = engine.reduce_grads(&self.gpu.runtime.clock, &self.trace);
-                        opt_report.exposed_secs += r.exposed_secs;
-                    }
+                    let r = self.opt_engine.reduce_grads(&clock, &self.trace);
+                    opt_report.exposed_secs += r.exposed_secs;
                 }
                 StepCmd::OptimizerStep => {
-                    // With the engine, the inline update joins the
-                    // measured window (the in-backward one is done).
-                    // Without it, the legacy optimizer runs outside the
-                    // window (below).
-                    if let Some(engine) = self.opt_engine.as_mut() {
-                        let r = engine.end_of_step(&self.gpu.runtime.clock, &self.trace);
-                        opt_report.inline_secs += r.inline_secs;
-                    }
+                    // The inline update runs inside the measured window
+                    // (the in-backward one is done by now).
+                    let r = self.opt_engine.end_of_step(&clock, &self.trace);
+                    opt_report.inline_secs += r.inline_secs;
                 }
             }
             match scope {
@@ -668,7 +646,7 @@ impl TrainSession {
                     TraceCategory::Stage,
                     stage.trace_label(),
                     stage_start,
-                    self.gpu.runtime.clock.now(),
+                    clock.now(),
                 ),
                 None => {}
             }
@@ -677,7 +655,7 @@ impl TrainSession {
         if let Some(cache) = &self.gpu.cache {
             cache.flush();
         }
-        let step_secs = self.gpu.runtime.clock.now().as_secs();
+        let step_secs = clock.now().as_secs();
         let memory = self.gpu.runtime.memory.step_memory();
         // Strictly-before: the first backward node's frees are stamped at
         // exactly the forward-end instant (the clock advances only after
@@ -725,7 +703,7 @@ impl TrainSession {
             self.trace.instant_with(
                 TraceCategory::Session,
                 "step.end",
-                self.gpu.runtime.clock.now(),
+                clock.now(),
                 vec![("secs", ArgValue::F64(step_secs))],
             );
         }
@@ -734,27 +712,17 @@ impl TrainSession {
             // recorded. Drop what the engine still holds, clear the
             // accumulated gradients and hand the degraded metrics to
             // the caller inside the error.
-            if let Some(engine) = self.opt_engine.as_mut() {
-                engine.abort();
-            }
+            self.opt_engine.abort();
             self.optimizer.lock().zero_grad();
             self.step_idx += 1;
-            step_span.end(self.gpu.runtime.clock.now());
+            step_span.end(clock.now());
             return Err(StepError {
                 error,
                 metrics: Some(Box::new(metrics)),
             });
         }
-        // Without the engine, the optimizer runs outside the measured
-        // window (constant offset in the paper's comparison, Section
-        // 4.1). The engine already updated, inside backward or inline.
-        if self.opt_engine.is_none() {
-            let mut optimizer = self.optimizer.lock();
-            optimizer.step();
-            optimizer.zero_grad();
-        }
         self.step_idx += 1;
-        step_span.end(self.gpu.runtime.clock.now());
+        step_span.end(clock.now());
         Ok(metrics)
     }
 }

@@ -1,11 +1,15 @@
 //! End-to-end step behaviour across the three ROK strategies, at both
 //! functional (numeric) and paper (symbolic) scale.
 
-use ssdtrain::{PlacementStrategy, TensorCacheConfig};
+use ssdtrain::{EventKind, PlacementStrategy, TensorCacheConfig, TraceSink};
 use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_train::{OffloadBackend, SessionConfig, TrainSession};
 
 fn numeric_session(strategy: PlacementStrategy, seed: u64) -> TrainSession {
+    traced_session(strategy, seed, TraceSink::disabled())
+}
+
+fn traced_session(strategy: PlacementStrategy, seed: u64, trace: TraceSink) -> TrainSession {
     let cfg = SessionConfig::builder()
         .model(ModelConfig::tiny_gpt())
         .batch_size(2)
@@ -16,6 +20,7 @@ fn numeric_session(strategy: PlacementStrategy, seed: u64) -> TrainSession {
             ..TensorCacheConfig::default()
         })
         .seed(seed)
+        .trace(trace)
         .build()
         .expect("valid config");
     TrainSession::new(cfg).expect("session")
@@ -53,6 +58,53 @@ fn three_strategies_produce_identical_losses() {
         let lr = rec.run_step().expect("step").loss;
         assert_eq!(lk, lo, "step {step}: keep vs offload");
         assert_eq!(lk, lr, "step {step}: keep vs recompute");
+    }
+}
+
+#[test]
+fn every_strategy_updates_inside_its_step_span() {
+    // With no state class offloaded the weight update still runs through
+    // the optimizer engine, inside the measured step: one zero-length
+    // `opt.stage{j}` span per stage job (a stage per layer), and no
+    // simulated second of its own.
+    let stages = ModelConfig::tiny_gpt().layers;
+    for strategy in [
+        PlacementStrategy::Keep,
+        PlacementStrategy::Recompute,
+        PlacementStrategy::Offload,
+    ] {
+        let sink = TraceSink::enabled();
+        let mut s = traced_session(strategy, 5, sink.clone());
+        for step in 1..=2 {
+            let m = s.run_step().expect("step");
+            assert_eq!(m.opt_secs, 0.0, "{strategy} step {step}");
+            let events: Vec<_> = sink
+                .events()
+                .into_iter()
+                .filter(|e| e.step == step)
+                .collect();
+            let spans = |name: &str| -> Vec<_> {
+                let named = events.iter().filter(|e| e.name == name);
+                named
+                    .filter(|e| matches!(e.kind, EventKind::Span { .. }))
+                    .collect()
+            };
+            let [step_span] = spans("step")[..] else {
+                panic!("{strategy} step {step}: one step span");
+            };
+            for j in 0..stages {
+                let opt = spans(&format!("opt.stage{j}"));
+                let [opt] = opt[..] else {
+                    panic!("{strategy} step {step}: one opt.stage{j} span, got {opt:?}");
+                };
+                assert_eq!(opt.kind, EventKind::Span { dur_secs: 0.0 });
+                assert!(
+                    step_span.ts <= opt.ts && opt.end() <= step_span.end(),
+                    "{strategy} step {step}: opt.stage{j} outside the step span"
+                );
+            }
+            assert!(spans(&format!("opt.stage{stages}")).is_empty());
+        }
     }
 }
 

@@ -52,9 +52,14 @@ cargo test -q --test alloc_budget
 # comments and literals first), and every product crate denying panics
 # outside tests. Run explicitly for the same reason.
 cargo test -q --test source_rules
-# The functional pipeline example asserts that single-GPU, pipelined and
-# pipelined-plus-offloaded losses are bit-identical; no test runs it.
+# The examples that assert, which no test runs: the functional pipeline
+# (single-GPU, pipelined and pipelined-plus-offloaded losses are
+# bit-identical), fault tolerance (bit-identical losses under faults),
+# the quickstart (trace-vs-counter accounting) and the tiered backends.
 cargo run --release -q --example pipeline_training
+cargo run --release -q --example fault_tolerance
+cargo run --release -q --example quickstart
+cargo run --release -q --example tiered_backends
 # The benchmark crate is its own workspace, so the tests above never
 # compile it: a quick pass catches a source-incompatible change to the
 # API it builds against, and its output checks (trace-vs-counter byte

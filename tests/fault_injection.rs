@@ -184,6 +184,53 @@ fn fallback_target_is_bit_identical_for_every_trigger() {
 }
 
 #[test]
+fn a_fallback_tier_adds_no_link_time_of_its_own() {
+    // `FallbackTarget` appends the host pool as a demotion tier priced on
+    // the front tier's link. The link's seconds are the front tier's, so
+    // the tiers sum to the engine in the stats and in the trace, whether
+    // the pool stays unused (healthy) or takes demoted stores.
+    let faulted =
+        FaultPlan::new(7).with_fault(FaultTrigger::NthOp { nth: 0 }, FaultKind::WriteError);
+    for (name, plan, demotes) in [("healthy", None, false), ("faulted", Some(faulted), true)] {
+        let sink = TraceSink::enabled();
+        let cache = TensorCacheConfig::offload_everything();
+        let mut s = session_with(plan, RecoveryPolicy::FallbackTarget, cache, sink.clone());
+        let m = s.run_step().expect("fallback recovers");
+        let io = s.cache().expect("an offload session has a cache").io();
+        let (write, read) = (io.write_busy_secs(), io.read_busy_secs_on(0));
+        assert!(write > 0.0 && read > 0.0, "{name}: the step moved bytes");
+        let tiers = &m.offload.tiers;
+        let names: Vec<&str> = tiers.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["ssd", "cpu"], "{name}");
+        let tier_write: f64 = tiers.iter().map(|t| t.write_busy_secs).sum();
+        let tier_read: f64 = tiers.iter().map(|t| t.read_busy_secs).sum();
+        assert_eq!((tier_write, tier_read), (write, read), "{name}");
+        let fallback = &tiers[1];
+        assert_eq!(
+            (
+                fallback.write_busy_secs,
+                fallback.read_busy_secs,
+                fallback.stall_secs
+            ),
+            (0.0, 0.0, 0.0),
+            "{name}: the fallback tier reports none of the shared link's time"
+        );
+        assert_eq!(fallback.bytes_written > 0, demotes, "{name}");
+        let traced: f64 = sink
+            .events()
+            .iter()
+            .filter(|e| e.name.starts_with("tier.io."))
+            .flat_map(|e| e.args.iter().filter(|(k, _)| *k == "write_busy_secs"))
+            .map(|(_, v)| match v {
+                ArgValue::F64(secs) => *secs,
+                other => panic!("{name}: write_busy_secs is {other:?}"),
+            })
+            .sum();
+        assert_eq!(traced, write, "{name}: the trace's tier.io instants");
+    }
+}
+
+#[test]
 fn fail_step_surfaces_structured_error_for_every_trigger() {
     for (name, plan) in write_fault_plans() {
         let mut s = session(Some(plan), RecoveryPolicy::FailStep);
