@@ -1,7 +1,8 @@
 //! Ablations of the design choices DESIGN.md calls out: tensor
-//! deduplication, data forwarding, prefetching, the adaptive plan and
-//! the prefetch depth — each toggled off individually on the Figure 10
-//! BERT H8192 L4 B16 workload. The last table holds the adaptive plan
+//! deduplication, data forwarding, prefetching and the just-in-time
+//! reload schedule — each toggled off individually on the Figure 10
+//! BERT H8192 L4 B16 workload — and the adaptive plan under scarce
+//! bandwidth, where it matters. The last table holds the adaptive plan
 //! against every cutoff (`ssdtrain_bench::cutoff_sweeps`) on
 //! `sym_deep_tiered`, Figure 10's nine cells and `bench_tiering`'s three
 //! backends.
@@ -14,7 +15,14 @@ use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_simhw::SystemConfig;
 use ssdtrain_train::{SessionConfig, StepMetrics, TrainSession};
 
-fn run_on(system: SystemConfig, cache: TensorCacheConfig, sink: TraceSink) -> StepMetrics {
+/// One step after a profiling step (`profile`), or the first step of a
+/// session that never profiled: no plan, and reloads on the depth walk.
+fn run_on(
+    system: SystemConfig,
+    cache: TensorCacheConfig,
+    sink: TraceSink,
+    profile: bool,
+) -> StepMetrics {
     let cfg = SessionConfig::builder()
         .system(system)
         .model(ModelConfig::paper_scale(Arch::Bert, 8192, 4).with_tp(2))
@@ -26,26 +34,25 @@ fn run_on(system: SystemConfig, cache: TensorCacheConfig, sink: TraceSink) -> St
         .build()
         .expect("valid config");
     let mut s = TrainSession::new(cfg).expect("session");
-    let _ = s.profile_step().expect("profile step");
+    if profile {
+        let _ = s.profile_step().expect("profile step");
+    }
     s.run_step().expect("step")
-}
-
-fn run(cache: TensorCacheConfig, sink: TraceSink) -> StepMetrics {
-    run_on(SystemConfig::dac_testbed(), cache, sink)
 }
 
 fn main() {
     let trace_path = trace_path_from_args();
     let sink = sink_for(&trace_path);
     let base = TensorCacheConfig::default();
-    let variants: Vec<(&str, TensorCacheConfig)> = vec![
-        ("full system", base.clone()),
+    let variants: Vec<(&str, TensorCacheConfig, bool)> = vec![
+        ("full system", base.clone(), true),
         (
             "no dedup",
             TensorCacheConfig {
                 dedup: false,
                 ..base.clone()
             },
+            true,
         ),
         (
             "no forwarding",
@@ -54,6 +61,7 @@ fn main() {
                 cancel_forwarded_stores: false,
                 ..base.clone()
             },
+            true,
         ),
         (
             "no store cancel",
@@ -61,6 +69,7 @@ fn main() {
                 cancel_forwarded_stores: false,
                 ..base.clone()
             },
+            true,
         ),
         (
             "no prefetch (sync loads)",
@@ -68,28 +77,23 @@ fn main() {
                 prefetch_depth: 0,
                 ..base.clone()
             },
+            true,
         ),
         (
-            "no adaptive plan",
-            TensorCacheConfig {
-                adaptive: false,
-                ..base.clone()
-            },
-        ),
-        (
-            // The default depth is 2, the "full system" row; depth 1 is
-            // the paper's scheme (prefetch the next module only).
-            "prefetch depth 1 (paper)",
+            // A step no profiling step timed reloads on the depth walk;
+            // depth 1 is the paper's scheme, the next module only.
+            "depth 1, unprofiled (paper)",
             TensorCacheConfig {
                 prefetch_depth: 1,
                 ..base.clone()
             },
+            false,
         ),
     ];
 
     let mut rows = Vec::new();
-    for (name, cfg) in variants {
-        let m = run(cfg, sink.clone());
+    for (name, cfg, profile) in variants {
+        let m = run_on(SystemConfig::dac_testbed(), cfg, sink.clone(), profile);
         rows.push(vec![
             name.to_string(),
             format!("{:.3}", m.step_secs),
@@ -138,7 +142,7 @@ fn main() {
             },
         ),
     ] {
-        let m = run_on(slow.clone(), cfg, sink.clone());
+        let m = run_on(slow.clone(), cfg, sink.clone(), true);
         rows.push(vec![
             name.to_string(),
             format!("{:.3}", m.step_secs),
@@ -162,9 +166,12 @@ fn main() {
     );
     println!(
         "\nexpected: dedup avoids re-storing duplicate saves (dedup GB > 0); disabling\n\
-         prefetch exposes every reload on the critical path (stall > 0); under scarce\n\
-         bandwidth the adaptive plan keeps enough tail modules to stay off the critical\n\
-         path, where the non-adaptive keep-last-only policy stalls."
+         prefetch exposes every reload on the critical path (stall > 0); without\n\
+         forwarding, the stores still in flight when backward reaches them are waited\n\
+         for and read back (stall > 0, fwd 0); the unprofiled depth walk reloads ahead\n\
+         of use and holds more memory than the just-in-time schedule; under scarce\n\
+         bandwidth the adaptive plan keeps tail modules and writes fewer bytes than the\n\
+         keep-last-only policy."
     );
 
     // The cutoff oracle: each gated configuration run at every cutoff,

@@ -1,7 +1,9 @@
 //! Figure 7 — the memory footprint of one GPU in a BERT training step
-//! with and without offloading: the offloaded curve's peak is lower and
-//! delayed into backward propagation, and the level at the start of
-//! backward drops sharply.
+//! with and without offloading: the offloaded curve's peak is lower, and
+//! the level at the start of backward drops sharply. The paper's peak
+//! is delayed into backward propagation by its prefetches; reloads
+//! timed just in time from the profile keep backward below the level
+//! forward ends at, so here the peak stays in forward.
 
 use ssdtrain::PlacementStrategy;
 use ssdtrain_bench::{gib, measured_step, paper_session, print_table};
@@ -45,14 +47,20 @@ fn main() {
 
     let at_bwd_reduction = 1.0 - mo.act_at_bwd_start as f64 / mk.act_at_bwd_start.max(1) as f64;
     let peak_reduction = 1.0 - mo.act_peak_bytes as f64 / mk.act_peak_bytes.max(1) as f64;
+    let peak_at = mo
+        .timeline
+        .iter()
+        .max_by(|a, b| a.activations.cmp(&b.activations))
+        .map(|p| p.time.as_secs())
+        .unwrap_or(0.0);
+    let when = if peak_at > mo.fwd_secs {
+        "delayed into backward"
+    } else {
+        "in forward: no reload lifts backward above it"
+    };
     println!(
-        "\nforward ends at {:.3}s; offload peak occurs at t={:.3}s (delayed into backward)",
+        "\nforward ends at {:.3}s; offload peak occurs at t={peak_at:.3}s ({when})",
         mo.fwd_secs,
-        mo.timeline
-            .iter()
-            .max_by(|a, b| a.activations.cmp(&b.activations))
-            .map(|p| p.time.as_secs())
-            .unwrap_or(0.0)
     );
     println!(
         "reduction at start of backward: {:.0}% (paper Fig. 7: 45%)",

@@ -342,6 +342,14 @@ impl TensorCache {
                 rec.state = RecState::Resident;
             }
         }
+        for pass in &mut st.passes {
+            pass.start = None;
+            pass.scheduled = false;
+            pass.fallback = false;
+            pass.plan.clear();
+            pass.next = 0;
+            pass.hook = 0;
+        }
         st.stats = OffloadStats::default();
         st.link_stalls.clear();
         self.tiers.reset_counters();
@@ -353,9 +361,17 @@ impl TensorCache {
     /// Enables profiling for the next step: every eligible tensor is
     /// offloaded regardless of plan, and per-module transfer sizes,
     /// compute times and forwarded bytes are collected (Section 3.3.3).
+    /// Its backward's timing replaces the last profile's: later steps
+    /// reload just in time from it (see
+    /// [`TensorCacheConfig::prefetch_depth`]).
     pub fn begin_profile_step(&self) {
         self.begin_step();
-        self.state.lock().profiling = true;
+        let mut st = self.state.lock();
+        st.profiling = true;
+        for pass in &mut st.passes {
+            pass.profile.hooks.clear();
+            pass.profile.first_use.clear();
+        }
     }
 
     /// Ends a profiling step: builds the [`StepProfile`], derives the

@@ -23,12 +23,29 @@ impl SavedTensorHooks for TensorCache {
         reason = "unpack of an unregistered id is an engine-integration bug, not a recoverable runtime failure"
     )]
     fn unpack(&self, packed: &Packed) -> Tensor {
+        // Every unpack is a hook of the per-tensor prefetcher, a kept
+        // tensor's too: a profiled step keeps modules the profiling step
+        // offloaded, and their unpacks still mark the time.
+        let per_tensor = self.config.prefetch_group_modules == 0;
         match packed {
             // Algorithm 2, line 20.
-            Packed::Tensor(t) => t.clone(),
-            Packed::Opaque(id) => self
-                .consume(&mut self.state.lock(), *id)
-                .unwrap_or_else(|| panic!("unpack of unknown record {id}")),
+            Packed::Tensor(t) => {
+                if per_tensor {
+                    let mut guard = self.state.lock();
+                    let st = &mut *guard;
+                    self.backward_hook(st, st.current_mb, None);
+                }
+                t.clone()
+            }
+            Packed::Opaque(id) => {
+                let mut guard = self.state.lock();
+                let st = &mut *guard;
+                if per_tensor {
+                    self.backward_hook(st, st.current_mb, Some(*id));
+                }
+                self.consume(st, *id)
+                    .unwrap_or_else(|| panic!("unpack of unknown record {id}"))
+            }
         }
     }
 }
@@ -41,18 +58,18 @@ impl ModuleHooks for TensorCache {
         }
         st.current_mb = scope.micro_batch;
         st.stack.push(scope.seq);
+        let order = st.forward_order.entry(scope.micro_batch).or_default();
+        let pos = order.len();
+        order.push(scope.seq);
         st.scopes.insert(
             scope.seq,
             ScopeMeta {
                 path: scope.path.clone(),
+                pos,
                 enter: self.io.clock().now(),
                 ..ScopeMeta::default()
             },
         );
-        st.forward_order
-            .entry(scope.micro_batch)
-            .or_default()
-            .push(scope.seq);
     }
 
     fn forward_post(&self, scope: &ScopeInfo) {
@@ -92,6 +109,8 @@ impl ModuleHooks for TensorCache {
             self.look_ahead(st, mb, pos / g);
             return;
         }
+        self.start_pass(st, mb);
+        self.backward_hook(st, mb, None);
         self.prefetch_before(st, mb, pos, depth);
     }
 

@@ -99,10 +99,19 @@ impl TensorCache {
             return None;
         }
         let (bytes, class) = (rec.bytes, rec.class);
-        if matches!(how, Reload::Prefetch) {
+        if let Reload::Prefetch { slack } = how {
             let now = self.io.clock().now();
-            st.trace
-                .instant_bytes(TraceCategory::Prefetch, "prefetch.issue", now, bytes);
+            let trace = &st.trace;
+            match slack {
+                Some(slack) if trace.is_enabled() => {
+                    let args = vec![
+                        ("bytes", ArgValue::U64(bytes)),
+                        ("slack_ns", ArgValue::F64((slack * 1e9).round())),
+                    ];
+                    trace.instant_with(TraceCategory::Prefetch, "prefetch.issue", now, args);
+                }
+                _ => trace.instant_bytes(TraceCategory::Prefetch, "prefetch.issue", now, bytes),
+            }
         }
         let link = self.tiers.link(rec.tier);
         let read = if how.demand() {
@@ -124,7 +133,7 @@ impl TensorCache {
         let stats = &mut st.stats;
         match how {
             Reload::Sync => stats.sync_loads += 1,
-            Reload::Prefetch => stats.prefetches += 1,
+            Reload::Prefetch { .. } => stats.prefetches += 1,
             Reload::State | Reload::StatePrefetch => {}
         }
         stats.reloaded_bytes += bytes;

@@ -1,18 +1,28 @@
-//! Backward prefetching: the per-tensor depth prefetcher, the group
-//! look-ahead and the state reads ahead of it, bounded by the memory
-//! backward hands back.
+//! Backward prefetching: the per-tensor prefetcher (reloads planned
+//! just in time from the profiling backward's timing, the depth walk
+//! where there is no such timing), the group look-ahead and the state
+//! reads ahead of it, bounded by the memory backward hands back.
 
-use super::record::{Lookahead, RecState, RecordId, Reload, State, StateSlot};
+use super::record::{JitReload, Lookahead, Pass, RecState, RecordId, Reload, State, StateSlot};
 use super::TensorCache;
 use ssdtrain_simhw::SimTime;
 use ssdtrain_tensor::MemClass;
 use ssdtrain_trace::{ArgValue, TraceCategory};
 
+/// Offsets this close are one instant: each step recomputes a hook's
+/// offset from a clock of `f64` seconds.
+const SAME_INSTANT: f64 = 1e-9;
+
 impl TensorCache {
     /// Prefetches the records of up to `depth` record-holding modules at
     /// or before position `pos` in the forward order, nearest first
-    /// (none for `depth == 0`).
+    /// (none for `depth == 0`). In a step the just-in-time prefetcher
+    /// plans, the walk sees only the records missing from its plan.
     pub(super) fn prefetch_before(&self, st: &mut State, mb: usize, pos: usize, depth: usize) {
+        let planned = st.passes.get(mb).is_some_and(|p| p.scheduled);
+        if planned && !st.passes[mb].fallback {
+            return;
+        }
         let now = self.io.clock().now();
         let mut taken = 0;
         for p in (0..pos).rev() {
@@ -22,11 +32,155 @@ impl TensorCache {
             let Some(&seq) = st.forward_order.get(&mb).and_then(|o| o.get(p)) else {
                 continue;
             };
-            if st.scopes.get(&seq).is_none_or(|m| m.records.is_empty()) {
+            let Some(meta) = st.scopes.get(&seq) else {
+                continue;
+            };
+            let unplanned = |id: &RecordId| st.records.get(id).is_some_and(|r| !r.jit);
+            if meta.records.is_empty() || planned && !meta.records.iter().any(unplanned) {
                 continue;
             }
-            st.for_scope_records(seq, |st, id| self.prefetch_record(st, id, now));
+            st.for_scope_records(seq, |st, id| {
+                if !st.records.get(&id).is_some_and(|r| r.jit) {
+                    self.prefetch_record(st, id, now, None);
+                }
+            });
             taken += 1;
+        }
+    }
+
+    /// Starts micro-batch `mb`'s backward pass for the per-tensor
+    /// prefetcher, once: at the backward announcement, or at the pass's
+    /// first `backward_pre` if it was not announced. A step after a
+    /// profiling step plans its reloads here ([`TensorCache::plan_reloads`])
+    /// and issues the ones already due.
+    pub(super) fn start_pass(&self, st: &mut State, mb: usize) {
+        if st.passes.len() <= mb {
+            st.passes.resize_with(mb + 1, Pass::default);
+        }
+        if st.passes[mb].start.is_some() {
+            return;
+        }
+        let now = self.io.clock().now();
+        let pass = &mut st.passes[mb];
+        pass.start = Some((now, st.stats.stall_secs));
+        if st.profiling || self.config.prefetch_depth == 0 || pass.profile.hooks.is_empty() {
+            return;
+        }
+        self.plan_reloads(st, mb, now);
+        self.issue_due(st, mb, 0.0, now);
+    }
+
+    /// Plans micro-batch `mb`'s reloads from the last profiling
+    /// backward's consumption: each record of the step that the profile
+    /// saw is reloaded just in time for its first use.
+    ///
+    /// The walk runs from the last first use back. Reads serialise on
+    /// the read bus, so each gets the latest start at which it lands by
+    /// its first use and before the read after it starts; those starts
+    /// ascend in first-use order, the earliest-deadline order. A second
+    /// walk, forward from the read queue as it stands now, gives each
+    /// read its planned landing — never before its store lands — and so
+    /// its slack. A record the profile did not see is left to the depth
+    /// walk.
+    fn plan_reloads(&self, st: &mut State, mb: usize, now: SimTime) {
+        let State {
+            passes,
+            forward_order,
+            scopes,
+            records,
+            ..
+        } = st;
+        let pass = &mut passes[mb];
+        pass.scheduled = true;
+        let order = forward_order.get(&mb).map_or(&[][..], Vec::as_slice);
+        for (pos, seq) in order.iter().enumerate() {
+            let Some(meta) = scopes.get(seq) else {
+                continue;
+            };
+            for (i, id) in meta.records.iter().enumerate() {
+                // A deduplicated record is planned where it was saved.
+                let Some(rec) = records.get_mut(id).filter(|r| r.at == Some((pos, i))) else {
+                    continue;
+                };
+                let avail = match rec.state {
+                    RecState::Staged => now,
+                    RecState::Storing { job } => self.io.store_end(job),
+                    RecState::Offloaded => rec.avail,
+                    _ => continue,
+                };
+                let Some(&first) = pass.profile.first_use.get(&(pos, i)) else {
+                    pass.fallback = true;
+                    continue;
+                };
+                rec.jit = true;
+                pass.plan.push(JitReload {
+                    id: *id,
+                    first,
+                    dur: self.io.read_secs(self.tiers.link(rec.tier), rec.bytes),
+                    avail: avail.since(now),
+                    start: 0.0,
+                    slack: 0.0,
+                });
+            }
+        }
+        let Pass { profile, plan, .. } = pass;
+        plan.sort_unstable_by_key(|r| r.first);
+        let mut next_start = f64::INFINITY;
+        for r in plan.iter_mut().rev() {
+            r.start = profile.hooks[r.first].min(next_start) - r.dur;
+            next_start = r.start;
+        }
+        let mut bus = self.io.reads_drain_at().since(now).max(0.0);
+        for r in plan.iter_mut() {
+            bus = r.start.max(bus) + r.dur;
+            r.slack = profile.hooks[r.first] - bus.max(r.avail);
+        }
+    }
+
+    /// A backward hook of micro-batch `mb` — `backward_pre`, or an
+    /// unpack (of record `unpacked`, if offloaded) — for the per-tensor
+    /// prefetcher. A profiling step records the hook's offset (and a
+    /// record's first unpack); a planned step issues every reload whose
+    /// latest start comes before the next recorded hook, so a reload
+    /// whose start has passed goes out at once. Nothing happens before
+    /// the pass started.
+    pub(super) fn backward_hook(&self, st: &mut State, mb: usize, unpacked: Option<RecordId>) {
+        let pass = st.passes.get(mb).filter(|p| st.profiling || p.scheduled);
+        let Some((t0, stall0)) = pass.and_then(|p| p.start) else {
+            return;
+        };
+        let now = self.io.clock().now();
+        let offset = now.since(t0) - (st.stats.stall_secs - stall0);
+        if st.profiling {
+            let at = unpacked.and_then(|id| st.records.get(&id)?.at);
+            let profile = &mut st.passes[mb].profile;
+            if let Some(at) = at {
+                profile.first_use.entry(at).or_insert(profile.hooks.len());
+            }
+            profile.hooks.push(offset);
+            return;
+        }
+        self.issue_due(st, mb, offset, now);
+    }
+
+    /// Issues micro-batch `mb`'s planned reloads whose latest start
+    /// comes before the first recorded hook after `offset`.
+    fn issue_due(&self, st: &mut State, mb: usize, offset: f64, now: SimTime) {
+        let pass = &mut st.passes[mb];
+        let hooks = &pass.profile.hooks;
+        while hooks
+            .get(pass.hook)
+            .is_some_and(|&h| h <= offset + SAME_INSTANT)
+        {
+            pass.hook += 1;
+        }
+        let until = hooks.get(pass.hook).copied().unwrap_or(f64::INFINITY);
+        while let Some(r) = st.passes[mb].plan.get(st.passes[mb].next).copied() {
+            if r.start >= until {
+                break;
+            }
+            st.passes[mb].next += 1;
+            self.prefetch_record(st, r.id, now, Some(r.slack));
         }
     }
 
@@ -194,7 +348,7 @@ impl TensorCache {
                     );
                 }
                 for &id in &ids {
-                    self.prefetch_record(st, id, now);
+                    self.prefetch_record(st, id, now, None);
                 }
                 ahead += 1;
             }
@@ -225,6 +379,7 @@ impl TensorCache {
             }
             return;
         }
+        self.start_pass(&mut st, mb);
         self.prefetch_before(&mut st, mb, len, depth);
     }
 
@@ -276,20 +431,34 @@ impl TensorCache {
     }
 
     /// Prefetches one record: forwards bytes still in memory, commits a
-    /// finished store, then issues the reload of whatever left memory.
-    pub(super) fn prefetch_record(&self, st: &mut State, id: RecordId, now: SimTime) {
+    /// finished store, then issues the reload of whatever left memory
+    /// (`slack`: see [`Reload::Prefetch`]). With
+    /// [`TensorCacheConfig::forwarding`](crate::TensorCacheConfig::forwarding)
+    /// off, a store still in flight is left for `unpack`, which waits
+    /// for it and reloads; a staged record, which never queued a job, is
+    /// handed back either way.
+    pub(super) fn prefetch_record(
+        &self,
+        st: &mut State,
+        id: RecordId,
+        now: SimTime,
+        slack: Option<f64>,
+    ) {
         match st.records.get(&id).map(|r| r.state) {
             // Prefetch reached a record whose bytes are still in
             // memory: data forwarding at prefetch time (Section
             // 3.3.2) — the store's completion must never free it.
             Some(RecState::Staged) => self.withdraw(st, id, now, true),
             Some(RecState::Storing { job }) if now < self.io.store_end(job) => {
+                if !self.config.forwarding {
+                    return;
+                }
                 self.withdraw(st, id, now, true);
             }
             Some(RecState::Storing { job }) => self.commit_segment(st, job),
             _ => {}
         }
-        self.reload(st, id, Reload::Prefetch);
+        self.reload(st, id, Reload::Prefetch { slack });
     }
 }
 

@@ -114,6 +114,14 @@ pub(super) struct Record {
     /// keeps the next state on the GPU instead
     /// ([`TensorCache::release_state_late`](super::TensorCache::release_state_late)).
     pub(super) late: bool,
+    /// Where the record was saved: the forward position of its scope and
+    /// its index in that scope's `ScopeMeta::records`. The same pair
+    /// names the same tensor from step to step, so a profile keyed by it
+    /// applies to later steps. `None` for state slots.
+    pub(super) at: Option<(usize, usize)>,
+    /// The just-in-time prefetcher planned this record's reload this
+    /// step, so the depth walk leaves it alone.
+    pub(super) jit: bool,
 }
 
 impl Record {
@@ -152,8 +160,10 @@ pub struct StateSlot(pub(super) RecordId);
 pub(super) enum Reload {
     /// `unpack` found the bytes offloaded: the caller stalls on them.
     Sync,
-    /// Issued ahead of use by the backward prefetcher.
-    Prefetch,
+    /// Issued ahead of use by the backward prefetcher; `slack` is the
+    /// planned first use less the planned landing, when the reload was
+    /// planned just in time.
+    Prefetch { slack: Option<f64> },
     /// [`TensorCache::load_state`](super::TensorCache::load_state): the
     /// caller stalls on the ready time.
     State,
@@ -175,6 +185,8 @@ impl Reload {
 #[derive(Default)]
 pub(super) struct ScopeMeta {
     pub(super) path: String,
+    /// The scope's position in its micro-batch's forward order.
+    pub(super) pos: usize,
     pub(super) records: Vec<RecordId>,
     pub(super) enter: SimTime,
     pub(super) fwd_secs: f64,
@@ -212,6 +224,60 @@ pub(super) struct Lookahead {
     pub(super) next: usize,
     /// The group backward is consuming (the lowest one it has entered).
     pub(super) cur: usize,
+}
+
+/// What a profiling backward saw of one micro-batch, in compute seconds
+/// after the backward announcement (the stalls since it subtracted, so a
+/// profile taken on a slow link still times the compute).
+#[derive(Default)]
+pub(super) struct Consumption {
+    /// The offset of every backward hook — each unpack of a record and
+    /// each `backward_pre` — in the order they ran.
+    pub(super) hooks: Vec<f64>,
+    /// Each record's first consuming unpack, as an index into `hooks`,
+    /// keyed by where the record was saved ([`Record::at`]).
+    pub(super) first_use: HashMap<(usize, usize), usize>,
+}
+
+/// One reload the just-in-time prefetcher planned.
+#[derive(Clone, Copy)]
+pub(super) struct JitReload {
+    pub(super) id: RecordId,
+    /// The hook of its first use (an index into `Consumption::hooks`).
+    pub(super) first: usize,
+    /// Seconds the read takes on the read bus.
+    pub(super) dur: f64,
+    /// Offset at which the record's store lands: the read never lands
+    /// before it.
+    pub(super) avail: f64,
+    /// The latest offset the read may start at and still land by its
+    /// first use and before the next planned read starts.
+    pub(super) start: f64,
+    /// The first use less the planned landing, seconds.
+    pub(super) slack: f64,
+}
+
+/// One micro-batch's backward pass as the per-tensor prefetcher sees it.
+#[derive(Default)]
+pub(super) struct Pass {
+    /// Clock and stall seconds when the pass was announced (or, if it
+    /// was not, entered); `None` before that. A hook's offset is its
+    /// time since, less the stalls since.
+    pub(super) start: Option<(SimTime, f64)>,
+    /// The last profiling backward's consumption; it outlives the step
+    /// and is replaced by the next profiling step.
+    pub(super) profile: Consumption,
+    /// Whether this step's reloads follow `plan` (a profiled step).
+    pub(super) scheduled: bool,
+    /// A record missing from the profile: the depth walk reloads it.
+    pub(super) fallback: bool,
+    /// This step's planned reloads in first-use order, whose latest
+    /// starts ascend; the buffer is kept from step to step.
+    pub(super) plan: Vec<JitReload>,
+    /// The first planned reload not issued yet.
+    pub(super) next: usize,
+    /// The first recorded hook not yet reached.
+    pub(super) hook: usize,
 }
 
 /// Everything the cache mutates, behind its one lock: the bookkeeping
@@ -287,6 +353,9 @@ pub(super) struct State {
     /// a group of no bytes); released when consumption moves past the
     /// group.
     pub(super) group_slabs: HashMap<(usize, usize), Option<PinnedSlab>>,
+    /// The per-tensor prefetcher's backward passes, indexed by
+    /// micro-batch.
+    pub(super) passes: Vec<Pass>,
     /// The write coalescer between `pack` and the per-tier store queues
     /// (unused when `TensorCacheConfig::coalesce_segment_bytes` is 0:
     /// every staged record then seals at once, a segment of one).
@@ -329,6 +398,7 @@ impl State {
             lookahead: HashMap::new(),
             read_ahead_bytes: 0,
             group_slabs: HashMap::new(),
+            passes: Vec::new(),
             coalescer: WriteCoalescer::new(coalesce_segment_bytes),
             stats: OffloadStats::default(),
             plan: AdaptivePlan::default(),

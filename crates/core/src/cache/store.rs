@@ -268,9 +268,11 @@ impl TensorCache {
         let id = st.next_id;
         st.next_id += 1;
         let mut scopes = ScopeSet::default();
+        let mut at = None;
         if let Some(seq) = cur_scope {
             scopes.insert(seq);
             if let Some(meta) = st.scopes.get_mut(&seq) {
+                at = Some((meta.pos, meta.records.len()));
                 meta.records.push(id);
                 meta.offload_bytes += bytes;
             }
@@ -293,6 +295,8 @@ impl TensorCache {
                 avail: SimTime::ZERO,
                 read_ahead: false,
                 late: false,
+                at,
+                jit: false,
             },
         );
         st.stats.offloaded_bytes += bytes;

@@ -126,10 +126,14 @@ pub struct TensorCacheConfig {
     /// paper notes any scheme works "as long as there are always I/O
     /// tasks in the GPU job queue to keep PCIe busy". `0` turns
     /// prefetching off: every reload is exposed on the critical path —
-    /// the behaviour of the non-async systems in Table 2. Depth 1
-    /// is the paper's scheme (prefetch the next module); raise it when a
-    /// module's reload takes longer than a module's backward (small
-    /// hidden sizes on fast GPUs). In group mode
+    /// the behaviour of the non-async systems in Table 2. Otherwise a
+    /// step that follows a profiling step ignores the depth: it reloads
+    /// each activation just in time for its first use, as the profiling
+    /// backward timed it, and walks `prefetch_depth` modules ahead only
+    /// for records the profile did not see. The depth walk itself runs
+    /// on unprofiled steps and on the profiling step; depth 1 is the
+    /// paper's scheme (prefetch the next module), and a deeper walk
+    /// holds more memory for less risk of a stall. In group mode
     /// ([`TensorCacheConfig::prefetch_group_modules`]) it counts groups
     /// and is the look-ahead's *floor*: that many record-holding groups
     /// are kept in flight whatever the memory level; further groups go

@@ -493,10 +493,28 @@ impl IoEngine {
         self.submit_read(link, bytes, true)
     }
 
+    /// Seconds a read of `bytes` from the tier link `link` submitted now
+    /// would take on the read bus: `bytes × slowdown ÷ min(link, bus)`.
+    /// An out-of-range link is clamped to the last one.
+    pub(crate) fn read_secs(&self, link: usize, bytes: u64) -> f64 {
+        self.read_price(&self.state.lock(), link, bytes)
+    }
+
+    fn read_price(&self, st: &EngineState, link: usize, bytes: u64) -> f64 {
+        let l = &self.links[link.min(self.links.len() - 1)];
+        bytes as f64 * st.slowdown / l.read_bps.min(self.bus_read_bps)
+    }
+
+    /// When the last read queued on the read bus finishes
+    /// ([`SimTime::ZERO`] when none is queued).
+    pub(crate) fn reads_drain_at(&self) -> SimTime {
+        let st = self.state.lock();
+        st.read_end_before(st.read_order.len())
+    }
+
     fn submit_read(&self, link: usize, bytes: u64, demand: bool) -> ReadId {
         let link = link.min(self.links.len() - 1);
         let l = &self.links[link];
-        let bps = l.read_bps.min(self.bus_read_bps);
         let now = self.clock.now();
         let mut guard = self.state.lock();
         let st = &mut *guard;
@@ -512,7 +530,7 @@ impl IoEngine {
             pos -= 1;
         }
         let start = now.max(st.read_end_before(pos));
-        let dur_secs = bytes as f64 * st.slowdown / bps;
+        let dur_secs = self.read_price(st, link, bytes);
         let end = start.plus_secs(dur_secs);
         let xfer = st
             .trace

@@ -17,8 +17,9 @@
 //! * nothing is ever returned to the device: `reserved` only grows.
 //!
 //! Each pool keeps its cached blocks as a size → count multiset, so best
-//! fit is the first size at or above the request and a request or a free
-//! costs O(log n) in the distinct cached sizes.
+//! fit is the first size at or above the request with a block cached,
+//! and a request or a free costs O(log n) in the distinct cached sizes
+//! (plus, in the small pool, the emptied sizes it steps over).
 
 use std::collections::BTreeMap;
 
@@ -79,11 +80,15 @@ fn put(pool: &mut Blocks, size: u64) {
     *pool.entry(size).or_insert(0) += 1;
 }
 
-/// Takes the smallest cached block that holds `size` (best fit).
+/// Takes the smallest cached block that holds `size` (best fit). In the
+/// small pool a size whose last block is taken keeps its entry at zero:
+/// its sizes are few (512 B steps below 1 MiB), and a pool that empties
+/// and refills then does not rebuild its map. Large-pool splits leave
+/// sizes of every kind, so there an emptied size goes.
 fn take(pool: &mut Blocks, size: u64) -> Option<u64> {
-    let (&block, count) = pool.range_mut(size..).next()?;
+    let (&block, count) = pool.range_mut(size..).find(|(_, n)| **n > 0)?;
     *count -= 1;
-    if *count == 0 {
+    if *count == 0 && block >= SMALL_LIMIT {
         pool.remove(&block);
     }
     Some(block)
@@ -110,8 +115,10 @@ impl CachingAllocator {
         self.stats
     }
 
-    /// Serves an allocation request; returns the rounded block size the
-    /// caller must pass back to [`CachingAllocator::free`].
+    /// Serves an allocation request; returns the size of the block the
+    /// caller got, which it must pass back to [`CachingAllocator::free`]:
+    /// the rounded request, or a larger cached small-pool block handed
+    /// out whole.
     pub fn alloc(&mut self, bytes: u64) -> u64 {
         let size = rounded_size(bytes);
         if size == 0 {
@@ -122,27 +129,31 @@ impl CachingAllocator {
         } else {
             &mut self.large_free
         };
-        match take(pool, size) {
+        let got = match take(pool, size) {
             Some(block) => {
                 self.stats.reuses += 1;
                 // Large blocks split; the remainder stays cached. Small
-                // blocks are handed out whole (slack is internal).
-                if size >= SMALL_LIMIT && block > size {
+                // blocks are handed out whole (slack is internal), and
+                // the whole block comes back at the free.
+                let got = if size >= SMALL_LIMIT && block > size {
                     put(pool, block - size);
                     self.stats.splits += 1;
-                    self.stats.allocated += size;
+                    size
                 } else {
-                    self.stats.allocated += block.max(size);
-                }
+                    block
+                };
+                self.stats.allocated += got;
+                got
             }
             None => {
                 self.stats.fresh_allocations += 1;
                 self.stats.reserved += size;
                 self.stats.allocated += size;
+                size
             }
-        }
+        };
         self.stats.allocated_peak = self.stats.allocated_peak.max(self.stats.allocated);
-        size
+        got
     }
 
     /// Returns a block (by the size [`CachingAllocator::alloc`] reported)
@@ -159,28 +170,57 @@ impl CachingAllocator {
         }
     }
 
-    /// Replays a `(bytes, is_free)` stream where a free retires a live
-    /// allocation of the same request size, if there is one, and is
-    /// ignored otherwise; returns the final statistics. Every allocation
-    /// of one request size holds a block of the same rounded size, so
-    /// which of them a free retires changes nothing: live allocations are
-    /// kept as a count per request size.
+    /// Replays a `(bytes, is_free)` stream where a free retires the
+    /// latest live allocation of the same request size, if there is one,
+    /// and is ignored otherwise; returns the final statistics.
+    ///
+    /// Almost every allocation holds the block its request rounds to, so
+    /// live allocations are kept as a count per request size. A small
+    /// request served a larger cached block is the exception: it is
+    /// noted aside with its place in its size's stack, and a free that
+    /// retires it returns that block.
     pub fn replay(events: impl IntoIterator<Item = (u64, bool)>) -> AllocatorStats {
+        CachingAllocator::replay_with(events, &mut Vec::new())
+    }
+
+    /// [`CachingAllocator::replay`] noting the larger blocks in `larger`,
+    /// which it leaves empty: a caller that replays every step keeps the
+    /// buffer, so a warm replay allocates no more than the pools do.
+    pub(crate) fn replay_with(
+        events: impl IntoIterator<Item = (u64, bool)>,
+        larger: &mut Vec<(u64, u32, u64)>,
+    ) -> AllocatorStats {
+        larger.clear();
         let mut alloc = CachingAllocator::new();
         // Request size → live allocations of it. A count that falls to
         // zero keeps its entry: the next request of that size reuses it.
+        // `larger` holds (request size, place in its count, block) of each
+        // live allocation holding a larger block than its request rounds
+        // to; it stays short, so it is searched.
         let mut live: BTreeMap<u64, u32> = BTreeMap::new();
         for (bytes, is_free) in events {
             if is_free {
-                if let Some(n) = live.get_mut(&bytes).filter(|n| **n > 0) {
-                    *n -= 1;
-                    alloc.free(rounded_size(bytes));
-                }
+                let Some(n) = live.get_mut(&bytes).filter(|n| **n > 0) else {
+                    continue;
+                };
+                *n -= 1;
+                let at = *n;
+                let found = larger.iter().rposition(|&(b, i, _)| b == bytes && i == at);
+                let block = match found {
+                    Some(i) => larger.swap_remove(i).2,
+                    None => rounded_size(bytes),
+                };
+                alloc.free(block);
             } else {
-                alloc.alloc(bytes);
-                *live.entry(bytes).or_insert(0) += 1;
+                let block = alloc.alloc(bytes);
+                let n = live.entry(bytes).or_insert(0);
+                if block != rounded_size(bytes) {
+                    larger.push((bytes, *n, block));
+                }
+                *n += 1;
             }
         }
+        larger.clear();
         alloc.stats()
     }
 }

@@ -85,6 +85,9 @@ struct State {
     in_order_until: Option<SimTime>,
     time_override: Option<SimTime>,
     live_peak: i64,
+    /// The allocator replay's note of larger blocks, kept from step to
+    /// step ([`CachingAllocator::replay_with`]).
+    replay_larger: Vec<(u64, u32, u64)>,
 }
 
 /// Orders two logged events by time, then by log position: the order a
@@ -382,10 +385,13 @@ impl GpuMemory {
     pub fn step_memory(&self) -> StepMemory {
         let mut s = self.state.lock();
         let mut timeline = Vec::with_capacity(s.events.len());
-        let alloc = CachingAllocator::replay(footprint(s.in_time_order()).map(|(e, p)| {
+        let mut larger = std::mem::take(&mut s.replay_larger);
+        let events = footprint(s.in_time_order()).map(|(e, p)| {
             timeline.push(p);
             e.request()
-        }));
+        });
+        let alloc = CachingAllocator::replay_with(events, &mut larger);
+        s.replay_larger = larger;
         drop(s);
         let peak_total = timeline.iter().map(|p| p.total).max().unwrap_or(0);
         StepMemory {

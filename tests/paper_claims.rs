@@ -23,7 +23,7 @@ fn fig10_offloading_is_free_and_cuts_the_peak() {
     // H8192 L4, H12288 L3, H16384 L2). The paper reports 28–47 % on its testbed; these
     // are this simulator's, pinned so a planner or barrier change that
     // trades memory for time shows up here.
-    let peak_cut = [58, 44, 20, 58, 44, 20, 63, 48, 30];
+    let peak_cut = [76, 81, 73, 76, 81, 73, 75, 84, 78];
     let rows = fig10_rows(&TraceSink::disabled());
     assert_eq!(rows.len(), peak_cut.len());
     for (row, want) in rows.iter().zip(peak_cut) {
@@ -140,23 +140,11 @@ fn assert_no_two_rows_equal(rows: Vec<(&str, Vec<(String, String)>)>) {
 /// closes or widens a gap shows up here.
 #[test]
 fn the_adaptive_plan_meets_the_cutoff_oracle_or_misses_as_pinned() {
-    // (config, [plan, oracle] peak GiB, [plan, oracle] write GB).
-    let misses = [
-        ("bert H8192 L4", ["5.50", "5.50"], ["11.81", "8.99"]),
-        ("bert H12288 L3", ["8.25", "8.25"], ["13.49", "9.06"]),
-        ("bert H16384 L2", ["11.00", "9.75"], ["12.08", "8.59"]),
-        ("gpt H8192 L4", ["5.50", "5.50"], ["11.81", "8.99"]),
-        ("gpt H12288 L3", ["8.25", "8.25"], ["13.49", "9.06"]),
-        ("gpt H16384 L2", ["11.00", "9.75"], ["12.08", "8.59"]),
-        ("t5 H12288 L3", ["8.81", "8.25"], ["15.90", "11.07"]),
-        ("t5 H16384 L2", ["11.75", "10.50"], ["15.30", "8.86"]),
-        ("bench_tiering dram", ["5.50", "5.50"], ["11.81", "8.99"]),
-        (
-            "bench_tiering tiered-4g",
-            ["8.00", "7.54"],
-            ["6.04", "6.31"],
-        ),
-    ];
+    // (config, [plan, oracle] peak GiB, [plan, oracle] write GB). On the
+    // link-bound array, reloads issued just in time let forward's stores
+    // land where an earlier prefetch used to forward and cancel them, so
+    // the plan writes more than the cutoff that offloads less.
+    let misses = [("bench_tiering ssd", ["10.91", "10.91"], ["4.29", "3.09"])];
     let gib = |b: u64| format!("{:.2}", ssdtrain_bench::gib(b));
     let gb = |b: u64| format!("{:.2}", ssdtrain_bench::gb(b));
     let sweeps = cutoff_sweeps(12);
