@@ -368,10 +368,8 @@ impl TensorCache {
         self.begin_step();
         let mut st = self.state.lock();
         st.profiling = true;
-        for pass in &mut st.passes {
-            pass.profile.hooks.clear();
-            pass.profile.first_use.clear();
-        }
+        st.profile.hooks.clear();
+        st.profile.first_use.clear();
     }
 
     /// Ends a profiling step: builds the [`StepProfile`], derives the

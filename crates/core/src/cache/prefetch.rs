@@ -63,7 +63,7 @@ impl TensorCache {
         let now = self.io.clock().now();
         let pass = &mut st.passes[mb];
         pass.start = Some((now, st.stats.stall_secs));
-        if st.profiling || self.config.prefetch_depth == 0 || pass.profile.hooks.is_empty() {
+        if st.profiling || self.config.prefetch_depth == 0 || st.profile.hooks.is_empty() {
             return;
         }
         self.plan_reloads(st, mb, now);
@@ -85,6 +85,7 @@ impl TensorCache {
     fn plan_reloads(&self, st: &mut State, mb: usize, now: SimTime) {
         let State {
             passes,
+            profile,
             forward_order,
             scopes,
             records,
@@ -108,7 +109,7 @@ impl TensorCache {
                     RecState::Offloaded => rec.avail,
                     _ => continue,
                 };
-                let Some(&first) = pass.profile.first_use.get(&(pos, i)) else {
+                let Some(&first) = profile.first_use.get(&(pos, i)) else {
                     pass.fallback = true;
                     continue;
                 };
@@ -123,7 +124,7 @@ impl TensorCache {
                 });
             }
         }
-        let Pass { profile, plan, .. } = pass;
+        let plan = &mut pass.plan;
         plan.sort_unstable_by_key(|r| r.first);
         let mut next_start = f64::INFINITY;
         for r in plan.iter_mut().rev() {
@@ -152,8 +153,12 @@ impl TensorCache {
         let now = self.io.clock().now();
         let offset = now.since(t0) - (st.stats.stall_secs - stall0);
         if st.profiling {
+            // The profile is micro-batch 0's backward (see `Consumption`).
+            if mb != 0 {
+                return;
+            }
             let at = unpacked.and_then(|id| st.records.get(&id)?.at);
-            let profile = &mut st.passes[mb].profile;
+            let profile = &mut st.profile;
             if let Some(at) = at {
                 profile.first_use.entry(at).or_insert(profile.hooks.len());
             }
@@ -167,7 +172,7 @@ impl TensorCache {
     /// comes before the first recorded hook after `offset`.
     fn issue_due(&self, st: &mut State, mb: usize, offset: f64, now: SimTime) {
         let pass = &mut st.passes[mb];
-        let hooks = &pass.profile.hooks;
+        let hooks = &st.profile.hooks;
         while hooks
             .get(pass.hook)
             .is_some_and(|&h| h <= offset + SAME_INSTANT)

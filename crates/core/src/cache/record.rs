@@ -226,9 +226,12 @@ pub(super) struct Lookahead {
     pub(super) cur: usize,
 }
 
-/// What a profiling backward saw of one micro-batch, in compute seconds
-/// after the backward announcement (the stalls since it subtracted, so a
-/// profile taken on a slow link still times the compute).
+/// What the profiling backward saw of micro-batch 0 (the one
+/// `TrainSession::profile_step` runs), in compute seconds after the
+/// backward announcement (the stalls since it subtracted, so a profile
+/// taken on a slow link still times the compute). Every micro-batch of a
+/// later step plans from it: its keys are positions within one
+/// micro-batch's forward, which every micro-batch repeats.
 #[derive(Default)]
 pub(super) struct Consumption {
     /// The offset of every backward hook — each unpack of a record and
@@ -264,9 +267,6 @@ pub(super) struct Pass {
     /// was not, entered); `None` before that. A hook's offset is its
     /// time since, less the stalls since.
     pub(super) start: Option<(SimTime, f64)>,
-    /// The last profiling backward's consumption; it outlives the step
-    /// and is replaced by the next profiling step.
-    pub(super) profile: Consumption,
     /// Whether this step's reloads follow `plan` (a profiled step).
     pub(super) scheduled: bool,
     /// A record missing from the profile: the depth walk reloads it.
@@ -356,6 +356,10 @@ pub(super) struct State {
     /// The per-tensor prefetcher's backward passes, indexed by
     /// micro-batch.
     pub(super) passes: Vec<Pass>,
+    /// The last profiling backward's consumption, which every pass plans
+    /// from; it outlives the step and is replaced by the next profiling
+    /// step.
+    pub(super) profile: Consumption,
     /// The write coalescer between `pack` and the per-tier store queues
     /// (unused when `TensorCacheConfig::coalesce_segment_bytes` is 0:
     /// every staged record then seals at once, a segment of one).
@@ -399,6 +403,7 @@ impl State {
             read_ahead_bytes: 0,
             group_slabs: HashMap::new(),
             passes: Vec::new(),
+            profile: Consumption::default(),
             coalescer: WriteCoalescer::new(coalesce_segment_bytes),
             stats: OffloadStats::default(),
             plan: AdaptivePlan::default(),

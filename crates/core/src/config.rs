@@ -117,9 +117,9 @@ pub struct TensorCacheConfig {
     /// (Section 3.3.3, adaptive offloading feature 1).
     pub cancel_forwarded_stores: bool,
     /// Apply the adaptive keep-the-tail plan produced by profiling
-    /// (Section 3.3.3, feature 2). When `false`, everything eligible is
-    /// offloaded and only the last module is implicitly kept by the
-    /// prefetch-free fast path.
+    /// (Section 3.3.3, feature 2). When `false`, profiling applies the
+    /// keep-last-only plan ([`crate::AdaptivePlan::keep_last_only`]):
+    /// everything eligible is offloaded but the last module.
     pub adaptive: bool,
     /// How many upcoming modules to keep in the load queue during
     /// backward, prefetching their activations (Section 3.3.2). The
@@ -130,10 +130,12 @@ pub struct TensorCacheConfig {
     /// step that follows a profiling step ignores the depth: it reloads
     /// each activation just in time for its first use, as the profiling
     /// backward timed it, and walks `prefetch_depth` modules ahead only
-    /// for records the profile did not see. The depth walk itself runs
-    /// on unprofiled steps and on the profiling step; depth 1 is the
-    /// paper's scheme (prefetch the next module), and a deeper walk
-    /// holds more memory for less risk of a stall. In group mode
+    /// for records the profile did not see. The profile is micro-batch
+    /// 0's backward, and every micro-batch of a later step plans from
+    /// it. The depth walk itself runs on unprofiled steps and on the
+    /// profiling step; depth 1 is the paper's scheme (prefetch the next
+    /// module), and a deeper walk holds more memory for less risk of a
+    /// stall. In group mode
     /// ([`TensorCacheConfig::prefetch_group_modules`]) it counts groups
     /// and is the look-ahead's *floor*: that many record-holding groups
     /// are kept in flight whatever the memory level; further groups go

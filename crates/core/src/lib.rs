@@ -61,7 +61,8 @@ pub mod target;
 pub mod tier;
 
 /// The observability layer (re-exported `ssdtrain-trace` crate): the
-/// trace sink and its two exporters.
+/// trace sink, its two exporters and the step table `explain` reads
+/// back from a trace.
 pub use ssdtrain_trace as trace;
 
 // The crate root re-exports exactly the prelude — one list to maintain.

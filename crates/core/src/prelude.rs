@@ -32,8 +32,8 @@ pub use crate::target::{BatchItem, CpuTarget, OffloadTarget, SsdTarget};
 pub use crate::tier::{Tier, TierCounters, TierId, TierPlacement, TierRole, TierSpec, TierStack};
 
 pub use ssdtrain_trace::{
-    chrome_trace_json, text_summary, ArgValue, EventKind, MemoryTraceBridge, TraceCategory,
-    TraceEvent, TraceSink,
+    chrome_trace_json, explain, text_summary, ArgValue, EventKind, MemoryTraceBridge, StepBytes,
+    StepTable, TraceCategory, TraceEvent, TraceSink,
 };
 
 pub use ssdtrain_simhw::{

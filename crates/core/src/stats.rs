@@ -2,6 +2,7 @@
 
 use crate::placement::OffloadClass;
 use crate::tier::TierCounters;
+use ssdtrain_trace::StepBytes;
 
 /// Per-[`OffloadClass`] traffic split: how much of the step's offload
 /// I/O was activations vs gradients vs optimizer state. Every byte in
@@ -144,6 +145,18 @@ impl OffloadStats {
     /// The counters for `class`, if any class has moved bytes this step.
     pub fn class(&self, class: OffloadClass) -> Option<&ClassCounters> {
         self.classes.get(class.index())
+    }
+
+    /// The byte counters a step's trace accounts for, as
+    /// [`explain`](ssdtrain_trace::explain) reads them back (DESIGN §6).
+    pub fn step_bytes(&self) -> StepBytes {
+        StepBytes {
+            offloaded: self.offloaded_bytes,
+            reloaded: self.reloaded_bytes,
+            cancelled: self.cancelled_bytes,
+            fallback: self.fallback_bytes,
+            kept_resident: self.kept_resident_bytes,
+        }
     }
 
     /// Whether recovery machinery engaged this step (any failed store,

@@ -6,7 +6,7 @@
 //! trace test relies on. The workspace has no serialisation library, so
 //! this is the one place events become text.
 
-use crate::{ArgValue, EventKind, TraceCategory, TraceEvent};
+use crate::{explain, ArgValue, EventKind, StepBytes, StepTable, TraceCategory, TraceEvent};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -140,6 +140,35 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     out
 }
 
+/// A step's table as two summary lines: its time split (when the trace
+/// has the step's span) and where its bytes went (when any moved).
+fn table_into(out: &mut String, t: &StepTable) {
+    if t.step_secs > 0.0 {
+        let ms = |secs: f64| secs * 1e3;
+        let _ = writeln!(
+            out,
+            "  time  {:.3}ms = compute {:.3} + load stall {:.3} + store wait {:.3} \
+             + reload drain {:.3} + store drain {:.3} + opt {:.3} + opt exposed {:.3}",
+            ms(t.step_secs),
+            ms(t.compute_secs),
+            ms(t.load_stall_secs),
+            ms(t.store_wait_secs),
+            ms(t.reload_drain_secs),
+            ms(t.store_drain_secs),
+            ms(t.opt_secs),
+            ms(t.opt_exposed_secs),
+        );
+    }
+    let b = t.bytes;
+    if b != StepBytes::default() {
+        let _ = writeln!(
+            out,
+            "  bytes offloaded {} reloaded {} cancelled {} fallback {} kept resident {}",
+            b.offloaded, b.reloaded, b.cancelled, b.fallback, b.kept_resident
+        );
+    }
+}
+
 #[derive(Default)]
 struct CatAgg {
     count: u64,
@@ -147,14 +176,16 @@ struct CatAgg {
     busy_secs: f64,
 }
 
-/// Renders a human-readable per-step timeline summary: stage spans in
-/// chronological order followed by per-category aggregates.
+/// Renders a human-readable per-step timeline summary: each step's
+/// [`StepTable`] (see [`explain`]), its stage spans in chronological
+/// order, then per-category aggregates.
 pub fn text_summary(events: &[TraceEvent]) -> String {
     let mut out = String::new();
-    let steps: BTreeSet<u32> = events.iter().map(|e| e.step).collect();
-    for step in steps {
+    for table in explain(events) {
+        let step = table.step;
         let evs: Vec<&TraceEvent> = events.iter().filter(|e| e.step == step).collect();
         let _ = writeln!(out, "== step {step} ({} events) ==", evs.len());
+        table_into(&mut out, &table);
 
         let mut stages: Vec<&&TraceEvent> = evs
             .iter()

@@ -14,7 +14,12 @@
 //! * [`chrome_trace_json`] — a Chrome-trace (Perfetto JSON) exporter,
 //!   hand-serialized with deterministic float formatting so golden-file
 //!   tests can assert byte stability.
-//! * [`text_summary`] — a plain-text per-step timeline summary.
+//! * [`explain`] — the one reader of a trace: each step's
+//!   [`StepTable`], its simulated seconds split into compute, exposed
+//!   stalls, store drains and optimizer time, and its bytes into
+//!   DESIGN §6's accounting identities ([`StepBytes`]).
+//! * [`text_summary`] — a plain-text per-step timeline summary, each
+//!   step headed by its [`StepTable`].
 //!
 //! Event timestamps are simulated seconds converted to microseconds in
 //! the exporter; each training step becomes one Chrome-trace *process*
@@ -42,8 +47,10 @@
 )]
 
 mod chrome;
+mod explain;
 
 pub use chrome::{chrome_trace_json, text_summary};
+pub use explain::{explain, StepBytes, StepTable};
 
 use parking_lot::Mutex;
 use ssdtrain_simhw::{PeakObserver, SimTime};
@@ -222,8 +229,19 @@ impl TraceEvent {
 
     /// The unsigned-integer argument `key`, if present.
     pub fn arg_u64(&self, key: &str) -> Option<u64> {
-        let found = self.args.iter().find(|(k, _)| *k == key);
-        found.and_then(|(_, v)| v.as_u64())
+        self.arg(key).and_then(ArgValue::as_u64)
+    }
+
+    /// The floating-point argument `key`, if present.
+    pub fn arg_f64(&self, key: &str) -> Option<f64> {
+        match self.arg(key)? {
+            ArgValue::F64(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    fn arg(&self, key: &str) -> Option<&ArgValue> {
+        self.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// End time for spans (`ts` for instants and counters).

@@ -17,7 +17,7 @@
 //! ```
 
 use ssdtrain::{
-    chrome_trace_json, text_summary, OffloadClass, PlacementStrategy, RecoveryPolicy,
+    chrome_trace_json, explain, text_summary, OffloadClass, PlacementStrategy, RecoveryPolicy,
     TensorCacheConfig, TraceCategory, TraceSink,
 };
 use ssdtrain_models::ModelConfig;
@@ -96,27 +96,17 @@ fn traced_demo(path: &std::path::Path) -> std::io::Result<()> {
         .map(|_| {
             s.run_step()
                 .expect("keep-resident absorbs the injected fault")
-                .offload
         })
         .collect();
 
-    // The trace must account for every byte the cache reported moving.
+    // The trace must account for every byte the cache reported moving,
+    // and its parts must add up to each step.
     let events = sink.events();
-    for (i, stats) in per_step.iter().enumerate() {
-        let step = (i + 1) as u32;
-        let sum = |name: &str| -> u64 {
-            events
-                .iter()
-                .filter(|e| e.step == step && e.name == name)
-                .filter_map(|e| e.bytes())
-                .sum()
-        };
-        let stored = sum("store.enqueue")
-            - sum("store.cancel")
-            - sum("recovery.keep_resident")
-            - sum("recovery.fallback");
-        assert_eq!(stored, stats.offloaded_bytes, "step {step} store bytes");
-        assert_eq!(sum("load"), stats.reloaded_bytes, "step {step} load bytes");
+    for (table, m) in explain(&events).iter().zip(&per_step) {
+        let step = table.step;
+        assert_eq!(table.bytes, m.offload.step_bytes(), "step {step} bytes");
+        let parts = table.terms_secs();
+        assert!((parts - m.step_secs).abs() < 1e-9, "step {step} time");
     }
     let categories: std::collections::BTreeSet<&str> =
         events.iter().map(|e| e.cat.as_str()).collect();

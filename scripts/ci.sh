@@ -60,10 +60,12 @@ cargo test -q --test source_rules
 # The examples that assert, which no test runs: the functional pipeline
 # (single-GPU, pipelined and pipelined-plus-offloaded losses are
 # bit-identical), fault tolerance (bit-identical losses under faults),
-# the quickstart (trace-vs-counter accounting) and the tiered backends.
+# the quickstart (its traced demo checks each step's `explain` table
+# against the counters and prints it) and the tiered backends.
 cargo run --release -q --example pipeline_training
 cargo run --release -q --example fault_tolerance
-cargo run --release -q --example quickstart
+mkdir -p target # absent when CARGO_TARGET_DIR points elsewhere
+cargo run --release -q --example quickstart -- --trace target/quickstart_trace.json
 cargo run --release -q --example tiered_backends
 # The benchmark crate is its own workspace, so the tests above never
 # compile it: a quick pass catches a source-incompatible change to the

@@ -220,10 +220,9 @@ fn a_fallback_tier_adds_no_link_time_of_its_own() {
             .events()
             .iter()
             .filter(|e| e.name.starts_with("tier.io."))
-            .flat_map(|e| e.args.iter().filter(|(k, _)| *k == "write_busy_secs"))
-            .map(|(_, v)| match v {
-                ArgValue::F64(secs) => *secs,
-                other => panic!("{name}: write_busy_secs is {other:?}"),
+            .map(|e| {
+                let secs = e.arg_f64("write_busy_secs");
+                secs.unwrap_or_else(|| panic!("{name}: no write_busy_secs in {e:?}"))
             })
             .sum();
         assert_eq!(traced, write, "{name}: the trace's tier.io instants");

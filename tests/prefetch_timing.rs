@@ -15,7 +15,6 @@ use ssdtrain_bench::paper_testbed;
 use ssdtrain_models::{Arch, Batch, Model, ModelConfig, Recompute};
 use ssdtrain_simhw::{GpuMemory, SimClock};
 use ssdtrain_tensor::Device;
-use ssdtrain_trace::ArgValue;
 use ssdtrain_train::{OffloadBackend, PlacementStrategy, SessionConfig, StepMetrics, TrainSession};
 use std::sync::Arc;
 
@@ -23,9 +22,20 @@ use std::sync::Arc;
 /// memory, prefetching `depth` modules ahead on the depth walk and
 /// planning adaptively or not.
 fn tiny_session(depth: usize, adaptive: bool, sink: TraceSink) -> TrainSession {
+    micro_batched(1, depth, adaptive, sink)
+}
+
+/// [`tiny_session`] at batch 2 per micro-batch, in `micro_batches`.
+fn micro_batched(
+    micro_batches: usize,
+    depth: usize,
+    adaptive: bool,
+    sink: TraceSink,
+) -> TrainSession {
     let cfg = SessionConfig::builder()
         .model(ModelConfig::tiny_gpt())
-        .batch_size(2)
+        .batch_size(2 * micro_batches)
+        .micro_batches(micro_batches)
         .cache(TensorCacheConfig {
             prefetch_depth: depth,
             adaptive,
@@ -50,34 +60,41 @@ fn profiled_step(session: &mut TrainSession) -> StepMetrics {
 /// peak of the same step reloading nothing ahead (depth 0), where
 /// backward holds no more than forward left it. The depth walk reloads
 /// two modules ahead and peaks above it. Every reload the schedule
-/// issued says how early it lands.
+/// issued says how early it lands. The profile is micro-batch 0's, and
+/// a step in two micro-batches plans both from it.
 #[test]
 fn a_profiled_step_peaks_at_the_depth_zero_floor_without_a_stall() {
-    let floor = profiled_step(&mut tiny_session(0, true, TraceSink::disabled()));
-    let sink = TraceSink::enabled();
-    let mut session = tiny_session(2, true, sink.clone());
-    let m = profiled_step(&mut session);
-    assert_eq!(m.offload.stall_secs, 0.0, "a reload landed late");
-    assert!(
-        m.offload.prefetches > 0,
-        "nothing was reloaded ahead of use"
-    );
-    assert_eq!(m.offload.sync_loads, 0);
-    assert_eq!(
-        m.act_peak_bytes, floor.act_peak_bytes,
-        "backward held a reload above the level it holds reloading nothing ahead"
-    );
-    let issues: Vec<_> = sink
-        .events()
-        .into_iter()
-        .filter(|e| e.step == 2 && e.name == "prefetch.issue")
-        .collect();
-    assert_eq!(issues.len() as u64, m.offload.prefetches);
-    for e in &issues {
-        let slack = e.args.iter().find(|(k, _)| *k == "slack_ns");
-        match slack {
-            Some((_, ArgValue::F64(ns))) => assert!(*ns >= 0.0, "planned to land late: {ns} ns"),
-            other => panic!("a scheduled reload carries no slack: {other:?}"),
+    for micro_batches in [1, 2] {
+        let floor = profiled_step(&mut micro_batched(
+            micro_batches,
+            0,
+            true,
+            TraceSink::disabled(),
+        ));
+        let sink = TraceSink::enabled();
+        let mut session = micro_batched(micro_batches, 2, true, sink.clone());
+        let m = profiled_step(&mut session);
+        let shape = format!("{micro_batches} micro-batch(es)");
+        assert_eq!(m.offload.stall_secs, 0.0, "{shape}: a reload landed late");
+        assert!(
+            m.offload.prefetches > 0,
+            "{shape}: nothing was reloaded ahead of use"
+        );
+        assert_eq!(m.offload.sync_loads, 0, "{shape}");
+        assert_eq!(
+            m.act_peak_bytes, floor.act_peak_bytes,
+            "{shape}: backward held a reload above the level it holds reloading nothing ahead"
+        );
+        let events = sink.events();
+        let issues: Vec<_> = events
+            .iter()
+            .filter(|e| e.step == 2 && e.name == "prefetch.issue")
+            .collect();
+        assert_eq!(issues.len() as u64, m.offload.prefetches, "{shape}");
+        for e in issues {
+            let ns = e.arg_f64("slack_ns");
+            let ns = ns.unwrap_or_else(|| panic!("{shape}: a reload was not planned: {e:?}"));
+            assert!(ns >= 0.0, "{shape}: planned to land late: {ns} ns");
         }
     }
 }

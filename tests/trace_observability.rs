@@ -6,16 +6,18 @@
 //!    determinism at once; regenerate it after intentional changes with
 //!    `UPDATE_GOLDEN=1 cargo test --test trace_observability`.
 //!
-//! 2. **Accounting.** Trace-derived byte totals must equal the cache's
-//!    own [`OffloadStats`] counters exactly — including under injected
-//!    faults, where failed stores are re-routed (fallback) or kept
-//!    resident and must leave the primary account through the same
-//!    identities the trace records.
+//! 2. **Accounting.** [`explain`] splits each step of a trace into
+//!    terms that sum to the step, and each term equals the counter it
+//!    mirrors: the time terms [`StepMetrics`], the byte terms the
+//!    cache's own [`OffloadStats`] — including under injected faults,
+//!    where failed stores are re-routed (fallback) or kept resident and
+//!    must leave the primary account through the same identities the
+//!    trace records.
 
 use ssdtrain::{
-    chrome_trace_json, ArgValue, CpuTarget, EventKind, IoEngine, OffloadClass, OffloadStats,
-    RecoveryPolicy, StageHint, StateSlot, TensorCache, TensorCacheConfig, Tier, TierLink,
-    TierStack, TraceCategory, TraceEvent, TraceSink,
+    chrome_trace_json, explain, ArgValue, CpuTarget, IoEngine, OffloadClass, OffloadStats,
+    RecoveryPolicy, StageHint, StateSlot, StepBytes, StepTable, TensorCache, TensorCacheConfig,
+    Tier, TierLink, TierStack, TraceCategory, TraceEvent, TraceSink,
 };
 use ssdtrain_autograd::{ModuleHooks, Packed, Phase, SavedTensorHooks, ScopeInfo};
 use ssdtrain_models::{Arch, ModelConfig};
@@ -23,7 +25,7 @@ use ssdtrain_simhw::{
     FaultKind, FaultPlan, FaultTrigger, GpuMemory, SimClock, SimTime, SystemConfig,
 };
 use ssdtrain_tensor::{Device, Tensor};
-use ssdtrain_train::{OffloadBackend, SessionConfig, TrainSession};
+use ssdtrain_train::{OffloadBackend, PlacementStrategy, SessionConfig, StepMetrics, TrainSession};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -54,53 +56,42 @@ fn traced_session(
     TrainSession::new(builder.build().expect("valid config")).expect("session")
 }
 
-/// Runs `STEPS` steps and returns the per-step offload stats snapshot.
-fn run(session: &mut TrainSession) -> Vec<OffloadStats> {
+/// Runs `STEPS` steps and returns their metrics.
+fn run(session: &mut TrainSession) -> Vec<StepMetrics> {
     (0..STEPS)
-        .map(|_| session.run_step().expect("step").offload)
+        .map(|_| session.run_step().expect("step"))
         .collect()
 }
 
-/// Sums the byte payloads of all events named `name` within `step`.
-fn sum_bytes(events: &[TraceEvent], step: u32, name: &str) -> u64 {
-    events
-        .iter()
-        .filter(|e| e.step == step && e.name == name)
-        .filter_map(|e| e.bytes())
-        .sum()
-}
-
-/// Asserts the per-step trace/stat identities the exporter documents:
-/// every byte the cache reports moving is visible in the event stream.
-fn assert_accounting(events: &[TraceEvent], per_step: &[OffloadStats]) {
-    for (i, stats) in per_step.iter().enumerate() {
-        let step = (i + 1) as u32;
-        let stored = sum_bytes(events, step, "store.enqueue")
-            - sum_bytes(events, step, "store.cancel")
-            - sum_bytes(events, step, "recovery.keep_resident")
-            - sum_bytes(events, step, "recovery.fallback");
-        assert_eq!(stored, stats.offloaded_bytes, "step {step}: store bytes");
-        assert_eq!(
-            sum_bytes(events, step, "load"),
-            stats.reloaded_bytes,
-            "step {step}: load bytes"
+/// Asserts that [`explain`] splits each of the trace's last
+/// `per_step.len()` steps into terms that sum to the step within 1e-9
+/// and equal its counters: the time terms the step's metrics and the
+/// cache's stall counters, the bytes field by field its
+/// [`OffloadStats`]. Returns those steps' tables.
+fn assert_explained(events: &[TraceEvent], per_step: &[StepMetrics]) -> Vec<StepTable> {
+    let tables = explain(events);
+    let measured = tables[tables.len() - per_step.len()..].to_vec();
+    for (t, m) in measured.iter().zip(per_step) {
+        let step = t.step;
+        assert_eq!(t.bytes, m.offload.step_bytes(), "step {step}: bytes");
+        let close = |what: &str, table: f64, counter: f64| {
+            assert!(
+                (table - counter).abs() < 1e-9,
+                "step {step}: {what} {table} vs {counter}"
+            );
+        };
+        close("terms vs step", t.terms_secs(), t.step_secs);
+        close("step_secs", t.step_secs, m.step_secs);
+        close("stall_secs", t.stall_secs(), m.offload.stall_secs);
+        close(
+            "store_stall_secs",
+            t.store_drain_secs,
+            m.offload.store_stall_secs,
         );
-        assert_eq!(
-            sum_bytes(events, step, "recovery.fallback"),
-            stats.fallback_bytes,
-            "step {step}: fallback bytes"
-        );
-        assert_eq!(
-            sum_bytes(events, step, "recovery.keep_resident"),
-            stats.kept_resident_bytes,
-            "step {step}: kept-resident bytes"
-        );
-        assert_eq!(
-            sum_bytes(events, step, "store.cancel"),
-            stats.cancelled_bytes,
-            "step {step}: cancelled bytes"
-        );
+        close("opt_secs", t.opt_secs, m.opt_secs);
+        close("opt_exposed_secs", t.opt_exposed_secs, m.opt_exposed_secs);
     }
+    measured
 }
 
 #[test]
@@ -114,8 +105,10 @@ fn golden_chrome_trace_is_byte_stable() {
         RecoveryPolicy::KeepResident,
         None,
     );
-    let _ = run(&mut s);
-    let json = chrome_trace_json(&sink.events());
+    let per_step = run(&mut s);
+    let events = sink.events();
+    assert_explained(&events, &per_step);
+    let json = chrome_trace_json(&events);
 
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quickstart_trace.json");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -160,8 +153,8 @@ fn trace_byte_totals_match_offload_stats() {
         None,
     );
     let per_step = run(&mut s);
-    assert!(per_step.iter().all(|m| m.offloaded_bytes > 0));
-    assert_accounting(&sink.events(), &per_step);
+    assert!(per_step.iter().all(|m| m.offload.offloaded_bytes > 0));
+    assert_explained(&sink.events(), &per_step);
 }
 
 #[test]
@@ -181,11 +174,11 @@ fn trace_accounting_survives_injected_write_faults() {
     );
     let per_step = run(&mut s);
     assert!(
-        per_step.iter().any(|m| m.kept_resident_bytes > 0),
+        per_step.iter().any(|m| m.offload.kept_resident_bytes > 0),
         "the fault plan must actually fire"
     );
     let events = sink.events();
-    assert_accounting(&events, &per_step);
+    assert_explained(&events, &per_step);
     let cats: BTreeSet<&str> = events.iter().map(|e| e.cat.as_str()).collect();
     assert!(cats.contains(TraceCategory::Fault.as_str()));
     assert!(cats.contains(TraceCategory::Recovery.as_str()));
@@ -209,10 +202,10 @@ fn trace_accounting_survives_fallback_rerouting() {
     );
     let per_step = run(&mut s);
     assert!(
-        per_step.iter().any(|m| m.fallback_bytes > 0),
+        per_step.iter().any(|m| m.offload.fallback_bytes > 0),
         "the fault plan must actually fire"
     );
-    assert_accounting(&sink.events(), &per_step);
+    assert_explained(&sink.events(), &per_step);
 }
 
 #[test]
@@ -246,33 +239,24 @@ fn gradient_lane_closes_its_own_identity_with_stores_inside_backward() {
         let mut s = TrainSession::new(builder.build().expect("valid config")).expect("session");
         let per_step = run(&mut s);
         let events = sink.events();
-        assert_accounting(&events, &per_step);
+        assert_explained(&events, &per_step);
         let gradient = OffloadClass::Gradient.label();
         let tagged = |e: &&TraceEvent| {
             let class = e.args.iter().find(|(k, _)| *k == "class");
             matches!(class, Some((_, ArgValue::Str(c))) if c == gradient)
         };
-        for (i, stats) in per_step.iter().enumerate() {
+        for (i, m) in per_step.iter().enumerate() {
             let step = (i + 1) as u32;
             let in_step = || events.iter().filter(move |e| e.step == step);
-            let lane = |name: &str| -> u64 {
-                let named = in_step().filter(|e| e.name == name);
-                named.filter(tagged).filter_map(|e| e.bytes()).sum()
-            };
-            let counters = stats.class(OffloadClass::Gradient).expect("gradient lane");
+            let lane = StepBytes::of(in_step().filter(tagged));
+            let counters = m.offload.class(OffloadClass::Gradient);
+            let counters = counters.expect("gradient lane");
             assert_eq!(
-                lane("store.enqueue")
-                    - lane("store.cancel")
-                    - lane("recovery.keep_resident")
-                    - lane("recovery.fallback"),
-                counters.offloaded_bytes,
+                lane.offloaded, counters.offloaded_bytes,
                 "faulted={faulted} step {step}: gradient store bytes"
             );
             if faulted {
-                assert!(
-                    lane("recovery.keep_resident") > 0,
-                    "step {step}: no gradient fault"
-                );
+                assert!(lane.kept_resident > 0, "step {step}: no gradient fault");
             }
             // Interleaved: gradient stores and (on the healthy device,
             // where activations did leave) activation reloads both fall
@@ -358,9 +342,8 @@ fn momentum_read_ahead_lands_before_its_update_and_leaves_no_tail() {
     for (i, stats) in stats.iter().enumerate() {
         let step = (i + 1) as u32;
         let in_step: Vec<&TraceEvent> = events.iter().filter(|e| e.step == step).collect();
-        let loads = in_step.iter().filter(|e| e.name == "load");
-        let load_bytes: u64 = loads.filter_map(|e| e.bytes()).sum();
-        assert_eq!(load_bytes, stats.reloaded_bytes, "step {step}: load bytes");
+        let bytes = StepBytes::of(in_step.iter().copied());
+        assert_eq!(bytes, stats.step_bytes(), "step {step}: bytes");
         // (size, landing) of each read ahead; (size, time) of each update.
         let (mut reads, mut updates) = (Vec::new(), Vec::new());
         let mut ahead = false;
@@ -431,16 +414,16 @@ fn trace_accounting_holds_on_the_coalesced_path() {
     let sink = TraceSink::enabled();
     let mut s = coalesced_session(sink.clone(), RecoveryPolicy::KeepResident, None);
     let per_step = run(&mut s);
-    assert!(per_step.iter().all(|m| m.offloaded_bytes > 0));
+    assert!(per_step.iter().all(|m| m.offload.offloaded_bytes > 0));
     assert!(
-        per_step.iter().any(|m| m.coalesce_segments > 0),
+        per_step.iter().any(|m| m.offload.coalesce_segments > 0),
         "the coalescer must actually seal segments"
     );
     assert!(
-        per_step.iter().any(|m| m.prefetch_groups > 0),
+        per_step.iter().any(|m| m.offload.prefetch_groups > 0),
         "group prefetch must actually run"
     );
-    assert_accounting(&sink.events(), &per_step);
+    assert_explained(&sink.events(), &per_step);
     let cats: BTreeSet<&str> = sink.events().iter().map(|e| e.cat.as_str()).collect();
     assert!(cats.contains(TraceCategory::Coalesce.as_str()));
     assert!(cats.contains(TraceCategory::Arena.as_str()));
@@ -462,101 +445,187 @@ fn trace_accounting_survives_faults_on_the_coalesced_path() {
         assert!(
             per_step
                 .iter()
-                .any(|m| m.kept_resident_bytes > 0 || m.fallback_bytes > 0),
+                .map(|m| &m.offload)
+                .any(OffloadStats::degraded),
             "{recovery:?}: the fault plan must actually fire"
         );
-        assert_accounting(&sink.events(), &per_step);
+        assert_explained(&sink.events(), &per_step);
     }
 }
 
 #[test]
 fn tier_drain_spans_match_the_stall_counters() {
-    // Per step, the `tier.drain.<link>` spans decompose the stall the
-    // stats report: their summed durations equal the summed per-tier
-    // stall counters, and `store_stall_secs` — the simulated clock's
-    // advance at the barriers — is bounded by that sum (links drain
-    // concurrently inside one barrier) with exact equality on a
-    // single-link backend. The `tier.io.<name>` instants mirror the same
-    // counters byte for byte.
+    // Per step, the store drain `explain` reads from the
+    // `tier.drain.<link>` spans is the stall the stats report
+    // (`store_stall_secs`, the clock's advance at the barriers). Here
+    // only backward's exit waits, and the links it waits for drain
+    // side by side, so that is the longest link's stall counter; on the
+    // DRAM-then-SSD stack both links are still writing there. The
+    // `tier.io.<name>` instants mirror the same counters byte for byte.
     //
     // The testbed's array hides the tiny model's traffic entirely, and
     // on a slow one backward forwards the queue's tail and cancels its
     // stores. So slow the write path *and* keep forwarded stores
     // running: what backward leaves of the queue drains at its exit.
     let mut sys = SystemConfig::dac_testbed();
+    sys.pcie_bps = 1e6;
     sys.ssd_array.member.write_bps = 1e6;
-    let sink = TraceSink::enabled();
-    let cfg = SessionConfig::builder()
-        .model(ModelConfig::tiny_gpt())
-        .batch_size(2)
-        .cache(TensorCacheConfig {
-            cancel_forwarded_stores: false,
-            ..TensorCacheConfig::offload_everything()
-        })
-        .system(sys)
-        .seed(7)
-        .backend(OffloadBackend::Ssd)
-        .trace(sink.clone())
+    // Each backend with the number of write links it stores on.
+    let backends = [
+        (OffloadBackend::Ssd, 1),
+        (
+            OffloadBackend::Tiered {
+                dram_bytes: 16 << 10,
+            },
+            2,
+        ),
+    ];
+    for (backend, links) in backends {
+        let sink = TraceSink::enabled();
+        let cfg = SessionConfig::builder()
+            .model(ModelConfig::tiny_gpt())
+            .batch_size(2)
+            .cache(TensorCacheConfig {
+                cancel_forwarded_stores: false,
+                ..TensorCacheConfig::offload_everything()
+            })
+            .system(sys.clone())
+            .seed(7)
+            .backend(backend)
+            .trace(sink.clone())
+            .build()
+            .expect("valid config");
+        let mut s = TrainSession::new(cfg).expect("session");
+        let per_step = run(&mut s);
+        let events = sink.events();
+        let tables = assert_explained(&events, &per_step);
+
+        let mut draining = 0;
+        for (table, m) in tables.iter().zip(&per_step) {
+            let (step, stats) = (table.step, &m.offload);
+            let longest = stats.tiers.iter().map(|t| t.stall_secs).fold(0.0, f64::max);
+            assert!(
+                (table.store_drain_secs - longest).abs() < 1e-9,
+                "{backend:?} step {step}: store drain {} vs longest stall counter {longest}",
+                table.store_drain_secs
+            );
+            draining = draining.max(stats.tiers.iter().filter(|t| t.stall_secs > 0.0).count());
+
+            for counters in &stats.tiers {
+                let name = format!("tier.io.{}", counters.name);
+                if counters.bytes_written == 0 && counters.bytes_read == 0 {
+                    continue;
+                }
+                let ev = events
+                    .iter()
+                    .find(|e| e.step == step && e.name == name)
+                    .unwrap_or_else(|| panic!("step {step}: missing {name} instant"));
+                let arg_f64 = |key: &str| {
+                    ev.arg_f64(key)
+                        .unwrap_or_else(|| panic!("{name}: no {key}"))
+                };
+                assert_eq!(ev.arg_u64("bytes_written"), Some(counters.bytes_written));
+                assert_eq!(ev.arg_u64("bytes_read"), Some(counters.bytes_read));
+                assert!((arg_f64("write_busy_secs") - counters.write_busy_secs).abs() < 1e-12);
+                assert!((arg_f64("read_busy_secs") - counters.read_busy_secs).abs() < 1e-12);
+                assert!((arg_f64("stall_secs") - counters.stall_secs).abs() < 1e-12);
+            }
+        }
+        assert_eq!(
+            draining, links,
+            "{backend:?}: every slowed write link must expose a drain"
+        );
+    }
+}
+
+/// Gradients and optimizer state offloaded on the stock testbed, the
+/// update run inline and inside backward: every term the optimizer
+/// and the store barriers add shows in the table and equals its
+/// counter, and what is left is the compute of the same step with
+/// everything kept and nothing offloaded.
+#[test]
+fn the_step_table_splits_out_the_optimizer_and_the_store_drain() {
+    let builder = |strategy| {
+        SessionConfig::builder()
+            .model(ModelConfig::tiny_gpt())
+            .batch_size(2)
+            .strategy(strategy)
+            .momentum(0.9)
+            .seed(7)
+    };
+    let keep = builder(PlacementStrategy::Keep)
         .build()
         .expect("valid config");
-    let mut s = TrainSession::new(cfg).expect("session");
-    let per_step = run(&mut s);
-    let events = sink.events();
-
-    let mut saw_a_drain = false;
-    for (i, stats) in per_step.iter().enumerate() {
-        let step = (i + 1) as u32;
-        let span_sum: f64 = events
-            .iter()
-            .filter(|e| {
-                e.step == step && e.cat == TraceCategory::Tier && e.name.starts_with("tier.drain.")
-            })
-            .map(|e| match e.kind {
-                EventKind::Span { dur_secs } => dur_secs,
-                _ => panic!("tier.drain must be a span"),
-            })
-            .sum();
-        let counter_sum: f64 = stats.tiers.iter().map(|t| t.stall_secs).sum();
-        assert!(
-            (span_sum - counter_sum).abs() < 1e-9,
-            "step {step}: drain spans {span_sum} vs stall counters {counter_sum}"
-        );
-        // Single-link backend: the clock stall IS the one link's drain.
-        assert!(
-            (stats.store_stall_secs - span_sum).abs() < 1e-9,
-            "step {step}: store_stall_secs {} vs spans {span_sum}",
-            stats.store_stall_secs
-        );
-        saw_a_drain |= span_sum > 0.0;
-
-        for counters in &stats.tiers {
-            let name = format!("tier.io.{}", counters.name);
-            if counters.bytes_written == 0 && counters.bytes_read == 0 {
-                continue;
-            }
-            let ev = events
-                .iter()
-                .find(|e| e.step == step && e.name == name)
-                .unwrap_or_else(|| panic!("step {step}: missing {name} instant"));
-            let arg_u64 = |key: &str| match ev.args.iter().find(|(k, _)| *k == key) {
-                Some((_, ArgValue::U64(v))) => *v,
-                other => panic!("{name} {key}: unexpected arg {other:?}"),
-            };
-            let arg_f64 = |key: &str| match ev.args.iter().find(|(k, _)| *k == key) {
-                Some((_, ArgValue::F64(v))) => *v,
-                other => panic!("{name} {key}: unexpected arg {other:?}"),
-            };
-            assert_eq!(arg_u64("bytes_written"), counters.bytes_written);
-            assert_eq!(arg_u64("bytes_read"), counters.bytes_read);
-            assert!((arg_f64("write_busy_secs") - counters.write_busy_secs).abs() < 1e-12);
-            assert!((arg_f64("read_busy_secs") - counters.read_busy_secs).abs() < 1e-12);
-            assert!((arg_f64("stall_secs") - counters.stall_secs).abs() < 1e-12);
+    let keep = TrainSession::new(keep).expect("session").run_step();
+    let compute = keep.expect("step").step_secs;
+    for overlap in [false, true] {
+        let sink = TraceSink::enabled();
+        let cfg = builder(PlacementStrategy::Offload)
+            .cache(TensorCacheConfig::offload_everything())
+            .offload(OffloadClass::Gradient, true)
+            .offload(OffloadClass::OptimizerState, true)
+            .overlap_optimizer(overlap)
+            .backend(OffloadBackend::Ssd)
+            .trace(sink.clone())
+            .build()
+            .expect("valid config");
+        let mut s = TrainSession::new(cfg).expect("session");
+        let per_step: Vec<StepMetrics> = (0..3).map(|_| s.run_step().expect("step")).collect();
+        let tables = assert_explained(&sink.events(), &per_step);
+        for t in &tables {
+            assert!(t.store_drain_secs > 0.0, "overlap={overlap}: {t:?}");
+            assert!(
+                (t.compute_secs - compute).abs() < 1e-9,
+                "overlap={overlap}: {t:?}"
+            );
         }
+        // Inline, every stage job waits for its state; in backward, the
+        // last parameter's momentum lands after backward from the
+        // second step on, when there is momentum to read back.
+        let opt = |t: &StepTable| {
+            if overlap {
+                t.opt_exposed_secs
+            } else {
+                t.opt_secs
+            }
+        };
+        assert!(
+            tables[1..].iter().all(|t| opt(t) > 0.0),
+            "overlap={overlap}: {tables:?}"
+        );
     }
-    assert!(
-        saw_a_drain,
-        "the slowed write link must expose at least one drain span"
-    );
+}
+
+/// The 12-layer twin of `sym_deep_tiered`: the first step after
+/// profiling exposes one term, the store drain of the momentum written
+/// back late, and every later step none; their compute is the step of
+/// the same model with everything kept and nothing offloaded.
+#[test]
+fn the_deep_tiered_twin_exposes_only_its_first_store_drain() {
+    let mut keep = ssdtrain_bench::deep_tiered_config(12);
+    keep.strategy = PlacementStrategy::Keep;
+    keep.offload = Default::default();
+    keep.overlap_optimizer = false;
+    let keep = TrainSession::new(keep).expect("session").run_step();
+    let compute = keep.expect("step").step_secs;
+
+    let sink = TraceSink::enabled();
+    let mut cfg = ssdtrain_bench::deep_tiered_config(12);
+    cfg.trace = sink.clone();
+    let mut s = TrainSession::new(cfg).expect("session");
+    s.profile_step().expect("profile step");
+    let per_step: Vec<StepMetrics> = (0..3).map(|_| s.run_step().expect("step")).collect();
+    let tables = assert_explained(&sink.events(), &per_step);
+    for (i, t) in tables.iter().enumerate() {
+        assert!(
+            (t.compute_secs - compute).abs() < 1e-9,
+            "{t:?} vs {compute}"
+        );
+        let exposed = t.step_secs - t.compute_secs;
+        let drain = if i == 0 { 0.008250496 } else { 0.0 };
+        assert!((t.store_drain_secs - drain).abs() < 1e-9, "{t:?}");
+        assert!((exposed - t.store_drain_secs).abs() < 1e-9, "{t:?}");
+    }
 }
 
 #[test]
@@ -672,7 +741,8 @@ fn a_rider_is_offloaded_but_no_tier_writes_it() {
     assert_eq!(cache.io().bytes_written(), stats.offloaded_bytes);
     let written: u64 = stats.tiers.iter().map(|t| t.bytes_written).sum();
     assert_eq!(stats.offloaded_bytes - written, MIB, "the gap is the rider");
-    assert_accounting(&sink.events(), &[stats]);
+    let table = &explain(&sink.events())[0];
+    assert_eq!(table.bytes, stats.step_bytes());
 }
 
 /// Bytes of one layer's momentum slot in [`replay_step`]: no other
