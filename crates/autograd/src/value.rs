@@ -61,31 +61,8 @@ impl Value {
         &self.source
     }
 
-    /// A copy of this value with gradient tracking severed.
-    pub fn detach(&self) -> Value {
-        Value {
-            tensor: self.tensor.clone(),
-            source: Source::Constant,
-        }
-    }
-
     /// Shape dims convenience.
     pub fn dims(&self) -> &[usize] {
         self.tensor.dims()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ssdtrain_tensor::Device;
-
-    #[test]
-    fn detach_severs_source() {
-        let dev = Device::cpu();
-        let v = Value::with_source(Tensor::zeros([2], &dev), Source::Node { node: 3, out: 0 });
-        let d = v.detach();
-        assert!(matches!(d.source(), Source::Constant));
-        assert!(d.tensor().storage().ptr_eq(v.tensor().storage()));
     }
 }

@@ -37,6 +37,7 @@ use crate::stats::OffloadStats;
 use crate::target::OffloadTarget;
 use crate::tier::{TierCounters, TierStack};
 use parking_lot::Mutex;
+use prefetch::Prefetcher;
 use record::{RecState, RecordId, State};
 use ssdtrain_autograd::Phase;
 use ssdtrain_simhw::{BufferArena, GpuMemory, PinnedSlab, SimTime};
@@ -138,6 +139,8 @@ pub struct TensorCache {
     /// Pinned host staging arena every offloaded byte passes through —
     /// store staging slabs and group-prefetch landing buffers alike.
     arena: BufferArena,
+    /// The prefetcher every backward pass runs, read once from `config`.
+    prefetcher: Prefetcher,
     /// The cache's one lock. Every public method and hook takes it once
     /// at entry and hands `&mut State` down; private methods never lock,
     /// so re-acquisition is a borrow error, not a deadlock. Layer order
@@ -173,12 +176,18 @@ impl TensorCache {
     ) -> Arc<TensorCache> {
         io.set_memory(mem.clone());
         let state = Mutex::new(State::new(config.coalesce_segment_bytes));
+        let prefetcher = match (config.prefetch_depth, config.prefetch_group_modules) {
+            (0, _) => Prefetcher::Off,
+            (depth, 0) => Prefetcher::PerModule { depth },
+            (floor, group) => Prefetcher::Groups { group, floor },
+        };
         Arc::new(TensorCache {
             config,
             tiers,
             io,
             mem,
             arena: BufferArena::new(),
+            prefetcher,
             state,
         })
     }
@@ -345,7 +354,6 @@ impl TensorCache {
         for pass in &mut st.passes {
             pass.start = None;
             pass.scheduled = false;
-            pass.fallback = false;
             pass.plan.clear();
             pass.next = 0;
             pass.hook = 0;

@@ -2,7 +2,7 @@
 //! (Algorithm 2) and the module hooks that track scopes, phases and
 //! backward's consumption point.
 
-use super::prefetch::position_near;
+use super::prefetch::Prefetcher;
 use super::record::ScopeMeta;
 use super::TensorCache;
 use crate::placement::OffloadClass;
@@ -26,7 +26,7 @@ impl SavedTensorHooks for TensorCache {
         // Every unpack is a hook of the per-tensor prefetcher, a kept
         // tensor's too: a profiled step keeps modules the profiling step
         // offloaded, and their unpacks still mark the time.
-        let per_tensor = self.config.prefetch_group_modules == 0;
+        let per_tensor = matches!(self.prefetcher, Prefetcher::PerModule { .. });
         match packed {
             // Algorithm 2, line 20.
             Packed::Tensor(t) => {
@@ -87,31 +87,24 @@ impl ModuleHooks for TensorCache {
     }
 
     fn backward_pre(&self, scope: &ScopeInfo) {
-        // Prefetch the activations of the modules processed next in
-        // backward order, i.e. the nearest earlier modules in forward
-        // order that hold records (Section 3.3.2). Depth > 1 keeps the
-        // read channel saturated across module boundaries.
+        // Backward stands at the scope's forward position. The depth walk
+        // prefetches the nearest earlier modules holding records (Section
+        // 3.3.2); depth > 1 keeps the read channel busy across modules.
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let mb = scope.micro_batch;
-        let g = self.config.prefetch_group_modules;
-        // Backward enters scopes in reverse forward order: the next one
-        // is in the group the walk has reached or just below it, and the
-        // first one is the last.
-        let reached = st.lookahead.get(&mb).map(|la| la.cur * g + g - 1);
-        let hint = reached.unwrap_or(usize::MAX);
-        let order = st.forward_order.get(&mb);
-        let Some(pos) = order.and_then(|o| position_near(o, hint, scope.seq)) else {
+        let Some(pos) = st.scopes.get(&scope.seq).map(|m| m.pos) else {
             return;
         };
-        let depth = self.config.prefetch_depth;
-        if depth > 0 && g > 0 {
-            self.look_ahead(st, mb, pos / g);
-            return;
+        match self.prefetcher {
+            Prefetcher::Off => {}
+            Prefetcher::PerModule { depth } => {
+                self.start_pass(st, mb);
+                self.backward_hook(st, mb, None);
+                self.prefetch_before(st, mb, pos, depth);
+            }
+            Prefetcher::Groups { group, floor } => self.look_ahead(st, mb, pos, group, floor),
         }
-        self.start_pass(st, mb);
-        self.backward_hook(st, mb, None);
-        self.prefetch_before(st, mb, pos, depth);
     }
 
     fn backward_post(&self, scope: &ScopeInfo) {

@@ -1,7 +1,8 @@
-//! Backward prefetching: the per-tensor prefetcher (reloads planned
-//! just in time from the profiling backward's timing, the depth walk
-//! where there is no such timing), the group look-ahead and the state
-//! reads ahead of it, bounded by the memory backward hands back.
+//! Backward prefetching, one [`Prefetcher`] per pass: the per-tensor one
+//! (a profiled pass reloads only what its plan holds, just in time, and a
+//! record the profile missed is a demand reload; any other pass walks a
+//! depth ahead), or the group look-ahead and the state reads ahead of it,
+//! bounded by the memory backward hands back.
 
 use super::record::{JitReload, Lookahead, Pass, RecState, RecordId, Reload, State, StateSlot};
 use super::TensorCache;
@@ -13,14 +14,25 @@ use ssdtrain_trace::{ArgValue, TraceCategory};
 /// offset from a clock of `f64` seconds.
 const SAME_INSTANT: f64 = 1e-9;
 
+/// The prefetcher every backward pass runs, read once from the config's
+/// `prefetch_depth` and `prefetch_group_modules`.
+#[derive(Clone, Copy)]
+pub(super) enum Prefetcher {
+    /// Depth 0: every reload is a demand read.
+    Off,
+    /// Per tensor: the plan of a profiled pass, else the depth walk.
+    PerModule { depth: usize },
+    /// The look-ahead over groups of `group` modules, `floor` in flight.
+    Groups { group: usize, floor: usize },
+}
+
 impl TensorCache {
     /// Prefetches the records of up to `depth` record-holding modules at
-    /// or before position `pos` in the forward order, nearest first
-    /// (none for `depth == 0`). In a step the just-in-time prefetcher
-    /// plans, the walk sees only the records missing from its plan.
+    /// or before position `pos` in the forward order, nearest first: the
+    /// depth walk of a pass no profile planned. A planned pass walks
+    /// nothing.
     pub(super) fn prefetch_before(&self, st: &mut State, mb: usize, pos: usize, depth: usize) {
-        let planned = st.passes.get(mb).is_some_and(|p| p.scheduled);
-        if planned && !st.passes[mb].fallback {
+        if st.passes.get(mb).is_some_and(|p| p.scheduled) {
             return;
         }
         let now = self.io.clock().now();
@@ -32,18 +44,10 @@ impl TensorCache {
             let Some(&seq) = st.forward_order.get(&mb).and_then(|o| o.get(p)) else {
                 continue;
             };
-            let Some(meta) = st.scopes.get(&seq) else {
-                continue;
-            };
-            let unplanned = |id: &RecordId| st.records.get(id).is_some_and(|r| !r.jit);
-            if meta.records.is_empty() || planned && !meta.records.iter().any(unplanned) {
+            if st.scopes.get(&seq).is_none_or(|m| m.records.is_empty()) {
                 continue;
             }
-            st.for_scope_records(seq, |st, id| {
-                if !st.records.get(&id).is_some_and(|r| r.jit) {
-                    self.prefetch_record(st, id, now, None);
-                }
-            });
+            st.for_scope_records(seq, |st, id| self.prefetch_record(st, id, now, None));
             taken += 1;
         }
     }
@@ -63,7 +67,7 @@ impl TensorCache {
         let now = self.io.clock().now();
         let pass = &mut st.passes[mb];
         pass.start = Some((now, st.stats.stall_secs));
-        if st.profiling || self.config.prefetch_depth == 0 || st.profile.hooks.is_empty() {
+        if st.profiling || st.profile.hooks.is_empty() {
             return;
         }
         self.plan_reloads(st, mb, now);
@@ -80,8 +84,9 @@ impl TensorCache {
     /// ascend in first-use order, the earliest-deadline order. A second
     /// walk, forward from the read queue as it stands now, gives each
     /// read its planned landing — never before its store lands — and so
-    /// its slack. A record the profile did not see is left to the depth
-    /// walk.
+    /// its slack. The plan is the pass's only prefetcher: a record the
+    /// profile did not see is not prefetched, and its unpack reloads it
+    /// on demand.
     fn plan_reloads(&self, st: &mut State, mb: usize, now: SimTime) {
         let State {
             passes,
@@ -110,10 +115,8 @@ impl TensorCache {
                     _ => continue,
                 };
                 let Some(&first) = profile.first_use.get(&(pos, i)) else {
-                    pass.fallback = true;
                     continue;
                 };
-                rec.jit = true;
                 pass.plan.push(JitReload {
                     id: *id,
                     first,
@@ -190,8 +193,8 @@ impl TensorCache {
     }
 
     /// Collects prefetch group `gidx` of micro-batch `mb` — the modules
-    /// at forward-order positions `[gidx·G, (gidx+1)·G)` for `G =
-    /// prefetch_group_modules` — into `ids`, in the order backward reads
+    /// at forward-order positions `[gidx·g, (gidx+1)·g)` for groups of
+    /// `g` modules — into `ids`, in the order backward reads
     /// them: last module first, and inside a module the last-packed
     /// record first (prefetches queue FIFO on the read bus, so issue
     /// order is arrival order). Returns the group's bytes and how many of
@@ -203,11 +206,11 @@ impl TensorCache {
         st: &State,
         mb: usize,
         gidx: usize,
+        g: usize,
         now: SimTime,
         ids: &mut Vec<RecordId>,
     ) -> (u64, u64) {
         ids.clear();
-        let g = self.config.prefetch_group_modules.max(1);
         let order = st.forward_order.get(&mb).map_or(&[][..], Vec::as_slice);
         let start = gidx.saturating_mul(g).min(order.len());
         let end = start.saturating_add(g).min(order.len());
@@ -285,12 +288,13 @@ impl TensorCache {
     }
 
     /// The group prefetcher: one consumption-ordered look-ahead per
-    /// backward pass. `cur` is the group backward is consuming (the last
-    /// one when the pass is only announced).
+    /// backward pass over groups of `g` modules. `pos` is the forward
+    /// position backward is consuming (the last one when the pass is only
+    /// announced), and its group the one the walk starts from.
     ///
-    /// The walk visits the record-holding groups downward from `cur` and
+    /// The walk visits the record-holding groups downward from there and
     /// issues them in the order backward will read them. The first
-    /// `prefetch_depth` in flight are the floor: issued whatever the
+    /// `floor` in flight are the floor: issued whatever the
     /// memory level, so backward always makes progress. Beyond the floor
     /// the next group is issued only while the bytes it would reload fit
     /// under the level this pass began at (`Lookahead::bound`, read once,
@@ -300,8 +304,9 @@ impl TensorCache {
     /// above where backward started: it spends what backward has handed
     /// back, and starts as soon as the pass is announced instead of when
     /// consumption comes within two positions of a group.
-    pub(super) fn look_ahead(&self, st: &mut State, mb: usize, cur: usize) {
+    pub(super) fn look_ahead(&self, st: &mut State, mb: usize, pos: usize, g: usize, floor: usize) {
         let now = self.io.clock().now();
+        let cur = pos / g;
         let la = match st.lookahead.get(&mb) {
             Some(la) => *la,
             None => Lookahead {
@@ -318,16 +323,15 @@ impl TensorCache {
                 self.retire_slab(&st.trace, slab);
             }
         }
-        let depth = self.config.prefetch_depth;
         let mut ahead = st.group_slabs.keys().filter(|k| k.0 == mb).count();
         let mut next = la.next.min(cur + 1);
         let mut ids = std::mem::take(&mut st.group_scratch);
         while next > 0 {
             let gidx = next - 1;
-            let (bytes, reload) = self.group_records(st, mb, gidx, now, &mut ids);
+            let (bytes, reload) = self.group_records(st, mb, gidx, g, now, &mut ids);
             if !ids.is_empty() {
                 let headroom = self.headroom(st, la.bound, now);
-                if ahead >= depth && reload > headroom {
+                if ahead >= floor && reload > headroom {
                     break;
                 }
                 let slab = self.arena.acquire(bytes);
@@ -365,27 +369,30 @@ impl TensorCache {
 
     /// Scheduler hint (Algorithm 1 line 13): the step is about to switch
     /// to backward propagation — prefetch the tail modules' activations.
-    /// In group mode
+    /// The per-tensor prefetcher starts its pass here: a planned pass
+    /// issues the reloads already due, an unplanned one walks its depth
+    /// back from the last module. In group mode
     /// ([`TensorCacheConfig::prefetch_group_modules`](crate::TensorCacheConfig::prefetch_group_modules))
     /// this announces the backward pass to the group look-ahead: the
     /// level the pass begins at is read here, and the reloads of every
     /// group that fits under it start now. A profiling step's
     /// forward-time totals are taken here, before anything is forwarded.
     pub fn prefetch_last_module(&self) {
-        let mut st = self.state.lock();
-        self.end_forward(&mut st);
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        self.end_forward(st);
         let mb = st.current_mb;
         let len = st.forward_order.get(&mb).map_or(0, |o| o.len());
-        let g = self.config.prefetch_group_modules;
-        let depth = self.config.prefetch_depth;
-        if depth > 0 && g > 0 {
-            if len > 0 {
-                self.look_ahead(&mut st, mb, (len - 1) / g);
+        match self.prefetcher {
+            Prefetcher::PerModule { depth } => {
+                self.start_pass(st, mb);
+                self.prefetch_before(st, mb, len, depth);
             }
-            return;
+            Prefetcher::Groups { group, floor } if len > 0 => {
+                self.look_ahead(st, mb, len - 1, group, floor);
+            }
+            Prefetcher::Off | Prefetcher::Groups { .. } => {}
         }
-        self.start_pass(&mut st, mb);
-        self.prefetch_before(&mut st, mb, len, depth);
     }
 
     /// Reads an offloaded state slot ahead of its consumer — the
@@ -402,8 +409,8 @@ impl TensorCache {
     ///
     /// Returns where the read lands, or `None` — and nothing is issued —
     /// when it does not fit, when the look-ahead still has groups to
-    /// issue or is not running (`prefetch_group_modules == 0`, or
-    /// backward not announced), or when the slot is not offloaded.
+    /// issue or is not running (no groups, depth 0, or backward not
+    /// announced), or when the slot is not offloaded.
     pub fn read_ahead_state(&self, slot: StateSlot) -> Option<SimTime> {
         let now = self.io.clock().now();
         let mut guard = self.state.lock();
@@ -465,13 +472,4 @@ impl TensorCache {
         }
         self.reload(st, id, Reload::Prefetch { slack });
     }
-}
-
-/// The position of `seq` in `order`, searched backwards from `hint`,
-/// then forwards from it.
-pub(super) fn position_near(order: &[u64], hint: usize, seq: u64) -> Option<usize> {
-    let found = |s: &u64| *s == seq;
-    let split = hint.saturating_add(1).min(order.len());
-    let before = order[..split].iter().rposition(found);
-    before.or_else(|| Some(split + order[split..].iter().position(found)?))
 }

@@ -119,9 +119,6 @@ pub(super) struct Record {
     /// names the same tensor from step to step, so a profile keyed by it
     /// applies to later steps. `None` for state slots.
     pub(super) at: Option<(usize, usize)>,
-    /// The just-in-time prefetcher planned this record's reload this
-    /// step, so the depth walk leaves it alone.
-    pub(super) jit: bool,
 }
 
 impl Record {
@@ -267,10 +264,10 @@ pub(super) struct Pass {
     /// was not, entered); `None` before that. A hook's offset is its
     /// time since, less the stalls since.
     pub(super) start: Option<(SimTime, f64)>,
-    /// Whether this step's reloads follow `plan` (a profiled step).
+    /// Whether this step's reloads follow `plan` (a profiled step): then
+    /// the plan issues every prefetch, and a record it does not hold is
+    /// reloaded on demand at its unpack.
     pub(super) scheduled: bool,
-    /// A record missing from the profile: the depth walk reloads it.
-    pub(super) fallback: bool,
     /// This step's planned reloads in first-use order, whose latest
     /// starts ascend; the buffer is kept from step to step.
     pub(super) plan: Vec<JitReload>,

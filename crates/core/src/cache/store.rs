@@ -296,7 +296,6 @@ impl TensorCache {
                 read_ahead: false,
                 late: false,
                 at,
-                jit: false,
             },
         );
         st.stats.offloaded_bytes += bytes;

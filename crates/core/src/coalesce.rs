@@ -186,21 +186,9 @@ impl WriteCoalescer {
         out
     }
 
-    /// Bytes currently staged in the tier's open segment.
-    pub fn open_bytes(&self, tier: TierId) -> u64 {
-        self.open.get(&tier).map(|o| o.bytes).unwrap_or(0)
-    }
-
     /// Bytes staged across every open segment.
     pub fn total_open_bytes(&self) -> u64 {
         self.open.values().map(|o| o.bytes).sum()
-    }
-
-    /// Whether `record` is staged in the tier's open segment.
-    pub fn is_staged(&self, tier: TierId, record: u64) -> bool {
-        self.open
-            .get(&tier)
-            .is_some_and(|o| o.entries.iter().any(|e| e.record == record))
     }
 }
 
@@ -239,12 +227,12 @@ mod tests {
         let mut c = WriteCoalescer::new(100);
         assert!(c.stage(t, 1, 40, OffloadClass::Activation).is_none());
         assert!(c.stage(t, 2, 40, OffloadClass::Activation).is_none());
-        assert_eq!(c.open_bytes(t), 80);
+        assert_eq!(c.total_open_bytes(), 80);
         let seg = c.stage(t, 3, 40, OffloadClass::Activation).expect("seal");
         assert_eq!(seg.total_bytes(), 120);
         assert_eq!(seg.entries.len(), 3);
         assert_eq!(seg.entries[2].record, 3);
-        assert_eq!(c.open_bytes(t), 0);
+        assert_eq!(c.total_open_bytes(), 0);
         assert!(
             c.seal_all().is_empty(),
             "the sealed segment took every byte"
@@ -257,8 +245,7 @@ mod tests {
         let mut c = WriteCoalescer::new(1000);
         c.stage(a, 1, 100, OffloadClass::Activation);
         c.stage(b, 2, 200, OffloadClass::Gradient);
-        assert_eq!(c.open_bytes(a), 100);
-        assert_eq!(c.open_bytes(b), 200);
+        assert_eq!(c.total_open_bytes(), 300);
         let sealed = c.seal_all();
         assert_eq!(sealed.len(), 2);
         assert_eq!(sealed[0].tier, a, "seal_all is tier-ordered");
@@ -273,10 +260,9 @@ mod tests {
         let mut c = WriteCoalescer::new(1000);
         c.stage(t, 1, 100, OffloadClass::Activation);
         c.stage(t, 2, 50, OffloadClass::Activation);
-        assert!(c.is_staged(t, 2));
         let e = c.evict(t, 2).expect("staged");
         assert_eq!(e.bytes, 50);
-        assert!(!c.is_staged(t, 2));
+        assert_eq!(c.total_open_bytes(), 100);
         assert!(c.evict(t, 2).is_none(), "double eviction is inert");
         let seg = c.seal_tier(t).expect("one member left");
         assert_eq!(

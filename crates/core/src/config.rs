@@ -128,14 +128,14 @@ pub struct TensorCacheConfig {
     /// prefetching off: every reload is exposed on the critical path —
     /// the behaviour of the non-async systems in Table 2. Otherwise a
     /// step that follows a profiling step ignores the depth: it reloads
-    /// each activation just in time for its first use, as the profiling
-    /// backward timed it, and walks `prefetch_depth` modules ahead only
-    /// for records the profile did not see. The profile is micro-batch
-    /// 0's backward, and every micro-batch of a later step plans from
-    /// it. The depth walk itself runs on unprofiled steps and on the
-    /// profiling step; depth 1 is the paper's scheme (prefetch the next
-    /// module), and a deeper walk holds more memory for less risk of a
-    /// stall. In group mode
+    /// each activation its profile saw just in time for its first use,
+    /// as the profiling backward timed it, and prefetches nothing else;
+    /// a record the profile did not see is a demand reload at its
+    /// unpack. The profile is micro-batch 0's backward, and every
+    /// micro-batch of a later step plans from it. The depth walk runs on
+    /// unprofiled steps and on the profiling step; depth 1 is the
+    /// paper's scheme (prefetch the next module), and a deeper walk
+    /// holds more memory for less risk of a stall. In group mode
     /// ([`TensorCacheConfig::prefetch_group_modules`]) it counts groups
     /// and is the look-ahead's *floor*: that many record-holding groups
     /// are kept in flight whatever the memory level; further groups go

@@ -63,11 +63,6 @@ impl GpuSpec {
         let t_memory = bytes_moved as f64 / (self.hbm_gbps * 1e9);
         t_compute.max(t_memory) + self.launch_overhead_s
     }
-
-    /// Effective sustained matmul throughput in TFLOP/s.
-    pub fn effective_tflops(&self) -> f64 {
-        self.fp16_tflops * self.matmul_efficiency
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +88,7 @@ mod tests {
     #[test]
     fn compute_bound_kernel_times_by_flops() {
         let g = GpuSpec::a100_pcie_40gb();
-        let eff = g.effective_tflops() * 1e12;
+        let eff = g.fp16_tflops * g.matmul_efficiency * 1e12;
         let flops = 1e15 as u64;
         let t = g.kernel_time(flops, 0, true);
         assert!((t - flops as f64 / eff).abs() < 1e-4, "{t}");
@@ -102,7 +97,7 @@ mod tests {
     #[test]
     fn a100_effective_throughput_matches_megatron_range() {
         let g = GpuSpec::a100_pcie_40gb();
-        let eff = g.effective_tflops();
+        let eff = g.fp16_tflops * g.matmul_efficiency;
         assert!((130.0..170.0).contains(&eff), "{eff}");
     }
 }

@@ -13,7 +13,6 @@ fn is_matmul(name: &str) -> bool {
 struct PhaseTotals {
     flops: u64,
     secs: f64,
-    ops: u64,
 }
 
 #[derive(Debug, Default)]
@@ -59,16 +58,6 @@ impl GpuExecutor {
         wire / self.nvlink_bps
     }
 
-    /// FLOPs observed in `phase` so far.
-    pub fn phase_flops(&self, phase: Phase) -> u64 {
-        let t = self.totals.lock();
-        match phase {
-            Phase::Forward => t.forward.flops,
-            Phase::Backward => t.backward.flops,
-            Phase::Recompute => t.recompute.flops,
-        }
-    }
-
     /// GPU seconds spent in `phase` so far.
     pub fn phase_secs(&self, phase: Phase) -> f64 {
         let t = self.totals.lock();
@@ -76,16 +65,6 @@ impl GpuExecutor {
             Phase::Forward => t.forward.secs,
             Phase::Backward => t.backward.secs,
             Phase::Recompute => t.recompute.secs,
-        }
-    }
-
-    /// Kernel launches observed in `phase`.
-    pub fn phase_ops(&self, phase: Phase) -> u64 {
-        let t = self.totals.lock();
-        match phase {
-            Phase::Forward => t.forward.ops,
-            Phase::Backward => t.backward.ops,
-            Phase::Recompute => t.recompute.ops,
         }
     }
 
@@ -129,7 +108,6 @@ impl ExecObserver for GpuExecutor {
         };
         slot.flops += cost.flops;
         slot.secs += secs;
-        slot.ops += 1;
     }
 }
 
@@ -154,7 +132,7 @@ mod tests {
         // 1 TFLOP at ~140 TFLOP/s ≈ 7 ms.
         let t = clock.now().as_secs();
         assert!(t > 0.005 && t < 0.01, "{t}");
-        assert_eq!(e.phase_flops(Phase::Forward), 1_000_000_000_000);
+        assert_eq!(e.model_flops(), 1_000_000_000_000);
     }
 
     #[test]
@@ -188,7 +166,6 @@ mod tests {
         e.on_op("matmul", &OpCost::new(200, 0, 0), Phase::Backward);
         e.on_op("matmul", &OpCost::new(100, 0, 0), Phase::Recompute);
         assert_eq!(e.model_flops(), 300);
-        assert_eq!(e.phase_flops(Phase::Recompute), 100);
     }
 
     #[test]
@@ -197,6 +174,6 @@ mod tests {
         e.on_op("gelu", &OpCost::new(10, 10, 10), Phase::Forward);
         e.reset();
         assert_eq!(e.model_flops(), 0);
-        assert_eq!(e.phase_ops(Phase::Forward), 0);
+        assert_eq!(e.phase_secs(Phase::Forward), 0.0);
     }
 }

@@ -40,11 +40,6 @@ pub enum StepCmd {
 }
 
 impl StepCmd {
-    /// Whether this command is a backward pass (Algorithm 1's test).
-    pub fn is_backward(self) -> bool {
-        matches!(self, StepCmd::BackwardPass { .. })
-    }
-
     /// Whether this is a boundary/communication command after which the
     /// scheduler peeks at the next command (Algorithm 1 line 12 checks
     /// `cmd is communication`).
@@ -134,7 +129,7 @@ mod tests {
         let firing: Vec<usize> = with_lookahead(&cmds)
             .enumerate()
             .filter(|(_, (cmd, next))| {
-                cmd.is_boundary() && next.map(|n| n.is_backward()).unwrap_or(false)
+                cmd.is_boundary() && matches!(next, Some(StepCmd::BackwardPass { .. }))
             })
             .map(|(i, _)| i)
             .collect();
@@ -145,7 +140,9 @@ mod tests {
     #[test]
     fn zero_micro_batches_still_builds_one() {
         let cmds = single_gpu_schedule(0);
-        assert!(cmds.iter().any(|c| c.is_backward()));
+        assert!(cmds
+            .iter()
+            .any(|c| matches!(c, StepCmd::BackwardPass { .. })));
     }
 
     #[test]

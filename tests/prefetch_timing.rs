@@ -15,7 +15,9 @@ use ssdtrain_bench::paper_testbed;
 use ssdtrain_models::{Arch, Batch, Model, ModelConfig, Recompute};
 use ssdtrain_simhw::{GpuMemory, SimClock};
 use ssdtrain_tensor::Device;
-use ssdtrain_train::{OffloadBackend, PlacementStrategy, SessionConfig, StepMetrics, TrainSession};
+use ssdtrain_train::{
+    OffloadBackend, PlacementStrategy, SessionBuilder, SessionConfig, StepMetrics, TrainSession,
+};
 use std::sync::Arc;
 
 /// A numeric tiny GPT at batch 2, every activation offloaded to host
@@ -32,7 +34,20 @@ fn micro_batched(
     adaptive: bool,
     sink: TraceSink,
 ) -> TrainSession {
-    let cfg = SessionConfig::builder()
+    let cfg = tiny_builder(micro_batches, depth, adaptive, sink)
+        .build()
+        .expect("valid config");
+    TrainSession::new(cfg).expect("session")
+}
+
+/// The configuration of [`micro_batched`], left open.
+fn tiny_builder(
+    micro_batches: usize,
+    depth: usize,
+    adaptive: bool,
+    sink: TraceSink,
+) -> SessionBuilder {
+    SessionConfig::builder()
         .model(ModelConfig::tiny_gpt())
         .batch_size(2 * micro_batches)
         .micro_batches(micro_batches)
@@ -44,9 +59,6 @@ fn micro_batched(
         .seed(7)
         .backend(OffloadBackend::Dram)
         .trace(sink)
-        .build()
-        .expect("valid config");
-    TrainSession::new(cfg).expect("session")
 }
 
 /// The step after a profiling step.
@@ -210,7 +222,9 @@ impl Rig {
 /// A profile recorded on a tiny GPT, applied to a tiny T5 step: the
 /// schedule reloads the wrong records at the wrong times, and the T5
 /// step still computes its loss and gradients bit for bit as without
-/// the cache.
+/// the cache. The plan is the pass's only prefetcher: every prefetch it
+/// issues is a planned one, and a record the profile did not see is
+/// reloaded on demand at its unpack.
 #[test]
 fn a_step_that_does_not_match_its_profile_keeps_its_numbers() {
     let rig = Rig::new();
@@ -218,21 +232,37 @@ fn a_step_that_does_not_match_its_profile_keeps_its_numbers() {
     let t5 = Model::build(&ModelConfig::tiny_t5(), &rig.dev, 5);
     let uncached = rig.step(&t5, false, false);
     rig.step(&gpt, true, true);
+    let sink = TraceSink::enabled();
+    rig.cache.set_trace(sink.clone());
     let cached = rig.step(&t5, true, false);
-    assert!(
-        rig.cache.stats().reloaded_bytes > 0,
-        "the T5 step reloaded nothing"
-    );
+    let stats = rig.cache.stats();
+    assert!(stats.reloaded_bytes > 0, "the T5 step reloaded nothing");
+    assert!(stats.sync_loads > 0, "no record missed the profile");
+    for e in sink.events().iter().filter(|e| e.name == "prefetch.issue") {
+        assert!(
+            e.arg_f64("slack_ns").is_some(),
+            "an unplanned prefetch: {e:?}"
+        );
+    }
     assert_eq!(cached, uncached);
 }
 
-/// `prefetch_depth == 0` turns prefetching off, profiled or not: every
-/// reload is a synchronous one.
+/// `prefetch_depth == 0` turns prefetching off, profiled or not, with
+/// or without groups: every reload is a synchronous one.
 #[test]
 fn depth_zero_prefetches_nothing_after_profiling() {
-    let m = profiled_step(&mut tiny_session(0, true, TraceSink::disabled()));
-    assert_eq!(m.offload.prefetches, 0);
-    assert!(m.offload.sync_loads > 0, "nothing was reloaded");
+    for group in [0, 2] {
+        let cfg = tiny_builder(1, 0, true, TraceSink::disabled())
+            .prefetch_group(group)
+            .build()
+            .expect("valid config");
+        let m = profiled_step(&mut TrainSession::new(cfg).expect("session"));
+        assert_eq!(m.offload.prefetches, 0, "group {group}");
+        assert!(
+            m.offload.sync_loads > 0,
+            "group {group}: nothing was reloaded"
+        );
+    }
 }
 
 /// With forwarding off, a prefetch that reaches a record whose store is
