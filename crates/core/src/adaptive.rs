@@ -4,12 +4,13 @@
 //! peak — it only delays memory reclaim. The adaptive algorithm profiles
 //! one step and keeps a module's activations in GPU memory by two rules:
 //!
-//! - **The bandwidth cutoff** (forward's profile). From each module's
-//!   forward compute time and offload volume, pick the last module `m`
-//!   whose offloads (and its own reload) can finish before module `m`'s
-//!   backward begins, given the write bandwidth. Modules after `m` are
-//!   kept. The backward pass is assumed to take `bwd_fwd_ratio` (default
-//!   2×) the forward time.
+//! - **The bandwidth cutoff**. From each module's offload volume, pick
+//!   the last module `m` whose offloads (and its own reload) can finish
+//!   before module `m`'s backward begins, at the rate forward's stores
+//!   got on the write bus. Modules after `m` are kept. When `m`'s
+//!   backward begins is measured too: the profiling backward's compute
+//!   seconds up to `m`'s first `backward_pre`, or forward's end for a
+//!   module that backward never reached.
 //! - **Forwarded whole** (the profiling backward). A module whose
 //!   offloaded bytes backward *all* took back from GPU memory — data
 //!   forwarding, because their stores were still queued or in flight —
@@ -21,7 +22,10 @@
 //!
 //! The plan [`crate::TensorCache::end_profile_step`] applies is final
 //! only once the profiling backward is over; ended at the
-//! forward/backward boundary, it knows the cutoff alone.
+//! forward/backward boundary, it knows the cutoff alone, against
+//! forward's end. [`AdaptivePlan::decide`] plans a profile written by
+//! hand, which has no backward, on a given budget and an assumed
+//! backward-to-forward time ratio.
 
 use std::collections::HashSet;
 
@@ -88,57 +92,67 @@ impl AdaptivePlan {
         }
     }
 
-    /// Decides the cutoff from a step profile.
-    ///
-    /// For each candidate `m`, the data that must be transferred by the
-    /// time module `m`'s backward begins is every earlier module's
-    /// offload plus module `m`'s offload *and* reload; the deadline is
-    /// the end of forward plus `bwd_fwd_ratio ×` the forward time of all
-    /// modules after `m`. The largest `m` whose required bandwidth fits
-    /// within `write_bps` wins; later modules are kept. The final module
-    /// is always kept.
+    /// Decides the cutoff for a profile built by hand, with no measured
+    /// backward: module `m`'s deadline is assumed to be the end of forward
+    /// plus `bwd_fwd_ratio ×` the forward time of all modules after `m`.
+    /// The largest `m` whose required bandwidth fits within `write_bps`
+    /// wins; later modules are kept. The final module is always kept.
     ///
     /// # Panics
     /// Panics if `write_bps` is not positive.
     pub fn decide(profile: &StepProfile, write_bps: f64, bwd_fwd_ratio: f64) -> AdaptivePlan {
-        AdaptivePlan::decide_with_forwarded(profile, &[], write_bps, bwd_fwd_ratio)
+        assert!(write_bps > 0.0, "write bandwidth must be positive");
+        let fwd = profile
+            .fwd_total_secs
+            .max(profile.modules.iter().map(|m| m.fwd_secs).sum::<f64>());
+        let mut deadlines = vec![0.0f64; profile.modules.len()];
+        let mut after = 0.0f64;
+        for (deadline, module) in deadlines.iter_mut().zip(&profile.modules).rev() {
+            *deadline = fwd + bwd_fwd_ratio * after;
+            after += module.fwd_secs;
+        }
+        AdaptivePlan::cutoff(profile, &deadlines, &[], write_bps)
     }
 
-    /// [`AdaptivePlan::decide`] on a profile whose backward has run:
-    /// `forwarded[i]` is how many of `profile.modules[i]`'s offloaded
-    /// bytes that backward took back from GPU memory (missing entries
-    /// count as none). Besides the cutoff's tail, every module forwarded
-    /// whole is kept; `required_bps` and `last_offloaded` still describe
-    /// the cutoff alone.
-    ///
-    /// # Panics
-    /// Panics if `write_bps` is not positive.
-    pub fn decide_with_forwarded(
+    /// The plan of a profiled step, from its measurements alone: the
+    /// budget is the rate forward's stores got on the write bus (no limit
+    /// if forward queued none), `deadlines[i]` when backward reached
+    /// `profile.modules[i]`, and `forwarded[i]` how many of its offloaded
+    /// bytes backward took back from GPU memory. Besides the cutoff's
+    /// tail, every module forwarded whole is kept; `required_bps` and
+    /// `last_offloaded` still describe the cutoff alone.
+    pub(crate) fn measured(
         profile: &StepProfile,
+        deadlines: &[f64],
+        forwarded: &[u64],
+    ) -> AdaptivePlan {
+        let write_bps = if profile.fwd_io_secs > 0.0 {
+            profile.fwd_io_bytes as f64 / profile.fwd_io_secs
+        } else {
+            f64::INFINITY
+        };
+        AdaptivePlan::cutoff(profile, deadlines, forwarded, write_bps)
+    }
+
+    /// The cutoff both planners run. For each candidate `m`, the data
+    /// that must be transferred by `deadlines[m]` is every earlier
+    /// module's offload plus module `m`'s offload *and* reload.
+    fn cutoff(
+        profile: &StepProfile,
+        deadlines: &[f64],
         forwarded: &[u64],
         write_bps: f64,
-        bwd_fwd_ratio: f64,
     ) -> AdaptivePlan {
-        assert!(write_bps > 0.0, "write bandwidth must be positive");
         let n = profile.modules.len();
         if n == 0 {
             return AdaptivePlan::default();
         }
-        let total_fwd: f64 = profile
-            .fwd_total_secs
-            .max(profile.modules.iter().map(|m| m.fwd_secs).sum::<f64>());
-        // Suffix forward times: time of modules strictly after m.
-        let mut suffix = vec![0.0f64; n + 1];
-        for m in (0..n).rev() {
-            suffix[m] = suffix[m + 1] + profile.modules[m].fwd_secs;
-        }
         let mut required = Vec::with_capacity(n);
         let mut prefix_bytes = 0u64;
-        for m in 0..n {
-            prefix_bytes += profile.modules[m].offload_bytes;
+        for (module, &deadline) in profile.modules.iter().zip(deadlines) {
+            prefix_bytes += module.offload_bytes;
             // Offloads of modules ≤ m, plus module m's reload.
-            let data = prefix_bytes + profile.modules[m].offload_bytes;
-            let deadline = total_fwd + bwd_fwd_ratio * suffix[m + 1];
+            let data = prefix_bytes + module.offload_bytes;
             required.push(if deadline > 0.0 {
                 data as f64 / deadline
             } else {
@@ -147,13 +161,9 @@ impl AdaptivePlan {
         }
         // Largest feasible cutoff, excluding the final module (always
         // kept).
-        let mut last_offloaded = None;
-        for m in (0..n.saturating_sub(1)).rev() {
-            if required[m] <= write_bps {
-                last_offloaded = Some(m);
-                break;
-            }
-        }
+        let last_offloaded = (0..n.saturating_sub(1))
+            .rev()
+            .find(|&m| required[m] <= write_bps);
         let mut keep_paths: HashSet<String> = match last_offloaded {
             Some(m) => profile.modules[m + 1..]
                 .iter()
@@ -251,15 +261,40 @@ mod tests {
     #[test]
     fn a_module_forwarded_whole_is_kept_and_one_forwarded_in_part_is_not() {
         let p = profile(&[("l0", 100, 1.0), ("l1", 100, 1.0), ("l2", 100, 1.0)], 3.0);
-        let plan = AdaptivePlan::decide_with_forwarded(&p, &[100, 99], 1e12, 2.0);
+        let deadlines = [5.0, 4.0, 3.0];
+        let plan = AdaptivePlan::measured(&p, &deadlines, &[100, 99]);
         assert_eq!(plan.last_offloaded, Some(1), "the cutoff is unchanged");
         assert!(plan.keeps("l0"), "forwarded whole");
         assert!(!plan.keeps("l1"), "one byte read back from the tier");
         assert_eq!(plan, {
-            let mut cutoff = AdaptivePlan::decide(&p, 1e12, 2.0);
+            let mut cutoff = AdaptivePlan::measured(&p, &deadlines, &[]);
             cutoff.keep_paths.insert("l0".into());
             cutoff
         });
+    }
+
+    #[test]
+    fn the_measured_plan_is_budgeted_on_forwards_write_rate() {
+        // Forward wrote 4 GB in 2.5 s of bus time: 1.6 GB/s. Against the
+        // measured deadlines m=1 needs 3 GB by 2 s (1.5 GB/s, fits) and
+        // m=2 needs 4 GB by 2.4 s (1.67 GB/s, does not).
+        let gb = 1_000_000_000u64;
+        let mut p = profile(
+            &[
+                ("l0", gb, 0.25),
+                ("l1", gb, 0.25),
+                ("l2", gb, 0.25),
+                ("l3", gb, 0.25),
+            ],
+            1.0,
+        );
+        let deadlines = [1.5, 2.0, 2.4, 3.0];
+        let unmeasured = AdaptivePlan::measured(&p, &deadlines, &[]);
+        assert_eq!(unmeasured.last_offloaded, Some(2), "no bus time, no limit");
+        p.fwd_io_secs = 2.5;
+        let plan = AdaptivePlan::measured(&p, &deadlines, &[]);
+        assert_eq!(plan.last_offloaded, Some(1), "{:?}", plan.required_bps);
+        assert!(plan.keeps("l2") && !plan.keeps("l1"));
     }
 
     #[test]
@@ -305,54 +340,6 @@ mod tests {
         assert!(plan.keeps("l2"));
         assert!(!plan.keeps("l0"));
         assert_eq!(plan.last_offloaded, Some(1));
-    }
-
-    #[test]
-    fn cost_model_budget_is_bus_aware() {
-        use crate::costmodel::CostModel;
-        use crate::io::{IoEngine, TierLink};
-        use crate::target::CpuTarget;
-        use crate::tier::{Tier, TierStack};
-        use ssdtrain_simhw::SimClock;
-        use std::sync::Arc;
-
-        // Two 1 GB/s links behind a 1 GB/s bus: the link sum would
-        // budget 2 GB/s and offload freely; the cost model knows the
-        // bus serialises the stores and keeps a longer tail.
-        let io = IoEngine::tiered_with_bus(
-            SimClock::new(),
-            vec![
-                TierLink::new("dram", 1e9, 1e9),
-                TierLink::new("ssd", 1e9, 1e9),
-            ],
-            1e9,
-        );
-        let stack = TierStack::new(vec![
-            Tier::new("dram", Arc::new(CpuTarget::new(1 << 40)), 0),
-            Tier::new("ssd", Arc::new(CpuTarget::new(1 << 40)), 1),
-        ]);
-        let cost = CostModel::from_parts(&io, &stack);
-        let gb = 1_000_000_000u64;
-        let p = profile(
-            &[
-                ("l0", gb, 0.25),
-                ("l1", gb, 0.25),
-                ("l2", gb, 0.25),
-                ("l3", gb, 0.25),
-            ],
-            1.0,
-        );
-        let raw = AdaptivePlan::decide(&p, io.write_bps_of(0) + io.write_bps_of(1), 2.0);
-        let split = cost.split_for(&p, &cost.front_first_assignment(&p));
-        let guided = AdaptivePlan::decide(&p, cost.effective_write_bps(&split), 2.0);
-        // Raw 2 GB/s budget: m=1 needs 3 GB by 2 s → 1.5 GB/s, feasible.
-        assert_eq!(raw.last_offloaded, Some(1), "raw budget offloads freely");
-        assert!(
-            guided.last_offloaded < raw.last_offloaded,
-            "bus-aware budget keeps a longer tail: {:?} vs {:?}",
-            guided.last_offloaded,
-            raw.last_offloaded
-        );
     }
 
     #[test]

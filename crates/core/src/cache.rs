@@ -290,8 +290,8 @@ impl TensorCache {
     }
 
     /// A [`CostModel`] over this cache's links and tiers as currently
-    /// priced — what the adaptive budget and the capacity bench price
-    /// transfers on without replaying them.
+    /// priced — what the capacity bench prices state jobs on without
+    /// replaying them.
     pub fn cost_model(&self) -> CostModel {
         CostModel::from_parts(&self.io, &self.tiers)
             .with_segment_bytes(self.config.coalesce_segment_bytes)
@@ -383,19 +383,18 @@ impl TensorCache {
     /// Ends a profiling step: builds the [`StepProfile`], derives the
     /// adaptive plan (when enabled) and applies it to subsequent steps.
     ///
-    /// Call it once the profiling backward is over: the plan then also
-    /// keeps every module that backward forwarded whole
-    /// ([`AdaptivePlan::decide_with_forwarded`]). The profile's
+    /// Call it once the profiling backward is over: each module's
+    /// deadline is then when that backward reached it, and the plan also
+    /// keeps every module that backward forwarded whole. The profile's
     /// forward-time totals were taken at the forward/backward boundary,
     /// so they stay forward-only. Called at that boundary instead, it
-    /// plans on forward alone.
+    /// plans on forward alone, every deadline at forward's end.
     pub fn end_profile_step(&self) -> (StepProfile, AdaptivePlan) {
         let mut guard = self.state.lock();
         let st = &mut *guard;
         self.end_forward(st);
         st.profiling = false;
-        let (profile, forwarded) = self.build_profile(st);
-        let plan = self.replan(st, &profile, &forwarded);
+        let (profile, plan) = self.replan(st);
         // Late stores flagged under the old plan say nothing of the new.
         st.plan_profiled = true;
         for rec in st.records.values_mut() {
@@ -421,14 +420,27 @@ impl TensorCache {
         });
     }
 
+    /// Notes, in a profiling step, scope `seq`'s deadline at its first
+    /// `backward_pre`: the seconds since the step's start less its stalls.
+    fn note_deadline(&self, st: &mut State, seq: u64) {
+        if let Some(meta) = st.scopes.get_mut(&seq).filter(|_| st.profiling) {
+            let at = self.io.clock().now().since(st.fwd_start) - st.stats.stall_secs;
+            meta.deadline.get_or_insert(at);
+        }
+    }
+
     /// Builds the current step's [`StepProfile`] from its scope metadata
-    /// and forward-time totals, with each listed module's forwarded
-    /// bytes beside it.
-    fn build_profile(&self, st: &State) -> (StepProfile, Vec<u64>) {
+    /// and forward-time totals, then derives and applies the adaptive
+    /// plan from what the profiling step measured
+    /// ([`AdaptivePlan::measured`]): each module's deadline (forward's end
+    /// if backward never reached it) and forwarded bytes.
+    fn replan(&self, st: &mut State) -> (StepProfile, AdaptivePlan) {
         let order = st
             .forward_order
             .get(&st.current_mb)
             .map_or(&[][..], Vec::as_slice);
+        let forward = st.forward.clone().unwrap_or_default();
+        let mut deadlines = Vec::new();
         let mut forwarded = Vec::new();
         let modules = order
             .iter()
@@ -437,6 +449,7 @@ impl TensorCache {
                 if meta.records.is_empty() {
                     return None;
                 }
+                deadlines.push(meta.deadline.unwrap_or(forward.fwd_total_secs));
                 forwarded.push(meta.forwarded_bytes);
                 Some(ModuleProfile {
                     path: meta.path.clone(),
@@ -447,31 +460,15 @@ impl TensorCache {
                 })
             })
             .collect();
-        let forward = st.forward.clone().unwrap_or_default();
-        (StepProfile { modules, ..forward }, forwarded)
-    }
-
-    /// Derives and applies the adaptive plan for `profile`, whose
-    /// modules' forwarded bytes are `forwarded`. The cutoff's budget is
-    /// the [`CostModel`]'s effective write bandwidth of the byte split
-    /// the stack's front-first walk produces, serialised on the shared
-    /// write bus, rather than a sum of link rates.
-    fn replan(&self, st: &mut State, profile: &StepProfile, forwarded: &[u64]) -> AdaptivePlan {
+        let profile = StepProfile { modules, ..forward };
         let plan = if self.config.adaptive {
-            let cost = self.cost_model();
-            let split = cost.split_for(profile, &cost.front_first_assignment(profile));
-            AdaptivePlan::decide_with_forwarded(
-                profile,
-                forwarded,
-                cost.effective_write_bps(&split),
-                self.config.bwd_fwd_ratio,
-            )
+            AdaptivePlan::measured(&profile, &deadlines, &forwarded)
         } else {
             let paths: Vec<String> = profile.modules.iter().map(|m| m.path.clone()).collect();
             AdaptivePlan::keep_last_only(&paths)
         };
         st.plan = plan.clone();
-        plan
+        (profile, plan)
     }
 
     /// Enters `stage` and returns an RAII guard covering it: the

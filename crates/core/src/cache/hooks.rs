@@ -87,15 +87,17 @@ impl ModuleHooks for TensorCache {
     }
 
     fn backward_pre(&self, scope: &ScopeInfo) {
-        // Backward stands at the scope's forward position. The depth walk
-        // prefetches the nearest earlier modules holding records (Section
-        // 3.3.2); depth > 1 keeps the read channel busy across modules.
+        // Backward stands at the scope's forward position (a profiling step
+        // notes its deadline). The depth walk prefetches the nearest earlier
+        // modules holding records (Section 3.3.2); depth > 1 keeps the read
+        // channel busy across modules.
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let mb = scope.micro_batch;
         let Some(pos) = st.scopes.get(&scope.seq).map(|m| m.pos) else {
             return;
         };
+        self.note_deadline(st, scope.seq);
         match self.prefetcher {
             Prefetcher::Off => {}
             Prefetcher::PerModule { depth } => {

@@ -187,6 +187,9 @@ pub(super) struct ScopeMeta {
     pub(super) records: Vec<RecordId>,
     pub(super) enter: SimTime,
     pub(super) fwd_secs: f64,
+    /// In a profiling step, the compute seconds from the step's start to
+    /// the scope's first `backward_pre`: when its offloads must have landed.
+    pub(super) deadline: Option<f64>,
     pub(super) offload_bytes: u64,
     /// Bytes of this module's records handed back from GPU memory
     /// instead of a tier (data forwarding), charged to the record's

@@ -574,7 +574,7 @@ impl TensorCache {
     /// skips this member. Forwarded bytes are charged to the module that
     /// saved the record: one the profiling backward forwarded whole is
     /// kept on the GPU from then on
-    /// ([`crate::AdaptivePlan::decide_with_forwarded`]).
+    /// ([`TensorCache::end_profile_step`]).
     pub(super) fn withdraw(&self, st: &mut State, id: RecordId, now: SimTime, forwarded: bool) {
         let Some(rec) = st.records.get_mut(&id) else {
             return;

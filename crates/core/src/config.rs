@@ -159,8 +159,9 @@ pub struct TensorCacheConfig {
     /// default) seals on every stage — every tensor is a segment of
     /// one, its own job and its own device write.
     pub coalesce_segment_bytes: u64,
-    /// Backward-to-forward time ratio assumed by the adaptive planner
-    /// (the paper estimates backward ≈ 2× forward).
+    /// Backward-to-forward time ratio (the paper estimates ≈ 2). No cache
+    /// decision reads it: it only feeds [`crate::AdaptivePlan::decide`]
+    /// for profiles built by hand and [`crate::CostModel::modeled_step_secs`].
     pub bwd_fwd_ratio: f64,
     /// What to do when the offload target fails an I/O operation.
     pub recovery: RecoveryPolicy,

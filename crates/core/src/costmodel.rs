@@ -8,14 +8,14 @@
 //! backward's exit — for a per-module tier assignment
 //! ([`CostModel::front_first_assignment`] is the one the stack produces).
 //!
-//! Three things consume it. The adaptive planner's bandwidth budget is
-//! [`CostModel::effective_write_bps`]: a byte split priced over the
-//! tiers it actually lands on — serialised across the shared write
-//! bus — instead of a sum of link bandwidths that cannot be used
-//! concurrently. Reloads serialise the same way on the read bus. `bench_capacity` prices optimizer-state jobs with
-//! [`CostModel::state_job_secs`]. And [`CostModel::modeled_step_secs`]
+//! Two things consume it. `bench_capacity` prices optimizer-state jobs
+//! with [`CostModel::state_job_secs`], and [`CostModel::modeled_step_secs`]
 //! is the prediction the benchmark scores against the simulator
-//! (`costmodel.pred_err_frac`).
+//! (`costmodel.pred_err_frac`). The adaptive planner reads none of it:
+//! it budgets on the write rate its profiling step measured.
+//! Stores serialise across the shared write bus — the drain is a sum of
+//! per-tier times, not a max over links that cannot be used
+//! concurrently — and reloads serialise the same way on the read bus.
 //!
 //! Timing semantics mirror the simulator's barriers (see
 //! [`crate::TensorCache::stage_scope`]): forward ends when its compute
@@ -50,7 +50,6 @@ pub struct TierCost {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     tiers: Vec<TierCost>,
-    bus_write_bps: f64,
     /// Fixed per-store-job submission cost, seconds (mirrors
     /// [`IoEngine::store_job_overhead_secs`]).
     store_job_overhead_secs: f64,
@@ -77,7 +76,6 @@ impl CostModel {
             .collect();
         CostModel {
             tiers,
-            bus_write_bps: bus,
             store_job_overhead_secs: io.store_job_overhead_secs(),
             segment_bytes: 0,
         }
@@ -136,39 +134,17 @@ impl CostModel {
             .sum()
     }
 
-    /// The effective aggregate store bandwidth of a byte split: total
-    /// bytes over their drain time. This is the adaptive planner's
-    /// budget — never more than the shared bus delivers, so strictly
-    /// less than the sum of link bandwidths.
-    pub fn effective_write_bps(&self, bytes_per_tier: &[u64]) -> f64 {
-        let total: u64 = bytes_per_tier.iter().sum();
-        let drain = self.store_drain_secs(bytes_per_tier);
-        if total == 0 || drain <= 0.0 {
-            self.aggregate_write_bps()
-        } else {
-            total as f64 / drain
-        }
-    }
-
     /// Price of one optimizer-stage state job on `tier`: load the
     /// stage's optimizer state and gradients back from the tier, then
     /// store the refreshed state, each direction at its bus-capped rate
     /// (the two are full duplex, but both are summed: the update needs
-    /// its state before it can write it back). Priced on the same model
-    /// the adaptive budget prices stores with.
+    /// its state before it can write it back).
     pub fn state_job_secs(&self, tier_idx: usize, load_bytes: u64, store_bytes: u64) -> f64 {
         let Some(t) = self.tiers.get(tier_idx) else {
             return 0.0;
         };
         load_bytes as f64 / t.read_bps.max(f64::MIN_POSITIVE)
             + store_bytes as f64 / t.write_bps.max(f64::MIN_POSITIVE)
-    }
-
-    /// Upper bound on deliverable store bandwidth: the link sum, capped
-    /// by the shared bus.
-    fn aggregate_write_bps(&self) -> f64 {
-        let sum: f64 = self.tiers.iter().map(|t| t.write_bps).sum();
-        self.bus_write_bps.min(sum.max(f64::MIN_POSITIVE))
     }
 
     /// The byte split of the static front-first placement (each module
@@ -280,16 +256,8 @@ mod tests {
         let split = [2_000_000_000, 1_000_000_000];
         // 1 s + 1 s serialised, not max(1, 1) as on independent links.
         assert_eq!(m.store_drain_secs(&split), 2.0);
-        assert_eq!(m.effective_write_bps(&split), 1.5e9);
         // Reloads cross the read bus the same way.
         assert_eq!(m.load_secs(&split), 2.0);
-    }
-
-    #[test]
-    fn effective_bandwidth_never_exceeds_the_bus() {
-        let m = two_tier_model(u64::MAX);
-        assert_eq!(m.aggregate_write_bps(), 2e9);
-        assert!(m.effective_write_bps(&[1 << 30, 1 << 30]) <= 2e9);
     }
 
     #[test]

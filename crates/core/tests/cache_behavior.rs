@@ -493,9 +493,10 @@ fn profiling_step_builds_module_profile_and_plan() {
 #[test]
 fn the_cutoff_is_budgeted_on_the_shared_bus() {
     // Two 100 kB/s tiers behind a 30 kB/s bus, the front one holding two
-    // modules' worth. Four 256-byte modules in 9 ms of forward need
-    // 24 / 45 / 79 kB/s to offload through l0 / l1 / l2: the link sum
-    // would offload all three, the bus carries only the first.
+    // modules' worth. Forward's stores get the bus's 30 kB/s, which is
+    // the budget: a cutoff that the 200 kB/s link sum would carry is
+    // kept. The profile ends at the forward/backward boundary, so every
+    // module's deadline is forward's end.
     let clock = SimClock::new();
     let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
     let dev = Device::cpu();
@@ -510,7 +511,6 @@ fn the_cutoff_is_budgeted_on_the_shared_bus() {
         Tier::new("ssd", Arc::new(CpuTarget::new(1 << 40)), 1),
     ]);
     let cfg = TensorCacheConfig::offload_everything();
-    let ratio = cfg.bwd_fwd_ratio;
     let cache = TensorCache::with_tiers(cfg, Arc::new(tiers), io, mem);
     let graph = Graph::new(&dev, 7);
     cache.install(&graph);
@@ -533,19 +533,36 @@ fn the_cutoff_is_budgeted_on_the_shared_bus() {
     let (profile, plan) = cache.end_profile_step();
     graph.backward(&loss);
 
-    let cost = cache.cost_model();
-    let split = cost.split_for(&profile, &cost.front_first_assignment(&profile));
-    assert!(split.iter().all(|b| *b > 0), "both tiers take bytes");
-    let on_the_bus = AdaptivePlan::decide(&profile, cost.effective_write_bps(&split), ratio);
-    assert_eq!(plan, on_the_bus);
+    let tiers = cache.stats().tiers;
+    assert!(
+        tiers[0].stores > 0 && tiers[1].spilled_in_bytes > 0,
+        "both tiers take bytes"
+    );
+    let bus = profile.fwd_io_bytes as f64 / profile.fwd_io_secs;
+    assert!((bus - 3e4).abs() < 1e-6, "forward got the bus: {bus}");
+    let mut data = 0;
+    for (m, module) in profile.modules.iter().enumerate() {
+        data += module.offload_bytes;
+        let forward_alone = (data + module.offload_bytes) as f64 / profile.fwd_total_secs;
+        assert_eq!(plan.required_bps[m], forward_alone, "module {m}");
+    }
     let io = cache.io();
     let link_sum = io.write_bps_of(0) + io.write_bps_of(1);
-    let on_the_links = AdaptivePlan::decide(&profile, link_sum, ratio);
+    let candidates = &plan.required_bps[..profile.modules.len() - 1];
+    let between = candidates
+        .iter()
+        .rposition(|&r| bus < r && r <= link_sum)
+        .expect("a cutoff the links would carry and the bus would not");
     assert!(
-        plan.keep_paths.len() > on_the_links.keep_paths.len(),
-        "bus budget keeps {:?}, link sum {:?}",
-        plan.keep_paths,
-        on_the_links.keep_paths
+        plan.last_offloaded < Some(between),
+        "{:?} at {bus}",
+        plan.required_bps
+    );
+    assert!(plan.keeps(&profile.modules[between].path));
+    assert!(
+        plan.keep_paths.len() > profile.modules.len() - 1 - between,
+        "bus budget keeps {:?}, the link sum only the modules after {between}",
+        plan.keep_paths
     );
 }
 
@@ -591,17 +608,24 @@ struct Profiled {
 }
 
 /// A profiling step driven through the hook protocol on a write link
-/// that moves 1 MiB in 10 ms: per-tensor stores, the per-module
-/// prefetcher two deep, and backward assumed 100× forward, so the cutoff
-/// offloads every module but the last.
+/// that moves 1 MiB in 10 ms: per-tensor stores and the per-module
+/// prefetcher two deep.
 ///
 /// Module `a` saves 1 MiB at 0 ms (its store lands at 10 ms) and 1 MiB
 /// at 12 ms (stored 12–22 ms); `b` saves 1 MiB at 13 ms (queued for
 /// 22–32 ms) and `c` 1 MiB at 14 ms. Backward is announced at 15 ms, so
-/// it reloads `a`'s first tensor and forwards the rest. With `state`, a
-/// 1 MiB optimizer-state slot is also stored inside `c`'s scope, and
-/// backward reads it back first.
+/// it reloads `a`'s first tensor and forwards the rest. Each module's
+/// backward then computes for 30 ms, so backward reaches `b` at 45 ms
+/// and `a` at 75 ms: at the 100 MiB/s forward's stores got, the cutoff
+/// offloads every module but the last (`b` needs its 4 MiB moved by
+/// 45 ms). With `state`, a 1 MiB optimizer-state slot is also stored
+/// inside `c`'s scope, and backward reads it back first.
 fn profiled_step(state: bool) -> Profiled {
+    profiled_step_with(state, TensorCacheConfig::default().bwd_fwd_ratio)
+}
+
+/// [`profiled_step`] under a configured `bwd_fwd_ratio`.
+fn profiled_step_with(state: bool, bwd_fwd_ratio: f64) -> Profiled {
     let clock = SimClock::new();
     let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
     let dev = Device::cpu();
@@ -610,7 +634,7 @@ fn profiled_step(state: bool) -> Profiled {
     let config = TensorCacheConfig {
         min_offload_numel: 0,
         prefetch_depth: 2,
-        bwd_fwd_ratio: 100.0,
+        bwd_fwd_ratio,
         ..TensorCacheConfig::default()
     };
     let cache = TensorCache::new(config, Arc::new(CpuTarget::new(1 << 40)), io, mem);
@@ -651,7 +675,7 @@ fn profiled_step(state: bool) -> Profiled {
         for p in packed.iter().rev() {
             drop(cache.unpack(p));
         }
-        clock.advance_by(1e-3);
+        clock.advance_by(30e-3);
         cache.backward_post(s);
     }
     cache.wait_io();
@@ -684,6 +708,18 @@ fn a_module_the_profiling_backward_forwarded_whole_is_kept() {
         p.cache.plan(),
         "the plan returned is the one applied"
     );
+}
+
+#[test]
+fn the_cache_plan_ignores_bwd_fwd_ratio() {
+    // The profiling backward measured when it reached each module, so
+    // no assumed backward-to-forward ratio reaches the plan.
+    let (fast, slow) = (
+        profiled_step_with(false, 0.5),
+        profiled_step_with(false, 100.0),
+    );
+    assert_eq!(fast.plan, slow.plan);
+    assert_eq!(fast.plan.last_offloaded, Some(1), "{:?}", fast.plan);
 }
 
 #[test]

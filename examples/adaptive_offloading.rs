@@ -6,7 +6,6 @@
 //! cargo run --release --example adaptive_offloading
 //! ```
 
-use ssdtrain::adaptive::AdaptivePlan;
 use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_simhw::SystemConfig;
 use ssdtrain_train::{SessionConfig, TrainSession};
@@ -57,22 +56,23 @@ fn main() -> std::io::Result<()> {
         SystemConfig::dac_testbed().offload_write_bps() / 1e9
     );
 
-    // Re-plan for shrinking arrays: the cutoff retreats, keeping more of
-    // the tail resident — exactly Figure 8's "pause offloading here".
+    // Re-plan for shrinking arrays from the bandwidth each cutoff needs:
+    // the cutoff retreats, keeping more of the tail resident — exactly
+    // Figure 8's "pause offloading here". The final module is always kept.
     println!("\ncutoff vs array size:");
+    let candidates = plan.required_bps.len().saturating_sub(1);
     for drives in [4usize, 2, 1] {
         let mut sys = SystemConfig::dac_testbed();
         sys.ssd_array.n = drives;
-        let plan = AdaptivePlan::decide(&profile, sys.offload_write_bps(), 2.0);
-        let kept: Vec<&str> = profile
-            .modules
+        let bps = sys.offload_write_bps();
+        let cut = (0..candidates).rev().find(|&m| plan.required_bps[m] <= bps);
+        let kept: Vec<&str> = profile.modules[cut.map_or(0, |m| m + 1)..]
             .iter()
             .map(|m| m.path.as_str())
-            .filter(|p| plan.keeps(p))
             .collect();
         println!(
             "  {drives} drive(s) ({:>5.1} GB/s): keep {:?}",
-            sys.offload_write_bps() / 1e9,
+            bps / 1e9,
             kept
         );
     }

@@ -2,8 +2,8 @@
 # Checks that a change leaves every exhibit's output as it was: builds
 # `rev` (default HEAD~1) from `git archive` in a temporary directory with
 # its own CARGO_TARGET_DIR, runs every exhibit bin and every example in
-# release on both trees, and exits non-zero at the first stdout that
-# differs, printing the diff.
+# release on both trees, and prints the diff of every stdout that
+# differs. Exits non-zero at the end if any did.
 #
 #   scripts/same_output.sh [rev]
 #
@@ -37,15 +37,17 @@ compare() {
     local name=$1 rel=$2
     (cd "$tmp/tree" && "$tmp/target/release/$rel") >"$tmp/before.out"
     (cd "$here" && "$here_target/release/$rel") >"$tmp/after.out"
-    if ! diff -u "$tmp/before.out" "$tmp/after.out" \
+    if diff -u "$tmp/before.out" "$tmp/after.out" \
         --label "$name@$rev" --label "$name (working tree)"; then
-        echo "FAIL: $name prints something else than at $rev" >&2
-        exit 1
+        echo "same: $name"
+    else
+        echo "DIFFERS: $name prints something else than at $rev" >&2
+        differ+=("$name")
     fi
-    echo "same: $name"
 }
 
 count=0
+differ=()
 for src in crates/bench/src/bin/*.rs; do
     name=$(basename "$src" .rs)
     compare "$name" "$name"
@@ -56,4 +58,8 @@ for src in examples/*.rs; do
     compare "example $name" "examples/$name"
     count=$((count + 1))
 done
+if [ ${#differ[@]} -gt 0 ]; then
+    echo "${#differ[@]} of $count outputs differ from $rev: ${differ[*]}" >&2
+    exit 1
+fi
 echo "all $count outputs are the same as at $rev"
