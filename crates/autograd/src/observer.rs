@@ -8,9 +8,10 @@
 use std::fmt;
 
 /// Phase of step execution an operator runs in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Phase {
     /// Forward propagation of a micro-batch.
+    #[default]
     Forward,
     /// Backward propagation.
     Backward,

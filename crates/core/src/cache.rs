@@ -150,10 +150,8 @@ pub struct TensorCache {
 }
 
 impl TensorCache {
-    /// Creates a cache over a single offload target and its I/O engine —
-    /// the flat shape, expressed as a one-tier [`TierStack`]
-    /// ([`TierStack::single`]); behavior is identical to the pre-tier
-    /// design.
+    /// Creates a cache over a single offload target and its I/O engine:
+    /// a one-tier [`TierStack`] ([`TierStack::single`]).
     pub fn new(
         config: TensorCacheConfig,
         target: Arc<dyn OffloadTarget>,
@@ -205,8 +203,7 @@ impl TensorCache {
     /// [`RecoveryPolicy::FallbackTarget`](crate::RecoveryPolicy::FallbackTarget)
     /// re-routes refused stores to (typically a [`crate::CpuTarget`]
     /// pinned pool) — expressed as a demotion-only tier appended to the
-    /// stack; its loads travel the front tier's simulated link, exactly
-    /// as the flat design priced fallback reads.
+    /// stack; its loads travel the front tier's simulated link.
     pub fn set_fallback_target(&self, target: Arc<dyn OffloadTarget>) {
         self.tiers.push_demotion(target);
     }
@@ -336,7 +333,6 @@ impl TensorCache {
         self.arena.begin_step();
         st.stack.clear();
         st.scopes.clear();
-        st.forward_order.clear();
         st.phase = Phase::Forward;
         st.fwd_start = self.io.clock().now();
         st.forward = None;
@@ -352,6 +348,7 @@ impl TensorCache {
             }
         }
         for pass in &mut st.passes {
+            pass.order.clear();
             pass.start = None;
             pass.scheduled = false;
             pass.plan.clear();
@@ -435,10 +432,7 @@ impl TensorCache {
     /// ([`AdaptivePlan::measured`]): each module's deadline (forward's end
     /// if backward never reached it) and forwarded bytes.
     fn replan(&self, st: &mut State) -> (StepProfile, AdaptivePlan) {
-        let order = st
-            .forward_order
-            .get(&st.current_mb)
-            .map_or(&[][..], Vec::as_slice);
+        let order = st.passes.get(st.current_mb).map_or(&[][..], |p| &p.order);
         let forward = st.forward.clone().unwrap_or_default();
         let mut deadlines = Vec::new();
         let mut forwarded = Vec::new();
@@ -622,14 +616,15 @@ impl TensorCache {
         st.by_key.clear();
         st.segments.clear();
         st.seg_members.clear();
-        st.seg_jobs.clear();
         st.seg_landed = 0;
         st.unsettled = 0;
-        st.lookahead.clear();
         st.read_ahead_bytes = 0;
         st.spare_values.clear();
-        for (_, slab) in st.group_slabs.drain() {
-            self.retire_slab(&st.trace, slab);
+        for pass in &mut st.passes {
+            pass.lookahead = None;
+            for (_, slab) in pass.slabs.drain(..) {
+                self.retire_slab(&st.trace, slab);
+            }
         }
     }
 

@@ -58,7 +58,7 @@ impl ModuleHooks for TensorCache {
         }
         st.current_mb = scope.micro_batch;
         st.stack.push(scope.seq);
-        let order = st.forward_order.entry(scope.micro_batch).or_default();
+        let order = &mut st.pass(scope.micro_batch).order;
         let pos = order.len();
         order.push(scope.seq);
         st.scopes.insert(

@@ -4,7 +4,7 @@
 //! depth ahead), or the group look-ahead and the state reads ahead of it,
 //! bounded by the memory backward hands back.
 
-use super::record::{JitReload, Lookahead, Pass, RecState, RecordId, Reload, State, StateSlot};
+use super::record::{JitReload, Lookahead, RecState, RecordId, Reload, State, StateSlot};
 use super::TensorCache;
 use ssdtrain_simhw::SimTime;
 use ssdtrain_tensor::MemClass;
@@ -41,7 +41,7 @@ impl TensorCache {
             if taken >= depth {
                 break;
             }
-            let Some(&seq) = st.forward_order.get(&mb).and_then(|o| o.get(p)) else {
+            let Some(&seq) = st.passes.get(mb).and_then(|pass| pass.order.get(p)) else {
                 continue;
             };
             if st.scopes.get(&seq).is_none_or(|m| m.records.is_empty()) {
@@ -58,15 +58,13 @@ impl TensorCache {
     /// profiling step plans its reloads here ([`TensorCache::plan_reloads`])
     /// and issues the ones already due.
     pub(super) fn start_pass(&self, st: &mut State, mb: usize) {
-        if st.passes.len() <= mb {
-            st.passes.resize_with(mb + 1, Pass::default);
-        }
-        if st.passes[mb].start.is_some() {
+        let now = self.io.clock().now();
+        let stall = st.stats.stall_secs;
+        let pass = st.pass(mb);
+        if pass.start.is_some() {
             return;
         }
-        let now = self.io.clock().now();
-        let pass = &mut st.passes[mb];
-        pass.start = Some((now, st.stats.stall_secs));
+        pass.start = Some((now, stall));
         if st.profiling || st.profile.hooks.is_empty() {
             return;
         }
@@ -91,15 +89,13 @@ impl TensorCache {
         let State {
             passes,
             profile,
-            forward_order,
             scopes,
             records,
             ..
         } = st;
         let pass = &mut passes[mb];
         pass.scheduled = true;
-        let order = forward_order.get(&mb).map_or(&[][..], Vec::as_slice);
-        for (pos, seq) in order.iter().enumerate() {
+        for (pos, seq) in pass.order.iter().enumerate() {
             let Some(meta) = scopes.get(seq) else {
                 continue;
             };
@@ -211,7 +207,7 @@ impl TensorCache {
         ids: &mut Vec<RecordId>,
     ) -> (u64, u64) {
         ids.clear();
-        let order = st.forward_order.get(&mb).map_or(&[][..], Vec::as_slice);
+        let order = st.passes.get(mb).map_or(&[][..], |p| &p.order);
         let start = gidx.saturating_mul(g).min(order.len());
         let end = start.saturating_add(g).min(order.len());
         let (mut bytes, mut reload) = (0u64, 0u64);
@@ -251,11 +247,13 @@ impl TensorCache {
     /// until then [`GpuMemory::resident`] over-reads by it; the group
     /// prefetcher subtracts `State::unsettled` from every level it
     /// reads. The write queue is one FIFO, so the landed segments are a
-    /// prefix of `seg_jobs` and each is visited once.
+    /// prefix of `State::segments` and each is visited once. A segment
+    /// already committed or cancelled is passed over without asking its
+    /// end: the engine knows none for a cancelled job.
     pub(super) fn note_landed(&self, st: &mut State, now: SimTime) {
-        while let Some(job) = st.seg_jobs.get(st.seg_landed) {
-            if let Some(seg) = st.segments.get_mut(job) {
-                if self.io.store_end(*job) > now {
+        while let Some(seg) = st.segments.get_mut(st.seg_landed) {
+            if seg.live {
+                if self.io.store_end(seg.job) > now {
                     break;
                 }
                 let members = st.seg_members[seg.members.clone()].iter();
@@ -307,8 +305,8 @@ impl TensorCache {
     pub(super) fn look_ahead(&self, st: &mut State, mb: usize, pos: usize, g: usize, floor: usize) {
         let now = self.io.clock().now();
         let cur = pos / g;
-        let la = match st.lookahead.get(&mb) {
-            Some(la) => *la,
+        let la = match st.pass(mb).lookahead {
+            Some(la) => la,
             None => Lookahead {
                 bound: self.activation_level(st, now),
                 next: cur + 1,
@@ -317,13 +315,13 @@ impl TensorCache {
         };
         let cur = cur.min(la.cur);
         // Groups above the consumption point were fully consumed; return
-        // their staging slabs.
-        for gidx in (cur + 1..=la.cur).rev() {
-            if let Some(slab) = st.group_slabs.remove(&(mb, gidx)) {
-                self.retire_slab(&st.trace, slab);
-            }
+        // their staging slabs. Issue order is descending group order, so
+        // they are a prefix.
+        let pass = &mut st.passes[mb];
+        let done = pass.slabs.partition_point(|(gidx, _)| *gidx > cur);
+        for (_, slab) in pass.slabs.drain(..done) {
+            self.retire_slab(&st.trace, slab);
         }
-        let mut ahead = st.group_slabs.keys().filter(|k| k.0 == mb).count();
         let mut next = la.next.min(cur + 1);
         let mut ids = std::mem::take(&mut st.group_scratch);
         while next > 0 {
@@ -331,7 +329,7 @@ impl TensorCache {
             let (bytes, reload) = self.group_records(st, mb, gidx, g, now, &mut ids);
             if !ids.is_empty() {
                 let headroom = self.headroom(st, la.bound, now);
-                if ahead >= floor && reload > headroom {
+                if st.passes[mb].slabs.len() >= floor && reload > headroom {
                     break;
                 }
                 let slab = self.arena.acquire(bytes);
@@ -339,7 +337,7 @@ impl TensorCache {
                     st.trace
                         .instant_bytes(TraceCategory::Arena, "arena.acquire", now, bytes);
                 }
-                st.group_slabs.insert((mb, gidx), slab);
+                st.passes[mb].slabs.push((gidx, slab));
                 st.stats.prefetch_groups += 1;
                 st.stats.prefetch_group_bytes += bytes;
                 if st.trace.is_enabled() {
@@ -359,12 +357,11 @@ impl TensorCache {
                 for &id in &ids {
                     self.prefetch_record(st, id, now, None);
                 }
-                ahead += 1;
             }
             next = gidx;
         }
         st.group_scratch = ids;
-        st.lookahead.insert(mb, Lookahead { next, cur, ..la });
+        st.passes[mb].lookahead = Some(Lookahead { next, cur, ..la });
     }
 
     /// Scheduler hint (Algorithm 1 line 13): the step is about to switch
@@ -382,7 +379,7 @@ impl TensorCache {
         let st = &mut *guard;
         self.end_forward(st);
         let mb = st.current_mb;
-        let len = st.forward_order.get(&mb).map_or(0, |o| o.len());
+        let len = st.passes.get(mb).map_or(0, |p| p.order.len());
         match self.prefetcher {
             Prefetcher::PerModule { depth } => {
                 self.start_pass(st, mb);
@@ -415,7 +412,7 @@ impl TensorCache {
         let now = self.io.clock().now();
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        let la = st.lookahead.get(&st.current_mb)?;
+        let la = st.passes.get(st.current_mb)?.lookahead?;
         let bound = la.bound;
         let rec = st.records.get(&slot.0)?;
         if la.next > 0 || !matches!(rec.state, RecState::Offloaded) {

@@ -10,11 +10,11 @@ use crate::io::{JobId, ReadId};
 use crate::placement::OffloadClass;
 use crate::stats::OffloadStats;
 use crate::tier::TierId;
+use crate::{HashMap, HashSet};
 use ssdtrain_autograd::Phase;
 use ssdtrain_simhw::{PinnedSlab, SimTime};
 use ssdtrain_tensor::Tensor;
 use ssdtrain_trace::TraceSink;
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 pub(super) type RecordId = u64;
@@ -197,9 +197,13 @@ pub(super) struct ScopeMeta {
     pub(super) forwarded_bytes: u64,
 }
 
-/// A sealed segment whose store job is in flight or has landed but is
-/// not committed yet.
+/// A segment sealed this step: one store job, one device write,
+/// recovered as a unit.
 pub(super) struct Segment {
+    pub(super) job: JobId,
+    /// Whether the job is still to be committed: cleared by the commit,
+    /// or by a cancellation, after which the engine knows no end for it.
+    pub(super) live: bool,
     /// The members' range in `State::seg_members`.
     pub(super) members: Range<usize>,
     /// What [`TensorCache::note_landed`](super::TensorCache::note_landed)
@@ -260,9 +264,12 @@ pub(super) struct JitReload {
     pub(super) slack: f64,
 }
 
-/// One micro-batch's backward pass as the per-tensor prefetcher sees it.
+/// Micro-batch mb's pass (`State::passes[mb]`), whichever prefetcher
+/// runs its backward. Its buffers are cleared per step, never replaced.
 #[derive(Default)]
 pub(super) struct Pass {
+    /// The scope seqs of the pass's forward, in the order they entered.
+    pub(super) order: Vec<u64>,
     /// Clock and stall seconds when the pass was announced (or, if it
     /// was not, entered); `None` before that. A hook's offset is its
     /// time since, less the stalls since.
@@ -278,11 +285,20 @@ pub(super) struct Pass {
     pub(super) next: usize,
     /// The first recorded hook not yet reached.
     pub(super) hook: usize,
+    /// The group look-ahead's cursor, from the backward announcement (or
+    /// the pass's first `backward_pre`) on.
+    pub(super) lookahead: Option<Lookahead>,
+    /// The groups in flight at or ahead of backward's consumption point,
+    /// in issue order (by descending index), each with its staging slab
+    /// (`None` for no bytes).
+    pub(super) slabs: Vec<(usize, Option<PinnedSlab>)>,
 }
 
 /// Everything the cache mutates, behind its one lock: the bookkeeping
 /// all runs on the training thread (the paper's worker pools only move
-/// bytes), so one lock around it is the faithful shape.
+/// bytes), so one lock around it is the faithful shape. A micro-batch's
+/// state lives in its [`Pass`], a store job's in its [`Segment`].
+#[derive(Default)]
 pub(super) struct State {
     pub(super) records: HashMap<RecordId, Record>,
     pub(super) by_key: HashMap<TensorKey, RecordId>,
@@ -291,8 +307,6 @@ pub(super) struct State {
     /// Innermost-first stack of open forward scopes (seq ids).
     pub(super) stack: Vec<u64>,
     pub(super) scopes: HashMap<u64, ScopeMeta>,
-    /// Forward order of scope seqs per micro-batch.
-    pub(super) forward_order: HashMap<usize, Vec<u64>>,
     pub(super) current_mb: usize,
     pub(super) phase: Phase,
     pub(super) profiling: bool,
@@ -306,17 +320,15 @@ pub(super) struct State {
     /// taken once, at the forward/backward boundary
     /// ([`TensorCache::end_forward`](super::TensorCache::end_forward)).
     pub(super) forward: Option<StepProfile>,
-    /// Sealed segments whose store jobs are in flight — one I/O job, one
-    /// device write, recovered as a unit — keyed by job. Removal marks
-    /// the segment committed (or cancelled).
-    pub(super) segments: HashMap<JobId, Segment>,
+    /// Every segment sealed this step, in submission order, committed
+    /// and cancelled ones too. Job ids ascend in it (the engine resets
+    /// them only at `begin_step`, after the flush cleared the list), and
+    /// on the one write FIFO submission order is completion order: the
+    /// stores of every live segment before `seg_landed` have landed (see
+    /// [`TensorCache::note_landed`](super::TensorCache::note_landed)).
+    pub(super) segments: Vec<Segment>,
     /// Member ids of every segment sealed this step, back to back.
     pub(super) seg_members: Vec<RecordId>,
-    /// The jobs of those segments in submission order, which on the one
-    /// write FIFO is completion order: the stores of everything before
-    /// `seg_landed` have landed (see
-    /// [`TensorCache::note_landed`](super::TensorCache::note_landed)).
-    pub(super) seg_jobs: Vec<JobId>,
     pub(super) seg_landed: usize,
     /// Activation bytes whose store has landed but whose commit — lazy:
     /// it runs when something reaches the record — has not released
@@ -341,20 +353,11 @@ pub(super) struct State {
     /// Reused by every group request: the group's record ids in the
     /// order backward will read them.
     pub(super) group_scratch: Vec<RecordId>,
-    /// The group prefetcher's walk, per micro-batch with an announced
-    /// (or started) backward pass this step.
-    pub(super) lookahead: HashMap<usize, Lookahead>,
     /// State bytes read ahead of their consumer whose slots are not
     /// released yet: they spend the look-ahead's headroom beside the
     /// activation level.
     pub(super) read_ahead_bytes: u64,
-    /// The prefetch groups in flight at or ahead of backward's
-    /// consumption point, each with its pinned staging slab (`None` for
-    /// a group of no bytes); released when consumption moves past the
-    /// group.
-    pub(super) group_slabs: HashMap<(usize, usize), Option<PinnedSlab>>,
-    /// The per-tensor prefetcher's backward passes, indexed by
-    /// micro-batch.
+    /// Each micro-batch's pass, indexed by micro-batch.
     pub(super) passes: Vec<Pass>,
     /// The last profiling backward's consumption, which every pass plans
     /// from; it outlives the step and is replaced by the next profiling
@@ -376,41 +379,26 @@ pub(super) struct State {
 
 impl State {
     pub(super) fn new(coalesce_segment_bytes: u64) -> State {
+        let coalescer = WriteCoalescer::new(coalesce_segment_bytes);
         State {
-            records: HashMap::new(),
-            by_key: HashMap::new(),
-            next_id: 0,
-            param_stamps: HashSet::new(),
-            stack: Vec::new(),
-            scopes: HashMap::new(),
-            forward_order: HashMap::new(),
-            current_mb: 0,
-            phase: Phase::Forward,
-            profiling: false,
-            plan_profiled: false,
-            fwd_start: SimTime::ZERO,
-            forward: None,
-            segments: HashMap::new(),
-            seg_members: Vec::new(),
-            seg_jobs: Vec::new(),
-            seg_landed: 0,
-            unsettled: 0,
-            commit_scratch: Vec::new(),
-            staging: Vec::new(),
-            spare_values: Vec::new(),
-            group_scratch: Vec::new(),
-            lookahead: HashMap::new(),
-            read_ahead_bytes: 0,
-            group_slabs: HashMap::new(),
-            passes: Vec::new(),
-            profile: Consumption::default(),
-            coalescer: WriteCoalescer::new(coalesce_segment_bytes),
-            stats: OffloadStats::default(),
-            plan: AdaptivePlan::default(),
-            link_stalls: Vec::new(),
-            pending_error: None,
-            trace: TraceSink::disabled(),
+            coalescer,
+            ..State::default()
         }
+    }
+
+    /// Micro-batch `mb`'s pass, the passes up to it made first.
+    pub(super) fn pass(&mut self, mb: usize) -> &mut Pass {
+        if self.passes.len() <= mb {
+            self.passes.resize_with(mb + 1, Pass::default);
+        }
+        &mut self.passes[mb]
+    }
+
+    /// The segment riding `job`, found by binary search (job ids ascend
+    /// in `segments`); `None` once it is no longer live.
+    pub(super) fn live_segment(&mut self, job: JobId) -> Option<&mut Segment> {
+        let i = self.segments.binary_search_by_key(&job, |s| s.job).ok()?;
+        Some(&mut self.segments[i]).filter(|s| s.live)
     }
 
     /// Runs `f` on each record id of scope `seq`. The scope's list is

@@ -344,7 +344,6 @@ impl TensorCache {
         let sizes = st.seg_members[range.clone()].iter();
         let total: u64 = sizes.map(|id| st.records[id].bytes).sum();
         let job = self.io.submit_store_to(self.tiers.link(tier), total);
-        st.seg_jobs.push(job);
         // Only activations coalesce, so a segment has one class.
         let class = st.records[&st.seg_members[first]].class;
         for i in range.clone() {
@@ -352,11 +351,12 @@ impl TensorCache {
                 rec.state = RecState::Storing { job };
             }
         }
-        let segment = Segment {
+        st.segments.push(Segment {
+            job,
+            live: true,
             members: range,
             unsettled: 0,
-        };
-        st.segments.insert(job, segment);
+        });
         st.stats.store_jobs += 1;
         st.stats.class_mut(class).stores += 1;
     }
@@ -394,13 +394,15 @@ impl TensorCache {
     /// Commits the segment riding `job`: one batched device write for
     /// every member still riding it (members forwarded after sealing are
     /// skipped — their bytes never leave memory), memory freed at the
-    /// job's completion time. Idempotent: removal from the segment map
-    /// marks the segment committed. A failed write degrades the
-    /// *segment* per the configured [`RecoveryPolicy`], not per tensor.
+    /// job's completion time. Idempotent: the commit marks the segment
+    /// no longer live. A failed write degrades the *segment* per the
+    /// configured [`RecoveryPolicy`], not per tensor.
     pub(super) fn commit_segment(&self, st: &mut State, job: JobId) {
-        let Some(Segment { members, unsettled }) = st.segments.remove(&job) else {
+        let Some(seg) = st.live_segment(job) else {
             return;
         };
+        seg.live = false;
+        let (members, unsettled) = (seg.members.clone(), seg.unsettled);
         st.unsettled -= unsettled;
         let (start, end) = self.io.store_span(job);
         let mut batch = std::mem::take(&mut st.commit_scratch);
@@ -594,10 +596,10 @@ impl TensorCache {
         let evicted = job.is_none();
         let mut unqueued = false;
         if let Some(job) = job {
-            let sole = st.segments.get(&job).is_some_and(|s| s.members.len() == 1);
-            if sole && self.config.cancel_forwarded_stores && self.io.try_cancel_store(job, now) {
-                st.segments.remove(&job);
-                unqueued = true;
+            let sole = st.live_segment(job).filter(|s| s.members.len() == 1);
+            if let Some(seg) = sole.filter(|_| self.config.cancel_forwarded_stores) {
+                unqueued = self.io.try_cancel_store(job, now);
+                seg.live = !unqueued;
             }
         }
         if forwarded {

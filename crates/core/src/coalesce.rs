@@ -32,7 +32,7 @@
 
 use crate::placement::OffloadClass;
 use crate::tier::TierId;
-use std::collections::HashMap;
+use crate::HashMap;
 
 /// One member of a segment: a staged record and its payload size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +73,7 @@ struct OpenSegment {
 /// The staging buffer between pack and the store queues (see module
 /// docs). One open segment per tier; sealing is driven by the cache at
 /// the size threshold, at stage-exit drains, and at flush.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WriteCoalescer {
     segment_bytes: u64,
     next_id: u64,
@@ -86,8 +86,7 @@ impl WriteCoalescer {
     pub fn new(segment_bytes: u64) -> WriteCoalescer {
         WriteCoalescer {
             segment_bytes,
-            next_id: 0,
-            open: HashMap::new(),
+            ..WriteCoalescer::default()
         }
     }
 

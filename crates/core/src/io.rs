@@ -36,8 +36,9 @@ use ssdtrain_trace::{TraceCategory, TraceSink};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Handle to a submitted store job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Handle to a submitted store job. Ids ascend in submission order
+/// until [`IoEngine::reset`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(usize);
 
 /// Handle to a submitted read.

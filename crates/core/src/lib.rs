@@ -60,6 +60,13 @@ pub mod stats;
 pub mod target;
 pub mod tier;
 
+/// Maps and sets hashed with one fixed seed, so what the cache does in
+/// their order is the same in every process (DESIGN §7): their keys are
+/// internal ids, never outside input.
+type FixedState = std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
+pub(crate) type HashMap<K, V> = std::collections::HashMap<K, V, FixedState>;
+pub(crate) type HashSet<T> = std::collections::HashSet<T, FixedState>;
+
 /// The observability layer (re-exported `ssdtrain-trace` crate): the
 /// trace sink, its two exporters and the step table `explain` reads
 /// back from a trace.

@@ -8,9 +8,9 @@
 //! based allocation.
 
 use crate::id::TensorKey;
+use crate::HashMap;
 use parking_lot::Mutex;
 use ssdtrain_simhw::WearMeter;
-use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::{self, Read as _};
@@ -158,7 +158,7 @@ impl SsdTarget {
             dir,
             state: Mutex::new(SsdState {
                 wear,
-                symbolic_lens: HashMap::new(),
+                symbolic_lens: HashMap::default(),
                 name: String::new(),
                 path: PathBuf::new(),
             }),
@@ -182,17 +182,7 @@ impl OffloadTarget for SsdTarget {
     }
 
     fn write(&self, key: &TensorKey, data: Option<&[u8]>, len: u64) -> io::Result<()> {
-        let mut guard = self.state.lock();
-        let s = &mut *guard;
-        // Wear is charged only for bytes that landed.
-        if let Some(bytes) = data {
-            fs::write(s.path_for(&self.dir, key), bytes)?;
-        }
-        s.wear.record_write(len);
-        if data.is_none() {
-            s.symbolic_lens.insert(key.clone(), len);
-        }
-        Ok(())
+        self.write_batch(&[(key, data, len)])
     }
 
     fn read(&self, key: &TensorKey) -> io::Result<Option<Vec<u8>>> {
@@ -304,7 +294,7 @@ impl CpuTarget {
         CpuTarget {
             pool_bytes,
             state: Mutex::new(CpuState {
-                pool: HashMap::new(),
+                pool: HashMap::default(),
                 used: 0,
                 written: 0,
             }),

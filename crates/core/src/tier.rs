@@ -23,9 +23,9 @@
 //!   (device-write / read-back / spill-in / demotion-in traffic), so the
 //!   aggregate counters in [`crate::OffloadStats`] split per tier.
 //!
-//! A single-tier stack ([`TierStack::single`]) reproduces the flat
-//! `OffloadTarget` behavior exactly: unbounded admission, every failure
-//! surfacing at device-write time.
+//! A single-tier stack ([`TierStack::single`]) offloads to one
+//! `OffloadTarget`: unbounded admission, every failure surfacing at
+//! device-write time.
 
 use crate::id::TensorKey;
 use crate::target::{BatchItem, OffloadTarget};
@@ -58,8 +58,8 @@ pub enum TierRole {
     /// Eligible for pack-time placement (and demotions).
     #[default]
     Placement,
-    /// Only reachable by demotion — the spill-of-last-resort role the
-    /// flat design called the "fallback target".
+    /// Only reachable by demotion: the spill of last resort, such as
+    /// the fallback target.
     DemotionOnly,
 }
 
@@ -228,18 +228,15 @@ impl TierStack {
         }
     }
 
-    /// The flat-compatibility stack: one unbounded placement tier over
-    /// `device`, priced on link 0. Reproduces the pre-tier behavior
-    /// exactly (admission never refuses; failures surface at the device).
+    /// One unbounded placement tier over `device`, priced on link 0:
+    /// admission never refuses, and failures surface at the device.
     pub fn single(device: Arc<dyn OffloadTarget>) -> TierStack {
         let name = device.name().to_owned();
         TierStack::new(vec![Tier::new(name, device, 0)])
     }
 
-    /// Appends a demotion-only tier priced on the *front* tier's link —
-    /// how [`crate::TensorCache::set_fallback_target`] re-expresses the
-    /// flat design's fallback target (demoted loads are priced on the
-    /// same link they always were).
+    /// Appends a demotion-only tier priced on the *front* tier's link:
+    /// [`crate::TensorCache::set_fallback_target`]'s fallback target.
     pub fn push_demotion(&self, device: Arc<dyn OffloadTarget>) {
         let mut inner = self.inner.lock();
         let link = inner.first().map(|(t, _)| t.link).unwrap_or(0);

@@ -1271,6 +1271,7 @@ const MIB: u64 = 1 << 20;
 struct HookStep {
     cache: Arc<TensorCache>,
     mem: Arc<GpuMemory>,
+    dev: Device,
     clock: SimClock,
     sink: TraceSink,
     scopes: Vec<ScopeInfo>,
@@ -1327,6 +1328,7 @@ impl HookStep {
         HookStep {
             cache,
             mem,
+            dev,
             clock,
             sink,
             scopes,
@@ -1493,6 +1495,65 @@ fn group_lookahead_forwards_the_store_backlog_without_lifting_the_level() {
     assert_eq!(after, bound);
     let forward = step.mem.peak_activations_between(SimTime::ZERO, announced);
     assert_eq!(step.mem.peak_activations(), forward);
+}
+
+#[test]
+fn the_look_ahead_level_skips_a_cancelled_segment_and_books_the_landed_one_behind_it() {
+    // Groups of one module. Micro-batch 0's six modules, then micro-batch
+    // 1's six, each save 1 MiB 2 ms apart on a write link that moves
+    // 1 MiB in 5 ms: micro-batch 0's stores run [0, 5], [5, 10], …,
+    // [25, 30] ms, and micro-batch 1's queue behind them.
+    let mut step = HookStep::with(6, 0, MIB as f64 * 200.0, MIB as f64 * 1e3, 1);
+    let later: Vec<Packed> = (0..6)
+        .map(|i| {
+            let scope = ScopeInfo {
+                path: format!("n{i}"),
+                seq: 7 + i as u64,
+                micro_batch: 1,
+            };
+            step.cache.forward_pre(&scope);
+            let packed = step
+                .cache
+                .pack(&Tensor::zeros([MIB as usize / 4], &step.dev));
+            step.clock.advance_by(2e-3);
+            step.cache.forward_post(&scope);
+            packed
+        })
+        .collect();
+
+    // Micro-batch 0's backward is announced at 24 ms. Its floor forwards
+    // module 5, whose store is still queued — cancelled, so micro-batch
+    // 1's first store moves up to [25, 30] ms — and module 4, whose
+    // store is running. Module 3 would reload 1 MiB with no headroom.
+    step.cache.set_micro_batch(0);
+    step.announce();
+    let issued: Vec<u64> = step
+        .group_instants()
+        .iter()
+        .map(|e| arg(e, "group"))
+        .collect();
+    assert_eq!(issued, [5, 4]);
+    let s = step.cache.stats();
+    assert_eq!((s.forwarded, s.cancelled_stores), (2, 1), "{s:?}");
+
+    // Module 5's backward runs to 32 ms and frees its MiB. By then
+    // micro-batch 1's first store has landed behind the cancelled one,
+    // and the level books it too: 2 MiB of headroom, so module 3 goes
+    // out (the floor) and module 2 fits in what is left.
+    step.cache.backward_pre(&step.scopes[5]);
+    let packed = step.saved.pop().expect("module 5");
+    let tensor = step.cache.unpack(&packed);
+    step.clock.advance_by(8e-3);
+    drop((tensor, packed));
+    step.cache.backward_post(&step.scopes[5]);
+    step.cache.backward_pre(&step.scopes[4]);
+    let groups = step.group_instants();
+    let issued: Vec<u64> = groups.iter().map(|e| arg(e, "group")).collect();
+    assert_eq!(issued, [5, 4, 3, 2]);
+    let level = |e: &TraceEvent| (arg(e, "reload_bytes"), arg(e, "headroom"));
+    assert_eq!(level(&groups[2]), (MIB, 2 * MIB));
+    assert_eq!(level(&groups[3]), (MIB, MIB));
+    drop(later);
 }
 
 #[test]

@@ -31,8 +31,16 @@
 //! prefetcher can draw from one pinned pool.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The arena's maps hash with one fixed seed, so which free slab a
+/// request reuses is the same in every process (their keys are size
+/// classes and acquisition ids).
+type HashMap<K, V> = std::collections::HashMap<
+    K,
+    V,
+    std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>,
+>;
 
 /// Smallest slab class, bytes. Requests below this round up to it.
 pub const MIN_SLAB_BYTES: u64 = 4096;

@@ -87,8 +87,8 @@ impl OffloadClassSet {
     }
 }
 
-/// The tier stack the session's cache offloads into. The single-tier
-/// backends reproduce the flat designs exactly; `Tiered` is the regime
+/// The tier stack the session's cache offloads into. `Ssd` and `Dram`
+/// are one tier each; `Tiered` is the regime
 /// 10Cache/MemAscend identify — a bounded DRAM front tier spilling into
 /// the high-endurance SSD array, each priced on its own simulated link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -247,11 +247,9 @@ impl Gpu {
         }
         let sys = &cfg.system;
         // Build the tier stack and the simulated link each tier's
-        // transfers are priced on. Single-tier backends keep the flat
-        // link name ("offload"), so traces and numerics stay identical
-        // to the pre-tier design; host memory offers symmetric
-        // bandwidth over the raw PCIe link while the SSD path is capped
-        // by the array.
+        // transfers are priced on. A single-tier backend's link is named
+        // "offload"; host memory offers symmetric bandwidth over the raw
+        // PCIe link while the SSD path is capped by the array.
         let (mut specs, links) = match (cfg.backend, ssd) {
             (OffloadBackend::Ssd, Some(ssd)) => (
                 vec![TierSpec {

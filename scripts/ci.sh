@@ -73,6 +73,22 @@ cargo run --release -q --example tiered_backends
 # identity, checksum round trips, device writes = tier-counter stores)
 # catch a broken store path before the benchmark pipeline does.
 bash benchmark/run.sh --quick
+# Host allocation counts must repeat from process to process: every map
+# of the cache and the staging arena hashes with a fixed seed (DESIGN.md
+# §7). A second process of each of the two workloads whose figures used
+# to spread must print the figures the pass above wrote (about 45 s).
+alloc_figures() { # one benchmark result as JSON on stdin
+    python3 -c 'import json, sys; m = json.load(sys.stdin)["metrics"]
+print(m["host_allocs_per_step"]["value"], m["host_alloc_mb_per_step"]["value"])'
+}
+for workload in sym_deep_tiered replay_tiered_segments; do
+    first=$(alloc_figures <"benchmark/out/$workload.json")
+    again=$(bash benchmark/run.sh --workload "$workload" --quick --trace 0 | tail -n 1 | alloc_figures)
+    if [ "$first" != "$again" ]; then
+        echo "$workload allocates differently in a second process: $first, then $again" >&2
+        exit 1
+    fi
+done
 # The benchmark crate's own tests, which `--quick` never runs: among them
 # `bytes_round_trip_bit_exactly_through_both_tiers`, the one checksum
 # round trip of the spill path through DRAM and SSD tiers.

@@ -1,26 +1,14 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper's evaluation plus the
-# ablation and upscaling studies. Tables are printed and mirrored to
-# results/*.csv. Takes a few minutes (release build + symbolic runs).
+# ablation, upscaling, tiering, capacity and I/O studies: every bin under
+# crates/bench/src/bin. Tables are printed and mirrored to results/*.csv.
+# Takes a few minutes (release build + symbolic runs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BINS=(
-  fig1_trends
-  fig2_instances
-  fig7_footprint
-  fig9_lifespan
-  fig10_overhead
-  fig11_rok
-  tab1_ssds
-  tab2_comparison
-  tab4_offload
-  ablations
-  upscaling
-)
-
 cargo build --release -p ssdtrain-bench --bins
-for bin in "${BINS[@]}"; do
+for src in crates/bench/src/bin/*.rs; do
+  bin=$(basename "$src" .rs)
   echo
   echo "=============================================================="
   echo ">>> $bin"
