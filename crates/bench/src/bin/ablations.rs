@@ -7,38 +7,12 @@
 //! `sym_deep_tiered`, Figure 10's nine cells and `bench_tiering`'s three
 //! backends.
 
-use ssdtrain::{TensorCacheConfig, TraceSink};
+use ssdtrain::TensorCacheConfig;
 use ssdtrain_bench::{
-    cutoff_sweeps, export_trace, gb, gib, print_table, sink_for, trace_path_from_args, CutoffPoint,
+    bert_h8192_l4_step, cutoff_sweeps, export_trace, gb, gib, print_table, sink_for,
+    trace_path_from_args, CutoffPoint,
 };
-use ssdtrain_models::{Arch, ModelConfig};
 use ssdtrain_simhw::SystemConfig;
-use ssdtrain_train::{SessionConfig, StepMetrics, TrainSession};
-
-/// One step after a profiling step (`profile`), or the first step of a
-/// session that never profiled: no plan, and reloads on the depth walk.
-fn run_on(
-    system: SystemConfig,
-    cache: TensorCacheConfig,
-    sink: TraceSink,
-    profile: bool,
-) -> StepMetrics {
-    let cfg = SessionConfig::builder()
-        .system(system)
-        .model(ModelConfig::paper_scale(Arch::Bert, 8192, 4).with_tp(2))
-        .batch_size(16)
-        .cache(cache)
-        .symbolic(true)
-        .seed(42)
-        .trace(sink)
-        .build()
-        .expect("valid config");
-    let mut s = TrainSession::new(cfg).expect("session");
-    if profile {
-        let _ = s.profile_step().expect("profile step");
-    }
-    s.run_step().expect("step")
-}
 
 fn main() {
     let trace_path = trace_path_from_args();
@@ -93,7 +67,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, cfg, profile) in variants {
-        let m = run_on(SystemConfig::dac_testbed(), cfg, sink.clone(), profile);
+        let m = bert_h8192_l4_step(SystemConfig::dac_testbed(), cfg, sink.clone(), profile);
         rows.push(vec![
             name.to_string(),
             format!("{:.3}", m.step_secs),
@@ -142,7 +116,7 @@ fn main() {
             },
         ),
     ] {
-        let m = run_on(slow.clone(), cfg, sink.clone(), true);
+        let m = bert_h8192_l4_step(slow.clone(), cfg, sink.clone(), true);
         rows.push(vec![
             name.to_string(),
             format!("{:.3}", m.step_secs),

@@ -6,56 +6,20 @@
 //!
 //! BERT H8192 L4 B16 on the Table 3 testbed.
 
-use ssdtrain::{PlacementStrategy, TensorCacheConfig, TraceSink};
-use ssdtrain_bench::{export_trace, gib, print_table, sink_for, trace_path_from_args};
-use ssdtrain_models::{Arch, ModelConfig};
+use ssdtrain::{PlacementStrategy, TensorCacheConfig};
+use ssdtrain_bench::{
+    bert_h8192_l4_step, export_trace, gib, paper_session, print_table, sink_for,
+    trace_path_from_args,
+};
+use ssdtrain_models::Arch;
 use ssdtrain_simhw::SystemConfig;
-use ssdtrain_train::{SessionConfig, StepMetrics, TrainSession};
-
-fn run(system: SystemConfig, asynchronous: bool, sink: TraceSink) -> StepMetrics {
-    let cache = if asynchronous {
-        TensorCacheConfig::default()
-    } else {
-        TensorCacheConfig {
-            prefetch_depth: 0,
-            forwarding: false,
-            cancel_forwarded_stores: false,
-            adaptive: false,
-            ..TensorCacheConfig::default()
-        }
-    };
-    let cfg = SessionConfig::builder()
-        .system(system)
-        .model(ModelConfig::paper_scale(Arch::Bert, 8192, 4).with_tp(2))
-        .batch_size(16)
-        .cache(cache)
-        .symbolic(true)
-        .seed(42)
-        .trace(sink)
-        .build()
-        .expect("valid config");
-    let mut s = TrainSession::new(cfg).expect("session");
-    if asynchronous {
-        let _ = s.profile_step().expect("profile step");
-    }
-    s.run_step().expect("step")
-}
 
 fn main() {
     let trace_path = trace_path_from_args();
     let sink = sink_for(&trace_path);
-    let keep = {
-        let cfg = SessionConfig::builder()
-            .model(ModelConfig::paper_scale(Arch::Bert, 8192, 4).with_tp(2))
-            .batch_size(16)
-            .strategy(PlacementStrategy::Keep)
-            .symbolic(true)
-            .seed(42)
-            .build()
-            .expect("valid config");
-        let mut s = TrainSession::new(cfg).expect("session");
-        s.run_step().expect("step")
-    };
+    let keep = paper_session(Arch::Bert, 8192, 4, 16, PlacementStrategy::Keep)
+        .run_step()
+        .expect("measured step");
 
     let direct = SystemConfig::dac_testbed();
     let via_host = SystemConfig::dac_testbed().with_via_host_path(0.5);
@@ -68,7 +32,20 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, sys, asynchronous) in rows_spec {
-        let m = run(sys, asynchronous, sink.clone());
+        let cache = if asynchronous {
+            TensorCacheConfig::default()
+        } else {
+            // Synchronous I/O: no prefetch, no forwarding, no adaptive
+            // plan, and so no profiling step to derive one.
+            TensorCacheConfig {
+                prefetch_depth: 0,
+                forwarding: false,
+                cancel_forwarded_stores: false,
+                adaptive: false,
+                ..TensorCacheConfig::default()
+            }
+        };
+        let m = bert_h8192_l4_step(sys, cache, sink.clone(), asynchronous);
         rows.push(vec![
             name.to_string(),
             format!("{:.3}", m.step_secs),

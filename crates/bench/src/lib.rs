@@ -119,9 +119,9 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// The paper-testbed builder every bench binary starts from: a
 /// paper-scale (symbolic) model with TP=2 on the Table 3 machine, seed
 /// 42. Layer backend, cache and strategy choices on top and finish with
-/// `.build()` — `bench_tiering`, `bench_capacity` and `bench_io` all
-/// derive their sessions from this one helper so the testbed cannot
-/// drift between exhibits.
+/// `.build()` — `bench_tiering`, `bench_capacity`, `bench_io`,
+/// `tab2_comparison` and `ablations` all derive their sessions from this
+/// one helper so the testbed cannot drift between exhibits.
 pub fn paper_testbed(arch: Arch, hidden: usize, layers: usize, batch: usize) -> SessionBuilder {
     SessionConfig::builder()
         .model(ModelConfig::paper_scale(arch, hidden, layers).with_tp(2))
@@ -195,6 +195,30 @@ pub fn export_trace(sink: &TraceSink, path: &Path) {
 /// simulated devices, so a step error is a harness bug.
 pub fn measured_step(session: &mut TrainSession, strategy: PlacementStrategy) -> StepMetrics {
     if strategy.uses_cache() {
+        let _ = session.profile_step().expect("profile step");
+    }
+    session.run_step().expect("measured step")
+}
+
+/// One step of Figure 10's BERT H8192 L4 B16 cell on `system`, its
+/// cache tuned by `cache` and its events routed into `sink`: the step
+/// after a profiling step when `profile` is set, else the session's
+/// first. `tab2_comparison` and `ablations` toggle their design axes on
+/// this one cell.
+pub fn bert_h8192_l4_step(
+    system: SystemConfig,
+    cache: TensorCacheConfig,
+    sink: TraceSink,
+    profile: bool,
+) -> StepMetrics {
+    let cfg = paper_testbed(Arch::Bert, 8192, 4, 16)
+        .system(system)
+        .cache(cache)
+        .trace(sink)
+        .build()
+        .expect("valid config");
+    let mut session = TrainSession::new(cfg).expect("session construction");
+    if profile {
         let _ = session.profile_step().expect("profile step");
     }
     session.run_step().expect("measured step")

@@ -162,8 +162,9 @@ impl TensorCache {
     }
 
     /// Creates a cache over an ordered tier stack; each tier's transfers
-    /// are priced on its [`crate::Tier::link`] of `io` (so build the
-    /// engine with [`IoEngine::tiered_with_bus`] and matching link indices).
+    /// are priced on the link of `io` that the `link` argument of its
+    /// [`Tier::new`](crate::Tier::new) names (so build the engine with
+    /// [`IoEngine::tiered_with_bus`] and matching link indices).
     /// The engine is handed `mem`, where the cache stamps each reload's
     /// landing.
     pub fn with_tiers(
@@ -256,10 +257,7 @@ impl TensorCache {
         let st = self.state.lock();
         let mut stats = st.stats.clone();
         let arena = self.arena.stats();
-        stats.arena_acquired_bytes = arena.acquired_bytes;
-        stats.arena_released_bytes = arena.released_bytes;
         stats.arena_high_water_bytes = arena.high_water_bytes;
-        stats.arena_footprint_bytes = arena.footprint_bytes;
         stats.arena_slab_reuses = arena.slab_reuses;
         stats.tiers = self.tier_counters(&st);
         stats

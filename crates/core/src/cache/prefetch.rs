@@ -339,7 +339,6 @@ impl TensorCache {
                 }
                 st.passes[mb].slabs.push((gidx, slab));
                 st.stats.prefetch_groups += 1;
-                st.stats.prefetch_group_bytes += bytes;
                 if st.trace.is_enabled() {
                     st.trace.instant_with(
                         TraceCategory::Prefetch,

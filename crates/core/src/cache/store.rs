@@ -238,7 +238,6 @@ impl TensorCache {
         let now = self.io.clock().now();
         let Some(TierPlacement { tier, spilled }) = self.tiers.reserve(bytes) else {
             st.stats.kept += 1;
-            st.stats.placement_kept_bytes += bytes;
             trace.instant_bytes(TraceCategory::Tier, "tier.full", now, bytes);
             return None;
         };

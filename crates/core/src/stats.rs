@@ -80,25 +80,12 @@ pub struct OffloadStats {
     /// Bytes admitted to a slower tier because a faster placement tier
     /// was full at pack time.
     pub spilled_bytes: u64,
-    /// Bytes kept resident because every placement tier was full (the
-    /// [`crate::TierStack`] refused admission).
-    pub placement_kept_bytes: u64,
-    /// Payload bytes staged through the pinned [`BufferArena`] this
-    /// step (slab acquisitions).
+    /// Peak bytes simultaneously staged in the pinned [`BufferArena`]
+    /// this step — the pinned host memory the configuration really
+    /// needs.
     ///
     /// [`BufferArena`]: ssdtrain_simhw::BufferArena
-    pub arena_acquired_bytes: u64,
-    /// Payload bytes returned to the arena this step. The arena's
-    /// conservation invariant is `acquired == released + in_use` over
-    /// its own cumulative counters; per step the gap is bytes still
-    /// staged across the step boundary.
-    pub arena_released_bytes: u64,
-    /// Peak bytes simultaneously staged in the arena this step — the
-    /// pinned host memory the configuration really needs.
     pub arena_high_water_bytes: u64,
-    /// Total pinned footprint of the arena (sum of all slab size
-    /// classes ever created; grows only when reuse misses).
-    pub arena_footprint_bytes: u64,
     /// Slab acquisitions served from the free lists instead of growing
     /// the footprint (cumulative).
     pub arena_slab_reuses: u64,
@@ -114,8 +101,6 @@ pub struct OffloadStats {
     pub coalesce_evictions: u64,
     /// Backward prefetch groups issued (the group look-ahead).
     pub prefetch_groups: u64,
-    /// Bytes covered by issued prefetch groups.
-    pub prefetch_group_bytes: u64,
     /// Per-tier traffic, front tier first (empty until the cache takes
     /// its first snapshot).
     pub tiers: Vec<TierCounters>,

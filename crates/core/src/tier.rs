@@ -97,26 +97,6 @@ impl Tier {
         self.role = TierRole::DemotionOnly;
         self
     }
-
-    /// The tier's display name (defaults sensibly to the device name).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The admission capacity, `None` when unbounded.
-    pub fn capacity_bytes(&self) -> Option<u64> {
-        self.capacity_bytes
-    }
-
-    /// Index of the simulated link transfers to this tier are priced on.
-    pub fn link(&self) -> usize {
-        self.link
-    }
-
-    /// Placement eligibility.
-    pub fn role(&self) -> TierRole {
-        self.role
-    }
 }
 
 impl fmt::Debug for Tier {

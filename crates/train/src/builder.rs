@@ -147,39 +147,28 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone)]
 #[must_use = "call .build() to obtain the SessionConfig"]
 pub struct SessionBuilder {
-    system: SystemConfig,
-    model: ModelConfig,
-    batch_size: usize,
-    micro_batches: usize,
-    strategy: PlacementStrategy,
-    cache: TensorCacheConfig,
-    symbolic: bool,
-    seed: u64,
-    backend: OffloadBackend,
-    offload: OffloadClassSet,
-    overlap_optimizer: bool,
-    momentum: f32,
-    fault: Option<FaultPlan>,
-    trace: TraceSink,
+    cfg: SessionConfig,
 }
 
 impl Default for SessionBuilder {
     fn default() -> SessionBuilder {
         SessionBuilder {
-            system: SystemConfig::dac_testbed(),
-            model: ModelConfig::tiny_gpt(),
-            batch_size: 1,
-            micro_batches: 1,
-            strategy: PlacementStrategy::Offload,
-            cache: TensorCacheConfig::default(),
-            symbolic: false,
-            seed: 0,
-            backend: OffloadBackend::default(),
-            offload: OffloadClassSet::default(),
-            overlap_optimizer: false,
-            momentum: 0.0,
-            fault: None,
-            trace: TraceSink::disabled(),
+            cfg: SessionConfig {
+                system: SystemConfig::dac_testbed(),
+                model: ModelConfig::tiny_gpt(),
+                batch_size: 1,
+                micro_batches: 1,
+                strategy: PlacementStrategy::Offload,
+                cache: TensorCacheConfig::default(),
+                symbolic: false,
+                seed: 0,
+                backend: OffloadBackend::default(),
+                offload: OffloadClassSet::default(),
+                overlap_optimizer: false,
+                momentum: 0.0,
+                fault: None,
+                trace: TraceSink::disabled(),
+            },
         }
     }
 }
@@ -192,43 +181,45 @@ impl SessionBuilder {
 
     /// The machine to simulate.
     pub fn system(mut self, system: SystemConfig) -> SessionBuilder {
-        self.system = system;
+        self.cfg.system = system;
         self
     }
 
     /// The model to train.
     pub fn model(mut self, model: ModelConfig) -> SessionBuilder {
-        self.model = model;
+        self.cfg.model = model;
         self
     }
 
     /// Global batch size in sequences.
     pub fn batch_size(mut self, batch_size: usize) -> SessionBuilder {
-        self.batch_size = batch_size;
+        self.cfg.batch_size = batch_size;
         self
     }
 
     /// Micro-batches per step (gradient accumulation).
     pub fn micro_batches(mut self, micro_batches: usize) -> SessionBuilder {
-        self.micro_batches = micro_batches;
+        self.cfg.micro_batches = micro_batches;
         self
     }
 
     /// Activation placement strategy (the ROK corner to run).
     pub fn strategy(mut self, strategy: PlacementStrategy) -> SessionBuilder {
-        self.strategy = strategy;
+        self.cfg.strategy = strategy;
         self
     }
 
-    /// Tensor-cache tunables (used only by the offload strategy).
+    /// Tensor-cache tunables, used when the session has a cache: its
+    /// strategy uses one (`Offload`, `Hybrid`) or it offloads a state
+    /// class. Replaces whatever a cache shorthand set before it.
     pub fn cache(mut self, cache: TensorCacheConfig) -> SessionBuilder {
-        self.cache = cache;
+        self.cfg.cache = cache;
         self
     }
 
     /// Recovery policy shorthand: rewrites `cache.recovery` in place.
     pub fn recovery(mut self, recovery: RecoveryPolicy) -> SessionBuilder {
-        self.cache.recovery = recovery;
+        self.cfg.cache.recovery = recovery;
         self
     }
 
@@ -238,7 +229,7 @@ impl SessionBuilder {
     /// forward-pass stores into sequential segments of roughly this
     /// many bytes before they hit the tier queues.
     pub fn coalesce_segment(mut self, bytes: u64) -> SessionBuilder {
-        self.cache.coalesce_segment_bytes = bytes;
+        self.cfg.cache.coalesce_segment_bytes = bytes;
         self
     }
 
@@ -250,7 +241,7 @@ impl SessionBuilder {
     /// memory backward hands back allows (never fewer than
     /// `prefetch_depth` groups).
     pub fn prefetch_group(mut self, modules: usize) -> SessionBuilder {
-        self.cache.prefetch_group_modules = modules;
+        self.cfg.cache.prefetch_group_modules = modules;
         self
     }
 
@@ -259,19 +250,19 @@ impl SessionBuilder {
     /// path the floor of the look-ahead, the groups kept in flight
     /// whatever the memory level. `0` turns prefetching off.
     pub fn prefetch_depth(mut self, depth: usize) -> SessionBuilder {
-        self.cache.prefetch_depth = depth;
+        self.cfg.cache.prefetch_depth = depth;
         self
     }
 
     /// Shape-only execution (paper-scale runs).
     pub fn symbolic(mut self, symbolic: bool) -> SessionBuilder {
-        self.symbolic = symbolic;
+        self.cfg.symbolic = symbolic;
         self
     }
 
     /// Seed for weights, data and dropout.
     pub fn seed(mut self, seed: u64) -> SessionBuilder {
-        self.seed = seed;
+        self.cfg.seed = seed;
         self
     }
 
@@ -279,7 +270,7 @@ impl SessionBuilder {
     /// ([`OffloadBackend::Ssd`], [`OffloadBackend::Dram`]) or the tiered
     /// DRAM-then-SSD stack.
     pub fn backend(mut self, backend: OffloadBackend) -> SessionBuilder {
-        self.backend = backend;
+        self.cfg.backend = backend;
         self
     }
 
@@ -302,7 +293,7 @@ impl SessionBuilder {
     ///
     /// [`momentum`]: SessionBuilder::momentum
     pub fn offload(mut self, class: OffloadClass, enabled: bool) -> SessionBuilder {
-        self.offload = self.offload.with(class, enabled);
+        self.cfg.offload = self.cfg.offload.with(class, enabled);
         self
     }
 
@@ -314,7 +305,7 @@ impl SessionBuilder {
     /// update runs inside the measured step, and costs 0 simulated
     /// seconds when no state class is offloaded.
     pub fn overlap_optimizer(mut self, overlap: bool) -> SessionBuilder {
-        self.overlap_optimizer = overlap;
+        self.cfg.overlap_optimizer = overlap;
         self
     }
 
@@ -322,20 +313,20 @@ impl SessionBuilder {
     /// optimizer; a positive value allocates per-parameter velocity —
     /// the state the `OptimizerState` class moves through the tiers.
     pub fn momentum(mut self, momentum: f32) -> SessionBuilder {
-        self.momentum = momentum;
+        self.cfg.momentum = momentum;
         self
     }
 
     /// Injects a deterministic fault schedule between the cache and the
     /// offload target.
     pub fn fault(mut self, plan: FaultPlan) -> SessionBuilder {
-        self.fault = Some(plan);
+        self.cfg.fault = Some(plan);
         self
     }
 
     /// Routes the session's tensor-lifecycle events into `sink`.
     pub fn trace(mut self, sink: TraceSink) -> SessionBuilder {
-        self.trace = sink;
+        self.cfg.trace = sink;
         self
     }
 
@@ -344,55 +335,43 @@ impl SessionBuilder {
     /// # Errors
     /// Returns the first [`ConfigError`] the settings violate.
     pub fn build(self) -> Result<SessionConfig, ConfigError> {
-        if self.batch_size == 0 {
+        let cfg = self.cfg;
+        if cfg.batch_size == 0 {
             return Err(ConfigError::ZeroBatch);
         }
-        if self.micro_batches == 0 {
+        if cfg.micro_batches == 0 {
             return Err(ConfigError::ZeroMicroBatches);
         }
-        if !self.batch_size.is_multiple_of(self.micro_batches) {
+        if !cfg.batch_size.is_multiple_of(cfg.micro_batches) {
             return Err(ConfigError::IndivisibleMicroBatches {
-                batch_size: self.batch_size,
-                micro_batches: self.micro_batches,
+                batch_size: cfg.batch_size,
+                micro_batches: cfg.micro_batches,
             });
         }
-        if self.model.tp > self.system.gpus {
+        if cfg.model.tp > cfg.system.gpus {
             return Err(ConfigError::TensorParallelMismatch {
-                tp: self.model.tp,
-                gpus: self.system.gpus,
+                tp: cfg.model.tp,
+                gpus: cfg.system.gpus,
             });
         }
-        if self.backend == (OffloadBackend::Tiered { dram_bytes: 0 }) {
+        if cfg.backend == (OffloadBackend::Tiered { dram_bytes: 0 }) {
             return Err(ConfigError::ZeroTierCapacity);
         }
-        if self.offload.contains(OffloadClass::OptimizerState) && self.momentum <= 0.0 {
+        if cfg.offload.contains(OffloadClass::OptimizerState) && cfg.momentum <= 0.0 {
             return Err(ConfigError::StatelessOptimizerOffload);
         }
-        if !self.offload.contains(OffloadClass::Activation) && self.strategy.uses_cache() {
+        if !cfg.offload.contains(OffloadClass::Activation) && cfg.strategy.uses_cache() {
             return Err(ConfigError::ActivationClassRequired);
         }
-        Ok(SessionConfig {
-            system: self.system,
-            model: self.model,
-            batch_size: self.batch_size,
-            micro_batches: self.micro_batches,
-            strategy: self.strategy,
-            cache: self.cache,
-            symbolic: self.symbolic,
-            seed: self.seed,
-            backend: self.backend,
-            offload: self.offload,
-            overlap_optimizer: self.overlap_optimizer,
-            momentum: self.momentum,
-            fault: self.fault,
-            trace: self.trace,
-        })
+        Ok(cfg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssdtrain_simhw::{FaultKind, FaultTrigger, SimTime};
+    use ssdtrain_trace::TraceCategory;
 
     #[test]
     fn defaults_build_cleanly() {
@@ -402,6 +381,84 @@ mod tests {
         assert_eq!(cfg.backend, OffloadBackend::Ssd);
         assert!(cfg.fault.is_none());
         assert!(!cfg.trace.is_enabled());
+    }
+
+    #[test]
+    fn every_setting_reaches_the_config() {
+        let mut system = SystemConfig::dac_testbed();
+        system.pcie_bps *= 2.0;
+        let mut model = ModelConfig::tiny_gpt();
+        model.layers += 1;
+        let cache = TensorCacheConfig {
+            dedup: false,
+            ..TensorCacheConfig::default()
+        };
+        let plan =
+            FaultPlan::new(3).with_fault(FaultTrigger::NthOp { nth: 1 }, FaultKind::WriteError);
+        let sink = TraceSink::enabled();
+        let tiered = OffloadBackend::Tiered {
+            dram_bytes: 1 << 30,
+        };
+        let cfg = SessionConfig::builder()
+            .system(system.clone())
+            .model(model.clone())
+            .batch_size(4)
+            .micro_batches(2)
+            .strategy(PlacementStrategy::Hybrid {
+                recompute_layers: 1,
+            })
+            .cache(cache.clone())
+            .recovery(RecoveryPolicy::FallbackTarget)
+            .coalesce_segment(1 << 20)
+            .prefetch_group(2)
+            .prefetch_depth(3)
+            .symbolic(true)
+            .seed(9)
+            .backend(tiered)
+            .offload(OffloadClass::OptimizerState, true)
+            .overlap_optimizer(true)
+            .momentum(0.5)
+            .fault(plan.clone())
+            .trace(sink.clone())
+            .build()
+            .expect("valid");
+        assert_eq!(cfg.system, system);
+        assert_eq!(cfg.model, model);
+        assert_eq!((cfg.batch_size, cfg.micro_batches), (4, 2));
+        assert_eq!(
+            cfg.strategy,
+            PlacementStrategy::Hybrid {
+                recompute_layers: 1
+            }
+        );
+        assert!(!cfg.cache.dedup);
+        assert_eq!(cfg.cache.recovery, RecoveryPolicy::FallbackTarget);
+        assert_eq!(cfg.cache.coalesce_segment_bytes, 1 << 20);
+        assert_eq!(cfg.cache.prefetch_group_modules, 2);
+        assert_eq!(cfg.cache.prefetch_depth, 3);
+        assert!(cfg.symbolic);
+        assert_eq!(cfg.seed, 9);
+        assert_eq!(cfg.backend, tiered);
+        assert_eq!(
+            cfg.offload,
+            OffloadClassSet::activation_only().with(OffloadClass::OptimizerState, true)
+        );
+        assert!(cfg.overlap_optimizer);
+        assert_eq!(cfg.momentum, 0.5);
+        assert_eq!(cfg.fault, Some(plan));
+        // The sink is shared, not copied: an event sent through the
+        // config's reaches the one handed to the builder.
+        cfg.trace
+            .instant(TraceCategory::Session, "probe", SimTime::ZERO);
+        assert_eq!(sink.events().len(), 1);
+
+        // `.cache(c)` replaces what a shorthand set before it.
+        let cfg = SessionConfig::builder()
+            .prefetch_group(2)
+            .cache(cache.clone())
+            .build()
+            .expect("valid");
+        assert_eq!(cfg.cache, cache);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use ssdtrain_autograd::optim::Sgd;
 use ssdtrain_autograd::{Graph, Phase, TapeSize, Var};
 use ssdtrain_models::{Batch, Model, ModelConfig, Recompute};
 use ssdtrain_simhw::system::GpuRuntime;
-use ssdtrain_simhw::{FaultLog, FaultPlan, SimTime, SystemConfig};
+use ssdtrain_simhw::{FaultLog, FaultPlan, SimClock, SimTime, SystemConfig};
 use ssdtrain_tensor::Device;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,13 +56,6 @@ impl OffloadClassSet {
         }
     }
 
-    /// No class at all (everything stays resident).
-    pub fn none() -> OffloadClassSet {
-        OffloadClassSet {
-            enabled: [false; 3],
-        }
-    }
-
     /// Returns the set with `class` switched to `enabled`.
     pub fn with(mut self, class: OffloadClass, enabled: bool) -> OffloadClassSet {
         self.enabled[class.index()] = enabled;
@@ -79,11 +72,6 @@ impl OffloadClassSet {
     /// activation strategy is keep/recompute.
     pub fn any_state(&self) -> bool {
         self.contains(OffloadClass::Gradient) || self.contains(OffloadClass::OptimizerState)
-    }
-
-    /// The selected classes, in [`OffloadClass::ALL`] order.
-    pub fn iter(&self) -> impl Iterator<Item = OffloadClass> + '_ {
-        OffloadClass::ALL.into_iter().filter(|c| self.contains(*c))
     }
 }
 
@@ -122,7 +110,9 @@ pub struct SessionConfig {
     pub micro_batches: usize,
     /// Activation placement strategy (the ROK corner to run).
     pub strategy: PlacementStrategy,
-    /// Tensor-cache tunables (used only for `Offload`).
+    /// Tensor-cache tunables, used when the session has a cache: its
+    /// strategy uses one (`Offload`, `Hybrid`) or it offloads a state
+    /// class.
     pub cache: TensorCacheConfig,
     /// Shape-only execution (paper-scale runs).
     pub symbolic: bool,
@@ -179,12 +169,12 @@ pub struct TrainSession {
     optimizer: Arc<Mutex<Sgd>>,
     opt_engine: OptEngine,
     spill_dir: Option<PathBuf>,
-    trace: TraceSink,
     step_idx: u64,
     /// The last backward's tape, which the next step's graph reserves.
     tape: TapeSize,
 }
 
+/// Maps a scheduler command to the hint the cache understands.
 fn stage_hint(cmd: StepCmd) -> StageHint {
     match cmd {
         StepCmd::LoadMicroBatch { mb } => StageHint::MicroBatchLoad(mb),
@@ -238,25 +228,24 @@ impl Gpu {
                 faulty: None,
             };
         }
-        // One tier to build: its device plus an optional pack-time
-        // admission capacity (links stay per-index alongside).
-        struct TierSpec {
-            name: &'static str,
-            device: Arc<dyn OffloadTarget>,
-            capacity: Option<u64>,
-        }
         let sys = &cfg.system;
+        // An injected fault plan sits between the cache and the *front*
+        // tier's device (the one placement hits first).
+        let mut faulty = None;
+        let mut front = |device: Arc<dyn OffloadTarget>| -> Arc<dyn OffloadTarget> {
+            match cfg.fault.clone() {
+                Some(plan) => faulty.insert(FaultyTarget::new(device, plan)).clone(),
+                None => device,
+            }
+        };
         // Build the tier stack and the simulated link each tier's
-        // transfers are priced on. A single-tier backend's link is named
-        // "offload"; host memory offers symmetric bandwidth over the raw
-        // PCIe link while the SSD path is capped by the array.
-        let (mut specs, links) = match (cfg.backend, ssd) {
+        // transfers are priced on (a tier's link is its index). A
+        // single-tier backend's link is named "offload"; host memory
+        // offers symmetric bandwidth over the raw PCIe link while the SSD
+        // path is capped by the array.
+        let (tiers, links) = match (cfg.backend, ssd) {
             (OffloadBackend::Ssd, Some(ssd)) => (
-                vec![TierSpec {
-                    name: "ssd",
-                    device: ssd,
-                    capacity: None,
-                }],
+                vec![Tier::new("ssd", front(ssd), 0)],
                 vec![TierLink::new(
                     "offload",
                     sys.offload_write_bps(),
@@ -265,16 +254,9 @@ impl Gpu {
             ),
             (OffloadBackend::Tiered { dram_bytes }, Some(ssd)) => (
                 vec![
-                    TierSpec {
-                        name: "dram",
-                        device: Arc::new(CpuTarget::new(dram_bytes)),
-                        capacity: Some(dram_bytes),
-                    },
-                    TierSpec {
-                        name: "ssd",
-                        device: ssd,
-                        capacity: None,
-                    },
+                    Tier::new("dram", front(Arc::new(CpuTarget::new(dram_bytes))), 0)
+                        .with_capacity(dram_bytes),
+                    Tier::new("ssd", ssd, 1),
                 ],
                 vec![
                     TierLink::new("dram", sys.host_offload_bps(), sys.host_offload_bps()),
@@ -284,11 +266,11 @@ impl Gpu {
             // `Dram`, or no SSD to spill into. The paper sizes the pinned
             // pool by profiling; we grant the whole host memory (Figure 2).
             _ => (
-                vec![TierSpec {
-                    name: "cpu",
-                    device: Arc::new(CpuTarget::new(sys.host_mem_bytes)),
-                    capacity: None,
-                }],
+                vec![Tier::new(
+                    "cpu",
+                    front(Arc::new(CpuTarget::new(sys.host_mem_bytes))),
+                    0,
+                )],
                 vec![TierLink::new(
                     "offload",
                     sys.host_offload_bps(),
@@ -296,14 +278,6 @@ impl Gpu {
                 )],
             ),
         };
-        // An injected fault plan sits between the cache and the *front*
-        // tier's device (the one placement hits first).
-        let faulty = cfg.fault.clone().map(|plan| {
-            let front = &mut specs[0].device;
-            let ft = FaultyTarget::new(front.clone(), plan);
-            *front = ft.clone();
-            ft
-        });
         // Every offload byte crosses the one physical PCIe bus
         // regardless of which tier absorbs it, so store jobs serialise
         // across links instead of draining in parallel — this is what
@@ -315,17 +289,6 @@ impl Gpu {
             ft.attach_io(io.clone());
             ft.set_trace(cfg.trace.clone());
         }
-        let tiers: Vec<Tier> = specs
-            .into_iter()
-            .enumerate()
-            .map(|(link, spec)| {
-                let tier = Tier::new(spec.name, spec.device, link);
-                match spec.capacity {
-                    Some(bytes) => tier.with_capacity(bytes),
-                    None => tier,
-                }
-            })
-            .collect();
         let cache = TensorCache::with_tiers(
             cfg.cache.clone(),
             Arc::new(TierStack::new(tiers)),
@@ -357,8 +320,9 @@ impl Gpu {
 
 impl TrainSession {
     /// Builds the session: instantiates runtime, model, optimizer and —
-    /// for the offload strategy — the tensor cache over an SSD spill
-    /// directory.
+    /// when the session has a cache (see [`TrainSession::cache`]) — the
+    /// tensor cache over the configured backend, spilling into an SSD
+    /// directory unless the backend is `Dram`.
     ///
     /// # Errors
     /// Returns an error if the spill directory cannot be created.
@@ -399,7 +363,6 @@ impl TrainSession {
             cfg.model.layers.max(1),
             gpu.cache.as_ref(),
         );
-        let trace = cfg.trace.clone();
         Ok(TrainSession {
             cfg,
             device,
@@ -408,7 +371,6 @@ impl TrainSession {
             optimizer,
             opt_engine,
             spill_dir,
-            trace,
             step_idx: 0,
             tape: TapeSize::default(),
         })
@@ -424,7 +386,8 @@ impl TrainSession {
         &self.cfg
     }
 
-    /// The tensor cache, when the strategy is `Offload`.
+    /// The tensor cache, when the session has one: its strategy uses one
+    /// (`Offload`, `Hybrid`) or it offloads a state class.
     pub fn cache(&self) -> Option<&Arc<TensorCache>> {
         self.gpu.cache.as_ref()
     }
@@ -438,7 +401,19 @@ impl TrainSession {
     /// The trace sink this session emits into (disabled unless the
     /// config carried an enabled one).
     pub fn trace(&self) -> &TraceSink {
-        &self.trace
+        &self.cfg.trace
+    }
+
+    /// Starts a step on a fresh clock, memory and executor, marks its
+    /// beginning in the trace and returns the step's clock.
+    fn open_step(&self) -> SimClock {
+        let clock = self.gpu.runtime.clock.clone();
+        self.gpu.runtime.reset();
+        self.gpu.executor.reset();
+        let trace = &self.cfg.trace;
+        trace.next_step();
+        trace.instant(TraceCategory::Session, "step.begin", clock.now());
+        clock
     }
 
     /// A graph for the next step, its tape sized like the last one's.
@@ -457,7 +432,7 @@ impl TrainSession {
         g
     }
 
-    /// Runs one profiling step (offload strategy only) and applies the
+    /// Runs one profiling step on the session's cache and applies the
     /// resulting adaptive plan to subsequent steps (Section 3.3.3). The
     /// plan returned is the one applied: derived after the profiling
     /// backward, so it keeps the modules that backward forwarded whole
@@ -468,20 +443,15 @@ impl TrainSession {
     /// recovery could not absorb.
     ///
     /// # Panics
-    /// Panics if the strategy is not `Offload`.
+    /// Panics if the session has no cache (see [`TrainSession::cache`]).
     #[expect(clippy::expect_used, reason = "documented contract")]
     pub fn profile_step(&mut self) -> Result<(StepProfile, AdaptivePlan), StepError> {
         let cache = self
             .gpu
             .cache
             .clone()
-            .expect("profile_step requires the offload strategy");
-        let clock = self.gpu.runtime.clock.clone();
-        self.gpu.runtime.reset();
-        self.gpu.executor.reset();
-        self.trace.next_step();
-        self.trace
-            .instant(TraceCategory::Session, "step.begin", clock.now());
+            .expect("profile_step requires a session with a cache");
+        let clock = self.open_step();
         cache.begin_profile_step();
         let g = self.fresh_graph();
         g.set_phase(Phase::Forward);
@@ -496,7 +466,8 @@ impl TrainSession {
         self.tape = g.tape_size();
         g.reset_tape();
         cache.flush();
-        self.trace
+        self.cfg
+            .trace
             .instant(TraceCategory::Session, "step.end", clock.now());
         self.optimizer.lock().zero_grad();
         self.step_idx += 1;
@@ -509,7 +480,8 @@ impl TrainSession {
         }
     }
 
-    /// Maps a scheduler command to the hint the cache understands.
+    /// The layers the model recomputes in backward instead of saving:
+    /// all of them under `Recompute`, the first few under `Hybrid`.
     fn recompute_policy(&self) -> Recompute {
         match self.cfg.strategy {
             PlacementStrategy::Recompute => Recompute::All,
@@ -547,16 +519,12 @@ impl TrainSession {
     /// optimizer applied inside backward before the failure stay: their
     /// gradients were final.
     pub fn run_step(&mut self) -> Result<StepMetrics, StepError> {
-        let clock = self.gpu.runtime.clock.clone();
-        self.gpu.runtime.reset();
-        self.gpu.executor.reset();
-        self.trace.next_step();
-        self.trace
-            .instant(TraceCategory::Session, "step.begin", clock.now());
+        let clock = self.open_step();
         // The whole measured step as one manually closed span: the end
         // timestamp is simulated time, so RAII cannot close it. Both exits
         // below end it; `OpenSpan`'s `Drop` flags one that did not.
         let step_span = self
+            .cfg
             .trace
             .begin_span(TraceCategory::Session, "step", clock.now());
         if let Some(cache) = &self.gpu.cache {
@@ -628,19 +596,19 @@ impl TrainSession {
                     // the gradients that did not stream. Stores issued
                     // here drain at this stage scope's exit, on the step
                     // that produced them.
-                    let r = self.opt_engine.reduce_grads(&clock, &self.trace);
+                    let r = self.opt_engine.reduce_grads(&clock, &self.cfg.trace);
                     opt_report.exposed_secs += r.exposed_secs;
                 }
                 StepCmd::OptimizerStep => {
                     // The inline update runs inside the measured window
                     // (the in-backward one is done by now).
-                    let r = self.opt_engine.end_of_step(&clock, &self.trace);
+                    let r = self.opt_engine.end_of_step(&clock, &self.cfg.trace);
                     opt_report.inline_secs += r.inline_secs;
                 }
             }
             match scope {
                 Some(scope) => drop(scope), // line 15 + stage span
-                None if self.trace.is_enabled() => self.trace.span(
+                None if self.cfg.trace.is_enabled() => self.cfg.trace.span(
                     TraceCategory::Stage,
                     stage.trace_label(),
                     stage_start,
@@ -697,8 +665,8 @@ impl TrainSession {
             opt_secs: opt_report.inline_secs,
             opt_exposed_secs: opt_report.exposed_secs,
         };
-        if self.trace.is_enabled() {
-            self.trace.instant_with(
+        if self.cfg.trace.is_enabled() {
+            self.cfg.trace.instant_with(
                 TraceCategory::Session,
                 "step.end",
                 clock.now(),
