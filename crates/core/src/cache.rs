@@ -200,15 +200,6 @@ impl TensorCache {
         self.state.lock().trace = sink;
     }
 
-    /// Installs the secondary target
-    /// [`RecoveryPolicy::FallbackTarget`](crate::RecoveryPolicy::FallbackTarget)
-    /// re-routes refused stores to (typically a [`crate::CpuTarget`]
-    /// pinned pool) — expressed as a demotion-only tier appended to the
-    /// stack; its loads travel the front tier's simulated link.
-    pub fn set_fallback_target(&self, target: Arc<dyn OffloadTarget>) {
-        self.tiers.push_demotion(target);
-    }
-
     /// Takes the first offload failure recovery could not absorb this
     /// step, if any. The training loop calls this at the step boundary;
     /// under [`RecoveryPolicy::FailStep`](crate::RecoveryPolicy::FailStep)
@@ -265,9 +256,10 @@ impl TensorCache {
 
     /// The tiers' step counters with their timing overlaid from the I/O
     /// engine. A link's stall and busy seconds go to the first tier
-    /// priced on it only: a demotion tier shares the front tier's link
-    /// ([`TierStack::push_demotion`]) and reports 0, so the tiers' busy
-    /// seconds sum to the engine's.
+    /// priced on it only: a demotion tier on the front tier's link (the
+    /// fallback target of
+    /// [`RecoveryPolicy::FallbackTarget`](crate::RecoveryPolicy::FallbackTarget))
+    /// reports 0, so the tiers' busy seconds sum to the engine's.
     fn tier_counters(&self, st: &State) -> Vec<TierCounters> {
         let ids = self.tiers.tier_ids();
         let mut tiers = self.tiers.counters();
@@ -545,9 +537,10 @@ impl TensorCache {
     }
 
     /// Emits one `tier.io.<name>` instant per tier and one
-    /// `class.io.<label>` instant per [`OffloadClass`] that saw traffic
-    /// this step (at the optimizer stage's exit, i.e. the end of the
-    /// step), carrying byte counts — the trace-side mirror of the
+    /// `class.io.<label>` instant per
+    /// [`OffloadClass`](crate::OffloadClass) that saw traffic this step
+    /// (at the optimizer stage's exit, i.e. the end of the step),
+    /// carrying byte counts — the trace-side mirror of the
     /// [`OffloadStats`] tier and class counters.
     fn emit_tier_io(&self, st: &State) {
         if !st.trace.is_enabled() {

@@ -78,7 +78,8 @@ impl TensorCache {
 
     /// Blocks (on the simulated clock) until `t`; whatever compute did not
     /// already cover is exposed I/O latency, accounted in
-    /// [`OffloadStats::stall_secs`] with a `name` span over it.
+    /// [`OffloadStats::stall_secs`](crate::OffloadStats::stall_secs)
+    /// with a `name` span over it.
     pub(super) fn stall_until(&self, st: &mut State, t: SimTime, name: &'static str) {
         let stall = self.io.clock().advance_to(t);
         st.stats.stall_secs += stall;

@@ -244,7 +244,9 @@ impl TensorCache {
     /// Books the segments whose store has landed since the last call.
     /// Commits are lazy — a landed store's memory is released (stamped
     /// at the store's end) only when something reaches the record — so
-    /// until then [`GpuMemory::resident`] over-reads by it; the group
+    /// until then
+    /// [`GpuMemory::resident`](ssdtrain_simhw::GpuMemory::resident)
+    /// over-reads by it; the group
     /// prefetcher subtracts `State::unsettled` from every level it
     /// reads. The write queue is one FIFO, so the landed segments are a
     /// prefix of `State::segments` and each is visited once. A segment

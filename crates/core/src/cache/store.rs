@@ -326,7 +326,8 @@ impl TensorCache {
     /// Seals `members` — `Staged` records admitted to `tier` — into one
     /// segment and submits its store job, flipping them to `Storing`.
     /// One segment is one job on the tier's link
-    /// ([`OffloadStats::store_jobs`] counts segments, not tensors) and
+    /// ([`OffloadStats::store_jobs`](crate::OffloadStats::store_jobs)
+    /// counts segments, not tensors) and
     /// will be one device write operation at commit; byte and class
     /// accounting stayed per record at stage time, so the trace identity
     /// `Σstore.enqueue − Σstore.cancel − recoveries == offloaded_bytes`

@@ -72,8 +72,10 @@ pub enum RecoveryPolicy {
     /// (`store_failures`, `kept_resident_bytes`) reported.
     #[default]
     KeepResident,
-    /// Re-issue the failed store to the cache's fallback target (the
-    /// paper's CPU offloader as a spill-of-last-resort), retrying up to
+    /// Re-issue the failed store to the tiers below the one that refused
+    /// it — a stack built with a demotion-only fallback tier
+    /// ([`crate::Tier::demotion_only`]; the paper's CPU offloader as a
+    /// spill-of-last-resort) always has one — retrying up to
     /// [`MAX_IO_RETRIES`] times; if the fallback also fails, degrade to
     /// [`RecoveryPolicy::KeepResident`] behaviour.
     FallbackTarget,

@@ -34,8 +34,6 @@ use crate::tier::TierStack;
 /// One placement tier as the cost model prices it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TierCost {
-    /// The tier's display name.
-    pub name: String,
     /// Effective store bandwidth, bytes/s (link rate capped by the
     /// shared write bus).
     pub write_bps: f64,
@@ -70,7 +68,6 @@ impl CostModel {
             .map(|s| TierCost {
                 write_bps: io.write_bps_of(s.link).min(bus),
                 read_bps: io.read_bps_of(s.link).min(io.bus_read_bps()),
-                name: s.name,
                 capacity_bytes: s.capacity_bytes,
             })
             .collect();
@@ -104,13 +101,9 @@ impl CostModel {
         }
     }
 
-    /// The tiers the model prices, front first.
-    pub fn tiers(&self) -> &[TierCost] {
-        &self.tiers
-    }
-
     /// Seconds until the last store drains, given `bytes_per_tier`
-    /// (indexed like [`CostModel::tiers`]; missing entries are zero).
+    /// (indexed like the stack's placement tiers,
+    /// [`TierStack::placement_tiers`]; missing entries are zero).
     /// Every job serialises on the shared bus, so the drain is the sum
     /// of per-tier transfer times. Each tier also pays [`CostModel::jobs_for`] × the engine's per-job submission
     /// overhead, which is what makes coalesced segments strictly cheaper
@@ -172,7 +165,7 @@ impl CostModel {
     }
 
     /// Sums each tier's bytes under `assignment` (entries are
-    /// indices into [`CostModel::tiers`]; `None` keeps the module
+    /// indices into the stack's placement tiers; `None` keeps the module
     /// resident).
     pub fn split_for(&self, profile: &StepProfile, assignment: &[Option<usize>]) -> Vec<u64> {
         let mut split = vec![0u64; self.tiers.len()];

@@ -215,26 +215,6 @@ impl TierStack {
         TierStack::new(vec![Tier::new(name, device, 0)])
     }
 
-    /// Appends a demotion-only tier priced on the *front* tier's link:
-    /// [`crate::TensorCache::set_fallback_target`]'s fallback target.
-    pub fn push_demotion(&self, device: Arc<dyn OffloadTarget>) {
-        let mut inner = self.inner.lock();
-        let link = inner.first().map(|(t, _)| t.link).unwrap_or(0);
-        let name = device.name().to_owned();
-        let tier = Tier::new(name, device, link).demotion_only();
-        let counters = TierCounters {
-            name: tier.name.clone(),
-            ..TierCounters::default()
-        };
-        inner.push((
-            tier,
-            TierState {
-                reserved: 0,
-                counters,
-            },
-        ));
-    }
-
     /// Number of tiers.
     pub fn len(&self) -> usize {
         self.inner.lock().len()

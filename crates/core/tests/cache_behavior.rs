@@ -277,7 +277,7 @@ fn a_per_tensor_store_is_a_segment_of_one() {
             let observed = (
                 loss.to_bits(),
                 r.clock.now().as_secs().to_bits(),
-                r.mem.peak_total(),
+                r.mem.step_memory().peak_total,
                 r.mem.peak_activations(),
                 stats,
             );
@@ -934,9 +934,12 @@ fn a_refused_segment_demotes_each_members_own_bytes() {
         recovery: RecoveryPolicy::FallbackTarget,
         ..offload_all_config()
     };
-    let cache = TensorCache::new(cfg, front, io, mem);
     let fallback = Arc::new(CpuTarget::new(1 << 20));
-    cache.set_fallback_target(fallback.clone());
+    let tiers = TierStack::new(vec![
+        Tier::new("faulty-cpu", front, 0),
+        Tier::new("cpu", fallback.clone(), 0).demotion_only(),
+    ]);
+    let cache = TensorCache::with_tiers(cfg, Arc::new(tiers), io, mem);
     cache.begin_step();
     let saves = mixed_width_saves(&cache, &dev);
     drop(cache.stage_scope(StageHint::Forward));
@@ -1369,6 +1372,13 @@ impl HookStep {
         let upto = timeline.iter().take_while(|p| p.time <= t);
         upto.last().map_or(0, |p| p.activations)
     }
+
+    /// Peak activation bytes on the memory timeline within `[from, to]`.
+    fn peak_between(&self, from: SimTime, to: SimTime) -> u64 {
+        let timeline = self.mem.timeline().into_iter();
+        let window = timeline.filter(|p| p.time >= from && p.time <= to);
+        window.map(|p| p.activations).max().unwrap_or(0)
+    }
 }
 
 fn arg(e: &TraceEvent, key: &str) -> u64 {
@@ -1451,9 +1461,7 @@ fn group_lookahead_spends_what_backward_hands_back_and_no_more() {
     // flight before anything was freed.
     let bound = step.activations_at(announced);
     assert_eq!(bound, 8 * MIB);
-    let after = step
-        .mem
-        .peak_activations_between(announced, step.clock.now());
+    let after = step.peak_between(announced, step.clock.now());
     assert!(bound < after && after <= bound + 4 * MIB, "{after}");
 }
 
@@ -1489,11 +1497,9 @@ fn group_lookahead_forwards_the_store_backlog_without_lifting_the_level() {
     assert_eq!(bound, 11 * MIB);
     // Backward's prefetching never lifted activation memory above where
     // backward started, so the step's peak is forward's.
-    let after = step
-        .mem
-        .peak_activations_between(announced, step.clock.now());
+    let after = step.peak_between(announced, step.clock.now());
     assert_eq!(after, bound);
-    let forward = step.mem.peak_activations_between(SimTime::ZERO, announced);
+    let forward = step.peak_between(SimTime::ZERO, announced);
     assert_eq!(step.mem.peak_activations(), forward);
 }
 

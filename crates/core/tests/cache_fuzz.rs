@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use ssdtrain::{
     CpuTarget, FaultyTarget, IoEngine, OffloadClass, RecoveryPolicy, StateSlot, TensorCache,
-    TensorCacheConfig,
+    TensorCacheConfig, Tier, TierStack,
 };
 use ssdtrain_autograd::{ModuleHooks, Packed, Phase, SavedTensorHooks, ScopeInfo};
 use ssdtrain_simhw::{FaultKind, FaultPlan, FaultTrigger, GpuMemory, SimClock};
@@ -103,7 +103,21 @@ proptest! {
         let dev = Device::cpu();
         dev.set_tracker(mem.clone());
         let io = IoEngine::new(clock.clone(), write_kbps as f64 * 1e3, 1e6);
-        let cache = TensorCache::new(
+        // Store faults only: every policy keeps a failed store's bytes
+        // in memory, so the data checks below hold under all of them (a
+        // failed *load* loses data by design).
+        let front = FaultyTarget::new(
+            Arc::new(CpuTarget::new(1 << 40)),
+            FaultPlan::new(fault_seed).with_recurring_fault(
+                FaultTrigger::Random { prob: write_fault_prob },
+                FaultKind::WriteError,
+            ),
+        );
+        let tiers = TierStack::new(vec![
+            Tier::new("faulty-cpu", front, 0),
+            Tier::new("cpu", Arc::new(CpuTarget::new(1 << 40)), 0).demotion_only(),
+        ]);
+        let cache = TensorCache::with_tiers(
             TensorCacheConfig {
                 min_offload_numel: 0,
                 adaptive: false,
@@ -111,20 +125,10 @@ proptest! {
                 recovery,
                 ..TensorCacheConfig::default()
             },
-            // Store faults only: every policy keeps a failed store's
-            // bytes in memory, so the data checks below hold under all
-            // of them (a failed *load* loses data by design).
-            FaultyTarget::new(
-                Arc::new(CpuTarget::new(1 << 40)),
-                FaultPlan::new(fault_seed).with_recurring_fault(
-                    FaultTrigger::Random { prob: write_fault_prob },
-                    FaultKind::WriteError,
-                ),
-            ),
+            Arc::new(tiers),
             io,
             mem.clone(),
         );
-        cache.set_fallback_target(Arc::new(CpuTarget::new(1 << 40)));
         cache.begin_step();
 
         // Drive the module hooks directly (a synthetic forward pass).

@@ -31,7 +31,8 @@ pub struct StepMemory {
     pub peak_activations: u64,
     /// Whether `peak_total` exceeded the device capacity.
     pub oom: bool,
-    /// The caching-allocator replay (see [`GpuMemory::allocator_stats`]).
+    /// The caching-allocator replay: the *reserved* footprint a real
+    /// PyTorch run would report on top of the allocated curve.
     pub alloc: AllocatorStats,
 }
 
@@ -42,7 +43,7 @@ pub struct StepMemory {
 /// them. Called outside the tracker's internal lock, in event-commit
 /// order — future-stamped events (see [`GpuMemory::with_time`]) are
 /// observed when recorded, so the notified peak is the *running* one;
-/// [`GpuMemory::peak_total`] remains the authoritative sorted-timeline
+/// [`StepMemory::peak_total`] remains the authoritative sorted-timeline
 /// value.
 pub trait PeakObserver: Send + Sync {
     /// A new peak of `total` resident bytes (of which `activations` are
@@ -176,7 +177,7 @@ impl<'a> Iterator for InTimeOrder<'a> {
 ///     let _t = Tensor::zeros([1024], &dev); // 4 KiB of F32
 ///     clock.advance_by(0.5);
 /// }
-/// assert_eq!(mem.peak_total(), 4096);
+/// assert_eq!(mem.step_memory().peak_total, 4096);
 /// assert_eq!(mem.resident_total(), 0);
 /// ```
 #[derive(Clone)]
@@ -334,14 +335,6 @@ impl GpuMemory {
             .collect()
     }
 
-    /// Peak total resident bytes over the timeline.
-    pub fn peak_total(&self) -> u64 {
-        footprint(self.state.lock().in_time_order())
-            .map(|(_, p)| p.total)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Peak resident activation bytes over the timeline.
     pub fn peak_activations(&self) -> u64 {
         footprint(self.state.lock().in_time_order())
@@ -350,38 +343,11 @@ impl GpuMemory {
             .unwrap_or(0)
     }
 
-    /// Peak activation bytes within a time window `[from, to]` — used to
-    /// read the "memory at the beginning of backward propagation" point
-    /// of Figure 7.
-    pub fn peak_activations_between(&self, from: SimTime, to: SimTime) -> u64 {
-        footprint(self.state.lock().in_time_order())
-            .filter(|(_, p)| p.time >= from && p.time <= to)
-            .map(|(_, p)| p.activations)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Whether the peak exceeded device capacity (the run would have hit
-    /// a CUDA out-of-memory error on the real machine).
-    pub fn oom(&self) -> bool {
-        self.peak_total() > self.capacity
-    }
-
-    /// Replays this step's allocator events (in simulated-time order)
-    /// through the caching-allocator model and returns its statistics —
-    /// the *reserved* footprint a real PyTorch run would report on top
-    /// of the allocated curve.
-    pub fn allocator_stats(&self) -> AllocatorStats {
-        CachingAllocator::replay(self.state.lock().in_time_order().map(Event::request))
-    }
-
     /// Everything a step's report reads from the tracker — the timeline,
-    /// both peaks, the out-of-memory verdict and the caching-allocator
-    /// replay — from one walk of the event log. Equal to calling
-    /// [`GpuMemory::timeline`], [`GpuMemory::peak_total`],
-    /// [`GpuMemory::peak_activations`], [`GpuMemory::oom`] and
-    /// [`GpuMemory::allocator_stats`] one by one, each of which walks the
-    /// log again.
+    /// both peaks, the out-of-memory verdict (the run would have hit a
+    /// CUDA out-of-memory error on the real machine) and the
+    /// caching-allocator replay of the events in simulated-time order —
+    /// from one walk of the event log.
     pub fn step_memory(&self) -> StepMemory {
         let mut s = self.state.lock();
         let mut timeline = Vec::with_capacity(s.events.len());
@@ -490,7 +456,7 @@ mod tests {
         assert_eq!(tl.len(), 3);
         assert_eq!(tl[1].total, 150);
         assert_eq!(tl[2].total, 50);
-        assert_eq!(mem.peak_total(), 150);
+        assert_eq!(mem.step_memory().peak_total, 150);
     }
 
     #[test]
@@ -536,8 +502,12 @@ mod tests {
         mem.on_alloc(100, MemClass::Activation);
         clock.advance_by(2.0);
         mem.on_free(150, MemClass::Activation);
-        let w = mem.peak_activations_between(SimTime::from_secs(1.0), SimTime::from_secs(3.0));
-        assert_eq!(w, 200);
+        let (from, to) = (SimTime::from_secs(1.0), SimTime::from_secs(3.0));
+        let window = mem
+            .timeline()
+            .into_iter()
+            .filter(|p| p.time >= from && p.time <= to);
+        assert_eq!(window.map(|p| p.activations).max(), Some(200));
     }
 
     #[test]
@@ -545,9 +515,9 @@ mod tests {
         let clock = SimClock::new();
         let mem = GpuMemory::new(clock, 100);
         mem.on_alloc(150, MemClass::Activation);
-        assert!(mem.oom());
+        assert!(mem.step_memory().oom);
         mem.reset();
-        assert!(!mem.oom());
+        assert!(!mem.step_memory().oom);
     }
 
     #[test]
@@ -612,26 +582,7 @@ mod tests {
         prop_assert_eq!(got.oom, want_peak_total > capacity);
         prop_assert_eq!(got.alloc, want_alloc);
         prop_assert_eq!(&mem.timeline(), &want);
-        prop_assert_eq!(mem.peak_total(), want_peak_total);
         prop_assert_eq!(mem.peak_activations(), peak(|p| p.activations));
-        prop_assert_eq!(mem.oom(), want_peak_total > capacity);
-        prop_assert_eq!(mem.allocator_stats(), want_alloc);
-        // Windows over the instants the log holds, and one before them.
-        for (i, p) in want.iter().enumerate().step_by(7) {
-            let from = if i % 2 == 0 {
-                SimTime::from_secs(-1.0)
-            } else {
-                p.time
-            };
-            let to = want[(i + 5).min(want.len() - 1)].time;
-            let window = want
-                .iter()
-                .filter(|q| q.time >= from && q.time <= to)
-                .map(|q| q.activations)
-                .max()
-                .unwrap_or(0);
-            prop_assert_eq!(mem.peak_activations_between(from, to), window);
-        }
         Ok(())
     }
 
@@ -706,6 +657,6 @@ mod tests {
             assert_eq!(mem.resident_total(), 1024);
         }
         assert_eq!(mem.resident_total(), 0);
-        assert_eq!(mem.peak_total(), 1024);
+        assert_eq!(mem.step_memory().peak_total, 1024);
     }
 }

@@ -231,7 +231,6 @@ impl Device {
 fn dtype_to_u8(d: DType) -> u8 {
     match d {
         DType::F16 => 0,
-        DType::Bf16 => 1,
         DType::F32 => 2,
         DType::U8 => 3,
     }
@@ -240,7 +239,6 @@ fn dtype_to_u8(d: DType) -> u8 {
 fn dtype_from_u8(v: u8) -> DType {
     match v {
         0 => DType::F16,
-        1 => DType::Bf16,
         3 => DType::U8,
         _ => DType::F32,
     }

@@ -19,8 +19,6 @@ pub enum DType {
     /// IEEE half precision. The paper trains with pure FP16 (Section 4.1).
     #[default]
     F16,
-    /// bfloat16; same accounted width as `F16`.
-    Bf16,
     /// IEEE single precision.
     F32,
     /// One-byte integer values in `0..=255` (dropout masks are bool in
@@ -33,16 +31,15 @@ impl DType {
     pub const fn byte_size(self) -> u64 {
         match self {
             DType::U8 => 1,
-            DType::F16 | DType::Bf16 => 2,
+            DType::F16 => 2,
             DType::F32 => 4,
         }
     }
 
-    /// Short lowercase name (`"f16"`, `"bf16"`, `"f32"`, `"u8"`).
+    /// Short lowercase name (`"f16"`, `"f32"`, `"u8"`).
     pub const fn name(self) -> &'static str {
         match self {
             DType::F16 => "f16",
-            DType::Bf16 => "bf16",
             DType::F32 => "f32",
             DType::U8 => "u8",
         }
@@ -62,14 +59,12 @@ mod tests {
     #[test]
     fn byte_sizes_match_hardware_widths() {
         assert_eq!(DType::F16.byte_size(), 2);
-        assert_eq!(DType::Bf16.byte_size(), 2);
         assert_eq!(DType::F32.byte_size(), 4);
     }
 
     #[test]
     fn display_is_lowercase() {
         assert_eq!(DType::F16.to_string(), "f16");
-        assert_eq!(DType::Bf16.to_string(), "bf16");
         assert_eq!(DType::F32.to_string(), "f32");
     }
 

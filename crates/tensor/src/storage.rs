@@ -280,7 +280,7 @@ impl Storage {
     /// payloads back to back.
     ///
     /// `F32` storages serialise exactly (offload round trips are
-    /// bit-identical); `F16`/`Bf16` storages serialise via a half-precision
+    /// bit-identical); `F16` storages serialise via a half-precision
     /// conversion so the byte count equals the accounted size. Returns
     /// `false` and appends nothing for a symbolic or released storage.
     pub fn append_bytes(&self, out: &mut Vec<u8>) -> bool {
@@ -294,7 +294,7 @@ impl Storage {
                         c.copy_from_slice(&x.to_le_bytes());
                     }
                 }
-                DType::F16 | DType::Bf16 => {
+                DType::F16 => {
                     for (c, x) in dst.chunks_exact_mut(2).zip(d) {
                         c.copy_from_slice(&f32_to_f16_bits(*x).to_le_bytes());
                     }
@@ -337,7 +337,7 @@ impl Storage {
                         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
                 );
             }
-            DType::F16 | DType::Bf16 => {
+            DType::F16 => {
                 assert_eq!(bytes.len(), self.inner.numel * 2, "bad byte length");
                 out.extend(
                     bytes
@@ -554,7 +554,7 @@ mod tests {
     fn decode_into_matches_decode_bytes_and_keeps_its_buffer() {
         let dev = Device::cpu();
         let vals = vec![1.5, -2.25, 300.7, 0.4, 65504.0, 7.0];
-        for dtype in [DType::F32, DType::F16, DType::Bf16, DType::U8] {
+        for dtype in [DType::F32, DType::F16, DType::U8] {
             let s = Storage::numeric(vals.clone(), dtype, MemClass::Activation, &dev);
             let bytes = s.to_bytes().unwrap();
             let spare = vec![9.0f32; vals.len()];
@@ -594,7 +594,7 @@ mod tests {
     fn reference_bytes(vals: &[f32], dtype: DType) -> Vec<u8> {
         match dtype {
             DType::F32 => vals.iter().flat_map(|x| x.to_le_bytes()).collect(),
-            DType::F16 | DType::Bf16 => vals
+            DType::F16 => vals
                 .iter()
                 .flat_map(|x| f32_to_f16_bits(*x).to_le_bytes())
                 .collect(),
@@ -609,7 +609,7 @@ mod tests {
     fn append_bytes_matches_to_bytes_for_every_dtype() {
         let dev = Device::cpu();
         let vals = vec![1.5, -2.25, 300.7, 0.4, 65504.0, 7.0];
-        for dtype in [DType::F32, DType::F16, DType::Bf16, DType::U8] {
+        for dtype in [DType::F32, DType::F16, DType::U8] {
             let s = Storage::numeric(vals.clone(), dtype, MemClass::Activation, &dev);
             let mut out = Vec::new();
             assert!(s.append_bytes(&mut out), "{dtype}");

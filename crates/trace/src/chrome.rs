@@ -177,7 +177,7 @@ struct CatAgg {
 }
 
 /// Renders a human-readable per-step timeline summary: each step's
-/// [`StepTable`] (see [`explain`]), its stage spans in chronological
+/// [`StepTable`] (see [`explain`](fn@explain)), its stage spans in chronological
 /// order, then per-category aggregates.
 pub fn text_summary(events: &[TraceEvent]) -> String {
     let mut out = String::new();

@@ -14,7 +14,7 @@
 //! * [`chrome_trace_json`] — a Chrome-trace (Perfetto JSON) exporter,
 //!   hand-serialized with deterministic float formatting so golden-file
 //!   tests can assert byte stability.
-//! * [`explain`] — the one reader of a trace: each step's
+//! * [`explain`](fn@explain) — the one reader of a trace: each step's
 //!   [`StepTable`], its simulated seconds split into compute, exposed
 //!   stalls, store drains and optimizer time, and its bytes into
 //!   DESIGN §6's accounting identities ([`StepBytes`]).

@@ -27,7 +27,7 @@ struct Totals {
 /// using the GPU roofline, times `allreduce` collectives on the
 /// interconnect, and accumulates per-phase FLOP totals (the numerator of
 /// the paper's *model throughput* excludes recomputation FLOPs).
-pub struct GpuExecutor {
+pub(crate) struct GpuExecutor {
     clock: SimClock,
     gpu: GpuSpec,
     nvlink_bps: f64,
@@ -39,7 +39,7 @@ impl GpuExecutor {
     /// Creates an executor for one GPU participating in a `tp`-way
     /// tensor-parallel group over an interconnect of `nvlink_bps`
     /// bytes/s.
-    pub fn new(clock: SimClock, gpu: GpuSpec, nvlink_bps: f64, tp: usize) -> GpuExecutor {
+    pub(crate) fn new(clock: SimClock, gpu: GpuSpec, nvlink_bps: f64, tp: usize) -> GpuExecutor {
         GpuExecutor {
             clock,
             gpu,
@@ -50,7 +50,7 @@ impl GpuExecutor {
     }
 
     /// Ring-allreduce wall time for a `bytes` payload across `tp` ranks.
-    pub fn allreduce_secs(&self, bytes: u64) -> f64 {
+    pub(crate) fn allreduce_secs(&self, bytes: u64) -> f64 {
         if self.tp <= 1 {
             return 0.0;
         }
@@ -59,7 +59,7 @@ impl GpuExecutor {
     }
 
     /// GPU seconds spent in `phase` so far.
-    pub fn phase_secs(&self, phase: Phase) -> f64 {
+    pub(crate) fn phase_secs(&self, phase: Phase) -> f64 {
         let t = self.totals.lock();
         match phase {
             Phase::Forward => t.forward.secs,
@@ -69,20 +69,20 @@ impl GpuExecutor {
     }
 
     /// Seconds spent in blocking collectives.
-    pub fn comm_secs(&self) -> f64 {
+    pub(crate) fn comm_secs(&self) -> f64 {
         self.totals.lock().comm_secs
     }
 
     /// *Algorithmic* FLOPs of the step: forward + backward, excluding
     /// recomputation — the paper's model-throughput numerator
     /// (Section 4.3).
-    pub fn model_flops(&self) -> u64 {
+    pub(crate) fn model_flops(&self) -> u64 {
         let t = self.totals.lock();
         t.forward.flops + t.backward.flops
     }
 
     /// Clears accumulated totals (new measured step).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         *self.totals.lock() = Totals::default();
     }
 }

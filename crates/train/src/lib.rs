@@ -49,13 +49,13 @@
 
 pub mod builder;
 pub mod error;
-pub mod executor;
+mod executor;
 pub mod metrics;
-pub mod opt_engine;
+mod opt_engine;
 pub mod pipeline;
 pub mod pipeline_exec;
 pub mod prelude;
-pub mod schedule;
+mod schedule;
 pub mod session;
 
 // The crate root re-exports exactly the prelude — one list to maintain.

@@ -35,10 +35,11 @@
 //!   landed waits in a pending list, drained as backward goes on and,
 //!   for what is left, at `ReduceGrads`, which also updates any
 //!   parameter autograd never reported; only that tail's clock advance
-//!   is exposed ([`OptReport::exposed_secs`]). Numerics are unchanged:
-//!   `Sgd::step_range` is elementwise per parameter and autograd never
-//!   reports a gradient early, so each update sees the finished gradient,
-//!   and every weight is final before the next forward reads it.
+//!   is exposed (what [`OptEngine::reduce_grads`] returns). Numerics are
+//!   unchanged: `Sgd::step_range` is elementwise per parameter and
+//!   autograd never reports a gradient early, so each update sees the
+//!   finished gradient, and every weight is final before the next
+//!   forward reads it.
 //!
 //! Once the cache holds an error the step is tainted: no further update
 //! is applied (updates already applied stay — their gradients were
@@ -55,62 +56,36 @@ use ssdtrain_autograd::optim::Sgd;
 use ssdtrain_autograd::var::VarId;
 use ssdtrain_autograd::{ModuleHooks, ScopeInfo, Var};
 use ssdtrain_simhw::{SimClock, SimTime};
-use ssdtrain_tensor::Tensor;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// What one engine hook cost the step, in simulated seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OptReport {
-    /// Seconds the inline update spent inside the measured window (its
-    /// load stalls; zero in the in-backward mode).
-    pub inline_secs: f64,
-    /// Seconds the in-backward update exposed after backward: the wait
-    /// at `ReduceGrads` for state loads still in flight (zero in inline
-    /// mode).
-    pub exposed_secs: f64,
-}
-
-/// Optimizer scheduling over the session's tensor cache.
-pub struct OptEngine {
-    ranges: Vec<Range<usize>>,
-    updater: Arc<Updater>,
-}
-
-/// What the backward listener and the step hooks share: the session's
-/// optimizer, the per-parameter slots and, in the in-backward mode, the
-/// updates still waiting on their state loads. As a [`ModuleHooks`]
-/// listener it is autograd's post-accumulate-grad hook.
-struct Updater {
+/// Optimizer scheduling over the session's tensor cache: the session's
+/// optimizer, one record per parameter and, in the in-backward mode, the
+/// updates still waiting on their state loads. The session holds it in
+/// an `Arc` so that, as a [`ModuleHooks`] listener, it can also be
+/// autograd's post-accumulate-grad hook.
+pub(crate) struct OptEngine {
     classes: OffloadClassSet,
     overlap: bool,
     cache: Option<Arc<TensorCache>>,
-    opt: Arc<Mutex<Sgd>>,
+    /// The inline mode's per-stage update jobs.
+    ranges: Vec<Range<usize>>,
+    opt: Mutex<Sgd>,
     /// Parameter identity → optimizer index, built once.
     index: HashMap<VarId, usize>,
     slots: Mutex<Slots>,
 }
 
-/// Per-parameter bookkeeping, indexed like the optimizer's parameters
-/// and allocated once.
+/// The engine's mutable bookkeeping, allocated once.
 struct Slots {
-    /// Inline mode: each parameter's stored gradient, streamed during
-    /// backward or stored by the `ReduceGrads` sweep.
-    grads: Vec<Option<StateSlot>>,
-    /// Each parameter's offloaded optimizer state.
-    states: Vec<Option<StateSlot>>,
-    /// In-backward mode: parameters whose velocity stays on the GPU,
-    /// learned from late write-backs (see [`Updater::apply`]) and
-    /// forgotten when profiling applies a new plan.
-    kept: Vec<bool>,
+    /// One record per parameter, indexed like the optimizer's.
+    params: Vec<Param>,
     /// In-backward mode: parameters whose update is waiting for its
     /// state load, with the time the load lands as last asked, in start
     /// order. A demand read can push a load back, never forward, so a
     /// time still ahead of the clock needs no second look.
     pending: Vec<(usize, SimTime)>,
-    /// In-backward mode: where each parameter's update stands this step.
-    progress: Vec<Progress>,
     /// In-backward mode: the order the last completed step started its
     /// updates in — its gradients' finalisation order, and the order
     /// the state read-ahead walks.
@@ -120,6 +95,22 @@ struct Slots {
     next_order: Vec<usize>,
     /// How far along `order` the read-ahead has got.
     cursor: usize,
+}
+
+/// One parameter's record.
+#[derive(Clone, Copy)]
+struct Param {
+    /// Inline mode: the stored gradient, streamed during backward or
+    /// stored by the `ReduceGrads` sweep.
+    grad: Option<StateSlot>,
+    /// The offloaded optimizer state.
+    state: Option<StateSlot>,
+    /// In-backward mode: the velocity stays on the GPU, learned from a
+    /// late write-back (see [`OptEngine::apply`]) and forgotten when
+    /// profiling applies a new plan.
+    kept: bool,
+    /// In-backward mode: where the update stands this step.
+    progress: Progress,
 }
 
 /// Where one parameter's in-backward update stands.
@@ -133,7 +124,228 @@ enum Progress {
     Started,
 }
 
-impl Updater {
+impl OptEngine {
+    /// Builds the engine over the session's optimizer: its parameters
+    /// partitioned into `n_stages` contiguous per-stage update jobs for
+    /// the inline mode.
+    pub(crate) fn new(
+        classes: OffloadClassSet,
+        overlap: bool,
+        opt: Sgd,
+        n_stages: usize,
+        cache: Option<&Arc<TensorCache>>,
+    ) -> OptEngine {
+        let n = opt.params().len();
+        let index = opt.params().iter().enumerate().map(|(i, p)| (p.id(), i));
+        let param = Param {
+            grad: None,
+            state: None,
+            kept: false,
+            progress: Progress::Idle,
+        };
+        OptEngine {
+            classes,
+            overlap,
+            cache: cache.cloned(),
+            ranges: stage_ranges(n, n_stages),
+            index: index.collect(),
+            opt: Mutex::new(opt),
+            slots: Mutex::new(Slots {
+                params: vec![param; n],
+                pending: Vec::with_capacity(n),
+                order: Vec::with_capacity(n),
+                next_order: Vec::with_capacity(n),
+                cursor: 0,
+            }),
+        }
+    }
+
+    /// The listener the session registers for the step's last backward
+    /// pass: in the in-backward mode it runs each parameter's update as
+    /// autograd reports its gradient final; inline, it stores the
+    /// gradient then. `None` inline when gradients are not offloaded.
+    pub(crate) fn grad_listener(self: &Arc<Self>) -> Option<Arc<dyn ModuleHooks>> {
+        let stream = self.cache.is_some() && self.classes.contains(OffloadClass::Gradient);
+        let listener: Arc<dyn ModuleHooks> = self.clone();
+        (self.overlap || stream).then_some(listener)
+    }
+
+    /// Clears every parameter's accumulated gradient.
+    pub(crate) fn zero_grad(&self) {
+        self.opt.lock().zero_grad();
+    }
+
+    /// Profiling applied a new adaptive plan: the parameters kept under
+    /// the old one are forgotten, and what stays on the GPU is learned
+    /// again from steps under the new one.
+    pub(crate) fn plan_changed(&self) {
+        for param in &mut self.slots.lock().params {
+            param.kept = false;
+        }
+    }
+
+    /// `ReduceGrads` hook, after the last backward pass. Returns the
+    /// seconds the in-backward update exposed after backward (0 inline).
+    ///
+    /// Inline, it is the sweep behind the streamed stash: it stores the
+    /// gradient of every parameter that did not stream — one autograd
+    /// never reported final, or one the tier stack refused mid-backward
+    /// (the host pool was still holding activations), retried now — in
+    /// parameter order. Its stores drain at the enclosing stage scope's
+    /// exit, so their cost lands on the step that produced them.
+    ///
+    /// In backward, it finishes the step's update: parameters autograd
+    /// never reported start now, and the clock waits for each pending
+    /// state load in landing order, applying its update as it lands. The
+    /// wait is the update's exposed tail (an `opt.tail` span).
+    pub(crate) fn reduce_grads(&self, clock: &SimClock, trace: &TraceSink) -> f64 {
+        if self.tainted() {
+            return 0.0;
+        }
+        let mut guard = self.slots.lock();
+        let slots = &mut *guard;
+        if !self.overlap {
+            let gradients = self.classes.contains(OffloadClass::Gradient);
+            let Some(cache) = self.cache.as_deref().filter(|_| gradients) else {
+                return 0.0;
+            };
+            let opt = self.opt.lock();
+            for (p, param) in opt.params().iter().zip(&mut slots.params) {
+                if param.grad.is_none() {
+                    let stash = |g: &_| cache.offload_state(g, OffloadClass::Gradient);
+                    param.grad = p.with_grad(stash).flatten();
+                }
+            }
+            return 0.0;
+        }
+        let t0 = clock.now();
+        for i in 0..slots.params.len() {
+            self.start(slots, i, t0);
+        }
+        // Every load is issued: where each lands is final now.
+        for (i, ready) in &mut slots.pending {
+            let landing = slots.params.get(*i).and_then(|p| self.landing(p));
+            *ready = landing.unwrap_or(*ready);
+        }
+        slots.pending.sort_unstable_by(|a, b| {
+            let by_time = a.1.as_secs().total_cmp(&b.1.as_secs());
+            by_time.then(a.0.cmp(&b.0))
+        });
+        for &(i, ready) in &slots.pending {
+            clock.advance_to(ready);
+            if let Some(param) = slots.params.get_mut(i) {
+                self.apply(i, param);
+            }
+        }
+        slots.pending.clear();
+        for param in &mut slots.params {
+            param.progress = Progress::Idle;
+        }
+        // This step's start order is what the next one reads ahead along.
+        std::mem::swap(&mut slots.order, &mut slots.next_order);
+        slots.next_order.clear();
+        slots.cursor = 0;
+        let exposed = clock.now().since(t0);
+        if exposed > 0.0 {
+            trace.span(TraceCategory::Stage, "opt.tail", t0, clock.now());
+        }
+        exposed
+    }
+
+    /// `OptimizerStep` hook. Inline mode runs the per-stage update jobs
+    /// now, inside the measured window, and returns the seconds they
+    /// took; in the in-backward mode the update already happened and
+    /// this is a no-op.
+    pub(crate) fn end_of_step(&self, clock: &SimClock, trace: &TraceSink) -> f64 {
+        if self.overlap || self.tainted() {
+            return 0.0;
+        }
+        let cache = self.cache.as_deref();
+        let mut slots = self.slots.lock();
+        let mut opt = self.opt.lock();
+        let t0 = clock.now();
+        for (j, range) in self.ranges.iter().enumerate() {
+            let stage_start = clock.now();
+            let params = &mut slots.params[range.clone()];
+            // Load this stage's gradient and state slots; the ready time
+            // is the latest completion (each clamped to its own store's
+            // drain by the cache).
+            let mut ready = stage_start;
+            if let Some(cache) = cache {
+                let grads = params.iter().map(|p| p.grad);
+                for slot in grads.chain(params.iter().map(|p| p.state)).flatten() {
+                    if let Some(t) = cache.load_state(slot) {
+                        ready = ready.max(t);
+                    }
+                }
+            }
+            // Inline: the GPU sits idle until the stage's state landed.
+            clock.advance_to(ready);
+            for i in range.clone() {
+                opt.ensure_velocity(i);
+            }
+            opt.step_range(range.clone());
+            for p in &opt.params()[range.clone()] {
+                p.zero_grad();
+            }
+            // Consumed gradient slots are released, stale state slots
+            // replaced by the freshly-written velocity tensors.
+            if let Some(cache) = cache {
+                for slot in params.iter_mut().filter_map(|p| p.grad.take()) {
+                    cache.release_state(slot);
+                }
+                for slot in params.iter_mut().filter_map(|p| p.state.take()) {
+                    cache.release_state(slot);
+                }
+                if self.classes.contains(OffloadClass::OptimizerState) {
+                    for (i, param) in range.clone().zip(params) {
+                        let v = opt.velocity(i);
+                        param.state =
+                            v.and_then(|v| cache.offload_state(v, OffloadClass::OptimizerState));
+                    }
+                }
+            }
+            if trace.is_enabled() {
+                let name = format!("opt.stage{j}");
+                trace.span(TraceCategory::Stage, name, stage_start, clock.now());
+            }
+        }
+        clock.now().since(t0)
+    }
+
+    /// Error-path hook: a tainted step applies no further update. The
+    /// stored gradients are released (the caller clears the gradients
+    /// themselves), and so are the state slots of updates still pending
+    /// and of those read ahead but never started — their state was
+    /// loaded back and stays resident, so the next step updates from it
+    /// directly, and no slot is left mid-read across the step boundary.
+    /// Updates already applied stay; the order the next step reads
+    /// ahead along is the last completed step's.
+    pub(crate) fn abort(&self) {
+        let mut guard = self.slots.lock();
+        let slots = &mut *guard;
+        let release = |slot: Option<StateSlot>| {
+            if let (Some(slot), Some(cache)) = (slot, self.cache.as_deref()) {
+                cache.release_state(slot);
+            }
+        };
+        for &(i, _) in &slots.pending {
+            release(slots.params.get_mut(i).and_then(|p| p.state.take()));
+        }
+        for param in &mut slots.params {
+            if param.progress == Progress::ReadAhead {
+                release(param.state.take());
+            }
+        }
+        for param in &mut slots.params {
+            release(param.grad.take());
+            param.progress = Progress::Idle;
+        }
+        slots.pending.clear();
+        slots.next_order.clear();
+        slots.cursor = 0;
+    }
+
     /// Whether the step is tainted: the cache holds a failure recovery
     /// could not absorb, so no further update may be applied.
     fn tainted(&self) -> bool {
@@ -152,14 +364,17 @@ impl Updater {
     /// it was read ahead, then applies the update at once if the load
     /// has landed by `now`, or parks it until it has.
     fn start(&self, slots: &mut Slots, i: usize, now: SimTime) {
-        match slots.progress.get_mut(i) {
-            Some(p) if *p != Progress::Started => *p = Progress::Started,
-            _ => return,
+        let Some(param) = slots.params.get_mut(i) else {
+            return;
+        };
+        if param.progress == Progress::Started {
+            return;
         }
+        param.progress = Progress::Started;
         slots.next_order.push(i);
-        match self.landing(&slots.states, i) {
+        match self.landing(param) {
             Some(ready) if ready > now => slots.pending.push((i, ready)),
-            _ => self.apply(&mut slots.states, &mut slots.kept, i),
+            _ => self.apply(i, param),
         }
     }
 
@@ -173,42 +388,44 @@ impl Updater {
             return;
         };
         while let Some(&i) = slots.order.get(slots.cursor) {
-            let idle = slots.progress.get_mut(i).filter(|p| **p == Progress::Idle);
-            if let (Some(p), Some(&Some(slot))) = (idle, slots.states.get(i)) {
-                if cache.read_ahead_state(slot).is_none() {
-                    return;
+            let idle = slots
+                .params
+                .get_mut(i)
+                .filter(|p| p.progress == Progress::Idle);
+            if let Some(param) = idle {
+                if let Some(slot) = param.state {
+                    if cache.read_ahead_state(slot).is_none() {
+                        return;
+                    }
+                    param.progress = Progress::ReadAhead;
                 }
-                *p = Progress::ReadAhead;
             }
             slots.cursor += 1;
         }
     }
 
-    /// Where parameter `i`'s state load lands: issues it the first time,
-    /// and after that asks where the queue has put it. `None` without a
+    /// Where `param`'s state load lands: issues it the first time, and
+    /// after that asks where the queue has put it. `None` without a
     /// cache or an offloaded slot.
-    fn landing(&self, states: &[Option<StateSlot>], i: usize) -> Option<SimTime> {
-        let slot = states.get(i).copied().flatten()?;
-        self.cache.as_deref()?.prefetch_state(slot)
+    fn landing(&self, param: &Param) -> Option<SimTime> {
+        self.cache.as_deref()?.prefetch_state(param.state?)
     }
 
     /// Applies every pending update whose state load has landed by
     /// `now`, in start order.
     fn apply_landed(&self, slots: &mut Slots, now: SimTime) {
-        let Slots {
-            pending,
-            states,
-            kept,
-            ..
-        } = slots;
-        pending.retain_mut(|(i, ready)| {
+        let params = &mut slots.params;
+        slots.pending.retain_mut(|(i, ready)| {
+            let Some(param) = params.get_mut(*i) else {
+                return false;
+            };
             if *ready <= now {
-                *ready = self.landing(states, *i).unwrap_or(now);
+                *ready = self.landing(param).unwrap_or(now);
             }
             if *ready > now {
                 return true;
             }
-            self.apply(states, kept, *i);
+            self.apply(*i, param);
             false
         });
     }
@@ -221,34 +438,32 @@ impl Updater {
     /// reports late (backward's exit waited for its write-back), and its
     /// velocity then stays on the GPU: SSDTrain's keep decision for what
     /// cannot be offloaded behind compute.
-    fn apply(&self, states: &mut [Option<StateSlot>], kept: &mut [bool], i: usize) {
+    fn apply(&self, i: usize, param: &mut Param) {
         let mut opt = self.opt.lock();
         opt.ensure_velocity(i);
         opt.step_range(i..i + 1);
         if let Some(p) = opt.params().get(i) {
             p.zero_grad();
         }
-        let (Some(cache), Some(state), Some(kept)) =
-            (self.cache.as_deref(), states.get_mut(i), kept.get_mut(i))
-        else {
+        let Some(cache) = self.cache.as_deref() else {
             return;
         };
-        if let Some(old) = state.take() {
-            *kept |= cache.release_state_late(old);
+        if let Some(old) = param.state.take() {
+            param.kept |= cache.release_state_late(old);
         }
         let class = OffloadClass::OptimizerState;
         let Some(v) = opt.velocity(i).filter(|_| self.classes.contains(class)) else {
             return;
         };
-        if *kept {
+        if param.kept {
             cache.keep_state(v, class);
         } else {
-            *state = cache.offload_state(v, class);
+            param.state = cache.offload_state(v, class);
         }
     }
 }
 
-impl ModuleHooks for Updater {
+impl ModuleHooks for OptEngine {
     fn wants_grad_ready(&self) -> bool {
         true
     }
@@ -271,10 +486,10 @@ impl ModuleHooks for Updater {
         let Some(cache) = self.cache.as_deref() else {
             return;
         };
-        let stash = |grad: &Tensor| cache.offload_state(grad, OffloadClass::Gradient);
+        let stash = |grad: &_| cache.offload_state(grad, OffloadClass::Gradient);
         let slot = var.with_grad(stash).flatten();
-        if let Some(parked) = slots.grads.get_mut(i) {
-            *parked = slot;
+        if let Some(param) = slots.params.get_mut(i) {
+            param.grad = slot;
         }
     }
 
@@ -290,252 +505,14 @@ impl ModuleHooks for Updater {
     }
 }
 
-impl OptEngine {
-    /// Builds the engine over the session's optimizer: its parameters
-    /// partitioned into `n_stages` contiguous per-stage update jobs for
-    /// the inline mode, and the backward listener (see
-    /// [`OptEngine::grad_listener`]) sharing the same [`Sgd`].
-    pub fn new(
-        classes: OffloadClassSet,
-        overlap: bool,
-        opt: &Arc<Mutex<Sgd>>,
-        n_stages: usize,
-        cache: Option<&Arc<TensorCache>>,
-    ) -> OptEngine {
-        let guard = opt.lock();
-        let params = guard.params();
-        let n = params.len();
-        let index = params.iter().enumerate().map(|(i, p)| (p.id(), i));
-        let updater = Updater {
-            classes,
-            overlap,
-            cache: cache.cloned(),
-            opt: opt.clone(),
-            index: index.collect(),
-            slots: Mutex::new(Slots {
-                grads: vec![None; n],
-                states: vec![None; n],
-                kept: vec![false; n],
-                pending: Vec::with_capacity(n),
-                progress: vec![Progress::Idle; n],
-                order: Vec::with_capacity(n),
-                next_order: Vec::with_capacity(n),
-                cursor: 0,
-            }),
-        };
-        OptEngine {
-            ranges: stage_ranges(n, n_stages),
-            updater: Arc::new(updater),
-        }
-    }
-
-    /// The listener the session registers for the step's last backward
-    /// pass: in the in-backward mode it runs each parameter's update as
-    /// autograd reports its gradient final; inline, it stores the
-    /// gradient then. `None` inline when gradients are not offloaded.
-    pub fn grad_listener(&self) -> Option<Arc<dyn ModuleHooks>> {
-        let u = &self.updater;
-        let stream = u.cache.is_some() && u.classes.contains(OffloadClass::Gradient);
-        let listener: Arc<dyn ModuleHooks> = u.clone();
-        (u.overlap || stream).then_some(listener)
-    }
-
-    /// Profiling applied a new adaptive plan: the parameters kept under
-    /// the old one are forgotten, and what stays on the GPU is learned
-    /// again from steps under the new one.
-    pub fn plan_changed(&self) {
-        self.updater.slots.lock().kept.fill(false);
-    }
-
-    /// `ReduceGrads` hook, after the last backward pass.
-    ///
-    /// Inline, it is the sweep behind the streamed stash: it stores the
-    /// gradient of every parameter that did not stream — one autograd
-    /// never reported final, or one the tier stack refused mid-backward
-    /// (the host pool was still holding activations), retried now — in
-    /// parameter order. Its stores drain at the enclosing stage scope's
-    /// exit, so their cost lands on the step that produced them.
-    ///
-    /// In backward, it finishes the step's update: parameters autograd
-    /// never reported start now, and the clock waits for each pending
-    /// state load in landing order, applying its update as it lands. The
-    /// wait is the update's exposed tail (an `opt.tail` span).
-    pub fn reduce_grads(&mut self, clock: &SimClock, trace: &TraceSink) -> OptReport {
-        let u = &*self.updater;
-        if u.tainted() {
-            return OptReport::default();
-        }
-        let mut guard = u.slots.lock();
-        let slots = &mut *guard;
-        if !u.overlap {
-            let Some(cache) = u.cache.as_deref() else {
-                return OptReport::default();
-            };
-            if !u.classes.contains(OffloadClass::Gradient) {
-                return OptReport::default();
-            }
-            let opt = u.opt.lock();
-            for (p, grad) in opt.params().iter().zip(slots.grads.iter_mut()) {
-                if grad.is_none() {
-                    let stash = |g: &Tensor| cache.offload_state(g, OffloadClass::Gradient);
-                    *grad = p.with_grad(stash).flatten();
-                }
-            }
-            return OptReport::default();
-        }
-        let t0 = clock.now();
-        for i in 0..slots.progress.len() {
-            u.start(slots, i, t0);
-        }
-        // Every load is issued: where each lands is final now.
-        for (i, ready) in slots.pending.iter_mut() {
-            *ready = u.landing(&slots.states, *i).unwrap_or(*ready);
-        }
-        slots.pending.sort_unstable_by(|a, b| {
-            let by_time = a.1.as_secs().total_cmp(&b.1.as_secs());
-            by_time.then(a.0.cmp(&b.0))
-        });
-        for &(i, ready) in &slots.pending {
-            clock.advance_to(ready);
-            u.apply(&mut slots.states, &mut slots.kept, i);
-        }
-        slots.pending.clear();
-        slots.progress.fill(Progress::Idle);
-        // This step's start order is what the next one reads ahead along.
-        std::mem::swap(&mut slots.order, &mut slots.next_order);
-        slots.next_order.clear();
-        slots.cursor = 0;
-        let exposed = clock.now().since(t0);
-        if exposed > 0.0 {
-            trace.span(TraceCategory::Stage, "opt.tail", t0, clock.now());
-        }
-        OptReport {
-            inline_secs: 0.0,
-            exposed_secs: exposed,
-        }
-    }
-
-    /// `OptimizerStep` hook. Inline mode runs the per-stage update jobs
-    /// now, inside the measured window; in the in-backward mode the
-    /// update already happened and this is a no-op.
-    pub fn end_of_step(&mut self, clock: &SimClock, trace: &TraceSink) -> OptReport {
-        let u = &*self.updater;
-        if u.overlap || u.tainted() {
-            return OptReport::default();
-        }
-        let cache = u.cache.as_deref();
-        let mut guard = u.slots.lock();
-        let slots = &mut *guard;
-        let mut opt = u.opt.lock();
-        let t0 = clock.now();
-        for (j, range) in self.ranges.iter().enumerate() {
-            let stage_start = clock.now();
-            // Load this stage's gradient and state slots; the ready time
-            // is the latest completion (each clamped to its own store's
-            // drain by the cache).
-            let mut ready = stage_start;
-            if let Some(cache) = cache {
-                let grads = slots.grads[range.clone()].iter();
-                for slot in grads.chain(slots.states[range.clone()].iter()).flatten() {
-                    if let Some(t) = cache.load_state(*slot) {
-                        ready = ready.max(t);
-                    }
-                }
-            }
-            // Inline: the GPU sits idle until the stage's state landed.
-            clock.advance_to(ready);
-            for i in range.clone() {
-                opt.ensure_velocity(i);
-            }
-            opt.step_range(range.clone());
-            for p in &opt.params()[range.clone()] {
-                p.zero_grad();
-            }
-            // Consumed gradient slots are released, stale state slots
-            // replaced by the freshly-written velocity tensors.
-            let stale = slots.grads[range.clone()].iter_mut();
-            for slot in stale.chain(slots.states[range.clone()].iter_mut()) {
-                if let (Some(slot), Some(cache)) = (slot.take(), cache) {
-                    cache.release_state(slot);
-                }
-            }
-            if let (Some(cache), true) = (cache, u.classes.contains(OffloadClass::OptimizerState)) {
-                for i in range.clone() {
-                    let v = opt.velocity(i);
-                    slots.states[i] =
-                        v.and_then(|v| cache.offload_state(v, OffloadClass::OptimizerState));
-                }
-            }
-            if trace.is_enabled() {
-                let name = format!("opt.stage{j}");
-                trace.span(TraceCategory::Stage, name, stage_start, clock.now());
-            }
-        }
-        OptReport {
-            inline_secs: clock.now().since(t0),
-            exposed_secs: 0.0,
-        }
-    }
-
-    /// Error-path hook: a tainted step applies no further update. The
-    /// stored gradients are released (the caller clears the gradients
-    /// themselves), and so are the state slots of updates still pending
-    /// and of those read ahead but never started — their state was
-    /// loaded back and stays resident, so the next step updates from it
-    /// directly, and no slot is left mid-read across the step boundary.
-    /// Updates already applied stay; the order the next step reads
-    /// ahead along is the last completed step's.
-    pub fn abort(&mut self) {
-        let u = &*self.updater;
-        let mut guard = u.slots.lock();
-        let Slots {
-            grads,
-            states,
-            pending,
-            progress,
-            next_order,
-            cursor,
-            ..
-        } = &mut *guard;
-        let read_ahead = progress.iter().enumerate();
-        let read_ahead = read_ahead.filter_map(|(i, p)| (*p == Progress::ReadAhead).then_some(i));
-        let loaded = pending.iter().map(|&(i, _)| i);
-        for i in loaded.chain(read_ahead) {
-            let slot = states.get_mut(i).and_then(Option::take);
-            if let (Some(slot), Some(cache)) = (slot, u.cache.as_deref()) {
-                cache.release_state(slot);
-            }
-        }
-        pending.clear();
-        progress.fill(Progress::Idle);
-        next_order.clear();
-        *cursor = 0;
-        for slot in grads.iter_mut().filter_map(Option::take) {
-            if let Some(cache) = u.cache.as_deref() {
-                cache.release_state(slot);
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for OptEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OptEngine")
-            .field("classes", &self.updater.classes)
-            .field("overlap", &self.updater.overlap)
-            .field("stages", &self.ranges.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdtrain::RecoveryPolicy;
-    use ssdtrain_autograd::var::Var;
+    use ssdtrain::{ArgValue, RecoveryPolicy};
     use ssdtrain_tensor::{Device, Tensor};
 
-    fn opt_with(n: usize, momentum: f32) -> Arc<Mutex<Sgd>> {
+    /// `n` one-element parameters at 1.0, each with a gradient of 1.
+    fn params(n: usize) -> Vec<Var> {
         let d = Device::cpu();
         let params: Vec<Var> = (0..n)
             .map(|i| Var::new(format!("p{i}"), Tensor::from_vec(vec![1.0], [1], &d)))
@@ -543,55 +520,66 @@ mod tests {
         for p in &params {
             p.accumulate_grad(Tensor::ones([1], &d));
         }
-        Arc::new(Mutex::new(Sgd::with_momentum(params, 0.5, momentum)))
+        params
     }
 
-    fn weight(opt: &Arc<Mutex<Sgd>>, i: usize) -> Vec<f32> {
-        opt.lock().params()[i].tensor().to_vec()
+    /// An engine over `params`, stepping at learning rate 0.5.
+    fn engine(
+        params: &[Var],
+        momentum: f32,
+        classes: OffloadClassSet,
+        overlap: bool,
+        cache: Option<&Arc<TensorCache>>,
+    ) -> Arc<OptEngine> {
+        let opt = Sgd::with_momentum(params.to_vec(), 0.5, momentum);
+        Arc::new(OptEngine::new(classes, overlap, opt, 1, cache))
+    }
+
+    fn weight(p: &Var) -> Vec<f32> {
+        p.tensor().to_vec()
     }
 
     #[test]
     fn inline_update_without_cache_matches_a_plain_step() {
         let clock = SimClock::new();
         let trace = TraceSink::disabled();
-        let a = opt_with(4, 0.0);
-        let b = opt_with(4, 0.0);
-        let mut engine = OptEngine::new(OffloadClassSet::default(), false, &a, 2, None);
-        let report = engine.end_of_step(&clock, &trace);
-        let mut b = b.lock();
+        let a = params(4);
+        let opt = Sgd::with_momentum(a.clone(), 0.5, 0.0);
+        let engine = OptEngine::new(OffloadClassSet::default(), false, opt, 2, None);
+        let secs = engine.end_of_step(&clock, &trace);
+        let mut b = Sgd::with_momentum(params(4), 0.5, 0.0);
         b.step();
         b.zero_grad();
-        for (x, y) in a.lock().params().iter().zip(b.params()) {
+        for (x, y) in a.iter().zip(b.params()) {
             assert_eq!(x.tensor().to_vec(), y.tensor().to_vec());
             assert!(x.grad().is_none(), "engine zeroes consumed gradients");
         }
-        assert_eq!(report, OptReport::default(), "no I/O, no stall");
+        assert_eq!(secs, 0.0, "no I/O, no stall");
     }
 
     #[test]
     fn the_listener_updates_a_parameter_when_its_gradient_is_final() {
         let clock = SimClock::new();
         let trace = TraceSink::disabled();
-        let opt = opt_with(2, 0.0);
-        let mut engine = OptEngine::new(OffloadClassSet::default(), true, &opt, 1, None);
+        let ps = params(2);
+        let engine = engine(&ps, 0.0, OffloadClassSet::default(), true, None);
         let listener = engine
             .grad_listener()
             .expect("the in-backward mode listens");
-        let p0 = opt.lock().params()[0].clone();
-        listener.grad_ready(&p0);
+        listener.grad_ready(&ps[0]);
         assert_eq!(
-            weight(&opt, 0),
+            weight(&ps[0]),
             vec![0.5],
             "updated the moment it was reported"
         );
-        assert!(p0.grad().is_none(), "the gradient is consumed in place");
-        assert_eq!(weight(&opt, 1), vec![1.0], "p1 was not reported yet");
+        assert!(ps[0].grad().is_none(), "the gradient is consumed in place");
+        assert_eq!(weight(&ps[1]), vec![1.0], "p1 was not reported yet");
         // `ReduceGrads` updates what autograd never reported, once each.
-        let report = engine.reduce_grads(&clock, &trace);
-        assert_eq!(weight(&opt, 0), vec![0.5]);
-        assert_eq!(weight(&opt, 1), vec![0.5]);
-        assert_eq!(report.exposed_secs, 0.0, "no loads, nothing to wait for");
-        assert_eq!(engine.end_of_step(&clock, &trace), OptReport::default());
+        let exposed = engine.reduce_grads(&clock, &trace);
+        assert_eq!(weight(&ps[0]), vec![0.5]);
+        assert_eq!(weight(&ps[1]), vec![0.5]);
+        assert_eq!(exposed, 0.0, "no loads, nothing to wait for");
+        assert_eq!(engine.end_of_step(&clock, &trace), 0.0);
     }
 
     /// A cache over a one-link `1 GB/s` engine whose host pool holds
@@ -612,16 +600,16 @@ mod tests {
         let clock = SimClock::new();
         let trace = TraceSink::enabled();
         let cache = small_cache(&clock, 1 << 20, RecoveryPolicy::KeepResident);
-        let opt = opt_with(1, 0.5);
+        let ps = params(1);
         let classes = OffloadClassSet::default().with(OffloadClass::OptimizerState, true);
-        let mut engine = OptEngine::new(classes, true, &opt, 1, Some(&cache));
+        let engine = engine(&ps, 0.5, classes, true, Some(&cache));
         let listener = engine
             .grad_listener()
             .expect("the in-backward mode listens");
-        let p = opt.lock().params()[0].clone();
+        let p = &ps[0];
         // Step 1: no state yet — the update runs at once and offloads it.
-        listener.grad_ready(&p);
-        assert_eq!(weight(&opt, 0), vec![0.5]);
+        listener.grad_ready(p);
+        assert_eq!(weight(p), vec![0.5]);
         engine.reduce_grads(&clock, &trace);
         let stored = cache.stats().class(OffloadClass::OptimizerState).cloned();
         assert_eq!(stored.map(|c| c.offloaded_bytes), Some(4));
@@ -630,15 +618,15 @@ mod tests {
         clock.reset();
         cache.begin_step();
         p.accumulate_grad(Tensor::ones([1], &Device::cpu()));
-        listener.grad_ready(&p);
-        assert_eq!(weight(&opt, 0), vec![0.5], "parked until its state lands");
-        let report = engine.reduce_grads(&clock, &trace);
-        assert!(report.exposed_secs > 0.0, "the load's tail is exposed");
-        assert_eq!(report.exposed_secs, clock.now().as_secs());
+        listener.grad_ready(p);
+        assert_eq!(weight(p), vec![0.5], "parked until its state lands");
+        let exposed = engine.reduce_grads(&clock, &trace);
+        assert!(exposed > 0.0, "the load's tail is exposed");
+        assert_eq!(exposed, clock.now().as_secs());
         // v = 0.5 · 1 + 1 = 1.5, w = 0.5 − 0.5 · 1.5
-        assert_eq!(weight(&opt, 0), vec![-0.25]);
+        assert_eq!(weight(p), vec![-0.25]);
         let tail = trace.events().into_iter().find(|e| e.name == "opt.tail");
-        assert_eq!(tail.map(|e| e.end().since(e.ts)), Some(report.exposed_secs));
+        assert_eq!(tail.map(|e| e.end().since(e.ts)), Some(exposed));
     }
 
     #[test]
@@ -649,25 +637,21 @@ mod tests {
         let trace = TraceSink::disabled();
         // Room for the two 4-byte states and nothing else.
         let cache = small_cache(&clock, 8, RecoveryPolicy::FailStep);
-        let opt = opt_with(2, 0.5);
+        let ps = params(2);
         let classes = OffloadClassSet::default().with(OffloadClass::OptimizerState, true);
-        let mut engine = OptEngine::new(classes, true, &opt, 1, Some(&cache));
+        let engine = engine(&ps, 0.5, classes, true, Some(&cache));
         let listener = engine
             .grad_listener()
             .expect("the in-backward mode listens");
-        let (p0, p1) = {
-            let opt = opt.lock();
-            (opt.params()[0].clone(), opt.params()[1].clone())
-        };
         engine.reduce_grads(&clock, &trace); // step 1 offloads both states
-        assert_eq!(weight(&opt, 0), vec![0.5]);
+        assert_eq!(weight(&ps[0]), vec![0.5]);
         clock.reset();
         cache.begin_step();
-        for p in [&p0, &p1] {
+        for p in &ps {
             p.accumulate_grad(Tensor::ones([1], &Device::cpu()));
         }
-        listener.grad_ready(&p0);
-        assert_eq!(engine.updater.slots.lock().pending.len(), 1, "p0 waits");
+        listener.grad_ready(&ps[0]);
+        assert_eq!(engine.slots.lock().pending.len(), 1, "p0 waits");
         // A store the full pool refuses fails the step.
         let extra = Tensor::ones([1], &Device::cpu());
         assert!(cache
@@ -677,20 +661,22 @@ mod tests {
             cache.has_error(),
             "FailStep keeps the error for the step end"
         );
-        listener.grad_ready(&p1);
-        let report = engine.reduce_grads(&clock, &trace);
-        assert_eq!(report, OptReport::default(), "nothing runs once tainted");
-        assert_eq!(weight(&opt, 0), vec![0.5], "p0's update was still pending");
-        assert_eq!(
-            weight(&opt, 1),
-            vec![0.5],
-            "p1 was reported after the fault"
-        );
+        listener.grad_ready(&ps[1]);
+        let exposed = engine.reduce_grads(&clock, &trace);
+        assert_eq!(exposed, 0.0, "nothing runs once tainted");
+        assert_eq!(weight(&ps[0]), vec![0.5], "p0's update was still pending");
+        assert_eq!(weight(&ps[1]), vec![0.5], "p1 was reported after the fault");
         engine.abort();
-        let slots = engine.updater.slots.lock();
+        let slots = engine.slots.lock();
         assert!(slots.pending.is_empty());
-        assert!(slots.states[0].is_none(), "the pending slot was released");
-        assert!(slots.states[1].is_some(), "p1's state was never loaded");
+        assert!(
+            slots.params[0].state.is_none(),
+            "the pending slot was released"
+        );
+        assert!(
+            slots.params[1].state.is_some(),
+            "p1's state was never loaded"
+        );
     }
 
     #[test]
@@ -709,16 +695,12 @@ mod tests {
         let pool = Arc::new(ssdtrain::CpuTarget::new(8));
         let io = ssdtrain::IoEngine::new(clock.clone(), 1e9, 1e9);
         let cache = TensorCache::new(config, pool, io, mem.clone());
-        let opt = opt_with(2, 0.5);
+        let ps = params(2);
         let classes = OffloadClassSet::default().with(OffloadClass::OptimizerState, true);
-        let mut engine = OptEngine::new(classes, true, &opt, 1, Some(&cache));
+        let engine = engine(&ps, 0.5, classes, true, Some(&cache));
         let listener = engine
             .grad_listener()
             .expect("the in-backward mode listens");
-        let (p0, p1) = {
-            let opt = opt.lock();
-            (opt.params()[0].clone(), opt.params()[1].clone())
-        };
         // Backward announced over one module while 16 activation bytes
         // are resident; freeing them leaves that much headroom.
         let announce = || {
@@ -738,52 +720,114 @@ mod tests {
         let next_step = || {
             clock.reset();
             cache.begin_step();
-            for p in [&p0, &p1] {
+            for p in &ps {
                 p.accumulate_grad(Tensor::ones([1], &Device::cpu()));
             }
             announce();
         };
+        let states = || {
+            let slots = engine.slots.lock();
+            slots.params.iter().map(|p| p.state).collect::<Vec<_>>()
+        };
         engine.reduce_grads(&clock, &trace); // step 1
         next_step();
-        listener.grad_ready(&p0);
-        let (slots_before, progress) = {
-            let slots = engine.updater.slots.lock();
-            (slots.states.clone(), slots.progress.clone())
-        };
+        listener.grad_ready(&ps[0]);
+        let slots_before = states();
+        let progress: Vec<_> = engine
+            .slots
+            .lock()
+            .params
+            .iter()
+            .map(|p| p.progress)
+            .collect();
         assert_eq!(progress, [Progress::Started, Progress::ReadAhead]);
         let extra = Tensor::ones([1], &Device::cpu());
         assert!(cache
             .offload_state(&extra, OffloadClass::Gradient)
             .is_none());
         assert!(cache.has_error(), "the full pool tainted the step");
-        assert_eq!(engine.reduce_grads(&clock, &trace), OptReport::default());
+        assert_eq!(engine.reduce_grads(&clock, &trace), 0.0);
         engine.abort();
-        {
-            let slots = engine.updater.slots.lock();
-            assert!(slots.states.iter().all(Option::is_none), "both released");
-            assert_eq!(slots.order, [0, 1], "step 1's order is kept");
-        }
+        assert!(states().iter().all(Option::is_none), "both released");
+        assert_eq!(engine.slots.lock().order, [0, 1], "step 1's order is kept");
         for slot in slots_before.into_iter().flatten() {
             assert_eq!(cache.prefetch_state(slot), None, "no record left loading");
         }
-        for p in [&p0, &p1] {
+        for p in &ps {
             p.zero_grad();
         }
-        assert_eq!((weight(&opt, 0), weight(&opt, 1)), (vec![0.5], vec![0.5]));
+        assert_eq!((weight(&ps[0]), weight(&ps[1])), (vec![0.5], vec![0.5]));
         // Step 3 runs clean, from the momentum the aborted reads restored:
         // v = 0.5 · 1 + 1 = 1.5, w = 0.5 − 0.5 · 1.5.
         next_step();
-        listener.grad_ready(&p0);
-        listener.grad_ready(&p1);
-        let report = engine.reduce_grads(&clock, &trace);
+        listener.grad_ready(&ps[0]);
+        listener.grad_ready(&ps[1]);
+        let exposed = engine.reduce_grads(&clock, &trace);
         assert!(!cache.has_error());
-        assert_eq!(report.exposed_secs, 0.0, "both states were resident");
+        assert_eq!(exposed, 0.0, "both states were resident");
+        assert_eq!((weight(&ps[0]), weight(&ps[1])), (vec![-0.25], vec![-0.25]));
+        assert!(states().iter().all(Option::is_some), "re-offloaded");
+    }
+
+    #[test]
+    fn the_inline_update_loads_by_stage_then_class_and_stores_in_parameter_order() {
+        // Four parameters of 4, 8, 12 and 16 bytes over two stages, with
+        // gradients and momentum offloaded: the bytes of each `load` span
+        // and of each velocity's `store.enqueue` show the I/O order.
+        let clock = SimClock::new();
+        let trace = TraceSink::enabled();
+        let cache = small_cache(&clock, 1 << 20, RecoveryPolicy::KeepResident);
+        cache.set_trace(trace.clone());
+        let d = Device::cpu();
+        let params: Vec<Var> = (1..=4)
+            .map(|n| Var::new(format!("p{n}"), Tensor::ones([n], &d)))
+            .collect();
+        let opt = Sgd::with_momentum(params.clone(), 0.5, 0.5);
+        let engine = OptEngine::new(OffloadClassSet::all(), false, opt, 2, Some(&cache));
+        let engine = Arc::new(engine);
+        let listener = engine.grad_listener().expect("gradient class with a cache");
+        for _ in 0..2 {
+            trace.clear();
+            cache.begin_step();
+            for p in &params {
+                p.accumulate_grad(Tensor::ones(*p.tensor().shape(), &d));
+                listener.grad_ready(p);
+            }
+            engine.reduce_grads(&clock, &trace);
+            engine.end_of_step(&clock, &trace);
+        }
+        // The second step: each stage loads its gradients, then its
+        // states, and stores its fresh velocities before the next stage.
+        let momentum = ArgValue::from(OffloadClass::OptimizerState.label());
+        let io: Vec<(&str, u64)> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match e.name.as_str() {
+                "load" => Some(("load", e.bytes()?)),
+                "store.enqueue" if e.args.contains(&("class", momentum.clone())) => {
+                    Some(("store", e.bytes()?))
+                }
+                _ => None,
+            })
+            .collect();
+        let (load, store) = ("load", "store");
         assert_eq!(
-            (weight(&opt, 0), weight(&opt, 1)),
-            (vec![-0.25], vec![-0.25])
+            io,
+            [
+                (load, 4),
+                (load, 8),
+                (load, 4),
+                (load, 8),
+                (store, 4),
+                (store, 8),
+                (load, 12),
+                (load, 16),
+                (load, 12),
+                (load, 16),
+                (store, 12),
+                (store, 16),
+            ]
         );
-        let slots = engine.updater.slots.lock();
-        assert!(slots.states.iter().all(Option::is_some), "re-offloaded");
     }
 
     #[test]
@@ -794,19 +838,18 @@ mod tests {
         let clock = SimClock::new();
         let trace = TraceSink::disabled();
         let cache = small_cache(&clock, 4, RecoveryPolicy::KeepResident);
-        let opt = opt_with(1, 0.0); // one 4-byte gradient
+        let ps = params(1); // one 4-byte gradient
         let classes = OffloadClassSet::default().with(OffloadClass::Gradient, true);
-        let mut engine = OptEngine::new(classes, false, &opt, 1, Some(&cache));
+        let engine = engine(&ps, 0.0, classes, false, Some(&cache));
         let held = Tensor::ones([1], &Device::cpu());
         let blocker = cache.offload_state(&held, OffloadClass::OptimizerState);
         let listener = engine.grad_listener().expect("gradient class with a cache");
-        let p = opt.lock().params()[0].clone();
-        listener.grad_ready(&p);
-        let parked = engine.updater.slots.lock().grads[0];
+        listener.grad_ready(&ps[0]);
+        let parked = engine.slots.lock().params[0].grad;
         assert_eq!(parked, None, "the full pool refused the streamed stash");
         cache.release_state(blocker.expect("the blocker fits the pool"));
         engine.reduce_grads(&clock, &trace);
-        let parked = engine.updater.slots.lock().grads[0];
+        let parked = engine.slots.lock().params[0].grad;
         assert!(parked.is_some(), "the sweep retried it");
         let lane = cache.stats().class(OffloadClass::Gradient).cloned();
         assert_eq!(lane.map(|c| c.offloaded_bytes), Some(4));

@@ -9,12 +9,9 @@ pub use ssdtrain::prelude::*;
 
 pub use crate::builder::{ConfigError, SessionBuilder};
 pub use crate::error::{PipelineError, StepError};
-pub use crate::executor::GpuExecutor;
 pub use crate::metrics::StepMetrics;
-pub use crate::opt_engine::{OptEngine, OptReport};
 pub use crate::pipeline::{PipelineMetrics, PipelineSim};
 pub use crate::pipeline_exec::{PipelineExec, PipelineExecConfig, PipelineStepReport};
-pub use crate::schedule::{single_gpu_schedule, stage_ranges, StepCmd};
 pub use crate::session::{OffloadBackend, OffloadClassSet, SessionConfig, TrainSession};
 
 pub use ssdtrain_models::{Arch, Batch, Model, ModelConfig};

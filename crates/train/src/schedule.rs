@@ -12,7 +12,7 @@
 /// instructions that matters on a single GPU with gradient
 /// accumulation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepCmd {
+pub(crate) enum StepCmd {
     /// Load micro-batch `mb` (the boundary command before its forward).
     LoadMicroBatch {
         /// Micro-batch index.
@@ -43,7 +43,7 @@ impl StepCmd {
     /// Whether this is a boundary/communication command after which the
     /// scheduler peeks at the next command (Algorithm 1 line 12 checks
     /// `cmd is communication`).
-    pub fn is_boundary(self) -> bool {
+    pub(crate) fn is_boundary(self) -> bool {
         matches!(
             self,
             StepCmd::LoadMicroBatch { .. } | StepCmd::StageBoundary | StepCmd::ReduceGrads
@@ -55,7 +55,7 @@ impl StepCmd {
 /// micro-batches: `load, forward, boundary, backward` per micro-batch,
 /// then reduce + optimizer — the command stream the paper's Figure 4
 /// walks through for `m = 2`.
-pub fn single_gpu_schedule(m: usize) -> Vec<StepCmd> {
+pub(crate) fn single_gpu_schedule(m: usize) -> Vec<StepCmd> {
     let mut cmds = Vec::with_capacity(4 * m + 2);
     for mb in 0..m.max(1) {
         cmds.push(StepCmd::LoadMicroBatch { mb });
@@ -69,7 +69,9 @@ pub fn single_gpu_schedule(m: usize) -> Vec<StepCmd> {
 }
 
 /// Iterates `(cmd, next_cmd)` pairs the way Algorithm 1's loop does.
-pub fn with_lookahead(cmds: &[StepCmd]) -> impl Iterator<Item = (StepCmd, Option<StepCmd>)> + '_ {
+pub(crate) fn with_lookahead(
+    cmds: &[StepCmd],
+) -> impl Iterator<Item = (StepCmd, Option<StepCmd>)> + '_ {
     cmds.iter()
         .enumerate()
         .map(|(i, c)| (*c, cmds.get(i + 1).copied()))
@@ -82,7 +84,7 @@ pub fn with_lookahead(cmds: &[StepCmd]) -> impl Iterator<Item = (StepCmd, Option
 /// `OptimizerStep` command (stage *j* updates exactly
 /// `stage_ranges(n, s)[j]`), and `PipelineExec` splits its layers over
 /// stages with it.
-pub fn stage_ranges(n: usize, stages: usize) -> Vec<std::ops::Range<usize>> {
+pub(crate) fn stage_ranges(n: usize, stages: usize) -> Vec<std::ops::Range<usize>> {
     let stages = stages.clamp(1, n.max(1));
     let per = n / stages;
     let extra = n % stages;

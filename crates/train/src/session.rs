@@ -3,9 +3,8 @@
 use crate::error::StepError;
 use crate::executor::GpuExecutor;
 use crate::metrics::StepMetrics;
-use crate::opt_engine::{OptEngine, OptReport};
+use crate::opt_engine::OptEngine;
 use crate::schedule::{single_gpu_schedule, with_lookahead, StepCmd};
-use parking_lot::Mutex;
 use ssdtrain::{
     AdaptivePlan, ArgValue, CpuTarget, FaultyTarget, IoEngine, MemoryTraceBridge, OffloadClass,
     OffloadTarget, PlacementStrategy, RecoveryPolicy, SsdTarget, StageHint, StepProfile,
@@ -26,8 +25,11 @@ use std::sync::Arc;
 /// Activations follow the placement strategy as before; the gradient
 /// and optimizer-state lanes are what turn the session into the
 /// GreedySnake-style configuration — state lives off-GPU between steps
-/// and the weight update becomes per-stage jobs (see
-/// [`crate::opt_engine::OptEngine`]). Built fluently through
+/// and the weight update becomes per-stage jobs after backward, or runs
+/// inside backward under [`SessionConfig::overlap_optimizer`]. There a
+/// gradient is used in place and never stored, so selecting
+/// [`OffloadClass::Gradient`] only makes the session build its cache.
+/// Built fluently through
 /// [`SessionBuilder::offload`](crate::builder::SessionBuilder::offload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OffloadClassSet {
@@ -124,11 +126,15 @@ pub struct SessionConfig {
     /// Which tensor classes ride the tier stack (activations only by
     /// default). State classes work under any activation strategy: the
     /// cache is built for them even when activations stay resident.
+    /// Under `overlap_optimizer` no gradient is ever stored, so the
+    /// gradient class only makes the session build its cache.
     pub offload: OffloadClassSet,
     /// Update each parameter inside the step's last backward pass, as
     /// soon as autograd finalises its gradient (the optimizer-in-backward
     /// overlap); `false` runs the per-stage update jobs inline at the
-    /// `OptimizerStep` stage.
+    /// `OptimizerStep` stage. The in-backward update uses each gradient
+    /// in place and stores none, whether or not `offload` selects the
+    /// gradient class.
     pub overlap_optimizer: bool,
     /// SGD momentum (0 keeps the paper's stateless configuration; a
     /// positive value allocates per-parameter velocity, the optimizer
@@ -164,10 +170,9 @@ pub struct TrainSession {
     device: Device,
     gpu: Gpu,
     model: Model,
-    /// Shared with the optimizer engine's backward listener, which
-    /// updates parameters inside backward.
-    optimizer: Arc<Mutex<Sgd>>,
-    opt_engine: OptEngine,
+    /// The optimizer and its update schedule; autograd holds a clone as
+    /// the step's last backward listener.
+    opt_engine: Arc<OptEngine>,
     spill_dir: Option<PathBuf>,
     step_idx: u64,
     /// The last backward's tape, which the next step's graph reserves.
@@ -243,7 +248,7 @@ impl Gpu {
         // single-tier backend's link is named "offload"; host memory
         // offers symmetric bandwidth over the raw PCIe link while the SSD
         // path is capped by the array.
-        let (tiers, links) = match (cfg.backend, ssd) {
+        let (mut tiers, links) = match (cfg.backend, ssd) {
             (OffloadBackend::Ssd, Some(ssd)) => (
                 vec![Tier::new("ssd", front(ssd), 0)],
                 vec![TierLink::new(
@@ -278,6 +283,12 @@ impl Gpu {
                 )],
             ),
         };
+        if cfg.cache.recovery == RecoveryPolicy::FallbackTarget {
+            // Spill of last resort: the host pinned pool, reached only by
+            // demotion and priced on the front tier's link.
+            let pool = Arc::new(CpuTarget::new(sys.host_mem_bytes));
+            tiers.push(Tier::new("cpu", pool, 0).demotion_only());
+        }
         // Every offload byte crosses the one physical PCIe bus
         // regardless of which tier absorbs it, so store jobs serialise
         // across links instead of draining in parallel — this is what
@@ -296,10 +307,6 @@ impl Gpu {
             runtime.memory.clone(),
         );
         cache.set_trace(cfg.trace.clone());
-        if cfg.cache.recovery == RecoveryPolicy::FallbackTarget {
-            // Spill of last resort: the host pinned pool.
-            cache.set_fallback_target(Arc::new(CpuTarget::new(sys.host_mem_bytes)));
-        }
         Gpu {
             runtime,
             executor,
@@ -355,20 +362,18 @@ impl TrainSession {
                 .set_peak_observer(MemoryTraceBridge::new(cfg.trace.clone()));
         }
         let optimizer = Sgd::with_momentum(model.parameters(), 0.05, cfg.momentum);
-        let optimizer = Arc::new(Mutex::new(optimizer));
-        let opt_engine = OptEngine::new(
+        let opt_engine = Arc::new(OptEngine::new(
             cfg.offload,
             cfg.overlap_optimizer,
-            &optimizer,
+            optimizer,
             cfg.model.layers.max(1),
             gpu.cache.as_ref(),
-        );
+        ));
         Ok(TrainSession {
             cfg,
             device,
             gpu,
             model,
-            optimizer,
             opt_engine,
             spill_dir,
             step_idx: 0,
@@ -469,7 +474,7 @@ impl TrainSession {
         self.cfg
             .trace
             .instant(TraceCategory::Session, "step.end", clock.now());
-        self.optimizer.lock().zero_grad();
+        self.opt_engine.zero_grad();
         self.step_idx += 1;
         match cache.take_error() {
             Some(error) => Err(StepError {
@@ -530,7 +535,7 @@ impl TrainSession {
         if let Some(cache) = &self.gpu.cache {
             cache.begin_step();
         }
-        let mut opt_report = OptReport::default();
+        let (mut opt_secs, mut opt_exposed_secs) = (0.0, 0.0);
         let g = self.fresh_graph();
         let recompute = self.recompute_policy();
         let mut losses = Vec::new();
@@ -596,14 +601,12 @@ impl TrainSession {
                     // the gradients that did not stream. Stores issued
                     // here drain at this stage scope's exit, on the step
                     // that produced them.
-                    let r = self.opt_engine.reduce_grads(&clock, &self.cfg.trace);
-                    opt_report.exposed_secs += r.exposed_secs;
+                    opt_exposed_secs += self.opt_engine.reduce_grads(&clock, &self.cfg.trace);
                 }
                 StepCmd::OptimizerStep => {
                     // The inline update runs inside the measured window
                     // (the in-backward one is done by now).
-                    let r = self.opt_engine.end_of_step(&clock, &self.cfg.trace);
-                    opt_report.inline_secs += r.inline_secs;
+                    opt_secs += self.opt_engine.end_of_step(&clock, &self.cfg.trace);
                 }
             }
             match scope {
@@ -662,8 +665,8 @@ impl TrainSession {
             alloc: memory.alloc,
             oom: memory.oom,
             loss: losses.iter().copied().sum::<f32>() / losses.len().max(1) as f32,
-            opt_secs: opt_report.inline_secs,
-            opt_exposed_secs: opt_report.exposed_secs,
+            opt_secs,
+            opt_exposed_secs,
         };
         if self.cfg.trace.is_enabled() {
             self.cfg.trace.instant_with(
@@ -679,7 +682,7 @@ impl TrainSession {
             // accumulated gradients and hand the degraded metrics to
             // the caller inside the error.
             self.opt_engine.abort();
-            self.optimizer.lock().zero_grad();
+            self.opt_engine.zero_grad();
             self.step_idx += 1;
             step_span.end(clock.now());
             return Err(StepError {

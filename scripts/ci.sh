@@ -103,4 +103,9 @@ cargo fmt --check
 # Non-test lines per crate and in total, the figure a change quotes when
 # it claims a line delta.
 bash scripts/loc.sh
+# Public docs: only this run catches a public doc that links a private
+# item.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
+# Private items' docs too, the only check of the links in a private
+# module's docs.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --document-private-items

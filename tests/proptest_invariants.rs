@@ -1047,7 +1047,11 @@ proptest! {
         let timeline = mem.timeline();
         let start = timeline.iter().take_while(|p| p.time <= announced).last();
         let bound = start.map_or(0, |p| p.activations);
-        let after = mem.peak_activations_between(announced, clock.now());
+        let peak_between = |from: SimTime, to: SimTime| {
+            let window = timeline.iter().filter(|p| p.time >= from && p.time <= to);
+            window.map(|p| p.activations).max().unwrap_or(0)
+        };
+        let after = peak_between(announced, clock.now());
         // The most `depth` consecutive record-holding groups hold.
         let saves = |i: usize| 1 + u64::from(unread[i]);
         let bytes: Vec<u64> = (0..offloaded).map(|i| numels[i] as u64 * 4 * saves(i)).collect();
@@ -1063,7 +1067,7 @@ proptest! {
         let mut issued = events.iter().filter(|e| e.name == "prefetch.group");
         if issued.all(|e| arg(e, "reload_bytes") <= arg(e, "headroom")) {
             prop_assert!(after <= bound, "nothing overdrew, yet {bound} B rose to {after} B");
-            let forward = mem.peak_activations_between(SimTime::ZERO, announced);
+            let forward = peak_between(SimTime::ZERO, announced);
             prop_assert_eq!(mem.peak_activations(), forward);
         }
         cache.flush();
