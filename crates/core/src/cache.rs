@@ -16,8 +16,9 @@
 //! Loading`, and every store job is a sealed segment of such records:
 //! with [`TensorCacheConfig::coalesce_segment_bytes`] at 0 a record
 //! seals the moment it is staged (a segment of one), otherwise it waits
-//! in the [`WriteCoalescer`] for company. Admission, commit-and-recover,
-//! forwarding and reload each exist once, for all three classes.
+//! in the [`WriteCoalescer`](crate::WriteCoalescer) for company.
+//! Admission, commit-and-recover, forwarding and reload each exist once,
+//! for all three classes.
 //!
 //! Memory-accounting subtlety: an offloaded tensor's GPU memory is freed
 //! *when its store completes*, which is in the simulated future at the
@@ -27,7 +28,6 @@
 //! forwarded was never actually released, and no event is emitted.
 
 use crate::adaptive::{AdaptivePlan, ModuleProfile, StepProfile};
-use crate::coalesce::WriteCoalescer;
 use crate::config::TensorCacheConfig;
 use crate::costmodel::CostModel;
 use crate::error::OffloadError;
@@ -316,13 +316,16 @@ impl TensorCache {
         // Leftover records were just flushed against the old queues; new
         // jobs must not queue behind the previous step's transfers.
         self.io.reset();
-        // The flush sealed and committed every staged byte; a fresh step
-        // starts with fresh conservation counters and a high-water mark
-        // tracking only the slabs that survived the boundary.
-        st.coalescer = WriteCoalescer::new(self.config.coalesce_segment_bytes);
+        // The flush sealed and committed every staged byte, so the
+        // coalescer's open segments are empty (it keeps their lists); a
+        // fresh step starts with an arena high-water mark tracking only
+        // the slabs that survived the boundary.
         self.arena.begin_step();
         st.stack.clear();
-        st.scopes.clear();
+        for (_, mut meta) in st.scopes.drain() {
+            meta.records.clear();
+            st.spare_scope_records.push(meta.records);
+        }
         st.phase = Phase::Forward;
         st.fwd_start = self.io.clock().now();
         st.forward = None;
@@ -624,13 +627,10 @@ impl TensorCache {
     // ------------------------------------------------------------------
 
     fn innermost_kept(&self, st: &State) -> bool {
-        if st.profiling {
-            return false;
-        }
-        let Some(seq) = st.stack.last() else {
+        let Some(seq) = st.stack.last().filter(|_| !st.profiling) else {
             return false;
         };
-        st.plan.keeps(&st.scopes[seq].path)
+        st.scopes.get(seq).is_some_and(|meta| meta.kept)
     }
 
     /// Releases a staging slab back to the arena, emitting the

@@ -61,15 +61,22 @@ impl ModuleHooks for TensorCache {
         let order = &mut st.pass(scope.micro_batch).order;
         let pos = order.len();
         order.push(scope.seq);
-        st.scopes.insert(
-            scope.seq,
-            ScopeMeta {
-                path: scope.path.clone(),
-                pos,
-                enter: self.io.clock().now(),
-                ..ScopeMeta::default()
-            },
-        );
+        // Only a profile names modules by path; a planned step asks the
+        // plan once here, and every pack in the scope reads the answer.
+        let path = if st.profiling {
+            scope.path.clone()
+        } else {
+            String::new()
+        };
+        let meta = ScopeMeta {
+            path,
+            kept: st.plan.keeps(&scope.path),
+            pos,
+            records: st.spare_scope_records.pop().unwrap_or_default(),
+            enter: self.io.clock().now(),
+            ..ScopeMeta::default()
+        };
+        st.scopes.insert(scope.seq, meta);
     }
 
     fn forward_post(&self, scope: &ScopeInfo) {

@@ -5,10 +5,11 @@
 use crate::adaptive::{AdaptivePlan, StepProfile};
 use crate::coalesce::WriteCoalescer;
 use crate::error::OffloadError;
-use crate::id::TensorKey;
+use crate::id::{InlineKey, TensorKey};
 use crate::io::{JobId, ReadId};
 use crate::placement::OffloadClass;
 use crate::stats::OffloadStats;
+use crate::target::BatchItem;
 use crate::tier::TierId;
 use crate::{HashMap, HashSet};
 use ssdtrain_autograd::Phase;
@@ -181,7 +182,12 @@ impl Reload {
 
 #[derive(Default)]
 pub(super) struct ScopeMeta {
+    /// The module's path, kept in a profiling step only: the profile
+    /// names its modules by it. Empty otherwise.
     pub(super) path: String,
+    /// Whether the plan in force when the scope opened keeps the module
+    /// ([`AdaptivePlan::keeps`]), asked once per scope, not per pack.
+    pub(super) kept: bool,
     /// The scope's position in its micro-batch's forward order.
     pub(super) pos: usize,
     pub(super) records: Vec<RecordId>,
@@ -301,12 +307,20 @@ pub(super) struct Pass {
 #[derive(Default)]
 pub(super) struct State {
     pub(super) records: HashMap<RecordId, Record>,
-    pub(super) by_key: HashMap<TensorKey, RecordId>,
+    /// Each live activation record under its key, held inline.
+    pub(super) by_key: HashMap<InlineKey, RecordId>,
+    /// The shape buffers of released records' keys, for new records'
+    /// keys: a buffer comes back only after its record's tier entry was
+    /// dropped under the key it held (`TensorCache::drop_from_tier`).
+    pub(super) spare_shapes: Vec<Vec<usize>>,
     pub(super) next_id: RecordId,
     pub(super) param_stamps: HashSet<u64>,
     /// Innermost-first stack of open forward scopes (seq ids).
     pub(super) stack: Vec<u64>,
     pub(super) scopes: HashMap<u64, ScopeMeta>,
+    /// The record lists of the last step's scopes, emptied, for this
+    /// step's scopes to fill.
+    pub(super) spare_scope_records: Vec<Vec<RecordId>>,
     pub(super) current_mb: usize,
     pub(super) phase: Phase,
     pub(super) profiling: bool,
@@ -337,6 +351,10 @@ pub(super) struct State {
     /// Reused by every commit: the members still riding the job and
     /// where their payloads sit in `staging`.
     pub(super) commit_scratch: Vec<Payload>,
+    /// Reused by every commit of more than one member: the buffer of the
+    /// batch handed to the tier, kept empty between commits (its items
+    /// borrow the records and `staging`, so it is relent per commit).
+    pub(super) batch_scratch: Vec<BatchItem<'static>>,
     /// The one host staging buffer of the spill path, cleared per use and
     /// never freed: a commit serialises its segment's members into it
     /// back to back, and a reload that has to copy the bytes somewhere

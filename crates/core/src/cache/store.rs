@@ -7,7 +7,7 @@ use super::TensorCache;
 use crate::coalesce::SealedSegment;
 use crate::config::{RecoveryPolicy, MAX_IO_RETRIES};
 use crate::error::OffloadError;
-use crate::id::{storage_stamp, tensor_key};
+use crate::id::{storage_stamp, InlineKey, TensorKey};
 use crate::io::JobId;
 use crate::placement::OffloadClass;
 use crate::target::BatchItem;
@@ -154,9 +154,9 @@ impl TensorCache {
         if rec.read_ahead {
             st.read_ahead_bytes = st.read_ahead_bytes.saturating_sub(rec.bytes);
         }
-        drop(st);
-        self.drop_from_tier(&rec);
-        rec.late
+        let late = rec.late;
+        self.drop_from_tier(&mut st, rec);
+        late
     }
 
     /// Records a state tensor its owner keeps on the GPU instead of
@@ -202,13 +202,13 @@ impl TensorCache {
             return None;
         }
 
-        let key = tensor_key(tensor);
+        let inline = InlineKey::of_tensor(tensor);
         // State slots belong to their caller, not to a module scope.
         let cur_scope = st.stack.last().copied().filter(|_| activation);
 
         // Deduplication (Section 3.3.1); state slots never alias.
         if activation && self.config.dedup {
-            if let Some(&id) = st.by_key.get(&key) {
+            if let Some(&id) = st.by_key.get(&inline) {
                 let bytes = st.records[&id].bytes;
                 if let Some(seq) = cur_scope {
                     if let Some(rec) = st.records.get_mut(&id) {
@@ -277,8 +277,9 @@ impl TensorCache {
             }
         }
         if activation {
-            st.by_key.insert(key.clone(), id);
+            st.by_key.insert(inline, id);
         }
+        let key = inline.key_in(st.spare_shapes.pop().unwrap_or_default());
         st.records.insert(
             id,
             Record {
@@ -366,7 +367,8 @@ impl TensorCache {
     /// segments of one sealed without the coalescer stay silent here.
     pub(super) fn submit_sealed(&self, st: &mut State, seg: SealedSegment) {
         self.submit_segment(st, seg.tier, seg.entries.iter().map(|e| e.record));
-        let total = seg.total_bytes();
+        let (total, entries) = (seg.total_bytes(), seg.entries.len());
+        st.coalescer.recycle(seg);
         st.stats.coalesce_segments += 1;
         st.stats.coalesced_bytes += total;
         if st.trace.is_enabled() {
@@ -376,7 +378,7 @@ impl TensorCache {
                 self.io.clock().now(),
                 vec![
                     ("bytes", ArgValue::U64(total)),
-                    ("entries", ArgValue::U64(seg.entries.len() as u64)),
+                    ("entries", ArgValue::U64(entries as u64)),
                 ],
             );
         }
@@ -386,7 +388,7 @@ impl TensorCache {
     /// barriers and flushes call this so no staged byte outlives the
     /// stage that produced it).
     pub(super) fn seal_open_segments(&self, st: &mut State) {
-        for seg in st.coalescer.seal_all() {
+        while let Some(seg) = st.coalescer.seal_next() {
             self.submit_sealed(st, seg);
         }
     }
@@ -442,8 +444,11 @@ impl TensorCache {
         let written = match batch.as_slice() {
             [only] => self.tiers.write_segment(tier, &[item(st, only)]),
             all => {
-                let items: Vec<_> = all.iter().map(|m| item(st, m)).collect();
-                self.tiers.write_segment(tier, &items)
+                let mut items = relend(std::mem::take(&mut st.batch_scratch));
+                items.extend(all.iter().map(|m| item(st, m)));
+                let written = self.tiers.write_segment(tier, &items);
+                st.batch_scratch = relend(items);
+                written
             }
         };
         match written {
@@ -652,7 +657,9 @@ impl TensorCache {
         let Some(mut rec) = st.records.remove(&id) else {
             return;
         };
-        st.by_key.remove(&rec.key);
+        if let Ok(inline) = InlineKey::of(&rec.key) {
+            st.by_key.remove(&inline);
+        }
         // Releasing frees memory only when the cache's reference is the
         // last one — like Python GC, a tensor the model still holds keeps
         // its memory (the storage's own drop reports the eventual free).
@@ -677,19 +684,35 @@ impl TensorCache {
         // Catch-all: whatever path retired the record, its staging slab
         // must go back to the arena exactly once.
         self.retire_slab(&st.trace, rec.slab.take());
-        self.drop_from_tier(&rec);
+        self.drop_from_tier(st, rec);
     }
 
     /// Returns `rec`'s admission reservation and drops its entry from
     /// the tier's device, if a write ever put one there — the single
-    /// release point of a record's bytes.
-    pub(super) fn drop_from_tier(&self, rec: &Record) {
+    /// release point of a record's bytes, for a record already out of
+    /// `State::records`. Only then is its key's shape buffer recycled: a
+    /// buffer emptied before the removal would remove under the wrong key
+    /// and leave the entry behind.
+    fn drop_from_tier(&self, st: &mut State, rec: Record) {
         if rec.stored {
             self.tiers.remove(rec.tier, &rec.key, rec.bytes);
         } else {
             self.tiers.unreserve(rec.tier, rec.bytes);
         }
+        st.spare_shapes.push(rec.key.shape);
     }
+}
+
+/// `items`' buffer, emptied, for items of another lifetime. Collecting an
+/// emptied `Vec`'s own iterator into elements of the same layout reuses
+/// its allocation, and the map never runs.
+fn relend<'b>(mut items: Vec<BatchItem<'_>>) -> Vec<BatchItem<'b>> {
+    static NO_KEY: TensorKey = TensorKey {
+        stamp: 0,
+        shape: Vec::new(),
+    };
+    items.clear();
+    items.into_iter().map(|_| (&NO_KEY, None, 0)).collect()
 }
 
 /// A segment member's serialised payload: its slice of the staging
@@ -707,4 +730,24 @@ pub(super) fn class_args(bytes: u64, class: OffloadClass) -> Vec<(&'static str, 
         args.push(("class", ArgValue::from(class.label())));
     }
     args
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_relent_batch_keeps_its_buffer() {
+        let key = TensorKey {
+            stamp: 1,
+            shape: vec![2],
+        };
+        let mut items: Vec<BatchItem<'_>> = Vec::with_capacity(8);
+        items.push((&key, None, 8));
+        let buffer = items.as_ptr().cast::<u8>();
+        let spare: Vec<BatchItem<'static>> = relend(items);
+        assert!(spare.is_empty());
+        assert_eq!(spare.capacity(), 8);
+        assert_eq!(spare.as_ptr().cast::<u8>(), buffer, "no new allocation");
+    }
 }

@@ -78,6 +78,9 @@ pub struct WriteCoalescer {
     segment_bytes: u64,
     next_id: u64,
     open: HashMap<TierId, OpenSegment>,
+    /// Member lists handed back by [`WriteCoalescer::recycle`], emptied,
+    /// for the next open segments to fill.
+    spare: Vec<Vec<SegmentEntry>>,
 }
 
 impl WriteCoalescer {
@@ -147,7 +150,8 @@ impl WriteCoalescer {
         if open.entries.is_empty() {
             return None;
         }
-        let entries = std::mem::take(&mut open.entries);
+        let fresh = self.spare.pop().unwrap_or_default();
+        let entries = std::mem::replace(&mut open.entries, fresh);
         open.bytes = 0;
         let id = self.next_id;
         self.next_id += 1;
@@ -159,30 +163,38 @@ impl WriteCoalescer {
     /// those tiers, so they are full and their segments cannot grow;
     /// call until `None` to seal them all.
     pub fn seal_ahead_of(&mut self, tier: TierId) -> Option<SealedSegment> {
-        let open = self
-            .open
-            .iter()
-            .filter(|(t, o)| **t < tier && !o.entries.is_empty());
-        let ahead = open.map(|(t, _)| *t).min()?;
-        self.seal_tier(ahead)
+        self.seal_front(|t| t < tier)
+    }
+
+    /// Seals the open segment of the frontmost tier that holds anything,
+    /// or returns `None`: call until `None` to seal them all, in tier
+    /// order, without collecting them.
+    pub(crate) fn seal_next(&mut self) -> Option<SealedSegment> {
+        self.seal_front(|_| true)
     }
 
     /// Seals every non-empty open segment, in tier order.
     pub fn seal_all(&mut self) -> Vec<SealedSegment> {
-        let mut tiers: Vec<TierId> = self
+        std::iter::from_fn(|| self.seal_next()).collect()
+    }
+
+    /// Takes back a submitted segment's member list, emptied, so a later
+    /// segment fills it instead of a fresh one.
+    pub(crate) fn recycle(&mut self, seg: SealedSegment) {
+        let mut entries = seg.entries;
+        entries.clear();
+        self.spare.push(entries);
+    }
+
+    /// Seals the open segment of the frontmost tier `at` admits that
+    /// holds anything.
+    fn seal_front(&mut self, at: impl Fn(TierId) -> bool) -> Option<SealedSegment> {
+        let open = self
             .open
             .iter()
-            .filter(|(_, o)| !o.entries.is_empty())
-            .map(|(t, _)| *t)
-            .collect();
-        tiers.sort();
-        let mut out = Vec::with_capacity(tiers.len());
-        for tier in tiers {
-            if let Some(seg) = self.seal_tier(tier) {
-                out.push(seg);
-            }
-        }
-        out
+            .filter(|(t, o)| at(**t) && !o.entries.is_empty());
+        let front = open.map(|(t, _)| *t).min()?;
+        self.seal_tier(front)
     }
 
     /// Bytes staged across every open segment.
@@ -279,6 +291,27 @@ mod tests {
         let a = c.stage(t, 1, 10, OffloadClass::Activation).expect("seal");
         let b = c.stage(t, 2, 10, OffloadClass::Activation).expect("seal");
         assert!(b.id > a.id);
+    }
+
+    #[test]
+    fn a_recycled_member_list_is_filled_again() {
+        let t = tier0();
+        let mut c = WriteCoalescer::new(100);
+        let seal = |c: &mut WriteCoalescer, a, b| {
+            c.stage(t, a, 60, OffloadClass::Activation);
+            c.stage(t, b, 60, OffloadClass::Activation).expect("seal")
+        };
+        let first = seal(&mut c, 1, 2);
+        let list = first.entries.as_ptr();
+        c.recycle(first);
+        // The open segment takes the recycled list when the second seals,
+        // so the third segment's members sit in it.
+        let _second = seal(&mut c, 3, 4);
+        let third = seal(&mut c, 5, 6);
+        assert_eq!(third.entries.as_ptr(), list);
+        let members: Vec<u64> = third.entries.iter().map(|e| e.record).collect();
+        assert_eq!(members, [5, 6]);
+        assert!(c.seal_next().is_none(), "every segment sealed");
     }
 
     #[test]

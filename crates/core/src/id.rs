@@ -10,7 +10,9 @@
 //! write-once slot on [`ssdtrain_tensor::Storage`] and a process-global
 //! monotonic logical timestamp.
 
-use ssdtrain_tensor::Tensor;
+use ssdtrain_tensor::shape::MAX_RANK;
+use ssdtrain_tensor::{Shape, Tensor};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identity of a saved tensor: the storage's first-seen stamp plus the
@@ -26,6 +28,57 @@ pub struct TensorKey {
 impl std::fmt::Display for TensorKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "t{}x{:?}", self.stamp, self.shape)
+    }
+}
+
+/// A [`TensorKey`] held inline — the stamp and a [`Shape`] — which is
+/// what every map of the cache and the targets is keyed on: building one
+/// from a `&TensorKey` or a tensor allocates nothing, so no map insert
+/// clones a key's shape `Vec`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct InlineKey {
+    stamp: u64,
+    shape: Shape,
+}
+
+impl InlineKey {
+    /// `key` inline.
+    ///
+    /// # Errors
+    /// `InvalidInput` when the key has more than [`MAX_RANK`] extents: no
+    /// tensor has, so no such key was ever stored.
+    pub(crate) fn of(key: &TensorKey) -> io::Result<InlineKey> {
+        if key.shape.len() > MAX_RANK {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{key} has more than {MAX_RANK} extents"),
+            ));
+        }
+        Ok(InlineKey {
+            stamp: key.stamp,
+            shape: Shape::from(key.shape.as_slice()),
+        })
+    }
+
+    /// The key [`tensor_key`] would return for `t`, inline, stamping
+    /// `t`'s storage first if needed.
+    pub(crate) fn of_tensor(t: &Tensor) -> InlineKey {
+        InlineKey {
+            stamp: storage_stamp(t),
+            shape: *t.shape(),
+        }
+    }
+
+    /// The key as a [`TensorKey`], its shape written into `shape`, whose
+    /// contents are discarded: a caller that recycles the buffers of keys
+    /// it released allocates nothing once they fit.
+    pub(crate) fn key_in(self, mut shape: Vec<usize>) -> TensorKey {
+        shape.clear();
+        shape.extend_from_slice(self.shape.dims());
+        TensorKey {
+            stamp: self.stamp,
+            shape,
+        }
     }
 }
 
@@ -47,11 +100,7 @@ fn next_logical_timestamp() -> u64 {
 /// assert_ne!(tensor_key(&t), tensor_key(&t.t()));
 /// ```
 pub fn tensor_key(t: &Tensor) -> TensorKey {
-    let stamp = t.storage().stamp_once(next_logical_timestamp());
-    TensorKey {
-        stamp,
-        shape: t.dims().to_vec(),
-    }
+    InlineKey::of_tensor(t).key_in(Vec::new())
 }
 
 /// Returns the storage stamp `t` carries, stamping it first if needed.
@@ -110,6 +159,29 @@ mod tests {
         let a = t.reshape([2, 3]);
         let b = t.reshape([2, 3]);
         assert_eq!(tensor_key(&a), tensor_key(&b));
+    }
+
+    #[test]
+    fn an_inline_key_equals_its_tensor_key() {
+        let dev = Device::cpu();
+        let t = Tensor::zeros([2, 3], &dev);
+        let reused = InlineKey::of_tensor(&t.t()).key_in(vec![9; 8]);
+        assert_eq!(
+            reused,
+            tensor_key(&t.t()),
+            "the buffer's old contents are gone"
+        );
+        for v in [t.clone(), t.t(), t.reshape([6])] {
+            let key = tensor_key(&v);
+            assert_eq!(InlineKey::of(&key).unwrap(), InlineKey::of_tensor(&v));
+        }
+        assert_ne!(InlineKey::of_tensor(&t), InlineKey::of_tensor(&t.t()));
+        let deep = TensorKey {
+            stamp: 1,
+            shape: vec![1; MAX_RANK + 1],
+        };
+        let err = InlineKey::of(&deep).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

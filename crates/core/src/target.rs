@@ -7,7 +7,7 @@
 //! storage"); its pool size is fixed up front, mirroring the profiling-
 //! based allocation.
 
-use crate::id::TensorKey;
+use crate::id::{InlineKey, TensorKey};
 use crate::HashMap;
 use parking_lot::Mutex;
 use ssdtrain_simhw::WearMeter;
@@ -114,7 +114,7 @@ pub trait OffloadTarget: Send + Sync {
 
 struct SsdState {
     wear: WearMeter,
-    symbolic_lens: HashMap<TensorKey, u64>,
+    symbolic_lens: HashMap<InlineKey, u64>,
     /// The file name and path buffers every call reuses.
     name: String,
     path: PathBuf,
@@ -199,7 +199,8 @@ impl OffloadTarget for SsdTarget {
         f: &mut dyn FnMut(Option<&[u8]>),
     ) -> io::Result<()> {
         let mut s = self.state.lock();
-        if s.symbolic_lens.contains_key(key) {
+        let inline = InlineKey::of(key);
+        if inline.is_ok_and(|k| s.symbolic_lens.contains_key(&k)) {
             drop(s);
             f(None);
             return Ok(());
@@ -214,7 +215,8 @@ impl OffloadTarget for SsdTarget {
 
     fn remove(&self, key: &TensorKey) {
         let mut s = self.state.lock();
-        if s.symbolic_lens.remove(key).is_some() {
+        let inline = InlineKey::of(key);
+        if inline.is_ok_and(|k| s.symbolic_lens.remove(&k).is_some()) {
             return;
         }
         let _ = fs::remove_file(s.path_for(&self.dir, key));
@@ -232,8 +234,13 @@ impl OffloadTarget for SsdTarget {
         let mut guard = self.state.lock();
         let s = &mut *guard;
         for (i, (key, data, _)) in items.iter().enumerate() {
-            let Some(bytes) = data else { continue };
-            if let Err(e) = fs::write(s.path_for(&self.dir, key), bytes) {
+            // A symbolic member lands in `symbolic_lens` below, keyed
+            // inline; a key that cannot be is refused with the rest.
+            let landed = match data {
+                Some(bytes) => fs::write(s.path_for(&self.dir, key), bytes),
+                None => InlineKey::of(key).map(drop),
+            };
+            if let Err(e) = landed {
                 for (done, done_data, _) in &items[..i] {
                     if done_data.is_some() {
                         let _ = fs::remove_file(s.path_for(&self.dir, done));
@@ -249,8 +256,8 @@ impl OffloadTarget for SsdTarget {
         let total: u64 = items.iter().map(|(_, _, len)| *len).sum();
         s.wear.record_batch(total, 1);
         for (key, data, len) in items {
-            if data.is_none() {
-                s.symbolic_lens.insert((*key).clone(), *len);
+            if let (None, Ok(key)) = (data, InlineKey::of(key)) {
+                s.symbolic_lens.insert(key, *len);
             }
         }
         Ok(())
@@ -276,7 +283,7 @@ impl fmt::Debug for SsdTarget {
 
 struct CpuState {
     /// Each entry's length and payload (`None` in symbolic execution).
-    pool: HashMap<TensorKey, (u64, Option<Vec<u8>>)>,
+    pool: HashMap<InlineKey, (u64, Option<Vec<u8>>)>,
     used: u64,
     written: u64,
 }
@@ -318,11 +325,12 @@ impl OffloadTarget for CpuTarget {
     }
 
     fn write(&self, key: &TensorKey, data: Option<&[u8]>, len: u64) -> io::Result<()> {
+        let inline = InlineKey::of(key)?;
         let mut s = self.state.lock();
         // Overwriting a live key reuses its slot: project occupancy with
         // the prior entry's bytes returned first, so rewrites never
         // double-count against the pool.
-        let prior = s.pool.get(key).map_or(0, |(len, _)| *len);
+        let prior = s.pool.get(&inline).map_or(0, |(len, _)| *len);
         let projected = s.used - prior + len;
         if projected > self.pool_bytes {
             return Err(io::Error::new(
@@ -335,14 +343,7 @@ impl OffloadTarget for CpuTarget {
         }
         s.used = projected;
         s.written += len;
-        let entry = (len, data.map(<[u8]>::to_vec));
-        // Only a new entry clones the key.
-        match s.pool.get_mut(key) {
-            Some(slot) => *slot = entry,
-            None => {
-                s.pool.insert(key.clone(), entry);
-            }
-        }
+        s.pool.insert(inline, (len, data.map(<[u8]>::to_vec)));
         Ok(())
     }
 
@@ -361,8 +362,9 @@ impl OffloadTarget for CpuTarget {
         _scratch: &mut Vec<u8>,
         f: &mut dyn FnMut(Option<&[u8]>),
     ) -> io::Result<()> {
+        let inline = InlineKey::of(key)?;
         let s = self.state.lock();
-        let Some((_, data)) = s.pool.get(key) else {
+        let Some((_, data)) = s.pool.get(&inline) else {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("{key} not in pinned pool"),
@@ -373,8 +375,11 @@ impl OffloadTarget for CpuTarget {
     }
 
     fn remove(&self, key: &TensorKey) {
+        let Ok(inline) = InlineKey::of(key) else {
+            return;
+        };
         let mut s = self.state.lock();
-        if let Some((len, _)) = s.pool.remove(key) {
+        if let Some((len, _)) = s.pool.remove(&inline) {
             s.used = s.used.saturating_sub(len);
         }
     }
@@ -610,6 +615,30 @@ mod tests {
         assert!(t.write_batch(&items).is_err());
         assert_eq!(t.bytes_written(), written);
         assert_eq!(t.wear(), before);
+    }
+
+    #[test]
+    fn a_key_no_tensor_has_is_refused_whole() {
+        let dir = tmpdir("deep");
+        let ssd = SsdTarget::new(&dir, WearMeter::new(1e12, 1.0)).unwrap();
+        let cpu = CpuTarget::new(1 << 20);
+        let deep = TensorKey {
+            stamp: 9,
+            shape: vec![1; ssdtrain_tensor::shape::MAX_RANK + 1],
+        };
+        let kept = key(1);
+        for t in [&ssd as &dyn OffloadTarget, &cpu] {
+            let items: [BatchItem<'_>; 2] = [(&kept, None, 8), (&deep, None, 8)];
+            let err = t.write_batch(&items).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{}", t.name());
+            assert!(
+                t.read(&kept).is_err(),
+                "{}: the batch landed in part",
+                t.name()
+            );
+            t.remove(&deep);
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

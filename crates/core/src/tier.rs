@@ -146,8 +146,6 @@ pub struct TierCounters {
 /// cost model ([`crate::CostModel`]) consumes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TierSpec {
-    /// The tier's display name.
-    pub name: String,
     /// Index of the simulated link its transfers are priced on.
     pub link: usize,
     /// Admission capacity, `None` when unbounded.
@@ -420,7 +418,6 @@ impl TierStack {
             .iter()
             .filter(|(t, _)| t.role == TierRole::Placement)
             .map(|(t, _)| TierSpec {
-                name: t.name.clone(),
                 link: t.link,
                 capacity_bytes: t.capacity_bytes,
             })
@@ -557,10 +554,8 @@ mod tests {
             Tier::new("cpu-fb", Arc::new(CpuTarget::new(1 << 20)), 0).demotion_only(),
         ]);
         let specs = stack.placement_tiers();
-        assert_eq!(specs.len(), 2);
-        assert_eq!(specs[0].name, "dram");
-        assert_eq!(specs[0].capacity_bytes, Some(10));
-        assert_eq!(specs[1].link, 1);
+        let links_and_caps: Vec<_> = specs.iter().map(|s| (s.link, s.capacity_bytes)).collect();
+        assert_eq!(links_and_caps, [(0, Some(10)), (1, None)]);
     }
 
     #[test]

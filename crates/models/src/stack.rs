@@ -11,7 +11,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct TransformerStack {
     layers: Vec<Arc<TransformerLayer>>,
-    prefix: String,
+    /// Each layer's scope name, built once rather than per step.
+    names: Vec<String>,
 }
 
 impl TransformerStack {
@@ -25,15 +26,12 @@ impl TransformerStack {
         rng: &mut Prng,
         dev: &Device,
     ) -> TransformerStack {
-        let layers = (0..n)
-            .map(|i| {
-                TransformerLayer::new(&format!("{prefix}{i}"), cfg, causal, with_cross, rng, dev)
-            })
+        let names: Vec<String> = (0..n).map(|i| format!("{prefix}{i}")).collect();
+        let layers = names
+            .iter()
+            .map(|name| TransformerLayer::new(name, cfg, causal, with_cross, rng, dev))
             .collect();
-        TransformerStack {
-            layers,
-            prefix: prefix.to_owned(),
-        }
+        TransformerStack { layers, names }
     }
 
     /// Applies every layer; layers selected by `recompute` run under
@@ -64,7 +62,7 @@ impl TransformerStack {
         let mut h = x.clone();
         for i in range {
             let layer = &self.layers[i];
-            h = g.scoped(&format!("{}{}", self.prefix, i), || {
+            h = g.scoped(&self.names[i], || {
                 if recompute.applies_to(i) {
                     layer.forward_checkpointed(g, &h, ctx)
                 } else {

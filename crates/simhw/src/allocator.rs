@@ -161,6 +161,13 @@ impl CachingAllocator {
         }
     }
 
+    /// [`CachingAllocator::replay_with`] on a buffer of its own: the
+    /// tests' form.
+    #[cfg(test)]
+    pub(crate) fn replay(events: impl IntoIterator<Item = (u64, bool)>) -> AllocatorStats {
+        CachingAllocator::replay_with(events, &mut Vec::new())
+    }
+
     /// Replays a `(bytes, is_free)` stream where a free retires the
     /// latest live allocation of the same request size, if there is one,
     /// and is ignored otherwise; returns the final statistics.
@@ -168,15 +175,10 @@ impl CachingAllocator {
     /// Almost every allocation holds the block its request rounds to, so
     /// live allocations are kept as a count per request size. A small
     /// request served a larger cached block is the exception: it is
-    /// noted aside with its place in its size's stack, and a free that
-    /// retires it returns that block.
-    pub fn replay(events: impl IntoIterator<Item = (u64, bool)>) -> AllocatorStats {
-        CachingAllocator::replay_with(events, &mut Vec::new())
-    }
-
-    /// [`CachingAllocator::replay`] noting the larger blocks in `larger`,
-    /// which it leaves empty: a caller that replays every step keeps the
-    /// buffer, so a warm replay allocates no more than the pools do.
+    /// noted aside in `larger` with its place in its size's stack, and a
+    /// free that retires it returns that block. The replay leaves
+    /// `larger` empty: a caller that replays every step keeps the buffer,
+    /// so a warm replay allocates no more than the pools do.
     pub(crate) fn replay_with(
         events: impl IntoIterator<Item = (u64, bool)>,
         larger: &mut Vec<(u64, u32, u64)>,

@@ -50,7 +50,8 @@ cargo test -q --test fault_injection
 cargo test -q --test paper_claims
 # The autograd tape's allocation contract: nothing allocated per node,
 # a per-node budget for a symbolic BERT step, and ops that allocate only
-# the tensors they return. Run explicitly for the same reason.
+# the tensors they return; and the cache's: a warm offload step allocates
+# nothing per saved tensor. Run explicitly for the same reason.
 cargo test -q --test alloc_budget
 # The source rules clippy cannot hold (DESIGN.md §7): typed errors in
 # public signatures (read by the test's own scanner, which blanks
@@ -75,13 +76,13 @@ cargo run --release -q --example tiered_backends
 bash benchmark/run.sh --quick
 # Host allocation counts must repeat from process to process: every map
 # of the cache and the staging arena hashes with a fixed seed (DESIGN.md
-# §7). A second process of each of the two workloads whose figures used
-# to spread must print the figures the pass above wrote (about 45 s).
+# §7). A second process of each offloading workload must print the
+# figures the pass above wrote (about 60 s).
 alloc_figures() { # one benchmark result as JSON on stdin
     python3 -c 'import json, sys; m = json.load(sys.stdin)["metrics"]
 print(m["host_allocs_per_step"]["value"], m["host_alloc_mb_per_step"]["value"])'
 }
-for workload in sym_deep_tiered replay_tiered_segments; do
+for workload in sym_deep_tiered replay_tiered_segments func_offload_ssd; do
     first=$(alloc_figures <"benchmark/out/$workload.json")
     again=$(bash benchmark/run.sh --workload "$workload" --quick --trace 0 | tail -n 1 | alloc_figures)
     if [ "$first" != "$again" ]; then
