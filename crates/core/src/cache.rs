@@ -35,7 +35,7 @@ use crate::id::storage_stamp;
 use crate::io::IoEngine;
 use crate::stats::OffloadStats;
 use crate::target::OffloadTarget;
-use crate::tier::{TierCounters, TierStack};
+use crate::tier::{TierCounters, TierId, TierStack};
 use parking_lot::Mutex;
 use prefetch::Prefetcher;
 use record::{RecState, RecordId, State};
@@ -261,12 +261,11 @@ impl TensorCache {
     /// [`RecoveryPolicy::FallbackTarget`](crate::RecoveryPolicy::FallbackTarget))
     /// reports 0, so the tiers' busy seconds sum to the engine's.
     fn tier_counters(&self, st: &State) -> Vec<TierCounters> {
-        let ids = self.tiers.tier_ids();
         let mut tiers = self.tiers.counters();
-        for (i, (tier, counters)) in ids.iter().zip(tiers.iter_mut()).enumerate() {
-            let link = self.tiers.link(*tier);
-            let earlier = ids.iter().take(i);
-            if earlier.map(|t| self.tiers.link(*t)).any(|l| l == link) {
+        let link_of = |i| self.tiers.link(TierId(i));
+        for (i, counters) in tiers.iter_mut().enumerate() {
+            let link = link_of(i);
+            if (0..i).any(|j| link_of(j) == link) {
                 continue;
             }
             counters.stall_secs = st.link_stalls.get(link).copied().unwrap_or(0.0);
@@ -348,7 +347,7 @@ impl TensorCache {
             pass.next = 0;
             pass.hook = 0;
         }
-        st.stats = OffloadStats::default();
+        st.stats.reset();
         st.link_stalls.clear();
         self.tiers.reset_counters();
         // Failures during the flush above belong to the step that

@@ -12,7 +12,7 @@ use ssdtrain_trace::StepBytes;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClassCounters {
     /// The class label ([`OffloadClass::label`]).
-    pub class: String,
+    pub class: &'static str,
     /// Bytes submitted to store queues for this class (net of
     /// cancellations, like the global counter).
     pub offloaded_bytes: u64,
@@ -116,15 +116,25 @@ impl OffloadStats {
     /// always show all three lanes once any class moves bytes.
     pub fn class_mut(&mut self, class: OffloadClass) -> &mut ClassCounters {
         if self.classes.is_empty() {
-            self.classes = OffloadClass::ALL
-                .iter()
-                .map(|c| ClassCounters {
-                    class: c.label().to_owned(),
+            self.classes
+                .extend(OffloadClass::ALL.iter().map(|c| ClassCounters {
+                    class: c.label(),
                     ..ClassCounters::default()
-                })
-                .collect();
+                }));
         }
         &mut self.classes[class.index()]
+    }
+
+    /// Zeroes every counter for a new step, as a default struct would,
+    /// but keeps the class list's buffer: a warm step's first
+    /// [`OffloadStats::class_mut`] allocates nothing.
+    pub(crate) fn reset(&mut self) {
+        let mut classes = std::mem::take(&mut self.classes);
+        classes.clear();
+        *self = OffloadStats {
+            classes,
+            ..OffloadStats::default()
+        };
     }
 
     /// The counters for `class`, if any class has moved bytes this step.

@@ -30,13 +30,14 @@
 use crate::id::TensorKey;
 use crate::target::{BatchItem, OffloadTarget};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::fmt;
 use std::io;
 use std::sync::Arc;
 
 /// Index of a tier inside a [`TierStack`] (0 = fastest / frontmost).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TierId(usize);
+pub struct TierId(pub(crate) usize);
 
 impl TierId {
     /// Position of the tier in the stack (0 = front).
@@ -66,7 +67,7 @@ pub enum TierRole {
 /// One storage level of a [`TierStack`]: a device plus its admission
 /// capacity and the simulated link its transfers are priced on.
 pub struct Tier {
-    name: String,
+    name: Cow<'static, str>,
     device: Arc<dyn OffloadTarget>,
     capacity_bytes: Option<u64>,
     link: usize,
@@ -76,7 +77,11 @@ pub struct Tier {
 impl Tier {
     /// A placement tier over `device`, unbounded, priced on `link`
     /// (an index into the [`crate::IoEngine`]'s tier links).
-    pub fn new(name: impl Into<String>, device: Arc<dyn OffloadTarget>, link: usize) -> Tier {
+    pub fn new(
+        name: impl Into<Cow<'static, str>>,
+        device: Arc<dyn OffloadTarget>,
+        link: usize,
+    ) -> Tier {
         Tier {
             name: name.into(),
             device,
@@ -115,8 +120,9 @@ impl fmt::Debug for Tier {
 /// [`crate::OffloadStats::tiers`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TierCounters {
-    /// The tier's name (stable across steps).
-    pub name: String,
+    /// The tier's name (stable across steps): borrowed when the tier was
+    /// named by a literal, so a snapshot copies no string.
+    pub name: Cow<'static, str>,
     /// Bytes the tier's device accepted (successful writes, including
     /// demotions landing here).
     pub bytes_written: u64,
@@ -219,7 +225,7 @@ impl TierStack {
     }
 
     /// The stack's tier ids, front first — the only way code outside
-    /// this module obtains a [`TierId`] other than through
+    /// this crate obtains a [`TierId`] other than through
     /// [`TierStack::reserve`] / [`TierStack::demote`].
     pub fn tier_ids(&self) -> Vec<TierId> {
         (0..self.inner.lock().len()).map(TierId).collect()
@@ -235,7 +241,7 @@ impl TierStack {
         let inner = self.inner.lock();
         inner
             .get(tier.0)
-            .map(|(t, _)| t.name.clone())
+            .map(|(t, _)| t.name.clone().into_owned())
             .unwrap_or_default()
     }
 
@@ -434,9 +440,10 @@ impl TierStack {
     /// survive — a fresh step starts with whatever is still stored).
     pub fn reset_counters(&self) {
         let mut inner = self.inner.lock();
-        for (tier, state) in inner.iter_mut() {
+        for (_, state) in inner.iter_mut() {
+            let name = std::mem::take(&mut state.counters.name);
             state.counters = TierCounters {
-                name: tier.name.clone(),
+                name,
                 ..TierCounters::default()
             };
         }

@@ -6,13 +6,21 @@
 //! (after reloading) while the handle itself stays alive. The SSDTrain
 //! tensor cache keys its bookkeeping on the storage's first-seen *stamp*
 //! (Section 3.3.1 of the paper), which is kept here as a write-once slot.
+//!
+//! A storage's header (its identity, size, class, device and payload
+//! slot) is one shared allocation. When the last handle drops, the
+//! header's payload is freed and the header joins its thread's free list,
+//! and the next storage built on that thread takes it with a fresh
+//! identity and no stamp: a warm step asks the allocator for payloads
+//! only.
 
 use crate::device::{Device, MemClass};
 use crate::dtype::DType;
 use parking_lot::{RwLock, RwLockReadGuard};
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock, OnceLock};
 
 /// Unique identity of a storage allocation within the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,16 +61,92 @@ struct StorageInner {
     dtype: DType,
     /// A [`MemClass`] as `u8`: written only by [`Storage::reclass`].
     class: AtomicU8,
-    device: Device,
+    /// `None` only in a retired header (and in [`TAKEN`]), so that a
+    /// pooled header keeps no session's device (nor its tracker) alive.
+    device: Option<Device>,
     data: RwLock<DataState>,
     stamp: OnceLock<u64>,
+}
+
+impl StorageInner {
+    /// The storage's device. A header is retired only when its last
+    /// handle drops, so no storage ever reads the detached fallback.
+    fn device(&self) -> &Device {
+        self.device.as_ref().unwrap_or_else(|| &DETACHED)
+    }
+
+    /// Frees the payload: a resident one reports its bytes to the device
+    /// and drops its values; a released one reports nothing.
+    fn free_payload(&mut self) {
+        let state = std::mem::replace(self.data.get_mut(), DataState::Released);
+        if !matches!(state, DataState::Released) {
+            let bytes = self.numel as u64 * self.dtype.byte_size();
+            let class = MemClass::from_u8(*self.class.get_mut());
+            self.device().notify_free(bytes, class);
+        }
+    }
+}
+
+/// What [`StorageInner::device`] answers for a retired header: a device
+/// with no tracker.
+static DETACHED: LazyLock<Device> = LazyLock::new(Device::cpu);
+
+/// A thread's retired storage headers.
+struct Headers {
+    free: Vec<Arc<StorageInner>>,
+    /// Headers built on this thread less those retired on it (never below
+    /// zero: a header built elsewhere may retire here).
+    live: usize,
+    /// The most `live` has been: the free list never holds more, so a
+    /// thread that only drops what others built keeps nothing.
+    peak: usize,
+}
+
+impl Headers {
+    /// A header for a new storage, if one is free.
+    fn pop(&mut self) -> Option<Arc<StorageInner>> {
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
+        self.free.pop()
+    }
+
+    /// Keeps `header`, whose storage's last handle is dropping.
+    fn retire(&mut self, header: Arc<StorageInner>) {
+        self.live = self.live.saturating_sub(1);
+        if self.free.len() < self.peak {
+            self.free.push(header);
+        }
+    }
+}
+
+thread_local! {
+    /// Headers of dropped storages, taken by the next [`Storage::build`]
+    /// on this thread.
+    static HEADERS: RefCell<Headers> = const {
+        RefCell::new(Headers { free: Vec::new(), live: 0, peak: 0 })
+    };
 }
 
 /// A refcounted, releasable buffer of `numel` elements.
 #[derive(Clone)]
 pub struct Storage {
-    inner: Arc<StorageInner>,
+    /// `None` only once `drop` has taken the handle: an `Option`, so the
+    /// last handle moves its header onto the free list with no refcount
+    /// operation (a clone and a drop cost ≈ 15 ns a storage).
+    inner: Option<Arc<StorageInner>>,
 }
+
+/// What [`Storage::inner`] answers for a taken handle, which nothing
+/// reads: `drop` is its last use.
+static TAKEN: StorageInner = StorageInner {
+    id: StorageId(0),
+    numel: 0,
+    dtype: DType::F32,
+    class: AtomicU8::new(0),
+    device: None,
+    data: RwLock::new(DataState::Released),
+    stamp: OnceLock::new(),
+};
 
 /// A read lock on a storage's payload, held while this handle lives.
 ///
@@ -82,6 +166,11 @@ impl PayloadRead<'_> {
 }
 
 impl Storage {
+    /// The header behind this handle.
+    fn inner(&self) -> &StorageInner {
+        self.inner.as_deref().unwrap_or(&TAKEN)
+    }
+
     /// Creates a numeric storage owning `data`.
     ///
     /// Reports `numel * dtype.byte_size()` bytes to the device tracker.
@@ -103,6 +192,8 @@ impl Storage {
         Self::build(DataState::Symbolic, numel, dtype, class, device)
     }
 
+    /// The one constructor: a fresh identity, no stamp, in a retired
+    /// header when the thread has one and a new allocation otherwise.
     fn build(
         state: DataState,
         numel: usize,
@@ -110,40 +201,49 @@ impl Storage {
         class: MemClass,
         device: &Device,
     ) -> Storage {
-        let s = Storage {
-            inner: Arc::new(StorageInner {
-                id: StorageId::next(),
-                numel,
-                dtype,
-                class: AtomicU8::new(class.as_u8()),
-                device: device.clone(),
-                data: RwLock::new(state),
-                stamp: OnceLock::new(),
-            }),
+        let fresh = StorageInner {
+            id: StorageId::next(),
+            numel,
+            dtype,
+            class: AtomicU8::new(class.as_u8()),
+            device: Some(device.clone()),
+            data: RwLock::new(state),
+            stamp: OnceLock::new(),
         };
+        let inner = match HEADERS.try_with(|h| h.borrow_mut().pop()) {
+            Ok(Some(mut header)) => match Arc::get_mut(&mut header) {
+                Some(slot) => {
+                    *slot = fresh;
+                    header
+                }
+                None => Arc::new(fresh),
+            },
+            _ => Arc::new(fresh),
+        };
+        let s = Storage { inner: Some(inner) };
         device.notify_alloc(s.bytes(), class);
         s
     }
 
     /// Unique identity of this allocation.
     pub fn id(&self) -> StorageId {
-        self.inner.id
+        self.inner().id
     }
 
     /// Number of elements.
     pub fn numel(&self) -> usize {
-        self.inner.numel
+        self.inner().numel
     }
 
     /// Element type (controls accounted width).
     pub fn dtype(&self) -> DType {
-        self.inner.dtype
+        self.inner().dtype
     }
 
     /// Memory class: the one recorded at creation, unless
     /// [`crate::Tensor::into_class`] re-classed the storage since.
     pub fn mem_class(&self) -> MemClass {
-        MemClass::from_u8(self.inner.class.load(Ordering::Relaxed))
+        MemClass::from_u8(self.inner().class.load(Ordering::Relaxed))
     }
 
     /// Moves the storage to `class`. A resident storage's bytes leave its
@@ -151,36 +251,36 @@ impl Storage {
     /// reports nothing, since it holds no bytes. The caller holds the
     /// storage's only handle, so nothing releases or restores it meanwhile.
     pub(crate) fn reclass(&self, class: MemClass) {
-        let old = MemClass::from_u8(self.inner.class.swap(class.as_u8(), Ordering::Relaxed));
+        let old = MemClass::from_u8(self.inner().class.swap(class.as_u8(), Ordering::Relaxed));
         if old != class && self.is_resident() {
-            self.inner.device.notify_free(self.bytes(), old);
-            self.inner.device.notify_alloc(self.bytes(), class);
+            self.device().notify_free(self.bytes(), old);
+            self.device().notify_alloc(self.bytes(), class);
         }
     }
 
     /// Device this storage lives on.
     pub fn device(&self) -> &Device {
-        &self.inner.device
+        self.inner().device()
     }
 
     /// Accounted size in bytes (`numel * dtype.byte_size()`).
     pub fn bytes(&self) -> u64 {
-        self.inner.numel as u64 * self.inner.dtype.byte_size()
+        self.inner().numel as u64 * self.inner().dtype.byte_size()
     }
 
     /// Whether the payload currently occupies (simulated) device memory.
     pub fn is_resident(&self) -> bool {
-        !matches!(*self.inner.data.read(), DataState::Released)
+        !matches!(*self.inner().data.read(), DataState::Released)
     }
 
     /// Whether real values are present.
     pub fn has_data(&self) -> bool {
-        matches!(*self.inner.data.read(), DataState::Numeric(_))
+        matches!(*self.inner().data.read(), DataState::Numeric(_))
     }
 
     /// Locks the payload for reading.
     pub(crate) fn read(&self) -> PayloadRead<'_> {
-        PayloadRead(self.inner.data.read())
+        PayloadRead(self.inner().data.read())
     }
 
     /// Runs `f` over the payload, or returns `None` when the storage is
@@ -192,7 +292,7 @@ impl Storage {
     /// Runs `f` over the mutable payload, or returns `None` when symbolic
     /// or released.
     pub fn with_data_mut<R>(&self, f: impl FnOnce(&mut [f32]) -> R) -> Option<R> {
-        match &mut *self.inner.data.write() {
+        match &mut *self.inner().data.write() {
             DataState::Numeric(v) => Some(f(v)),
             _ => None,
         }
@@ -215,15 +315,13 @@ impl Storage {
     /// freed values, so a caller can reuse their allocation. `None` for a
     /// symbolic storage, and for one already released.
     pub fn release_values(&self) -> Option<Vec<f32>> {
-        let mut guard = self.inner.data.write();
+        let mut guard = self.inner().data.write();
         if matches!(*guard, DataState::Released) {
             return None;
         }
         let state = std::mem::replace(&mut *guard, DataState::Released);
         drop(guard);
-        self.inner
-            .device
-            .notify_free(self.bytes(), self.mem_class());
+        self.device().notify_free(self.bytes(), self.mem_class());
         match state {
             DataState::Numeric(values) => Some(values),
             _ => None,
@@ -236,17 +334,15 @@ impl Storage {
     /// Panics if the storage is still resident, or if `data.len()` differs
     /// from `numel()`.
     pub fn restore_numeric(&self, data: Vec<f32>) {
-        assert_eq!(data.len(), self.inner.numel, "restore with wrong length");
-        let mut guard = self.inner.data.write();
+        assert_eq!(data.len(), self.inner().numel, "restore with wrong length");
+        let mut guard = self.inner().data.write();
         assert!(
             matches!(*guard, DataState::Released),
             "restore of a resident storage"
         );
         *guard = DataState::Numeric(data);
         drop(guard);
-        self.inner
-            .device
-            .notify_alloc(self.bytes(), self.mem_class());
+        self.device().notify_alloc(self.bytes(), self.mem_class());
     }
 
     /// Restores a released storage in shape-only mode.
@@ -254,16 +350,14 @@ impl Storage {
     /// # Panics
     /// Panics if the storage is still resident.
     pub fn restore_symbolic(&self) {
-        let mut guard = self.inner.data.write();
+        let mut guard = self.inner().data.write();
         assert!(
             matches!(*guard, DataState::Released),
             "restore of a resident storage"
         );
         *guard = DataState::Symbolic;
         drop(guard);
-        self.inner
-            .device
-            .notify_alloc(self.bytes(), self.mem_class());
+        self.device().notify_alloc(self.bytes(), self.mem_class());
     }
 
     /// Serialises the payload for offloading into a fresh buffer; see
@@ -288,7 +382,7 @@ impl Storage {
             let start = out.len();
             out.resize(start + self.bytes() as usize, 0);
             let dst = &mut out[start..];
-            match self.inner.dtype {
+            match self.inner().dtype {
                 DType::F32 => {
                     for (c, x) in dst.chunks_exact_mut(4).zip(d) {
                         c.copy_from_slice(&x.to_le_bytes());
@@ -328,9 +422,9 @@ impl Storage {
     /// Panics if `bytes` has the wrong length.
     pub fn decode_into(&self, bytes: &[u8], mut out: Vec<f32>) -> Vec<f32> {
         out.clear();
-        match self.inner.dtype {
+        match self.inner().dtype {
             DType::F32 => {
-                assert_eq!(bytes.len(), self.inner.numel * 4, "bad byte length");
+                assert_eq!(bytes.len(), self.inner().numel * 4, "bad byte length");
                 out.extend(
                     bytes
                         .chunks_exact(4)
@@ -338,7 +432,7 @@ impl Storage {
                 );
             }
             DType::F16 => {
-                assert_eq!(bytes.len(), self.inner.numel * 2, "bad byte length");
+                assert_eq!(bytes.len(), self.inner().numel * 2, "bad byte length");
                 out.extend(
                     bytes
                         .chunks_exact(2)
@@ -346,7 +440,7 @@ impl Storage {
                 );
             }
             DType::U8 => {
-                assert_eq!(bytes.len(), self.inner.numel, "bad byte length");
+                assert_eq!(bytes.len(), self.inner().numel, "bad byte length");
                 out.extend(bytes.iter().map(|b| *b as f32));
             }
         }
@@ -359,44 +453,66 @@ impl Storage {
     /// This is the core of the paper's `get_id()` deduplication: the stamp
     /// survives view/transpose re-wrapping because it lives on the storage.
     pub fn stamp_once(&self, stamp: u64) -> u64 {
-        *self.inner.stamp.get_or_init(|| stamp)
+        *self.inner().stamp.get_or_init(|| stamp)
     }
 
     /// The stamp, if one was assigned.
     pub fn stamp(&self) -> Option<u64> {
-        self.inner.stamp.get().copied()
+        self.inner().stamp.get().copied()
     }
 
     /// Number of strong handles alive.
     pub fn strong_count(&self) -> usize {
-        Arc::strong_count(&self.inner)
+        self.inner.as_ref().map_or(0, Arc::strong_count)
     }
 
     /// True if both handles refer to the same allocation.
     pub fn ptr_eq(&self, other: &Storage) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+        std::ptr::eq(self.inner(), other.inner())
     }
 }
 
 impl fmt::Debug for Storage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Storage")
-            .field("id", &self.inner.id)
-            .field("numel", &self.inner.numel)
-            .field("dtype", &self.inner.dtype)
+            .field("id", &self.inner().id)
+            .field("numel", &self.inner().numel)
+            .field("dtype", &self.inner().dtype)
             .field("class", &self.mem_class())
             .field("resident", &self.is_resident())
             .finish()
     }
 }
 
-impl Drop for StorageInner {
+impl Drop for Storage {
+    /// On the last handle, frees the payload at this instant, as the
+    /// header's own drop would, detaches the header from its device and
+    /// keeps it for the thread's next storage. During thread teardown the
+    /// header is simply freed.
     fn drop(&mut self) {
-        if !matches!(*self.data.get_mut(), DataState::Released) {
-            let bytes = self.numel as u64 * self.dtype.byte_size();
-            let class = MemClass::from_u8(*self.class.get_mut());
-            self.device.notify_free(bytes, class);
+        let Some(mut header) = self.inner.take() else {
+            return;
+        };
+        // A load first: most handles dropped are not the last, and
+        // `Arc::get_mut` costs a locked instruction even then.
+        if Arc::strong_count(&header) != 1 {
+            return;
         }
+        let Some(inner) = Arc::get_mut(&mut header) else {
+            return;
+        };
+        inner.free_payload();
+        inner.device = None;
+        let _ = HEADERS.try_with(move |h| h.borrow_mut().retire(header));
+    }
+}
+
+impl Drop for StorageInner {
+    /// Frees the payload of a header whose last drop no [`Storage`] saw
+    /// as the last: two handles dropped on two threads at once. Any other
+    /// header's payload was freed when it was retired.
+    fn drop(&mut self) {
+        self.free_payload();
     }
 }
 
@@ -567,6 +683,112 @@ mod tests {
                 "{dtype}: decoded into the buffer it was given"
             );
         }
+    }
+
+    /// A tracker logging every event as `(+bytes | -bytes, class)`.
+    #[derive(Default)]
+    struct Log(parking_lot::Mutex<Vec<(i64, MemClass)>>);
+    impl crate::device::MemTracker for Log {
+        fn on_alloc(&self, b: u64, c: MemClass) {
+            self.0.lock().push((b as i64, c));
+        }
+        fn on_free(&self, b: u64, c: MemClass) {
+            self.0.lock().push((-(b as i64), c));
+        }
+    }
+
+    #[test]
+    fn a_recycled_header_is_a_new_storage() {
+        let dev = Device::cpu();
+        let old = Storage::numeric(vec![1.0; 4], DType::F32, MemClass::Activation, &dev);
+        old.stamp_once(7);
+        let (old_id, header): (_, *const StorageInner) = (old.id(), old.inner());
+        drop(old);
+        let new = Storage::symbolic(8, DType::F16, MemClass::Workspace, &Device::symbolic());
+        assert!(std::ptr::eq(new.inner(), header), "the header was recycled");
+        assert!(new.id() > old_id, "a fresh identity");
+        assert_eq!(new.stamp(), None, "no stamp to dedup against");
+        assert_eq!(
+            (new.numel(), new.dtype(), new.mem_class()),
+            (8, DType::F16, MemClass::Workspace)
+        );
+        assert!(new.is_resident() && !new.has_data());
+        assert!(new.device().is_symbolic());
+    }
+
+    #[test]
+    fn the_tracker_sees_each_event_when_it_happens() {
+        use MemClass::{Activation as A, Workspace as W};
+        let dev = Device::cpu();
+        let log = Arc::new(Log::default());
+        dev.set_tracker(log.clone());
+        let a = Storage::numeric(vec![0.0; 4], DType::F32, A, &dev);
+        let b = Storage::numeric(vec![0.0; 2], DType::F16, W, &dev);
+        let a2 = a.clone();
+        drop(a); // a second handle lives: nothing freed
+        a2.release();
+        let c = Storage::numeric(vec![0.0; 3], DType::F32, A, &dev);
+        drop(a2); // released: nothing more to free
+        b.reclass(A);
+        drop(b);
+        c.release();
+        c.restore_numeric(vec![1.0; 3]);
+        let d = Storage::numeric(vec![0.0; 1], DType::U8, W, &dev);
+        drop(c);
+        drop(d);
+        let want = [
+            (16, A),
+            (4, W),
+            (-16, A),
+            (12, A),
+            (-4, W),
+            (4, A),
+            (-4, A),
+            (-12, A),
+            (12, A),
+            (1, W),
+            (-12, A),
+            (-1, W),
+        ];
+        assert_eq!(*log.0.lock(), want);
+    }
+
+    #[test]
+    fn a_pooled_header_keeps_no_device_alive() {
+        let tracker = Arc::new(Net::default());
+        {
+            let dev = Device::cpu();
+            dev.set_tracker(tracker.clone());
+            let s = Storage::numeric(vec![0.0; 4], DType::F32, MemClass::Activation, &dev);
+            let views = [s.clone(), s.clone()];
+            drop(s);
+            drop(views);
+            let _kept = Storage::symbolic(4, DType::F32, MemClass::Activation, &dev);
+        }
+        assert_eq!(tracker.0.load(Ordering::Relaxed), 0);
+        assert_eq!(Arc::strong_count(&tracker), 1, "the device was freed");
+    }
+
+    #[test]
+    fn a_storage_dropped_on_another_thread_is_freed() {
+        let (dev, t) = tracked_device();
+        let s = Storage::numeric(vec![0.0; 4], DType::F32, MemClass::Activation, &dev);
+        let kept = s.clone();
+        let resident = std::thread::spawn(move || {
+            drop(s);
+            Storage::symbolic(2, DType::F32, MemClass::Activation, &Device::symbolic())
+        });
+        let other = resident.join().expect("the thread ran");
+        assert_eq!(t.0.load(Ordering::Relaxed), 16, "one handle still lives");
+        let dropper = std::thread::spawn(move || {
+            drop(kept);
+            HEADERS.with(|h| h.borrow().free.len())
+        });
+        let pooled = dropper.join().expect("the thread ran");
+        assert_eq!(pooled, 0, "a thread that built nothing keeps nothing");
+        assert_eq!(t.0.load(Ordering::Relaxed), 0, "freed on the last drop");
+        assert!(other.is_resident());
+        drop(other);
     }
 
     #[test]

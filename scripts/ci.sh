@@ -76,13 +76,13 @@ cargo run --release -q --example tiered_backends
 bash benchmark/run.sh --quick
 # Host allocation counts must repeat from process to process: every map
 # of the cache and the staging arena hashes with a fixed seed (DESIGN.md
-# §7). A second process of each offloading workload must print the
-# figures the pass above wrote (about 60 s).
+# §7). A second process of each workload must print the figures the pass
+# above wrote (about 70 s).
 alloc_figures() { # one benchmark result as JSON on stdin
     python3 -c 'import json, sys; m = json.load(sys.stdin)["metrics"]
 print(m["host_allocs_per_step"]["value"], m["host_alloc_mb_per_step"]["value"])'
 }
-for workload in sym_deep_tiered replay_tiered_segments func_offload_ssd; do
+for workload in sym_deep_tiered replay_tiered_segments func_offload_ssd func_keep; do
     first=$(alloc_figures <"benchmark/out/$workload.json")
     again=$(bash benchmark/run.sh --workload "$workload" --quick --trace 0 | tail -n 1 | alloc_figures)
     if [ "$first" != "$again" ]; then

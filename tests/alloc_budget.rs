@@ -1,9 +1,11 @@
 //! The autograd tape's allocation contract, counted.
 //!
 //! Recording a node and backpropagating through it allocate nothing
-//! beyond the tensors the kernels return (DESIGN §2): a node owns ranges
-//! into the tape's flat buffers, `Op::backward` writes into gradient slots
-//! the engine lends, and the scope walk follows parent links. An op's
+//! beyond the tensors the kernels return (DESIGN §2), and a warm kernel
+//! allocates only its output's values: the output's storage header is
+//! one a dead tensor left behind. A node owns ranges into the tape's flat
+//! buffers, `Op::backward` writes into gradient slots the engine lends,
+//! and the scope walk follows parent links. An op's
 //! backward allocates only the gradients it returns, too: the fused
 //! attention op and the matmul, GELU and dropout backwards are counted
 //! one by one. A leaf adopts the gradient backward hands it instead of
@@ -179,13 +181,15 @@ impl Chain {
     }
 }
 
-/// (a) Recording and backpropagating `n` more links costs no more
-/// allocator calls than calling their kernels directly: nothing is
-/// allocated per node. Each arm runs `N` and `2N` links after a warm-up
-/// at `2N` (so the tape's buffers are at capacity), and only the
+/// (a) Recording and backpropagating `n` more links costs no allocator
+/// call, and so no more than calling their kernels directly: nothing is
+/// allocated per node, and a symbolic kernel's output takes a dead
+/// tensor's storage header. Each arm runs `N` and `2N` links after a
+/// warm-up at `2N` (so the tape's buffers are at capacity), and only the
 /// difference is compared, which cancels what a backward pass costs once
-/// (the loss node, its seed, the walk's scratch). With per-node `Vec`s
-/// the tape paid 1 280 calls for 64 links against the kernels' 320.
+/// (the loss node, its seed, the walk's scratch). With a header allocated
+/// per output the tape paid 256 calls for 64 links; with per-node `Vec`s
+/// it paid 1 280.
 #[test]
 fn the_tape_allocates_nothing_per_node() {
     const N: usize = 64;
@@ -208,7 +212,10 @@ fn the_tape_allocates_nothing_per_node() {
     direct(2 * N);
     let kernels = direct(2 * N) - direct(N);
 
-    assert!(kernels > 0, "the kernels allocate their outputs");
+    assert_eq!(
+        graph, 0,
+        "{N} more links cost {graph} allocator calls on the tape"
+    );
     assert!(
         graph <= kernels,
         "{N} links cost {graph} allocator calls on the tape but {kernels} as direct \
@@ -217,19 +224,21 @@ fn the_tape_allocates_nothing_per_node() {
 }
 
 /// Budget of (b), in allocator calls per tape node of a warm forward
-/// plus backward. Measured (51 nodes): 3.78 once each leaf adopted its
-/// first gradient (193 calls), 4.51 while it copied it (230 calls), 4.82
-/// when flat node buffers and lent gradient slots landed (246 calls),
-/// 13.24 before them (675 calls: per-node input, saved-tensor and
-/// gradient `Vec`s and a scope stack per node). At 51 nodes the once-a-step costs (the graph,
-/// its buffers' growth, the walk's scratch) are a large share of the 3.78.
-const CALLS_PER_NODE_BUDGET: f64 = 4.5;
+/// plus backward. Measured (51 nodes): 1.10 once op outputs reused the
+/// storage headers of dead tensors (56 calls), 3.78 once each leaf
+/// adopted its first gradient (193 calls), 4.51 while it copied it (230
+/// calls), 4.82 when flat node buffers and lent gradient slots landed
+/// (246 calls), 13.24 before them (675 calls: per-node input,
+/// saved-tensor and gradient `Vec`s and a scope stack per node). At 51
+/// nodes the once-a-step costs (the graph, its buffers' growth, the
+/// walk's scratch) are a large share of the 1.10.
+const CALLS_PER_NODE_BUDGET: f64 = 1.8;
 
 /// (b) A warm forward plus backward of a small symbolic BERT on a bare
 /// graph (no hooks, no observer) stays under [`CALLS_PER_NODE_BUDGET`]
-/// allocator calls per recorded node. What remains is the kernels'
-/// output tensors, the boxes of the ops that carry state and the module
-/// scopes' paths.
+/// allocator calls per recorded node. What remains is the boxes of the
+/// ops that carry state and the module scopes' paths: the kernels'
+/// symbolic outputs take the storage headers of dead tensors.
 #[test]
 fn a_symbolic_bert_step_stays_under_its_per_node_budget() {
     let dev = Device::symbolic();
@@ -281,10 +290,11 @@ fn op_bytes<const N: usize>(
     run()
 }
 
-/// Bytes an op may request beyond the buffers it returns: storage
-/// headers, the op's box, the tape's first node and the backward walk's
-/// scratch. Measured: 1.7–1.9 KiB a backward; far below the smallest
-/// operand the gates below would copy (the matmul's 64 KiB `x`).
+/// Bytes an op may request beyond the buffers it returns: the op's box,
+/// the tape's first node and the backward walk's scratch (and a storage
+/// header, when no dead tensor left one behind). Measured: 1.7–1.9 KiB a
+/// backward; far below the smallest operand the gates below would copy
+/// (the matmul's 64 KiB `x`).
 const OP_SLACK: u64 = 4096;
 
 /// A numeric tensor of normal draws.
@@ -336,33 +346,49 @@ fn matmul_backward_allocates_dx_and_dw() {
     );
 }
 
-/// (i) A warm matrix product of two transposed views requests its output
-/// and that output's storage header, and nothing else: both operands are
-/// read in place through their strides, so there is no gather buffer, and
-/// the panel of `b` the kernel packs into comes from the scratch pool,
-/// which the first call grew. The panel is `func_keep`'s largest, `k` =
+/// (i) A warm matrix product of two transposed views requests its
+/// output's values and nothing else: both operands are read in place
+/// through their strides, so there is no gather buffer, the panel of `b`
+/// the kernel packs into comes from the scratch pool, which the first
+/// call grew, and the output's storage header is the one the first
+/// call's output left behind. The panel is `func_keep`'s largest, `k` =
 /// 512.
 #[test]
 fn a_warm_matmul_of_transposes_requests_only_its_output() {
     let (x, w) = (numeric(&[512, 256], 1), numeric(&[128, 512], 2));
     let (xt, wt) = (x.t(), w.t());
-    let dev = Device::cpu();
-    let values = vec![0.0f32; 256 * 128];
-    let (_, header) = bytes(|| Tensor::from_vec(values, [256, 128], &dev));
     drop(xt.matmul(&wt)); // cold: the pool's panel grows to k × NR
     let (y, requested) = bytes(|| xt.matmul(&wt));
     assert_eq!(y.dims(), &[256, 128]);
     assert_eq!(
         requested,
-        y.bytes() + header,
+        y.bytes(),
         "a warm xᵀ @ wᵀ requests {requested} B for its {} B output",
         y.bytes()
     );
-    assert_eq!(
-        calls(|| drop(xt.matmul(&wt))),
-        2,
-        "the output and its header"
-    );
+    drop(y);
+    assert_eq!(calls(|| drop(xt.matmul(&wt))), 1, "the output's values");
+}
+
+/// (k) A dead tensor hands its storage header on: after a warm-up,
+/// building and dropping `N` symbolic tensors makes no allocator call,
+/// and `N` numeric ones make `N`, their values. With a header allocated
+/// per storage they cost `N` and `2N`.
+#[test]
+fn a_new_tensor_takes_a_dead_ones_storage_header() {
+    const N: u64 = 64;
+    let run = |dev: &Device| {
+        calls(|| {
+            for _ in 0..N {
+                drop(Tensor::zeros([16, 16], dev));
+            }
+        })
+    };
+    let (symbolic, numeric) = (Device::symbolic(), Device::cpu());
+    run(&symbolic);
+    run(&numeric);
+    assert_eq!(run(&symbolic), 0, "{N} symbolic tensors");
+    assert_eq!(run(&numeric), N, "{N} numeric tensors");
 }
 
 /// (g) GELU and dropout backwards each request one buffer: `dy · gelu'(x)`
@@ -586,9 +612,11 @@ fn site(trace: &Backtrace) -> String {
 ///
 /// Run it in the default (debug) test profile, whose line tables name
 /// each frame's file and line. `func_keep`'s total equals its
-/// `host_allocs_per_step`; the symbolic session is warmed for two steps,
-/// not the benchmark's fifty, so its total can differ from the gated
-/// figure by a call or two.
+/// `host_allocs_per_step` (375 calls); the symbolic session is warmed
+/// for two steps, not the benchmark's fifty, so its total differs from
+/// the gated figure (864 calls against 847). Storage headers no longer
+/// show: a warm step's outputs take the headers of dead tensors. What
+/// is left at op lines is the boxes of the ops that carry state.
 #[test]
 #[ignore = "diagnostic: prints where a warm step of two benchmark sessions allocates"]
 fn alloc_sites() {
@@ -831,10 +859,12 @@ impl Drop for TieredRig {
 /// member lists, and scopes their record lists. No step is degraded and
 /// the DRAM pool is empty after each flush: a key buffer recycled before
 /// its tier entry was removed would leave entries behind, and the full
-/// pool would refuse later writes. Measured: 32 more calls for 32 more
-/// records, whose tensors alone cost 33; 161 (four a record beyond the
-/// tensors) when each record built a fresh key `Vec` that every map
-/// insert cloned.
+/// pool would refuse later writes. Measured: 0 more calls for 32 more
+/// records, whose tensors alone cost 1 (the memory model's event log
+/// growing; their storage headers are recycled); 32 for 32 while each
+/// tensor allocated its header; 161 (four a record beyond the tensors)
+/// when each record built a fresh key `Vec` that every map insert
+/// cloned.
 #[test]
 fn a_warm_tiered_offload_allocates_nothing_per_record() {
     const N: usize = 32;

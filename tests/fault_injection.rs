@@ -200,7 +200,7 @@ fn a_fallback_tier_adds_no_link_time_of_its_own() {
         let (write, read) = (io.write_busy_secs(), io.read_busy_secs_on(0));
         assert!(write > 0.0 && read > 0.0, "{name}: the step moved bytes");
         let tiers = &m.offload.tiers;
-        let names: Vec<&str> = tiers.iter().map(|t| t.name.as_str()).collect();
+        let names: Vec<&str> = tiers.iter().map(|t| &*t.name).collect();
         assert_eq!(names, ["ssd", "cpu"], "{name}");
         let tier_write: f64 = tiers.iter().map(|t| t.write_busy_secs).sum();
         let tier_read: f64 = tiers.iter().map(|t| t.read_busy_secs).sum();
