@@ -309,9 +309,6 @@ mod tests {
         fn phase_changed(&self, p: Phase) {
             self.0.lock().push(format!("{p:?}"));
         }
-        fn wants_grad_ready(&self) -> bool {
-            true
-        }
         fn grad_ready(&self, var: &Var) {
             let grad = var.grad().map(|g| g.to_vec());
             self.0.lock().push(format!("{}={grad:?}", var.name()));
@@ -328,7 +325,7 @@ mod tests {
     fn logged_graph(d: &Device) -> (Graph, std::sync::Arc<ReadyLog>) {
         let g = Graph::new(d, 1);
         let log = std::sync::Arc::new(ReadyLog::default());
-        g.add_module_hooks(log.clone());
+        g.set_grad_listener(Some(log.clone()));
         (g, log)
     }
 

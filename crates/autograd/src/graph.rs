@@ -100,20 +100,12 @@ impl Tape {
     }
 }
 
-/// The lengths of a tape's flat buffers ([`Graph::tape_size`]): what a
-/// fresh graph reserves ([`Graph::reserve_tape`]) so that a step shaped
-/// like the last one records without regrowing them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TapeSize {
-    nodes: usize,
-    inputs: usize,
-    saved: usize,
-}
-
 struct GraphInner {
     tape: RefCell<Tape>,
     saved_hooks: RefCell<Option<Arc<dyn SavedTensorHooks>>>,
     module_hooks: RefCell<Vec<Arc<dyn ModuleHooks>>>,
+    /// Where in `module_hooks` the gradient listener sits, if one is set.
+    listener: Cell<Option<usize>>,
     observer: RefCell<Option<Arc<dyn ExecObserver>>>,
     rng: RefCell<Prng>,
     phase: Cell<Phase>,
@@ -156,6 +148,7 @@ impl Graph {
                 tape: RefCell::default(),
                 saved_hooks: RefCell::new(None),
                 module_hooks: RefCell::new(Vec::new()),
+                listener: Cell::new(None),
                 observer: RefCell::new(None),
                 rng: RefCell::new(Prng::seed_from_u64(seed)),
                 phase: Cell::new(Phase::Forward),
@@ -187,6 +180,22 @@ impl Graph {
     /// Registers a module-hooks listener (several may be registered).
     pub fn add_module_hooks(&self, hooks: Arc<dyn ModuleHooks>) {
         self.inner.module_hooks.borrow_mut().push(hooks);
+    }
+
+    /// Sets the gradient listener, or clears it with `None`: module hooks
+    /// that also take the [`ModuleHooks::grad_ready`] reports of every
+    /// backward until it is cleared. The graph has one such slot, so a
+    /// listener replaces the previous one; it fires after the hooks added
+    /// before it.
+    pub fn set_grad_listener(&self, listener: Option<Arc<dyn ModuleHooks>>) {
+        let mut hooks = self.inner.module_hooks.borrow_mut();
+        if let Some(i) = self.inner.listener.take() {
+            hooks.remove(i);
+        }
+        if let Some(listener) = listener {
+            self.inner.listener.set(Some(hooks.len()));
+            hooks.push(listener);
+        }
     }
 
     /// Installs the execution observer (replaces any previous).
@@ -254,28 +263,9 @@ impl Graph {
         self.inner.tape.borrow().nodes.len()
     }
 
-    /// The lengths of the tape's buffers now (read before
-    /// [`Graph::reset_tape`] to size the next step's graph).
-    pub fn tape_size(&self) -> TapeSize {
-        let tape = self.inner.tape.borrow();
-        TapeSize {
-            nodes: tape.nodes.len(),
-            inputs: tape.inputs.len(),
-            saved: tape.saved.len(),
-        }
-    }
-
-    /// Reserves room on the tape for `size` more entries, so recording
-    /// that many allocates each buffer once instead of doubling it.
-    pub fn reserve_tape(&self, size: TapeSize) {
-        let mut tape = self.inner.tape.borrow_mut();
-        tape.nodes.reserve(size.nodes);
-        tape.inputs.reserve(size.inputs);
-        tape.saved.reserve(size.saved);
-    }
-
     /// Clears the tape for the next step; hooks, observer, RNG and scope
-    /// configuration are kept.
+    /// configuration are kept, and so are the tape's buffers, so a step
+    /// shaped like the last one records without regrowing them.
     pub fn reset_tape(&self) {
         self.inner.tape.borrow_mut().clear();
         self.inner.tape_gen.set(next_tape_gen());
@@ -466,7 +456,7 @@ impl Graph {
     /// gradients are written into slots reused across nodes, and scope
     /// transitions follow [`ScopeFrame`] parent links.
     ///
-    /// When a module-hooks listener [wants it](ModuleHooks::wants_grad_ready),
+    /// When the graph has a [gradient listener](Graph::set_grad_listener),
     /// every node the walk reaches — run, or skipped for receiving no
     /// gradient — retires one use per leaf input once its gradients have
     /// been accumulated, and the leaf whose last recorded use that was is
@@ -540,12 +530,7 @@ impl Graph {
 
         let hooks = self.inner.saved_hooks.borrow().clone();
         let observer = self.inner.observer.borrow().clone();
-        let listening = self
-            .inner
-            .module_hooks
-            .borrow()
-            .iter()
-            .any(|h| h.wants_grad_ready());
+        let listening = self.inner.listener.get().is_some();
         // The innermost open scope; the rest of the stack hangs off its
         // parent links.
         let mut open: Option<Arc<ScopeFrame>> = None;
@@ -631,13 +616,15 @@ impl Graph {
     }
 
     /// Retires one use per leaf in `inputs` (a node backward just finished
-    /// with) and reports each leaf whose last use that was.
+    /// with) and reports each leaf whose last use that was to the
+    /// gradient listener.
     fn retire_leaf_uses(&self, inputs: &[Source]) {
         let tape = self.inner.tape_gen.get();
         for source in inputs {
             if let Source::Leaf(var) = source {
                 if var.retire_use(tape) {
-                    for h in self.inner.module_hooks.borrow().iter() {
+                    let hooks = self.inner.module_hooks.borrow();
+                    if let Some(h) = self.inner.listener.get().and_then(|i| hooks.get(i)) {
                         h.grad_ready(var);
                     }
                 }
@@ -646,15 +633,16 @@ impl Graph {
     }
 
     /// Creates a child graph for checkpoint recomputation: shares hooks,
-    /// observer, module hooks, scope-sequence counter, device and the
-    /// tape generation leaf uses are counted on; fresh tape; phase
-    /// [`Phase::Recompute`].
+    /// observer, module hooks and gradient listener, scope-sequence
+    /// counter, device and the tape generation leaf uses are counted on;
+    /// fresh tape; phase [`Phase::Recompute`].
     pub fn recompute_child(&self) -> Graph {
         let child = Graph {
             inner: Rc::new(GraphInner {
                 tape: RefCell::default(),
                 saved_hooks: RefCell::new(self.inner.saved_hooks.borrow().clone()),
                 module_hooks: RefCell::new(self.inner.module_hooks.borrow().clone()),
+                listener: Cell::new(self.inner.listener.get()),
                 observer: RefCell::new(self.inner.observer.borrow().clone()),
                 rng: RefCell::new(self.inner.rng.borrow().clone()),
                 phase: Cell::new(Phase::Recompute),
@@ -887,9 +875,6 @@ mod tests {
     struct GradLog(Mutex<Vec<(String, Option<Vec<f32>>)>>);
 
     impl ModuleHooks for GradLog {
-        fn wants_grad_ready(&self) -> bool {
-            true
-        }
         fn grad_ready(&self, var: &Var) {
             let grad = var.grad().map(|g| g.to_vec());
             self.0.lock().push((var.name().to_owned(), grad));
@@ -901,7 +886,7 @@ mod tests {
         let d = dev();
         let g = Graph::new(&d, 1);
         let log = Arc::new(GradLog::default());
-        g.add_module_hooks(log.clone());
+        g.set_grad_listener(Some(log.clone()));
         let w = Var::new("w", Tensor::from_vec(vec![1.0], [1], &d));
         let lw = g.leaf(&w);
         let a = ops::scale(&g, &lw, 2.0); // node 0: the earlier use
@@ -917,7 +902,7 @@ mod tests {
         let d = dev();
         let g = Graph::new(&d, 1);
         let log = Arc::new(GradLog::default());
-        g.add_module_hooks(log.clone());
+        g.set_grad_listener(Some(log.clone()));
         let w = Var::new("w", Tensor::from_vec(vec![1.0], [1], &d));
         let _unused = ops::scale(&g, &g.leaf(&w), 2.0); // node 0: no path to the loss
         let x = g.constant(Tensor::from_vec(vec![4.0], [1], &d));
@@ -930,8 +915,8 @@ mod tests {
     fn without_a_listener_backward_retires_nothing() {
         let d = dev();
         let g = Graph::new(&d, 1);
-        // Module hooks that do not want readiness reports.
-        g.add_module_hooks(Arc::new(EventLog::default()));
+        // Module hooks, but no gradient listener.
+        g.add_module_hooks(Arc::new(GradLog::default()));
         let w = Var::new("w", Tensor::from_vec(vec![1.0], [1], &d));
         let lw = g.leaf(&w);
         let s = ops::add(&g, &ops::scale(&g, &lw, 2.0), &ops::scale(&g, &lw, 3.0));
@@ -945,7 +930,7 @@ mod tests {
         // The same tape shape with a listener retires every use, and a
         // reset tape starts its count afresh.
         g.reset_tape();
-        g.add_module_hooks(Arc::new(GradLog::default()));
+        g.set_grad_listener(Some(Arc::new(GradLog::default())));
         let lw = g.leaf(&w);
         let loss = ops::sum_all(&g, &ops::scale(&g, &lw, 2.0));
         let fresh = g.inner.tape_gen.get();
@@ -953,6 +938,48 @@ mod tests {
         assert_eq!(w.pending_uses(fresh), 1);
         g.backward(&loss);
         assert_eq!(w.pending_uses(fresh), 0);
+    }
+
+    /// One backward of `2w` on `g`'s reset tape.
+    fn scaled_backward(g: &Graph, w: &Var) {
+        g.reset_tape();
+        g.backward(&ops::sum_all(g, &ops::scale(g, &g.leaf(w), 2.0)));
+    }
+
+    #[test]
+    fn the_listener_slot_holds_one_listener_until_cleared() {
+        let d = dev();
+        let g = Graph::new(&d, 1);
+        let events = Arc::new(EventLog::default());
+        g.add_module_hooks(events.clone());
+        let w = Var::new("w", Tensor::from_vec(vec![1.0], [1], &d));
+        let (first, second) = (Arc::new(GradLog::default()), Arc::new(GradLog::default()));
+        g.set_grad_listener(Some(first.clone()));
+        scaled_backward(&g, &w);
+        // Setting a second listener replaces the first.
+        g.set_grad_listener(Some(second.clone()));
+        scaled_backward(&g, &w);
+        g.set_grad_listener(None);
+        scaled_backward(&g, &w);
+        assert_eq!(
+            first.0.lock().len(),
+            1,
+            "the replaced listener heard a report"
+        );
+        assert_eq!(
+            second.0.lock().len(),
+            1,
+            "a cleared listener heard a report"
+        );
+        assert_eq!(
+            g.inner.module_hooks.borrow().len(),
+            1,
+            "the slot left a hook behind"
+        );
+        // The module hooks beside the slot fire throughout.
+        g.reset_tape();
+        g.scoped("l0", || ops::scale(&g, &g.leaf(&w), 2.0));
+        assert_eq!(*events.0.lock(), ["f+l0", "f-l0"]);
     }
 
     #[test]
@@ -993,9 +1020,6 @@ mod tests {
         fn backward_post(&self, s: &ScopeInfo) {
             self.0.lock().push(format!("b-{}", s.path));
         }
-        fn wants_grad_ready(&self) -> bool {
-            true
-        }
         fn grad_ready(&self, var: &Var) {
             self.0.lock().push(format!("ready {}", var.name()));
         }
@@ -1011,7 +1035,7 @@ mod tests {
         let d = dev();
         let g = Graph::new(&d, 1);
         let log = Arc::new(BackwardLog::default());
-        g.add_module_hooks(log.clone());
+        g.set_grad_listener(Some(log.clone()));
         let w: Vec<Var> = (0..5)
             .map(|i| {
                 Var::new(

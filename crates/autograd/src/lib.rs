@@ -58,7 +58,7 @@ pub mod var;
 
 pub use checkpoint::checkpoint;
 pub use gradcheck::{check_gradients, GradCheckReport};
-pub use graph::{Graph, TapeSize};
+pub use graph::Graph;
 pub use hooks::{Packed, SavedTensorHooks};
 pub use observer::{ExecObserver, OpCost, Phase};
 pub use scope::{ModuleHooks, ScopeFrame, ScopeInfo};

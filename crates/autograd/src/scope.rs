@@ -117,14 +117,11 @@ pub trait ModuleHooks: Send + Sync {
     fn phase_changed(&self, phase: Phase) {
         let _ = phase;
     }
-    /// Whether this listener takes [`ModuleHooks::grad_ready`] calls. A
-    /// backward pass none of whose listeners does tracks no readiness.
-    fn wants_grad_ready(&self) -> bool {
-        false
-    }
     /// Backward: the last contribution on the tape to `var`'s gradient
     /// has been accumulated — PyTorch's post-accumulate-grad hook (see
-    /// [`crate::Graph::backward_from`] for exactly when it fires).
+    /// [`crate::Graph::backward_from`] for exactly when it fires). Only
+    /// the graph's [gradient listener](crate::Graph::set_grad_listener)
+    /// is called; a backward without one tracks no readiness.
     fn grad_ready(&self, var: &Var) {
         let _ = var;
     }

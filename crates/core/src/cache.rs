@@ -321,10 +321,15 @@ impl TensorCache {
         // the slabs that survived the boundary.
         self.arena.begin_step();
         st.stack.clear();
-        for (_, mut meta) in st.scopes.drain() {
+        // The scopes' record lists go back in reverse forward order, so
+        // `forward_pre`'s pop hands each forward position the list it
+        // filled last step, already long enough.
+        let ordered = st.passes.iter().rev().flat_map(|p| p.order.iter().rev());
+        for mut meta in ordered.filter_map(|seq| st.scopes.remove(seq)) {
             meta.records.clear();
             st.spare_scope_records.push(meta.records);
         }
+        st.scopes.clear();
         st.phase = Phase::Forward;
         st.fwd_start = self.io.clock().now();
         st.forward = None;

@@ -160,8 +160,8 @@ impl OptEngine {
         }
     }
 
-    /// The listener the session registers for the step's last backward
-    /// pass: in the in-backward mode it runs each parameter's update as
+    /// The listener the session sets in its graph's gradient-listener
+    /// slot for the step's last backward pass: in the in-backward mode it runs each parameter's update as
     /// autograd reports its gradient final; inline, it stores the
     /// gradient then. `None` inline when gradients are not offloaded.
     pub(crate) fn grad_listener(self: &Arc<Self>) -> Option<Arc<dyn ModuleHooks>> {
@@ -464,10 +464,6 @@ impl OptEngine {
 }
 
 impl ModuleHooks for OptEngine {
-    fn wants_grad_ready(&self) -> bool {
-        true
-    }
-
     fn grad_ready(&self, var: &Var) {
         let Some(&i) = self.index.get(&var.id()) else {
             return;

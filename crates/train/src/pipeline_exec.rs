@@ -144,13 +144,8 @@ impl PipelineExec {
             .map(|(s, layer_range)| {
                 let gpu = Gpu::new(&stage_cfg, None);
                 gpu.register_parameters(&params);
-                let graph = Graph::new(&device, cfg.seed ^ (s as u64) << 8);
-                graph.set_observer(gpu.executor.clone());
-                if let Some(cache) = &gpu.cache {
-                    cache.install(&graph);
-                }
                 Stage {
-                    graph,
+                    graph: gpu.graph(&stage_cfg, &device, cfg.seed ^ (s as u64) << 8),
                     gpu,
                     layer_range,
                     first: s == 0,

@@ -11,11 +11,11 @@ use ssdtrain::{
     TensorCache, TensorCacheConfig, Tier, TierLink, TierStack, TraceCategory, TraceSink,
 };
 use ssdtrain_autograd::optim::Sgd;
-use ssdtrain_autograd::{Graph, Phase, TapeSize, Var};
+use ssdtrain_autograd::{Graph, Phase, Var};
 use ssdtrain_models::{Batch, Model, ModelConfig, Recompute};
 use ssdtrain_simhw::system::GpuRuntime;
 use ssdtrain_simhw::{FaultLog, FaultPlan, SimClock, SimTime, SystemConfig};
-use ssdtrain_tensor::Device;
+use ssdtrain_tensor::{Device, Prng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -165,18 +165,22 @@ impl SessionConfig {
 }
 
 /// A live training session on one simulated GPU.
+///
+/// The session owns one autograd [`Graph`] for its lifetime, connected
+/// to its GPU once, as the paper's Algorithm 1 configures the tensor
+/// cache once before the training loop; every step reuses its tape. The
+/// graph is single-threaded, so a session is `!Send`: build it on the
+/// thread that trains with it.
 pub struct TrainSession {
     cfg: SessionConfig,
-    device: Device,
     gpu: Gpu,
+    graph: Graph,
     model: Model,
-    /// The optimizer and its update schedule; autograd holds a clone as
-    /// the step's last backward listener.
+    /// The optimizer and its update schedule; the graph holds a clone as
+    /// its gradient listener during the step's last backward.
     opt_engine: Arc<OptEngine>,
     spill_dir: Option<PathBuf>,
     step_idx: u64,
-    /// The last backward's tape, which the next step's graph reserves.
-    tape: TapeSize,
 }
 
 /// Maps a scheduler command to the hint the cache understands.
@@ -315,6 +319,20 @@ impl Gpu {
         }
     }
 
+    /// A graph on this GPU: its executor observes every op and, when
+    /// `cfg`'s strategy offloads activations, the cache hooks the saved
+    /// tensors and module scopes. A state-only config still owns the
+    /// cache, for its gradient and optimizer-state slots, but leaves the
+    /// graph unhooked.
+    pub(crate) fn graph(&self, cfg: &SessionConfig, device: &Device, seed: u64) -> Graph {
+        let graph = Graph::new(device, seed);
+        graph.set_observer(self.executor.clone());
+        if let Some(cache) = self.cache.as_ref().filter(|_| cfg.strategy.uses_cache()) {
+            cache.install(&graph);
+        }
+        graph
+    }
+
     /// Registers `params` with the cache, which never offloads them.
     pub(crate) fn register_parameters(&self, params: &[Var]) {
         if let Some(cache) = &self.cache {
@@ -354,6 +372,7 @@ impl TrainSession {
         };
         let gpu = Gpu::new(&cfg, ssd);
         device.set_tracker(gpu.runtime.memory.clone());
+        let graph = gpu.graph(&cfg, &device, cfg.seed);
         let model = Model::build(&cfg.model, &device, cfg.seed);
         gpu.register_parameters(&model.parameters());
         if cfg.trace.is_enabled() {
@@ -371,13 +390,12 @@ impl TrainSession {
         ));
         Ok(TrainSession {
             cfg,
-            device,
             gpu,
+            graph,
             model,
             opt_engine,
             spill_dir,
             step_idx: 0,
-            tape: TapeSize::default(),
         })
     }
 
@@ -409,32 +427,19 @@ impl TrainSession {
         &self.cfg.trace
     }
 
-    /// Starts a step on a fresh clock, memory and executor, marks its
-    /// beginning in the trace and returns the step's clock.
+    /// Starts a step on a fresh clock, memory and executor, reseeds the
+    /// graph's RNG for the step's dropout masks, marks the step's
+    /// beginning in the trace and returns its clock.
     fn open_step(&self) -> SimClock {
         let clock = self.gpu.runtime.clock.clone();
         self.gpu.runtime.reset();
         self.gpu.executor.reset();
+        let seed = self.cfg.seed ^ (self.step_idx << 17);
+        self.graph.set_rng(Prng::seed_from_u64(seed));
         let trace = &self.cfg.trace;
         trace.next_step();
         trace.instant(TraceCategory::Session, "step.begin", clock.now());
         clock
-    }
-
-    /// A graph for the next step, its tape sized like the last one's.
-    fn fresh_graph(&self) -> Graph {
-        let g = Graph::new(&self.device, self.cfg.seed ^ (self.step_idx << 17));
-        g.reserve_tape(self.tape);
-        g.set_observer(self.gpu.executor.clone());
-        if let Some(cache) = &self.gpu.cache {
-            // The activation lane hooks the graph only when the strategy
-            // offloads activations; a state-only session still owns the
-            // cache for its gradient/optimizer-state slots.
-            if self.cfg.strategy.uses_cache() {
-                cache.install(&g);
-            }
-        }
-        g
     }
 
     /// Runs one profiling step on the session's cache and applies the
@@ -458,17 +463,17 @@ impl TrainSession {
             .expect("profile_step requires a session with a cache");
         let clock = self.open_step();
         cache.begin_profile_step();
-        let g = self.fresh_graph();
+        let g = &self.graph;
+        g.set_micro_batch(0);
         g.set_phase(Phase::Forward);
         let batch = self.next_batch(0);
-        let loss = self.model.forward_loss(&g, &batch, self.recompute_policy());
+        let loss = self.model.forward_loss(g, &batch, self.recompute_policy());
         cache.prefetch_last_module();
         g.backward(&loss);
         cache.wait_io();
         cache.drain_stores();
         let result = cache.end_profile_step();
         self.opt_engine.plan_changed();
-        self.tape = g.tape_size();
         g.reset_tape();
         cache.flush();
         self.cfg
@@ -506,7 +511,7 @@ impl TrainSession {
                 .seed
                 .wrapping_mul(1000)
                 .wrapping_add(self.step_idx * 64 + micro_batch as u64),
-            &self.device,
+            self.graph.device(),
         )
     }
 
@@ -536,7 +541,7 @@ impl TrainSession {
             cache.begin_step();
         }
         let (mut opt_secs, mut opt_exposed_secs) = (0.0, 0.0);
-        let g = self.fresh_graph();
+        let g = &self.graph;
         let recompute = self.recompute_policy();
         let mut losses = Vec::new();
         let mut fwd_end = SimTime::ZERO;
@@ -567,7 +572,7 @@ impl TrainSession {
                 StepCmd::ForwardPass { mb } => {
                     g.set_phase(Phase::Forward);
                     let batch = self.next_batch(mb);
-                    let loss = self.model.forward_loss(&g, &batch, recompute);
+                    let loss = self.model.forward_loss(g, &batch, recompute);
                     fwd_end = clock.now();
                     if loss.tensor().has_data() {
                         losses.push(loss.tensor().item());
@@ -583,14 +588,13 @@ impl TrainSession {
                     // The last backward of the step finishes every
                     // gradient: listen for each one becoming final, so
                     // its update (or inline, its stash) runs while
-                    // backward still computes.
+                    // backward still computes, and for that backward
+                    // only.
                     if mb + 1 == micro_batches {
-                        if let Some(listener) = self.opt_engine.grad_listener() {
-                            g.add_module_hooks(listener);
-                        }
+                        g.set_grad_listener(self.opt_engine.grad_listener());
                     }
                     g.backward(&loss);
-                    self.tape = g.tape_size();
+                    g.set_grad_listener(None);
                     g.reset_tape();
                 }
                 StepCmd::StageBoundary => {}

@@ -50,8 +50,10 @@ cargo test -q --test fault_injection
 cargo test -q --test paper_claims
 # The autograd tape's allocation contract: nothing allocated per node,
 # a per-node budget for a symbolic BERT step, and ops that allocate only
-# the tensors they return; and the cache's: a warm offload step allocates
-# nothing per saved tensor. Run explicitly for the same reason.
+# the tensors they return; the cache's: a warm offload step allocates
+# nothing per saved tensor; and the session's graph: a warm step reuses
+# the one graph the session keeps, within a pinned budget of calls and
+# bytes. Run explicitly for the same reason.
 cargo test -q --test alloc_budget
 # The source rules clippy cannot hold (DESIGN.md §7): typed errors in
 # public signatures (read by the test's own scanner, which blanks

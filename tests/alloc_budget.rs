@@ -612,9 +612,9 @@ fn site(trace: &Backtrace) -> String {
 ///
 /// Run it in the default (debug) test profile, whose line tables name
 /// each frame's file and line. `func_keep`'s total equals its
-/// `host_allocs_per_step` (375 calls); the symbolic session is warmed
+/// `host_allocs_per_step` (370 calls); the symbolic session is warmed
 /// for two steps, not the benchmark's fifty, so its total differs from
-/// the gated figure (864 calls against 847). Storage headers no longer
+/// the gated figure (842 calls against 841). Storage headers no longer
 /// show: a warm step's outputs take the headers of dead tensors. What
 /// is left at op lines is the boxes of the ops that carry state.
 #[test]
@@ -737,19 +737,24 @@ fn the_reload_schedule_allocates_nothing_in_a_warm_step() {
     );
 }
 
+/// Module scopes a [`TieredRig`] step packs its records in.
+const SCOPES: usize = 6;
+
 /// A cache driven by hand, as in [`hand_cache`], over a DRAM
 /// [`CpuTarget`] of four records (pool and tier capacity alike) in front
 /// of a symbolic [`SsdTarget`], coalescing two records a segment. A step
-/// packs `n` fresh symbolic tensors in one module scope, giving the cache
-/// their only handle, lands the stores, unpacks every record in backward
-/// and flushes: every record is written to a tier, read back and removed.
+/// packs `n` fresh symbolic tensors in [`SCOPES`] module scopes of
+/// unequal size ([`TieredRig::sizes`]), giving the cache their only handle,
+/// lands the stores, unpacks every record in its scope's backward and
+/// flushes: every record is written to a tier, read back and removed.
+/// Each step's scopes take fresh sequence numbers, as a graph's do.
 struct TieredRig {
     clock: SimClock,
     mem: Arc<GpuMemory>,
     dev: Device,
     dram: Arc<CpuTarget>,
     cache: Arc<TensorCache>,
-    scope: ScopeInfo,
+    scopes: [ScopeInfo; SCOPES],
     packed: Vec<Packed>,
     /// Bytes of each tensor a step packs.
     record_bytes: u64,
@@ -784,43 +789,57 @@ impl TieredRig {
             IoEngine::tiered_with_bus(clock.clone(), links, 1e10),
             mem.clone(),
         );
-        let scope = ScopeInfo {
-            path: "layer0".to_owned(),
-            seq: 1,
+        let scopes = std::array::from_fn(|i| ScopeInfo {
+            path: format!("layer{i}"),
+            seq: i as u64,
             micro_batch: 0,
-        };
+        });
         TieredRig {
             clock,
             mem,
             dev,
             dram,
             cache,
-            scope,
+            scopes,
             packed: Vec::with_capacity(max_records),
             record_bytes,
             dir,
         }
     }
 
+    /// How a step's `n` records (a multiple of 32) split over the
+    /// scopes, in forward order: each scope after the first holds as many
+    /// as all before it, so the last holds half.
+    fn sizes(n: usize) -> [usize; SCOPES] {
+        std::array::from_fn(|i| n >> (SCOPES - i.max(1)))
+    }
+
     /// One step of `n` records: its allocator calls, and whether it
     /// refused a write (a degraded step) or left bytes in the DRAM pool.
     fn step(&mut self, n: usize) -> (u64, bool, u64) {
+        let sizes = TieredRig::sizes(n);
         let used = calls(|| {
             self.mem.reset();
             self.cache.begin_step();
-            self.cache.forward_pre(&self.scope);
-            for _ in 0..n {
-                let t = Tensor::symbolic([64, 64], &self.dev);
-                self.packed.push(self.cache.pack(&t));
+            for (scope, &k) in self.scopes.iter_mut().zip(&sizes) {
+                scope.seq += SCOPES as u64;
+                self.cache.forward_pre(scope);
+                for _ in 0..k {
+                    let t = Tensor::symbolic([64, 64], &self.dev);
+                    self.packed.push(self.cache.pack(&t));
+                }
+                self.cache.forward_post(scope);
             }
-            self.cache.forward_post(&self.scope);
             self.clock.advance_by(1.0);
             self.cache.phase_changed(Phase::Backward);
-            self.cache.backward_pre(&self.scope);
-            for p in self.packed.drain(..) {
-                drop(self.cache.unpack(&p));
+            for (scope, &k) in self.scopes.iter().zip(&sizes).rev() {
+                self.cache.backward_pre(scope);
+                let from = self.packed.len() - k;
+                for p in self.packed.drain(from..) {
+                    drop(self.cache.unpack(&p));
+                }
+                self.cache.backward_post(scope);
             }
-            self.cache.backward_post(&self.scope);
             self.cache.drain_stores();
             self.cache.flush();
         });
@@ -856,12 +875,17 @@ impl Drop for TieredRig {
 /// and the `N` extra tensors the test builds. The cache's and both
 /// targets' maps key on the stamp and an inline shape, each record's key
 /// reuses the shape buffer of one released before, segments reuse their
-/// member lists, and scopes their record lists. No step is degraded and
+/// member lists, and scopes their record lists. Each scope takes back
+/// the list its forward position filled last step, so the `2N` step
+/// makes no allocator call at all, although its scopes hold twice what
+/// they held a step before. No step is degraded and
 /// the DRAM pool is empty after each flush: a key buffer recycled before
 /// its tier entry was removed would leave entries behind, and the full
 /// pool would refuse later writes. Measured: 0 more calls for 32 more
 /// records, whose tensors alone cost 1 (the memory model's event log
-/// growing; their storage headers are recycled); 32 for 32 while each
+/// growing; their storage headers are recycled), and 0 in either step;
+/// 1 in each step while the lists went back in the scope map's order,
+/// so a scope could get one shorter than it needs; 32 for 32 while each
 /// tensor allocated its header; 161 (four a record beyond the tensors)
 /// when each record built a fresh key `Vec` that every map insert
 /// cloned.
@@ -894,5 +918,49 @@ fn a_warm_tiered_offload_allocates_nothing_per_record() {
         "{N} more records cost {per_records} allocator calls, the {N} tensors \
          themselves {tensors}: {} calls a record in the cache and the targets",
         per_records.saturating_sub(tensors) as f64 / N as f64
+    );
+    assert_eq!(
+        big,
+        0,
+        "a warm step of {} records in {SCOPES} scopes after one of {N} allocates: \
+         a scope took back a record list shorter than it needs",
+        2 * N
+    );
+}
+
+/// Allocator calls and bytes a warm step of [`deep_tiered_config(4)`]
+/// may make: the figures measured once the session kept one graph for
+/// its lifetime (93 calls, 24 368 B). While it built a graph every step,
+/// reserved the graph's three tape buffers and wired the observer and
+/// the cache's hooks into it again, the same step made 99 calls and
+/// requested 48 632 B.
+///
+/// [`deep_tiered_config(4)`]: ssdtrain_bench::deep_tiered_config
+const SESSION_STEP_BUDGET: (u64, u64) = (93, 24_368);
+
+/// (k) A session keeps its autograd graph across steps: a warm
+/// `run_step` of `sym_deep_tiered`'s configuration at four layers
+/// (symbolic, tiered, all three classes, the in-backward update),
+/// profiled first and warmed three steps, stays within
+/// [`SESSION_STEP_BUDGET`]. The figures repeat exactly from run to run:
+/// every map of the cache hashes with one fixed seed.
+#[test]
+fn a_warm_session_step_reuses_its_graph() {
+    let mut s = TrainSession::new(ssdtrain_bench::deep_tiered_config(4)).expect("session");
+    s.profile_step().expect("a healthy profiling step");
+    for _ in 0..3 {
+        s.run_step().expect("a healthy step");
+    }
+    let mut used = 0;
+    let ((), requested) = bytes(|| {
+        used = calls(|| {
+            s.run_step().expect("a healthy step");
+        });
+    });
+    let (max_calls, max_bytes) = SESSION_STEP_BUDGET;
+    assert!(
+        used <= max_calls && requested <= max_bytes,
+        "a warm session step makes {used} allocator calls requesting {requested} B, \
+         over its budget of {max_calls} calls and {max_bytes} B"
     );
 }

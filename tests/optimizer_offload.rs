@@ -186,6 +186,71 @@ fn gradient_stores_start_inside_the_last_backward_only() {
 }
 
 #[test]
+fn the_listener_hears_each_steps_last_backward_only() {
+    // The session's one graph holds the gradient listener for each
+    // step's last backward and no longer. Overlapped, every report
+    // starts its parameter's update, which writes the fresh momentum
+    // back once: so each step writes back one state per parameter, none
+    // before its last backward begins, and a profiling step after them
+    // writes back none and leaves every weight as it was.
+    const RUN_STEPS: u32 = 3;
+    let is_state_enqueue = |e: &TraceEvent| {
+        let class = e.args.iter().find(|(k, _)| *k == "class");
+        let state = OffloadClass::OptimizerState.label();
+        e.name == "store.enqueue" && matches!(class, Some((_, ArgValue::Str(c))) if c == state)
+    };
+    let weights = |s: &TrainSession| -> Vec<Vec<f32>> {
+        let params = s.model().parameters();
+        params.iter().map(|p| p.tensor().to_vec()).collect()
+    };
+    let sink = TraceSink::enabled();
+    let b = offloaded_builder(true).micro_batches(2).trace(sink.clone());
+    let mut s = TrainSession::new(b.build().expect("valid config")).expect("session");
+    let params = s.model().parameters().len();
+    let _ = losses(&mut s, RUN_STEPS as usize);
+    let trained = weights(&s);
+    s.profile_step().expect("a healthy profiling step");
+    assert!(
+        weights(&s) == trained,
+        "the profiling step updated a weight"
+    );
+    let events = sink.events();
+    for step in 1..=RUN_STEPS {
+        let in_step = || events.iter().filter(move |e| e.step == step);
+        let last = in_step()
+            .rfind(|e| e.name == "stage.backward")
+            .expect("backward span");
+        let writes: Vec<&TraceEvent> = in_step().filter(|e| is_state_enqueue(e)).collect();
+        assert_eq!(
+            writes.len(),
+            params,
+            "step {step}: {} state write-backs for {params} parameters",
+            writes.len()
+        );
+        let early = writes.iter().filter(|e| e.ts < last.ts).count();
+        assert_eq!(
+            early, 0,
+            "step {step}: {early} updates ran before the last backward began"
+        );
+    }
+    let profiled = RUN_STEPS + 1;
+    assert!(
+        events
+            .iter()
+            .any(|e| e.step == profiled && e.name == "store.enqueue"),
+        "no trace of the profiling step's activation stores"
+    );
+    let profile_writes = events
+        .iter()
+        .filter(|e| e.step == profiled && is_state_enqueue(e))
+        .count();
+    assert_eq!(
+        profile_writes, 0,
+        "the profiling backward updated {profile_writes} parameters"
+    );
+}
+
+#[test]
 fn state_traffic_shows_up_in_the_per_class_counters() {
     for overlap in [false, true] {
         let mut s = offloaded(overlap);
