@@ -90,6 +90,8 @@ struct Tape {
     /// Every node's packed saved tensors; backward takes a node's slots,
     /// so what they reference dies with the node.
     saved: Vec<Option<Packed>>,
+    /// Backward's buffers, taken for a walk and handed back after it.
+    scratch: BackwardScratch,
 }
 
 impl Tape {
@@ -120,6 +122,17 @@ struct GraphInner {
     /// A recompute child: its records replay uses the parent already
     /// counted when the checkpointed segment first ran.
     replay: bool,
+}
+
+/// A backward walk's buffers, empty between walks: pending gradients by
+/// (node, output), and a node's saved tensors, output gradients and
+/// input gradients.
+#[derive(Default)]
+struct BackwardScratch {
+    grads: HashMap<(usize, usize), Tensor>,
+    saved: Vec<Tensor>,
+    grads_out: Vec<Option<Tensor>>,
+    grads_in: Vec<Option<Tensor>>,
 }
 
 /// A fresh tape generation (never 0, the never-counted stamp).
@@ -454,7 +467,8 @@ impl Graph {
     /// alone ([`Tensor::owns_storage`]). The walk allocates nothing per
     /// node: a node's input sources are read from the tape by range, its
     /// gradients are written into slots reused across nodes, and scope
-    /// transitions follow [`ScopeFrame`] parent links.
+    /// transitions follow [`ScopeFrame`] parent links. Those slots and the
+    /// pending-gradient map stay on the tape from walk to walk.
     ///
     /// When the graph has a [gradient listener](Graph::set_grad_listener),
     /// every node the walk reaches — run, or skipped for receiving no
@@ -488,7 +502,14 @@ impl Graph {
         grad_outputs: impl IntoIterator<Item = Option<Tensor>>,
         ext_grads: &mut [Option<Tensor>],
     ) {
-        let mut grads: HashMap<(usize, usize), Tensor> = HashMap::new();
+        // A checkpoint's recompute walks a child graph, with its own tape.
+        let mut scratch = std::mem::take(&mut self.inner.tape.borrow_mut().scratch);
+        let BackwardScratch {
+            grads,
+            saved,
+            grads_out,
+            grads_in,
+        } = &mut scratch;
         let mut start = None;
 
         let sink = |source: &Source,
@@ -519,12 +540,13 @@ impl Graph {
             if let Source::Node { node, .. } = v.source() {
                 start = Some(start.map_or(*node, |s: usize| s.max(*node)));
             }
-            sink(v.source(), g, &mut grads, ext_grads);
+            sink(v.source(), g, grads, ext_grads);
         }
         assert!(grad_outputs.next().is_none(), "one grad per output");
 
         let Some(start) = start else {
             // Loss does not depend on any recorded node (e.g. pure leaf).
+            self.inner.tape.borrow_mut().scratch = scratch;
             return;
         };
 
@@ -534,10 +556,6 @@ impl Graph {
         // The innermost open scope; the rest of the stack hangs off its
         // parent links.
         let mut open: Option<Arc<ScopeFrame>> = None;
-        // Per-node scratch, emptied after every node and reused by the next.
-        let mut saved: Vec<Tensor> = Vec::new();
-        let mut grads_out: Vec<Option<Tensor>> = Vec::new();
-        let mut grads_in: Vec<Option<Tensor>> = Vec::new();
 
         for idx in (0..=start).rev() {
             let (n_outputs, inputs, saved_slots, scope) = {
@@ -590,7 +608,7 @@ impl Graph {
             grads_in.resize(inputs.len(), None);
             let dev = self.inner.device.clone();
             let cost = dev.with_class(MemClass::Workspace, || {
-                op.backward(self, &saved, &grads_out, &mut grads_in)
+                op.backward(self, saved, grads_out, grads_in)
             });
             saved.clear();
             grads_out.clear();
@@ -603,7 +621,7 @@ impl Graph {
             let sources = &tape.inputs[inputs];
             for (source, g) in sources.iter().zip(grads_in.drain(..)) {
                 if let Some(g) = g {
-                    sink(source, g, &mut grads, ext_grads);
+                    sink(source, g, grads, ext_grads);
                 }
             }
             if listening {
@@ -613,6 +631,7 @@ impl Graph {
 
         // Close whatever scopes remain open.
         ScopeFrame::backward_transition(open.as_deref(), None, &self.inner.module_hooks.borrow());
+        self.inner.tape.borrow_mut().scratch = scratch;
     }
 
     /// Retires one use per leaf in `inputs` (a node backward just finished

@@ -20,7 +20,8 @@ pub struct FootprintPoint {
 }
 
 /// A step's memory picture, read from the tracker in one pass by
-/// [`GpuMemory::step_memory`].
+/// [`GpuMemory::step_memory`]: the window since the last
+/// [`GpuMemory::reset`], totalled from what the device held then.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepMemory {
     /// The footprint timeline (see [`GpuMemory::timeline`]).
@@ -32,7 +33,9 @@ pub struct StepMemory {
     /// Whether `peak_total` exceeded the device capacity.
     pub oom: bool,
     /// The caching-allocator replay: the *reserved* footprint a real
-    /// PyTorch run would report on top of the allocated curve.
+    /// PyTorch run would report on top of the allocated curve, over the
+    /// step's own events: the tracker keeps no blocks for what it held
+    /// before.
     pub alloc: AllocatorStats,
 }
 
@@ -75,7 +78,11 @@ impl Event {
 /// order, so only the few in `late` need sorting.
 #[derive(Debug, Default)]
 struct State {
+    /// Resident bytes per class (`MemClass as usize`), over the tracker's
+    /// lifetime.
     current: [i64; 5],
+    /// Resident (total, activation) bytes when the log was last reset.
+    opened: (i64, i64),
     events: Vec<Event>,
     /// Log positions of the events that would break the time order of the
     /// rest: the ones [`GpuMemory::with_time`] stamped, the ones
@@ -99,23 +106,38 @@ fn order(events: &[Event], a: usize, b: usize) -> Ordering {
 }
 
 impl State {
-    /// The log in time order, events at one instant in recording order:
-    /// a merge of the in-order events with the late ones, which are
-    /// sorted in place first.
-    fn in_time_order(&mut self) -> InTimeOrder<'_> {
+    /// The footprint timeline, each point with the event it follows:
+    /// totals from `opened` on, over the log in time order (events at one
+    /// instant in recording order), a merge of the in-order events with
+    /// the late ones, which are sorted in place first. A restamp can move
+    /// a free ahead of its allocation; a point reads a total below 0 as 0.
+    fn footprint(&mut self) -> impl Iterator<Item = (&Event, FootprintPoint)> {
         let events = &self.events;
         self.late.sort_unstable_by(|&a, &b| order(events, a, b));
-        InTimeOrder {
+        let in_time_order = InTimeOrder {
             events,
             late: &self.late,
             next: 0,
             next_late: 0,
             left: events.len(),
-        }
+        };
+        let (mut total, mut act) = self.opened;
+        in_time_order.map(move |e| {
+            total += e.delta;
+            if e.class == MemClass::Activation {
+                act += e.delta;
+            }
+            let point = FootprintPoint {
+                time: e.time,
+                total: total.max(0) as u64,
+                activations: act.max(0) as u64,
+            };
+            (e, point)
+        })
     }
 }
 
-/// The merge [`State::in_time_order`] returns.
+/// The log in time order, as [`State::footprint`] merges it.
 struct InTimeOrder<'a> {
     events: &'a [Event],
     late: &'a [usize],
@@ -186,16 +208,6 @@ pub struct GpuMemory {
     capacity: u64,
     state: Arc<Mutex<State>>,
     observer: Arc<Mutex<Option<Arc<dyn PeakObserver>>>>,
-}
-
-fn class_index(c: MemClass) -> usize {
-    match c {
-        MemClass::Parameter => 0,
-        MemClass::Gradient => 1,
-        MemClass::OptimizerState => 2,
-        MemClass::Activation => 3,
-        MemClass::Workspace => 4,
-    }
 }
 
 impl GpuMemory {
@@ -285,17 +297,17 @@ impl GpuMemory {
                 let at = s.events.len();
                 s.late.push(at);
             }
-            s.current[class_index(class)] += delta;
+            s.current[class as usize] += delta;
             s.events.push(Event {
                 time,
                 delta,
                 class,
                 late,
             });
-            let total: i64 = s.current.iter().map(|v| *v.max(&0)).sum();
+            let total: i64 = s.current.iter().sum();
             if total > s.live_peak {
                 s.live_peak = total;
-                let act = s.current[class_index(MemClass::Activation)].max(0) as u64;
+                let act = s.current[MemClass::Activation as usize] as u64;
                 Some((time, total as u64, act))
             } else {
                 None
@@ -314,30 +326,25 @@ impl GpuMemory {
 
     /// Currently resident bytes of one class.
     pub fn resident(&self, class: MemClass) -> u64 {
-        self.state.lock().current[class_index(class)].max(0) as u64
+        self.state.lock().current[class as usize] as u64
     }
 
     /// Currently resident bytes across all classes.
     pub fn resident_total(&self) -> u64 {
-        self.state
-            .lock()
-            .current
-            .iter()
-            .map(|v| v.max(&0))
-            .sum::<i64>() as u64
+        self.state.lock().current.iter().sum::<i64>() as u64
     }
 
     /// The footprint timeline, sorted by event time: total and
-    /// activation-class bytes after each allocator event.
+    /// activation-class bytes after each allocator event of the step.
     pub fn timeline(&self) -> Vec<FootprintPoint> {
-        footprint(self.state.lock().in_time_order())
-            .map(|(_, p)| p)
-            .collect()
+        self.state.lock().footprint().map(|(_, p)| p).collect()
     }
 
     /// Peak resident activation bytes over the timeline.
     pub fn peak_activations(&self) -> u64 {
-        footprint(self.state.lock().in_time_order())
+        self.state
+            .lock()
+            .footprint()
             .map(|(_, p)| p.activations)
             .max()
             .unwrap_or(0)
@@ -352,7 +359,7 @@ impl GpuMemory {
         let mut s = self.state.lock();
         let mut timeline = Vec::with_capacity(s.events.len());
         let mut larger = std::mem::take(&mut s.replay_larger);
-        let events = footprint(s.in_time_order()).map(|(e, p)| {
+        let events = s.footprint().map(|(e, p)| {
             timeline.push(p);
             e.request()
         });
@@ -369,35 +376,18 @@ impl GpuMemory {
         }
     }
 
-    /// Clears the event log and counters (new measured step).
+    /// Starts a new measured step: clears the event log and the running
+    /// peak, and keeps the resident counts, so what the device holds now
+    /// (parameters, kept state) counts towards [`StepMemory::peak_total`].
     pub fn reset(&self) {
         let mut s = self.state.lock();
-        s.current = [0; 5];
+        let act = s.current[MemClass::Activation as usize];
+        s.opened = (s.current.iter().sum(), act);
         s.events.clear();
         s.late.clear();
         s.in_order_until = None;
         s.live_peak = 0;
     }
-}
-
-/// Running totals over events in time order: the footprint timeline,
-/// each point with the event it follows.
-fn footprint<'a>(
-    evs: impl Iterator<Item = &'a Event>,
-) -> impl Iterator<Item = (&'a Event, FootprintPoint)> {
-    let (mut total, mut act) = (0i64, 0i64);
-    evs.map(move |e| {
-        total += e.delta;
-        if e.class == MemClass::Activation {
-            act += e.delta;
-        }
-        let point = FootprintPoint {
-            time: e.time,
-            total: total.max(0) as u64,
-            activations: act.max(0) as u64,
-        };
-        (e, point)
-    })
 }
 
 impl MemTracker for GpuMemory {
@@ -516,8 +506,49 @@ mod tests {
         let mem = GpuMemory::new(clock, 100);
         mem.on_alloc(150, MemClass::Activation);
         assert!(mem.step_memory().oom);
+        mem.on_free(150, MemClass::Activation);
         mem.reset();
-        assert!(!mem.step_memory().oom);
+        mem.on_alloc(60, MemClass::Activation);
+        assert!(!mem.step_memory().oom, "the 150 B were freed");
+    }
+
+    #[test]
+    fn bytes_resident_across_a_reset_still_count_towards_oom() {
+        let clock = SimClock::new();
+        let mem = GpuMemory::new(clock, 100);
+        mem.on_alloc(80, MemClass::Parameter);
+        mem.reset();
+        mem.on_alloc(30, MemClass::Activation);
+        let step = mem.step_memory();
+        assert_eq!(step.peak_total, 110);
+        assert!(step.oom, "80 B of parameters + 30 B of activations");
+    }
+
+    #[test]
+    fn reset_keeps_the_resident_counts_and_the_next_peak_starts_from_them() {
+        let (clock, mem) = gm();
+        mem.on_alloc(1000, MemClass::Parameter);
+        mem.on_alloc(200, MemClass::OptimizerState);
+        mem.on_alloc(300, MemClass::Activation);
+        mem.on_free(300, MemClass::Activation);
+        mem.reset();
+        assert_eq!(mem.resident(MemClass::Parameter), 1000);
+        assert_eq!(mem.resident(MemClass::OptimizerState), 200);
+        assert_eq!(mem.resident_total(), 1200);
+        assert!(mem.timeline().is_empty(), "the log starts over");
+        clock.advance_by(1.0);
+        mem.on_alloc(50, MemClass::Activation);
+        clock.advance_by(1.0);
+        mem.on_free(200, MemClass::OptimizerState);
+        let step = mem.step_memory();
+        assert_eq!(step.peak_total, 1250);
+        assert_eq!(step.peak_activations, 50, "activations start from 0");
+        let totals: Vec<u64> = step.timeline.iter().map(|p| p.total).collect();
+        assert_eq!(totals, [1250, 1050]);
+        assert_eq!(
+            step.alloc.allocated_peak, 512,
+            "the replay is the step's own"
+        );
     }
 
     #[test]
@@ -547,12 +578,13 @@ mod tests {
     }
 
     /// The reading every query made before the log was walked in place:
-    /// a clone of the log, stably sorted by time, its running totals and
+    /// a clone of the log, stably sorted by time, its running totals from
+    /// the `(total, activation)` bytes resident when the log opened, and
     /// the allocator replayed over it.
-    fn by_reference(mem: &GpuMemory) -> (Vec<FootprintPoint>, AllocatorStats) {
+    fn by_reference(mem: &GpuMemory, opened: (i64, i64)) -> (Vec<FootprintPoint>, AllocatorStats) {
         let mut evs: Vec<Event> = mem.state.lock().events.clone();
         evs.sort_by(|a, b| a.time.as_secs().total_cmp(&b.time.as_secs()));
-        let (mut total, mut act) = (0i64, 0i64);
+        let (mut total, mut act) = opened;
         let mut timeline = Vec::new();
         for e in &evs {
             total += e.delta;
@@ -571,8 +603,8 @@ mod tests {
     }
 
     /// Checks every reader of `mem` against [`by_reference`].
-    fn check_readers(mem: &GpuMemory, capacity: u64) -> Result<(), String> {
-        let (want, want_alloc) = by_reference(mem);
+    fn check_readers(mem: &GpuMemory, capacity: u64, opened: (i64, i64)) -> Result<(), String> {
+        let (want, want_alloc) = by_reference(mem, opened);
         let peak = |f: fn(&FootprintPoint) -> u64| want.iter().map(f).max().unwrap_or(0);
         let want_peak_total = peak(|p| p.total);
         let got = mem.step_memory();
@@ -598,6 +630,8 @@ mod tests {
             // Future-stamped events recorded with their log positions, to
             // restamp later.
             let mut logged: Vec<(Range<usize>, SimTime)> = Vec::new();
+            // What the test itself saw resident when the log last opened.
+            let mut opened = (0i64, 0i64);
             for (class, bytes, kind, future, advance) in ops {
                 let class = MemClass::ALL[class];
                 let later = SimTime::from_secs(clock.now().as_secs() + future as f64 * 0.25);
@@ -630,9 +664,20 @@ mod tests {
                         }
                     }
                     // A read in the middle of the step.
-                    4 => check_readers(&mem, capacity)?,
+                    4 => check_readers(&mem, capacity, opened)?,
                     // The clock starts over without a reset of the log.
                     5 if future == 0 => clock.reset(),
+                    // A new step: the log starts over, what is live stays.
+                    5 if future == 1 => {
+                        let bytes = |act: bool| {
+                            let live = live.iter().filter(|(_, c)| !act || *c == MemClass::Activation);
+                            live.map(|(b, _)| *b as i64).sum::<i64>()
+                        };
+                        opened = (bytes(false), bytes(true));
+                        clock.reset();
+                        mem.reset();
+                        prop_assert_eq!(mem.resident_total() as i64, opened.0);
+                    }
                     _ => {
                         mem.on_alloc(bytes, class);
                         live.push((bytes, class));
@@ -641,7 +686,7 @@ mod tests {
                 // Half the events share the instant of the one before.
                 clock.advance_by(advance.saturating_sub(2) as f64 * 0.5);
             }
-            check_readers(&mem, capacity)?;
+            check_readers(&mem, capacity, opened)?;
         }
     }
 

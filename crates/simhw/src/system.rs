@@ -127,7 +127,7 @@ pub struct GpuRuntime {
 }
 
 impl GpuRuntime {
-    /// Resets clock and memory for a fresh measured step.
+    /// Resets the clock and starts the memory tracker's next step log.
     pub fn reset(&self) {
         self.clock.reset();
         self.memory.reset();

@@ -22,7 +22,8 @@ pub struct StepMetrics {
     pub fwd_secs: f64,
     /// Peak resident activation bytes (Figures 10/11's y-metric).
     pub act_peak_bytes: u64,
-    /// Peak total resident bytes (Figure 7).
+    /// Peak total resident bytes (Figure 7), parameters and state kept
+    /// on the GPU included, as `torch.cuda.max_memory_allocated()` reads.
     pub total_peak_bytes: u64,
     /// Resident activation bytes at the start of backward propagation
     /// (the Figure 7 "beginning of backward" point).
@@ -39,7 +40,7 @@ pub struct StepMetrics {
     pub ssd_host_writes: u64,
     /// Caching-allocator model statistics (reserved vs allocated).
     pub alloc: AllocatorStats,
-    /// Whether the peak exceeded device memory (a real run would OOM).
+    /// Whether `total_peak_bytes` exceeded device memory (a real run OOMs).
     pub oom: bool,
     /// Training loss (`NaN` in symbolic runs).
     pub loss: f32,

@@ -71,14 +71,17 @@ pub(crate) struct OptEngine {
     cache: Option<Arc<TensorCache>>,
     /// The inline mode's per-stage update jobs.
     ranges: Vec<Range<usize>>,
-    opt: Mutex<Sgd>,
     /// Parameter identity → optimizer index, built once.
     index: HashMap<VarId, usize>,
+    /// The engine's one lock (DESIGN §7).
     slots: Mutex<Slots>,
 }
 
-/// The engine's mutable bookkeeping, allocated once.
+/// The engine's mutable state, allocated once: the optimizer and its
+/// bookkeeping.
 struct Slots {
+    /// The session's optimizer.
+    opt: Sgd,
     /// One record per parameter, indexed like the optimizer's.
     params: Vec<Param>,
     /// In-backward mode: parameters whose update is waiting for its
@@ -149,8 +152,8 @@ impl OptEngine {
             cache: cache.cloned(),
             ranges: stage_ranges(n, n_stages),
             index: index.collect(),
-            opt: Mutex::new(opt),
             slots: Mutex::new(Slots {
+                opt,
                 params: vec![param; n],
                 pending: Vec::with_capacity(n),
                 order: Vec::with_capacity(n),
@@ -172,7 +175,7 @@ impl OptEngine {
 
     /// Clears every parameter's accumulated gradient.
     pub(crate) fn zero_grad(&self) {
-        self.opt.lock().zero_grad();
+        self.slots.lock().opt.zero_grad();
     }
 
     /// Profiling applied a new adaptive plan: the parameters kept under
@@ -209,8 +212,7 @@ impl OptEngine {
             let Some(cache) = self.cache.as_deref().filter(|_| gradients) else {
                 return 0.0;
             };
-            let opt = self.opt.lock();
-            for (p, param) in opt.params().iter().zip(&mut slots.params) {
+            for (p, param) in slots.opt.params().iter().zip(&mut slots.params) {
                 if param.grad.is_none() {
                     let stash = |g: &_| cache.offload_state(g, OffloadClass::Gradient);
                     param.grad = p.with_grad(stash).flatten();
@@ -234,7 +236,7 @@ impl OptEngine {
         for &(i, ready) in &slots.pending {
             clock.advance_to(ready);
             if let Some(param) = slots.params.get_mut(i) {
-                self.apply(i, param);
+                self.apply(&mut slots.opt, i, param);
             }
         }
         slots.pending.clear();
@@ -261,12 +263,12 @@ impl OptEngine {
             return 0.0;
         }
         let cache = self.cache.as_deref();
-        let mut slots = self.slots.lock();
-        let mut opt = self.opt.lock();
+        let mut guard = self.slots.lock();
+        let Slots { opt, params, .. } = &mut *guard;
         let t0 = clock.now();
         for (j, range) in self.ranges.iter().enumerate() {
             let stage_start = clock.now();
-            let params = &mut slots.params[range.clone()];
+            let params = &mut params[range.clone()];
             // Load this stage's gradient and state slots; the ready time
             // is the latest completion (each clamped to its own store's
             // drain by the cache).
@@ -374,7 +376,7 @@ impl OptEngine {
         slots.next_order.push(i);
         match self.landing(param) {
             Some(ready) if ready > now => slots.pending.push((i, ready)),
-            _ => self.apply(i, param),
+            _ => self.apply(&mut slots.opt, i, param),
         }
     }
 
@@ -414,9 +416,8 @@ impl OptEngine {
     /// Applies every pending update whose state load has landed by
     /// `now`, in start order.
     fn apply_landed(&self, slots: &mut Slots, now: SimTime) {
-        let params = &mut slots.params;
         slots.pending.retain_mut(|(i, ready)| {
-            let Some(param) = params.get_mut(*i) else {
+            let Some(param) = slots.params.get_mut(*i) else {
                 return false;
             };
             if *ready <= now {
@@ -425,7 +426,7 @@ impl OptEngine {
             if *ready > now {
                 return true;
             }
-            self.apply(*i, param);
+            self.apply(&mut slots.opt, *i, param);
             false
         });
     }
@@ -438,8 +439,7 @@ impl OptEngine {
     /// reports late (backward's exit waited for its write-back), and its
     /// velocity then stays on the GPU: SSDTrain's keep decision for what
     /// cannot be offloaded behind compute.
-    fn apply(&self, i: usize, param: &mut Param) {
-        let mut opt = self.opt.lock();
+    fn apply(&self, opt: &mut Sgd, i: usize, param: &mut Param) {
         opt.ensure_velocity(i);
         opt.step_range(i..i + 1);
         if let Some(p) = opt.params().get(i) {

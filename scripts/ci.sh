@@ -48,12 +48,17 @@ cargo test -q --test fault_injection
 # The paper's claims and the bench reports' orderings, asserted on the
 # rows the exhibit binaries print. Run explicitly for the same reason.
 cargo test -q --test paper_claims
+# The crates composed end to end: the analysis models track the measured
+# steps, and the memory ledger counts what the device holds (a warm
+# step's total peak includes its parameters). Run explicitly for the same
+# reason.
+cargo test -q --test cross_crate
 # The autograd tape's allocation contract: nothing allocated per node,
 # a per-node budget for a symbolic BERT step, and ops that allocate only
 # the tensors they return; the cache's: a warm offload step allocates
 # nothing per saved tensor; and the session's graph: a warm step reuses
-# the one graph the session keeps, within a pinned budget of calls and
-# bytes. Run explicitly for the same reason.
+# the one graph the session keeps, its backward scratch included, within
+# a pinned budget of calls and bytes. Run explicitly for the same reason.
 cargo test -q --test alloc_budget
 # The source rules clippy cannot hold (DESIGN.md §7): typed errors in
 # public signatures (read by the test's own scanner, which blanks

@@ -123,6 +123,36 @@ fn oom_detection_fires_when_keep_exceeds_device_memory() {
 }
 
 #[test]
+fn a_warm_keep_step_counts_its_parameters_in_the_total_peak() {
+    // The device holds the weights before the step opens; like
+    // `torch.cuda.max_memory_allocated()` after `model.to(device)`, the
+    // step's total peak counts them on top of its activation peak.
+    let cfg = SessionConfig::builder()
+        .model(ModelConfig::paper_scale(Arch::Bert, 4096, 2).with_tp(2))
+        .batch_size(8)
+        .strategy(PlacementStrategy::Keep)
+        .symbolic(true)
+        .seed(2)
+        .build()
+        .expect("valid config");
+    let mut s = TrainSession::new(cfg).expect("session");
+    let params: u64 = s
+        .model()
+        .parameters()
+        .iter()
+        .map(|p| p.tensor().bytes())
+        .sum();
+    s.run_step().expect("first step");
+    let warm = s.run_step().expect("warm step");
+    assert!(
+        warm.total_peak_bytes >= params + warm.act_peak_bytes,
+        "total peak {} B < {params} B of parameters + {} B activation peak",
+        warm.total_peak_bytes,
+        warm.act_peak_bytes
+    );
+}
+
+#[test]
 fn cpu_offload_target_is_numerically_identical_too() {
     // The paper's CPU offloader (Figure 5) shares the tensor-cache logic;
     // only the target and bandwidths differ.

@@ -24,9 +24,12 @@ fn fig10_offloading_is_free_and_cuts_the_peak() {
     // are this simulator's, pinned so a planner or barrier change that
     // trades memory for time shows up here.
     let peak_cut = [76, 81, 73, 76, 81, 73, 75, 84, 78];
+    // The same cut on the total footprint, everything resident on the
+    // GPU (f32 parameters included) as the paper's Figure 7 counts it.
+    let total_cut = [42, 28, 16, 42, 28, 16, 41, 25, 15];
     let rows = fig10_rows(&TraceSink::disabled());
     assert_eq!(rows.len(), peak_cut.len());
-    for (row, want) in rows.iter().zip(peak_cut) {
+    for ((row, want), want_total) in rows.iter().zip(peak_cut).zip(total_cut) {
         let label = row.label();
         assert!(
             row.overhead_pct() <= 0.5,
@@ -45,6 +48,12 @@ fn fig10_offloading_is_free_and_cuts_the_peak() {
             format!("{:.0}", row.peak_cut_pct()),
             want.to_string(),
             "{label}: activation peak cut"
+        );
+        let total = 1.0 - row.tba.total_peak_bytes as f64 / row.keep.total_peak_bytes as f64;
+        assert_eq!(
+            format!("{:.0}", total * 100.0),
+            want_total.to_string(),
+            "{label}: total-footprint peak cut"
         );
     }
 }
@@ -196,6 +205,16 @@ fn capacity_array_backends_outgrow_the_host_pool_and_overlap_hides_the_update() 
             .find(|r| r.label == label && r.overlap == overlap);
         found.unwrap_or_else(|| panic!("no {label} row")).max_hidden
     };
+    for r in &rows {
+        let (label, m) = (r.label, &r.metrics);
+        assert!(
+            !m.oom,
+            "{label}: {} B peak, parameters included, exceeds the device",
+            m.total_peak_bytes
+        );
+        // 32768 is the search's ceiling: a row there found no limit.
+        assert!(r.max_hidden < 32768, "{label}: the search hit its ceiling");
+    }
     for overlap in [false, true] {
         let dram = max_hidden("dram", overlap);
         for label in ["ssd", "tiered-4g"] {
