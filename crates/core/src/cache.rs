@@ -34,7 +34,6 @@ use crate::error::OffloadError;
 use crate::id::storage_stamp;
 use crate::io::IoEngine;
 use crate::stats::OffloadStats;
-use crate::target::OffloadTarget;
 use crate::tier::{TierCounters, TierId, TierStack};
 use parking_lot::Mutex;
 use prefetch::Prefetcher;
@@ -102,7 +101,7 @@ impl StageHint {
 /// rather than a recoverable condition.
 ///
 /// ```
-/// use ssdtrain::{CpuTarget, IoEngine, TensorCache, TensorCacheConfig};
+/// use ssdtrain::{CpuTarget, IoEngine, TensorCache, TensorCacheConfig, TierStack};
 /// use ssdtrain_autograd::{ops, Graph, Var};
 /// use ssdtrain_simhw::{GpuMemory, SimClock};
 /// use ssdtrain_tensor::{Device, Tensor};
@@ -113,9 +112,9 @@ impl StageHint {
 /// let dev = Device::cpu();
 /// dev.set_tracker(mem.clone());
 /// let io = IoEngine::new(clock, 1e9, 1e9);
-/// let cache = TensorCache::new(
+/// let cache = TensorCache::with_tiers(
 ///     TensorCacheConfig::offload_everything(),
-///     Arc::new(CpuTarget::new(1 << 30)),
+///     Arc::new(TierStack::single(Arc::new(CpuTarget::new(1 << 30)))),
 ///     io,
 ///     mem,
 /// );
@@ -143,25 +142,16 @@ pub struct TensorCache {
     prefetcher: Prefetcher,
     /// The cache's one lock. Every public method and hook takes it once
     /// at entry and hands `&mut State` down; private methods never lock,
-    /// so re-acquisition is a borrow error, not a deadlock. Layer order
-    /// while it is held: cache → {tiers → target, io → {clock, trace,
-    /// mem}, mem, arena} — nothing below ever calls back up.
+    /// so re-acquisition is a borrow error, not a deadlock. The tiers'
+    /// reservations and counters live in `State` too. Layer order while
+    /// it is held: cache → {target → io, io → {clock, trace, mem}, mem,
+    /// arena} — nothing below ever calls back up.
     state: Mutex<State>,
 }
 
 impl TensorCache {
-    /// Creates a cache over a single offload target and its I/O engine:
-    /// a one-tier [`TierStack`] ([`TierStack::single`]).
-    pub fn new(
-        config: TensorCacheConfig,
-        target: Arc<dyn OffloadTarget>,
-        io: IoEngine,
-        mem: Arc<GpuMemory>,
-    ) -> Arc<TensorCache> {
-        TensorCache::with_tiers(config, Arc::new(TierStack::single(target)), io, mem)
-    }
-
-    /// Creates a cache over an ordered tier stack; each tier's transfers
+    /// Creates a cache over an ordered tier stack (one offload target is
+    /// a [`TierStack::single`]); each tier's transfers
     /// are priced on the link of `io` that the `link` argument of its
     /// [`Tier::new`](crate::Tier::new) names (so build the engine with
     /// [`IoEngine::tiered_with_bus`] and matching link indices).
@@ -174,7 +164,7 @@ impl TensorCache {
         mem: Arc<GpuMemory>,
     ) -> Arc<TensorCache> {
         io.set_memory(mem.clone());
-        let state = Mutex::new(State::new(config.coalesce_segment_bytes));
+        let state = Mutex::new(State::new(config.coalesce_segment_bytes, &tiers));
         let prefetcher = match (config.prefetch_depth, config.prefetch_group_modules) {
             (0, _) => Prefetcher::Off,
             (depth, 0) => Prefetcher::PerModule { depth },
@@ -236,9 +226,15 @@ impl TensorCache {
         &self.io
     }
 
-    /// The tier stack (placement capacities, per-tier counters).
+    /// The tier stack: each tier's name, device, capacity and link (its
+    /// step counters are [`OffloadStats::tiers`]).
     pub fn tiers(&self) -> &Arc<TierStack> {
         &self.tiers
+    }
+
+    /// Live pack-time reservations against `tier`.
+    pub fn reserved_bytes(&self, tier: TierId) -> u64 {
+        self.state.lock().ledger.reserved_bytes(tier)
     }
 
     /// Snapshot of this step's statistics, per-tier counters included.
@@ -261,7 +257,7 @@ impl TensorCache {
     /// [`RecoveryPolicy::FallbackTarget`](crate::RecoveryPolicy::FallbackTarget))
     /// reports 0, so the tiers' busy seconds sum to the engine's.
     fn tier_counters(&self, st: &State) -> Vec<TierCounters> {
-        let mut tiers = self.tiers.counters();
+        let mut tiers = st.ledger.counters().to_vec();
         let link_of = |i| self.tiers.link(TierId(i));
         for (i, counters) in tiers.iter_mut().enumerate() {
             let link = link_of(i);
@@ -354,7 +350,7 @@ impl TensorCache {
         }
         st.stats.reset();
         st.link_stalls.clear();
-        self.tiers.reset_counters();
+        st.ledger.reset_counters();
         // Failures during the flush above belong to the step that
         // already reported; the new step starts clean.
         st.pending_error = None;
@@ -476,15 +472,15 @@ impl TensorCache {
     /// forwards, cancels or commits-and-reloads them as it reaches them.
     ///
     /// ```
-    /// # use ssdtrain::{CpuTarget, IoEngine, StageHint, TensorCache, TensorCacheConfig};
+    /// # use ssdtrain::{CpuTarget, IoEngine, StageHint, TensorCache, TensorCacheConfig, TierStack};
     /// # use ssdtrain_simhw::{GpuMemory, SimClock};
     /// # use std::sync::Arc;
     /// # let clock = SimClock::new();
     /// # let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 30));
     /// # let io = IoEngine::new(clock, 1e9, 1e9);
-    /// # let cache = TensorCache::new(
+    /// # let cache = TensorCache::with_tiers(
     /// #     TensorCacheConfig::offload_everything(),
-    /// #     Arc::new(CpuTarget::new(1 << 30)),
+    /// #     Arc::new(TierStack::single(Arc::new(CpuTarget::new(1 << 30)))),
     /// #     io,
     /// #     mem,
     /// # );

@@ -167,6 +167,7 @@ impl TensorCache {
             trace,
             staging,
             spare_values,
+            ledger,
             ..
         } = st;
         let Some(rec) = records.get(&id) else {
@@ -187,9 +188,7 @@ impl TensorCache {
                 let into = std::mem::take(&mut spare);
                 values = data.map(|raw| tensor.storage().decode_into(raw, into));
             };
-            let got = self
-                .tiers
-                .read(rec.tier, &rec.key, bytes, staging, &mut decode);
+            let got = ledger.read(&self.tiers, rec.tier, &rec.key, bytes, staging, &mut decode);
             match got {
                 Ok(()) => break,
                 Err(err) if attempts > MAX_IO_RETRIES => {
@@ -198,7 +197,7 @@ impl TensorCache {
                         *pending = Some(OffloadError::Load {
                             key: rec.key.clone(),
                             bytes,
-                            target: self.tiers.name(rec.tier),
+                            target: self.tiers.name(rec.tier).to_owned(),
                             attempts,
                             source: err,
                         });

@@ -10,7 +10,7 @@ use crate::io::{JobId, ReadId};
 use crate::placement::OffloadClass;
 use crate::stats::OffloadStats;
 use crate::target::BatchItem;
-use crate::tier::TierId;
+use crate::tier::{TierId, TierLedger, TierStack};
 use crate::{HashMap, HashSet};
 use ssdtrain_autograd::Phase;
 use ssdtrain_simhw::{PinnedSlab, SimTime};
@@ -385,6 +385,9 @@ pub(super) struct State {
     /// (unused when `TensorCacheConfig::coalesce_segment_bytes` is 0:
     /// every staged record then seals at once, a segment of one).
     pub(super) coalescer: WriteCoalescer,
+    /// What the tiers hold: each one's live reservations and step
+    /// counters, kept here so the cache's one lock covers them.
+    pub(super) ledger: TierLedger,
     pub(super) stats: OffloadStats,
     pub(super) plan: AdaptivePlan,
     /// Per-link store-drain stall time this step (see
@@ -396,10 +399,10 @@ pub(super) struct State {
 }
 
 impl State {
-    pub(super) fn new(coalesce_segment_bytes: u64) -> State {
-        let coalescer = WriteCoalescer::new(coalesce_segment_bytes);
+    pub(super) fn new(coalesce_segment_bytes: u64, tiers: &TierStack) -> State {
         State {
-            coalescer,
+            coalescer: WriteCoalescer::new(coalesce_segment_bytes),
+            ledger: TierLedger::new(tiers),
             ..State::default()
         }
     }

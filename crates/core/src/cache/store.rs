@@ -236,7 +236,7 @@ impl TensorCache {
         let bytes = tensor.bytes();
         let trace = &st.trace;
         let now = self.io.clock().now();
-        let Some(TierPlacement { tier, spilled }) = self.tiers.reserve(bytes) else {
+        let Some(TierPlacement { tier, spilled }) = st.ledger.reserve(&self.tiers, bytes) else {
             st.stats.kept += 1;
             trace.instant_bytes(TraceCategory::Tier, "tier.full", now, bytes);
             return None;
@@ -437,16 +437,17 @@ impl TensorCache {
         let tier = st.records[head].tier;
         // The batch borrows keys and staged payloads; a segment of one is
         // built on the stack.
-        fn item<'a>(st: &'a State, m: &'a Payload) -> BatchItem<'a> {
-            let rec = &st.records[&m.0];
-            (&rec.key, staged(&st.staging, m), rec.bytes)
-        }
+        let (records, staging) = (&st.records, &st.staging);
+        let item = |m: &Payload| {
+            let rec = &records[&m.0];
+            (&rec.key, staged(staging, m), rec.bytes)
+        };
         let written = match batch.as_slice() {
-            [only] => self.tiers.write_segment(tier, &[item(st, only)]),
+            [only] => st.ledger.write_segment(&self.tiers, tier, &[item(only)]),
             all => {
                 let mut items = relend(std::mem::take(&mut st.batch_scratch));
-                items.extend(all.iter().map(|m| item(st, m)));
-                let written = self.tiers.write_segment(tier, &items);
+                items.extend(all.iter().map(item));
+                let written = st.ledger.write_segment(&self.tiers, tier, &items);
                 st.batch_scratch = relend(items);
                 written
             }
@@ -458,12 +459,7 @@ impl TensorCache {
                     let Some(rec) = st.records.get_mut(id) else {
                         continue;
                     };
-                    let storage = rec.tensor.storage();
-                    let values = self.mem.with_time(end, || storage.release_values());
-                    st.spare_values.extend(values);
-                    rec.state = RecState::Offloaded;
-                    rec.stored = true;
-                    rec.avail = end;
+                    self.left_gpu(rec, &mut st.spare_values, end);
                     total += rec.bytes;
                 }
                 st.trace
@@ -510,18 +506,14 @@ impl TensorCache {
             };
             let demoted = if fallback {
                 let (data, retries) = (staged(&st.staging, member), MAX_IO_RETRIES);
-                self.tiers.demote(tier, &rec.key, data, rec.bytes, retries)
+                st.ledger
+                    .demote(&self.tiers, tier, &rec.key, data, rec.bytes, retries)
             } else {
                 None
             };
             match demoted {
                 Some(lower) => {
-                    let storage = rec.tensor.storage();
-                    let values = self.mem.with_time(end, || storage.release_values());
-                    st.spare_values.extend(values);
-                    rec.state = RecState::Offloaded;
-                    rec.stored = true;
-                    rec.avail = end;
+                    self.left_gpu(rec, &mut st.spare_values, end);
                     rec.tier = lower;
                     fell_back += rec.bytes;
                     dest = Some(lower);
@@ -562,11 +554,22 @@ impl TensorCache {
                 st.pending_error = Some(OffloadError::Store {
                     key: head.key.clone(),
                     bytes: kept,
-                    target: self.tiers.name(tier),
+                    target: self.tiers.name(tier).to_owned(),
                     source: err,
                 });
             }
         }
+    }
+
+    /// `rec`'s bytes left the GPU when its store landed at `end`: its
+    /// values go to `spare` for this step's reloads, the free is stamped
+    /// at `end`, and the record is `Offloaded` with a device entry.
+    fn left_gpu(&self, rec: &mut Record, spare: &mut Vec<Vec<f32>>, end: SimTime) {
+        let storage = rec.tensor.storage();
+        spare.extend(self.mem.with_time(end, || storage.release_values()));
+        rec.state = RecState::Offloaded;
+        rec.stored = true;
+        rec.avail = end;
     }
 
     /// Takes record `id` back out of the store path while its bytes are
@@ -695,9 +698,9 @@ impl TensorCache {
     /// and leave the entry behind.
     fn drop_from_tier(&self, st: &mut State, rec: Record) {
         if rec.stored {
-            self.tiers.remove(rec.tier, &rec.key, rec.bytes);
+            st.ledger.remove(&self.tiers, rec.tier, &rec.key, rec.bytes);
         } else {
-            self.tiers.unreserve(rec.tier, rec.bytes);
+            st.ledger.unreserve(rec.tier, rec.bytes);
         }
         st.spare_shapes.push(rec.key.shape);
     }

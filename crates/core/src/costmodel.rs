@@ -142,7 +142,7 @@ impl CostModel {
 
     /// The byte split of the static front-first placement (each module
     /// lands on the first tier with capacity headroom — what
-    /// [`TierStack::reserve`] does).
+    /// [`crate::TierLedger::reserve`] does).
     pub fn front_first_assignment(&self, profile: &StepProfile) -> Vec<Option<usize>> {
         let mut used = vec![0u64; self.tiers.len()];
         profile

@@ -34,10 +34,17 @@ use std::sync::Arc;
 /// ```
 pub struct FaultyTarget {
     inner: Arc<dyn OffloadTarget>,
-    plan: Mutex<FaultPlan>,
-    io: Mutex<Option<IoEngine>>,
-    trace: Mutex<TraceSink>,
+    /// The target's one lock. A firing clones the engine and the sink
+    /// out before it throttles or emits, so no call leaves it held.
+    state: Mutex<Faults>,
     name: String,
+}
+
+/// What [`FaultyTarget`] guards: the plan and where firings go.
+struct Faults {
+    plan: FaultPlan,
+    io: Option<IoEngine>,
+    trace: TraceSink,
 }
 
 impl FaultyTarget {
@@ -46,9 +53,11 @@ impl FaultyTarget {
         let name = format!("faulty-{}", inner.name());
         Arc::new(FaultyTarget {
             inner,
-            plan: Mutex::new(plan),
-            io: Mutex::new(None),
-            trace: Mutex::new(TraceSink::disabled()),
+            state: Mutex::new(Faults {
+                plan,
+                io: None,
+                trace: TraceSink::disabled(),
+            }),
             name,
         })
     }
@@ -56,14 +65,14 @@ impl FaultyTarget {
     /// Routes fault firings into `sink` as instants (category `fault`),
     /// timestamped on the attached engine's clock.
     pub fn set_trace(&self, sink: TraceSink) {
-        *self.trace.lock() = sink;
+        self.state.lock().trace = sink;
     }
 
     /// Attaches the I/O engine [`FaultKind::SlowIo`] firings throttle.
     /// Without an engine attached, slow-I/O faults only show up in the
     /// log (operations still succeed at full speed).
     pub fn attach_io(&self, io: IoEngine) {
-        *self.io.lock() = Some(io);
+        self.state.lock().io = Some(io);
     }
 
     /// The wrapped target.
@@ -73,19 +82,13 @@ impl FaultyTarget {
 
     /// Firing counters of the plan so far.
     pub fn fault_log(&self) -> FaultLog {
-        self.plan.lock().log()
+        self.state.lock().plan.log()
     }
 
-    fn emit_fault(&self, fault: FaultKind, op: &'static str) {
-        let sink = self.trace.lock().clone();
+    fn emit_fault(&self, fault: FaultKind, op: &'static str, now: SimTime, sink: &TraceSink) {
         if !sink.is_enabled() {
             return;
         }
-        let now = self
-            .io
-            .lock()
-            .as_ref()
-            .map_or(SimTime::ZERO, |io| io.clock().now());
         let (name, mut args) = match fault {
             FaultKind::WriteError => ("fault.write_error", Vec::new()),
             FaultKind::ReadError => ("fault.read_error", Vec::new()),
@@ -101,15 +104,27 @@ impl FaultyTarget {
         sink.instant_with(TraceCategory::Fault, name, now, args);
     }
 
-    fn apply(&self, fault: Option<FaultKind>, op: &'static str) -> io::Result<()> {
-        if let Some(kind) = fault {
-            self.emit_fault(kind, op);
-        }
+    /// Runs one operation through the plan (`on_op`) and acts on what
+    /// fired, with the engine and sink cloned out of the lock.
+    fn apply(
+        &self,
+        op: &'static str,
+        on_op: impl FnOnce(&mut FaultPlan) -> Option<FaultKind>,
+    ) -> io::Result<()> {
+        let mut state = self.state.lock();
+        let Some(fault) = on_op(&mut state.plan) else {
+            return Ok(());
+        };
+        let (io, sink) = (state.io.clone(), state.trace.clone());
+        drop(state);
+        let now = io.as_ref().map_or(SimTime::ZERO, |io| io.clock().now());
+        self.emit_fault(fault, op, now, &sink);
         match fault {
-            Some(FaultKind::WriteError) | Some(FaultKind::ReadError) => Err(io::Error::other(
-                format!("injected {op} fault on target `{}`", self.inner.name()),
-            )),
-            Some(FaultKind::EnduranceExhausted) => Err(io::Error::new(
+            FaultKind::WriteError | FaultKind::ReadError => Err(io::Error::other(format!(
+                "injected {op} fault on target `{}`",
+                self.inner.name()
+            ))),
+            FaultKind::EnduranceExhausted => Err(io::Error::new(
                 io::ErrorKind::StorageFull,
                 format!(
                     "injected endurance exhaustion on target `{}` (wear {:.2})",
@@ -117,13 +132,12 @@ impl FaultyTarget {
                     self.inner.wear_fraction()
                 ),
             )),
-            Some(FaultKind::SlowIo { factor }) => {
-                if let Some(io) = &*self.io.lock() {
+            FaultKind::SlowIo { factor } => {
+                if let Some(io) = io {
                     io.throttle(factor);
                 }
                 Ok(())
             }
-            None => Ok(()),
         }
     }
 
@@ -131,8 +145,13 @@ impl FaultyTarget {
     /// are unknown until the bytes arrive; reads count as operations but
     /// do not advance byte-threshold triggers.
     fn plan_read(&self) -> io::Result<()> {
-        let fault = self.plan.lock().on_read(0);
-        self.apply(fault, "read")
+        self.apply("read", |plan| plan.on_read(0))
+    }
+
+    /// Runs the plan for one write of `len` bytes.
+    fn plan_write(&self, len: u64) -> io::Result<()> {
+        let wear = self.inner.wear_fraction();
+        self.apply("write", |plan| plan.on_write(len, wear))
     }
 }
 
@@ -142,8 +161,7 @@ impl OffloadTarget for FaultyTarget {
     }
 
     fn write(&self, key: &TensorKey, data: Option<&[u8]>, len: u64) -> io::Result<()> {
-        let fault = self.plan.lock().on_write(len, self.inner.wear_fraction());
-        self.apply(fault, "write")?;
+        self.plan_write(len)?;
         self.inner.write(key, data, len)
     }
 
@@ -180,8 +198,7 @@ impl OffloadTarget for FaultyTarget {
         // member's fault fails the whole segment before a byte lands
         // (segment-level degradation, per the recovery contract).
         for (_, _, len) in items {
-            let fault = self.plan.lock().on_write(*len, self.inner.wear_fraction());
-            self.apply(fault, "write")?;
+            self.plan_write(*len)?;
         }
         self.inner.write_batch(items)
     }

@@ -3,8 +3,8 @@
 //! *Whether* a tensor leaves is decided where it is saved — the head of
 //! `TensorCache`'s store path runs Algorithm 2's keep sequence
 //! (parameter → below-threshold, then for activations backward-phase →
-//! kept-module) — and *where* it lands is the [`crate::TierStack`]'s
-//! admission decision ([`crate::TierStack::reserve`]). Both are keyed by
+//! kept-module) — and *where* it lands is the tiers' admission decision
+//! ([`crate::TierLedger::reserve`]). Both are keyed by
 //! the class defined here, as are the stats counters and trace lanes.
 
 /// *What kind* of tensor is leaving GPU memory.

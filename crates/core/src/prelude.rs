@@ -29,7 +29,9 @@ pub use crate::io::{IoEngine, TierLink};
 pub use crate::placement::OffloadClass;
 pub use crate::stats::{ClassCounters, OffloadStats};
 pub use crate::target::{BatchItem, CpuTarget, OffloadTarget, SsdTarget};
-pub use crate::tier::{Tier, TierCounters, TierId, TierPlacement, TierRole, TierSpec, TierStack};
+pub use crate::tier::{
+    Tier, TierCounters, TierId, TierLedger, TierPlacement, TierRole, TierSpec, TierStack,
+};
 
 pub use ssdtrain_trace::{
     chrome_trace_json, explain, text_summary, ArgValue, EventKind, MemoryTraceBridge, StepBytes,

@@ -6,17 +6,19 @@
 //! spilling into a high-endurance SSD array. [`TierStack`] expresses
 //! that as an ordered list of [`Tier`]s, each owning a device
 //! ([`OffloadTarget`]), an optional byte capacity and the index of the
-//! simulated link its transfers are priced on.
+//! simulated link its transfers are priced on. The stack is a read-only
+//! description; what its tiers hold — reservations and per-step counters
+//! — is a [`TierLedger`], which the cache keeps in its locked state.
 //!
 //! Semantics:
 //!
-//! * **Placement / spill** — [`TierStack::reserve`] admits a tensor into
+//! * **Placement / spill** — [`TierLedger::reserve`] admits a tensor into
 //!   the first placement-eligible tier with capacity headroom; a tensor
 //!   that does not fit the front tier *spills* to the next one. When no
 //!   tier has room, `reserve` returns `None` and the cache keeps the
 //!   tensor resident (graceful refusal, never an error).
 //! * **Demotion** — a tier whose device refuses a write at commit time
-//!   demotes the bytes to the next tier down via [`TierStack::demote`];
+//!   demotes the bytes to the next tier down via [`TierLedger::demote`];
 //!   this is how [`crate::RecoveryPolicy::FallbackTarget`] is expressed
 //!   (the fallback target is simply an appended demotion-only tier).
 //! * **Accounting** — every tier keeps its own [`TierCounters`]
@@ -29,7 +31,6 @@
 
 use crate::id::TensorKey;
 use crate::target::{BatchItem, OffloadTarget};
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::fmt;
 use std::io;
@@ -116,7 +117,7 @@ impl fmt::Debug for Tier {
 }
 
 /// Per-tier traffic counters for one training step (reset by
-/// [`TierStack::reset_counters`]; surfaced as
+/// [`TierLedger::reset_counters`]; surfaced as
 /// [`crate::OffloadStats::tiers`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TierCounters {
@@ -158,9 +159,9 @@ pub struct TierSpec {
     pub capacity_bytes: Option<u64>,
 }
 
-/// Where [`TierStack::reserve`] admitted a tensor. The placement *is*
+/// Where [`TierLedger::reserve`] admitted a tensor. The placement *is*
 /// the reservation: whoever receives it owes the tier one
-/// [`TierStack::remove`] of the same bytes.
+/// [`TierLedger::remove`] of the same bytes.
 #[must_use = "a dropped placement leaks its tier reservation"]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierPlacement {
@@ -170,17 +171,13 @@ pub struct TierPlacement {
     pub spilled: bool,
 }
 
-struct TierState {
-    /// Live pack-time reservations against the tier's capacity.
-    reserved: u64,
-    counters: TierCounters,
-}
-
-/// An ordered stack of offload tiers (0 = fastest). Interior-mutable:
-/// every method takes `&self`, so a stack can live inside the shared
-/// [`crate::TensorCache`].
+/// An ordered stack of offload tiers (0 = fastest): what each tier is
+/// — name, device, capacity, link, role — fixed at construction and read
+/// without a lock. What the tiers hold is a [`TierLedger`], kept by
+/// whoever places tensors on the stack.
+#[derive(Debug)]
 pub struct TierStack {
-    inner: Mutex<Vec<(Tier, TierState)>>,
+    tiers: Vec<Tier>,
 }
 
 impl TierStack {
@@ -191,25 +188,7 @@ impl TierStack {
     /// construction-time configuration bug, not a runtime condition.
     pub fn new(tiers: Vec<Tier>) -> TierStack {
         assert!(!tiers.is_empty(), "a TierStack needs at least one tier");
-        let inner = tiers
-            .into_iter()
-            .map(|t| {
-                let counters = TierCounters {
-                    name: t.name.clone(),
-                    ..TierCounters::default()
-                };
-                (
-                    t,
-                    TierState {
-                        reserved: 0,
-                        counters,
-                    },
-                )
-            })
-            .collect();
-        TierStack {
-            inner: Mutex::new(inner),
-        }
+        TierStack { tiers }
     }
 
     /// One unbounded placement tier over `device`, priced on link 0:
@@ -219,81 +198,99 @@ impl TierStack {
         TierStack::new(vec![Tier::new(name, device, 0)])
     }
 
-    /// Number of tiers.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
     /// The stack's tier ids, front first — the only way code outside
     /// this crate obtains a [`TierId`] other than through
-    /// [`TierStack::reserve`] / [`TierStack::demote`].
+    /// [`TierLedger::reserve`] / [`TierLedger::demote`].
     pub fn tier_ids(&self) -> Vec<TierId> {
-        (0..self.inner.lock().len()).map(TierId).collect()
-    }
-
-    /// Always `false`: construction guarantees at least one tier.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        (0..self.tiers.len()).map(TierId).collect()
     }
 
     /// The tier's display name.
-    pub fn name(&self, tier: TierId) -> String {
-        let inner = self.inner.lock();
-        inner
-            .get(tier.0)
-            .map(|(t, _)| t.name.clone().into_owned())
-            .unwrap_or_default()
+    pub fn name(&self, tier: TierId) -> &str {
+        self.tiers.get(tier.0).map_or("", |t| &t.name)
     }
 
     /// Index of the simulated link the tier's transfers are priced on.
     pub fn link(&self, tier: TierId) -> usize {
-        let inner = self.inner.lock();
-        inner.get(tier.0).map(|(t, _)| t.link).unwrap_or(0)
+        self.tiers.get(tier.0).map_or(0, |t| t.link)
     }
 
     /// The tier's device (shared handle).
     pub fn device(&self, tier: TierId) -> Option<Arc<dyn OffloadTarget>> {
-        let inner = self.inner.lock();
-        inner.get(tier.0).map(|(t, _)| t.device.clone())
+        self.tiers.get(tier.0).map(|t| t.device.clone())
     }
 
     /// The tier's device, or the I/O error every transfer to a tier that
     /// does not exist fails with.
-    fn device_or_err(&self, tier: TierId) -> io::Result<Arc<dyn OffloadTarget>> {
-        self.device(tier).ok_or_else(|| {
+    fn device_or_err(&self, tier: TierId) -> io::Result<&dyn OffloadTarget> {
+        let t = self.tiers.get(tier.0).ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, format!("{tier} does not exist"))
-        })
+        })?;
+        Ok(&*t.device)
+    }
+
+    /// Static descriptions of the placement-eligible tiers, front
+    /// first — the cost model's view of the stack (demotion-only tiers
+    /// are a fault-recovery path and take no pack-time placements).
+    pub fn placement_tiers(&self) -> Vec<TierSpec> {
+        self.tiers
+            .iter()
+            .filter(|t| t.role == TierRole::Placement)
+            .map(|t| TierSpec {
+                link: t.link,
+                capacity_bytes: t.capacity_bytes,
+            })
+            .collect()
+    }
+}
+
+/// What a [`TierStack`]'s tiers hold: each tier's live pack-time
+/// reservations and this step's [`TierCounters`], indexed like the
+/// stack. A plain value its owner updates through `&mut` — the
+/// [`crate::TensorCache`] keeps one in the state behind its lock — and
+/// every method that moves bytes takes the stack it accounts for.
+#[derive(Debug, Default)]
+pub struct TierLedger {
+    reserved: Vec<u64>,
+    counters: Vec<TierCounters>,
+}
+
+impl TierLedger {
+    /// An empty ledger for `stack`: nothing reserved, counters zeroed.
+    pub fn new(stack: &TierStack) -> TierLedger {
+        let counters = stack.tiers.iter().map(|t| TierCounters {
+            name: t.name.clone(),
+            ..TierCounters::default()
+        });
+        TierLedger {
+            reserved: vec![0; stack.tiers.len()],
+            counters: counters.collect(),
+        }
     }
 
     /// Live pack-time reservations against the tier.
     pub fn reserved_bytes(&self, tier: TierId) -> u64 {
-        let inner = self.inner.lock();
-        inner.get(tier.0).map(|(_, s)| s.reserved).unwrap_or(0)
+        self.reserved.get(tier.0).copied().unwrap_or(0)
     }
 
-    /// Admits `bytes` into the first placement tier with capacity
-    /// headroom, walking front to back; a skipped-full front tier makes
-    /// the admission a *spill*. Returns `None` when every eligible tier
-    /// is full — the caller keeps the tensor resident.
+    /// Admits `bytes` into the first placement tier of `stack` with
+    /// capacity headroom, walking front to back; a skipped-full front
+    /// tier makes the admission a *spill*. Returns `None` when every
+    /// eligible tier is full — the caller keeps the tensor resident.
     #[must_use = "a dropped placement leaks its tier reservation"]
-    pub fn reserve(&self, bytes: u64) -> Option<TierPlacement> {
-        let mut inner = self.inner.lock();
+    pub fn reserve(&mut self, stack: &TierStack, bytes: u64) -> Option<TierPlacement> {
         let mut skipped_full = false;
-        for (idx, (tier, state)) in inner.iter_mut().enumerate() {
+        for (idx, tier) in stack.tiers.iter().enumerate() {
             if tier.role != TierRole::Placement {
                 continue;
             }
-            let fits = match tier.capacity_bytes {
-                Some(cap) => state.reserved.saturating_add(bytes) <= cap,
-                None => true,
-            };
-            if !fits {
+            if !self.fits(tier, idx, bytes) {
                 skipped_full = true;
                 continue;
             }
-            state.reserved += bytes;
+            self.reserved[idx] += bytes;
             if skipped_full {
-                state.counters.spilled_in_bytes += bytes;
+                self.counters[idx].spilled_in_bytes += bytes;
             }
             return Some(TierPlacement {
                 tier: TierId(idx),
@@ -301,6 +298,15 @@ impl TierStack {
             });
         }
         None
+    }
+
+    /// Whether `bytes` more fit under the capacity of `tier`, the
+    /// stack's tier `idx`.
+    fn fits(&self, tier: &Tier, idx: usize, bytes: u64) -> bool {
+        match tier.capacity_bytes {
+            Some(cap) => self.reserved[idx].saturating_add(bytes) <= cap,
+            None => true,
+        }
     }
 
     /// Writes a sealed segment — every member of `items` — to the
@@ -313,15 +319,16 @@ impl TierStack {
     /// Propagates the device's I/O error; the device has already
     /// unwound any partially written members, so the caller recovers at
     /// segment granularity per its [`crate::RecoveryPolicy`].
-    pub fn write_segment(&self, tier: TierId, items: &[BatchItem<'_>]) -> io::Result<()> {
-        let device = self.device_or_err(tier)?;
-        device.write_batch(items)?;
-        let total: u64 = items.iter().map(|(_, _, len)| *len).sum();
-        let mut inner = self.inner.lock();
-        if let Some((_, state)) = inner.get_mut(tier.0) {
-            state.counters.bytes_written += total;
-            state.counters.stores += 1;
-        }
+    pub fn write_segment(
+        &mut self,
+        stack: &TierStack,
+        tier: TierId,
+        items: &[BatchItem<'_>],
+    ) -> io::Result<()> {
+        stack.device_or_err(tier)?.write_batch(items)?;
+        let c = &mut self.counters[tier.0];
+        c.bytes_written += items.iter().map(|(_, _, len)| *len).sum::<u64>();
+        c.stores += 1;
         Ok(())
     }
 
@@ -333,28 +340,26 @@ impl TierStack {
     /// Propagates the device's I/O error; the cache retries
     /// [`crate::config::MAX_IO_RETRIES`] times.
     pub fn read(
-        &self,
+        &mut self,
+        stack: &TierStack,
         tier: TierId,
         key: &TensorKey,
         len: u64,
         scratch: &mut Vec<u8>,
         f: &mut dyn FnMut(Option<&[u8]>),
     ) -> io::Result<()> {
-        let device = self.device_or_err(tier)?;
-        device.read_with(key, scratch, f)?;
-        let mut inner = self.inner.lock();
-        if let Some((_, state)) = inner.get_mut(tier.0) {
-            state.counters.bytes_read += len;
-            state.counters.loads += 1;
-        }
+        stack.device_or_err(tier)?.read_with(key, scratch, f)?;
+        let c = &mut self.counters[tier.0];
+        c.bytes_read += len;
+        c.loads += 1;
         Ok(())
     }
 
     /// Drops the entry for `key` and returns its reservation to the
     /// tier (idempotent at the device level).
-    pub fn remove(&self, tier: TierId, key: &TensorKey, len: u64) {
+    pub fn remove(&mut self, stack: &TierStack, tier: TierId, key: &TensorKey, len: u64) {
         self.unreserve(tier, len);
-        if let Some(device) = self.device(tier) {
+        if let Ok(device) = stack.device_or_err(tier) {
             device.remove(key);
         }
     }
@@ -362,9 +367,9 @@ impl TierStack {
     /// Returns a reservation of `len` bytes to `tier` without touching
     /// its device — for bytes that were admitted but never written (a
     /// forwarded tensor, a refused store).
-    pub fn unreserve(&self, tier: TierId, len: u64) {
-        if let Some((_, state)) = self.inner.lock().get_mut(tier.0) {
-            state.reserved = state.reserved.saturating_sub(len);
+    pub fn unreserve(&mut self, tier: TierId, len: u64) {
+        if let Some(reserved) = self.reserved.get_mut(tier.0) {
+            *reserved = reserved.saturating_sub(len);
         }
     }
 
@@ -375,74 +380,42 @@ impl TierStack {
     /// are accounted as demotion-in traffic there. Returns the
     /// destination, or `None` when no lower tier took the bytes.
     pub fn demote(
-        &self,
+        &mut self,
+        stack: &TierStack,
         from: TierId,
         key: &TensorKey,
         data: Option<&[u8]>,
         len: u64,
         max_retries: u32,
     ) -> Option<TierId> {
-        let candidates: Vec<(usize, Arc<dyn OffloadTarget>)> = {
-            let inner = self.inner.lock();
-            inner
-                .iter()
-                .enumerate()
-                .skip(from.0 + 1)
-                .filter(|(_, (tier, state))| match tier.capacity_bytes {
-                    Some(cap) => state.reserved.saturating_add(len) <= cap,
-                    None => true,
-                })
-                .map(|(idx, (tier, _))| (idx, tier.device.clone()))
-                .collect()
-        };
-        for (idx, device) in candidates {
-            for _ in 0..=max_retries {
-                if device.write(key, data, len).is_ok() {
-                    let mut inner = self.inner.lock();
-                    if let Some((_, state)) = inner.get_mut(idx) {
-                        state.reserved += len;
-                        state.counters.bytes_written += len;
-                        state.counters.stores += 1;
-                        state.counters.demoted_in_bytes += len;
-                    }
-                    if let Some((_, state)) = inner.get_mut(from.0) {
-                        state.reserved = state.reserved.saturating_sub(len);
-                    }
-                    return Some(TierId(idx));
-                }
+        for (idx, tier) in stack.tiers.iter().enumerate().skip(from.0 + 1) {
+            if !self.fits(tier, idx, len) {
+                continue;
+            }
+            if (0..=max_retries).any(|_| tier.device.write(key, data, len).is_ok()) {
+                self.reserved[idx] += len;
+                let c = &mut self.counters[idx];
+                c.bytes_written += len;
+                c.stores += 1;
+                c.demoted_in_bytes += len;
+                self.unreserve(from, len);
+                return Some(TierId(idx));
             }
         }
         None
     }
 
-    /// Static descriptions of the placement-eligible tiers, front
-    /// first — the cost model's view of the stack (demotion-only tiers
-    /// are a fault-recovery path and take no pack-time placements).
-    pub fn placement_tiers(&self) -> Vec<TierSpec> {
-        let inner = self.inner.lock();
-        inner
-            .iter()
-            .filter(|(t, _)| t.role == TierRole::Placement)
-            .map(|(t, _)| TierSpec {
-                link: t.link,
-                capacity_bytes: t.capacity_bytes,
-            })
-            .collect()
-    }
-
-    /// Snapshot of every tier's counters, front first.
-    pub fn counters(&self) -> Vec<TierCounters> {
-        let inner = self.inner.lock();
-        inner.iter().map(|(_, s)| s.counters.clone()).collect()
+    /// Every tier's counters this step, front first.
+    pub fn counters(&self) -> &[TierCounters] {
+        &self.counters
     }
 
     /// Zeroes the per-step counters (reservations are live state and
     /// survive — a fresh step starts with whatever is still stored).
-    pub fn reset_counters(&self) {
-        let mut inner = self.inner.lock();
-        for (_, state) in inner.iter_mut() {
-            let name = std::mem::take(&mut state.counters.name);
-            state.counters = TierCounters {
+    pub fn reset_counters(&mut self) {
+        for c in &mut self.counters {
+            let name = std::mem::take(&mut c.name);
+            *c = TierCounters {
                 name,
                 ..TierCounters::default()
             };
@@ -451,22 +424,7 @@ impl TierStack {
 
     /// Sum of every tier's device-accepted write traffic this step.
     pub fn total_bytes_written(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.iter().map(|(_, s)| s.counters.bytes_written).sum()
-    }
-}
-
-impl fmt::Debug for TierStack {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
-        let mut d = f.debug_list();
-        for (tier, state) in inner.iter() {
-            d.entry(&format_args!(
-                "{} (link {}, {:?}, reserved {})",
-                tier.name, tier.link, tier.role, state.reserved
-            ));
-        }
-        d.finish()
+        self.counters.iter().map(|c| c.bytes_written).sum()
     }
 }
 
@@ -485,29 +443,36 @@ mod tests {
     /// What the borrowing read lends, copied out.
     fn read(
         stack: &TierStack,
+        ledger: &mut TierLedger,
         tier: TierId,
         k: &TensorKey,
         len: u64,
     ) -> io::Result<Option<Vec<u8>>> {
         let mut out = None;
-        stack.read(tier, k, len, &mut Vec::new(), &mut |d| {
+        ledger.read(stack, tier, k, len, &mut Vec::new(), &mut |d| {
             out = d.map(<[u8]>::to_vec)
         })?;
         Ok(out)
     }
 
-    fn two_tier(front_cap: u64) -> TierStack {
-        TierStack::new(vec![
+    /// `stack` with an empty ledger of its own.
+    fn ledgered(stack: TierStack) -> (TierStack, TierLedger) {
+        let ledger = TierLedger::new(&stack);
+        (stack, ledger)
+    }
+
+    fn two_tier(front_cap: u64) -> (TierStack, TierLedger) {
+        ledgered(TierStack::new(vec![
             Tier::new("dram", Arc::new(CpuTarget::new(front_cap)), 0).with_capacity(front_cap),
             Tier::new("ssd", Arc::new(CpuTarget::new(1 << 30)), 1),
-        ])
+        ]))
     }
 
     #[test]
     fn single_stack_admits_unbounded() {
-        let stack = TierStack::single(Arc::new(CpuTarget::new(10)));
+        let (stack, mut ledger) = ledgered(TierStack::single(Arc::new(CpuTarget::new(10))));
         assert_eq!(
-            stack.reserve(u64::MAX / 2),
+            ledger.reserve(&stack, u64::MAX / 2),
             Some(TierPlacement {
                 tier: TierId(0),
                 spilled: false,
@@ -517,26 +482,26 @@ mod tests {
 
     #[test]
     fn full_front_tier_spills_to_the_next() {
-        let stack = two_tier(100);
+        let (stack, mut ledger) = two_tier(100);
         assert_eq!(
-            stack.reserve(80),
+            ledger.reserve(&stack, 80),
             Some(TierPlacement {
                 tier: TierId(0),
                 spilled: false,
             })
         );
         assert_eq!(
-            stack.reserve(40),
+            ledger.reserve(&stack, 40),
             Some(TierPlacement {
                 tier: TierId(1),
                 spilled: true,
             })
         );
-        assert_eq!(stack.counters()[1].spilled_in_bytes, 40);
+        assert_eq!(ledger.counters()[1].spilled_in_bytes, 40);
         // Releasing the front admission lets the next one in again.
-        stack.remove(TierId(0), &key(1), 80);
+        ledger.remove(&stack, TierId(0), &key(1), 80);
         assert_eq!(
-            stack.reserve(100),
+            ledger.reserve(&stack, 100),
             Some(TierPlacement {
                 tier: TierId(0),
                 spilled: false,
@@ -546,11 +511,14 @@ mod tests {
 
     #[test]
     fn exhausted_stack_refuses() {
-        let stack = TierStack::new(vec![
-            Tier::new("dram", Arc::new(CpuTarget::new(10)), 0).with_capacity(10)
-        ]);
-        assert!(stack.reserve(8).is_some());
-        assert!(stack.reserve(8).is_none());
+        let (stack, mut ledger) = ledgered(TierStack::new(vec![Tier::new(
+            "dram",
+            Arc::new(CpuTarget::new(10)),
+            0,
+        )
+        .with_capacity(10)]));
+        assert!(ledger.reserve(&stack, 8).is_some());
+        assert!(ledger.reserve(&stack, 8).is_none());
     }
 
     #[test]
@@ -567,84 +535,94 @@ mod tests {
 
     #[test]
     fn demotion_only_tiers_are_skipped_by_placement() {
-        let stack = TierStack::new(vec![
+        let (stack, mut ledger) = ledgered(TierStack::new(vec![
             Tier::new("dram", Arc::new(CpuTarget::new(10)), 0).with_capacity(10),
             Tier::new("cpu-fb", Arc::new(CpuTarget::new(1 << 20)), 0).demotion_only(),
-        ]);
-        assert!(stack.reserve(8).is_some());
+        ]));
+        assert!(ledger.reserve(&stack, 8).is_some());
         assert!(
-            stack.reserve(8).is_none(),
+            ledger.reserve(&stack, 8).is_none(),
             "fallback is not a placement tier"
         );
     }
 
     #[test]
     fn demote_moves_reservation_and_accounts_traffic() {
-        let stack = two_tier(100);
-        assert!(stack.reserve(60).is_some());
+        let (stack, mut ledger) = two_tier(100);
+        assert!(ledger.reserve(&stack, 60).is_some());
         let k = key(1);
         // Pretend the front device refused the write; demote directly.
         let dest = TierId(1);
-        assert_eq!(stack.demote(TierId(0), &k, None, 60, 0), Some(dest));
-        assert_eq!(stack.reserved_bytes(TierId(0)), 0);
-        assert_eq!(stack.reserved_bytes(dest), 60);
-        let c = stack.counters();
+        assert_eq!(
+            ledger.demote(&stack, TierId(0), &k, None, 60, 0),
+            Some(dest)
+        );
+        assert_eq!(ledger.reserved_bytes(TierId(0)), 0);
+        assert_eq!(ledger.reserved_bytes(dest), 60);
+        let c = ledger.counters();
         assert_eq!(c[1].demoted_in_bytes, 60);
         assert_eq!(c[1].bytes_written, 60);
-        assert_eq!(read(&stack, dest, &k, 60).ok(), Some(None));
-        stack.remove(dest, &k, 60);
-        assert_eq!(stack.reserved_bytes(dest), 0);
+        assert_eq!(read(&stack, &mut ledger, dest, &k, 60).ok(), Some(None));
+        ledger.remove(&stack, dest, &k, 60);
+        assert_eq!(ledger.reserved_bytes(dest), 0);
     }
 
     #[test]
     fn write_segment_accounts_one_store_for_all_members() {
-        let stack = two_tier(100);
-        assert!(stack.reserve(12).is_some());
+        let (stack, mut ledger) = two_tier(100);
+        assert!(ledger.reserve(&stack, 12).is_some());
         let keys: Vec<TensorKey> = (10..13).map(key).collect();
         let items: Vec<BatchItem<'_>> = keys.iter().map(|k| (k, None, 4u64)).collect();
-        assert!(stack.write_segment(TierId(0), &items).is_ok());
-        let c = stack.counters();
+        assert!(ledger.write_segment(&stack, TierId(0), &items).is_ok());
+        let c = ledger.counters();
         assert_eq!(c[0].bytes_written, 12);
         assert_eq!(c[0].stores, 1, "a segment is one device store");
         // Members stay individually readable and removable.
-        assert_eq!(read(&stack, TierId(0), &keys[1], 4).ok(), Some(None));
-        stack.remove(TierId(0), &keys[1], 4);
-        assert!(read(&stack, TierId(0), &keys[1], 4).is_err());
+        assert_eq!(
+            read(&stack, &mut ledger, TierId(0), &keys[1], 4).ok(),
+            Some(None)
+        );
+        ledger.remove(&stack, TierId(0), &keys[1], 4);
+        assert!(read(&stack, &mut ledger, TierId(0), &keys[1], 4).is_err());
     }
 
     #[test]
     fn failed_segment_write_accounts_nothing() {
-        let stack = TierStack::new(vec![Tier::new("tiny", Arc::new(CpuTarget::new(6)), 0)]);
+        let (stack, mut ledger) = ledgered(TierStack::new(vec![Tier::new(
+            "tiny",
+            Arc::new(CpuTarget::new(6)),
+            0,
+        )]));
         let keys: Vec<TensorKey> = (20..23).map(key).collect();
         let items: Vec<BatchItem<'_>> = keys.iter().map(|k| (k, None, 4u64)).collect();
-        assert!(stack.write_segment(TierId(0), &items).is_err());
-        let c = stack.counters();
+        assert!(ledger.write_segment(&stack, TierId(0), &items).is_err());
+        let c = ledger.counters();
         assert_eq!(c[0].bytes_written, 0);
         assert_eq!(c[0].stores, 0);
     }
 
     #[test]
     fn write_read_remove_roundtrip_accounts_per_tier() {
-        let stack = two_tier(100);
-        assert!(stack.reserve(4).is_some());
+        let (stack, mut ledger) = two_tier(100);
+        assert!(ledger.reserve(&stack, 4).is_some());
         let k = key(2);
-        assert!(stack
-            .write_segment(TierId(0), &[(&k, Some(&[1, 2, 3, 4]), 4)])
+        assert!(ledger
+            .write_segment(&stack, TierId(0), &[(&k, Some(&[1, 2, 3, 4]), 4)])
             .is_ok());
         assert_eq!(
-            read(&stack, TierId(0), &k, 4).ok().flatten(),
+            read(&stack, &mut ledger, TierId(0), &k, 4).ok().flatten(),
             Some(vec![1, 2, 3, 4])
         );
-        let c = stack.counters();
+        let c = ledger.counters();
         assert_eq!(c[0].bytes_written, 4);
         assert_eq!(c[0].bytes_read, 4);
         assert_eq!(c[0].stores, 1);
         assert_eq!(c[0].loads, 1);
-        assert_eq!(stack.total_bytes_written(), 4);
-        stack.remove(TierId(0), &k, 4);
-        assert!(read(&stack, TierId(0), &k, 4).is_err());
-        stack.reset_counters();
-        assert_eq!(stack.total_bytes_written(), 0);
-        assert_eq!(stack.counters()[0].name, "dram");
+        assert_eq!(ledger.total_bytes_written(), 4);
+        ledger.remove(&stack, TierId(0), &k, 4);
+        assert!(read(&stack, &mut ledger, TierId(0), &k, 4).is_err());
+        ledger.reset_counters();
+        assert_eq!(ledger.total_bytes_written(), 0);
+        assert_eq!(ledger.counters()[0].name, "dram");
     }
 }

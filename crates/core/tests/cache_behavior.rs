@@ -43,7 +43,8 @@ fn rig(config: TensorCacheConfig, write_bps: f64, read_bps: f64, secs_per_op: f6
     dev.set_tracker(mem.clone());
     let io = IoEngine::new(clock.clone(), write_bps, read_bps);
     let target = Arc::new(CpuTarget::new(1 << 40));
-    let cache = TensorCache::new(config, target, io, mem.clone());
+    let cache =
+        TensorCache::with_tiers(config, Arc::new(TierStack::single(target)), io, mem.clone());
     let graph = Graph::new(&dev, 7);
     cache.install(&graph);
     graph.set_observer(Arc::new(FixedOpTime {
@@ -637,7 +638,12 @@ fn profiled_step_with(state: bool, bwd_fwd_ratio: f64) -> Profiled {
         bwd_fwd_ratio,
         ..TensorCacheConfig::default()
     };
-    let cache = TensorCache::new(config, Arc::new(CpuTarget::new(1 << 40)), io, mem);
+    let cache = TensorCache::with_tiers(
+        config,
+        Arc::new(TierStack::single(Arc::new(CpuTarget::new(1 << 40)))),
+        io,
+        mem,
+    );
     let scope = |path: &str, seq: u64| ScopeInfo {
         path: path.into(),
         seq,
@@ -789,9 +795,9 @@ fn symbolic_offload_accounts_identical_bytes_with_f32_widths() {
     dev.set_default_dtype(ssdtrain_tensor::DType::F32);
     dev.set_tracker(mem.clone());
     let io = IoEngine::new(clock.clone(), 1e9, 1e9);
-    let cache = TensorCache::new(
+    let cache = TensorCache::with_tiers(
         offload_all_config(),
-        Arc::new(CpuTarget::new(1 << 40)),
+        Arc::new(TierStack::single(Arc::new(CpuTarget::new(1 << 40)))),
         io,
         mem.clone(),
     );
@@ -831,7 +837,12 @@ fn ssd_target_round_trips_through_real_files() {
     dev.set_tracker(mem.clone());
     let io = IoEngine::new(clock.clone(), 1e6, 1e6);
     let target = Arc::new(SsdTarget::new(&dir, WearMeter::new(1e15, 1.0)).unwrap());
-    let cache = TensorCache::new(offload_all_config(), target.clone(), io, mem.clone());
+    let cache = TensorCache::with_tiers(
+        offload_all_config(),
+        Arc::new(TierStack::single(target.clone())),
+        io,
+        mem.clone(),
+    );
     let graph = Graph::new(&dev, 7);
     cache.install(&graph);
     graph.set_observer(Arc::new(FixedOpTime {
@@ -895,7 +906,7 @@ fn a_coalesced_ssd_segment_round_trips_around_a_forwarded_member() {
         coalesce_segment_bytes: 1 << 20,
         ..offload_all_config()
     };
-    let cache = TensorCache::new(cfg, target.clone(), io, mem);
+    let cache = TensorCache::with_tiers(cfg, Arc::new(TierStack::single(target.clone())), io, mem);
     cache.begin_step();
     let saves = mixed_width_saves(&cache, &dev);
     // Forward's exit seals all four into one segment and leaves its
@@ -1302,7 +1313,8 @@ impl HookStep {
             ..offload_all_config()
         };
         let target = Arc::new(CpuTarget::new(1 << 40));
-        let cache = TensorCache::new(config, target, io, mem.clone());
+        let cache =
+            TensorCache::with_tiers(config, Arc::new(TierStack::single(target)), io, mem.clone());
         let sink = TraceSink::enabled();
         cache.set_trace(sink.clone());
         let scopes: Vec<ScopeInfo> = (0..modules)

@@ -72,9 +72,8 @@ fn load_back(cache: &TensorCache, clock: &SimClock, (slot, t, _): &LiveState) ->
 /// Tier reservations summed over the whole stack, the demotion tier
 /// included.
 fn reserved(cache: &TensorCache) -> u64 {
-    let tiers = cache.tiers();
-    let ids = tiers.tier_ids();
-    ids.iter().map(|t| tiers.reserved_bytes(*t)).sum()
+    let ids = cache.tiers().tier_ids();
+    ids.into_iter().map(|t| cache.reserved_bytes(t)).sum()
 }
 
 /// The bytes the live state slots hold reserved.
@@ -281,9 +280,9 @@ fn phase_changes_are_idempotent() {
     let clock = SimClock::new();
     let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 30));
     let io = IoEngine::new(clock.clone(), 1e9, 1e9);
-    let cache = TensorCache::new(
+    let cache = TensorCache::with_tiers(
         TensorCacheConfig::default(),
-        Arc::new(CpuTarget::new(1 << 30)),
+        Arc::new(TierStack::single(Arc::new(CpuTarget::new(1 << 30)))),
         io,
         mem,
     );

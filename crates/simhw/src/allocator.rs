@@ -165,12 +165,14 @@ impl CachingAllocator {
     /// tests' form.
     #[cfg(test)]
     pub(crate) fn replay(events: impl IntoIterator<Item = (u64, bool)>) -> AllocatorStats {
-        CachingAllocator::replay_with(events, &mut Vec::new())
+        CachingAllocator::replay_with(events, &mut Vec::new(), 0)
     }
 
     /// Replays a `(bytes, is_free)` stream where a free retires the
     /// latest live allocation of the same request size, if there is one,
-    /// and is ignored otherwise; returns the final statistics.
+    /// and is ignored otherwise; returns the final statistics. `base`
+    /// bytes — what the device held before the stream — start out both
+    /// allocated and reserved; the stream's frees never return them.
     ///
     /// Almost every allocation holds the block its request rounds to, so
     /// live allocations are kept as a count per request size. A small
@@ -182,9 +184,13 @@ impl CachingAllocator {
     pub(crate) fn replay_with(
         events: impl IntoIterator<Item = (u64, bool)>,
         larger: &mut Vec<(u64, u32, u64)>,
+        base: u64,
     ) -> AllocatorStats {
         larger.clear();
         let mut alloc = CachingAllocator::new();
+        alloc.stats.allocated = base;
+        alloc.stats.allocated_peak = base;
+        alloc.stats.reserved = base;
         // Request size → live allocations of it. A count that falls to
         // zero keeps its entry: the next request of that size reuses it.
         // `larger` holds (request size, place in its count, block) of each

@@ -33,9 +33,9 @@ pub struct StepMemory {
     /// Whether `peak_total` exceeded the device capacity.
     pub oom: bool,
     /// The caching-allocator replay: the *reserved* footprint a real
-    /// PyTorch run would report on top of the allocated curve, over the
-    /// step's own events: the tracker keeps no blocks for what it held
-    /// before.
+    /// PyTorch run would report on top of the allocated curve. What the
+    /// device held at the reset starts out allocated and reserved, and
+    /// the step's own events are replayed over it.
     pub alloc: AllocatorStats,
 }
 
@@ -76,7 +76,7 @@ impl Event {
 /// reader walks it in time order without copying it (DESIGN §5, *One walk
 /// of the memory log*): the events the clock stamped are already in time
 /// order, so only the few in `late` need sorting.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct State {
     /// Resident bytes per class (`MemClass as usize`), over the tracker's
     /// lifetime.
@@ -96,6 +96,8 @@ struct State {
     /// The allocator replay's note of larger blocks, kept from step to
     /// step ([`CachingAllocator::replay_with`]).
     replay_larger: Vec<(u64, u32, u64)>,
+    /// The live peak observer, shared by the tracker's clones.
+    observer: Option<Arc<dyn PeakObserver>>,
 }
 
 /// Orders two logged events by time, then by log position: the order a
@@ -207,7 +209,6 @@ pub struct GpuMemory {
     clock: SimClock,
     capacity: u64,
     state: Arc<Mutex<State>>,
-    observer: Arc<Mutex<Option<Arc<dyn PeakObserver>>>>,
 }
 
 impl GpuMemory {
@@ -218,14 +219,13 @@ impl GpuMemory {
             clock,
             capacity,
             state: Arc::new(Mutex::new(State::default())),
-            observer: Arc::new(Mutex::new(None)),
         }
     }
 
     /// Installs (or replaces) the live peak observer. Clones of this
     /// tracker share the observer.
     pub fn set_peak_observer(&self, observer: Arc<dyn PeakObserver>) {
-        *self.observer.lock() = Some(observer);
+        self.state.lock().observer = Some(observer);
     }
 
     /// Device capacity in bytes.
@@ -308,7 +308,7 @@ impl GpuMemory {
             if total > s.live_peak {
                 s.live_peak = total;
                 let act = s.current[MemClass::Activation as usize] as u64;
-                Some((time, total as u64, act))
+                s.observer.clone().map(|obs| (obs, time, total as u64, act))
             } else {
                 None
             }
@@ -316,11 +316,8 @@ impl GpuMemory {
         // Notify outside the state lock: the observer may take its own
         // locks (e.g. a trace sink) and must not deadlock against
         // re-entrant allocator calls.
-        if let Some((time, total, act)) = new_peak {
-            let obs = self.observer.lock().clone();
-            if let Some(obs) = obs {
-                obs.on_peak(time, total, act);
-            }
+        if let Some((obs, time, total, act)) = new_peak {
+            obs.on_peak(time, total, act);
         }
     }
 
@@ -359,11 +356,12 @@ impl GpuMemory {
         let mut s = self.state.lock();
         let mut timeline = Vec::with_capacity(s.events.len());
         let mut larger = std::mem::take(&mut s.replay_larger);
+        let base = s.opened.0.max(0) as u64;
         let events = s.footprint().map(|(e, p)| {
             timeline.push(p);
             e.request()
         });
-        let alloc = CachingAllocator::replay_with(events, &mut larger);
+        let alloc = CachingAllocator::replay_with(events, &mut larger, base);
         s.replay_larger = larger;
         drop(s);
         let peak_total = timeline.iter().map(|p| p.total).max().unwrap_or(0);
@@ -546,9 +544,11 @@ mod tests {
         let totals: Vec<u64> = step.timeline.iter().map(|p| p.total).collect();
         assert_eq!(totals, [1250, 1050]);
         assert_eq!(
-            step.alloc.allocated_peak, 512,
-            "the replay is the step's own"
+            step.alloc.allocated_peak,
+            1200 + 512,
+            "the replay starts from the resident bytes"
         );
+        assert!(step.alloc.reserved >= step.peak_total);
     }
 
     #[test]
@@ -580,7 +580,7 @@ mod tests {
     /// The reading every query made before the log was walked in place:
     /// a clone of the log, stably sorted by time, its running totals from
     /// the `(total, activation)` bytes resident when the log opened, and
-    /// the allocator replayed over it.
+    /// the allocator replayed over it from that resident total.
     fn by_reference(mem: &GpuMemory, opened: (i64, i64)) -> (Vec<FootprintPoint>, AllocatorStats) {
         let mut evs: Vec<Event> = mem.state.lock().events.clone();
         evs.sort_by(|a, b| a.time.as_secs().total_cmp(&b.time.as_secs()));
@@ -597,8 +597,8 @@ mod tests {
                 activations: act.max(0) as u64,
             });
         }
-        let alloc =
-            CachingAllocator::replay(evs.iter().map(|e| (e.delta.unsigned_abs(), e.delta < 0)));
+        let events = evs.iter().map(|e| (e.delta.unsigned_abs(), e.delta < 0));
+        let alloc = CachingAllocator::replay_with(events, &mut Vec::new(), opened.0.max(0) as u64);
         (timeline, alloc)
     }
 

@@ -588,7 +588,7 @@ mod tests {
         };
         let pool = Arc::new(ssdtrain::CpuTarget::new(pool));
         let io = ssdtrain::IoEngine::new(clock.clone(), 1e9, 1e9);
-        TensorCache::new(config, pool, io, mem)
+        TensorCache::with_tiers(config, Arc::new(ssdtrain::TierStack::single(pool)), io, mem)
     }
 
     #[test]
@@ -690,7 +690,12 @@ mod tests {
         };
         let pool = Arc::new(ssdtrain::CpuTarget::new(8));
         let io = ssdtrain::IoEngine::new(clock.clone(), 1e9, 1e9);
-        let cache = TensorCache::new(config, pool, io, mem.clone());
+        let cache = TensorCache::with_tiers(
+            config,
+            Arc::new(ssdtrain::TierStack::single(pool)),
+            io,
+            mem.clone(),
+        );
         let ps = params(2);
         let classes = OffloadClassSet::default().with(OffloadClass::OptimizerState, true);
         let engine = engine(&ps, 0.5, classes, true, Some(&cache));

@@ -50,9 +50,18 @@ cargo test -q --test fault_injection
 cargo test -q --test paper_claims
 # The crates composed end to end: the analysis models track the measured
 # steps, and the memory ledger counts what the device holds (a warm
-# step's total peak includes its parameters). Run explicitly for the same
-# reason.
+# step's total peak includes its parameters, and its allocator replay
+# reserves at least that peak). Run explicitly for the same reason.
 cargo test -q --test cross_crate
+# The tier ledger's properties: every stored byte lives in exactly one
+# tier, spills and demotions conserve reservations, and the per-tier
+# counters sum to the flat aggregate. Run explicitly for the same reason.
+cargo test -q --test tier_invariants
+# One lock per object: a second thread polling every read-only accessor
+# of a live cache (stats, plan, the tiers' names and links) neither
+# deadlocks the step nor moves a loss bit. Run explicitly for the same
+# reason.
+cargo test -q --test monitor_thread
 # The autograd tape's allocation contract: nothing allocated per node,
 # a per-node budget for a symbolic BERT step, and ops that allocate only
 # the tensors they return; the cache's: a warm offload step allocates

@@ -673,12 +673,12 @@ fn hand_cache(profiled: bool) -> impl FnMut() -> u64 {
     let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 30));
     let dev = Device::cpu();
     dev.set_tracker(mem.clone());
-    let cache = TensorCache::new(
+    let cache = TensorCache::with_tiers(
         TensorCacheConfig {
             coalesce_segment_bytes: 0,
             ..TensorCacheConfig::offload_everything()
         },
-        Arc::new(CpuTarget::new(1 << 30)),
+        Arc::new(TierStack::single(Arc::new(CpuTarget::new(1 << 30)))),
         IoEngine::new(clock.clone(), 1e9, 1e9),
         mem,
     );

@@ -153,6 +153,36 @@ fn a_warm_keep_step_counts_its_parameters_in_the_total_peak() {
 }
 
 #[test]
+fn a_warm_step_reserves_at_least_its_total_peak() {
+    // The caching allocator cannot hand out more than it reserved: the
+    // replay starts from what the device held when the step opened
+    // (parameters, kept state), so its reserved footprint covers the
+    // step's total peak, kept or offloaded.
+    let keep = SessionConfig::builder()
+        .model(ModelConfig::paper_scale(Arch::Bert, 4096, 2).with_tp(2))
+        .batch_size(8)
+        .strategy(PlacementStrategy::Keep)
+        .symbolic(true)
+        .seed(2)
+        .build()
+        .expect("valid config");
+    let sessions = [
+        TrainSession::new(keep).expect("session"),
+        offload_session(Arch::Bert, 4096, 2, 8),
+    ];
+    for mut s in sessions {
+        s.run_step().expect("first step");
+        let warm = s.run_step().expect("warm step");
+        assert!(
+            warm.alloc.reserved >= warm.total_peak_bytes,
+            "reserved {} B < total peak {} B",
+            warm.alloc.reserved,
+            warm.total_peak_bytes
+        );
+    }
+}
+
+#[test]
 fn cpu_offload_target_is_numerically_identical_too() {
     // The paper's CPU offloader (Figure 5) shares the tensor-cache logic;
     // only the target and bandwidths differ.

@@ -43,14 +43,20 @@ fn session() -> TrainSession {
 fn poll(cache: &TensorCache) -> u64 {
     let stats = cache.stats();
     let plan = cache.plan();
-    let tiers = cache.tiers().counters();
+    let stack = cache.tiers();
+    let described: usize = stack
+        .tier_ids()
+        .into_iter()
+        .map(|t| stack.name(t).len() + stack.link(t))
+        .sum();
     let written = cache.io().bytes_written();
     let arena = cache.arena().stats();
     // Fold the snapshots into one value so none of the calls is dead.
     stats.store_jobs
         + stats.coalesce_segments
         + plan.keep_paths.len() as u64
-        + tiers.len() as u64
+        + stats.tiers.iter().map(|t| t.stores + t.loads).sum::<u64>()
+        + described as u64
         + written
         + arena.acquired_bytes
 }

@@ -9,7 +9,7 @@
 //! taken on a slow link, a forward order that changed) never changes a
 //! number the model computes.
 
-use ssdtrain::{CpuTarget, IoEngine, TensorCache, TensorCacheConfig, TraceSink};
+use ssdtrain::{CpuTarget, IoEngine, TensorCache, TensorCacheConfig, TierStack, TraceSink};
 use ssdtrain_autograd::{Graph, Phase};
 use ssdtrain_bench::paper_testbed;
 use ssdtrain_models::{Arch, Batch, Model, ModelConfig, Recompute};
@@ -173,12 +173,12 @@ impl Rig {
         let dev = Device::cpu();
         dev.set_tracker(mem.clone());
         let io = IoEngine::new(clock.clone(), 1e9, 1e9);
-        let cache = TensorCache::new(
+        let cache = TensorCache::with_tiers(
             TensorCacheConfig {
                 coalesce_segment_bytes: 0,
                 ..TensorCacheConfig::offload_everything()
             },
-            Arc::new(CpuTarget::new(1 << 30)),
+            Arc::new(TierStack::single(Arc::new(CpuTarget::new(1 << 30)))),
             io,
             mem,
         );

@@ -441,9 +441,9 @@ proptest! {
         let clock = SimClock::new();
         let io = IoEngine::new(clock.clone(), write_bps, read_bps);
         let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 60));
-        let cache = TensorCache::new(
+        let cache = TensorCache::with_tiers(
             TensorCacheConfig::offload_everything(),
-            Arc::new(CpuTarget::new(1 << 40)),
+            Arc::new(TierStack::single(Arc::new(CpuTarget::new(1 << 40)))),
             io,
             mem,
         );
@@ -997,7 +997,7 @@ proptest! {
         let mem = Arc::new(GpuMemory::new(clock.clone(), 1 << 40));
         let dev = Device::cpu();
         dev.set_tracker(mem.clone());
-        let cache = TensorCache::new(
+        let cache = TensorCache::with_tiers(
             TensorCacheConfig {
                 min_offload_numel: 0,
                 adaptive: false,
@@ -1005,7 +1005,7 @@ proptest! {
                 prefetch_depth: depth,
                 ..TensorCacheConfig::default()
             },
-            Arc::new(CpuTarget::new(1 << 40)),
+            Arc::new(TierStack::single(Arc::new(CpuTarget::new(1 << 40)))),
             IoEngine::new(clock.clone(), write_bps, read_bps),
             mem.clone(),
         );

@@ -707,7 +707,12 @@ fn a_rider_is_offloaded_but_no_tier_writes_it() {
         prefetch_depth: 0,
         ..TensorCacheConfig::offload_everything()
     };
-    let cache = TensorCache::new(config, Arc::new(CpuTarget::new(1 << 40)), io, mem);
+    let cache = TensorCache::with_tiers(
+        config,
+        Arc::new(TierStack::single(Arc::new(CpuTarget::new(1 << 40)))),
+        io,
+        mem,
+    );
     let sink = TraceSink::enabled();
     cache.set_trace(sink.clone());
     sink.next_step();
