@@ -108,7 +108,7 @@ pub fn checkpoint(g: &Graph, segment: SegmentFn, inputs: &[Value]) -> Vec<Value>
     };
     let input_refs: Vec<&Value> = inputs.iter().collect();
     g.record(
-        Box::new(op),
+        op,
         &input_refs,
         out_tensors,
         inputs.iter().map(|v| v.tensor().clone()),

@@ -2,10 +2,11 @@
 
 use crate::hooks::{Packed, SavedTensorHooks};
 use crate::observer::{ExecObserver, OpCost, Phase};
-use crate::scope::{ModuleHooks, ScopeFrame, ScopeInfo};
+use crate::scope::{ModuleHooks, ScopeFrame};
 use crate::value::{Source, Value};
 use crate::var::Var;
 use ssdtrain_tensor::{Device, MemClass, Prng, Tensor};
+use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
@@ -16,8 +17,9 @@ use std::sync::Arc;
 /// A differentiable operator recorded on the tape.
 ///
 /// `saved` arrives in the order the forward pass passed tensors to
-/// [`Graph::record`]; grads arrive one per output.
-pub trait Op {
+/// [`Graph::record`]; grads arrive one per output. An op is `Any` so the
+/// graph can hand its box back to the next record of the same type.
+pub trait Op: Any {
     /// Stable kernel name (appears in observer callbacks and profiles).
     fn name(&self) -> &'static str;
 
@@ -92,13 +94,72 @@ struct Tape {
     saved: Vec<Option<Packed>>,
     /// Backward's buffers, taken for a walk and handed back after it.
     scratch: BackwardScratch,
+    /// The scope frames opened since the last reset, oldest first.
+    frames: Vec<Arc<ScopeFrame>>,
+    /// Frames the last reset retired, for `enter_module` to rewrite.
+    spare_frames: Vec<Arc<ScopeFrame>>,
+    /// Retired op boxes, for `record` to overwrite.
+    spare_ops: OpPool,
 }
 
 impl Tape {
+    /// Empties the tape, keeping its buffers, and retires what the step
+    /// built: each node's op box, then the frames no one else holds,
+    /// newest first, so a child lets go of its parent before the parent
+    /// is tried. A frame still held (a scope left open) is dropped.
     fn clear(&mut self) {
-        self.nodes.clear();
+        for node in self.nodes.drain(..) {
+            self.spare_ops.retire(node.op);
+        }
         self.inputs.clear();
         self.saved.clear();
+        while let Some(mut frame) = self.frames.pop() {
+            if let Some(f) = Arc::get_mut(&mut frame) {
+                f.parent = None;
+                self.spare_frames.push(frame);
+            }
+        }
+    }
+}
+
+/// Retired op boxes by type. Only a sized type that needs no drop is
+/// pooled, so a retired op keeps no tensor or closure alive; any other op
+/// (a checkpoint's, which owns its segment) is boxed fresh and dropped
+/// when retired. A zero-sized op's box allocates nothing to begin with.
+#[derive(Default)]
+struct OpPool(Vec<(TypeId, Vec<Box<dyn Any>>)>);
+
+impl OpPool {
+    /// `op` in a box: a retired one of its type, overwritten, if any.
+    fn boxed<T: Op>(&mut self, op: T) -> Box<dyn Op> {
+        if std::mem::size_of::<T>() == 0 || std::mem::needs_drop::<T>() {
+            return Box::new(op);
+        }
+        let ty = TypeId::of::<T>();
+        let i = self
+            .0
+            .iter()
+            .position(|(t, _)| *t == ty)
+            .unwrap_or_else(|| {
+                self.0.push((ty, Vec::new()));
+                self.0.len() - 1
+            });
+        match self.0[i].1.pop().map(|b| b.downcast::<T>()) {
+            Some(Ok(mut b)) => {
+                *b = op;
+                b
+            }
+            _ => Box::new(op),
+        }
+    }
+
+    /// Takes back `op`'s box if its type is pooled, else drops it.
+    fn retire(&mut self, op: Box<dyn Op>) {
+        let op: Box<dyn Any> = op;
+        let ty = (*op).type_id();
+        if let Some((_, spares)) = self.0.iter_mut().find(|(t, _)| *t == ty) {
+            spares.push(op);
+        }
     }
 }
 
@@ -277,8 +338,10 @@ impl Graph {
     }
 
     /// Clears the tape for the next step; hooks, observer, RNG and scope
-    /// configuration are kept, and so are the tape's buffers, so a step
-    /// shaped like the last one records without regrowing them.
+    /// configuration are kept, and so are the tape's buffers, the step's
+    /// scope frames and the boxes of its ops that carry plain state, so a
+    /// step shaped like the last one records without an allocator call of
+    /// the graph's own.
     pub fn reset_tape(&self) {
         self.inner.tape.borrow_mut().clear();
         self.inner.tape_gen.set(next_tape_gen());
@@ -309,23 +372,32 @@ impl Graph {
     // ------------------------------------------------------------------
 
     /// Enters a module scope named `name` (nested under the current one).
+    ///
+    /// The scope's frame is one the last [`reset_tape`](Graph::reset_tape)
+    /// retired, its path rewritten in place, when there is one: a step
+    /// that opens the scopes the last one did allocates none.
     pub fn enter_module(&self, name: &str) {
         let parent = self.inner.scope_top.borrow().clone();
-        let path = match &parent {
-            Some(p) => format!("{}/{}", p.info.path, name),
-            None => name.to_owned(),
-        };
         let seq = self.inner.seq.get() + 1;
         self.inner.seq.set(seq);
-        let info = ScopeInfo {
-            path,
-            seq,
-            micro_batch: self.inner.micro_batch.get(),
-        };
-        for h in self.inner.module_hooks.borrow().iter() {
-            h.forward_pre(&info);
+        let spare = self.inner.tape.borrow_mut().spare_frames.pop();
+        let mut frame = spare.unwrap_or_default();
+        // A spare frame is held nowhere else, so this clones nothing.
+        let f = Arc::make_mut(&mut frame);
+        let path = &mut f.info.path;
+        path.clear();
+        if let Some(p) = &parent {
+            path.push_str(&p.info.path);
+            path.push('/');
         }
-        let frame = Arc::new(ScopeFrame { info, parent });
+        path.push_str(name);
+        f.info.seq = seq;
+        f.info.micro_batch = self.inner.micro_batch.get();
+        f.parent = parent;
+        for h in self.inner.module_hooks.borrow().iter() {
+            h.forward_pre(&frame.info);
+        }
+        self.inner.tape.borrow_mut().frames.push(frame.clone());
         *self.inner.scope_top.borrow_mut() = Some(frame);
     }
 
@@ -358,15 +430,6 @@ impl Graph {
         r
     }
 
-    /// The innermost open scope, if any.
-    pub fn current_scope(&self) -> Option<ScopeInfo> {
-        self.inner
-            .scope_top
-            .borrow()
-            .as_ref()
-            .map(|f| f.info.clone())
-    }
-
     // ------------------------------------------------------------------
     // Recording
     // ------------------------------------------------------------------
@@ -384,10 +447,12 @@ impl Graph {
     /// [`Graph::backward_from`]).
     ///
     /// The node's input sources and packed tensors go into the tape's flat
-    /// buffers, so recording allocates nothing of its own.
-    pub fn record<O: Outputs>(
+    /// buffers, and `op` into the box of a retired op of its type when it
+    /// carries plain state (see [`reset_tape`](Graph::reset_tape)), so
+    /// recording allocates nothing of its own on a warm graph.
+    pub fn record<O: Outputs, T: Op>(
         &self,
-        op: Box<dyn Op>,
+        op: T,
         inputs: &[&Value],
         outputs: O,
         to_save: impl IntoIterator<Item = Tensor>,
@@ -421,7 +486,7 @@ impl Graph {
         tape.inputs
             .extend(inputs.iter().map(|v| v.source().clone()));
         let node = Node {
-            op,
+            op: tape.spare_ops.boxed(op),
             inputs: inputs_start..tape.inputs.len(),
             saved: saved_start..tape.saved.len(),
             n_outputs: outputs.count(),
@@ -466,9 +531,10 @@ impl Graph {
     /// gradient is summed in place only into a buffer that gradient owns
     /// alone ([`Tensor::owns_storage`]). The walk allocates nothing per
     /// node: a node's input sources are read from the tape by range, its
-    /// gradients are written into slots reused across nodes, and scope
-    /// transitions follow [`ScopeFrame`] parent links. Those slots and the
-    /// pending-gradient map stay on the tape from walk to walk.
+    /// gradients are written into slots reused across nodes, scope
+    /// transitions follow the scope frames' parent links, and a node's op
+    /// box goes back to the graph once its backward ran. Those slots and
+    /// the pending-gradient map stay on the tape from walk to walk.
     ///
     /// When the graph has a [gradient listener](Graph::set_grad_listener),
     /// every node the walk reaches — run, or skipped for receiving no
@@ -616,6 +682,7 @@ impl Graph {
             if let Some(obs) = &observer {
                 obs.on_op(op.name(), &cost, Phase::Backward);
             }
+            self.inner.tape.borrow_mut().spare_ops.retire(op);
 
             let tape = self.inner.tape.borrow();
             let sources = &tape.inputs[inputs];
@@ -721,6 +788,7 @@ impl Op for TombstoneOp {
 mod tests {
     use super::*;
     use crate::ops;
+    use crate::scope::ScopeInfo;
     use parking_lot::Mutex;
 
     fn dev() -> Device {
@@ -1001,15 +1069,20 @@ mod tests {
         assert_eq!(*events.0.lock(), ["f+l0", "f-l0"]);
     }
 
+    /// The innermost open scope of `g`, if any.
+    fn current_scope(g: &Graph) -> Option<ScopeInfo> {
+        g.inner.scope_top.borrow().as_ref().map(|f| f.info.clone())
+    }
+
     #[test]
     fn scope_seq_is_unique_per_invocation() {
         let d = dev();
         let g = Graph::new(&d, 1);
         g.enter_module("a");
-        let s1 = g.current_scope().unwrap();
+        let s1 = current_scope(&g).unwrap();
         g.exit_module();
         g.enter_module("a");
-        let s2 = g.current_scope().unwrap();
+        let s2 = current_scope(&g).unwrap();
         g.exit_module();
         assert_eq!(s1.path, s2.path);
         assert_ne!(s1.seq, s2.seq);
@@ -1021,10 +1094,104 @@ mod tests {
         let g = Graph::new(&d, 1);
         g.enter_module("model");
         g.enter_module("layer0");
-        assert_eq!(g.current_scope().unwrap().path, "model/layer0");
+        assert_eq!(current_scope(&g).unwrap().path, "model/layer0");
         g.exit_module();
         g.exit_module();
-        assert!(g.current_scope().is_none());
+        assert!(current_scope(&g).is_none());
+    }
+
+    #[test]
+    fn a_reset_tape_recycles_its_frames_with_their_paths_rewritten() {
+        let d = dev();
+        let g = Graph::new(&d, 1);
+        let log = Arc::new(EventLog::default());
+        g.add_module_hooks(log.clone());
+        let x = g.constant(Tensor::ones([1], &d));
+        g.scoped("model", || {
+            g.scoped("layer0", || g.scoped("attn", || ops::scale(&g, &x, 2.0)))
+        });
+        g.reset_tape();
+        assert_eq!(g.inner.tape.borrow().spare_frames.len(), 3);
+        // A shorter and a longer path than the frames held before.
+        g.scoped("a", || g.scoped("bb", || ops::scale(&g, &x, 2.0)));
+        g.scoped("model_with_a_long_name", || ops::scale(&g, &x, 2.0));
+        assert_eq!(g.inner.tape.borrow().spare_frames.len(), 0);
+        let forward: Vec<_> = log
+            .0
+            .lock()
+            .drain(..)
+            .filter(|e| e.starts_with("f+"))
+            .collect();
+        assert_eq!(
+            forward,
+            [
+                "f+model",
+                "f+model/layer0",
+                "f+model/layer0/attn",
+                "f+a",
+                "f+a/bb",
+                "f+model_with_a_long_name"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_scope_open_across_a_reset_keeps_its_frame() {
+        let d = dev();
+        let g = Graph::new(&d, 1);
+        g.enter_module("model");
+        g.reset_tape();
+        assert!(g.inner.tape.borrow().spare_frames.is_empty());
+        g.enter_module("layer");
+        assert_eq!(current_scope(&g).unwrap().path, "model/layer");
+        g.exit_module();
+        assert_eq!(current_scope(&g).unwrap().path, "model");
+        g.exit_module();
+    }
+
+    #[test]
+    fn a_retired_op_keeps_nothing_alive() {
+        let d = dev();
+        let g = Graph::new(&d, 1);
+        let x = g.constant(Tensor::ones([1], &d));
+        let segment: crate::checkpoint::SegmentFn =
+            Rc::new(|cg: &Graph, ins: &[Value]| vec![ops::scale(cg, &ins[0], 2.0)]);
+        let y = crate::checkpoint::checkpoint(&g, segment.clone(), std::slice::from_ref(&x));
+        let loss = ops::sum_all(&g, &ops::scale(&g, &y[0], 3.0));
+        assert_eq!(
+            Rc::strong_count(&segment),
+            2,
+            "the checkpoint node holds it"
+        );
+        g.reset_tape();
+        assert_eq!(Rc::strong_count(&segment), 1, "reset kept the segment");
+        // The plain-state ops went back to the pool; the checkpoint did not.
+        let pooled: usize = g
+            .inner
+            .tape
+            .borrow()
+            .spare_ops
+            .0
+            .iter()
+            .map(|(_, v)| v.len())
+            .sum();
+        assert_eq!(pooled, 2, "the scale and the sum");
+        drop(loss);
+
+        // A backward retires each op once it has run.
+        let y = crate::checkpoint::checkpoint(&g, segment.clone(), std::slice::from_ref(&x));
+        g.backward(&ops::sum_all(&g, &ops::scale(&g, &y[0], 3.0)));
+        assert_eq!(Rc::strong_count(&segment), 1, "backward kept the segment");
+        let pooled: usize = g
+            .inner
+            .tape
+            .borrow()
+            .spare_ops
+            .0
+            .iter()
+            .map(|(_, v)| v.len())
+            .sum();
+        assert_eq!(pooled, 2, "the step took both boxes and gave them back");
     }
 
     /// Logs every backward-direction event: scope entries and exits and

@@ -61,6 +61,6 @@ pub use gradcheck::{check_gradients, GradCheckReport};
 pub use graph::Graph;
 pub use hooks::{Packed, SavedTensorHooks};
 pub use observer::{ExecObserver, OpCost, Phase};
-pub use scope::{ModuleHooks, ScopeFrame, ScopeInfo};
+pub use scope::{ModuleHooks, ScopeInfo};
 pub use value::Value;
 pub use var::Var;

@@ -121,7 +121,7 @@ pub fn permute_heads(g: &Graph, x: &Value, nh: usize) -> Value {
     let out = permute_kernel(x.tensor(), nh);
     let bytes = x.tensor().bytes();
     g.record(
-        Box::new(PermuteHeadsOp { nh }),
+        PermuteHeadsOp { nh },
         &[x],
         out,
         [],
@@ -144,7 +144,7 @@ pub fn unpermute_heads(g: &Graph, x: &Value, nh: usize) -> Value {
     let out = unpermute_kernel(x.tensor(), nh);
     let bytes = x.tensor().bytes();
     g.record(
-        Box::new(UnpermuteHeadsOp { nh }),
+        UnpermuteHeadsOp { nh },
         &[x],
         out,
         [],
@@ -193,13 +193,7 @@ pub fn transpose_12(g: &Graph, x: &Value) -> Value {
     assert_eq!(x.tensor().rank(), 3, "transpose_12 expects a 3-D tensor");
     let out = transpose12_kernel(x.tensor());
     let bytes = x.tensor().bytes();
-    g.record(
-        Box::new(Transpose12Op),
-        &[x],
-        out,
-        [],
-        OpCost::new(0, bytes, bytes),
-    )
+    g.record(Transpose12Op, &[x], out, [], OpCost::new(0, bytes, bytes))
 }
 
 // ---------------------------------------------------------------------
@@ -483,11 +477,11 @@ pub fn flash_attention(
     let flops = 4 * (t * s * s * d) as u64;
     let cost = OpCost::new(flops, 3 * q.tensor().bytes(), ctx.bytes());
     g.record(
-        Box::new(FlashAttentionOp {
+        FlashAttentionOp {
             causal,
             dropout_p,
             rng: rng_snapshot,
-        }),
+        },
         &[q, k, v],
         ctx,
         [q.tensor().clone(), k.tensor().clone(), v.tensor().clone()],

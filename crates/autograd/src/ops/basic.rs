@@ -38,7 +38,7 @@ pub fn add(g: &Graph, a: &Value, b: &Value) -> Value {
     let out = a.tensor().add(b.tensor());
     let n = out.numel() as u64;
     let cost = OpCost::new(n, 2 * n * w(&out), n * w(&out));
-    g.record(Box::new(AddOp), &[a, b], out, [], cost)
+    g.record(AddOp, &[a, b], out, [], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -72,7 +72,7 @@ pub fn mul(g: &Graph, a: &Value, b: &Value) -> Value {
     let n = out.numel() as u64;
     let cost = OpCost::new(n, 2 * n * w(&out), n * w(&out));
     g.record(
-        Box::new(MulOp),
+        MulOp,
         &[a, b],
         out,
         [a.tensor().clone(), b.tensor().clone()],
@@ -110,7 +110,7 @@ pub fn scale(g: &Graph, x: &Value, s: f32) -> Value {
     let out = x.tensor().scale(s);
     let n = out.numel() as u64;
     let cost = OpCost::new(n, n * w(&out), n * w(&out));
-    g.record(Box::new(ScaleOp { s }), &[x], out, [], cost)
+    g.record(ScaleOp { s }, &[x], out, [], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -153,10 +153,10 @@ pub fn sum_all(g: &Graph, x: &Value) -> Value {
     let n = x.tensor().numel() as u64;
     let cost = OpCost::new(n, n * w(x.tensor()), 4);
     g.record(
-        Box::new(SumAllOp {
+        SumAllOp {
             in_shape: *x.tensor().shape(),
             scale: 1.0,
-        }),
+        },
         &[x],
         out,
         [],
@@ -170,10 +170,10 @@ pub fn mean_all(g: &Graph, x: &Value) -> Value {
     let n = x.tensor().numel() as u64;
     let cost = OpCost::new(n, n * w(x.tensor()), 4);
     g.record(
-        Box::new(SumAllOp {
+        SumAllOp {
             in_shape: *x.tensor().shape(),
             scale: 1.0 / n as f32,
-        }),
+        },
         &[x],
         out,
         [],
@@ -214,9 +214,9 @@ pub fn reshape(g: &Graph, x: &Value, shape: impl Into<Shape>) -> Value {
     let shape = shape.into();
     let out = x.tensor().reshape(shape);
     g.record(
-        Box::new(ReshapeOp {
+        ReshapeOp {
             in_shape: *x.tensor().shape(),
-        }),
+        },
         &[x],
         out,
         [],
@@ -258,7 +258,7 @@ impl Op for AllreduceOp {
 pub fn allreduce(g: &Graph, x: &Value, comm_bytes: u64) -> Value {
     let out = x.tensor().contiguous();
     g.record(
-        Box::new(AllreduceOp { comm_bytes }),
+        AllreduceOp { comm_bytes },
         &[x],
         out,
         [],

@@ -41,7 +41,7 @@ pub fn embedding(g: &Graph, table: &Value, ids: &Value) -> Value {
     let out = table.tensor().embedding(ids.tensor());
     let cost = OpCost::new(0, out.bytes() + ids.tensor().bytes(), out.bytes());
     g.record(
-        Box::new(EmbeddingOp { vocab }),
+        EmbeddingOp { vocab },
         &[table, ids],
         out,
         [ids.tensor().clone()],
@@ -97,7 +97,7 @@ pub fn cross_entropy_mean(g: &Graph, logits: &Value, targets: &Value) -> Value {
     let n = logits.tensor().numel() as u64;
     let cost = OpCost::new(6 * n, logits.tensor().bytes(), logits.tensor().bytes());
     g.record(
-        Box::new(CrossEntropyOp),
+        CrossEntropyOp,
         &[logits, targets],
         loss,
         [probs, targets.tensor().clone()],

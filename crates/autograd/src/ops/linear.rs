@@ -60,7 +60,7 @@ pub fn matmul(g: &Graph, x: &Value, weight: &Value) -> Value {
         out.bytes(),
     );
     g.record(
-        Box::new(MatmulOp),
+        MatmulOp,
         &[x, weight],
         out,
         [x.tensor().clone(), weight.tensor().clone()],
@@ -99,7 +99,7 @@ pub fn add_bias(g: &Graph, x: &Value, bias: &Value) -> Value {
     let out = x.tensor().add_bias(bias.tensor());
     let n = out.numel() as u64;
     let cost = OpCost::new(n, n * w(&out) + bias.tensor().bytes(), n * w(&out));
-    g.record(Box::new(AddBiasOp), &[x, bias], out, [], cost)
+    g.record(AddBiasOp, &[x, bias], out, [], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -147,7 +147,7 @@ pub fn bmm(g: &Graph, a: &Value, b: &Value) -> Value {
     let flops = 2 * (bt * m * k * n) as u64;
     let cost = OpCost::new(flops, a.tensor().bytes() + b.tensor().bytes(), out.bytes());
     g.record(
-        Box::new(BmmOp),
+        BmmOp,
         &[a, b],
         out,
         [a.tensor().clone(), b.tensor().clone()],

@@ -37,7 +37,7 @@ pub fn gelu(g: &Graph, x: &Value) -> Value {
     let out = x.tensor().gelu();
     let n = out.numel() as u64;
     let cost = OpCost::new(8 * n, x.tensor().bytes(), out.bytes());
-    g.record(Box::new(GeluOp), &[x], out, [x.tensor().clone()], cost)
+    g.record(GeluOp, &[x], out, [x.tensor().clone()], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -81,7 +81,7 @@ pub fn dropout(g: &Graph, x: &Value, p: f32) -> Value {
     let wd = out.dtype().byte_size();
     let cost = OpCost::new(n, n * wd, n * wd + mask.bytes());
     let scale = 1.0 / (1.0 - p);
-    g.record(Box::new(DropoutOp { scale }), &[x], out, [mask], cost)
+    g.record(DropoutOp { scale }, &[x], out, [mask], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -162,7 +162,7 @@ pub fn layernorm(g: &Graph, x: &Value, gamma: &Value, beta: &Value, eps: f32) ->
     let n = y.numel() as u64;
     let cost = OpCost::new(8 * n, x.tensor().bytes(), y.bytes());
     g.record(
-        Box::new(LayernormOp),
+        LayernormOp,
         &[x, gamma, beta],
         y,
         [x.tensor().clone(), gamma.tensor().clone(), mean, rstd],
@@ -202,7 +202,7 @@ pub fn softmax_last(g: &Graph, x: &Value) -> Value {
     let n = y.numel() as u64;
     let cost = OpCost::new(5 * n, x.tensor().bytes(), y.bytes());
     let saved = y.clone();
-    g.record(Box::new(SoftmaxOp), &[x], y, [saved], cost)
+    g.record(SoftmaxOp, &[x], y, [saved], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -236,7 +236,7 @@ pub fn apply_causal_mask(g: &Graph, x: &Value) -> Value {
     let n = y.numel() as u64;
     let wd = y.dtype().byte_size();
     let cost = OpCost::new(n, n * wd, n * wd);
-    g.record(Box::new(CausalMaskOp), &[x], y, [], cost)
+    g.record(CausalMaskOp, &[x], y, [], cost)
 }
 
 #[cfg(test)]

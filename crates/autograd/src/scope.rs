@@ -14,7 +14,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Identity and ordering information of one module invocation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct ScopeInfo {
     /// Hierarchical name, e.g. `"layer2/attn"`.
     pub path: String,
@@ -32,18 +32,19 @@ impl fmt::Display for ScopeInfo {
 }
 
 /// A frame in the scope stack; frames form a parent-linked list so a whole
-/// stack is captured by one `Arc`.
-#[derive(Debug)]
-pub struct ScopeFrame {
+/// stack is captured by one `Arc`. The graph recycles the frames of a
+/// step once its tape is reset (`Graph::reset_tape`).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ScopeFrame {
     /// This invocation.
-    pub info: ScopeInfo,
+    pub(crate) info: ScopeInfo,
     /// Enclosing scope, if any.
-    pub parent: Option<Arc<ScopeFrame>>,
+    pub(crate) parent: Option<Arc<ScopeFrame>>,
 }
 
 impl ScopeFrame {
     /// True if both handles denote the same invocation.
-    pub fn same(a: &ScopeFrame, b: &ScopeFrame) -> bool {
+    fn same(a: &ScopeFrame, b: &ScopeFrame) -> bool {
         a.info.seq == b.info.seq
     }
 

@@ -421,11 +421,6 @@ impl TierLedger {
             };
         }
     }
-
-    /// Sum of every tier's device-accepted write traffic this step.
-    pub fn total_bytes_written(&self) -> u64 {
-        self.counters.iter().map(|c| c.bytes_written).sum()
-    }
 }
 
 #[cfg(test)]
@@ -618,11 +613,10 @@ mod tests {
         assert_eq!(c[0].bytes_read, 4);
         assert_eq!(c[0].stores, 1);
         assert_eq!(c[0].loads, 1);
-        assert_eq!(ledger.total_bytes_written(), 4);
         ledger.remove(&stack, TierId(0), &k, 4);
         assert!(read(&stack, &mut ledger, TierId(0), &k, 4).is_err());
         ledger.reset_counters();
-        assert_eq!(ledger.total_bytes_written(), 0);
+        assert_eq!(ledger.counters()[0].bytes_written, 0);
         assert_eq!(ledger.counters()[0].name, "dram");
     }
 }
