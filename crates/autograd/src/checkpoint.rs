@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 /// The function a checkpointed segment re-runs: it receives the (child)
 /// graph and the segment inputs and returns the segment outputs.
-pub type SegmentFn = Rc<dyn Fn(&Graph, &[Value]) -> Vec<Value>>;
+pub(crate) type SegmentFn = Rc<dyn Fn(&Graph, &[Value]) -> Vec<Value>>;
 
 struct CheckpointOp {
     segment: SegmentFn,

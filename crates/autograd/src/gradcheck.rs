@@ -15,13 +15,13 @@ use ssdtrain_tensor::{Device, MemClass, Tensor};
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradCheckReport {
     /// Largest absolute difference between analytic and numeric partials.
-    pub max_abs_err: f64,
+    pub(crate) max_abs_err: f64,
     /// Index of the worst element.
-    pub worst_index: usize,
+    pub(crate) worst_index: usize,
     /// Analytic value at the worst element.
-    pub analytic: f64,
+    pub(crate) analytic: f64,
     /// Finite-difference value at the worst element.
-    pub numeric: f64,
+    pub(crate) numeric: f64,
 }
 
 impl GradCheckReport {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// `saved` arrives in the order the forward pass passed tensors to
 /// [`Graph::record`]; grads arrive one per output. An op is `Any` so the
 /// graph can hand its box back to the next record of the same type.
-pub trait Op: Any {
+pub(crate) trait Op: Any {
     /// Stable kernel name (appears in observer callbacks and profiles).
     fn name(&self) -> &'static str;
 
@@ -41,7 +41,7 @@ pub trait Op: Any {
 
 /// What a node produces, as [`Graph::record`] takes it: one tensor (every
 /// operator but a checkpointed segment) or a `Vec` of them.
-pub trait Outputs {
+pub(crate) trait Outputs {
     /// What `record` hands back: a [`Value`] per output tensor.
     type Values;
     /// Number of output tensors.
@@ -282,7 +282,7 @@ impl Graph {
     // ------------------------------------------------------------------
 
     /// Current execution phase.
-    pub fn phase(&self) -> Phase {
+    pub(crate) fn phase(&self) -> Phase {
         self.inner.phase.get()
     }
 
@@ -295,7 +295,7 @@ impl Graph {
     }
 
     /// Snapshot of the RNG (used by checkpointing to replay dropout).
-    pub fn rng_snapshot(&self) -> Prng {
+    pub(crate) fn rng_snapshot(&self) -> Prng {
         self.inner.rng.borrow().clone()
     }
 
@@ -305,13 +305,8 @@ impl Graph {
     }
 
     /// Runs `f` with mutable access to the graph RNG.
-    pub fn with_rng<R>(&self, f: impl FnOnce(&mut Prng) -> R) -> R {
+    pub(crate) fn with_rng<R>(&self, f: impl FnOnce(&mut Prng) -> R) -> R {
         f(&mut self.inner.rng.borrow_mut())
-    }
-
-    /// Current micro-batch index (stamped into scope infos).
-    pub fn micro_batch(&self) -> usize {
-        self.inner.micro_batch.get()
     }
 
     /// Sets the micro-batch index for subsequent scopes.
@@ -320,12 +315,12 @@ impl Graph {
     }
 
     /// Whether operators currently record nodes and save tensors.
-    pub fn grad_enabled(&self) -> bool {
+    pub(crate) fn grad_enabled(&self) -> bool {
         self.inner.grad_enabled.get()
     }
 
     /// Runs `f` with gradient recording disabled (checkpoint forward).
-    pub fn with_grad_disabled<R>(&self, f: impl FnOnce() -> R) -> R {
+    pub(crate) fn with_grad_disabled<R>(&self, f: impl FnOnce() -> R) -> R {
         let prev = self.inner.grad_enabled.replace(false);
         let r = f();
         self.inner.grad_enabled.set(prev);
@@ -376,7 +371,7 @@ impl Graph {
     /// The scope's frame is one the last [`reset_tape`](Graph::reset_tape)
     /// retired, its path rewritten in place, when there is one: a step
     /// that opens the scopes the last one did allocates none.
-    pub fn enter_module(&self, name: &str) {
+    pub(crate) fn enter_module(&self, name: &str) {
         let parent = self.inner.scope_top.borrow().clone();
         let seq = self.inner.seq.get() + 1;
         self.inner.seq.set(seq);
@@ -409,7 +404,7 @@ impl Graph {
         clippy::expect_used,
         reason = "documented contract: `scoped` pairs every enter with its exit"
     )]
-    pub fn exit_module(&self) {
+    pub(crate) fn exit_module(&self) {
         let top = self
             .inner
             .scope_top
@@ -450,7 +445,7 @@ impl Graph {
     /// buffers, and `op` into the box of a retired op of its type when it
     /// carries plain state (see [`reset_tape`](Graph::reset_tape)), so
     /// recording allocates nothing of its own on a warm graph.
-    pub fn record<O: Outputs, T: Op>(
+    pub(crate) fn record<O: Outputs, T: Op>(
         &self,
         op: T,
         inputs: &[&Value],
@@ -522,7 +517,8 @@ impl Graph {
 
     /// Backpropagates given explicit output gradients (one per output;
     /// `None` sends nothing back from that output) and accumulates the
-    /// gradient of [`Source::External`] input `i` into `ext_grads[i]`.
+    /// gradient of input `i` (made by [`Graph::external`]) into
+    /// `ext_grads[i]`.
     ///
     /// Saved tensors and intermediate gradients are dropped as soon as
     /// they are consumed, mirroring PyTorch's memory behaviour during
@@ -722,7 +718,7 @@ impl Graph {
     /// observer, module hooks and gradient listener, scope-sequence
     /// counter, device and the tape generation leaf uses are counted on;
     /// fresh tape; phase [`Phase::Recompute`].
-    pub fn recompute_child(&self) -> Graph {
+    pub(crate) fn recompute_child(&self) -> Graph {
         let child = Graph {
             inner: Rc::new(GraphInner {
                 tape: RefCell::default(),

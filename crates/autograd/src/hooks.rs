@@ -33,43 +33,3 @@ pub trait SavedTensorHooks: Send + Sync {
     /// tensor unchanged (paper Algorithm 2 line 20).
     fn unpack(&self, packed: &Packed) -> Tensor;
 }
-
-/// Identity hooks: tensors stay on the graph, nothing is intercepted.
-/// This is the "keep activations in GPU memory" placement strategy.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct KeepHooks;
-
-impl SavedTensorHooks for KeepHooks {
-    fn pack(&self, tensor: &Tensor) -> Packed {
-        Packed::Tensor(tensor.clone())
-    }
-
-    #[expect(
-        clippy::panic,
-        reason = "`pack` never makes an opaque handle, so one here was packed by other hooks"
-    )]
-    fn unpack(&self, packed: &Packed) -> Tensor {
-        match packed {
-            Packed::Tensor(t) => t.clone(),
-            Packed::Opaque(id) => {
-                panic!("KeepHooks cannot resolve an opaque handle ({id})")
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ssdtrain_tensor::Device;
-
-    #[test]
-    fn keep_hooks_round_trip() {
-        let dev = Device::cpu();
-        let t = Tensor::from_vec(vec![1.0, 2.0], [2], &dev);
-        let hooks = KeepHooks;
-        let packed = hooks.pack(&t);
-        let back = hooks.unpack(&packed);
-        assert!(back.storage().ptr_eq(t.storage()));
-    }
-}

@@ -32,6 +32,9 @@
 //! ```
 
 #![deny(missing_docs, clippy::allow_attributes_without_reason)]
+// A `pub` item is one another crate calls: inside a private module it
+// must be re-exported, or it says `pub(crate)` (DESIGN.md §2).
+#![deny(unreachable_pub)]
 // Library code returns typed errors instead of panicking (DESIGN.md §7).
 #![cfg_attr(
     not(test),
@@ -45,15 +48,15 @@
     )
 )]
 
-pub mod checkpoint;
-pub mod gradcheck;
-pub mod graph;
-pub mod hooks;
-pub mod observer;
+mod checkpoint;
+mod gradcheck;
+mod graph;
+mod hooks;
+mod observer;
 pub mod ops;
 pub mod optim;
-pub mod scope;
-pub mod value;
+mod scope;
+mod value;
 pub mod var;
 
 pub use checkpoint::checkpoint;

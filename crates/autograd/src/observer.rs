@@ -51,7 +51,7 @@ pub struct OpCost {
     /// Bytes read from device memory (at accounted dtype width).
     pub bytes_read: u64,
     /// Bytes written to device memory.
-    pub bytes_written: u64,
+    pub(crate) bytes_written: u64,
 }
 
 impl OpCost {

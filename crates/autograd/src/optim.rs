@@ -42,16 +42,6 @@ impl Sgd {
         &self.params
     }
 
-    /// Learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Momentum coefficient (0 = stateless SGD).
-    pub fn momentum(&self) -> f32 {
-        self.momentum
-    }
-
     /// The velocity tensor of parameter `i`, if momentum allocated one.
     /// Offload engines use this to move optimizer state through the
     /// tier stack between steps.

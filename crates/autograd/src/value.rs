@@ -6,7 +6,7 @@ use std::fmt;
 
 /// Where a [`Value`] came from, i.e. where its gradient must flow.
 #[derive(Clone)]
-pub enum Source {
+pub(crate) enum Source {
     /// Output `out` of the tape node at index `node`.
     Node {
         /// Tape index of the producing node.
@@ -47,7 +47,7 @@ impl Value {
     /// Wraps a tensor with an explicit source. Mostly used by the engine;
     /// user code goes through [`crate::Graph::constant`] and
     /// [`crate::Graph::leaf`].
-    pub fn with_source(tensor: Tensor, source: Source) -> Value {
+    pub(crate) fn with_source(tensor: Tensor, source: Source) -> Value {
         Value { tensor, source }
     }
 
@@ -57,7 +57,7 @@ impl Value {
     }
 
     /// Provenance of this value.
-    pub fn source(&self) -> &Source {
+    pub(crate) fn source(&self) -> &Source {
         &self.source
     }
 

@@ -15,11 +15,6 @@ impl VarId {
         static NEXT: AtomicU64 = AtomicU64::new(1);
         VarId(NEXT.fetch_add(1, Ordering::Relaxed))
     }
-
-    /// Raw value for logs.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
 }
 
 struct VarInner {
@@ -157,11 +152,6 @@ impl Var {
             0
         }
     }
-
-    /// True if both handles denote the same parameter.
-    pub fn same(&self, other: &Var) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 impl fmt::Debug for Var {
@@ -200,7 +190,7 @@ mod tests {
         let c = v.clone();
         c.accumulate_grad(Tensor::ones([1], &dev));
         assert!(v.grad().is_some());
-        assert!(v.same(&c));
+        assert!(Arc::ptr_eq(&v.inner, &c.inner));
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl AdaptivePlan {
     /// A plan that offloads every module except the last (the default
     /// before profiling, matching Figure 4 ④ where the final module's
     /// activations stay resident).
-    pub fn keep_last_only(module_paths: &[String]) -> AdaptivePlan {
+    pub(crate) fn keep_last_only(module_paths: &[String]) -> AdaptivePlan {
         let mut keep = HashSet::new();
         if let Some(last) = module_paths.last() {
             keep.insert(last.clone());

@@ -662,11 +662,6 @@ pub struct StageScope<'c> {
 }
 
 impl StageScope<'_> {
-    /// The stage this guard covers.
-    pub fn stage(&self) -> StageHint {
-        self.stage
-    }
-
     /// Algorithm 1 lines 10–13 (`tc.set_next_stage(nxcmd)`): announces
     /// the *upcoming* stage; an upcoming backward pass prefetches the
     /// tail modules so their first reloads overlap the end of forward.

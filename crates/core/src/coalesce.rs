@@ -50,7 +50,7 @@ pub struct SegmentEntry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SealedSegment {
     /// Monotonic segment id (unique per coalescer).
-    pub id: u64,
+    pub(crate) id: u64,
     /// The tier the whole segment lands on.
     pub tier: TierId,
     /// Members in staging order.
@@ -94,13 +94,8 @@ impl WriteCoalescer {
     }
 
     /// Whether staging is active (`segment_bytes > 0`).
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.segment_bytes > 0
-    }
-
-    /// The configured segment size in bytes.
-    pub fn segment_bytes(&self) -> u64 {
-        self.segment_bytes
     }
 
     /// Stages a packed record into its tier's open segment. Returns the
@@ -145,7 +140,7 @@ impl WriteCoalescer {
     /// Seals the tier's open segment regardless of fill level (stage
     /// exits and flushes submit partial segments so no staged byte
     /// outlives the forward pass). `None` when nothing is staged there.
-    pub fn seal_tier(&mut self, tier: TierId) -> Option<SealedSegment> {
+    pub(crate) fn seal_tier(&mut self, tier: TierId) -> Option<SealedSegment> {
         let open = self.open.get_mut(&tier)?;
         if open.entries.is_empty() {
             return None;
@@ -162,7 +157,7 @@ impl WriteCoalescer {
     /// holds anything, or returns `None`. Placement just spilled past
     /// those tiers, so they are full and their segments cannot grow;
     /// call until `None` to seal them all.
-    pub fn seal_ahead_of(&mut self, tier: TierId) -> Option<SealedSegment> {
+    pub(crate) fn seal_ahead_of(&mut self, tier: TierId) -> Option<SealedSegment> {
         self.seal_front(|t| t < tier)
     }
 

@@ -83,7 +83,7 @@ pub enum RecoveryPolicy {
 
 impl RecoveryPolicy {
     /// Stable lowercase label for reports.
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             RecoveryPolicy::FailStep => "fail-step",
             RecoveryPolicy::KeepResident => "keep-resident",
@@ -120,8 +120,8 @@ pub struct TensorCacheConfig {
     pub cancel_forwarded_stores: bool,
     /// Apply the adaptive keep-the-tail plan produced by profiling
     /// (Section 3.3.3, feature 2). When `false`, profiling applies the
-    /// keep-last-only plan ([`crate::AdaptivePlan::keep_last_only`]):
-    /// everything eligible is offloaded but the last module.
+    /// keep-last-only plan: everything eligible is offloaded but the last
+    /// module.
     pub adaptive: bool,
     /// How many upcoming modules to keep in the load queue during
     /// backward, prefetching their activations (Section 3.3.2). The
@@ -163,7 +163,8 @@ pub struct TensorCacheConfig {
     pub coalesce_segment_bytes: u64,
     /// Backward-to-forward time ratio (the paper estimates ≈ 2). No cache
     /// decision reads it: it only feeds [`crate::AdaptivePlan::decide`]
-    /// for profiles built by hand and [`crate::CostModel::modeled_step_secs`].
+    /// for profiles built by hand and
+    /// [`crate::costmodel::CostModel::modeled_step_secs`].
     pub bwd_fwd_ratio: f64,
     /// What to do when the offload target fails an I/O operation.
     pub recovery: RecoveryPolicy,

@@ -33,15 +33,15 @@ use crate::tier::TierStack;
 
 /// One placement tier as the cost model prices it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TierCost {
+pub(crate) struct TierCost {
     /// Effective store bandwidth, bytes/s (link rate capped by the
     /// shared write bus).
-    pub write_bps: f64,
+    pub(crate) write_bps: f64,
     /// Effective load bandwidth, bytes/s (link rate capped by the
     /// shared read bus).
-    pub read_bps: f64,
+    pub(crate) read_bps: f64,
     /// Admission capacity, `None` when unbounded.
-    pub capacity_bytes: Option<u64>,
+    pub(crate) capacity_bytes: Option<u64>,
 }
 
 /// The modeled step-time calculator over a stack's placement tiers.
@@ -60,7 +60,7 @@ impl CostModel {
     /// Builds the model from the engine's link pricing and the stack's
     /// placement tiers (demotion-only tiers are a recovery path and are
     /// not priced).
-    pub fn from_parts(io: &IoEngine, tiers: &TierStack) -> CostModel {
+    pub(crate) fn from_parts(io: &IoEngine, tiers: &TierStack) -> CostModel {
         let bus = io.bus_write_bps();
         let tiers = tiers
             .placement_tiers()
@@ -82,7 +82,7 @@ impl CostModel {
     /// `bytes` (0 restores one-job-per-tier pricing). The cache passes
     /// its configured `coalesce_segment_bytes` here so the model sees
     /// the same job counts the simulator will charge overhead for.
-    pub fn with_segment_bytes(mut self, bytes: u64) -> CostModel {
+    pub(crate) fn with_segment_bytes(mut self, bytes: u64) -> CostModel {
         self.segment_bytes = bytes;
         self
     }
@@ -91,7 +91,7 @@ impl CostModel {
     /// segment size. With coalescing off the model prices the lower
     /// bound of one job per non-empty tier — the per-tensor job count is
     /// a runtime quantity only the simulator sees.
-    pub fn jobs_for(&self, bytes: u64) -> u64 {
+    pub(crate) fn jobs_for(&self, bytes: u64) -> u64 {
         if bytes == 0 {
             0
         } else if self.segment_bytes > 0 {
@@ -108,7 +108,7 @@ impl CostModel {
     /// of per-tier transfer times. Each tier also pays [`CostModel::jobs_for`] × the engine's per-job submission
     /// overhead, which is what makes coalesced segments strictly cheaper
     /// to drain than per-tensor jobs once the overhead is non-zero.
-    pub fn store_drain_secs(&self, bytes_per_tier: &[u64]) -> f64 {
+    pub(crate) fn store_drain_secs(&self, bytes_per_tier: &[u64]) -> f64 {
         let per_tier = self.tiers.iter().enumerate().map(|(i, t)| {
             let bytes = bytes_per_tier.get(i).copied().unwrap_or(0);
             bytes as f64 / t.write_bps + self.jobs_for(bytes) as f64 * self.store_job_overhead_secs
@@ -119,7 +119,7 @@ impl CostModel {
     /// Seconds until every reload finishes. Reads are full duplex with
     /// the stores but share one read bus, so — like the drain — the time
     /// is the sum of per-tier transfer times.
-    pub fn load_secs(&self, bytes_per_tier: &[u64]) -> f64 {
+    pub(crate) fn load_secs(&self, bytes_per_tier: &[u64]) -> f64 {
         self.tiers
             .iter()
             .enumerate()
@@ -141,8 +141,8 @@ impl CostModel {
     }
 
     /// The byte split of the static front-first placement (each module
-    /// lands on the first tier with capacity headroom — what
-    /// [`crate::TierLedger::reserve`] does).
+    /// lands on the first tier with capacity headroom — what the cache's
+    /// tier admission does).
     pub fn front_first_assignment(&self, profile: &StepProfile) -> Vec<Option<usize>> {
         let mut used = vec![0u64; self.tiers.len()];
         profile
@@ -167,7 +167,11 @@ impl CostModel {
     /// Sums each tier's bytes under `assignment` (entries are
     /// indices into the stack's placement tiers; `None` keeps the module
     /// resident).
-    pub fn split_for(&self, profile: &StepProfile, assignment: &[Option<usize>]) -> Vec<u64> {
+    pub(crate) fn split_for(
+        &self,
+        profile: &StepProfile,
+        assignment: &[Option<usize>],
+    ) -> Vec<u64> {
         let mut split = vec![0u64; self.tiers.len()];
         for (m, a) in profile.modules.iter().zip(assignment) {
             if let Some(i) = *a {
@@ -209,6 +213,7 @@ mod tests {
     use crate::io::TierLink;
     use crate::target::CpuTarget;
     use crate::tier::Tier;
+    use proptest::prelude::*;
     use ssdtrain_simhw::SimClock;
     use std::sync::Arc;
 
@@ -284,5 +289,113 @@ mod tests {
         let assign = m.front_first_assignment(&p);
         let step = m.modeled_step_secs(&p, &assign, 2.0);
         assert!(step >= 3.0 - 1e-12, "fwd 1 s + bwd 2 s bounds the step");
+    }
+
+    /// A two-tier cost model over a fresh engine with the same link
+    /// pricing, so modeled times can be replayed against the simulator
+    /// directly.
+    fn cost_fixture(write_bps: [f64; 2], read_bps: [f64; 2], bus: f64) -> (CostModel, IoEngine) {
+        let links = || {
+            vec![
+                TierLink::new("dram", write_bps[0], read_bps[0]),
+                TierLink::new("ssd", write_bps[1], read_bps[1]),
+            ]
+        };
+        let engine = |clock| IoEngine::tiered_with_bus(clock, links(), bus);
+        let stack = TierStack::new(vec![
+            Tier::new("dram", Arc::new(CpuTarget::new(1 << 40)), 0),
+            Tier::new("ssd", Arc::new(CpuTarget::new(1 << 40)), 1),
+        ]);
+        (
+            CostModel::from_parts(&engine(SimClock::new()), &stack),
+            engine(SimClock::new()),
+        )
+    }
+
+    fn varied_profile(mods: &[(u64, f64)]) -> StepProfile {
+        StepProfile {
+            modules: mods
+                .iter()
+                .enumerate()
+                .map(|(i, (bytes, secs))| ModuleProfile {
+                    path: format!("m{i}"),
+                    offload_bytes: *bytes,
+                    fwd_secs: *secs,
+                    store_secs: 0.0,
+                    load_secs: 0.0,
+                })
+                .collect(),
+            fwd_total_secs: mods.iter().map(|m| m.1).sum(),
+            fwd_io_bytes: mods.iter().map(|m| m.0).sum(),
+            fwd_io_secs: 0.0,
+        }
+    }
+
+    proptest! {
+        // Each case replays the modeled byte split through a real engine,
+        // so keep the sweep moderate.
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn modeled_step_time_matches_a_direct_simulation(
+            mods in prop::collection::vec(
+                ((1u64..2_000_000_000, 0.001f64..0.3), 0usize..3),
+                1..12,
+            ),
+            write_bps in (1e8f64..1e10, 1e8f64..1e10).prop_map(|(a, b)| [a, b]),
+            read_bps in (1e8f64..1e10, 1e8f64..1e10).prop_map(|(a, b)| [a, b]),
+            bus in 1e8f64..1e10,
+            ratio in 0.5f64..4.0,
+        ) {
+            // `2` keeps the module resident, everything else picks a link.
+            let assignment: Vec<Option<usize>> =
+                mods.iter().map(|(_, l)| (*l < 2).then_some(*l)).collect();
+            let profile = varied_profile(&mods.iter().map(|(m, _)| *m).collect::<Vec<_>>());
+            let (model, io) = cost_fixture(write_bps, read_bps, bus);
+
+            // Replay the stores through the engine: the modeled drain
+            // must be the simulator's drain, job for job.
+            for (m, a) in profile.modules.iter().zip(&assignment) {
+                if let Some(link) = *a {
+                    io.submit_store_to(link, m.offload_bytes);
+                }
+            }
+            let sim_drain = (0..io.link_count())
+                .map(|l| io.writes_drain_at_on(l).as_secs())
+                .fold(0.0f64, f64::max);
+            let split = model.split_for(&profile, &assignment);
+            let modeled_drain = model.store_drain_secs(&split);
+            prop_assert!(
+                (modeled_drain - sim_drain).abs() <= sim_drain.max(1e-9) * 1e-6,
+                "drain: modeled {modeled_drain} vs simulated {sim_drain}"
+            );
+
+            // Reads serialise on the one read bus, each at its link's
+            // rate capped by the bus; replay those too.
+            let mut sim_load = 0.0f64;
+            for (m, a) in profile.modules.iter().zip(&assignment) {
+                if let Some(link) = *a {
+                    let read = io.submit_load_from(link, m.offload_bytes);
+                    sim_load = sim_load.max(io.read_end(read).as_secs());
+                }
+            }
+            let modeled_load = model.load_secs(&split);
+            prop_assert!(
+                (modeled_load - sim_load).abs() <= sim_load.max(1e-9) * 1e-6,
+                "load: modeled {modeled_load} vs simulated {sim_load}"
+            );
+
+            // The full step composes them exactly as the cache's barriers
+            // do: reloads race backward compute, and the store queue —
+            // which cannot start before the first module computes — is
+            // waited for only at backward's exit.
+            let fwd = profile.fwd_total_secs;
+            let t0 = profile.modules.first().map(|m| m.fwd_secs).unwrap_or(0.0);
+            let expect = (fwd + (ratio * fwd).max(sim_load)).max(t0 + sim_drain);
+            let modeled = model.modeled_step_secs(&profile, &assignment, ratio);
+            prop_assert!(
+                (modeled - expect).abs() <= expect * 1e-6,
+                "step: modeled {modeled} vs composed {expect}"
+            );
+        }
     }
 }

@@ -41,20 +41,6 @@ pub enum OffloadError {
 }
 
 impl OffloadError {
-    /// Key of the tensor involved in the failure.
-    pub fn key(&self) -> &TensorKey {
-        match self {
-            OffloadError::Store { key, .. } | OffloadError::Load { key, .. } => key,
-        }
-    }
-
-    /// Name of the target that failed.
-    pub fn target(&self) -> &str {
-        match self {
-            OffloadError::Store { target, .. } | OffloadError::Load { target, .. } => target,
-        }
-    }
-
     /// Whether the failure happened on the store (write) side.
     pub fn is_store(&self) -> bool {
         matches!(self, OffloadError::Store { .. })
@@ -118,7 +104,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("ssd") && msg.contains("injected"), "{msg}");
         assert!(e.is_store());
-        assert_eq!(e.target(), "ssd");
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl FaultyTarget {
         self.state.lock().io = Some(io);
     }
 
-    /// The wrapped target.
-    pub fn inner(&self) -> &Arc<dyn OffloadTarget> {
-        &self.inner
-    }
-
     /// Firing counters of the plan so far.
     pub fn fault_log(&self) -> FaultLog {
         self.state.lock().plan.log()

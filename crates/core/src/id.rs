@@ -106,7 +106,7 @@ pub fn tensor_key(t: &Tensor) -> TensorKey {
 /// Returns the storage stamp `t` carries, stamping it first if needed.
 /// Used for parameter registration, which must match *any view* of the
 /// parameter (shape-agnostic).
-pub fn storage_stamp(t: &Tensor) -> u64 {
+pub(crate) fn storage_stamp(t: &Tensor) -> u64 {
     t.storage().stamp_once(next_logical_timestamp())
 }
 

@@ -37,7 +37,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// Handle to a submitted store job. Ids ascend in submission order
-/// until [`IoEngine::reset`].
+/// until the engine's per-step reset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(usize);
 
@@ -51,9 +51,9 @@ pub struct TierLink {
     /// Link name; its reads are traced as `"xfer.<name>-read"`.
     pub name: String,
     /// Store-direction bandwidth, bytes/s.
-    pub write_bps: f64,
+    pub(crate) write_bps: f64,
     /// Load-direction bandwidth, bytes/s.
-    pub read_bps: f64,
+    pub(crate) read_bps: f64,
 }
 
 impl TierLink {
@@ -340,7 +340,7 @@ impl IoEngine {
     }
 
     /// The configured per-store-job submission overhead, seconds.
-    pub fn store_job_overhead_secs(&self) -> f64 {
+    pub(crate) fn store_job_overhead_secs(&self) -> f64 {
         self.state.lock().store_overhead
     }
 
@@ -355,7 +355,7 @@ impl IoEngine {
 
     /// Attaches the memory log that [`IoEngine::track_landing`] stamps
     /// refer to. Clones of this engine share it.
-    pub fn set_memory(&self, memory: Arc<GpuMemory>) {
+    pub(crate) fn set_memory(&self, memory: Arc<GpuMemory>) {
         self.state.lock().memory = Some(memory);
     }
 
@@ -365,7 +365,7 @@ impl IoEngine {
     }
 
     /// Number of tier links.
-    pub fn link_count(&self) -> usize {
+    pub(crate) fn link_count(&self) -> usize {
         self.links.len()
     }
 
@@ -375,7 +375,7 @@ impl IoEngine {
     }
 
     /// Configured read bandwidth of one link, bytes/s.
-    pub fn read_bps_of(&self, link: usize) -> f64 {
+    pub(crate) fn read_bps_of(&self, link: usize) -> f64 {
         self.links.get(link).map(|l| l.read_bps).unwrap_or(0.0)
     }
 
@@ -384,9 +384,9 @@ impl IoEngine {
     /// flight stretches only its remaining portion, finished writes keep
     /// their history (FIFO order preserved), and reads submitted from
     /// now on take `factor` times longer (queued reads keep their
-    /// price). Factors compose multiplicatively and persist across
-    /// [`IoEngine::reset`] — injected hardware degradation does not heal
-    /// between steps.
+    /// price). Factors compose multiplicatively and persist across the
+    /// engine's per-step reset — injected hardware degradation does not
+    /// heal between steps.
     ///
     /// # Panics
     /// Panics if `factor` is not positive.
@@ -580,7 +580,7 @@ impl IoEngine {
     /// read back, they are restamped at its new end. A read carries at
     /// most two such stamps (its bytes' restore and, if the record goes
     /// before the read lands, its release); further ones are ignored.
-    pub fn track_landing(&self, read: ReadId, events: Range<usize>, floor: SimTime) {
+    pub(crate) fn track_landing(&self, read: ReadId, events: Range<usize>, floor: SimTime) {
         let mut st = self.state.lock();
         let Some(j) = st.reads.get_mut(read.0) else {
             return;
@@ -599,24 +599,24 @@ impl IoEngine {
 
     /// When the last scheduled write to one tier link finishes
     /// ([`SimTime::ZERO`] when it has none or is out of range).
-    pub fn writes_drain_at_on(&self, link: usize) -> SimTime {
+    pub(crate) fn writes_drain_at_on(&self, link: usize) -> SimTime {
         let st = self.state.lock();
         let ends = st.live_jobs(link).map(|j| j.end);
         ends.fold(SimTime::ZERO, SimTime::max)
     }
 
     /// The name of one tier link (empty when out of range).
-    pub fn link_name(&self, link: usize) -> &str {
+    pub(crate) fn link_name(&self, link: usize) -> &str {
         self.links.get(link).map(|l| l.name.as_str()).unwrap_or("")
     }
 
     /// Bandwidth of the write bus every store crosses, bytes/s.
-    pub fn bus_write_bps(&self) -> f64 {
+    pub(crate) fn bus_write_bps(&self) -> f64 {
         self.bus_write_bps
     }
 
     /// Bandwidth of the read bus every load crosses, bytes/s.
-    pub fn bus_read_bps(&self) -> f64 {
+    pub(crate) fn bus_read_bps(&self) -> f64 {
         self.bus_read_bps
     }
 
@@ -643,7 +643,7 @@ impl IoEngine {
 
     /// Seconds of this step's writes that targeted one tier link
     /// (cancelled jobs excluded).
-    pub fn write_busy_secs_on(&self, link: usize) -> f64 {
+    pub(crate) fn write_busy_secs_on(&self, link: usize) -> f64 {
         self.state.lock().live_jobs(link).map(|j| j.dur_secs).sum()
     }
 
@@ -656,7 +656,7 @@ impl IoEngine {
 
     /// Clears all job state on every link (new measured step). An
     /// injected slowdown persists; see [`IoEngine::throttle`].
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         let mut st = self.state.lock();
         st.jobs.clear();
         st.reads.clear();

@@ -15,18 +15,21 @@
 //! | tensor cache (Alg. 2) | [`TensorCache`] |
 //! | `get_id()` dedup (§3.3.1) | [`id::tensor_key`] — first-seen stamp on the *storage* + shape |
 //! | parameter exclusion (§3.3.1) | [`TensorCache::register_parameter`] |
-//! | store/load thread pools (§3.3.2) | [`io::IoEngine`]: a write FIFO and a demand-first read queue on the simulated PCIe link |
+//! | store/load thread pools (§3.3.2) | [`IoEngine`]: a write FIFO and a demand-first read queue on the simulated PCIe link |
 //! | data forwarding (§3.3.2) | in-flight stores are returned from memory and cancelled if still queued |
 //! | adaptive offloading (§3.3.3, Fig. 8) | [`adaptive`] — profile a step, keep the last modules resident |
-//! | SSD / CPU offloader (§3.1, Fig. 5) | [`target::SsdTarget`], [`target::CpuTarget`] |
+//! | SSD / CPU offloader (§3.1, Fig. 5) | [`SsdTarget`], [`CpuTarget`] |
 //! | keep/offload decision (Alg. 2 ll. 12, 15) | the head of `TensorCache`'s store path: parameter → threshold → backward-phase → kept-module |
-//! | tiered backends (Fig. 5 "future work") | [`tier::TierStack`] — DRAM front tier spilling to the SSD array |
+//! | tiered backends (Fig. 5 "future work") | [`TierStack`] — DRAM front tier spilling to the SSD array |
 //! | scheduler hints (Alg. 1) | [`TensorCache::prefetch_last_module`], [`TensorCache::wait_io`], micro-batch switching |
 //!
 //! The placement strategies of the ROK curve (Section 4.3) are selected
 //! with [`PlacementStrategy`].
 
 #![deny(missing_docs, clippy::allow_attributes_without_reason)]
+// A `pub` item is one another crate calls: inside a private module it
+// must be re-exported, or it says `pub(crate)` (DESIGN.md §2).
+#![deny(unreachable_pub)]
 // Library code returns typed errors instead of panicking (DESIGN.md §7).
 #![cfg_attr(
     not(test),
@@ -41,23 +44,23 @@
 )]
 
 //! Failure handling: offload-target I/O errors flow through
-//! [`RecoveryPolicy`] instead of panicking — see [`error::OffloadError`]
-//! and the [`fault::FaultyTarget`] decorator driving deterministic
+//! [`RecoveryPolicy`] instead of panicking — see [`OffloadError`]
+//! and the [`FaultyTarget`] decorator driving deterministic
 //! fault-injection experiments.
 
 pub mod adaptive;
-pub mod cache;
+mod cache;
 pub mod coalesce;
 pub mod config;
 pub mod costmodel;
-pub mod error;
-pub mod fault;
+mod error;
+mod fault;
 pub mod id;
 pub mod io;
-pub mod placement;
+mod placement;
 pub mod prelude;
 pub mod stats;
-pub mod target;
+mod target;
 pub mod tier;
 
 /// Maps and sets hashed with one fixed seed, so what the cache does in

@@ -4,7 +4,7 @@
 //! `TensorCache`'s store path runs Algorithm 2's keep sequence
 //! (parameter → below-threshold, then for activations backward-phase →
 //! kept-module) — and *where* it lands is the tiers' admission decision
-//! ([`crate::TierLedger::reserve`]). Both are keyed by
+//! (see [`crate::tier`]). Both are keyed by
 //! the class defined here, as are the stats counters and trace lanes.
 
 /// *What kind* of tensor is leaving GPU memory.

@@ -20,18 +20,15 @@
 
 pub use crate::adaptive::{AdaptivePlan, ModuleProfile, StepProfile};
 pub use crate::cache::{StageHint, StageScope, StateSlot, TensorCache};
-pub use crate::coalesce::{SealedSegment, SegmentEntry, WriteCoalescer};
+pub use crate::coalesce::{SealedSegment, WriteCoalescer};
 pub use crate::config::{PlacementStrategy, RecoveryPolicy, TensorCacheConfig};
-pub use crate::costmodel::{CostModel, TierCost};
 pub use crate::error::OffloadError;
 pub use crate::fault::FaultyTarget;
 pub use crate::io::{IoEngine, TierLink};
 pub use crate::placement::OffloadClass;
-pub use crate::stats::{ClassCounters, OffloadStats};
+pub use crate::stats::OffloadStats;
 pub use crate::target::{BatchItem, CpuTarget, OffloadTarget, SsdTarget};
-pub use crate::tier::{
-    Tier, TierCounters, TierId, TierLedger, TierPlacement, TierRole, TierSpec, TierStack,
-};
+pub use crate::tier::{Tier, TierStack};
 
 pub use ssdtrain_trace::{
     chrome_trace_json, explain, text_summary, ArgValue, EventKind, MemoryTraceBridge, StepBytes,

@@ -106,7 +106,7 @@ pub struct OffloadStats {
     pub tiers: Vec<TierCounters>,
     /// Per-class traffic split in [`OffloadClass::ALL`] order
     /// (activation, gradient, optimizer_state). Empty in a default
-    /// struct; [`OffloadStats::class_mut`] materialises all three.
+    /// struct; the cache's first snapshot materialises all three.
     pub classes: Vec<ClassCounters>,
 }
 
@@ -114,7 +114,7 @@ impl OffloadStats {
     /// The counters for `class`, materialising the full
     /// [`OffloadClass::ALL`]-ordered vector on first touch so the stats
     /// always show all three lanes once any class moves bytes.
-    pub fn class_mut(&mut self, class: OffloadClass) -> &mut ClassCounters {
+    pub(crate) fn class_mut(&mut self, class: OffloadClass) -> &mut ClassCounters {
         if self.classes.is_empty() {
             self.classes
                 .extend(OffloadClass::ALL.iter().map(|c| ClassCounters {

@@ -166,13 +166,8 @@ impl SsdTarget {
     }
 
     /// Snapshot of the wear meter.
-    pub fn wear(&self) -> WearMeter {
+    pub(crate) fn wear(&self) -> WearMeter {
         self.state.lock().wear.clone()
-    }
-
-    /// The spill directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -308,11 +303,6 @@ impl CpuTarget {
         }
     }
 
-    /// Pool capacity in bytes.
-    pub fn pool_bytes(&self) -> u64 {
-        self.pool_bytes
-    }
-
     /// Bytes currently held in the pool.
     pub fn used_bytes(&self) -> u64 {
         self.state.lock().used
@@ -439,11 +429,11 @@ mod tests {
                 shape,
             };
             let dims: Vec<String> = k.shape.iter().map(|d| d.to_string()).collect();
-            let old = t.dir().join(format!("t{}_{}.act", k.stamp, dims.join("x")));
+            let old = t.dir.join(format!("t{}_{}.act", k.stamp, dims.join("x")));
             // The reused buffers hold no trace of the previous name.
-            assert_eq!(t.state.lock().path_for(t.dir(), &k), old);
+            assert_eq!(t.state.lock().path_for(&t.dir, &k), old);
         }
-        let _ = fs::remove_dir_all(t.dir());
+        let _ = fs::remove_dir_all(&t.dir);
     }
 
     #[test]

@@ -8,17 +8,17 @@
 //! ([`OffloadTarget`]), an optional byte capacity and the index of the
 //! simulated link its transfers are priced on. The stack is a read-only
 //! description; what its tiers hold — reservations and per-step counters
-//! — is a [`TierLedger`], which the cache keeps in its locked state.
+//! — is a ledger the cache keeps in its locked state.
 //!
 //! Semantics:
 //!
-//! * **Placement / spill** — [`TierLedger::reserve`] admits a tensor into
+//! * **Placement / spill** — the ledger admits a tensor into
 //!   the first placement-eligible tier with capacity headroom; a tensor
 //!   that does not fit the front tier *spills* to the next one. When no
-//!   tier has room, `reserve` returns `None` and the cache keeps the
+//!   tier has room, admission refuses and the cache keeps the
 //!   tensor resident (graceful refusal, never an error).
 //! * **Demotion** — a tier whose device refuses a write at commit time
-//!   demotes the bytes to the next tier down via [`TierLedger::demote`];
+//!   demotes the bytes to the next tier down;
 //!   this is how [`crate::RecoveryPolicy::FallbackTarget`] is expressed
 //!   (the fallback target is simply an appended demotion-only tier).
 //! * **Accounting** — every tier keeps its own [`TierCounters`]
@@ -40,13 +40,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TierId(pub(crate) usize);
 
-impl TierId {
-    /// Position of the tier in the stack (0 = front).
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 impl fmt::Display for TierId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "tier{}", self.0)
@@ -56,7 +49,7 @@ impl fmt::Display for TierId {
 /// Whether new tensors may be *placed* on a tier, or whether it only
 /// absorbs demotions from the tiers above it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TierRole {
+pub(crate) enum TierRole {
     /// Eligible for pack-time placement (and demotions).
     #[default]
     Placement,
@@ -116,8 +109,8 @@ impl fmt::Debug for Tier {
     }
 }
 
-/// Per-tier traffic counters for one training step (reset by
-/// [`TierLedger::reset_counters`]; surfaced as
+/// Per-tier traffic counters for one training step (reset at each
+/// step's start; surfaced as
 /// [`crate::OffloadStats::tiers`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TierCounters {
@@ -150,13 +143,13 @@ pub struct TierCounters {
 }
 
 /// Static description of one placement-eligible tier — the shape the
-/// cost model ([`crate::CostModel`]) consumes.
+/// cost model ([`crate::costmodel::CostModel`]) consumes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TierSpec {
+pub(crate) struct TierSpec {
     /// Index of the simulated link its transfers are priced on.
-    pub link: usize,
+    pub(crate) link: usize,
     /// Admission capacity, `None` when unbounded.
-    pub capacity_bytes: Option<u64>,
+    pub(crate) capacity_bytes: Option<u64>,
 }
 
 /// Where [`TierLedger::reserve`] admitted a tensor. The placement *is*
@@ -164,17 +157,17 @@ pub struct TierSpec {
 /// [`TierLedger::remove`] of the same bytes.
 #[must_use = "a dropped placement leaks its tier reservation"]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TierPlacement {
+pub(crate) struct TierPlacement {
     /// The tier holding the reservation.
-    pub tier: TierId,
+    pub(crate) tier: TierId,
     /// Whether a fuller, faster tier was skipped (a spill).
-    pub spilled: bool,
+    pub(crate) spilled: bool,
 }
 
 /// An ordered stack of offload tiers (0 = fastest): what each tier is
 /// — name, device, capacity, link, role — fixed at construction and read
-/// without a lock. What the tiers hold is a [`TierLedger`], kept by
-/// whoever places tensors on the stack.
+/// without a lock. What the tiers hold is a ledger, kept by the cache
+/// that places tensors on the stack.
 #[derive(Debug)]
 pub struct TierStack {
     tiers: Vec<Tier>,
@@ -199,8 +192,7 @@ impl TierStack {
     }
 
     /// The stack's tier ids, front first — the only way code outside
-    /// this crate obtains a [`TierId`] other than through
-    /// [`TierLedger::reserve`] / [`TierLedger::demote`].
+    /// this crate obtains a [`TierId`].
     pub fn tier_ids(&self) -> Vec<TierId> {
         (0..self.tiers.len()).map(TierId).collect()
     }
@@ -232,7 +224,7 @@ impl TierStack {
     /// Static descriptions of the placement-eligible tiers, front
     /// first — the cost model's view of the stack (demotion-only tiers
     /// are a fault-recovery path and take no pack-time placements).
-    pub fn placement_tiers(&self) -> Vec<TierSpec> {
+    pub(crate) fn placement_tiers(&self) -> Vec<TierSpec> {
         self.tiers
             .iter()
             .filter(|t| t.role == TierRole::Placement)
@@ -250,14 +242,14 @@ impl TierStack {
 /// [`crate::TensorCache`] keeps one in the state behind its lock — and
 /// every method that moves bytes takes the stack it accounts for.
 #[derive(Debug, Default)]
-pub struct TierLedger {
+pub(crate) struct TierLedger {
     reserved: Vec<u64>,
     counters: Vec<TierCounters>,
 }
 
 impl TierLedger {
     /// An empty ledger for `stack`: nothing reserved, counters zeroed.
-    pub fn new(stack: &TierStack) -> TierLedger {
+    pub(crate) fn new(stack: &TierStack) -> TierLedger {
         let counters = stack.tiers.iter().map(|t| TierCounters {
             name: t.name.clone(),
             ..TierCounters::default()
@@ -269,7 +261,7 @@ impl TierLedger {
     }
 
     /// Live pack-time reservations against the tier.
-    pub fn reserved_bytes(&self, tier: TierId) -> u64 {
+    pub(crate) fn reserved_bytes(&self, tier: TierId) -> u64 {
         self.reserved.get(tier.0).copied().unwrap_or(0)
     }
 
@@ -278,7 +270,7 @@ impl TierLedger {
     /// tier makes the admission a *spill*. Returns `None` when every
     /// eligible tier is full — the caller keeps the tensor resident.
     #[must_use = "a dropped placement leaks its tier reservation"]
-    pub fn reserve(&mut self, stack: &TierStack, bytes: u64) -> Option<TierPlacement> {
+    pub(crate) fn reserve(&mut self, stack: &TierStack, bytes: u64) -> Option<TierPlacement> {
         let mut skipped_full = false;
         for (idx, tier) in stack.tiers.iter().enumerate() {
             if tier.role != TierRole::Placement {
@@ -319,7 +311,7 @@ impl TierLedger {
     /// Propagates the device's I/O error; the device has already
     /// unwound any partially written members, so the caller recovers at
     /// segment granularity per its [`crate::RecoveryPolicy`].
-    pub fn write_segment(
+    pub(crate) fn write_segment(
         &mut self,
         stack: &TierStack,
         tier: TierId,
@@ -339,7 +331,7 @@ impl TierLedger {
     /// # Errors
     /// Propagates the device's I/O error; the cache retries
     /// [`crate::config::MAX_IO_RETRIES`] times.
-    pub fn read(
+    pub(crate) fn read(
         &mut self,
         stack: &TierStack,
         tier: TierId,
@@ -357,7 +349,7 @@ impl TierLedger {
 
     /// Drops the entry for `key` and returns its reservation to the
     /// tier (idempotent at the device level).
-    pub fn remove(&mut self, stack: &TierStack, tier: TierId, key: &TensorKey, len: u64) {
+    pub(crate) fn remove(&mut self, stack: &TierStack, tier: TierId, key: &TensorKey, len: u64) {
         self.unreserve(tier, len);
         if let Ok(device) = stack.device_or_err(tier) {
             device.remove(key);
@@ -367,7 +359,7 @@ impl TierLedger {
     /// Returns a reservation of `len` bytes to `tier` without touching
     /// its device — for bytes that were admitted but never written (a
     /// forwarded tensor, a refused store).
-    pub fn unreserve(&mut self, tier: TierId, len: u64) {
+    pub(crate) fn unreserve(&mut self, tier: TierId, len: u64) {
         if let Some(reserved) = self.reserved.get_mut(tier.0) {
             *reserved = reserved.saturating_sub(len);
         }
@@ -379,7 +371,7 @@ impl TierLedger {
     /// reservation moves from `from` to the destination and the bytes
     /// are accounted as demotion-in traffic there. Returns the
     /// destination, or `None` when no lower tier took the bytes.
-    pub fn demote(
+    pub(crate) fn demote(
         &mut self,
         stack: &TierStack,
         from: TierId,
@@ -406,13 +398,13 @@ impl TierLedger {
     }
 
     /// Every tier's counters this step, front first.
-    pub fn counters(&self) -> &[TierCounters] {
+    pub(crate) fn counters(&self) -> &[TierCounters] {
         &self.counters
     }
 
     /// Zeroes the per-step counters (reservations are live state and
     /// survive — a fresh step starts with whatever is still stored).
-    pub fn reset_counters(&mut self) {
+    pub(crate) fn reset_counters(&mut self) {
         for c in &mut self.counters {
             let name = std::mem::take(&mut c.name);
             *c = TierCounters {
@@ -427,6 +419,7 @@ impl TierLedger {
 mod tests {
     use super::*;
     use crate::target::CpuTarget;
+    use proptest::prelude::*;
 
     fn key(stamp: u64) -> TensorKey {
         TensorKey {
@@ -618,5 +611,143 @@ mod tests {
         ledger.reset_counters();
         assert_eq!(ledger.counters()[0].bytes_written, 0);
         assert_eq!(ledger.counters()[0].name, "dram");
+    }
+
+    /// A one-dimensional key of `len` elements.
+    fn sized_key(stamp: u64, len: u64) -> TensorKey {
+        TensorKey {
+            stamp,
+            shape: vec![len as usize],
+        }
+    }
+
+    proptest! {
+        /// Placement puts every admitted tensor on exactly one tier: its
+        /// payload reads back from that tier and from no other, and removal
+        /// returns the reservation so the stack drains to empty.
+        #[test]
+        fn every_stored_byte_lives_in_exactly_one_tier(
+            front_cap in 1u64..4_096,
+            sizes in prop::collection::vec(1u64..2_048, 1..40),
+        ) {
+            let (stack, mut ledger) = two_tier(front_cap);
+            let ids = stack.tier_ids();
+            let mut placed = Vec::new();
+            for (i, &len) in sizes.iter().enumerate() {
+                let k = sized_key(i as u64 + 1, len);
+                let p = ledger.reserve(&stack, len).expect("ssd tier is unbounded");
+                let payload = vec![(i % 251) as u8; len as usize];
+                prop_assert!(ledger.write_segment(&stack, p.tier, &[(&k, Some(&payload), len)]).is_ok());
+                placed.push((k, len, p.tier, payload));
+            }
+            for (k, len, home, payload) in &placed {
+                for &id in &ids {
+                    let got = read(&stack, &mut ledger, id, k, *len);
+                    if id == *home {
+                        let back = got.ok().flatten();
+                        prop_assert_eq!(
+                            back.as_ref(),
+                            Some(payload),
+                            "payload must read back from its home tier"
+                        );
+                    } else {
+                        prop_assert!(
+                            got.is_err(),
+                            "key {:?} must not exist on {}",
+                            k,
+                            stack.name(id)
+                        );
+                    }
+                }
+            }
+            // Reservations account every admitted byte, tier by tier.
+            for &id in &ids {
+                let expect: u64 = placed
+                    .iter()
+                    .filter(|(_, _, home, _)| *home == id)
+                    .map(|(_, len, _, _)| *len)
+                    .sum();
+                prop_assert_eq!(ledger.reserved_bytes(id), expect);
+            }
+            // Removal drains the stack completely.
+            for (k, len, home, _) in &placed {
+                ledger.remove(&stack, *home, k, *len);
+            }
+            for &id in &ids {
+                prop_assert_eq!(ledger.reserved_bytes(id), 0);
+            }
+        }
+
+        /// A spill moves the admission, not the bytes: the sum of reserved
+        /// bytes across tiers equals the sum of admitted sizes, and the
+        /// spill counter records exactly the bytes that skipped a full
+        /// front tier.
+        #[test]
+        fn spills_conserve_bytes(
+            front_cap in 1u64..2_048,
+            sizes in prop::collection::vec(1u64..1_024, 1..50),
+        ) {
+            let (stack, mut ledger) = two_tier(front_cap);
+            let ids = stack.tier_ids();
+            let mut admitted = 0u64;
+            let mut spilled = 0u64;
+            for &len in &sizes {
+                let p = ledger.reserve(&stack, len).expect("ssd tier is unbounded");
+                admitted += len;
+                if p.spilled {
+                    prop_assert_eq!(p.tier, ids[1], "spills land behind the front tier");
+                    spilled += len;
+                } else {
+                    prop_assert_eq!(p.tier, ids[0]);
+                }
+            }
+            let reserved: u64 = ids.iter().map(|&id| ledger.reserved_bytes(id)).sum();
+            prop_assert_eq!(reserved, admitted, "reservation is conserved across tiers");
+            prop_assert!(
+                ledger.reserved_bytes(ids[0]) <= front_cap,
+                "the bounded tier never oversubscribes"
+            );
+            prop_assert_eq!(ledger.counters()[1].spilled_in_bytes, spilled);
+        }
+
+        /// Per-tier `bytes_written` sums to the aggregate the flat design
+        /// exposed as the single target's write traffic, with or without
+        /// demotions shuffling entries between tiers.
+        #[test]
+        fn per_tier_writes_sum_to_the_flat_aggregate(
+            front_cap in 64u64..2_048,
+            sizes in prop::collection::vec(1u64..512, 1..30),
+            demote_mask in prop::collection::vec(any::<bool>(), 30),
+        ) {
+            let (stack, mut ledger) = two_tier(front_cap);
+            let ids = stack.tier_ids();
+            let mut written = 0u64;
+            let mut demoted = 0u64;
+            let mut placed = Vec::new();
+            for (i, &len) in sizes.iter().enumerate() {
+                let k = sized_key(i as u64 + 1, len);
+                let p = ledger.reserve(&stack, len).expect("ssd tier is unbounded");
+                prop_assert!(ledger.write_segment(&stack, p.tier, &[(&k, None, len)]).is_ok());
+                written += len;
+                placed.push((k, len, p.tier));
+            }
+            // Demote a subset of front-tier residents to the tier below.
+            for (i, (k, len, home)) in placed.iter_mut().enumerate() {
+                if *home == ids[0] && demote_mask[i % demote_mask.len()] {
+                    let dest = ledger.demote(&stack, *home, k, None, *len, 0);
+                    prop_assert_eq!(dest, Some(ids[1]), "the unbounded tier accepts");
+                    *home = ids[1];
+                    written += *len; // the destination device accepted a write
+                    demoted += *len;
+                }
+            }
+            let counters = ledger.counters();
+            let per_tier: u64 = counters.iter().map(|c| c.bytes_written).sum();
+            prop_assert_eq!(per_tier, written);
+            prop_assert_eq!(counters[1].demoted_in_bytes, demoted);
+            // Reservations still conserve the admitted bytes after demotion.
+            let reserved: u64 = ids.iter().map(|&id| ledger.reserved_bytes(id)).sum();
+            prop_assert_eq!(reserved, sizes.iter().sum::<u64>());
+        }
     }
 }

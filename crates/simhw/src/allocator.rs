@@ -28,7 +28,7 @@ const SMALL_LIMIT: u64 = 1 << 20;
 const LARGE_GRAIN: u64 = 2 << 20;
 
 /// Rounds a request to its pool granularity.
-pub fn rounded_size(bytes: u64) -> u64 {
+pub(crate) fn rounded_size(bytes: u64) -> u64 {
     if bytes == 0 {
         return 0;
     }
@@ -43,24 +43,17 @@ pub fn rounded_size(bytes: u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AllocatorStats {
     /// Bytes currently handed out to live tensors (rounded sizes).
-    pub allocated: u64,
+    pub(crate) allocated: u64,
     /// Peak of `allocated`.
-    pub allocated_peak: u64,
+    pub(crate) allocated_peak: u64,
     /// Bytes reserved from the device (never shrinks).
     pub reserved: u64,
     /// Cache hits (requests served from cached blocks).
-    pub reuses: u64,
+    pub(crate) reuses: u64,
     /// Requests that had to reserve new device memory.
-    pub fresh_allocations: u64,
+    pub(crate) fresh_allocations: u64,
     /// Large-pool splits performed.
-    pub splits: u64,
-}
-
-impl AllocatorStats {
-    /// Reserved bytes not currently allocated (cached + fragmentation).
-    pub fn cached(&self) -> u64 {
-        self.reserved - self.allocated
-    }
+    pub(crate) splits: u64,
 }
 
 /// A pool's cached blocks: block size → how many are cached.
@@ -89,7 +82,7 @@ fn take(pool: &mut Blocks, size: u64) -> Option<u64> {
 /// [`crate::GpuMemory`] sees (sizes in requested bytes) and read the
 /// reserved footprint back.
 #[derive(Debug, Default, Clone)]
-pub struct CachingAllocator {
+pub(crate) struct CachingAllocator {
     small_free: Blocks,
     large_free: Blocks,
     stats: AllocatorStats,
@@ -97,12 +90,12 @@ pub struct CachingAllocator {
 
 impl CachingAllocator {
     /// An empty allocator.
-    pub fn new() -> CachingAllocator {
+    pub(crate) fn new() -> CachingAllocator {
         CachingAllocator::default()
     }
 
     /// Current statistics.
-    pub fn stats(&self) -> AllocatorStats {
+    pub(crate) fn stats(&self) -> AllocatorStats {
         self.stats
     }
 
@@ -110,7 +103,7 @@ impl CachingAllocator {
     /// caller got, which it must pass back to [`CachingAllocator::free`]:
     /// the rounded request, or a larger cached small-pool block handed
     /// out whole.
-    pub fn alloc(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn alloc(&mut self, bytes: u64) -> u64 {
         let size = rounded_size(bytes);
         if size == 0 {
             return 0;
@@ -149,7 +142,7 @@ impl CachingAllocator {
 
     /// Returns a block (by the size [`CachingAllocator::alloc`] reported)
     /// to its pool's cache.
-    pub fn free(&mut self, rounded: u64) {
+    pub(crate) fn free(&mut self, rounded: u64) {
         if rounded == 0 {
             return;
         }
@@ -264,7 +257,6 @@ mod tests {
         }
         assert_eq!(a.stats().reserved, reserved);
         assert_eq!(a.stats().allocated, 0);
-        assert_eq!(a.stats().cached(), reserved);
     }
 
     #[test]

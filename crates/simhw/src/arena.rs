@@ -12,8 +12,8 @@
 //! [`BufferArena`] models that arena deterministically:
 //!
 //! * **Size-classed slabs** — a request is rounded up to the next
-//!   power-of-two class (min [`MIN_SLAB_BYTES`]), so a tensor that
-//!   recurs each step always lands in the same class and reuses a slab
+//!   power-of-two class (min 4 KiB), so a tensor that recurs each step
+//!   always lands in the same class and reuses a slab
 //!   from the free list instead of growing the footprint.
 //! * **Virtual placement** — slabs live at virtual base addresses
 //!   (fresh slabs extend a bump pointer; freed slabs are recycled at
@@ -43,7 +43,7 @@ type HashMap<K, V> = std::collections::HashMap<
 >;
 
 /// Smallest slab class, bytes. Requests below this round up to it.
-pub const MIN_SLAB_BYTES: u64 = 4096;
+pub(crate) const MIN_SLAB_BYTES: u64 = 4096;
 
 /// A handle to one pinned slab held by a caller.
 ///
@@ -52,7 +52,7 @@ pub const MIN_SLAB_BYTES: u64 = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PinnedSlab {
     /// Unique id of this acquisition (release is validated against it).
-    pub id: u64,
+    pub(crate) id: u64,
     /// Virtual base address of the slab.
     pub base: u64,
     /// Size class the slab belongs to (power of two).
@@ -61,18 +61,11 @@ pub struct PinnedSlab {
     pub len: u64,
 }
 
-impl PinnedSlab {
-    /// The half-open virtual address range `[base, base + class_bytes)`.
-    pub fn range(&self) -> std::ops::Range<u64> {
-        self.base..self.base + self.class_bytes
-    }
-}
-
 /// Snapshot of the arena's accounting counters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ArenaStats {
     /// Slabs created fresh (bump-pointer extensions).
-    pub slab_allocs: u64,
+    pub(crate) slab_allocs: u64,
     /// Slabs served from a free list instead of freshly created.
     pub slab_reuses: u64,
     /// Cumulative payload bytes acquired.
@@ -85,7 +78,7 @@ pub struct ArenaStats {
     pub high_water_bytes: u64,
     /// Sum of class sizes of every slab ever created (pinned footprint;
     /// never shrinks — reuse is what keeps it bounded).
-    pub footprint_bytes: u64,
+    pub(crate) footprint_bytes: u64,
 }
 
 #[derive(Debug, Default)]
@@ -102,7 +95,7 @@ struct ArenaState {
 /// Deterministic model of a pinned host-memory arena (see module docs).
 ///
 /// ```
-/// use ssdtrain_simhw::{BufferArena, MIN_SLAB_BYTES};
+/// use ssdtrain_simhw::BufferArena;
 ///
 /// let arena = BufferArena::new();
 /// let a = arena.acquire(10_000).expect("non-zero request");
@@ -114,7 +107,6 @@ struct ArenaState {
 /// let b = arena.acquire(9_000).expect("non-zero request");
 /// assert_eq!(b.base, a.base); // same class -> slab reused in place
 /// assert_eq!(arena.stats().slab_reuses, 1);
-/// assert_eq!(arena.stats().footprint_bytes, 16384); // did not grow
 /// # arena.release(b);
 /// # assert_eq!(arena.stats().acquired_bytes, arena.stats().released_bytes);
 /// ```
@@ -131,7 +123,7 @@ impl BufferArena {
 
     /// Rounds a request up to its size class: the next power of two, at
     /// least [`MIN_SLAB_BYTES`].
-    pub fn class_of(len: u64) -> u64 {
+    pub(crate) fn class_of(len: u64) -> u64 {
         len.max(MIN_SLAB_BYTES).next_power_of_two()
     }
 
@@ -304,7 +296,7 @@ mod tests {
         let arena = BufferArena::new();
         let other = arena.clone();
         let a = arena.acquire(4096).expect("acquire");
-        assert_eq!(other.live_ranges(), vec![a.range()]);
+        assert_eq!(other.live_ranges(), vec![a.base..a.base + a.class_bytes]);
         other.release(a);
         assert!(arena.live_ranges().is_empty());
     }

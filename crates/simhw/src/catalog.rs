@@ -60,7 +60,7 @@ pub struct MegatronConfig {
     /// Number of transformer layers.
     pub layers: usize,
     /// Attention heads.
-    pub heads: usize,
+    pub(crate) heads: usize,
     /// Sequence length.
     pub seq: usize,
     /// Global batch size in sequences.

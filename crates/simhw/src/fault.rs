@@ -35,12 +35,12 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Whether this fault applies to write operations.
-    pub fn affects_writes(self) -> bool {
+    pub(crate) fn affects_writes(self) -> bool {
         !matches!(self, FaultKind::ReadError)
     }
 
     /// Whether this fault applies to read operations.
-    pub fn affects_reads(self) -> bool {
+    pub(crate) fn affects_reads(self) -> bool {
         matches!(self, FaultKind::ReadError | FaultKind::SlowIo { .. })
     }
 }
@@ -76,13 +76,13 @@ pub enum FaultTrigger {
 
 /// One (trigger, kind) rule with an optional budget of firings.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultRule {
+pub(crate) struct FaultRule {
     /// When the rule fires.
-    pub trigger: FaultTrigger,
+    pub(crate) trigger: FaultTrigger,
     /// What the firing does.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
     /// How many times the rule may fire; `None` means unbounded.
-    pub max_fires: Option<u64>,
+    pub(crate) max_fires: Option<u64>,
     fired: u64,
 }
 
@@ -159,14 +159,9 @@ impl FaultPlan {
     }
 
     /// Adds an explicit rule.
-    pub fn with_rule(mut self, rule: FaultRule) -> FaultPlan {
+    pub(crate) fn with_rule(mut self, rule: FaultRule) -> FaultPlan {
         self.rules.push(rule);
         self
-    }
-
-    /// The seed `Random` triggers draw from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Firing counters so far.

@@ -23,15 +23,15 @@ pub struct GpuSpec {
     pub fp16_tflops: f64,
     /// Achievable fraction of peak for large GEMMs (model FLOPs
     /// utilisation; Megatron-LM reports 0.4–0.52 on A100).
-    pub matmul_efficiency: f64,
+    pub(crate) matmul_efficiency: f64,
     /// Achievable fraction of peak for non-GEMM kernels.
-    pub elementwise_efficiency: f64,
+    pub(crate) elementwise_efficiency: f64,
     /// HBM bandwidth in GB/s.
-    pub hbm_gbps: f64,
+    pub(crate) hbm_gbps: f64,
     /// Device memory capacity in bytes.
     pub memory_bytes: u64,
     /// Fixed kernel-launch overhead in seconds.
-    pub launch_overhead_s: f64,
+    pub(crate) launch_overhead_s: f64,
 }
 
 impl GpuSpec {

@@ -30,6 +30,9 @@
 //!   evaluation testbed (Table 3).
 
 #![deny(missing_docs, clippy::allow_attributes_without_reason)]
+// A `pub` item is one another crate calls: inside a private module it
+// must be re-exported, or it says `pub(crate)` (DESIGN.md §2).
+#![deny(unreachable_pub)]
 // Library code returns typed errors instead of panicking (DESIGN.md §7).
 #![cfg_attr(
     not(test),
@@ -43,23 +46,23 @@
     )
 )]
 
-pub mod allocator;
-pub mod arena;
+mod allocator;
+mod arena;
 pub mod catalog;
-pub mod fault;
-pub mod gpu;
-pub mod link;
-pub mod memory;
+mod fault;
+mod gpu;
+mod link;
+mod memory;
 pub mod ssd;
 pub mod system;
-pub mod time;
+mod time;
 
-pub use allocator::{AllocatorStats, CachingAllocator};
-pub use arena::{ArenaStats, BufferArena, PinnedSlab, MIN_SLAB_BYTES};
-pub use fault::{FaultKind, FaultLog, FaultPlan, FaultRule, FaultTrigger};
+pub use allocator::AllocatorStats;
+pub use arena::{ArenaStats, BufferArena, PinnedSlab};
+pub use fault::{FaultKind, FaultLog, FaultPlan, FaultTrigger};
 pub use gpu::GpuSpec;
 pub use link::Channel;
 pub use memory::{FootprintPoint, GpuMemory, PeakObserver, StepMemory};
 pub use ssd::{Raid0, SsdSpec, WearMeter};
-pub use system::{OffloadPath, SystemConfig};
+pub use system::SystemConfig;
 pub use time::{SimClock, SimTime};

@@ -45,16 +45,6 @@ impl Channel {
         }
     }
 
-    /// Channel name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Bandwidth in bytes/second.
-    pub fn bandwidth(&self) -> f64 {
-        self.bytes_per_sec
-    }
-
     /// Enqueues a transfer of `bytes` at `now`; returns `(start, end)`.
     pub fn submit(&self, now: SimTime, bytes: u64) -> (SimTime, SimTime) {
         let mut free_at = self.free_at.lock();

@@ -14,7 +14,7 @@ pub struct FootprintPoint {
     /// Simulated time of the allocator event.
     pub time: SimTime,
     /// Total resident bytes after the event.
-    pub total: u64,
+    pub(crate) total: u64,
     /// Resident activation bytes after the event.
     pub activations: u64,
 }
@@ -202,7 +202,6 @@ impl<'a> Iterator for InTimeOrder<'a> {
 ///     clock.advance_by(0.5);
 /// }
 /// assert_eq!(mem.step_memory().peak_total, 4096);
-/// assert_eq!(mem.resident_total(), 0);
 /// ```
 #[derive(Clone)]
 pub struct GpuMemory {
@@ -226,11 +225,6 @@ impl GpuMemory {
     /// tracker share the observer.
     pub fn set_peak_observer(&self, observer: Arc<dyn PeakObserver>) {
         self.state.lock().observer = Some(observer);
-    }
-
-    /// Device capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 
     /// Runs `f` with allocator events stamped at `t` instead of the
@@ -327,7 +321,7 @@ impl GpuMemory {
     }
 
     /// Currently resident bytes across all classes.
-    pub fn resident_total(&self) -> u64 {
+    pub(crate) fn resident_total(&self) -> u64 {
         self.state.lock().current.iter().sum::<i64>() as u64
     }
 

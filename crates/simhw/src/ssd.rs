@@ -24,16 +24,16 @@ pub struct SsdSpec {
     /// warranty).
     pub dwpd: f64,
     /// WAF assumed by the JESD rating.
-    pub rated_waf: f64,
+    pub(crate) rated_waf: f64,
     /// Street price in US dollars (for $/PBW comparisons, Table 1).
     pub price_usd: f64,
 }
 
 /// Seconds in the 5-year warranty period DWPD ratings assume.
-pub const WARRANTY_SECS: f64 = 5.0 * 365.25 * 24.0 * 3600.0;
+pub(crate) const WARRANTY_SECS: f64 = 5.0 * 365.25 * 24.0 * 3600.0;
 
 /// Seconds per (Julian) year.
-pub const YEAR_SECS: f64 = 365.25 * 24.0 * 3600.0;
+pub(crate) const YEAR_SECS: f64 = 365.25 * 24.0 * 3600.0;
 
 impl SsdSpec {
     /// Lifetime *host* writes allowed by the JESD rating, in bytes
@@ -72,14 +72,14 @@ pub struct WearMeter {
     /// Host bytes written so far.
     pub host_bytes: u64,
     /// Workload write-amplification factor.
-    pub waf: f64,
+    pub(crate) waf: f64,
     /// Endurance budget in host bytes at this WAF.
     pub endurance_bytes: f64,
     /// Media bytes actually worn (host bytes + per-op overheads).
     pub media_bytes: u64,
     /// Fixed media overhead charged per write *operation* (0 = the
     /// pre-existing ideal model where media == host).
-    pub write_overhead_bytes: u64,
+    pub(crate) write_overhead_bytes: u64,
 }
 
 impl WearMeter {
@@ -175,17 +175,12 @@ impl Raid0 {
     }
 
     /// Aggregate sequential read bandwidth.
-    pub fn read_bps(&self) -> f64 {
+    pub(crate) fn read_bps(&self) -> f64 {
         self.member.read_bps * self.n as f64
     }
 
-    /// Aggregate capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.member.capacity_bytes * self.n as u64
-    }
-
     /// Aggregate endurance in host bytes at the workload WAF.
-    pub fn endurance_bytes(&self, workload_waf: f64) -> f64 {
+    pub(crate) fn endurance_bytes(&self, workload_waf: f64) -> f64 {
         self.member.endurance_bytes(workload_waf) * self.n as f64
     }
 
@@ -296,7 +291,6 @@ mod tests {
     fn raid0_sums_members() {
         let arr = Raid0::new(toy(), 4);
         assert_eq!(arr.write_bps(), 8e9);
-        assert_eq!(arr.capacity_bytes(), 4_000_000_000_000);
         assert!((arr.endurance_bytes(1.0) / toy().endurance_bytes(1.0) - 4.0).abs() < 1e-9);
     }
 

@@ -169,7 +169,6 @@ mod tests {
         let rt = sys.instantiate();
         rt.clock.advance_by(1.0);
         assert_eq!(rt.clock.now().as_secs(), 1.0);
-        assert_eq!(rt.memory.capacity(), sys.gpu.memory_bytes);
         rt.reset();
         assert_eq!(rt.clock.now().as_secs(), 0.0);
     }

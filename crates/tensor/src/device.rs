@@ -43,7 +43,7 @@ impl MemClass {
     ];
 
     /// Short stable label used in reports.
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             MemClass::Parameter => "param",
             MemClass::Gradient => "grad",
@@ -93,15 +93,6 @@ pub trait MemTracker: Send + Sync {
     fn on_free(&self, bytes: u64, class: MemClass);
 }
 
-/// A no-op tracker, useful in tests.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullTracker;
-
-impl MemTracker for NullTracker {
-    fn on_alloc(&self, _bytes: u64, _class: MemClass) {}
-    fn on_free(&self, _bytes: u64, _class: MemClass) {}
-}
-
 struct DeviceInner {
     tracker: parking_lot::RwLock<Option<Arc<dyn MemTracker>>>,
     default_class: AtomicU8,
@@ -120,8 +111,7 @@ struct DeviceInner {
 /// ```
 /// use ssdtrain_tensor::{Device, MemClass, Tensor};
 /// let dev = Device::cpu();
-/// dev.set_default_class(MemClass::Parameter);
-/// let w = Tensor::zeros(&[4, 4], &dev);
+/// let w = dev.with_class(MemClass::Parameter, || Tensor::zeros(&[4, 4], &dev));
 /// assert_eq!(w.mem_class(), MemClass::Parameter);
 /// ```
 #[derive(Clone)]
@@ -157,7 +147,7 @@ impl Device {
     }
 
     /// Element type assigned to tensors created without an explicit dtype.
-    pub fn default_dtype(&self) -> DType {
+    pub(crate) fn default_dtype(&self) -> DType {
         dtype_from_u8(self.inner.default_dtype.load(Ordering::Relaxed))
     }
 
@@ -195,12 +185,12 @@ impl Device {
     }
 
     /// Current default class assigned to new storages.
-    pub fn default_class(&self) -> MemClass {
+    pub(crate) fn default_class(&self) -> MemClass {
         MemClass::from_u8(self.inner.default_class.load(Ordering::Relaxed))
     }
 
     /// Sets the class assigned to storages created from now on.
-    pub fn set_default_class(&self, class: MemClass) {
+    pub(crate) fn set_default_class(&self, class: MemClass) {
         self.inner
             .default_class
             .store(class.as_u8(), Ordering::Relaxed);

@@ -37,7 +37,7 @@ impl DType {
     }
 
     /// Short lowercase name (`"f16"`, `"f32"`, `"u8"`).
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             DType::F16 => "f16",
             DType::F32 => "f32",

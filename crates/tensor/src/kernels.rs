@@ -867,14 +867,14 @@ impl Tensor {
 
 /// GELU(x) with the tanh approximation.
 #[inline(always)]
-pub fn gelu_scalar(x: f32) -> f32 {
+pub(crate) fn gelu_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
     0.5 * x * (1.0 + tanh(C * (x + 0.044715 * x * x * x)))
 }
 
 /// d GELU(x) / dx with the tanh approximation.
 #[inline(always)]
-pub fn gelu_grad_scalar(x: f32) -> f32 {
+pub(crate) fn gelu_grad_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let u = C * (x + 0.044715 * x * x * x);
     let t = tanh(u);

@@ -33,6 +33,9 @@
 //! ```
 
 #![deny(missing_docs, clippy::allow_attributes_without_reason)]
+// A `pub` item is one another crate calls: inside a private module it
+// must be re-exported, or it says `pub(crate)` (DESIGN.md §2).
+#![deny(unreachable_pub)]
 // The kernels' width dispatch is the one place `unsafe` is allowed here
 // (DESIGN.md §7); every block and every `unsafe fn` states why it holds.
 #![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
@@ -49,9 +52,9 @@
     )
 )]
 
-pub mod device;
-pub mod dtype;
-pub mod kernels;
+mod device;
+mod dtype;
+mod kernels;
 #[cfg(test)]
 mod reference;
 pub mod rng;

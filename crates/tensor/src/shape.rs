@@ -3,8 +3,8 @@
 //! Every saved tensor is cloned, viewed and wrapped several times on its
 //! way through the autograd tape and the tensor cache, so a shape that
 //! lived on the heap cost an allocator call at each of those steps.
-//! Extents and strides therefore live in a fixed-capacity [`Dims`] value
-//! (the same idea as PyTorch's inline `c10::SizesAndStrides`): copying a
+//! Extents and strides therefore live in a fixed-capacity inline array
+//! of at most [`MAX_RANK`] values (the same idea as PyTorch's inline `c10::SizesAndStrides`): copying a
 //! [`Shape`] or a view's strides is a plain memory copy.
 
 use std::fmt;
@@ -20,7 +20,7 @@ pub const MAX_RANK: usize = 4;
 /// view's strides — stored inline. Dereferences to the slice of its
 /// values; the unused slots take no part in `Eq`, `Hash` or `Debug`.
 #[derive(Clone, Copy, Default)]
-pub struct Dims {
+pub(crate) struct Dims {
     vals: [usize; MAX_RANK],
     len: u8,
 }
@@ -94,7 +94,7 @@ impl fmt::Debug for Dims {
 /// use ssdtrain_tensor::Shape;
 /// let s = Shape::new(vec![2, 3, 4]);
 /// assert_eq!(s.numel(), 24);
-/// assert_eq!(*s.contiguous_strides(), [12, 4, 1]);
+/// assert_eq!(s.dims(), [2, 3, 4]);
 /// ```
 ///
 /// # Panics
@@ -122,7 +122,7 @@ impl Shape {
     }
 
     /// Number of dimensions.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.0.len()
     }
 
@@ -130,7 +130,7 @@ impl Shape {
     ///
     /// # Panics
     /// Panics if `d >= rank()`.
-    pub fn dim(&self, d: usize) -> usize {
+    pub(crate) fn dim(&self, d: usize) -> usize {
         self.0[d]
     }
 
@@ -140,7 +140,7 @@ impl Shape {
     }
 
     /// Row-major (C-order) strides for a contiguous layout.
-    pub fn contiguous_strides(&self) -> Dims {
+    pub(crate) fn contiguous_strides(&self) -> Dims {
         let mut strides = self.0;
         let mut next = 1;
         for (stride, &dim) in strides.iter_mut().zip(self.dims()).rev() {
@@ -154,7 +154,7 @@ impl Shape {
     ///
     /// # Panics
     /// Panics if `a` or `b` is out of range.
-    pub fn transposed(&self, a: usize, b: usize) -> Shape {
+    pub(crate) fn transposed(&self, a: usize, b: usize) -> Shape {
         let mut dims = self.0;
         dims.swap(a, b);
         Shape(dims)

@@ -31,11 +31,6 @@ impl StorageId {
         static NEXT: AtomicU64 = AtomicU64::new(1);
         StorageId(NEXT.fetch_add(1, Ordering::Relaxed))
     }
-
-    /// Raw numeric value, for logs and reports.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Display for StorageId {
@@ -178,7 +173,12 @@ impl Storage {
     /// # Panics
     /// Panics if the device is symbolic (numeric payloads are not allowed
     /// there — that would defeat the purpose of shape-only runs).
-    pub fn numeric(data: Vec<f32>, dtype: DType, class: MemClass, device: &Device) -> Storage {
+    pub(crate) fn numeric(
+        data: Vec<f32>,
+        dtype: DType,
+        class: MemClass,
+        device: &Device,
+    ) -> Storage {
         assert!(
             !device.is_symbolic(),
             "numeric storage created on a symbolic device"
@@ -188,7 +188,12 @@ impl Storage {
     }
 
     /// Creates a shape-only storage accounting for `numel` elements.
-    pub fn symbolic(numel: usize, dtype: DType, class: MemClass, device: &Device) -> Storage {
+    pub(crate) fn symbolic(
+        numel: usize,
+        dtype: DType,
+        class: MemClass,
+        device: &Device,
+    ) -> Storage {
         Self::build(DataState::Symbolic, numel, dtype, class, device)
     }
 
@@ -236,7 +241,7 @@ impl Storage {
     }
 
     /// Element type (controls accounted width).
-    pub fn dtype(&self) -> DType {
+    pub(crate) fn dtype(&self) -> DType {
         self.inner().dtype
     }
 
@@ -259,22 +264,22 @@ impl Storage {
     }
 
     /// Device this storage lives on.
-    pub fn device(&self) -> &Device {
+    pub(crate) fn device(&self) -> &Device {
         self.inner().device()
     }
 
     /// Accounted size in bytes (`numel * dtype.byte_size()`).
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.inner().numel as u64 * self.inner().dtype.byte_size()
     }
 
     /// Whether the payload currently occupies (simulated) device memory.
-    pub fn is_resident(&self) -> bool {
+    pub(crate) fn is_resident(&self) -> bool {
         !matches!(*self.inner().data.read(), DataState::Released)
     }
 
     /// Whether real values are present.
-    pub fn has_data(&self) -> bool {
+    pub(crate) fn has_data(&self) -> bool {
         matches!(*self.inner().data.read(), DataState::Numeric(_))
     }
 
@@ -291,7 +296,7 @@ impl Storage {
 
     /// Runs `f` over the mutable payload, or returns `None` when symbolic
     /// or released.
-    pub fn with_data_mut<R>(&self, f: impl FnOnce(&mut [f32]) -> R) -> Option<R> {
+    pub(crate) fn with_data_mut<R>(&self, f: impl FnOnce(&mut [f32]) -> R) -> Option<R> {
         match &mut *self.inner().data.write() {
             DataState::Numeric(v) => Some(f(v)),
             _ => None,
@@ -457,7 +462,7 @@ impl Storage {
     }
 
     /// The stamp, if one was assigned.
-    pub fn stamp(&self) -> Option<u64> {
+    pub(crate) fn stamp(&self) -> Option<u64> {
         self.inner().stamp.get().copied()
     }
 

@@ -172,7 +172,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics if the shape's element count differs from the storage's.
-    pub fn over(storage: Storage, shape: impl Into<Shape>) -> Tensor {
+    pub(crate) fn over(storage: Storage, shape: impl Into<Shape>) -> Tensor {
         let shape = shape.into();
         assert_eq!(
             storage.numel(),
@@ -251,7 +251,7 @@ impl Tensor {
     }
 
     /// Whether this view is laid out contiguously in row-major order.
-    pub fn is_contiguous(&self) -> bool {
+    pub(crate) fn is_contiguous(&self) -> bool {
         let mut expected = 1;
         self.offset == 0
             && self
@@ -345,7 +345,7 @@ impl Tensor {
     }
 
     /// Like [`Tensor::to_vec`] but returns `None` when no data is present.
-    pub fn try_to_vec(&self) -> Option<Vec<f32>> {
+    pub(crate) fn try_to_vec(&self) -> Option<Vec<f32>> {
         self.storage.with_data(|data| {
             if self.is_contiguous() {
                 return data[self.offset..self.offset + self.numel()].to_vec();
@@ -450,12 +450,12 @@ impl Tensor {
         self.with_values(|v| v[0])
     }
 
-    /// Value at a multi-index.
+    /// Value at a multi-index: the reference kernels' element read.
     ///
     /// # Panics
     /// Panics on rank mismatch, out-of-range index, or missing data.
-    #[expect(clippy::expect_used, reason = "documented contract, like the asserts")]
-    pub fn at(&self, index: &[usize]) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn at(&self, index: &[usize]) -> f32 {
         assert_eq!(index.len(), self.rank(), "index rank mismatch");
         let mut off = self.offset;
         for (d, &ix) in index.iter().enumerate() {

@@ -6,10 +6,6 @@ use ssdtrain_simhw::{AllocatorStats, FootprintPoint};
 /// Everything measured during one training step.
 #[derive(Debug, Clone)]
 pub struct StepMetrics {
-    /// Strategy label (`keep` / `offload` / `recompute`).
-    pub strategy: String,
-    /// Model tag, e.g. `"bert-h8192-l4"`.
-    pub model: String,
     /// Global batch size (sequences).
     pub batch: usize,
     /// Simulated step time, the weight update inside it. With no state
@@ -84,8 +80,6 @@ mod tests {
 
     fn metrics() -> StepMetrics {
         StepMetrics {
-            strategy: "keep".into(),
-            model: "test".into(),
             batch: 1,
             step_secs: 2.0,
             fwd_secs: 0.7,

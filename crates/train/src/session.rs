@@ -653,8 +653,6 @@ impl TrainSession {
             .map(|c| c.io().bytes_written())
             .unwrap_or(0);
         let metrics = StepMetrics {
-            strategy: self.cfg.strategy.label().to_owned(),
-            model: self.cfg.model.tag(),
             batch: self.cfg.batch_size,
             step_secs,
             fwd_secs: self.gpu.executor.phase_secs(Phase::Forward),

@@ -15,9 +15,14 @@ cargo test -q
 # UPDATE_GOLDEN=1 after intentional trace/exporter changes).
 cargo test -q --test trace_observability
 # Tier timing must stay differential: link speeds reach the step clock
-# (tier_timing) and the cost model's predictions track the simulator
-# (proptest_invariants). Run explicitly so a test-harness filter can
-# never silently drop them.
+# (tier_timing), and the I/O queues keep their FIFO and demand-first
+# schedules (proptest_invariants). Run explicitly so a test-harness
+# filter can never silently drop them. The cost model's prediction of
+# the simulator and the tier ledger's properties (every stored byte in
+# exactly one tier, spills and demotions conserving reservations,
+# per-tier counters summing to the flat aggregate) are unit tests of
+# `ssdtrain` (`costmodel.rs`, `tier.rs`), which `cargo test -q` runs:
+# the ledger is crate-private.
 cargo test -q --test tier_timing
 cargo test -q --test proptest_invariants
 # The offload-class differential suite: losses must stay bit-identical
@@ -53,10 +58,6 @@ cargo test -q --test paper_claims
 # step's total peak includes its parameters, and its allocator replay
 # reserves at least that peak). Run explicitly for the same reason.
 cargo test -q --test cross_crate
-# The tier ledger's properties: every stored byte lives in exactly one
-# tier, spills and demotions conserve reservations, and the per-tier
-# counters sum to the flat aggregate. Run explicitly for the same reason.
-cargo test -q --test tier_invariants
 # One lock per object: a second thread polling every read-only accessor
 # of a live cache (stats, plan, the tiers' names and links) neither
 # deadlocks the step nor moves a loss bit. Run explicitly for the same

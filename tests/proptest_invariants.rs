@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use ssdtrain::adaptive::{AdaptivePlan, ModuleProfile, StepProfile};
-use ssdtrain::{CostModel, CpuTarget, IoEngine, OffloadTarget, Tier, TierLink, TierStack};
+use ssdtrain::{CpuTarget, IoEngine, OffloadTarget, Tier, TierLink, TierStack};
 use ssdtrain_simhw::{GpuMemory, SimClock, SimTime};
 use ssdtrain_tensor::storage::{f16_bits_to_f32, f32_to_f16_bits};
 use ssdtrain_tensor::{Device, MemClass, MemTracker, Prng, Tensor};
@@ -617,128 +617,6 @@ proptest! {
         let plan = AdaptivePlan::decide(&profile, bw, 2.0);
         let last = format!("m{}", n - 1);
         prop_assert!(plan.keeps(&last), "{}", last);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Placement cost model
-// ---------------------------------------------------------------------
-
-/// A two-tier cost model over a fresh engine with the same link pricing,
-/// so modeled times can be replayed against the simulator directly.
-fn cost_fixture(
-    front_cap: Option<u64>,
-    write_bps: [f64; 2],
-    read_bps: [f64; 2],
-    bus: f64,
-) -> (CostModel, IoEngine) {
-    let links = || {
-        vec![
-            TierLink::new("dram", write_bps[0], read_bps[0]),
-            TierLink::new("ssd", write_bps[1], read_bps[1]),
-        ]
-    };
-    let engine = |clock| IoEngine::tiered_with_bus(clock, links(), bus);
-    let mut front = Tier::new("dram", Arc::new(CpuTarget::new(1 << 40)), 0);
-    if let Some(c) = front_cap {
-        front = front.with_capacity(c);
-    }
-    let stack = TierStack::new(vec![
-        front,
-        Tier::new("ssd", Arc::new(CpuTarget::new(1 << 40)), 1),
-    ]);
-    (
-        CostModel::from_parts(&engine(SimClock::new()), &stack),
-        engine(SimClock::new()),
-    )
-}
-
-fn varied_profile(mods: &[(u64, f64)]) -> StepProfile {
-    StepProfile {
-        modules: mods
-            .iter()
-            .enumerate()
-            .map(|(i, (bytes, secs))| ModuleProfile {
-                path: format!("m{i}"),
-                offload_bytes: *bytes,
-                fwd_secs: *secs,
-                store_secs: 0.0,
-                load_secs: 0.0,
-            })
-            .collect(),
-        fwd_total_secs: mods.iter().map(|m| m.1).sum(),
-        fwd_io_bytes: mods.iter().map(|m| m.0).sum(),
-        fwd_io_secs: 0.0,
-    }
-}
-
-proptest! {
-    // Each case replays the modeled byte split through a real engine, so
-    // keep the sweep moderate.
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn modeled_step_time_matches_a_direct_simulation(
-        mods in prop::collection::vec(
-            ((1u64..2_000_000_000, 0.001f64..0.3), 0usize..3),
-            1..12,
-        ),
-        write_bps in (1e8f64..1e10, 1e8f64..1e10).prop_map(|(a, b)| [a, b]),
-        read_bps in (1e8f64..1e10, 1e8f64..1e10).prop_map(|(a, b)| [a, b]),
-        bus in 1e8f64..1e10,
-        ratio in 0.5f64..4.0,
-    ) {
-        // `2` keeps the module resident, everything else picks a link.
-        let assignment: Vec<Option<usize>> =
-            mods.iter().map(|(_, l)| (*l < 2).then_some(*l)).collect();
-        let profile = varied_profile(
-            &mods.iter().map(|(m, _)| *m).collect::<Vec<_>>(),
-        );
-        let (model, io) = cost_fixture(None, write_bps, read_bps, bus);
-
-        // Replay the stores through the engine: the modeled drain must
-        // be the simulator's drain, job for job.
-        for (m, a) in profile.modules.iter().zip(&assignment) {
-            if let Some(link) = *a {
-                io.submit_store_to(link, m.offload_bytes);
-            }
-        }
-        let sim_drain = (0..io.link_count())
-            .map(|l| io.writes_drain_at_on(l).as_secs())
-            .fold(0.0f64, f64::max);
-        let split = model.split_for(&profile, &assignment);
-        let modeled_drain = model.store_drain_secs(&split);
-        prop_assert!(
-            (modeled_drain - sim_drain).abs() <= sim_drain.max(1e-9) * 1e-6,
-            "drain: modeled {modeled_drain} vs simulated {sim_drain}"
-        );
-
-        // Reads serialise on the one read bus, each at its link's rate
-        // capped by the bus; replay those too.
-        let mut sim_load = 0.0f64;
-        for (m, a) in profile.modules.iter().zip(&assignment) {
-            if let Some(link) = *a {
-                let read = io.submit_load_from(link, m.offload_bytes);
-                sim_load = sim_load.max(io.read_end(read).as_secs());
-            }
-        }
-        let modeled_load = model.load_secs(&split);
-        prop_assert!(
-            (modeled_load - sim_load).abs() <= sim_load.max(1e-9) * 1e-6,
-            "load: modeled {modeled_load} vs simulated {sim_load}"
-        );
-
-        // The full step composes them exactly as the cache's barriers
-        // do: reloads race backward compute, and the store queue —
-        // which cannot start before the first module computes — is
-        // waited for only at backward's exit.
-        let fwd = profile.fwd_total_secs;
-        let t0 = profile.modules.first().map(|m| m.fwd_secs).unwrap_or(0.0);
-        let expect = (fwd + (ratio * fwd).max(sim_load)).max(t0 + sim_drain);
-        let modeled = model.modeled_step_secs(&profile, &assignment, ratio);
-        prop_assert!(
-            (modeled - expect).abs() <= expect * 1e-6,
-            "step: modeled {modeled} vs composed {expect}"
-        );
     }
 }
 
