@@ -16,12 +16,16 @@
 //!   block in the pool (large pool only, like the real allocator);
 //! * nothing is ever returned to the device: `reserved` only grows.
 //!
-//! Each pool keeps its cached blocks as a size → count multiset, so best
-//! fit is the first size at or above the request with a block cached,
-//! and a request or a free costs O(log n) in the distinct cached sizes
-//! (plus, in the small pool, the emptied sizes it steps over).
-
-use std::collections::BTreeMap;
+//! Each pool keeps its cached blocks as a size → count multiset, a `Vec`
+//! sorted by size: best fit is the first size at or above the request
+//! with a block cached, found by binary search, and a request or a free
+//! costs O(log n) in the distinct cached sizes, plus a shift of the
+//! entries above when a size comes or goes (and, in the small pool, the
+//! emptied sizes it steps over). The sizes are few: across every exhibit
+//! and benchmark workload a replay's small pool held at most 8 distinct
+//! sizes at once, its large pool 15 and its live counts 14, so a shift
+//! moves at most 15 entries. A `Vec` keeps its buffer when cleared, so a
+//! replay kept from step to step ([`AllocatorReplay`]) reuses it.
 
 const SMALL_GRAIN: u64 = 512;
 const SMALL_LIMIT: u64 = 1 << 20;
@@ -56,24 +60,39 @@ pub struct AllocatorStats {
     pub(crate) splits: u64,
 }
 
-/// A pool's cached blocks: block size → how many are cached.
-type Blocks = BTreeMap<u64, u32>;
+/// A size → count multiset: `(size, count)` entries sorted by size.
+type Counts = Vec<(u64, u32)>;
+
+/// The count of `size` in `counts`, inserted at zero if absent.
+fn count_of(counts: &mut Counts, size: u64) -> &mut u32 {
+    let i = match counts.binary_search_by_key(&size, |&(s, _)| s) {
+        Ok(i) => i,
+        Err(i) => {
+            counts.insert(i, (size, 0));
+            i
+        }
+    };
+    &mut counts[i].1
+}
 
 /// Caches one more block of `size`.
-fn put(pool: &mut Blocks, size: u64) {
-    *pool.entry(size).or_insert(0) += 1;
+fn put(pool: &mut Counts, size: u64) {
+    *count_of(pool, size) += 1;
 }
 
 /// Takes the smallest cached block that holds `size` (best fit). In the
 /// small pool a size whose last block is taken keeps its entry at zero:
 /// its sizes are few (512 B steps below 1 MiB), and a pool that empties
-/// and refills then does not rebuild its map. Large-pool splits leave
-/// sizes of every kind, so there an emptied size goes.
-fn take(pool: &mut Blocks, size: u64) -> Option<u64> {
-    let (&block, count) = pool.range_mut(size..).find(|(_, n)| **n > 0)?;
+/// and refills then does not insert its sizes again. Large-pool splits
+/// leave sizes of every kind, so there an emptied size goes.
+fn take(pool: &mut Counts, size: u64) -> Option<u64> {
+    let from = pool.partition_point(|&(s, _)| s < size);
+    let i = from + pool[from..].iter().position(|&(_, n)| n > 0)?;
+    let (block, count) = &mut pool[i];
+    let block = *block;
     *count -= 1;
     if *count == 0 && block >= SMALL_LIMIT {
-        pool.remove(&block);
+        pool.remove(i);
     }
     Some(block)
 }
@@ -83,17 +102,12 @@ fn take(pool: &mut Blocks, size: u64) -> Option<u64> {
 /// reserved footprint back.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct CachingAllocator {
-    small_free: Blocks,
-    large_free: Blocks,
+    small_free: Counts,
+    large_free: Counts,
     stats: AllocatorStats,
 }
 
 impl CachingAllocator {
-    /// An empty allocator.
-    pub(crate) fn new() -> CachingAllocator {
-        CachingAllocator::default()
-    }
-
     /// Current statistics.
     pub(crate) fn stats(&self) -> AllocatorStats {
         self.stats
@@ -154,49 +168,73 @@ impl CachingAllocator {
         }
     }
 
-    /// [`CachingAllocator::replay_with`] on a buffer of its own: the
-    /// tests' form.
-    #[cfg(test)]
-    pub(crate) fn replay(events: impl IntoIterator<Item = (u64, bool)>) -> AllocatorStats {
-        CachingAllocator::replay_with(events, &mut Vec::new(), 0)
+    /// Starts over from `base` bytes allocated and reserved, with no
+    /// block cached; the pools keep their buffers.
+    fn restart(&mut self, base: u64) {
+        self.small_free.clear();
+        self.large_free.clear();
+        self.stats = AllocatorStats {
+            allocated: base,
+            allocated_peak: base,
+            reserved: base,
+            ..AllocatorStats::default()
+        };
     }
+}
 
+/// The allocator replay a memory tracker keeps from step to step: the
+/// pools, the live counts and the note of larger blocks. Each replay
+/// starts them over but keeps their buffers, so a warm replay whose
+/// stream caches no new size allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct AllocatorReplay {
+    alloc: CachingAllocator,
+    /// Request size → live allocations of it. A count that falls to zero
+    /// keeps its entry: the next request of that size reuses it.
+    live: Counts,
+    /// (request size, place in its count, block) of each live allocation
+    /// holding a larger block than its request rounds to, searched from
+    /// the end. A warm `sym_deep_tiered` step holds one at a time; its
+    /// profiling steps reach 242.
+    larger: Vec<(u64, u32, u64)>,
+}
+
+impl AllocatorReplay {
     /// Replays a `(bytes, is_free)` stream where a free retires the
     /// latest live allocation of the same request size, if there is one,
     /// and is ignored otherwise; returns the final statistics. `base`
     /// bytes — what the device held before the stream — start out both
     /// allocated and reserved; the stream's frees never return them.
+    /// Nothing carries over from an earlier replay but buffer capacity.
     ///
     /// Almost every allocation holds the block its request rounds to, so
     /// live allocations are kept as a count per request size. A small
     /// request served a larger cached block is the exception: it is
     /// noted aside in `larger` with its place in its size's stack, and a
-    /// free that retires it returns that block. The replay leaves
-    /// `larger` empty: a caller that replays every step keeps the buffer,
-    /// so a warm replay allocates no more than the pools do.
-    pub(crate) fn replay_with(
+    /// free that retires it returns that block.
+    pub(crate) fn replay(
+        &mut self,
         events: impl IntoIterator<Item = (u64, bool)>,
-        larger: &mut Vec<(u64, u32, u64)>,
         base: u64,
     ) -> AllocatorStats {
+        let AllocatorReplay {
+            alloc,
+            live,
+            larger,
+        } = self;
+        alloc.restart(base);
+        live.clear();
         larger.clear();
-        let mut alloc = CachingAllocator::new();
-        alloc.stats.allocated = base;
-        alloc.stats.allocated_peak = base;
-        alloc.stats.reserved = base;
-        // Request size → live allocations of it. A count that falls to
-        // zero keeps its entry: the next request of that size reuses it.
-        // `larger` holds (request size, place in its count, block) of each
-        // live allocation holding a larger block than its request rounds
-        // to; it stays short, so it is searched.
-        let mut live: BTreeMap<u64, u32> = BTreeMap::new();
         for (bytes, is_free) in events {
             if is_free {
-                let Some(n) = live.get_mut(&bytes).filter(|n| **n > 0) else {
+                let Ok(i) = live.binary_search_by_key(&bytes, |&(s, _)| s) else {
                     continue;
                 };
-                *n -= 1;
-                let at = *n;
+                let n = &mut live[i].1;
+                let Some(at) = n.checked_sub(1) else {
+                    continue;
+                };
+                *n = at;
                 let found = larger.iter().rposition(|&(b, i, _)| b == bytes && i == at);
                 let block = match found {
                     Some(i) => larger.swap_remove(i).2,
@@ -205,14 +243,13 @@ impl CachingAllocator {
                 alloc.free(block);
             } else {
                 let block = alloc.alloc(bytes);
-                let n = live.entry(bytes).or_insert(0);
+                let n = count_of(live, bytes);
                 if block != rounded_size(bytes) {
                     larger.push((bytes, *n, block));
                 }
                 *n += 1;
             }
         }
-        larger.clear();
         alloc.stats()
     }
 }
@@ -237,7 +274,7 @@ mod tests {
 
     #[test]
     fn freed_blocks_are_reused_not_rereserved() {
-        let mut a = CachingAllocator::new();
+        let mut a = CachingAllocator::default();
         let b1 = a.alloc(3 << 20);
         a.free(b1);
         let _b2 = a.alloc(3 << 20);
@@ -249,7 +286,7 @@ mod tests {
 
     #[test]
     fn reserved_never_shrinks() {
-        let mut a = CachingAllocator::new();
+        let mut a = CachingAllocator::default();
         let blocks: Vec<u64> = (1..=8).map(|i| a.alloc(i << 20)).collect();
         let reserved = a.stats().reserved;
         for b in blocks {
@@ -261,7 +298,7 @@ mod tests {
 
     #[test]
     fn large_blocks_split_and_remainder_stays_cached() {
-        let mut a = CachingAllocator::new();
+        let mut a = CachingAllocator::default();
         let big = a.alloc(10 << 20);
         a.free(big);
         let _small = a.alloc(2 << 20);
@@ -280,7 +317,7 @@ mod tests {
         // Alternating odd sizes defeat reuse: reserved grows beyond the
         // allocated peak — the fragmentation effect real recompute runs
         // suffer.
-        let mut a = CachingAllocator::new();
+        let mut a = CachingAllocator::default();
         let mut last = None;
         for i in 0..16u64 {
             if let Some(b) = last.take() {
@@ -294,12 +331,15 @@ mod tests {
 
     #[test]
     fn replay_pairs_frees_with_requests() {
-        let stats = CachingAllocator::replay([
-            (4 << 20, false),
-            (4 << 20, false),
-            (4 << 20, true),
-            (4 << 20, false),
-        ]);
+        let stats = AllocatorReplay::default().replay(
+            [
+                (4 << 20, false),
+                (4 << 20, false),
+                (4 << 20, true),
+                (4 << 20, false),
+            ],
+            0,
+        );
         assert_eq!(stats.fresh_allocations, 2);
         assert_eq!(stats.reuses, 1);
         assert_eq!(stats.allocated, 8 << 20);
@@ -312,7 +352,7 @@ mod tests {
             events.push((8 << 20, false));
             events.push((8 << 20, true));
         }
-        let stats = CachingAllocator::replay(events);
+        let stats = AllocatorReplay::default().replay(events, 0);
         assert_eq!(stats.reserved, 8 << 20);
         assert_eq!(stats.reserved, stats.allocated_peak);
     }

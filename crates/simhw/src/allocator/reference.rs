@@ -4,7 +4,7 @@
 //! end to end for the best fit, and a replay that retires the latest
 //! live allocation of a freed size (live allocations kept in order).
 
-use super::{rounded_size, AllocatorStats, CachingAllocator, SMALL_LIMIT};
+use super::{rounded_size, AllocatorReplay, AllocatorStats, CachingAllocator, SMALL_LIMIT};
 use proptest::prelude::*;
 
 #[derive(Debug, Default)]
@@ -68,8 +68,13 @@ impl LinearScan {
         }
     }
 
-    fn replay(events: &[(u64, bool)]) -> AllocatorStats {
+    /// Replays `events` over `base` bytes allocated and reserved, as
+    /// [`AllocatorReplay::replay`] does, on an allocator of its own.
+    fn replay(events: &[(u64, bool)], base: u64) -> AllocatorStats {
         let mut alloc = LinearScan::default();
+        alloc.stats.allocated = base;
+        alloc.stats.allocated_peak = base;
+        alloc.stats.reserved = base;
         let mut live: Vec<(u64, u64)> = Vec::new(); // (request, block), in order
         for &(bytes, is_free) in events {
             if is_free {
@@ -128,12 +133,12 @@ fn a_small_block_served_whole_comes_back_whole() {
     // returns the whole block, so nothing stays allocated and the block
     // serves a 1024 B request again without a new reservation.
     let events = [(1024, false), (1024, true), (512, false), (512, true)];
-    let stats = CachingAllocator::replay(events);
+    let stats = AllocatorReplay::default().replay(events, 0);
     assert_eq!(stats.allocated, 0, "nothing is live");
-    assert_eq!(stats, LinearScan::replay(&events));
-    let again = CachingAllocator::replay(events.into_iter().chain([(1024, false)]));
+    assert_eq!(stats, LinearScan::replay(&events, 0));
+    let again = AllocatorReplay::default().replay(events.into_iter().chain([(1024, false)]), 0);
     assert_eq!(again.fresh_allocations, 1, "the 1024 B block kept its size");
-    let mut a = CachingAllocator::new();
+    let mut a = CachingAllocator::default();
     let first = a.alloc(1024);
     a.free(first);
     let whole = a.alloc(512);
@@ -146,16 +151,36 @@ proptest! {
     #[test]
     fn replay_matches_the_linear_scan(events in prop::collection::vec(event(), 0..300)) {
         prop_assert_eq!(
-            CachingAllocator::replay(events.iter().copied()),
-            LinearScan::replay(&events)
+            AllocatorReplay::default().replay(events.iter().copied(), 0),
+            LinearScan::replay(&events, 0)
         );
+    }
+
+    /// One kept replay runs stream after stream, as a memory tracker's
+    /// does step after step, and each result equals a fresh linear
+    /// scan's: nothing of an earlier stream (a cached block, a live
+    /// count, a noted larger block) reaches a later one.
+    #[test]
+    fn a_kept_replay_matches_a_fresh_linear_scan_every_time(
+        streams in prop::collection::vec(
+            (prop::collection::vec(event(), 0..200), 0u64..(64 << 20)),
+            1..6,
+        ),
+    ) {
+        let mut kept = AllocatorReplay::default();
+        for (events, base) in streams {
+            prop_assert_eq!(
+                kept.replay(events.iter().copied(), base),
+                LinearScan::replay(&events, base)
+            );
+        }
     }
 
     #[test]
     fn alloc_and_free_match_the_linear_scan(
         ops in prop::collection::vec((request(), 0u8..3, 0usize..64), 0..300),
     ) {
-        let (mut got, mut want) = (CachingAllocator::new(), LinearScan::default());
+        let (mut got, mut want) = (CachingAllocator::default(), LinearScan::default());
         let mut handed_out: Vec<u64> = Vec::new();
         for (bytes, kind, pick) in ops {
             match kind {

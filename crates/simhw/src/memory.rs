@@ -1,6 +1,6 @@
 //! Simulated GPU memory: allocation tracking and footprint timelines.
 
-use crate::allocator::{AllocatorStats, CachingAllocator};
+use crate::allocator::{AllocatorReplay, AllocatorStats};
 use crate::time::{SimClock, SimTime};
 use parking_lot::Mutex;
 use ssdtrain_tensor::{MemClass, MemTracker};
@@ -24,8 +24,10 @@ pub struct FootprintPoint {
 /// [`GpuMemory::reset`], totalled from what the device held then.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepMemory {
-    /// The footprint timeline (see [`GpuMemory::timeline`]).
-    pub timeline: Vec<FootprintPoint>,
+    /// The footprint timeline (see [`GpuMemory::timeline`]), lent by the
+    /// tracker: a later read refills this buffer only once no handle to
+    /// it is left, so a held timeline never changes.
+    pub timeline: Arc<Vec<FootprintPoint>>,
     /// Peak total resident bytes over the timeline.
     pub peak_total: u64,
     /// Peak resident activation bytes over the timeline.
@@ -93,9 +95,11 @@ struct State {
     in_order_until: Option<SimTime>,
     time_override: Option<SimTime>,
     live_peak: i64,
-    /// The allocator replay's note of larger blocks, kept from step to
-    /// step ([`CachingAllocator::replay_with`]).
-    replay_larger: Vec<(u64, u32, u64)>,
+    /// The allocator replay, its buffers kept from step to step.
+    replay: AllocatorReplay,
+    /// The timeline [`GpuMemory::step_memory`] last lent out. The next
+    /// read refills it in place if this is its last handle.
+    lent: Option<Arc<Vec<FootprintPoint>>>,
     /// The live peak observer, shared by the tracker's clones.
     observer: Option<Arc<dyn PeakObserver>>,
 }
@@ -346,17 +350,30 @@ impl GpuMemory {
     /// CUDA out-of-memory error on the real machine) and the
     /// caching-allocator replay of the events in simulated-time order —
     /// from one walk of the event log.
+    ///
+    /// The timeline is lent: the buffer the last read returned is refilled
+    /// in place when no reader still holds it, so a caller that drops each
+    /// step's picture before the next read allocates nothing once warm.
     pub fn step_memory(&self) -> StepMemory {
         let mut s = self.state.lock();
-        let mut timeline = Vec::with_capacity(s.events.len());
-        let mut larger = std::mem::take(&mut s.replay_larger);
+        let mut timeline = s.lent.take().unwrap_or_default();
+        if Arc::get_mut(&mut timeline).is_none() {
+            // A reader still holds it: it stays as that reader saw it.
+            timeline = Arc::default();
+        }
+        // The buffer is unique now, so `make_mut` copies nothing.
+        let points = Arc::make_mut(&mut timeline);
+        points.clear();
+        points.reserve(s.events.len());
+        let mut replay = std::mem::take(&mut s.replay);
         let base = s.opened.0.max(0) as u64;
         let events = s.footprint().map(|(e, p)| {
-            timeline.push(p);
+            points.push(p);
             e.request()
         });
-        let alloc = CachingAllocator::replay_with(events, &mut larger, base);
-        s.replay_larger = larger;
+        let alloc = replay.replay(events, base);
+        s.replay = replay;
+        s.lent = Some(Arc::clone(&timeline));
         drop(s);
         let peak_total = timeline.iter().map(|p| p.total).max().unwrap_or(0);
         StepMemory {
@@ -592,7 +609,7 @@ mod tests {
             });
         }
         let events = evs.iter().map(|e| (e.delta.unsigned_abs(), e.delta < 0));
-        let alloc = CachingAllocator::replay_with(events, &mut Vec::new(), opened.0.max(0) as u64);
+        let alloc = AllocatorReplay::default().replay(events, opened.0.max(0) as u64);
         (timeline, alloc)
     }
 
@@ -602,7 +619,7 @@ mod tests {
         let peak = |f: fn(&FootprintPoint) -> u64| want.iter().map(f).max().unwrap_or(0);
         let want_peak_total = peak(|p| p.total);
         let got = mem.step_memory();
-        prop_assert_eq!(&got.timeline, &want);
+        prop_assert_eq!(&*got.timeline, &want);
         prop_assert_eq!(got.peak_total, want_peak_total);
         prop_assert_eq!(got.peak_activations, peak(|p| p.activations));
         prop_assert_eq!(got.oom, want_peak_total > capacity);

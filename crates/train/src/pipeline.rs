@@ -354,7 +354,7 @@ mod tests {
             act_peak_bytes: 100,
             total_peak_bytes: 200,
             act_at_bwd_start: 100,
-            timeline: Vec::new(),
+            timeline: Default::default(),
             offload: ssdtrain::OffloadStats::default(),
             model_flops: 0,
             comm_secs: 0.0,

@@ -179,6 +179,9 @@ pub struct TrainSession {
     /// The optimizer and its update schedule; the graph holds a clone as
     /// its gradient listener during the step's last backward.
     opt_engine: Arc<OptEngine>,
+    /// The step's command stream, built once: the micro-batch count is
+    /// fixed for the session's life.
+    schedule: Vec<StepCmd>,
     spill_dir: Option<PathBuf>,
     step_idx: u64,
 }
@@ -388,12 +391,14 @@ impl TrainSession {
             cfg.model.layers.max(1),
             gpu.cache.as_ref(),
         ));
+        let schedule = single_gpu_schedule(cfg.micro_batches.max(1));
         Ok(TrainSession {
             cfg,
             gpu,
             graph,
             model,
             opt_engine,
+            schedule,
             spill_dir,
             step_idx: 0,
         })
@@ -551,8 +556,7 @@ impl TrainSession {
         // stream with one-command lookahead, entering a stage scope
         // around each execution (line 9; the guard's drop is line 15).
         let micro_batches = self.cfg.micro_batches.max(1);
-        let cmds = single_gpu_schedule(micro_batches);
-        for (cmd, next) in with_lookahead(&cmds) {
+        for (cmd, next) in with_lookahead(&self.schedule) {
             let stage = stage_hint(cmd);
             let stage_start = clock.now();
             let scope = self

@@ -68,9 +68,13 @@ cargo test -q --test monitor_thread
 # tape recycles scope frames and op boxes), a per-node budget for a
 # symbolic BERT step, and ops that allocate only the tensors they
 # return; the cache's: a warm offload step allocates nothing per saved
-# tensor; and the session's graph: a warm step reuses the one graph the
-# session keeps, its backward scratch included, within a pinned budget
-# of calls and bytes. Run explicitly for the same reason.
+# tensor; the memory model's: a warm memory read whose last result was
+# dropped allocates nothing (the tracker refills the timeline it lent
+# and the allocator replay keeps its pools), and a held timeline keeps
+# its points; and the session's graph: a warm step reuses the one graph
+# and command schedule the session keeps, its backward scratch
+# included, within a pinned budget of calls and bytes. Run explicitly
+# for the same reason.
 cargo test -q --test alloc_budget
 # The source rules clippy cannot hold (DESIGN.md §7): typed errors in
 # public signatures (read by the test's own scanner, which blanks
