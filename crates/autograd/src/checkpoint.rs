@@ -33,7 +33,7 @@ impl Op for CheckpointOp {
         &self,
         graph: &Graph,
         saved: &[Tensor],
-        grads_out: &[Option<Tensor>],
+        grads_out: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         // Recompute the segment on a child graph with the entry RNG state.
@@ -175,7 +175,7 @@ mod tests {
                 &g,
                 Rc::new(move |cg: &Graph, ins: &[Value]| {
                     let h = ops::matmul(cg, &ins[0], &cg.leaf(&w2));
-                    vec![ops::dropout(cg, &h, 0.5)]
+                    vec![ops::dropout(cg, h, 0.5)]
                 }),
                 &[x],
             );
@@ -200,7 +200,7 @@ mod tests {
         let ga = Graph::new(&d, 123);
         let xa = ga.constant(Tensor::ones([2, 4], &d));
         let ha = ops::matmul(&ga, &xa, &ga.leaf(&w_a));
-        let ya = ops::dropout(&ga, &ha, 0.5);
+        let ya = ops::dropout(&ga, ha, 0.5);
         let la = ops::mean_all(&ga, &ya);
         ga.backward(&la);
 
@@ -212,7 +212,7 @@ mod tests {
             &gb,
             Rc::new(move |cg: &Graph, ins: &[Value]| {
                 let h = ops::matmul(cg, &ins[0], &cg.leaf(&w_inner));
-                vec![ops::dropout(cg, &h, 0.5)]
+                vec![ops::dropout(cg, h, 0.5)]
             }),
             &[xb],
         );
@@ -273,7 +273,7 @@ mod tests {
         );
         assert_eq!(outs.len(), 2);
         // loss = sum(a) + sum(b) = x*w + 10x -> dw = x = 3.
-        let s = ops::add(&g, &outs[0], &outs[1]);
+        let s = ops::add(&g, outs[0].clone(), outs[1].clone());
         let loss = ops::sum_all(&g, &s);
         g.backward(&loss);
         assert_eq!(w.grad().unwrap().to_vec(), vec![3.0]);
@@ -294,7 +294,7 @@ mod tests {
             }),
             &[lx],
         );
-        let s = ops::add(&g, &outs[0], &outs[1]);
+        let s = ops::add(&g, outs[0].clone(), outs[1].clone());
         let loss = ops::sum_all(&g, &s);
         g.backward(&loss);
         assert_eq!(x.grad().unwrap().to_vec(), vec![7.0]);

@@ -136,7 +136,7 @@ mod tests {
         let x = randn(&[2, 4], 4);
         let report = check_gradients(&d, &randn(&[4], 5), 1e-2, 6, |g, b| {
             let xv = g.constant(x.clone());
-            let y = ops::gelu(g, &ops::add_bias(g, &xv, &g.leaf(b)));
+            let y = ops::gelu(g, &ops::add_bias(g, xv, &g.leaf(b)));
             ops::mean_all(g, &y)
         });
         assert!(report.passes(2e-3), "{report:?}");
@@ -162,7 +162,7 @@ mod tests {
         let x = randn(&[8], 9);
         let report = check_gradients(&d, &randn(&[8], 10), 1e-2, 11, |g, w| {
             let xv = g.constant(x.clone());
-            let y = ops::dropout(g, &ops::mul(g, &xv, &g.leaf(w)), 0.5);
+            let y = ops::dropout(g, ops::mul(g, &xv, &g.leaf(w)), 0.5);
             ops::sum_all(g, &y)
         });
         assert!(report.passes(2e-3), "{report:?}");

@@ -29,12 +29,15 @@ pub(crate) trait Op: Any {
     /// The gradient of input `i` goes into `grads_in[i]`: one slot per
     /// input, each `None` on entry, left `None` for an input that needs
     /// no gradient. The engine lends the slots and reuses them across
-    /// nodes.
+    /// nodes. The output gradients in `grads_out` die with the node, so
+    /// a backward may consume one (take its buffer for an input
+    /// gradient, see `Tensor::take_buffer`); the husk it leaves in the
+    /// slot is dropped where the gradient would have been.
     fn backward(
         &self,
         graph: &Graph,
         saved: &[Tensor],
-        grads_out: &[Option<Tensor>],
+        grads_out: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost;
 }
@@ -773,7 +776,7 @@ impl Op for TombstoneOp {
         &self,
         _graph: &Graph,
         _saved: &[Tensor],
-        _grads_out: &[Option<Tensor>],
+        _grads_out: &mut [Option<Tensor>],
         _grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         panic!("backward reached a node twice (retain_graph is unsupported)")
@@ -812,7 +815,7 @@ mod tests {
         let lw = g.leaf(&w);
         let a = ops::scale(&g, &lw, 2.0);
         let b = ops::scale(&g, &lw, 3.0);
-        let s = ops::add(&g, &a, &b);
+        let s = ops::add(&g, a, b);
         let loss = ops::sum_all(&g, &s);
         g.backward(&loss);
         assert_eq!(w.grad().unwrap().to_vec(), vec![5.0]);
@@ -828,7 +831,7 @@ mod tests {
         let a = ops::scale(g, x, 2.0);
         let b = ops::scale(g, x, 3.0);
         let aa = ops::mul(g, &a, &a);
-        ops::add(g, &ops::add(g, &a, &b), &aa)
+        ops::add(g, ops::add(g, a, b), aa)
     }
 
     #[test]
@@ -974,7 +977,7 @@ mod tests {
         let lw = g.leaf(&w);
         let a = ops::scale(&g, &lw, 2.0); // node 0: the earlier use
         let b = ops::scale(&g, &lw, 3.0); // node 1: backward reaches it first
-        let loss = ops::sum_all(&g, &ops::add(&g, &a, &b));
+        let loss = ops::sum_all(&g, &ops::add(&g, a, b));
         g.backward(&loss);
         // Reported once, holding both contributions (3 alone after node 1).
         assert_eq!(*log.0.lock(), vec![("w".to_owned(), Some(vec![5.0]))]);
@@ -1002,7 +1005,7 @@ mod tests {
         g.add_module_hooks(Arc::new(GradLog::default()));
         let w = Var::new("w", Tensor::from_vec(vec![1.0], [1], &d));
         let lw = g.leaf(&w);
-        let s = ops::add(&g, &ops::scale(&g, &lw, 2.0), &ops::scale(&g, &lw, 3.0));
+        let s = ops::add(&g, ops::scale(&g, &lw, 2.0), ops::scale(&g, &lw, 3.0));
         let loss = ops::sum_all(&g, &s);
         let tape = g.inner.tape_gen.get();
         assert_eq!(w.pending_uses(tape), 2, "record counts each use");
@@ -1245,7 +1248,7 @@ mod tests {
                     }),
                     std::slice::from_ref(&a),
                 );
-                ops::add(&g, &seg[0], &a)
+                ops::add(&g, seg[0].clone(), a)
             });
             let h = g.scoped("l2", || {
                 g.scoped("mlp", || ops::matmul(&g, &h, &g.leaf(&w[3])))

@@ -19,54 +19,6 @@ use ssdtrain_tensor::{Prng, Tensor};
 // Head permutation
 // ---------------------------------------------------------------------
 
-/// Numeric kernel: `[b, s, h]` → `[b*nh, s, h/nh]`.
-fn permute_kernel(x: &Tensor, nh: usize) -> Tensor {
-    let (b, s, h) = (x.dim(0), x.dim(1), x.dim(2));
-    let hd = h / nh;
-    if !x.has_data() {
-        return Tensor::symbolic([b * nh, s, hd], x.device());
-    }
-    let out = x.with_values(|v| {
-        let mut out = vec![0.0f32; v.len()];
-        for bi in 0..b {
-            for si in 0..s {
-                for ni in 0..nh {
-                    let src = (bi * s + si) * h + ni * hd;
-                    let dst = ((bi * nh + ni) * s + si) * hd;
-                    out[dst..dst + hd].copy_from_slice(&v[src..src + hd]);
-                }
-            }
-        }
-        out
-    });
-    Tensor::from_vec(out, [b * nh, s, hd], x.device())
-}
-
-/// Numeric kernel: `[b*nh, s, hd]` → `[b, s, nh*hd]` (inverse of
-/// [`permute_kernel`]).
-fn unpermute_kernel(x: &Tensor, nh: usize) -> Tensor {
-    let (bnh, s, hd) = (x.dim(0), x.dim(1), x.dim(2));
-    let b = bnh / nh;
-    let h = nh * hd;
-    if !x.has_data() {
-        return Tensor::symbolic([b, s, h], x.device());
-    }
-    let out = x.with_values(|v| {
-        let mut out = vec![0.0f32; v.len()];
-        for bi in 0..b {
-            for si in 0..s {
-                for ni in 0..nh {
-                    let src = ((bi * nh + ni) * s + si) * hd;
-                    let dst = (bi * s + si) * h + ni * hd;
-                    out[dst..dst + hd].copy_from_slice(&v[src..src + hd]);
-                }
-            }
-        }
-        out
-    });
-    Tensor::from_vec(out, [b, s, h], x.device())
-}
-
 struct PermuteHeadsOp {
     nh: usize,
 }
@@ -79,12 +31,12 @@ impl Op for PermuteHeadsOp {
         &self,
         _g: &Graph,
         _saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = super::out_grad(grads);
+        let dy = super::out_grad_mut(grads);
         let cost = OpCost::new(0, dy.bytes(), dy.bytes());
-        grads_in[0] = Some(unpermute_kernel(dy, self.nh));
+        grads_in[0] = Some(dy.merge_heads(self.nh));
         cost
     }
 }
@@ -101,35 +53,39 @@ impl Op for UnpermuteHeadsOp {
         &self,
         _g: &Graph,
         _saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = super::out_grad(grads);
+        let dy = super::out_grad_mut(grads);
         let cost = OpCost::new(0, dy.bytes(), dy.bytes());
-        grads_in[0] = Some(permute_kernel(dy, self.nh));
+        grads_in[0] = Some(dy.split_heads(self.nh));
         cost
     }
 }
 
-/// Splits `[b, s, h]` into `nh` heads: `[b*nh, s, h/nh]`.
+/// Splits `[b, s, h]` into `nh` heads: `[b*nh, s, h/nh]`. Consumes `x`:
+/// the heads are written into its buffer when it owns its storage
+/// ([`Tensor::split_heads`]).
 ///
 /// # Panics
 /// Panics if `h` is not divisible by `nh` or the input is not 3-D.
-pub fn permute_heads(g: &Graph, x: &Value, nh: usize) -> Value {
+pub fn permute_heads(g: &Graph, mut x: Value, nh: usize) -> Value {
     assert_eq!(x.tensor().rank(), 3, "permute_heads expects [b, s, h]");
     assert_eq!(x.tensor().dim(2) % nh, 0, "hidden not divisible by heads");
-    let out = permute_kernel(x.tensor(), nh);
+    let out = x.tensor_mut().split_heads(nh);
     let bytes = x.tensor().bytes();
     g.record(
         PermuteHeadsOp { nh },
-        &[x],
+        &[&x],
         out,
         [],
         OpCost::new(0, bytes, bytes),
     )
 }
 
-/// Merges heads back: `[b*nh, s, hd]` → `[b, s, nh*hd]`.
+/// Merges heads back: `[b*nh, s, hd]` → `[b, s, nh*hd]`. Unlike
+/// [`permute_heads`] it leaves `x` as it was: attention's context lives
+/// on past the merge, to the end of the block.
 ///
 /// # Panics
 /// Panics if the batch dim is not divisible by `nh` or the input is not
@@ -141,7 +97,7 @@ pub fn unpermute_heads(g: &Graph, x: &Value, nh: usize) -> Value {
         "unpermute_heads expects [b*nh, s, hd]"
     );
     assert_eq!(x.tensor().dim(0) % nh, 0, "batch not divisible by heads");
-    let out = unpermute_kernel(x.tensor(), nh);
+    let out = x.tensor().clone().merge_heads(nh);
     let bytes = x.tensor().bytes();
     g.record(
         UnpermuteHeadsOp { nh },
@@ -166,7 +122,7 @@ impl Op for Transpose12Op {
         &self,
         _g: &Graph,
         _saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -405,7 +361,7 @@ impl Op for FlashAttentionOp {
         &self,
         g: &Graph,
         saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dctx = super::out_grad(grads);
@@ -517,7 +473,7 @@ mod tests {
             [2, 3, 4],
             &d,
         ));
-        let p = permute_heads(&g, &x, 2);
+        let p = permute_heads(&g, x.clone(), 2);
         assert_eq!(p.dims(), &[4, 3, 2]);
         let u = unpermute_heads(&g, &p, 2);
         assert_eq!(u.tensor().to_vec(), x.tensor().to_vec());
@@ -533,7 +489,7 @@ mod tests {
             [1, 2, 4],
             &d,
         ));
-        let p = permute_heads(&g, &x, 2);
+        let p = permute_heads(&g, x, 2);
         // head0: [[0,1],[4,5]]; head1: [[2,3],[6,7]]
         assert_eq!(p.tensor().to_vec(), vec![0., 1., 4., 5., 2., 3., 6., 7.]);
     }

@@ -23,7 +23,7 @@ impl Op for AddOp {
         &self,
         _g: &Graph,
         _saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -33,12 +33,14 @@ impl Op for AddOp {
     }
 }
 
-/// Elementwise sum `a + b`.
-pub fn add(g: &Graph, a: &Value, b: &Value) -> Value {
-    let out = a.tensor().add(b.tensor());
+/// Elementwise sum `a + b`, consuming both operands: the sum is written
+/// into the buffer of one that owns its storage
+/// ([`Tensor::zip_consuming`]). Pass a clone to keep an operand.
+pub fn add(g: &Graph, mut a: Value, mut b: Value) -> Value {
+    let out = Tensor::zip_consuming(a.tensor_mut(), b.tensor_mut(), |x, y| x + y);
     let n = out.numel() as u64;
     let cost = OpCost::new(n, 2 * n * w(&out), n * w(&out));
-    g.record(AddOp, &[a, b], out, [], cost)
+    g.record(AddOp, &[&a, &b], out, [], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -55,7 +57,7 @@ impl Op for MulOp {
         &self,
         _g: &Graph,
         saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -96,7 +98,7 @@ impl Op for ScaleOp {
         &self,
         _g: &Graph,
         _saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -130,7 +132,7 @@ impl Op for SumAllOp {
         &self,
         g: &Graph,
         _saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -197,7 +199,7 @@ impl Op for ReshapeOp {
         &self,
         _g: &Graph,
         _saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -240,7 +242,7 @@ impl Op for AllreduceOp {
         &self,
         _g: &Graph,
         _saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -283,7 +285,7 @@ mod tests {
         let (d, g) = setup();
         let a = Var::new("a", Tensor::from_vec(vec![1.0, 2.0], [2], &d));
         let b = Var::new("b", Tensor::from_vec(vec![3.0, 4.0], [2], &d));
-        let s = add(&g, &g.leaf(&a), &g.leaf(&b));
+        let s = add(&g, g.leaf(&a), g.leaf(&b));
         let loss = sum_all(&g, &s);
         g.backward(&loss);
         assert_eq!(a.grad().unwrap().to_vec(), vec![1.0, 1.0]);

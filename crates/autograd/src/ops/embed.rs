@@ -22,7 +22,7 @@ impl Op for EmbeddingOp {
         &self,
         _g: &Graph,
         saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -63,7 +63,7 @@ impl Op for CrossEntropyOp {
         &self,
         g: &Graph,
         saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dloss = super::out_grad(grads);

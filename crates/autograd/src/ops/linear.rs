@@ -23,7 +23,7 @@ impl Op for MatmulOp {
         &self,
         _g: &Graph,
         saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -82,7 +82,7 @@ impl Op for AddBiasOp {
         &self,
         _g: &Graph,
         _saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -94,12 +94,14 @@ impl Op for AddBiasOp {
     }
 }
 
-/// Broadcast-adds a 1-D bias over the last dimension.
-pub fn add_bias(g: &Graph, x: &Value, bias: &Value) -> Value {
-    let out = x.tensor().add_bias(bias.tensor());
+/// Broadcast-adds a 1-D bias over the last dimension, consuming `x`: the
+/// sum is written into its buffer when it owns its storage
+/// ([`Tensor::add_bias`]).
+pub fn add_bias(g: &Graph, mut x: Value, bias: &Value) -> Value {
+    let out = x.tensor_mut().add_bias(bias.tensor());
     let n = out.numel() as u64;
     let cost = OpCost::new(n, n * w(&out) + bias.tensor().bytes(), n * w(&out));
-    g.record(AddBiasOp, &[x, bias], out, [], cost)
+    g.record(AddBiasOp, &[&x, bias], out, [], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -116,7 +118,7 @@ impl Op for BmmOp {
         &self,
         _g: &Graph,
         saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -231,7 +233,7 @@ mod tests {
         let (d, g) = setup();
         let x = Var::new("x", Tensor::zeros([3, 2], &d));
         let b = Var::new("b", Tensor::zeros([2], &d));
-        let y = add_bias(&g, &g.leaf(&x), &g.leaf(&b));
+        let y = add_bias(&g, g.leaf(&x), &g.leaf(&b));
         let loss = sum_all(&g, &y);
         g.backward(&loss);
         assert_eq!(b.grad().unwrap().to_vec(), vec![3.0, 3.0]);

@@ -41,6 +41,20 @@ pub(crate) fn out_grad(grads: &[Option<Tensor>]) -> &Tensor {
         .expect("a one-output node runs backward with its gradient")
 }
 
+/// [`out_grad`] for a backward that consumes it: the gradient dies with
+/// the node, so a kernel may write the input gradient into its buffer
+/// and leave the husk in the slot, where the engine drops it as it
+/// would have dropped the gradient.
+#[expect(
+    clippy::expect_used,
+    reason = "backward skips a node none of whose outputs has a gradient"
+)]
+pub(crate) fn out_grad_mut(grads: &mut [Option<Tensor>]) -> &mut Tensor {
+    grads[0]
+        .as_mut()
+        .expect("a one-output node runs backward with its gradient")
+}
+
 /// True when every listed tensor carries data.
 pub(crate) fn all_numeric(ts: &[&Tensor]) -> bool {
     ts.iter().all(|t| t.has_data())

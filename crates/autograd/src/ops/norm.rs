@@ -20,10 +20,10 @@ impl Op for GeluOp {
         &self,
         _g: &Graph,
         saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = super::out_grad(grads);
+        let dy = super::out_grad_mut(grads);
         let x = &saved[0];
         let dx = x.gelu_grad(dy);
         let cost = OpCost::new(10 * dy.numel() as u64, dy.bytes() + x.bytes(), dx.bytes());
@@ -57,12 +57,13 @@ impl Op for DropoutOp {
         &self,
         _g: &Graph,
         saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = super::out_grad(grads);
+        let dy = super::out_grad_mut(grads);
         let mask = &saved[0];
-        let dx = dy.zip_with(mask, |dy, m| dy * m * self.scale);
+        // A second handle: the mask is read, never consumed.
+        let dx = Tensor::zip_consuming(dy, &mut mask.clone(), |dy, m| dy * m * self.scale);
         let cost = OpCost::new(dy.numel() as u64, dy.bytes() + mask.bytes(), dx.bytes());
         grads_in[0] = Some(dx);
         cost
@@ -71,17 +72,18 @@ impl Op for DropoutOp {
 
 /// Inverted dropout driven by the graph RNG; saves the mask (one of the
 /// big activation tensors the paper's Figure 3 highlights with red
-/// borders).
+/// borders). Consumes `x`: the output is written into its buffer when it
+/// owns its storage ([`Tensor::dropout`]).
 ///
 /// # Panics
 /// Panics unless `0 <= p < 1`.
-pub fn dropout(g: &Graph, x: &Value, p: f32) -> Value {
-    let (out, mask) = g.with_rng(|rng| x.tensor().dropout(p, rng));
+pub fn dropout(g: &Graph, mut x: Value, p: f32) -> Value {
+    let (out, mask) = g.with_rng(|rng| x.tensor_mut().dropout(p, rng));
     let n = out.numel() as u64;
     let wd = out.dtype().byte_size();
     let cost = OpCost::new(n, n * wd, n * wd + mask.bytes());
     let scale = 1.0 / (1.0 - p);
-    g.record(DropoutOp { scale }, &[x], out, [mask], cost)
+    g.record(DropoutOp { scale }, &[&x], out, [mask], cost)
 }
 
 // ---------------------------------------------------------------------
@@ -98,10 +100,10 @@ impl Op for LayernormOp {
         &self,
         g: &Graph,
         saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = super::out_grad(grads);
+        let dy = super::out_grad_mut(grads);
         let x = &saved[0];
         let gamma = &saved[1];
         let mean = &saved[2];
@@ -117,36 +119,37 @@ impl Op for LayernormOp {
             return cost;
         }
 
-        let (dx, dgamma, dbeta) =
-            Tensor::with_values_of([x, dy, gamma, mean, rstd], |[xv, dyv, gv, mv, rv]| {
-                let mut dx = vec![0.0f32; xv.len()];
-                let mut dgamma = vec![0.0f32; h];
-                let mut dbeta = vec![0.0f32; h];
-                for r in 0..rows {
-                    let (m, rs) = (mv[r], rv[r]);
-                    let xrow = &xv[r * h..(r + 1) * h];
-                    let dyrow = &dyv[r * h..(r + 1) * h];
-                    // xhat = (x - mean) * rstd ; dxhat = dy * gamma
-                    let mut sum_dxhat = 0.0f32;
-                    let mut sum_dxhat_xhat = 0.0f32;
-                    for j in 0..h {
-                        let xhat = (xrow[j] - m) * rs;
-                        let dxhat = dyrow[j] * gv[j];
-                        sum_dxhat += dxhat;
-                        sum_dxhat_xhat += dxhat * xhat;
-                        dgamma[j] += dyrow[j] * xhat;
-                        dbeta[j] += dyrow[j];
-                    }
-                    let inv_h = 1.0 / h as f32;
-                    for j in 0..h {
-                        let xhat = (xrow[j] - m) * rs;
-                        let dxhat = dyrow[j] * gv[j];
-                        dx[r * h + j] =
-                            rs * (dxhat - inv_h * sum_dxhat - xhat * inv_h * sum_dxhat_xhat);
-                    }
+        // `dx` is written over `dy`, row by row: each element of a row is
+        // read in the first pass, and in the second just before it is
+        // overwritten.
+        let mut dx = dy.take_buffer();
+        let (dgamma, dbeta) = Tensor::with_values_of([x, gamma, mean, rstd], |[xv, gv, mv, rv]| {
+            let mut dgamma = vec![0.0f32; h];
+            let mut dbeta = vec![0.0f32; h];
+            for r in 0..rows {
+                let (m, rs) = (mv[r], rv[r]);
+                let xrow = &xv[r * h..(r + 1) * h];
+                let dyrow = &mut dx[r * h..(r + 1) * h];
+                // xhat = (x - mean) * rstd ; dxhat = dy * gamma
+                let mut sum_dxhat = 0.0f32;
+                let mut sum_dxhat_xhat = 0.0f32;
+                for j in 0..h {
+                    let xhat = (xrow[j] - m) * rs;
+                    let dxhat = dyrow[j] * gv[j];
+                    sum_dxhat += dxhat;
+                    sum_dxhat_xhat += dxhat * xhat;
+                    dgamma[j] += dyrow[j] * xhat;
+                    dbeta[j] += dyrow[j];
                 }
-                (dx, dgamma, dbeta)
-            });
+                let inv_h = 1.0 / h as f32;
+                for j in 0..h {
+                    let xhat = (xrow[j] - m) * rs;
+                    let dxhat = dyrow[j] * gv[j];
+                    dyrow[j] = rs * (dxhat - inv_h * sum_dxhat - xhat * inv_h * sum_dxhat_xhat);
+                }
+            }
+            (dgamma, dbeta)
+        });
         let dev = g.device().clone();
         grads_in[0] = Some(Tensor::from_vec(dx, *x.shape(), &dev));
         grads_in[1] = Some(Tensor::from_vec(dgamma, [h], &dev));
@@ -184,7 +187,7 @@ impl Op for SoftmaxOp {
         &self,
         _g: &Graph,
         saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -219,7 +222,7 @@ impl Op for CausalMaskOp {
         &self,
         _g: &Graph,
         _saved: &[Tensor],
-        grads: &[Option<Tensor>],
+        grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
         let dy = super::out_grad(grads);
@@ -339,7 +342,7 @@ mod tests {
     fn dropout_backward_uses_the_same_mask() {
         let (d, g) = setup();
         let x = Var::new("x", Tensor::ones([64], &d));
-        let y = dropout(&g, &g.leaf(&x), 0.5);
+        let y = dropout(&g, g.leaf(&x), 0.5);
         let yv = y.tensor().to_vec();
         let loss = sum_all(&g, &y);
         g.backward(&loss);

@@ -80,7 +80,7 @@ pub(super) fn attention_ref(
     } else {
         scores
     };
-    let probs = scores.softmax_last();
+    let mut probs = scores.softmax_last();
     let probs = match (dropout_p > 0.0, rng.as_mut()) {
         (true, Some(r)) => probs.dropout(dropout_p, r).0,
         _ => probs,
@@ -108,7 +108,7 @@ pub(super) fn attention_backward_ref(
     let dprobs = if dropout_p > 0.0 {
         let mut r2 = snapshot;
         let (pre_probs, _) = attention_ref(q, k, v, causal, 0.0, &mut None);
-        let (_, mask) = pre_probs.dropout(dropout_p, r2.as_mut().unwrap());
+        let (_, mask) = pre_probs.clone().dropout(dropout_p, r2.as_mut().unwrap());
         let dmasked = dprobs.mul(&mask).scale(1.0 / (1.0 - dropout_p));
         softmax_backward_ref(&pre_probs, &dmasked)
     } else {
@@ -254,7 +254,7 @@ proptest! {
         let (xv, wv) = (values(seed, b * s * nh * hd), values(seed + 1, b * s * nh * hd));
         for x in layouts(&xv, &[b, s, nh * hd]) {
             let w = Tensor::from_vec(wv.clone(), [b * nh, s, hd], &dev());
-            let (y, grads) = run(seed, &[&x], &w, |g, v| ops::permute_heads(g, &v[0], nh));
+            let (y, grads) = run(seed, &[&x], &w, |g, v| ops::permute_heads(g, v[0].clone(), nh));
             prop_assert_eq!(bits(&y.to_vec()), bits(&permute_ref(&x, nh)));
             prop_assert_eq!(grads[0].clone(), bits(&unpermute_ref(&w, nh)));
         }

@@ -56,6 +56,12 @@ impl Value {
         &self.tensor
     }
 
+    /// The carried tensor, for an op that consumes this value
+    /// ([`Tensor::take_buffer`]).
+    pub(crate) fn tensor_mut(&mut self) -> &mut Tensor {
+        &mut self.tensor
+    }
+
     /// Provenance of this value.
     pub(crate) fn source(&self) -> &Source {
         &self.source

@@ -239,36 +239,44 @@ impl TensorCache {
 
     /// Snapshot of this step's statistics, per-tier counters included.
     /// Tier timing (store-drain stalls, link busy time) is overlaid
-    /// from the I/O engine so the snapshot and the trace agree.
+    /// from the I/O engine so the snapshot and the trace agree. The tier
+    /// and class lists are lent ([`LentList`](crate::stats::LentList)):
+    /// the next snapshot refills their buffers once this one is dropped.
     pub fn stats(&self) -> OffloadStats {
-        let st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        st.stats
+            .tiers
+            .refill(self.tier_counters(st.ledger.counters(), &st.link_stalls));
         let mut stats = st.stats.clone();
         let arena = self.arena.stats();
         stats.arena_high_water_bytes = arena.high_water_bytes;
         stats.arena_slab_reuses = arena.slab_reuses;
-        stats.tiers = self.tier_counters(&st);
         stats
     }
 
-    /// The tiers' step counters with their timing overlaid from the I/O
-    /// engine. A link's stall and busy seconds go to the first tier
-    /// priced on it only: a demotion tier on the front tier's link (the
-    /// fallback target of
+    /// The tiers' step `counters` with their timing overlaid from the
+    /// I/O engine and the links' `stalls`. A link's stall and busy
+    /// seconds go to the first tier priced on it only: a demotion tier on
+    /// the front tier's link (the fallback target of
     /// [`RecoveryPolicy::FallbackTarget`](crate::RecoveryPolicy::FallbackTarget))
     /// reports 0, so the tiers' busy seconds sum to the engine's.
-    fn tier_counters(&self, st: &State) -> Vec<TierCounters> {
-        let mut tiers = st.ledger.counters().to_vec();
+    fn tier_counters<'a>(
+        &'a self,
+        counters: &'a [TierCounters],
+        stalls: &'a [f64],
+    ) -> impl Iterator<Item = TierCounters> + 'a {
         let link_of = |i| self.tiers.link(TierId(i));
-        for (i, counters) in tiers.iter_mut().enumerate() {
+        counters.iter().enumerate().map(move |(i, counters)| {
+            let mut counters = counters.clone();
             let link = link_of(i);
-            if (0..i).any(|j| link_of(j) == link) {
-                continue;
+            if (0..i).all(|j| link_of(j) != link) {
+                counters.stall_secs = stalls.get(link).copied().unwrap_or(0.0);
+                counters.write_busy_secs = self.io.write_busy_secs_on(link);
+                counters.read_busy_secs = self.io.read_busy_secs_on(link);
             }
-            counters.stall_secs = st.link_stalls.get(link).copied().unwrap_or(0.0);
-            counters.write_busy_secs = self.io.write_busy_secs_on(link);
-            counters.read_busy_secs = self.io.read_busy_secs_on(link);
-        }
-        tiers
+            counters
+        })
     }
 
     /// A [`CostModel`] over this cache's links and tiers as currently
@@ -566,7 +574,7 @@ impl TensorCache {
                 ],
             );
         }
-        for counters in self.tier_counters(st) {
+        for counters in self.tier_counters(st.ledger.counters(), &st.link_stalls) {
             if counters.bytes_written == 0 && counters.bytes_read == 0 {
                 continue;
             }

@@ -56,9 +56,9 @@ impl Attention {
     /// Attention of `x_q` over `x_kv` (self-attention when they are the
     /// same value; cross-attention in the T5 decoder otherwise).
     pub fn forward(&self, g: &Graph, x_q: &Value, x_kv: &Value) -> Value {
-        let q = ops::permute_heads(g, &self.q.forward(g, x_q), self.heads);
-        let k = ops::permute_heads(g, &self.k.forward(g, x_kv), self.heads);
-        let v = ops::permute_heads(g, &self.v.forward(g, x_kv), self.heads);
+        let q = ops::permute_heads(g, self.q.forward(g, x_q), self.heads);
+        let k = ops::permute_heads(g, self.k.forward(g, x_kv), self.heads);
+        let v = ops::permute_heads(g, self.v.forward(g, x_kv), self.heads);
         let ctx = if self.fused {
             ops::flash_attention(g, &q, &k, &v, self.causal, self.dropout_p)
         } else {
@@ -71,7 +71,7 @@ impl Attention {
                 scores
             };
             let probs = ops::softmax_last(g, &scores);
-            let probs = maybe_dropout(g, &probs, self.dropout_p);
+            let probs = maybe_dropout(g, probs, self.dropout_p);
             ops::bmm(g, &probs, &v)
         };
         let merged = ops::unpermute_heads(g, &ctx, self.heads);
@@ -83,7 +83,7 @@ impl Attention {
         } else {
             out
         };
-        maybe_dropout(g, &out, self.dropout_p)
+        maybe_dropout(g, out, self.dropout_p)
     }
 
     /// This block's parameters.
@@ -127,7 +127,7 @@ impl Mlp {
         } else {
             out
         };
-        maybe_dropout(g, &out, self.dropout_p)
+        maybe_dropout(g, out, self.dropout_p)
     }
 
     /// This block's parameters.
@@ -185,20 +185,20 @@ impl TransformerLayer {
         x = g.scoped("attn", || {
             let normed = self.ln1.forward(g, &x);
             let a = self.attn.forward(g, &normed, &normed);
-            ops::add(g, &x, &a)
+            ops::add(g, x.clone(), a)
         });
         if let Some((lnx, xattn)) = &self.cross {
             let ctx = ctx.expect("cross-attention layer needs encoder output");
             x = g.scoped("xattn", || {
                 let normed = lnx.forward(g, &x);
                 let a = xattn.forward(g, &normed, ctx);
-                ops::add(g, &x, &a)
+                ops::add(g, x.clone(), a)
             });
         }
         g.scoped("mlp", || {
             let normed = self.ln2.forward(g, &x);
             let m = self.mlp.forward(g, &normed);
-            ops::add(g, &x, &m)
+            ops::add(g, x.clone(), m)
         })
     }
 
@@ -441,10 +441,10 @@ mod tests {
                 1e-5,
             );
             let a = layer.attn.forward(g, &normed, &normed);
-            let x = ssdtrain_autograd::ops::add(g, &xv, &a);
+            let x = ssdtrain_autograd::ops::add(g, xv.clone(), a);
             let normed2 = layer.ln2.forward(g, &x);
             let m = layer.mlp.forward(g, &normed2);
-            let y = ssdtrain_autograd::ops::add(g, &x, &m);
+            let y = ssdtrain_autograd::ops::add(g, x.clone(), m);
             mean_all(g, &y)
         });
         assert!(report.passes(5e-3), "{report:?}");

@@ -63,7 +63,7 @@ impl Linear {
     pub fn forward(&self, g: &Graph, x: &Value) -> Value {
         let h = ops::matmul(g, x, &g.leaf(&self.weight));
         match &self.bias {
-            Some(b) => ops::add_bias(g, &h, &g.leaf(b)),
+            Some(b) => ops::add_bias(g, h, &g.leaf(b)),
             None => h,
         }
     }
@@ -155,14 +155,14 @@ impl Embedding {
             Tensor::from_vec(all, [b, self.seq], &dev)
         };
         let pos = ops::embedding(g, &g.leaf(&self.positions), &g.constant(pos_ids));
-        ops::add(g, &tok, &pos)
+        ops::add(g, tok, pos)
     }
 
     /// Embeds `tokens` under module `scope`, then applies dropout `p`:
     /// the front of every model.
     pub(crate) fn front(&self, g: &Graph, scope: &str, tokens: &Tensor, p: f32) -> Value {
         let ids = g.constant(tokens.clone());
-        g.scoped(scope, || maybe_dropout(g, &self.forward(g, &ids), p))
+        g.scoped(scope, || maybe_dropout(g, self.forward(g, &ids), p))
     }
 
     /// This layer's parameters.
@@ -172,12 +172,13 @@ impl Embedding {
 }
 
 /// Applies dropout when `p > 0` (a no-op wrapper otherwise, so tiny
-/// deterministic tests can disable it).
-pub fn maybe_dropout(g: &Graph, x: &Value, p: f32) -> Value {
+/// deterministic tests can disable it). Consumes `x`, as
+/// [`ops::dropout`] does.
+pub fn maybe_dropout(g: &Graph, x: Value, p: f32) -> Value {
     if p > 0.0 {
         ops::dropout(g, x, p)
     } else {
-        x.clone()
+        x
     }
 }
 

@@ -14,7 +14,7 @@ pub struct FootprintPoint {
     /// Simulated time of the allocator event.
     pub time: SimTime,
     /// Total resident bytes after the event.
-    pub(crate) total: u64,
+    pub total: u64,
     /// Resident activation bytes after the event.
     pub activations: u64,
 }

@@ -12,13 +12,16 @@
 //!   strides instead, so a transposed view is read in place; only a
 //!   strided left operand of rank 3 or more, whose rows two strides
 //!   cannot describe, is gathered.
-//! * **One allocation per output.** The only buffers a kernel asks the
-//!   allocator for are the ones it returns (a kernel whose output starts
-//!   as a copy of an input, like [`Tensor::add_bias`], makes that copy and
-//!   updates it in place). Scratch comes from the crate's per-thread pool
-//!   and goes back to it: the gather buffers, and the matrix product's
-//!   panel, which grows to its largest `k × NR` once and is reused by
-//!   every later call.
+//! * **One allocation per output, and none for an operand that dies.**
+//!   The only buffers a kernel asks the allocator for are the ones it
+//!   returns. A kernel that takes an operand by `&mut` consumes it: it
+//!   writes its result in place into that operand's buffer
+//!   ([`Tensor::take_buffer`]), which is the operand's own when its handle
+//!   owns the storage and a copy otherwise, so a caller keeps an operand
+//!   by passing a clone. Scratch comes from the crate's per-thread pool
+//!   and goes back to it: the gather buffers, the head permutes' copy of
+//!   their input, and the matrix product's panel, which grows to its
+//!   largest `k × NR` once and is reused by every later call.
 //! * **Fixed operation order.** Each output element is produced by the
 //!   same `f32` operations in the same order regardless of how the
 //!   operands are laid out: matrix products accumulate over the inner
@@ -109,16 +112,36 @@ fn row_width(op: &str, t: &Tensor) -> usize {
     t.dims()[t.rank() - 1]
 }
 
-/// Elementwise `f(a, b)` over two same-shaped tensors.
-fn zip_map(op: &str, a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+/// Elementwise `f(a, b)` over two same-shaped tensors, written into the
+/// buffer of an operand that dies with the call: `a`'s when `a` owns its
+/// storage, else `b`'s when `b` does, else a copy of `a`. Each element
+/// is `f(a[i], b[i])` whichever buffer holds the result.
+fn zip_into(op: &str, a: &mut Tensor, b: &mut Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     binary_shape_check(op, a, b);
     if !a.has_data() || !b.has_data() {
         return symbolic_like(a, *a.shape());
     }
-    let out = Tensor::with_values_of([a, b], |[a, b]| {
-        a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
+    if !a.owns_storage() && b.owns_storage() {
+        let mut out = b.take_buffer();
+        a.with_values(|a| {
+            for (y, &x) in out.iter_mut().zip(a) {
+                *y = f(x, *y);
+            }
+        });
+        return Tensor::from_vec(out, *a.shape(), a.device());
+    }
+    let mut out = a.take_buffer();
+    b.with_values(|b| {
+        for (x, &y) in out.iter_mut().zip(b) {
+            *x = f(*x, y);
+        }
     });
     Tensor::from_vec(out, *a.shape(), a.device())
+}
+
+/// [`zip_into`] over clones, so neither operand is consumed.
+fn zip_map(op: &str, a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    zip_into(op, &mut a.clone(), &mut b.clone(), f)
 }
 
 /// Elementwise `f(x)`.
@@ -150,12 +173,9 @@ pub(crate) enum Kernel<'a> {
     },
     /// `out[i] = gelu_scalar(x[i])`.
     Gelu { out: &'a mut [f32], x: &'a [f32] },
-    /// `out[i] = dy[i] · gelu_grad_scalar(x[i])`.
-    GeluGrad {
-        out: &'a mut [f32],
-        x: &'a [f32],
-        dy: &'a [f32],
-    },
+    /// `dy[i] = dy[i] · gelu_grad_scalar(x[i])`: the gradient written
+    /// over the output gradient it is made from.
+    GeluGrad { dy: &'a mut [f32], x: &'a [f32] },
     /// `out[i] = tanh(x[i])`, so the oracle tests check the port as each
     /// width's loop compiles it.
     #[cfg(test)]
@@ -201,9 +221,9 @@ impl Kernel<'_> {
                     *o = gelu_scalar(x);
                 }
             }
-            Kernel::GeluGrad { out, x, dy } => {
-                for ((o, &x), &dy) in out.iter_mut().zip(x).zip(dy) {
-                    *o = dy * gelu_grad_scalar(x);
+            Kernel::GeluGrad { dy, x } => {
+                for (dy, &x) in dy.iter_mut().zip(x) {
+                    *dy *= gelu_grad_scalar(x);
                 }
             }
             #[cfg(test)]
@@ -382,22 +402,36 @@ impl Tensor {
         zip_map("zip_with", self, rhs, f)
     }
 
+    /// [`Tensor::zip_with`] consuming both operands: the result is
+    /// written into `a`'s buffer when `a` owns its storage, else into
+    /// `b`'s when `b` does (see [`Tensor::take_buffer`]), and into a copy
+    /// of `a` when neither does. Either way element `i` is
+    /// `f(a[i], b[i])`, so the result does not depend on which buffer
+    /// holds it.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn zip_consuming(a: &mut Tensor, b: &mut Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        zip_into("zip_consuming", a, b, f)
+    }
+
     /// Multiplies every element by `s`.
     pub fn scale(&self, s: f32) -> Tensor {
         elementwise(self, |x| x * s)
     }
 
-    /// Adds a 1-D `bias` across the last dimension.
+    /// Adds a 1-D `bias` across the last dimension, consuming `self`: the
+    /// sum is written into its buffer ([`Tensor::take_buffer`]).
     ///
     /// # Panics
     /// Panics if `bias` is not 1-D of length `last_dim`.
-    pub fn add_bias(&self, bias: &Tensor) -> Tensor {
+    pub fn add_bias(&mut self, bias: &Tensor) -> Tensor {
         let h = row_width("add_bias", self);
         assert_eq!(bias.dims(), &[h], "bias must be 1-D of the last dim");
         if !self.has_data() || !bias.has_data() {
             return symbolic_like(self, *self.shape());
         }
-        let mut out = self.to_vec();
+        let mut out = self.take_buffer();
         if h > 0 {
             bias.with_values(|b| {
                 for row in out.chunks_exact_mut(h) {
@@ -589,25 +623,18 @@ impl Tensor {
     }
 
     /// Backward of [`Tensor::gelu`]: with `self` the GELU's input `x`,
-    /// returns `dx = dy · gelu'(x)` in one pass.
+    /// returns `dx = dy · gelu'(x)` in one pass, consuming `dy`: `dx` is
+    /// written into its buffer ([`Tensor::take_buffer`]).
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn gelu_grad(&self, dy: &Tensor) -> Tensor {
+    pub fn gelu_grad(&self, dy: &mut Tensor) -> Tensor {
         binary_shape_check("gelu_grad", self, dy);
         if !self.has_data() || !dy.has_data() {
             return symbolic_like(dy, *dy.shape());
         }
-        let dx = Tensor::with_values_of([self, dy], |[x, dy]| {
-            let mut out = vec![0.0f32; x.len()];
-            Kernel::GeluGrad {
-                out: &mut out,
-                x,
-                dy,
-            }
-            .run();
-            out
-        });
+        let mut dx = dy.take_buffer();
+        self.with_values(|x| Kernel::GeluGrad { dy: &mut dx, x }.run());
         Tensor::from_vec(dx, *dy.shape(), dy.device())
     }
 
@@ -742,11 +769,13 @@ impl Tensor {
     /// Inverted dropout with keep probability `1 - p`; returns
     /// `(y, mask)` where the mask holds `0` or `1` and is accounted as a
     /// one-byte tensor (PyTorch saves a bool mask); survivors are scaled
-    /// by `1/(1-p)` in `y`.
+    /// by `1/(1-p)` in `y`. Consumes `self`: `y` is written into its
+    /// buffer ([`Tensor::take_buffer`]). With `p = 0`, `y` is a view of
+    /// `self` and nothing is consumed.
     ///
     /// # Panics
     /// Panics unless `0 <= p < 1`.
-    pub fn dropout(&self, p: f32, rng: &mut Prng) -> (Tensor, Tensor) {
+    pub fn dropout(&mut self, p: f32, rng: &mut Prng) -> (Tensor, Tensor) {
         assert!((0.0..1.0).contains(&p), "dropout p must be in [0, 1)");
         let dev = self.device().clone();
         if !self.has_data() {
@@ -760,23 +789,85 @@ impl Tensor {
         }
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
-        let (y, mask) = self.with_values(|x| {
-            let mut mask = vec![0.0f32; x.len()];
-            let mut y = vec![0.0f32; x.len()];
-            for i in 0..x.len() {
-                if rng.next_f32() < keep {
-                    mask[i] = 1.0;
-                    y[i] = x[i] * scale;
-                }
+        let mut y = self.take_buffer();
+        let mut mask = vec![0.0f32; y.len()];
+        for (y, m) in y.iter_mut().zip(&mut mask) {
+            if rng.next_f32() < keep {
+                *m = 1.0;
+                *y *= scale;
+            } else {
+                *y = 0.0;
             }
-            (y, mask)
-        });
+        }
         (
             Tensor::from_vec(y, *self.shape(), &dev),
             dev.with_dtype(crate::DType::U8, || {
                 Tensor::from_vec(mask, *self.shape(), &dev)
             }),
         )
+    }
+
+    // ------------------------------------------------------------------
+    // Attention heads
+    // ------------------------------------------------------------------
+
+    /// Splits `[b, s, nh·hd]` into `nh` heads, `[b·nh, s, hd]`, consuming
+    /// `self` ([`Tensor::take_buffer`]).
+    ///
+    /// # Panics
+    /// Panics unless `self` is 3-D with a last dim divisible by `nh`.
+    pub fn split_heads(&mut self, nh: usize) -> Tensor {
+        self.regroup_heads(nh, true)
+    }
+
+    /// Merges heads back, `[b·nh, s, hd]` → `[b, s, nh·hd]`: the inverse
+    /// of [`Tensor::split_heads`], consuming `self` likewise.
+    ///
+    /// # Panics
+    /// Panics unless `self` is 3-D with a first dim divisible by `nh`.
+    pub fn merge_heads(&mut self, nh: usize) -> Tensor {
+        self.regroup_heads(nh, false)
+    }
+
+    /// The one head kernel: each `hd`-wide run moves between `[b, s, h]`
+    /// and `[b·nh, s, hd]` order, in the direction `split` says. The
+    /// values are read from a scratch-pool copy of the buffer they are
+    /// written back into.
+    fn regroup_heads(&mut self, nh: usize, split: bool) -> Tensor {
+        assert_eq!(self.rank(), 3, "head regrouping expects a 3-D tensor");
+        let (d0, s, d2) = (self.dim(0), self.dim(1), self.dim(2));
+        let divided = if split { d2 } else { d0 };
+        assert_eq!(
+            divided % nh,
+            0,
+            "dimension {divided} not divisible by {nh} heads"
+        );
+        let (b, hd) = if split { (d0, d2 / nh) } else { (d0 / nh, d2) };
+        let h = nh * hd;
+        let dims = if split { [b * nh, s, hd] } else { [b, s, h] };
+        if !self.has_data() {
+            return symbolic_like(self, dims);
+        }
+        let mut out = self.take_buffer();
+        let mut src = take_scratch();
+        src.clear();
+        src.extend_from_slice(&out);
+        for bi in 0..b {
+            for si in 0..s {
+                for ni in 0..nh {
+                    let merged = (bi * s + si) * h + ni * hd;
+                    let heads = ((bi * nh + ni) * s + si) * hd;
+                    let (from, to) = if split {
+                        (merged, heads)
+                    } else {
+                        (heads, merged)
+                    };
+                    out[to..to + hd].copy_from_slice(&src[from..from + hd]);
+                }
+            }
+        }
+        return_scratch([src]);
+        Tensor::from_vec(out, dims, self.device())
     }
 
     // ------------------------------------------------------------------
@@ -1041,7 +1132,7 @@ mod tests {
 
     #[test]
     fn add_bias_broadcasts_last_dim() {
-        let x = Tensor::from_vec(vec![0., 0., 0., 0., 0., 0.], [2, 3], &dev());
+        let mut x = Tensor::from_vec(vec![0., 0., 0., 0., 0., 0.], [2, 3], &dev());
         let b = Tensor::from_vec(vec![1., 2., 3.], [3], &dev());
         assert_eq!(x.add_bias(&b).to_vec(), vec![1., 2., 3., 1., 2., 3.]);
     }
@@ -1137,7 +1228,7 @@ mod tests {
     fn dropout_scales_survivors() {
         let mut rng = Prng::seed_from_u64(1);
         let x = Tensor::ones([1000], &dev());
-        let (y, mask) = x.dropout(0.5, &mut rng);
+        let (y, mask) = x.clone().dropout(0.5, &mut rng);
         let yv = y.to_vec();
         let kept = yv.iter().filter(|v| **v != 0.0).count();
         assert!((400..600).contains(&kept), "kept {kept}");
@@ -1155,7 +1246,7 @@ mod tests {
     #[test]
     fn dropout_p_zero_is_identity() {
         let mut rng = Prng::seed_from_u64(1);
-        let x = Tensor::from_vec(vec![1., 2., 3.], [3], &dev());
+        let mut x = Tensor::from_vec(vec![1., 2., 3.], [3], &dev());
         let (y, mask) = x.dropout(0.0, &mut rng);
         assert_eq!(y.to_vec(), vec![1., 2., 3.]);
         assert_eq!(mask.to_vec(), vec![1., 1., 1.]);
@@ -1204,7 +1295,7 @@ mod tests {
             ("softmax_last", x.softmax_last()),
             ("softmax_grad", x.softmax_grad(&x)),
             ("layernorm", y),
-            ("add_bias", x.add_bias(&empty)),
+            ("add_bias", x.clone().add_bias(&empty)),
         ] {
             assert_eq!((t.dims(), t.to_vec()), (&[3, 0][..], vec![]), "{what}");
         }

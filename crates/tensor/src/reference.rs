@@ -348,7 +348,7 @@ proptest! {
             prop_assert_eq!(bits(&a.scale(0.37).to_vec()), bits(&zip_ref(&a, &a, |x, _| x * 0.37)));
             prop_assert_eq!(a.sum_all().item().to_bits(), a.to_vec().iter().sum::<f32>().to_bits());
             prop_assert_eq!(bits(&a.sum_leading().to_vec()), bits(&sum_leading_ref(&a)));
-            prop_assert_eq!(bits(&a.add_bias(&bias).to_vec()), bits(&add_bias_ref(&a, &bias)));
+            prop_assert_eq!(bits(&a.clone().add_bias(&bias).to_vec()), bits(&add_bias_ref(&a, &bias)));
             for b in layouts(&bv, &[r, c]) {
                 prop_assert_eq!(bits(&a.add(&b).to_vec()), bits(&zip_ref(&a, &b, |x, y| x + y)));
                 prop_assert_eq!(bits(&a.mul(&b).to_vec()), bits(&zip_ref(&a, &b, |x, y| x * y)));
@@ -378,7 +378,7 @@ proptest! {
             prop_assert_eq!(bits(&x.gelu().to_vec()), want);
             for dy in layouts(&dyv, &[r, c]) {
                 prop_assert_eq!(
-                    product_bits(&x.gelu_grad(&dy).to_vec()),
+                    product_bits(&x.gelu_grad(&mut dy.clone()).to_vec()),
                     product_bits(&zip_ref(&dy, &x, |dy, x| dy * gelu_grad_ref(x)))
                 );
             }
@@ -401,7 +401,7 @@ proptest! {
             prop_assert_eq!(bits(&y.to_vec()), bits(&yr));
             prop_assert_eq!(bits(&mean.to_vec()), bits(&meanr));
             prop_assert_eq!(bits(&rstd.to_vec()), bits(&rstdr));
-            let (d, mask) = x.dropout(0.3, &mut Prng::seed_from_u64(seed));
+            let (d, mask) = x.clone().dropout(0.3, &mut Prng::seed_from_u64(seed));
             let (dr, maskr) = dropout_ref(&x, 0.3, &mut Prng::seed_from_u64(seed));
             prop_assert_eq!(bits(&d.to_vec()), bits(&dr));
             prop_assert_eq!(bits(&mask.to_vec()), bits(&maskr));

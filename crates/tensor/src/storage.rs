@@ -303,6 +303,19 @@ impl Storage {
         }
     }
 
+    /// Moves the values out of a numeric storage and leaves it an empty
+    /// husk: still resident in the accounts, so the free is reported when
+    /// the last handle drops, as it would have been with the values in
+    /// place. `None` for a symbolic or released storage. The caller holds
+    /// the only handle ([`crate::Tensor::owns_storage`]) and reads the husk
+    /// no more.
+    pub(crate) fn take_values(&self) -> Option<Vec<f32>> {
+        match &mut *self.inner().data.write() {
+            DataState::Numeric(values) => Some(std::mem::take(values)),
+            _ => None,
+        }
+    }
+
     /// Copies the payload out, if present.
     pub fn to_vec(&self) -> Option<Vec<f32>> {
         self.with_data(|d| d.to_vec())
@@ -756,6 +769,30 @@ mod tests {
             (-1, W),
         ];
         assert_eq!(*log.0.lock(), want);
+    }
+
+    #[test]
+    fn a_husk_reports_its_free_when_its_last_handle_drops() {
+        use MemClass::Activation as A;
+        let dev = Device::cpu();
+        let log = Arc::new(Log::default());
+        dev.set_tracker(log.clone());
+        let s = Storage::numeric(vec![1.0, 2.0, 3.0, 4.0], DType::F32, A, &dev);
+        assert_eq!(s.take_values(), Some(vec![1.0, 2.0, 3.0, 4.0]));
+        assert!(s.is_resident(), "a husk is still accounted");
+        assert_eq!(
+            *log.0.lock(),
+            [(16, A)],
+            "taking the values reports nothing"
+        );
+        drop(s);
+        assert_eq!(
+            *log.0.lock(),
+            [(16, A), (-16, A)],
+            "the drop reports the free"
+        );
+        let sym = Storage::symbolic(4, DType::F32, A, &Device::symbolic());
+        assert_eq!(sym.take_values(), None);
     }
 
     #[test]

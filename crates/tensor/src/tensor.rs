@@ -479,6 +479,24 @@ impl Tensor {
             && self.storage.stamp().is_none()
     }
 
+    /// The buffer an op that consumes this tensor writes its result into:
+    /// the storage's own values, moved out, when this handle
+    /// [owns it](Tensor::owns_storage), and a row-major copy of this view
+    /// otherwise. A handle whose values were moved out is a husk: its
+    /// bytes stay resident in the accounts until it drops, and it has no
+    /// values left to read.
+    ///
+    /// # Panics
+    /// Panics if the tensor carries no data (symbolic or released).
+    pub fn take_buffer(&mut self) -> Vec<f32> {
+        let owned = if self.owns_storage() {
+            self.storage.take_values()
+        } else {
+            None
+        };
+        owned.unwrap_or_else(|| self.to_vec())
+    }
+
     /// This tensor under memory class `class`: the same storage moved to
     /// `class` when this handle [owns it](Tensor::owns_storage), and
     /// otherwise a [`Tensor::deep_clone_as`] copy. Moving a resident

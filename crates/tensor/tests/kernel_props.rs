@@ -124,7 +124,7 @@ proptest! {
     ) {
         let x = rand_tensor(&[n], seed, 1.0);
         let mut rng = Prng::seed_from_u64(seed);
-        let (y, mask) = x.dropout(p, &mut rng);
+        let (y, mask) = x.clone().dropout(p, &mut rng);
         let scale = if p > 0.0 { 1.0 / (1.0 - p) } else { 1.0 };
         let recon = x.mul(&mask).scale(scale);
         prop_assert!(close(&y.to_vec(), &recon.to_vec(), 1e-5));
