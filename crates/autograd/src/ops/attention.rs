@@ -6,8 +6,9 @@
 //! graph, and backward recomputes the probabilities. This is what removes
 //! the large intermediate tensors that Megatron's selective recomputation
 //! targeted (paper Section 4.3). Nor are they ever built: both directions
-//! work one query row at a time, so the op allocates only the tensors it
-//! returns and `O(s·d)` scratch.
+//! work one query row at a time, so the op allocates at most the tensors
+//! it returns: backward writes `dq` over the output gradient it consumes,
+//! and the `O(s·d)` row scratch comes from the tensor crate's pool.
 
 use crate::graph::{Graph, Op};
 use crate::observer::OpCost;
@@ -246,8 +247,9 @@ fn dropout_row<'r>(
 }
 
 /// Fused attention forward over row-major `[t, s, d]` operands: the
-/// context, computed one query row at a time. Allocates the context and
-/// `O(s·d)` scratch, never an `S×S` matrix.
+/// context, computed one query row at a time. Allocates the context; its
+/// `O(s·d)` row scratch comes from the tensor crate's pool
+/// ([`Tensor::with_scratch`]), never an `S×S` matrix.
 fn attention_forward(
     [q, k, v]: [&[f32]; 3],
     [t, s, d]: [usize; 3],
@@ -256,92 +258,99 @@ fn attention_forward(
 ) -> Vec<f32> {
     let scale = 1.0 / (d as f32).sqrt();
     let mut ctx = vec![0.0f32; t * s * d];
-    let mut scratch = vec![0.0f32; s * d + 3 * s];
-    let (kt, rows) = scratch.split_at_mut(s * d);
-    let (pre, rows) = rows.split_at_mut(s);
-    let (mask, dropped) = rows.split_at_mut(s);
-    for b in 0..t {
-        let at = b * s * d;
-        let (kb, vb) = (&k[at..][..s * d], &v[at..][..s * d]);
-        transpose_into(kt, kb, s, d);
-        for i in 0..s {
-            let row = at + i * d;
-            probs_row(pre, &q[row..][..d], kt, scale, i, causal);
-            let probs = dropout_row(draws.as_mut(), pre, mask, dropped);
-            let ci = &mut ctx[row..][..d];
-            for (&pj, vj) in probs.iter().zip(vb.chunks_exact(d)) {
-                axpy(ci, pj, vj);
+    Tensor::with_scratch(s * d + 3 * s, |scratch| {
+        let (kt, rows) = scratch.split_at_mut(s * d);
+        let (pre, rows) = rows.split_at_mut(s);
+        let (mask, dropped) = rows.split_at_mut(s);
+        for b in 0..t {
+            let at = b * s * d;
+            let (kb, vb) = (&k[at..][..s * d], &v[at..][..s * d]);
+            transpose_into(kt, kb, s, d);
+            for i in 0..s {
+                let row = at + i * d;
+                probs_row(pre, &q[row..][..d], kt, scale, i, causal);
+                let probs = dropout_row(draws.as_mut(), pre, mask, dropped);
+                let ci = &mut ctx[row..][..d];
+                for (&pj, vj) in probs.iter().zip(vb.chunks_exact(d)) {
+                    axpy(ci, pj, vj);
+                }
             }
         }
-    }
+    });
     ctx
 }
 
-/// Fused attention backward: `[dq, dk, dv]` for the output gradient
-/// `dctx`. Recomputes each query row's probabilities, replays that row's
-/// dropout draws, and accumulates the three gradients row by row;
-/// every element sees the operations of the unfused backward
-/// (`dv = Pᵀ dctx`, `dP = dctx Vᵀ` through the dropout mask and the
-/// softmax jacobian, `dq = dS K`, `dk = dSᵀ q`) in the same order.
-/// Allocates the three gradients and `O(s·d)` scratch.
+/// Fused attention backward: `dk` and `dv` for the output gradient
+/// `dctx`, and `dq` written over `dctx`. Recomputes each query row's
+/// probabilities, replays that row's dropout draws, and accumulates the
+/// three gradients row by row; every element sees the operations of the
+/// unfused backward (`dv = Pᵀ dctx`, `dP = dctx Vᵀ` through the dropout
+/// mask and the softmax jacobian, `dq = dS K`, `dk = dSᵀ q`) in the same
+/// order. Row `i` of `dctx` is last read by the `dv` update and `dP`;
+/// then it is zeroed and `dq`'s row `i` accumulated into it. Allocates
+/// `dk` and `dv`; the `O(s·d)` row scratch comes from the tensor crate's
+/// pool ([`Tensor::with_scratch`]).
 fn attention_backward(
-    [q, k, v, dctx]: [&[f32]; 4],
+    [q, k, v]: [&[f32]; 3],
+    dctx: &mut [f32],
     [t, s, d]: [usize; 3],
     causal: bool,
     mut draws: Option<Draws<'_>>,
-) -> [Vec<f32>; 3] {
+) -> [Vec<f32>; 2] {
     let scale = 1.0 / (d as f32).sqrt();
-    let mut dq = vec![0.0f32; t * s * d];
     let mut dk = vec![0.0f32; t * s * d];
     let mut dv = vec![0.0f32; t * s * d];
-    let mut scratch = vec![0.0f32; 2 * s * d + 4 * s];
-    let (kt, rows) = scratch.split_at_mut(s * d);
-    let (vt, rows) = rows.split_at_mut(s * d);
-    let (pre, rows) = rows.split_at_mut(s);
-    let (mask, rows) = rows.split_at_mut(s);
-    let (dropped, dp) = rows.split_at_mut(s);
-    for b in 0..t {
-        let at = b * s * d;
-        let kb = &k[at..][..s * d];
-        transpose_into(kt, kb, s, d);
-        transpose_into(vt, &v[at..][..s * d], s, d);
-        let (dkb, dvb) = (&mut dk[at..][..s * d], &mut dv[at..][..s * d]);
-        for i in 0..s {
-            let row = at + i * d;
-            let (qi, dci) = (&q[row..][..d], &dctx[row..][..d]);
-            probs_row(pre, qi, kt, scale, i, causal);
-            let probs = dropout_row(draws.as_mut(), pre, mask, dropped);
-            for (&pj, dvj) in probs.iter().zip(dvb.chunks_exact_mut(d)) {
-                axpy(dvj, pj, dci);
-            }
-            dp.fill(0.0);
-            for (&a, vtp) in dci.iter().zip(vt.chunks_exact(s)) {
-                axpy(dp, a, vtp);
-            }
-            // Inverted dropout's backward: the mask, then the survivor
-            // rescale; the softmax jacobian uses the pre-dropout row.
-            if let Some(draws) = &draws {
-                let inv_keep = 1.0 / (1.0 - draws.p);
-                for (x, &m) in dp.iter_mut().zip(&*mask) {
-                    *x = *x * m * inv_keep;
+    Tensor::with_scratch(2 * s * d + 4 * s, |scratch| {
+        let (kt, rows) = scratch.split_at_mut(s * d);
+        let (vt, rows) = rows.split_at_mut(s * d);
+        let (pre, rows) = rows.split_at_mut(s);
+        let (mask, rows) = rows.split_at_mut(s);
+        let (dropped, dp) = rows.split_at_mut(s);
+        for b in 0..t {
+            let at = b * s * d;
+            let kb = &k[at..][..s * d];
+            transpose_into(kt, kb, s, d);
+            transpose_into(vt, &v[at..][..s * d], s, d);
+            let (dkb, dvb) = (&mut dk[at..][..s * d], &mut dv[at..][..s * d]);
+            for i in 0..s {
+                let row = at + i * d;
+                let (qi, dci) = (&q[row..][..d], &dctx[row..][..d]);
+                probs_row(pre, qi, kt, scale, i, causal);
+                let probs = dropout_row(draws.as_mut(), pre, mask, dropped);
+                for (&pj, dvj) in probs.iter().zip(dvb.chunks_exact_mut(d)) {
+                    axpy(dvj, pj, dci);
+                }
+                dp.fill(0.0);
+                for (&a, vtp) in dci.iter().zip(vt.chunks_exact(s)) {
+                    axpy(dp, a, vtp);
+                }
+                // Inverted dropout's backward: the mask, then the survivor
+                // rescale; the softmax jacobian uses the pre-dropout row.
+                if let Some(draws) = &draws {
+                    let inv_keep = 1.0 / (1.0 - draws.p);
+                    for (x, &m) in dp.iter_mut().zip(&*mask) {
+                        *x = *x * m * inv_keep;
+                    }
+                }
+                let dot: f32 = pre.iter().zip(&*dp).map(|(a, b)| a * b).sum();
+                for (x, &y) in dp.iter_mut().zip(&*pre) {
+                    *x = y * (*x - dot) * scale;
+                }
+                // The row's `dctx` is read: its `dq` goes in its place.
+                let dqi = &mut dctx[row..][..d];
+                dqi.fill(0.0);
+                for ((&ds, kj), dkj) in dp
+                    .iter()
+                    .zip(kb.chunks_exact(d))
+                    .zip(dkb.chunks_exact_mut(d))
+                {
+                    axpy(dqi, ds, kj);
+                    axpy(dkj, ds, qi);
                 }
             }
-            let dot: f32 = pre.iter().zip(&*dp).map(|(a, b)| a * b).sum();
-            for (x, &y) in dp.iter_mut().zip(&*pre) {
-                *x = y * (*x - dot) * scale;
-            }
-            let dqi = &mut dq[row..][..d];
-            for ((&ds, kj), dkj) in dp
-                .iter()
-                .zip(kb.chunks_exact(d))
-                .zip(dkb.chunks_exact_mut(d))
-            {
-                axpy(dqi, ds, kj);
-                axpy(dkj, ds, qi);
-            }
         }
-    }
-    [dq, dk, dv]
+    });
+    [dk, dv]
 }
 
 struct FlashAttentionOp {
@@ -364,7 +373,7 @@ impl Op for FlashAttentionOp {
         grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dctx = super::out_grad(grads);
+        let dctx = super::out_grad_mut(grads);
         let (q, k, v) = (&saved[0], &saved[1], &saved[2]);
         let (t, s, d) = (q.dim(0), q.dim(1), q.dim(2));
         let flops = 10 * (t * s * s * d) as u64;
@@ -381,10 +390,12 @@ impl Op for FlashAttentionOp {
             rng,
             p: self.dropout_p,
         });
-        let grads = Tensor::with_values_of([q, k, v, dctx], |operands| {
-            attention_backward(operands, [t, s, d], self.causal, draws)
+        // `dctx` dies with the node: `dq` is written over its buffer.
+        let mut dq = dctx.take_buffer();
+        let [dk, dv] = Tensor::with_values_of([q, k, v], |operands| {
+            attention_backward(operands, &mut dq, [t, s, d], self.causal, draws)
         });
-        for (slot, grad) in grads_in.iter_mut().zip(grads) {
+        for (slot, grad) in grads_in.iter_mut().zip([dq, dk, dv]) {
             *slot = Some(Tensor::from_vec(grad, [t, s, d], q.device()));
         }
         cost

@@ -26,19 +26,14 @@ impl Op for MatmulOp {
         grads: &mut [Option<Tensor>],
         grads_in: &mut [Option<Tensor>],
     ) -> OpCost {
-        let dy = super::out_grad(grads);
+        let dy = super::out_grad_mut(grads);
         let (x, wt) = (&saved[0], &saved[1]);
         let (m, k) = x.shape().as_2d();
         let n = wt.dim(1);
-        // dx = dy @ w^T       [.., n] x [n, k]
-        // dw = x2d^T @ dy2d    [k, m] x [m, n]
-        // Both transposes are read in place through their strides.
-        let dx = dy.matmul(&wt.t());
-        let x2d = x.contiguous().reshape([m, k]);
-        let dy2d = dy.contiguous().reshape([m, n]);
-        let dw = x2d.t().matmul(&dy2d);
         let flops = 4 * (m as u64) * (k as u64) * (n as u64);
         let bytes = (dy.bytes() + x.bytes() + wt.bytes()) * 2;
+        // dx = dy @ w^T, written over dy when w is square and dy dies here.
+        let (dx, dw) = x.matmul_grad(wt, dy);
         grads_in[0] = Some(dx);
         grads_in[1] = Some(dw);
         OpCost::new(flops, bytes, x.bytes() + wt.bytes())

@@ -49,14 +49,18 @@ pub struct AllocatorStats {
     /// Bytes currently handed out to live tensors (rounded sizes).
     pub(crate) allocated: u64,
     /// Peak of `allocated`.
+    #[cfg(test)]
     pub(crate) allocated_peak: u64,
     /// Bytes reserved from the device (never shrinks).
     pub reserved: u64,
     /// Cache hits (requests served from cached blocks).
+    #[cfg(test)]
     pub(crate) reuses: u64,
     /// Requests that had to reserve new device memory.
+    #[cfg(test)]
     pub(crate) fresh_allocations: u64,
     /// Large-pool splits performed.
+    #[cfg(test)]
     pub(crate) splits: u64,
 }
 
@@ -129,13 +133,19 @@ impl CachingAllocator {
         };
         let got = match take(pool, size) {
             Some(block) => {
-                self.stats.reuses += 1;
+                #[cfg(test)]
+                {
+                    self.stats.reuses += 1;
+                }
                 // Large blocks split; the remainder stays cached. Small
                 // blocks are handed out whole (slack is internal), and
                 // the whole block comes back at the free.
                 let got = if size >= SMALL_LIMIT && block > size {
                     put(pool, block - size);
-                    self.stats.splits += 1;
+                    #[cfg(test)]
+                    {
+                        self.stats.splits += 1;
+                    }
                     size
                 } else {
                     block
@@ -144,13 +154,19 @@ impl CachingAllocator {
                 got
             }
             None => {
-                self.stats.fresh_allocations += 1;
+                #[cfg(test)]
+                {
+                    self.stats.fresh_allocations += 1;
+                }
                 self.stats.reserved += size;
                 self.stats.allocated += size;
                 size
             }
         };
-        self.stats.allocated_peak = self.stats.allocated_peak.max(self.stats.allocated);
+        #[cfg(test)]
+        {
+            self.stats.allocated_peak = self.stats.allocated_peak.max(self.stats.allocated);
+        }
         got
     }
 
@@ -173,12 +189,13 @@ impl CachingAllocator {
     fn restart(&mut self, base: u64) {
         self.small_free.clear();
         self.large_free.clear();
-        self.stats = AllocatorStats {
-            allocated: base,
-            allocated_peak: base,
-            reserved: base,
-            ..AllocatorStats::default()
-        };
+        self.stats = AllocatorStats::default();
+        self.stats.allocated = base;
+        self.stats.reserved = base;
+        #[cfg(test)]
+        {
+            self.stats.allocated_peak = base;
+        }
     }
 }
 

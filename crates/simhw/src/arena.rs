@@ -65,6 +65,7 @@ pub struct PinnedSlab {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ArenaStats {
     /// Slabs created fresh (bump-pointer extensions).
+    #[cfg(test)]
     pub(crate) slab_allocs: u64,
     /// Slabs served from a free list instead of freshly created.
     pub slab_reuses: u64,
@@ -78,6 +79,7 @@ pub struct ArenaStats {
     pub high_water_bytes: u64,
     /// Sum of class sizes of every slab ever created (pinned footprint;
     /// never shrinks — reuse is what keeps it bounded).
+    #[cfg(test)]
     pub(crate) footprint_bytes: u64,
 }
 
@@ -144,8 +146,11 @@ impl BufferArena {
             None => {
                 let base = st.next_base;
                 st.next_base += class;
-                st.stats.slab_allocs += 1;
-                st.stats.footprint_bytes += class;
+                #[cfg(test)]
+                {
+                    st.stats.slab_allocs += 1;
+                    st.stats.footprint_bytes += class;
+                }
                 base
             }
         };

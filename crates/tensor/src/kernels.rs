@@ -18,10 +18,17 @@
 //!   writes its result in place into that operand's buffer
 //!   ([`Tensor::take_buffer`]), which is the operand's own when its handle
 //!   owns the storage and a copy otherwise, so a caller keeps an operand
-//!   by passing a clone. Scratch comes from the crate's per-thread pool
-//!   and goes back to it: the gather buffers, the head permutes' copy of
-//!   their input, and the matrix product's panel, which grows to its
-//!   largest `k × NR` once and is reused by every later call.
+//!   by passing a clone. A matrix product's backward
+//!   ([`Tensor::matmul_grad`]) consumes `dy` only when the weight is
+//!   square, so that `dx` has `dy`'s size: a row of `dx` reads the whole
+//!   row of `dy` it replaces, so `dx` is computed a block of rows at a
+//!   time into scratch and copied over those rows. Scratch comes from the
+//!   crate's per-thread pool and goes back to it: the gather buffers, the
+//!   head permutes' copy of their input, that block, and the matrix
+//!   product's panel,
+//!   which grows to its largest `k × NR` once and is reused by every later
+//!   call. Other crates borrow the pool through [`Tensor::with_scratch`]
+//!   (the fused attention op's row scratch).
 //! * **Fixed operation order.** Each output element is produced by the
 //!   same `f32` operations in the same order regardless of how the
 //!   operands are laid out: matrix products accumulate over the inner
@@ -238,6 +245,12 @@ impl Kernel<'_> {
 
 /// Rows of `a` (and of `out`) in one register tile.
 const MR: usize = 4;
+
+/// Rows of a product written over its consumed left operand
+/// ([`Tensor::matmul_consuming`]) that are computed into scratch at a
+/// time: the scratch is this many rows, not the whole product, and each
+/// block packs the panels of `b` once more.
+const CONSUMED_ROWS: usize = 16 * MR;
 
 /// The tile's width where AVX-512F is not detected: four SSE2 registers a
 /// row, the baseline every x86-64 CPU runs.
@@ -539,20 +552,34 @@ impl Tensor {
     /// # Panics
     /// Panics if `rhs` is not 2-D or the inner dimensions disagree.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(rhs.rank(), 2, "matmul rhs must be 2-D");
-        let (m, k) = self.shape().as_2d();
-        let (rk, n) = (rhs.dim(0), rhs.dim(1));
-        assert_eq!(k, rk, "matmul inner dims {k} vs {rk}");
-        let out_dims = self.shape().with_last(n);
+        let out_dims = self.matmul_dims(rhs);
         if !self.has_data() || !rhs.has_data() {
             return symbolic_like(self, out_dims);
         }
+        let mut out = vec![0.0f32; out_dims.numel()];
+        self.matmul_into(rhs, &mut out);
+        Tensor::from_vec(out, out_dims, self.device())
+    }
+
+    /// The shape of `self @ rhs`, after checking [`Tensor::matmul`]'s
+    /// shape contract.
+    fn matmul_dims(&self, rhs: &Tensor) -> Shape {
+        assert_eq!(rhs.rank(), 2, "matmul rhs must be 2-D");
+        let (_, k) = self.shape().as_2d();
+        let (rk, n) = (rhs.dim(0), rhs.dim(1));
+        assert_eq!(k, rk, "matmul inner dims {k} vs {rk}");
+        self.shape().with_last(n)
+    }
+
+    /// `out += self @ rhs` over numeric operands, read as
+    /// [`Tensor::matmul`] reads them.
+    fn matmul_into(&self, rhs: &Tensor, out: &mut [f32]) {
+        let (k, n) = (rhs.dim(0), rhs.dim(1));
         let lend = rows_in_place(self);
-        let out = Tensor::read_of([self, rhs], [lend, true], |[a, b]| {
-            let mut out = vec![0.0f32; m * n];
+        Tensor::read_of([self, rhs], [lend, true], |[a, b]| {
             let mut panel = take_scratch();
             Kernel::Matmul {
-                out: &mut out,
+                out,
                 a: Strided::of(a),
                 b: Strided::of(b),
                 k,
@@ -561,9 +588,76 @@ impl Tensor {
             }
             .run();
             return_scratch([panel]);
-            out
+        });
+    }
+
+    /// [`Tensor::matmul`] by a square `rhs`, consuming `self`: the product
+    /// is written over `self`'s buffer ([`Tensor::take_buffer`]), the
+    /// kernel run by `run`. A row of the product reads the whole row of
+    /// `self` it replaces, so each block of [`CONSUMED_ROWS`] rows is
+    /// computed into a buffer of the scratch pool and then copied over
+    /// its rows, which no later block reads. Its bits are
+    /// [`Tensor::matmul`]'s: an element's terms do not depend on the rows
+    /// around it.
+    pub(crate) fn matmul_consuming(&mut self, rhs: &Tensor, run: fn(Kernel)) -> Tensor {
+        let out_dims = self.matmul_dims(rhs);
+        let n = rhs.dim(1);
+        assert_eq!(rhs.dim(0), n, "an in-place product needs a square rhs");
+        let mut out = self.take_buffer();
+        Tensor::read_of([rhs], [true], |[b]| {
+            let b = Strided::of(b);
+            let (mut product, mut panel) = (take_scratch(), take_scratch());
+            for rows in out.chunks_mut(CONSUMED_ROWS * n.max(1)) {
+                product.clear();
+                product.resize(rows.len(), 0.0);
+                let a = Strided {
+                    data: rows,
+                    rs: n,
+                    cs: 1,
+                };
+                run(Kernel::Matmul {
+                    out: &mut product,
+                    a,
+                    b,
+                    k: n,
+                    n,
+                    panel: &mut panel,
+                });
+                rows.copy_from_slice(&product);
+            }
+            return_scratch([panel, product]);
         });
         Tensor::from_vec(out, out_dims, self.device())
+    }
+
+    /// Backward of [`Tensor::matmul`]: with `self` the product's left
+    /// operand `x` (`[..., k]`) and `w` its right (`[k, n]`), returns
+    /// `(dx, dw)` for the output gradient `dy`: `dx = dy @ wᵀ`, shaped like
+    /// `x`, and `dw = xᵀ @ dy` over the flattened rows, both transposes
+    /// read in place. When `w` is square, `x` contiguous and `dy`'s handle
+    /// [owns its storage](Tensor::owns_storage), `dy` is consumed: `dx` is
+    /// written over its buffer. `dw`'s values are computed first, while
+    /// `dy` still holds its own, but `dx` is built first, so a device
+    /// tracker sees the events of the path that allocates both, `dx` and
+    /// then `dw`. Any other `dy` is left as it was.
+    ///
+    /// # Panics
+    /// Panics where [`Tensor::matmul`] does.
+    pub fn matmul_grad(&self, w: &Tensor, dy: &mut Tensor) -> (Tensor, Tensor) {
+        let (m, k) = self.shape().as_2d();
+        let n = w.dim(1);
+        let numeric = self.has_data() && w.has_data() && dy.has_data();
+        if !(numeric && k == n && dy.owns_storage() && self.is_contiguous()) {
+            let dx = dy.matmul(&w.t());
+            let x2d = self.contiguous().reshape([m, k]);
+            let dw = x2d.t().matmul(&dy.contiguous().reshape([m, n]));
+            return (dx, dw);
+        }
+        let mut dw = vec![0.0f32; k * n];
+        let xt = self.reshape([m, k]).t();
+        xt.matmul_into(&dy.reshape([m, n]), &mut dw);
+        let dx = dy.matmul_consuming(&w.t(), |kernel| kernel.run());
+        (dx, Tensor::from_vec(dw, [k, n], self.device()))
     }
 
     /// Batched matrix product of `[b, m, k]` and `[b, k, n]`. Both are

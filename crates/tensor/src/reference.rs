@@ -569,6 +569,45 @@ fn a_strided_rank3_left_operand_is_gathered_with_the_same_bits() {
     );
 }
 
+/// A product written over its consumed left operand (the `dx` a matmul
+/// backward writes over `dy` when the weight is square) has
+/// [`Tensor::matmul`]'s bits at every width: over edge rows (`m % 4 ≠ 0`),
+/// an edge strip (`70 % NR ≠ 0`) and more rows than one block of scratch
+/// holds, with zeros, infinities and NaNs among the operands, the weight
+/// read plain and transposed.
+#[test]
+fn a_product_over_its_consumed_operand_matches_matmul_at_every_width() {
+    let n = 70;
+    for (name, run) in widths() {
+        for (seed, dims) in [
+            vec![1, n],
+            vec![5, n],
+            vec![13, n],
+            vec![3, 13, n],
+            vec![3, 45, n],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let seed = 2 * seed as u64;
+            let numel = dims.iter().product();
+            let dy = Tensor::from_vec(values(seed, numel, true), &dims[..], &dev());
+            let w = Tensor::from_vec(values(seed + 1, n * n, true), [n, n], &dev());
+            for (transposed, rhs) in [(false, w.clone()), (true, w.t())] {
+                let want = dy.matmul(&rhs);
+                let mut given = dy.deep_clone_as(dy.mem_class());
+                let got = given.matmul_consuming(&rhs, run);
+                assert_eq!(got.dims(), want.dims());
+                assert_eq!(
+                    product_bits(&got.to_vec()),
+                    product_bits(&want.to_vec()),
+                    "{name} width, dy {dims:?}, w transposed {transposed}"
+                );
+            }
+        }
+    }
+}
+
 /// A vector width's name, and a function that runs one kernel at it.
 type Width = (&'static str, fn(Kernel));
 

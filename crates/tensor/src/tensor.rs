@@ -11,8 +11,9 @@ use std::fmt;
 thread_local! {
     /// The crate's one scratch pool: buffers kept between kernel calls, so
     /// a warm step asks the allocator for none. [`Tensor::with_values_of`]
-    /// gathers strided operands into them, and a matrix product packs its
-    /// panels of `b` into one (`Kernel::Matmul`).
+    /// gathers strided operands into them, a matrix product packs its
+    /// panels of `b` into one (`Kernel::Matmul`), and
+    /// [`Tensor::with_scratch`] lends one to other crates.
     static SCRATCH: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -387,6 +388,20 @@ impl Tensor {
         Tensor::read_of(tensors, tensors.map(Tensor::is_contiguous), |views| {
             f(std::array::from_fn(|i| &views[i].0[..tensors[i].numel()]))
         })
+    }
+
+    /// Runs `f` over `len` zeros in a buffer of the scratch pool the
+    /// kernels gather and pack into, and hands the buffer back to the pool
+    /// afterwards, so a warm caller asks the allocator for nothing. The
+    /// pool's one entry point from outside this crate: the fused attention
+    /// op takes its row scratch from it.
+    pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+        let mut buf = take_scratch();
+        buf.clear();
+        buf.resize(len, 0.0);
+        let out = f(&mut buf);
+        return_scratch([buf]);
+        out
     }
 
     /// The one read path under [`Tensor::with_values_of`] and the matrix

@@ -329,11 +329,13 @@ fn a_kept_graph_allocates_nothing_per_scope_or_stateful_op() {
 
 /// Bytes a warm forward and a warm backward of `op` request, the
 /// operands given as segment inputs (so backward hands each gradient
-/// over instead of copying it into a leaf) and `dy` as the output
-/// gradient. A first run warms the kernels' gather buffers.
+/// over instead of copying it into a leaf) and a copy of `dy` handed over
+/// `how` as the output gradient. A first run warms the kernels' gather
+/// buffers.
 fn op_bytes<const N: usize>(
     operands: &[Tensor; N],
     dy: &Tensor,
+    how: Handoff,
     op: impl Fn(&Graph, &[Value; N]) -> Value,
 ) -> (u64, u64) {
     let run = || {
@@ -341,7 +343,8 @@ fn op_bytes<const N: usize>(
         let inputs: [Value; N] = std::array::from_fn(|i| g.external(i, operands[i].clone()));
         let (y, forward) = bytes(|| op(&g, &inputs));
         let mut grads: [Option<Tensor>; N] = std::array::from_fn(|_| None);
-        let ((), backward) = bytes(|| g.backward_from(&[y], [Some(dy.clone())], &mut grads));
+        let (dy, _held) = how.give(dy);
+        let ((), backward) = bytes(|| g.backward_from(&[y], [Some(dy)], &mut grads));
         assert!(
             grads.iter().all(Option::is_some),
             "every operand has a gradient"
@@ -365,32 +368,37 @@ fn numeric(dims: &[usize], seed: u64) -> Tensor {
     Tensor::randn(dims, 1.0, &mut rng, &Device::cpu())
 }
 
-/// (e) The fused attention op never materialises an `S×S` matrix: a
-/// forward plus backward at `[16, 64, 32]` with dropout requests its four
-/// `[t, s, d]` results (context, `dq`, `dk`, `dv`), `O(s·d)` scratch and
-/// [`OP_SLACK`]. One `t·s·s` buffer is 256 KiB, twice the allowance for
-/// the scratch. Measured: 553 508 B (4 × 131 072 B of results, 26 368 B
-/// of scratch); materialising each `S×S` step requested 5 116 532 B.
+/// (e) The fused attention op never materialises an `S×S` matrix, nor
+/// allocates its row scratch or a `dq` of its own: a warm forward plus
+/// backward at `[16, 64, 32]` with dropout, given the only handle on
+/// `dctx`, requests three `[t, s, d]` results (context, `dk`, `dv`) and
+/// [`OP_SLACK`]. `dq` is written over `dctx`, and the `O(s·d)` scratch
+/// comes from the tensor crate's pool. One `t·s·s` buffer is 256 KiB.
+/// Measured: 395 940 B (3 × 131 072 B of results); with `dq` and the
+/// scratch allocated, 553 508 B; materialising each `S×S` step requested
+/// 5 116 532 B.
 #[test]
 fn fused_attention_allocates_its_results_and_row_scratch() {
     let [t, s, d] = [16, 64, 32];
     let qkv = [0, 1, 2].map(|i| numeric(&[t, s, d], i));
     let dctx = numeric(&[t, s, d], 3);
-    let (forward, backward) = op_bytes(&qkv, &dctx, |g, [q, k, v]| {
+    let (forward, backward) = op_bytes(&qkv, &dctx, Handoff::Owned, |g, [q, k, v]| {
         ops::flash_attention(g, q, k, v, true, 0.1)
     });
-    let results = 4 * dctx.bytes();
-    let scratch = (4 * s * d * 4) as u64;
+    let results = 3 * dctx.bytes();
     assert!(
-        forward + backward <= results + scratch + OP_SLACK,
+        forward + backward <= results + OP_SLACK,
         "flash attention requests {forward} B forward and {backward} B backward: more \
-         than its {results} B of results, {scratch} B of row scratch and the slack"
+         than its {results} B of context, dk and dv and the slack"
     );
 }
 
 /// (f) `MatmulOp` backward requests `dx` and `dw` and nothing else: `xᵀ`
-/// and `wᵀ` are read in place through their strides. Measured: 198 436 B
-/// for 196 608 B of results; copying the transpose requested 264 076 B.
+/// and `wᵀ` are read in place through their strides. By a square weight,
+/// given the only handle on `dy`, it requests `dw` alone: `dx` is
+/// written over `dy`, a block of rows at a time through pool scratch.
+/// Measured: 198 292 B for 196 608 B of results (copying the transpose
+/// requested 264 076 B), and 67 220 B for a 65 536 B `dw`.
 #[test]
 fn matmul_backward_allocates_dx_and_dw() {
     let (x, w, dy) = (
@@ -398,13 +406,19 @@ fn matmul_backward_allocates_dx_and_dw() {
         numeric(&[256, 128], 2),
         numeric(&[64, 128], 3),
     );
-    let (_, backward) = op_bytes(&[x.clone(), w.clone()], &dy, |g, [x, w]| {
-        ops::matmul(g, x, w)
-    });
+    let matmul = |g: &Graph, [x, w]: &[Value; 2]| ops::matmul(g, x, w);
+    let (_, backward) = op_bytes(&[x.clone(), w.clone()], &dy, Handoff::Owned, matmul);
     let results = x.bytes() + w.bytes();
     assert!(
         backward <= results + OP_SLACK,
         "matmul backward requests {backward} B for {results} B of dx and dw"
+    );
+    let (x, w) = (numeric(&[64, 128], 4), numeric(&[128, 128], 5));
+    let (_, backward) = op_bytes(&[x, w.clone()], &dy, Handoff::Owned, matmul);
+    assert!(
+        backward <= w.bytes() + OP_SLACK,
+        "a square matmul backward requests {backward} B for its {} B dw",
+        w.bytes()
     );
 }
 
@@ -461,8 +475,10 @@ fn a_new_tensor_takes_a_dead_ones_storage_header() {
 #[test]
 fn elementwise_backwards_allocate_one_buffer() {
     let (dy, x) = (numeric(&[4, 64, 256], 1), [numeric(&[4, 64, 256], 2)]);
-    let (_, gelu) = op_bytes(&x, &dy, |g, [x]| ops::gelu(g, x));
-    let (_, dropout) = op_bytes(&x, &dy, |g, [x]| ops::dropout(g, x.clone(), 0.1));
+    let (_, gelu) = op_bytes(&x, &dy, Handoff::Held, |g, [x]| ops::gelu(g, x));
+    let (_, dropout) = op_bytes(&x, &dy, Handoff::Held, |g, [x]| {
+        ops::dropout(g, x.clone(), 0.1)
+    });
     for (op, backward) in [("gelu", gelu), ("dropout", dropout)] {
         assert!(
             backward <= dy.bytes() + OP_SLACK,
@@ -506,14 +522,34 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.to_vec().iter().map(|x| x.to_bits()).collect()
 }
 
+/// The third of three runs of `case` on one graph, each given a fresh
+/// copy of `input` handed over `how`: its result, the bytes it
+/// requested, and the clone the test held.
+fn warm_run(
+    how: Handoff,
+    input: &Tensor,
+    case: &impl Fn(&Graph, Tensor) -> (Tensor, u64),
+) -> (Tensor, u64, Option<Tensor>) {
+    let g = Graph::new(input.device(), 7);
+    let run = || {
+        let (given, held) = how.give(input);
+        let (result, requested) = case(&g, given);
+        g.reset_tape();
+        (result, requested, held)
+    };
+    run();
+    run();
+    run()
+}
+
 /// Runs `case` on `input` handed over each [`Handoff`] way, each on a
-/// graph warmed by two runs before, and checks what an op that consumes
-/// its input must do. Its result (`case` returns it with the bytes it
-/// requested) is bit-identical whichever way the input came. A held
-/// clone keeps its values bit for bit. An owned input's buffer holds the
-/// result: the run requests `owned_bytes`, the buffers the op makes
-/// besides it, and no byte of payload for it. A held or stamped input is
-/// copied: the run requests a payload's worth more.
+/// graph warmed by two runs before ([`warm_run`]), and checks what an op
+/// that consumes its input must do. Its result (`case` returns it with
+/// the bytes it requested) is bit-identical whichever way the input
+/// came. A held clone keeps its values bit for bit. An owned input's
+/// buffer holds the result: the run requests `owned_bytes`, the buffers
+/// the op makes besides it, and no byte of payload for it. A held or
+/// stamped input is copied: the run requests a payload's worth more.
 fn check_consumption(
     what: &str,
     input: &Tensor,
@@ -523,16 +559,7 @@ fn check_consumption(
     let payload = input.numel() as u64 * 4;
     let mut results = Vec::new();
     for how in Handoff::ALL {
-        let g = Graph::new(input.device(), 7);
-        let run = || {
-            let (given, held) = how.give(input);
-            let (result, requested) = case(&g, given);
-            g.reset_tape();
-            (result, requested, held)
-        };
-        run();
-        run();
-        let (result, requested, held) = run();
+        let (result, requested, held) = warm_run(how, input, &case);
         if let Some(held) = held {
             assert_eq!(bits(&held), bits(input), "{what}: the held clone changed");
         }
@@ -585,12 +612,15 @@ fn backward<'a>(
 /// (p) An op consumes an input only when the input dies with it. The
 /// forward `add_bias`, `dropout`, `add` (either operand) and
 /// `permute_heads`, and the backwards of `gelu`, `layernorm`,
-/// `dropout` and both head permutes, each get their consumed operand
-/// (the input, or the output gradient `dy`) three ways
-/// ([`check_consumption`]): owned, it is reused, so the op requests no
-/// payload for its result (a `dropout` only its mask, a `layernorm`
-/// backward only `dγ` and `dβ`); held by a clone or stamped by the
-/// cache, it is copied and its values are kept.
+/// `dropout`, both head permutes, a matmul by a square weight and the
+/// fused attention op, each get their consumed operand (the input, or
+/// the output gradient `dy`) three ways ([`check_consumption`]): owned,
+/// it is reused, so the op requests no payload for its result (a
+/// `dropout` only its mask, a `layernorm` backward only `dγ` and `dβ`, a
+/// matmul backward only `dw`, the attention backward only `dk` and
+/// `dv`); held by a clone or stamped by the cache, it is copied and its
+/// values are kept. A matmul by a non-square weight, whose `dx` is not
+/// `dy`'s size, requests `dx` afresh even from an owned `dy`.
 #[test]
 fn an_op_consumes_only_an_input_that_dies_with_it() {
     let (x, other) = (numeric(&[4, 64, 128], 1), numeric(&[4, 64, 128], 2));
@@ -657,6 +687,32 @@ fn an_op_consumes_only_an_input_that_dies_with_it() {
         &x,
         0,
         backward(&heads, |g, v| ops::unpermute_heads(g, &v, HEADS)),
+    );
+    let square = numeric(&[128, 128], 7);
+    check_consumption(
+        "matmul backward (square weight)",
+        &x,
+        square.bytes(),
+        backward(&x, |g, v| ops::matmul(g, &v, &g.constant(square.clone()))),
+    );
+    let [k, v] = [8, 9].map(|seed| numeric(&[16, 64, 32], seed));
+    check_consumption(
+        "flash_attention backward",
+        &heads,
+        k.bytes() + v.bytes(),
+        backward(&heads, |g, q| {
+            let (k, v) = (g.constant(k.clone()), g.constant(v.clone()));
+            ops::flash_attention(g, &q, &k, &v, true, 0.1)
+        }),
+    );
+
+    let wide = numeric(&[128, 256], 10);
+    let case = backward(&x, |g, v| ops::matmul(g, &v, &g.constant(wide.clone())));
+    let (_, requested, _) = warm_run(Handoff::Owned, &numeric(&[4, 64, 256], 11), &case);
+    assert_eq!(
+        requested,
+        x.bytes() + wide.bytes(),
+        "a non-square matmul backward requests {requested} B for its dx and dw"
     );
 }
 
@@ -734,17 +790,20 @@ fn a_reload_reuses_the_buffer_its_commit_freed() {
 
 /// Allocator calls and bytes a warm [`numeric_gpt`] step on `Keep` may
 /// make: the figures measured once every op whose input dies with it
-/// writes its result into that input's buffer (206 calls, 23 387 416 B:
-/// `func_keep`'s `host_allocs_per_step` and `host_alloc_mb_per_step`).
-/// While each op allocated its output afresh, 290 calls and
-/// 37 543 192 B.
-const GPT_STEP_BUDGET: (u64, u64) = (206, 23_387_416);
+/// writes its result into that input's buffer, the matmul and fused
+/// attention backwards included, and the attention op takes its row
+/// scratch from the pool (178 calls, 20 660 504 B: `func_keep`'s
+/// `host_allocs_per_step` and `host_alloc_mb_per_step`). Before those
+/// three, 206 calls and 23 387 416 B; while each op allocated its output
+/// afresh, 290 calls and 37 543 192 B.
+const GPT_STEP_BUDGET: (u64, u64) = (178, 20_660_504);
 
 /// (q) A warm step of [`numeric_gpt`] reuses its dead inputs: the bias
 /// add over a matmul's output, the dropouts and residual adds over the
 /// tensors they consume, the head permutes, and in backward the GELU,
-/// layernorm, permute and dropout gradients over the `dy` they are made
-/// from, so the step stays within [`GPT_STEP_BUDGET`].
+/// layernorm, permute and dropout gradients, the square matmuls' `dx`
+/// and the attention op's `dq` over the `dy` they are made from, so the
+/// step stays within [`GPT_STEP_BUDGET`].
 #[test]
 fn a_warm_gpt_step_reuses_its_dead_inputs() {
     let mut session = numeric_gpt(PlacementStrategy::Keep);
@@ -1023,7 +1082,7 @@ fn site(trace: &Backtrace) -> String {
 ///
 /// Run it in the default (debug) test profile, whose line tables name
 /// each frame's file and line. `func_keep`'s total equals its
-/// `host_allocs_per_step` (206 calls, 23 387 416 B at 26 sites); the
+/// `host_allocs_per_step` (178 calls, 20 660 504 B at 22 sites); the
 /// symbolic session is warmed for two steps, not the benchmark's fifty,
 /// so its total differs from the gated figure (1 call against 0: one
 /// insert into the DRAM target's pool map, 10 384 B, that the fiftieth
@@ -1034,11 +1093,15 @@ fn site(trace: &Backtrace) -> String {
 /// tracker and the cache refill what they lent last step. Nor do the
 /// transients an op's result can be written over (the bias add, dropout,
 /// residual add and head permutes in forward, the GELU, layernorm,
-/// dropout and permute gradients over their `dy`). What is left at op
+/// dropout and permute gradients, the `dx` of the 16 square matmuls and
+/// the attention op's `dq` over their `dy`), nor the attention op's row
+/// scratch, which comes from the tensor crate's pool. What is left at op
 /// lines is the values of results whose inputs live on: the matmul
-/// outputs and gradients, the GELU and layernorm outputs, the dropout
-/// masks, the fused attention op's results and row scratch, the merge
-/// of its context, the loss's probabilities and the small reductions.
+/// outputs, `dw`s and the 9 `dx`s not of `dy`'s size (`fc1`, `fc2` and
+/// the LM head), the GELU and layernorm
+/// outputs, the dropout masks, the fused attention op's context, `dk`
+/// and `dv`, the merge of its context, the loss's probabilities and the
+/// small reductions.
 #[test]
 #[ignore = "diagnostic: prints where a warm step of two benchmark sessions allocates"]
 fn alloc_sites() {
