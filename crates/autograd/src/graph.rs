@@ -5,7 +5,7 @@ use crate::observer::{ExecObserver, OpCost, Phase};
 use crate::scope::{ModuleHooks, ScopeFrame};
 use crate::value::{Source, Value};
 use crate::var::Var;
-use ssdtrain_tensor::{Device, MemClass, Prng, Tensor};
+use ssdtrain_tensor::{Device, MemClass, Prng, Spares, Tensor};
 use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::{Entry, HashMap};
@@ -100,7 +100,7 @@ struct Tape {
     /// The scope frames opened since the last reset, oldest first.
     frames: Vec<Arc<ScopeFrame>>,
     /// Frames the last reset retired, for `enter_module` to rewrite.
-    spare_frames: Vec<Arc<ScopeFrame>>,
+    spare_frames: Spares<Arc<ScopeFrame>>,
     /// Retired op boxes, for `record` to overwrite.
     spare_ops: OpPool,
 }
@@ -119,7 +119,7 @@ impl Tape {
         while let Some(mut frame) = self.frames.pop() {
             if let Some(f) = Arc::get_mut(&mut frame) {
                 f.parent = None;
-                self.spare_frames.push(frame);
+                self.spare_frames.give(frame);
             }
         }
     }
@@ -130,7 +130,7 @@ impl Tape {
 /// (a checkpoint's, which owns its segment) is boxed fresh and dropped
 /// when retired. A zero-sized op's box allocates nothing to begin with.
 #[derive(Default)]
-struct OpPool(Vec<(TypeId, Vec<Box<dyn Any>>)>);
+struct OpPool(Vec<(TypeId, Spares<Box<dyn Any>>)>);
 
 impl OpPool {
     /// `op` in a box: a retired one of its type, overwritten, if any.
@@ -144,16 +144,14 @@ impl OpPool {
             .iter()
             .position(|(t, _)| *t == ty)
             .unwrap_or_else(|| {
-                self.0.push((ty, Vec::new()));
+                self.0.push((ty, Spares::new()));
                 self.0.len() - 1
             });
-        match self.0[i].1.pop().map(|b| b.downcast::<T>()) {
-            Some(Ok(mut b)) => {
-                *b = op;
-                b
-            }
-            _ => Box::new(op),
+        if let Some(Ok(mut b)) = self.0[i].1.take().map(|b| b.downcast::<T>()) {
+            *b = op;
+            return b;
         }
+        Box::new(op)
     }
 
     /// Takes back `op`'s box if its type is pooled, else drops it.
@@ -161,7 +159,7 @@ impl OpPool {
         let op: Box<dyn Any> = op;
         let ty = (*op).type_id();
         if let Some((_, spares)) = self.0.iter_mut().find(|(t, _)| *t == ty) {
-            spares.push(op);
+            spares.give(op);
         }
     }
 }
@@ -378,7 +376,7 @@ impl Graph {
         let parent = self.inner.scope_top.borrow().clone();
         let seq = self.inner.seq.get() + 1;
         self.inner.seq.set(seq);
-        let spare = self.inner.tape.borrow_mut().spare_frames.pop();
+        let spare = self.inner.tape.borrow_mut().spare_frames.take();
         let mut frame = spare.unwrap_or_default();
         // A spare frame is held nowhere else, so this clones nothing.
         let f = Arc::make_mut(&mut frame);

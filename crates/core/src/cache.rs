@@ -240,14 +240,13 @@ impl TensorCache {
     /// Snapshot of this step's statistics, per-tier counters included.
     /// Tier timing (store-drain stalls, link busy time) is overlaid
     /// from the I/O engine so the snapshot and the trace agree. The tier
-    /// and class lists are lent ([`LentList`](crate::stats::LentList)):
-    /// the next snapshot refills their buffers once this one is dropped.
+    /// and class lists are [`Lent`](ssdtrain_tensor::Lent).
     pub fn stats(&self) -> OffloadStats {
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        st.stats
-            .tiers
-            .refill(self.tier_counters(st.ledger.counters(), &st.link_stalls));
+        st.stats.tiers.clear();
+        let counters = self.tier_counters(st.ledger.counters(), &st.link_stalls);
+        st.stats.tiers.to_mut().extend(counters);
         let mut stats = st.stats.clone();
         let arena = self.arena.stats();
         stats.arena_high_water_bytes = arena.high_water_bytes;
@@ -331,7 +330,7 @@ impl TensorCache {
         let ordered = st.passes.iter().rev().flat_map(|p| p.order.iter().rev());
         for mut meta in ordered.filter_map(|seq| st.scopes.remove(seq)) {
             meta.records.clear();
-            st.spare_scope_records.push(meta.records);
+            st.spare_scope_records.give(meta.records);
         }
         st.scopes.clear();
         st.phase = Phase::Forward;

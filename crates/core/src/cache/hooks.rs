@@ -72,7 +72,7 @@ impl ModuleHooks for TensorCache {
             path,
             kept: st.plan.keeps(&scope.path),
             pos,
-            records: st.spare_scope_records.pop().unwrap_or_default(),
+            records: st.spare_scope_records.take().unwrap_or_default(),
             enter: self.io.clock().now(),
             ..ScopeMeta::default()
         };

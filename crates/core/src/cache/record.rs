@@ -14,7 +14,7 @@ use crate::tier::{TierId, TierLedger, TierStack};
 use crate::{HashMap, HashSet};
 use ssdtrain_autograd::Phase;
 use ssdtrain_simhw::{PinnedSlab, SimTime};
-use ssdtrain_tensor::Tensor;
+use ssdtrain_tensor::{Spares, Tensor};
 use ssdtrain_trace::TraceSink;
 use std::ops::Range;
 
@@ -312,7 +312,7 @@ pub(super) struct State {
     /// The shape buffers of released records' keys, for new records'
     /// keys: a buffer comes back only after its record's tier entry was
     /// dropped under the key it held (`TensorCache::drop_from_tier`).
-    pub(super) spare_shapes: Vec<Vec<usize>>,
+    pub(super) spare_shapes: Spares<Vec<usize>>,
     pub(super) next_id: RecordId,
     pub(super) param_stamps: HashSet<u64>,
     /// Innermost-first stack of open forward scopes (seq ids).
@@ -320,7 +320,7 @@ pub(super) struct State {
     pub(super) scopes: HashMap<u64, ScopeMeta>,
     /// The record lists of the last step's scopes, emptied, for this
     /// step's scopes to fill.
-    pub(super) spare_scope_records: Vec<Vec<RecordId>>,
+    pub(super) spare_scope_records: Spares<Vec<RecordId>>,
     pub(super) current_mb: usize,
     pub(super) phase: Phase,
     pub(super) profiling: bool,

@@ -279,7 +279,7 @@ impl TensorCache {
         if activation {
             st.by_key.insert(inline, id);
         }
-        let key = inline.key_in(st.spare_shapes.pop().unwrap_or_default());
+        let key = inline.key_in(st.spare_shapes.take().unwrap_or_default());
         st.records.insert(
             id,
             Record {
@@ -702,7 +702,7 @@ impl TensorCache {
         } else {
             st.ledger.unreserve(rec.tier, rec.bytes);
         }
-        st.spare_shapes.push(rec.key.shape);
+        st.spare_shapes.give(rec.key.shape);
     }
 }
 

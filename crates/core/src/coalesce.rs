@@ -33,6 +33,7 @@
 use crate::placement::OffloadClass;
 use crate::tier::TierId;
 use crate::HashMap;
+use ssdtrain_tensor::Spares;
 
 /// One member of a segment: a staged record and its payload size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +81,7 @@ pub struct WriteCoalescer {
     open: HashMap<TierId, OpenSegment>,
     /// Member lists handed back by [`WriteCoalescer::recycle`], emptied,
     /// for the next open segments to fill.
-    spare: Vec<Vec<SegmentEntry>>,
+    spare: Spares<Vec<SegmentEntry>>,
 }
 
 impl WriteCoalescer {
@@ -145,7 +146,7 @@ impl WriteCoalescer {
         if open.entries.is_empty() {
             return None;
         }
-        let fresh = self.spare.pop().unwrap_or_default();
+        let fresh = self.spare.take().unwrap_or_default();
         let entries = std::mem::replace(&mut open.entries, fresh);
         open.bytes = 0;
         let id = self.next_id;
@@ -178,7 +179,7 @@ impl WriteCoalescer {
     pub(crate) fn recycle(&mut self, seg: SealedSegment) {
         let mut entries = seg.entries;
         entries.clear();
-        self.spare.push(entries);
+        self.spare.give(entries);
     }
 
     /// Seals the open segment of the frontmost tier `at` admits that

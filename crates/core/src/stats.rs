@@ -2,80 +2,8 @@
 
 use crate::placement::OffloadClass;
 use crate::tier::TierCounters;
+use ssdtrain_tensor::Lent;
 use ssdtrain_trace::StepBytes;
-use std::fmt;
-use std::ops::Deref;
-use std::sync::Arc;
-
-/// A counter list that a stats snapshot shares with the cache that took
-/// it. It reads as a slice; a clone shares the buffer. The cache writes
-/// the next counters into the same buffer once no snapshot holds it, and
-/// into a new one while a snapshot does, so a held snapshot never
-/// changes and a warm step's snapshot allocates nothing. Empty until
-/// first filled.
-#[derive(Clone)]
-pub struct LentList<T>(Option<Arc<Vec<T>>>);
-
-impl<T> Default for LentList<T> {
-    fn default() -> Self {
-        LentList(None)
-    }
-}
-
-impl<T> Deref for LentList<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        self.0.as_deref().map_or(&[], Vec::as_slice)
-    }
-}
-
-impl<'a, T> IntoIterator for &'a LentList<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl<T: PartialEq> PartialEq for LentList<T> {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for LentList<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-impl<T: Clone> LentList<T> {
-    /// The list to update in place: its own buffer when no snapshot holds
-    /// it, else a copy.
-    pub(crate) fn to_mut(&mut self) -> &mut Vec<T> {
-        Arc::make_mut(self.0.get_or_insert_with(Arc::default))
-    }
-
-    /// Empties the list, keeping its buffer when no snapshot holds it.
-    pub(crate) fn clear(&mut self) {
-        match self.0.as_mut().and_then(Arc::get_mut) {
-            Some(list) => list.clear(),
-            None => self.0 = None,
-        }
-    }
-
-    /// Replaces the list with `items`, in its own buffer when no snapshot
-    /// holds it.
-    pub(crate) fn refill(&mut self, items: impl IntoIterator<Item = T>) {
-        match self.0.as_mut().and_then(Arc::get_mut) {
-            Some(list) => {
-                list.clear();
-                list.extend(items);
-            }
-            None => self.0 = Some(Arc::new(items.into_iter().collect())),
-        }
-    }
-}
 
 /// Per-[`OffloadClass`] traffic split: how much of the step's offload
 /// I/O was activations vs gradients vs optimizer state. Every byte in
@@ -176,11 +104,11 @@ pub struct OffloadStats {
     pub prefetch_groups: u64,
     /// Per-tier traffic, front tier first (empty until the cache takes
     /// its first snapshot).
-    pub tiers: LentList<TierCounters>,
+    pub tiers: Lent<TierCounters>,
     /// Per-class traffic split in [`OffloadClass::ALL`] order
     /// (activation, gradient, optimizer_state). Empty in a default
     /// struct; the cache's first snapshot materialises all three.
-    pub classes: LentList<ClassCounters>,
+    pub classes: Lent<ClassCounters>,
 }
 
 impl OffloadStats {
@@ -202,15 +130,11 @@ impl OffloadStats {
     /// but keeps the lists' buffers: a warm step's first
     /// [`OffloadStats::class_mut`] allocates nothing.
     pub(crate) fn reset(&mut self) {
-        let (mut tiers, mut classes) = (
-            std::mem::take(&mut self.tiers),
-            std::mem::take(&mut self.classes),
-        );
-        tiers.clear();
-        classes.clear();
+        self.tiers.clear();
+        self.classes.clear();
         *self = OffloadStats {
-            tiers,
-            classes,
+            tiers: std::mem::take(&mut self.tiers),
+            classes: std::mem::take(&mut self.classes),
             ..OffloadStats::default()
         };
     }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// unfused path records the pre-Flash operator chain with an explicit
 /// softmax whose probabilities are saved for backward.
 #[derive(Debug, Clone)]
-pub struct Attention {
+pub(crate) struct Attention {
     q: Linear,
     k: Linear,
     v: Linear,
@@ -31,7 +31,7 @@ impl Attention {
     /// Creates an attention block. With `cfg.tp > 1` this is one GPU's
     /// Megatron-style shard: `heads / tp` local heads, column-parallel
     /// Q/K/V, row-parallel output projection followed by an allreduce.
-    pub fn new(
+    pub(crate) fn new(
         name: &str,
         cfg: &ModelConfig,
         causal: bool,
@@ -55,7 +55,7 @@ impl Attention {
 
     /// Attention of `x_q` over `x_kv` (self-attention when they are the
     /// same value; cross-attention in the T5 decoder otherwise).
-    pub fn forward(&self, g: &Graph, x_q: &Value, x_kv: &Value) -> Value {
+    pub(crate) fn forward(&self, g: &Graph, x_q: &Value, x_kv: &Value) -> Value {
         let q = ops::permute_heads(g, self.q.forward(g, x_q), self.heads);
         let k = ops::permute_heads(g, self.k.forward(g, x_kv), self.heads);
         let v = ops::permute_heads(g, self.v.forward(g, x_kv), self.heads);
@@ -87,7 +87,7 @@ impl Attention {
     }
 
     /// This block's parameters.
-    pub fn parameters(&self) -> Vec<Var> {
+    pub(crate) fn parameters(&self) -> Vec<Var> {
         [&self.q, &self.k, &self.v, &self.o]
             .iter()
             .flat_map(|l| l.parameters())
@@ -97,7 +97,7 @@ impl Attention {
 
 /// The two-projection MLP block with GELU (Figure 3(b)).
 #[derive(Debug, Clone)]
-pub struct Mlp {
+pub(crate) struct Mlp {
     fc1: Linear,
     fc2: Linear,
     tp: usize,
@@ -107,7 +107,7 @@ pub struct Mlp {
 impl Mlp {
     /// Creates an MLP with the standard 4× expansion; with `cfg.tp > 1`
     /// the inner dimension is column/row-parallel sharded.
-    pub fn new(name: &str, cfg: &ModelConfig, rng: &mut Prng, dev: &Device) -> Mlp {
+    pub(crate) fn new(name: &str, cfg: &ModelConfig, rng: &mut Prng, dev: &Device) -> Mlp {
         let h = cfg.hidden;
         let inner = 4 * h / cfg.tp;
         Mlp {
@@ -119,7 +119,7 @@ impl Mlp {
     }
 
     /// Applies the block.
-    pub fn forward(&self, g: &Graph, x: &Value) -> Value {
+    pub(crate) fn forward(&self, g: &Graph, x: &Value) -> Value {
         let h = ops::gelu(g, &self.fc1.forward(g, x));
         let out = self.fc2.forward(g, &h);
         let out = if self.tp > 1 {
@@ -131,7 +131,7 @@ impl Mlp {
     }
 
     /// This block's parameters.
-    pub fn parameters(&self) -> Vec<Var> {
+    pub(crate) fn parameters(&self) -> Vec<Var> {
         let mut p = self.fc1.parameters();
         p.extend(self.fc2.parameters());
         p
@@ -142,7 +142,7 @@ impl Mlp {
 /// cross-attention (T5 decoder), MLP — each under its own module scope
 /// so the tensor cache profiles them separately (Figure 8).
 #[derive(Debug, Clone)]
-pub struct TransformerLayer {
+pub(crate) struct TransformerLayer {
     ln1: LayerNorm,
     attn: Attention,
     cross: Option<(LayerNorm, Attention)>,
@@ -153,7 +153,7 @@ pub struct TransformerLayer {
 impl TransformerLayer {
     /// Creates a layer; `causal` selects decoder-style masking,
     /// `with_cross` adds a cross-attention block.
-    pub fn new(
+    pub(crate) fn new(
         name: &str,
         cfg: &ModelConfig,
         causal: bool,
@@ -180,7 +180,7 @@ impl TransformerLayer {
     /// # Panics
     /// Panics if the layer has a cross block but `ctx` is `None`.
     #[expect(clippy::expect_used, reason = "documented contract")]
-    pub fn forward(&self, g: &Graph, x: &Value, ctx: Option<&Value>) -> Value {
+    pub(crate) fn forward(&self, g: &Graph, x: &Value, ctx: Option<&Value>) -> Value {
         let mut x = x.clone();
         x = g.scoped("attn", || {
             let normed = self.ln1.forward(g, &x);
@@ -208,7 +208,7 @@ impl TransformerLayer {
         clippy::expect_used,
         reason = "`checkpoint` returns one value per output of its body, which returns one"
     )]
-    pub fn forward_checkpointed(
+    pub(crate) fn forward_checkpointed(
         self: &Arc<Self>,
         g: &Graph,
         x: &Value,
@@ -234,7 +234,7 @@ impl TransformerLayer {
     }
 
     /// This layer's parameters.
-    pub fn parameters(&self) -> Vec<Var> {
+    pub(crate) fn parameters(&self) -> Vec<Var> {
         let mut p = self.ln1.parameters();
         p.extend(self.attn.parameters());
         if let Some((lnx, xattn)) = &self.cross {

@@ -20,7 +20,7 @@ pub enum Recompute {
 
 impl Recompute {
     /// Whether layer `index` (0-based, per stack) is checkpointed.
-    pub fn applies_to(self, index: usize) -> bool {
+    pub(crate) fn applies_to(self, index: usize) -> bool {
         match self {
             Recompute::None => false,
             Recompute::All => true,
@@ -44,7 +44,7 @@ pub enum Arch {
 
 impl Arch {
     /// Lowercase label.
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             Arch::Gpt => "gpt",
             Arch::Bert => "bert",
@@ -153,7 +153,7 @@ impl ModelConfig {
     }
 
     /// Number of encoder layers (all of them except for T5).
-    pub fn encoder_layers(&self) -> usize {
+    pub(crate) fn encoder_layers(&self) -> usize {
         match self.arch {
             Arch::T5 => self.layers - self.layers / 2,
             _ => self.layers,
@@ -161,7 +161,7 @@ impl ModelConfig {
     }
 
     /// Number of decoder layers (T5 only).
-    pub fn decoder_layers(&self) -> usize {
+    pub(crate) fn decoder_layers(&self) -> usize {
         match self.arch {
             Arch::T5 => self.layers / 2,
             _ => 0,

@@ -26,26 +26,30 @@ fn ones_param(name: &str, dims: &[usize], dev: &Device) -> Var {
 /// for backward; the identity-stamp behaviour that covers is unit-tested
 /// in `ssdtrain::id`. Storing `[in, out]` keeps gradients view-free.)
 #[derive(Debug, Clone)]
-pub struct Linear {
+pub(crate) struct Linear {
     /// Weight, `[in, out]`.
-    pub weight: Var,
+    pub(crate) weight: Var,
     /// Bias, `[out]`; LM heads go bias-free (GPT-2 style), which also
     /// halves the vocab-sized transient at the loss.
-    pub bias: Option<Var>,
+    pub(crate) bias: Option<Var>,
 }
 
 impl Linear {
     /// Creates a linear layer with scaled-normal init and a bias.
-    pub fn new(name: &str, d_in: usize, d_out: usize, rng: &mut Prng, dev: &Device) -> Linear {
-        let std = 0.02f32.max(1.0 / (d_in as f32).sqrt() * 0.5);
-        Linear {
-            weight: param(&format!("{name}.weight"), &[d_in, d_out], std, rng, dev),
-            bias: Some(param(&format!("{name}.bias"), &[d_out], 0.0, rng, dev)),
-        }
+    pub(crate) fn new(
+        name: &str,
+        d_in: usize,
+        d_out: usize,
+        rng: &mut Prng,
+        dev: &Device,
+    ) -> Linear {
+        let mut linear = Linear::new_no_bias(name, d_in, d_out, rng, dev);
+        linear.bias = Some(param(&format!("{name}.bias"), &[d_out], 0.0, rng, dev));
+        linear
     }
 
     /// Creates a bias-free projection.
-    pub fn new_no_bias(
+    pub(crate) fn new_no_bias(
         name: &str,
         d_in: usize,
         d_out: usize,
@@ -60,7 +64,7 @@ impl Linear {
     }
 
     /// Applies the projection.
-    pub fn forward(&self, g: &Graph, x: &Value) -> Value {
+    pub(crate) fn forward(&self, g: &Graph, x: &Value) -> Value {
         let h = ops::matmul(g, x, &g.leaf(&self.weight));
         match &self.bias {
             Some(b) => ops::add_bias(g, h, &g.leaf(b)),
@@ -69,7 +73,7 @@ impl Linear {
     }
 
     /// This layer's parameters.
-    pub fn parameters(&self) -> Vec<Var> {
+    pub(crate) fn parameters(&self) -> Vec<Var> {
         let mut p = vec![self.weight.clone()];
         p.extend(self.bias.clone());
         p
@@ -78,17 +82,17 @@ impl Linear {
 
 /// Layer normalisation with learnable `gamma`/`beta`.
 #[derive(Debug, Clone)]
-pub struct LayerNorm {
+pub(crate) struct LayerNorm {
     /// Scale, `[hidden]`.
-    pub gamma: Var,
+    pub(crate) gamma: Var,
     /// Shift, `[hidden]`.
-    pub beta: Var,
+    pub(crate) beta: Var,
     eps: f32,
 }
 
 impl LayerNorm {
     /// Creates a layer-norm over the last dimension of width `hidden`.
-    pub fn new(name: &str, hidden: usize, dev: &Device) -> LayerNorm {
+    pub(crate) fn new(name: &str, hidden: usize, dev: &Device) -> LayerNorm {
         LayerNorm {
             gamma: ones_param(&format!("{name}.gamma"), &[hidden], dev),
             beta: Var::new(
@@ -100,29 +104,29 @@ impl LayerNorm {
     }
 
     /// Applies the normalisation.
-    pub fn forward(&self, g: &Graph, x: &Value) -> Value {
+    pub(crate) fn forward(&self, g: &Graph, x: &Value) -> Value {
         ops::layernorm(g, x, &g.leaf(&self.gamma), &g.leaf(&self.beta), self.eps)
     }
 
     /// This layer's parameters.
-    pub fn parameters(&self) -> Vec<Var> {
+    pub(crate) fn parameters(&self) -> Vec<Var> {
         vec![self.gamma.clone(), self.beta.clone()]
     }
 }
 
 /// Token + learned-position embedding.
 #[derive(Debug, Clone)]
-pub struct Embedding {
+pub(crate) struct Embedding {
     /// Token table, `[vocab, hidden]`.
-    pub tokens: Var,
+    pub(crate) tokens: Var,
     /// Position table, `[seq, hidden]`.
-    pub positions: Var,
+    pub(crate) positions: Var,
     seq: usize,
 }
 
 impl Embedding {
     /// Creates the embedding tables.
-    pub fn new(
+    pub(crate) fn new(
         name: &str,
         vocab: usize,
         seq: usize,
@@ -139,7 +143,7 @@ impl Embedding {
 
     /// Embeds `[batch, seq]` token ids into `[batch, seq, hidden]`
     /// vectors with positional information.
-    pub fn forward(&self, g: &Graph, ids: &Value) -> Value {
+    pub(crate) fn forward(&self, g: &Graph, ids: &Value) -> Value {
         let tok = ops::embedding(g, &g.leaf(&self.tokens), ids);
         // Position ids: one row of 0..seq per batch row.
         let b = ids.dims()[0];
@@ -166,7 +170,7 @@ impl Embedding {
     }
 
     /// This layer's parameters.
-    pub fn parameters(&self) -> Vec<Var> {
+    pub(crate) fn parameters(&self) -> Vec<Var> {
         vec![self.tokens.clone(), self.positions.clone()]
     }
 }
@@ -174,7 +178,7 @@ impl Embedding {
 /// Applies dropout when `p > 0` (a no-op wrapper otherwise, so tiny
 /// deterministic tests can disable it). Consumes `x`, as
 /// [`ops::dropout`] does.
-pub fn maybe_dropout(g: &Graph, x: Value, p: f32) -> Value {
+pub(crate) fn maybe_dropout(g: &Graph, x: Value, p: f32) -> Value {
     if p > 0.0 {
         ops::dropout(g, x, p)
     } else {

@@ -25,6 +25,9 @@
 //! ```
 
 #![deny(missing_docs, clippy::allow_attributes_without_reason)]
+// A `pub` item is one another crate calls: inside a private module it
+// must be re-exported, or it says `pub(crate)` (DESIGN.md §2).
+#![deny(unreachable_pub)]
 // Library code returns typed errors instead of panicking (DESIGN.md §7).
 #![cfg_attr(
     not(test),
@@ -38,14 +41,14 @@
     )
 )]
 
-pub mod batch;
-pub mod blocks;
-pub mod config;
-pub mod layers;
-pub mod lm;
-pub mod model;
-pub mod stack;
-pub mod t5;
+mod batch;
+mod blocks;
+mod config;
+mod layers;
+mod lm;
+mod model;
+mod stack;
+mod t5;
 
 pub use batch::Batch;
 pub use config::{Arch, ModelConfig, Recompute};

@@ -16,7 +16,7 @@ use ssdtrain_tensor::{Device, Prng, Tensor};
 /// FLOPs of masked-LM, which is all the evaluation depends on).
 #[derive(Debug, Clone)]
 pub struct LmModel {
-    cfg: ModelConfig,
+    pub(crate) cfg: ModelConfig,
     pub(crate) embed: Embedding,
     pub(crate) stack: TransformerStack,
     pub(crate) ln_f: LayerNorm,
@@ -76,11 +76,6 @@ impl LmModel {
         p.extend(self.ln_f.parameters());
         p.extend(self.head.parameters());
         p
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ModelConfig {
-        &self.cfg
     }
 }
 

@@ -44,8 +44,8 @@ impl Model {
     /// The configuration.
     pub fn config(&self) -> &ModelConfig {
         match self {
-            Model::Lm(m) => m.config(),
-            Model::T5(m) => m.config(),
+            Model::Lm(m) => &m.cfg,
+            Model::T5(m) => &m.cfg,
         }
     }
 }
@@ -64,7 +64,7 @@ mod tests {
             let Model::Lm(m) = Model::build(&cfg, &dev, 1) else {
                 panic!("{} builds an LmModel", cfg.arch);
             };
-            assert_eq!(m.config().arch, cfg.arch);
+            assert_eq!(m.cfg.arch, cfg.arch);
             let last = m.parameters().pop().expect("a head");
             assert_eq!(last.name(), head);
         }

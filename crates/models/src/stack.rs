@@ -9,7 +9,7 @@ use std::sync::Arc;
 /// `n` transformer layers applied in sequence, each under a
 /// `"{prefix}{i}"` module scope.
 #[derive(Debug, Clone)]
-pub struct TransformerStack {
+pub(crate) struct TransformerStack {
     layers: Vec<Arc<TransformerLayer>>,
     /// Each layer's scope name, built once rather than per step.
     names: Vec<String>,
@@ -17,7 +17,7 @@ pub struct TransformerStack {
 
 impl TransformerStack {
     /// Builds `n` layers.
-    pub fn new(
+    pub(crate) fn new(
         prefix: &str,
         n: usize,
         cfg: &ModelConfig,
@@ -36,7 +36,7 @@ impl TransformerStack {
 
     /// Applies every layer; layers selected by `recompute` run under
     /// activation checkpointing.
-    pub fn forward(
+    pub(crate) fn forward(
         &self,
         g: &Graph,
         x: &Value,
@@ -50,7 +50,7 @@ impl TransformerStack {
     ///
     /// # Panics
     /// Panics if the range exceeds the stack.
-    pub fn forward_range(
+    pub(crate) fn forward_range(
         &self,
         g: &Graph,
         x: &Value,
@@ -74,17 +74,12 @@ impl TransformerStack {
     }
 
     /// Number of layers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.layers.len()
     }
 
-    /// Whether the stack is empty.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
     /// All parameters in layer order.
-    pub fn parameters(&self) -> Vec<Var> {
+    pub(crate) fn parameters(&self) -> Vec<Var> {
         self.layers.iter().flat_map(|l| l.parameters()).collect()
     }
 }

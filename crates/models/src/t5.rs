@@ -14,7 +14,7 @@ use ssdtrain_tensor::{Device, Prng};
 /// decoder gets `L/2` layers rounded down.
 #[derive(Debug, Clone)]
 pub struct T5Model {
-    cfg: ModelConfig,
+    pub(crate) cfg: ModelConfig,
     enc_embed: Embedding,
     dec_embed: Embedding,
     encoder: TransformerStack,
@@ -25,7 +25,7 @@ pub struct T5Model {
 
 impl T5Model {
     /// Builds the model with deterministic initialisation.
-    pub fn new(cfg: &ModelConfig, dev: &Device, seed: u64) -> T5Model {
+    pub(crate) fn new(cfg: &ModelConfig, dev: &Device, seed: u64) -> T5Model {
         let mut rng = Prng::seed_from_u64(seed);
         T5Model {
             cfg: cfg.clone(),
@@ -59,7 +59,7 @@ impl T5Model {
     /// # Panics
     /// Panics if the batch lacks decoder tokens.
     #[expect(clippy::expect_used, reason = "documented contract")]
-    pub fn forward_loss(&self, g: &Graph, batch: &Batch, recompute: Recompute) -> Value {
+    pub(crate) fn forward_loss(&self, g: &Graph, batch: &Batch, recompute: Recompute) -> Value {
         let p = self.cfg.dropout_p;
         let enc_h = self.enc_embed.front(g, "enc_embed", &batch.tokens, p);
         let enc_out = self.encoder.forward(g, &enc_h, None, recompute);
@@ -74,7 +74,7 @@ impl T5Model {
     }
 
     /// All trainable parameters.
-    pub fn parameters(&self) -> Vec<Var> {
+    pub(crate) fn parameters(&self) -> Vec<Var> {
         let mut p = self.enc_embed.parameters();
         p.extend(self.dec_embed.parameters());
         p.extend(self.encoder.parameters());
@@ -82,11 +82,6 @@ impl T5Model {
         p.extend(self.ln_f.parameters());
         p.extend(self.head.parameters());
         p
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ModelConfig {
-        &self.cfg
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::allocator::{AllocatorReplay, AllocatorStats};
 use crate::time::{SimClock, SimTime};
 use parking_lot::Mutex;
-use ssdtrain_tensor::{MemClass, MemTracker};
+use ssdtrain_tensor::{Lent, MemClass, MemTracker};
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
@@ -24,10 +24,9 @@ pub struct FootprintPoint {
 /// [`GpuMemory::reset`], totalled from what the device held then.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepMemory {
-    /// The footprint timeline (see [`GpuMemory::timeline`]), lent by the
-    /// tracker: a later read refills this buffer only once no handle to
-    /// it is left, so a held timeline never changes.
-    pub timeline: Arc<Vec<FootprintPoint>>,
+    /// The footprint timeline (see [`GpuMemory::timeline`]), [`Lent`] by
+    /// the tracker.
+    pub timeline: Lent<FootprintPoint>,
     /// Peak total resident bytes over the timeline.
     pub peak_total: u64,
     /// Peak resident activation bytes over the timeline.
@@ -97,9 +96,8 @@ struct State {
     live_peak: i64,
     /// The allocator replay, its buffers kept from step to step.
     replay: AllocatorReplay,
-    /// The timeline [`GpuMemory::step_memory`] last lent out. The next
-    /// read refills it in place if this is its last handle.
-    lent: Option<Arc<Vec<FootprintPoint>>>,
+    /// The timeline [`GpuMemory::step_memory`] last lent out.
+    timeline: Lent<FootprintPoint>,
     /// The live peak observer, shared by the tracker's clones.
     observer: Option<Arc<dyn PeakObserver>>,
 }
@@ -350,20 +348,13 @@ impl GpuMemory {
     /// CUDA out-of-memory error on the real machine) and the
     /// caching-allocator replay of the events in simulated-time order —
     /// from one walk of the event log.
-    ///
-    /// The timeline is lent: the buffer the last read returned is refilled
-    /// in place when no reader still holds it, so a caller that drops each
-    /// step's picture before the next read allocates nothing once warm.
+    /// A caller that drops each picture before the next read lets the
+    /// timeline's buffer be refilled.
     pub fn step_memory(&self) -> StepMemory {
         let mut s = self.state.lock();
-        let mut timeline = s.lent.take().unwrap_or_default();
-        if Arc::get_mut(&mut timeline).is_none() {
-            // A reader still holds it: it stays as that reader saw it.
-            timeline = Arc::default();
-        }
-        // The buffer is unique now, so `make_mut` copies nothing.
-        let points = Arc::make_mut(&mut timeline);
-        points.clear();
+        let mut timeline = std::mem::take(&mut s.timeline);
+        timeline.clear();
+        let points = timeline.to_mut();
         points.reserve(s.events.len());
         let mut replay = std::mem::take(&mut s.replay);
         let base = s.opened.0.max(0) as u64;
@@ -373,7 +364,7 @@ impl GpuMemory {
         });
         let alloc = replay.replay(events, base);
         s.replay = replay;
-        s.lent = Some(Arc::clone(&timeline));
+        s.timeline = timeline.clone();
         drop(s);
         let peak_total = timeline.iter().map(|p| p.total).max().unwrap_or(0);
         StepMemory {

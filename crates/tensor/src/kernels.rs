@@ -22,13 +22,10 @@
 //!   ([`Tensor::matmul_grad`]) consumes `dy` only when the weight is
 //!   square, so that `dx` has `dy`'s size: a row of `dx` reads the whole
 //!   row of `dy` it replaces, so `dx` is computed a block of rows at a
-//!   time into scratch and copied over those rows. Scratch comes from the
-//!   crate's per-thread pool and goes back to it: the gather buffers, the
-//!   head permutes' copy of their input, that block, and the matrix
-//!   product's panel,
-//!   which grows to its largest `k × NR` once and is reused by every later
-//!   call. Other crates borrow the pool through [`Tensor::with_scratch`]
-//!   (the fused attention op's row scratch).
+//!   time into scratch and copied over those rows. That block, the gather
+//!   buffers, the head permutes' copy of their input and the matrix
+//!   product's panel come from the crate's per-thread scratch pool, which
+//!   other crates borrow through [`Tensor::with_scratch`].
 //! * **Fixed operation order.** Each output element is produced by the
 //!   same `f32` operations in the same order regardless of how the
 //!   operands are laid out: matrix products accumulate over the inner

@@ -57,6 +57,7 @@ mod dtype;
 mod kernels;
 #[cfg(test)]
 mod reference;
+mod reuse;
 pub mod rng;
 pub mod shape;
 pub mod storage;
@@ -64,6 +65,7 @@ pub mod tensor;
 
 pub use device::{Device, MemClass, MemTracker};
 pub use dtype::DType;
+pub use reuse::{Lent, Spares};
 pub use rng::Prng;
 pub use shape::Shape;
 pub use storage::{Storage, StorageId};

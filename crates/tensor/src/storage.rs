@@ -16,6 +16,7 @@
 
 use crate::device::{Device, MemClass};
 use crate::dtype::DType;
+use crate::reuse::Spares;
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::cell::RefCell;
 use std::fmt;
@@ -86,40 +87,11 @@ impl StorageInner {
 /// with no tracker.
 static DETACHED: LazyLock<Device> = LazyLock::new(Device::cpu);
 
-/// A thread's retired storage headers.
-struct Headers {
-    free: Vec<Arc<StorageInner>>,
-    /// Headers built on this thread less those retired on it (never below
-    /// zero: a header built elsewhere may retire here).
-    live: usize,
-    /// The most `live` has been: the free list never holds more, so a
-    /// thread that only drops what others built keeps nothing.
-    peak: usize,
-}
-
-impl Headers {
-    /// A header for a new storage, if one is free.
-    fn pop(&mut self) -> Option<Arc<StorageInner>> {
-        self.live += 1;
-        self.peak = self.peak.max(self.live);
-        self.free.pop()
-    }
-
-    /// Keeps `header`, whose storage's last handle is dropping.
-    fn retire(&mut self, header: Arc<StorageInner>) {
-        self.live = self.live.saturating_sub(1);
-        if self.free.len() < self.peak {
-            self.free.push(header);
-        }
-    }
-}
-
 thread_local! {
     /// Headers of dropped storages, taken by the next [`Storage::build`]
-    /// on this thread.
-    static HEADERS: RefCell<Headers> = const {
-        RefCell::new(Headers { free: Vec::new(), live: 0, peak: 0 })
-    };
+    /// on this thread. A header built on another thread may retire here,
+    /// so a thread that only drops what others built keeps nothing.
+    static HEADERS: RefCell<Spares<Arc<StorageInner>>> = const { RefCell::new(Spares::new()) };
 }
 
 /// A refcounted, releasable buffer of `numel` elements.
@@ -215,7 +187,7 @@ impl Storage {
             data: RwLock::new(state),
             stamp: OnceLock::new(),
         };
-        let inner = match HEADERS.try_with(|h| h.borrow_mut().pop()) {
+        let inner = match HEADERS.try_with(|h| h.borrow_mut().take()) {
             Ok(Some(mut header)) => match Arc::get_mut(&mut header) {
                 Some(slot) => {
                     *slot = fresh;
@@ -521,7 +493,7 @@ impl Drop for Storage {
         };
         inner.free_payload();
         inner.device = None;
-        let _ = HEADERS.try_with(move |h| h.borrow_mut().retire(header));
+        let _ = HEADERS.try_with(move |h| h.borrow_mut().give(header));
     }
 }
 
@@ -824,7 +796,7 @@ mod tests {
         assert_eq!(t.0.load(Ordering::Relaxed), 16, "one handle still lives");
         let dropper = std::thread::spawn(move || {
             drop(kept);
-            HEADERS.with(|h| h.borrow().free.len())
+            HEADERS.with(|h| h.borrow().len())
         });
         let pooled = dropper.join().expect("the thread ran");
         assert_eq!(pooled, 0, "a thread that built nothing keeps nothing");

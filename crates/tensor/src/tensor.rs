@@ -2,6 +2,7 @@
 
 use crate::device::{Device, MemClass};
 use crate::dtype::DType;
+use crate::reuse::Spares;
 use crate::rng::Prng;
 use crate::shape::{Dims, Shape};
 use crate::storage::{PayloadRead, Storage};
@@ -13,21 +14,23 @@ thread_local! {
     /// a warm step asks the allocator for none. [`Tensor::with_values_of`]
     /// gathers strided operands into them, a matrix product packs its
     /// panels of `b` into one (`Kernel::Matmul`), and
-    /// [`Tensor::with_scratch`] lends one to other crates.
-    static SCRATCH: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+    /// [`Tensor::with_scratch`] lends one to other crates. It keeps no more
+    /// buffers than were out at once, but each at the largest capacity a
+    /// user gave it.
+    static SCRATCH: RefCell<Spares<Vec<f32>>> = const { RefCell::new(Spares::new()) };
 }
 
 /// A buffer from the scratch pool, still holding what its last user left
 /// in it; hand it back with [`return_scratch`].
 pub(crate) fn take_scratch() -> Vec<f32> {
     SCRATCH
-        .with(|pool| pool.borrow_mut().pop())
+        .with(|pool| pool.borrow_mut().take())
         .unwrap_or_default()
 }
 
 /// Returns buffers taken with [`take_scratch`] to the pool.
 pub(crate) fn return_scratch(bufs: impl IntoIterator<Item = Vec<f32>>) {
-    SCRATCH.with(|pool| pool.borrow_mut().extend(bufs));
+    SCRATCH.with(|pool| bufs.into_iter().for_each(|b| pool.borrow_mut().give(b)));
 }
 
 /// Appends the strided view `dims`/`strides` at `offset` to `out` in

@@ -2,7 +2,7 @@
 
 use ssdtrain::OffloadStats;
 use ssdtrain_simhw::{AllocatorStats, FootprintPoint};
-use std::sync::Arc;
+use ssdtrain_tensor::Lent;
 
 /// Everything measured during one training step.
 #[derive(Debug, Clone)]
@@ -25,11 +25,9 @@ pub struct StepMetrics {
     /// Resident activation bytes at the start of backward propagation
     /// (the Figure 7 "beginning of backward" point).
     pub act_at_bwd_start: u64,
-    /// The full memory-footprint timeline (Figure 7's curve), lent by the
-    /// GPU's memory tracker ([`ssdtrain_simhw::StepMemory::timeline`]):
-    /// holding it across later steps keeps it as it is, and dropping it
-    /// lets the next step refill the buffer instead of allocating one.
-    pub timeline: Arc<Vec<FootprintPoint>>,
+    /// The full memory-footprint timeline (Figure 7's curve), [`Lent`]
+    /// by the GPU's memory tracker.
+    pub timeline: Lent<FootprintPoint>,
     /// Tensor-cache statistics (zeroed for keep/recompute).
     pub offload: OffloadStats,
     /// Algorithmic FLOPs (forward + backward, recompute excluded).
@@ -90,7 +88,7 @@ mod tests {
             act_peak_bytes: 3 << 30,
             total_peak_bytes: 4 << 30,
             act_at_bwd_start: 2 << 30,
-            timeline: Arc::default(),
+            timeline: Lent::default(),
             offload: OffloadStats::default(),
             model_flops: 4_000_000_000_000,
             comm_secs: 0.0,

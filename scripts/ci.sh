@@ -63,18 +63,17 @@ cargo test -q --test cross_crate
 # deadlocks the step nor moves a loss bit. Run explicitly for the same
 # reason.
 cargo test -q --test monitor_thread
-# The autograd tape's allocation contract: nothing allocated per node,
-# nothing per module scope or stateful op on a kept graph (its reset
-# tape recycles scope frames and op boxes), a per-node budget for a
-# symbolic BERT step, and ops that allocate only the tensors they
-# return; the cache's: a warm offload step allocates nothing per saved
-# tensor; the memory model's: a warm memory read whose last result was
-# dropped allocates nothing (the tracker refills the timeline it lent
-# and the allocator replay keeps its pools), and a held timeline keeps
-# its points; and the session's graph: a warm step reuses the one graph
-# and command schedule the session keeps, its backward scratch
-# included, within a pinned budget of calls and bytes. Run explicitly
-# for the same reason.
+# The allocation contract of the two reuse types (DESIGN.md §10,
+# *Pools*): what a `Spares` free list keeps, a warm step takes again, so
+# the tape allocates nothing per node, nor per module scope or stateful
+# op on a kept graph (scope frames and op boxes), a symbolic BERT step
+# stays in its per-node budget, ops allocate only the tensors they
+# return, and a warm offload step allocates nothing per saved tensor
+# (key shapes, scope record lists, segment member lists); what a `Lent`
+# list lends, its owner refills once dropped, so a warm memory read
+# allocates nothing and a held timeline keeps its points; and a warm
+# session step reuses its graph, schedule and stats lists within a
+# pinned budget of calls and bytes. Run explicitly for the same reason.
 cargo test -q --test alloc_budget
 # The source rules clippy cannot hold (DESIGN.md §7): typed errors in
 # public signatures (read by the test's own scanner, which blanks
