@@ -431,7 +431,7 @@ pub struct CutoffSweep {
     pub plan_kept: usize,
     /// The run under the adaptive plan. Its `last_offloaded` is the
     /// plan's cutoff; the plan may keep modules before it too (those
-    /// the profiling backward forwarded whole).
+    /// whose stores were all still queued when forward ended).
     pub plan: CutoffPoint,
     /// One run per cutoff: every module kept, then the last offloaded
     /// module at 0, 1, …, `modules − 2` (the final module is always

@@ -11,21 +11,21 @@
 //!   backward begins is measured too: the profiling backward's compute
 //!   seconds up to `m`'s first `backward_pre`, or forward's end for a
 //!   module that backward never reached.
-//! - **Forwarded whole** (the profiling backward). A module whose
-//!   offloaded bytes backward *all* took back from GPU memory — data
-//!   forwarding, because their stores were still queued or in flight —
-//!   is kept too: its writes freed no memory before backward needed it,
-//!   and backward never read them from a tier, so they only held the
-//!   write bus and wore the SSD. The rule is "all", not "any": a module
-//!   with one tensor read back from a tier is left to the cutoff, since
-//!   that tensor's store did free memory.
+//! - **Stored after forward** (the profiling step). A module whose
+//!   stores were all still queued or in flight when forward ended (its
+//!   earliest store, as scheduled at submission, ends after
+//!   `fwd_total_secs`, the backward announcement where the peak sits)
+//!   is kept too: its writes freed no memory before the peak, so they
+//!   only held the write bus and wore the SSD. "All", not "any": one
+//!   store landed by then did lower the peak. No prefetcher moves the
+//!   measure, so every prefetcher profiles the same plan.
 //!
 //! The plan [`crate::TensorCache::end_profile_step`] applies is final
 //! only once the profiling backward is over; ended at the
-//! forward/backward boundary, it knows the cutoff alone, against
-//! forward's end. [`AdaptivePlan::decide`] plans a profile written by
-//! hand, which has no backward, on a given budget and an assumed
-//! backward-to-forward time ratio.
+//! forward/backward boundary, it plans every deadline at forward's end.
+//! [`AdaptivePlan::decide`] plans a profile written by hand, which has
+//! no backward, on a given budget and an assumed backward-to-forward
+//! time ratio.
 
 use std::collections::HashSet;
 
@@ -111,38 +111,38 @@ impl AdaptivePlan {
             *deadline = fwd + bwd_fwd_ratio * after;
             after += module.fwd_secs;
         }
-        AdaptivePlan::cutoff(profile, &deadlines, &[], write_bps)
+        AdaptivePlan::cutoff(profile, &deadlines, write_bps)
     }
 
     /// The plan of a profiled step, from its measurements alone: the
     /// budget is the rate forward's stores got on the write bus (no limit
-    /// if forward queued none), `deadlines[i]` when backward reached
-    /// `profile.modules[i]`, and `forwarded[i]` how many of its offloaded
-    /// bytes backward took back from GPU memory. Besides the cutoff's
-    /// tail, every module forwarded whole is kept; `required_bps` and
-    /// `last_offloaded` still describe the cutoff alone.
+    /// if forward queued none); `deadlines[i]` is when backward reached
+    /// `profile.modules[i]`, and a module whose first store ends
+    /// (`store_ends[i]`) after forward did is kept besides the cutoff's
+    /// tail, which `required_bps` and `last_offloaded` describe alone.
     pub(crate) fn measured(
         profile: &StepProfile,
         deadlines: &[f64],
-        forwarded: &[u64],
+        store_ends: &[f64],
     ) -> AdaptivePlan {
         let write_bps = if profile.fwd_io_secs > 0.0 {
             profile.fwd_io_bytes as f64 / profile.fwd_io_secs
         } else {
             f64::INFINITY
         };
-        AdaptivePlan::cutoff(profile, deadlines, forwarded, write_bps)
+        let mut plan = AdaptivePlan::cutoff(profile, deadlines, write_bps);
+        for (module, &end) in profile.modules.iter().zip(store_ends) {
+            if module.offload_bytes > 0 && end > profile.fwd_total_secs {
+                plan.keep_paths.insert(module.path.clone());
+            }
+        }
+        plan
     }
 
     /// The cutoff both planners run. For each candidate `m`, the data
     /// that must be transferred by `deadlines[m]` is every earlier
     /// module's offload plus module `m`'s offload *and* reload.
-    fn cutoff(
-        profile: &StepProfile,
-        deadlines: &[f64],
-        forwarded: &[u64],
-        write_bps: f64,
-    ) -> AdaptivePlan {
+    fn cutoff(profile: &StepProfile, deadlines: &[f64], write_bps: f64) -> AdaptivePlan {
         let n = profile.modules.len();
         if n == 0 {
             return AdaptivePlan::default();
@@ -172,11 +172,6 @@ impl AdaptivePlan {
             None => profile.modules.iter().map(|mp| mp.path.clone()).collect(),
         };
         keep_paths.insert(profile.modules[n - 1].path.clone());
-        for (module, &bytes) in profile.modules.iter().zip(forwarded) {
-            if module.offload_bytes > 0 && bytes >= module.offload_bytes {
-                keep_paths.insert(module.path.clone());
-            }
-        }
         AdaptivePlan {
             keep_paths,
             required_bps: required,
@@ -259,13 +254,17 @@ mod tests {
     }
 
     #[test]
-    fn a_module_forwarded_whole_is_kept_and_one_forwarded_in_part_is_not() {
+    fn a_module_whose_first_store_ends_after_forward_is_kept_and_one_ending_by_then_is_not() {
         let p = profile(&[("l0", 100, 1.0), ("l1", 100, 1.0), ("l2", 100, 1.0)], 3.0);
         let deadlines = [5.0, 4.0, 3.0];
-        let plan = AdaptivePlan::measured(&p, &deadlines, &[100, 99]);
+        // Forward ends at 3 s.
+        let plan = AdaptivePlan::measured(&p, &deadlines, &[3.5, 3.0]);
         assert_eq!(plan.last_offloaded, Some(1), "the cutoff is unchanged");
-        assert!(plan.keeps("l0"), "forwarded whole");
-        assert!(!plan.keeps("l1"), "one byte read back from the tier");
+        assert!(
+            plan.keeps("l0"),
+            "every store still queued at forward's end"
+        );
+        assert!(!plan.keeps("l1"), "one store landed at forward's end");
         assert_eq!(plan, {
             let mut cutoff = AdaptivePlan::measured(&p, &deadlines, &[]);
             cutoff.keep_paths.insert("l0".into());

@@ -365,7 +365,7 @@ impl TensorCache {
 
     /// Enables profiling for the next step: every eligible tensor is
     /// offloaded regardless of plan, and per-module transfer sizes,
-    /// compute times and forwarded bytes are collected (Section 3.3.3).
+    /// compute times and first store ends are collected (Section 3.3.3).
     /// Its backward's timing replaces the last profile's: later steps
     /// reload just in time from it (see
     /// [`TensorCacheConfig::prefetch_depth`]).
@@ -381,11 +381,11 @@ impl TensorCache {
     /// adaptive plan (when enabled) and applies it to subsequent steps.
     ///
     /// Call it once the profiling backward is over: each module's
-    /// deadline is then when that backward reached it, and the plan also
-    /// keeps every module that backward forwarded whole. The profile's
-    /// forward-time totals were taken at the forward/backward boundary,
-    /// so they stay forward-only. Called at that boundary instead, it
-    /// plans on forward alone, every deadline at forward's end.
+    /// deadline is then when that backward reached it (called at the
+    /// forward/backward boundary instead, every deadline is forward's
+    /// end). The plan also keeps every module whose stores were all
+    /// still queued when forward ended. The forward-time totals were
+    /// taken at that boundary either way.
     pub fn end_profile_step(&self) -> (StepProfile, AdaptivePlan) {
         let mut guard = self.state.lock();
         let st = &mut *guard;
@@ -430,12 +430,12 @@ impl TensorCache {
     /// and forward-time totals, then derives and applies the adaptive
     /// plan from what the profiling step measured
     /// ([`AdaptivePlan::measured`]): each module's deadline (forward's end
-    /// if backward never reached it) and forwarded bytes.
+    /// if backward never reached it) and first store end (never, if none).
     fn replan(&self, st: &mut State) -> (StepProfile, AdaptivePlan) {
         let order = st.passes.get(st.current_mb).map_or(&[][..], |p| &p.order);
         let forward = st.forward.clone().unwrap_or_default();
         let mut deadlines = Vec::new();
-        let mut forwarded = Vec::new();
+        let mut store_ends = Vec::new();
         let modules = order
             .iter()
             .filter_map(|seq| {
@@ -444,7 +444,8 @@ impl TensorCache {
                     return None;
                 }
                 deadlines.push(meta.deadline.unwrap_or(forward.fwd_total_secs));
-                forwarded.push(meta.forwarded_bytes);
+                let end = meta.first_store_end.map(|t| t.since(st.fwd_start));
+                store_ends.push(end.unwrap_or(f64::INFINITY));
                 Some(ModuleProfile {
                     path: meta.path.clone(),
                     offload_bytes: meta.offload_bytes,
@@ -456,7 +457,7 @@ impl TensorCache {
             .collect();
         let profile = StepProfile { modules, ..forward };
         let plan = if self.config.adaptive {
-            AdaptivePlan::measured(&profile, &deadlines, &forwarded)
+            AdaptivePlan::measured(&profile, &deadlines, &store_ends)
         } else {
             let paths: Vec<String> = profile.modules.iter().map(|m| m.path.clone()).collect();
             AdaptivePlan::keep_last_only(&paths)

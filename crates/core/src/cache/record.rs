@@ -197,10 +197,10 @@ pub(super) struct ScopeMeta {
     /// the scope's first `backward_pre`: when its offloads must have landed.
     pub(super) deadline: Option<f64>,
     pub(super) offload_bytes: u64,
-    /// Bytes of this module's records handed back from GPU memory
-    /// instead of a tier (data forwarding), charged to the record's
-    /// earliest scope ([`ScopeSet::min`]) like `offload_bytes`.
-    pub(super) forwarded_bytes: u64,
+    /// In a profiling step, when the earliest store of the records
+    /// `offload_bytes` counts ends, as the I/O engine scheduled it at
+    /// submission.
+    pub(super) first_store_end: Option<SimTime>,
 }
 
 /// A segment sealed this step: one store job, one device write,

@@ -332,7 +332,7 @@ impl TensorCache {
     /// will be one device write operation at commit; byte and class
     /// accounting stayed per record at stage time, so the trace identity
     /// `Σstore.enqueue − Σstore.cancel − recoveries == offloaded_bytes`
-    /// holds whatever the segment size.
+    /// holds whatever the segment size; a profiling step notes its end per module.
     pub(super) fn submit_segment(
         &self,
         st: &mut State,
@@ -347,9 +347,17 @@ impl TensorCache {
         let job = self.io.submit_store_to(self.tiers.link(tier), total);
         // Only activations coalesce, so a segment has one class.
         let class = st.records[&st.seg_members[first]].class;
+        let end = st.profiling.then(|| self.io.store_end(job));
         for i in range.clone() {
-            if let Some(rec) = st.records.get_mut(&st.seg_members[i]) {
-                rec.state = RecState::Storing { job };
+            let Some(rec) = st.records.get_mut(&st.seg_members[i]) else {
+                continue;
+            };
+            rec.state = RecState::Storing { job };
+            let Some(end) = end else { continue };
+            // A state slot has no scope.
+            if let Some(meta) = rec.scopes.min().and_then(|s| st.scopes.get_mut(&s)) {
+                let first = meta.first_store_end.get_or_insert(end);
+                *first = first.min(end);
             }
         }
         st.segments.push(Segment {
@@ -581,15 +589,12 @@ impl TensorCache {
     /// job cancels the job if it has not started (adaptive feature 1)
     /// and un-counts it; a member of a larger segment is forwarded
     /// *without* cancelling — the job carries its siblings and commit
-    /// skips this member. Forwarded bytes are charged to the module that
-    /// saved the record: one the profiling backward forwarded whole is
-    /// kept on the GPU from then on
-    /// ([`TensorCache::end_profile_step`]).
+    /// skips this member.
     pub(super) fn withdraw(&self, st: &mut State, id: RecordId, now: SimTime, forwarded: bool) {
         let Some(rec) = st.records.get_mut(&id) else {
             return;
         };
-        let (bytes, class, scope) = (rec.bytes, rec.class, rec.scopes.min());
+        let (bytes, class) = (rec.bytes, rec.class);
         let job = match rec.state {
             RecState::Staged => {
                 st.coalescer.evict(rec.tier, id);
@@ -610,14 +615,11 @@ impl TensorCache {
                 seg.live = !unqueued;
             }
         }
-        if forwarded {
-            if let Some(meta) = scope.and_then(|s| st.scopes.get_mut(&s)) {
-                meta.forwarded_bytes += bytes;
-            }
-            st.stats.forwarded += 1;
-            st.stats.forwarded_bytes += bytes;
-        }
         let stats = &mut st.stats;
+        if forwarded {
+            stats.forwarded += 1;
+            stats.forwarded_bytes += bytes;
+        }
         if evicted || unqueued {
             stats.cancelled_stores += 1;
             stats.cancelled_bytes += bytes;

@@ -450,8 +450,9 @@ impl TrainSession {
     /// Runs one profiling step on the session's cache and applies the
     /// resulting adaptive plan to subsequent steps (Section 3.3.3). The
     /// plan returned is the one applied: derived after the profiling
-    /// backward, so it keeps the modules that backward forwarded whole
-    /// (see [`ssdtrain::adaptive`]).
+    /// backward, so each module's deadline is when that backward reached
+    /// it, and it keeps the modules whose stores were all still queued
+    /// when forward ended (see [`ssdtrain::adaptive`]).
     ///
     /// # Errors
     /// Returns a [`StepError`] if the offload stack reported a failure

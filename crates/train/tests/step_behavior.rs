@@ -286,8 +286,8 @@ fn offload_io_is_fully_overlapped_at_paper_scale() {
 #[test]
 fn profile_step_returns_the_plan_derived_after_its_backward() {
     // Group look-ahead over a deep stack on a 1 GiB DRAM tier: forward's
-    // tail is still queued when backward is announced, so the profiling
-    // backward forwards whole modules the cutoff would offload.
+    // tail is still queued when backward is announced, so the plan keeps
+    // modules the cutoff would offload.
     let cfg = SessionConfig::builder()
         .model(ModelConfig::paper_scale(Arch::Bert, 2048, 8).with_tp(2))
         .batch_size(8)
@@ -305,12 +305,12 @@ fn profile_step_returns_the_plan_derived_after_its_backward() {
     let (profile, plan) = s.profile_step().expect("profile step");
     assert_eq!(plan, s.cache().expect("offload session").plan());
     let last = plan.last_offloaded.expect("the cutoff offloads a prefix");
-    let forwarded_whole = profile.modules[..=last]
+    let kept_before_cutoff = profile.modules[..=last]
         .iter()
         .filter(|m| plan.keeps(&m.path))
         .count();
     assert!(
-        forwarded_whole > 0,
+        kept_before_cutoff > 0,
         "nothing kept before the cutoff: {plan:?}"
     );
 }

@@ -44,8 +44,9 @@ cargo test -q --release --test kernel_arithmetic
 cargo test -q --release -p ssdtrain-tensor -- --ignored tanh_port_matches_libm_on_every_f32
 # The just-in-time reload schedule: a profiled step peaks at the
 # no-prefetch floor without a stall, T5's cross-attention included, and a
-# schedule that does not fit its step never changes a number. Run
-# explicitly for the same reason.
+# schedule that does not fit its step never changes a number; and the
+# plan keeps the same modules whichever prefetcher profiled the step.
+# Run explicitly for the same reason.
 cargo test -q --test prefetch_timing
 # The fault × recovery matrix must hold through the coalesced/prefetched
 # I/O path with bit-identical losses. Run explicitly for the same reason.

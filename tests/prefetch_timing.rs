@@ -286,3 +286,35 @@ fn forwarding_off_forwards_nothing_at_prefetch_time() {
     assert!(m.offload.sync_loads > 0, "no store was waited for");
     assert!(m.offload.stall_secs > 0.0);
 }
+
+/// The plan keeps the same modules whichever prefetcher profiled the
+/// step: besides the cutoff's tail, each module whose stores were all
+/// still queued when forward ended, a measure the store queue sets at
+/// submission and no prefetcher moves. On `sym_deep_tiered`'s 12-layer
+/// twin the depth walk (group 0) and the group look-ahead (group 2) keep
+/// the same 17 paths, so the depth walk writes no module whose stores
+/// could not land before the peak: a warm step of the activation-only
+/// twin writes at most 1.50 GB.
+#[test]
+fn the_plan_keeps_the_same_modules_whichever_prefetcher_profiled_it() {
+    let session = |group: usize, all_classes: bool| {
+        let mut cfg = ssdtrain_bench::deep_tiered_config(12);
+        cfg.cache.prefetch_group_modules = group;
+        if !all_classes {
+            cfg.offload = Default::default();
+        }
+        let mut s = TrainSession::new(cfg).expect("session");
+        let (_, plan) = s.profile_step().expect("profile step");
+        (s, plan)
+    };
+    let (_, look_ahead) = session(2, true);
+    let (_, depth_walk) = session(0, true);
+    assert_eq!(look_ahead.keep_paths.len(), 17, "{look_ahead:?}");
+    assert_eq!(depth_walk.keep_paths, look_ahead.keep_paths);
+
+    let (mut s, _) = session(0, false);
+    s.run_step().expect("step");
+    let m = s.run_step().expect("step");
+    let gb = ssdtrain_bench::gb(m.ssd_host_writes);
+    assert!(gb <= 1.50, "a warm group-0 step wrote {gb:.3} GB");
+}
