@@ -12,7 +12,7 @@ mod tests {
         // hidden states.
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_bert();
-        let m = LmModel::new(&cfg, &dev, 3);
+        let m = LmModel::new(&cfg, |_| &dev, 3);
 
         let hidden_at_pos0 = |last_tok: f32| -> Vec<f32> {
             let g = Graph::new(&dev, 1);
@@ -31,7 +31,7 @@ mod tests {
     fn loss_is_finite_and_backward_fills_grads() {
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_bert();
-        let m = LmModel::new(&cfg, &dev, 1);
+        let m = LmModel::new(&cfg, |_| &dev, 1);
         let g = Graph::new(&dev, 1);
         let b = Batch::synthetic(&cfg, 2, 5, &dev);
         let loss = m.forward_loss(&g, &b, Recompute::None);
@@ -44,7 +44,7 @@ mod tests {
     fn recompute_matches_plain() {
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_bert();
-        let m = LmModel::new(&cfg, &dev, 2);
+        let m = LmModel::new(&cfg, |_| &dev, 2);
         let b = Batch::synthetic(&cfg, 1, 9, &dev);
         let l1 = {
             let g = Graph::new(&dev, 4);

@@ -10,7 +10,7 @@ mod tests {
     fn loss_is_near_log_vocab_at_init() {
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_gpt();
-        let m = LmModel::new(&cfg, &dev, 1);
+        let m = LmModel::new(&cfg, |_| &dev, 1);
         let g = Graph::new(&dev, 1);
         let b = Batch::synthetic(&cfg, 2, 3, &dev);
         let loss = m.forward_loss(&g, &b, Recompute::None).tensor().item();
@@ -25,7 +25,7 @@ mod tests {
     fn training_reduces_loss() {
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_gpt();
-        let m = LmModel::new(&cfg, &dev, 2);
+        let m = LmModel::new(&cfg, |_| &dev, 2);
         let b = Batch::synthetic(&cfg, 2, 7, &dev);
         let mut first = None;
         let mut last = 0.0;
@@ -57,7 +57,7 @@ mod tests {
         // of every gradient in the stack.
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_gpt();
-        let m = LmModel::new(&cfg, &dev, 6);
+        let m = LmModel::new(&cfg, |_| &dev, 6);
         let b = Batch::synthetic(&cfg, 2, 99, &dev);
         let mut opt = ssdtrain_autograd::optim::Sgd::new(m.parameters(), 0.5);
         let mut last = f32::INFINITY;
@@ -80,7 +80,7 @@ mod tests {
         // model's logits at position 0 unchanged.
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_gpt();
-        let m = LmModel::new(&cfg, &dev, 3);
+        let m = LmModel::new(&cfg, |_| &dev, 3);
 
         let logits_at_pos0 = |last_tok: f32| -> Vec<f32> {
             let g = Graph::new(&dev, 1);
@@ -101,7 +101,7 @@ mod tests {
     fn recompute_loss_matches_plain() {
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_gpt();
-        let m = LmModel::new(&cfg, &dev, 4);
+        let m = LmModel::new(&cfg, |_| &dev, 4);
         let b = Batch::synthetic(&cfg, 2, 11, &dev);
         let g1 = Graph::new(&dev, 5);
         let l1 = m.forward_loss(&g1, &b, Recompute::None).tensor().item();
@@ -114,7 +114,7 @@ mod tests {
     fn symbolic_forward_propagates_to_scalar_loss() {
         let dev = Device::symbolic();
         let cfg = ModelConfig::paper_scale(Arch::Gpt, 256, 2);
-        let m = LmModel::new(&cfg, &dev, 1);
+        let m = LmModel::new(&cfg, |_| &dev, 1);
         let g = Graph::new(&dev, 1);
         let b = Batch::synthetic(&cfg, 2, 1, &dev);
         let loss = m.forward_loss(&g, &b, Recompute::None);

@@ -26,17 +26,21 @@ pub struct LmModel {
 impl LmModel {
     /// Builds the model with deterministic initialisation: BERT's
     /// layers are bidirectional under an `mlm_head`, every other
-    /// architecture gets GPT's causal layers under a `head`.
-    pub fn new(cfg: &ModelConfig, dev: &Device, seed: u64) -> LmModel {
+    /// architecture gets GPT's causal layers under a `head`. Layer `i`'s
+    /// parameters live on `device(i)`, the embedding on the first
+    /// layer's device and the final norm and head on the last one's: a
+    /// single GPU passes `|_| &dev`, a pipeline each layer's stage.
+    pub fn new<'d>(cfg: &ModelConfig, device: impl Fn(usize) -> &'d Device, seed: u64) -> LmModel {
         let bert = cfg.arch == Arch::Bert;
         let head = if bert { "mlm_head" } else { "head" };
+        let (first, last) = (device(0), device(cfg.layers.saturating_sub(1)));
         let mut rng = Prng::seed_from_u64(seed);
         LmModel {
             cfg: cfg.clone(),
-            embed: Embedding::new("embed", cfg.vocab, cfg.seq, cfg.hidden, &mut rng, dev),
-            stack: TransformerStack::new("layer", cfg.layers, cfg, !bert, false, &mut rng, dev),
-            ln_f: LayerNorm::new("ln_f", cfg.hidden, dev),
-            head: Linear::new_no_bias(head, cfg.hidden, cfg.vocab / cfg.tp, &mut rng, dev),
+            embed: Embedding::new("embed", cfg.vocab, cfg.seq, cfg.hidden, &mut rng, first),
+            stack: TransformerStack::new("layer", cfg.layers, cfg, !bert, false, &mut rng, device),
+            ln_f: LayerNorm::new("ln_f", cfg.hidden, last),
+            head: Linear::new_no_bias(head, cfg.hidden, cfg.vocab / cfg.tp, &mut rng, last),
         }
     }
 
@@ -71,10 +75,23 @@ impl LmModel {
 
     /// All trainable parameters.
     pub fn parameters(&self) -> Vec<Var> {
-        let mut p = self.embed.parameters();
-        p.extend(self.stack.parameters());
-        p.extend(self.ln_f.parameters());
-        p.extend(self.head.parameters());
+        self.stage_parameters(0..self.stack.len())
+    }
+
+    /// The parameters of the pipeline stage that runs `layers`: the
+    /// embedding's when it starts at the first layer, its layers', and
+    /// the final norm's and head's when it ends at the last layer.
+    pub fn stage_parameters(&self, layers: std::ops::Range<usize>) -> Vec<Var> {
+        let mut p = Vec::new();
+        if layers.start == 0 {
+            p.extend(self.embed.parameters());
+        }
+        let last = layers.end == self.stack.len();
+        p.extend(self.stack.parameters(layers));
+        if last {
+            p.extend(self.ln_f.parameters());
+            p.extend(self.head.parameters());
+        }
         p
     }
 }

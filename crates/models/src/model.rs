@@ -20,7 +20,7 @@ impl Model {
     /// Builds the architecture selected by `cfg.arch`.
     pub fn build(cfg: &ModelConfig, dev: &Device, seed: u64) -> Model {
         match cfg.arch {
-            Arch::Gpt | Arch::Bert => Model::Lm(LmModel::new(cfg, dev, seed)),
+            Arch::Gpt | Arch::Bert => Model::Lm(LmModel::new(cfg, |_| dev, seed)),
             Arch::T5 => Model::T5(T5Model::new(cfg, dev, seed)),
         }
     }

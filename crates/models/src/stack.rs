@@ -4,6 +4,7 @@ use crate::blocks::TransformerLayer;
 use crate::config::{ModelConfig, Recompute};
 use ssdtrain_autograd::{Graph, Value, Var};
 use ssdtrain_tensor::{Device, Prng};
+use std::ops::RangeBounds;
 use std::sync::Arc;
 
 /// `n` transformer layers applied in sequence, each under a
@@ -16,20 +17,19 @@ pub(crate) struct TransformerStack {
 }
 
 impl TransformerStack {
-    /// Builds `n` layers.
-    pub(crate) fn new(
+    /// Builds `n` layers, layer `i`'s parameters on `device(i)`.
+    pub(crate) fn new<'d>(
         prefix: &str,
         n: usize,
         cfg: &ModelConfig,
         causal: bool,
         with_cross: bool,
         rng: &mut Prng,
-        dev: &Device,
+        device: impl Fn(usize) -> &'d Device,
     ) -> TransformerStack {
         let names: Vec<String> = (0..n).map(|i| format!("{prefix}{i}")).collect();
-        let layers = names
-            .iter()
-            .map(|name| TransformerLayer::new(name, cfg, causal, with_cross, rng, dev))
+        let layers = (names.iter().enumerate())
+            .map(|(i, name)| TransformerLayer::new(name, cfg, causal, with_cross, rng, device(i)))
             .collect();
         TransformerStack { layers, names }
     }
@@ -78,9 +78,14 @@ impl TransformerStack {
         self.layers.len()
     }
 
-    /// All parameters in layer order.
-    pub(crate) fn parameters(&self) -> Vec<Var> {
-        self.layers.iter().flat_map(|l| l.parameters()).collect()
+    /// The parameters of the layers in `range` (`..` for all), in layer
+    /// order.
+    pub(crate) fn parameters(&self, range: impl RangeBounds<usize>) -> Vec<Var> {
+        let range = (range.start_bound().cloned(), range.end_bound().cloned());
+        self.layers[range]
+            .iter()
+            .flat_map(|l| l.parameters())
+            .collect()
     }
 }
 
@@ -94,14 +99,14 @@ mod tests {
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_gpt();
         let mut rng = Prng::seed_from_u64(1);
-        let stack = TransformerStack::new("layer", 3, &cfg, true, false, &mut rng, &dev);
+        let stack = TransformerStack::new("layer", 3, &cfg, true, false, &mut rng, |_| &dev);
         assert_eq!(stack.len(), 3);
         let g = Graph::new(&dev, 1);
         let x = g.constant(Tensor::ones([1, cfg.seq, cfg.hidden], &dev));
         let y = stack.forward(&g, &x, None, Recompute::None);
         assert_eq!(y.dims(), x.dims());
         // 3 layers × (2 LN + 4×(w+b) attn + 2×(w+b) mlp) vars.
-        assert_eq!(stack.parameters().len(), 3 * (4 + 8 + 4));
+        assert_eq!(stack.parameters(..).len(), 3 * (4 + 8 + 4));
     }
 
     #[test]
@@ -109,7 +114,7 @@ mod tests {
         let dev = Device::cpu();
         let cfg = ModelConfig::tiny_gpt();
         let mut rng = Prng::seed_from_u64(2);
-        let stack = TransformerStack::new("layer", 2, &cfg, true, false, &mut rng, &dev);
+        let stack = TransformerStack::new("layer", 2, &cfg, true, false, &mut rng, |_| &dev);
         let mut xr = Prng::seed_from_u64(3);
         let x0 = Tensor::randn([1, cfg.seq, cfg.hidden], 0.4, &mut xr, &dev);
         let g1 = Graph::new(&dev, 5);

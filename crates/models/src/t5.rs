@@ -38,7 +38,7 @@ impl T5Model {
                 false,
                 false,
                 &mut rng,
-                dev,
+                |_| dev,
             ),
             decoder: TransformerStack::new(
                 "dec",
@@ -47,7 +47,7 @@ impl T5Model {
                 true,
                 true,
                 &mut rng,
-                dev,
+                |_| dev,
             ),
             ln_f: LayerNorm::new("ln_f", cfg.hidden, dev),
             head: Linear::new_no_bias("head", cfg.hidden, cfg.vocab / cfg.tp, &mut rng, dev),
@@ -77,8 +77,8 @@ impl T5Model {
     pub(crate) fn parameters(&self) -> Vec<Var> {
         let mut p = self.enc_embed.parameters();
         p.extend(self.dec_embed.parameters());
-        p.extend(self.encoder.parameters());
-        p.extend(self.decoder.parameters());
+        p.extend(self.encoder.parameters(..));
+        p.extend(self.decoder.parameters(..));
         p.extend(self.ln_f.parameters());
         p.extend(self.head.parameters());
         p
@@ -110,7 +110,7 @@ mod tests {
         let loss = m.forward_loss(&g, &b, Recompute::None);
         assert!(loss.tensor().item().is_finite());
         g.backward(&loss);
-        for p in m.encoder.parameters() {
+        for p in m.encoder.parameters(..) {
             assert!(
                 p.grad().is_some(),
                 "encoder param {} missing grad",

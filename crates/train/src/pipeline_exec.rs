@@ -5,10 +5,11 @@
 //! training can be checked **bit-identical** against single-GPU
 //! training, with or without per-stage activation offloading.
 //!
-//! Each stage is a GPU built the way a [`crate::TrainSession`] builds
-//! its own — the Table 3 testbed's clock, executor and (optional)
-//! tensor cache over host memory — and runs one contiguous slice of
-//! layers. The step walks the same 1F1B dependency order
+//! Each stage is a GPU built as a [`crate::TrainSession`]'s is (the
+//! Table 3 testbed's clock, executor, tracked device and optional
+//! tensor cache over host memory). It runs one contiguous slice of
+//! layers, holds their parameters and updates them through its own
+//! optimizer engine. The step walks the same 1F1B dependency order
 //! [`crate::PipelineSim`] prices, executing each command instead;
 //! cross-stage sends synchronise the clocks, so the step's makespan and
 //! bubble structure emerge from real execution rather than from fixed
@@ -16,6 +17,7 @@
 
 use crate::builder::ConfigError;
 use crate::error::{PipelineError, StepError};
+use crate::opt_engine::OptEngine;
 use crate::pipeline::{one_f1b_commands, walk_stages, StageCmd};
 use crate::schedule::stage_ranges;
 use crate::session::{Gpu, OffloadBackend, SessionConfig};
@@ -24,6 +26,7 @@ use ssdtrain_autograd::{Graph, Phase, Value};
 use ssdtrain_models::{Arch, Batch, LmModel, ModelConfig, Recompute};
 use ssdtrain_simhw::SimTime;
 use ssdtrain_tensor::{Device, MemClass, Tensor};
+use std::sync::Arc;
 
 /// Configuration of the functional pipeline trainer.
 #[derive(Debug, Clone)]
@@ -49,6 +52,8 @@ pub struct PipelineExecConfig {
 struct Stage {
     graph: Graph,
     gpu: Gpu,
+    /// Updates the parameters of this stage's layers.
+    opt: Arc<OptEngine>,
     layer_range: std::ops::Range<usize>,
     first: bool,
     last: bool,
@@ -82,16 +87,14 @@ pub struct PipelineStepReport {
 pub struct PipelineExec {
     cfg: PipelineExecConfig,
     model: LmModel,
-    device: Device,
     stages: Vec<Stage>,
-    optimizer: ssdtrain_autograd::optim::Sgd,
     trace: TraceSink,
     step_idx: u64,
 }
 
 impl PipelineExec {
-    /// Builds the trainer: one shared model, `pp` stages with disjoint
-    /// layer slices.
+    /// Builds the trainer: `pp` stages with disjoint layer slices, and
+    /// one model whose layers live on their stages' GPUs.
     ///
     /// # Errors
     /// Returns a [`ConfigError`] when `pp` is zero or exceeds the layer
@@ -135,17 +138,19 @@ impl PipelineExec {
             })
             .seed(cfg.seed)
             .build()?;
-        let device = Device::cpu();
-        let model = LmModel::new(&cfg.model, &device, cfg.seed);
-        let params = model.parameters();
-        let stages = stage_ranges(cfg.model.layers, cfg.pp)
-            .into_iter()
-            .enumerate()
-            .map(|(s, layer_range)| {
-                let gpu = Gpu::new(&stage_cfg, None);
-                gpu.register_parameters(&params);
+        // Each layer's parameters live on its stage's GPU.
+        let ranges = stage_ranges(cfg.model.layers, cfg.pp);
+        let gpus: Vec<Gpu> = ranges.iter().map(|_| Gpu::new(&stage_cfg, None)).collect();
+        let device: Vec<&Device> = (ranges.iter().zip(&gpus))
+            .flat_map(|(range, gpu)| std::iter::repeat_n(&gpu.device, range.len()))
+            .collect();
+        let model = LmModel::new(&cfg.model, |layer| device[layer], cfg.seed);
+        let stages = (ranges.into_iter().zip(gpus).enumerate())
+            .map(|(s, (layer_range, gpu))| {
+                let params = model.stage_parameters(layer_range.clone());
                 Stage {
-                    graph: gpu.graph(&stage_cfg, &device, cfg.seed ^ (s as u64) << 8),
+                    graph: gpu.graph(&stage_cfg, cfg.seed ^ (s as u64) << 8),
+                    opt: gpu.opt_engine(&stage_cfg, params, layer_range.len()),
                     gpu,
                     layer_range,
                     first: s == 0,
@@ -153,13 +158,10 @@ impl PipelineExec {
                 }
             })
             .collect();
-        let optimizer = ssdtrain_autograd::optim::Sgd::new(params, 0.05);
         Ok(PipelineExec {
             cfg,
             model,
-            device,
             stages,
-            optimizer,
             trace: TraceSink::disabled(),
             step_idx: 0,
         })
@@ -178,7 +180,8 @@ impl PipelineExec {
     }
 
     /// Runs one pipelined training step (forwards + backwards of every
-    /// micro-batch under 1F1B, then one optimizer update).
+    /// micro-batch under 1F1B, then each stage's update of its own
+    /// parameters).
     ///
     /// # Errors
     /// Returns [`PipelineError::Offload`] when any stage's offload
@@ -194,7 +197,7 @@ impl PipelineExec {
         self.trace
             .instant(TraceCategory::Session, "step.begin", SimTime::ZERO);
         for stage in &self.stages {
-            stage.gpu.runtime.clock.reset();
+            stage.gpu.open_step();
             if let Some(c) = &stage.gpu.cache {
                 c.begin_step();
             }
@@ -202,20 +205,13 @@ impl PipelineExec {
             stage.graph.set_phase(Phase::Forward);
         }
 
+        // The first stage loads the step's micro-batches.
+        let (cfg, device) = (&self.cfg, &self.stages[0].gpu.device);
+        let seed = cfg.seed.wrapping_mul(7919).wrapping_add(self.step_idx * 64);
+        let size = cfg.micro_batch_size;
+        let batch = |mb| Batch::synthetic(&cfg.model, size, seed.wrapping_add(mb), device);
         let mut step = InFlight {
-            batches: (0..m)
-                .map(|mb| {
-                    Batch::synthetic(
-                        &self.cfg.model,
-                        self.cfg.micro_batch_size,
-                        self.cfg
-                            .seed
-                            .wrapping_mul(7919)
-                            .wrapping_add(self.step_idx * 64 + mb as u64),
-                        &self.device,
-                    )
-                })
-                .collect(),
+            batches: (0..m as u64).map(batch).collect(),
             sent: vec![vec![None; m]; pp],
             outs: vec![vec![None; m]; pp],
             grads: vec![vec![None; m]; pp],
@@ -239,26 +235,30 @@ impl PipelineExec {
                 // makespan below).
                 c.drain_stores();
                 c.flush();
-                if step_error.is_none() {
-                    step_error = c.take_error();
-                }
+                // The first failure is the step's; every stage's is taken.
+                step_error = step_error.or(c.take_error());
             }
             stage.graph.reset_tape();
         }
+        self.step_idx += 1;
         if let Some(error) = step_error {
-            self.optimizer.zero_grad();
-            self.step_idx += 1;
+            for stage in &self.stages {
+                stage.opt.abort();
+                stage.opt.zero_grad();
+            }
             return Err(StepError {
                 error,
                 metrics: None,
             }
             .into());
         }
-        // The update prices nothing here: the makespan below is the
-        // paper's, optimizer excluded (Section 4.1).
-        self.optimizer.step();
-        self.optimizer.zero_grad();
-        self.step_idx += 1;
+        // Each stage updates its own parameters on its own clock. Its
+        // cache holds activations only, so the update loads nothing and
+        // costs 0 s: the makespan below is the paper's, optimizer
+        // excluded (Section 4.1).
+        for stage in &self.stages {
+            stage.opt.end_of_step(&stage.gpu.runtime.clock, &self.trace);
+        }
 
         // Makespan: latest stage-0 backward completion, pushed out by
         // any stage whose store drain outlived its compute.
@@ -337,7 +337,7 @@ impl PipelineExec {
                     .take()
                     .ok_or(missing(mb, "this stage's forward output"))?;
                 let seed_grad = if stage.last {
-                    let dev = &self.device;
+                    let dev = &stage.gpu.device;
                     dev.with_class(MemClass::Workspace, || {
                         if out.tensor().has_data() {
                             Tensor::ones([1], dev)
@@ -455,7 +455,7 @@ mod tests {
         // a bijection of the gradients under SGD.
         let cfg = config(2, 2, false);
         let device = Device::cpu();
-        let reference = LmModel::new(&cfg.model, &device, cfg.seed);
+        let reference = LmModel::new(&cfg.model, |_| &device, cfg.seed);
         // Same synthetic batches the trainer draws in step 0.
         for mb in 0..2 {
             let b = Batch::synthetic(
@@ -544,13 +544,10 @@ mod tests {
         })
     }
 
-    #[test]
-    fn an_offloaded_two_stage_trace_keeps_its_pinned_bytes() {
-        // A traced, offloaded two-stage run, pinned to the byte: its
-        // events, the link pricing of its 240 offload reads and its
-        // makespan. A change to how a stage's GPU is built (executor,
-        // I/O engine, offload target) that moves any of them shows here.
-        let mut t = mk(PipelineExecConfig {
+    /// The offloaded two-stage run of `tiny_gpt` the pins below read:
+    /// four micro-batches of two sequences.
+    fn offloaded_two_stage() -> PipelineExec {
+        mk(PipelineExecConfig {
             pp: 2,
             micro_batches: 4,
             micro_batch_size: 2,
@@ -558,11 +555,39 @@ mod tests {
             send_secs: 0.001,
             seed: 2026,
             model: ModelConfig::tiny_gpt(),
-        });
+        })
+    }
+
+    #[test]
+    fn each_stage_ledger_holds_its_own_layers() {
+        let mut t = offloaded_two_stage();
+        for _ in 0..4 {
+            step(&mut t);
+        }
+        for stage in &t.stages {
+            let own = t.model.stage_parameters(stage.layer_range.clone());
+            let bytes: u64 = own.iter().map(|p| p.tensor().bytes()).sum();
+            let memory = &stage.gpu.runtime.memory;
+            assert!(!memory.step_memory().timeline.is_empty());
+            assert_eq!(memory.resident(MemClass::Parameter), bytes);
+        }
+    }
+
+    #[test]
+    fn an_offloaded_two_stage_trace_keeps_its_pinned_bytes() {
+        // A traced, offloaded two-stage run, pinned to the byte: its
+        // events, the link pricing of its 240 offload reads and its
+        // makespan. A change to how a stage's GPU is built (executor,
+        // I/O engine, offload target) that moves any of them shows here.
+        // Each stage's update adds one `opt.stage0` span a step,
+        // pinned on its own.
+        let mut t = offloaded_two_stage();
         let sink = TraceSink::enabled();
         t.set_trace(sink.clone());
         let steps: Vec<u64> = (0..2).map(|_| step(&mut t).step_secs.to_bits()).collect();
-        let events = sink.events();
+        let (updates, events): (Vec<_>, Vec<_>) =
+            (sink.events().into_iter()).partition(|e| e.name.starts_with("opt.stage"));
+        assert_eq!(updates.len(), 4);
         let reads = events
             .iter()
             .filter(|e| e.name == "xfer.offload-read")

@@ -208,11 +208,12 @@ fn unique_spill_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// One simulated GPU: its runtime, its executor and, when its config
-/// offloads any class, the tensor cache over the configured tier stack.
-/// A [`TrainSession`] runs on one; [`crate::PipelineExec`] builds one
-/// per stage.
+/// One simulated GPU: its device (its ledger counts every tensor built
+/// on it), runtime, executor and, when its config offloads any class,
+/// the tensor cache over the configured tier stack. A [`TrainSession`]
+/// runs on one; [`crate::PipelineExec`] builds one per stage.
 pub(crate) struct Gpu {
+    pub(crate) device: Device,
     pub(crate) runtime: GpuRuntime,
     pub(crate) executor: Arc<GpuExecutor>,
     pub(crate) cache: Option<Arc<TensorCache>>,
@@ -225,20 +226,28 @@ impl Gpu {
     /// creating it is the one step that can fail, so it is the caller's,
     /// and a config handed none offloads into host memory as `Dram` does.
     pub(crate) fn new(cfg: &SessionConfig, ssd: Option<Arc<dyn OffloadTarget>>) -> Gpu {
+        let device = if cfg.symbolic {
+            Device::symbolic()
+        } else {
+            Device::cpu()
+        };
         let runtime = cfg.system.instantiate();
+        device.set_tracker(runtime.memory.clone());
         let executor = Arc::new(GpuExecutor::new(
             runtime.clock.clone(),
             cfg.system.gpu.clone(),
             cfg.system.nvlink_bps,
             cfg.model.tp,
         ));
+        let mut gpu = Gpu {
+            device,
+            runtime,
+            executor,
+            cache: None,
+            faulty: None,
+        };
         if !cfg.wants_cache() {
-            return Gpu {
-                runtime,
-                executor,
-                cache: None,
-                faulty: None,
-            };
+            return gpu;
         }
         let sys = &cfg.system;
         // An injected fault plan sits between the cache and the *front*
@@ -254,15 +263,15 @@ impl Gpu {
         // transfers are priced on (a tier's link is its index). A
         // single-tier backend's link is named "offload"; host memory
         // offers symmetric bandwidth over the raw PCIe link while the SSD
-        // path is capped by the array.
+        // path is capped by the array. The paper sizes the host's pinned
+        // pool by profiling; we grant the whole host memory (Figure 2).
+        let ssd_link = |name| TierLink::new(name, sys.offload_write_bps(), sys.offload_read_bps());
+        let host_link = |name| TierLink::new(name, sys.host_offload_bps(), sys.host_offload_bps());
+        let host_pool = || Arc::new(CpuTarget::new(sys.host_mem_bytes));
         let (mut tiers, links) = match (cfg.backend, ssd) {
             (OffloadBackend::Ssd, Some(ssd)) => (
                 vec![Tier::new("ssd", front(ssd), 0)],
-                vec![TierLink::new(
-                    "offload",
-                    sys.offload_write_bps(),
-                    sys.offload_read_bps(),
-                )],
+                vec![ssd_link("offload")],
             ),
             (OffloadBackend::Tiered { dram_bytes }, Some(ssd)) => (
                 vec![
@@ -270,38 +279,25 @@ impl Gpu {
                         .with_capacity(dram_bytes),
                     Tier::new("ssd", ssd, 1),
                 ],
-                vec![
-                    TierLink::new("dram", sys.host_offload_bps(), sys.host_offload_bps()),
-                    TierLink::new("ssd", sys.offload_write_bps(), sys.offload_read_bps()),
-                ],
+                vec![host_link("dram"), ssd_link("ssd")],
             ),
-            // `Dram`, or no SSD to spill into. The paper sizes the pinned
-            // pool by profiling; we grant the whole host memory (Figure 2).
+            // `Dram`, or no SSD to spill into.
             _ => (
-                vec![Tier::new(
-                    "cpu",
-                    front(Arc::new(CpuTarget::new(sys.host_mem_bytes))),
-                    0,
-                )],
-                vec![TierLink::new(
-                    "offload",
-                    sys.host_offload_bps(),
-                    sys.host_offload_bps(),
-                )],
+                vec![Tier::new("cpu", front(host_pool()), 0)],
+                vec![host_link("offload")],
             ),
         };
         if cfg.cache.recovery == RecoveryPolicy::FallbackTarget {
             // Spill of last resort: the host pinned pool, reached only by
             // demotion and priced on the front tier's link.
-            let pool = Arc::new(CpuTarget::new(sys.host_mem_bytes));
-            tiers.push(Tier::new("cpu", pool, 0).demotion_only());
+            tiers.push(Tier::new("cpu", host_pool(), 0).demotion_only());
         }
         // Every offload byte crosses the one physical PCIe bus
         // regardless of which tier absorbs it, so store jobs serialise
         // across links instead of draining in parallel — this is what
         // makes the tiered backend's drain land between dram's and
         // ssd's on the step critical path.
-        let io = IoEngine::tiered_with_bus(runtime.clock.clone(), links, sys.pcie_bps);
+        let io = IoEngine::tiered_with_bus(gpu.runtime.clock.clone(), links, sys.pcie_bps);
         io.set_store_job_overhead(sys.store_job_overhead_secs);
         if let Some(ft) = &faulty {
             ft.attach_io(io.clone());
@@ -311,15 +307,11 @@ impl Gpu {
             cfg.cache.clone(),
             Arc::new(TierStack::new(tiers)),
             io,
-            runtime.memory.clone(),
+            gpu.runtime.memory.clone(),
         );
         cache.set_trace(cfg.trace.clone());
-        Gpu {
-            runtime,
-            executor,
-            cache: Some(cache),
-            faulty,
-        }
+        (gpu.cache, gpu.faulty) = (Some(cache), faulty);
+        gpu
     }
 
     /// A graph on this GPU: its executor observes every op and, when
@@ -327,8 +319,8 @@ impl Gpu {
     /// tensors and module scopes. A state-only config still owns the
     /// cache, for its gradient and optimizer-state slots, but leaves the
     /// graph unhooked.
-    pub(crate) fn graph(&self, cfg: &SessionConfig, device: &Device, seed: u64) -> Graph {
-        let graph = Graph::new(device, seed);
+    pub(crate) fn graph(&self, cfg: &SessionConfig, seed: u64) -> Graph {
+        let graph = Graph::new(&self.device, seed);
         graph.set_observer(self.executor.clone());
         if let Some(cache) = self.cache.as_ref().filter(|_| cfg.strategy.uses_cache()) {
             cache.install(&graph);
@@ -336,13 +328,35 @@ impl Gpu {
         graph
     }
 
-    /// Registers `params` with the cache, which never offloads them.
-    pub(crate) fn register_parameters(&self, params: &[Var]) {
+    /// The optimizer engine for `params`, the parameters this GPU holds:
+    /// it registers them with the cache, which never offloads them, and
+    /// updates them by `cfg`'s SGD in `jobs` inline update jobs.
+    pub(crate) fn opt_engine(
+        &self,
+        cfg: &SessionConfig,
+        params: Vec<Var>,
+        jobs: usize,
+    ) -> Arc<OptEngine> {
         if let Some(cache) = &self.cache {
-            for p in params {
+            for p in &params {
                 cache.register_parameter(&p.tensor());
             }
         }
+        let opt = Sgd::with_momentum(params, 0.05, cfg.momentum);
+        let (classes, overlap) = (cfg.offload, cfg.overlap_optimizer);
+        Arc::new(OptEngine::new(
+            classes,
+            overlap,
+            opt,
+            jobs.max(1),
+            self.cache.as_ref(),
+        ))
+    }
+
+    /// Starts a step on a fresh clock, memory log and executor totals.
+    pub(crate) fn open_step(&self) {
+        self.runtime.reset();
+        self.executor.reset();
     }
 }
 
@@ -355,11 +369,6 @@ impl TrainSession {
     /// # Errors
     /// Returns an error if the spill directory cannot be created.
     pub fn new(cfg: SessionConfig) -> std::io::Result<TrainSession> {
-        let device = if cfg.symbolic {
-            Device::symbolic()
-        } else {
-            Device::cpu()
-        };
         let spill_dir = (cfg.wants_cache() && cfg.backend != OffloadBackend::Dram)
             .then(|| unique_spill_dir(&cfg.model.tag()));
         let ssd: Option<Arc<dyn OffloadTarget>> = match &spill_dir {
@@ -374,23 +383,15 @@ impl TrainSession {
             None => None,
         };
         let gpu = Gpu::new(&cfg, ssd);
-        device.set_tracker(gpu.runtime.memory.clone());
-        let graph = gpu.graph(&cfg, &device, cfg.seed);
-        let model = Model::build(&cfg.model, &device, cfg.seed);
-        gpu.register_parameters(&model.parameters());
+        let graph = gpu.graph(&cfg, cfg.seed);
+        let model = Model::build(&cfg.model, &gpu.device, cfg.seed);
+        let opt_engine = gpu.opt_engine(&cfg, model.parameters(), cfg.model.layers);
+        // Traced from here, so the trace's first memory peak is a step's.
         if cfg.trace.is_enabled() {
             gpu.runtime
                 .memory
                 .set_peak_observer(MemoryTraceBridge::new(cfg.trace.clone()));
         }
-        let optimizer = Sgd::with_momentum(model.parameters(), 0.05, cfg.momentum);
-        let opt_engine = Arc::new(OptEngine::new(
-            cfg.offload,
-            cfg.overlap_optimizer,
-            optimizer,
-            cfg.model.layers.max(1),
-            gpu.cache.as_ref(),
-        ));
         let schedule = single_gpu_schedule(cfg.micro_batches.max(1));
         Ok(TrainSession {
             cfg,
@@ -436,9 +437,8 @@ impl TrainSession {
     /// graph's RNG for the step's dropout masks, marks the step's
     /// beginning in the trace and returns its clock.
     fn open_step(&self) -> SimClock {
+        self.gpu.open_step();
         let clock = self.gpu.runtime.clock.clone();
-        self.gpu.runtime.reset();
-        self.gpu.executor.reset();
         let seed = self.cfg.seed ^ (self.step_idx << 17);
         self.graph.set_rng(Prng::seed_from_u64(seed));
         let trace = &self.cfg.trace;

@@ -48,6 +48,8 @@ cargo test -q --release -p ssdtrain-tensor -- --ignored tanh_port_matches_libm_o
 # plan keeps the same modules whichever prefetcher profiled the step.
 # Run explicitly for the same reason.
 cargo test -q --test prefetch_timing
+# Pipelined numerics must stay bit-identical to single-GPU; run explicitly.
+cargo test -q -p ssdtrain-train --lib pipeline_exec
 # The fault × recovery matrix must hold through the coalesced/prefetched
 # I/O path with bit-identical losses. Run explicitly for the same reason.
 cargo test -q --test fault_injection
