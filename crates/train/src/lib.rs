@@ -7,10 +7,12 @@
 //! step time, activation memory peak, memory-footprint timeline,
 //! offloaded bytes and exposed I/O stall.
 //!
-//! The scheduler mirrors the hinted DeepSpeed/Megatron schedule of the
-//! paper's Algorithm 1: micro-batch switches, the
-//! `prefetch_last_module()` hint at the forward→backward transition, and
-//! `wait_io()` after each backward pass.
+//! One step runner mirrors the hinted DeepSpeed/Megatron schedule of the
+//! paper's Algorithm 1 for the measured step, the profiling step and
+//! every pipeline stage: each command runs inside the tensor cache's
+//! stage scope, which switches micro-batches before a forward, prefetches
+//! the last module at the boundary after it, and waits for the
+//! backward's reloads and stores at its exit.
 //!
 //! ```
 //! use ssdtrain_train::prelude::*;
@@ -34,6 +36,7 @@
 //! metrics instead of aborting the process.
 
 #![deny(missing_docs, clippy::allow_attributes_without_reason)]
+#![deny(unreachable_pub)]
 // Library code returns typed errors instead of panicking (DESIGN.md §7).
 #![cfg_attr(
     not(test),
@@ -47,16 +50,16 @@
     )
 )]
 
-pub mod builder;
-pub mod error;
+mod builder;
+mod error;
 mod executor;
-pub mod metrics;
+mod metrics;
 mod opt_engine;
-pub mod pipeline;
-pub mod pipeline_exec;
+mod pipeline;
+mod pipeline_exec;
 pub mod prelude;
 mod schedule;
-pub mod session;
+mod session;
 
 // The crate root re-exports exactly the prelude — one list to maintain.
 pub use prelude::*;

@@ -7,8 +7,6 @@ use ssdtrain_tensor::Lent;
 /// Everything measured during one training step.
 #[derive(Debug, Clone)]
 pub struct StepMetrics {
-    /// Global batch size (sequences).
-    pub batch: usize,
     /// Simulated step time, the weight update inside it. With no state
     /// class offloaded the update costs 0 seconds, so this is forward +
     /// backward, the paper's optimizer-excluded step (Section 4.1);
@@ -82,7 +80,6 @@ mod tests {
 
     fn metrics() -> StepMetrics {
         StepMetrics {
-            batch: 1,
             step_secs: 2.0,
             fwd_secs: 0.7,
             act_peak_bytes: 3 << 30,

@@ -71,6 +71,8 @@ pub(crate) struct OptEngine {
     cache: Option<Arc<TensorCache>>,
     /// The inline mode's per-stage update jobs.
     ranges: Vec<Range<usize>>,
+    /// The number the first job's `opt.stage{j}` span carries.
+    first_job: usize,
     /// Parameter identity → optimizer index, built once.
     index: HashMap<VarId, usize>,
     /// The engine's one lock (DESIGN §7).
@@ -129,13 +131,14 @@ enum Progress {
 
 impl OptEngine {
     /// Builds the engine over the session's optimizer: its parameters
-    /// partitioned into `n_stages` contiguous per-stage update jobs for
-    /// the inline mode.
+    /// partitioned into contiguous per-stage update jobs for the inline
+    /// mode, one per number in `jobs` (at least one), which name their
+    /// spans.
     pub(crate) fn new(
         classes: OffloadClassSet,
         overlap: bool,
         opt: Sgd,
-        n_stages: usize,
+        jobs: Range<usize>,
         cache: Option<&Arc<TensorCache>>,
     ) -> OptEngine {
         let n = opt.params().len();
@@ -150,7 +153,8 @@ impl OptEngine {
             classes,
             overlap,
             cache: cache.cloned(),
-            ranges: stage_ranges(n, n_stages),
+            ranges: stage_ranges(n, jobs.len()),
+            first_job: jobs.start,
             index: index.collect(),
             slots: Mutex::new(Slots {
                 opt,
@@ -308,7 +312,7 @@ impl OptEngine {
                 }
             }
             if trace.is_enabled() {
-                let name = format!("opt.stage{j}");
+                let name = format!("opt.stage{}", self.first_job + j);
                 trace.span(TraceCategory::Stage, name, stage_start, clock.now());
             }
         }
@@ -528,7 +532,7 @@ mod tests {
         cache: Option<&Arc<TensorCache>>,
     ) -> Arc<OptEngine> {
         let opt = Sgd::with_momentum(params.to_vec(), 0.5, momentum);
-        Arc::new(OptEngine::new(classes, overlap, opt, 1, cache))
+        Arc::new(OptEngine::new(classes, overlap, opt, 0..1, cache))
     }
 
     fn weight(p: &Var) -> Vec<f32> {
@@ -541,7 +545,7 @@ mod tests {
         let trace = TraceSink::disabled();
         let a = params(4);
         let opt = Sgd::with_momentum(a.clone(), 0.5, 0.0);
-        let engine = OptEngine::new(OffloadClassSet::default(), false, opt, 2, None);
+        let engine = OptEngine::new(OffloadClassSet::default(), false, opt, 0..2, None);
         let secs = engine.end_of_step(&clock, &trace);
         let mut b = Sgd::with_momentum(params(4), 0.5, 0.0);
         b.step();
@@ -784,7 +788,9 @@ mod tests {
             .map(|n| Var::new(format!("p{n}"), Tensor::ones([n], &d)))
             .collect();
         let opt = Sgd::with_momentum(params.clone(), 0.5, 0.5);
-        let engine = OptEngine::new(OffloadClassSet::all(), false, opt, 2, Some(&cache));
+        let classes = (OffloadClassSet::default().with(OffloadClass::Gradient, true))
+            .with(OffloadClass::OptimizerState, true);
+        let engine = OptEngine::new(classes, false, opt, 0..2, Some(&cache));
         let engine = Arc::new(engine);
         let listener = engine.grad_listener().expect("gradient class with a cache");
         for _ in 0..2 {

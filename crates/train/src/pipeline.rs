@@ -348,7 +348,6 @@ mod tests {
     #[test]
     fn from_step_metrics_splits_forward_and_backward() {
         let mut m = crate::metrics::StepMetrics {
-            batch: 1,
             step_secs: 3.0,
             fwd_secs: 1.0,
             act_peak_bytes: 100,

@@ -13,20 +13,21 @@
 //! [`crate::PipelineSim`] prices, executing each command instead;
 //! cross-stage sends synchronise the clocks, so the step's makespan and
 //! bubble structure emerge from real execution rather than from fixed
-//! per-command durations.
+//! per-command durations. Each stage runs its passes, reduce and update
+//! through the session's step runner, so its cache takes Algorithm 1's
+//! hints under the same stage scopes as a session's.
 
 use crate::builder::ConfigError;
 use crate::error::{PipelineError, StepError};
-use crate::opt_engine::OptEngine;
 use crate::pipeline::{one_f1b_commands, walk_stages, StageCmd};
-use crate::schedule::stage_ranges;
+use crate::schedule::{stage_ranges, stage_schedule, StepCmd, StepRunner};
 use crate::session::{Gpu, OffloadBackend, SessionConfig};
 use ssdtrain::{PlacementStrategy, TensorCacheConfig, TraceCategory, TraceSink};
-use ssdtrain_autograd::{Graph, Phase, Value};
+use ssdtrain_autograd::Value;
 use ssdtrain_models::{Arch, Batch, LmModel, ModelConfig, Recompute};
 use ssdtrain_simhw::SimTime;
 use ssdtrain_tensor::{Device, MemClass, Tensor};
-use std::sync::Arc;
+use std::convert::Infallible;
 
 /// Configuration of the functional pipeline trainer.
 #[derive(Debug, Clone)]
@@ -50,10 +51,10 @@ pub struct PipelineExecConfig {
 }
 
 struct Stage {
-    graph: Graph,
     gpu: Gpu,
-    /// Updates the parameters of this stage's layers.
-    opt: Arc<OptEngine>,
+    /// The stage's 1F1B command stream, in its graph, updating the
+    /// parameters of its layers.
+    runner: StepRunner,
     layer_range: std::ops::Range<usize>,
     first: bool,
     last: bool,
@@ -88,6 +89,8 @@ pub struct PipelineExec {
     cfg: PipelineExecConfig,
     model: LmModel,
     stages: Vec<Stage>,
+    /// Each stage's 1F1B passes, which the step walks by dependency.
+    passes: Vec<Vec<StageCmd>>,
     trace: TraceSink,
     step_idx: u64,
 }
@@ -148,9 +151,10 @@ impl PipelineExec {
         let stages = (ranges.into_iter().zip(gpus).enumerate())
             .map(|(s, (layer_range, gpu))| {
                 let params = model.stage_parameters(layer_range.clone());
+                let (seed, jobs) = (cfg.seed ^ (s as u64) << 8, layer_range.clone());
+                let cmds = stage_schedule(cfg.pp, s, cfg.micro_batches);
                 Stage {
-                    graph: gpu.graph(&stage_cfg, cfg.seed ^ (s as u64) << 8),
-                    opt: gpu.opt_engine(&stage_cfg, params, layer_range.len()),
+                    runner: gpu.runner(&stage_cfg, seed, params, jobs, cmds),
                     gpu,
                     layer_range,
                     first: s == 0,
@@ -158,25 +162,17 @@ impl PipelineExec {
                 }
             })
             .collect();
+        let passes = (0..cfg.pp)
+            .map(|s| one_f1b_commands(cfg.pp, s, cfg.micro_batches))
+            .collect();
         Ok(PipelineExec {
             cfg,
             model,
             stages,
+            passes,
             trace: TraceSink::disabled(),
             step_idx: 0,
         })
-    }
-
-    /// Routes the trainer's events into `sink`: per-stage forward and
-    /// backward spans (named `s{stage}.forward.mb{mb}` etc.) plus the
-    /// tensor-lifecycle events of every stage's offload cache.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        for stage in &self.stages {
-            if let Some(cache) = &stage.gpu.cache {
-                cache.set_trace(sink.clone());
-            }
-        }
-        self.trace = sink;
     }
 
     /// Runs one pipelined training step (forwards + backwards of every
@@ -201,8 +197,9 @@ impl PipelineExec {
             if let Some(c) = &stage.gpu.cache {
                 c.begin_step();
             }
-            stage.graph.reset_tape();
-            stage.graph.set_phase(Phase::Forward);
+            // What a step the schedule failed part-way left behind.
+            stage.runner.rewind();
+            stage.runner.graph.reset_tape();
         }
 
         // The first stage loads the step's micro-batches.
@@ -217,47 +214,48 @@ impl PipelineExec {
             grads: vec![vec![None; m]; pp],
             losses: Vec::new(),
         };
-        let cmds: Vec<Vec<StageCmd>> = (0..pp).map(|s| one_f1b_commands(pp, s, m)).collect();
         let (_, bwd_ends) = walk_stages(
-            &cmds,
+            &self.passes,
             self.cfg.send_secs,
             |s, cmd, ready| self.exec(s, cmd, ready, &mut step),
-            deadlocked,
+            |stage, micro_batch| PipelineError::Schedule {
+                stage,
+                micro_batch,
+                what: "an input no stage produces (the 1F1B schedule deadlocked)",
+            },
         )?;
 
+        // Unless a stage failed, each updates its own layers on its own
+        // clock: 0 s, its cache holding activations only, so the makespan
+        // below is the paper's (Section 4.1). The optimizer's exit waits
+        // out the stage's store queue, what backward did not hide.
+        let cache_failed = |s: &Stage| s.gpu.cache.as_ref().is_some_and(|c| c.has_error());
+        let failed = self.stages.iter().any(cache_failed);
         let mut step_error = None;
         for stage in &self.stages {
+            if !failed {
+                let (gpu, until) = (&stage.gpu, StepCmd::OptimizerStep);
+                let Ok(_) = stage
+                    .runner
+                    .run(gpu, &self.trace, until, |_| Ok::<_, Infallible>(()));
+            }
             if let Some(c) = &stage.gpu.cache {
-                c.wait_io();
-                // The stage's store queue must land before its step can
-                // end; whatever the backward passes did not hide
-                // surfaces on this stage's clock (and so in the
-                // makespan below).
-                c.drain_stores();
                 c.flush();
                 // The first failure is the step's; every stage's is taken.
                 step_error = step_error.or(c.take_error());
             }
-            stage.graph.reset_tape();
         }
         self.step_idx += 1;
         if let Some(error) = step_error {
             for stage in &self.stages {
-                stage.opt.abort();
-                stage.opt.zero_grad();
+                stage.runner.opt.abort();
+                stage.runner.opt.zero_grad();
             }
             return Err(StepError {
                 error,
                 metrics: None,
             }
             .into());
-        }
-        // Each stage updates its own parameters on its own clock. Its
-        // cache holds activations only, so the update loads nothing and
-        // costs 0 s: the makespan below is the paper's, optimizer
-        // excluded (Section 4.1).
-        for stage in &self.stages {
-            stage.opt.end_of_step(&stage.gpu.runtime.clock, &self.trace);
         }
 
         // Makespan: latest stage-0 backward completion, pushed out by
@@ -278,7 +276,10 @@ impl PipelineExec {
         })
     }
 
-    /// Runs stage `s`'s `cmd` from `ready` on and returns when it ended.
+    /// Runs stage `s`'s `cmd` from `ready` on and returns when it ended:
+    /// a forward takes the embedding or the previous stage's activation
+    /// in and, on the last stage, ends in the head's loss; a backward is
+    /// seeded by that loss or by the next stage's input gradient.
     fn exec(
         &self,
         s: usize,
@@ -287,83 +288,74 @@ impl PipelineExec {
         step: &mut InFlight,
     ) -> Result<f64, PipelineError> {
         let stage = &self.stages[s];
-        let (graph, cache) = (&stage.graph, &stage.gpu.cache);
-        let clock = &stage.gpu.runtime.clock;
+        let (graph, clock) = (&stage.runner.graph, &stage.gpu.runtime.clock);
         clock.advance_to(SimTime::from_secs(ready));
         let missing = |micro_batch, what| PipelineError::Schedule {
             stage: s,
             micro_batch,
             what,
         };
-        let (mb, pass) = match cmd {
-            StageCmd::Forward { mb } => {
-                graph.set_micro_batch(mb);
-                graph.set_phase(Phase::Forward);
-                if let Some(c) = cache {
-                    c.set_micro_batch(mb);
-                }
-                let input = if stage.first {
-                    self.model.forward_embed(graph, &step.batches[mb])
-                } else {
-                    let t = step.sent[s - 1][mb]
-                        .take()
-                        .ok_or(missing(mb, "the previous stage's activation"))?;
-                    graph.external(0, t)
-                };
-                let range = stage.layer_range.clone();
-                let out = self
-                    .model
-                    .forward_layers(graph, &input, range, Recompute::None);
-                if stage.last {
-                    let loss = self.model.forward_head_loss(graph, &out, &step.batches[mb]);
-                    if loss.tensor().has_data() {
-                        step.losses.push(loss.tensor().item());
-                    }
-                    step.outs[s][mb] = Some(loss);
-                } else {
-                    step.sent[s][mb] = Some(out.tensor().clone());
-                    step.outs[s][mb] = Some(out);
-                }
-                if let Some(c) = cache {
-                    // Figure 4 ④: switching toward this micro-batch's
-                    // backward.
-                    c.prefetch_last_module();
-                }
-                (mb, "forward")
-            }
-            StageCmd::Backward { mb } => {
-                graph.set_phase(Phase::Backward);
-                let out = step.outs[s][mb]
-                    .take()
-                    .ok_or(missing(mb, "this stage's forward output"))?;
-                let seed_grad = if stage.last {
-                    let dev = &stage.gpu.device;
-                    dev.with_class(MemClass::Workspace, || {
-                        if out.tensor().has_data() {
-                            Tensor::ones([1], dev)
-                        } else {
-                            Tensor::symbolic([1], dev)
-                        }
-                    })
-                } else {
-                    step.grads[s + 1][mb]
-                        .take()
-                        .ok_or(missing(mb, "the next stage's input gradient"))?
-                };
-                let mut ext = [None];
-                let n_ext = usize::from(!stage.first);
-                graph.backward_from(&[out], [Some(seed_grad)], &mut ext[..n_ext]);
-                if !stage.first {
-                    let grad = ext[0].take();
-                    step.grads[s][mb] =
-                        Some(grad.ok_or(missing(mb, "the gradient for the stage input"))?);
-                }
-                if let Some(c) = cache {
-                    c.wait_io();
-                }
-                (mb, "backward")
-            }
+        let (until, mb, pass) = match cmd {
+            StageCmd::Forward { mb } => (StepCmd::StageBoundary, mb, "forward"),
+            StageCmd::Backward { mb } => (StepCmd::BackwardPass { mb }, mb, "backward"),
         };
+        let body = |cmd| -> Result<(), PipelineError> {
+            match cmd {
+                StepCmd::ForwardPass { .. } => {
+                    let input = if stage.first {
+                        self.model.forward_embed(graph, &step.batches[mb])
+                    } else {
+                        let t = step.sent[s - 1][mb]
+                            .take()
+                            .ok_or(missing(mb, "the previous stage's activation"))?;
+                        graph.external(0, t)
+                    };
+                    let range = stage.layer_range.clone();
+                    let out = self
+                        .model
+                        .forward_layers(graph, &input, range, Recompute::None);
+                    if stage.last {
+                        let loss = self.model.forward_head_loss(graph, &out, &step.batches[mb]);
+                        if loss.tensor().has_data() {
+                            step.losses.push(loss.tensor().item());
+                        }
+                        step.outs[s][mb] = Some(loss);
+                    } else {
+                        step.sent[s][mb] = Some(out.tensor().clone());
+                        step.outs[s][mb] = Some(out);
+                    }
+                }
+                _ => {
+                    let out = step.outs[s][mb]
+                        .take()
+                        .ok_or(missing(mb, "this stage's forward output"))?;
+                    let seed_grad = if stage.last {
+                        let dev = &stage.gpu.device;
+                        dev.with_class(MemClass::Workspace, || {
+                            if out.tensor().has_data() {
+                                Tensor::ones([1], dev)
+                            } else {
+                                Tensor::symbolic([1], dev)
+                            }
+                        })
+                    } else {
+                        step.grads[s + 1][mb]
+                            .take()
+                            .ok_or(missing(mb, "the next stage's input gradient"))?
+                    };
+                    let mut ext = [None];
+                    let n_ext = usize::from(!stage.first);
+                    graph.backward_from(&[out], [Some(seed_grad)], &mut ext[..n_ext]);
+                    if !stage.first {
+                        let grad = ext[0].take();
+                        step.grads[s][mb] =
+                            Some(grad.ok_or(missing(mb, "the gradient for the stage input"))?);
+                    }
+                }
+            }
+            Ok(())
+        };
+        stage.runner.run(&stage.gpu, &self.trace, until, body)?;
         self.trace.span(
             TraceCategory::Stage,
             format!("s{s}.{pass}.mb{mb}"),
@@ -371,16 +363,6 @@ impl PipelineExec {
             clock.now(),
         );
         Ok(clock.now().as_secs())
-    }
-}
-
-/// The error of a walk in which every stage with work left waits on an
-/// input no stage will produce; `stage` is the first of them.
-fn deadlocked(stage: usize, micro_batch: usize) -> PipelineError {
-    PipelineError::Schedule {
-        stage,
-        micro_batch,
-        what: "an input no stage produces (the 1F1B schedule deadlocked)",
     }
 }
 
@@ -398,7 +380,7 @@ impl std::fmt::Debug for PipelineExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdtrain_autograd::ops;
+    use ssdtrain_autograd::{ops, Graph};
 
     fn config(pp: usize, m: usize, offload: bool) -> PipelineExecConfig {
         PipelineExecConfig {
@@ -537,6 +519,21 @@ mod tests {
         ));
     }
 
+    /// Routes `t`'s events into a fresh sink: per-stage forward and
+    /// backward spans (named `s{stage}.forward.mb{mb}` etc.), each
+    /// command's `stage.*` span, and the tensor-lifecycle events of
+    /// every stage's offload cache.
+    fn traced(t: &mut PipelineExec) -> TraceSink {
+        let sink = TraceSink::enabled();
+        for stage in &t.stages {
+            if let Some(cache) = &stage.gpu.cache {
+                cache.set_trace(sink.clone());
+            }
+        }
+        t.trace = sink.clone();
+        sink
+    }
+
     /// FNV-1a over `bytes`.
     fn fnv1a(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -576,26 +573,40 @@ mod tests {
     #[test]
     fn an_offloaded_two_stage_trace_keeps_its_pinned_bytes() {
         // A traced, offloaded two-stage run, pinned to the byte: its
-        // events, the link pricing of its 240 offload reads and its
-        // makespan. A change to how a stage's GPU is built (executor,
-        // I/O engine, offload target) that moves any of them shows here.
-        // Each stage's update adds one `opt.stage0` span a step,
-        // pinned on its own.
+        // events, the link pricing of its 256 offload reads (each stage's
+        // input is offloaded too: it is dropped when its forward returns,
+        // before the boundary's prefetch) and its makespan. A change to
+        // how a stage's GPU is built (executor, I/O engine, offload
+        // target) that moves any of them shows here. Each stage's update
+        // adds one `opt.stage{j}` span a step, numbered from the stage's
+        // first layer; its stage scopes add 18 `stage.*` spans a step
+        // (one per command), and its optimizer exit a `tier.io.cpu` and
+        // a `class.io.activation` instant. Each set is pinned on its own.
         let mut t = offloaded_two_stage();
-        let sink = TraceSink::enabled();
-        t.set_trace(sink.clone());
+        let sink = traced(&mut t);
         let steps: Vec<u64> = (0..2).map(|_| step(&mut t).step_secs.to_bits()).collect();
         let (updates, events): (Vec<_>, Vec<_>) =
             (sink.events().into_iter()).partition(|e| e.name.starts_with("opt.stage"));
+        let (scopes, events): (Vec<_>, Vec<_>) =
+            (events.into_iter()).partition(|e| e.name.starts_with("stage."));
+        let (tier_io, events): (Vec<_>, Vec<_>) = (events.into_iter())
+            .partition(|e| e.name.starts_with("tier.io.") || e.name.starts_with("class.io."));
         assert_eq!(updates.len(), 4);
+        let names: std::collections::BTreeSet<&str> =
+            updates.iter().map(|e| e.name.as_ref()).collect();
+        assert_eq!(
+            names.into_iter().collect::<Vec<_>>(),
+            ["opt.stage0", "opt.stage1"]
+        );
+        assert_eq!((scopes.len(), tier_io.len()), (72, 8));
         let reads = events
             .iter()
             .filter(|e| e.name == "xfer.offload-read")
             .count();
         let json = ssdtrain_trace::chrome_trace_json(&events);
-        assert_eq!((events.len(), reads), (1916, 240));
-        assert_eq!(json.len(), 205_513);
-        assert_eq!(fnv1a(json.as_bytes()), 0xbb65_7d6d_d99f_8aca);
+        assert_eq!((events.len(), reads), (1980, 256));
+        assert_eq!(json.len(), 212_423);
+        assert_eq!(fnv1a(json.as_bytes()), 0x5101_3877_94ef_6f62);
         assert_eq!(steps, [0x3f75_a14b_3065_e0a4; 2]);
     }
 
@@ -616,7 +627,11 @@ mod tests {
                 ran += 1;
                 Ok(ready)
             },
-            deadlocked,
+            |stage, micro_batch| PipelineError::Schedule {
+                stage,
+                micro_batch,
+                what: "deadlocked",
+            },
         )
         .err();
         assert_eq!(ran, 0);

@@ -10,7 +10,7 @@ pub use ssdtrain::prelude::*;
 pub use crate::builder::{ConfigError, SessionBuilder};
 pub use crate::error::{PipelineError, StepError};
 pub use crate::metrics::StepMetrics;
-pub use crate::pipeline::{PipelineMetrics, PipelineSim};
+pub use crate::pipeline::{one_f1b_commands, PipelineMetrics, PipelineSim, StageCmd};
 pub use crate::pipeline_exec::{PipelineExec, PipelineExecConfig, PipelineStepReport};
 pub use crate::session::{OffloadBackend, OffloadClassSet, SessionConfig, TrainSession};
 

@@ -4,11 +4,11 @@ use crate::error::StepError;
 use crate::executor::GpuExecutor;
 use crate::metrics::StepMetrics;
 use crate::opt_engine::OptEngine;
-use crate::schedule::{single_gpu_schedule, with_lookahead, StepCmd};
+use crate::schedule::{stage_schedule, StepCmd, StepRunner};
 use ssdtrain::{
     AdaptivePlan, ArgValue, CpuTarget, FaultyTarget, IoEngine, MemoryTraceBridge, OffloadClass,
-    OffloadTarget, PlacementStrategy, RecoveryPolicy, SsdTarget, StageHint, StepProfile,
-    TensorCache, TensorCacheConfig, Tier, TierLink, TierStack, TraceCategory, TraceSink,
+    OffloadTarget, PlacementStrategy, RecoveryPolicy, SsdTarget, StepProfile, TensorCache,
+    TensorCacheConfig, Tier, TierLink, TierStack, TraceCategory, TraceSink,
 };
 use ssdtrain_autograd::optim::Sgd;
 use ssdtrain_autograd::{Graph, Phase, Var};
@@ -16,6 +16,8 @@ use ssdtrain_models::{Batch, Model, ModelConfig, Recompute};
 use ssdtrain_simhw::system::GpuRuntime;
 use ssdtrain_simhw::{FaultLog, FaultPlan, SimClock, SimTime, SystemConfig};
 use ssdtrain_tensor::{Device, Prng};
+use std::convert::Infallible;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,27 +41,15 @@ pub struct OffloadClassSet {
 impl Default for OffloadClassSet {
     /// Activations only — the paper's original configuration.
     fn default() -> OffloadClassSet {
-        OffloadClassSet::activation_only()
-    }
-}
-
-impl OffloadClassSet {
-    /// Activations only (the pre-class default).
-    pub fn activation_only() -> OffloadClassSet {
         OffloadClassSet {
             enabled: [true, false, false],
         }
     }
+}
 
-    /// Every class: activations, gradients and optimizer state.
-    pub fn all() -> OffloadClassSet {
-        OffloadClassSet {
-            enabled: [true, true, true],
-        }
-    }
-
+impl OffloadClassSet {
     /// Returns the set with `class` switched to `enabled`.
-    pub fn with(mut self, class: OffloadClass, enabled: bool) -> OffloadClassSet {
+    pub(crate) fn with(mut self, class: OffloadClass, enabled: bool) -> OffloadClassSet {
         self.enabled[class.index()] = enabled;
         self
     }
@@ -67,13 +57,6 @@ impl OffloadClassSet {
     /// Whether `class` is selected for offloading.
     pub fn contains(&self, class: OffloadClass) -> bool {
         self.enabled[class.index()]
-    }
-
-    /// Whether any *state* class (gradient or optimizer state) is
-    /// selected — these are what require the cache even when the
-    /// activation strategy is keep/recompute.
-    pub fn any_state(&self) -> bool {
-        self.contains(OffloadClass::Gradient) || self.contains(OffloadClass::OptimizerState)
     }
 }
 
@@ -101,15 +84,15 @@ pub enum OffloadBackend {
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// The machine (Table 3 by default).
-    pub system: SystemConfig,
+    pub(crate) system: SystemConfig,
     /// The model (its `tp` should match the machine's GPU count for the
     /// paper's tensor-parallel setup).
-    pub model: ModelConfig,
+    pub(crate) model: ModelConfig,
     /// Global batch size in sequences.
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
     /// Micro-batches per step (gradient accumulation; the paper's
     /// single-node experiments use 1).
-    pub micro_batches: usize,
+    pub(crate) micro_batches: usize,
     /// Activation placement strategy (the ROK corner to run).
     pub strategy: PlacementStrategy,
     /// Tensor-cache tunables, used when the session has a cache: its
@@ -117,12 +100,12 @@ pub struct SessionConfig {
     /// class.
     pub cache: TensorCacheConfig,
     /// Shape-only execution (paper-scale runs).
-    pub symbolic: bool,
+    pub(crate) symbolic: bool,
     /// Seed for weights, data and dropout.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The offload backend: tier stack plus the links its transfers are
     /// priced on (single SSD tier by default).
-    pub backend: OffloadBackend,
+    pub(crate) backend: OffloadBackend,
     /// Which tensor classes ride the tier stack (activations only by
     /// default). State classes work under any activation strategy: the
     /// cache is built for them even when activations stay resident.
@@ -139,11 +122,11 @@ pub struct SessionConfig {
     /// SGD momentum (0 keeps the paper's stateless configuration; a
     /// positive value allocates per-parameter velocity, the optimizer
     /// state the `OptimizerState` class moves off-GPU).
-    pub momentum: f32,
+    pub(crate) momentum: f32,
     /// Deterministic fault schedule injected between the cache and the
     /// offload target (`None` for a healthy device). Recovery follows
     /// `cache.recovery`.
-    pub fault: Option<FaultPlan>,
+    pub(crate) fault: Option<FaultPlan>,
     /// Trace sink receiving the session's tensor-lifecycle events
     /// (disabled by default; see [`TraceSink::enabled`]).
     pub trace: TraceSink,
@@ -160,7 +143,8 @@ impl SessionConfig {
     /// activation strategy keeps or recomputes — the GreedySnake
     /// configuration offloads *only* state.
     fn wants_cache(&self) -> bool {
-        self.strategy.uses_cache() || self.offload.any_state()
+        let state = [OffloadClass::Gradient, OffloadClass::OptimizerState];
+        self.strategy.uses_cache() || state.into_iter().any(|c| self.offload.contains(c))
     }
 }
 
@@ -174,28 +158,14 @@ impl SessionConfig {
 pub struct TrainSession {
     cfg: SessionConfig,
     gpu: Gpu,
-    graph: Graph,
     model: Model,
-    /// The optimizer and its update schedule; the graph holds a clone as
-    /// its gradient listener during the step's last backward.
-    opt_engine: Arc<OptEngine>,
-    /// The step's command stream, built once: the micro-batch count is
-    /// fixed for the session's life.
-    schedule: Vec<StepCmd>,
+    /// The measured step's commands in the session's graph, updating
+    /// through its optimizer engine.
+    steps: StepRunner,
+    /// The profiling step's: micro-batch 0's four, with no update.
+    profile: StepRunner,
     spill_dir: Option<PathBuf>,
     step_idx: u64,
-}
-
-/// Maps a scheduler command to the hint the cache understands.
-fn stage_hint(cmd: StepCmd) -> StageHint {
-    match cmd {
-        StepCmd::LoadMicroBatch { mb } => StageHint::MicroBatchLoad(mb),
-        StepCmd::ForwardPass { .. } => StageHint::Forward,
-        StepCmd::StageBoundary => StageHint::Communication,
-        StepCmd::BackwardPass { .. } => StageHint::Backward,
-        StepCmd::ReduceGrads => StageHint::Communication,
-        StepCmd::OptimizerStep => StageHint::Optimizer,
-    }
 }
 
 fn unique_spill_dir(tag: &str) -> PathBuf {
@@ -314,43 +284,33 @@ impl Gpu {
         gpu
     }
 
-    /// A graph on this GPU: its executor observes every op and, when
-    /// `cfg`'s strategy offloads activations, the cache hooks the saved
-    /// tensors and module scopes. A state-only config still owns the
-    /// cache, for its gradient and optimizer-state slots, but leaves the
-    /// graph unhooked.
-    pub(crate) fn graph(&self, cfg: &SessionConfig, seed: u64) -> Graph {
+    /// The runner of `cmds` in a graph seeded by `seed`, observed by the
+    /// executor and, when `cfg`'s strategy offloads activations, hooked
+    /// by the cache. It updates `params`, the parameters this GPU holds
+    /// (registered with the cache, which never offloads them), by
+    /// `cfg`'s SGD in one inline job per number in `jobs`, its span's.
+    pub(crate) fn runner(
+        &self,
+        cfg: &SessionConfig,
+        seed: u64,
+        params: Vec<Var>,
+        jobs: Range<usize>,
+        cmds: Vec<StepCmd>,
+    ) -> StepRunner {
         let graph = Graph::new(&self.device, seed);
         graph.set_observer(self.executor.clone());
         if let Some(cache) = self.cache.as_ref().filter(|_| cfg.strategy.uses_cache()) {
             cache.install(&graph);
         }
-        graph
-    }
-
-    /// The optimizer engine for `params`, the parameters this GPU holds:
-    /// it registers them with the cache, which never offloads them, and
-    /// updates them by `cfg`'s SGD in `jobs` inline update jobs.
-    pub(crate) fn opt_engine(
-        &self,
-        cfg: &SessionConfig,
-        params: Vec<Var>,
-        jobs: usize,
-    ) -> Arc<OptEngine> {
         if let Some(cache) = &self.cache {
-            for p in &params {
-                cache.register_parameter(&p.tensor());
-            }
+            params
+                .iter()
+                .for_each(|p| cache.register_parameter(&p.tensor()));
         }
         let opt = Sgd::with_momentum(params, 0.05, cfg.momentum);
         let (classes, overlap) = (cfg.offload, cfg.overlap_optimizer);
-        Arc::new(OptEngine::new(
-            classes,
-            overlap,
-            opt,
-            jobs.max(1),
-            self.cache.as_ref(),
-        ))
+        let opt = OptEngine::new(classes, overlap, opt, jobs, self.cache.as_ref());
+        StepRunner::new(cmds, graph, Arc::new(opt))
     }
 
     /// Starts a step on a fresh clock, memory log and executor totals.
@@ -383,23 +343,24 @@ impl TrainSession {
             None => None,
         };
         let gpu = Gpu::new(&cfg, ssd);
-        let graph = gpu.graph(&cfg, cfg.seed);
         let model = Model::build(&cfg.model, &gpu.device, cfg.seed);
-        let opt_engine = gpu.opt_engine(&cfg, model.parameters(), cfg.model.layers);
+        let schedule = stage_schedule(1, 0, cfg.micro_batches);
+        let first = schedule[..4].to_vec();
+        let (params, jobs) = (model.parameters(), 0..cfg.model.layers);
+        let steps = gpu.runner(&cfg, cfg.seed, params, jobs, schedule);
+        let profile = StepRunner::new(first, steps.graph.clone(), steps.opt.clone());
         // Traced from here, so the trace's first memory peak is a step's.
         if cfg.trace.is_enabled() {
             gpu.runtime
                 .memory
                 .set_peak_observer(MemoryTraceBridge::new(cfg.trace.clone()));
         }
-        let schedule = single_gpu_schedule(cfg.micro_batches.max(1));
         Ok(TrainSession {
+            steps,
+            profile,
             cfg,
             gpu,
-            graph,
             model,
-            opt_engine,
-            schedule,
             spill_dir,
             step_idx: 0,
         })
@@ -440,7 +401,7 @@ impl TrainSession {
         self.gpu.open_step();
         let clock = self.gpu.runtime.clock.clone();
         let seed = self.cfg.seed ^ (self.step_idx << 17);
-        self.graph.set_rng(Prng::seed_from_u64(seed));
+        self.steps.graph.set_rng(Prng::seed_from_u64(seed));
         let trace = &self.cfg.trace;
         trace.next_step();
         trace.instant(TraceCategory::Session, "step.begin", clock.now());
@@ -469,23 +430,24 @@ impl TrainSession {
             .expect("profile_step requires a session with a cache");
         let clock = self.open_step();
         cache.begin_profile_step();
-        let g = &self.graph;
-        g.set_micro_batch(0);
-        g.set_phase(Phase::Forward);
-        let batch = self.next_batch(0);
-        let loss = self.model.forward_loss(g, &batch, self.recompute_policy());
-        cache.prefetch_last_module();
-        g.backward(&loss);
-        cache.wait_io();
-        cache.drain_stores();
+        let (g, batch) = (&self.steps.graph, self.next_batch(0));
+        let mut loss = None;
+        let until = StepCmd::BackwardPass { mb: 0 };
+        let Ok(_) = self.profile.run(&self.gpu, &self.cfg.trace, until, |cmd| {
+            if let StepCmd::ForwardPass { .. } = cmd {
+                loss = Some(self.model.forward_loss(g, &batch, self.recompute_policy()));
+            } else if let Some(loss) = loss.take() {
+                g.backward(&loss);
+            }
+            Ok::<_, Infallible>(())
+        });
         let result = cache.end_profile_step();
-        self.opt_engine.plan_changed();
-        g.reset_tape();
+        self.steps.opt.plan_changed();
         cache.flush();
         self.cfg
             .trace
             .instant(TraceCategory::Session, "step.end", clock.now());
-        self.opt_engine.zero_grad();
+        self.steps.opt.zero_grad();
         self.step_idx += 1;
         match cache.take_error() {
             Some(error) => Err(StepError {
@@ -517,7 +479,7 @@ impl TrainSession {
                 .seed
                 .wrapping_mul(1000)
                 .wrapping_add(self.step_idx * 64 + micro_batch as u64),
-            self.graph.device(),
+            &self.gpu.device,
         )
     }
 
@@ -546,36 +508,17 @@ impl TrainSession {
         if let Some(cache) = &self.gpu.cache {
             cache.begin_step();
         }
-        let (mut opt_secs, mut opt_exposed_secs) = (0.0, 0.0);
-        let g = &self.graph;
+        let g = &self.steps.graph;
         let recompute = self.recompute_policy();
         let mut losses = Vec::new();
         let mut fwd_end = SimTime::ZERO;
         let mut pending_loss = None;
-
-        // Algorithm 1's `deepspeed_exec_schedule`: walk the command
-        // stream with one-command lookahead, entering a stage scope
-        // around each execution (line 9; the guard's drop is line 15).
-        let micro_batches = self.cfg.micro_batches.max(1);
-        for (cmd, next) in with_lookahead(&self.schedule) {
-            let stage = stage_hint(cmd);
-            let stage_start = clock.now();
-            let scope = self
-                .gpu
-                .cache
-                .as_ref()
-                .map(|cache| cache.stage_scope(stage));
-            if let (Some(scope), Some(next)) = (&scope, next) {
-                if cmd.is_boundary() {
-                    scope.announce_next(stage_hint(next)); // lines 10-13
-                }
-            }
+        // Algorithm 1's `deepspeed_exec_schedule`, each command inside
+        // its stage scope.
+        let until = StepCmd::OptimizerStep;
+        let run = self.steps.run(&self.gpu, &self.cfg.trace, until, |cmd| {
             match cmd {
-                StepCmd::LoadMicroBatch { mb } => {
-                    g.set_micro_batch(mb);
-                }
                 StepCmd::ForwardPass { mb } => {
-                    g.set_phase(Phase::Forward);
                     let batch = self.next_batch(mb);
                     let loss = self.model.forward_loss(g, &batch, recompute);
                     fwd_end = clock.now();
@@ -584,52 +527,18 @@ impl TrainSession {
                     }
                     pending_loss = Some(loss);
                 }
-                StepCmd::BackwardPass { mb } => {
+                _ => {
                     #[expect(
                         clippy::expect_used,
                         reason = "the schedule runs a micro-batch's forward before its backward"
                     )]
                     let loss = pending_loss.take().expect("forward precedes backward");
-                    // The last backward of the step finishes every
-                    // gradient: listen for each one becoming final, so
-                    // its update (or inline, its stash) runs while
-                    // backward still computes, and for that backward
-                    // only.
-                    if mb + 1 == micro_batches {
-                        g.set_grad_listener(self.opt_engine.grad_listener());
-                    }
                     g.backward(&loss);
-                    g.set_grad_listener(None);
-                    g.reset_tape();
-                }
-                StepCmd::StageBoundary => {}
-                StepCmd::ReduceGrads => {
-                    // Data parallelism degree 1: nothing to reduce. The
-                    // in-backward update finishes what backward left
-                    // (its wait is exposed); inline, the sweep stashes
-                    // the gradients that did not stream. Stores issued
-                    // here drain at this stage scope's exit, on the step
-                    // that produced them.
-                    opt_exposed_secs += self.opt_engine.reduce_grads(&clock, &self.cfg.trace);
-                }
-                StepCmd::OptimizerStep => {
-                    // The inline update runs inside the measured window
-                    // (the in-backward one is done by now).
-                    opt_secs += self.opt_engine.end_of_step(&clock, &self.cfg.trace);
                 }
             }
-            match scope {
-                Some(scope) => drop(scope), // line 15 + stage span
-                None if self.cfg.trace.is_enabled() => self.cfg.trace.span(
-                    TraceCategory::Stage,
-                    stage.trace_label(),
-                    stage_start,
-                    clock.now(),
-                ),
-                None => {}
-            }
-        }
-
+            Ok::<_, Infallible>(())
+        });
+        let Ok((opt_secs, opt_exposed_secs)) = run;
         if let Some(cache) = &self.gpu.cache {
             cache.flush();
         }
@@ -645,20 +554,10 @@ impl TrainSession {
             .last()
             .map(|p| p.activations)
             .unwrap_or(0);
-        let offload = self
-            .gpu
-            .cache
-            .as_ref()
-            .map(|c| c.stats())
-            .unwrap_or_default();
-        let ssd_host_writes = self
-            .gpu
-            .cache
-            .as_ref()
-            .map(|c| c.io().bytes_written())
-            .unwrap_or(0);
+        let cache = self.gpu.cache.as_deref();
+        let offload = cache.map(|c| c.stats()).unwrap_or_default();
+        let ssd_host_writes = cache.map_or(0, |c| c.io().bytes_written());
         let metrics = StepMetrics {
-            batch: self.cfg.batch_size,
             step_secs,
             fwd_secs: self.gpu.executor.phase_secs(Phase::Forward),
             act_peak_bytes: memory.peak_activations,
@@ -683,23 +582,24 @@ impl TrainSession {
                 vec![("secs", ArgValue::F64(step_secs))],
             );
         }
-        if let Some(error) = self.gpu.cache.as_ref().and_then(|c| c.take_error()) {
+        let error = cache.and_then(|c| c.take_error());
+        if error.is_some() {
             // The step is tainted: no update ran after the failure was
             // recorded. Drop what the engine still holds, clear the
             // accumulated gradients and hand the degraded metrics to
             // the caller inside the error.
-            self.opt_engine.abort();
-            self.opt_engine.zero_grad();
-            self.step_idx += 1;
-            step_span.end(clock.now());
-            return Err(StepError {
-                error,
-                metrics: Some(Box::new(metrics)),
-            });
+            self.steps.opt.abort();
+            self.steps.opt.zero_grad();
         }
         self.step_idx += 1;
         step_span.end(clock.now());
-        Ok(metrics)
+        match error {
+            Some(error) => Err(StepError {
+                error,
+                metrics: Some(Box::new(metrics)),
+            }),
+            None => Ok(metrics),
+        }
     }
 }
 

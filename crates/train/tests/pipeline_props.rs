@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use ssdtrain_analysis::pipeline::bubble_fraction;
-use ssdtrain_train::pipeline::{one_f1b_commands, StageCmd};
-use ssdtrain_train::PipelineSim;
+use ssdtrain_train::{one_f1b_commands, PipelineSim, StageCmd};
 
 proptest! {
     #[test]

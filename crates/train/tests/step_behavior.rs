@@ -316,6 +316,45 @@ fn profile_step_returns_the_plan_derived_after_its_backward() {
 }
 
 #[test]
+fn the_profiling_step_runs_its_micro_batch_under_stage_scopes() {
+    // The profiling step runs the first micro-batch's four commands
+    // through the step runner, each inside its stage scope, and tracing
+    // it changes nothing it measures.
+    let profile = |trace: TraceSink| {
+        let cfg = SessionConfig::builder()
+            .model(ModelConfig::paper_scale(Arch::Bert, 2048, 8).with_tp(2))
+            .batch_size(8)
+            .micro_batches(2)
+            .symbolic(true)
+            .prefetch_group(2)
+            .seed(7)
+            .trace(trace)
+            .build()
+            .expect("valid config");
+        let mut s = TrainSession::new(cfg).expect("session");
+        s.profile_step().expect("profile step").1
+    };
+    let sink = TraceSink::enabled();
+    let traced = profile(sink.clone());
+    let stages: Vec<String> = (sink.events().into_iter())
+        .filter(|e| e.name.starts_with("stage."))
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(
+        stages,
+        [
+            "stage.load_mb0",
+            "stage.forward",
+            "stage.comm",
+            "stage.backward"
+        ]
+    );
+    let untraced = profile(TraceSink::disabled());
+    assert!(!traced.keep_paths.is_empty());
+    assert_eq!(traced.keep_paths, untraced.keep_paths);
+}
+
+#[test]
 fn t5_and_gpt_paper_shapes_run_symbolically() {
     for arch in [Arch::Gpt, Arch::T5] {
         let cfg = SessionConfig::builder()

@@ -48,7 +48,11 @@ cargo test -q --release -p ssdtrain-tensor -- --ignored tanh_port_matches_libm_o
 # plan keeps the same modules whichever prefetcher profiled the step.
 # Run explicitly for the same reason.
 cargo test -q --test prefetch_timing
-# Pipelined numerics must stay bit-identical to single-GPU; run explicitly.
+# Pipelined numerics must stay bit-identical to single-GPU, and the
+# offloaded two-stage trace keeps its pins: its stages' 72 `stage.*`
+# spans and 8 `tier.io.*` / `class.io.*` instants (the stage scopes the
+# step runner opens) counted on their own, the rest to the byte. Run
+# explicitly.
 cargo test -q -p ssdtrain-train --lib pipeline_exec
 # The fault × recovery matrix must hold through the coalesced/prefetched
 # I/O path with bit-identical losses. Run explicitly for the same reason.
